@@ -119,11 +119,11 @@ class GeneralProbingTechnique(AckTechnique):
         inject_switch = inject_candidates[0] if inject_candidates else neighbors[0]
 
         overrides = {self.config.probe_field: self.switch_values[catch_switch]}
-        table_view = [RuleView.from_entry(entry)
-                      for entry in self.layer.mirror_table(switch_name).entries]
         try:
             headers = generate_probe_headers(
-                RuleView.from_flowmod(flowmod), table_view, overrides
+                RuleView.from_flowmod(flowmod),
+                self.layer.mirror_table(switch_name).entries,
+                overrides,
             )
         except ProbeGenerationError:
             return None

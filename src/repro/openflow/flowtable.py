@@ -11,11 +11,18 @@ Two lookup disciplines are supported:
   installation order to define the rule importance"; the paper's prototype
   therefore "carefully place[s] the low priority rules early" so that later
   installations take precedence (Section 4).
+
+Both are served by one structure (see :class:`FlowTable`): a store keyed by
+rule identity and a lookup index that every mutation updates in place.  The
+index reads :meth:`Match.compiled_constraints`, ``is_exact`` and the hash
+built on them, which ``Match`` memoises lazily — never in ``__init__``,
+because ``intersection()`` / ``extended()`` fill a blank ``Match()`` afterwards.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.openflow.actions import Action, actions_signature
@@ -77,17 +84,47 @@ class FlowEntry:
         )
 
 
-class FlowTable:
-    """A single-table OpenFlow pipeline."""
+def _exact_slot(match: Match) -> Optional[Tuple[tuple, tuple]]:
+    """``(field signature, field values)`` hash key of a fully specified
+    match; ``None`` (masked fields, or no constraint) means the wildcard list."""
+    constraints = match.compiled_constraints()
+    if constraints and match.is_exact:
+        return tuple(zip(*constraints))[:2]
+    return None
 
-    __slots__ = (
-        "mode",
-        "capacity",
-        "name",
-        "_entries",
-        "_install_counter",
-        "_lookup_index",
-    )
+
+class FlowTable:
+    """A single-table OpenFlow pipeline.
+
+    **Store.**  Entries live in an insertion-ordered
+    ``{(priority, match): FlowEntry}`` dict, so "``(priority, match)`` is
+    unique per table" is structural: an ADD of a present identity assigns
+    the key (the replacement keeps the old position in :attr:`entries`), and
+    only a *new* identity can hit ``capacity``.
+
+    **Index.**  ``_buckets`` stays alive and is updated in place by every
+    mutation; nothing is ever rebuilt.  It is a list of
+    ``(rank, exact_groups, wildcard)`` sorted by ``rank``; a lookup returns
+    the matching entry with the smallest ``(rank, order)`` (:meth:`_place`;
+    ``install_order`` mode is one rank holding only a ``wildcard`` list).
+    ``exact_groups`` maps a field signature (tuple of constrained field
+    indices) to a hash table ``{field values: (order, entry)}`` for fully
+    specified rules; ``wildcard`` holds the rest as
+    ``(order, entry, matcher)`` sorted by ``order``.  Both sorted lists are
+    searched with ``bisect`` (``entry_id`` makes every key unique), so an
+    out-of-order ``now`` still lands in the right place.
+
+    **Cost** (n entries, w wildcard entries of one rank): ADD, DELETE_STRICT
+    and :meth:`remove_entry` are one identity lookup plus one index update —
+    O(1) for exact rules, O(log w) search + list shift for wildcard ones.
+    MODIFY and non-strict DELETE scan the n entries for those the FlowMod's
+    match covers; MODIFY then does no index work at all, because it changes
+    neither match, priority nor order.  A lookup probes one hash table per
+    (rank, signature) and walks wildcard entries only while they could still
+    beat the best exact hit.
+    """
+
+    __slots__ = ("mode", "capacity", "name", "_entries", "_buckets")
 
     def __init__(
         self,
@@ -100,25 +137,20 @@ class FlowTable:
         self.mode = mode
         self.capacity = capacity
         self.name = name
-        self._entries: List[FlowEntry] = []
-        self._install_counter = 0
-        #: Compiled lookup structure, built lazily and dropped on mutation.
-        #: ``priority`` mode: priority-descending buckets, each with an
-        #: exact-match hash fast path plus compiled wildcard matchers.
-        #: ``install_order`` mode: recency-ordered ``(entry, matcher)`` list.
-        self._lookup_index = None
+        self._entries: Dict[Tuple[int, Match], FlowEntry] = {}
+        self._buckets: List[Tuple[int, Dict[tuple, dict], list]] = []
 
     # -- inspection --------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self):
-        return iter(list(self._entries))
+        return iter(self.entries)
 
     @property
     def entries(self) -> List[FlowEntry]:
         """A copy of the current entries (stable order: installation order)."""
-        return list(self._entries)
+        return list(self._entries.values())
 
     def entries_sorted_for_lookup(self) -> List[FlowEntry]:
         """Entries in the order the lookup algorithm considers them."""
@@ -126,15 +158,15 @@ class FlowTable:
             # Most recently installed first: priorities are ignored and later
             # installations take precedence over earlier ones.
             return sorted(
-                self._entries, key=lambda entry: (-entry.installed_at, -entry.entry_id)
+                self.entries, key=lambda entry: (-entry.installed_at, -entry.entry_id)
             )
         return sorted(
-            self._entries, key=lambda entry: (-entry.priority, entry.installed_at, entry.entry_id)
+            self.entries, key=lambda entry: (-entry.priority, entry.installed_at, entry.entry_id)
         )
 
     def find(self, predicate: Callable[[FlowEntry], bool]) -> List[FlowEntry]:
         """All entries satisfying ``predicate``."""
-        return [entry for entry in self._entries if predicate(entry)]
+        return [entry for entry in self._entries.values() if predicate(entry)]
 
     def occupancy(self) -> int:
         """Number of installed rules (alias of ``len``)."""
@@ -152,128 +184,101 @@ class FlowTable:
         if command in (FlowModCommand.MODIFY, FlowModCommand.MODIFY_STRICT):
             return self._modify(flowmod, strict=command == FlowModCommand.MODIFY_STRICT, now=now)
         if command in (FlowModCommand.DELETE, FlowModCommand.DELETE_STRICT):
-            self._delete(flowmod, strict=command == FlowModCommand.DELETE_STRICT)
+            for entry in self._selected(flowmod, strict=command == FlowModCommand.DELETE_STRICT):
+                self.remove_entry(entry)
             return []
         raise ValueError(f"unsupported FlowMod command {command}")
 
     def _add(self, flowmod: FlowMod, now: float) -> FlowEntry:
-        self._invalidate_index()
+        identity = (flowmod.priority, flowmod.match)
         # OpenFlow ADD semantics: an identical match at the same priority is
         # replaced rather than duplicated.
-        for index, entry in enumerate(self._entries):
-            if entry.priority == flowmod.priority and entry.match.exact_same(flowmod.match):
-                replacement = FlowEntry(
-                    flowmod.match,
-                    flowmod.actions,
-                    priority=flowmod.priority,
-                    cookie=flowmod.cookie,
-                    installed_at=entry.installed_at if self.mode == "install_order" else now,
-                    source_xid=flowmod.xid,
-                )
-                self._entries[index] = replacement
-                return replacement
-        if self.capacity is not None and len(self._entries) >= self.capacity:
-            raise TableFullError(
-                f"flow table {self.name!r} full ({self.capacity} entries)"
-            )
+        replaced = self._entries.get(identity)
+        if replaced is None and self.capacity is not None and len(self._entries) >= self.capacity:
+            raise TableFullError(f"flow table {self.name!r} full ({self.capacity} entries)")
+        inherit = replaced is not None and self.mode == "install_order"
         entry = FlowEntry(
             flowmod.match,
             flowmod.actions,
             priority=flowmod.priority,
             cookie=flowmod.cookie,
-            installed_at=now,
+            installed_at=replaced.installed_at if inherit else now,
             source_xid=flowmod.xid,
         )
-        self._install_counter += 1
-        self._entries.append(entry)
+        if replaced is not None:
+            self._unindex(replaced)
+        self._entries[identity] = entry
+        self._index(entry)
         return entry
 
     def _modify(self, flowmod: FlowMod, strict: bool, now: float) -> List[FlowEntry]:
-        self._invalidate_index()
-        touched: List[FlowEntry] = []
-        for entry in self._entries:
-            if self._selected(entry, flowmod.match, flowmod.priority, strict):
-                entry.actions = list(flowmod.actions)
-                entry.cookie = flowmod.cookie
-                entry.source_xid = flowmod.xid
-                touched.append(entry)
-        if not touched:
-            # OpenFlow 1.0: MODIFY with no matching entry behaves like ADD.
-            touched.append(self._add(flowmod, now))
-        return touched
+        touched = self._selected(flowmod, strict)
+        for entry in touched:
+            entry.actions = list(flowmod.actions)
+            entry.cookie = flowmod.cookie
+            entry.source_xid = flowmod.xid
+        # OpenFlow 1.0: MODIFY with no matching entry behaves like ADD.
+        return touched or [self._add(flowmod, now)]
 
-    def _delete(self, flowmod: FlowMod, strict: bool) -> None:
-        self._invalidate_index()
-        self._entries = [
-            entry
-            for entry in self._entries
-            if not self._selected(entry, flowmod.match, flowmod.priority, strict)
-        ]
-
-    @staticmethod
-    def _selected(entry: FlowEntry, match: Match, priority: int, strict: bool) -> bool:
+    def _selected(self, flowmod: FlowMod, strict: bool) -> List[FlowEntry]:
+        """The entries a MODIFY/DELETE (``_STRICT`` or not) addresses."""
         if strict:
-            return entry.priority == priority and entry.match.exact_same(match)
+            entry = self._entries.get((flowmod.priority, flowmod.match))
+            return [] if entry is None else [entry]
         # Non-strict: the FlowMod match acts as a wildcard filter that must
-        # cover the entry's match.
-        return match.covers(entry.match) or match.is_match_all
+        # cover the entry's match (an empty match covers everything).
+        covers = flowmod.match.covers
+        return [entry for entry in self._entries.values() if covers(entry.match)]
 
     def remove_entry(self, entry: FlowEntry) -> None:
         """Remove a specific entry object (used by timeout expiry)."""
-        self._invalidate_index()
-        self._entries = [candidate for candidate in self._entries if candidate is not entry]
+        identity = (entry.priority, entry.match)
+        if self._entries.get(identity) is entry:
+            del self._entries[identity]
+            self._unindex(entry)
 
     def clear(self) -> None:
         """Remove all entries."""
-        self._invalidate_index()
         self._entries.clear()
+        self._buckets.clear()
+
+    # -- index maintenance ------------------------------------------------------
+    def _place(self, entry: FlowEntry) -> Tuple[int, Tuple[float, int], Optional[tuple]]:
+        """``(rank, order, exact slot)``: highest priority then oldest, or just newest."""
+        if self.mode == "install_order":
+            # Equal matches of different priority share the one rank, so no
+            # hash path: its keys are unique only within one priority.
+            return 0, (-entry.installed_at, -entry.entry_id), None
+        return -entry.priority, (entry.installed_at, entry.entry_id), _exact_slot(entry.match)
+
+    def _index(self, entry: FlowEntry) -> None:
+        rank, order, slot = self._place(entry)
+        buckets = self._buckets
+        at = bisect_left(buckets, (rank,))
+        if at == len(buckets) or buckets[at][0] != rank:
+            buckets.insert(at, (rank, {}, []))
+        _, exact_groups, wildcard = buckets[at]
+        if slot is None:
+            insort(wildcard, (order, entry, entry.match.compiled()))
+        else:
+            exact_groups.setdefault(slot[0], {})[slot[1]] = (order, entry)
+
+    def _unindex(self, entry: FlowEntry) -> None:
+        rank, order, slot = self._place(entry)
+        buckets = self._buckets
+        at = bisect_left(buckets, (rank,))
+        _, exact_groups, wildcard = buckets[at]
+        if slot is None:
+            del wildcard[bisect_left(wildcard, (order,))]
+        else:
+            group = exact_groups[slot[0]]
+            del group[slot[1]]
+            if not group:
+                del exact_groups[slot[0]]
+        if not exact_groups and not wildcard:
+            del buckets[at]
 
     # -- lookup -----------------------------------------------------------------
-    def _invalidate_index(self) -> None:
-        self._lookup_index = None
-
-    def _build_priority_index(self):
-        """Priority-descending buckets with an exact-match dict fast path.
-
-        Each bucket holds the entries of one priority as
-        ``(exact_groups, wildcard)`` where ``exact_groups`` maps a field
-        signature (tuple of constrained field indices) to a hash table
-        ``{field values: (order, entry)}`` for fully-specified rules, and
-        ``wildcard`` lists the remaining entries as compiled matchers in
-        tie-break order (``order`` is ``(installed_at, entry_id)`` — the
-        equal-priority "older entry wins" rule).
-        """
-        by_priority: Dict[int, list] = {}
-        for entry in self._entries:
-            by_priority.setdefault(entry.priority, []).append(
-                ((entry.installed_at, entry.entry_id), entry)
-            )
-        buckets = []
-        for priority in sorted(by_priority, reverse=True):
-            exact_groups: Dict[tuple, dict] = {}
-            wildcard = []
-            for order, entry in sorted(by_priority[priority]):
-                match = entry.match
-                constraints = match.compiled_constraints()
-                if constraints and match.is_exact:
-                    signature = tuple(item[0] for item in constraints)
-                    group = exact_groups.setdefault(signature, {})
-                    key = tuple(item[1] for item in constraints)
-                    # Oldest entry wins among identical (priority, match)
-                    # duplicates, mirroring the linear reference scan.
-                    group.setdefault(key, (order, entry))
-                else:
-                    wildcard.append((order, entry, match.compiled()))
-            buckets.append((list(exact_groups.items()), wildcard))
-        return buckets
-
-    def _build_install_order_index(self):
-        """Recency-first compiled entry list (hardware table semantics)."""
-        ordered = sorted(
-            self._entries, key=lambda entry: (-entry.installed_at, -entry.entry_id)
-        )
-        return [(entry, entry.match.compiled()) for entry in ordered]
-
     def lookup_values(self, values) -> Optional[FlowEntry]:
         """Classify a fixed-order header value array (the hot path).
 
@@ -281,20 +286,10 @@ class FlowTable:
         ``None`` for absent fields (read as zero), exactly like
         ``packet._values`` with ``in_port`` filled in.
         """
-        index = self._lookup_index
-        if self.mode == "install_order":
-            if index is None:
-                index = self._lookup_index = self._build_install_order_index()
-            for entry, matcher in index:
-                if matcher(values):
-                    return entry
-            return None
-        if index is None:
-            index = self._lookup_index = self._build_priority_index()
-        for exact_groups, wildcard in index:
+        for _rank, exact_groups, wildcard in self._buckets:
             best_order = None
             best_entry = None
-            for signature, group in exact_groups:
+            for signature, group in exact_groups.items():
                 key = tuple((values[i] or 0) for i in signature)
                 hit = group.get(key)
                 if hit is not None and (best_order is None or hit[0] < best_order):
@@ -317,22 +312,17 @@ class FlowTable:
         """Reference (unoptimized) lookup: sorted linear scan.
 
         The original implementation, kept for equivalence testing against
-        :meth:`lookup_values`' compiled index.
+        :meth:`lookup_values`' maintained index; it shares no code with it.
         """
         for entry in self.entries_sorted_for_lookup():
             if entry.match.matches_packet_reference(packet):
                 return entry
         return None
 
-    def lookup_all(self, packet: Packet) -> List[FlowEntry]:
-        """Every entry matching ``packet`` in lookup order (diagnostics only)."""
-        return [entry for entry in self.entries_sorted_for_lookup()
-                if entry.match.matches_packet(packet)]
-
     # -- comparison ----------------------------------------------------------------
     def signature_set(self) -> set:
         """Set of entry signatures — used to diff control vs. data plane state."""
-        return {entry.signature() for entry in self._entries}
+        return {entry.signature() for entry in self._entries.values()}
 
     def dump(self) -> List[Dict]:
         """A JSON-able dump of the table (tests and debugging)."""

@@ -90,10 +90,14 @@ class Match:
     full-width mask.
     """
 
-    __slots__ = ("_fields", "_compiled")
+    __slots__ = ("_fields", "_compiled", "_memo")
 
     def __init__(self, **kwargs) -> None:
+        # Both caches fill on first use, never here: ``intersection`` and
+        # ``extended`` build a blank ``Match()`` and assign ``_fields`` later,
+        # so anything derived in ``__init__`` would describe the empty match.
         self._compiled: Optional[Callable[[List[Optional[int]]], bool]] = None
+        self._memo: Optional[tuple] = None
         fields: Dict[HeaderField, Tuple[int, int]] = {}
         for name, raw in kwargs.items():
             if raw is None:
@@ -181,16 +185,22 @@ class Match:
                 return False
         return True
 
+    def _memoised(self) -> Tuple[Tuple[Tuple[int, int, int], ...], bool]:
+        """Fill ``_memo`` with ``(compiled constraints, is_exact)``: a match is
+        immutable once ``_fields`` is in place, so it never goes stale."""
+        constraints = tuple(sorted((FIELD_INDEX[field], value, mask)
+                                   for field, (value, mask) in self._fields.items()))
+        is_exact = all(mask == FIELD_MAX_BY_INDEX[index] for index, _, mask in constraints)
+        self._memo = (constraints, is_exact)
+        return self._memo
+
     def compiled_constraints(self) -> Tuple[Tuple[int, int, int], ...]:
         """The constraints as ``(field_index, value, mask)`` tuples.
 
         Field indices follow :data:`~repro.packet.fields.FIELD_ORDER`, i.e.
         they index directly into a packet's header value array.
         """
-        return tuple(sorted(
-            (FIELD_INDEX[field], value, mask)
-            for field, (value, mask) in self._fields.items()
-        ))
+        return (self._memo or self._memoised())[0]
 
     @property
     def is_exact(self) -> bool:
@@ -199,10 +209,7 @@ class Match:
         Exact matches are eligible for the flow table's hash-lookup fast
         path (no prefix/masked fields).
         """
-        return all(
-            mask == FIELD_MAX_BY_INDEX[FIELD_INDEX[field]]
-            for field, (_value, mask) in self._fields.items()
-        )
+        return (self._memo or self._memoised())[1]
 
     def compiled(self) -> Callable[[List[Optional[int]]], bool]:
         """A compiled classifier closure over the packet header value array.
@@ -293,8 +300,7 @@ class Match:
         return isinstance(other, Match) and self._fields == other._fields
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((field.value, value, mask)
-                                 for field, (value, mask) in self._fields.items())))
+        return hash((self._memo or self._memoised())[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         if not self._fields:

@@ -23,16 +23,20 @@ rule leaves wildcarded to escape conflicting higher-priority rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.openflow.actions import Action, actions_signature
 from repro.openflow.match import Match
 from repro.packet.fields import (
     ETH_TYPE_IP,
+    FIELD_ORDER,
     FIELD_REGISTRY,
     HeaderField,
     IP_PROTO_UDP,
 )
+
+if TYPE_CHECKING:
+    from repro.openflow.flowtable import FlowEntry
 
 
 class ProbeGenerationError(RuntimeError):
@@ -45,7 +49,12 @@ class ProbeGenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RuleView:
-    """The minimal view of a flow-table entry probe generation needs."""
+    """The minimal view of a rule probe generation needs.
+
+    The table handed to :func:`generate_probe_headers` may hold these or
+    flow-table entries directly (see :data:`TableRule`), so no per-entry view
+    is built for rules the probe is merely compared against.
+    """
 
     match: Match
     priority: int
@@ -57,15 +66,10 @@ class RuleView:
         return cls(match=flowmod.match, priority=flowmod.priority,
                    actions=tuple(flowmod.actions))
 
-    @classmethod
-    def from_entry(cls, entry) -> "RuleView":
-        """Build a view from a FlowEntry."""
-        return cls(match=entry.match, priority=entry.priority, actions=tuple(entry.actions))
 
-    def forwarding_signature(self) -> Tuple:
-        """Hashable summary of the rule's externally observable behaviour."""
-        return actions_signature(self.actions)
-
+#: What a probe is compared against: only ``match``, ``priority`` and
+#: ``actions`` are read, which a ``FlowEntry`` carries as well.
+TableRule = Union[RuleView, "FlowEntry"]
 
 #: Baseline header values of a probe packet before rule constraints are applied.
 _DEFAULT_HEADERS: Dict[HeaderField, int] = {
@@ -114,8 +118,10 @@ def probe_key(headers: Dict[HeaderField, int]) -> Tuple:
 
 
 def _packet_matches(match: Match, headers: Dict[HeaderField, int]) -> bool:
-    for field, (value, mask) in match.fields.items():
-        if (headers.get(field, 0) & mask) != value:
+    # The memoised constraint tuples, not ``match.fields`` (a copy per call):
+    # this runs for every rule of the mirror table on every probe.
+    for index, value, mask in match.compiled_constraints():
+        if (headers.get(FIELD_ORDER[index], 0) & mask) != value:
             return False
     return True
 
@@ -123,8 +129,8 @@ def _packet_matches(match: Match, headers: Dict[HeaderField, int]) -> bool:
 def _conflicting_rules(
     headers: Dict[HeaderField, int],
     probed: RuleView,
-    table: Sequence[RuleView],
-) -> List[RuleView]:
+    table: Sequence[TableRule],
+) -> List[TableRule]:
     """Higher-priority rules that would capture the probe before the probed rule."""
     return [
         rule
@@ -138,8 +144,8 @@ def _conflicting_rules(
 def _shadowing_rule(
     headers: Dict[HeaderField, int],
     probed: RuleView,
-    table: Sequence[RuleView],
-) -> Optional[RuleView]:
+    table: Sequence[TableRule],
+) -> Optional[TableRule]:
     """The rule that matches the probe while the probed rule is absent."""
     candidates = [
         rule
@@ -154,7 +160,7 @@ def _shadowing_rule(
 
 def generate_probe_headers(
     probed: RuleView,
-    table: Sequence[RuleView],
+    table: Sequence[TableRule],
     overrides: Optional[Dict[HeaderField, int]] = None,
     max_attempts: int = 16,
 ) -> Dict[HeaderField, int]:
@@ -220,7 +226,8 @@ def generate_probe_headers(
         )
 
     shadow = _shadowing_rule(headers, probed, table)
-    if shadow is not None and shadow.forwarding_signature() == probed.forwarding_signature():
+    if shadow is not None and (actions_signature(shadow.actions)
+                               == actions_signature(probed.actions)):
         raise ProbeGenerationError(
             "a lower-priority rule forwards the probe identically to the probed rule; "
             "the probe cannot distinguish them"

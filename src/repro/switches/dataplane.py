@@ -109,7 +109,7 @@ class DataPlane:
         key = self._cache_key(packet, in_port)
         entry = self._lookup_cache.get(key, _MISS)
         if entry is _MISS:
-            entry = self.table.lookup_values(list(key))
+            entry = self.table.lookup_values(key)
             self._lookup_cache[key] = entry
 
         if entry is None:
