@@ -107,26 +107,27 @@ class Link:
         self._receivers = (node_b, node_a)
         self._in_ports = (port_b, port_a)
 
-    def _serialisation_delay(self, packet: Packet) -> float:
-        if not self.bandwidth_bps:
-            return 0.0
-        return (packet.total_size * 8) / self.bandwidth_bps
-
     def transmit_from(self, sender: PacketSink, packet: Packet) -> None:
-        """Send ``packet`` from ``sender`` towards the other end."""
+        """Send ``packet`` from ``sender`` towards the other end.
+
+        The link owns ``packet`` from here on — the sender must not touch it
+        again — and gives it up when it hands it to the receiver.
+        """
         if sender is self.node_a:
             direction = 0
         elif sender is self.node_b:
             direction = 1
         else:
             raise ValueError(f"{sender.name} is not attached to link {self.name}")
+        size = packet.total_size
         self.packets_carried += 1
-        self.bytes_carried += packet.total_size
+        self.bytes_carried += size
         sim = self.sim
         now = sim._now
         busy = self._busy_until[direction]
-        start = busy if busy > now else now
-        finish = start + self._serialisation_delay(packet)
+        finish = busy if busy > now else now
+        if self.bandwidth_bps:
+            finish += (size * 8) / self.bandwidth_bps
         self._busy_until[direction] = finish
         deliver_at = finish + self.latency
         if not self.batching:

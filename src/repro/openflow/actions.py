@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.openflow.constants import CONTROLLER_PORT, DROP_PORT
-from repro.packet.fields import FIELD_REGISTRY, HeaderField
+from repro.packet.fields import FIELD_INDEX, FIELD_REGISTRY, HeaderField
 from repro.packet.packet import Packet
 
 
@@ -26,9 +26,6 @@ class Action:
 
     #: Discriminator used by the wire codec.
     kind = "action"
-
-    def apply(self, packet: Packet) -> None:
-        """Mutate ``packet`` in place (only rewrite actions do anything)."""
 
     def forwarding_signature(self) -> Tuple:
         """A hashable summary of the action's externally observable effect.
@@ -107,9 +104,6 @@ class SetFieldAction(Action):
         spec.validate(value)
         self.value = int(value)
 
-    def apply(self, packet: Packet) -> None:
-        packet.set(self.field, self.value)
-
     def forwarding_signature(self) -> Tuple:
         return (self.kind, self.field.value, self.value)
 
@@ -117,24 +111,39 @@ class SetFieldAction(Action):
         return f"SetField({self.field.value}={self.value})"
 
 
-def apply_actions(packet: Packet, actions: Sequence[Action]) -> List[int]:
-    """Apply an action list to ``packet`` and return the list of output ports.
+def compile_actions(actions: Sequence[Action]) -> Tuple[tuple, Tuple[int, ...]]:
+    """Interpret an action list once: ``(rewrites, ports)``, both immutable.
 
-    Rewrites take effect in order, so a ``SetField`` before an ``Output``
-    affects what is sent, matching OpenFlow semantics.  The returned list may
-    contain :data:`CONTROLLER_PORT`; an empty list means the packet is dropped.
+    ``rewrites`` are ``(value-array index, value)`` stores (a
+    :class:`SetFieldAction` validates its value when built); ``ports`` are
+    the outputs in list order and may contain :data:`CONTROLLER_PORT`.  Every
+    rewrite applies to the one forwarded packet before anything is sent, so
+    a ``SetField`` placed after an ``Output`` still shows; a ``DropAction``
+    ends the list and leaves no ports.  Nothing else interprets action lists.
     """
-    outputs: List[int] = []
+    rewrites: List[Tuple[int, int]] = []
+    ports: List[int] = []
     for action in actions:
         if isinstance(action, SetFieldAction):
-            action.apply(packet)
+            rewrites.append((FIELD_INDEX[action.field], action.value))
         elif isinstance(action, OutputAction):
-            outputs.append(action.port)
+            ports.append(action.port)
         elif isinstance(action, ControllerAction):
-            outputs.append(CONTROLLER_PORT)
+            ports.append(CONTROLLER_PORT)
         elif isinstance(action, DropAction):
-            return []
-    return outputs
+            ports.clear()
+            break
+    return tuple(rewrites), tuple(ports)
+
+
+def apply_actions(packet: Packet, actions: Sequence[Action]) -> List[int]:
+    """Rewrite ``packet`` in place and return its output ports (see
+    :func:`compile_actions`); an empty list means the packet is dropped."""
+    rewrites, ports = compile_actions(actions)
+    values = packet._values
+    for index, value in rewrites:
+        values[index] = value
+    return list(ports)
 
 
 def actions_signature(actions: Sequence[Action]) -> Tuple:

@@ -3,7 +3,9 @@
 The :class:`Simulator` keeps a priority queue of scheduled callbacks keyed by
 ``(time, sequence_number)`` so that events scheduled for the same instant run
 in FIFO order — a property the switch and network models rely on to keep
-packet and message ordering deterministic.
+packet and message ordering deterministic.  Callbacks are scheduled after a
+delay (:meth:`Simulator.schedule_callback`) or, when the exact float of the
+firing time matters, at an absolute time (:meth:`Simulator.schedule_at`).
 
 The execution loop is the hottest code in the repository: an end-to-end
 experiment dispatches millions of tiny callbacks.  :meth:`Simulator.run`
@@ -149,6 +151,20 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         heapq.heappush(self._heap, (self._now + delay, sequence, callback, args))
+
+    def schedule_at(self, time: float, callback: Callable, *args: Any) -> None:
+        """Run ``callback(*args)`` at the absolute simulated ``time``.
+
+        Fires at exactly that float (``now + (time - now)`` need not equal
+        ``time``), FIFO among ties like every other scheduling call — for a
+        caller that rebuilds a timestamp another event sequence would have
+        produced (the parked data-plane sync).
+        """
+        if time < self._now:
+            raise ValueError(f"cannot schedule in the past (time={time}, now={self._now})")
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heapq.heappush(self._heap, (time, sequence, callback, args))
 
     def schedule_many(
         self, items: Iterable[Tuple]

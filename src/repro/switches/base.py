@@ -167,7 +167,7 @@ class Switch:
         if self._crashed:
             return
         self.packets_received += 1
-        packet.trace.append((self.sim.now, self.name))
+        packet.trace.append((self.sim._now, self.name))
         self.sim.schedule_callback(
             self.profile.forwarding_latency, self._forward, packet, in_port
         )
@@ -176,39 +176,35 @@ class Switch:
         if self._crashed:
             return
         result = self.dataplane.process_packet(packet, in_port)
+        packet = result.packet
         if result.to_controller:
             self.packets_to_controller += 1
-            captured = result.packet.copy() if result.packet is not None else packet.copy()
-            self.controlplane.send_packet_in(
-                lambda: PacketIn(
-                    captured,
-                    in_port=in_port,
-                    reason=PacketInReason.ACTION,
-                    datapath_id=self.datapath_id,
-                )
-            )
+            self._send_packet_in(packet, in_port)
         for port in result.output_ports:
-            self._transmit(result.packet, port, in_port)
+            self._transmit(packet, port, in_port)
 
     def inject_packet(self, packet: Packet, actions: List[Action], in_port: int) -> None:
-        """PacketOut semantics: apply ``actions`` to ``packet`` and emit it."""
+        """PacketOut semantics: apply ``actions`` to a copy of ``packet`` and emit it."""
         if self._crashed:
             return
         forwarded = packet.copy()
-        ports = apply_actions(forwarded, actions)
-        for port in ports:
+        for port in apply_actions(forwarded, actions):
             if port == CONTROLLER_PORT:
-                captured = forwarded.copy()
-                self.controlplane.send_packet_in(
-                    lambda: PacketIn(
-                        captured,
-                        in_port=in_port,
-                        reason=PacketInReason.ACTION,
-                        datapath_id=self.datapath_id,
-                    )
-                )
+                self._send_packet_in(forwarded, in_port)
             else:
                 self._transmit(forwarded, port, in_port)
+
+    def _send_packet_in(self, packet: Packet, in_port: int) -> None:
+        """Capture a copy of ``packet`` now; the PacketIn is built when sent."""
+        captured = packet.copy()
+        self.controlplane.send_packet_in(
+            lambda: PacketIn(
+                captured,
+                in_port=in_port,
+                reason=PacketInReason.ACTION,
+                datapath_id=self.datapath_id,
+            )
+        )
 
     def _transmit(self, packet: Packet, port: int, in_port: int) -> None:
         if port == FLOOD_PORT:

@@ -39,6 +39,7 @@ from repro.obs.events import (
 )
 from repro.openflow.constants import OFErrorCode, OFErrorType
 from repro.packet.packet import Packet
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Queue
 from repro.sim.rng import SeededRandom
@@ -137,6 +138,9 @@ class ControlPlane:
 
         self.inbox: Queue = Queue(sim, name=f"{name}.inbox")
         self._pending_ops: Deque[PendingOperation] = deque()
+        #: ``(parked at, poll quantum, wake event)`` while the rate-limited
+        #: sync loop is idle (see :meth:`_rate_limited_sync_loop`).
+        self._sync_parked: Optional[Tuple[float, float, Event]] = None
         self._barrier_waiters: List[_BarrierWaiter] = []
         self._barrier_epoch = 0
         self._stolen_time = 0.0
@@ -289,6 +293,8 @@ class ControlPlane:
             self._apply_operation(operation)
         else:
             self._pending_ops.append(operation)
+            if self._sync_parked is not None:
+                self._wake_sync()
 
     def _apply_operation(self, operation: PendingOperation) -> None:
         if self.crashed:
@@ -420,12 +426,18 @@ class ControlPlane:
         already pushed to the data plane (TCAM insertion slows down as the
         table fills), which is what makes the lag between control plane and
         data plane grow over a long burst of modifications.
+
+        The agent looks for work every quarter apply slot; an idle loop
+        parks instead of spending kernel events on that poll, and
+        :meth:`_wake_sync` resumes it on the tick the poll would have hit.
         """
         base_spacing = 1.0 / self.profile.dataplane_apply_rate
         applied = 0
         while True:
             if not self._pending_ops:
-                yield base_spacing / 4
+                wake = self.sim.event()
+                self._sync_parked = (self.sim.now, base_spacing / 4, wake)
+                yield wake
                 continue
             if self.profile.reorders_across_barriers and len(self._pending_ops) > 1:
                 index = self.rng.randint(0, len(self._pending_ops) - 1)
@@ -444,3 +456,25 @@ class ControlPlane:
                 continue  # the popped operation died with the switch
             self._apply_operation(operation)
             applied += 1
+
+    def _wake_sync(self) -> None:
+        """Resume the parked sync loop on its next poll tick.
+
+        Polling every ``q`` from the parking time ``T`` wakes at ``T + q``,
+        ``(T + q) + q``, ... — one float add each, the kernel's
+        ``now + delay`` — so the first tick not before ``now`` is rebuilt
+        with the same adds and scheduled at exactly that float (apply times
+        enter the run digests).  A crash that empties the queue before the
+        tick parks the loop again *from the tick*, which keeps the grid.
+        One tie differs from polling: a FlowMod completing float-exactly on
+        a tick is applied from that tick, where a poll that ran first would
+        have left it for the next — unreachable in practice (completions are
+        jittered), like the train tie :mod:`repro.net.link` documents.
+        """
+        tick, quantum, wake = self._sync_parked
+        self._sync_parked = None
+        tick += quantum
+        now = self.sim.now
+        while tick < now:
+            tick += quantum
+        self.sim.schedule_at(tick, wake.succeed)

@@ -7,18 +7,27 @@ as two distinct objects makes that divergence explicit and measurable
 (:meth:`DataPlane.divergence_from`).
 
 A lookup cache keyed by the packet's full header tuple keeps per-packet cost
-low for the high-rate traffic used in the end-to-end experiments; the cache
-is invalidated whenever a rule is applied to the data plane.
+low for the high-rate traffic used in the end-to-end experiments.  It holds
+*forwarding plans* — the table's answer compiled once per miss by
+:func:`~repro.openflow.actions.compile_actions` — so a hit only applies one.
+``FlowTable`` MODIFY rebinds ``entry.actions``: a plan must never outlive a
+data-plane mutation, so the cache is cleared whenever a rule is applied.
+
+Packet ownership: a packet handed to a port's transmit is owned by the link;
+the sender must not touch it again, so the packet a switch receives is held
+by nobody else and travels on as the same object.  The data plane copies
+only to rewrite; :class:`~repro.switches.base.Switch` copies per flooded port
+and for PacketIn capture (not per port of a multi-output rule, whose links
+share one object and its hop trace, as ever — nothing in ``src/`` installs one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import tracer as obs_tracer
 from repro.obs.events import PHASE_HW_ACTIVATED
-from repro.openflow.actions import apply_actions
+from repro.openflow.actions import compile_actions
 from repro.openflow.constants import CONTROLLER_PORT
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.messages import FlowMod
@@ -28,27 +37,24 @@ from repro.packet.packet import Packet
 #: Array index of ``in_port`` in a packet's header value array.
 _IN_PORT_INDEX = FIELD_INDEX[HeaderField.IN_PORT]
 
-#: Cache-miss sentinel (``None`` is a valid cached value: a table miss).
-_MISS = object()
 
-
-@dataclass
 class ForwardingResult:
-    """Outcome of processing one packet in the data plane."""
+    """Outcome of processing one packet in the data plane.
 
-    #: Physical output ports the (possibly rewritten) packet must be sent to.
-    output_ports: List[int] = field(default_factory=list)
-    #: Whether a copy must be encapsulated in a PacketIn to the controller.
-    to_controller: bool = False
-    #: The rule that matched, or ``None`` on a table miss.
-    matched_entry: Optional[FlowEntry] = None
-    #: The packet after rewrite actions were applied.
-    packet: Optional[Packet] = None
+    ``packet`` (the input object, or a rewritten copy) leaves on the physical
+    ``output_ports`` (the cached plan's own tuple) and, if ``to_controller``,
+    a copy goes into a PacketIn; ``matched_entry`` is ``None`` on a table miss.
+    """
 
-    @property
-    def dropped(self) -> bool:
-        """True when the packet leaves the switch on no port at all."""
-        return not self.output_ports and not self.to_controller
+    __slots__ = ("packet", "output_ports", "to_controller", "matched_entry")
+
+    def __init__(self, packet: Packet, output_ports: Tuple[int, ...] = (),
+                 to_controller: bool = False,
+                 matched_entry: Optional[FlowEntry] = None) -> None:
+        self.packet = packet
+        self.output_ports = output_ports
+        self.to_controller = to_controller
+        self.matched_entry = matched_entry
 
 
 class DataPlane:
@@ -60,7 +66,7 @@ class DataPlane:
         self.name = name
         #: Owning switch, for trace events (the table is named ``<switch>.data``).
         self.switch_name = name[:-5] if name.endswith(".data") else name
-        self._lookup_cache: Dict[Tuple, Optional[FlowEntry]] = {}
+        self._lookup_cache: Dict[Tuple, tuple] = {}
         #: (time, flowmod xid) history of when each rule became visible to
         #: packets — the measurement layer uses this as ground truth for
         #: "data plane activation".
@@ -89,46 +95,44 @@ class DataPlane:
         self._lookup_cache.clear()
 
     # -- packet processing --------------------------------------------------------
-    def _cache_key(self, packet: Packet, in_port: int) -> Tuple:
-        """Full-header cache key: the fixed-order value array with ``in_port``.
-
-        Field order is static (:data:`~repro.packet.fields.FIELD_ORDER`), so
-        no sorting is needed — the array is already canonical.
-        """
-        key = packet._values.copy()
-        key[_IN_PORT_INDEX] = in_port
-        return tuple(key)
+    def _compile_plan(self, key: Tuple) -> tuple:
+        """A cache miss: look ``key`` up and compile the table's answer into
+        ``(entry, rewrites, physical output ports, to_controller)``."""
+        entry = self.table.lookup_values(key)
+        if entry is None:
+            return (None, (), (), False)
+        rewrites, ports = compile_actions(entry.actions)
+        return (entry, rewrites,
+                tuple(port for port in ports if port != CONTROLLER_PORT),
+                CONTROLLER_PORT in ports)
 
     def process_packet(self, packet: Packet, in_port: int) -> ForwardingResult:
         """Classify ``packet`` and compute its forwarding result.
 
-        Rewrite actions are applied to a copy so the caller's packet object
-        (still owned by the upstream link) is not mutated.
+        The result carries ``packet`` itself unless the matched rule rewrites
+        headers; then the rewrites go to a copy and ``packet`` is untouched.
         """
         self.packets_processed += 1
-        key = self._cache_key(packet, in_port)
-        entry = self._lookup_cache.get(key, _MISS)
-        if entry is _MISS:
-            entry = self.table.lookup_values(key)
-            self._lookup_cache[key] = entry
-
+        # Cache key: the fixed-order value array with ``in_port`` (canonical as is).
+        key = packet._values.copy()
+        key[_IN_PORT_INDEX] = in_port
+        key = tuple(key)
+        plan = self._lookup_cache.get(key)
+        if plan is None:
+            plan = self._lookup_cache[key] = self._compile_plan(key)
+        entry, rewrites, ports, to_controller = plan
         if entry is None:
             self.packets_dropped += 1
-            return ForwardingResult(packet=packet)
-
+            return ForwardingResult(packet)
         entry.record_hit(packet)
-        forwarded = packet.copy()
-        ports = apply_actions(forwarded, entry.actions)
-        output_ports = [port for port in ports if port != CONTROLLER_PORT]
-        to_controller = CONTROLLER_PORT in ports
-        if not ports:
+        if rewrites:
+            packet = packet.copy()
+            values = packet._values
+            for index, value in rewrites:
+                values[index] = value
+        if not ports and not to_controller:
             self.packets_dropped += 1
-        return ForwardingResult(
-            output_ports=output_ports,
-            to_controller=to_controller,
-            matched_entry=entry,
-            packet=forwarded,
-        )
+        return ForwardingResult(packet, ports, to_controller, entry)
 
     # -- diagnostics -----------------------------------------------------------------
     def divergence_from(self, control_table: FlowTable) -> Tuple[set, set]:

@@ -36,6 +36,39 @@ def test_negative_delay_rejected():
         sim.schedule_callback(-0.1, lambda: None)
 
 
+def test_schedule_at_fires_at_the_exact_float():
+    sim = Simulator()
+    sim.schedule_callback(0.2, lambda: None)
+    sim.run()
+    # A delay cannot always name an absolute time: 0.2 + (0.9 - 0.2) < 0.9.
+    assert sim.now + (0.9 - sim.now) != 0.9
+    fired = []
+    sim.schedule_at(0.9, lambda: fired.append(sim.now))
+    sim.schedule_callback(0.9 - sim.now, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [0.8999999999999999, 0.9]
+
+
+def test_schedule_at_ties_fifo_with_schedule_callback():
+    sim = Simulator()
+    log = []
+    sim.schedule_callback(0.5, log.append, "delay-1")
+    sim.schedule_at(0.5, log.append, "at")
+    sim.schedule_callback(0.5, log.append, "delay-2")
+    sim.schedule_at(sim.now, log.append, "now")  # the present is not the past
+    sim.run()
+    assert log == ["now", "delay-1", "at", "delay-2"]
+
+
+def test_schedule_at_rejects_the_past():
+    sim = Simulator()
+    sim.schedule_callback(1.0, lambda: None)
+    sim.run()
+    with pytest.raises(ValueError):
+        sim.schedule_at(0.5, lambda: None)
+    assert sim.pending_count == 0
+
+
 def test_run_until_stops_before_later_events():
     sim = Simulator()
     log = []

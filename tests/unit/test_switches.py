@@ -6,6 +6,7 @@ import pytest
 from repro.openflow import (
     BarrierRequest,
     BarrierReply,
+    ControllerAction,
     EchoRequest,
     EchoReply,
     FeaturesRequest,
@@ -196,6 +197,25 @@ def test_packet_out_injects_on_port():
     connection.side_b.send(PacketOut(packet, [OutputAction(1)]))
     sim.run(until=0.5)
     assert len(received) == 1
+
+
+def test_packet_out_with_two_controller_actions_sends_two_distinct_copies():
+    # The PacketIn is built when it is sent, after the loop over the ports
+    # ended: each one must still carry the copy captured for *its* action.
+    sim = Simulator()
+    switch = SoftwareSwitch(sim, "S")
+    connection = Connection(sim)
+    switch.connect_controller(connection.side_a)
+    packet_ins = []
+    connection.side_b.on_message(packet_ins.append)
+    switch.start()
+    connection.side_b.send(PacketOut(make_ip_packet("10.0.0.1", "10.0.0.2"),
+                                     [ControllerAction(), ControllerAction()]))
+    sim.run(until=0.5)
+    first, second = (message.packet for message in packet_ins)
+    assert first is not second
+    assert first.packet_id < second.packet_id  # captured in action order
+    assert first.headers == second.headers
 
 
 def test_packet_out_rate_is_capped():

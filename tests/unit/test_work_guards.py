@@ -1,0 +1,124 @@
+"""Wall-clock-free guards on per-packet and idle work.
+
+These count calls, not seconds: a packet hop may only do per-packet work
+(no copy unless the rule rewrites, no action-list interpretation on a cache
+hit) and an idle network may not execute kernel steps at all.  A refactor that
+quietly brings the copy or the poll back fails here on any machine.
+"""
+
+from collections import Counter
+
+import pytest
+
+import repro.switches.dataplane as dataplane_mod
+from repro.net.network import Network
+from repro.openflow import FlowMod, Match, OutputAction
+from repro.openflow.constants import FLOOD_PORT
+from repro.openflow.flowtable import FlowTable
+from repro.packet.packet import Packet, make_ip_packet
+from repro.scenarios import ScenarioParams, run_scenario
+from repro.scenarios.generators import build_topology
+from repro.sim import Simulator
+from repro.switches import SoftwareSwitch, Switch
+from repro.switches.controlplane import ControlPlane
+from repro.switches.dataplane import DataPlane
+
+
+def _counted(monkeypatch, owner, name, counts, observe=None):
+    """Replace ``owner.name`` by a wrapper counting calls (and ``observe``-ing them)."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        result = original(*args, **kwargs)
+        if observe is not None:
+            observe(args, result)
+        return result
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    counts = Counter()
+
+    def saw_transmit(args, _result):
+        switch, _packet, port, in_port = args
+        if port == FLOOD_PORT:
+            counts["flood_copies"] += sum(
+                1 for port_no in switch.port_numbers if port_no != in_port)
+
+    def saw_lookup(_args, entry):
+        if entry is not None:
+            counts["lookups_that_matched"] += 1
+
+    original_process = DataPlane.process_packet
+
+    def process_packet(self, packet, in_port):
+        cached = len(self._lookup_cache)
+        result = original_process(self, packet, in_port)
+        counts["cache_misses" if len(self._lookup_cache) > cached else "cache_hits"] += 1
+        if result.packet is not packet:
+            counts["rewriting_hits"] += 1
+        return result
+
+    monkeypatch.setattr(DataPlane, "process_packet", process_packet)
+    _counted(monkeypatch, Packet, "copy", counts)
+    _counted(monkeypatch, DataPlane, "_compile_plan", counts)
+    _counted(monkeypatch, FlowTable, "lookup_values", counts, saw_lookup)
+    _counted(monkeypatch, dataplane_mod, "compile_actions", counts)
+    _counted(monkeypatch, ControlPlane, "send_packet_in", counts)
+    _counted(monkeypatch, Switch, "inject_packet", counts)
+    _counted(monkeypatch, Switch, "_transmit", counts, saw_transmit)
+    return counts
+
+
+def test_a_migration_cell_does_only_per_packet_work(counts):
+    # Sequential probing: its versioned probe rule rewrites, so the cell has
+    # thousands of plain hits plus probes that are injected (PacketOut),
+    # rewritten and punted to the controller (PacketIn).
+    record = run_scenario("path-migration", "sequential",
+                          ScenarioParams(topology="fat-tree", flow_count=4,
+                                         rate_pps=200.0, max_update_duration=5.0))
+    assert record.completed
+    assert counts["cache_hits"] > 20 * counts["cache_misses"] > 0
+    assert min(counts["rewriting_hits"], counts["send_packet_in"],
+               counts["inject_packet"]) > 0
+    # One compilation per miss, and a miss is the only thing that reaches the
+    # table or interprets an action list.
+    assert counts["_compile_plan"] == counts["lookup_values"] == counts["cache_misses"]
+    assert counts["compile_actions"] == counts["lookups_that_matched"]
+    # Copies: one per rewriting hit, PacketOut, PacketIn capture and flooded port.
+    assert counts["copy"] <= (counts["rewriting_hits"] + counts["inject_packet"]
+                              + counts["send_packet_in"] + counts["flood_copies"])
+    assert counts["copy"] < counts["cache_hits"] / 10
+
+
+def test_a_plain_output_rule_forwards_the_same_object_without_copying(counts):
+    sim = Simulator()
+    switch = SoftwareSwitch(sim, "S")
+    sent = []
+    switch.attach_port(1, lambda packet: None)
+    switch.attach_port(2, sent.append)
+    switch.install_rule_directly(FlowMod(Match(ip_dst="10.0.0.2"), [OutputAction(2)]))
+    packets = [make_ip_packet("10.0.0.1", "10.0.0.2", sequence=index)
+               for index in range(50)]
+    for packet in packets:
+        switch.receive_packet(packet, in_port=1)
+    sim.run()
+    assert all(out is packet for out, packet in zip(sent, packets))
+    assert len(sent) == 50
+    assert counts["copy"] == 0
+    assert counts["compile_actions"] == counts["cache_misses"] == 1
+
+
+def test_an_idle_second_on_a_hardware_fat_tree_executes_no_kernel_steps():
+    sim = Simulator()
+    network = Network(sim, build_topology("fat-tree", hardware_fraction=1.0))
+    assert all(switch.profile.name == "hp5406zl" for switch in network.switches.values())
+    network.start()
+    sim.run()  # the start-up callbacks; returns because nothing polls
+    assert sim.pending_count == 0
+    settled = sim.steps_executed
+    sim.run(until=sim.now + 1.0)
+    assert sim.steps_executed - settled == 0
