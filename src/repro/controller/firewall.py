@@ -32,7 +32,8 @@ from repro.openflow.actions import OutputAction
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
 from repro.packet.fields import IP_PROTO_TCP
-from repro.faults import DataPlaneFault, FaultInjector
+from repro.faults import DataPlaneFault, DataPlaneFaultHarness
+from repro.sim.rng import SeededRandom
 from repro.switches.profiles import SwitchProfile, hp5406zl_profile
 
 
@@ -99,12 +100,13 @@ class FirewallScenario:
         topo.validate()
         return topo
 
-    def install_fault(self, network: Network) -> Optional[FaultInjector]:
+    def install_fault(self, network: Network) -> Optional[DataPlaneFaultHarness]:
         """Arm the delayed-HTTP-rule fault on switch B (if enabled)."""
         if self.http_rule_delay <= 0:
             return None
         fault = DelayedHttpRuleFault(delay=self.http_rule_delay)
-        return FaultInjector(network.switch("B"), [fault], seed=11)
+        fault.arm(network.sim, SeededRandom(11).fork("DelayedHttpRuleFault"))
+        return DataPlaneFaultHarness(network.switch("B"), [fault])
 
     def preinstall(self, network: Network) -> None:
         """Static state that exists before the measured update.

@@ -23,10 +23,8 @@ Module                     Paper result
 from repro.experiments.common import (
     ControlStack,
     EndToEndParams,
-    EndToEndResult,
     MigrationSpec,
     RuleInstallParams,
-    RuleInstallResult,
     build_control_stack,
     migration_session,
     rule_install_session,
@@ -37,10 +35,8 @@ from repro.experiments.common import (
 __all__ = [
     "ControlStack",
     "EndToEndParams",
-    "EndToEndResult",
     "MigrationSpec",
     "RuleInstallParams",
-    "RuleInstallResult",
     "build_control_stack",
     "migration_session",
     "rule_install_session",

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.analysis.report import format_table
-from repro.experiments.common import EndToEndParams, EndToEndResult, run_path_migration
+from repro.experiments.common import EndToEndParams, run_path_migration
+from repro.session.record import RunRecord
 from repro.switches.profiles import hp5406zl_profile, reordering_switch_profile
 
 
@@ -26,7 +27,7 @@ from repro.switches.profiles import hp5406zl_profile, reordering_switch_profile
 class BarrierLayerResult:
     """Update durations of the compared configurations."""
 
-    results: Dict[str, EndToEndResult]
+    results: Dict[str, RunRecord]
 
     def durations(self) -> Dict[str, Optional[float]]:
         """Completion time (last flow on the new path) per configuration."""
@@ -40,7 +41,7 @@ class BarrierLayerResult:
 def run_barrier_layer_perf(params: Optional[EndToEndParams] = None) -> BarrierLayerResult:
     """Compare the barrier layer against the bare probing techniques."""
     params = params or EndToEndParams.default()
-    results: Dict[str, EndToEndResult] = {}
+    results: Dict[str, RunRecord] = {}
 
     # Reference: RUM-aware controller with plain probing (no barrier layer).
     results["sequential (no barrier layer)"] = run_path_migration("sequential", params)

@@ -20,8 +20,7 @@ Two engines cover the whole evaluation:
   correlates controller-visible acknowledgment times with data-plane
   activation times.
 
-Both return the unified :class:`~repro.session.record.RunRecord`; the names
-``EndToEndResult`` and ``RuleInstallResult`` are deprecated aliases of it.
+Both return the unified :class:`~repro.session.record.RunRecord`.
 """
 
 from __future__ import annotations
@@ -59,11 +58,9 @@ from repro.switches.profiles import SwitchProfile, hp5406zl_profile
 __all__ = [
     "ControlStack",
     "EndToEndParams",
-    "EndToEndResult",
     "MigrationSpec",
     "NO_WAIT",
     "RuleInstallParams",
-    "RuleInstallResult",
     "build_control_stack",
     "full_scale",
     "migration_session",
@@ -76,10 +73,6 @@ __all__ = [
 #: registered technique now (see :mod:`repro.core.techniques.registry`), kept
 #: here as the historical constant.
 NO_WAIT = TECHNIQUE_NO_WAIT
-
-#: Deprecated aliases: every engine returns the unified record schema.
-EndToEndResult = RunRecord
-RuleInstallResult = RunRecord
 
 
 def full_scale() -> bool:

@@ -13,7 +13,8 @@ from typing import Dict, List, Optional
 
 from repro.analysis.flowstats import broken_time_distribution
 from repro.analysis.report import format_table
-from repro.experiments.common import EndToEndParams, EndToEndResult, run_path_migration
+from repro.experiments.common import EndToEndParams, run_path_migration
+from repro.session.record import RunRecord
 
 #: Broken-time thresholds (seconds) reported for each technique, mirroring the
 #: x axis of Figure 1b.
@@ -24,8 +25,8 @@ THRESHOLDS = (0.004, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
 class Fig1Result:
     """Both runs of Figure 1b plus the derived distributions."""
 
-    with_barriers: EndToEndResult
-    with_acks: EndToEndResult
+    with_barriers: RunRecord
+    with_acks: RunRecord
     thresholds: tuple = THRESHOLDS
 
     def distributions(self) -> Dict[str, Dict[float, float]]:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.report import format_table, render_flow_update_curves
-from repro.experiments.common import EndToEndParams, EndToEndResult, run_path_migration
+from repro.experiments.common import EndToEndParams, run_path_migration
+from repro.session.record import RunRecord
 
 #: The techniques plotted in Figure 6 with their RUM configuration overrides.
 FIG6_TECHNIQUES: List[Tuple[str, str, Dict[str, object]]] = [
@@ -27,7 +28,7 @@ FIG6_TECHNIQUES: List[Tuple[str, str, Dict[str, object]]] = [
 class Fig6Result:
     """Per-technique end-to-end results."""
 
-    results: Dict[str, EndToEndResult]
+    results: Dict[str, RunRecord]
 
     def update_curves(self) -> Dict[str, List[Tuple[Optional[float], Optional[float]]]]:
         """The (last old-path, first new-path) pairs per technique — the figure's series."""
@@ -41,7 +42,7 @@ class Fig6Result:
 def run_fig6(params: Optional[EndToEndParams] = None) -> Fig6Result:
     """Run Figure 6 (all four control-plane-only configurations)."""
     params = params or EndToEndParams.default()
-    results: Dict[str, EndToEndResult] = {}
+    results: Dict[str, RunRecord] = {}
     for label, technique, overrides in FIG6_TECHNIQUES:
         results[label] = run_path_migration(
             technique, params.scaled(rum_overrides=overrides)

@@ -14,10 +14,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.report import format_table, render_flow_update_curves
 from repro.experiments.common import (
     EndToEndParams,
-    EndToEndResult,
     NO_WAIT,
     run_path_migration,
 )
+from repro.session.record import RunRecord
 
 #: The configurations plotted in Figure 7.
 FIG7_TECHNIQUES: List[Tuple[str, str, Dict[str, object]]] = [
@@ -31,7 +31,7 @@ FIG7_TECHNIQUES: List[Tuple[str, str, Dict[str, object]]] = [
 class Fig7Result:
     """Per-configuration end-to-end results."""
 
-    results: Dict[str, EndToEndResult]
+    results: Dict[str, RunRecord]
 
     def update_curves(self) -> Dict[str, List[Tuple[Optional[float], Optional[float]]]]:
         """The (last old-path, first new-path) pairs per configuration."""
@@ -45,7 +45,7 @@ class Fig7Result:
 def run_fig7(params: Optional[EndToEndParams] = None) -> Fig7Result:
     """Run Figure 7 (sequential probing, general probing, no-wait bound)."""
     params = params or EndToEndParams.default()
-    results: Dict[str, EndToEndResult] = {}
+    results: Dict[str, RunRecord] = {}
     for label, technique, overrides in FIG7_TECHNIQUES:
         results[label] = run_path_migration(
             technique, params.scaled(rum_overrides=overrides)

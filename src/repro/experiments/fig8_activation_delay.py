@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.activation import ActivationDelays
 from repro.analysis.report import format_table
-from repro.experiments.common import RuleInstallParams, RuleInstallResult, run_rule_install
+from repro.experiments.common import RuleInstallParams, run_rule_install
+from repro.session.record import RunRecord
 
 #: The techniques plotted in Figure 8 with their configuration overrides.
 FIG8_TECHNIQUES: List[Tuple[str, str, Dict[str, object]]] = [
@@ -34,7 +35,7 @@ FIG8_TECHNIQUES: List[Tuple[str, str, Dict[str, object]]] = [
 class Fig8Result:
     """Per-technique rule-installation results."""
 
-    results: Dict[str, RuleInstallResult]
+    results: Dict[str, RunRecord]
 
     def delays(self) -> Dict[str, ActivationDelays]:
         """Activation-delay objects per technique."""
@@ -53,7 +54,7 @@ class Fig8Result:
 def run_fig8(params: Optional[RuleInstallParams] = None) -> Fig8Result:
     """Run Figure 8 for all six techniques."""
     params = params or RuleInstallParams.paper_fig8()
-    results: Dict[str, RuleInstallResult] = {}
+    results: Dict[str, RunRecord] = {}
     for label, technique, overrides in FIG8_TECHNIQUES:
         results[label] = run_rule_install(
             technique, params.scaled(rum_overrides=overrides)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.common import RuleInstallParams, RuleInstallResult, run_rule_install
+from repro.experiments.common import RuleInstallParams, run_rule_install
+from repro.session.record import RunRecord
 
 #: Probe-rule update frequencies (real modifications per probe rule update).
 PROBE_FREQUENCIES = (1, 2, 5, 10, 20)
@@ -31,7 +32,7 @@ class Table1Result:
     normalised: Dict[Tuple[int, int], float]
     #: ``K -> barrier-only rate`` used as the denominator.
     barrier_rates: Dict[int, float]
-    raw: Dict[Tuple[int, int], RuleInstallResult]
+    raw: Dict[Tuple[int, int], RunRecord]
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-able summary."""
@@ -57,7 +58,7 @@ def run_table1(
     params = params or RuleInstallParams.quick(rule_count=600)
     normalised: Dict[Tuple[int, int], float] = {}
     barrier_rates: Dict[int, float] = {}
-    raw: Dict[Tuple[int, int], RuleInstallResult] = {}
+    raw: Dict[Tuple[int, int], RunRecord] = {}
     for window in window_sizes:
         barrier_result = run_rule_install(
             "barrier", params.scaled(max_unconfirmed=window)

@@ -57,7 +57,6 @@ from repro.faults.harness import (
     ChannelHook,
     ControlChannelHarness,
     DataPlaneFaultHarness,
-    FaultInjector,
 )
 from repro.faults.plan import (
     NO_FAULTS,
@@ -94,7 +93,6 @@ __all__ = [
     "DataPlaneFaultHarness",
     "DelaySpikeFault",
     "FAULT_LAYERS",
-    "FaultInjector",
     "FaultModel",
     "FaultPlan",
     "FaultSpec",

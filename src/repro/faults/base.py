@@ -119,8 +119,7 @@ class DataPlaneFault(FaultModel):
     """A fault at the control→data plane boundary of one switch.
 
     Armed by redirecting the switch's ``apply_to_dataplane`` hook through
-    :class:`~repro.faults.harness.DataPlaneFaultHarness`; this is the
-    (unchanged) contract of the historical ``switches.faults.Fault`` class.
+    :class:`~repro.faults.harness.DataPlaneFaultHarness`.
     """
 
     layer = DATA_PLANE

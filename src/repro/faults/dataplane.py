@@ -12,10 +12,6 @@ acknowledged it) but the rule is not yet — or never — what packets hit.
 * :class:`RuleDropFault` (``rule-drop``) — a modification is silently never
   applied to the data plane at all: the control plane (and any barrier reply)
   claims success while packets keep missing the rule forever.
-
-``DelaySpikeFault`` and ``ReorderFault`` migrated here from
-``repro.switches.faults`` unchanged in behaviour (same parameters, same RNG
-draws); that module remains as a deprecated re-export shim.
 """
 
 from __future__ import annotations

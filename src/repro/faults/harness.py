@@ -3,8 +3,8 @@
 One harness per (switch, layer):
 
 * :class:`DataPlaneFaultHarness` redirects a switch's control→data plane
-  hook through a chain of :class:`~repro.faults.base.DataPlaneFault` models
-  (the mechanism of the historical ``switches.faults.FaultInjector``).
+  hook through a chain of :class:`~repro.faults.base.DataPlaneFault`
+  models.
 * :class:`ControlChannelHarness` installs an interceptor on the switch's
   control :class:`~repro.openflow.connection.Connection` and offers the
   faults a :class:`ChannelHook` to forward, delay or fabricate messages.
@@ -15,15 +15,13 @@ against the :class:`~repro.switches.base.Switch`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List
 
 from repro.faults.base import ControlChannelFault, DataPlaneFault
 from repro.openflow.connection import Connection
 from repro.openflow.messages import FlowMod, OFMessage
-from repro.sim.rng import SeededRandom
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle
-    # through repro.switches, which re-exports the legacy fault names)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.switches.base import Switch
 
 #: Connection side bound to the switch agent (messages *from* this side are
@@ -41,7 +39,7 @@ class DataPlaneFaultHarness:
         self.switch = switch
         self.faults = list(faults)
         # Capture whatever hook is installed *now* — the raw data-plane
-        # apply, or another harness (fig2's legacy FaultInjector): harnesses
+        # apply, or another harness (fig2's firewall fault): harnesses
         # chain instead of silently disabling each other.
         self._original_apply = switch.controlplane._apply_to_dataplane
         switch.controlplane._apply_to_dataplane = self._apply_with_faults
@@ -68,27 +66,6 @@ class DataPlaneFaultHarness:
     def remove(self) -> None:
         """Restore the unfaulted behaviour."""
         self.switch.controlplane._apply_to_dataplane = self._original_apply
-
-
-class FaultInjector(DataPlaneFaultHarness):
-    """Deprecated pre-registry API: arm and install faults in one step.
-
-    Kept for existing callers (``switches.faults.FaultInjector``); new code
-    should describe faults with a :class:`~repro.faults.plan.FaultPlan` and
-    let :func:`~repro.faults.plan.arm_fault_plan` do the wiring.
-    """
-
-    def __init__(self, switch: "Switch", faults: List[DataPlaneFault],
-                 seed: int = 7) -> None:
-        self.rng = SeededRandom(seed)
-        for fault in faults:
-            fault.arm(switch.sim, self.rng.fork(type(fault).__name__))
-        super().__init__(switch, faults)
-
-    def injected_counts(self) -> List[Tuple[str, int]]:
-        """``(fault name, activation count)`` pairs for reporting."""
-        return [(type(fault).__name__, sum(fault.counters().values()))
-                for fault in self.faults]
 
 
 class ChannelHook:

@@ -19,13 +19,6 @@ one refactor away from shipping):
   the kernel loop the PR 2 rewrite paid to remove.
 * RL007 — technique/fault/scenario classes that do not self-register are
   dead code every sweep silently skips.
-* RL008 — the PR 9 profiler rides the RL004 null-object contract: phase /
-  sample emission must hide behind ``if pr.active:`` or every unprofiled
-  run pays on the hot path the profiler exists to measure.
-* RL009 — the run-store closure of RL005: a key a serializer writes only
-  conditionally must appear in the module's ``DIGEST_EXCLUDED_KEYS``
-  declaration, or stored digests diverge between armed and disarmed runs
-  of the same outcome and ``repro.store verify`` flags healthy objects.
 """
 
 from __future__ import annotations
@@ -208,17 +201,16 @@ class UnorderedIteration(LintRule):
 
 
 #: The emission methods of the tracer protocol (``NullTracer``'s no-ops).
-_EMIT_METHODS = {"rule", "fault", "count", "gauge", "observe"}
+_EMIT_METHODS = {"rule", "fault", "count", "gauge"}
+
+
+def _is_tracer_ref(node: ast.AST) -> bool:
+    return _name_of(node) == "TRACER"
 
 
 @register_rule
 class UnguardedTraceEmission(LintRule):
-    """RL004: trace emission must sit behind the ``if tr.active:`` guard.
-
-    The matching machinery is parameterized through the ``_emit_*`` class
-    attributes so RL008 can apply the identical null-object contract to the
-    profiler protocol by subclassing.
-    """
+    """RL004: trace emission must sit behind the ``if tr.active:`` guard."""
 
     code = "RL004"
     name = "unguarded-trace-emission"
@@ -231,24 +223,11 @@ class UnguardedTraceEmission(LintRule):
                  "behaviour skew) where there must be none.")
     allowed_modules = ("obs/",)
 
-    #: The emission methods of the guarded protocol.
-    _emit_methods = _EMIT_METHODS
-    #: The module-level null-object global emission must not touch directly.
-    _emit_global = "TRACER"
-    #: The conventional local binding shown in the fix hint.
-    _emit_bind = "tr"
-    #: How the out-of-guard diagnostic names an emission.
-    _emit_noun = "trace emission"
-
-    @classmethod
-    def _is_emitter_ref(cls, node: ast.AST) -> bool:
-        return _name_of(node) == cls._emit_global
-
     def _bound_names(self, info: ModuleInfo) -> Dict[Tuple[ast.AST, str], bool]:
-        """``(scope, name) -> True`` for locals assigned from the global."""
+        """``(scope, name) -> True`` for locals assigned from ``TRACER``."""
         bindings: Dict[Tuple[ast.AST, str], bool] = {}
         for node in info.walk(ast.Assign):
-            if not self._is_emitter_ref(node.value):
+            if not _is_tracer_ref(node.value):
                 continue
             scope = info.enclosing_function(node) or info.tree
             for target in node.targets:
@@ -274,15 +253,13 @@ class UnguardedTraceEmission(LintRule):
         for node in info.walk(ast.Call):
             func = node.func
             if not (isinstance(func, ast.Attribute)
-                    and func.attr in self._emit_methods):
+                    and func.attr in _EMIT_METHODS):
                 continue
-            if self._is_emitter_ref(func.value):
+            if _is_tracer_ref(func.value):
                 yield self.diagnostic(
                     info, node,
-                    f"emit directly on {self._emit_global}; bind "
-                    f"`{self._emit_bind} = {self._emit_global}` once and "
-                    f"guard `if {self._emit_bind}.active: "
-                    f"{self._emit_bind}.{func.attr}(...)`",
+                    "emit directly on TRACER; bind `tr = TRACER` once and "
+                    f"guard `if tr.active: tr.{func.attr}(...)`",
                 )
                 continue
             if not isinstance(func.value, ast.Name):
@@ -294,36 +271,9 @@ class UnguardedTraceEmission(LintRule):
             if not self._is_guarded(info, node, name):
                 yield self.diagnostic(
                     info, node,
-                    f"{self._emit_noun} {name}.{func.attr}(...) is outside "
-                    f"an `if {name}.active:` guard (zero-allocation "
-                    "contract)",
+                    f"trace emission {name}.{func.attr}(...) is outside an "
+                    f"`if {name}.active:` guard (zero-allocation contract)",
                 )
-
-
-#: The emission methods of the profiler protocol (``NullProfiler``'s no-ops).
-_PROFILER_EMIT_METHODS = {"phase", "sample"}
-
-
-@register_rule
-class UnguardedProfilerEmission(UnguardedTraceEmission):
-    """RL008: profiler emission must sit behind the ``if pr.active:`` guard."""
-
-    code = "RL008"
-    name = "unguarded-profiler-emission"
-    invariant = ("profiler-emission sites bind pr = PROFILER and guard "
-                 "every emit call with `if pr.active:`")
-    rationale = ("the profiler rides the same null-object contract as the "
-                 "tracer: with the NullProfiler installed a phase/sample "
-                 "site is one attribute load and one false branch. "
-                 "Unguarded emits build label/value arguments on every "
-                 "unprofiled run — cost on the exact hot path the profiler "
-                 "exists to measure.")
-    allowed_modules = ("obs/",)
-
-    _emit_methods = _PROFILER_EMIT_METHODS
-    _emit_global = "PROFILER"
-    _emit_bind = "pr"
-    _emit_noun = "profiler emission"
 
 
 #: Function names treated as canonical serializers.
@@ -363,9 +313,6 @@ class AlwaysOnSerialization(LintRule):
                  "bakes the off-state into every digest (the rule PRs 4-7 "
                  "each re-implemented by hand).")
 
-    #: Function names treated as serializers (RL009 reuses the same scope).
-    _serializer_names = _SERIALIZER_NAMES
-
     def _flag_value(self, info: ModuleInfo,
                     value: ast.AST) -> Iterator[Diagnostic]:
         if not isinstance(value, ast.IfExp):
@@ -381,7 +328,7 @@ class AlwaysOnSerialization(LintRule):
 
     def check(self, info: ModuleInfo) -> Iterator[Diagnostic]:
         for func in info.walk(ast.FunctionDef):
-            if func.name not in self._serializer_names:
+            if func.name not in _SERIALIZER_NAMES:
                 continue
             for node in ast.walk(func):
                 if isinstance(node, ast.Dict):
@@ -392,90 +339,6 @@ class AlwaysOnSerialization(LintRule):
                     if any(isinstance(target, ast.Subscript)
                            for target in node.targets):
                         yield from self._flag_value(info, node.value)
-
-
-#: The module-level declaration RL009 keys on: a literal tuple/list of the
-#: serializer keys that are excluded from outcome digests.
-_DIGEST_DECLARATION = "DIGEST_EXCLUDED_KEYS"
-
-
-@register_rule
-class UndeclaredConditionalKey(AlwaysOnSerialization):
-    """RL009: conditionally-serialized keys must be digest-excluded.
-
-    Scoped to modules that declare a module-level ``DIGEST_EXCLUDED_KEYS``
-    literal (today: :mod:`repro.session.record`).  Within those modules,
-    any serializer that writes ``payload["key"] = ...`` under an ``if``
-    must list ``"key"`` in the declaration — RL005 forces the key-omitted
-    idiom, and this rule closes the loop by forcing the omitted key into
-    the digest-exclusion set the run store's ``verify`` recomputes against.
-    """
-
-    code = "RL009"
-    name = "undeclared-conditional-key"
-    invariant = ("every key a serializer assigns conditionally appears in "
-                 "the module's DIGEST_EXCLUDED_KEYS declaration")
-    rationale = ("the run store re-derives digests from stored payloads via "
-                 "outcome_digest(), which strips DIGEST_EXCLUDED_KEYS; a "
-                 "conditionally-serialized field missing from the tuple "
-                 "makes armed and disarmed runs of identical outcomes hash "
-                 "differently, so `verify` flags healthy objects and the "
-                 "campaign cache refuses valid hits.")
-
-    def _declared_keys(self, info: ModuleInfo) -> Optional[Set[str]]:
-        """The module's literal declaration, or ``None`` when out of scope."""
-        for node in info.tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            if not any(isinstance(target, ast.Name)
-                       and target.id == _DIGEST_DECLARATION
-                       for target in node.targets):
-                continue
-            if not isinstance(node.value, (ast.Tuple, ast.List)):
-                return None
-            keys: Set[str] = set()
-            for element in node.value.elts:
-                if not (isinstance(element, ast.Constant)
-                        and isinstance(element.value, str)):
-                    return None  # non-literal declaration: out of scope
-                keys.add(element.value)
-            return keys
-        return None
-
-    def check(self, info: ModuleInfo) -> Iterator[Diagnostic]:
-        declared = self._declared_keys(info)
-        if declared is None:
-            return
-        for func in info.walk(ast.FunctionDef):
-            if func.name not in self._serializer_names:
-                continue
-            # Nested ifs walk inner statements twice; dedupe by position.
-            seen: Set[Tuple[int, int]] = set()
-            for branch in ast.walk(func):
-                if not isinstance(branch, ast.If):
-                    continue
-                for node in ast.walk(branch):
-                    if not isinstance(node, ast.Assign):
-                        continue
-                    position = (node.lineno, node.col_offset)
-                    if position in seen:
-                        continue
-                    seen.add(position)
-                    for target in node.targets:
-                        if not (isinstance(target, ast.Subscript)
-                                and isinstance(target.slice, ast.Constant)
-                                and isinstance(target.slice.value, str)):
-                            continue
-                        key = target.slice.value
-                        if key in declared:
-                            continue
-                        yield self.diagnostic(
-                            info, node,
-                            f'conditionally-serialized key "{key}" is '
-                            f"missing from {_DIGEST_DECLARATION}; add it so "
-                            "outcome_digest() strips it and stored digests "
-                            "stay stable whether the subsystem is armed",
-                        )
 
 
 #: Hot-path modules (relative to the repro package root) where per-instance

@@ -14,7 +14,7 @@ makes that gap a first-class measurement instead of an end-of-run aggregate:
   ``active`` flag short-circuits every instrumentation site, so runs with
   tracing disarmed stay byte-identical to a build without this package
   (pinned by the existing digest tests);
-* :mod:`repro.obs.metrics` — counters/gauges/histograms sampled through
+* :mod:`repro.obs.metrics` — counters and gauges sampled through
   :meth:`repro.sim.kernel.Simulator.every` hooks (pending-ack queue depth,
   flow-table occupancy, kernel event-loop stats);
 * :mod:`repro.obs.export` — JSONL and Chrome trace-event/Perfetto
@@ -47,22 +47,12 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
-    ProfileReport,
-    Profiler,
-    current_profiler,
-    install_profiler,
-    profiling,
-    uninstall_profiler,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.profiler import ProfileReport, Profiler
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
     Tracer,
-    current_tracer,
     install_tracer,
     tracing,
     uninstall_tracer,
@@ -71,12 +61,9 @@ from repro.obs.tracer import (
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LIFECYCLE_PHASES",
     "MetricsRegistry",
-    "NULL_PROFILER",
     "NULL_TRACER",
-    "NullProfiler",
     "NullTracer",
     "PHASE_ACK_RECEIVED",
     "PHASE_ACK_SENT",
@@ -91,15 +78,10 @@ __all__ = [
     "TraceEvent",
     "TraceLog",
     "Tracer",
-    "current_profiler",
-    "current_tracer",
-    "install_profiler",
     "install_tracer",
-    "profiling",
     "trace_to_chrome",
     "trace_to_jsonl",
     "tracing",
-    "uninstall_profiler",
     "uninstall_tracer",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -97,8 +97,8 @@ class TraceLog:
     """Everything a traced session observed, ready to serialize.
 
     ``metrics`` holds the sampled time series from the metrics registry
-    (name → list of ``[ts, value]`` pairs for gauges/histogram observations,
-    or a final count for counters — see :mod:`repro.obs.metrics`).
+    (name → list of ``[ts, value]`` pairs for gauges, or a final count for
+    counters — see :mod:`repro.obs.metrics`).
     """
 
     technique: str = ""

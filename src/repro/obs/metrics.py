@@ -1,8 +1,8 @@
-"""Lightweight metrics registry: counters, gauges, histograms.
+"""Lightweight metrics registry: counters and gauges.
 
 Metrics complement the event trace with *state over time*: queue depths,
-table occupancy, packets dropped per fault model.  Gauges and histograms
-store ``[ts, value]`` samples (simulation time, not wall time) so they plot
+table occupancy, packets dropped per fault model.  Gauges store
+``[ts, value]`` samples (simulation time, not wall time) so they plot
 directly against the lifecycle timeline; counters are plain monotonically
 increasing integers.
 
@@ -14,7 +14,7 @@ a fixed sim-time interval and can be cancelled when the run settles.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 
 class Counter:
@@ -44,45 +44,12 @@ class Gauge:
         return self.samples[-1][1] if self.samples else 0.0
 
 
-class Histogram:
-    """Distribution of observations; keeps raw samples plus summary stats.
-
-    Raw retention is the right trade-off here: traced runs are short and
-    bounded, and downstream analysis (activation-gap distributions) wants
-    exact percentiles, not bucket approximations.
-    """
-
-    __slots__ = ("name", "samples")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.samples: List[Tuple[float, float]] = []
-
-    def observe(self, ts: float, value: float) -> None:
-        self.samples.append((ts, value))
-
-    def summary(self) -> Dict[str, float]:
-        values = sorted(v for _, v in self.samples)
-        if not values:
-            return {"count": 0}
-        n = len(values)
-        return {
-            "count": n,
-            "min": values[0],
-            "max": values[-1],
-            "mean": sum(values) / n,
-            "p50": values[n // 2],
-            "p95": values[min(n - 1, int(n * 0.95))],
-        }
-
-
 class MetricsRegistry:
     """Name → instrument, created on first use."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         inst = self._counters.get(name)
@@ -96,29 +63,10 @@ class MetricsRegistry:
             inst = self._gauges[name] = Gauge(name)
         return inst
 
-    def histogram(self, name: str) -> Histogram:
-        inst = self._histograms.get(name)
-        if inst is None:
-            inst = self._histograms[name] = Histogram(name)
-        return inst
-
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
         for name, counter in sorted(self._counters.items()):
             out[name] = counter.value
         for name, gauge in sorted(self._gauges.items()):
             out[name] = [[ts, value] for ts, value in gauge.samples]
-        for name, hist in sorted(self._histograms.items()):
-            out[name] = {"samples": [[ts, v] for ts, v in hist.samples],
-                         "summary": hist.summary()}
         return out
-
-
-#: A sampler is ``callback() -> float`` paired with the gauge it feeds.
-SamplerSpec = Tuple[str, Callable[[], float]]
-
-
-def sample_into(tracer, samplers: List[SamplerSpec], now: float) -> None:
-    """Record one reading of every sampler; used by the periodic sim hook."""
-    for name, read in samplers:
-        tracer.gauge(name, now, float(read()))

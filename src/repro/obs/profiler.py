@@ -1,4 +1,4 @@
-"""Module-level sim-profiler with a null-object fast path.
+"""The sim-profiler: an object the session engine owns.
 
 The profiling counterpart of :mod:`repro.obs.tracer`: where the tracer
 records *what* the simulation did (rule lifecycles, faults, metrics), the
@@ -7,19 +7,14 @@ class, per session phase — which is the attribution the ROADMAP's
 "array-batched simulation kernel" item needs before any kernel rewrite can
 claim a win.
 
-Call sites read the module-level :data:`PROFILER` once and branch on its
-``active`` flag::
+There is no process-global profiler.  Session phases are only ever marked
+by :func:`repro.session.engine._run_session`, which already holds the
+:class:`Profiler` it armed (or ``None``), so a phase marker is
+``if profiler is not None: profiler.phase("update")`` and an unprofiled run
+never touches this module.
 
-    pr = profiler.PROFILER
-    if pr.active:
-        pr.phase("update")
-
-With the default :class:`NullProfiler` installed that is one attribute load
-and one false branch — no allocation, no call — so runs with profiling
-disarmed behave (and digest) exactly as if this module did not exist.
-
-An armed :class:`Profiler` additionally rides the kernel's event-observer
-hook (:func:`repro.sim.kernel.install_observer`): the observer fires
+An armed :class:`Profiler` rides the kernel's event-observer hook
+(:func:`repro.sim.kernel.install_observer`): the observer fires
 immediately before each dispatched callback, so the wall time and the
 schedule-sequence delta between two consecutive observer calls belong to
 the *earlier* callback — per-site wall attribution and a deterministic
@@ -35,21 +30,8 @@ feeds back into simulation state.
 from __future__ import annotations
 
 import tracemalloc
-from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional
-
-
-class NullProfiler:
-    """Inert profiler: ``active`` is a class attribute, methods are no-ops."""
-
-    active = False
-
-    def phase(self, name: str) -> None:
-        """Open a named session phase (no-op)."""
-
-    def sample(self, name: str, value: float = 1.0) -> None:
-        """Accumulate an ad-hoc named quantity (no-op)."""
+from typing import Dict, List, Optional
 
 
 class ProfileReport:
@@ -61,15 +43,14 @@ class ProfileReport:
     ``events`` and — when tracemalloc was live — ``alloc_kb``/``peak_kb``
     memory splits.  ``calls``, ``scheduled`` and ``events`` are
     deterministic for a fixed seed; wall and memory numbers are measurements
-    of the host, which is why the whole report is popped from
-    :meth:`repro.session.record.RunRecord.digest`.
+    of the host, which is why the report is an observation that
+    :meth:`repro.session.record.RunRecord.outcome` never includes.
     """
 
     def __init__(self, technique: str = "", kind: str = "",
                  seed: Optional[int] = None,
                  callbacks: Optional[List[Dict[str, object]]] = None,
                  phases: Optional[List[Dict[str, object]]] = None,
-                 samples: Optional[Dict[str, float]] = None,
                  totals: Optional[Dict[str, object]] = None,
                  meta: Optional[Dict[str, object]] = None) -> None:
         self.technique = technique
@@ -77,7 +58,6 @@ class ProfileReport:
         self.seed = seed
         self.callbacks = list(callbacks or [])
         self.phases = list(phases or [])
-        self.samples = dict(samples or {})
         self.totals = dict(totals or {})
         self.meta = dict(meta or {})
 
@@ -120,8 +100,6 @@ class ProfileReport:
             "phases": [dict(row) for row in self.phases],
             "totals": dict(self.totals),
         }
-        if self.samples:
-            payload["samples"] = dict(self.samples)
         if self.meta:
             payload["meta"] = dict(self.meta)
         return payload
@@ -134,16 +112,13 @@ class ProfileReport:
             seed=payload.get("seed"),
             callbacks=list(payload.get("callbacks") or []),
             phases=list(payload.get("phases") or []),
-            samples=dict(payload.get("samples") or {}),
             totals=dict(payload.get("totals") or {}),
             meta=dict(payload.get("meta") or {}),
         )
 
 
-class Profiler(NullProfiler):
+class Profiler:
     """Collecting profiler: attaches to a simulator's event-observer hook."""
-
-    active = True
 
     def __init__(self, technique: str = "", kind: str = "",
                  seed: Optional[int] = None) -> None:
@@ -157,7 +132,6 @@ class Profiler(NullProfiler):
         self._sites: Dict[object, str] = {}
         #: site -> [calls, wall_s, scheduled]
         self._stats: Dict[str, List] = {}
-        self._samples: Dict[str, float] = {}
         self._phases: List[Dict[str, object]] = []
         self._phase_name: Optional[str] = None
         self._phase_started = 0.0
@@ -194,7 +168,7 @@ class Profiler(NullProfiler):
         self._last_seq = sim.schedule_sequence
 
     def detach(self) -> None:
-        """Stop observing; idempotent (finish and uninstall both call it)."""
+        """Stop observing; idempotent (``finish`` and the engine both call it)."""
         from repro.sim.kernel import uninstall_observer
 
         if self._sim is None:
@@ -222,9 +196,6 @@ class Profiler(NullProfiler):
         if tracemalloc.is_tracing():
             self._phase_mem_start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-
-    def sample(self, name: str, value: float = 1.0) -> None:
-        self._samples[name] = self._samples.get(name, 0.0) + value
 
     # -- the kernel observer ---------------------------------------------------
     def _observe(self, time: float, callback, args) -> None:
@@ -297,49 +268,6 @@ class Profiler(NullProfiler):
             seed=self.seed,
             callbacks=callbacks,
             phases=list(self._phases),
-            samples=dict(sorted(self._samples.items())),
             totals=totals,
             meta=dict(meta or {}),
         )
-
-
-#: Shared inert instance; ``PROFILER`` points here unless a session armed
-#: profiling.  Hot paths must re-read ``profiler.PROFILER`` per call site
-#: (cheap) rather than caching it across sim runs.
-NULL_PROFILER = NullProfiler()
-
-PROFILER: NullProfiler = NULL_PROFILER
-
-
-def current_profiler() -> NullProfiler:
-    return PROFILER
-
-
-def install_profiler(pr: Profiler) -> Profiler:
-    """Make ``pr`` the process-wide profiler; returns it for chaining."""
-    global PROFILER
-    if PROFILER is not NULL_PROFILER:
-        raise RuntimeError("a profiler is already installed; "
-                           "profiled sessions cannot nest")
-    PROFILER = pr
-    return pr
-
-
-def uninstall_profiler() -> None:
-    """Restore the null object, detaching any live kernel observer first."""
-    global PROFILER
-    installed = PROFILER
-    PROFILER = NULL_PROFILER
-    if isinstance(installed, Profiler):
-        installed.detach()
-
-
-@contextmanager
-def profiling(technique: str = "", kind: str = "",
-              seed: Optional[int] = None) -> Iterator[Profiler]:
-    """Arm a fresh ``Profiler`` for the duration of a ``with`` block."""
-    pr = install_profiler(Profiler(technique=technique, kind=kind, seed=seed))
-    try:
-        yield pr
-    finally:
-        uninstall_profiler()

@@ -10,10 +10,9 @@ Instrumentation sites throughout the stack read the module-level
 With the default :class:`NullTracer` installed that is one attribute load
 and one false branch — no allocation, no call — so runs with tracing
 disarmed behave (and digest) exactly as if this package did not exist.
-:func:`install_tracer` rebinds the global for a traced session and
-:func:`uninstall_tracer` restores the null object; the session engine wraps
-the pair in ``try/finally`` so a crashing run cannot leak an active tracer
-into the next one.
+:func:`tracing` rebinds the global for the duration of a traced session and
+restores the null object on the way out, so a crashing run cannot leak an
+active tracer into the next one.
 """
 
 from __future__ import annotations
@@ -43,9 +42,6 @@ class NullTracer:
     def gauge(self, name: str, ts: float, value: float) -> None:
         """Record a gauge sample (no-op)."""
 
-    def observe(self, name: str, ts: float, value: float) -> None:
-        """Record a histogram observation (no-op)."""
-
 
 class Tracer(NullTracer):
     """Collecting tracer: appends slotted events, feeds a metrics registry."""
@@ -73,9 +69,6 @@ class Tracer(NullTracer):
     def gauge(self, name: str, ts: float, value: float) -> None:
         self.metrics.gauge(name).set(ts, value)
 
-    def observe(self, name: str, ts: float, value: float) -> None:
-        self.metrics.histogram(name).observe(ts, value)
-
     def finish(self, meta: Optional[dict] = None) -> TraceLog:
         """Freeze the collected events + metrics into a ``TraceLog``."""
         log = TraceLog(technique=self.technique, kind=self.kind,
@@ -92,10 +85,6 @@ class Tracer(NullTracer):
 NULL_TRACER = NullTracer()
 
 TRACER: NullTracer = NULL_TRACER
-
-
-def current_tracer() -> NullTracer:
-    return TRACER
 
 
 def install_tracer(tr: Tracer) -> Tracer:

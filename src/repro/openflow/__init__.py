@@ -7,9 +7,6 @@ This package models the parts of OpenFlow that RUM manipulates:
 * :mod:`repro.openflow.actions` — output / set-field / controller actions,
 * :mod:`repro.openflow.messages` — FlowMod, Barrier, PacketIn/PacketOut,
   Error, Stats and session messages with monotonically increasing xids,
-* :mod:`repro.openflow.wire` — binary (struct-packed) encode/decode so that a
-  message survives a round trip through a byte buffer like it would through a
-  real TCP connection,
 * :mod:`repro.openflow.flowtable` — a priority flow table with OpenFlow add /
   modify / delete semantics and an installation-order mode replicating the
   paper's hardware switch that ignores priorities,

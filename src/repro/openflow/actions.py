@@ -24,7 +24,7 @@ from repro.packet.packet import Packet
 class Action:
     """Base class for all actions."""
 
-    #: Discriminator used by the wire codec.
+    #: Discriminator leading every :meth:`forwarding_signature`.
     kind = "action"
 
     def forwarding_signature(self) -> Tuple:

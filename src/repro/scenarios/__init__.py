@@ -29,7 +29,7 @@ from repro.scenarios.base import (
     get_scenario,
     register,
 )
-from repro.scenarios.engine import ScenarioRunResult, run_scenario, scenario_session
+from repro.scenarios.engine import run_scenario, scenario_session
 from repro.scenarios.generators import (
     TOPOLOGY_FAMILIES,
     build_topology,
@@ -51,7 +51,6 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "ScenarioParams",
-    "ScenarioRunResult",
     "TOPOLOGY_FAMILIES",
     "available_scenarios",
     "build_topology",

@@ -5,8 +5,7 @@ registered acknowledgment technique: :func:`scenario_session` maps the
 scenario protocol (topology builder, flows, preinstall, plan, markers,
 metrics) onto a :class:`~repro.session.spec.SessionSpec`, and
 :func:`run_scenario` executes it through ``SessionSpec.run()``.  The result
-is the unified :class:`~repro.session.record.RunRecord`; the name
-``ScenarioRunResult`` is a deprecated alias of it.
+is the unified :class:`~repro.session.record.RunRecord`.
 """
 
 from __future__ import annotations
@@ -16,9 +15,6 @@ from typing import Optional, Union
 from repro.scenarios.base import Scenario, ScenarioParams, get_scenario
 from repro.session.record import RunRecord
 from repro.session.spec import SessionKnobs, SessionSpec, Workload
-
-#: Deprecated alias: scenario runs return the unified record schema.
-ScenarioRunResult = RunRecord
 
 
 def scenario_session(

@@ -21,6 +21,7 @@ byte-identical with the pre-session code:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional
 
 from repro.analysis.activation import ActivationDelays, activation_delays
@@ -34,9 +35,8 @@ from repro.controller.update_plan import PlanExecutor
 from repro.faults.plan import ArmedFaults, arm_fault_plan
 from repro.net.network import Network
 from repro.net.traffic import TrafficGenerator
-from repro.obs import profiler as obs_profiler
-from repro.obs.profiler import Profiler, install_profiler, uninstall_profiler
-from repro.obs.tracer import Tracer, install_tracer, uninstall_tracer
+from repro.obs.profiler import Profiler
+from repro.obs.tracer import Tracer, tracing
 from repro.recovery.manager import RecoveryManager
 from repro.session.record import RunRecord
 from repro.session.spec import SessionSpec
@@ -53,38 +53,29 @@ _TRACE_SAMPLE_INTERVAL = 0.01
 def run_session(spec: SessionSpec) -> RunRecord:
     """Execute one :class:`SessionSpec` and return its :class:`RunRecord`.
 
-    When :attr:`~repro.session.spec.SessionSpec.trace` is set, a collecting
-    tracer is installed for the duration of the run and the resulting
-    :class:`~repro.obs.events.TraceLog` rides on the record.  When
-    :attr:`~repro.session.spec.SessionKnobs.profile` is set, a collecting
-    :class:`~repro.obs.profiler.Profiler` is installed the same way and the
-    record carries its :class:`~repro.obs.profiler.ProfileReport`.  Both
-    only *observe* — every instrumentation site is read-only and the
-    periodic metrics probe mutates no simulation state — so a traced or
-    profiled run computes the same outcome (and digest) as the identical
-    bare run.
+    The two observation taps are armed here and nowhere else.  When
+    :attr:`~repro.session.spec.SessionSpec.trace` is set, a collecting
+    tracer is installed for the duration of the run — the module-level
+    ``TRACER`` is how code deep inside the stack emits semantic events —
+    and the resulting :class:`~repro.obs.events.TraceLog` rides on the
+    record.  When :attr:`~repro.session.spec.SessionKnobs.profile` is set,
+    the engine creates a :class:`~repro.obs.profiler.Profiler`, hands it to
+    the session body (the only phase emitter) and the record carries its
+    :class:`~repro.obs.profiler.ProfileReport`.  Both only *observe* — every
+    instrumentation site is read-only and the periodic metrics probe
+    mutates no simulation state — so a traced or profiled run computes the
+    same outcome (and digest) as the identical bare run.
     """
-    tracer: Optional[Tracer] = None
-    profiler: Optional[Profiler] = None
+    identity = {"technique": spec.resolved_technique().name,
+                "kind": spec.kind, "seed": spec.knobs.seed}
+    profiler = Profiler(**identity) if spec.knobs.profile else None
     try:
-        if spec.trace:
-            tracer = install_tracer(Tracer(
-                technique=spec.resolved_technique().name,
-                kind=spec.kind,
-                seed=spec.knobs.seed,
-            ))
-        if spec.knobs.profile:
-            profiler = install_profiler(Profiler(
-                technique=spec.resolved_technique().name,
-                kind=spec.kind,
-                seed=spec.knobs.seed,
-            ))
-        return _run_session(spec, tracer=tracer, profiler=profiler)
+        with (tracing(**identity) if spec.trace else nullcontext()) as tracer:
+            return _run_session(spec, tracer, profiler)
     finally:
+        # A crashing session must not leak the kernel observer into the next.
         if profiler is not None:
-            uninstall_profiler()
-        if tracer is not None:
-            uninstall_tracer()
+            profiler.detach()
 
 
 def _metrics_probe(tracer: Tracer, sim: Simulator, network: Network,
@@ -108,7 +99,7 @@ def _metrics_probe(tracer: Tracer, sim: Simulator, network: Network,
 
 
 def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
-                 profiler: Optional[Profiler] = None) -> RunRecord:
+                 profiler: Optional[Profiler]) -> RunRecord:
     technique = spec.resolved_technique()
     knobs = spec.knobs
     workload = spec.workload
@@ -119,9 +110,7 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
     # profiler must tap the event stream before the first sim.run below.
     if profiler is not None:
         profiler.attach(sim)
-    pr = obs_profiler.PROFILER
-    if pr.active:
-        pr.phase("setup")
+        profiler.phase("setup")
     rng = SeededRandom(knobs.seed)
     topology = spec.topology()
     network = Network(sim, topology, seed=knobs.seed)
@@ -182,8 +171,8 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
         traffic.start()
 
     # 4. Update plan -------------------------------------------------------------
-    if pr.active:
-        pr.phase("update")
+    if profiler is not None:
+        profiler.phase("update")
     plan = spec.plan_builder(network, flows)
     executor = PlanExecutor(
         sim,
@@ -207,8 +196,8 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
     completed = executor.done.triggered
 
     # 5. Grace window / settling -------------------------------------------------
-    if pr.active:
-        pr.phase("drain")
+    if profiler is not None:
+        profiler.phase("drain")
     if traffic is not None:
         stop_at = sim.now + knobs.grace
         traffic.stop_all(stop_at)
@@ -220,8 +209,8 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
         probe.cancel()
 
     # 6. Post-processing -----------------------------------------------------------
-    if pr.active:
-        pr.phase("analyze")
+    if profiler is not None:
+        profiler.phase("analyze")
     markers = workload.markers(network, flows) if workload.markers else None
     stats = []
     if markers:

@@ -1,14 +1,20 @@
 """The unified result schema of experiment sessions.
 
-:class:`RunRecord` supersedes the three result dataclasses the repo grew in
-its first PRs — ``EndToEndResult`` (path migration), ``RuleInstallResult``
-(the Section 5.2 benchmark) and ``ScenarioRunResult`` (the scenario engine)
-— plus the ad-hoc dict records the campaign runner flattened out of them.
-One schema means one serializer: :meth:`RunRecord.as_dict` is the canonical
-JSON form (it round-trips exactly through :meth:`RunRecord.from_dict`),
-:meth:`RunRecord.summary` is the flat view stored in campaign JSONL files
-and rendered by the report tables, and :meth:`RunRecord.digest` is the
-stable content hash the benchmark suite pins for determinism checks.
+:class:`RunRecord` is the one result type of every session kind (path
+migration, the Section 5.2 rule-install benchmark, scenarios) and of the
+campaign runner.  One schema means one serializer: :meth:`RunRecord.as_dict`
+is the canonical JSON form (it round-trips exactly through
+:meth:`RunRecord.from_dict`), :meth:`RunRecord.summary` is the flat view
+stored in campaign JSONL files and rendered by the report tables, and
+:meth:`RunRecord.digest` is the stable content hash the benchmark suite pins
+for determinism checks.
+
+A record has two parts.  :meth:`RunRecord.outcome` is what the simulation
+computed, and the *only* thing :meth:`RunRecord.digest` hashes.  Everything
+else — ``spec`` (provenance) and the armed-only observations
+(``fault_events``, ``recovery``, ``trace``, ``profile``) — rides beside it
+in :meth:`RunRecord.as_dict` and cannot reach the digest: a field is
+digested only if someone puts it in :meth:`RunRecord.outcome`.
 """
 
 from __future__ import annotations
@@ -25,17 +31,6 @@ from repro.obs.profiler import ProfileReport
 
 #: Schema version stamped into serialized records.
 RECORD_SCHEMA = 1
-
-#: Payload keys excluded from :func:`outcome_digest` (and therefore from
-#: :meth:`RunRecord.digest`).  ``spec`` is provenance; the rest are the
-#: armed-only keys — serialized only when their subsystem ran, and
-#: *observations* of the run rather than its outcome — so an armed run stays
-#: digest-comparable with its disarmed twin and with records produced before
-#: the subsystem existed.  The run store's ``verify`` recomputes digests
-#: through this same constant; lint rule RL009 insists every conditionally
-#: serialized field lands here, so the next armed-only field cannot silently
-#: skew digests.
-DIGEST_EXCLUDED_KEYS = ("spec", "fault_events", "recovery", "trace", "profile")
 
 #: The flat keys every :meth:`RunRecord.summary` contains — what campaign
 #: result files store per cell and what the report tables read.
@@ -149,12 +144,7 @@ class RunRecord:
     #: profiling (``None`` otherwise); see :mod:`repro.obs.profiler`.
     profile: Optional[ProfileReport] = None
 
-    # -- legacy accessors (pre-session result classes) -----------------------
-    @property
-    def duration(self) -> Optional[float]:
-        """Alias of :attr:`update_duration` (``RuleInstallResult`` name)."""
-        return self.update_duration
-
+    # -- derived views ---------------------------------------------------------
     def update_pairs(self) -> List[Tuple[Optional[float], Optional[float]]]:
         """``(last old-path, first new-path)`` pairs, per flow (Figure 6/7 axes)."""
         return [(entry.last_old_path, entry.first_new_path) for entry in self.stats]
@@ -169,18 +159,17 @@ class RunRecord:
         return max(self.broken_times(), default=0.0)
 
     # -- the one serializer ---------------------------------------------------
-    def as_dict(self) -> Dict[str, object]:
-        """Canonical JSON-able form; :meth:`from_dict` round-trips it exactly.
+    def outcome(self) -> Dict[str, object]:
+        """What the simulation computed — the only input of :meth:`digest`.
 
-        ``fault_events`` is only present when faults actually fired: keeping
-        the key out of fault-free payloads keeps their :meth:`digest` values
-        identical to records produced before the fault subsystem existed.
+        Timings, per-flow stats, per-rule activation delays and metrics: a
+        pure function of the seeded workload.  Provenance and observation
+        payloads are deliberately absent (see :meth:`as_dict`).
         """
-        payload = {
+        return {
             "schema": RECORD_SCHEMA,
             "kind": self.kind,
             "technique": self.technique,
-            "spec": dict(self.spec),
             "scenario": self.scenario,
             "topology": self.topology,
             "seed": self.seed,
@@ -203,19 +192,29 @@ class RunRecord:
             "rum_probe_rule_updates": self.rum_probe_rule_updates,
             "rum_probes_injected": self.rum_probes_injected,
         }
+
+    def as_dict(self) -> Dict[str, object]:
+        """Canonical JSON-able form; :meth:`from_dict` round-trips it exactly.
+
+        :meth:`outcome` plus ``spec`` plus whichever observations are
+        non-empty.  An observation key exists only when its subsystem ran,
+        so a disarmed payload is byte-identical to one written before the
+        subsystem existed.
+        """
+        outcome = self.outcome()
+        # ``spec`` keeps its historical slot (after ``technique``) so files
+        # written from this payload stay byte-identical.
+        payload = {key: outcome.pop(key)
+                   for key in ("schema", "kind", "technique")}
+        payload["spec"] = dict(self.spec)
+        payload.update(outcome)
         if self.fault_events:
             payload["fault_events"] = dict(self.fault_events)
-        # Same pattern: the key exists only when a recovery manager ran, so
-        # recovery-off payloads (and digests) match pre-recovery records.
         if self.recovery:
             payload["recovery"] = dict(self.recovery)
-        # Like fault_events: only present when tracing was armed, so
-        # trace-off payloads stay byte-identical to pre-tracing records.
-        if self.trace is not None and self.trace:
+        if self.trace:
             payload["trace"] = self.trace.as_dict()
-        # And when profiling was armed, so profile-off payloads stay
-        # byte-identical to pre-profiler records.
-        if self.profile is not None and self.profile:
+        if self.profile:
             payload["profile"] = self.profile.as_dict()
         return payload
 
@@ -291,37 +290,40 @@ class RunRecord:
         }
 
     def digest(self) -> str:
-        """Stable content hash of the simulation-determined outcome.
+        """Stable content hash of the simulation-determined :meth:`outcome`.
 
-        Covers what the simulation computed (timings, per-flow stats,
-        per-rule activation delays, metrics) but not the
-        :data:`DIGEST_EXCLUDED_KEYS` — provenance (:attr:`spec`) and the
-        armed-only observation payloads — nor OpenFlow xids (which come from
-        a process-global counter), so the same seeded workload produces the
-        same digest no matter which entry point built the session or what
-        ran before it in the process.
+        Provenance (:attr:`spec`) and the observation payloads are not part
+        of the outcome, and OpenFlow xids (which come from a process-global
+        counter) are normalised away, so the same seeded workload produces
+        the same digest no matter which entry point built the session, what
+        was armed, or what ran before it in the process.
         """
-        return outcome_digest(self.as_dict())
+        return outcome_digest(self.outcome())
+
+
+#: The keys of :meth:`RunRecord.outcome`, derived from the builder itself so
+#: the two cannot drift apart.
+OUTCOME_KEYS = tuple(RunRecord().outcome())
 
 
 def outcome_digest(payload: Dict[str, object]) -> str:
     """The digest of an :meth:`RunRecord.as_dict` payload.
 
     Module-level so the run store's ``verify`` can recheck stored payloads
-    without round-tripping them through :class:`RunRecord`; this is the one
-    place the :data:`DIGEST_EXCLUDED_KEYS` are stripped before hashing.
+    without round-tripping them through :class:`RunRecord`.  Only the
+    :data:`OUTCOME_KEYS` are hashed; whatever else the payload carries
+    (provenance, observations, keys this build has never heard of) cannot
+    move the digest.
     """
-    payload = dict(payload)
-    for key in DIGEST_EXCLUDED_KEYS:
-        payload.pop(key, None)
-    activation = payload.get("activation")
+    outcome = {key: payload[key] for key in OUTCOME_KEYS if key in payload}
+    activation = outcome.get("activation")
     if activation is not None:
         # Per-rule delays are keyed by process-global xids; hash the sorted
         # delay multiset so the digest is xid-independent.
-        payload["activation"] = {
+        outcome["activation"] = {
             "technique": activation["technique"],
             "delays": sorted(activation["per_rule"].values()),
         }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+    canonical = json.dumps(outcome, sort_keys=True, separators=(",", ":"),
                            default=str)
     return hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:16]

@@ -19,8 +19,10 @@ and indexes them by the latter:
 
 ``verify`` recomputes every pin: content hashes for integrity, and — for
 full record payloads — the semantic digest through
-:func:`repro.session.record.outcome_digest`, so a store object whose bytes
-rotted *or* whose digest discipline drifted is caught the same way.
+:func:`repro.session.record.outcome_digest` (the outcome keys and nothing
+else, the same function ``RunRecord.digest()`` uses), so a store object
+whose bytes rotted *or* whose digest discipline drifted is caught the same
+way.
 
 Nothing here reads wall time or ambient entropy: store contents are a pure
 function of what was ingested, so two hosts ingesting the same results
@@ -319,11 +321,11 @@ class RunStore:
         """The digest-verified campaign record for a cell, if stored.
 
         Returns ``None`` unless the stored summary's content pin still
-        matches, its own ``digest`` field agrees with the object key, and —
-        when a full record payload is also stored — that payload still
-        recomputes to the same digest.  A cache hit is therefore always a
-        verified one; corruption degrades to a re-simulation, never to a
-        silently wrong result.
+        matches, its own ``digest`` field agrees with the object key, it is
+        the summary of *this* cell, and — when a full record payload is also
+        stored — that payload still recomputes to the same digest.  A cache
+        hit is therefore always a verified one; corruption degrades to a
+        re-simulation, never to a silently wrong result.
         """
         digest = self.lookup_key(cell_id)
         if digest is None:
@@ -338,6 +340,11 @@ class RunStore:
         if content_sha1(summary) != pins.get("summary"):
             return None
         if str(summary.get("digest")) != digest:
+            return None
+        # Cells with equal outcomes share one object, which keeps only the
+        # last-ingested summary: serving it for a sibling would re-emit the
+        # sibling's ``cell_id`` and ``config``.
+        if summary.get("cell_id") != cell_id:
             return None
         record = obj.get("record")
         if record is not None and outcome_digest(record) != digest:

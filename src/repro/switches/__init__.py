@@ -33,31 +33,14 @@ from repro.switches.controlplane import ControlPlane, PendingOperation
 from repro.switches.software import SoftwareSwitch
 from repro.switches.hardware import HardwareSwitch
 
-#: Names still re-exported from the deprecated fault shim.  Resolved lazily
-#: so ``import repro.switches`` alone never triggers the shim's
-#: DeprecationWarning — only actually touching one of these names does.
-_FAULT_SHIM_NAMES = ("DelaySpikeFault", "FaultInjector", "ReorderFault")
-
-
-def __getattr__(name: str):
-    if name in _FAULT_SHIM_NAMES:
-        from repro.switches import faults
-
-        return getattr(faults, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BarrierMode",
     "ControlPlane",
     "DataPlane",
     "DataPlaneSyncModel",
-    "DelaySpikeFault",
-    "FaultInjector",
     "ForwardingResult",
     "HardwareSwitch",
     "PendingOperation",
-    "ReorderFault",
     "SoftwareSwitch",
     "Switch",
     "SwitchProfile",

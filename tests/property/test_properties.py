@@ -1,16 +1,15 @@
 """Property-based tests (hypothesis) for the core data structures and
 invariants: match algebra, flow-table lookup, probe generation, version
-recycling, colouring, address codecs, percentiles and the wire codec."""
+recycling, colouring, address codecs and percentiles."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cdf import cdf_points, percentile
 from repro.core.versioning import VersionAllocator, VersionSpaceExhausted
-from repro.openflow.actions import DropAction, OutputAction
+from repro.openflow.actions import OutputAction
 from repro.openflow.flowtable import FlowTable
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
-from repro.openflow.wire import roundtrip
 from repro.packet.addresses import int_to_ip, int_to_mac, ip_to_int, mac_to_int
 from repro.packet.fields import HeaderField
 from repro.packet.packet import Packet
@@ -232,18 +231,3 @@ def test_cdf_points_are_sorted_and_end_at_one(values):
     assert xs == sorted(xs)
     assert ys[-1] == 1.0
     assert all(0 < y <= 1 for y in ys)
-
-
-# -- wire codec ----------------------------------------------------------------------------------------
-
-@given(matches(), st.lists(st.one_of(
-    ports.map(OutputAction),
-    st.just(DropAction()),
-), max_size=3), priorities)
-@settings(max_examples=80)
-def test_flowmod_wire_roundtrip_property(match, actions, priority):
-    flowmod = FlowMod(match, actions, priority=priority)
-    decoded = roundtrip(flowmod)
-    assert decoded.match == match
-    assert decoded.priority == priority
-    assert len(decoded.actions) == len(actions)

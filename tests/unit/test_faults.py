@@ -16,7 +16,6 @@ from repro.faults import (
     DATA_PLANE,
     LIFECYCLE,
     DataPlaneFault,
-    FaultInjector,
     FaultPlan,
     FaultSpec,
     arm_fault_plan,
@@ -120,40 +119,6 @@ class TestFaultRegistry:
 
         with pytest.raises(ValueError, match="layer"):
             register_fault(Nowhere)
-
-
-# ---------------------------------------------------------------------------
-# Legacy API compatibility (switches.faults shim)
-# ---------------------------------------------------------------------------
-
-class TestLegacyShim:
-    def test_old_imports_resolve_to_registered_models(self):
-        from repro.switches.faults import (
-            DelaySpikeFault,
-            Fault,
-            FaultInjector as ShimInjector,
-            ReorderFault,
-        )
-        from repro.switches import DelaySpikeFault as PackageDelaySpike
-
-        assert DelaySpikeFault is get_fault("delay-spike").implementation
-        assert ReorderFault is get_fault("reorder").implementation
-        assert PackageDelaySpike is DelaySpikeFault
-        assert ShimInjector is FaultInjector
-        assert issubclass(DelaySpikeFault, Fault)
-
-    def test_fault_injector_still_works(self):
-        from repro.switches.faults import DelaySpikeFault
-
-        sim, switch, connection, _replies = _wired_switch()
-        injector = FaultInjector(
-            switch, [DelaySpikeFault(probability=1.0, spike=1.0)])
-        connection.side_b.send(_flowmods(1)[0])
-        sim.run(until=0.5)
-        assert switch.rules_in_dataplane() == 0
-        sim.run(until=2.0)
-        assert switch.rules_in_dataplane() == 1
-        assert injector.injected_counts() == [("DelaySpikeFault", 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +334,23 @@ class TestSwitchCrash:
         assert switch.rules_in_dataplane() == 0
 
     def test_harnesses_chain_instead_of_clobbering(self):
-        # A legacy FaultInjector (fig2's firewall fault) armed before a
+        # A harness installed directly (fig2's firewall fault) before a
         # FaultPlan harness must keep running behind it.
         from repro.faults import DataPlaneFaultHarness
-        from repro.switches.faults import DelaySpikeFault
 
         sim, switch, connection, _replies = _wired_switch()
-        legacy = FaultInjector(
-            switch, [DelaySpikeFault(probability=1.0, spike=1.0)])
+        first = get_fault("delay-spike").instantiate(probability=1.0, spike=1.0)
+        first.arm(sim, SeededRandom(7))
+        DataPlaneFaultHarness(switch, [first])
         plan_fault = get_fault("rule-drop").instantiate(probability=0.0)
         plan_fault.arm(sim, SeededRandom(8))
         DataPlaneFaultHarness(switch, [plan_fault])
         connection.side_b.send(_flowmods(1)[0])
         sim.run(until=0.5)
-        assert switch.rules_in_dataplane() == 0  # legacy spike still holds it
+        assert switch.rules_in_dataplane() == 0  # the first spike still holds it
         sim.run(until=2.0)
         assert switch.rules_in_dataplane() == 1
-        assert legacy.injected_counts() == [("DelaySpikeFault", 1)]
+        assert first.counters()["delay_spikes"] == 1
 
     def test_reorder_buffer_items_die_with_a_crash(self):
         # Two FlowMods buffered pre-crash, two arriving post-restart: only
@@ -716,40 +681,3 @@ class TestFaultCampaign:
         text = render_resilience_report(results)
         assert "ack-loss(probability=1.0)" in text
         assert "correctness under fault" in text
-
-
-class TestShimDeprecation:
-    def test_shim_import_warns(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.switches.faults", None)
-        with pytest.warns(DeprecationWarning, match="repro.faults"):
-            importlib.import_module("repro.switches.faults")
-
-    def test_package_import_does_not_warn(self):
-        import importlib
-        import subprocess
-        import sys
-
-        # A fresh interpreter importing the package must stay silent: the
-        # shim names are resolved lazily via module __getattr__.
-        subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning",
-             "-c", "import repro.switches"],
-            check=True, timeout=60,
-        )
-        # ... while the lazy re-exports still resolve to the moved classes.
-        switches = importlib.import_module("repro.switches")
-        from repro.faults.dataplane import DelaySpikeFault, ReorderFault
-        from repro.faults.harness import FaultInjector
-
-        assert switches.DelaySpikeFault is DelaySpikeFault
-        assert switches.ReorderFault is ReorderFault
-        assert switches.FaultInjector is FaultInjector
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.switches
-
-        with pytest.raises(AttributeError, match="no attribute"):
-            repro.switches.DoesNotExist

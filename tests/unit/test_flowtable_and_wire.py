@@ -1,31 +1,18 @@
-"""Unit tests for the flow table semantics and the binary message codec."""
+"""Unit tests for the flow table semantics."""
 
 import sys
 
 import pytest
 
 from repro.openflow import (
-    BarrierReply,
-    BarrierRequest,
-    ErrorMessage,
-    FeaturesReply,
     FlowMod,
     FlowModCommand,
     FlowTable,
-    Hello,
     Match,
-    OFErrorCode,
-    OFErrorType,
     OutputAction,
-    PacketIn,
-    PacketOut,
-    StatsReply,
-    StatsRequest,
 )
-from repro.openflow.actions import ControllerAction, DropAction, SetFieldAction
+from repro.openflow.actions import DropAction
 from repro.openflow.flowtable import TableFullError, diff_tables
-from repro.openflow.wire import decode, encode, roundtrip
-from repro.packet.fields import HeaderField
 from repro.packet.packet import make_ip_packet
 
 
@@ -239,76 +226,3 @@ def test_wildcard_walk_stops_at_the_best_exact_hit(monkeypatch):
                     [OutputAction(2)], priority=100), now=1.0 + index)
     assert table.lookup(make_ip_packet("10.0.0.1", "10.0.1.1")).actions[0].port == 1
     assert len(built) == 50 and invoked == []
-
-
-# -- wire codec ------------------------------------------------------------------
-
-@pytest.mark.parametrize("message", [
-    Hello(),
-    BarrierRequest(),
-    BarrierReply(xid=77),
-    FeaturesReply(42, [1, 2, 3], n_tables=2),
-    ErrorMessage(OFErrorType.FLOW_MOD_FAILED, int(OFErrorCode.ALL_TABLES_FULL), data=5),
-    ErrorMessage.rule_confirmation(1234),
-    StatsRequest(),
-    StatsReply(body=[{"flows": 3}]),
-])
-def test_roundtrip_simple_messages(message):
-    decoded = roundtrip(message)
-    assert type(decoded) is type(message)
-    assert decoded.xid == message.xid
-
-
-def test_roundtrip_flowmod_preserves_match_actions_priority():
-    flowmod = FlowMod(
-        Match(ip_src="10.0.0.1", ip_dst=("10.1.0.0", 16), tp_dst=80),
-        [SetFieldAction(HeaderField.IP_TOS, 9), OutputAction(7), ControllerAction()],
-        priority=123,
-        cookie=99,
-        command=FlowModCommand.MODIFY,
-    )
-    decoded = roundtrip(flowmod)
-    assert decoded.priority == 123
-    assert decoded.cookie == 99
-    assert decoded.command == FlowModCommand.MODIFY
-    assert decoded.match == flowmod.match
-    assert [type(action) for action in decoded.actions] == [
-        SetFieldAction, OutputAction, ControllerAction
-    ]
-    assert decoded.actions[1].port == 7
-
-
-def test_roundtrip_packet_out_and_in_preserve_packet_headers():
-    packet = make_ip_packet("10.0.0.1", "10.0.0.2", ip_tos=5, flow_id="flow-1", sequence=9)
-    decoded_out = roundtrip(PacketOut(packet, [OutputAction(2)], in_port=1))
-    assert decoded_out.packet.get(HeaderField.IP_TOS) == 5
-    assert decoded_out.packet.flow_id == "flow-1"
-    decoded_in = roundtrip(PacketIn(packet, in_port=4, datapath_id=11))
-    assert decoded_in.in_port == 4
-    assert decoded_in.datapath_id == 11
-    assert decoded_in.packet.get(HeaderField.IP_DST) == packet.get(HeaderField.IP_DST)
-
-
-def test_rum_confirmation_error_identified_after_roundtrip():
-    message = ErrorMessage.rule_confirmation(4321)
-    decoded = roundtrip(message)
-    assert decoded.is_rum_confirmation
-    assert decoded.data == 4321
-
-
-def test_decode_rejects_truncated_buffer():
-    from repro.openflow.wire import WireError
-
-    data = encode(Hello())
-    with pytest.raises(WireError):
-        decode(data[:4])
-    with pytest.raises(WireError):
-        decode(data + b"junk")
-
-
-def test_encoded_length_field_matches_buffer():
-    data = encode(FlowMod(Match(ip_src="10.0.0.1"), [OutputAction(1)]))
-    import struct
-
-    _version, _type, length, _xid = struct.unpack_from("!BBHI", data, 0)
-    assert length == len(data)

@@ -46,8 +46,7 @@ from repro.scenarios.base import ScenarioParams
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
-ALL_RULES = ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-             "RL008", "RL009")
+ALL_RULES = ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007")
 
 
 def _lint_fixture(name: str):
@@ -98,41 +97,6 @@ def test_golden_diagnostics_rl004():
         "rl004_violation.py:14:4: RL004 emit directly on TRACER; bind "
         "`tr = TRACER` once and guard `if tr.active: tr.fault(...)`",
     ]
-
-
-def test_golden_diagnostics_rl008():
-    rendered = [d.render() for d in _lint_fixture("rl008_violation.py")]
-    assert rendered == [
-        "rl008_violation.py:10:4: RL008 profiler emission pr.phase(...) is "
-        "outside an `if pr.active:` guard (zero-allocation contract)",
-        "rl008_violation.py:14:4: RL008 emit directly on PROFILER; bind "
-        "`pr = PROFILER` once and guard `if pr.active: pr.sample(...)`",
-    ]
-
-
-def test_golden_diagnostics_rl009():
-    rendered = [d.render() for d in _lint_fixture("rl009_violation.py")]
-    assert rendered == [
-        'rl009_violation.py:16:12: RL009 conditionally-serialized key '
-        '"profile" is missing from DIGEST_EXCLUDED_KEYS; add it so '
-        'outcome_digest() strips it and stored digests stay stable whether '
-        'the subsystem is armed',
-    ]
-
-
-def test_rl009_is_scoped_to_modules_declaring_digest_exclusions():
-    # Without the declaration the rule has nothing to check against: the
-    # same conditional serialization lints clean (RL005 owns that idiom).
-    source = (FIXTURES / "rl009_violation.py").read_text(encoding="utf-8")
-    undeclared = "\n".join(line for line in source.splitlines()
-                           if not line.startswith("DIGEST_EXCLUDED_KEYS"))
-    assert lint_source(undeclared, module="rl009_violation.py") == []
-
-
-def test_rl008_is_silent_inside_the_obs_package():
-    source = (FIXTURES / "rl008_violation.py").read_text(encoding="utf-8")
-    assert lint_source(source, module="obs/profiler.py") == []
-    assert lint_source(source, module="session/engine.py")
 
 
 def test_golden_diagnostics_rl006():
@@ -201,7 +165,7 @@ def test_syntax_errors_surface_as_engine_diagnostics():
 # -- registry -----------------------------------------------------------------
 
 
-def test_all_nine_rules_are_registered():
+def test_all_seven_rules_are_registered():
     assert tuple(available_rules()) == ALL_RULES
 
 

@@ -1,9 +1,11 @@
-"""Tests for the deterministic sim-profiler: the null-object fast path
-(no allocations when disarmed), kernel-observer attribution through toy
+"""Tests for the deterministic sim-profiler: the engine-owned lifecycle (no
+global; the kernel observer never outlives a session, even a crashing one),
+the allocation-free disarmed path, kernel-observer attribution through toy
 simulations and a real profiled session, profile-off digest transparency
 (a profiled run digests identically to its unprofiled twin), the report
 round-trip, and the hot-callback rendering."""
 
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -14,17 +16,9 @@ from repro.analysis.profile import (
     hot_callbacks,
     render_profile_report,
 )
-from repro.obs import (
-    NULL_PROFILER,
-    NullProfiler,
-    ProfileReport,
-    Profiler,
-    install_profiler,
-    profiling,
-    uninstall_profiler,
-)
-from repro.obs import profiler as obs_profiler
-from repro.scenarios import ScenarioParams, run_scenario
+from repro.obs import ProfileReport, Profiler
+from repro.scenarios import ScenarioParams, run_scenario, scenario_session
+from repro.session import engine
 from repro.session.record import RunRecord
 from repro.sim import kernel
 from repro.sim.kernel import Simulator
@@ -38,30 +32,19 @@ def _quick_params(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# Null-object fast path
+# Disarmed path
 # ---------------------------------------------------------------------------
 
-class TestNullProfiler:
-    def test_default_profiler_is_the_shared_null_object(self):
-        assert obs_profiler.PROFILER is NULL_PROFILER
-        assert obs_profiler.current_profiler().active is False
-
-    def test_active_is_a_class_attribute(self):
-        # The hot-path guard must not hit __dict__ lookups per instance.
-        assert "active" in NullProfiler.__dict__
-        assert NullProfiler.active is False
-        assert Profiler.active is True
-
+class TestDisarmedPath:
     def test_disarmed_hot_path_allocates_nothing(self):
-        """The guarded call-site pattern must be allocation-free when the
-        null profiler is installed — the zero-cost-when-disarmed contract."""
-        pr = obs_profiler.PROFILER
-        assert pr is NULL_PROFILER
+        """The engine's phase-marker pattern must be allocation-free when no
+        profiler was armed — the zero-cost-when-disarmed contract."""
+        profiler = None
 
         def hot_site(iterations):
             for _ in range(iterations):
-                if pr.active:
-                    pr.phase("update")
+                if profiler is not None:
+                    profiler.phase("update")
 
         hot_site(100)  # warm up any lazy interpreter state
         gc.collect()
@@ -74,49 +57,39 @@ class TestNullProfiler:
             tracemalloc.stop()
         assert grown < 512, f"disarmed profile path leaked {grown} bytes"
 
-    def test_null_methods_are_noops(self):
-        null = NullProfiler()
-        null.phase("setup")
-        null.sample("batch", 3.0)
-        assert not hasattr(null, "_stats")
+    def test_bare_session_never_builds_a_profiler(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an unprofiled session built a Profiler")
+
+        monkeypatch.setattr(engine, "Profiler", refuse)
+        record = run_scenario("path-migration", "general", _quick_params())
+        assert record.profile is None
+        assert not tracemalloc.is_tracing()
 
 
 # ---------------------------------------------------------------------------
-# Install / uninstall lifecycle
+# Install / uninstall lifecycle of the kernel observer (the profiler's only tap)
 # ---------------------------------------------------------------------------
 
 class TestInstall:
-    def test_install_swaps_the_module_global_and_uninstall_restores(self):
-        pr = install_profiler(Profiler(technique="t", kind="k", seed=1))
-        try:
-            assert obs_profiler.PROFILER is pr
-            assert obs_profiler.current_profiler().active is True
-        finally:
-            uninstall_profiler()
-        assert obs_profiler.PROFILER is NULL_PROFILER
-
     def test_profiled_sessions_cannot_nest(self):
-        install_profiler(Profiler())
+        outer, inner = Profiler(), Profiler()
+        outer.attach(Simulator())
         try:
             with pytest.raises(RuntimeError, match="cannot nest"):
-                install_profiler(Profiler())
+                inner.attach(Simulator())
         finally:
-            uninstall_profiler()
-
-    def test_profiling_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            with profiling(kind="test"):
-                raise RuntimeError("boom")
-        assert obs_profiler.PROFILER is NULL_PROFILER
+            outer.detach()
+        assert kernel._OBSERVER is None
 
     def test_uninstall_detaches_a_live_kernel_observer(self):
-        sim = Simulator()
-        pr = install_profiler(Profiler())
-        pr.attach(sim)
+        pr = Profiler()
+        pr.attach(Simulator())
         assert kernel._OBSERVER is not None
-        uninstall_profiler()
+        pr.detach()
+        pr.detach()  # idempotent: finish() and the engine both call it
         assert kernel._OBSERVER is None
-        assert obs_profiler.PROFILER is NULL_PROFILER
+        assert not tracemalloc.is_tracing()
 
     def test_attach_refuses_a_second_simulator(self):
         pr = Profiler()
@@ -126,6 +99,22 @@ class TestInstall:
                 pr.attach(Simulator())
         finally:
             pr.detach()
+
+    def test_crashing_session_leaves_no_kernel_observer(self):
+        def boom(_network, _flows):
+            raise RuntimeError("boom")
+
+        spec = dataclasses.replace(
+            scenario_session("path-migration", "general",
+                             _quick_params(profile=True)),
+            plan_builder=boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            spec.run()
+        assert kernel._OBSERVER is None
+        assert not tracemalloc.is_tracing()
+        # ... so the next profiled session can arm again.
+        assert run_scenario("path-migration", "general",
+                            _quick_params(profile=True)).profile
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +203,8 @@ class TestProfiledSession:
         assert record.profile.callbacks
         assert [row["name"] for row in record.profile.phases] == [
             "setup", "update", "drain", "analyze"]
-        assert obs_profiler.PROFILER is NULL_PROFILER
         assert kernel._OBSERVER is None
+        assert not tracemalloc.is_tracing()
 
     def test_profile_off_runs_omit_the_key_entirely(self):
         record = run_scenario("path-migration", "general", _quick_params())

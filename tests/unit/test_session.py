@@ -5,7 +5,10 @@ that a technique registered once runs through every entry point."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.analysis.activation import ActivationDelays
+from repro.analysis.flowstats import FlowUpdateStats
 from repro.campaign import CampaignRunner, CampaignSpec, run_cell
 from repro.core.config import RumConfig, config_for_technique
 from repro.core.techniques.base import AckTechnique
@@ -24,8 +27,25 @@ from repro.experiments.common import (
     run_path_migration,
     run_rule_install,
 )
+from repro.obs import ProfileReport, TraceEvent, TraceLog
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.session import SUMMARY_KEYS, RunRecord
+from repro.session.record import OUTCOME_KEYS, outcome_digest
+
+#: The payload keys that ride beside the outcome and must never reach the
+#: digest: provenance plus the armed-only observations.
+OBSERVATION_KEYS = ("spec", "fault_events", "recovery", "trace", "profile")
+
+#: ``as_dict()`` keys of a record with nothing armed — the serialized layout
+#: every stored record and pinned digest was written against.
+DISARMED_KEYS = {
+    "schema", "kind", "technique", "spec", "scenario", "topology", "seed",
+    "scale", "update_start", "update_duration", "completed", "flows_run",
+    "plan_size", "acknowledged_rules", "usable_rate", "dropped_packets",
+    "mean_update_time", "completion_time", "stats", "activation", "metrics",
+    "rum_description", "barrier_layer_held", "rum_probe_rule_updates",
+    "rum_probes_injected",
+}
 
 
 def _quick_migration_params(**overrides):
@@ -154,7 +174,6 @@ class TestRunRecordRoundTrip:
         pairs = migration_record.update_pairs()
         assert len(pairs) == len(migration_record.stats)
         assert migration_record.max_broken_time >= 0.0
-        assert rule_install_record.duration == rule_install_record.update_duration
 
     def test_from_dict_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
@@ -165,23 +184,14 @@ class TestRunRecordRoundTrip:
         relabeled.spec = {"entirely": "different"}
         assert relabeled.digest() == scenario_record.digest()
 
-    def test_digest_excluded_keys_are_pinned(self):
-        # The run store's verify and lint rule RL009 both key on this
-        # exact tuple; extending it is a digest-compatibility decision,
-        # not a refactor — update the pin deliberately.
-        from repro.session.record import DIGEST_EXCLUDED_KEYS
-
-        assert DIGEST_EXCLUDED_KEYS == (
-            "spec", "fault_events", "recovery", "trace", "profile")
-
     def test_digest_matches_outcome_digest_and_ignores_excluded_keys(
             self, scenario_record):
-        from repro.session.record import DIGEST_EXCLUDED_KEYS, outcome_digest
+        from repro.session.record import outcome_digest
 
         payload = scenario_record.as_dict()
         assert scenario_record.digest() == outcome_digest(payload)
-        # Injecting any excluded key leaves the digest untouched...
-        for key in DIGEST_EXCLUDED_KEYS:
+        # Injecting any non-outcome key leaves the digest untouched...
+        for key in OBSERVATION_KEYS + ("never_heard_of",):
             assert outcome_digest(dict(payload, **{key: {"x": 1}})) == \
                 scenario_record.digest()
         # ...while touching an included outcome field moves it.
@@ -194,6 +204,106 @@ class TestRunRecordRoundTrip:
         text = render_run_summaries([scenario_record.summary()], title="t")
         assert "path-migration" in text
         assert "general" in text
+
+
+# ---------------------------------------------------------------------------
+# Observation cannot touch outcome (digest by inclusion)
+# ---------------------------------------------------------------------------
+
+_times = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+_maybe_time = st.none() | _times
+_names = st.text(alphabet="abcdefgh-", min_size=1, max_size=8)
+_counts = st.integers(min_value=0, max_value=10_000)
+_json_dicts = st.dictionaries(_names, _counts | _times | _names, max_size=3)
+
+_stats = st.builds(
+    FlowUpdateStats, flow_id=_names, last_old_path=_maybe_time,
+    first_new_path=_maybe_time, broken_time=_times, packets_sent=_counts,
+    packets_received=_counts)
+_activations = st.builds(
+    ActivationDelays, technique=_names,
+    per_rule=st.dictionaries(_counts, st.tuples(_times, _times, _times),
+                             max_size=4))
+_traces = st.builds(
+    TraceLog, technique=_names, kind=_names, seed=_counts,
+    events=st.lists(st.builds(TraceEvent, ts=_times, phase=_names,
+                              switch=_names, xid=st.none() | _counts,
+                              detail=_names), max_size=3),
+    metrics=st.dictionaries(_names, _counts, max_size=2))
+_profiles = st.builds(
+    ProfileReport, technique=_names, kind=_names, seed=_counts,
+    callbacks=st.lists(st.fixed_dictionaries(
+        {"site": _names, "calls": _counts, "wall_s": _times,
+         "scheduled": _counts}), max_size=3),
+    totals=st.dictionaries(_names, _counts, max_size=2))
+
+#: One strategy per observation field: its disarmed value or an armed one.
+_observations = {
+    "spec": _json_dicts,
+    "fault_events": st.dictionaries(_names, _counts, max_size=3),
+    "recovery": _json_dicts,
+    "trace": st.none() | _traces,
+    "profile": st.none() | _profiles,
+}
+
+_records = st.builds(
+    RunRecord, kind=_names, technique=_names, scenario=st.none() | _names,
+    topology=_names, seed=_counts, scale=st.none() | _counts,
+    update_start=_times, update_duration=_maybe_time, completed=st.booleans(),
+    flows_run=_counts, plan_size=_counts, acknowledged_rules=_counts,
+    usable_rate=_maybe_time, dropped_packets=_counts,
+    mean_update_time=_maybe_time, completion_time=_maybe_time,
+    stats=st.lists(_stats, max_size=3), activation=st.none() | _activations,
+    metrics=_json_dicts, rum_description=_names, barrier_layer_held=_counts,
+    rum_probe_rule_updates=_counts, rum_probes_injected=_counts,
+    **_observations)
+
+
+def _altered(key, value):
+    """A JSON-able payload value guaranteed to differ from ``value``."""
+    if key == "activation":  # the digest normalises this key's shape
+        if value is None:
+            return {"technique": "altered", "per_rule": {}}
+        return dict(value, technique=value["technique"] + "'")
+    return {"altered": value}
+
+
+class TestObservationCannotTouchOutcome:
+    @given(record=_records, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_no_observation_field_moves_the_digest(self, record, data):
+        digest = record.digest()
+        assert digest == outcome_digest(record.as_dict())
+        for name, strategy in _observations.items():
+            # Set, alter or clear: any other value of the field, armed or not.
+            setattr(record, name, data.draw(strategy, label=name))
+            assert record.digest() == digest
+            assert outcome_digest(record.as_dict()) == digest
+        payload = dict(record.as_dict(), never_heard_of={"x": 1})
+        assert outcome_digest(payload) == digest
+
+    @given(record=_records)
+    @settings(max_examples=40, deadline=None)
+    def test_every_outcome_key_moves_the_digest(self, record):
+        payload = record.as_dict()
+        assert tuple(record.outcome()) == OUTCOME_KEYS
+        for key in OUTCOME_KEYS:
+            altered = dict(payload, **{key: _altered(key, payload[key])})
+            assert outcome_digest(altered) != record.digest(), key
+
+    @given(record=_records)
+    @settings(max_examples=60, deadline=None)
+    def test_as_dict_round_trips_and_keeps_the_flat_layout(self, record):
+        payload = json.loads(json.dumps(record.as_dict()))
+        rebuilt = RunRecord.from_dict(payload)
+        assert rebuilt.as_dict() == payload
+        assert rebuilt.digest() == record.digest()
+        # Outcome keys are always serialized; an observation key exists
+        # exactly when its field is non-empty.
+        armed = {name for name in OBSERVATION_KEYS[1:]
+                 if getattr(record, name)}
+        assert set(payload) == DISARMED_KEYS | armed
+        assert set(OUTCOME_KEYS) == DISARMED_KEYS - {"spec"}
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +370,7 @@ class TestPreRedesignEquivalence:
         record = run_rule_install(
             technique, RuleInstallParams(rule_count=60, max_unconfirmed=30)
         )
-        payload = repr((record.technique, record.duration,
+        payload = repr((record.technique, record.update_duration,
                         record.acknowledged_rules,
                         sorted(record.activation.per_rule.values())
                         if record.activation else None))

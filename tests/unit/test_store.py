@@ -148,6 +148,32 @@ class TestCachedRecord:
         # object's digest: still a miss.
         assert store.cached_record(record["cell_id"]) is None
 
+    def test_cells_sharing_a_digest_are_not_served_each_others_summary(
+            self, tmp_path):
+        # ``general`` never depends on an ack that ``ack-loss`` drops, so
+        # its faulted and fault-free cells share one outcome digest — and
+        # one store object, which keeps only the last-ingested summary.
+        spec = CampaignSpec(
+            scenarios=["path-migration"], techniques=["barrier", "general"],
+            seeds=[1, 2], faults=["none", "ack-loss(probability=0.2)"])
+        cold = tmp_path / "cold.jsonl"
+        CampaignRunner(spec, cold, max_workers=2).run()
+        originals = {record["cell_id"]: record for record in load_records(cold)}
+        assert len(originals) == 8
+        assert len({record["digest"] for record in originals.values()}) < 8
+        store = RunStore(tmp_path / "store")
+        store.ingest(cold)
+        for cell in spec.cells():
+            hit = store.cached_record(cell.cell_id)
+            assert hit is None or hit["cell_id"] == cell.cell_id
+        warm = tmp_path / "warm.jsonl"
+        CampaignRunner(spec, warm, max_workers=2, cache=store).run()
+        emitted = {record["cell_id"]: record for record in load_records(warm)}
+        assert set(emitted) == set(originals)
+        for cell_id, record in emitted.items():
+            assert record["config"] == originals[cell_id]["config"]
+            assert record["digest"] == originals[cell_id]["digest"]
+
 
 class TestVerifyAndGc:
     def test_clean_store_verifies(self, tmp_path):

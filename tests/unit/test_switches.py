@@ -21,11 +21,10 @@ from repro.openflow import (
 from repro.openflow.connection import Connection
 from repro.packet.packet import make_ip_packet
 from repro.sim import Simulator
+from repro.faults import DataPlaneFaultHarness, DelaySpikeFault, ReorderFault
+from repro.sim.rng import SeededRandom
 from repro.switches import (
-    DelaySpikeFault,
-    FaultInjector,
     HardwareSwitch,
-    ReorderFault,
     SoftwareSwitch,
     Switch,
     hp5406zl_profile,
@@ -263,20 +262,26 @@ def test_install_rule_directly_updates_both_planes():
 
 # -- fault injection -----------------------------------------------------------------
 
+def _inject(switch, fault, seed=7):
+    fault.arm(switch.sim, SeededRandom(seed).fork(type(fault).__name__))
+    return DataPlaneFaultHarness(switch, [fault])
+
+
 def test_delay_spike_fault_delays_dataplane():
     sim, switch, endpoint, _replies = _wired_switch(software_switch_profile())
-    injector = FaultInjector(switch, [DelaySpikeFault(probability=1.0, spike=1.0)])
+    fault = DelaySpikeFault(probability=1.0, spike=1.0)
+    _inject(switch, fault)
     endpoint.send(_flowmods(1)[0])
     sim.run(until=0.5)
     assert switch.rules_in_dataplane() == 0
     sim.run(until=2.0)
     assert switch.rules_in_dataplane() == 1
-    assert injector.injected_counts()[0][1] == 1
+    assert sum(fault.counters().values()) == 1
 
 
 def test_reorder_fault_shuffles_applications():
     sim, switch, endpoint, _replies = _wired_switch(software_switch_profile())
-    FaultInjector(switch, [ReorderFault(window=4, hold_time=0.01)], seed=3)
+    _inject(switch, ReorderFault(window=4, hold_time=0.01), seed=3)
     flowmods = _flowmods(16)
     for flowmod in flowmods:
         endpoint.send(flowmod)
@@ -288,8 +293,7 @@ def test_reorder_fault_shuffles_applications():
 
 def test_fault_injector_remove_restores_behaviour():
     sim, switch, endpoint, _replies = _wired_switch(software_switch_profile())
-    injector = FaultInjector(switch, [DelaySpikeFault(probability=1.0, spike=5.0)])
-    injector.remove()
+    _inject(switch, DelaySpikeFault(probability=1.0, spike=5.0)).remove()
     endpoint.send(_flowmods(1)[0])
     sim.run(until=0.5)
     assert switch.rules_in_dataplane() == 1
