@@ -32,6 +32,7 @@ from repro.obs.events import (
     PHASE_MSG_SENT,
     PHASE_SWITCH_RECEIVED,
     PHASE_UPDATE_ISSUED,
+    TraceEvent,
     TraceLog,
 )
 
@@ -74,13 +75,6 @@ class RuleLifecycle:
             return math.inf
         return self.ack_received - self.hw_activated
 
-    @property
-    def control_to_hw_lag(self) -> Optional[float]:
-        """How long the data plane trailed the control plane for this rule."""
-        if self.control_applied is None or self.hw_activated is None:
-            return None
-        return self.hw_activated - self.control_applied
-
 
 def rule_lifecycles(log: TraceLog) -> Dict[Tuple[str, int], RuleLifecycle]:
     """Reconstruct every ``(switch, xid)`` lifecycle from a trace.
@@ -93,6 +87,10 @@ def rule_lifecycles(log: TraceLog) -> Dict[Tuple[str, int], RuleLifecycle]:
     or ``<proxy>-<switch>``), so they are matched to a lifecycle by suffix.
     """
     lifecycles: Dict[Tuple[str, int], RuleLifecycle] = {}
+    #: Lifecycles sharing an xid, in creation (= dict) order, so a channel
+    #: send only looks at the candidates it could match.
+    by_xid: Dict[int, List[RuleLifecycle]] = {}
+    sends: List[TraceEvent] = []
     slot_by_phase = {
         PHASE_UPDATE_ISSUED: "issued",
         PHASE_SWITCH_RECEIVED: "switch_received",
@@ -102,34 +100,36 @@ def rule_lifecycles(log: TraceLog) -> Dict[Tuple[str, int], RuleLifecycle]:
         PHASE_HW_ACTIVATED: "hw_activated",
     }
 
-    def lifecycle(switch: str, xid: int) -> RuleLifecycle:
-        key = (switch, xid)
-        entry = lifecycles.get(key)
-        if entry is None:
-            entry = lifecycles[key] = RuleLifecycle(switch=switch, xid=xid)
-        return entry
-
     for event in log.events:
-        if event.xid is None:
+        xid = event.xid
+        if xid is None:
+            continue
+        if event.phase == PHASE_MSG_SENT:
+            sends.append(event)
             continue
         slot = slot_by_phase.get(event.phase)
-        if slot is not None and event.switch:
-            entry = lifecycle(event.switch, event.xid)
-            if getattr(entry, slot) is None:
-                setattr(entry, slot, event.ts)
-                if event.phase == PHASE_ACK_SENT and event.detail:
-                    entry.confirmed_by = event.detail
-
-    # Second pass: channel sends.  A channel named ``<anything>-<switch>``
-    # carries that switch's control traffic; the first matching send of a
-    # known (switch, xid) pair is the controller-side transmit time.
-    for event in log.events:
-        if event.phase != PHASE_MSG_SENT or event.xid is None:
+        if slot is None or not event.switch:
             continue
-        for (switch, xid), entry in lifecycles.items():
-            if xid != event.xid or entry.msg_sent is not None:
-                continue
-            if event.switch == switch or event.switch.endswith(f"-{switch}"):
+        entry = lifecycles.get((event.switch, xid))
+        if entry is None:
+            entry = lifecycles[event.switch, xid] = RuleLifecycle(
+                switch=event.switch, xid=xid)
+            by_xid.setdefault(xid, []).append(entry)
+        if getattr(entry, slot) is None:
+            setattr(entry, slot, event.ts)
+            if event.phase == PHASE_ACK_SENT and event.detail:
+                entry.confirmed_by = event.detail
+
+    # Channel sends, matched once every (switch, xid) pair is known.  A
+    # channel named ``<anything>-<switch>`` carries that switch's control
+    # traffic; the first matching send of a known pair is the
+    # controller-side transmit time.
+    for event in sends:
+        channel = event.switch
+        for entry in by_xid.get(event.xid, ()):
+            if entry.msg_sent is None and (
+                    channel == entry.switch
+                    or channel.endswith(f"-{entry.switch}")):
                 entry.msg_sent = event.ts
 
     return lifecycles
@@ -229,14 +229,14 @@ class FaultOverlap:
 
 def fault_overlaps(log: TraceLog) -> List[FaultOverlap]:
     """Correlate fault activations with rules whose lifecycle was open."""
-    lifecycles = rule_lifecycles(log)
+    lifecycles = sorted(rule_lifecycles(log).items())
     overlaps: List[FaultOverlap] = []
     for event in log.events:
         if event.phase != PHASE_FAULT:
             continue
         open_rules = [
-            (switch, xid)
-            for (switch, xid), entry in sorted(lifecycles.items())
+            key
+            for key, entry in lifecycles
             if entry.issued is not None and entry.issued <= event.ts
             and (entry.hw_activated is None or entry.hw_activated > event.ts)
         ]

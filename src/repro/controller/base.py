@@ -87,6 +87,9 @@ class Controller:
         self._endpoints: Dict[str, ConnectionEndpoint] = {}
         #: Outstanding rule acks by (switch, xid).
         self._rule_acks: Dict[Tuple[str, int], RuleAck] = {}
+        #: How many of them are still waiting, per switch: what
+        #: :meth:`pending_acks` reads instead of scanning.
+        self._pending: Dict[str, int] = {}
         #: Outstanding barrier events by (switch, barrier xid).
         self._barrier_events: Dict[Tuple[str, int], Event] = {}
         #: FlowMod xids covered by each outstanding barrier, for BARRIER mode.
@@ -147,7 +150,11 @@ class Controller:
             sent_at=self.sim.now,
             event=event,
         )
+        replaced = self._rule_acks.get((switch_name, flowmod.xid))
         self._rule_acks[(switch_name, flowmod.xid)] = ack
+        if replaced is None or replaced.acked or replaced.failed:
+            # (a still-pending record of the same xid hands over its count)
+            self._pending[switch_name] = self._pending.get(switch_name, 0) + 1
         if self.recovery is not None:
             # Shadow the intended rule and arm the retransmit timer *before*
             # sending: an AckMode.NONE send completes synchronously and the
@@ -186,6 +193,9 @@ class Controller:
         """
         if ack.acked or ack.failed:
             return
+        # An ack displaced by a re-send of its xid was counted out already.
+        if self._rule_acks.get((ack.switch, ack.xid)) is ack:
+            self._pending[ack.switch] -= 1
         ack.failed_at = self.sim.now
 
     def send_barrier(self, switch_name: str) -> Event:
@@ -235,6 +245,9 @@ class Controller:
             self._complete_ack(ack)
 
     def _complete_ack(self, ack: RuleAck) -> None:
+        # Always the current tracking record of its (switch, xid).
+        if not ack.failed:  # a given-up ack already left the count
+            self._pending[ack.switch] -= 1
         ack.acked_at = self.sim.now
         self.ack_log[(ack.switch, ack.xid)] = (ack.sent_at, ack.acked_at)
         if not ack.event.triggered:
@@ -262,12 +275,9 @@ class Controller:
         Failed acks (retransmission attempts exhausted, see
         :meth:`fail_ack`) are no longer *waiting* and are not counted.
         """
-        return sum(
-            1
-            for (switch, _xid), ack in self._rule_acks.items()
-            if not ack.acked and not ack.failed
-            and (switch_name is None or switch == switch_name)
-        )
+        if switch_name is None:
+            return sum(self._pending.values())
+        return self._pending.get(switch_name, 0)
 
     def failed_acks(self, switch_name: Optional[str] = None) -> List[RuleAck]:
         """Acks abandoned after exhausting their retransmission budget."""

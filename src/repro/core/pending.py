@@ -82,10 +82,6 @@ class PendingRuleTracker:
         """Xids of all unconfirmed records, oldest first."""
         return list(self._pending.keys())
 
-    def history(self) -> List[PendingRule]:
-        """Every record ever tracked (confirmed and unconfirmed)."""
-        return list(self._history)
-
     # -- confirming --------------------------------------------------------------------
     def confirm(self, xid: int, now: float, by: str = "") -> Optional[PendingRule]:
         """Mark ``xid`` confirmed; returns the record, or ``None`` if unknown."""

@@ -66,19 +66,22 @@ class DeliveryMonitor:
 
     def sent_count(self, flow_id: str) -> int:
         """Packets sent by ``flow_id``."""
-        return len(self._sent[flow_id])
+        return len(self._sent.get(flow_id, ()))
 
     def received_count(self, flow_id: str) -> int:
         """Packets delivered for ``flow_id``."""
-        return len(self._received[flow_id])
+        return len(self._received.get(flow_id, ()))
 
     def dropped_count(self, flow_id: str) -> int:
         """Packets sent but never delivered for ``flow_id``."""
         return self.sent_count(flow_id) - self.received_count(flow_id)
 
     def total_dropped(self) -> int:
-        """Packets lost across all flows."""
-        return sum(self.dropped_count(flow_id) for flow_id in self.flows())
+        """Packets lost across all flows (sent by a host, never delivered)."""
+        dropped = 0
+        for flow_id, sent in self._sent.items():
+            dropped += len(sent) - len(self._received.get(flow_id, ()))
+        return dropped
 
     def total_sent(self) -> int:
         """Packets sent across all flows."""
@@ -86,11 +89,8 @@ class DeliveryMonitor:
 
     def deliveries(self, flow_id: str) -> List[DeliveryRecord]:
         """All delivery records of a flow, ordered by arrival time."""
-        return sorted(self._received[flow_id], key=lambda record: record.received_at)
-
-    def send_times(self, flow_id: str) -> List[float]:
-        """Send timestamps of a flow, ordered."""
-        return sorted(time for time, _sequence in self._sent[flow_id])
+        return sorted(self._received.get(flow_id, ()),
+                      key=lambda record: record.received_at)
 
     # -- path-based queries -----------------------------------------------------------
     def arrivals_via(self, flow_id: str, via_switch: str) -> List[DeliveryRecord]:
@@ -110,13 +110,6 @@ class DeliveryMonitor:
         """Time of the first delivery that traversed ``via_switch`` (or ``None``)."""
         records = self.arrivals_via(flow_id, via_switch)
         return records[0].received_at if records else None
-
-    def first_arrival_after(self, flow_id: str, time: float) -> Optional[float]:
-        """Time of the first delivery at or after ``time`` (or ``None``)."""
-        for record in self.deliveries(flow_id):
-            if record.received_at >= time:
-                return record.received_at
-        return None
 
     # -- gap analysis -------------------------------------------------------------------
     def largest_gap(self, flow_id: str, expected_interval: float) -> float:

@@ -41,13 +41,6 @@ LIFECYCLE_PHASES: Tuple[str, ...] = (
     PHASE_HW_ACTIVATED,
 )
 
-_KNOWN_PHASES = set(LIFECYCLE_PHASES) | {
-    PHASE_FAULT,
-    PHASE_RESYNC_STARTED,
-    PHASE_RULE_REINSTALLED,
-    PHASE_RESYNC_COMPLETE,
-}
-
 
 class TraceEvent:
     """One timestamped observation; slotted — traced runs emit thousands."""
@@ -158,7 +151,3 @@ class TraceLog:
             metrics=dict(payload.get("metrics", {})),
             meta=dict(payload.get("meta", {})),
         )
-
-
-def known_phase(phase: str) -> bool:
-    return phase in _KNOWN_PHASES

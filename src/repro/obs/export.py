@@ -36,15 +36,13 @@ from repro.obs.events import (
     TraceLog,
 )
 
-#: Phases rendered on the per-switch ``recovery@...`` track.
-_RECOVERY_PHASES = frozenset({
-    PHASE_RESYNC_STARTED, PHASE_RULE_REINSTALLED, PHASE_RESYNC_COMPLETE,
-})
-
 _US = 1_000_000.0  # sim seconds → trace microseconds
 
 #: Process id for all tracks; the sim is single-process by construction.
 _PID = 1
+
+#: Events encoded per ``json.dumps`` call when a shard is written.
+_BATCH = 512
 
 
 def trace_to_jsonl(log: TraceLog) -> str:
@@ -82,110 +80,121 @@ def read_jsonl(path) -> TraceLog:
         return trace_from_jsonl(handle.read())
 
 
-def _track_name(event) -> str:
-    if event.phase == PHASE_FAULT:
-        return f"faults@{event.switch}" if event.switch else "faults"
-    if event.phase in _RECOVERY_PHASES:
-        return f"recovery@{event.switch}" if event.switch else "recovery"
-    return event.switch or "controller"
+#: Overlay tracks: fault activations and the recovery phases are drawn on
+#: ``faults@<switch>`` / ``recovery@<switch>``, everything else on the switch.
+_OVERLAY_TRACKS = {PHASE_FAULT: "faults", PHASE_RESYNC_STARTED: "recovery",
+                   PHASE_RULE_REINSTALLED: "recovery",
+                   PHASE_RESYNC_COMPLETE: "recovery"}
 
 
 def trace_to_chrome(log: TraceLog) -> Dict[str, Any]:
-    """Render the log as a Chrome trace-event JSON object (Perfetto-ready)."""
+    """Render the log as a Chrome trace-event JSON object (Perfetto-ready).
+
+    Every dict literal below is written in sorted-key order, so the
+    ``sort_keys`` pass of :func:`write_chrome_trace` finds nothing to move.
+    """
     events: List[Dict[str, Any]] = []
+    technique = log.technique
     tids: Dict[str, int] = {}
-    spans: Dict[tuple, Dict[str, float]] = {}
+    #: ``(overlay, switch) -> tid``: a track is named (and its metadata row
+    #: emitted) once per track, not once per event.
+    track_tids: Dict[tuple, int] = {}
+    starts: Dict[tuple, float] = {}
+    ends: Dict[tuple, float] = {}
     #: Open resync start timestamp per switch (a switch can resync more than
     #: once — each started/complete pair becomes its own span).
     open_resyncs: Dict[str, float] = {}
     resync_spans: List[tuple] = []
 
-    def tid_for(track: str) -> int:
+    def tid_for(overlay: str, switch: str) -> int:
+        if overlay:
+            track = f"{overlay}@{switch}" if switch else overlay
+        else:
+            track = switch or "controller"
         tid = tids.get(track)
         if tid is None:
             tid = tids[track] = len(tids) + 1
             events.append({
-                "name": "thread_name", "ph": "M", "ts": 0, "pid": _PID,
-                "tid": tid, "args": {"name": track},
+                "args": {"name": track}, "name": "thread_name", "ph": "M",
+                "pid": _PID, "tid": tid, "ts": 0,
             })
+        track_tids[overlay, switch] = tid
         return tid
 
     for event in log.events:
-        track = _track_name(event)
+        phase, switch, xid, ts = event.phase, event.switch, event.xid, event.ts
+        overlay = _OVERLAY_TRACKS.get(phase, "")
         args: Dict[str, Any] = {}
-        if event.xid is not None:
-            args["xid"] = event.xid
         if event.detail:
             args["detail"] = event.detail
-        if log.technique:
-            args["technique"] = log.technique
+        if technique:
+            args["technique"] = technique
+        if xid is not None:
+            args["xid"] = xid
+        tid = track_tids.get((overlay, switch)) or tid_for(overlay, switch)
         events.append({
-            "name": event.phase,
-            "ph": "i",
+            "args": args, "name": phase, "ph": "i", "pid": _PID,
             "s": "t",  # instant scoped to its thread/track
-            "ts": event.ts * _US,
-            "pid": _PID,
-            "tid": tid_for(track),
-            "args": args,
+            "tid": tid, "ts": ts * _US,
         })
-        if event.switch and event.phase == PHASE_RESYNC_STARTED:
-            open_resyncs[event.switch] = event.ts
-        elif event.switch and event.phase == PHASE_RESYNC_COMPLETE:
-            started = open_resyncs.pop(event.switch, None)
+        if not switch:
+            continue
+        if phase == PHASE_RESYNC_STARTED:
+            open_resyncs[switch] = ts
+        elif phase == PHASE_RESYNC_COMPLETE:
+            started = open_resyncs.pop(switch, None)
             if started is not None:
-                resync_spans.append((event.switch, started, event.ts,
-                                     event.detail))
-        if event.xid is None or not event.switch:
+                resync_spans.append((switch, started, ts, event.detail))
+        if xid is None:
             continue
-        key = (event.switch, event.xid)
-        span = spans.setdefault(key, {})
-        if event.phase == PHASE_UPDATE_ISSUED:
-            span.setdefault("start", event.ts)
-        elif event.phase == PHASE_HW_ACTIVATED:
-            span["end"] = event.ts
+        if phase == PHASE_UPDATE_ISSUED:
+            starts.setdefault((switch, xid), ts)
+        elif phase == PHASE_HW_ACTIVATED:
+            ends[switch, xid] = ts
 
-    for (switch, xid), span in sorted(spans.items()):
-        if "start" not in span or "end" not in span:
+    for key in sorted(starts):
+        if key not in ends:
             continue
+        switch, xid = key
         events.append({
-            "name": f"rule {xid}",
-            "ph": "X",
-            "ts": span["start"] * _US,
-            "dur": max(0.0, span["end"] - span["start"]) * _US,
-            "pid": _PID,
-            "tid": tid_for(switch),
-            "args": {"xid": xid, "switch": switch,
-                     "technique": log.technique},
+            "args": {"switch": switch, "technique": technique, "xid": xid},
+            "dur": max(0.0, ends[key] - starts[key]) * _US,
+            "name": f"rule {xid}", "ph": "X", "pid": _PID,
+            "tid": tid_for("", switch), "ts": starts[key] * _US,
         })
 
     for switch, started, completed, detail in resync_spans:
-        args = {"switch": switch, "technique": log.technique}
+        args = {"switch": switch, "technique": technique}
         if detail:
-            args["detail"] = detail
+            args = {"detail": detail, **args}
         events.append({
-            "name": "resync",
-            "ph": "X",
-            "ts": started * _US,
-            "dur": max(0.0, completed - started) * _US,
-            "pid": _PID,
-            "tid": tid_for(f"recovery@{switch}"),
-            "args": args,
+            "args": args, "dur": max(0.0, completed - started) * _US,
+            "name": "resync", "ph": "X", "pid": _PID,
+            "tid": tid_for("recovery", switch), "ts": started * _US,
         })
 
     return {
-        "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "technique": log.technique,
-            "kind": log.kind,
-            "seed": log.seed,
-        },
+        "otherData": {"kind": log.kind, "seed": log.seed,
+                      "technique": technique},
+        "traceEvents": events,
     }
 
 
 def write_chrome_trace(log: TraceLog, path) -> None:
+    """Write the shard through the C encoder, a bounded batch at a time
+    (``json.dump`` streams every value through the pure-Python ``_iterencode``;
+    one ``json.dumps`` of a whole shard holds several times its size in chunk
+    strings).  ``traceEvents`` sorts last among the top-level keys."""
+    payload = trace_to_chrome(log)
+    events = payload.pop("traceEvents")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace_to_chrome(log), handle, sort_keys=True)
+        handle.write(json.dumps(payload, sort_keys=True)[:-1])
+        handle.write(', "traceEvents": [')
+        for start in range(0, len(events), _BATCH):
+            batch = json.dumps(events[start:start + _BATCH], sort_keys=True)
+            handle.write((", " if start else "") + batch[1:-1])
+        handle.write("]}")
 
 
 def trace_from_chrome(payload: Dict[str, Any]) -> TraceLog:

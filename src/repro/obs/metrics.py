@@ -40,9 +40,6 @@ class Gauge:
     def set(self, ts: float, value: float) -> None:
         self.samples.append((ts, value))
 
-    def last(self) -> float:
-        return self.samples[-1][1] if self.samples else 0.0
-
 
 class MetricsRegistry:
     """Name → instrument, created on first use."""

@@ -87,12 +87,12 @@ def _metrics_probe(tracer: Tracer, sim: Simulator, network: Network,
     if stack.rum is not None:
         tracer.gauge("rum.unconfirmed", now,
                      float(stack.rum.unconfirmed_count()))
-    switches = network.switches.values()
-    tracer.gauge("switch.pending_dataplane_ops", now,
-                 float(sum(sw.controlplane.pending_dataplane_ops
-                           for sw in switches)))
-    tracer.gauge("dataplane.occupancy", now,
-                 float(sum(sw.dataplane.occupancy() for sw in switches)))
+    pending_ops = occupancy = 0
+    for switch in network.switches.values():
+        pending_ops += switch.controlplane.pending_dataplane_ops
+        occupancy += switch.dataplane.occupancy()
+    tracer.gauge("switch.pending_dataplane_ops", now, float(pending_ops))
+    tracer.gauge("dataplane.occupancy", now, float(occupancy))
     tracer.gauge("net.dropped_packets", now,
                  float(network.monitor.total_dropped()))
     tracer.gauge("kernel.pending_events", now, float(sim.pending_count))

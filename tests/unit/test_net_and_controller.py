@@ -144,6 +144,22 @@ def test_monitor_path_queries():
     assert len(monitor.arrivals_not_via("f", "S2")) == 1
 
 
+def test_monitor_queries_do_not_insert_flows():
+    # The monitor's dicts are defaultdicts: indexing one in a *query* used to
+    # insert the flow, so a traced run (which samples total_dropped() every
+    # 10 ms of sim time) and a bare run ended with different monitors.
+    monitor = DeliveryMonitor()
+    monitor.record_sent("f1", 0.0, 0)
+    assert monitor.delivered_flows() == []
+    assert monitor.total_dropped() == 1
+    assert monitor.delivered_flows() == []
+    assert monitor.dropped_count("ghost") == 0
+    assert monitor.deliveries("ghost") == [] and monitor.largest_gap("ghost", 0.01) == 0.0
+    assert monitor.flows() == ["f1"]
+    assert monitor.summary() == {"f1": {"sent": 1, "received": 0, "dropped": 1}}
+    assert monitor.delivered_flows() == []
+
+
 def test_flows_between_have_unique_addresses():
     sim = Simulator()
     network = Network(sim, triangle_topology())

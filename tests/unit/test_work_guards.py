@@ -4,20 +4,32 @@ These count calls, not seconds: a packet hop may only do per-packet work
 (no copy unless the rule rewrites, no action-list interpretation on a cache
 hit) and an idle network may not execute kernel steps at all.  A refactor that
 quietly brings the copy or the poll back fails here on any machine.
+
+The armed path has its own guards: a gauge reading may not scan the acks ever
+issued, a Perfetto shard may not be encoded by Python frames per value, and
+none of that may leak onto the bare path.
 """
 
+import sys
 from collections import Counter
 
 import pytest
 
 import repro.switches.dataplane as dataplane_mod
+from repro.net.monitor import DeliveryMonitor, DeliveryRecord
 from repro.net.network import Network
+from repro.net.topology import triangle_topology
+from repro.obs.events import LIFECYCLE_PHASES, TraceEvent, TraceLog
+from repro.obs.export import write_chrome_trace
+from repro.obs.tracer import Tracer
 from repro.openflow import FlowMod, Match, OutputAction
 from repro.openflow.constants import FLOOD_PORT
 from repro.openflow.flowtable import FlowTable
 from repro.packet.packet import Packet, make_ip_packet
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.scenarios.generators import build_topology
+from repro.session.engine import _metrics_probe
+from repro.session.stack import build_control_stack
 from repro.sim import Simulator
 from repro.switches import SoftwareSwitch, Switch
 from repro.switches.controlplane import ControlPlane
@@ -122,3 +134,77 @@ def test_an_idle_second_on_a_hardware_fat_tree_executes_no_kernel_steps():
     settled = sim.steps_executed
     sim.run(until=sim.now + 1.0)
     assert sim.steps_executed - settled == 0
+
+
+# -- the armed path: linear in events, constant per gauge reading ---------------------
+
+def _python_frames(function):
+    """Python-level frames ``function`` enters (work, not wall time)."""
+    frames = 0
+
+    def count(_frame, event, _arg):
+        nonlocal frames
+        frames += event == "call"
+
+    sys.setprofile(count)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+def test_a_gauge_reading_costs_the_same_however_many_acks_were_issued():
+    sim = Simulator()
+    network = Network(sim, triangle_topology(), seed=3)
+    stack = build_control_stack(sim, network, "general")
+    stack.prepare()
+    network.start()
+    stack.start()
+    tracer = Tracer()
+
+    def issue(count):
+        for _ in range(count):
+            stack.controller.send_flowmod(
+                "S2", FlowMod(Match(ip_dst="10.0.0.2"), [OutputAction(1)]))
+        sim.run(until=sim.now + 0.001)  # the sends reach RUM's trackers
+
+    def reading():
+        return _python_frames(lambda: _metrics_probe(tracer, sim, network, stack))
+
+    reading()  # the first one also creates the six gauges
+    issue(50)
+    after_n = reading()
+    issue(150)
+    assert reading() == after_n
+    samples = tracer.finish().metrics
+    assert [value for _ts, value in samples["controller.pending_acks"]] == [0.0, 50.0, 200.0]
+    assert [value for _ts, value in samples["rum.unconfirmed"]] == [0.0, 50.0, 200.0]
+
+
+def test_a_shard_is_encoded_by_the_c_encoder_not_by_python_frames(tmp_path):
+    log = TraceLog(technique="general", kind="scenario", seed=1, events=[
+        TraceEvent(xid * 0.001 + step * 0.0001, phase, f"S{xid % 5}", xid, "probe")
+        for xid in range(1, 301) for step, phase in enumerate(LIFECYCLE_PHASES)])
+    frames = _python_frames(lambda: write_chrome_trace(log, tmp_path / "s.json"))
+    # ``json.dump(payload, handle)`` streams every value through the pure-Python
+    # ``_iterencode``: ~45 frames per event.  ``json.dumps`` is a handful of
+    # frames per 512-event batch; what remains is one ``tid_for`` per track
+    # and per completed rule span (a seventh of the events here).
+    assert frames <= len(log.events) // 4
+    assert (tmp_path / "s.json").stat().st_size > 100 * len(log.events)
+
+
+def test_a_bare_session_builds_no_tracer_and_adds_no_per_packet_calls(monkeypatch):
+    built = Counter()
+    _counted(monkeypatch, Tracer, "__init__", built)
+    record = run_scenario("path-migration", "general",
+                          ScenarioParams(flow_count=2, rate_pps=100.0))
+    assert record.completed and record.trace is None
+    assert built["__init__"] == 0
+    # Gauges are read from state the control plane maintains; the monitor's
+    # per-packet recorders are still one frame each, as at the parent.
+    monitor = DeliveryMonitor()
+    record = DeliveryRecord("f", 0.0, 0.1, 0, ("H1", "S1", "H2"))
+    assert _python_frames(lambda: monitor.record_sent("f", 0.0, 0)) == 2
+    assert _python_frames(lambda: monitor.record_delivery("f", record)) == 2
