@@ -72,15 +72,13 @@ def flow_update_stats(
             marker = per_flow[flow_id]
         else:
             continue
-        old_records = monitor.arrivals_not_via(flow_id, marker)
-        new_records = monitor.arrivals_via(flow_id, marker)
-        last_old = old_records[-1].received_at - update_start if old_records else None
-        first_new = new_records[0].received_at - update_start if new_records else None
+        last_old = monitor.last_arrival_not_via(flow_id, marker)
+        first_new = monitor.first_arrival_via(flow_id, marker)
         stats.append(
             FlowUpdateStats(
                 flow_id=flow_id,
-                last_old_path=last_old,
-                first_new_path=first_new,
+                last_old_path=None if last_old is None else last_old - update_start,
+                first_new_path=None if first_new is None else first_new - update_start,
                 broken_time=monitor.largest_gap(flow_id, expected_interval),
                 packets_sent=monitor.sent_count(flow_id),
                 packets_received=monitor.received_count(flow_id),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.link import Link
-from repro.net.monitor import DeliveryMonitor, DeliveryRecord
+from repro.net.monitor import DeliveryMonitor
 from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
 
@@ -53,33 +53,24 @@ class Host:
     def send(self, packet: Packet) -> None:
         """Transmit ``packet`` on the uplink and record it with the monitor."""
         self.packets_sent += 1
-        packet.trace.append((self.sim.now, self.name))
+        packet.trace.append(self.name)
         if self.monitor is not None and packet.flow_id is not None and not packet.is_probe:
-            self.monitor.record_sent(packet.flow_id, self.sim.now, packet.sequence)
+            self.monitor.record_sent(packet.flow_id)
         self.link.transmit_from(self, packet)
 
     def receive_packet(self, packet: Packet, in_port: int = 0) -> None:
         """Handle an arriving packet: record the delivery and its path."""
         self.packets_received += 1
-        packet.trace.append((self.sim.now, self.name))
-        if self.monitor is None:
+        trace = packet.trace
+        trace.append(self.name)
+        monitor = self.monitor
+        if monitor is None:
             return
-        path = tuple(node for _time, node in packet.trace)
         if packet.is_probe:
-            self.monitor.record_probe(self.sim.now, path)
+            monitor.record_probe(self.sim._now, tuple(trace))
             return
-        if packet.flow_id is None:
-            return
-        self.monitor.record_delivery(
-            packet.flow_id,
-            DeliveryRecord(
-                flow_id=packet.flow_id,
-                sent_at=packet.created_at,
-                received_at=self.sim.now,
-                sequence=packet.sequence,
-                path=path,
-            ),
-        )
+        monitor.record_delivery(packet.flow_id, packet.created_at, self.sim._now,
+                                packet.sequence, tuple(trace))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Host {self.name} ip={self.ip}>"

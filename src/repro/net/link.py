@@ -192,16 +192,6 @@ class Link:
                 self._flush_scheduled[direction] = False
             raise
 
-    def transmitter_for(self, sender: PacketSink):
-        """A ``(packet) -> None`` callable bound to ``sender`` (switch port hook)."""
-        if sender not in (self.node_a, self.node_b):
-            raise ValueError(f"{sender.name} is not attached to link {self.name}")
-
-        def _transmit(packet: Packet) -> None:
-            self.transmit_from(sender, packet)
-
-        return _transmit
-
     def other_end(self, node: PacketSink) -> PacketSink:
         """The node on the opposite side of ``node``."""
         if node is self.node_a:

@@ -1,22 +1,32 @@
 """Delivery monitoring.
 
 The monitor is the measurement instrument of the end-to-end experiments: for
-every flow it records when each packet was sent and when (and via which
-switch path) it arrived at its destination.  The analysis layer turns these
-records into the quantities the paper plots — per-flow broken time
+every flow it records how many packets were sent and when (and via which
+switch path) each one arrived at its destination.  The analysis layer turns
+these records into the quantities the paper plots — per-flow broken time
 (Figure 1b), old-path/new-path switchover times (Figures 6 and 7) and
 data-plane activation times (Figure 8).
+
+Recording runs once per packet of every constant-rate flow, so it keeps
+*columns*, not objects: per flow three typed arrays (sent time, arrival time,
+sequence number) and a list of path tuples interned monitor-wide (a run sees
+a handful of distinct paths), plus a sent *count* — a delivery leaves nothing
+behind for the cyclic garbage collector to walk.  Columns are kept in arrival
+order (ties in recording order), which the simulation clock gives for free,
+so no query sorts.  :class:`DeliveryRecord` is only what the record-returning
+queries build for their caller; the monitor holds none.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from array import array
+from bisect import bisect_right
+from functools import partial
+from itertools import repeat
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 
-@dataclass
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     """One packet arrival at its destination host."""
 
     flow_id: str
@@ -31,46 +41,80 @@ class DeliveryRecord:
         return self.received_at - self.sent_at
 
 
+#: Builds a :class:`DeliveryRecord` from its complete field tuple, in C.
+_record = partial(tuple.__new__, DeliveryRecord)
+
+
+class _FlowLog(NamedTuple):
+    """The delivery columns of one flow, in arrival order."""
+
+    sent_at: array
+    received_at: array
+    sequence: array
+    paths: List[Tuple[str, ...]]
+
+
 class DeliveryMonitor:
-    """Collects per-flow send and delivery events."""
+    """Collects per-flow send counts and delivery columns."""
 
     def __init__(self) -> None:
-        self._sent: Dict[str, List[Tuple[float, int]]] = defaultdict(list)
-        self._received: Dict[str, List[DeliveryRecord]] = defaultdict(list)
+        self._sent: Dict[str, int] = {}
+        self._logs: Dict[str, _FlowLog] = {}
+        self._paths: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self.probe_arrivals: List[Tuple[float, Tuple[str, ...]]] = []
 
     # -- recording -------------------------------------------------------------
-    def record_sent(self, flow_id: str, time: float, sequence: int) -> None:
+    def record_sent(self, flow_id: str) -> None:
         """Register a packet handed to the network by its source host."""
-        self._sent[flow_id].append((time, sequence))
+        self._sent[flow_id] = self._sent.get(flow_id, 0) + 1
 
-    def record_delivery(self, flow_id: Optional[str], record: DeliveryRecord) -> None:
+    def record_delivery(self, flow_id: Optional[str], sent_at: float,
+                        received_at: float, sequence: int,
+                        path: Tuple[str, ...]) -> None:
         """Register a packet arriving at its destination host."""
         if flow_id is None:
             return
-        self._received[flow_id].append(record)
+        log = self._logs.get(flow_id)
+        if log is None:
+            log = self._logs[flow_id] = _FlowLog(array("d"), array("d"), array("q"), [])
+        # A host's clock only advances, so this is an append; a caller that
+        # reports out of order lands after every arrival that is not later.
+        arrivals = log.received_at
+        at = len(arrivals)
+        if at and received_at < arrivals[-1]:
+            at = bisect_right(arrivals, received_at)
+        log.sent_at.insert(at, sent_at)
+        arrivals.insert(at, received_at)
+        log.sequence.insert(at, sequence)
+        log.paths.insert(at, self._paths.setdefault(path, path))
 
     def record_probe(self, time: float, path: Tuple[str, ...]) -> None:
         """Register a RUM probe packet reaching a host (diagnostics only)."""
         self.probe_arrivals.append((time, path))
 
+    def _rows(self, flow_id: str) -> Iterator[tuple]:
+        """The flow's ``DeliveryRecord`` field tuples, in arrival order."""
+        log = self._logs.get(flow_id)
+        return iter(()) if log is None else zip(repeat(flow_id), *log)
+
     # -- per-flow queries ----------------------------------------------------------
     def flows(self) -> List[str]:
         """All flow ids that sent at least one packet."""
-        return sorted(self._sent.keys())
+        return sorted(self._sent)
 
     def delivered_flows(self) -> List[str]:
         """All flow ids with at least one delivery (includes controller-injected
         packets that were never registered as sent by a host)."""
-        return sorted(self._received.keys())
+        return sorted(self._logs)
 
     def sent_count(self, flow_id: str) -> int:
         """Packets sent by ``flow_id``."""
-        return len(self._sent.get(flow_id, ()))
+        return self._sent.get(flow_id, 0)
 
     def received_count(self, flow_id: str) -> int:
         """Packets delivered for ``flow_id``."""
-        return len(self._received.get(flow_id, ()))
+        log = self._logs.get(flow_id)
+        return 0 if log is None else len(log.paths)
 
     def dropped_count(self, flow_id: str) -> int:
         """Packets sent but never delivered for ``flow_id``."""
@@ -78,38 +122,41 @@ class DeliveryMonitor:
 
     def total_dropped(self) -> int:
         """Packets lost across all flows (sent by a host, never delivered)."""
-        dropped = 0
-        for flow_id, sent in self._sent.items():
-            dropped += len(sent) - len(self._received.get(flow_id, ()))
-        return dropped
+        return sum(self._sent.values()) - sum(
+            len(log.paths) for flow_id, log in self._logs.items() if flow_id in self._sent)
 
     def total_sent(self) -> int:
         """Packets sent across all flows."""
-        return sum(self.sent_count(flow_id) for flow_id in self.flows())
+        return sum(self._sent.values())
 
     def deliveries(self, flow_id: str) -> List[DeliveryRecord]:
         """All delivery records of a flow, ordered by arrival time."""
-        return sorted(self._received.get(flow_id, ()),
-                      key=lambda record: record.received_at)
+        return list(map(_record, self._rows(flow_id)))
 
     # -- path-based queries -----------------------------------------------------------
+    def _select(self, flow_id: str, via_switch: str, via: bool) -> Iterator[tuple]:
+        """The :meth:`_rows` whose path did (``via``) or did not traverse ``via_switch``."""
+        return (row for row in self._rows(flow_id) if (via_switch in row[4]) is via)
+
     def arrivals_via(self, flow_id: str, via_switch: str) -> List[DeliveryRecord]:
         """Deliveries of ``flow_id`` whose path traversed ``via_switch``."""
-        return [record for record in self.deliveries(flow_id) if via_switch in record.path]
+        return list(map(_record, self._select(flow_id, via_switch, True)))
 
     def arrivals_not_via(self, flow_id: str, via_switch: str) -> List[DeliveryRecord]:
         """Deliveries of ``flow_id`` whose path avoided ``via_switch``."""
-        return [record for record in self.deliveries(flow_id) if via_switch not in record.path]
+        return list(map(_record, self._select(flow_id, via_switch, False)))
 
     def last_arrival_via(self, flow_id: str, via_switch: str) -> Optional[float]:
         """Time of the last delivery that traversed ``via_switch`` (or ``None``)."""
-        records = self.arrivals_via(flow_id, via_switch)
-        return records[-1].received_at if records else None
+        return max((row[2] for row in self._select(flow_id, via_switch, True)), default=None)
 
     def first_arrival_via(self, flow_id: str, via_switch: str) -> Optional[float]:
         """Time of the first delivery that traversed ``via_switch`` (or ``None``)."""
-        records = self.arrivals_via(flow_id, via_switch)
-        return records[0].received_at if records else None
+        return min((row[2] for row in self._select(flow_id, via_switch, True)), default=None)
+
+    def last_arrival_not_via(self, flow_id: str, via_switch: str) -> Optional[float]:
+        """Time of the last delivery that avoided ``via_switch`` (or ``None``)."""
+        return max((row[2] for row in self._select(flow_id, via_switch, False)), default=None)
 
     # -- gap analysis -------------------------------------------------------------------
     def largest_gap(self, flow_id: str, expected_interval: float) -> float:
@@ -119,16 +166,16 @@ class DeliveryMonitor:
         250 ms at 4 ms spacing reports a gap of about 0.25 s.  Returns 0.0
         when no gap exceeds the expected interval.
         """
-        deliveries = self.deliveries(flow_id)
-        if len(deliveries) < 2:
+        log = self._logs.get(flow_id)
+        if log is None:
             return 0.0
+        arrivals = log.received_at
         largest = 0.0
-        previous = deliveries[0].received_at
-        for record in deliveries[1:]:
-            gap = record.received_at - previous - expected_interval
-            largest = max(largest, gap)
-            previous = record.received_at
-        return max(largest, 0.0)
+        for earlier, later in zip(arrivals, arrivals[1:]):
+            gap = later - earlier - expected_interval
+            if gap > largest:
+                largest = gap
+        return largest
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-flow sent/received/dropped counters (JSON-able)."""

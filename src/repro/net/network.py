@@ -10,6 +10,7 @@ the switches and an unmodified controller.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.host import Host
@@ -109,11 +110,11 @@ class Network:
         self._ports[(link_spec.node_a, link_spec.node_b)] = port_a
         self._ports[(link_spec.node_b, link_spec.node_a)] = port_b
         if isinstance(node_a, Switch):
-            node_a.attach_port(port_a, link.transmitter_for(node_a))
+            node_a.attach_port(port_a, partial(link.transmit_from, node_a))
         else:
             node_a.attach_link(link)
         if isinstance(node_b, Switch):
-            node_b.attach_port(port_b, link.transmitter_for(node_b))
+            node_b.attach_port(port_b, partial(link.transmit_from, node_b))
         else:
             node_b.attach_link(link)
 

@@ -33,6 +33,8 @@ import tracemalloc
 from time import perf_counter
 from typing import Dict, List, Optional
 
+from repro.sim.process import Process
+
 
 class ProfileReport:
     """The frozen output of one profiled session.
@@ -72,9 +74,9 @@ class ProfileReport:
     def by_class(self) -> List[Dict[str, object]]:
         """Callback rows aggregated by event class (owning class or module).
 
-        ``repro.sim.process.Process._resume`` and ``Process._start`` fold
-        into one ``Process`` row; module-level functions fold into their
-        module's last component.
+        ``TrafficGenerator.start`` and ``TrafficGenerator._flow_process``
+        (the generator a process steps) fold into one ``TrafficGenerator``
+        row; module-level functions fold into their module's last component.
         """
         grouped: Dict[str, List[float]] = {}
         for row in self.callbacks:
@@ -127,8 +129,9 @@ class Profiler:
         self.seed = seed
         self._sim = None
         #: callback function object -> module-qualified site label.  Keyed on
-        #: the underlying function (``__func__`` for bound methods) so every
-        #: instance of a class folds into one site.
+        #: the underlying function (``__func__`` for bound methods, the
+        #: generator's code object for process steps) so every instance of a
+        #: class folds into one site.
         self._sites: Dict[object, str] = {}
         #: site -> [calls, wall_s, scheduled]
         self._stats: Dict[str, List] = {}
@@ -208,11 +211,21 @@ class Profiler:
         now = perf_counter()
         seq = self._sim.schedule_sequence
         self._close_pending(now, seq)
-        func = getattr(callback, "__func__", callback)
+        # A callback that steps a process (``_start``, ``_wake``,
+        # ``_resume_with_value``, ``_step``) spends its time in the generator
+        # body, so its site is the generator function, not ``Process``.
+        owner = getattr(callback, "__self__", None)
+        frame = (getattr(owner.generator, "gi_frame", None)
+                 if isinstance(owner, Process) else None)
+        func = getattr(callback, "__func__", callback) if frame is None else frame.f_code
         site = self._sites.get(func)
         if site is None:
-            site = (f"{getattr(func, '__module__', '?')}."
-                    f"{getattr(func, '__qualname__', repr(func))}")
+            if frame is None:
+                site = (f"{getattr(func, '__module__', '?')}."
+                        f"{getattr(func, '__qualname__', repr(func))}")
+            else:
+                site = (f"{frame.f_globals.get('__name__', '?')}."
+                        f"{owner.generator.__qualname__}")
             self._sites[func] = site
         self._pending_site = site
         self._last_ts = now

@@ -68,11 +68,6 @@ class FlowEntry:
         self.byte_count = 0
         self.source_xid = source_xid
 
-    def record_hit(self, packet: Packet) -> None:
-        """Update per-rule counters when a packet matches."""
-        self.packet_count += 1
-        self.byte_count += packet.total_size
-
     def signature(self) -> Tuple:
         """Hashable identity used to compare control- and data-plane state."""
         return (self.match, self.priority, actions_signature(self.actions))

@@ -19,6 +19,9 @@ from repro.packet.fields import (
 
 _packet_ids = itertools.count(1)
 
+#: Ethernet + IPv4 + UDP header bytes every packet carries on the wire.
+_HEADER_BYTES = 42
+
 
 class Packet:
     """A single data-plane packet.
@@ -43,12 +46,23 @@ class Packet:
         (``None`` for control-plane-originated packets such as probes).
     created_at:
         Simulated time at which the packet was created by its sender.
+
+    Attributes
+    ----------
+    total_size:
+        Approximate wire size in bytes (headers + payload), fixed at
+        construction: every link and every matched rule reads it.
+    trace:
+        Names of the nodes visited so far, appended by hosts and switches.
+        Names only: nobody reads a hop's time, and a string appended to a list
+        leaves nothing for the garbage collector to track (a tuple would).
     """
 
     __slots__ = (
         "packet_id",
         "_values",
         "payload_size",
+        "total_size",
         "flow_id",
         "created_at",
         "sequence",
@@ -79,12 +93,12 @@ class Packet:
         self.packet_id = next(_packet_ids)
         self._values = values
         self.payload_size = int(payload_size)
+        self.total_size = _HEADER_BYTES + self.payload_size
         self.flow_id = flow_id
         self.created_at = created_at
         self.sequence = sequence
         self.is_probe = is_probe
-        # List of (time, node_name) hops, filled in by the network simulator.
-        self.trace: list = []
+        self.trace: List[str] = []
 
     # -- header access -----------------------------------------------------
     @property
@@ -126,14 +140,16 @@ class Packet:
         """A copy with a new identity but the same headers, payload and trace.
 
         Switches copy packets before applying rewrite actions; the hop trace
-        is carried over because the copy logically *is* the same packet
-        continuing through the network.  Header values were validated when
-        first set, so the copy clones the array without re-validating.
+        (a list of node names, cloned) is carried over because the copy
+        logically *is* the same packet continuing through the network.
+        Header values were validated when first set, so the copy clones the
+        array without re-validating.
         """
         clone = Packet.__new__(Packet)
         clone.packet_id = next(_packet_ids)
         clone._values = self._values.copy()
         clone.payload_size = self.payload_size
+        clone.total_size = self.total_size
         clone.flow_id = self.flow_id
         clone.created_at = self.created_at
         clone.sequence = self.sequence
@@ -161,6 +177,7 @@ class Packet:
         packet.packet_id = next(_packet_ids)
         packet._values = values
         packet.payload_size = payload_size
+        packet.total_size = _HEADER_BYTES + payload_size
         packet.flow_id = flow_id
         packet.created_at = created_at
         packet.sequence = sequence
@@ -171,11 +188,6 @@ class Packet:
     def items(self) -> Iterator:
         """Iterate over ``(field, value)`` pairs."""
         return iter(self.headers.items())
-
-    @property
-    def total_size(self) -> int:
-        """Approximate wire size in bytes (headers + payload)."""
-        return 42 + self.payload_size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         kind = "probe" if self.is_probe else "pkt"

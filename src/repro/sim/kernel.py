@@ -10,9 +10,10 @@ firing time matters, at an absolute time (:meth:`Simulator.schedule_at`).
 The execution loop is the hottest code in the repository: an end-to-end
 experiment dispatches millions of tiny callbacks.  :meth:`Simulator.run`
 therefore inlines the stepping loop with locally-bound heap operations
-instead of calling :meth:`Simulator.step` per event, and the kernel pools
-the :class:`Timeout` objects backing numeric process sleeps
-(``yield interval``) so steady-state stepping allocates almost nothing.
+instead of calling :meth:`Simulator.step` per event.  A numeric process
+sleep (``yield interval``) is one heap entry whose callback is the process's
+own :meth:`~repro.sim.process.Process._wake` — no :class:`Timeout`, no event
+dispatch — so steady-state stepping allocates the heap tuple and nothing else.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
-
-#: Upper bound on pooled Timeout objects kept for reuse.
-_TIMEOUT_POOL_LIMIT = 256
 
 #: Event-stream observer hook (the determinism sanitizer's recording tap).
 #: ``None`` — the default — costs the run loop one locally-bound ``is not
@@ -116,7 +114,6 @@ class Simulator:
         "_active_process",
         "_running",
         "_until",
-        "_timeout_pool",
         "metadata",
         "steps_executed",
     )
@@ -131,7 +128,6 @@ class Simulator:
         #: unbounded or idle); inline fast-forward paths (link packet trains)
         #: consult it so they never advance the clock past the stop time.
         self._until: Optional[float] = None
-        self._timeout_pool: List[Timeout] = []
         self.metadata: dict = {}
         #: Total callbacks executed over the simulator's lifetime; benchmark
         #: instrumentation (events/second).
@@ -221,34 +217,6 @@ class Simulator:
     def _schedule_timeout(self, timeout: Timeout) -> None:
         timeout.sim = self
         self.schedule_callback(timeout.delay, self._trigger_if_pending, timeout, timeout.value)
-
-    # -- pooled timeouts --------------------------------------------------------
-    def _schedule_pooled_resume(self, delay: float, callback: Callable[[Event], None]) -> None:
-        """Schedule a pooled :class:`Timeout` that resumes ``callback``.
-
-        Backs numeric process sleeps (``yield 0.004``).  The Timeout object
-        never escapes to user code, so after it fires it is reset and kept
-        for reuse instead of being garbage.
-        """
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout.delay = delay
-        else:
-            timeout = Timeout(delay)
-        timeout.sim = self
-        timeout._callbacks.append(callback)
-        self.schedule_callback(delay, self._fire_pooled_timeout, timeout)
-
-    def _fire_pooled_timeout(self, timeout: Timeout) -> None:
-        timeout.succeed(None)
-        pool = self._timeout_pool
-        if len(pool) < _TIMEOUT_POOL_LIMIT:
-            timeout._triggered = False
-            timeout._ok = True
-            timeout._value = None
-            timeout._callbacks.clear()
-            pool.append(timeout)
 
     def event(self, name: str = "") -> Event:
         """Create an untriggered event bound to this simulator."""

@@ -3,7 +3,8 @@
 A process wraps a Python generator.  Each time the generator yields, the
 process suspends until the yielded object completes:
 
-* ``yield Timeout(d)``  -- resume after ``d`` simulated time units,
+* ``yield d``           -- (a number) resume after ``d`` simulated time units,
+* ``yield Timeout(d)``  -- the same through an event (carries a value),
 * ``yield event``       -- resume when ``event`` is triggered,
 * ``yield process``     -- resume when another process terminates,
 * ``yield None``        -- resume immediately (a cooperative "yield point").
@@ -24,21 +25,13 @@ class ProcessError(RuntimeError):
     """Raised when a process is misused (e.g. yields an unsupported object)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running simulation process.
 
     Do not instantiate directly; use :meth:`repro.sim.Simulator.process`.
     """
 
-    __slots__ = ("generator", "_target", "_alive")
+    __slots__ = ("generator", "_alive")
 
     def __init__(self, sim, generator: Generator, name: str = "") -> None:
         super().__init__(name=name or getattr(generator, "__name__", "process"))
@@ -49,7 +42,6 @@ class Process(Event):
             )
         self.sim = sim
         self.generator = generator
-        self._target: Optional[Event] = None
         self._alive = True
 
     # -- public API ---------------------------------------------------------
@@ -58,14 +50,13 @@ class Process(Event):
         """Whether the process has not yet terminated."""
         return self._alive
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process at its current yield point."""
-        if not self._alive:
-            return
-        self.sim.schedule_callback(0.0, self._resume_with_throw, Interrupt(cause))
-
     # -- kernel hooks ---------------------------------------------------------
     def _start(self) -> None:
+        self._step(None, None)
+
+    def _wake(self) -> None:
+        """A numeric sleep is over.  Nothing else can resume a sleeping
+        process, so it is still alive and still parked at that ``yield``."""
         self._step(None, None)
 
     def _resume_with_value(self, event: Event) -> None:
@@ -75,11 +66,6 @@ class Process(Event):
             self._step(event.value, None)
         else:
             self._step(None, event.value)
-
-    def _resume_with_throw(self, exc: BaseException) -> None:
-        if not self._alive:
-            return
-        self._step(None, exc)
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         self.sim._active_process = self
@@ -92,11 +78,6 @@ class Process(Event):
             self._alive = False
             self.succeed(getattr(stop, "value", None))
             return
-        except Interrupt:
-            # Un-handled interrupt simply terminates the process.
-            self._alive = False
-            self.succeed(None)
-            return
         except BaseException as error:  # propagate failures to waiters
             self._alive = False
             if self._callbacks:
@@ -104,7 +85,6 @@ class Process(Event):
             else:
                 # Nobody is waiting for this process; surface the bug loudly
                 # instead of swallowing it.
-                self._alive = False
                 raise
             return
         finally:
@@ -119,17 +99,15 @@ class Process(Event):
             return
         cls = type(yielded)
         if cls is float or cls is int:
-            # Numeric sleep — the hot path of every traffic generator.  The
-            # backing Timeout never escapes to user code, so the kernel can
-            # recycle it (zero steady-state allocation).
-            self.sim._schedule_pooled_resume(float(yielded), self._resume_with_value)
+            # Numeric sleep — the hot path of every traffic generator: one
+            # heap entry that calls straight back into this process.
+            self.sim.schedule_callback(float(yielded), self._wake)
             return
         if isinstance(yielded, (int, float)) and not isinstance(yielded, bool):
             yielded = Timeout(float(yielded))
         if isinstance(yielded, Timeout) and not yielded.triggered:
             self.sim._schedule_timeout(yielded)
         if isinstance(yielded, Event):
-            self._target = yielded
             yielded.add_callback(self._resume_with_value)
             return
         raise ProcessError(

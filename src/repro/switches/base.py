@@ -167,7 +167,7 @@ class Switch:
         if self._crashed:
             return
         self.packets_received += 1
-        packet.trace.append((self.sim._now, self.name))
+        packet.trace.append(self.name)
         self.sim.schedule_callback(
             self.profile.forwarding_latency, self._forward, packet, in_port
         )
@@ -175,13 +175,18 @@ class Switch:
     def _forward(self, packet: Packet, in_port: int) -> None:
         if self._crashed:
             return
-        result = self.dataplane.process_packet(packet, in_port)
-        packet = result.packet
-        if result.to_controller:
+        packet, output_ports, to_controller, _entry = self.dataplane.process_packet(
+            packet, in_port)
+        if to_controller:
             self.packets_to_controller += 1
             self._send_packet_in(packet, in_port)
-        for port in result.output_ports:
-            self._transmit(packet, port, in_port)
+        for port in output_ports:
+            transmit = self._ports.get(port)
+            if transmit is None:
+                self._transmit(packet, port, in_port)
+            else:
+                self.packets_forwarded += 1
+                transmit(packet)
 
     def inject_packet(self, packet: Packet, actions: List[Action], in_port: int) -> None:
         """PacketOut semantics: apply ``actions`` to a copy of ``packet`` and emit it."""
@@ -207,6 +212,8 @@ class Switch:
         )
 
     def _transmit(self, packet: Packet, port: int, in_port: int) -> None:
+        """Emit on ``port`` in full generality: FLOOD, or a port that may not
+        exist (:meth:`_forward` hands attached ports to their link itself)."""
         if port == FLOOD_PORT:
             for port_no, transmit in self._ports.items():
                 if port_no != in_port:

@@ -23,7 +23,7 @@ share one object and its hop trace, as ever — nothing in ``src/`` installs one
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import tracer as obs_tracer
 from repro.obs.events import PHASE_HW_ACTIVATED
@@ -38,23 +38,20 @@ from repro.packet.packet import Packet
 _IN_PORT_INDEX = FIELD_INDEX[HeaderField.IN_PORT]
 
 
-class ForwardingResult:
+class ForwardingResult(NamedTuple):
     """Outcome of processing one packet in the data plane.
 
     ``packet`` (the input object, or a rewritten copy) leaves on the physical
     ``output_ports`` (the cached plan's own tuple) and, if ``to_controller``,
     a copy goes into a PacketIn; ``matched_entry`` is ``None`` on a table miss.
+    The data plane builds it with ``tuple.__new__`` from the complete field
+    tuple: the generated ``__new__`` would be a Python frame per packet hop.
     """
 
-    __slots__ = ("packet", "output_ports", "to_controller", "matched_entry")
-
-    def __init__(self, packet: Packet, output_ports: Tuple[int, ...] = (),
-                 to_controller: bool = False,
-                 matched_entry: Optional[FlowEntry] = None) -> None:
-        self.packet = packet
-        self.output_ports = output_ports
-        self.to_controller = to_controller
-        self.matched_entry = matched_entry
+    packet: Packet
+    output_ports: Tuple[int, ...] = ()
+    to_controller: bool = False
+    matched_entry: Optional[FlowEntry] = None
 
 
 class DataPlane:
@@ -123,8 +120,9 @@ class DataPlane:
         entry, rewrites, ports, to_controller = plan
         if entry is None:
             self.packets_dropped += 1
-            return ForwardingResult(packet)
-        entry.record_hit(packet)
+            return tuple.__new__(ForwardingResult, (packet, (), False, None))
+        entry.packet_count += 1
+        entry.byte_count += packet.total_size
         if rewrites:
             packet = packet.copy()
             values = packet._values
@@ -132,7 +130,7 @@ class DataPlane:
                 values[index] = value
         if not ports and not to_controller:
             self.packets_dropped += 1
-        return ForwardingResult(packet, ports, to_controller, entry)
+        return tuple.__new__(ForwardingResult, (packet, ports, to_controller, entry))
 
     # -- diagnostics -----------------------------------------------------------------
     def divergence_from(self, control_table: FlowTable) -> Tuple[set, set]:

@@ -22,7 +22,7 @@ from repro.analysis.flowstats import (
     update_completion_time,
 )
 from repro.analysis.report import render_flow_update_curves
-from repro.net.monitor import DeliveryMonitor, DeliveryRecord
+from repro.net.monitor import DeliveryMonitor
 
 
 # -- cdf / distribution ---------------------------------------------------------
@@ -97,16 +97,12 @@ def _monitor_with_switchover():
     # Flow f0: old path arrivals until t=1.0, new path from t=1.3 (gap 0.3).
     for index in range(11):
         time = index * 0.1
-        monitor.record_sent("f0", time, index)
-        monitor.record_delivery(
-            "f0", DeliveryRecord("f0", time, time, index, ("H1", "S1", "S3", "H2"))
-        )
+        monitor.record_sent("f0")
+        monitor.record_delivery("f0", time, time, index, ("H1", "S1", "S3", "H2"))
     for index in range(11, 14):
         time = 0.2 + index * 0.1
-        monitor.record_sent("f0", time, index)
-        monitor.record_delivery(
-            "f0", DeliveryRecord("f0", time, time, index, ("H1", "S1", "S2", "S3", "H2"))
-        )
+        monitor.record_sent("f0")
+        monitor.record_delivery("f0", time, time, index, ("H1", "S1", "S2", "S3", "H2"))
     return monitor
 
 

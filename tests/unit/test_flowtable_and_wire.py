@@ -14,6 +14,7 @@ from repro.openflow import (
 from repro.openflow.actions import DropAction
 from repro.openflow.flowtable import TableFullError, diff_tables
 from repro.packet.packet import make_ip_packet
+from repro.switches.dataplane import DataPlane
 
 
 def _flowmod(src, dst, port, priority=100, command=FlowModCommand.ADD):
@@ -107,11 +108,11 @@ def test_invalid_mode_rejected():
 
 
 def test_lookup_counters_updated():
-    table = FlowTable()
-    table.apply_flowmod(_flowmod("10.0.0.1", "10.0.0.2", 1))
+    plane = DataPlane()
+    plane.apply_flowmod(_flowmod("10.0.0.1", "10.0.0.2", 1), now=0.0)
     packet = make_ip_packet("10.0.0.1", "10.0.0.2")
-    entry = table.lookup(packet)
-    entry.record_hit(packet)
+    entry = plane.process_packet(packet, in_port=1).matched_entry
+    assert entry is plane.table.lookup(packet)
     assert entry.packet_count == 1
     assert entry.byte_count == packet.total_size
 

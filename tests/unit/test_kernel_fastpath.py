@@ -1,5 +1,5 @@
-"""Regression tests for the fused kernel loop, bulk scheduling, timeout
-pooling, and event completion semantics on failed events."""
+"""Regression tests for the fused kernel loop, bulk scheduling, numeric
+process sleeps, and event completion semantics on failed events."""
 
 import pytest
 
@@ -89,8 +89,16 @@ def test_steps_executed_counts_callbacks():
     assert sim.steps_executed == 5
 
 
-# -- pooled timeouts ----------------------------------------------------------
-def test_numeric_yields_recycle_timeout_objects():
+# -- numeric sleeps -----------------------------------------------------------
+def test_numeric_yields_build_no_timeout_objects(monkeypatch):
+    built = []
+    original = Timeout.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Timeout, "__init__", counting_init)
     sim = Simulator()
     resumed = []
 
@@ -102,9 +110,10 @@ def test_numeric_yields_recycle_timeout_objects():
     sim.process(sleeper())
     sim.run()
     assert resumed and resumed[0] == pytest.approx(0.5)
-    # The pool holds recycled Timeout objects, and steady state reuses one
-    # object rather than allocating fifty.
-    assert 1 <= len(sim._timeout_pool) <= 2
+    # A sleep is one heap entry that calls the process back: the start plus
+    # fifty sleeps, and no Timeout behind any of them.
+    assert built == []
+    assert sim.schedule_sequence == sim.steps_executed == 51
 
 
 def test_pooled_timeouts_are_isolated_between_processes():
@@ -135,12 +144,18 @@ def test_numeric_yield_resumes_with_none():
     assert seen == [None]
 
 
-def test_explicit_timeout_objects_are_not_pooled():
+def test_explicit_timeout_objects_fire_with_their_value():
     sim = Simulator()
     timeout = sim.timeout(1.0, value="payload")
+    seen = []
+
+    def waiter():
+        seen.append((yield timeout))
+
+    sim.process(waiter())
     sim.run()
     assert timeout.triggered and timeout.value == "payload"
-    assert timeout not in sim._timeout_pool
+    assert seen == ["payload"] and sim.now == 1.0
 
 
 # -- single-fire semantics on failed events (satellite regression) ------------

@@ -123,33 +123,29 @@ def test_traffic_without_rules_is_dropped_and_counted():
 
 def test_monitor_gap_detection():
     monitor = DeliveryMonitor()
-    from repro.net.monitor import DeliveryRecord
-
     times = [0.0, 0.01, 0.02, 0.30, 0.31]
     for index, time in enumerate(times):
-        monitor.record_sent("f", time, index)
-        monitor.record_delivery("f", DeliveryRecord("f", time, time, index, ("H1", "S1", "H2")))
+        monitor.record_sent("f")
+        monitor.record_delivery("f", time, time, index, ("H1", "S1", "H2"))
     assert monitor.largest_gap("f", expected_interval=0.01) == pytest.approx(0.27, abs=1e-9)
 
 
 def test_monitor_path_queries():
     monitor = DeliveryMonitor()
-    from repro.net.monitor import DeliveryRecord
-
-    monitor.record_sent("f", 0.0, 0)
-    monitor.record_delivery("f", DeliveryRecord("f", 0.0, 0.1, 0, ("H1", "S1", "S3", "H2")))
-    monitor.record_delivery("f", DeliveryRecord("f", 0.2, 0.3, 1, ("H1", "S1", "S2", "S3", "H2")))
+    monitor.record_sent("f")
+    monitor.record_delivery("f", 0.0, 0.1, 0, ("H1", "S1", "S3", "H2"))
+    monitor.record_delivery("f", 0.2, 0.3, 1, ("H1", "S1", "S2", "S3", "H2"))
     assert monitor.first_arrival_via("f", "S2") == 0.3
     assert monitor.last_arrival_via("f", "S2") == 0.3
     assert len(monitor.arrivals_not_via("f", "S2")) == 1
 
 
 def test_monitor_queries_do_not_insert_flows():
-    # The monitor's dicts are defaultdicts: indexing one in a *query* used to
-    # insert the flow, so a traced run (which samples total_dropped() every
-    # 10 ms of sim time) and a bare run ended with different monitors.
+    # A query once inserted the flow it asked about, so a traced run (which
+    # samples total_dropped() every 10 ms of sim time) and a bare run ended
+    # with different monitors.
     monitor = DeliveryMonitor()
-    monitor.record_sent("f1", 0.0, 0)
+    monitor.record_sent("f1")
     assert monitor.delivered_flows() == []
     assert monitor.total_dropped() == 1
     assert monitor.delivered_flows() == []

@@ -175,6 +175,41 @@ class TestAttribution:
         # attach() started tracemalloc, so the memory split must be present.
         assert "alloc_kb" in drive and "peak_kb" in drive
 
+    def test_process_steps_are_booked_to_the_generator_they_step(self):
+        class Ticker:
+            def run(self):
+                yield 0.5   # entered by Process._start, left by Process._wake
+                yield None  # ... and by Process._step
+
+        def plain():
+            yield 1
+
+        def drive(profiler):
+            sim = Simulator()
+            if profiler is not None:
+                profiler.attach(sim)
+            try:
+                for generator in (Ticker().run(), Ticker().run(), plain()):
+                    sim.process(generator)
+                sim.run()
+            finally:
+                report = profiler.finish() if profiler is not None else None
+            return sim, report
+
+        sim, report = drive(Profiler())
+        calls = {row["site"]: row["calls"] for row in report.callbacks}
+        assert calls == {
+            f"{__name__}.{Ticker.run.__qualname__}": 6,
+            f"{__name__}.{plain.__qualname__}": 2,
+        }
+        assert "Ticker" in {row["event_class"] for row in report.by_class()}
+        # Relabelling moves no count: the totals are the kernel's own.
+        bare, _ = drive(None)
+        assert report.totals["events"] == sim.steps_executed == bare.steps_executed
+        assert sim.schedule_sequence == bare.schedule_sequence
+        # ... of which the three starts were scheduled from outside any callback.
+        assert report.totals["scheduled"] == sim.schedule_sequence - 3
+
     def test_by_class_folds_sites_into_owners(self):
         report = ProfileReport(callbacks=[
             {"site": "repro.sim.kernel.Simulator._fire", "calls": 2,
@@ -251,8 +286,10 @@ class TestRendering:
         assert "Profile — scenario/general seed=7" in text
         assert "Phases" in text and "Top 5 hot callbacks" in text
         assert "Event classes" in text
-        # The kernel's pooled-timeout path always shows up in a real run.
-        assert "sim.kernel" in text
+        # A sleep's kernel callback is the process itself, booked to the
+        # generator it steps — never to ``Process`` or the kernel.
+        assert "net.traffic.TrafficGenerator._flow_process" in text
+        assert "sim.process" not in text and "sim.kernel" not in text
 
     def test_empty_report_renders_a_placeholder(self):
         assert "empty profile" in render_profile_report(ProfileReport())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.flowstats import flow_update_stats
-from repro.net.monitor import DeliveryMonitor, DeliveryRecord
+from repro.net.monitor import DeliveryMonitor
 from repro.scenarios import (
     SCENARIOS,
     ScenarioParams,
@@ -121,14 +121,12 @@ class TestMigrationSpec:
 class TestPerFlowStatsMapping:
     def _monitor(self):
         monitor = DeliveryMonitor()
-        monitor.record_sent("a", 0.0, 0)
-        monitor.record_sent("b", 0.0, 0)
-        monitor.record_delivery("a", DeliveryRecord(
-            flow_id="a", sent_at=0.0, received_at=0.1, sequence=0,
-            path=("H1", "S1", "SPX", "H2")))
-        monitor.record_delivery("b", DeliveryRecord(
-            flow_id="b", sent_at=0.0, received_at=0.2, sequence=0,
-            path=("H1", "S1", "SPY", "H2")))
+        monitor.record_sent("a")
+        monitor.record_sent("b")
+        monitor.record_delivery("a", sent_at=0.0, received_at=0.1, sequence=0,
+                                path=("H1", "S1", "SPX", "H2"))
+        monitor.record_delivery("b", sent_at=0.0, received_at=0.2, sequence=0,
+                                path=("H1", "S1", "SPY", "H2"))
         return monitor
 
     def test_mapping_selects_marker_per_flow(self):

@@ -231,21 +231,6 @@ def test_timeout_negative_delay_rejected():
         Timeout(-1.0)
 
 
-def test_process_interrupt_terminates_quietly():
-    sim = Simulator()
-    progressed = []
-
-    def worker():
-        yield Timeout(10.0)
-        progressed.append("never")
-
-    process = sim.process(worker())
-    sim.schedule_callback(1.0, process.interrupt)
-    sim.run()
-    assert progressed == []
-    assert not process.is_alive
-
-
 def test_peek_returns_next_event_time():
     sim = Simulator()
     sim.schedule_callback(4.0, lambda: None)

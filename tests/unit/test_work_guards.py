@@ -8,17 +8,26 @@ quietly brings the copy or the poll back fails here on any machine.
 The armed path has its own guards: a gauge reading may not scan the acks ever
 issued, a Perfetto shard may not be encoded by Python frames per value, and
 none of that may leak onto the bare path.
+
+The packet path has three more: a numeric process sleep and a plain-output
+switch hop enter a fixed number of Python frames, and a delivered packet
+leaves nothing behind for the cyclic garbage collector.
 """
 
+import gc
 import sys
 from collections import Counter
 
 import pytest
 
 import repro.switches.dataplane as dataplane_mod
-from repro.net.monitor import DeliveryMonitor, DeliveryRecord
+from repro.controller.routing import install_path_rules, path_flowmods
+from repro.net.host import Host
+from repro.net.link import Link
+from repro.net.monitor import DeliveryMonitor
 from repro.net.network import Network
-from repro.net.topology import triangle_topology
+from repro.net.topology import linear_topology, triangle_topology
+from repro.net.traffic import TrafficGenerator, flows_between
 from repro.obs.events import LIFECYCLE_PHASES, TraceEvent, TraceLog
 from repro.obs.export import write_chrome_trace
 from repro.obs.tracer import Tracer
@@ -203,8 +212,102 @@ def test_a_bare_session_builds_no_tracer_and_adds_no_per_packet_calls(monkeypatc
     assert record.completed and record.trace is None
     assert built["__init__"] == 0
     # Gauges are read from state the control plane maintains; the monitor's
-    # per-packet recorders are still one frame each, as at the parent.
+    # per-packet recorders are one frame each.
     monitor = DeliveryMonitor()
-    record = DeliveryRecord("f", 0.0, 0.1, 0, ("H1", "S1", "H2"))
-    assert _python_frames(lambda: monitor.record_sent("f", 0.0, 0)) == 2
-    assert _python_frames(lambda: monitor.record_delivery("f", record)) == 2
+    monitor.record_delivery("f", 0.0, 0.1, 0, ("H1", "S1", "H2"))  # the flow's columns exist
+    assert _python_frames(lambda: monitor.record_sent("f")) == 2
+    assert _python_frames(lambda: monitor.record_delivery(
+        "f", 0.1, 0.2, 1, ("H1", "S1", "H2"))) == 2
+
+
+# -- the packet path: fixed frames per sleep and per hop, nothing left for the GC ------
+
+def test_a_numeric_sleep_wakes_through_four_frames():
+    def frames_for(sleeps):
+        def sleeper():
+            for _ in range(sleeps):
+                yield 0.01
+
+        sim = Simulator()
+        sim.process(sleeper())
+        return _python_frames(sim.run)
+
+    # _wake -> _step -> (the generator) -> _wait_on -> schedule_callback.
+    assert (frames_for(110) - frames_for(10)) / 100 - 1 <= 4
+
+
+def _line_with_traffic(switch_count, flow_count=1, rate_pps=100.0):
+    """H1 - S1 .. Sn - H2 with pre-installed plain-output rules and started flows."""
+    sim = Simulator()
+    network = Network(sim, linear_topology(switch_count), seed=2)
+    network.start()
+    flows = flows_between(network.host("H1"), network.host("H2"), flow_count,
+                          rate_pps=rate_pps)
+    path = ["H1"] + [f"S{index + 1}" for index in range(switch_count)] + ["H2"]
+    for flow in flows:
+        install_path_rules(network, path_flowmods(network, flow, path))
+    generator = TrafficGenerator(sim, flows)
+    generator.start()
+    return sim, network, generator
+
+
+def test_a_plain_output_hop_is_seven_boundary_frames():
+    def frames_and_deliveries(switch_count):
+        # 10 ms between packets, ~0.5 ms end to end: every packet travels
+        # alone, so each link flush carries exactly one.
+        sim, network, generator = _line_with_traffic(switch_count)
+        source, sink = network.host("H1"), network.host("H2")
+        sim.run(until=0.1)  # control planes started, forwarding plans cached
+        while sink.packets_received != source.packets_sent:
+            sim.step()
+        generator.stop_all(0.9)  # ... and nothing is in flight at the end either
+        delivered = sink.packets_received
+        frames = _python_frames(lambda: sim.run(until=1.0))
+        assert sink.packets_received == source.packets_sent
+        return frames, sink.packets_received - delivered
+
+    short, delivered = frames_and_deliveries(3)
+    longer, delivered_longer = frames_and_deliveries(4)
+    assert delivered == delivered_longer >= 79
+    # _flush_train -> receive_packet -> schedule_callback, then _forward ->
+    # process_packet -> transmit_from -> schedule_callback: layer boundaries
+    # only (no result constructor, counter method, size property or closure).
+    assert (longer - short) / delivered == 7
+
+
+def test_a_delivered_packet_leaves_nothing_for_the_garbage_collector():
+    sim, network, _generator = _line_with_traffic(3, flow_count=4, rate_pps=250.0)
+    sink = network.host("H2")
+    sim.run(until=0.5)  # caches, interned paths and per-flow columns exist
+    gc.collect()
+    gc.disable()
+    try:
+        tracked, received = len(gc.get_objects()), sink.packets_received
+        sim.run(until=1.5)
+        grown = len(gc.get_objects()) - tracked
+    finally:
+        gc.enable()
+    delivered = sink.packets_received - received
+    assert delivered >= 1000 == network.monitor.total_sent() - 500
+    # A record, its path tuple and a sent-time tuple per packet were ~3.
+    assert grown / delivered < 0.1
+
+
+def test_the_hop_is_still_reached_through_class_attributes(monkeypatch):
+    # What the benchmark's span pass (and any profiler) wraps: none of these
+    # may be pre-bound past its class attribute.
+    counts = Counter()
+    for owner, name in ((DataPlane, "process_packet"), (Link, "transmit_from"),
+                        (Link, "_flush_train"), (Switch, "receive_packet"),
+                        (Switch, "_forward"), (Host, "send"),
+                        (Host, "receive_packet")):
+        _counted(monkeypatch, owner, name, counts)
+    sim, network, _generator = _line_with_traffic(3)
+    sim.run(until=0.2)
+    sent = network.host("H1").packets_sent
+    assert sent == counts["send"] >= 19
+    hops = sum(switch.packets_received for switch in network.switches.values())
+    assert hops == counts["_forward"] == counts["process_packet"] >= 3 * (sent - 1)
+    assert counts["transmit_from"] == sum(link.packets_carried for link in network.links)
+    assert counts["receive_packet"] == hops + network.host("H2").packets_received
+    assert counts["_flush_train"] >= counts["transmit_from"] - 4
