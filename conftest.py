@@ -3,12 +3,14 @@
 Ensures ``src/`` is importable even when the package has not been installed
 (e.g. on offline machines where ``pip install -e .`` cannot build an editable
 wheel); the canonical installation path is still ``pip install -e .`` /
-``python setup.py develop``.
+``python setup.py develop``.  ``tests/oracles/`` holds replaced
+implementations that test files of more than one directory compare against.
 """
 
 import os
 import sys
 
-_SRC = os.path.join(os.path.dirname(__file__), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.dirname(__file__)
+for _path in (os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests", "oracles")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)

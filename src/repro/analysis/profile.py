@@ -21,8 +21,8 @@ HOT_CALLBACK_HEADERS = [
 ]
 
 #: Headers of the per-phase table.
-PHASE_HEADERS = ["phase", "wall [ms]", "share", "events", "alloc [kB]",
-                 "peak [kB]"]
+PHASE_HEADERS = ["phase", "wall [ms]", "share", "events", "gc [ms]",
+                 "collections", "alloc [kB]", "peak [kB]"]
 
 
 def hot_callbacks(report: ProfileReport,
@@ -68,6 +68,17 @@ def _strip_site(site: str) -> str:
     return site[6:] if site.startswith("repro.") else site
 
 
+def _gc_ms(row: Dict[str, object]) -> str:
+    """Collector time of a phase or totals row (``-`` in older reports)."""
+    return f"{float(row['gc_s']) * 1000.0:.2f}" if "gc_s" in row else "-"
+
+
+def _collections(row: Dict[str, object]) -> str:
+    """Collections as ``young/middle/full`` (``-`` in older reports)."""
+    counts = row.get("gc_collections")
+    return "/".join(map(str, counts)) if counts else "-"
+
+
 def phase_rows(report: ProfileReport) -> List[List[object]]:
     total_wall = sum(float(row.get("wall_s", 0.0)) for row in report.phases)
     rows: List[List[object]] = []
@@ -78,6 +89,8 @@ def phase_rows(report: ProfileReport) -> List[List[object]]:
             f"{wall * 1000.0:.2f}",
             _share(wall, total_wall),
             row.get("events", 0),
+            _gc_ms(row),
+            _collections(row),
             row.get("alloc_kb", "-"),
             row.get("peak_kb", "-"),
         ])
@@ -109,7 +122,9 @@ def render_profile_report(report: ProfileReport, top: int = 10) -> str:
     rate = f"{events / wall:,.0f} events/s" if wall > 0 else "-"
     header = (f"Profile — {report.kind or 'session'}"
               f"/{report.technique or '?'} seed={report.seed} "
-              f"({events} events, {wall * 1000.0:.1f} ms wall, {rate})")
+              f"({events} events, {wall * 1000.0:.1f} ms wall, {rate}; "
+              f"collector {_gc_ms(report.totals)} ms, "
+              f"{_collections(report.totals)} collections)")
     sections = [header]
     if report.phases:
         sections.append(format_table(PHASE_HEADERS, phase_rows(report),

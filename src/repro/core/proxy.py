@@ -105,6 +105,13 @@ class ProxyLayer:
     def start(self) -> None:
         """Start any background processes the layer needs (default: none)."""
 
+    def close(self) -> None:
+        """Close the upstream connections this layer created and forget the
+        downstream endpoints it was handed (their owner closes those)."""
+        for upstream in self._upstream.values():
+            upstream.close()
+        self._downstream.clear()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} {self.name} switches={self.switch_names()}>"
 

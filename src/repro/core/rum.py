@@ -98,6 +98,11 @@ class RumLayer(ProxyLayer):
         self._started = True
         self.technique.start()
 
+    def close(self) -> None:
+        """Also part the technique from the layer it calls back into."""
+        super().close()
+        self.technique.layer = None
+
     # -- accessors used by techniques ---------------------------------------------
     def pending(self, switch_name: str) -> PendingRuleTracker:
         """The pending-rule tracker of one switch."""

@@ -30,7 +30,7 @@ from repro.core.techniques.registry import register_technique_class
 from repro.openflow.actions import OutputAction
 from repro.openflow.messages import OFMessage, PacketIn, PacketOut
 from repro.packet.fields import FIELD_REGISTRY
-from repro.packet.packet import make_probe_packet
+from repro.packet.packet import Packet, make_probe_packet
 from repro.probing.catch_rules import general_catch_flowmod
 from repro.probing.coloring import assign_switch_values
 from repro.probing.probe_packets import (
@@ -45,7 +45,8 @@ from repro.probing.probe_packets import (
 class _ProbeInfo:
     """Everything needed to (re-)inject the probe for one pending rule."""
 
-    headers: dict
+    #: The probe, validated once; every injection sends a stamped copy.
+    template: Packet
     catch_switch: str
     inject_switch: str
     inject_port: int
@@ -128,7 +129,7 @@ class GeneralProbingTechnique(AckTechnique):
         except ProbeGenerationError:
             return None
         return _ProbeInfo(
-            headers=headers,
+            template=make_probe_packet(headers, probe_id=f"genprobe-{catch_switch}"),
             catch_switch=catch_switch,
             inject_switch=inject_switch,
             inject_port=topology.port_between(inject_switch, switch_name),
@@ -159,8 +160,8 @@ class GeneralProbingTechnique(AckTechnique):
                         self._inject_probe(info)
 
     def _inject_probe(self, info: _ProbeInfo) -> None:
-        packet = make_probe_packet(dict(info.headers), created_at=self.sim.now,
-                                   probe_id=f"genprobe-{info.catch_switch}")
+        packet = info.template.copy()
+        packet.created_at = self.sim.now
         packet_out = PacketOut(packet, [OutputAction(info.inject_port)])
         info.probes_sent += 1
         self.probes_injected += 1

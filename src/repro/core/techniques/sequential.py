@@ -28,7 +28,7 @@ from repro.core.versioning import VersionAllocator, VersionSpaceExhausted
 from repro.openflow.actions import OutputAction
 from repro.openflow.messages import OFMessage, PacketIn, PacketOut
 from repro.packet.fields import FIELD_REGISTRY, ETH_TYPE_IP, HeaderField
-from repro.packet.packet import make_probe_packet
+from repro.packet.packet import Packet, make_probe_packet
 from repro.probing.catch_rules import (
     sequential_catch_flowmod,
     sequential_probe_rule_flowmod,
@@ -44,6 +44,8 @@ class _SwitchProbeState:
     inject_neighbor: str = ""
     probe_out_port: int = 0
     inject_port: int = 0
+    #: The pre-probe, validated once; every injection sends a stamped copy.
+    template: Optional[Packet] = None
     allocator: Optional[VersionAllocator] = None
     #: logical batch -> highest covered pending-rule sequence number.
     outstanding: Dict[int, int] = field(default_factory=dict)
@@ -98,6 +100,13 @@ class SequentialProbingTechnique(AckTechnique):
                 inject_neighbor=inject_neighbor,
                 probe_out_port=topology.port_between(switch_name, catch_neighbor),
                 inject_port=topology.port_between(inject_neighbor, switch_name),
+                template=make_probe_packet({
+                    HeaderField.ETH_SRC: 0x00000000A0A0,
+                    HeaderField.ETH_DST: 0x00000000B0B0,
+                    HeaderField.ETH_TYPE: ETH_TYPE_IP,
+                    config.sequential_h1_field: config.preprobe_value,
+                    config.sequential_h2_field: 0,
+                }, probe_id=f"seqprobe-{switch_name}"),
                 allocator=VersionAllocator(h2_max, reserved=(0,), usable_values=usable),
             )
             self._states[switch_name] = state
@@ -184,22 +193,14 @@ class SequentialProbingTechnique(AckTechnique):
         config = self.config
         while True:
             yield config.probe_interval
-            for switch_name, state in self._states.items():
+            for state in self._states.values():
                 if not state.probeable or not state.outstanding:
                     continue
-                self._inject_probe(switch_name, state)
+                self._inject_probe(state)
 
-    def _inject_probe(self, switch_name: str, state: _SwitchProbeState) -> None:
-        config = self.config
-        headers = {
-            HeaderField.ETH_SRC: 0x00000000A0A0,
-            HeaderField.ETH_DST: 0x00000000B0B0,
-            HeaderField.ETH_TYPE: ETH_TYPE_IP,
-            config.sequential_h1_field: config.preprobe_value,
-            config.sequential_h2_field: 0,
-        }
-        packet = make_probe_packet(headers, created_at=self.sim.now,
-                                   probe_id=f"seqprobe-{switch_name}")
+    def _inject_probe(self, state: _SwitchProbeState) -> None:
+        packet = state.template.copy()
+        packet.created_at = self.sim.now
         packet_out = PacketOut(packet, [OutputAction(state.inject_port)])
         self.probes_injected += 1
         self.layer.send_to_switch(state.inject_neighbor, packet_out)

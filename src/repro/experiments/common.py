@@ -43,7 +43,7 @@ from repro.net.traffic import FlowSpec, flows_between
 from repro.openflow.actions import DropAction, OutputAction
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
-from repro.packet.addresses import int_to_ip, ip_to_int
+from repro.packet.addresses import ip_to_int
 from repro.session.record import RunRecord
 from repro.session.spec import (
     ActivationProbe,
@@ -300,8 +300,7 @@ def _install_benchmark_plan(network: Network, params: RuleInstallParams) -> Upda
     src_base = ip_to_int("10.1.0.0")
     dst_base = ip_to_int("10.2.0.0")
     for index in range(params.rule_count):
-        match = Match(ip_src=int_to_ip(src_base + index + 1),
-                      ip_dst=int_to_ip(dst_base + index + 1))
+        match = Match(ip_src=src_base + index + 1, ip_dst=dst_base + index + 1)
         flowmod = FlowMod(match, [OutputAction(out_port)], priority=100)
         plan.add(target, flowmod, label=f"rule-{index:05d}", role="install")
     return plan

@@ -131,6 +131,22 @@ class Network:
         for switch in self.switches.values():
             switch.start()
 
+    def close(self) -> None:
+        """Unplug what :meth:`_build` plugged together.
+
+        Control channels are closed and every node forgets its links (a
+        switch also its lifecycle listeners and its agent's callbacks into
+        it), which are the back-references that made a built network one
+        reference cycle.  The network can still be inspected afterwards, not
+        run.
+        """
+        for connection in self.control_connections.values():
+            connection.close()
+        for switch in self.switches.values():
+            switch.close()
+        for host in self.hosts.values():
+            host._link = None
+
     # -- lookups ----------------------------------------------------------------------
     def port_between(self, from_node: str, to_node: str) -> int:
         """Port number on ``from_node`` that faces ``to_node``."""

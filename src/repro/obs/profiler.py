@@ -25,10 +25,17 @@ same outcome (and digest) as the identical unprofiled run.
 This module is allowlisted for RL002: reading ``time.perf_counter`` and
 ``tracemalloc`` is the entire point of a profiler, and nothing it measures
 feeds back into simulation state.
+
+While attached the profiler also listens on ``gc.callbacks`` (it observes
+the cyclic collector, it never tunes it): a collection pauses whichever
+callback happened to allocate last, so its time is taken *out* of that
+callback's row and reported as ``gc_s`` / ``gc_collections`` (``[young,
+middle, full]``) per phase and in the totals.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 from time import perf_counter
 from typing import Dict, List, Optional
@@ -40,12 +47,14 @@ class ProfileReport:
     """The frozen output of one profiled session.
 
     ``callbacks`` rows carry ``site`` (module-qualified callback name),
-    ``calls``, ``wall_s`` and ``scheduled`` (callbacks the site scheduled —
-    its event-heap churn).  ``phases`` rows carry ``name``, ``wall_s``,
-    ``events`` and — when tracemalloc was live — ``alloc_kb``/``peak_kb``
-    memory splits.  ``calls``, ``scheduled`` and ``events`` are
-    deterministic for a fixed seed; wall and memory numbers are measurements
-    of the host, which is why the report is an observation that
+    ``calls``, ``wall_s`` (collector pauses excluded) and ``scheduled``
+    (callbacks the site scheduled — its event-heap churn).  ``phases`` rows
+    carry ``name``, ``wall_s``, ``events``, ``gc_s``/``gc_collections`` (the
+    collector's share of ``wall_s``, and collections per generation) and —
+    when tracemalloc was live — ``alloc_kb``/``peak_kb`` memory splits.
+    ``calls``, ``scheduled`` and ``events`` are deterministic for a fixed
+    seed; wall, collector and memory numbers are measurements of the host,
+    which is why the report is an observation that
     :meth:`repro.session.record.RunRecord.outcome` never includes.
     """
 
@@ -140,6 +149,10 @@ class Profiler:
         self._phase_started = 0.0
         self._phase_events_start = 0
         self._phase_mem_start = 0
+        self._phase_gc_start = (0.0, [0, 0, 0])
+        self._gc_started = 0.0
+        self._gc_s = 0.0
+        self._gc_collections = [0, 0, 0]
         self._pending_site: Optional[str] = None
         self._last_ts = 0.0
         self._last_seq = 0
@@ -163,6 +176,7 @@ class Profiler:
             raise RuntimeError("profiler is already attached to a simulator")
         self._sim = sim
         install_observer(self._observe)
+        gc.callbacks.append(self._on_gc)
         self._own_tracemalloc = not tracemalloc.is_tracing()
         if self._own_tracemalloc:
             tracemalloc.start()
@@ -183,6 +197,7 @@ class Profiler:
             self._total_wall += now - self._attached_ts
             self._attached_ts = None
         uninstall_observer()
+        gc.callbacks.remove(self._on_gc)
         if self._own_tracemalloc and tracemalloc.is_tracing():
             tracemalloc.stop()
         self._own_tracemalloc = False
@@ -196,6 +211,7 @@ class Profiler:
         self._phase_name = name
         self._phase_started = now
         self._phase_events_start = self._events
+        self._phase_gc_start = (self._gc_s, list(self._gc_collections))
         if tracemalloc.is_tracing():
             self._phase_mem_start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -232,6 +248,17 @@ class Profiler:
         self._last_seq = seq
         self._events += 1
 
+    def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        """``gc.callbacks`` listener: time each collection, and move the
+        pause out of the window of the callback it interrupted."""
+        if phase == "start":
+            self._gc_started = perf_counter()
+            return
+        pause = perf_counter() - self._gc_started
+        self._gc_s += pause
+        self._gc_collections[info["generation"]] += 1
+        self._last_ts += pause
+
     def _close_pending(self, now: float, seq: Optional[int] = None) -> None:
         site = self._pending_site
         if site is None:
@@ -253,6 +280,9 @@ class Profiler:
             "name": self._phase_name,
             "wall_s": round(now - self._phase_started, 6),
             "events": self._events - self._phase_events_start,
+            "gc_s": round(self._gc_s - self._phase_gc_start[0], 6),
+            "gc_collections": [now_n - then_n for now_n, then_n in
+                               zip(self._gc_collections, self._phase_gc_start[1])],
         }
         if tracemalloc.is_tracing():
             current, peak = tracemalloc.get_traced_memory()
@@ -274,6 +304,8 @@ class Profiler:
             "events": self._events,
             "wall_s": round(self._total_wall, 6),
             "scheduled": sum(stats[2] for stats in self._stats.values()),
+            "gc_s": round(self._gc_s, 6),
+            "gc_collections": list(self._gc_collections),
         }
         return ProfileReport(
             technique=self.technique,

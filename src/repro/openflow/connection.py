@@ -63,11 +63,6 @@ class ConnectionEndpoint:
         else:
             self._handler(message)
 
-    @property
-    def peer(self) -> "ConnectionEndpoint":
-        """The endpoint on the other side of the connection."""
-        return self.connection.endpoint(1 - self._side)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Endpoint {self.name} of {self.connection.name}>"
 
@@ -95,17 +90,12 @@ class Connection:
         #: Per-direction delivery time of the last message, used to preserve
         #: FIFO ordering even if latency were to change mid-run.
         self._last_delivery = [0.0, 0.0]
-        self.messages_in_flight = 0
         self.total_messages = 0
         #: Optional fault interceptor (see :mod:`repro.faults.control`);
         #: ``None`` — the default — is the lossless fixed-latency channel.
         self._intercept: Optional[TransmitIntercept] = None
 
     # -- endpoints -----------------------------------------------------------
-    def endpoint(self, side: int) -> ConnectionEndpoint:
-        """Endpoint 0 (the ``name_a`` side) or 1 (the ``name_b`` side)."""
-        return self._endpoints[side]
-
     @property
     def side_a(self) -> ConnectionEndpoint:
         """The first endpoint (conventionally the switch side)."""
@@ -131,6 +121,16 @@ class Connection:
         """Restore the lossless, fixed-latency behaviour."""
         self._intercept = None
 
+    def close(self) -> None:
+        """Hang up for good: handlers, backlogs and the interceptor are
+        dropped and the endpoints forget the channel, so it no longer ties
+        its two users (and itself) into a reference cycle."""
+        self._intercept = None
+        for endpoint in self._endpoints:
+            endpoint._handler = None
+            endpoint._backlog.clear()
+            endpoint.connection = None
+
     # -- transmission -----------------------------------------------------------
     def _transmit(self, from_side: int, message: OFMessage) -> None:
         tr = obs_tracer.TRACER
@@ -147,17 +147,16 @@ class Connection:
     def _schedule_delivery(self, from_side: int, message: OFMessage,
                            extra_latency: float = 0.0) -> None:
         to_side = 1 - from_side
-        deliver_at = max(self.sim.now + self.latency + extra_latency,
+        now = self.sim.now
+        deliver_at = max(now + self.latency + extra_latency,
                          self._last_delivery[to_side])
         self._last_delivery[to_side] = deliver_at
-        self.messages_in_flight += 1
         self.total_messages += 1
         self.sim.schedule_callback(
-            deliver_at - self.sim.now, self._complete_delivery, to_side, message
+            deliver_at - now, self._complete_delivery, to_side, message
         )
 
     def _complete_delivery(self, to_side: int, message: OFMessage) -> None:
-        self.messages_in_flight -= 1
         self._endpoints[to_side]._deliver(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

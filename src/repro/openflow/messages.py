@@ -17,7 +17,6 @@ from repro.openflow.constants import (
     OFErrorCode,
     OFErrorType,
     OFMessageType,
-    OFP_VERSION,
     PacketInReason,
     StatsType,
 )
@@ -39,12 +38,6 @@ class OFMessage:
 
     def __init__(self, xid: Optional[int] = None) -> None:
         self.xid = next_xid() if xid is None else int(xid)
-        self.version = OFP_VERSION
-
-    @property
-    def type_name(self) -> str:
-        """Human-readable message type name."""
-        return self.message_type.name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} xid={self.xid}>"

@@ -272,13 +272,14 @@ def make_probe_packet(
     """Build a RUM data-plane probe packet.
 
     Probes are small, carry no application payload, and are flagged so the
-    delivery monitor does not count them as flow traffic.
+    delivery monitor does not count them as flow traffic.  A technique that
+    injects the same probe again and again validates it here once and sends
+    ``template.copy()`` with a fresh ``created_at`` each time.
     """
-    packet = Packet(
-        dict(headers),
+    return Packet(
+        headers,
         payload_size=0,
         flow_id=probe_id,
         created_at=created_at,
         is_probe=True,
     )
-    return packet

@@ -102,6 +102,11 @@ class RecoveryManager:
         for switch in self.network.switches.values():
             switch.on_lifecycle(self._on_switch_lifecycle)
 
+    def detach(self) -> None:
+        """Unhook from the controller (a closing network drops the switches'
+        lifecycle listeners itself)."""
+        self.controller.recovery = None
+
     def _on_switch_lifecycle(self, switch_name: str, event: str) -> None:
         if event == "crash":
             self.crashes_seen += 1

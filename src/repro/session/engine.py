@@ -21,7 +21,7 @@ byte-identical with the pre-session code:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import ExitStack
 from typing import Optional
 
 from repro.analysis.activation import ActivationDelays, activation_delays
@@ -65,13 +65,23 @@ def run_session(spec: SessionSpec) -> RunRecord:
     instrumentation site is read-only and the periodic metrics probe
     mutates no simulation state — so a traced or profiled run computes the
     same outcome (and digest) as the identical bare run.
+
+    The function that builds a graph dismantles it.  A wired session is one
+    cycle of references (switch <-> agent <-> channel <-> proxy <->
+    controller, all of it on the kernel heap) that only a full cyclic
+    collection could free, so every piece registers its own ``close`` on the
+    ``dismantle`` stack the moment it exists.  Once the record is complete —
+    or the session raises — the heap is emptied and the hooks are cut, and
+    reference counting frees the session on return; the record holds nothing
+    into it.  Nothing in ``src/`` tunes the collector instead.
     """
     identity = {"technique": spec.resolved_technique().name,
                 "kind": spec.kind, "seed": spec.knobs.seed}
     profiler = Profiler(**identity) if spec.knobs.profile else None
     try:
-        with (tracing(**identity) if spec.trace else nullcontext()) as tracer:
-            return _run_session(spec, tracer, profiler)
+        with ExitStack() as dismantle:
+            tracer = dismantle.enter_context(tracing(**identity)) if spec.trace else None
+            return _run_session(spec, tracer, profiler, dismantle)
     finally:
         # A crashing session must not leak the kernel observer into the next.
         if profiler is not None:
@@ -99,13 +109,14 @@ def _metrics_probe(tracer: Tracer, sim: Simulator, network: Network,
 
 
 def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
-                 profiler: Optional[Profiler]) -> RunRecord:
+                 profiler: Optional[Profiler], dismantle: ExitStack) -> RunRecord:
     technique = spec.resolved_technique()
     knobs = spec.knobs
     workload = spec.workload
 
     # 1. Topology, network, flows, pre-update forwarding state ----------------
     sim = Simulator()
+    dismantle.callback(sim.clear)
     # The kernel binds its observer locally at each run() entry, so the
     # profiler must tap the event stream before the first sim.run below.
     if profiler is not None:
@@ -114,6 +125,7 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
     rng = SeededRandom(knobs.seed)
     topology = spec.topology()
     network = Network(sim, topology, seed=knobs.seed)
+    dismantle.callback(network.close)
     flows = workload.flows(network)
     if workload.preinstall is not None:
         workload.preinstall(network, flows)
@@ -127,6 +139,7 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
         with_barrier_layer=spec.stack.with_barrier_layer,
         buffer_after_barrier=spec.stack.buffer_after_barrier,
     )
+    dismantle.callback(stack.close)
     stack.prepare()
     network.start()
     stack.start()
@@ -157,6 +170,7 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
         recovery = RecoveryManager(sim, stack.controller, network,
                                    policy=knobs.recovery)
         recovery.attach()
+        dismantle.callback(recovery.detach)
         if stack.rum is not None:
             # A crash also wipes RUM's deployment rules (probe catches);
             # without them back a restored neighbourhood cannot confirm

@@ -39,6 +39,13 @@ class ControlStack:
         if self.rum is not None:
             self.rum.start()
 
+    def close(self) -> None:
+        """Close the proxy chain's upstream connections (the network closes
+        the switch-facing ones)."""
+        for layer in (self.rum, self.barrier_layer):
+            if layer is not None:
+                layer.close()
+
 
 def build_control_stack(
     sim: Simulator,

@@ -1,11 +1,16 @@
 """Discrete-event simulation kernel used by every substrate in the repo.
 
-The kernel is deliberately small and dependency free.  It follows the
-generator-based process model popularised by SimPy: a *process* is a Python
-generator that ``yield``s either a :class:`Timeout` (sleep for some simulated
-time), an :class:`Event` (wait until somebody triggers it), or another
-:class:`Process` (wait for it to finish).  The :class:`Simulator` owns the
-event heap and the notion of "now".
+The kernel is deliberately small and dependency free.  The
+:class:`Simulator` owns the event heap and the notion of "now"; everything
+that happens is a callback scheduled on it (``schedule_callback`` /
+``schedule_at``), and the hot paths — links, switch agents, data-plane sync —
+are plain callback chains.  On top of that sits the generator-based process
+model popularised by SimPy, for code that reads best as a loop (traffic
+flows, probing timers): a *process* is a Python generator that ``yield``s a
+number or a :class:`Timeout` (sleep for some simulated time), an
+:class:`Event` (wait until somebody triggers it), or another
+:class:`Process` (wait for it to finish).  There are no queue or semaphore
+objects: the one queue a model needed is a ``deque`` in the switch agent.
 
 Example
 -------
@@ -26,7 +31,6 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Simulator, StopSimulation
 from repro.sim.process import Process, ProcessError
 from repro.sim.rng import SeededRandom
-from repro.sim.resources import Queue, Resource
 
 __all__ = [
     "AllOf",
@@ -34,8 +38,6 @@ __all__ = [
     "Event",
     "Process",
     "ProcessError",
-    "Queue",
-    "Resource",
     "SeededRandom",
     "Simulator",
     "StopSimulation",

@@ -12,7 +12,7 @@ several events into one.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List
 
 
 class EventAlreadyTriggered(RuntimeError):
@@ -181,8 +181,3 @@ class AnyOf(Event):
             self.succeed((event, event.value))
         else:
             self.fail(event.value)
-
-
-def ensure_event(obj: Any) -> Optional[Event]:
-    """Return ``obj`` if it is an :class:`Event`, otherwise ``None``."""
-    return obj if isinstance(obj, Event) else None

@@ -83,10 +83,6 @@ class PeriodicProbe:
         self.callback = callback
         self._cancelled = False
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     def cancel(self) -> None:
         """Stop firing; the pending heap entry becomes a no-op."""
         self._cancelled = True
@@ -111,10 +107,8 @@ class Simulator:
         "_now",
         "_heap",
         "_sequence",
-        "_active_process",
         "_running",
         "_until",
-        "metadata",
         "steps_executed",
     )
 
@@ -122,13 +116,11 @@ class Simulator:
         self._now = float(start_time)
         self._heap: List[Tuple[float, int, Callable, tuple]] = []
         self._sequence = 0
-        self._active_process: Optional[Process] = None
         self._running = False
         #: The ``until`` bound of the active :meth:`run` call (``None`` when
         #: unbounded or idle); inline fast-forward paths (link packet trains)
         #: consult it so they never advance the clock past the stop time.
         self._until: Optional[float] = None
-        self.metadata: dict = {}
         #: Total callbacks executed over the simulator's lifetime; benchmark
         #: instrumentation (events/second).
         self.steps_executed = 0
@@ -196,13 +188,6 @@ class Simulator:
             heapq.heapify(heap)
         return len(entries)
 
-    def schedule_event(self, delay: float, value: Any = None, name: str = "") -> Event:
-        """Create an event that succeeds with ``value`` after ``delay`` seconds."""
-        event = Event(name=name)
-        event.sim = self
-        self.schedule_callback(delay, self._trigger_if_pending, event, value)
-        return event
-
     @staticmethod
     def _trigger_if_pending(event: Event, value: Any) -> None:
         if not event.triggered:
@@ -241,6 +226,15 @@ class Simulator:
                                probe._fire)
         return probe
 
+    def clear(self) -> None:
+        """Drop every scheduled callback.
+
+        The heap is the only place the kernel holds on to the objects it
+        drives (bound methods, sleeping processes, periodic probes); emptied,
+        the simulator is a leaf that reference counting can free.
+        """
+        self._heap.clear()
+
     # -- introspection ----------------------------------------------------------
     @property
     def pending_count(self) -> int:
@@ -273,11 +267,6 @@ class Simulator:
         process = Process(self, generator, name=name)
         self.schedule_callback(0.0, process._start)
         return process
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped (``None`` outside process code)."""
-        return self._active_process
 
     # -- execution ---------------------------------------------------------------
     def step(self) -> bool:

@@ -68,7 +68,6 @@ class Process(Event):
             self._step(None, event.value)
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        self.sim._active_process = self
         try:
             if exc is not None:
                 yielded = self.generator.throw(exc)
@@ -87,9 +86,6 @@ class Process(Event):
                 # instead of swallowing it.
                 raise
             return
-        finally:
-            self.sim._active_process = None
-
         self._wait_on(yielded)
 
     def _wait_on(self, yielded: Any) -> None:

@@ -110,6 +110,15 @@ class Switch:
         self._started = True
         self.controlplane.start()
 
+    def close(self) -> None:
+        """Unplug the ports, the controller connection and the lifecycle
+        listeners, and cut the agent's callbacks into this switch (see
+        :meth:`repro.net.network.Network.close`)."""
+        self._ports.clear()
+        self._controller_endpoint = None
+        self._lifecycle_listeners.clear()
+        self.controlplane.close()
+
     # -- lifecycle faults --------------------------------------------------------
     @property
     def crashed(self) -> bool:

@@ -6,6 +6,18 @@ immediately, and hands rule modifications to the data-plane synchronisation
 machinery defined by the switch profile.  Depending on the profile it answers
 barriers either when the control plane has caught up (buggy, observed on
 hardware) or when the data plane has (correct).
+
+The agent and the RATE_LIMITED sync are callback chains on the kernel, not
+generator processes (which paid ~25 frames of queue, event and process
+plumbing per message).  A message costs the heap entries the generators
+made, at the same times with the same sequence numbers: the zero-delay
+hand-off to :meth:`ControlPlane._begin` (from :meth:`ControlPlane.receive`
+when the agent is idle, else from :meth:`ControlPlane._next_message`), the
+CPU time PacketIns stole since the last message if any, and the processing
+delay that ends in the message kind's ``_finish_*``.  The hand-off does no
+work and is kept on purpose: dropping it would reorder same-instant events,
+and run digests depend on that order.  The generator agent lives on in
+``tests/oracles/generator_agent.py`` as the oracle for the exact stream.
 """
 
 from __future__ import annotations
@@ -25,7 +37,6 @@ from repro.openflow.messages import (
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
-    Hello,
     OFMessage,
     PacketOut,
     StatsReply,
@@ -39,9 +50,7 @@ from repro.obs.events import (
 )
 from repro.openflow.constants import OFErrorCode, OFErrorType
 from repro.packet.packet import Packet
-from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.resources import Queue
 from repro.sim.rng import SeededRandom
 from repro.switches.profiles import BarrierMode, DataPlaneSyncModel, SwitchProfile
 
@@ -90,6 +99,13 @@ class _BarrierWaiter:
 class ControlPlane:
     """OpenFlow agent of one switch.
 
+    One message is in the agent's hands at a time; the rest wait in a plain
+    ``deque``.  Each kernel callback of the chain reads the clock once and
+    carries what the next one needs (the message and the crash epoch it was
+    taken under) as callback arguments, so a crash never has to hunt for
+    in-flight work: a ``_finish_*`` that wakes up under another epoch drops
+    its message.
+
     Parameters
     ----------
     sim:
@@ -136,11 +152,17 @@ class ControlPlane:
         self.table = FlowTable(mode=profile.table_mode, capacity=profile.table_capacity,
                                name=f"{name}.control")
 
-        self.inbox: Queue = Queue(sim, name=f"{name}.inbox")
+        #: Messages waiting for the agent, oldest first.
+        self._inbox: Deque[OFMessage] = deque()
+        #: Whether the agent is waiting for a message (nothing in its hands,
+        #: nothing queued): the next arrival is handed to it directly.
+        self._idle = False
         self._pending_ops: Deque[PendingOperation] = deque()
-        #: ``(parked at, poll quantum, wake event)`` while the rate-limited
-        #: sync loop is idle (see :meth:`_rate_limited_sync_loop`).
-        self._sync_parked: Optional[Tuple[float, float, Event]] = None
+        #: ``(parked at, poll quantum)`` while the rate-limited sync is idle
+        #: (see :meth:`_sync_step`).
+        self._sync_parked: Optional[Tuple[float, float]] = None
+        #: Operations the rate-limited sync pushed into the data plane.
+        self._sync_applied = 0
         self._barrier_waiters: List[_BarrierWaiter] = []
         self._barrier_epoch = 0
         self._stolen_time = 0.0
@@ -168,21 +190,22 @@ class ControlPlane:
         #: Set while the switch is crashed (lifecycle faults): inbound
         #: messages are lost and queued ones are discarded unprocessed.
         self.crashed = False
-        #: Bumped on every crash; a handler that started before a crash must
-        #: not take effect after it, even once the switch has restarted.
+        #: Bumped on every crash; a message taken off the inbox before a
+        #: crash must not take effect after it, even once the switch has
+        #: restarted.
         self.crash_epoch = 0
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        """Start the control-plane processing and data-plane sync processes."""
+        """Start the agent and the data-plane sync."""
         if self._processes_started:
             return
         self._processes_started = True
-        self.sim.process(self._main_loop(), name=f"{self.name}.controlplane")
+        self.sim.schedule_callback(0.0, self._next_message)
         if self.profile.sync_model == DataPlaneSyncModel.PERIODIC_BATCH:
             self.sim.process(self._periodic_sync_loop(), name=f"{self.name}.sync")
         elif self.profile.sync_model == DataPlaneSyncModel.RATE_LIMITED:
-            self.sim.process(self._rate_limited_sync_loop(), name=f"{self.name}.sync")
+            self.sim.schedule_callback(0.0, self._sync_step)
 
     def receive(self, message: OFMessage) -> None:
         """Entry point for messages arriving on the controller connection."""
@@ -194,13 +217,19 @@ class ControlPlane:
         if tr.active and isinstance(message, (FlowMod, BarrierRequest)):
             tr.rule(PHASE_SWITCH_RECEIVED, self.sim.now, self.name,
                     message.xid, detail=type(message).__name__)
-        self.inbox.put(message)
+        if self._idle:
+            # Handed over on the next kernel step, not from inside the
+            # sender's callback.
+            self._idle = False
+            self.sim.schedule_callback(0.0, self._begin, message)
+        else:
+            self._inbox.append(message)
 
     def crash_reset(self, wipe_table: bool = True) -> None:
         """Drop all in-flight state on a switch crash (lifecycle faults)."""
         self.crashed = True
         self.crash_epoch += 1
-        self.inbox.clear()
+        self._inbox.clear()
         self._pending_ops.clear()
         self._barrier_waiters.clear()
         self._stolen_time = 0.0
@@ -212,119 +241,136 @@ class ControlPlane:
         """Accept control-channel traffic again after a restart."""
         self.crashed = False
 
+    def close(self) -> None:
+        """Forget the owning switch's callbacks (the agent's only references
+        back into it); tables, logs and counters stay readable."""
+        self._send = self._apply_to_dataplane = self._inject_packet = None
+
     # -- properties ------------------------------------------------------------
     @property
     def pending_dataplane_ops(self) -> int:
         """Number of modifications not yet visible in the data plane."""
         return len(self._pending_ops)
 
-    # -- main control-plane loop ---------------------------------------------------
-    def _main_loop(self):
-        while True:
-            message = yield self.inbox.get()
-            if self.crashed:
-                # Messages queued before the crash die with the agent.
-                continue
-            # Time stolen by PacketIn encapsulation since the last message is
-            # charged here, serialising it with FlowMod processing the way a
-            # single management CPU would.
-            if self._stolen_time > 0:
-                stolen, self._stolen_time = self._stolen_time, 0.0
-                yield stolen
-            yield from self._dispatch(message)
+    # -- the agent: one message at a time ------------------------------------------
+    def _next_message(self) -> None:
+        """Take the oldest queued message, or wait for :meth:`receive`."""
+        if self._inbox:
+            self.sim.schedule_callback(0.0, self._begin, self._inbox.popleft())
+        else:
+            self._idle = True
 
-    def _dispatch(self, message: OFMessage):
+    def _begin(self, message: OFMessage) -> None:
+        """The hand-off: ``message`` is now in the agent's hands."""
+        if self.crashed:
+            # Messages queued before the crash die with the agent.
+            self._next_message()
+            return
+        epoch = self.crash_epoch
+        # Time stolen by PacketIn encapsulation since the last message is
+        # charged here, serialising it with FlowMod processing the way a
+        # single management CPU would.
+        if self._stolen_time > 0:
+            stolen, self._stolen_time = self._stolen_time, 0.0
+            self.sim.schedule_callback(stolen, self._dispatch, message, epoch)
+        else:
+            self._dispatch(message, epoch)
+
+    def _dispatch(self, message: OFMessage, epoch: int) -> None:
+        """Spend the message's processing time, then run its ``_finish_*``."""
+        profile = self.profile
+        delay = profile.trivial_processing_time
         if isinstance(message, FlowMod):
-            yield from self._handle_flowmod(message)
+            finish = self._finish_flowmod
+            delay = self.rng.jitter(
+                profile.flowmod_processing_time(len(self.table)), profile.flowmod_jitter)
         elif isinstance(message, BarrierRequest):
-            yield from self._handle_barrier(message)
+            finish = self._finish_barrier
         elif isinstance(message, PacketOut):
-            yield from self._handle_packet_out(message)
-        elif isinstance(message, EchoRequest):
-            yield self.profile.trivial_processing_time
+            finish, delay = self._finish_packet_out, profile.packet_out_processing_time
+        elif isinstance(message, StatsRequest):
+            finish = self._finish_stats
+        else:
+            finish = self._finish_other
+        self.sim.schedule_callback(delay, finish, message, epoch)
+
+    def _finish_other(self, message: OFMessage, epoch: int) -> None:
+        # Hello and unknown messages only consume their trivial time, as a
+        # real agent would for unsupported-but-harmless messages.
+        if isinstance(message, EchoRequest):
             self._send(EchoReply(payload=message.payload, xid=message.xid))
         elif isinstance(message, FeaturesRequest):
-            yield self.profile.trivial_processing_time
             self._send(FeaturesReply(self.datapath_id, self.ports, xid=message.xid))
-        elif isinstance(message, StatsRequest):
-            yield from self._handle_stats(message)
-        elif isinstance(message, Hello):
-            yield self.profile.trivial_processing_time
-        else:
-            # Unknown message: consume trivial time and ignore, as a real
-            # agent would for unsupported-but-harmless messages.
-            yield self.profile.trivial_processing_time
+        self._next_message()
 
     # -- FlowMod ---------------------------------------------------------------------
-    def _handle_flowmod(self, flowmod: FlowMod):
-        epoch = self.crash_epoch
-        processing = self.rng.jitter(
-            self.profile.flowmod_processing_time(len(self.table)),
-            self.profile.flowmod_jitter,
-        )
-        yield processing
-        if self.crashed or self.crash_epoch != epoch:
-            # The agent died mid-processing (even if it restarted since):
-            # the modification is lost and must not touch the wiped tables.
-            return
-        if flowmod.xid in self._applied_xids:
+    def _finish_flowmod(self, flowmod: FlowMod, epoch: int) -> None:
+        # A crash since the message was taken (even if the agent restarted
+        # since) lost the modification: it must not touch the wiped tables.
+        if not self.crashed and self.crash_epoch == epoch:
+            self._apply_flowmod(flowmod, self.sim.now)
+        self._next_message()
+
+    def _apply_flowmod(self, flowmod: FlowMod, now: float) -> None:
+        xid = flowmod.xid
+        if xid in self._applied_xids:
             # A controller-side retransmission of a FlowMod this boot already
             # applied: drop it (same-xid delivery is exactly-once per boot).
             self.duplicate_flowmods += 1
             return
         try:
-            self.table.apply_flowmod(flowmod, now=self.sim.now)
+            self.table.apply_flowmod(flowmod, now=now)
         except TableFullError:
             self._send(ErrorMessage(OFErrorType.FLOW_MOD_FAILED,
-                                    int(OFErrorCode.ALL_TABLES_FULL), data=flowmod.xid,
-                                    xid=flowmod.xid))
+                                    int(OFErrorCode.ALL_TABLES_FULL), data=xid,
+                                    xid=xid))
             return
-        self._applied_xids.add(flowmod.xid)
+        self._applied_xids.add(xid)
         self.flowmods_processed += 1
-        self.control_apply_log[flowmod.xid] = self.sim.now
+        self.control_apply_log[xid] = now
         tr = obs_tracer.TRACER
         if tr.active:
-            tr.rule(PHASE_CONTROL_APPLIED, self.sim.now, self.name, flowmod.xid)
+            tr.rule(PHASE_CONTROL_APPLIED, now, self.name, xid)
 
-        operation = PendingOperation(flowmod, received_at=self.sim.now,
+        operation = PendingOperation(flowmod, received_at=now,
                                      barrier_epoch=self._barrier_epoch)
-        operation.control_applied_at = self.sim.now
+        operation.control_applied_at = now
         if self.profile.sync_model == DataPlaneSyncModel.IMMEDIATE:
             self._apply_operation(operation)
         else:
             self._pending_ops.append(operation)
             if self._sync_parked is not None:
-                self._wake_sync()
+                self._wake_sync(now)
 
     def _apply_operation(self, operation: PendingOperation) -> None:
         if self.crashed:
-            # A sync loop woke up with an operation popped before the crash;
+            # A sync step woke up with an operation popped before the crash;
             # the data plane of a dead switch must stay wiped.
             return
-        self._apply_to_dataplane(operation.flowmod, self.sim.now)
+        now = self.sim.now
+        self._apply_to_dataplane(operation.flowmod, now)
         operation.applied = True
-        operation.applied_at = self.sim.now
+        operation.applied_at = now
         self._check_barrier_waiters(operation)
 
     # -- barriers ---------------------------------------------------------------------
-    def _handle_barrier(self, request: BarrierRequest):
-        epoch = self.crash_epoch
-        yield self.profile.trivial_processing_time
-        if self.crashed or self.crash_epoch != epoch:
-            return
-        self._barrier_epoch += 1
-        if (self.profile.barrier_mode == BarrierMode.CONTROL_PLANE
-                or not self._pending_ops):
-            self._send_barrier_reply(request)
-            return
-        waiter = _BarrierWaiter(request, {op.op_id for op in self._pending_ops})
-        self._barrier_waiters.append(waiter)
+    def _finish_barrier(self, request: BarrierRequest, epoch: int) -> None:
+        if not self.crashed and self.crash_epoch == epoch:
+            self._barrier_epoch += 1
+            if (self.profile.barrier_mode == BarrierMode.CONTROL_PLANE
+                    or not self._pending_ops):
+                self._send_barrier_reply(request)
+            else:
+                self._barrier_waiters.append(
+                    _BarrierWaiter(request, {op.op_id for op in self._pending_ops}))
+        self._next_message()
 
     def _send_barrier_reply(self, request: BarrierRequest) -> None:
-        self.barrier_reply_log.append((self.sim.now, request.xid))
+        now = self.sim.now
+        self.barrier_reply_log.append((now, request.xid))
         tr = obs_tracer.TRACER
         if tr.active:
-            tr.rule(PHASE_ACK_SENT, self.sim.now, self.name, request.xid,
+            tr.rule(PHASE_ACK_SENT, now, self.name, request.xid,
                     detail="barrier-reply")
         self._send(BarrierReply(xid=request.xid))
 
@@ -341,20 +387,18 @@ class ControlPlane:
                 self._send_barrier_reply(waiter.request)
 
     # -- PacketOut / PacketIn -------------------------------------------------------------
-    def _handle_packet_out(self, message: PacketOut):
-        epoch = self.crash_epoch
-        yield self.profile.packet_out_processing_time
-        if self.crashed or self.crash_epoch != epoch:
-            return
-        self.packet_outs_processed += 1
-        # Enforce the hardware PacketOut rate cap on the egress side.
-        spacing = 1.0 / self.profile.packet_out_rate
-        emit_at = max(self.sim.now, self._next_packet_out_time)
-        self._next_packet_out_time = emit_at + spacing
-        delay = emit_at - self.sim.now
-        self.sim.schedule_callback(
-            delay, self._inject_packet, message.packet, message.actions, message.in_port
-        )
+    def _finish_packet_out(self, message: PacketOut, epoch: int) -> None:
+        if not self.crashed and self.crash_epoch == epoch:
+            self.packet_outs_processed += 1
+            # Enforce the hardware PacketOut rate cap on the egress side.
+            now = self.sim.now
+            emit_at = max(now, self._next_packet_out_time)
+            self._next_packet_out_time = emit_at + 1.0 / self.profile.packet_out_rate
+            self.sim.schedule_callback(
+                emit_at - now, self._inject_packet,
+                message.packet, message.actions, message.in_port,
+            )
+        self._next_message()
 
     def send_packet_in(self, packet_in_factory: Callable[[], OFMessage]) -> None:
         """Rate-limit and send a PacketIn built by ``packet_in_factory``.
@@ -362,21 +406,23 @@ class ControlPlane:
         Called from the data-plane path; charges the (small) encapsulation
         cost to the control-plane CPU as stolen time.
         """
-        spacing = 1.0 / self.profile.packet_in_rate
-        emit_at = max(self.sim.now, self._next_packet_in_time)
-        self._next_packet_in_time = emit_at + spacing
+        now = self.sim.now
+        emit_at = max(now, self._next_packet_in_time)
+        self._next_packet_in_time = emit_at + 1.0 / self.profile.packet_in_rate
         self._stolen_time += self.profile.packet_in_processing_time
         self.packet_ins_sent += 1
-        self.sim.schedule_callback(emit_at - self.sim.now, lambda: self._send(packet_in_factory()))
+        self.sim.schedule_callback(emit_at - now, lambda: self._send(packet_in_factory()))
 
     # -- statistics ---------------------------------------------------------------------------
-    def _handle_stats(self, request: StatsRequest):
-        epoch = self.crash_epoch
-        yield self.profile.trivial_processing_time
-        if self.crashed or self.crash_epoch != epoch:
-            return
+    def _finish_stats(self, request: StatsRequest, epoch: int) -> None:
+        if not self.crashed and self.crash_epoch == epoch:
+            self._send(StatsReply(request.stats_type, body=self._stats_body(request),
+                                  xid=request.xid))
+        self._next_message()
+
+    def _stats_body(self, request: StatsRequest) -> List[dict]:
         if request.stats_type == StatsType.FLOW:
-            body = [
+            return [
                 {
                     "priority": entry.priority,
                     "match": repr(entry.match),
@@ -386,16 +432,14 @@ class ControlPlane:
                 for entry in self.table
                 if request.match.is_match_all or request.match.covers(entry.match)
             ]
-        elif request.stats_type == StatsType.TABLE:
-            body = [{"table": self.table.name, "active": len(self.table)}]
-        elif request.stats_type == StatsType.AGGREGATE:
-            body = [{
+        if request.stats_type == StatsType.TABLE:
+            return [{"table": self.table.name, "active": len(self.table)}]
+        if request.stats_type == StatsType.AGGREGATE:
+            return [{
                 "flows": len(self.table),
                 "packets": sum(entry.packet_count for entry in self.table),
             }]
-        else:
-            body = [{"switch": self.name, "datapath_id": self.datapath_id}]
-        self._send(StatsReply(request.stats_type, body=body, xid=request.xid))
+        return [{"switch": self.name, "datapath_id": self.datapath_id}]
 
     # -- data-plane synchronisation ------------------------------------------------------------
     def _periodic_sync_loop(self):
@@ -419,7 +463,7 @@ class ControlPlane:
                     self._apply_operation(operation)
             yield self.profile.sync_period
 
-    def _rate_limited_sync_loop(self):
+    def _sync_step(self) -> None:
         """RATE_LIMITED model: ops trickle into the data plane at a bounded rate.
 
         The effective per-rule apply time grows with the number of rules
@@ -427,54 +471,54 @@ class ControlPlane:
         table fills), which is what makes the lag between control plane and
         data plane grow over a long burst of modifications.
 
-        The agent looks for work every quarter apply slot; an idle loop
+        The agent looks for work every quarter apply slot; an idle sync
         parks instead of spending kernel events on that poll, and
-        :meth:`_wake_sync` resumes it on the tick the poll would have hit.
+        :meth:`_wake_sync` runs it again on the tick the poll would have hit.
         """
-        base_spacing = 1.0 / self.profile.dataplane_apply_rate
-        applied = 0
-        while True:
-            if not self._pending_ops:
-                wake = self.sim.event()
-                self._sync_parked = (self.sim.now, base_spacing / 4, wake)
-                yield wake
-                continue
-            if self.profile.reorders_across_barriers and len(self._pending_ops) > 1:
-                index = self.rng.randint(0, len(self._pending_ops) - 1)
-                operation = self._pending_ops[index]
-                del self._pending_ops[index]
-            else:
-                operation = self._pending_ops.popleft()
-            spacing = base_spacing * (
-                1.0 + self.profile.dataplane_occupancy_slowdown * applied
-            )
-            earliest = operation.control_applied_at + self.profile.dataplane_extra_latency
-            epoch = self.crash_epoch
-            wait = max(spacing, earliest - self.sim.now)
-            yield wait
-            if self.crash_epoch != epoch:
-                continue  # the popped operation died with the switch
-            self._apply_operation(operation)
-            applied += 1
+        pending = self._pending_ops
+        profile = self.profile
+        base_spacing = 1.0 / profile.dataplane_apply_rate
+        now = self.sim.now
+        if not pending:
+            self._sync_parked = (now, base_spacing / 4)
+            return
+        if profile.reorders_across_barriers and len(pending) > 1:
+            index = self.rng.randint(0, len(pending) - 1)
+            operation = pending[index]
+            del pending[index]
+        else:
+            operation = pending.popleft()
+        spacing = base_spacing * (
+            1.0 + profile.dataplane_occupancy_slowdown * self._sync_applied
+        )
+        earliest = operation.control_applied_at + profile.dataplane_extra_latency
+        self.sim.schedule_callback(max(spacing, earliest - now), self._sync_apply,
+                                   operation, self.crash_epoch)
 
-    def _wake_sync(self) -> None:
-        """Resume the parked sync loop on its next poll tick.
+    def _sync_apply(self, operation: PendingOperation, epoch: int) -> None:
+        # Under another epoch the popped operation died with the switch.
+        if self.crash_epoch == epoch:
+            self._apply_operation(operation)
+            self._sync_applied += 1
+        self._sync_step()
+
+    def _wake_sync(self, now: float) -> None:
+        """Run the parked sync again on its next poll tick.
 
         Polling every ``q`` from the parking time ``T`` wakes at ``T + q``,
         ``(T + q) + q``, ... — one float add each, the kernel's
         ``now + delay`` — so the first tick not before ``now`` is rebuilt
         with the same adds and scheduled at exactly that float (apply times
         enter the run digests).  A crash that empties the queue before the
-        tick parks the loop again *from the tick*, which keeps the grid.
+        tick parks the sync again *from the tick*, which keeps the grid.
         One tie differs from polling: a FlowMod completing float-exactly on
         a tick is applied from that tick, where a poll that ran first would
         have left it for the next — unreachable in practice (completions are
         jittered), like the train tie :mod:`repro.net.link` documents.
         """
-        tick, quantum, wake = self._sync_parked
+        tick, quantum = self._sync_parked
         self._sync_parked = None
         tick += quantum
-        now = self.sim.now
         while tick < now:
             tick += quantum
-        self.sim.schedule_at(tick, wake.succeed)
+        self.sim.schedule_at(tick, self._sync_step)

@@ -4,13 +4,15 @@ An idle RATE_LIMITED sync loop used to wake every quarter apply slot to look
 at an empty queue.  It now parks and is woken on the tick that poll would
 have hit, so every apply and barrier-reply time must be the *same float* —
 they enter the run digests.  The old generator body lives on here as the
-oracle.
+oracle, on top of the generator agent that ``tests/oracles`` keeps.
 """
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from generator_agent import GeneratorControlPlane
 
 from repro.openflow import BarrierRequest, FlowMod, Match, OutputAction
 from repro.sim import Simulator
@@ -20,8 +22,8 @@ from repro.switches.controlplane import ControlPlane
 from repro.switches.dataplane import DataPlane
 
 
-class _PollingControlPlane(ControlPlane):
-    """``ControlPlane`` with the pre-parking sync loop, verbatim."""
+class _PollingControlPlane(GeneratorControlPlane):
+    """The generator agent with the pre-parking sync loop, verbatim."""
 
     def _rate_limited_sync_loop(self):
         base_spacing = 1.0 / self.profile.dataplane_apply_rate
@@ -171,7 +173,7 @@ def test_idle_hardware_switch_schedules_nothing():
     sim = Simulator()
     switch = HardwareSwitch(sim, "S")
     switch.start()
-    sim.run()  # returns: both control-plane processes are parked on events
+    sim.run()  # returns: the agent waits for a message and the sync is parked
     assert sim.pending_count == 0
     settled = sim.steps_executed
     sim.run(until=10.0)

@@ -12,7 +12,9 @@ yields go through ``sim.timeout(delay)``.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Process, Queue, Simulator
+from generator_agent import Queue
+
+from repro.sim import Process, Simulator
 
 
 class _TimeoutSleepProcess(Process):

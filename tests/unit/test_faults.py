@@ -388,6 +388,25 @@ class TestSwitchCrash:
         assert [m for _t, m in replies if isinstance(m, BarrierReply)] == []
         assert switch.rules_in_dataplane() == 0
 
+    def test_a_flowmod_taken_before_a_crash_never_reaches_the_restarted_switch(self):
+        # The agent takes the FlowMod at 10 ms and first pays 2 ms of
+        # PacketIn time; the switch crashes and restarts inside that sleep.
+        # The message is from before the crash: it must not be applied to
+        # the wiped tables (its epoch used to be read only after the sleep).
+        from repro.switches import HardwareSwitch, correct_hardware_profile
+
+        sim = Simulator()
+        switch = HardwareSwitch(sim, "SW", correct_hardware_profile())
+        switch.start()
+        switch.controlplane._stolen_time = 0.002
+        sim.schedule_at(0.010, switch.controlplane.receive, _flowmods(1)[0])
+        sim.schedule_at(0.0115, switch.crash)
+        sim.schedule_at(0.0120, switch.restore)
+        sim.run(until=1.0)
+        assert not switch.crashed
+        assert switch.controlplane.flowmods_processed == 0
+        assert switch.rules_in_controlplane() == switch.rules_in_dataplane() == 0
+
 
 # ---------------------------------------------------------------------------
 # FaultPlan codecs and arming

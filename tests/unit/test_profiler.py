@@ -2,8 +2,9 @@
 global; the kernel observer never outlives a session, even a crashing one),
 the allocation-free disarmed path, kernel-observer attribution through toy
 simulations and a real profiled session, profile-off digest transparency
-(a profiled run digests identically to its unprofiled twin), the report
-round-trip, and the hot-callback rendering."""
+(a profiled run digests identically to its unprofiled twin), the collector
+tap (armed only between attach and detach; pauses leave the callback rows),
+the report round-trip, and the hot-callback rendering."""
 
 import dataclasses
 import gc
@@ -16,12 +17,19 @@ from repro.analysis.profile import (
     hot_callbacks,
     render_profile_report,
 )
+from repro.experiments.common import RuleInstallParams, rule_install_session
 from repro.obs import ProfileReport, Profiler
 from repro.scenarios import ScenarioParams, run_scenario, scenario_session
 from repro.session import engine
 from repro.session.record import RunRecord
 from repro.sim import kernel
 from repro.sim.kernel import Simulator
+
+
+def _collector_listeners():
+    """Profiler methods currently registered on ``gc.callbacks``."""
+    return [callback for callback in gc.callbacks
+            if isinstance(getattr(callback, "__self__", None), Profiler)]
 
 
 def _quick_params(**overrides):
@@ -86,9 +94,11 @@ class TestInstall:
         pr = Profiler()
         pr.attach(Simulator())
         assert kernel._OBSERVER is not None
+        assert _collector_listeners() == [pr._on_gc]
         pr.detach()
         pr.detach()  # idempotent: finish() and the engine both call it
         assert kernel._OBSERVER is None
+        assert _collector_listeners() == []
         assert not tracemalloc.is_tracing()
 
     def test_attach_refuses_a_second_simulator(self):
@@ -111,6 +121,7 @@ class TestInstall:
         with pytest.raises(RuntimeError, match="boom"):
             spec.run()
         assert kernel._OBSERVER is None
+        assert _collector_listeners() == []
         assert not tracemalloc.is_tracing()
         # ... so the next profiled session can arm again.
         assert run_scenario("path-migration", "general",
@@ -210,6 +221,43 @@ class TestAttribution:
         # ... of which the three starts were scheduled from outside any callback.
         assert report.totals["scheduled"] == sim.schedule_sequence - 3
 
+    def test_a_collection_is_counted_and_leaves_the_callback_row(self):
+        def hoard():
+            # Garbage only a collection frees, and a full one to free it.
+            for _ in range(2000):
+                cycle = []
+                cycle.append(cycle)
+            gc.collect()
+
+        def idle():
+            pass
+
+        sim = Simulator()
+        pr = Profiler()
+        pr.attach(sim)
+        try:
+            sim.schedule_callback(0.1, hoard)
+            sim.schedule_callback(0.2, idle)
+            pr.phase("quiet")
+            sim.run(until=0.05)
+            pr.phase("collecting")
+            sim.run()
+        finally:
+            report = pr.finish()
+        quiet, collecting = report.phases
+        assert quiet["gc_collections"][2] == 0
+        assert collecting["gc_collections"][2] >= 1
+        assert report.totals["gc_collections"] == [
+            before + during for before, during
+            in zip(quiet["gc_collections"], collecting["gc_collections"])]
+        assert 0.0 < collecting["gc_s"] <= collecting["wall_s"]
+        assert report.totals["gc_s"] == pytest.approx(
+            quiet["gc_s"] + collecting["gc_s"], abs=2e-6)
+        # The pause is reported once: not again inside the row of the
+        # callback it interrupted.
+        rows = sum(row["wall_s"] for row in report.callbacks)
+        assert rows + report.totals["gc_s"] <= report.totals["wall_s"] + 1e-5
+
     def test_by_class_folds_sites_into_owners(self):
         report = ProfileReport(callbacks=[
             {"site": "repro.sim.kernel.Simulator._fire", "calls": 2,
@@ -252,8 +300,35 @@ class TestProfiledSession:
                                 _quick_params(profile=True))
         bare = run_scenario("path-migration", "general", _quick_params())
         assert profiled.digest() == bare.digest()
+        assert profiled.outcome() == bare.outcome()
         assert profiled.dropped_packets == bare.dropped_packets
         assert profiled.update_duration == bare.update_duration
+        # The collector readings ride on the observation, per phase and in
+        # total, and nowhere in what is digested.
+        totals = profiled.profile.totals
+        assert totals["gc_s"] >= 0.0 and len(totals["gc_collections"]) == 3
+        assert [sum(generation) for generation in zip(
+            *(row["gc_collections"] for row in profiled.profile.phases))
+        ] == totals["gc_collections"]
+        assert "gc_s" not in json.dumps(profiled.outcome())
+
+    def test_a_profiled_rule_install_counts_what_the_generator_agent_did(self):
+        spec = rule_install_session(
+            "barrier", RuleInstallParams.quick(rule_count=60, max_unconfirmed=20))
+        record = dataclasses.replace(
+            spec, knobs=dataclasses.replace(spec.knobs, profile=True)).run()
+        assert record.digest() == "86b1ff3923f84538"
+        # Pinned on the generator agent (``_main_loop`` fed by a ``Queue``):
+        # the callback chain is the same heap entries under other names.
+        assert record.profile.totals["events"] == 605
+        assert record.profile.totals["scheduled"] == 581
+        agent = {str(row["site"]).rsplit(".", 1)[-1]: row["calls"]
+                 for row in record.profile.callbacks
+                 if ".ControlPlane." in str(row["site"])}
+        assert agent["_finish_flowmod"] == agent["_sync_apply"] == 60
+        assert agent["_begin"] == 60 + agent["_finish_barrier"] > 60
+        assert sorted(agent) == ["_begin", "_finish_barrier", "_finish_flowmod",
+                                 "_next_message", "_sync_apply", "_sync_step"]
 
     def test_record_round_trips_through_json_with_its_profile(self):
         record = run_scenario("path-migration", "general",
@@ -285,6 +360,7 @@ class TestRendering:
         text = render_profile_report(record.profile, top=5)
         assert "Profile — scenario/general seed=7" in text
         assert "Phases" in text and "Top 5 hot callbacks" in text
+        assert "collector " in text and "gc [ms]" in text and "collections" in text
         assert "Event classes" in text
         # A sleep's kernel callback is the process itself, booked to the
         # generator it steps — never to ``Process`` or the kernel.

@@ -1,8 +1,9 @@
-"""Unit tests for simulation queues, resources and the seeded RNG."""
+"""Unit tests for the seeded RNG and for the FIFO queue the generator-agent
+oracle (``tests/oracles/generator_agent.py``) is built on."""
 
-import pytest
+from generator_agent import Queue
 
-from repro.sim import Queue, Resource, SeededRandom, Simulator
+from repro.sim import SeededRandom, Simulator
 
 
 def test_queue_put_then_get_delivers_item():
@@ -61,40 +62,6 @@ def test_queue_get_nowait_and_len():
     assert len(queue) == 2
     assert queue.get_nowait() == 1
     assert queue.snapshot() == [2]
-
-
-def test_resource_limits_concurrency():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-    order = []
-
-    def worker(name):
-        yield resource.acquire()
-        order.append((sim.now, name, "start"))
-        yield 1.0
-        order.append((sim.now, name, "end"))
-        resource.release()
-
-    sim.process(worker("a"))
-    sim.process(worker("b"))
-    sim.run()
-    assert order[0][1] == "a"
-    # Worker b must only start once a released the resource.
-    b_start = next(entry for entry in order if entry[1] == "b" and entry[2] == "start")
-    a_end = next(entry for entry in order if entry[1] == "a" and entry[2] == "end")
-    assert b_start[0] >= a_end[0]
-
-
-def test_resource_release_without_acquire_raises():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-    with pytest.raises(RuntimeError):
-        resource.release()
-
-
-def test_resource_rejects_zero_capacity():
-    with pytest.raises(ValueError):
-        Resource(Simulator(), capacity=0)
 
 
 def test_seeded_random_is_reproducible():

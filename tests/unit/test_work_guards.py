@@ -12,9 +12,16 @@ none of that may leak onto the bare path.
 The packet path has three more: a numeric process sleep and a plain-output
 switch hop enter a fixed number of Python frames, and a delivered packet
 leaves nothing behind for the cyclic garbage collector.
+
+So does the control path: a FlowMod reaches a switch's tables through a
+bounded number of frames, none of them event, process or generator plumbing;
+a finished session leaves (next to) nothing for the collector either; and a
+probe is validated once, however often it is re-injected.
 """
 
+import dataclasses
 import gc
+import inspect
 import sys
 from collections import Counter
 
@@ -22,6 +29,8 @@ import pytest
 
 import repro.switches.dataplane as dataplane_mod
 from repro.controller.routing import install_path_rules, path_flowmods
+from repro.core.rum import RumLayer
+from repro.experiments.common import RuleInstallParams, run_rule_install
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.monitor import DeliveryMonitor
@@ -32,15 +41,16 @@ from repro.obs.events import LIFECYCLE_PHASES, TraceEvent, TraceLog
 from repro.obs.export import write_chrome_trace
 from repro.obs.tracer import Tracer
 from repro.openflow import FlowMod, Match, OutputAction
+from repro.openflow.connection import Connection, ConnectionEndpoint
 from repro.openflow.constants import FLOOD_PORT
 from repro.openflow.flowtable import FlowTable
 from repro.packet.packet import Packet, make_ip_packet
-from repro.scenarios import ScenarioParams, run_scenario
+from repro.scenarios import ScenarioParams, run_scenario, scenario_session
 from repro.scenarios.generators import build_topology
 from repro.session.engine import _metrics_probe
 from repro.session.stack import build_control_stack
 from repro.sim import Simulator
-from repro.switches import SoftwareSwitch, Switch
+from repro.switches import HardwareSwitch, SoftwareSwitch, Switch
 from repro.switches.controlplane import ControlPlane
 from repro.switches.dataplane import DataPlane
 
@@ -109,9 +119,12 @@ def test_a_migration_cell_does_only_per_packet_work(counts):
     # table or interprets an action list.
     assert counts["_compile_plan"] == counts["lookup_values"] == counts["cache_misses"]
     assert counts["compile_actions"] == counts["lookups_that_matched"]
-    # Copies: one per rewriting hit, PacketOut, PacketIn capture and flooded port.
+    # Copies: one per rewriting hit, PacketOut, PacketIn capture and flooded
+    # port, and one per injected probe (a stamped copy of its template).
+    assert record.rum_probes_injected > 0
     assert counts["copy"] <= (counts["rewriting_hits"] + counts["inject_packet"]
-                              + counts["send_packet_in"] + counts["flood_copies"])
+                              + counts["send_packet_in"] + counts["flood_copies"]
+                              + record.rum_probes_injected)
     assert counts["copy"] < counts["cache_hits"] / 10
 
 
@@ -147,13 +160,17 @@ def test_an_idle_second_on_a_hardware_fat_tree_executes_no_kernel_steps():
 
 # -- the armed path: linear in events, constant per gauge reading ---------------------
 
-def _python_frames(function):
-    """Python-level frames ``function`` enters (work, not wall time)."""
+def _python_frames(function, entered=None):
+    """Python-level frames ``function`` enters (work, not wall time); each
+    one's code object is also handed to ``entered`` when given."""
     frames = 0
 
-    def count(_frame, event, _arg):
+    def count(frame, event, _arg):
         nonlocal frames
-        frames += event == "call"
+        if event == "call":
+            frames += 1
+            if entered is not None:
+                entered(frame.f_code)
 
     sys.setprofile(count)
     try:
@@ -311,3 +328,154 @@ def test_the_hop_is_still_reached_through_class_attributes(monkeypatch):
     assert counts["transmit_from"] == sum(link.packets_carried for link in network.links)
     assert counts["receive_packet"] == hops + network.host("H2").packets_received
     assert counts["_flush_train"] >= counts["transmit_from"] - 4
+
+
+# -- the control path: bounded frames per message, sessions that free themselves --------
+
+def _frames_and_steps_per_flowmod(spaced):
+    """Per-FlowMod cost on one hardware switch behind a ``Connection``, as
+    the difference between a 200- and a 100-FlowMod run; the frames' code
+    objects come back too."""
+    def drive(count, codes):
+        sim = Simulator()
+        switch = HardwareSwitch(sim, "S")
+        controller_side = Connection(sim, name="ctl-S")
+        switch.connect_controller(controller_side.side_a)
+        switch.start()
+        sim.run()
+        flowmods = [FlowMod(Match(tp_dst=index), [OutputAction(1)])
+                    for index in range(count)]
+        for index, flowmod in enumerate(flowmods):
+            if spaced:  # half a second apart: agent and sync are idle again
+                sim.schedule_at(1.0 + index * 0.5, controller_side.side_b.send, flowmod)
+            else:       # one burst: all but the first wait in the inbox
+                controller_side.side_b.send(flowmod)
+        steps = sim.steps_executed
+        frames = _python_frames(sim.run, codes.append)
+        assert switch.controlplane.flowmods_processed == count == switch.rules_in_dataplane()
+        return frames, sim.steps_executed - steps
+
+    codes = []
+    short_frames, short_steps = drive(100, [])
+    long_frames, long_steps = drive(200, codes)
+    return (long_frames - short_frames) / 100, (long_steps - short_steps) / 100, codes
+
+
+@pytest.mark.parametrize("spaced, most_frames, steps",
+                         [(False, 56, 4), (True, 68, 6)],
+                         ids=["queued", "arriving-at-an-idle-agent"])
+def test_a_flowmod_reaches_the_tables_through_a_bounded_number_of_frames(
+        spaced, most_frames, steps):
+    # Delivery, hand-off, processed, synced (+ the send and the sync's wake-up
+    # tick when idle): the generator agent's heap entries, one for one.
+    frames, kernel_steps, codes = _frames_and_steps_per_flowmod(spaced)
+    assert kernel_steps == steps
+    # The generator agent took 74 (95 when idle), 26 (36) of them Queue,
+    # Event, Process and generator plumbing.
+    assert frames <= most_frames
+    plumbing = {code.co_name for code in codes
+                if code.co_filename.endswith(("sim/events.py", "sim/process.py"))
+                or (code.co_flags & inspect.CO_GENERATOR
+                    and "/switches/" in code.co_filename)}
+    assert plumbing == set()
+
+
+def _unreachable_after(session):
+    """Objects only a cyclic collection can free once ``session()`` returned
+    (its record kept alive), and that record."""
+    gc.collect()
+    gc.disable()
+    try:
+        record = session()
+        return gc.collect(), record
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("session, digest", [
+    (lambda: run_rule_install("barrier", RuleInstallParams.quick(rule_count=300)),
+     "f83b83182b3fe169"),
+    (lambda: run_scenario("path-migration", "general",
+                          ScenarioParams(topology="fat-tree", flow_count=16,
+                                         rate_pps=200.0, max_update_duration=5.0)),
+     "a1b76092966ba0b0"),
+    (lambda: run_scenario("rolling-upgrade", "general",
+                          ScenarioParams(flow_count=16, rate_pps=25.0,
+                                         trace=True, recovery="on")),
+     "0934cbf32c797ccf"),
+], ids=["rule-install", "path-migration@fat-tree", "rolling-upgrade-traced-recovered"])
+def test_a_finished_session_is_freed_by_reference_counting(session, digest):
+    session()  # imports, topology and colouring caches
+    unreachable, record = _unreachable_after(session)
+    # The session was one strongly connected graph (12 369 / 7 538 / 9 220
+    # unreachable objects); what is left are networkx's cached graph views.
+    assert unreachable <= 200
+    assert record.completed and record.digest() == digest
+    if record.trace is not None:
+        assert len(record.trace.events) > 1000 and record.recovery["resyncs_completed"] == 4
+
+
+def test_a_failing_session_is_dismantled_too():
+    def boom(_network, _flows):
+        raise RuntimeError("boom")
+
+    def session():
+        spec = scenario_session("path-migration", "general",
+                                ScenarioParams(topology="fat-tree", flow_count=4))
+        with pytest.raises(RuntimeError, match="boom"):
+            dataclasses.replace(spec, plan_builder=boom).run()
+
+    session()
+    unreachable, _none = _unreachable_after(session)
+    assert unreachable <= 200
+
+
+def test_reinjecting_a_probe_validates_nothing(monkeypatch):
+    sim = Simulator()
+    network = Network(sim, triangle_topology(), seed=3)
+    stack = build_control_stack(sim, network, "general")
+    stack.prepare()
+    network.start()
+    stack.start()
+    stack.controller.send_flowmod("S2", FlowMod(
+        Match(ip_dst="10.0.0.2"), [OutputAction(network.port_between("S2", "S3"))]))
+    sim.run(until=0.001)  # the FlowMod reached RUM: its probe exists
+    technique = stack.rum.technique
+    (info,) = technique._probe_info.values()
+    built = Counter()
+    _counted(monkeypatch, Packet, "__init__", built)
+    _counted(monkeypatch, Packet, "copy", built)
+    for _ in range(5):
+        technique._inject_probe(info)
+    assert technique.probes_injected == info.probes_sent == 5
+    assert (built["__init__"], built["copy"]) == (0, 5)
+
+
+def test_the_control_path_is_still_reached_through_class_attributes(monkeypatch):
+    # What the benchmark's span pass wraps on the control path.
+    counts = Counter()
+    for owner, name in ((ControlPlane, "receive"), (ConnectionEndpoint, "send"),
+                        (RumLayer, "handle_from_controller"),
+                        (RumLayer, "handle_from_switch")):
+        _counted(monkeypatch, owner, name, counts)
+    sim = Simulator()
+    network = Network(sim, triangle_topology(), seed=3)
+    stack = build_control_stack(sim, network, "general")
+    stack.prepare()
+    network.start()
+    stack.start()
+    out_port = network.port_between("S2", "S3")
+    for index in range(10):
+        stack.controller.send_flowmod("S2", FlowMod(
+            Match(ip_src="10.0.0.1", tp_dst=index), [OutputAction(out_port)]))
+    sim.run(until=1.0)
+    rum = stack.rum
+    assert len(rum.confirmation_log) == 10  # ... by probes, so PacketIns came up
+    assert counts["handle_from_controller"] == rum.messages_from_controller == 10
+    assert counts["handle_from_switch"] == rum.messages_from_switch >= 10
+    agents = [network.control_connections[name].side_a for name in network.switches]
+    assert counts["receive"] == sum(agent.received_count for agent in agents) > 20
+    assert counts["send"] == sum(
+        connection.total_messages
+        for connection in (*network.control_connections.values(),
+                           *rum._upstream.values())) > 50
