@@ -3,8 +3,9 @@
 Ensures ``src/`` is importable even when the package has not been installed
 (e.g. on offline machines where ``pip install -e .`` cannot build an editable
 wheel); the canonical installation path is still ``pip install -e .`` /
-``python setup.py develop``.  ``tests/oracles/`` holds replaced
-implementations that test files of more than one directory compare against.
+``python setup.py develop``.  ``tests/oracles/`` holds what test files of
+more than one directory compare against: replaced implementations, and
+reference models that state a behaviour (``hop_model``).
 """
 
 import os

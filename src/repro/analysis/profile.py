@@ -3,7 +3,10 @@
 The profiler's raw output is per-callback-site accounting; this module turns
 it into the plain-text views the kernel-optimisation work reads: a top-N
 hot-callback table (where the wall time went), the per-event-class rollup,
-and the per-phase wall/memory split.  Everything renders through the same
+and the per-phase wall/memory split.  A site is a kernel callback, so a
+packet's whole switch hop (ingress, lookup, next transmit) reads as
+``net.link.Link._flush_train`` and a generated packet as
+``net.traffic.TrafficGenerator._emit``.  Everything renders through the same
 :func:`~repro.analysis.report.format_table` machinery as the campaign and
 resilience reports.
 """

@@ -61,7 +61,9 @@ class LinkFlapFault(LifecycleFault):
     switch is lost, but — unlike :class:`SwitchCrashFault` — the control
     connection stays up and no table is wiped, so nothing needs
     reinstalling afterwards.  Packets already serialised onto a link when
-    the flap starts still arrive.
+    the flap starts still arrive.  The darkness is the switch's own, timed
+    state (:meth:`~repro.switches.base.Switch.flap_ports`): a packet that
+    reached a dark port is lost even if its ingress delay outlasts the flap.
     """
 
     name = "link-flap"
@@ -73,25 +75,15 @@ class LinkFlapFault(LifecycleFault):
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
 
-    def setup(self) -> None:
-        self._saved_ports = None
-
     def schedule(self, switch: "Switch") -> None:
         self.sim.schedule_callback(max(0.0, self.at - self.sim.now),
                                    self._down, switch)
 
     def _down(self, switch: "Switch") -> None:
-        # Outbound: an empty port map makes ``_transmit`` drop silently.
-        # Inbound: an instance attribute shadows ``receive_packet`` (links
-        # look the receiver method up at delivery time).
-        self._saved_ports = switch._ports
-        switch._ports = {}
-        switch.receive_packet = lambda packet, in_port: None
+        switch.flap_ports(True)
         self.count("flaps")
         self.sim.schedule_callback(self.duration, self._up, switch)
 
     def _up(self, switch: "Switch") -> None:
-        switch._ports = self._saved_ports
-        self._saved_ports = None
-        switch.__dict__.pop("receive_packet", None)
+        switch.flap_ports(False)
         self.count("restores")

@@ -18,6 +18,8 @@ from repro.sim.kernel import Simulator
 class Host:
     """A traffic source/sink attached to one switch port."""
 
+    ingress_latency = 0.0  # a host acts on a packet the instant it leaves the wire
+
     def __init__(
         self,
         sim: Simulator,
@@ -58,8 +60,8 @@ class Host:
             self.monitor.record_sent(packet.flow_id)
         self.link.transmit_from(self, packet)
 
-    def receive_packet(self, packet: Packet, in_port: int = 0) -> None:
-        """Handle an arriving packet: record the delivery and its path."""
+    def receive_packet(self, packet: Packet, in_port: int, arrived_at: float) -> None:
+        """Handle a packet that just left the wire: record the delivery and its path."""
         self.packets_received += 1
         trace = packet.trace
         trace.append(self.name)
@@ -67,9 +69,9 @@ class Host:
         if monitor is None:
             return
         if packet.is_probe:
-            monitor.record_probe(self.sim._now, tuple(trace))
+            monitor.record_probe(arrived_at, tuple(trace))
             return
-        monitor.record_delivery(packet.flow_id, packet.created_at, self.sim._now,
+        monitor.record_delivery(packet.flow_id, packet.created_at, arrived_at,
                                 packet.sequence, tuple(trace))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

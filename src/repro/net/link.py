@@ -6,23 +6,44 @@ from the configured bandwidth.  Links never drop packets — all loss in the
 experiments comes from flow-table misses, which is exactly the failure mode
 the paper studies.
 
+Due times
+---------
+A packet leaves the wire at ``arrived_at = max(now, link free) +
+8·size/bandwidth + latency``.  The receiver then spends a constant ingress
+delay before it acts (a switch's ``profile.forwarding_latency``; a host's is
+zero), and that delay belongs to the link's schedule, not to a second kernel
+event: the packet is *due* at ``arrived_at + ingress`` and at that instant
+the link calls ``receiver.receive_packet(packet, in_port, arrived_at)``.
+What matters as of the wire arrival (were the receiver's ports dark?) the
+receiver judges at the carried ``arrived_at``; everything else at the due
+time, which is *now*.
+
 Packet trains
 -------------
 High-rate traffic sends long runs of back-to-back packets down the same
 link direction.  Scheduling one kernel event per packet makes the event
-heap the bottleneck, so by default each direction coalesces its pending
-deliveries into a *train*: one flush callback delivers consecutive packets
-inline, advancing the simulation clock to each packet's exact delivery
-time, as long as no other scheduled event (and no active ``run(until=...)``
-bound) falls in between.  Per-packet delivery timestamps are exact, so
-measured statistics match the unbatched per-packet scheduling bit for bit
-(pinned by ``tests/integration/test_batching_equivalence.py``); only the
-number of heap operations changes.  The single caveat: when an unrelated
-event is scheduled at *exactly* a packet's delivery timestamp (float
-equality), the flush conservatively defers to the kernel and the tie
-resolves in kernel order rather than by the original per-packet sequence
-number.  Set ``batching=False`` (or flip :data:`TRAIN_BATCHING_DEFAULT`)
-to fall back to one event per packet.
+heap the bottleneck, so each direction coalesces its pending deliveries into
+a *train*: one flush callback delivers consecutive packets inline, advancing
+the simulation clock to each packet's exact due time, as long as no other
+scheduled event (and no active ``run(until=...)`` bound) falls in between.
+Flushes are scheduled with ``schedule_at``, so every timestamp is the float
+computed above, never ``now + (t - now)``; only the number of heap
+operations depends on what else is scheduled
+(``tests/property/test_hop_fusion.py`` holds the links to a model that
+states exactly this and knows no trains).
+
+Same-instant order.  A packet takes its place among events of the same
+instant — its heap sequence number — when it is *transmitted*, if nothing of
+its direction is still on the wire then (earlier packets may still be
+waiting out the ingress delay in the train); a packet that queues behind
+in-flight ones takes it when the flush reaches it.  Those are the moments a
+wire-arrival event would have been pushed, so hops that tie on their due
+float run in the order a separate arrival event per packet gave them.  Two
+orders can still differ from that: an unrelated event at *exactly* a packet's
+due float (float equality) that was scheduled during the flight or the
+ingress delay now runs after the hop, not before it; and a flush that defers
+to the kernel on such a tie (``<=`` below) resumes in kernel order, not in
+the order the packets were sent.
 """
 
 from __future__ import annotations
@@ -33,18 +54,16 @@ from typing import Optional, Protocol
 from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
 
-#: Default for :class:`Link` packet-train coalescing (on unless a link or
-#: network overrides it).
-TRAIN_BATCHING_DEFAULT = True
-
 
 class PacketSink(Protocol):
     """Anything that can receive a packet on a port (switches and hosts)."""
 
     name: str
+    #: Constant delay between a packet's wire arrival and the sink acting on it.
+    ingress_latency: float
 
-    def receive_packet(self, packet: Packet, in_port: int) -> None:
-        """Handle an arriving packet."""
+    def receive_packet(self, packet: Packet, in_port: int, arrived_at: float) -> None:
+        """Handle a packet that left the wire ``ingress_latency`` ago."""
 
 
 class Link:
@@ -59,15 +78,13 @@ class Link:
         "latency",
         "bandwidth_bps",
         "name",
-        "batching",
         "packets_carried",
-        "bytes_carried",
-        "events_coalesced",
         "_busy_until",
         "_trains",
         "_flush_scheduled",
         "_receivers",
         "_in_ports",
+        "_ingress",
     )
 
     def __init__(
@@ -80,7 +97,6 @@ class Link:
         latency: float = 0.0001,
         bandwidth_bps: Optional[float] = 1e9,
         name: str = "",
-        batching: Optional[bool] = None,
     ) -> None:
         if latency < 0:
             raise ValueError("latency must be >= 0")
@@ -92,20 +108,17 @@ class Link:
         self.latency = latency
         self.bandwidth_bps = bandwidth_bps
         self.name = name or f"{node_a.name}:{port_a}<->{node_b.name}:{port_b}"
-        self.batching = TRAIN_BATCHING_DEFAULT if batching is None else batching
         self.packets_carried = 0
-        self.bytes_carried = 0
-        #: Kernel callbacks saved by train coalescing (diagnostics).
-        self.events_coalesced = 0
         # Per-direction time at which the link is free again (serialisation).
         self._busy_until = [0.0, 0.0]
-        # Per-direction pending (deliver_at, packet) trains and whether a
-        # flush callback is currently scheduled for the direction.
+        # Per-direction pending (due, sequence, arrived_at, packet) trains and
+        # whether a flush callback is currently scheduled for the direction.
         self._trains = (deque(), deque())
         self._flush_scheduled = [False, False]
         # Direction 0 delivers to node_b, direction 1 to node_a.
         self._receivers = (node_b, node_a)
         self._in_ports = (port_b, port_a)
+        self._ingress = (node_b.ingress_latency, node_a.ingress_latency)
 
     def transmit_from(self, sender: PacketSink, packet: Packet) -> None:
         """Send ``packet`` from ``sender`` towards the other end.
@@ -119,39 +132,34 @@ class Link:
             direction = 1
         else:
             raise ValueError(f"{sender.name} is not attached to link {self.name}")
-        size = packet.total_size
         self.packets_carried += 1
-        self.bytes_carried += size
         sim = self.sim
         now = sim._now
         busy = self._busy_until[direction]
         finish = busy if busy > now else now
         if self.bandwidth_bps:
-            finish += (size * 8) / self.bandwidth_bps
+            finish += (packet.total_size * 8) / self.bandwidth_bps
         self._busy_until[direction] = finish
-        deliver_at = finish + self.latency
-        if not self.batching:
-            sim.schedule_callback(
-                deliver_at - now,
-                self._receivers[direction].receive_packet,
-                packet,
-                self._in_ports[direction],
-            )
-            return
-        self._trains[direction].append((deliver_at, packet))
+        arrived_at = finish + self.latency
+        due = arrived_at + self._ingress[direction]
+        train = self._trains[direction]
+        sequence = None  # queued behind packets in flight: taken by the flush
+        if not train or train[-1][2] <= now:
+            sequence = sim._sequence
+            sim._sequence = sequence + 1
+        train.append((due, sequence, arrived_at, packet))
         if not self._flush_scheduled[direction]:
             self._flush_scheduled[direction] = True
-            sim.schedule_callback(deliver_at - now, self._flush_train, direction)
+            sim.schedule_at(due, self._flush_train, direction, sequence=sequence)
 
     def _flush_train(self, direction: int) -> None:
-        """Deliver every due packet of ``direction``'s train.
+        """Hand every due packet of ``direction``'s train to the receiver.
 
-        Packets are handed to the receiver at their *exact* per-packet
-        delivery time: after each delivery the clock is advanced inline to
-        the next packet's timestamp — but only when that timestamp strictly
-        precedes every other scheduled event and does not cross an active
-        ``run(until=...)`` bound; otherwise the flush re-schedules itself
-        and the kernel interleaves events in normal order.
+        Each packet is handed over at its *exact* due time: after each one
+        the clock is advanced inline to the next packet's due time — but only
+        when that time strictly precedes every other scheduled event and does
+        not cross an active ``run(until=...)`` bound; otherwise the flush
+        re-schedules itself and the kernel interleaves events in normal order.
         """
         train = self._trains[direction]
         sim = self.sim
@@ -161,44 +169,33 @@ class Link:
         heap = sim._heap
         try:
             while train:
-                deliver_at, packet = train[0]
-                if deliver_at > sim._now:
+                due, sequence, arrived_at, packet = train[0]
+                if due > sim._now:
                     until = sim._until
                     # ``<=``: on an exact-timestamp tie with another event
                     # the flush defers to the kernel, which runs the other
-                    # event first (unbatched mode would deliver first, the
-                    # delivery event's sequence number being older) — the
-                    # one place coalescing can reorder float-equal ties.
-                    if (heap and heap[0][0] <= deliver_at) or (
-                            until is not None and deliver_at > until):
+                    # event first (see the module docstring).
+                    if (heap and heap[0][0] <= due) or (
+                            until is not None and due > until):
                         # Another event (or the run bound) comes first: hand
-                        # control back to the kernel and resume at deliver_at.
-                        sim.schedule_callback(deliver_at - sim._now,
-                                              self._flush_train, direction)
+                        # control back to the kernel and resume at ``due``.
+                        sim.schedule_at(due, self._flush_train, direction,
+                                        sequence=sequence)
                         return
-                    sim._advance_inline(deliver_at)
-                    self.events_coalesced += 1
+                    sim._now = due
                 train.popleft()
-                receive(packet, in_port)
+                receive(packet, in_port, arrived_at)
             self._flush_scheduled[direction] = False
         except BaseException:
             # A receiver raised (e.g. StopSimulation stopping the run):
             # keep the remaining deliveries alive for the next run() call
             # instead of wedging the direction with no flush scheduled.
             if train:
-                sim.schedule_callback(max(0.0, train[0][0] - sim._now),
-                                      self._flush_train, direction)
+                sim.schedule_at(max(sim._now, train[0][0]), self._flush_train,
+                                direction, sequence=train[0][1])
             else:
                 self._flush_scheduled[direction] = False
             raise
-
-    def other_end(self, node: PacketSink) -> PacketSink:
-        """The node on the opposite side of ``node``."""
-        if node is self.node_a:
-            return self.node_b
-        if node is self.node_b:
-            return self.node_a
-        raise ValueError(f"{node.name} is not attached to link {self.name}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Link {self.name} latency={self.latency * 1000:.3f}ms>"

@@ -33,16 +33,12 @@ class Network:
         monitor: Optional[DeliveryMonitor] = None,
         control_latency: float = 0.001,
         seed: int = 1,
-        link_batching: Optional[bool] = None,
     ) -> None:
         topology.validate()
         self.sim = sim
         self.topology = topology
         self.monitor = monitor if monitor is not None else DeliveryMonitor()
         self.control_latency = control_latency
-        #: Per-network override of link packet-train coalescing (``None``:
-        #: follow :data:`repro.net.link.TRAIN_BATCHING_DEFAULT`).
-        self.link_batching = link_batching
         self.rng = SeededRandom(seed)
 
         self.switches: Dict[str, Switch] = {}
@@ -104,7 +100,6 @@ class Network:
             port_b,
             latency=link_spec.latency,
             bandwidth_bps=link_spec.bandwidth_bps,
-            batching=self.link_batching,
         )
         self.links.append(link)
         self._ports[(link_spec.node_a, link_spec.node_b)] = port_a

@@ -3,8 +3,8 @@
 The paper's end-to-end experiment sends 300 IP flows between two hosts at
 250 packets per second each (one packet every 4 ms — that is also the
 measurement precision quoted for Figure 1b).  :class:`FlowSpec` describes one
-such flow; :class:`TrafficGenerator` runs a constant-rate sending process per
-flow on the source host.
+such flow; :class:`TrafficGenerator` sends each of them at its constant rate
+from the source host.
 """
 
 from __future__ import annotations
@@ -86,38 +86,39 @@ def flows_between(
 
 
 class TrafficGenerator:
-    """Runs the sending processes for a set of flows."""
+    """Sends a set of constant-rate flows, one callback chain per flow.
+
+    There is no process: :meth:`start` schedules a zero-delay ``_begin`` per
+    flow, which stamps the flow's header template and waits out its start
+    offset; ``_emit`` sends one packet and reschedules itself one ``interval``
+    later — one heap entry per generated packet, carrying the flow's state
+    (headers, next sequence number) and going straight to
+    :meth:`Host.send <repro.net.host.Host.send>`.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         flows: List[FlowSpec],
         rng: Optional[SeededRandom] = None,
-        desynchronise: bool = True,
     ) -> None:
         self.sim = sim
         self.flows = list(flows)
         self.rng = rng or SeededRandom(42)
-        #: Spread flow start offsets inside one inter-packet interval so all
-        #: flows do not fire in the same simulation instant.
-        self.desynchronise = desynchronise
         self._started = False
         self.packets_generated = 0
 
     def start(self) -> None:
-        """Start one sending process per flow."""
+        """Start sending every flow, each at its own offset inside one
+        inter-packet interval so they do not all fire in the same instant."""
         if self._started:
             return
         self._started = True
         for flow in self.flows:
-            offset = 0.0
-            if self.desynchronise:
-                offset = self.rng.uniform(0.0, flow.interval)
-            self.sim.process(self._flow_process(flow, offset), name=f"traffic.{flow.flow_id}")
+            self.sim.schedule_callback(0.0, self._begin, flow,
+                                       self.rng.uniform(0.0, flow.interval))
 
-    def _flow_process(self, flow: FlowSpec, offset: float):
-        if flow.start_time + offset > 0:
-            yield flow.start_time + offset
+    def _begin(self, flow: FlowSpec, offset: float) -> None:
         # All packets of a flow share the same headers: build them once and
         # stamp copies per packet instead of re-parsing addresses every 4 ms.
         template = make_ip_packet(
@@ -131,22 +132,25 @@ class TrafficGenerator:
             payload_size=flow.payload_size,
             flow_id=flow.flow_id,
         )
-        header_values = template.header_values()
-        sequence = 0
-        while True:
-            if flow.stop_time is not None and self.sim.now >= flow.stop_time:
-                return
-            packet = Packet.from_values(
-                header_values.copy(),
-                payload_size=template.payload_size,
-                flow_id=flow.flow_id,
-                created_at=self.sim.now,
-                sequence=sequence,
-            )
-            flow.source.send(packet)
-            self.packets_generated += 1
-            sequence += 1
-            yield flow.interval
+        self.sim.schedule_callback(
+            max(0.0, flow.start_time + offset), self._emit, flow,
+            template.header_values(), template.payload_size, flow.interval, 0)
+
+    def _emit(self, flow: FlowSpec, header_values: list, payload_size: int,
+              interval: float, sequence: int) -> None:
+        sim = self.sim
+        if flow.stop_time is not None and sim._now >= flow.stop_time:
+            return
+        flow.source.send(Packet.from_values(
+            header_values.copy(),
+            payload_size=payload_size,
+            flow_id=flow.flow_id,
+            created_at=sim._now,
+            sequence=sequence,
+        ))
+        self.packets_generated += 1
+        sim.schedule_callback(interval, self._emit, flow, header_values,
+                              payload_size, interval, sequence + 1)
 
     def stop_all(self, at_time: Optional[float] = None) -> None:
         """Set a stop time on every flow (defaults to 'now')."""

@@ -75,11 +75,6 @@ def trace_from_jsonl(text: str) -> TraceLog:
     )
 
 
-def read_jsonl(path) -> TraceLog:
-    with open(path, "r", encoding="utf-8") as handle:
-        return trace_from_jsonl(handle.read())
-
-
 #: Overlay tracks: fault activations and the recovery phases are drawn on
 #: ``faults@<switch>`` / ``recovery@<switch>``, everything else on the switch.
 _OVERLAY_TRACKS = {PHASE_FAULT: "faults", PHASE_RESYNC_STARTED: "recovery",

@@ -83,9 +83,11 @@ class ProfileReport:
     def by_class(self) -> List[Dict[str, object]]:
         """Callback rows aggregated by event class (owning class or module).
 
-        ``TrafficGenerator.start`` and ``TrafficGenerator._flow_process``
-        (the generator a process steps) fold into one ``TrafficGenerator``
-        row; module-level functions fold into their module's last component.
+        ``TrafficGenerator._begin`` and ``TrafficGenerator._emit`` fold into
+        one ``TrafficGenerator`` row, as a class's methods and the generators
+        a process steps for it do; module-level functions fold into their
+        module's last component.  A switch hop has no row of its own: it is
+        the link's heap entry, so its time is ``Link._flush_train``'s.
         """
         grouped: Dict[str, List[float]] = {}
         for row in self.callbacks:

@@ -65,9 +65,3 @@ def prefix_mask(prefix_length: int) -> int:
     if prefix_length == 0:
         return 0
     return (0xFFFFFFFF << (32 - prefix_length)) & 0xFFFFFFFF
-
-
-def same_subnet(address_a: str | int, address_b: str | int, prefix_length: int) -> bool:
-    """Whether two IPv4 addresses share the given prefix."""
-    mask = prefix_mask(prefix_length)
-    return (ip_to_int(address_a) & mask) == (ip_to_int(address_b) & mask)

@@ -27,7 +27,7 @@ outage windows — for ``RunRecord.recovery``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.obs import tracer as obs_tracer
 from repro.obs.events import (
@@ -255,10 +255,3 @@ class RecoveryManager:
                 self.last_reconvergence_at - self.first_crash_at
             )
         return out
-
-
-def pending_resyncs(manager: Optional[RecoveryManager]) -> List[str]:
-    """Names of switches whose replay has not finished (debug helper)."""
-    if manager is None:
-        return []
-    return sorted(manager._active_resyncs)

@@ -14,6 +14,9 @@ instead of calling :meth:`Simulator.step` per event.  A numeric process
 sleep (``yield interval``) is one heap entry whose callback is the process's
 own :meth:`~repro.sim.process.Process._wake` — no :class:`Timeout`, no event
 dispatch — so steady-state stepping allocates the heap tuple and nothing else.
+The per-packet paths do not sleep at all: traffic sources and links are
+callbacks that reschedule themselves, and a delay that is constant per
+receiver (a switch's ingress) is added to the link's due time, not waited out.
 """
 
 from __future__ import annotations
@@ -107,7 +110,6 @@ class Simulator:
         "_now",
         "_heap",
         "_sequence",
-        "_running",
         "_until",
         "steps_executed",
     )
@@ -116,10 +118,9 @@ class Simulator:
         self._now = float(start_time)
         self._heap: List[Tuple[float, int, Callable, tuple]] = []
         self._sequence = 0
-        self._running = False
         #: The ``until`` bound of the active :meth:`run` call (``None`` when
-        #: unbounded or idle); inline fast-forward paths (link packet trains)
-        #: consult it so they never advance the clock past the stop time.
+        #: unbounded or idle).  A link packet train advances ``_now`` itself
+        #: between heap events, and consults this so as never to pass it.
         self._until: Optional[float] = None
         #: Total callbacks executed over the simulator's lifetime; benchmark
         #: instrumentation (events/second).
@@ -140,18 +141,22 @@ class Simulator:
         self._sequence = sequence + 1
         heapq.heappush(self._heap, (self._now + delay, sequence, callback, args))
 
-    def schedule_at(self, time: float, callback: Callable, *args: Any) -> None:
+    def schedule_at(self, time: float, callback: Callable, *args: Any,
+                    sequence: Optional[int] = None) -> None:
         """Run ``callback(*args)`` at the absolute simulated ``time``.
 
         Fires at exactly that float (``now + (time - now)`` need not equal
         ``time``), FIFO among ties like every other scheduling call — for a
         caller that rebuilds a timestamp another event sequence would have
-        produced (the parked data-plane sync).
+        produced (the parked data-plane sync).  ``sequence`` gives the entry
+        a place among ties that the caller took from the counter earlier
+        (a link train keeps every packet's place as of its transmission).
         """
         if time < self._now:
             raise ValueError(f"cannot schedule in the past (time={time}, now={self._now})")
-        sequence = self._sequence
-        self._sequence = sequence + 1
+        if sequence is None:
+            sequence = self._sequence
+            self._sequence = sequence + 1
         heapq.heappush(self._heap, (time, sequence, callback, args))
 
     def schedule_many(
@@ -302,7 +307,6 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         observer = _OBSERVER
-        self._running = True
         self._until = until
         steps = 0
         try:
@@ -334,17 +338,7 @@ class Simulator:
                 pass
         finally:
             self.steps_executed += steps
-            self._running = False
             self._until = None
-
-    def _advance_inline(self, time: float) -> None:
-        """Advance the clock between heap events (link packet trains).
-
-        Callers must guarantee ``self._now <= time`` and that ``time``
-        precedes both the next heap event and any active ``run(until=...)``
-        bound — the train flush in :mod:`repro.net.link` checks exactly that.
-        """
-        self._now = time
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled callback, or ``None`` if the heap is empty."""

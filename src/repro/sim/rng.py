@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Iterable, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -84,14 +84,3 @@ class SeededRandom:
         child_seed = (zlib.crc32(f"{self.seed}:{label}".encode("utf-8"))
                       & 0x7FFFFFFF) or 1
         return SeededRandom(child_seed)
-
-
-def round_robin(items: Iterable[T]) -> Iterable[T]:
-    """Yield items forever, cycling (tiny helper for probe scheduling)."""
-    pool = list(items)
-    if not pool:
-        return
-    index = 0
-    while True:
-        yield pool[index % len(pool)]
-        index += 1

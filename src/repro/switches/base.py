@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_right
 from typing import Callable, Dict, List, Optional
 
 from repro.openflow.actions import Action, apply_actions
@@ -42,6 +43,8 @@ class Switch:
         self.sim = sim
         self.name = name
         self.profile = profile
+        #: What links add to a packet's due time (see :mod:`repro.net.link`).
+        self.ingress_latency = profile.forwarding_latency
         # Process-stable default: ``hash()`` on strings is randomized per
         # interpreter (PYTHONHASHSEED), which made the derived datapath id —
         # and the rng seed below — vary run to run for directly-constructed
@@ -68,10 +71,15 @@ class Switch:
             name=name,
         )
 
+        #: Empty while a flap holds the ports (kept in ``_flapped_ports``) dark.
         self._ports: Dict[int, PortTransmit] = {}
+        self._flapped_ports: Optional[Dict[int, PortTransmit]] = None
         self._controller_endpoint: Optional[ConnectionEndpoint] = None
         self._started = False
         self._crashed = False
+        #: When the ports went dark (crash or flap) and lit again, alternating
+        #: (odd length: dark now): a packet is judged as of its arrival.
+        self._dark_log: List[float] = []
         #: Bumped on every crash; work captured under an older epoch (a
         #: delayed fault callback, a handler mid-yield) must not take effect.
         self.crash_epoch = 0
@@ -115,6 +123,7 @@ class Switch:
         listeners, and cut the agent's callbacks into this switch (see
         :meth:`repro.net.network.Network.close`)."""
         self._ports.clear()
+        self._flapped_ports = None
         self._controller_endpoint = None
         self._lifecycle_listeners.clear()
         self.controlplane.close()
@@ -128,14 +137,15 @@ class Switch:
     def crash(self, wipe_control_plane: bool = True) -> None:
         """Power-fail the switch: ports go dark and the flow tables are wiped.
 
-        While crashed, every packet arriving on a port and every message on
-        the control connection is silently lost, and in-flight data-plane
-        synchronisation state is discarded.  ``wipe_control_plane=False``
-        models a data-plane-only reset (line-card reboot): the agent's table
-        survives but packets hit an empty data plane until something
-        re-synchronises it.
+        While crashed, every packet arriving on a port (or still inside its
+        ingress delay) and every message on the control connection is
+        silently lost, and in-flight data-plane synchronisation state is
+        discarded.  ``wipe_control_plane=False`` models a data-plane-only
+        reset (line-card reboot): the agent's table survives but packets hit
+        an empty data plane until something re-synchronises it.
         """
         self._crashed = True
+        self._record_darkness()
         self.crash_epoch += 1
         self.dataplane.wipe()
         self.controlplane.crash_reset(wipe_table=wipe_control_plane)
@@ -146,13 +156,33 @@ class Switch:
 
         A no-op on a switch that is not crashed: a stray restore (overlapping
         fault schedules, double restore) must not fire reconnect hooks or
-        trigger a resync.
+        trigger a resync.  Packets that arrived before this instant stay lost.
         """
         if not self._crashed:
             return
         self._crashed = False
+        self._record_darkness()
         self.controlplane.restore()
         self._notify_lifecycle("restore")
+
+    def flap_ports(self, down: bool) -> None:
+        """Take every port dark (``down``) or light them again; tables and
+        control connection are untouched.  While down, arriving packets are
+        lost and the port map is empty: a packet already inside its ingress
+        delay is still matched (counted, punted) but leaves on no port.
+        """
+        if down == (self._flapped_ports is not None):
+            return
+        if down:
+            self._flapped_ports, self._ports = self._ports, {}
+        else:
+            self._ports, self._flapped_ports = self._flapped_ports, None
+        self._record_darkness()
+
+    def _record_darkness(self) -> None:
+        dark = self._crashed or self._flapped_ports is not None
+        if dark != bool(len(self._dark_log) & 1):
+            self._dark_log.append(self.sim.now)
 
     def on_lifecycle(self, listener: Callable[[str, str], None]) -> None:
         """Register a ``(switch name, event)`` crash/restore observer."""
@@ -171,15 +201,20 @@ class Switch:
         self._controller_endpoint.send(message)
 
     # -- data plane ----------------------------------------------------------------
-    def receive_packet(self, packet: Packet, in_port: int) -> None:
-        """A packet arrived on ``in_port``; classify and forward it."""
-        if self._crashed:
+    def receive_packet(self, packet: Packet, in_port: int, arrived_at: float) -> None:
+        """A link's hand-over: the packet reached ``in_port`` at
+        ``arrived_at`` and its ingress delay ends now.
+
+        It is lost if the ports were dark *at* ``arrived_at`` (an edge at that
+        very instant has happened), lit again since or not; otherwise it is
+        classified and forwarded against the tables and ports as they are now.
+        """
+        dark = self._dark_log
+        if dark and bisect_right(dark, arrived_at) & 1:
             return
         self.packets_received += 1
         packet.trace.append(self.name)
-        self.sim.schedule_callback(
-            self.profile.forwarding_latency, self._forward, packet, in_port
-        )
+        self._forward(packet, in_port)
 
     def _forward(self, packet: Packet, in_port: int) -> None:
         if self._crashed:

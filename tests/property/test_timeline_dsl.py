@@ -42,7 +42,9 @@ def _params_for(draw, name):
         elif isinstance(default, int):
             params[key] = draw(st.integers(min_value=2, max_value=16))
         else:
+            # ``link-flap`` rejects ``duration=0``; every other float may be 0.
             params[key] = draw(st.floats(min_value=0.0, max_value=4.0,
+                                         exclude_min=key == "duration",
                                          allow_nan=False))
     return params
 

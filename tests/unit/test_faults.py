@@ -266,7 +266,8 @@ class TestSwitchCrash:
         before = switch.packets_received
         from repro.packet.packet import make_ip_packet
 
-        switch.receive_packet(make_ip_packet("10.0.0.1", "10.0.128.1"), in_port=1)
+        sim.schedule_callback(switch.ingress_latency, switch.receive_packet,
+                              make_ip_packet("10.0.0.1", "10.0.128.1"), 1, sim.now)
         connection.side_b.send(_flowmods(1)[0])
         sim.run(until=0.9)
         assert switch.packets_received == before
@@ -406,6 +407,133 @@ class TestSwitchCrash:
         assert not switch.crashed
         assert switch.controlplane.flowmods_processed == 0
         assert switch.rules_in_controlplane() == switch.rules_in_dataplane() == 0
+
+
+class TestDarknessIsJudgedAtArrival:
+    """Traffic *through* a crashed / flapped middle switch of H1-S1-S2-S3-H2.
+
+    A link hands a packet to S2 one ingress delay (10 us) after it left the
+    wire; whether S2's ports were dark is judged as of the arrival, whether
+    S2 is crashed (and what its tables and port map hold) as of the due time.
+    """
+
+    US = 1e-6
+    #: When the first packet leaves H1; it reaches S2's port at ``ARRIVAL``.
+    SENT = 0.01
+
+    @staticmethod
+    def _arrival_at_s2(sent_at):
+        def wire(time):  # 142 bytes at 1 Gb/s, then 100 us of propagation
+            return time + 142 * 8 / 1e9 + 1e-4
+        return wire(wire(sent_at) + 1e-5)  # ... through S1's own ingress delay
+
+    def _line(self, offsets_us=(0.0,)):
+        """The line, one flow's rules, and a packet leaving H1 at ``SENT`` plus
+        each offset; returns ``(sim, network, S2, arm)``."""
+        from repro.controller.routing import install_path_rules, path_flowmods
+        from repro.net.network import Network
+        from repro.net.topology import linear_topology
+        from repro.net.traffic import flows_between
+        from repro.packet.packet import make_ip_packet
+
+        sim = Simulator()
+        network = Network(sim, linear_topology(3), seed=2)
+        network.start()
+        (flow,) = flows_between(network.host("H1"), network.host("H2"), 1)
+        self.rules = path_flowmods(network, flow, ["H1", "S1", "S2", "S3", "H2"])
+        install_path_rules(network, self.rules)
+        for sequence, offset in enumerate(offsets_us):
+            sim.schedule_at(self.SENT + offset * self.US, network.host("H1").send,
+                            make_ip_packet(flow.ip_src, flow.ip_dst, flow_id=flow.flow_id,
+                                           sequence=sequence))
+        switch = network.switch("S2")
+
+        def arm(fault_name, **params):
+            fault = get_fault(fault_name).instantiate(**params)
+            fault.arm(sim, SeededRandom(4))
+            fault.schedule(switch)
+
+        return sim, network, switch, arm
+
+    @staticmethod
+    def _delivered(network):
+        return [record.sequence for record in network.monitor.deliveries("flow-0000")]
+
+    def test_the_arrival_time_is_the_one_the_test_computes(self):
+        sim, network, switch, _arm = self._line()
+        arrival = self._arrival_at_s2(self.SENT)
+        sim.run(until=arrival + 9.9 * self.US)
+        assert switch.packets_received == 0  # still inside its ingress delay
+        sim.run(until=arrival + 10.1 * self.US)
+        assert switch.packets_received == switch.packets_forwarded == 1
+        sim.run()
+        assert self._delivered(network) == [0]
+
+    def test_arrives_lit_falls_due_crashed(self):
+        sim, network, switch, arm = self._line()
+        arm("switch-crash", at=self._arrival_at_s2(self.SENT) + 5 * self.US, restart_after=0)
+        sim.run()
+        # It was on a lit port, so it was received — and died with the switch.
+        assert (switch.packets_received, switch.dataplane.packets_processed) == (1, 0)
+        assert self._delivered(network) == []
+
+    def test_arrives_lit_falls_due_flapped(self):
+        sim, network, switch, arm = self._line(offsets_us=(0.0, 1000.0))
+        arm("link-flap", at=self._arrival_at_s2(self.SENT) + 5 * self.US, duration=2e-4)
+        sim.run()
+        # The first was matched (the tables survive a flap) against an empty
+        # port map: processed, forwarded nowhere.  The second came after.
+        assert switch.packets_received == switch.dataplane.packets_processed == 2
+        assert switch.packets_forwarded == 1 and switch.dataplane.packets_dropped == 0
+        assert self._delivered(network) == [1]
+        assert "receive_packet" not in vars(switch)
+
+    @pytest.mark.parametrize("fault, params", [
+        ("switch-crash", {"restart_after": 1e-5}),
+        ("link-flap", {"duration": 1e-5}),
+    ])
+    def test_arrives_dark_falls_due_lit(self, fault, params):
+        # Dark from 5 us before the arrival to 5 us after it: the restore /
+        # ``_up`` lands inside the ingress window, and changes nothing.
+        sim, network, switch, arm = self._line(offsets_us=(0.0, 1000.0))
+        arm(fault, at=self._arrival_at_s2(self.SENT) - 5 * self.US, **params)
+        sim.run()
+        assert not switch.crashed and "receive_packet" not in vars(switch)
+        # Only the later packet was received; after a crash it meets wiped tables.
+        assert switch.packets_received == switch.dataplane.packets_processed == 1
+        assert self._delivered(network) == ([1] if fault == "link-flap" else [])
+
+    def test_two_dark_windows_closer_together_than_the_ingress_delay(self):
+        # Arrivals at -2, 0 and +3 us; dark over [-3, -1] and [+2, +4]; all
+        # three fall due (+8, +10, +13 us) after both windows have closed.
+        sim, network, switch, arm = self._line(offsets_us=(-2.0, 0.0, 3.0))
+        arrival = self._arrival_at_s2(self.SENT)
+        arm("link-flap", at=arrival - 3 * self.US, duration=2 * self.US)
+        arm("link-flap", at=arrival + 2 * self.US, duration=2 * self.US)
+        sim.run()
+        assert self._delivered(network) == [1]
+        assert switch.packets_received == 1 and "receive_packet" not in vars(switch)
+
+    def test_a_flap_overlapping_a_crash_is_one_dark_window(self):
+        # Flapped over [0, 100] us, crashed over [50, 150] us (relative to the
+        # first arrival - 10 us); packets arrive at +10 (flapped), +70 (both),
+        # +120 (crashed only) and +200 us (lit again, tables wiped).
+        sim, network, switch, arm = self._line(offsets_us=(0.0, 60.0, 110.0, 190.0))
+        dark_from = self._arrival_at_s2(self.SENT) - 10 * self.US
+        arm("link-flap", at=dark_from, duration=100 * self.US)
+        arm("switch-crash", at=dark_from + 50 * self.US, restart_after=100 * self.US)
+        sim.run()
+        assert switch._dark_log == [dark_from, dark_from + 50 * self.US + 100 * self.US]
+        assert switch.packets_received == 1 and switch.dataplane.packets_dropped == 1
+        assert self._delivered(network) == []
+        # The flap gave the ports back while the switch was still down.
+        switch.install_rule_directly(self.rules.flowmods["S2"])
+        from repro.packet.packet import make_ip_packet
+
+        network.host("H1").send(make_ip_packet(
+            "10.0.0.1", "10.0.128.1", flow_id="flow-0000", created_at=sim.now, sequence=4))
+        sim.run()
+        assert self._delivered(network) == [4] and "receive_packet" not in vars(switch)
 
 
 # ---------------------------------------------------------------------------

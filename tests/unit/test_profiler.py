@@ -330,6 +330,37 @@ class TestProfiledSession:
         assert sorted(agent) == ["_begin", "_finish_barrier", "_finish_flowmod",
                                  "_next_message", "_sync_apply", "_sync_step"]
 
+    def test_a_profiled_migration_books_the_hop_to_the_link_and_the_source_to_emit(
+            self, monkeypatch):
+        simulators = []
+
+        def simulator():
+            simulators.append(Simulator())
+            return simulators[-1]
+
+        monkeypatch.setattr(engine, "Simulator", simulator)
+        params = dict(topology="fat-tree", flow_count=4, rate_pps=200.0)
+        profiled = run_scenario("path-migration", "general",
+                                _quick_params(profile=True, **params))
+        bare = run_scenario("path-migration", "general", _quick_params(**params))
+        assert profiled.digest() == bare.digest() == "9ba02c8b533abdbf"
+        calls = {str(row["site"]): row["calls"] for row in profiled.profile.callbacks}
+        # A switch hop is the link's heap entry and nothing else: forwarding
+        # is no kernel callback site, and the traffic source no generator.
+        assert not [site for site in calls
+                    if site.endswith(("Switch._forward", "Switch.receive_packet"))
+                    or "_flow_process" in site]
+        sent = sum(stat.packets_sent for stat in profiled.stats)
+        assert calls["repro.net.traffic.TrafficGenerator._begin"] == 4
+        # One entry per packet sent, and one per flow that finds it has stopped.
+        assert calls["repro.net.traffic.TrafficGenerator._emit"] == sent + 4 == 324
+        assert calls["repro.net.link.Link._flush_train"] > 5 * sent
+        # Armed or bare, every kernel step is an observed event.
+        armed_sim, bare_sim = simulators
+        assert (profiled.profile.totals["events"] == armed_sim.steps_executed
+                == bare_sim.steps_executed
+                == profiled.profile.meta["kernel"]["steps_executed"])
+
     def test_record_round_trips_through_json_with_its_profile(self):
         record = run_scenario("path-migration", "general",
                               _quick_params(profile=True))
@@ -362,9 +393,10 @@ class TestRendering:
         assert "Phases" in text and "Top 5 hot callbacks" in text
         assert "collector " in text and "gc [ms]" in text and "collections" in text
         assert "Event classes" in text
-        # A sleep's kernel callback is the process itself, booked to the
-        # generator it steps — never to ``Process`` or the kernel.
-        assert "net.traffic.TrafficGenerator._flow_process" in text
+        # The hop is booked to the link whose heap entry it is and the
+        # source to its own callback — never to ``Process`` or the kernel.
+        assert "net.link.Link._flush_train" in text
+        assert "net.traffic.TrafficGenerator._emit" in text
         assert "sim.process" not in text and "sim.kernel" not in text
 
     def test_empty_report_renders_a_placeholder(self):

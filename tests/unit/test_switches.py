@@ -243,7 +243,9 @@ def test_table_miss_drops_packet():
     outputs = []
     switch.attach_port(1, outputs.append)
     switch.start()
-    switch.receive_packet(make_ip_packet("10.0.0.1", "10.0.0.2"), in_port=1)
+    # What a link does with a packet that leaves the wire now.
+    sim.schedule_callback(switch.ingress_latency, switch.receive_packet,
+                          make_ip_packet("10.0.0.1", "10.0.0.2"), 1, sim.now)
     sim.run(until=0.1)
     assert outputs == []
     assert switch.dataplane.packets_dropped == 1

@@ -9,8 +9,9 @@ The armed path has its own guards: a gauge reading may not scan the acks ever
 issued, a Perfetto shard may not be encoded by Python frames per value, and
 none of that may leak onto the bare path.
 
-The packet path has three more: a numeric process sleep and a plain-output
-switch hop enter a fixed number of Python frames, and a delivered packet
+The packet path has four more: a numeric process sleep and a plain-output
+switch hop enter a fixed number of Python frames, the hop is one kernel step,
+a generated packet is sent without stepping a process, and a delivered packet
 leaves nothing behind for the cyclic garbage collector.
 
 So does the control path: a FlowMod reaches a switch's tables through a
@@ -137,8 +138,8 @@ def test_a_plain_output_rule_forwards_the_same_object_without_copying(counts):
     switch.install_rule_directly(FlowMod(Match(ip_dst="10.0.0.2"), [OutputAction(2)]))
     packets = [make_ip_packet("10.0.0.1", "10.0.0.2", sequence=index)
                for index in range(50)]
-    for packet in packets:
-        switch.receive_packet(packet, in_port=1)
+    for packet in packets:  # what a link would do with a packet arriving now
+        sim.schedule_callback(switch.ingress_latency, switch.receive_packet, packet, 1, sim.now)
     sim.run()
     assert all(out is packet for out, packet in zip(sent, packets))
     assert len(sent) == 50
@@ -268,8 +269,8 @@ def _line_with_traffic(switch_count, flow_count=1, rate_pps=100.0):
     return sim, network, generator
 
 
-def test_a_plain_output_hop_is_seven_boundary_frames():
-    def frames_and_deliveries(switch_count):
+def test_a_plain_output_hop_is_six_boundary_frames_and_one_kernel_step():
+    def work_and_deliveries(switch_count):
         # 10 ms between packets, ~0.5 ms end to end: every packet travels
         # alone, so each link flush carries exactly one.
         sim, network, generator = _line_with_traffic(switch_count)
@@ -278,18 +279,36 @@ def test_a_plain_output_hop_is_seven_boundary_frames():
         while sink.packets_received != source.packets_sent:
             sim.step()
         generator.stop_all(0.9)  # ... and nothing is in flight at the end either
-        delivered = sink.packets_received
+        delivered, steps = sink.packets_received, sim.steps_executed
         frames = _python_frames(lambda: sim.run(until=1.0))
         assert sink.packets_received == source.packets_sent
-        return frames, sink.packets_received - delivered
+        return frames, sim.steps_executed - steps, sink.packets_received - delivered
 
-    short, delivered = frames_and_deliveries(3)
-    longer, delivered_longer = frames_and_deliveries(4)
+    short, short_steps, delivered = work_and_deliveries(3)
+    longer, longer_steps, delivered_longer = work_and_deliveries(4)
     assert delivered == delivered_longer >= 79
-    # _flush_train -> receive_packet -> schedule_callback, then _forward ->
-    # process_packet -> transmit_from -> schedule_callback: layer boundaries
-    # only (no result constructor, counter method, size property or closure).
-    assert (longer - short) / delivered == 7
+    # _flush_train -> receive_packet -> _forward -> process_packet ->
+    # transmit_from -> schedule_at: layer boundaries only (no result
+    # constructor, counter method, size property or closure) ...
+    assert (longer - short) / delivered == 6
+    # ... under one heap entry: the link's, due when the switch's ingress
+    # delay is over.  An arrival event that only waits is a second one.
+    assert (longer_steps - short_steps) / delivered == 1
+
+
+def test_a_generated_packet_reaches_its_uplink_through_no_process_plumbing():
+    sim, network, generator = _line_with_traffic(1, flow_count=3)
+    sim.run(until=0.1)
+    generated = generator.packets_generated
+    codes = []
+    _python_frames(lambda: sim.run(until=0.5), codes.append)
+    assert generator.packets_generated - generated == 120  # 3 flows, 100 pps, 0.4 s
+    # _emit -> from_values, send -> record_sent, transmit_from -> schedule_at,
+    # schedule_callback: no Process, no Event, no generator being stepped.
+    assert not [code.co_name for code in codes
+                if code.co_filename.endswith(("sim/events.py", "sim/process.py"))
+                or code.co_flags & inspect.CO_GENERATOR]
+    assert {"_emit", "send", "transmit_from"} <= {code.co_name for code in codes}
 
 
 def test_a_delivered_packet_leaves_nothing_for_the_garbage_collector():
