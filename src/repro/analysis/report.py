@@ -1,9 +1,8 @@
 """Plain-text rendering of experiment results.
 
-The experiment harness and the benchmark suite print their results as simple
-aligned tables and ASCII series so that ``pytest benchmarks/ --benchmark-only``
-output can be compared side by side with the paper's tables and figures
-without any plotting dependencies.
+The experiment harness prints its results as simple aligned tables and ASCII
+series so that the output can be compared side by side with the paper's tables
+and figures without any plotting dependencies.
 """
 
 from __future__ import annotations

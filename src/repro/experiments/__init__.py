@@ -3,8 +3,8 @@
 One module per figure/table of the paper's evaluation plus the motivation
 scenario.  Every module exposes a ``run_*`` function returning a plain result
 object (JSON-able via ``as_dict()`` where applicable) and a ``render()``
-helper that prints the same rows/series the paper reports; the benchmark
-suite under ``benchmarks/`` simply calls these functions.
+helper that prints the same rows/series the paper reports;
+``tests/integration/test_paper_figures.py`` holds each to the paper's shape.
 
 =========================  ====================================================
 Module                     Paper result

@@ -71,7 +71,7 @@ class HashDerivedValues(LintRule):
             )
 
 
-#: Wall-clock / entropy call sites banned outside the benchmark harness.
+#: Wall-clock / entropy call sites banned outside RL002's allowlist.
 _AMBIENT_ATTR_CALLS: Dict[str, Set[str]] = {
     "time": {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
              "perf_counter_ns", "localtime", "gmtime", "strftime", "ctime"},
@@ -97,12 +97,11 @@ class AmbientEntropy(LintRule):
     rationale = ("results must be a pure function of the seed: stochastic "
                  "behaviour routes through SeededRandom, time through "
                  "Simulator.now. The modules that measure wall time by "
-                 "design are allowlisted: the bench harness, the "
-                 "sim-profiler (attribution only — nothing it reads feeds "
-                 "back into simulation state) and the campaign heartbeat "
-                 "writer every other campaign module routes clock reads "
-                 "through.")
-    allowed_modules = ("bench/", "obs/profiler.py", "campaign/heartbeat.py")
+                 "design are allowlisted: the sim-profiler (attribution "
+                 "only — nothing it reads feeds back into simulation "
+                 "state) and the campaign heartbeat writer every other "
+                 "campaign module routes clock reads through.")
+    allowed_modules = ("obs/profiler.py", "campaign/heartbeat.py")
 
     def _flag(self, info: ModuleInfo, node: ast.AST,
               what: str) -> Diagnostic:

@@ -97,7 +97,7 @@ class LintRule:
 
     ``allowed_modules`` is the rule's *documented* allowlist: module-path
     prefixes (relative to the ``repro`` package root) where the rule does
-    not apply — e.g. wall-clock reads are the whole point of ``bench/``, so
+    not apply — e.g. reading wall time is the job of ``obs/profiler.py``, so
     RL002 excludes it rather than demanding per-line suppressions.
     """
 

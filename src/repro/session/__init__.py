@@ -18,8 +18,8 @@ One declarative way to run any update-acknowledgment experiment::
   technique registry of :mod:`repro.core.techniques.registry`.
 
 The pre-existing entry points (``run_path_migration``, ``run_rule_install``,
-``repro.scenarios.engine.run_scenario``, campaign cells, bench workloads)
-are thin adapters over this API.
+``repro.scenarios.engine.run_scenario``, campaign cells) are thin adapters
+over this API.
 """
 
 from repro.session.engine import run_session

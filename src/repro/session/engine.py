@@ -1,11 +1,11 @@
 """The one experiment-session engine.
 
 Every run path of the repro — the fig*/table1 experiment scripts, the
-scenario engine, ``python -m repro.campaign`` and ``python -m repro.bench``
-— executes through :func:`run_session`.  The sequence of simulation-visible
-steps is the exact superset of what the three historical engines did, in the
-same order, so for a fixed seed the results (and their digests) are
-byte-identical with the pre-session code:
+scenario engine and ``python -m repro.campaign`` — executes through
+:func:`run_session`.  The sequence of simulation-visible steps is the exact
+superset of what the three historical engines did, in the same order, so for
+a fixed seed the results (and their digests) are byte-identical with the
+pre-session code:
 
 1. build topology and network, create flows, preinstall forwarding state;
 2. wire the control stack (RUM proxy chain unless the technique is null);

@@ -22,7 +22,7 @@ receiver (a switch's ingress) is added to the link's due time, not waited out.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
@@ -158,40 +158,6 @@ class Simulator:
             sequence = self._sequence
             self._sequence = sequence + 1
         heapq.heappush(self._heap, (time, sequence, callback, args))
-
-    def schedule_many(
-        self, items: Iterable[Tuple]
-    ) -> int:
-        """Bulk-schedule ``(delay, callback, *args)`` tuples; returns the count.
-
-        Equivalent to calling :meth:`schedule_callback` per item (FIFO order
-        among equal-delay items is preserved) but the heap invariant is
-        restored once: large batches are appended and re-heapified (O(n))
-        instead of pushed one by one (O(n log n)) — the cheap way to seed a
-        simulation with thousands of initial events.
-        """
-        heap = self._heap
-        now = self._now
-        sequence = self._sequence
-        entries = []
-        append = entries.append
-        for item in items:
-            delay = item[0]
-            if delay < 0:
-                raise ValueError(f"cannot schedule in the past (delay={delay})")
-            append((now + delay, sequence, item[1], item[2:]))
-            sequence += 1
-        if not entries:
-            return 0
-        self._sequence = sequence
-        if len(heap) > 4 * len(entries):
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
-        else:
-            heap.extend(entries)
-            heapq.heapify(heap)
-        return len(entries)
 
     @staticmethod
     def _trigger_if_pending(event: Event, value: Any) -> None:

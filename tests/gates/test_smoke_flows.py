@@ -1,0 +1,84 @@
+"""End-to-end flows CI's smoke jobs used to drive and no unit test does.
+
+Each goes through the entry point a user types — the campaign and store CLIs'
+``main(argv)``, an example script — rather than the API underneath.
+"""
+
+import json
+import logging
+import runpy
+from pathlib import Path
+
+from repro.campaign.__main__ import main as campaign_main
+from repro.lint.__main__ import main as lint_main
+from repro.obs.export import trace_to_chrome, validate_chrome_trace
+from repro.scenarios import ScenarioParams, run_scenario
+from repro.store import RunStore
+from repro.store.__main__ import main as store_main
+
+ROOT = Path(__file__).resolve().parents[2]
+
+_GRID = ["--scenarios", "path-migration", "--techniques", "timeout,general",
+         "--seeds", "1,2", "--flows", "2", "--trace", "--no-report"]
+
+
+def test_a_stored_grid_reruns_from_cache_and_reports_byte_identically(
+        tmp_path, capsys, caplog):
+    results, store = str(tmp_path / "results.jsonl"), str(tmp_path / "store")
+
+    def report():
+        capsys.readouterr()
+        assert campaign_main(["report", "--out", results]) == 0
+        return capsys.readouterr().out
+
+    assert campaign_main(["run", *_GRID, "--out", results]) == 0
+    assert store_main(["--store", store, "ingest", results]) == 0
+    assert store_main(["--store", store, "verify"]) == 0
+    first = report()
+
+    with caplog.at_level(logging.INFO, logger="repro"):
+        assert campaign_main(["run", *_GRID, "--fresh", "--cache", store,
+                              "--out", results]) == 0
+    assert "ran 0, cached 4" in caplog.text
+    assert report() == first
+
+    left, right = RunStore(store).digests()[:2]
+    capsys.readouterr()
+    assert store_main(["--store", store, "diff", left, right,
+                       "--format", "json"]) in (0, 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) >= {"left", "right", "identical", "traced", "summary",
+                            "changed", "gap_deltas", "divergence", "explanation"}
+    assert payload["traced"] is True, "stored traces were not aligned"
+    if payload["divergence"] is not None:
+        assert set(payload["divergence"]) >= {"ts", "switch", "xid", "phase", "reason"}
+
+
+def test_a_recovered_run_shows_resync_spans_on_its_chrome_trace():
+    record = run_scenario("rolling-upgrade", "general",
+                          ScenarioParams(flow_count=2, seed=7, trace=True))
+    assert record.recovery["reconverged"], record.recovery
+    payload = trace_to_chrome(record.trace)
+    assert validate_chrome_trace(payload) is None
+    names = [event["name"] for event in payload["traceEvents"]]
+    assert names.count("resync") >= 1, "no resync spans on the trace"
+    assert "rule-reinstalled" in names, "no reinstall instants"
+
+
+def test_the_sanitizer_cli_finds_a_scenario_deterministic_under_two_hash_seeds(capsys):
+    # The double run plus the PYTHONHASHSEED subprocess pair, the only probe
+    # that sees a hash-derived value.  On firewall-rollout because nothing
+    # else pins it: path-migration's outcomes are pinned digests, which a
+    # hash-derived value breaks under pytest's own random hash seed.  (That
+    # the probe *would* see one is tests/unit/test_lint.py's hash-fork test.)
+    code = lint_main(["--sanitize", "firewall-rollout", "--flows", "2"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "hashseed probe" in out
+
+
+def test_the_quickstart_example_runs_headless(capsys):
+    runpy.run_path(str(ROOT / "examples" / "quickstart.py"))["main"]()
+    out = capsys.readouterr().out
+    assert "acknowledged rules: 30/30" in out
+    assert "acknowledgments were never early" in out

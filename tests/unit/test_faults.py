@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignSpec, render_resilience_report, run_cell
+from repro.campaign import CampaignSpec, render_report, render_resilience_report, run_cell
 from repro.campaign.report import has_fault_axis, resilience
 from repro.experiments.common import EndToEndParams, migration_session, run_path_migration
 from repro.faults import (
@@ -828,3 +828,5 @@ class TestFaultCampaign:
         text = render_resilience_report(results)
         assert "ack-loss(probability=1.0)" in text
         assert "correctness under fault" in text
+        # ... and a fault axis puts the same table into the campaign report.
+        assert "Resilience — correctness under fault" in render_report(results)

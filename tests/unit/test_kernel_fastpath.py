@@ -1,5 +1,5 @@
-"""Regression tests for the fused kernel loop, bulk scheduling, numeric
-process sleeps, and event completion semantics on failed events."""
+"""Regression tests for the fused kernel loop, numeric process sleeps, and
+event completion semantics on failed events."""
 
 import pytest
 
@@ -50,37 +50,6 @@ def test_stop_simulation_leaves_clock_at_stop_event():
     assert sim.now == 1.0
 
 
-# -- schedule_many ------------------------------------------------------------
-def test_schedule_many_runs_in_time_then_fifo_order():
-    sim = Simulator()
-    log = []
-    count = sim.schedule_many([
-        (2.0, log.append, "late"),
-        (1.0, log.append, "early-1"),
-        (1.0, log.append, "early-2"),
-        (0.0, log.append, "first"),
-    ])
-    assert count == 4
-    sim.run()
-    assert log == ["first", "early-1", "early-2", "late"]
-
-
-def test_schedule_many_interleaves_with_schedule_callback():
-    sim = Simulator()
-    log = []
-    sim.schedule_callback(1.0, log.append, "a")
-    sim.schedule_many([(1.0, log.append, "b")])
-    sim.schedule_callback(1.0, log.append, "c")
-    sim.run()
-    assert log == ["a", "b", "c"]
-
-
-def test_schedule_many_rejects_negative_delay():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.schedule_many([(1.0, lambda: None), (-0.5, lambda: None)])
-
-
 def test_steps_executed_counts_callbacks():
     sim = Simulator()
     for _ in range(5):
@@ -116,7 +85,7 @@ def test_numeric_yields_build_no_timeout_objects(monkeypatch):
     assert sim.schedule_sequence == sim.steps_executed == 51
 
 
-def test_pooled_timeouts_are_isolated_between_processes():
+def test_interleaved_numeric_sleeps_wake_each_process_on_its_own_schedule():
     sim = Simulator()
     log = []
 

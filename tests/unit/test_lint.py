@@ -108,9 +108,10 @@ def test_golden_diagnostics_rl006():
     ]
 
 
-def test_rl002_allowlists_the_bench_harness():
+def test_rl002_allowlists_the_wall_clock_modules():
     source = (FIXTURES / "rl002_violation.py").read_text(encoding="utf-8")
-    assert lint_source(source, module="bench/wall.py") == []
+    assert lint_source(source, module="obs/profiler.py") == []
+    assert lint_source(source, module="campaign/heartbeat.py") == []
     assert lint_source(source, module="session/engine.py")
 
 

@@ -9,8 +9,9 @@ The armed path has its own guards: a gauge reading may not scan the acks ever
 issued, a Perfetto shard may not be encoded by Python frames per value, and
 none of that may leak onto the bare path.
 
-The packet path has four more: a numeric process sleep and a plain-output
-switch hop enter a fixed number of Python frames, the hop is one kernel step,
+The packet path has five more: dispatching a scheduled callback enters no
+frame but the callback's, a numeric process sleep and a plain-output switch
+hop enter a fixed number of Python frames, the hop is one kernel step,
 a generated packet is sent without stepping a process, and a delivered packet
 leaves nothing behind for the cyclic garbage collector.
 
@@ -239,6 +240,18 @@ def test_a_bare_session_builds_no_tracer_and_adds_no_per_packet_calls(monkeypatc
 
 
 # -- the packet path: fixed frames per sleep and per hop, nothing left for the GC ------
+
+@pytest.mark.parametrize("count", [1000, 2000])
+def test_dispatching_a_callback_is_one_step_and_no_frame_but_its_own(count):
+    sim = Simulator()
+    fired = []
+    for index in range(count):
+        sim.schedule_callback(index * 1e-6, lambda: fired.append(None))
+    # The run loop itself, then one frame per callback: no per-event method
+    # (step, a heap wrapper, an observer when none is installed) in between.
+    assert _python_frames(sim.run) - 1 == count
+    assert sim.steps_executed == len(fired) == count
+
 
 def test_a_numeric_sleep_wakes_through_four_frames():
     def frames_for(sleeps):
