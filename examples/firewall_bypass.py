@@ -16,22 +16,22 @@ Run with::
 """
 
 from repro.analysis.report import format_table
-from repro.experiments.fig2_firewall import run_firewall_once
+from repro.experiments.common import firewall_session
 
 
 def main() -> None:
     print("running the firewall update with barrier acknowledgments ...")
-    with_barriers = run_firewall_once("barrier", duration=2.5)
+    with_barriers = firewall_session("barrier", duration=2.5).run()
     print("running the firewall update with RUM general probing ...")
-    with_rum = run_firewall_once("general", duration=2.5)
+    with_rum = firewall_session("general", duration=2.5).run()
 
     rows = []
     for run in (with_barriers, with_rum):
         rows.append([
             run.technique,
-            run.bypassed_packets,
-            run.violations["http_packets_at_firewall"],
-            run.violations["bulk_packets_delivered"],
+            run.metrics["http_packets_bypassing_firewall"],
+            run.metrics["http_packets_at_firewall"],
+            run.metrics["bulk_packets_delivered"],
         ])
     print()
     print(format_table(
@@ -41,7 +41,9 @@ def main() -> None:
         title="Transient security hole during the update (cf. Figure 2)",
     ))
     print()
-    if with_barriers.bypassed_packets and not with_rum.bypassed_packets:
+    bypassed = [run.metrics["http_packets_bypassing_firewall"]
+                for run in (with_barriers, with_rum)]
+    if bypassed[0] and not bypassed[1]:
         print("barrier acknowledgments opened a transient hole; RUM kept the policy intact.")
     else:
         print("unexpected outcome - inspect the runs above.")

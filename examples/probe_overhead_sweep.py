@@ -17,6 +17,7 @@ import sys
 
 from repro.analysis.report import format_table
 from repro.experiments.common import RuleInstallParams, run_rule_install
+from repro.experiments.figures import PROBE_FREQUENCIES
 
 
 def main(rule_count: int = 400) -> None:
@@ -24,7 +25,7 @@ def main(rule_count: int = 400) -> None:
     print(f"installing {rule_count} rules with at most {params.max_unconfirmed} unconfirmed ...")
     barrier = run_rule_install("barrier", params)
     rows = []
-    for batch in (1, 2, 5, 10, 20):
+    for batch in PROBE_FREQUENCIES:
         result = run_rule_install(
             "sequential", params.scaled(rum_overrides={"probe_batch": batch})
         )

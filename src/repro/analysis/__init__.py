@@ -10,8 +10,7 @@ quantities the paper reports:
 * per-rule delay between data-plane activation and control-plane
   acknowledgment (Figure 8),
 * usable rule-update rates (Table 1),
-* text rendering of tables and simple CDF/series plots for the experiment
-  harness and benchmark output.
+* text rendering of tables for the experiment harness and campaign reports.
 """
 
 from repro.analysis.cdf import Distribution, cdf_points, percentile
@@ -21,7 +20,7 @@ from repro.analysis.flowstats import (
     flow_update_stats,
 )
 from repro.analysis.activation import ActivationDelays, activation_delays
-from repro.analysis.report import format_table, render_cdf, render_series, summarize_distribution
+from repro.analysis.report import format_table
 
 __all__ = [
     "ActivationDelays",
@@ -33,7 +32,4 @@ __all__ = [
     "flow_update_stats",
     "format_table",
     "percentile",
-    "render_cdf",
-    "render_series",
-    "summarize_distribution",
 ]

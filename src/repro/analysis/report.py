@@ -1,15 +1,15 @@
 """Plain-text rendering of experiment results.
 
-The experiment harness prints its results as simple aligned tables and ASCII
-series so that the output can be compared side by side with the paper's tables
-and figures without any plotting dependencies.
+The experiment harness prints its results as simple aligned tables so that
+the output can be compared side by side with the paper's tables and figures
+without any plotting dependencies.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.cdf import Distribution, cdf_points
+from repro.analysis.cdf import Distribution
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
@@ -135,55 +135,6 @@ def render_run_summaries(summaries: Sequence[Dict[str, object]],
          "dropped", "max broken [s]", "digest"],
         rows,
         title=title,
-    )
-
-
-def render_series(series: Dict[str, Sequence[float]], title: str = "",
-                  unit: str = "") -> str:
-    """Render named value series as summary rows (count / mean / p90 / max)."""
-    rows = []
-    for name, values in series.items():
-        if not values:
-            rows.append([name, 0, "-", "-", "-"])
-            continue
-        summary = Distribution.from_values(list(values))
-        rows.append([name, summary.count, summary.mean, summary.p90, summary.maximum])
-    suffix = f" [{unit}]" if unit else ""
-    return format_table(
-        ["series", "count", f"mean{suffix}", f"p90{suffix}", f"max{suffix}"],
-        rows,
-        title=title,
-    )
-
-
-def render_cdf(values: Sequence[float], title: str = "", width: int = 50,
-               unit: str = "s") -> str:
-    """A small ASCII CDF: one bar per decile."""
-    points = cdf_points(list(values))
-    if not points:
-        return f"{title}\n(no samples)"
-    lines = [title] if title else []
-    deciles = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
-    total = len(points)
-    for fraction in deciles:
-        index = min(int(fraction * total) - 1, total - 1)
-        index = max(index, 0)
-        value = points[index][0]
-        bar = "#" * max(1, int(fraction * width))
-        lines.append(f"p{int(fraction * 100):>3} {value:>10.4f}{unit} {bar}")
-    return "\n".join(lines)
-
-
-def summarize_distribution(values: Sequence[float], label: str = "",
-                           unit: str = "s") -> str:
-    """One-line textual summary of a distribution."""
-    if not values:
-        return f"{label}: no samples"
-    summary = Distribution.from_values(list(values))
-    return (
-        f"{label}: n={summary.count} min={summary.minimum:.4f}{unit} "
-        f"median={summary.median:.4f}{unit} mean={summary.mean:.4f}{unit} "
-        f"p90={summary.p90:.4f}{unit} max={summary.maximum:.4f}{unit}"
     )
 
 

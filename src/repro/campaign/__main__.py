@@ -119,16 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated integer scales")
     run.add_argument("--seeds", type=_int_csv, default=[1, 2],
                      help="comma-separated seeds")
-    run.add_argument("--faults", type=_fault_csv, default=["none"],
+    run.add_argument("--faults", type=_fault_csv, default=[None],
                      help="comma-separated fault-plan strings, e.g. "
                           "'none,ack-loss(probability=0.3)' (quote the "
                           "parentheses; 'none' keeps a fault-free control "
-                          "group)")
-    run.add_argument("--recovery", type=_fault_csv, default=["off"],
+                          "group; default: each scenario's own faults, if any)")
+    run.add_argument("--recovery", type=_fault_csv, default=[None],
                      dest="recoveries",
                      help="comma-separated recovery-policy strings, e.g. "
                           "'off,on' or 'off,on(max_attempts=6)' ('off' keeps "
-                          "an unrecovered control group)")
+                          "an unrecovered control group; default: each "
+                          "scenario's own policy)")
     run.add_argument("--topology", default="auto",
                      help=f"topology family ({', '.join(TOPOLOGY_FAMILIES)}, "
                           "or 'auto' for each scenario's default)")

@@ -14,7 +14,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core.techniques.registry import available_techniques
 from repro.faults.plan import NO_FAULTS, FaultPlan
@@ -34,22 +34,30 @@ class CampaignCell:
     flow_count: int = 8
     rate_pps: float = 250.0
     max_update_duration: float = 15.0
-    #: Fault plan in compact string form (``"none"``: fault-free control run).
-    fault: str = "none"
-    #: Recovery policy in compact string form (``"off"``: the pre-recovery
-    #: path); see :meth:`repro.recovery.RecoveryPolicy.from_string`.
-    recovery: str = "off"
+    #: Fault plan in compact string form.  ``None`` — the axis is absent —
+    #: leaves the choice to the scenario (its ``default_timeline`` or default
+    #: mix, nothing for most); an explicit ``"none"`` is a fault-free control
+    #: run even there.
+    fault: Optional[str] = None
+    #: Recovery policy in compact string form (see
+    #: :meth:`repro.recovery.RecoveryPolicy.from_string`).  ``None`` leaves it
+    #: to the scenario (``rolling-upgrade`` defaults recovery on); an explicit
+    #: ``"off"`` is an unrecovered control run even there.
+    recovery: Optional[str] = None
     #: Arm rule-lifecycle tracing for this cell (see :mod:`repro.obs`).
     trace: bool = False
 
     def config(self) -> Dict[str, object]:
         """The canonical, JSON-able configuration of this cell.
 
-        The ``fault`` key is only present for faulted cells: fault-free
-        configurations hash to the same ``cell_id`` as before the fault axis
-        existed, so resuming a pre-fault-subsystem results file still skips
-        its finished cells instead of re-running (and double-counting) them.
-        ``trace`` follows the same only-when-armed rule — and because
+        The ``fault`` and ``recovery`` keys are only present when the axis
+        is: a cell without them hashes to the same ``cell_id`` as before the
+        axes existed, so resuming an older results file still skips its
+        finished cells instead of re-running (and double-counting) them.  An
+        explicit ``"none"`` / ``"off"`` is written out — for a scenario with
+        defaults of its own it is a different run from the absent axis, and
+        the store must never serve one for the other.
+        ``trace`` follows the only-when-armed rule — and because
         tracing never changes a cell's outcome, a traced cell_id staying
         distinct from its untraced twin is intentional: their records carry
         different payloads (the traced one has gap summaries and a shard).
@@ -64,11 +72,9 @@ class CampaignCell:
             "rate_pps": self.rate_pps,
             "max_update_duration": self.max_update_duration,
         }
-        if self.fault.lower() not in NO_FAULTS:
+        if self.fault is not None:
             config["fault"] = self.fault
-        # Same only-when-armed rule: recovery-off cells hash to their
-        # pre-recovery cell_id, so old results files still resume cleanly.
-        if self.recovery.lower() not in NO_RECOVERY:
+        if self.recovery is not None:
             config["recovery"] = self.recovery
         if self.trace:
             config["trace"] = True
@@ -89,13 +95,10 @@ class CampaignCell:
             flow_count=self.flow_count,
             rate_pps=self.rate_pps,
             max_update_duration=self.max_update_duration,
-            # Passed through verbatim: an explicit "none" stays an explicit
-            # fault-free control run even for scenarios (fault-sweep) that
-            # arm a default mix when the axis is absent.
+            # Both verbatim, ``None`` included: scenarios built around faults
+            # (fault-sweep, rolling-upgrade, correlated-tor-outage) arm their
+            # own defaults only when the axis is absent.
             faults=self.fault,
-            # Likewise verbatim: an explicit "off" stays an unrecovered
-            # control run even for scenarios (rolling-upgrade) that default
-            # recovery on when the axis is absent.
             recovery=self.recovery,
             trace=self.trace,
         )
@@ -104,9 +107,9 @@ class CampaignCell:
         """Short human-readable label for progress output."""
         label = (f"{self.scenario}/{self.technique} "
                  f"topo={self.topology} scale={self.scale} seed={self.seed}")
-        if self.fault.lower() not in NO_FAULTS:
+        if (self.fault or "none").lower() not in NO_FAULTS:
             label += f" fault={self.fault}"
-        if self.recovery.lower() not in NO_RECOVERY:
+        if (self.recovery or "off").lower() not in NO_RECOVERY:
             label += f" recovery={self.recovery}"
         if self.trace:
             label += " trace"
@@ -125,11 +128,13 @@ class CampaignSpec:
     seeds: List[int] = field(default_factory=lambda: [1, 2])
     #: Fault-plan strings (see :meth:`repro.faults.FaultPlan.from_string`);
     #: include ``"none"`` to keep a fault-free control group in the grid.
-    faults: List[str] = field(default_factory=lambda: ["none"])
+    #: The default is the absent axis: each scenario's own faults, if any.
+    faults: List[Optional[str]] = field(default_factory=lambda: [None])
     #: Recovery-policy strings (see
     #: :meth:`repro.recovery.RecoveryPolicy.from_string`); include ``"off"``
     #: to keep an unrecovered control group next to the recovered cells.
-    recoveries: List[str] = field(default_factory=lambda: ["off"])
+    #: The default is the absent axis: each scenario's own policy.
+    recoveries: List[Optional[str]] = field(default_factory=lambda: [None])
     topology: str = "auto"
     flow_count: int = 8
     rate_pps: float = 250.0
@@ -157,6 +162,8 @@ class CampaignSpec:
                 f"unknown technique(s) {bad}; available: {sorted(valid_techniques)}"
             )
         for fault in self.faults:
+            if fault is None:
+                continue
             try:
                 FaultPlan.from_string(fault).validate()
             # TypeError covers non-numeric parameter values ("probability=oops"
@@ -164,6 +171,8 @@ class CampaignSpec:
             except (KeyError, ValueError, TypeError) as error:
                 raise ValueError(f"bad fault axis entry {fault!r}: {error}") from None
         for recovery in self.recoveries:
+            if recovery is None:
+                continue
             try:
                 RecoveryPolicy.from_string(recovery).validate()
             except (ValueError, TypeError) as error:

@@ -198,6 +198,11 @@ class Controller:
             self._pending[ack.switch] -= 1
         ack.failed_at = self.sim.now
 
+    def forget_acks(self) -> None:
+        """Drop every ack tracking record (session teardown): a still-pending
+        one holds its waiter's callback, and the waiter holds the controller."""
+        self._rule_acks.clear()
+
     def send_barrier(self, switch_name: str) -> Event:
         """Send a BarrierRequest; the returned event completes on its reply."""
         request = BarrierRequest()

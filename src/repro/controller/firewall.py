@@ -14,9 +14,9 @@ With RUM's data-plane acknowledgments the flip waits until Z demonstrably
 forwards packets, so the hole cannot open (traffic is simply delayed).
 
 The scenario class builds the topology, the update plan, and the violation
-metric; the experiment harness (:mod:`repro.experiments.fig2_firewall`) and
-the ``firewall_bypass.py`` example wire it to a controller with and without
-RUM.
+metric; :func:`repro.experiments.common.firewall_session` (the engine of the
+``fig2`` entry of :data:`repro.experiments.figures.FIGURES`) and the
+``firewall_bypass.py`` example wire it to a controller with and without RUM.
 """
 
 from __future__ import annotations

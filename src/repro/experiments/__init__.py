@@ -1,31 +1,17 @@
 """Experiment harness.
 
-One module per figure/table of the paper's evaluation plus the motivation
-scenario.  Every module exposes a ``run_*`` function returning a plain result
-object (JSON-able via ``as_dict()`` where applicable) and a ``render()``
-helper that prints the same rows/series the paper reports;
-``tests/integration/test_paper_figures.py`` holds each to the paper's shape.
-
-=========================  ====================================================
-Module                     Paper result
-=========================  ====================================================
-``fig1_broken_time``       Figure 1b — % of flows vs broken time
-``fig2_firewall``          Figure 2  — transient firewall bypass (motivation)
-``fig6_control_plane``     Figure 6  — flow update times, control-plane techniques
-``fig7_probing``           Figure 7  — flow update times, probing techniques
-``fig8_activation_delay``  Figure 8  — data-plane vs control-plane activation delay
-``table1_update_rate``     Table 1   — usable update rate under sequential probing
-``barrier_layer_perf``     §5.1      — reliable barrier layer overhead
-``microbench``             §5.2      — PacketOut/PacketIn rates and interference
-=========================  ====================================================
+* :mod:`repro.experiments.figures` — the paper's evaluation as one catalogue,
+  ``FIGURES``: Figures 1b, 2, 6, 7, 8, Table 1, the §5.1 barrier layer and the
+  §5.2 micro-benchmarks (:mod:`repro.experiments.microbench`), each a claim, a
+  table of rows and a view.  ``python -m repro.experiments [name]`` runs one.
+* :mod:`repro.experiments.common` — the engines the rows run through.
 """
 
 from repro.experiments.common import (
-    ControlStack,
     EndToEndParams,
     MigrationSpec,
     RuleInstallParams,
-    build_control_stack,
+    firewall_session,
     migration_session,
     rule_install_session,
     run_path_migration,
@@ -33,11 +19,10 @@ from repro.experiments.common import (
 )
 
 __all__ = [
-    "ControlStack",
     "EndToEndParams",
     "MigrationSpec",
     "RuleInstallParams",
-    "build_control_stack",
+    "firewall_session",
     "migration_session",
     "rule_install_session",
     "run_path_migration",

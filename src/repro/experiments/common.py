@@ -1,12 +1,10 @@
-"""Shared experiment engines — now thin adapters over :mod:`repro.session`.
+"""Shared experiment engines: thin adapters over :mod:`repro.session`.
 
-.. note::
-   New code should build :class:`~repro.session.spec.SessionSpec` objects
-   (directly or via :func:`migration_session` / :func:`rule_install_session`)
-   and call ``spec.run()``; the functions here keep the historical signatures
-   and run through exactly that API.
+Each ``*_session`` function builds a :class:`~repro.session.spec.SessionSpec`
+(run it with ``spec.run()``); ``run_path_migration`` / ``run_rule_install``
+build and run in one call.
 
-Two engines cover the whole evaluation:
+Three engines cover the whole evaluation:
 
 * :func:`run_path_migration` — the end-to-end experiment of Section 5.1
   (Figures 1b, 6 and 7, and the barrier-layer overhead runs): flows are
@@ -19,24 +17,25 @@ Two engines cover the whole evaluation:
   hardware switch with at most K unconfirmed at any time, and the harness
   correlates controller-visible acknowledgment times with data-plane
   activation times.
+* :func:`firewall_session` — the motivation scenario of Figure 2: the
+  "X after Y, X after Z" firewall update observed over a fixed window.
 
-Both return the unified :class:`~repro.session.record.RunRecord`.
+Every run returns the unified :class:`~repro.session.record.RunRecord`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.controller.consistent import ConsistentPathMigration
+from repro.controller.firewall import FirewallScenario
 from repro.controller.routing import (
     first_distinct_switch,
     install_path_rules,
     path_flowmods,
 )
 from repro.controller.update_plan import UpdatePlan
-from repro.core.techniques.registry import TECHNIQUE_NO_WAIT
 from repro.net.network import Network
 from repro.net.topology import Topology, triangle_topology
 from repro.net.traffic import FlowSpec, flows_between
@@ -52,39 +51,18 @@ from repro.session.spec import (
     StackSpec,
     Workload,
 )
-from repro.session.stack import ControlStack, build_control_stack
 from repro.switches.profiles import SwitchProfile, hp5406zl_profile
 
 __all__ = [
-    "ControlStack",
     "EndToEndParams",
     "MigrationSpec",
-    "NO_WAIT",
     "RuleInstallParams",
-    "build_control_stack",
-    "full_scale",
+    "firewall_session",
     "migration_session",
     "rule_install_session",
     "run_path_migration",
     "run_rule_install",
 ]
-
-#: Name of the "issue everything at once" lower bound of Figure 7 — a real
-#: registered technique now (see :mod:`repro.core.techniques.registry`), kept
-#: here as the historical constant.
-NO_WAIT = TECHNIQUE_NO_WAIT
-
-
-def full_scale() -> bool:
-    """Whether experiments should run at the paper's full scale.
-
-    The paper's parameters (300 flows at 250 packets/s, 4000-rule sweeps) are
-    used when the environment variable ``REPRO_FULL_SCALE`` is set; the
-    default is a reduced scale that preserves every qualitative result while
-    keeping the benchmark suite fast enough for CI.
-    """
-    return os.environ.get("REPRO_FULL_SCALE", "") not in ("", "0", "false")
-
 
 # ---------------------------------------------------------------------------
 # End-to-end path migration (Section 5.1)
@@ -167,11 +145,6 @@ class EndToEndParams:
         """
         return cls(flow_count=60, rate_pps=250.0)
 
-    @classmethod
-    def default(cls) -> "EndToEndParams":
-        """Paper scale if ``REPRO_FULL_SCALE`` is set, quick scale otherwise."""
-        return cls.paper() if full_scale() else cls.quick()
-
     def scaled(self, **overrides) -> "EndToEndParams":
         """A copy with selected fields replaced."""
         return replace(self, **overrides)
@@ -183,7 +156,7 @@ def migration_session(
     spec: Optional[MigrationSpec] = None,
 ) -> SessionSpec:
     """The consistent path-migration experiment as a :class:`SessionSpec`."""
-    params = params or EndToEndParams.default()
+    params = params or EndToEndParams.quick()
     spec = spec or MigrationSpec.triangle(hardware_profile=params.hardware_profile)
     new_path_switch = spec.resolved_new_path_switch()
 
@@ -247,7 +220,7 @@ def run_path_migration(
 ) -> RunRecord:
     """Run the consistent path-migration experiment with one technique.
 
-    ``technique`` is any registered technique name (:data:`NO_WAIT` gives the
+    ``technique`` is any registered technique name (``no-wait`` gives the
     no-consistency lower bound of Figure 7).  ``spec`` selects the topology
     and the old/new paths; the default is the paper's triangle migration.
     """
@@ -352,3 +325,41 @@ def rule_install_session(
 def run_rule_install(technique: str, params: Optional[RuleInstallParams] = None) -> RunRecord:
     """Run the Section 5.2 rule-installation benchmark with one technique."""
     return rule_install_session(technique, params).run()
+
+
+# ---------------------------------------------------------------------------
+# Transient firewall bypass (Figure 2)
+# ---------------------------------------------------------------------------
+
+def firewall_session(technique: str, duration: float = 3.0, seed: int = 31) -> SessionSpec:
+    """The Figure 2 firewall update as a :class:`SessionSpec`.
+
+    The scenario is measured over a fixed observation window — violations
+    are counted at ``duration`` whether or not the plan finished — so the
+    session uses :attr:`SessionKnobs.run_for` instead of completion polling;
+    the counts are the record's ``metrics``
+    (see :meth:`~repro.controller.firewall.FirewallScenario.violations`).
+    """
+    scenario = FirewallScenario()
+
+    def preinstall(network: Network, flows: List[FlowSpec]) -> None:
+        scenario.preinstall(network)
+        scenario.install_fault(network)
+
+    return SessionSpec(
+        kind="firewall-bypass",
+        technique=technique,
+        topology=scenario.build_topology,
+        workload=Workload(flows=scenario.flows, preinstall=preinstall),
+        plan_builder=lambda network, flows: scenario.build_plan(network),
+        metrics=lambda network, plan, executor: scenario.violations(network),
+        knobs=SessionKnobs(
+            seed=seed,
+            warmup=0.1,
+            run_for=duration - 0.1,
+            grace=0.0,
+            settle=0.0,
+            max_unconfirmed=10,
+        ),
+        labels={"duration": duration},
+    )

@@ -12,7 +12,8 @@ Three measurements on the hardware switch model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.report import format_table
 from repro.controller.base import AckMode, Controller
@@ -44,48 +45,6 @@ class MicrobenchParams:
         """The paper's scale (20 000 PacketOut messages)."""
         return cls(packet_out_count=20000, packet_in_duration=2.0, flowmod_count=1000)
 
-    @classmethod
-    def quick(cls) -> "MicrobenchParams":
-        """Reduced scale for CI."""
-        return cls()
-
-
-@dataclass
-class MicrobenchResult:
-    """All micro-benchmark outcomes."""
-
-    packet_out_rate: float
-    packet_in_rate: float
-    flowmod_rate_baseline: float
-    flowmod_rate_with_packet_in: float
-    flowmod_rate_with_packet_out: float
-
-    @property
-    def packet_in_interference(self) -> float:
-        """Fraction of the baseline modification rate kept under PacketIn load."""
-        if self.flowmod_rate_baseline <= 0:
-            return 0.0
-        return self.flowmod_rate_with_packet_in / self.flowmod_rate_baseline
-
-    @property
-    def packet_out_interference(self) -> float:
-        """Fraction of the baseline modification rate kept under PacketOut load."""
-        if self.flowmod_rate_baseline <= 0:
-            return 0.0
-        return self.flowmod_rate_with_packet_out / self.flowmod_rate_baseline
-
-    def as_dict(self) -> Dict[str, float]:
-        """JSON-able summary."""
-        return {
-            "packet_out_rate": self.packet_out_rate,
-            "packet_in_rate": self.packet_in_rate,
-            "flowmod_rate_baseline": self.flowmod_rate_baseline,
-            "flowmod_rate_with_packet_in": self.flowmod_rate_with_packet_in,
-            "flowmod_rate_with_packet_out": self.flowmod_rate_with_packet_out,
-            "packet_in_interference": self.packet_in_interference,
-            "packet_out_interference": self.packet_out_interference,
-        }
-
 
 def _build(params: MicrobenchParams):
     sim = Simulator()
@@ -99,6 +58,13 @@ def _build(params: MicrobenchParams):
         controller.connect_switch(name, network.controller_endpoint(name))
     network.start()
     return sim, network, controller
+
+
+def _sustained_rate(times: List[float]) -> float:
+    """Events per second between the first and the last of sorted ``times``."""
+    if len(times) < 2:
+        return 0.0
+    return (len(times) - 1) / (times[-1] - times[0])
 
 
 def measure_packet_out_rate(params: MicrobenchParams) -> float:
@@ -116,15 +82,36 @@ def measure_packet_out_rate(params: MicrobenchParams) -> float:
         controller.send_packet_out("S2", PacketOut(packet, [OutputAction(out_port)]))
     sim.run(until=max(2.0, params.packet_out_count / 1000.0))
     monitor = network.monitor
-    arrivals = sorted(
+    return _sustained_rate(sorted(
         record.received_at
         for flow_id in monitor.delivered_flows()
         for record in monitor.deliveries(flow_id)
         if flow_id.startswith("pout-")
+    ))
+
+
+def _packet_in_load(sim: Simulator, network: Network, flow_count: int,
+                    rate_pps: float) -> None:
+    """Start traffic that S1 forwards to S2 and S2 punts to the controller."""
+    prefix = Match(ip_src=("10.3.0.0", 16))
+    network.switch("S2").install_rule_directly(
+        FlowMod(prefix, [ControllerAction()], priority=500)
     )
-    if len(arrivals) < 2:
-        return 0.0
-    return (len(arrivals) - 1) / (arrivals[-1] - arrivals[0])
+    network.switch("S1").install_rule_directly(
+        FlowMod(prefix, [OutputAction(network.port_between("S1", "S2"))], priority=500)
+    )
+    flows = [
+        FlowSpec(
+            flow_id=f"pin-{index}",
+            source=network.host("H1"),
+            destination=network.host("H2"),
+            ip_src=int_to_ip(ip_to_int("10.3.0.1") + index),
+            ip_dst="10.0.128.99",
+            rate_pps=rate_pps,
+        )
+        for index in range(flow_count)
+    ]
+    TrafficGenerator(sim, flows).start()
 
 
 def measure_packet_in_rate(params: MicrobenchParams) -> float:
@@ -132,63 +119,19 @@ def measure_packet_in_rate(params: MicrobenchParams) -> float:
     sim, network, controller = _build(params)
     received: List[float] = []
     controller.on_packet_in(lambda _switch, _message: received.append(sim.now))
-
-    # All traffic arriving at S2 from this prefix goes to the controller.
-    network.switch("S2").install_rule_directly(
-        FlowMod(Match(ip_src=("10.3.0.0", 16)), [ControllerAction()], priority=500)
-    )
-    h1 = network.host("H1")
-    h2 = network.host("H2")
-    flows = [
-        FlowSpec(
-            flow_id=f"pin-{index}",
-            source=h1,
-            destination=h2,
-            ip_src=int_to_ip(ip_to_int("10.3.0.1") + index),
-            ip_dst="10.0.128.99",
-            rate_pps=1500.0,
-        )
-        for index in range(8)
-    ]
-    # Forward that prefix from S1 towards S2.
-    network.switch("S1").install_rule_directly(
-        FlowMod(Match(ip_src=("10.3.0.0", 16)),
-                [OutputAction(network.port_between("S1", "S2"))], priority=500)
-    )
-    traffic = TrafficGenerator(sim, flows)
-    traffic.start()
+    _packet_in_load(sim, network, flow_count=8, rate_pps=1500.0)
     sim.run(until=params.packet_in_duration)
-    if len(received) < 2:
-        return 0.0
-    return (len(received) - 1) / (received[-1] - received[0])
+    return _sustained_rate(received)
 
 
-def _flowmod_rate(params: MicrobenchParams, *, packet_in_load: bool,
-                  packet_out_ratio: int) -> float:
-    """Rule modification completion rate under optional concurrent load."""
+def measure_flowmod_rate(params: MicrobenchParams, load: Optional[str] = None) -> float:
+    """Rule modification completion rate, optionally under concurrent
+    ``"PacketIn"`` or ``"PacketOut"`` load."""
     sim, network, controller = _build(params)
     switch = network.switch("S2")
-
-    if packet_in_load:
-        switch.install_rule_directly(
-            FlowMod(Match(ip_src=("10.3.0.0", 16)), [ControllerAction()], priority=500)
-        )
-        network.switch("S1").install_rule_directly(
-            FlowMod(Match(ip_src=("10.3.0.0", 16)),
-                    [OutputAction(network.port_between("S1", "S2"))], priority=500)
-        )
-        flows = [
-            FlowSpec(
-                flow_id=f"pin-{index}",
-                source=network.host("H1"),
-                destination=network.host("H2"),
-                ip_src=int_to_ip(ip_to_int("10.3.0.1") + index),
-                ip_dst="10.0.128.99",
-                rate_pps=400.0,
-            )
-            for index in range(4)
-        ]
-        TrafficGenerator(sim, flows).start()
+    if load == "PacketIn":
+        _packet_in_load(sim, network, flow_count=4, rate_pps=400.0)
+    packet_out_ratio = params.packet_out_ratio if load == "PacketOut" else 0
 
     out_port = network.port_between("S2", "S3")
     src_base = ip_to_int("10.6.0.0")
@@ -198,49 +141,49 @@ def _flowmod_rate(params: MicrobenchParams, *, packet_in_load: bool,
             [OutputAction(out_port)],
             priority=100,
         )
-        controller.send(
-            "S2", flowmod
-        )
+        controller.send("S2", flowmod)
         for copy in range(packet_out_ratio):
             packet = make_ip_packet("10.0.200.1", "10.0.128.200",
                                     flow_id=None, sequence=copy)
             controller.send_packet_out("S2", PacketOut(packet, [OutputAction(out_port)]))
     sim.run(until=max(5.0, params.flowmod_count / 50.0))
-    apply_times = sorted(switch.controlplane.control_apply_log.values())
-    if len(apply_times) < 2:
-        return 0.0
-    return (len(apply_times) - 1) / (apply_times[-1] - apply_times[0])
+    return _sustained_rate(sorted(switch.controlplane.control_apply_log.values()))
 
 
-def run_microbench(params: Optional[MicrobenchParams] = None) -> MicrobenchResult:
-    """Run all three micro-benchmarks."""
-    params = params or MicrobenchParams.quick()
-    return MicrobenchResult(
-        packet_out_rate=measure_packet_out_rate(params),
-        packet_in_rate=measure_packet_in_rate(params),
-        flowmod_rate_baseline=_flowmod_rate(params, packet_in_load=False, packet_out_ratio=0),
-        flowmod_rate_with_packet_in=_flowmod_rate(params, packet_in_load=True,
-                                                  packet_out_ratio=0),
-        flowmod_rate_with_packet_out=_flowmod_rate(params, packet_in_load=False,
-                                                   packet_out_ratio=params.packet_out_ratio),
-    )
+#: The five runs behind the section's numbers, by name: ``measure(params)``
+#: returns a rate per second.
+MEASUREMENTS: Dict[str, Callable[[MicrobenchParams], float]] = {
+    "PacketOut": measure_packet_out_rate,
+    "PacketIn": measure_packet_in_rate,
+    "FlowMod": measure_flowmod_rate,
+    "FlowMod under PacketIn load": partial(measure_flowmod_rate, load="PacketIn"),
+    "FlowMod under PacketOut load": partial(measure_flowmod_rate, load="PacketOut"),
+}
 
 
-def render(result: MicrobenchResult) -> str:
-    """Text rendering of the micro-benchmark results."""
+def measure(name: str, params: MicrobenchParams) -> float:
+    """Run one of :data:`MEASUREMENTS`."""
+    return MEASUREMENTS[name](params)
+
+
+def kept_under(rates: Dict[str, float], load: str) -> float:
+    """Fraction of the baseline modification rate kept under ``load``."""
+    baseline = rates["FlowMod"]
+    return rates[f"FlowMod under {load} load"] / baseline if baseline > 0 else 0.0
+
+
+def render(rates: Dict[str, float]) -> str:
+    """Text rendering of ``{measurement name: rate}`` next to the paper's numbers."""
     rows = [
-        ["PacketOut rate", f"{result.packet_out_rate:.0f} /s", "~7006 /s"],
-        ["PacketIn rate", f"{result.packet_in_rate:.0f} /s", "~5531 /s"],
-        ["FlowMod rate (baseline)", f"{result.flowmod_rate_baseline:.0f} /s", "200-285 /s"],
-        ["kept under PacketIn load", f"{result.packet_in_interference * 100:.0f}%", ">= 96%"],
-        ["kept under 5:1 PacketOut load", f"{result.packet_out_interference * 100:.0f}%", ">= 87%"],
+        ["PacketOut rate", f"{rates['PacketOut']:.0f} /s", "~7006 /s"],
+        ["PacketIn rate", f"{rates['PacketIn']:.0f} /s", "~5531 /s"],
+        ["FlowMod rate (baseline)", f"{rates['FlowMod']:.0f} /s", "200-285 /s"],
+        ["kept under PacketIn load", f"{kept_under(rates, 'PacketIn') * 100:.0f}%", ">= 96%"],
+        ["kept under 5:1 PacketOut load", f"{kept_under(rates, 'PacketOut') * 100:.0f}%",
+         ">= 87%"],
     ]
     return format_table(
         ["measurement", "this reproduction", "paper"],
         rows,
         title="Section 5.2 micro-benchmarks",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(render(run_microbench()))

@@ -17,9 +17,9 @@ One declarative way to run any update-acknowledgment experiment::
 * :func:`build_control_stack` — the controller/RUM wiring, driven by the
   technique registry of :mod:`repro.core.techniques.registry`.
 
-The pre-existing entry points (``run_path_migration``, ``run_rule_install``,
-``repro.scenarios.engine.run_scenario``, campaign cells) are thin adapters
-over this API.
+Every entry point (``run_path_migration``, ``run_rule_install``, the rows of
+``repro.experiments.figures.FIGURES``, ``repro.scenarios.engine.run_scenario``,
+campaign cells) is a thin adapter over this API.
 """
 
 from repro.session.engine import run_session

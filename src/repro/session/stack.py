@@ -1,9 +1,8 @@
 """Control-stack wiring shared by every session.
 
-Moved here from ``repro.experiments.common`` (which still re-exports both
-names): the session engine is the one place that builds controller + proxy
-chains now, and the technique registry — not string comparisons against a
-``NO_WAIT`` sentinel — decides whether a RUM proxy is interposed.
+The session engine is the one place that builds controller + proxy chains,
+and the technique registry — not a string comparison against ``"no-wait"`` —
+decides whether a RUM proxy is interposed.
 """
 
 from __future__ import annotations
@@ -41,10 +40,13 @@ class ControlStack:
 
     def close(self) -> None:
         """Close the proxy chain's upstream connections (the network closes
-        the switch-facing ones)."""
+        the switch-facing ones) and drop the controller's ack table, which a
+        plan that timed out with acks pending would otherwise leave as a
+        controller <-> executor cycle."""
         for layer in (self.rum, self.barrier_layer):
             if layer is not None:
                 layer.close()
+        self.controller.forget_acks()
 
 
 def build_control_stack(

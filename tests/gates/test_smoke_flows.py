@@ -9,7 +9,11 @@ import logging
 import runpy
 from pathlib import Path
 
+import pytest
+
 from repro.campaign.__main__ import main as campaign_main
+from repro.experiments.__main__ import main as experiments_main
+from repro.experiments.figures import FIGURES
 from repro.lint.__main__ import main as lint_main
 from repro.obs.export import trace_to_chrome, validate_chrome_trace
 from repro.scenarios import ScenarioParams, run_scenario
@@ -77,8 +81,40 @@ def test_the_sanitizer_cli_finds_a_scenario_deterministic_under_two_hash_seeds(c
     assert "hashseed probe" in out
 
 
+def test_the_experiments_cli_lists_the_catalogue_and_runs_a_named_figure(capsys):
+    assert experiments_main([]) == 0
+    listed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if not line.startswith(" ")]
+    assert listed == list(FIGURES) and len(listed) == 8
+    assert experiments_main(["fig2"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "Figure 2: transient firewall bypass during the update\n")
+    with pytest.raises(SystemExit):
+        experiments_main(["fig3"])
+
+
+def _runs_headless(capsys, script, *args):
+    runpy.run_path(str(ROOT / "examples" / script))["main"](*args)
+    return capsys.readouterr().out
+
+
 def test_the_quickstart_example_runs_headless(capsys):
-    runpy.run_path(str(ROOT / "examples" / "quickstart.py"))["main"]()
-    out = capsys.readouterr().out
+    out = _runs_headless(capsys, "quickstart.py")
     assert "acknowledged rules: 30/30" in out
     assert "acknowledgments were never early" in out
+
+
+@pytest.mark.parametrize("script, args, expected", [
+    # Each at the smallest size it accepts.
+    ("firewall_bypass.py", (),
+     ["barrier acknowledgments opened a transient hole; RUM kept the policy intact."]),
+    ("probe_overhead_sweep.py", (40,),
+     ["sequential, probe after 20", "barriers (unsafe reference)"]),
+    ("path_migration.py", ("general", 2),
+     ["Broken time distribution (cf. Figure 1b)",
+      "packets dropped with general   : 0"]),
+], ids=["firewall-bypass", "probe-overhead-sweep", "path-migration"])
+def test_the_paper_examples_run_headless(capsys, script, args, expected):
+    out = _runs_headless(capsys, script, *args)
+    for line in expected:
+        assert line in out

@@ -15,7 +15,7 @@ import pytest
 from hop_model import Recorder
 
 from repro.experiments.common import EndToEndParams
-from repro.experiments.fig7_probing import run_fig7
+from repro.experiments.figures import FIGURES
 from repro.net.link import Link
 from repro.packet.packet import make_ip_packet
 from repro.scenarios import ScenarioParams, run_scenario
@@ -36,9 +36,9 @@ def _packet_ins_after_matching_the_model(recorder, networks):
 
 def test_fig7_flow_stats_identical_with_batching_on_and_off(monkeypatch):
     recorder = Recorder(monkeypatch)
-    result = run_fig7(EndToEndParams(flow_count=6))
+    results = FIGURES["fig7"].run(EndToEndParams(flow_count=6))
     # Probes went up to the controller, at the modelled instants.
-    assert _packet_ins_after_matching_the_model(recorder, len(result.results)) > 0
+    assert _packet_ins_after_matching_the_model(recorder, len(results)) > 0
 
 
 @pytest.mark.parametrize("technique", ["barrier", "sequential"])

@@ -2,26 +2,19 @@
 
 These run the full stack (controller, RUM, switches, traffic) and check the
 *qualitative* results of the evaluation: barriers drop packets, RUM's
-techniques do not, probing is faster than a static timeout, the firewall hole
-only opens without RUM, and the microbenchmark rates land near the calibrated
-targets.
+techniques do not, and probing is faster than a static timeout.  The
+per-figure claims (Figure 1b's distributions, Figure 8's delay signs, the
+firewall hole, the microbenchmark rates) are ``test_paper_figures.py``'s.
 """
 
 import pytest
 
+from repro.core.techniques.registry import TECHNIQUE_NO_WAIT
 from repro.experiments.common import (
     EndToEndParams,
-    NO_WAIT,
     RuleInstallParams,
     run_path_migration,
     run_rule_install,
-)
-from repro.experiments.fig1_broken_time import run_fig1, render as render_fig1
-from repro.experiments.fig2_firewall import run_firewall_once
-from repro.experiments.microbench import (
-    MicrobenchParams,
-    measure_packet_in_rate,
-    measure_packet_out_rate,
 )
 
 QUICK = EndToEndParams(flow_count=40, rate_pps=150.0, seed=11)
@@ -71,7 +64,7 @@ def test_timeout_is_safe_but_slower_than_probing(timeout_run, general_run):
 
 
 def test_probing_close_to_no_wait_lower_bound(general_run):
-    no_wait = run_path_migration(NO_WAIT, QUICK)
+    no_wait = run_path_migration(TECHNIQUE_NO_WAIT, QUICK)
     assert no_wait.mean_update_time <= general_run.mean_update_time
     # General probing stays within a modest factor of the unsafe lower bound.
     assert general_run.mean_update_time <= no_wait.mean_update_time + 0.15
@@ -82,48 +75,12 @@ def test_all_flows_eventually_migrate(barrier_run, general_run):
         assert all(entry.switched for entry in result.stats)
 
 
-def test_fig1_distributions_shape():
-    result = run_fig1(EndToEndParams(flow_count=30, rate_pps=150.0, seed=3))
-    distributions = result.distributions()
-    broken_with_barriers = distributions["OF barriers"][0.004]
-    broken_with_acks = distributions["working acks (RUM)"][0.004]
-    assert broken_with_barriers > broken_with_acks
-    assert result.with_acks.dropped_packets == 0
-    assert "Figure 1b" in render_fig1(result)
-
-
-def test_fig8_rule_install_delay_signs():
-    params = RuleInstallParams(rule_count=120, max_unconfirmed=120)
-    barrier = run_rule_install("barrier", params)
-    general = run_rule_install("general", params)
-    assert barrier.activation.negative_count > 0
-    assert general.activation.never_negative
-    # General probing acknowledges within tens of milliseconds of activation.
-    assert general.activation.summary().p90 < 0.05
-
-
 def test_sequential_usable_rate_grows_with_batch_size():
     params = RuleInstallParams(rule_count=300, max_unconfirmed=50)
     small_batch = run_rule_install("sequential", params.scaled(rum_overrides={"probe_batch": 1}))
     large_batch = run_rule_install("sequential", params.scaled(rum_overrides={"probe_batch": 10}))
     assert large_batch.usable_rate > small_batch.usable_rate
     assert small_batch.rum_probe_rule_updates > large_batch.rum_probe_rule_updates
-
-
-def test_firewall_hole_only_without_rum():
-    with_barriers = run_firewall_once("barrier", duration=2.0)
-    with_rum = run_firewall_once("general", duration=2.0)
-    assert with_barriers.bypassed_packets > 0
-    assert with_rum.bypassed_packets == 0
-    assert with_rum.violations["http_packets_at_firewall"] > 0
-
-
-def test_microbench_rates_match_calibration():
-    params = MicrobenchParams(packet_out_count=800, packet_in_duration=0.4)
-    packet_out = measure_packet_out_rate(params)
-    packet_in = measure_packet_in_rate(params)
-    assert packet_out == pytest.approx(7006, rel=0.1)
-    assert packet_in == pytest.approx(5531, rel=0.1)
 
 
 def test_barrier_layer_buffering_slows_but_stays_safe():

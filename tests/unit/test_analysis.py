@@ -7,9 +7,6 @@ from repro.analysis import (
     cdf_points,
     format_table,
     percentile,
-    render_cdf,
-    render_series,
-    summarize_distribution,
 )
 from repro.analysis.activation import ActivationDelays
 from repro.analysis.cdf import fraction_at_least
@@ -73,13 +70,6 @@ def test_format_table_alignment_and_validation():
     assert "a" in lines[1] and "bb" in lines[1]
     with pytest.raises(ValueError):
         format_table(["a"], [[1, 2]])
-
-
-def test_render_series_and_cdf_do_not_crash():
-    assert "series" in render_series({"x": [1.0, 2.0], "empty": []})
-    assert "p 50" in render_cdf([0.1] * 100) or "p" in render_cdf([0.1] * 100)
-    assert "no samples" in summarize_distribution([], label="none")
-    assert "n=3" in summarize_distribution([1.0, 2.0, 3.0], label="some")
 
 
 def test_render_flow_update_curves_handles_missing_values():

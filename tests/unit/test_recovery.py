@@ -23,7 +23,8 @@ from repro.faults import FaultPlan, FaultSpec, GroupSpec, RollingSpec, resolve_t
 from repro.net import Network, triangle_topology
 from repro.openflow import FlowMod, Match, OutputAction
 from repro.recovery import NO_RECOVERY, RecoveryManager, RecoveryPolicy, ShadowStore
-from repro.scenarios import ScenarioParams, run_scenario
+from repro.scenarios import SCENARIOS, ScenarioParams, get_scenario, run_scenario
+from repro.scenarios.fault_sweep import DEFAULT_FAULT_MIX
 from repro.scenarios.generators import fat_tree
 from repro.sim import Simulator
 
@@ -503,16 +504,49 @@ class TestRollingScenarios:
 
 class TestCampaignRecoveryAxis:
     def test_recovery_off_cell_ids_match_pre_recovery_hashes(self):
+        # The absent axis keeps the pre-recovery hash; an explicit "off" is a
+        # different run for scenarios that default recovery on, so it is
+        # written into the config and hashes apart.
         bare = CampaignCell(scenario="path-migration", technique="general")
+        assert "recovery" not in bare.config()
+        assert bare.cell_id == "6af0fafc727abcc6"
         explicit = CampaignCell(scenario="path-migration", technique="general",
                                 recovery="off")
-        assert "recovery" not in explicit.config()
-        assert explicit.cell_id == bare.cell_id
+        assert explicit.config()["recovery"] == "off"
+        assert explicit.cell_id != bare.cell_id
+        assert "recovery=" not in explicit.describe()
         armed = CampaignCell(scenario="path-migration", technique="general",
                              recovery="on")
         assert armed.config()["recovery"] == "on"
         assert armed.cell_id != bare.cell_id
         assert "recovery=on" in armed.describe()
+
+    @pytest.mark.parametrize("scenario", ["rolling-upgrade", "correlated-tor-outage",
+                                          "fault-sweep"])
+    def test_an_absent_axis_is_not_an_explicit_none(self, scenario):
+        # ``python -m repro.campaign run --scenarios rolling-upgrade`` used to
+        # pass the spec's default "none" / "off" through verbatim and report
+        # on an outage that never happened.
+        def armed(cell):
+            instance = get_scenario(scenario, cell.scenario_params())
+            return instance.fault_plan().to_string(), instance.recovery_policy()
+
+        (absent,) = CampaignSpec(scenarios=[scenario], techniques=["general"],
+                                 seeds=[1]).cells()
+        assert (absent.fault, absent.recovery) == (None, None)
+        assert armed(absent) == armed(CampaignCell(scenario, "general"))
+        own_faults, own_policy = armed(absent)
+        assert own_faults == (getattr(SCENARIOS[scenario], "default_timeline", None)
+                              or DEFAULT_FAULT_MIX)
+        assert (own_policy is not None) == (scenario != "fault-sweep")
+
+        control = CampaignCell(scenario, "general", fault="none", recovery="off")
+        assert armed(control) == ("none", None)
+        # Different runs, so never one store entry.
+        assert control.config()["fault"] == "none"
+        assert control.config()["recovery"] == "off"
+        assert "fault" not in absent.config() and "recovery" not in absent.config()
+        assert control.cell_id != absent.cell_id
 
     def test_recovery_axis_expands_the_grid(self):
         spec = CampaignSpec(scenarios=["path-migration"], techniques=["general"],
