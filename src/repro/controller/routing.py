@@ -78,30 +78,11 @@ def path_flowmods(
 def shortest_path(network: Network, source_host: str, destination_host: str,
                   avoid: Optional[Sequence[str]] = None) -> List[str]:
     """Shortest node path between two hosts, optionally avoiding some switches."""
-    graph = network.topology.full_graph().copy()
+    graph = network.topology.full_graph()  # a fresh graph: ours to prune
     for node in avoid or []:
         if node in graph:
             graph.remove_node(node)
     return nx.shortest_path(graph, source_host, destination_host)
-
-
-def k_shortest_paths(graph: nx.Graph, source: str, destination: str,
-                     k: int) -> List[List[str]]:
-    """Up to ``k`` loop-free paths between two nodes, shortest first.
-
-    The scenario generators use this to pick migration targets on arbitrary
-    topologies: the first path is the pre-update route, and the first later
-    path that differs is a natural post-update route (both necessarily share
-    their first hop when the source is a degree-one host).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    paths: List[List[str]] = []
-    for path in nx.shortest_simple_paths(graph, source, destination):
-        paths.append(list(path))
-        if len(paths) == k:
-            break
-    return paths
 
 
 def first_distinct_switch(old_path: Sequence[str], new_path: Sequence[str],

@@ -10,15 +10,13 @@ migration (prepare downstream rules, then flip the shared ingress switch).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, List, Tuple
+
+import networkx as nx
 
 from repro.controller.consistent import ConsistentPathMigration
-from repro.controller.routing import (
-    first_distinct_switch,
-    install_path_rules,
-    k_shortest_paths,
-    path_flowmods,
-)
+from repro.controller.routing import first_distinct_switch, install_path_rules, path_flowmods
 from repro.controller.update_plan import UpdatePlan
 from repro.net.network import Network
 from repro.net.traffic import FlowSpec, flows_between
@@ -46,16 +44,14 @@ def migration_paths(network: Network, source_host: str,
     path that traverses at least one switch the old path avoids (so that the
     delivery monitor can tell the routes apart).  Both paths necessarily
     share their first switch because hosts have exactly one link, which is
-    what :class:`ConsistentPathMigration` requires of its ingress.
+    what :class:`ConsistentPathMigration` requires of its ingress.  Paths are
+    drawn lazily: each one costs a search, and the first usable one ends it.
     """
-    graph = network.topology.full_graph()
-    candidates = k_shortest_paths(graph, source_host, dest_host,
-                                  _PATH_SEARCH_LIMIT)
-    old_path: Optional[List[str]] = None
-    for path in candidates:
-        if old_path is None:
-            old_path = path
-            continue
+    paths = islice(nx.shortest_simple_paths(network.topology.full_graph(),
+                                            source_host, dest_host),
+                   _PATH_SEARCH_LIMIT)
+    old_path = next(paths)
+    for path in paths:
         if first_distinct_switch(old_path, path, network.switches) is not None:
             return old_path, path
     raise ValueError(

@@ -22,7 +22,7 @@ pre-session code:
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.analysis.activation import ActivationDelays, activation_delays
 from repro.analysis.flowstats import (
@@ -44,7 +44,7 @@ from repro.session.stack import build_control_stack
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRandom
 
-#: Sampling period of the metrics probe in traced runs (simulated seconds).
+#: Sampling period of the gauge sampler in traced runs (simulated seconds).
 #: Fine enough to resolve per-rule queues at the default control latencies,
 #: coarse enough that a traced session stays a few hundred samples.
 _TRACE_SAMPLE_INTERVAL = 0.01
@@ -62,7 +62,7 @@ def run_session(spec: SessionSpec) -> RunRecord:
     the engine creates a :class:`~repro.obs.profiler.Profiler`, hands it to
     the session body (the only phase emitter) and the record carries its
     :class:`~repro.obs.profiler.ProfileReport`.  Both only *observe* — every
-    instrumentation site is read-only and the periodic metrics probe
+    instrumentation site is read-only and the periodic gauge sampler
     mutates no simulation state — so a traced or profiled run computes the
     same outcome (and digest) as the identical bare run.
 
@@ -88,24 +88,39 @@ def run_session(spec: SessionSpec) -> RunRecord:
             profiler.detach()
 
 
-def _metrics_probe(tracer: Tracer, sim: Simulator, network: Network,
-                   stack) -> None:
-    """One reading of the sampled gauges (runs on the simulated clock)."""
-    now = sim.now
-    tracer.gauge("controller.pending_acks", now,
-                 float(stack.controller.pending_acks()))
-    if stack.rum is not None:
-        tracer.gauge("rum.unconfirmed", now,
-                     float(stack.rum.unconfirmed_count()))
-    pending_ops = occupancy = 0
-    for switch in network.switches.values():
-        pending_ops += switch.controlplane.pending_dataplane_ops
-        occupancy += switch.dataplane.occupancy()
-    tracer.gauge("switch.pending_dataplane_ops", now, float(pending_ops))
-    tracer.gauge("dataplane.occupancy", now, float(occupancy))
-    tracer.gauge("net.dropped_packets", now,
-                 float(network.monitor.total_dropped()))
-    tracer.gauge("kernel.pending_events", now, float(sim.pending_count))
+def _gauge_reader(tracer: Tracer, sim: Simulator, network: Network,
+                  stack) -> Callable[[], None]:
+    """Bind the sampled gauges once and return one reading of them.
+
+    The sample lists, and each switch's pending-op queue and data-plane entry
+    dict (cleared in place, a crash included, never rebound), are bound here,
+    so a reading costs the same on any topology.  ``net.dropped_packets`` is
+    sent minus delivered *so far*: mid-run it also counts packets still on
+    the wire.  Nothing reads it; a run's loss is ``RunRecord.dropped_packets``.
+    """
+    gauge = tracer.metrics.gauge
+    controller, rum, monitor = stack.controller, stack.rum, network.monitor
+    switches = network.switches.values()
+    queues = [switch.controlplane._pending_ops for switch in switches]
+    tables = [switch.dataplane.table._entries for switch in switches]
+    acks = gauge("controller.pending_acks").samples.append
+    unconfirmed = gauge("rum.unconfirmed").samples.append if rum is not None else None
+    pending_ops = gauge("switch.pending_dataplane_ops").samples.append
+    occupancy = gauge("dataplane.occupancy").samples.append
+    dropped = gauge("net.dropped_packets").samples.append
+    events = gauge("kernel.pending_events").samples.append
+
+    def reading() -> None:
+        now = sim.now
+        acks((now, float(controller.pending_acks())))
+        if rum is not None:
+            unconfirmed((now, float(rum.unconfirmed_count())))
+        pending_ops((now, float(sum(map(len, queues)))))
+        occupancy((now, float(sum(map(len, tables)))))
+        dropped((now, float(monitor.total_dropped())))
+        events((now, float(sim.pending_count)))
+
+    return reading
 
 
 def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
@@ -144,15 +159,13 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
     network.start()
     stack.start()
 
-    # Metrics sampling on the simulated clock (traced runs only).  The probe
-    # only reads state, so it cannot perturb the run; it must be cancelled
-    # before the record is built or an unbounded run would never drain.
-    probe = None
+    # Gauge sampling on the simulated clock (traced runs only).  It only reads
+    # state, so it cannot perturb the run; it must be cancelled before the
+    # record is built or an unbounded run would never drain.
+    sampler = None
     if tracer is not None:
-        probe = sim.every(
-            _TRACE_SAMPLE_INTERVAL,
-            lambda: _metrics_probe(tracer, sim, network, stack),
-        )
+        sampler = sim.every(_TRACE_SAMPLE_INTERVAL,
+                            _gauge_reader(tracer, sim, network, stack))
 
     # 2b. Fault plan -----------------------------------------------------------
     # Arms nothing when the spec carries no (or an empty) plan, keeping the
@@ -219,8 +232,8 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
     else:
         sim.run(until=sim.now + knobs.settle)
 
-    if probe is not None:
-        probe.cancel()
+    if sampler is not None:
+        sampler.cancel()
 
     # 6. Post-processing -----------------------------------------------------------
     if profiler is not None:
@@ -238,13 +251,13 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
                else total_dropped(stats))
 
     activation: Optional[ActivationDelays] = None
-    probe = spec.activation_probe
-    if probe is not None and stack.rum is not None:
+    activation_probe = spec.activation_probe
+    if activation_probe is not None and stack.rum is not None:
         activation = activation_delays(
-            network.switch(probe.switch),
-            stack.rum.confirmation_times(probe.switch),
+            network.switch(activation_probe.switch),
+            stack.rum.confirmation_times(activation_probe.switch),
             technique=technique.name,
-            xids=probe.xids(plan),
+            xids=activation_probe.xids(plan),
         )
 
     metrics = spec.metrics(network, plan, executor) if spec.metrics else {}

@@ -4,6 +4,7 @@ traced session, trace-off digest transparency, the metrics registry, the
 exporters, and the timeline analysis."""
 
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -253,6 +254,23 @@ class TestTracedSession:
 
     def test_tracer_never_leaks_after_session(self, traced_record):
         assert obs_tracer.TRACER is obs_tracer.NULL_TRACER
+
+
+def test_the_gauge_series_of_a_traced_outage_cell_are_pinned():
+    # The benchmark's smoke rolling-upgrade cell: crashes wipe tables and
+    # queues mid-run, so a reading that bound a stale queue or table shows
+    # here.  A cheaper reading must sample exactly what this hash pins.
+    record = run_scenario("rolling-upgrade", "barrier",
+                          ScenarioParams(flow_count=4, rate_pps=25.0, seed=1,
+                                         trace=True, recovery="on"))
+    gauges = {name: series for name, series in record.trace.metrics.items()
+              if isinstance(series, list)}
+    assert {name: len(series) for name, series in gauges.items()} == dict.fromkeys(
+        ["controller.pending_acks", "dataplane.occupancy", "kernel.pending_events",
+         "net.dropped_packets", "rum.unconfirmed", "switch.pending_dataplane_ops"], 194)
+    assert hashlib.sha256(json.dumps(gauges, sort_keys=True).encode()).hexdigest() == (
+        "4351133b8ed4c9848e883e3f0092e7ff842d03e8ffac69c626a30979100fc4ae")
+    assert (record.digest(), len(record.trace.events)) == ("73892d49890cba77", 340)
 
 
 class TestValidateChromeTrace:

@@ -12,7 +12,10 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.experiments.common import EndToEndParams, MigrationSpec, run_path_migration
-from repro.scenarios.generators import leaf_spine
+from repro.net.network import Network
+from repro.scenarios.generators import build_topology, leaf_spine
+from repro.scenarios.migration import endpoint_hosts, migration_paths
+from repro.sim import Simulator
 
 
 class TestRegistry:
@@ -116,6 +119,40 @@ class TestMigrationSpec:
         result = run_path_migration("general", params, spec=spec)
         assert result.update_duration is not None
         assert all(entry.switched for entry in result.stats)
+
+
+def _endpoint_network(family, scale):
+    network = Network(Simulator(), build_topology(family, scale=scale))
+    return (network, *endpoint_hosts(network))
+
+
+class TestMigrationPaths:
+    """The ``(old_path, new_path)`` pair of every topology family a registered
+    scenario builds, as the full 64-path search returned it."""
+
+    @pytest.mark.parametrize("family, scale, old_path, new_path", [
+        ("fat-tree", 1, ["H1", "E0-0", "A0-0", "C0-0", "A3-0", "E3-1", "H8"],
+         ["H1", "E0-0", "A0-1", "C1-0", "A3-1", "E3-1", "H8"]),
+        ("fat-tree", 2, ["H1", "E0-0", "A0-0", "C0-0", "A5-0", "E5-2", "H18"],
+         ["H1", "E0-0", "A0-1", "C1-0", "A5-1", "E5-2", "H18"]),
+        ("leaf-spine", 1, ["H1", "L0", "SP0", "L3", "H4"],
+         ["H1", "L0", "SP1", "L3", "H4"]),
+        ("leaf-spine", 2, ["H1", "L0", "SP0", "L5", "H6"],
+         ["H1", "L0", "SP1", "L5", "H6"]),
+        ("ring", 1, ["H1", "R0", "R1", "R2", "H2"], ["H1", "R0", "R3", "R2", "H2"]),
+        ("ring", 2, ["H1", "R0", "R1", "R2", "R3", "H2"],
+         ["H1", "R0", "R5", "R4", "R3", "H2"]),
+        ("triangle", 1, ["H1", "S1", "S3", "H2"], ["H1", "S1", "S2", "S3", "H2"]),
+    ])
+    def test_the_pair_is_pinned(self, family, scale, old_path, new_path):
+        assert migration_paths(*_endpoint_network(family, scale)) == (old_path, new_path)
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_a_chain_offers_no_alternative(self, scale):
+        with pytest.raises(ValueError) as raised:
+            migration_paths(*_endpoint_network("linear", scale))
+        assert str(raised.value) == (f"topology 'linear-{scale + 2}' offers no "
+                                     "alternative path between H1 and H2")
 
 
 class TestPerFlowStatsMapping:

@@ -6,8 +6,9 @@ hit) and an idle network may not execute kernel steps at all.  A refactor that
 quietly brings the copy or the poll back fails here on any machine.
 
 The armed path has its own guards: a gauge reading may not scan the acks ever
-issued, a Perfetto shard may not be encoded by Python frames per value, and
-none of that may leak onto the bare path.
+issued nor walk the switches, a Perfetto shard may not be encoded by Python
+frames per value, and none of that may leak onto the bare path.  A cell's
+set-up has one: migration path search draws no path past the one it keeps.
 
 The packet path has five more: dispatching a scheduled callback enters no
 frame but the callback's, a numeric process sleep and a plain-output switch
@@ -27,6 +28,7 @@ import inspect
 import sys
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 import repro.switches.dataplane as dataplane_mod
@@ -49,7 +51,8 @@ from repro.openflow.flowtable import FlowTable
 from repro.packet.packet import Packet, make_ip_packet
 from repro.scenarios import ScenarioParams, run_scenario, scenario_session
 from repro.scenarios.generators import build_topology
-from repro.session.engine import _metrics_probe
+from repro.scenarios.migration import endpoint_hosts, migration_paths
+from repro.session.engine import _gauge_reader
 from repro.session.stack import build_control_stack
 from repro.sim import Simulator
 from repro.switches import HardwareSwitch, SoftwareSwitch, Switch
@@ -182,14 +185,21 @@ def _python_frames(function, entered=None):
     return frames
 
 
-def test_a_gauge_reading_costs_the_same_however_many_acks_were_issued():
+def _armed_reading(topology):
+    """A started ``general`` stack on ``topology``, a tracer and the gauge
+    reading a traced session would bind for them."""
     sim = Simulator()
-    network = Network(sim, triangle_topology(), seed=3)
+    network = Network(sim, topology, seed=3)
     stack = build_control_stack(sim, network, "general")
     stack.prepare()
     network.start()
     stack.start()
     tracer = Tracer()
+    return sim, stack, tracer, _gauge_reader(tracer, sim, network, stack)
+
+
+def test_a_gauge_reading_costs_the_same_however_many_acks_were_issued():
+    sim, stack, tracer, reading = _armed_reading(triangle_topology())
 
     def issue(count):
         for _ in range(count):
@@ -197,17 +207,47 @@ def test_a_gauge_reading_costs_the_same_however_many_acks_were_issued():
                 "S2", FlowMod(Match(ip_dst="10.0.0.2"), [OutputAction(1)]))
         sim.run(until=sim.now + 0.001)  # the sends reach RUM's trackers
 
-    def reading():
-        return _python_frames(lambda: _metrics_probe(tracer, sim, network, stack))
-
-    reading()  # the first one also creates the six gauges
+    first = _python_frames(reading)
     issue(50)
-    after_n = reading()
+    after_n = _python_frames(reading)
     issue(150)
-    assert reading() == after_n
+    assert _python_frames(reading) == after_n == first
     samples = tracer.finish().metrics
     assert [value for _ts, value in samples["controller.pending_acks"]] == [0.0, 50.0, 200.0]
     assert [value for _ts, value in samples["rum.unconfirmed"]] == [0.0, 50.0, 200.0]
+
+
+def test_a_gauge_reading_costs_the_same_however_many_switches_there_are():
+    frames, occupancy = {}, {}
+    for topology in (triangle_topology(), build_topology("fat-tree", scale=2)):
+        sim, _stack, tracer, reading = _armed_reading(topology)
+        sim.run(until=0.05)  # RUM's deployment rules are in the data planes
+        frames[len(topology.switches)] = _python_frames(reading)
+        ((_ts, occupancy[len(topology.switches)]),) = (
+            tracer.finish().metrics["dataplane.occupancy"])
+    assert set(frames) == {3, 45}
+    # A walk over the switches was three frames each (a property, a method
+    # and FlowTable.__len__); the bound reading sums two flat lists in C.
+    assert frames[3] == frames[45]
+    assert occupancy[45] > occupancy[3] > 0
+
+
+def test_fat_tree_path_search_stops_at_the_first_usable_path(monkeypatch):
+    drawn = Counter()
+    search = nx.shortest_simple_paths
+
+    def counted(*args, **kwargs):
+        for path in search(*args, **kwargs):
+            drawn["paths"] += 1
+            yield path
+
+    monkeypatch.setattr(nx, "shortest_simple_paths", counted)
+    network = Network(Simulator(), build_topology("fat-tree", scale=2))
+    old_path, new_path = migration_paths(network, *endpoint_hosts(network))
+    assert len(old_path) == len(new_path) == 7
+    # The old path and the first one adding a switch; a full list of 64
+    # simple paths was drawn first, and thrown away.
+    assert drawn["paths"] == 2
 
 
 def test_a_shard_is_encoded_by_the_c_encoder_not_by_python_frames(tmp_path):
