@@ -68,7 +68,7 @@ class RumConfig:
     #: Sequential probing: update the probe rule after this many real
     #: modifications (the paper uses 10 in the end-to-end experiment).
     probe_batch: int = 10
-    #: Period of the probe injection loop.
+    #: Period of the probe injection timer.
     probe_interval: float = 0.01
     #: General probing: probe at most this many oldest unconfirmed
     #: modifications per round (the paper uses 30).

@@ -103,7 +103,7 @@ class ProxyLayer:
         self._upstream[switch_name].side_a.send(message)
 
     def start(self) -> None:
-        """Start any background processes the layer needs (default: none)."""
+        """Start any background work the layer needs (default: none)."""
 
     def close(self) -> None:
         """Close the upstream connections this layer created and forget the

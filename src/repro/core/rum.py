@@ -90,7 +90,7 @@ class RumLayer(ProxyLayer):
         self.technique.prepare()
 
     def start(self) -> None:
-        """Start the technique's background processes (probing loops, timers)."""
+        """Start the technique's background work (probe timers)."""
         if self._started:
             return
         if not self._prepared:

@@ -41,7 +41,7 @@ class AckTechnique:
         """
 
     def start(self) -> None:
-        """Start periodic background processes (probing loops, timers)."""
+        """Start periodic background work (probe timers)."""
 
     # -- notifications ------------------------------------------------------------
     def on_flowmod_forwarded(self, switch_name: str, record: PendingRule) -> None:

@@ -88,7 +88,12 @@ class GeneralProbingTechnique(AckTechnique):
             )
 
     def start(self) -> None:
-        self.sim.process(self._probe_loop(), name="rum.general.probe-loop")
+        # The first tick is scheduled from a zero-delay entry, not from here:
+        # that entry holds a sequence number, and run digests depend on ties.
+        self.sim.schedule_callback(0.0, self._arm_probe_timer)
+
+    def _arm_probe_timer(self) -> None:
+        self.sim.schedule_callback(self.config.probe_interval, self._probe_tick)
 
     # -- FlowMod notifications -----------------------------------------------------
     def on_flowmod_forwarded(self, switch_name: str, record: PendingRule) -> None:
@@ -146,18 +151,20 @@ class GeneralProbingTechnique(AckTechnique):
             "fallback",
         )
 
-    # -- probing loop -------------------------------------------------------------------
-    def _probe_loop(self):
-        while True:
-            yield self.config.probe_interval
-            for switch_name in self.layer.topology.switch_names():
-                tracker = self.layer.pending(switch_name)
-                if not len(tracker):
-                    continue
-                for record in tracker.oldest(self.config.probe_window):
-                    info = self._probe_info.get((switch_name, record.xid))
-                    if info is not None:
-                        self._inject_probe(info)
+    # -- probing timer ------------------------------------------------------------------
+    def _probe_tick(self) -> None:
+        """Re-inject the probes of every switch's oldest pending rules, then
+        come back one ``probe_interval`` later."""
+        config = self.config
+        for switch_name in self.layer.topology.switch_names():
+            tracker = self.layer.pending(switch_name)
+            if not len(tracker):
+                continue
+            for record in tracker.oldest(config.probe_window):
+                info = self._probe_info.get((switch_name, record.xid))
+                if info is not None:
+                    self._inject_probe(info)
+        self.sim.schedule_callback(config.probe_interval, self._probe_tick)
 
     def _inject_probe(self, info: _ProbeInfo) -> None:
         packet = info.template.copy()

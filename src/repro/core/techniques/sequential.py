@@ -123,7 +123,12 @@ class SequentialProbingTechnique(AckTechnique):
             )
 
     def start(self) -> None:
-        self.sim.process(self._probe_loop(), name="rum.sequential.probe-loop")
+        # The first tick is scheduled from a zero-delay entry, not from here:
+        # that entry holds a sequence number, and run digests depend on ties.
+        self.sim.schedule_callback(0.0, self._arm_probe_timer)
+
+    def _arm_probe_timer(self) -> None:
+        self.sim.schedule_callback(self.config.probe_interval, self._probe_tick)
 
     # -- FlowMod notifications -----------------------------------------------------
     def on_flowmod_forwarded(self, switch_name: str, record: PendingRule) -> None:
@@ -188,15 +193,15 @@ class SequentialProbingTechnique(AckTechnique):
         self.probe_rule_updates_sent += 1
         self.layer.send_to_switch(switch_name, flowmod)
 
-    # -- probing loop -------------------------------------------------------------------
-    def _probe_loop(self):
-        config = self.config
-        while True:
-            yield config.probe_interval
-            for state in self._states.values():
-                if not state.probeable or not state.outstanding:
-                    continue
-                self._inject_probe(state)
+    # -- probing timer ------------------------------------------------------------------
+    def _probe_tick(self) -> None:
+        """Inject a pre-probe at every switch with an outstanding batch, then
+        come back one ``probe_interval`` later."""
+        for state in self._states.values():
+            if not state.probeable or not state.outstanding:
+                continue
+            self._inject_probe(state)
+        self.sim.schedule_callback(self.config.probe_interval, self._probe_tick)
 
     def _inject_probe(self, state: _SwitchProbeState) -> None:
         packet = state.template.copy()

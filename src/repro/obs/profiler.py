@@ -40,8 +40,6 @@ import tracemalloc
 from time import perf_counter
 from typing import Dict, List, Optional
 
-from repro.sim.process import Process
-
 
 class ProfileReport:
     """The frozen output of one profiled session.
@@ -84,10 +82,10 @@ class ProfileReport:
         """Callback rows aggregated by event class (owning class or module).
 
         ``TrafficGenerator._begin`` and ``TrafficGenerator._emit`` fold into
-        one ``TrafficGenerator`` row, as a class's methods and the generators
-        a process steps for it do; module-level functions fold into their
-        module's last component.  A switch hop has no row of its own: it is
-        the link's heap entry, so its time is ``Link._flush_train``'s.
+        one ``TrafficGenerator`` row, as every method of a class does;
+        module-level functions fold into their module's last component.  A
+        switch hop has no row of its own: it is the link's heap entry, so its
+        time is ``Link._flush_train``'s.
         """
         grouped: Dict[str, List[float]] = {}
         for row in self.callbacks:
@@ -140,9 +138,8 @@ class Profiler:
         self.seed = seed
         self._sim = None
         #: callback function object -> module-qualified site label.  Keyed on
-        #: the underlying function (``__func__`` for bound methods, the
-        #: generator's code object for process steps) so every instance of a
-        #: class folds into one site.
+        #: the underlying function (``__func__`` for bound methods) so every
+        #: instance of a class folds into one site.
         self._sites: Dict[object, str] = {}
         #: site -> [calls, wall_s, scheduled]
         self._stats: Dict[str, List] = {}
@@ -229,21 +226,11 @@ class Profiler:
         now = perf_counter()
         seq = self._sim.schedule_sequence
         self._close_pending(now, seq)
-        # A callback that steps a process (``_start``, ``_wake``,
-        # ``_resume_with_value``, ``_step``) spends its time in the generator
-        # body, so its site is the generator function, not ``Process``.
-        owner = getattr(callback, "__self__", None)
-        frame = (getattr(owner.generator, "gi_frame", None)
-                 if isinstance(owner, Process) else None)
-        func = getattr(callback, "__func__", callback) if frame is None else frame.f_code
+        func = getattr(callback, "__func__", callback)
         site = self._sites.get(func)
         if site is None:
-            if frame is None:
-                site = (f"{getattr(func, '__module__', '?')}."
-                        f"{getattr(func, '__qualname__', repr(func))}")
-            else:
-                site = (f"{frame.f_globals.get('__name__', '?')}."
-                        f"{owner.generator.__qualname__}")
+            site = (f"{getattr(func, '__module__', '?')}."
+                    f"{getattr(func, '__qualname__', repr(func))}")
             self._sites[func] = site
         self._pending_site = site
         self._last_ts = now

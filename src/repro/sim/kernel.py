@@ -7,25 +7,27 @@ packet and message ordering deterministic.  Callbacks are scheduled after a
 delay (:meth:`Simulator.schedule_callback`) or, when the exact float of the
 firing time matters, at an absolute time (:meth:`Simulator.schedule_at`).
 
+Every heap entry is a plain callback; there are no processes.  A model that
+reads as a loop — a traffic source, a technique's probe timer, the
+rate-limited data-plane sync — is a callback that does one round of work and
+reschedules itself, and a delay that is constant per receiver (a switch's
+ingress) is added to the link's due time, not waited out.  A bound-method
+callback's owner is its ``__self__``, so an observer can book every step to
+the object that did the work.
+
 The execution loop is the hottest code in the repository: an end-to-end
 experiment dispatches millions of tiny callbacks.  :meth:`Simulator.run`
 therefore inlines the stepping loop with locally-bound heap operations
-instead of calling :meth:`Simulator.step` per event.  A numeric process
-sleep (``yield interval``) is one heap entry whose callback is the process's
-own :meth:`~repro.sim.process.Process._wake` — no :class:`Timeout`, no event
-dispatch — so steady-state stepping allocates the heap tuple and nothing else.
-The per-packet paths do not sleep at all: traffic sources and links are
-callbacks that reschedule themselves, and a delay that is constant per
-receiver (a switch's ingress) is added to the link's due time, not waited out.
+instead of calling :meth:`Simulator.step` per event, so steady-state stepping
+allocates the heap tuple and nothing else.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import Event, Timeout
-from repro.sim.process import Process
+from repro.sim.events import Event
 
 #: Event-stream observer hook (the determinism sanitizer's recording tap).
 #: ``None`` — the default — costs the run loop one locally-bound ``is not
@@ -159,26 +161,9 @@ class Simulator:
             self._sequence = sequence + 1
         heapq.heappush(self._heap, (time, sequence, callback, args))
 
-    @staticmethod
-    def _trigger_if_pending(event: Event, value: Any) -> None:
-        if not event.triggered:
-            event.succeed(value)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create and schedule a :class:`Timeout` (usable outside processes too)."""
-        timeout = Timeout(delay, value=value)
-        self._schedule_timeout(timeout)
-        return timeout
-
-    def _schedule_timeout(self, timeout: Timeout) -> None:
-        timeout.sim = self
-        self.schedule_callback(timeout.delay, self._trigger_if_pending, timeout, timeout.value)
-
     def event(self, name: str = "") -> Event:
-        """Create an untriggered event bound to this simulator."""
-        event = Event(name=name)
-        event.sim = self
-        return event
+        """Create an untriggered event."""
+        return Event(name=name)
 
     # -- periodic hooks ---------------------------------------------------------
     def every(self, interval: float, callback: Callable[[], None],
@@ -201,8 +186,8 @@ class Simulator:
         """Drop every scheduled callback.
 
         The heap is the only place the kernel holds on to the objects it
-        drives (bound methods, sleeping processes, periodic probes); emptied,
-        the simulator is a leaf that reference counting can free.
+        drives (bound methods and periodic probes); emptied, the simulator
+        is a leaf that reference counting can free.
         """
         self._heap.clear()
 
@@ -231,13 +216,6 @@ class Simulator:
             "steps_executed": self.steps_executed,
             "sequence": self._sequence,
         }
-
-    # -- processes -------------------------------------------------------------
-    def process(self, generator: Generator, name: str = "") -> Process:
-        """Start a new process from ``generator`` and return it."""
-        process = Process(self, generator, name=name)
-        self.schedule_callback(0.0, process._start)
-        return process
 
     # -- execution ---------------------------------------------------------------
     def step(self) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Sequence, TypeVar
+from typing import List, TypeVar
 
 T = TypeVar("T")
 
@@ -34,27 +34,11 @@ class SeededRandom:
         """Uniform integer in ``[low, high]`` inclusive."""
         return self._random.randint(low, high)
 
-    def choice(self, seq: Sequence[T]) -> T:
-        """Uniformly pick one element of ``seq``."""
-        return self._random.choice(seq)
-
     def shuffle(self, seq: List[T]) -> List[T]:
         """Return a new list with the elements of ``seq`` shuffled."""
         shuffled = list(seq)
         self._random.shuffle(shuffled)
         return shuffled
-
-    def sample(self, seq: Sequence[T], k: int) -> List[T]:
-        """Sample ``k`` distinct elements."""
-        return self._random.sample(seq, k)
-
-    def expovariate(self, rate: float) -> float:
-        """Exponential inter-arrival sample with the given rate (1/mean)."""
-        return self._random.expovariate(rate)
-
-    def gauss(self, mean: float, stddev: float) -> float:
-        """Normal sample."""
-        return self._random.gauss(mean, stddev)
 
     # -- domain helpers --------------------------------------------------------
     def jitter(self, base: float, fraction: float) -> float:
@@ -66,10 +50,6 @@ class SeededRandom:
         if fraction <= 0:
             return base
         return base * self.uniform(1.0 - fraction, 1.0 + fraction)
-
-    def spread_start_times(self, count: int, window: float) -> List[float]:
-        """``count`` start offsets uniformly spread over ``[0, window)``."""
-        return sorted(self.uniform(0.0, window) for _ in range(count))
 
     def fork(self, label: str) -> "SeededRandom":
         """Derive an independent, deterministic child generator.

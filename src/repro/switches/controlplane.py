@@ -186,7 +186,7 @@ class ControlPlane:
         self._applied_xids: set = set()
         self.duplicate_flowmods = 0
 
-        self._processes_started = False
+        self._started = False
         #: Set while the switch is crashed (lifecycle faults): inbound
         #: messages are lost and queued ones are discarded unprocessed.
         self.crashed = False
@@ -198,13 +198,11 @@ class ControlPlane:
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
         """Start the agent and the data-plane sync."""
-        if self._processes_started:
+        if self._started:
             return
-        self._processes_started = True
+        self._started = True
         self.sim.schedule_callback(0.0, self._next_message)
-        if self.profile.sync_model == DataPlaneSyncModel.PERIODIC_BATCH:
-            self.sim.process(self._periodic_sync_loop(), name=f"{self.name}.sync")
-        elif self.profile.sync_model == DataPlaneSyncModel.RATE_LIMITED:
+        if self.profile.sync_model == DataPlaneSyncModel.RATE_LIMITED:
             self.sim.schedule_callback(0.0, self._sync_step)
 
     def receive(self, message: OFMessage) -> None:
@@ -442,27 +440,6 @@ class ControlPlane:
         return [{"switch": self.name, "datapath_id": self.datapath_id}]
 
     # -- data-plane synchronisation ------------------------------------------------------------
-    def _periodic_sync_loop(self):
-        """PERIODIC_BATCH model: every ``sync_period`` push all pending ops."""
-        # Offset the first round so switches created together do not sync in
-        # lock step (the hardware's sync phase is arbitrary relative to the
-        # controller's update).
-        yield self.rng.uniform(0.0, max(self.profile.sync_period, 1e-6))
-        while True:
-            if self._pending_ops:
-                epoch = self.crash_epoch
-                batch = list(self._pending_ops)
-                self._pending_ops.clear()
-                if self.profile.reorders_across_barriers and len(batch) > 1:
-                    batch = self.rng.shuffle(batch)
-                for operation in batch:
-                    if self.profile.sync_per_rule_time > 0:
-                        yield self.profile.sync_per_rule_time
-                    if self.crash_epoch != epoch:
-                        break  # the rest of the batch died with the switch
-                    self._apply_operation(operation)
-            yield self.profile.sync_period
-
     def _sync_step(self) -> None:
         """RATE_LIMITED model: ops trickle into the data plane at a bounded rate.
 

@@ -18,8 +18,8 @@ class HardwareSwitch(Switch):
     """Hardware switch whose barrier replies precede data-plane visibility.
 
     The default profile (:func:`~repro.switches.profiles.hp5406zl_profile`)
-    keeps rule ordering across barriers but synchronises the data plane in
-    periodic batches, so barrier replies may arrive up to ~300 ms before the
+    keeps rule ordering across barriers but feeds the data plane at a bounded
+    rate, so barrier replies may arrive up to ~300 ms before the
     corresponding rule forwards packets.  Pass
     ``profile=reordering_switch_profile()`` (or ``reordering=True``) to model
     the worse class of switches that also reorder modifications across

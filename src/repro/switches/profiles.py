@@ -8,10 +8,11 @@ for the HP ProCurve 5406zl:
 
 * FlowMods are accepted and processed by the control plane at a sustained
   rate of roughly 275 per second,
-* the control-plane state is pushed into the data plane (TCAM) in periodic
-  synchronisation rounds, so data-plane visibility lags the control plane by
-  anywhere from a few milliseconds up to ~300 ms — this also produces the
-  "three visible steps" in flow installation times for a 300-rule update,
+* rules reach the data plane (TCAM) one at a time, at a bounded rate that
+  drops as the table fills and no sooner than a fixed latency after the
+  control plane applied them, so data-plane visibility lags the control
+  plane by up to ~300 ms over a long burst (the "three visible steps" the
+  paper sees in a 300-rule update's installation times are not modelled),
 * barrier replies are generated from the control-plane view, i.e. up to
   ~300 ms before the corresponding rules forward packets,
 * the switch processes roughly 7 000 PacketOut/s and 5 500 PacketIn/s,
@@ -44,10 +45,6 @@ class DataPlaneSyncModel(str, Enum):
     #: Rules become visible to packets the moment the control plane applies
     #: them (software switches).
     IMMEDIATE = "immediate"
-    #: The switch periodically synchronises all control-plane changes into
-    #: the data plane in one batch (HP 5406zl-like; produces the step
-    #: pattern and the 0-300 ms lag).
-    PERIODIC_BATCH = "periodic_batch"
     #: Rules trickle into the data plane at a fixed rate with a fixed extra
     #: latency per rule.
     RATE_LIMITED = "rate_limited"
@@ -82,11 +79,7 @@ class SwitchProfile:
     reorders_across_barriers: bool = False
 
     # -- data plane synchronisation ----------------------------------------------
-    sync_model: DataPlaneSyncModel = DataPlaneSyncModel.PERIODIC_BATCH
-    #: Period of the batched control->data plane synchronisation (seconds).
-    sync_period: float = 0.3
-    #: Per-rule time spent during a synchronisation round (seconds).
-    sync_per_rule_time: float = 0.0002
+    sync_model: DataPlaneSyncModel = DataPlaneSyncModel.RATE_LIMITED
     #: Extra latency per rule for the RATE_LIMITED model.
     dataplane_extra_latency: float = 0.1
     #: Rule apply rate for the RATE_LIMITED model (rules/second).
@@ -110,9 +103,6 @@ class SwitchProfile:
     #: ignores priorities).
     table_mode: str = "priority"
 
-    # -- misc ---------------------------------------------------------------------------
-    description: str = ""
-
     def with_overrides(self, **kwargs) -> "SwitchProfile":
         """A copy of the profile with selected fields replaced."""
         return replace(self, **kwargs)
@@ -128,8 +118,6 @@ class SwitchProfile:
             raise ValueError("flowmod_rate must be positive")
         if self.packet_out_rate <= 0 or self.packet_in_rate <= 0:
             raise ValueError("packet I/O rates must be positive")
-        if self.sync_period < 0 or self.sync_per_rule_time < 0:
-            raise ValueError("sync timings must be non-negative")
         if self.table_mode not in ("priority", "install_order"):
             raise ValueError(f"unknown table mode {self.table_mode!r}")
 
@@ -147,12 +135,10 @@ def software_switch_profile() -> SwitchProfile:
         barrier_mode=BarrierMode.CORRECT,
         reorders_across_barriers=False,
         sync_model=DataPlaneSyncModel.IMMEDIATE,
-        sync_period=0.0,
         packet_out_rate=50000.0,
         packet_in_rate=50000.0,
         forwarding_latency=0.00001,
         table_mode="priority",
-        description="Correct software switch: immediate data-plane visibility.",
     )
 
 
@@ -166,6 +152,8 @@ def hp5406zl_profile() -> SwitchProfile:
     rules/s range reported by the technical report, and the effective
     data-plane apply rate drops below 250/s as the table fills — which is
     what makes the "adaptive 250" model unsafe late in the experiment.
+    The real switch also ignores priorities in favour of installation
+    order; ``table_mode="install_order"`` models that quirk.
     """
     return SwitchProfile(
         name="hp5406zl",
@@ -175,8 +163,6 @@ def hp5406zl_profile() -> SwitchProfile:
         barrier_mode=BarrierMode.CONTROL_PLANE,
         reorders_across_barriers=False,
         sync_model=DataPlaneSyncModel.RATE_LIMITED,
-        sync_period=0.3,
-        sync_per_rule_time=0.0002,
         dataplane_apply_rate=265.0,
         dataplane_extra_latency=0.04,
         dataplane_occupancy_slowdown=0.0005,
@@ -186,12 +172,6 @@ def hp5406zl_profile() -> SwitchProfile:
         packet_in_processing_time=0.00002,
         forwarding_latency=0.00002,
         table_mode="priority",
-        description=(
-            "HP ProCurve 5406zl-like: early barrier replies, periodic batched "
-            "control->data plane synchronisation (0-300 ms lag).  The real "
-            "switch additionally ignores priorities in favour of installation "
-            "order; use table_mode='install_order' to model that quirk."
-        ),
     )
 
 
@@ -204,10 +184,6 @@ def reordering_switch_profile() -> SwitchProfile:
     return profile.with_overrides(
         name="reordering-hw",
         reorders_across_barriers=True,
-        description=(
-            "Hardware switch that reorders rule modifications across barriers "
-            "in addition to replying to barriers from the control plane."
-        ),
     )
 
 
@@ -221,5 +197,4 @@ def correct_hardware_profile() -> SwitchProfile:
     return profile.with_overrides(
         name="correct-hw",
         barrier_mode=BarrierMode.CORRECT,
-        description="Hardware-speed switch whose barrier replies wait for the data plane.",
     )

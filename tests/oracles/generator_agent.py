@@ -3,21 +3,28 @@
 ``repro.switches.controlplane.ControlPlane`` used to be two generator
 processes (``_main_loop`` fed by a :class:`Queue`, ``_rate_limited_sync_loop``
 parked on an :class:`~repro.sim.events.Event`).  They live on here, copied
-verbatim from the last commit that had them, as the reference the callback
-chain is held to event for event (``tests/property/test_agent_callbacks.py``)
-and as the base of the polling oracle in ``tests/property/test_parked_sync.py``.
-:class:`Queue` — ``repro.sim.resources`` is gone from ``src/`` — also serves
-``tests/property/test_sleep_callback.py`` and keeps its unit tests.
+from the last commit that had them, as the reference the callback chain is
+held to event for event (``tests/property/test_agent_callbacks.py``) and as
+the base of the polling oracle in ``tests/property/test_parked_sync.py``.
+:class:`Queue` — ``repro.sim.resources`` is gone from ``src/`` — keeps its
+unit tests in ``tests/unit/test_sim_resources.py``.
 
-One deliberate difference from that commit: the crash epoch a message is
-judged by is taken by ``_main_loop`` when it receives the message, *before*
-the stolen-time sleep, and handed down to the ``_handle_*`` generators (each
-used to read it after that sleep, so a crash + restart inside the sleep let a
-pre-crash message through).  Nothing else was edited.
+Two deliberate differences from that commit:
+
+* the crash epoch a message is judged by is taken by ``_main_loop`` when it
+  receives the message, *before* the stolen-time sleep, and handed down to
+  the ``_handle_*`` generators (each used to read it after that sleep, so a
+  crash + restart inside the sleep let a pre-crash message through);
+* the generators are started by :func:`spawn`, since the kernel runs plain
+  callbacks only and ``Simulator.process`` is gone; ``spawn`` makes the heap
+  entries the process did, so the event stream is the one it produced.
+
+``start`` lost its ``PERIODIC_BATCH`` branch with that sync model.  Nothing
+else was edited.
 """
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque, Generator, Optional
 
 from repro.obs import tracer as obs_tracer
 from repro.obs.events import (
@@ -48,11 +55,30 @@ from repro.switches.controlplane import ControlPlane, PendingOperation, _Barrier
 from repro.switches.profiles import BarrierMode, DataPlaneSyncModel
 
 
-class Queue:
-    """Unbounded FIFO queue with blocking ``get`` for simulation processes.
+def spawn(sim: Simulator, generator: Generator) -> None:
+    """Run ``generator`` on ``sim``, heap entry for heap entry as the deleted
+    ``Simulator.process`` did: a zero-delay start entry; a yielded number is
+    a sleep, one heap entry; a yielded :class:`Event` resumes the generator
+    with the event's value from inside the event's dispatch."""
 
-    ``put`` never blocks.  ``get`` returns an :class:`Event` that a process can
-    ``yield``; it completes with the next item as soon as one is available.
+    def step(value: Any = None) -> None:
+        try:
+            yielded = generator.send(value)
+        except StopIteration:
+            return
+        if isinstance(yielded, Event):
+            yielded.add_callback(lambda event: step(event.value))
+        else:
+            sim.schedule_callback(yielded, step)
+
+    sim.schedule_callback(0.0, step)
+
+
+class Queue:
+    """Unbounded FIFO queue with blocking ``get`` for spawned generators.
+
+    ``put`` never blocks.  ``get`` returns an :class:`Event` that a generator
+    can ``yield``; it completes with the next item as soon as one is available.
     """
 
     __slots__ = ("sim", "name", "_items", "_getters")
@@ -68,7 +94,7 @@ class Queue:
 
     @property
     def pending_getters(self) -> int:
-        """Number of processes currently blocked on :meth:`get`."""
+        """Number of generators currently blocked on :meth:`get`."""
         return len(self._getters)
 
     def put(self, item: Any) -> None:
@@ -112,7 +138,7 @@ class Queue:
 
 
 class GeneratorControlPlane(ControlPlane):
-    """``ControlPlane`` driven by the two generator processes, verbatim."""
+    """``ControlPlane`` driven by the two generators."""
 
     def __init__(self, sim, *args, name: str = "switch", **kwargs) -> None:
         super().__init__(sim, *args, name=name, **kwargs)
@@ -120,15 +146,13 @@ class GeneratorControlPlane(ControlPlane):
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        """Start the control-plane processing and data-plane sync processes."""
-        if self._processes_started:
+        """Start the control-plane processing and data-plane sync generators."""
+        if self._started:
             return
-        self._processes_started = True
-        self.sim.process(self._main_loop(), name=f"{self.name}.controlplane")
-        if self.profile.sync_model == DataPlaneSyncModel.PERIODIC_BATCH:
-            self.sim.process(self._periodic_sync_loop(), name=f"{self.name}.sync")
-        elif self.profile.sync_model == DataPlaneSyncModel.RATE_LIMITED:
-            self.sim.process(self._rate_limited_sync_loop(), name=f"{self.name}.sync")
+        self._started = True
+        spawn(self.sim, self._main_loop())
+        if self.profile.sync_model == DataPlaneSyncModel.RATE_LIMITED:
+            spawn(self.sim, self._rate_limited_sync_loop())
 
     def receive(self, message: OFMessage) -> None:
         """Entry point for messages arriving on the controller connection."""

@@ -10,6 +10,7 @@ import dataclasses
 import gc
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.analysis.profile import (
     hot_callbacks,
     render_profile_report,
 )
+from repro.core.techniques.general import GeneralProbingTechnique
 from repro.experiments.common import RuleInstallParams, rule_install_session
 from repro.obs import ProfileReport, Profiler
 from repro.scenarios import ScenarioParams, run_scenario, scenario_session
@@ -186,40 +188,24 @@ class TestAttribution:
         # attach() started tracemalloc, so the memory split must be present.
         assert "alloc_kb" in drive and "peak_kb" in drive
 
-    def test_process_steps_are_booked_to_the_generator_they_step(self):
-        class Ticker:
-            def run(self):
-                yield 0.5   # entered by Process._start, left by Process._wake
-                yield None  # ... and by Process._step
+    def test_a_probe_tick_is_booked_to_its_own_method(self, monkeypatch):
+        record = run_scenario("path-migration", "general",
+                              _quick_params(profile=True))
+        calls = {str(row["site"]): row["calls"] for row in record.profile.callbacks}
+        booked = calls[f"{GeneralProbingTechnique.__module__}."
+                       f"{GeneralProbingTechnique._probe_tick.__qualname__}"]
+        # The ticks the session ran, counted on its bare twin.
+        ticks = Counter()
+        tick = GeneralProbingTechnique._probe_tick
 
-        def plain():
-            yield 1
+        def counted(technique):
+            ticks["ran"] += 1
+            tick(technique)
 
-        def drive(profiler):
-            sim = Simulator()
-            if profiler is not None:
-                profiler.attach(sim)
-            try:
-                for generator in (Ticker().run(), Ticker().run(), plain()):
-                    sim.process(generator)
-                sim.run()
-            finally:
-                report = profiler.finish() if profiler is not None else None
-            return sim, report
-
-        sim, report = drive(Profiler())
-        calls = {row["site"]: row["calls"] for row in report.callbacks}
-        assert calls == {
-            f"{__name__}.{Ticker.run.__qualname__}": 6,
-            f"{__name__}.{plain.__qualname__}": 2,
-        }
-        assert "Ticker" in {row["event_class"] for row in report.by_class()}
-        # Relabelling moves no count: the totals are the kernel's own.
-        bare, _ = drive(None)
-        assert report.totals["events"] == sim.steps_executed == bare.steps_executed
-        assert sim.schedule_sequence == bare.schedule_sequence
-        # ... of which the three starts were scheduled from outside any callback.
-        assert report.totals["scheduled"] == sim.schedule_sequence - 3
+        monkeypatch.setattr(GeneralProbingTechnique, "_probe_tick", counted)
+        bare = run_scenario("path-migration", "general", _quick_params())
+        assert bare.digest() == record.digest()
+        assert booked == ticks["ran"] > 10
 
     def test_a_collection_is_counted_and_leaves_the_callback_row(self):
         def hoard():
@@ -394,10 +380,10 @@ class TestRendering:
         assert "collector " in text and "gc [ms]" in text and "collections" in text
         assert "Event classes" in text
         # The hop is booked to the link whose heap entry it is and the
-        # source to its own callback — never to ``Process`` or the kernel.
+        # source to its own callback — never to the kernel.
         assert "net.link.Link._flush_train" in text
         assert "net.traffic.TrafficGenerator._emit" in text
-        assert "sim.process" not in text and "sim.kernel" not in text
+        assert "sim.kernel" not in text
 
     def test_empty_report_renders_a_placeholder(self):
         assert "empty profile" in render_profile_report(ProfileReport())

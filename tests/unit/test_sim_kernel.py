@@ -1,10 +1,21 @@
-"""Unit tests for the discrete-event simulation kernel."""
+"""Unit tests for the discrete-event simulation kernel, and for ``spawn``,
+the generator driver the agent oracle (``tests/oracles/generator_agent.py``)
+runs on: one heap entry per sleep, resumed from an event's dispatch."""
+
+import doctest
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Process, Simulator, Timeout
+from generator_agent import spawn
+
+import repro.sim
+from repro.sim import Event, Simulator
 from repro.sim.events import EventAlreadyTriggered
-from repro.sim.process import ProcessError
+
+
+def test_the_package_docstring_example_runs():
+    failed, attempted = doctest.testmod(repro.sim)
+    assert failed == 0 and attempted > 0
 
 
 def test_time_starts_at_zero():
@@ -90,19 +101,6 @@ def test_run_max_steps_guard():
         sim.run(max_steps=50)
 
 
-def test_process_waits_for_timeout():
-    sim = Simulator()
-    log = []
-
-    def worker():
-        yield Timeout(1.5)
-        log.append(sim.now)
-
-    sim.process(worker())
-    sim.run()
-    assert log == [1.5]
-
-
 def test_process_yielding_number_sleeps():
     sim = Simulator()
     log = []
@@ -111,26 +109,11 @@ def test_process_yielding_number_sleeps():
         yield 0.25
         log.append(sim.now)
 
-    sim.process(worker())
+    spawn(sim, worker())
     sim.run()
     assert log == [0.25]
-
-
-def test_process_return_value_becomes_event_value():
-    sim = Simulator()
-    results = []
-
-    def child():
-        yield 1.0
-        return 42
-
-    def parent():
-        value = yield sim.process(child())
-        results.append(value)
-
-    sim.process(parent())
-    sim.run()
-    assert results == [42]
+    # The start, then one heap entry for the sleep.
+    assert sim.schedule_sequence == sim.steps_executed == 2
 
 
 def test_process_waits_for_event_value():
@@ -142,27 +125,12 @@ def test_process_waits_for_event_value():
         value = yield event
         seen.append((sim.now, value))
 
-    sim.process(waiter())
+    spawn(sim, waiter())
     sim.schedule_callback(3.0, lambda: event.succeed("done"))
     sim.run()
     assert seen == [(3.0, "done")]
-
-
-def test_event_fail_raises_inside_process():
-    sim = Simulator()
-    event = sim.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield event
-        except RuntimeError as error:
-            caught.append(str(error))
-
-    sim.process(waiter())
-    sim.schedule_callback(1.0, lambda: event.fail(RuntimeError("boom")))
-    sim.run()
-    assert caught == ["boom"]
+    # Resumed inside the succeeding callback, not from a heap entry of its own.
+    assert sim.steps_executed == 2
 
 
 def test_event_cannot_trigger_twice():
@@ -178,57 +146,6 @@ def test_event_callback_after_trigger_runs_immediately():
     seen = []
     event.add_callback(lambda evt: seen.append(evt.value))
     assert seen == ["x"]
-
-
-def test_allof_collects_values_in_order():
-    sim = Simulator()
-    first, second = sim.event(), sim.event()
-    combined = AllOf([first, second])
-    sim.schedule_callback(2.0, lambda: second.succeed("b"))
-    sim.schedule_callback(1.0, lambda: first.succeed("a"))
-    sim.run()
-    assert combined.triggered
-    assert combined.value == ["a", "b"]
-
-
-def test_allof_of_nothing_triggers_immediately():
-    combined = AllOf([])
-    assert combined.triggered
-    assert combined.value == []
-
-
-def test_anyof_triggers_on_first_completion():
-    sim = Simulator()
-    first, second = sim.event(), sim.event()
-    combined = AnyOf([first, second])
-    sim.schedule_callback(1.0, lambda: second.succeed("fast"))
-    sim.schedule_callback(2.0, lambda: first.succeed("slow"))
-    sim.run()
-    event, value = combined.value
-    assert event is second
-    assert value == "fast"
-
-
-def test_process_requires_generator():
-    sim = Simulator()
-    with pytest.raises(ProcessError):
-        Process(sim, lambda: None)  # type: ignore[arg-type]
-
-
-def test_process_unsupported_yield_raises():
-    sim = Simulator()
-
-    def worker():
-        yield "not-an-event"
-
-    sim.process(worker())
-    with pytest.raises(ProcessError):
-        sim.run()
-
-
-def test_timeout_negative_delay_rejected():
-    with pytest.raises(ValueError):
-        Timeout(-1.0)
 
 
 def test_peek_returns_next_event_time():

@@ -1,7 +1,8 @@
 """Unit tests for the seeded RNG and for the FIFO queue the generator-agent
-oracle (``tests/oracles/generator_agent.py``) is built on."""
+oracle (``tests/oracles/generator_agent.py``) is built on, run by its
+``spawn``."""
 
-from generator_agent import Queue
+from generator_agent import Queue, spawn
 
 from repro.sim import SeededRandom, Simulator
 
@@ -15,7 +16,7 @@ def test_queue_put_then_get_delivers_item():
         item = yield queue.get()
         received.append(item)
 
-    sim.process(consumer())
+    spawn(sim, consumer())
     queue.put("hello")
     sim.run()
     assert received == ["hello"]
@@ -30,7 +31,7 @@ def test_queue_get_blocks_until_put():
         item = yield queue.get()
         received.append((sim.now, item))
 
-    sim.process(consumer())
+    spawn(sim, consumer())
     sim.schedule_callback(2.0, queue.put, "later")
     sim.run()
     assert received == [(2.0, "later")]
@@ -46,7 +47,7 @@ def test_queue_preserves_fifo_order():
             item = yield queue.get()
             received.append(item)
 
-    sim.process(consumer())
+    spawn(sim, consumer())
     for index in range(10):
         queue.put(index)
     sim.run()
@@ -98,9 +99,3 @@ def test_shuffle_returns_new_permutation_of_same_items():
     assert sorted(shuffled) == items
     assert items == list(range(20))  # original untouched
 
-
-def test_spread_start_times_sorted_within_window():
-    rng = SeededRandom(7)
-    times = rng.spread_start_times(50, 0.2)
-    assert times == sorted(times)
-    assert all(0.0 <= value < 0.2 for value in times)

@@ -10,11 +10,13 @@ issued nor walk the switches, a Perfetto shard may not be encoded by Python
 frames per value, and none of that may leak onto the bare path.  A cell's
 set-up has one: migration path search draws no path past the one it keeps.
 
-The packet path has five more: dispatching a scheduled callback enters no
-frame but the callback's, a numeric process sleep and a plain-output switch
-hop enter a fixed number of Python frames, the hop is one kernel step,
-a generated packet is sent without stepping a process, and a delivered packet
-leaves nothing behind for the cyclic garbage collector.
+The kernel runs plain callbacks only: no generator function of the package
+is stepped inside ``Simulator.run``, whatever the technique.  The packet path
+has five more: dispatching a scheduled callback enters no frame but the
+callback's, an idle probe tick and a plain-output switch hop enter a fixed
+number of Python frames, the hop is one kernel step, a generated packet is
+sent without stepping a process, and a delivered packet leaves nothing behind
+for the cyclic garbage collector.
 
 So does the control path: a FlowMod reaches a switch's tables through a
 bounded number of frames, none of them event, process or generator plumbing;
@@ -27,13 +29,16 @@ import gc
 import inspect
 import sys
 from collections import Counter
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import repro
 import repro.switches.dataplane as dataplane_mod
 from repro.controller.routing import install_path_rules, path_flowmods
 from repro.core.rum import RumLayer
+from repro.core.techniques.registry import available_techniques
 from repro.experiments.common import RuleInstallParams, run_rule_install
 from repro.net.host import Host
 from repro.net.link import Link
@@ -293,18 +298,61 @@ def test_dispatching_a_callback_is_one_step_and_no_frame_but_its_own(count):
     assert sim.steps_executed == len(fired) == count
 
 
-def test_a_numeric_sleep_wakes_through_four_frames():
-    def frames_for(sleeps):
-        def sleeper():
-            for _ in range(sleeps):
-                yield 0.01
+@pytest.mark.parametrize("technique", available_techniques())
+def test_the_kernel_steps_no_generator_function_of_the_package(technique):
+    run_code, package = Simulator.run.__code__, str(Path(repro.__file__).parent)
+    depth, stepped = 0, set()
 
-        sim = Simulator()
-        sim.process(sleeper())
-        return _python_frames(sim.run)
+    def watch(frame, event, _arg):
+        nonlocal depth
+        code = frame.f_code
+        if code is run_code:
+            depth += {"call": 1, "return": -1}.get(event, 0)
+        elif (depth and event == "call" and code.co_flags & inspect.CO_GENERATOR
+              and code.co_name != "<genexpr>" and code.co_filename.startswith(package)):
+            stepped.add(f"{Path(code.co_filename).stem}.{code.co_name}")
 
-    # _wake -> _step -> (the generator) -> _wait_on -> schedule_callback.
-    assert (frames_for(110) - frames_for(10)) / 100 - 1 <= 4
+    sys.setprofile(watch)
+    try:
+        record = run_scenario("path-migration", technique, ScenarioParams(flow_count=2))
+    finally:
+        sys.setprofile(None)
+    assert record.completed
+    # A generator stepped by the kernel is a process (a probe timer once was
+    # one); a comprehension's generator is an expression, not a process.
+    assert stepped == set()
+
+
+def _idle_probe_ticks(technique, ticks):
+    """Frames entered by a started ``technique`` stack on the triangle with
+    nothing pending, over about ``ticks`` probe intervals, and the ticks run."""
+    sim = Simulator()
+    network = Network(sim, triangle_topology(), seed=3)
+    stack = build_control_stack(sim, network, technique)
+    stack.prepare()
+    network.start()
+    stack.start()
+    sim.run(until=0.05)  # deployment rules are in; only the probe timer is left
+    horizon = sim.now + ticks * stack.rum.config.probe_interval
+    codes = []
+    gc.disable()  # a collection would run whatever gc.callbacks hold
+    try:
+        frames = _python_frames(lambda: sim.run(until=horizon), codes.append)
+    finally:
+        gc.enable()
+    return frames, sum(code.co_name == "_probe_tick" for code in codes)
+
+
+@pytest.mark.parametrize("technique, body", [("general", 8), ("sequential", 0)])
+def test_an_idle_probe_tick_is_its_own_frame_and_a_reschedule(technique, body):
+    short, short_ticks = _idle_probe_ticks(technique, 10)
+    long, long_ticks = _idle_probe_ticks(technique, 110)
+    assert long_ticks - short_ticks >= 99
+    # _probe_tick -> (the body) -> schedule_callback.  ``general``'s body on
+    # the triangle is a switch list (two frames) and a pending-count per
+    # switch (two each).  A tick that stepped a generator paid three more:
+    # Process._wake, _step and _wait_on.
+    assert (long - short) / (long_ticks - short_ticks) == body + 2
 
 
 def _line_with_traffic(switch_count, flow_count=1, rate_pps=100.0):
@@ -359,7 +407,7 @@ def test_a_generated_packet_reaches_its_uplink_through_no_process_plumbing():
     # _emit -> from_values, send -> record_sent, transmit_from -> schedule_at,
     # schedule_callback: no Process, no Event, no generator being stepped.
     assert not [code.co_name for code in codes
-                if code.co_filename.endswith(("sim/events.py", "sim/process.py"))
+                if code.co_filename.endswith("sim/events.py")
                 or code.co_flags & inspect.CO_GENERATOR]
     assert {"_emit", "send", "transmit_from"} <= {code.co_name for code in codes}
 
@@ -446,7 +494,7 @@ def test_a_flowmod_reaches_the_tables_through_a_bounded_number_of_frames(
     # Event, Process and generator plumbing.
     assert frames <= most_frames
     plumbing = {code.co_name for code in codes
-                if code.co_filename.endswith(("sim/events.py", "sim/process.py"))
+                if code.co_filename.endswith("sim/events.py")
                 or (code.co_flags & inspect.CO_GENERATOR
                     and "/switches/" in code.co_filename)}
     assert plumbing == set()
