@@ -226,7 +226,8 @@ class RunDiff:
                          for stat, values in stats.items()}
                 for switch, stats in self.gap_deltas.items()
             },
-            "divergence": self.divergence.as_dict() if self.divergence else None,  # repro: noqa(RL005): diff payloads are never digested; null is the explicit "aligned, no divergence" marker consumers key on
+            # null is the "aligned, no divergence" marker consumers key on.
+            "divergence": self.divergence.as_dict() if self.divergence else None,
             "explanation": self.explain(),
         }
 

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Set
 import networkx as nx
 
 from repro.controller.base import AckMode, Controller
-from repro.obs import tracer as obs_tracer
 from repro.obs.events import PHASE_ACK_RECEIVED, PHASE_UPDATE_ISSUED
 from repro.openflow.messages import FlowMod
 from repro.sim.events import Event
@@ -220,8 +219,8 @@ class PlanExecutor:
         operation.issued_at = self.sim.now
         self._issued.add(operation.op_id)
         self._in_flight.add(operation.op_id)
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             tr.rule(PHASE_UPDATE_ISSUED, self.sim.now, operation.switch,
                     operation.flowmod.xid, detail=operation.role)
         ack = self.controller.send_flowmod(operation.switch, operation.flowmod)
@@ -238,8 +237,8 @@ class PlanExecutor:
         operation.acked_at = self.sim.now
         self._acked.add(operation.op_id)
         self._in_flight.discard(operation.op_id)
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             tr.rule(PHASE_ACK_RECEIVED, self.sim.now, operation.switch,
                     operation.flowmod.xid, detail=operation.role)
         if not self.ignore_dependencies:

@@ -24,7 +24,6 @@ from repro.core.techniques.base import AckTechnique, create_technique
 from repro.core.proxy import ProxyLayer
 from repro.core.topology_view import TopologyView
 from repro.net.network import Network
-from repro.obs import tracer as obs_tracer
 from repro.obs.events import PHASE_ACK_SENT
 from repro.openflow.flowtable import FlowTable
 from repro.openflow.messages import (
@@ -171,8 +170,8 @@ class RumLayer(ProxyLayer):
             record.confirmed_at,
             record.confirmed_by,
         )
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             tr.rule(PHASE_ACK_SENT, self.sim.now, record.switch, record.xid,
                     detail=record.confirmed_by)
         if self.config.emit_confirmations:

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
-from repro.obs import tracer as obs_tracer
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
     from repro.sim.rng import SeededRandom
@@ -89,29 +87,21 @@ class FaultModel:
     # -- counters ---------------------------------------------------------------
     def count(self, event: str, n: int = 1) -> None:
         """Record ``n`` occurrences of ``event`` (reported into the record)."""
-        # Lazy access: legacy subclasses (pre-registry ``Fault`` API) may
-        # override ``__init__`` without calling ``super().__init__``.
-        events = getattr(self, "events", None)
-        if events is None:
-            events = self.events = {}
-        events[event] = events.get(event, 0) + n
-        tr = obs_tracer.TRACER
-        if tr.active:
+        self.events[event] = self.events.get(event, 0) + n
+        tr = self.sim.tracer
+        if tr is not None:
             # Every fault model funnels its activations through here, which
             # makes this the one hook the timeline's fault overlay needs.
-            sim = getattr(self, "sim", None)
-            tr.fault(sim.now if sim is not None else 0.0,
-                     switch=getattr(self, "_trace_target", ""),
+            tr.fault(self.sim.now, switch=getattr(self, "_trace_target", ""),
                      detail=f"{self.name}.{event}")
             tr.count(f"fault.{self.name}.{event}", n)
 
     def counters(self) -> Dict[str, int]:
         """``event name -> occurrence count`` since arming."""
-        return dict(getattr(self, "events", None) or {})
+        return dict(self.events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        params = ", ".join(f"{k}={v!r}" for k, v in
-                           sorted(getattr(self, "params", {}).items()))
+        params = ", ".join(f"{k}={v!r}" for k, v in sorted(self.params.items()))
         return f"<{type(self).__name__} {self.name}({params})>"
 
 

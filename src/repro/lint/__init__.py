@@ -1,9 +1,9 @@
 """Reproducibility linter and determinism sanitizer.
 
-Static pass (``python -m repro.lint``): AST rules RL001-RL007 enforcing the
-repo's determinism and zero-cost-observability invariants, with a rule
-registry mirroring the technique registry and a justified-suppression
-policy (``# repro: noqa(RL###): <why>``).
+Static pass (``python -m repro.lint``): five AST rules (RL001-RL003,
+RL006, RL007) enforcing the repo's determinism and hot-path invariants,
+with a rule registry mirroring the technique registry and a
+justified-suppression policy (``# repro: noqa(RL###): <why>``).
 
 Runtime pass (``python -m repro.lint --sanitize <scenario>``): double-run
 event-stream diffing that names the first divergent simulator event, plus

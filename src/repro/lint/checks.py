@@ -1,4 +1,4 @@
-"""The built-in lint rules: the repo's determinism + zero-cost invariants.
+"""The built-in lint rules: the repo's determinism + hot-path invariants.
 
 Each rule targets a bug class this repository has actually shipped (or is
 one refactor away from shipping):
@@ -10,15 +10,14 @@ one refactor away from shipping):
   byte-identical-digests contract every result pin relies on.
 * RL003 — set iteration order follows the randomized string hash; anything
   it feeds (scheduling, serialization, digests) varies run to run.
-* RL004 — the PR 5 zero-allocation tracing contract: emission sites must
-  null-guard on ``active`` or disarmed runs pay for observability.
-* RL005 — the only-when-armed serialization rule PRs 4–7 each re-derived:
-  a disarmed subsystem's field must be key-omitted, not ``None``/"off",
-  or every pre-subsystem digest pin breaks.
 * RL006 — hot-path classes without ``__slots__`` cost dict allocations in
   the kernel loop the PR 2 rewrite paid to remove.
 * RL007 — technique/fault/scenario classes that do not self-register are
   dead code every sweep silently skips.
+
+RL004 and RL005 are retired codes and are not reused: ``sim.tracer`` is
+``None`` on a bare run, so an unguarded emit fails every bare test run, and
+the disarmed ``SessionSpec.config()`` is pinned by a test.
 """
 
 from __future__ import annotations
@@ -197,147 +196,6 @@ class UnorderedIteration(LintRule):
                     f"{node.func.id}() over a set captures an unordered "
                     "snapshot; wrap the set in sorted(...)",
                 )
-
-
-#: The emission methods of the tracer protocol (``NullTracer``'s no-ops).
-_EMIT_METHODS = {"rule", "fault", "count", "gauge"}
-
-
-def _is_tracer_ref(node: ast.AST) -> bool:
-    return _name_of(node) == "TRACER"
-
-
-@register_rule
-class UnguardedTraceEmission(LintRule):
-    """RL004: trace emission must sit behind the ``if tr.active:`` guard."""
-
-    code = "RL004"
-    name = "unguarded-trace-emission"
-    invariant = ("trace-emission sites bind tr = TRACER and guard every "
-                 "emit call with `if tr.active:`")
-    rationale = ("the PR 5 zero-allocation contract: with the NullTracer "
-                 "installed an instrumentation site is one attribute load "
-                 "and one false branch. Unguarded emits build event/detail "
-                 "arguments on every disarmed run — cost (and potential "
-                 "behaviour skew) where there must be none.")
-    allowed_modules = ("obs/",)
-
-    def _bound_names(self, info: ModuleInfo) -> Dict[Tuple[ast.AST, str], bool]:
-        """``(scope, name) -> True`` for locals assigned from ``TRACER``."""
-        bindings: Dict[Tuple[ast.AST, str], bool] = {}
-        for node in info.walk(ast.Assign):
-            if not _is_tracer_ref(node.value):
-                continue
-            scope = info.enclosing_function(node) or info.tree
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    bindings[(scope, target.id)] = True
-        return bindings
-
-    def _is_guarded(self, info: ModuleInfo, node: ast.AST, name: str) -> bool:
-        for ancestor in info.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return False
-            if not isinstance(ancestor, ast.If):
-                continue
-            for part in ast.walk(ancestor.test):
-                if (isinstance(part, ast.Attribute) and part.attr == "active"
-                        and isinstance(part.value, ast.Name)
-                        and part.value.id == name):
-                    return True
-        return False
-
-    def check(self, info: ModuleInfo) -> Iterator[Diagnostic]:
-        bindings = self._bound_names(info)
-        for node in info.walk(ast.Call):
-            func = node.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr in _EMIT_METHODS):
-                continue
-            if _is_tracer_ref(func.value):
-                yield self.diagnostic(
-                    info, node,
-                    "emit directly on TRACER; bind `tr = TRACER` once and "
-                    f"guard `if tr.active: tr.{func.attr}(...)`",
-                )
-                continue
-            if not isinstance(func.value, ast.Name):
-                continue
-            name = func.value.id
-            scope = info.enclosing_function(node) or info.tree
-            if not bindings.get((scope, name)):
-                continue
-            if not self._is_guarded(info, node, name):
-                yield self.diagnostic(
-                    info, node,
-                    f"trace emission {name}.{func.attr}(...) is outside an "
-                    f"`if {name}.active:` guard (zero-allocation contract)",
-                )
-
-
-#: Function names treated as canonical serializers.
-_SERIALIZER_NAMES = {"as_dict", "to_dict", "config", "as_config",
-                     "serialize", "summary"}
-
-
-def _is_disabled_constant(node: ast.AST) -> bool:
-    """``None``, ``"off"``/``"none"``/``""`` or an empty container literal."""
-    if isinstance(node, ast.Constant):
-        if node.value is None:
-            return True
-        return (isinstance(node.value, str)
-                and node.value.lower() in ("off", "none", ""))
-    if isinstance(node, ast.Dict):
-        return not node.keys
-    if isinstance(node, (ast.List, ast.Tuple)):
-        return not node.elts
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ("dict", "list", "tuple")
-            and not node.args and not node.keywords):
-        return True
-    return False
-
-
-@register_rule
-class AlwaysOnSerialization(LintRule):
-    """RL005: disarmed optional fields must be key-omitted, not serialized."""
-
-    code = "RL005"
-    name = "always-on-serialization"
-    invariant = ("serializers omit optional keys when the subsystem is "
-                 "disarmed instead of writing None/'off'/empty values")
-    rationale = ("digest stability across subsystem PRs depends on disarmed "
-                 "runs producing byte-identical payloads to code that "
-                 "predates the subsystem; a `...if armed else None` entry "
-                 "bakes the off-state into every digest (the rule PRs 4-7 "
-                 "each re-implemented by hand).")
-
-    def _flag_value(self, info: ModuleInfo,
-                    value: ast.AST) -> Iterator[Diagnostic]:
-        if not isinstance(value, ast.IfExp):
-            return
-        if (_is_disabled_constant(value.body)
-                or _is_disabled_constant(value.orelse)):
-            yield self.diagnostic(
-                info, value,
-                "optional field serialized in its disabled state; omit the "
-                "key when disarmed (`if armed: payload[key] = ...`) so "
-                "disarmed payloads match pre-subsystem digests",
-            )
-
-    def check(self, info: ModuleInfo) -> Iterator[Diagnostic]:
-        for func in info.walk(ast.FunctionDef):
-            if func.name not in _SERIALIZER_NAMES:
-                continue
-            for node in ast.walk(func):
-                if isinstance(node, ast.Dict):
-                    for value in node.values:
-                        if value is not None:
-                            yield from self._flag_value(info, value)
-                elif isinstance(node, ast.Assign):
-                    if any(isinstance(target, ast.Subscript)
-                           for target in node.targets):
-                        yield from self._flag_value(info, node.value)
 
 
 #: Hot-path modules (relative to the repro package root) where per-instance

@@ -3,12 +3,13 @@
 The static rules catch the *patterns* that break reproducibility; this
 module catches the breakage itself — and, unlike the after-the-fact digest
 pins, it names the culprit.  A sanitized run executes a
-:class:`~repro.session.spec.SessionSpec` with the kernel's event tap
-(:func:`repro.sim.kernel.install_observer`) recording every dispatched
-callback as ``(time, callback-name, payload)``.  Running the same spec
-twice under the same seed must produce identical streams; on divergence the
-report shows the **first divergent simulator event** — simulated time,
-callback, payload, side by side — instead of just "digests differ".
+:class:`~repro.session.spec.SessionSpec` with a recorder in its simulator's
+event-tap slot (``sim.observer``, passed as ``spec.run(observer=...)``)
+recording every dispatched callback as ``(time, callback-name, payload)``.
+Running the same spec twice under the same seed must produce identical
+streams; on divergence the report shows the **first divergent simulator
+event** — simulated time, callback, payload, side by side — instead of just
+"digests differ".
 
 Two extra probes close the gaps a same-process double run cannot see:
 
@@ -34,10 +35,9 @@ import subprocess
 import sys
 import time
 import zlib
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
-
-from repro.sim.kernel import install_observer, uninstall_observer
 
 #: One recorded kernel event: (sim time, callback name, payload description).
 EventTuple = Tuple[float, str, str]
@@ -225,7 +225,7 @@ def _reset_process_counters() -> None:
 
 def record_session(spec, tripwire: bool = True,
                    chaos: Optional[str] = None) -> RecordedRun:
-    """Run ``spec`` once with the kernel event tap armed."""
+    """Run ``spec`` once with the recorder as its simulator's event tap."""
     _reset_process_counters()
     events: List[EventTuple] = []
     append = events.append
@@ -238,22 +238,12 @@ def record_session(spec, tripwire: bool = True,
             )
         append((ts, _callback_name(callback), _describe_args(args)))
 
-    patches = []
-    if chaos is not None:
-        patches.append(_ChaosPatch(CHAOS_HOOKS[chaos]))
-    if tripwire:
-        patches.append(wall_clock_tripwire())
-    install_observer(_observer)
-    try:
-        for patch in patches:
-            patch.__enter__()
-        try:
-            record = spec.run()
-        finally:
-            for patch in reversed(patches):
-                patch.__exit__(None, None, None)
-    finally:
-        uninstall_observer()
+    with ExitStack() as patches:
+        if chaos is not None:
+            patches.enter_context(_ChaosPatch(CHAOS_HOOKS[chaos]))
+        if tripwire:
+            patches.enter_context(wall_clock_tripwire())
+        record = spec.run(observer=_observer)
     return RecordedRun(digest=record.digest(), events=events,
                        summary={"completed": record.completed,
                                 "plan_size": record.plan_size})

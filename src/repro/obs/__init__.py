@@ -9,11 +9,11 @@ makes that gap a first-class measurement instead of an end-of-run aggregate:
   ack-received`` on the control path, ``control-applied → hw-activated`` on
   the switch), each stamped with sim-time, switch id, xid and technique,
   collected into a :class:`~repro.obs.events.TraceLog`;
-* :mod:`repro.obs.tracer` — the module-level tracer the instrumented code
-  consults.  The default is a :class:`~repro.obs.tracer.NullTracer` whose
-  ``active`` flag short-circuits every instrumentation site, so runs with
-  tracing disarmed stay byte-identical to a build without this package
-  (pinned by the existing digest tests);
+* :mod:`repro.obs.tracer` — the collecting :class:`~repro.obs.tracer.Tracer`
+  a traced session hangs on its simulator as ``sim.tracer``.  A bare run
+  holds ``None`` there, which short-circuits every instrumentation site, so
+  runs with tracing disarmed stay byte-identical to a build without this
+  package (pinned by the existing digest tests);
 * :mod:`repro.obs.metrics` — counters and gauges sampled through
   :meth:`repro.sim.kernel.Simulator.every` hooks (pending-ack queue depth,
   flow-table occupancy, kernel event-loop stats);
@@ -49,22 +49,13 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.profiler import ProfileReport, Profiler
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    install_tracer,
-    tracing,
-    uninstall_tracer,
-)
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "LIFECYCLE_PHASES",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "PHASE_ACK_RECEIVED",
     "PHASE_ACK_SENT",
     "PHASE_CONTROL_APPLIED",
@@ -78,11 +69,8 @@ __all__ = [
     "TraceEvent",
     "TraceLog",
     "Tracer",
-    "install_tracer",
     "trace_to_chrome",
     "trace_to_jsonl",
-    "tracing",
-    "uninstall_tracer",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",

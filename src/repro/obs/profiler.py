@@ -13,8 +13,8 @@ by :func:`repro.session.engine._run_session`, which already holds the
 ``if profiler is not None: profiler.phase("update")`` and an unprofiled run
 never touches this module.
 
-An armed :class:`Profiler` rides the kernel's event-observer hook
-(:func:`repro.sim.kernel.install_observer`): the observer fires
+An armed :class:`Profiler` takes its simulator's event-tap slot
+(``sim.observer``): the observer fires
 immediately before each dispatched callback, so the wall time and the
 schedule-sequence delta between two consecutive observer calls belong to
 the *earlier* callback — per-site wall attribution and a deterministic
@@ -162,19 +162,21 @@ class Profiler:
 
     # -- lifecycle -----------------------------------------------------------
     def attach(self, sim) -> None:
-        """Start observing ``sim``'s event stream (kernel observer hook).
+        """Start observing ``sim``'s event stream: claim ``sim.observer``.
 
         Must run before the session's first ``sim.run(...)`` call:
         :meth:`repro.sim.kernel.Simulator.run` binds the observer locally at
-        entry.  Starts ``tracemalloc`` for the per-phase memory splits
-        unless an outer consumer is already tracing.
+        entry.  A simulator has one observer slot, so attaching to one that
+        already has an observer raises.  Starts ``tracemalloc`` for the
+        per-phase memory splits unless an outer consumer is already tracing.
         """
-        from repro.sim.kernel import install_observer
-
         if self._sim is not None:
             raise RuntimeError("profiler is already attached to a simulator")
+        if sim.observer is not None:
+            raise RuntimeError("the simulator already has an event observer; "
+                               "a session is profiled or recorded, not both")
         self._sim = sim
-        install_observer(self._observe)
+        sim.observer = self._observe
         gc.callbacks.append(self._on_gc)
         self._own_tracemalloc = not tracemalloc.is_tracing()
         if self._own_tracemalloc:
@@ -184,9 +186,8 @@ class Profiler:
         self._last_seq = sim.schedule_sequence
 
     def detach(self) -> None:
-        """Stop observing; idempotent (``finish`` and the engine both call it)."""
-        from repro.sim.kernel import uninstall_observer
-
+        """Stop observing and clear ``sim.observer``; idempotent (``finish``
+        and the engine both call it)."""
         if self._sim is None:
             return
         now = perf_counter()
@@ -195,7 +196,7 @@ class Profiler:
         if self._attached_ts is not None:
             self._total_wall += now - self._attached_ts
             self._attached_ts = None
-        uninstall_observer()
+        self._sim.observer = None
         gc.callbacks.remove(self._on_gc)
         if self._own_tracemalloc and tracemalloc.is_tracing():
             tracemalloc.stop()

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.obs import tracer as obs_tracer
 from repro.obs.events import PHASE_MSG_SENT
 from repro.openflow.messages import OFMessage
 from repro.sim.kernel import Simulator
@@ -133,8 +132,8 @@ class Connection:
 
     # -- transmission -----------------------------------------------------------
     def _transmit(self, from_side: int, message: OFMessage) -> None:
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             # The channel is named after what it connects (``ctl-<switch>``,
             # ``rum-<switch>``); the timeline maps it back to the switch.
             tr.rule(PHASE_MSG_SENT, self.sim.now, self.name,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.obs import tracer as obs_tracer
 from repro.obs.events import (
     PHASE_RESYNC_COMPLETE,
     PHASE_RESYNC_STARTED,
@@ -180,8 +179,8 @@ class RecoveryManager:
         resync = _Resync(switch.name, now, expected=len(missing))
         self._active_resyncs[switch.name] = resync
         self.resyncs_started += 1
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             tr.rule(PHASE_RESYNC_STARTED, now, switch.name,
                     detail=f"missing={len(missing)}")
         if not missing:
@@ -195,7 +194,7 @@ class RecoveryManager:
             flowmod = self.shadow.reinstall_flowmod(entry)
             self.rules_reinstalled += 1
             resync.pending.add(flowmod.xid)
-            if tr.active:
+            if tr is not None:
                 tr.rule(PHASE_RULE_REINSTALLED, self.sim.now, switch.name,
                         flowmod.xid, detail=f"prio={flowmod.priority}")
             self.controller.send_flowmod(switch.name, flowmod)
@@ -217,8 +216,8 @@ class RecoveryManager:
             self.outage_dropped_packets += (
                 self.network.monitor.total_dropped() - baseline
             )
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             tr.rule(PHASE_RESYNC_COMPLETE, self.sim.now, resync.switch,
                     detail=(f"reinstalled={resync.expected} "
                             f"took={self.sim.now - resync.started_at:.4f}"))

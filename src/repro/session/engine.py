@@ -36,12 +36,12 @@ from repro.faults.plan import ArmedFaults, arm_fault_plan
 from repro.net.network import Network
 from repro.net.traffic import TrafficGenerator
 from repro.obs.profiler import Profiler
-from repro.obs.tracer import Tracer, tracing
+from repro.obs.tracer import Tracer
 from repro.recovery.manager import RecoveryManager
 from repro.session.record import RunRecord
 from repro.session.spec import SessionSpec
 from repro.session.stack import build_control_stack
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Observer, Simulator
 from repro.sim.rng import SeededRandom
 
 #: Sampling period of the gauge sampler in traced runs (simulated seconds).
@@ -50,21 +50,25 @@ from repro.sim.rng import SeededRandom
 _TRACE_SAMPLE_INTERVAL = 0.01
 
 
-def run_session(spec: SessionSpec) -> RunRecord:
+def run_session(spec: SessionSpec,
+                observer: Optional[Observer] = None) -> RunRecord:
     """Execute one :class:`SessionSpec` and return its :class:`RunRecord`.
 
-    The two observation taps are armed here and nowhere else.  When
-    :attr:`~repro.session.spec.SessionSpec.trace` is set, a collecting
-    tracer is installed for the duration of the run — the module-level
-    ``TRACER`` is how code deep inside the stack emits semantic events —
-    and the resulting :class:`~repro.obs.events.TraceLog` rides on the
-    record.  When :attr:`~repro.session.spec.SessionKnobs.profile` is set,
-    the engine creates a :class:`~repro.obs.profiler.Profiler`, hands it to
-    the session body (the only phase emitter) and the record carries its
-    :class:`~repro.obs.profiler.ProfileReport`.  Both only *observe* — every
+    The session's observation rides on its :class:`~repro.sim.kernel.Simulator`
+    and is armed here and nowhere else.  When
+    :attr:`~repro.session.spec.SessionSpec.trace` is set, ``sim.tracer`` is
+    a collecting :class:`~repro.obs.tracer.Tracer` — every layer that emits
+    a semantic event already holds the simulator — and the resulting
+    :class:`~repro.obs.events.TraceLog` rides on the record.  When
+    :attr:`~repro.session.spec.SessionKnobs.profile` is set, a
+    :class:`~repro.obs.profiler.Profiler` claims ``sim.observer`` and the
+    record carries its :class:`~repro.obs.profiler.ProfileReport`.  An
+    ``observer`` passed in (the determinism sanitizer's recorder) takes that
+    slot instead; a simulator has one, so a session that is both profiled
+    and observed raises.  All of them only *observe* — every
     instrumentation site is read-only and the periodic gauge sampler
-    mutates no simulation state — so a traced or profiled run computes the
-    same outcome (and digest) as the identical bare run.
+    mutates no simulation state — so a traced, profiled or observed run
+    computes the same outcome (and digest) as the identical bare run.
 
     The function that builds a graph dismantles it.  A wired session is one
     cycle of references (switch <-> agent <-> channel <-> proxy <->
@@ -75,17 +79,8 @@ def run_session(spec: SessionSpec) -> RunRecord:
     reference counting frees the session on return; the record holds nothing
     into it.  Nothing in ``src/`` tunes the collector instead.
     """
-    identity = {"technique": spec.resolved_technique().name,
-                "kind": spec.kind, "seed": spec.knobs.seed}
-    profiler = Profiler(**identity) if spec.knobs.profile else None
-    try:
-        with ExitStack() as dismantle:
-            tracer = dismantle.enter_context(tracing(**identity)) if spec.trace else None
-            return _run_session(spec, tracer, profiler, dismantle)
-    finally:
-        # A crashing session must not leak the kernel observer into the next.
-        if profiler is not None:
-            profiler.detach()
+    with ExitStack() as dismantle:
+        return _run_session(spec, observer, dismantle)
 
 
 def _gauge_reader(tracer: Tracer, sim: Simulator, network: Network,
@@ -123,19 +118,29 @@ def _gauge_reader(tracer: Tracer, sim: Simulator, network: Network,
     return reading
 
 
-def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
-                 profiler: Optional[Profiler], dismantle: ExitStack) -> RunRecord:
+def _run_session(spec: SessionSpec, observer: Optional[Observer],
+                 dismantle: ExitStack) -> RunRecord:
     technique = spec.resolved_technique()
     knobs = spec.knobs
     workload = spec.workload
+    identity = {"technique": technique.name, "kind": spec.kind,
+                "seed": knobs.seed}
 
     # 1. Topology, network, flows, pre-update forwarding state ----------------
     sim = Simulator()
     dismantle.callback(sim.clear)
-    # The kernel binds its observer locally at each run() entry, so the
-    # profiler must tap the event stream before the first sim.run below.
-    if profiler is not None:
+    if spec.trace:
+        sim.tracer = Tracer(**identity)
+    # The kernel binds its observer locally at each run() entry, so every
+    # tap must be in place before the first sim.run below.
+    sim.observer = observer
+    profiler: Optional[Profiler] = None
+    if knobs.profile:
+        profiler = Profiler(**identity)
         profiler.attach(sim)
+        # Its gc listener and tracemalloc are process-wide: a crashing
+        # session must not leave them behind.
+        dismantle.callback(profiler.detach)
         profiler.phase("setup")
     rng = SeededRandom(knobs.seed)
     topology = spec.topology()
@@ -162,6 +167,7 @@ def _run_session(spec: SessionSpec, tracer: Optional[Tracer],
     # Gauge sampling on the simulated clock (traced runs only).  It only reads
     # state, so it cannot perturb the run; it must be cancelled before the
     # record is built or an unbounded run would never drain.
+    tracer = sim.tracer
     sampler = None
     if tracer is not None:
         sampler = sim.every(_TRACE_SAMPLE_INTERVAL,

@@ -25,6 +25,7 @@ from repro.net.network import Network
 from repro.recovery.policy import RecoveryPolicy
 from repro.net.topology import Topology
 from repro.net.traffic import FlowSpec
+from repro.sim.kernel import Observer
 
 #: Builds the topology the session runs on.
 TopologyProvider = Callable[[], Topology]
@@ -96,9 +97,9 @@ class SessionKnobs:
     #: keeps the pre-recovery code paths byte-identical.  See
     #: :mod:`repro.recovery`.
     recovery: Optional["RecoveryPolicy"] = None
-    #: Arm the sim-profiler for this run: the engine installs a collecting
-    #: :class:`~repro.obs.profiler.Profiler` on the kernel's event-observer
-    #: hook and the record carries the resulting
+    #: Arm the sim-profiler for this run: the engine attaches a collecting
+    #: :class:`~repro.obs.profiler.Profiler` as the simulator's event
+    #: observer and the record carries the resulting
     #: :class:`~repro.obs.profiler.ProfileReport`.  Profiling only observes
     #: — profiled and unprofiled runs of the same spec produce identical
     #: digests.
@@ -136,8 +137,8 @@ class SessionSpec:
     faults: Optional[FaultPlan] = None
     activation_probe: Optional[ActivationProbe] = None
     metrics: Optional[MetricsHook] = None
-    #: Arm rule-lifecycle tracing for this run: the engine installs a
-    #: collecting tracer and the record carries the resulting
+    #: Arm rule-lifecycle tracing for this run: the engine hangs a
+    #: collecting tracer on the simulator and the record carries the resulting
     #: :class:`~repro.obs.events.TraceLog`.  Tracing only observes — traced
     #: and untraced runs of the same spec produce identical digests.
     trace: bool = False
@@ -170,7 +171,9 @@ class SessionSpec:
             },
             "knobs": self._knobs_config(),
             # An empty plan normalises to None: both mean the fault-free path.
-            "faults": (self.faults.as_dict()  # repro: noqa(RL005): faults predates only-when-armed; dropping the None key would orphan every persisted campaign resume config
+            # The key predates only-when-armed encoding; persisted configs
+            # carry it, so it stays.
+            "faults": (self.faults.as_dict()
                        if self.faults is not None and not self.faults.empty()
                        else None),
         }
@@ -195,11 +198,15 @@ class SessionSpec:
             knobs.pop("profile", None)
         return knobs
 
-    def run(self):
-        """Execute the session; returns a :class:`~repro.session.record.RunRecord`."""
+    def run(self, observer: Optional[Observer] = None):
+        """Execute the session; returns a :class:`~repro.session.record.RunRecord`.
+
+        ``observer`` becomes the simulator's event tap (see
+        :func:`~repro.session.engine.run_session`).
+        """
         from repro.session.engine import run_session
 
-        return run_session(self)
+        return run_session(self, observer)
 
 
 def _jsonable(value: object) -> object:

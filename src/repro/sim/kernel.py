@@ -15,6 +15,11 @@ ingress) is added to the link's due time, not waited out.  A bound-method
 callback's owner is its ``__self__``, so an observer can book every step to
 the object that did the work.
 
+A simulator is also where a session's observation lives: ``sim.tracer``
+(lifecycle events, read by the layers that emit them) and ``sim.observer``
+(the event tap, read by the run loop).  Both are ``None`` on a bare run, and
+there is no process-wide state, so one session cannot leak into the next.
+
 The execution loop is the hottest code in the repository: an end-to-end
 experiment dispatches millions of tiny callbacks.  :meth:`Simulator.run`
 therefore inlines the stepping loop with locally-bound heap operations
@@ -25,41 +30,15 @@ allocates the heap tuple and nothing else.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event
 
-#: Event-stream observer hook (the determinism sanitizer's recording tap).
-#: ``None`` — the default — costs the run loop one locally-bound ``is not
-#: None`` branch per event and nothing else, following the same
-#: zero-cost-when-disarmed contract as :data:`repro.obs.tracer.TRACER`.
-#: When installed, the observer is called as ``observer(time, callback,
-#: args)`` immediately before each dispatched callback.  Observers must only
-#: *read*: a recording pass over a run must leave its event sequence (and
-#: digests) byte-identical to an unobserved run.
-_OBSERVER: Optional[Callable[[float, Callable, tuple], None]] = None
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.tracer import Tracer
 
-
-def install_observer(
-    observer: Callable[[float, Callable, tuple], None]
-) -> Callable[[float, Callable, tuple], None]:
-    """Make ``observer`` the process-wide event tap; returns it for chaining.
-
-    Mirrors :func:`repro.obs.tracer.install_tracer`: installs do not nest,
-    and callers must pair every install with :func:`uninstall_observer` in a
-    ``try/finally`` so a crashing run cannot leak the tap into the next one.
-    """
-    global _OBSERVER
-    if _OBSERVER is not None:
-        raise RuntimeError("an event observer is already installed; "
-                           "recorded runs cannot nest")
-    _OBSERVER = observer
-    return observer
-
-
-def uninstall_observer() -> None:
-    global _OBSERVER
-    _OBSERVER = None
+#: The kernel event tap: ``(time, callback, args) -> None``.
+Observer = Callable[[float, Callable, tuple], None]
 
 
 class StopSimulation(Exception):
@@ -114,6 +93,8 @@ class Simulator:
         "_sequence",
         "_until",
         "steps_executed",
+        "tracer",
+        "observer",
     )
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -127,6 +108,16 @@ class Simulator:
         #: Total callbacks executed over the simulator's lifetime; benchmark
         #: instrumentation (events/second).
         self.steps_executed = 0
+        #: The session's :class:`~repro.obs.tracer.Tracer`, or ``None``.  The
+        #: kernel never reads it; it rides here because every layer that
+        #: emits a lifecycle event already holds the simulator.
+        self.tracer: Optional[Tracer] = None
+        #: Event-stream tap, called as ``observer(time, callback, args)``
+        #: just before each dispatched callback, or ``None``.  An observer
+        #: only reads: an observed run keeps the event sequence (and
+        #: digests) of an unobserved one.  One per simulator: the profiler
+        #: and the determinism sanitizer's recorder each claim it.
+        self.observer: Optional[Observer] = None
 
     # -- time ---------------------------------------------------------------
     @property
@@ -230,8 +221,8 @@ class Simulator:
             raise RuntimeError("simulation time went backwards (kernel bug)")
         self._now = max(self._now, time)
         self.steps_executed += 1
-        if _OBSERVER is not None:
-            _OBSERVER(time, callback, args)
+        if self.observer is not None:
+            self.observer(time, callback, args)
         callback(*args)
         return True
 
@@ -250,7 +241,7 @@ class Simulator:
         """
         heap = self._heap
         pop = heapq.heappop
-        observer = _OBSERVER
+        observer = self.observer
         self._until = until
         steps = 0
         try:

@@ -55,6 +55,7 @@ class Switch:
         self.rng = rng or SeededRandom(self.datapath_id & 0xFFFF)
 
         self.dataplane = DataPlane(
+            sim,
             table_mode=profile.table_mode,
             capacity=profile.table_capacity,
             name=f"{name}.data",

@@ -42,7 +42,6 @@ from repro.openflow.messages import (
     StatsReply,
     StatsRequest,
 )
-from repro.obs import tracer as obs_tracer
 from repro.obs.events import (
     PHASE_ACK_SENT,
     PHASE_CONTROL_APPLIED,
@@ -211,8 +210,8 @@ class ControlPlane:
             # The TCP connection of a crashed switch is gone; anything the
             # controller still had in flight is lost.
             return
-        tr = obs_tracer.TRACER
-        if tr.active and isinstance(message, (FlowMod, BarrierRequest)):
+        tr = self.sim.tracer
+        if tr is not None and isinstance(message, (FlowMod, BarrierRequest)):
             tr.rule(PHASE_SWITCH_RECEIVED, self.sim.now, self.name,
                     message.xid, detail=type(message).__name__)
         if self._idle:
@@ -326,8 +325,8 @@ class ControlPlane:
         self._applied_xids.add(xid)
         self.flowmods_processed += 1
         self.control_apply_log[xid] = now
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             tr.rule(PHASE_CONTROL_APPLIED, now, self.name, xid)
 
         operation = PendingOperation(flowmod, received_at=now,
@@ -366,8 +365,8 @@ class ControlPlane:
     def _send_barrier_reply(self, request: BarrierRequest) -> None:
         now = self.sim.now
         self.barrier_reply_log.append((now, request.xid))
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             tr.rule(PHASE_ACK_SENT, now, self.name, request.xid,
                     detail="barrier-reply")
         self._send(BarrierReply(xid=request.xid))

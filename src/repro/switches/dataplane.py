@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.obs import tracer as obs_tracer
 from repro.obs.events import PHASE_HW_ACTIVATED
 from repro.openflow.actions import compile_actions
 from repro.openflow.constants import CONTROLLER_PORT
@@ -33,6 +32,7 @@ from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.messages import FlowMod
 from repro.packet.fields import FIELD_INDEX, HeaderField
 from repro.packet.packet import Packet
+from repro.sim.kernel import Simulator
 
 #: Array index of ``in_port`` in a packet's header value array.
 _IN_PORT_INDEX = FIELD_INDEX[HeaderField.IN_PORT]
@@ -57,8 +57,9 @@ class ForwardingResult(NamedTuple):
 class DataPlane:
     """Data-plane forwarding state and packet processing."""
 
-    def __init__(self, table_mode: str = "priority", capacity: Optional[int] = None,
-                 name: str = "dataplane") -> None:
+    def __init__(self, sim: Simulator, table_mode: str = "priority",
+                 capacity: Optional[int] = None, name: str = "dataplane") -> None:
+        self.sim = sim
         self.table = FlowTable(mode=table_mode, capacity=capacity, name=name)
         self.name = name
         #: Owning switch, for trace events (the table is named ``<switch>.data``).
@@ -77,8 +78,8 @@ class DataPlane:
         entries = self.table.apply_flowmod(flowmod, now=now)
         self._lookup_cache.clear()
         self.apply_log.append((now, flowmod.xid))
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             tr.rule(PHASE_HW_ACTIVATED, now, self.switch_name, flowmod.xid)
         return entries
 

@@ -26,7 +26,6 @@ else was edited.
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Optional
 
-from repro.obs import tracer as obs_tracer
 from repro.obs.events import (
     PHASE_ACK_SENT,
     PHASE_CONTROL_APPLIED,
@@ -160,8 +159,8 @@ class GeneratorControlPlane(ControlPlane):
             # The TCP connection of a crashed switch is gone; anything the
             # controller still had in flight is lost.
             return
-        tr = obs_tracer.TRACER
-        if tr.active and isinstance(message, (FlowMod, BarrierRequest)):
+        tr = self.sim.tracer
+        if tr is not None and isinstance(message, (FlowMod, BarrierRequest)):
             tr.rule(PHASE_SWITCH_RECEIVED, self.sim.now, self.name,
                     message.xid, detail=type(message).__name__)
         self.inbox.put(message)
@@ -242,8 +241,8 @@ class GeneratorControlPlane(ControlPlane):
         self._applied_xids.add(flowmod.xid)
         self.flowmods_processed += 1
         self.control_apply_log[flowmod.xid] = self.sim.now
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             tr.rule(PHASE_CONTROL_APPLIED, self.sim.now, self.name, flowmod.xid)
 
         operation = PendingOperation(flowmod, received_at=self.sim.now,
@@ -281,8 +280,8 @@ class GeneratorControlPlane(ControlPlane):
 
     def _send_barrier_reply(self, request: BarrierRequest) -> None:
         self.barrier_reply_log.append((self.sim.now, request.xid))
-        tr = obs_tracer.TRACER
-        if tr.active:
+        tr = self.sim.tracer
+        if tr is not None:
             tr.rule(PHASE_ACK_SENT, self.sim.now, self.name, request.xid,
                     detail="barrier-reply")
         self._send(BarrierReply(xid=request.xid))

@@ -29,7 +29,6 @@ from repro.openflow.connection import Connection
 from repro.openflow.constants import FlowModCommand, StatsType
 from repro.openflow.messages import FeaturesRequest, Hello, StatsRequest
 from repro.packet.packet import make_ip_packet
-from repro.sim import kernel
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRandom
 from repro.switches import BarrierMode, DataPlaneSyncModel, hp5406zl_profile
@@ -146,7 +145,7 @@ def _sent_up(sim, log):
 def _execute(agent_class, overrides, program, cuts):
     """Run ``program`` on a bare agent; returns everything observable."""
     sim = _LoggingSimulator()
-    dataplane = DataPlane(name="SW.data")
+    dataplane = DataPlane(sim, name="SW.data")
     sent, injected, stream, at_cuts = [], [], [], []
     plane = agent_class(
         sim, hp5406zl_profile().with_overrides(**overrides),
@@ -179,16 +178,13 @@ def _execute(agent_class, overrides, program, cuts):
         else:
             sim.schedule_at(now, plane.receive, _message(index, action))
 
-    kernel.install_observer(
+    sim.observer = (
         lambda time, _callback, _args: stream.append((time, sim.schedule_sequence)))
-    try:
-        for until in cuts:
-            sim.run(until=until)
-            at_cuts.append((sim.now, sim.steps_executed, sim.schedule_sequence,
-                            sim.pending_count))
-        sim.run(until=now + 2.0)
-    finally:
-        kernel.uninstall_observer()
+    for until in cuts:
+        sim.run(until=until)
+        at_cuts.append((sim.now, sim.steps_executed, sim.schedule_sequence,
+                        sim.pending_count))
+    sim.run(until=now + 2.0)
     return {
         "stream": stream,
         "scheduled": sim.scheduled,

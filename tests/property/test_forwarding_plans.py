@@ -22,6 +22,7 @@ from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
 from repro.packet.fields import FIELD_REGISTRY, HeaderField
 from repro.packet.packet import make_ip_packet
+from repro.sim.kernel import Simulator
 from repro.switches.dataplane import DataPlane
 
 _REWRITABLE = sorted(
@@ -81,7 +82,7 @@ def test_compiled_plan_agrees_with_the_interpreter(actions):
     assert applied.header_values() == expected_packet.header_values()
 
     # The data plane applies the same plan through its cache.
-    dataplane = DataPlane()
+    dataplane = DataPlane(Simulator())
     dataplane.apply_flowmod(FlowMod(Match(), actions, priority=1), now=0.0)
     for _ in range(2):  # a miss (compiles the plan), then a hit (reuses it)
         packet = _packet()
@@ -103,7 +104,7 @@ def test_compiled_plan_agrees_with_the_interpreter(actions):
 def test_plan_does_not_outlive_a_dataplane_mutation():
     # MODIFY rebinds ``entry.actions`` on the same FlowEntry object, and a
     # table miss is cached too: both must be forgotten on the next FlowMod.
-    dataplane = DataPlane()
+    dataplane = DataPlane(Simulator())
     assert dataplane.process_packet(_packet(), in_port=1).matched_entry is None
     dataplane.apply_flowmod(FlowMod(Match(), [OutputAction(1)], priority=1), now=0.0)
     assert dataplane.process_packet(_packet(), in_port=1).output_ports == (1,)

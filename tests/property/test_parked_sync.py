@@ -96,7 +96,7 @@ def _arrival_times(profile, steps):
 
 def _run(cls, profile, arrivals, barrier_every, crash_at, down_for, horizon):
     sim = Simulator()
-    dataplane = DataPlane(name="SW.data")
+    dataplane = DataPlane(sim, name="SW.data")
     plane = cls(sim, profile, send_to_controller=lambda message: None,
                 apply_to_dataplane=dataplane.apply_flowmod,
                 inject_packet=lambda packet, actions, in_port: None,

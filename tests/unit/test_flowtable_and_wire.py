@@ -14,6 +14,7 @@ from repro.openflow import (
 from repro.openflow.actions import DropAction
 from repro.openflow.flowtable import TableFullError, diff_tables
 from repro.packet.packet import make_ip_packet
+from repro.sim.kernel import Simulator
 from repro.switches.dataplane import DataPlane
 
 
@@ -108,7 +109,7 @@ def test_invalid_mode_rejected():
 
 
 def test_lookup_counters_updated():
-    plane = DataPlane()
+    plane = DataPlane(Simulator())
     plane.apply_flowmod(_flowmod("10.0.0.1", "10.0.0.2", 1), now=0.0)
     packet = make_ip_packet("10.0.0.1", "10.0.0.2")
     entry = plane.process_packet(packet, in_port=1).matched_entry

@@ -1,5 +1,6 @@
-"""Tests for the deterministic sim-profiler: the engine-owned lifecycle (no
-global; the kernel observer never outlives a session, even a crashing one),
+"""Tests for the deterministic sim-profiler: the engine-owned lifecycle (it
+claims its simulator's one observer slot and clears it, even when the
+session crashes),
 the allocation-free disarmed path, kernel-observer attribution through toy
 simulations and a real profiled session, profile-off digest transparency
 (a profiled run digests identically to its unprofiled twin), the collector
@@ -24,7 +25,6 @@ from repro.obs import ProfileReport, Profiler
 from repro.scenarios import ScenarioParams, run_scenario, scenario_session
 from repro.session import engine
 from repro.session.record import RunRecord
-from repro.sim import kernel
 from repro.sim.kernel import Simulator
 
 
@@ -78,28 +78,35 @@ class TestDisarmedPath:
 
 
 # ---------------------------------------------------------------------------
-# Install / uninstall lifecycle of the kernel observer (the profiler's only tap)
+# Attach / detach: the profiler claims its simulator's one observer slot
 # ---------------------------------------------------------------------------
 
 class TestInstall:
-    def test_profiled_sessions_cannot_nest(self):
+    def test_a_simulator_has_one_observer_slot(self):
+        sim = Simulator()
         outer, inner = Profiler(), Profiler()
-        outer.attach(Simulator())
+        outer.attach(sim)
         try:
-            with pytest.raises(RuntimeError, match="cannot nest"):
-                inner.attach(Simulator())
+            with pytest.raises(RuntimeError, match="already has an event observer"):
+                inner.attach(sim)
+            # Another simulator has a slot of its own.
+            inner.attach(Simulator())
+            inner.detach()
         finally:
             outer.detach()
-        assert kernel._OBSERVER is None
+        assert sim.observer is None
+        inner.attach(sim)
+        inner.detach()
 
     def test_uninstall_detaches_a_live_kernel_observer(self):
+        sim = Simulator()
         pr = Profiler()
-        pr.attach(Simulator())
-        assert kernel._OBSERVER is not None
+        pr.attach(sim)
+        assert sim.observer == pr._observe
         assert _collector_listeners() == [pr._on_gc]
         pr.detach()
         pr.detach()  # idempotent: finish() and the engine both call it
-        assert kernel._OBSERVER is None
+        assert sim.observer is None
         assert _collector_listeners() == []
         assert not tracemalloc.is_tracing()
 
@@ -112,17 +119,24 @@ class TestInstall:
         finally:
             pr.detach()
 
-    def test_crashing_session_leaves_no_kernel_observer(self):
+    def test_crashing_session_leaves_no_kernel_observer(self, monkeypatch):
+        simulators = []
+
+        def simulator():
+            simulators.append(Simulator())
+            return simulators[-1]
+
         def boom(_network, _flows):
             raise RuntimeError("boom")
 
+        monkeypatch.setattr(engine, "Simulator", simulator)
         spec = dataclasses.replace(
             scenario_session("path-migration", "general",
                              _quick_params(profile=True)),
             plan_builder=boom)
         with pytest.raises(RuntimeError, match="boom"):
             spec.run()
-        assert kernel._OBSERVER is None
+        assert simulators[0].observer is None
         assert _collector_listeners() == []
         assert not tracemalloc.is_tracing()
         # ... so the next profiled session can arm again.
@@ -272,7 +286,7 @@ class TestProfiledSession:
         assert record.profile.callbacks
         assert [row["name"] for row in record.profile.phases] == [
             "setup", "update", "drain", "analyze"]
-        assert kernel._OBSERVER is None
+        assert _collector_listeners() == []
         assert not tracemalloc.is_tracing()
 
     def test_profile_off_runs_omit_the_key_entirely(self):
