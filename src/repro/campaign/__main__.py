@@ -185,7 +185,8 @@ def cmd_list() -> int:
                        title="Registered scenarios"))
     print()
     fault_rows = [
-        [name, get_fault(name).layer, get_fault(name).description]
+        [name, get_fault(name).layer,
+         (get_fault(name).__doc__ or "").strip().split("\n")[0]]
         for name in available_faults()
     ]
     print(format_table(["fault", "layer", "description"], fault_rows,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.report import (
     RESILIENCE_HEADERS,
@@ -24,9 +24,8 @@ from repro.analysis.report import (
     format_table,
 )
 from repro.campaign.runner import FINAL_STATUSES, load_records
-from repro.faults.plan import NO_FAULTS
-from repro.recovery.policy import NO_RECOVERY
-from repro.session.record import SUMMARY_KEYS  # noqa: F401 - the record schema
+from repro.faults.plan import NO_FAULTS, FaultPlan
+from repro.recovery.policy import NO_RECOVERY, RecoveryPolicy
 
 
 def _mean(values: List[float]) -> Optional[float]:
@@ -73,6 +72,27 @@ def aggregate(records: List[Dict[str, object]]) -> List[List[object]]:
     return rows
 
 
+def run_labels(axes: Mapping[str, object],
+               session: Mapping[str, object]) -> Tuple[str, str]:
+    """The ``(fault, recovery)`` labels of one run.
+
+    ``axes`` is a campaign cell's ``config`` (``{}`` for a run outside a
+    campaign) and ``session`` the run's ``SessionSpec.config()`` encoding.
+    An axis the cell sets is its label verbatim; an absent axis is labelled
+    by what the run actually armed, so a scenario that arms its own faults
+    (``rolling-upgrade``) is never mistaken for the fault-free control.
+    """
+    fault = axes.get("fault")
+    if fault is None:
+        fault = FaultPlan.from_dict(session.get("faults")).to_string()
+    recovery = axes.get("recovery")
+    if recovery is None:
+        policy = RecoveryPolicy.from_dict(
+            (session.get("knobs") or {}).get("recovery"))
+        recovery = policy.to_string() if policy is not None else "off"
+    return str(fault or "none"), str(recovery or "off")
+
+
 def _fault_label(record: Dict[str, object]) -> str:
     """The record's group label: fault plan, plus recovery policy when armed.
 
@@ -81,10 +101,9 @@ def _fault_label(record: Dict[str, object]) -> str:
     is the recovered-vs-unrecovered comparison the campaign exists to show —
     and the ``digests`` determinism column never mixes the two populations.
     """
-    config = record.get("config") or {}
-    fault = str(config.get("fault") or "none")
+    fault, recovery = run_labels(record.get("config") or {},
+                                 record.get("session") or {})
     label = "none" if fault.lower() in NO_FAULTS else fault
-    recovery = str(config.get("recovery") or "off")
     if recovery.lower() not in NO_RECOVERY:
         label += f" +recovery={recovery}"
     return label

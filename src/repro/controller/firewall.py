@@ -37,25 +37,21 @@ from repro.sim.rng import SeededRandom
 from repro.switches.profiles import SwitchProfile, hp5406zl_profile
 
 
-class DelayedHttpRuleFault(DataPlaneFault):  # repro: noqa(RL007): scenario-local fault, instantiated directly by FirewallScenario; registry exposure would invite misuse in fault plans
+class DelayedHttpRuleFault(DataPlaneFault):
     """Delays the data-plane installation of the HTTP (firewall) rule.
 
     This reproduces, deterministically, the "hard to predict corner cases
     [where] the delay may reach several seconds" that make static timeouts
     unsafe, applied to the one rule whose late installation opens the
-    security hole.  Scenario-specific, hence not in the fault registry.
+    security hole.  Scenario-specific: it sets no ``name``, so it stays out
+    of the fault catalogue and no fault plan can arm it.
     """
 
-    name = "delayed-http-rule"
     param_defaults = {"delay": 0.8, "http_port": 80}
-
-    def setup(self) -> None:
-        self.delayed_rules = 0
 
     def intercept(self, flowmod, apply) -> bool:
         if flowmod.match.value_of("tp_dst") != self.http_port:
             return False
-        self.delayed_rules += 1
         self.count("rules_delayed")
         self.sim.schedule_callback(self.delay, apply, flowmod, self.sim.now + self.delay)
         return True

@@ -35,16 +35,13 @@ from repro.core.techniques import (
     AdaptiveTimeoutTechnique,
     BarrierBaselineTechnique,
     GeneralProbingTechnique,
-    NO_WAIT_TECHNIQUE,
-    RegisteredTechnique,
+    NoWaitTechnique,
     SequentialProbingTechnique,
     StaticTimeoutTechnique,
     TECHNIQUE_NO_WAIT,
     available_techniques,
     create_technique,
     get_technique,
-    register_technique,
-    register_technique_class,
     resolve_technique,
 )
 
@@ -54,11 +51,10 @@ __all__ = [
     "AdaptiveTimeoutTechnique",
     "BarrierBaselineTechnique",
     "GeneralProbingTechnique",
-    "NO_WAIT_TECHNIQUE",
+    "NoWaitTechnique",
     "PendingRule",
     "PendingRuleTracker",
     "ProxyLayer",
-    "RegisteredTechnique",
     "ReliableBarrierLayer",
     "RumConfig",
     "RumLayer",
@@ -78,7 +74,5 @@ __all__ = [
     "config_for_technique",
     "create_technique",
     "get_technique",
-    "register_technique",
-    "register_technique_class",
     "resolve_technique",
 ]

@@ -27,9 +27,8 @@ ALL_TECHNIQUES = (
 
 
 def _known_rum_techniques():
-    """Registered RUM-capable technique names (import deferred: the registry
-    package imports this module for type information)."""
-    import repro.core.techniques  # noqa: F401 - ensure builtins are registered
+    """Registered RUM-capable technique names (import deferred: the
+    technique classes import this module for their configs)."""
     from repro.core.techniques.registry import rum_technique_names
 
     return rum_technique_names()
@@ -127,21 +126,20 @@ class RumConfig:
 def config_for_technique(technique: str, **overrides) -> RumConfig:
     """A validated config for the named technique.
 
-    The technique's own :attr:`RegisteredTechnique.config_defaults` are
-    applied first, then ``overrides`` — so e.g. ``adaptive`` always assumes
-    250 modifications/s unless the caller says otherwise, no matter which
-    entry point (session, scenario engine, campaign) built the config.
+    The technique's own :attr:`AckTechnique.config_defaults` are applied
+    first, then ``overrides`` — so e.g. ``adaptive`` always assumes 250
+    modifications/s unless the caller says otherwise, no matter which entry
+    point (session, scenario engine, campaign) built the config.
     """
-    import repro.core.techniques  # noqa: F401 - ensure builtins are registered
     from repro.core.techniques.registry import get_technique
 
     try:
-        entry = get_technique(technique)
+        technique_cls = get_technique(technique)
     except KeyError:
         # An unknown name still fails RumConfig validation with the
         # historical ValueError (not KeyError) contract.
         return RumConfig(technique=technique, **overrides).validated()
-    config = entry.rum_config(**overrides)
+    config = technique_cls.rum_config(**overrides)
     if config is None:
         raise ValueError(
             f"technique {technique!r} does not use a RUM layer and has no config"

@@ -22,26 +22,25 @@ Technique               When a modification is confirmed
                         the Figure 7 lower bound)
 ======================  =============================================================
 
-Techniques are first-class registry entries
-(:mod:`repro.core.techniques.registry`): each module registers its class
-with :func:`register_technique_class`, and the registry entry owns the
-technique's configuration defaults and wiring behaviour.  Experiment
-sessions, scenarios, and campaigns all resolve techniques by name through
-the registry, so adding one is a single registration in this package.
+A technique is its class (:mod:`repro.core.techniques.registry`): adding
+one is defining an :class:`AckTechnique` subclass with a ``name`` in this
+package, and the class owns its configuration defaults and wiring
+behaviour.  Experiment sessions, scenarios, and campaigns all resolve
+techniques by name through the registry.
 """
 
-from repro.core.techniques.base import AckTechnique, create_technique
+from repro.core.techniques.base import (
+    AckTechnique,
+    NoWaitTechnique,
+    create_technique,
+)
 from repro.core.techniques.registry import (
-    NO_WAIT_TECHNIQUE,
     TECHNIQUE_NO_WAIT,
-    RegisteredTechnique,
+    TECHNIQUES,
     available_techniques,
     get_technique,
-    register_technique,
-    register_technique_class,
     resolve_technique,
     rum_technique_names,
-    unregister_technique,
 )
 from repro.core.techniques.barrier_baseline import BarrierBaselineTechnique
 from repro.core.techniques.static_timeout import StaticTimeoutTechnique
@@ -54,17 +53,14 @@ __all__ = [
     "AdaptiveTimeoutTechnique",
     "BarrierBaselineTechnique",
     "GeneralProbingTechnique",
-    "NO_WAIT_TECHNIQUE",
-    "RegisteredTechnique",
+    "NoWaitTechnique",
     "SequentialProbingTechnique",
     "StaticTimeoutTechnique",
+    "TECHNIQUES",
     "TECHNIQUE_NO_WAIT",
     "available_techniques",
     "create_technique",
     "get_technique",
-    "register_technique",
-    "register_technique_class",
     "resolve_technique",
     "rum_technique_names",
-    "unregister_technique",
 ]

@@ -17,10 +17,8 @@ from typing import Dict
 
 from repro.core.pending import PendingRule
 from repro.core.techniques.base import AckTechnique
-from repro.core.techniques.registry import register_technique_class
 
 
-@register_technique_class
 class AdaptiveTimeoutTechnique(AckTechnique):
     """Confirm modifications at model-predicted data-plane apply times."""
 

@@ -13,11 +13,9 @@ from typing import Dict, Tuple
 
 from repro.core.pending import PendingRule
 from repro.core.techniques.base import AckTechnique
-from repro.core.techniques.registry import register_technique_class
 from repro.openflow.messages import BarrierReply, BarrierRequest, OFMessage
 
 
-@register_technique_class
 class BarrierBaselineTechnique(AckTechnique):
     """Confirm modifications on the switch's barrier reply."""
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.core.config import RumConfig
 from repro.core.pending import PendingRule
+from repro.core.techniques.registry import (
+    TECHNIQUE_NO_WAIT,
+    TECHNIQUES,
+    resolve_technique,
+)
 from repro.openflow.messages import OFMessage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -18,14 +24,34 @@ class AckTechnique:
     uses the hosting :class:`~repro.core.rum.RumLayer` to send RUM-originated
     messages towards switches and to confirm pending modifications (which is
     what ultimately emits the fine-grained acknowledgment upstream).
+
+    A subclass whose own body sets ``name`` is registered under it (see
+    :mod:`repro.core.techniques.registry`).
     """
 
-    #: Name used in configuration and reports.
+    #: Name used in configuration and reports; the registry key.
     name = "base"
     #: :class:`~repro.core.config.RumConfig` field defaults owned by this
-    #: technique, applied (under caller overrides) by the registry whenever a
-    #: config is built for it by name.
-    config_defaults: dict = {}
+    #: technique, applied (under caller overrides) whenever a config is
+    #: built for it by name.
+    config_defaults: Dict[str, object] = {}
+    #: Whether runs with this technique interpose a RUM proxy chain.
+    uses_rum = True
+    #: Whether plan executors ignore update dependencies (no-wait mode).
+    ignore_dependencies = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "name" in cls.__dict__:
+            TECHNIQUES.add(cls.name, cls)
+
+    @classmethod
+    def rum_config(cls, **overrides) -> Optional[RumConfig]:
+        """A validated config (defaults + ``overrides``); ``None`` if no RUM."""
+        if not cls.uses_rum:
+            return None
+        merged = {**cls.config_defaults, **overrides}
+        return RumConfig(technique=cls.name, **merged).validated()
 
     def __init__(self, layer: "RumLayer") -> None:
         self.layer = layer
@@ -60,13 +86,14 @@ class AckTechnique:
         return self.name
 
 
+class NoWaitTechnique(AckTechnique):
+    """Issue everything at once; no consistency, no waiting (Figure 7 lower bound)."""
+
+    name = TECHNIQUE_NO_WAIT
+    uses_rum = False
+    ignore_dependencies = True
+
+
 def create_technique(name: str, layer: "RumLayer") -> AckTechnique:
     """Instantiate the registered technique called ``name`` on ``layer``."""
-    import repro.core.techniques  # noqa: F401 - ensure builtins are registered
-    from repro.core.techniques.registry import get_technique
-
-    try:
-        entry = get_technique(name)
-    except KeyError:
-        raise ValueError(f"unknown acknowledgment technique {name!r}") from None
-    return entry.instantiate(layer)
+    return resolve_technique(name)(layer)

@@ -26,7 +26,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.pending import PendingRule
 from repro.core.techniques.base import AckTechnique
-from repro.core.techniques.registry import register_technique_class
 from repro.openflow.actions import OutputAction
 from repro.openflow.messages import OFMessage, PacketIn, PacketOut
 from repro.packet.fields import FIELD_REGISTRY
@@ -54,7 +53,6 @@ class _ProbeInfo:
     probes_sent: int = 0
 
 
-@register_technique_class
 class GeneralProbingTechnique(AckTechnique):
     """Confirm every modification individually with a data-plane probe."""
 

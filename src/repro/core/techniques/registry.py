@@ -1,190 +1,81 @@
-"""First-class registry of acknowledgment techniques.
+"""The catalogue of acknowledgment techniques.
 
-Historically a technique was a bare string that every layer interpreted on
-its own: ``config_for_technique`` mapped it to a :class:`RumConfig`,
-``create_technique`` mapped it to an implementation class, the experiment
-engines special-cased ``"no-wait"`` with ``technique != NO_WAIT`` checks,
-and per-technique configuration defaults (the adaptive model's
-``assumed_rate``) leaked into the experiment harness.  The registry makes a
-technique a value: a :class:`RegisteredTechnique` owns its implementation
-class, its configuration defaults, and its wiring behaviour (does it use a
-RUM proxy?  does its executor ignore plan dependencies?).
+A technique is its class.  Every
+:class:`~repro.core.techniques.base.AckTechnique` subclass whose own body
+sets ``name`` is in :data:`TECHNIQUES` from the moment it is defined, and
+the class carries everything a run needs to know about it: its
+:class:`~repro.core.config.RumConfig` defaults (``config_defaults``,
+adaptive's ``assumed_rate``) and its wiring (``uses_rum``,
+``ignore_dependencies``, ``rum_config``).
 
-``no-wait`` — the consistency-free lower bound of Figure 7 — is registered
-like any other technique.  It simply has no RUM implementation: call sites
-ask :attr:`RegisteredTechnique.uses_rum` instead of comparing names.
+``no-wait`` — the consistency-free lower bound of Figure 7 — is a technique
+like any other.  It simply runs without a RUM proxy: call sites ask
+``uses_rum`` instead of comparing names.
 
-Adding a technique is one registration::
+Adding a technique is defining a subclass with a ``name``::
 
     from repro.core.techniques.base import AckTechnique
-    from repro.core.techniques.registry import register_technique_class
 
-    @register_technique_class
     class MyTechnique(AckTechnique):
         name = "mine"
         config_defaults = {"timeout": 0.05}
 
 and every session, scenario, and campaign path picks it up by name.
 
-Registration is per-process: the built-in techniques self-register when this
-package is imported, but a technique registered at runtime exists only in
-the registering process.  Parallel campaign workers
+Registration is per-process: the built-in techniques are defined when this
+package is imported, but a technique defined at runtime exists only in the
+defining process.  Parallel campaign workers
 (:class:`~repro.campaign.runner.CampaignRunner`) therefore only see
-techniques whose registration runs at import time of a module the worker
-also imports — put custom techniques in an importable module (or run cells
-in-process with :func:`~repro.campaign.runner.run_cell`) rather than
-registering them inline in a script.
+techniques defined at import time of a module the worker also imports — put
+custom techniques in an importable module (or run cells in-process with
+:func:`~repro.campaign.runner.run_cell`) rather than defining them inline
+in a script.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Type, Union
+from typing import TYPE_CHECKING, List, Type, Union
+
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.config import RumConfig
     from repro.core.techniques.base import AckTechnique
 
-#: Name of the registered null technique (issue everything at once, wait for
-#: nothing): the lower bound of Figure 7.
+#: Name of the null technique (issue everything at once, wait for nothing):
+#: the lower bound of Figure 7.
 TECHNIQUE_NO_WAIT = "no-wait"
 
-
-@dataclass(frozen=True)
-class RegisteredTechnique:
-    """One acknowledgment technique as a first-class value.
-
-    ``implementation`` is the :class:`AckTechnique` subclass hosted by a RUM
-    layer, or ``None`` for null techniques (``no-wait``) that run without a
-    RUM proxy chain at all.
-    """
-
-    name: str
-    implementation: Optional[Type["AckTechnique"]] = None
-    description: str = ""
-    #: Per-technique :class:`RumConfig` field defaults, applied under any
-    #: caller overrides (this is where adaptive's ``assumed_rate`` lives).
-    config_defaults: Mapping[str, object] = field(default_factory=dict)
-
-    @property
-    def uses_rum(self) -> bool:
-        """Whether runs with this technique interpose a RUM proxy chain."""
-        return self.implementation is not None
-
-    @property
-    def ignore_dependencies(self) -> bool:
-        """Whether plan executors should ignore dependencies (no-wait mode)."""
-        return not self.uses_rum
-
-    def rum_config(self, **overrides) -> Optional["RumConfig"]:
-        """A validated config (defaults + ``overrides``); ``None`` if no RUM."""
-        if not self.uses_rum:
-            return None
-        from repro.core.config import RumConfig
-
-        merged = {**self.config_defaults, **overrides}
-        return RumConfig(technique=self.name, **merged).validated()
-
-    def instantiate(self, layer) -> "AckTechnique":
-        """Create the technique instance hosted by ``layer``."""
-        if self.implementation is None:
-            raise ValueError(
-                f"technique {self.name!r} is a null technique and has no RUM "
-                "implementation"
-            )
-        return self.implementation(layer)
+#: Technique name -> :class:`AckTechnique` subclass.
+TECHNIQUES = Registry("technique")
 
 
-_REGISTRY: Dict[str, RegisteredTechnique] = {}
-
-
-def register_technique(
-    name: str,
-    implementation: Optional[Type["AckTechnique"]] = None,
-    *,
-    description: str = "",
-    config_defaults: Optional[Mapping[str, object]] = None,
-) -> RegisteredTechnique:
-    """Register a technique under ``name`` and return the registry entry."""
-    if not name:
-        raise ValueError("technique name must be non-empty")
-    if name in _REGISTRY:
-        raise ValueError(f"technique {name!r} is already registered")
-    entry = RegisteredTechnique(
-        name=name,
-        implementation=implementation,
-        description=description,
-        config_defaults=dict(config_defaults or {}),
-    )
-    _REGISTRY[name] = entry
-    return entry
-
-
-def register_technique_class(cls: Type["AckTechnique"]) -> Type["AckTechnique"]:
-    """Class decorator: register an :class:`AckTechnique` subclass.
-
-    Uses the class's ``name``, first docstring line, and optional
-    ``config_defaults`` class attribute, so a new technique is defined and
-    registered entirely inside its own module under ``core/techniques/``.
-    """
-    doc_lines = (cls.__doc__ or "").strip().splitlines()
-    description = doc_lines[0] if doc_lines else ""
-    register_technique(
-        cls.name,
-        cls,
-        description=description,
-        config_defaults=getattr(cls, "config_defaults", {}),
-    )
-    return cls
-
-
-def unregister_technique(name: str) -> None:
-    """Remove a registered technique (used by tests registering toys)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_technique(name: str) -> RegisteredTechnique:
-    """Look a technique up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown technique {name!r}; available: {available_techniques()}"
-        ) from None
+def get_technique(name: str) -> Type["AckTechnique"]:
+    """Look a technique class up by name."""
+    return TECHNIQUES[name]
 
 
 def resolve_technique(
-    technique: Union[str, RegisteredTechnique]
-) -> RegisteredTechnique:
-    """Accept either a registry name or an already-resolved entry.
+    technique: Union[str, Type["AckTechnique"]]
+) -> Type["AckTechnique"]:
+    """Accept either a registry name or a technique class.
 
     Unknown names raise ``ValueError`` — the historical contract of the run
     entry points (``get_technique`` itself keeps dict-like ``KeyError``
     semantics for direct lookups).
     """
-    if isinstance(technique, RegisteredTechnique):
+    if not isinstance(technique, str):
         return technique
     try:
-        return get_technique(technique)
+        return TECHNIQUES[technique]
     except KeyError as error:
-        raise ValueError(str(error).strip('"')) from None
+        raise ValueError(error.args[0]) from None
 
 
 def available_techniques() -> List[str]:
     """All registered technique names, sorted."""
-    return sorted(_REGISTRY)
+    return TECHNIQUES.names()
 
 
 def rum_technique_names() -> List[str]:
     """Names of techniques that run on a RUM layer (valid ``RumConfig`` values)."""
-    return sorted(name for name, entry in _REGISTRY.items() if entry.uses_rum)
-
-
-#: The registered null technique: all modifications issued at once, plan
-#: dependencies ignored, no RUM proxy, no acknowledgment wait.
-NO_WAIT_TECHNIQUE = register_technique(
-    TECHNIQUE_NO_WAIT,
-    None,
-    description="issue everything at once; no consistency, no waiting "
-                "(Figure 7 lower bound)",
-)
+    return sorted(name for name, cls in TECHNIQUES.items() if cls.uses_rum)

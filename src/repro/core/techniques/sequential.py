@@ -23,7 +23,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.pending import PendingRule
 from repro.core.techniques.base import AckTechnique
-from repro.core.techniques.registry import register_technique_class
 from repro.core.versioning import VersionAllocator, VersionSpaceExhausted
 from repro.openflow.actions import OutputAction
 from repro.openflow.messages import OFMessage, PacketIn, PacketOut
@@ -53,7 +52,6 @@ class _SwitchProbeState:
     highest_covered_sequence: int = 0
 
 
-@register_technique_class
 class SequentialProbingTechnique(AckTechnique):
     """Confirm batches of modifications with a versioned probe rule."""
 

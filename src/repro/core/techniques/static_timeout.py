@@ -10,10 +10,8 @@ pays the full bound in update latency.
 from __future__ import annotations
 
 from repro.core.techniques.barrier_baseline import BarrierBaselineTechnique
-from repro.core.techniques.registry import register_technique_class
 
 
-@register_technique_class
 class StaticTimeoutTechnique(BarrierBaselineTechnique):
     """Confirm modifications a fixed delay after the barrier reply."""
 

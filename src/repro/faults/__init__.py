@@ -4,10 +4,10 @@ The paper's central finding is that switches misbehave at the control/data
 plane boundary — acknowledgments arrive before rules are active, delays
 spike to seconds, updates get applied out of order.  This package turns
 "switches lie" from a hardcoded experiment condition into a configurable
-axis of every run: a typed fault-model registry
-(:func:`~repro.faults.registry.register_fault`, mirroring the acknowledgment
-technique registry), seeded composable fault models on all three layers
-where the real bugs live, and a declarative
+axis of every run: a fault-model catalogue (:mod:`repro.faults.registry`,
+mirroring the acknowledgment technique catalogue: adding a fault is
+defining a subclass with a ``name``), seeded composable fault models on all
+three layers where the real bugs live, and a declarative
 :class:`~repro.faults.plan.FaultPlan` that rides on ``SessionSpec`` so
 sessions, scenarios and campaign grids sweep faults with zero per-path
 wiring.
@@ -68,13 +68,7 @@ from repro.faults.plan import (
     arm_fault_plan,
     resolve_targets,
 )
-from repro.faults.registry import (
-    RegisteredFault,
-    available_faults,
-    get_fault,
-    register_fault,
-    unregister_fault,
-)
+from repro.faults.registry import FAULTS, available_faults, get_fault
 
 # Importing the model modules populates the registry.
 from repro.faults import control as _control  # noqa: F401
@@ -92,6 +86,7 @@ __all__ = [
     "DataPlaneFault",
     "DataPlaneFaultHarness",
     "DelaySpikeFault",
+    "FAULTS",
     "FAULT_LAYERS",
     "FaultModel",
     "FaultPlan",
@@ -99,13 +94,10 @@ __all__ = [
     "LIFECYCLE",
     "LifecycleFault",
     "NO_FAULTS",
-    "RegisteredFault",
     "ReorderFault",
     "RuleDropFault",
     "SWITCH_SIDE",
     "arm_fault_plan",
     "available_faults",
     "get_fault",
-    "register_fault",
-    "unregister_fault",
 ]

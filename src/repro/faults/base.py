@@ -15,15 +15,18 @@ fault subsystem mirrors that split with one base class per layer:
   (:meth:`~repro.switches.base.Switch.crash`/``restore``): crash/restart
   with a flow-table wipe.
 
-Every concrete fault is registered with
-:func:`~repro.faults.registry.register_fault` and instantiated from a
-:class:`~repro.faults.plan.FaultPlan`, one instance per target switch, each
-with its own deterministically forked :class:`~repro.sim.rng.SeededRandom`.
+Adding a fault model is defining a subclass of one of them with a
+``name``: that registers it (:mod:`repro.faults.registry`), and a
+:class:`~repro.faults.plan.FaultPlan` instantiates it once per target
+switch, each with its own deterministically forked
+:class:`~repro.sim.rng.SeededRandom`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
+
+from repro.faults.registry import FAULTS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
@@ -41,19 +44,31 @@ FAULT_LAYERS = (DATA_PLANE, CONTROL_CHANNEL, LIFECYCLE)
 class FaultModel:
     """One seeded, parameterised fault model instance.
 
-    Subclasses declare ``name`` (the registry key), ``layer`` (one of
-    :data:`FAULT_LAYERS`) and ``param_defaults`` (every accepted parameter
-    with its default value); the constructor rejects unknown parameters so a
-    typo in a :class:`~repro.faults.plan.FaultSpec` fails loudly instead of
-    silently running the fault-free behaviour.
+    Subclasses declare ``name`` (the registry key: setting it registers the
+    class), ``layer`` (one of :data:`FAULT_LAYERS`) and ``param_defaults``
+    (every accepted parameter with its default value); the constructor
+    rejects unknown parameters so a typo in a
+    :class:`~repro.faults.plan.FaultSpec` fails loudly instead of silently
+    running the fault-free behaviour.
     """
 
-    #: Registry key; concrete subclasses must set it.
+    #: Registry key; concrete, sweepable subclasses set it.
     name: str = ""
     #: Which layer the fault attaches to (one of :data:`FAULT_LAYERS`).
     layer: str = ""
     #: Accepted parameters and their defaults.
     param_defaults: Mapping[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "name" not in cls.__dict__:
+            return
+        if cls.layer not in FAULT_LAYERS:
+            raise ValueError(
+                f"{cls.__name__}.layer must be one of {FAULT_LAYERS}, "
+                f"not {cls.layer!r}"
+            )
+        FAULTS.add(cls.name, cls)
 
     def __init__(self, **params: object) -> None:
         unknown = sorted(set(params) - set(self.param_defaults))

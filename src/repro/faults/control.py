@@ -30,11 +30,9 @@ from typing import Set
 
 from repro.faults.base import ControlChannelFault
 from repro.faults.harness import CONTROLLER_SIDE, SWITCH_SIDE
-from repro.faults.registry import register_fault
 from repro.openflow.messages import BarrierReply, BarrierRequest
 
 
-@register_fault
 class AckLossFault(ControlChannelFault):
     """With probability ``probability`` a barrier reply is lost in transit."""
 
@@ -54,7 +52,6 @@ class AckLossFault(ControlChannelFault):
         return True
 
 
-@register_fault
 class AckDuplicateFault(ControlChannelFault):
     """With probability ``probability`` a barrier reply is delivered ``copies`` extra times."""
 
@@ -78,7 +75,6 @@ class AckDuplicateFault(ControlChannelFault):
         return True
 
 
-@register_fault
 class PrematureAckFault(ControlChannelFault):
     """With probability ``probability`` a barrier is acknowledged before the switch sees it."""
 
@@ -113,7 +109,6 @@ class PrematureAckFault(ControlChannelFault):
         return False
 
 
-@register_fault
 class ChannelJitterFault(ControlChannelFault):
     """With probability ``probability`` a message is delayed by up to ``max_jitter`` seconds."""
 
@@ -135,7 +130,6 @@ class ChannelJitterFault(ControlChannelFault):
         return True
 
 
-@register_fault
 class DisconnectFault(ControlChannelFault):
     """The control connection is down during ``[at, at + outage)``.
 

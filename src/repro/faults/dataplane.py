@@ -19,11 +19,9 @@ from __future__ import annotations
 from typing import Callable, List, Tuple
 
 from repro.faults.base import DataPlaneFault
-from repro.faults.registry import register_fault
 from repro.openflow.messages import FlowMod
 
 
-@register_fault
 class DelaySpikeFault(DataPlaneFault):
     """With probability ``probability`` delay an application by ``spike`` seconds."""
 
@@ -46,7 +44,6 @@ class DelaySpikeFault(DataPlaneFault):
         return True
 
 
-@register_fault
 class ReorderFault(DataPlaneFault):
     """Hold applications in a small buffer and release them in shuffled order."""
 
@@ -89,7 +86,6 @@ class ReorderFault(DataPlaneFault):
             apply(flowmod, self.sim.now)
 
 
-@register_fault
 class RuleDropFault(DataPlaneFault):
     """With probability ``probability`` a rule silently never reaches the data plane."""
 

@@ -12,14 +12,12 @@ migration machinery) puts on the control plane.
 from __future__ import annotations
 
 from repro.faults.base import LifecycleFault
-from repro.faults.registry import register_fault
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import cycle via repro.switches)
     from repro.switches.base import Switch
 
 
-@register_fault
 class SwitchCrashFault(LifecycleFault):
     """Crash the switch at ``at`` seconds; restart it ``restart_after`` seconds later."""
 
@@ -52,7 +50,6 @@ class SwitchCrashFault(LifecycleFault):
         self.count("restarts")
 
 
-@register_fault
 class LinkFlapFault(LifecycleFault):
     """All ports of the switch go dark for a window; its tables survive.
 

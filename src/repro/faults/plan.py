@@ -454,14 +454,14 @@ class FaultPlan:
     @staticmethod
     def _validate_entry(entry: PlanEntry) -> None:
         if isinstance(entry, FaultSpec):
-            get_fault(entry.fault).instantiate(**entry.params)
+            get_fault(entry.fault)(**entry.params)
         elif isinstance(entry, GroupSpec):
             if not entry.members:
                 raise ValueError("fault group has no members")
             if entry.at < 0:
                 raise ValueError(f"group time {entry.at} is negative")
             for member in entry.members:
-                get_fault(member.fault).instantiate(**member.params)
+                get_fault(member.fault)(**member.params)
         elif isinstance(entry, RollingSpec):
             if entry.stagger < 0:
                 raise ValueError(f"rolling stagger {entry.stagger} is negative")
@@ -473,7 +473,7 @@ class FaultPlan:
                     f"rolling needs a schedulable fault (one with an 'at' "
                     f"parameter); {entry.spec.fault!r} has none"
                 )
-            registered.instantiate(**entry.spec.params)
+            registered(**entry.spec.params)
         else:  # pragma: no cover - guarded by the codecs
             raise TypeError(f"not a fault plan entry: {entry!r}")
 
@@ -607,14 +607,13 @@ def arm_fault_plan(
     dataplane_faults: Dict[str, List[FaultModel]] = {}
     control_faults: Dict[str, List[FaultModel]] = {}
     for slot, name, params, target in plan.expanded(network):
-        entry = get_fault(name)
-        fault = entry.instantiate(**params)
+        fault = get_fault(name)(**params)
         fault.arm(sim, root.fork(f"fault:{slot}:{name}:{target}"))
         fault._trace_target = target  # fault-overlay trace events
         armed.instances.append((target, fault))
-        if entry.layer == DATA_PLANE:
+        if fault.layer == DATA_PLANE:
             dataplane_faults.setdefault(target, []).append(fault)
-        elif entry.layer == CONTROL_CHANNEL:
+        elif fault.layer == CONTROL_CHANNEL:
             control_faults.setdefault(target, []).append(fault)
         else:
             fault.schedule(network.switch(target))

@@ -1,19 +1,19 @@
-"""First-class registry of fault models.
+"""The catalogue of fault models.
 
-Mirrors the acknowledgment-technique registry
-(:mod:`repro.core.techniques.registry`): a fault is a value, not a string
-every layer interprets on its own.  A :class:`RegisteredFault` owns the
-implementation class, the layer it attaches to, and its parameter defaults,
-so a fault registered once is immediately sweepable from every entry point —
-sessions (``SessionSpec.faults``), scenarios (``ScenarioParams.faults``) and
-campaign grids (``CampaignSpec.faults``).
+Mirrors the acknowledgment-technique catalogue
+(:mod:`repro.core.techniques.registry`): a fault is its class, not a string
+every layer interprets on its own.  Every
+:class:`~repro.faults.base.FaultModel` subclass whose own body sets ``name``
+is in :data:`FAULTS` from the moment it is defined, and the class carries
+the layer it attaches to and its parameter defaults, so a fault defined once
+is immediately sweepable from every entry point — sessions
+(``SessionSpec.faults``), scenarios (``ScenarioParams.faults``) and campaign
+grids (``CampaignSpec.faults``).
 
-Adding a fault model is one decoration::
+Adding a fault model is defining a subclass with a ``name``::
 
     from repro.faults.base import DataPlaneFault
-    from repro.faults.registry import register_fault
 
-    @register_fault
     class GhostRuleFault(DataPlaneFault):
         \"\"\"Silently drop every Nth rule on its way to the data plane.\"\"\"
 
@@ -21,83 +21,28 @@ Adding a fault model is one decoration::
         param_defaults = {"every": 10}
 
 Registration is per-process, exactly like technique registration: parallel
-campaign workers only see faults whose registering module they import.
+campaign workers only see faults whose defining module they import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Type
+from typing import TYPE_CHECKING, List, Optional, Type
 
-from repro.faults.base import FAULT_LAYERS
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.base import FaultModel
 
-
-@dataclass(frozen=True)
-class RegisteredFault:
-    """One fault model as a first-class registry value."""
-
-    name: str
-    implementation: Type["FaultModel"]
-    layer: str
-    description: str = ""
-    param_defaults: Mapping[str, object] = field(default_factory=dict)
-
-    def instantiate(self, **params: object) -> "FaultModel":
-        """Create a fresh (unarmed) fault instance with ``params`` applied."""
-        return self.implementation(**params)
+#: Fault name -> :class:`~repro.faults.base.FaultModel` subclass.
+FAULTS = Registry("fault")
 
 
-_REGISTRY: Dict[str, RegisteredFault] = {}
-
-
-def register_fault(cls: Type["FaultModel"]) -> Type["FaultModel"]:
-    """Class decorator: register a :class:`~repro.faults.base.FaultModel`.
-
-    Uses the class's ``name``, ``layer``, first docstring line and
-    ``param_defaults``, so a new fault model is defined and registered
-    entirely inside its own module.
-    """
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must set a non-empty name")
-    if cls.layer not in FAULT_LAYERS:
-        raise ValueError(
-            f"{cls.__name__}.layer must be one of {FAULT_LAYERS}, "
-            f"not {cls.layer!r}"
-        )
-    if cls.name in _REGISTRY:
-        raise ValueError(f"fault {cls.name!r} is already registered")
-    doc_lines = (cls.__doc__ or "").strip().splitlines()
-    _REGISTRY[cls.name] = RegisteredFault(
-        name=cls.name,
-        implementation=cls,
-        layer=cls.layer,
-        description=doc_lines[0] if doc_lines else "",
-        param_defaults=dict(cls.param_defaults),
-    )
-    return cls
-
-
-def unregister_fault(name: str) -> None:
-    """Remove a registered fault (used by tests registering toys)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_fault(name: str) -> RegisteredFault:
-    """Look a fault model up by name (``KeyError`` on unknown names)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown fault {name!r}; available: {available_faults()}"
-        ) from None
+def get_fault(name: str) -> Type["FaultModel"]:
+    """Look a fault model class up by name (``KeyError`` on unknown names)."""
+    return FAULTS[name]
 
 
 def available_faults(layer: Optional[str] = None) -> List[str]:
     """Registered fault names, sorted; optionally restricted to one layer."""
-    return sorted(
-        name for name, entry in _REGISTRY.items()
-        if layer is None or entry.layer == layer
-    )
+    return sorted(name for name, cls in FAULTS.items()
+                  if layer is None or cls.layer == layer)

@@ -1,8 +1,8 @@
 """Reproducibility linter and determinism sanitizer.
 
-Static pass (``python -m repro.lint``): five AST rules (RL001-RL003,
-RL006, RL007) enforcing the repo's determinism and hot-path invariants,
-with a rule registry mirroring the technique registry and a
+Static pass (``python -m repro.lint``): four AST rules (RL001-RL003,
+RL006) enforcing the repo's determinism and hot-path invariants, with a
+rule catalogue mirroring the technique catalogue and a
 justified-suppression policy (``# repro: noqa(RL###): <why>``).
 
 Runtime pass (``python -m repro.lint --sanitize <scenario>``): double-run
@@ -27,14 +27,13 @@ from repro.lint.engine import (
     parse_suppressions,
 )
 from repro.lint.rules import (
+    RULES,
     LintRule,
     ModuleInfo,
     active_rules,
     available_rules,
     get_rule,
-    register_rule,
     rule_catalog,
-    unregister_rule,
 )
 from repro.lint.sanitizer import (
     CHAOS_HOOKS,
@@ -62,14 +61,13 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "parse_suppressions",
+    "RULES",
     "LintRule",
     "ModuleInfo",
     "active_rules",
     "available_rules",
     "get_rule",
-    "register_rule",
     "rule_catalog",
-    "unregister_rule",
     "CHAOS_HOOKS",
     "Divergence",
     "RecordedRun",

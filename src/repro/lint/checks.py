@@ -12,21 +12,20 @@ one refactor away from shipping):
   it feeds (scheduling, serialization, digests) varies run to run.
 * RL006 — hot-path classes without ``__slots__`` cost dict allocations in
   the kernel loop the PR 2 rewrite paid to remove.
-* RL007 — technique/fault/scenario classes that do not self-register are
-  dead code every sweep silently skips.
-
-RL004 and RL005 are retired codes and are not reused: ``sim.tracer`` is
-``None`` on a bare run, so an unguarded emit fails every bare test run, and
-the disarmed ``SessionSpec.config()`` is pinned by a test.
+RL004, RL005 and RL007 are retired codes and are not reused: ``sim.tracer``
+is ``None`` on a bare run, so an unguarded emit fails every bare test run;
+the disarmed ``SessionSpec.config()`` is pinned by a test; and defining a
+technique/fault/scenario/rule subclass with its key *is* registering it, so
+there is no decorator left to forget.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.rules import LintRule, ModuleInfo, register_rule
+from repro.lint.rules import LintRule, ModuleInfo
 
 
 def _name_of(node: ast.AST) -> Optional[str]:
@@ -38,7 +37,6 @@ def _name_of(node: ast.AST) -> Optional[str]:
     return None
 
 
-@register_rule
 class HashDerivedValues(LintRule):
     """RL001: no ``hash()``/``id()``-derived values."""
 
@@ -85,7 +83,6 @@ _AMBIENT_MODULES = ("uuid", "secrets")
 _RANDOM_ALLOWED = {"Random"}
 
 
-@register_rule
 class AmbientEntropy(LintRule):
     """RL002: no wall-clock or ambient entropy in simulation paths."""
 
@@ -162,7 +159,6 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
-@register_rule
 class UnorderedIteration(LintRule):
     """RL003: no iteration over bare sets without an explicit sort."""
 
@@ -227,7 +223,6 @@ def _declares_slots(node: ast.ClassDef) -> bool:
     return False
 
 
-@register_rule
 class MissingSlots(LintRule):
     """RL006: hot-path classes must declare ``__slots__``."""
 
@@ -258,64 +253,4 @@ class MissingSlots(LintRule):
                 info, node,
                 f"class {node.name} lives in a hot-path module but declares "
                 "no __slots__ (per-instance dicts in the kernel loop)",
-            )
-
-
-#: Base-name patterns -> the registering decorators their subclasses need.
-_REGISTRABLE: Tuple[Tuple[Tuple[str, ...], str, Tuple[str, ...]], ...] = (
-    (("AckTechnique",), "Technique", ("register_technique_class",)),
-    (("FaultModel",), "Fault", ("register_fault",)),
-    (("Scenario",), "", ("register", "register_scenario")),
-    (("LintRule",), "", ("register_rule",)),
-)
-
-
-@register_rule
-class UnregisteredSubclass(LintRule):
-    """RL007: registrable subclasses must self-register via their decorator."""
-
-    code = "RL007"
-    name = "unregistered-subclass"
-    invariant = ("technique/fault/scenario/lint-rule subclasses carry their "
-                 "registering decorator")
-    rationale = ("the registries are the only path sessions, campaigns and "
-                 "the lint CLI discover implementations through; an "
-                 "undecorated subclass is dead code every sweep silently "
-                 "skips. Abstract intermediate bases live in the exempted "
-                 "base modules or carry a justified suppression.")
-    #: The modules that define the base classes / abstract layers themselves.
-    allowed_modules = ("core/techniques/base.py", "faults/base.py",
-                       "scenarios/base.py", "lint/rules.py")
-
-    @staticmethod
-    def _required_decorators(base_names: List[str]) -> Optional[Tuple[str, ...]]:
-        for exact, suffix, decorators in _REGISTRABLE:
-            for name in base_names:
-                if name in exact or (suffix and name.endswith(suffix)
-                                     and name not in ("RegisteredTechnique",
-                                                      "RegisteredFault")):
-                    return decorators
-        return None
-
-    def check(self, info: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in info.walk(ast.ClassDef):
-            base_names = [name for name in (_name_of(b) for b in node.bases)
-                          if name]
-            required = self._required_decorators(base_names)
-            if required is None:
-                continue
-            decorators = set()
-            for decorator in node.decorator_list:
-                target = (decorator.func if isinstance(decorator, ast.Call)
-                          else decorator)
-                name = _name_of(target)
-                if name:
-                    decorators.add(name)
-            if decorators.intersection(required):
-                continue
-            expected = " / @".join(required)
-            yield self.diagnostic(
-                info, node,
-                f"class {node.name} subclasses {'/'.join(base_names)} but "
-                f"never self-registers; decorate it with @{expected}",
             )

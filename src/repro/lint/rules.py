@@ -1,18 +1,17 @@
-"""The lint-rule registry and the rule base class.
+"""The lint-rule catalogue and the rule base class.
 
-Mirrors the acknowledgment-technique registry
-(:mod:`repro.core.techniques.registry`): a rule is a value, not a branch in
-a monolithic checker.  A :class:`LintRule` subclass owns its code, its
+Mirrors the acknowledgment-technique catalogue
+(:mod:`repro.core.techniques.registry`): a rule is its class, not a branch
+in a monolithic checker.  A :class:`LintRule` subclass owns its code, its
 invariant, its rationale, and its :meth:`~LintRule.check` implementation;
-decorating it with :func:`register_rule` makes it active in every entry
-point — the ``python -m repro.lint`` CLI, the CI JSON gate, and the
+setting ``code`` in its body registers it, which makes it active in every
+entry point — the ``python -m repro.lint`` CLI, the CI JSON gate, and the
 self-check test — with no further wiring.
 
-Adding a rule is one decoration::
+Adding a rule is defining a subclass with a ``code``::
 
-    from repro.lint.rules import LintRule, ModuleInfo, register_rule
+    from repro.lint.rules import LintRule, ModuleInfo
 
-    @register_rule
     class NoSpookyConstants(LintRule):
         code = "RL099"
         name = "no-spooky-constants"
@@ -35,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.lint.diagnostics import Diagnostic
+from repro.registry import Registry
 
 _CODE_RE = re.compile(r"^RL\d{3}$")
 
@@ -101,7 +101,7 @@ class LintRule:
     RL002 excludes it rather than demanding per-line suppressions.
     """
 
-    #: Registry key, ``RL`` + three digits; subclasses must set it.
+    #: Registry key, ``RL`` + three digits; setting it registers the class.
     code: str = ""
     #: Short kebab-case slug (rule catalog, README table).
     name: str = ""
@@ -111,6 +111,18 @@ class LintRule:
     rationale: str = ""
     #: Module-path prefixes the rule skips entirely (documented exemptions).
     allowed_modules: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "code" not in cls.__dict__:
+            return
+        if not _CODE_RE.match(cls.code):
+            raise ValueError(
+                f"{cls.__name__}.code must look like 'RL001', not {cls.code!r}"
+            )
+        if not cls.name:
+            raise ValueError(f"{cls.__name__} must set a non-empty name")
+        RULES.add(cls.code, cls)
 
     def applies_to(self, info: ModuleInfo) -> bool:
         """Whether the rule runs on ``info`` at all (allowlist gate)."""
@@ -132,52 +144,24 @@ class LintRule:
         )
 
 
-_REGISTRY: Dict[str, LintRule] = {}
+#: Rule code -> :class:`LintRule` subclass.
+RULES = Registry("rule")
 
 
-def register_rule(cls: Type[LintRule]) -> Type[LintRule]:
-    """Class decorator: register a :class:`LintRule` subclass.
-
-    The registry holds one (stateless) instance per rule, keyed by code, so
-    ``available_rules``/``get_rule`` and the CLI all see it immediately.
-    """
-    if not _CODE_RE.match(cls.code or ""):
-        raise ValueError(
-            f"{cls.__name__}.code must look like 'RL001', not {cls.code!r}"
-        )
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must set a non-empty name")
-    if cls.code in _REGISTRY:
-        raise ValueError(f"rule {cls.code} is already registered")
-    _REGISTRY[cls.code] = cls()
-    return cls
-
-
-def unregister_rule(code: str) -> None:
-    """Remove a registered rule (used by tests registering toys)."""
-    _REGISTRY.pop(code, None)
-
-
-def get_rule(code: str) -> LintRule:
-    """Look a rule up by code."""
-    try:
-        return _REGISTRY[code]
-    except KeyError:
-        raise KeyError(
-            f"unknown rule {code!r}; available: {available_rules()}"
-        ) from None
+def get_rule(code: str) -> Type[LintRule]:
+    """Look a rule class up by code."""
+    return RULES[code]
 
 
 def available_rules() -> List[str]:
     """All registered rule codes, sorted."""
-    return sorted(_REGISTRY)
+    return RULES.names()
 
 
 def active_rules(select: Optional[List[str]] = None) -> List[LintRule]:
-    """The rule instances to run (all, or the selected codes)."""
-    if select is None:
-        return [_REGISTRY[code] for code in available_rules()]
-    return [get_rule(code) for code in select]
+    """Instances of the rules to run (all, or the selected codes)."""
+    return [RULES[code]() for code in
+            (available_rules() if select is None else select)]
 
 
 def rule_catalog() -> List[Dict[str, str]]:

@@ -27,7 +27,6 @@ from repro.scenarios.base import (
     ScenarioParams,
     available_scenarios,
     get_scenario,
-    register,
 )
 from repro.scenarios.engine import run_scenario, scenario_session
 from repro.scenarios.generators import (
@@ -58,7 +57,6 @@ __all__ = [
     "get_scenario",
     "leaf_spine",
     "random_waxman",
-    "register",
     "ring",
     "run_scenario",
     "scenario_session",

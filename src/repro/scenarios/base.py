@@ -10,19 +10,21 @@ drained link, ...) from the finished run.  The generic engine in
 technique, which is what lets the campaign runner sweep
 (scenario × technique × scale × seed) grids over generated topologies.
 
-New scenarios register themselves with :func:`register` and become available
-to the campaign CLI by name — workloads are data, not code forks.
+Adding a scenario is defining a :class:`Scenario` subclass with a ``name``:
+the class is then in :data:`SCENARIOS` and available to the campaign CLI by
+name — workloads are data, not code forks.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional
 
 from repro.controller.update_plan import UpdatePlan
 from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.net.traffic import FlowSpec
+from repro.registry import Registry
 from repro.scenarios.generators import (
     DEFAULT_HARDWARE_FRACTION,
     build_topology_cached,
@@ -95,12 +97,17 @@ class Scenario:
         metrics  = scenario.metrics(network, plan, executor)
     """
 
-    #: Registry key; subclasses must set it.
+    #: Registry key; a subclass whose own body sets it is registered.
     name: str = ""
     #: One-line human description shown by ``python -m repro.campaign list``.
     description: str = ""
     #: Topology family used when ``params.topology`` is ``"auto"``.
     default_topology: str = "leaf-spine"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "name" in cls.__dict__:
+            SCENARIOS.add(cls.name, cls)
 
     def __init__(self, params: Optional[ScenarioParams] = None) -> None:
         self.params = params or ScenarioParams()
@@ -179,28 +186,14 @@ class Scenario:
 
 
 #: The registry: scenario name -> scenario class.
-SCENARIOS: Dict[str, Type[Scenario]] = {}
-
-
-def register(cls: Type[Scenario]) -> Type[Scenario]:
-    """Class decorator adding a scenario to :data:`SCENARIOS`."""
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must set a non-empty name")
-    if cls.name in SCENARIOS:
-        raise ValueError(f"scenario {cls.name!r} is already registered")
-    SCENARIOS[cls.name] = cls
-    return cls
+SCENARIOS = Registry("scenario")
 
 
 def available_scenarios() -> List[str]:
     """Registered scenario names, sorted."""
-    return sorted(SCENARIOS)
+    return SCENARIOS.names()
 
 
 def get_scenario(name: str, params: Optional[ScenarioParams] = None) -> Scenario:
     """Instantiate a registered scenario by name."""
-    if name not in SCENARIOS:
-        raise KeyError(
-            f"unknown scenario {name!r}; available: {available_scenarios()}"
-        )
     return SCENARIOS[name](params)

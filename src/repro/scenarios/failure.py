@@ -26,11 +26,10 @@ from repro.controller.routing import (
 from repro.controller.update_plan import UpdatePlan
 from repro.net.network import Network
 from repro.net.traffic import FlowSpec, flows_between
-from repro.scenarios.base import Scenario, register
+from repro.scenarios.base import Scenario
 from repro.scenarios.migration import endpoint_hosts
 
 
-@register
 class LinkFailureRerouteScenario(Scenario):
     """Drain a link of the active path and reroute every flow around it."""
 

@@ -18,7 +18,6 @@ from typing import Dict
 from repro.controller.update_plan import UpdatePlan
 from repro.faults.plan import FaultPlan
 from repro.net.network import Network
-from repro.scenarios.base import register
 from repro.scenarios.migration import PathMigrationScenario
 
 #: The mix armed when ``params.faults`` is unset: rare-but-long activation
@@ -27,7 +26,6 @@ from repro.scenarios.migration import PathMigrationScenario
 DEFAULT_FAULT_MIX = "delay-spike(probability=0.1,spike=1.0)+ack-loss(probability=0.2)"
 
 
-@register
 class FaultSweepScenario(PathMigrationScenario):
     """Path migration with a fault plan armed (default: delay spikes + ack loss)."""
 

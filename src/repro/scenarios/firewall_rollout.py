@@ -25,7 +25,7 @@ from repro.net.traffic import FlowSpec
 from repro.openflow.actions import DropAction
 from repro.openflow.messages import FlowMod
 from repro.packet.fields import IP_PROTO_TCP
-from repro.scenarios.base import Scenario, register
+from repro.scenarios.base import Scenario
 from repro.scenarios.migration import endpoint_hosts
 
 #: Priority of the path-opening forwarding rules.
@@ -34,7 +34,6 @@ _FORWARD_PRIORITY = 100
 _POLICY_PRIORITY = 300
 
 
-@register
 class FirewallRolloutScenario(Scenario):
     """Open a firewalled route; the firewall rule must beat the traffic."""
 

@@ -20,7 +20,7 @@ from repro.controller.routing import first_distinct_switch, install_path_rules, 
 from repro.controller.update_plan import UpdatePlan
 from repro.net.network import Network
 from repro.net.traffic import FlowSpec, flows_between
-from repro.scenarios.base import Scenario, register
+from repro.scenarios.base import Scenario
 
 #: How many loop-free paths to inspect before giving up on a migration target.
 _PATH_SEARCH_LIMIT = 64
@@ -60,7 +60,6 @@ def migration_paths(network: Network, source_host: str,
     )
 
 
-@register
 class PathMigrationScenario(Scenario):
     """Shortest-path to next-shortest-path migration on any topology."""
 

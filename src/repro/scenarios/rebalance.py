@@ -19,11 +19,10 @@ from repro.net.network import Network
 from repro.net.traffic import FlowSpec, flows_between
 from repro.openflow.actions import OutputAction
 from repro.openflow.messages import FlowMod
-from repro.scenarios.base import Scenario, register
+from repro.scenarios.base import Scenario
 from repro.scenarios.migration import endpoint_hosts
 
 
-@register
 class EcmpRebalanceScenario(Scenario):
     """Spread flows pinned to one spine across all spines, consistently."""
 

@@ -26,7 +26,6 @@ from repro.controller.update_plan import UpdatePlan
 from repro.faults.plan import FaultPlan
 from repro.net.network import Network
 from repro.recovery.policy import NO_RECOVERY, RecoveryPolicy
-from repro.scenarios.base import register
 from repro.scenarios.migration import PathMigrationScenario
 
 
@@ -75,7 +74,6 @@ class _RecoveryScenario(PathMigrationScenario):
         return metrics
 
 
-@register
 class RollingUpgradeScenario(_RecoveryScenario):
     """Path migration under a staggered crash wave across fat-tree pod 0."""
 
@@ -87,7 +85,6 @@ class RollingUpgradeScenario(_RecoveryScenario):
                         "stagger=0.15,at=0.4)")
 
 
-@register
 class CorrelatedTorOutageScenario(_RecoveryScenario):
     """Path migration under a correlated ToR crash + uplink flap."""
 

@@ -16,10 +16,11 @@ registered once is immediately runnable from every path.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Type, Union
 
 from repro.controller.update_plan import UpdatePlan
-from repro.core.techniques.registry import RegisteredTechnique, resolve_technique
+from repro.core.techniques.base import AckTechnique
+from repro.core.techniques.registry import resolve_technique
 from repro.faults.plan import FaultPlan
 from repro.net.network import Network
 from repro.recovery.policy import RecoveryPolicy
@@ -126,7 +127,7 @@ class ActivationProbe:
 class SessionSpec:
     """One declarative experiment session; run it with :meth:`run`."""
 
-    technique: Union[str, RegisteredTechnique]
+    technique: Union[str, Type[AckTechnique]]
     topology: TopologyProvider
     workload: Workload
     plan_builder: PlanBuilder
@@ -147,8 +148,8 @@ class SessionSpec:
     #: Extra labels merged into the record (``scenario``, ``scale``, ...).
     labels: Dict[str, object] = field(default_factory=dict)
 
-    def resolved_technique(self) -> RegisteredTechnique:
-        """The registry entry for :attr:`technique`."""
+    def resolved_technique(self) -> Type[AckTechnique]:
+        """The technique class :attr:`technique` names."""
         return resolve_technique(self.technique)
 
     def config(self) -> Dict[str, object]:

@@ -1,20 +1,21 @@
 """Control-stack wiring shared by every session.
 
 The session engine is the one place that builds controller + proxy chains,
-and the technique registry — not a string comparison against ``"no-wait"`` —
+and the technique class — not a string comparison against ``"no-wait"`` —
 decides whether a RUM proxy is interposed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Type, Union
 
 from repro.controller.base import AckMode, Controller
 from repro.core.barrier_layer import ReliableBarrierLayer
 from repro.core.config import RumConfig
 from repro.core.rum import RumLayer
-from repro.core.techniques.registry import RegisteredTechnique, resolve_technique
+from repro.core.techniques.base import AckTechnique
+from repro.core.techniques.registry import resolve_technique
 from repro.net.network import Network
 from repro.core.proxy import chain_proxies
 from repro.sim.kernel import Simulator
@@ -52,7 +53,7 @@ class ControlStack:
 def build_control_stack(
     sim: Simulator,
     network: Network,
-    technique: Union[str, RegisteredTechnique],
+    technique: Union[str, Type[AckTechnique]],
     *,
     rum_config: Optional[RumConfig] = None,
     with_barrier_layer: bool = False,
@@ -61,18 +62,18 @@ def build_control_stack(
     """Wire a controller — and, if the technique uses RUM, a proxy chain —
     onto every switch of ``network``.
 
-    ``technique`` is a registry name or a :class:`RegisteredTechnique`; null
-    techniques (``no-wait``) get a direct controller-to-switch connection
+    ``technique`` is a registry name or an :class:`AckTechnique` subclass;
+    null techniques (``no-wait``) get a direct controller-to-switch connection
     with :data:`AckMode.NONE`.  Returns the stack with the controller already
     connected to all switches; the caller is responsible for calling
     :meth:`ControlStack.prepare` before and :meth:`ControlStack.start` after
     ``network.start()``.
     """
-    entry = resolve_technique(technique)
+    technique = resolve_technique(technique)
     rum: Optional[RumLayer] = None
     barrier_layer: Optional[ReliableBarrierLayer] = None
-    if entry.uses_rum:
-        rum = RumLayer(sim, rum_config or entry.rum_config())
+    if technique.uses_rum:
+        rum = RumLayer(sim, rum_config or technique.rum_config())
         layers = [rum]
         if with_barrier_layer:
             barrier_layer = ReliableBarrierLayer(

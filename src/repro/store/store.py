@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.campaign.report import run_labels
 from repro.campaign.runner import FINAL_STATUSES, load_records
 from repro.session.record import RECORD_SCHEMA, outcome_digest
 
@@ -121,12 +122,13 @@ class GcStats:
 
 def _meta_from_summary(record: Dict[str, object]) -> Dict[str, object]:
     config = record.get("config") or {}
+    fault, recovery = run_labels(config, record.get("session") or {})
     return {
         "kind": record.get("kind", "scenario"),
         "scenario": record.get("scenario") or config.get("scenario"),
         "technique": record.get("technique") or config.get("technique"),
-        "fault": str(config.get("fault") or "none"),
-        "recovery": str(config.get("recovery") or "off"),
+        "fault": fault,
+        "recovery": recovery,
         "outcome": record.get("status"),
         "seed": record.get("seed", config.get("seed")),
         "scale": record.get("scale", config.get("scale")),
@@ -134,14 +136,13 @@ def _meta_from_summary(record: Dict[str, object]) -> Dict[str, object]:
 
 
 def _meta_from_record(payload: Dict[str, object]) -> Dict[str, object]:
-    spec = payload.get("spec") or {}
-    knobs = spec.get("knobs") or {}
+    fault, recovery = run_labels({}, payload.get("spec") or {})
     return {
         "kind": payload.get("kind"),
         "scenario": payload.get("scenario"),
         "technique": payload.get("technique"),
-        "fault": str(spec.get("faults") or "none"),
-        "recovery": str(knobs.get("recovery") or "off"),
+        "fault": fault,
+        "recovery": recovery,
         "outcome": "ok" if payload.get("completed") else "incomplete",
         "seed": payload.get("seed"),
         "scale": payload.get("scale"),

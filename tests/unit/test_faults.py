@@ -15,14 +15,13 @@ from repro.faults import (
     CONTROL_CHANNEL,
     DATA_PLANE,
     LIFECYCLE,
+    FAULTS,
     DataPlaneFault,
     FaultPlan,
     FaultSpec,
     arm_fault_plan,
     available_faults,
     get_fault,
-    register_fault,
-    unregister_fault,
 )
 from repro.openflow import BarrierRequest, BarrierReply, FlowMod, Match, OutputAction
 from repro.openflow.connection import Connection
@@ -71,6 +70,25 @@ def _faulted_migration(technique, plan_string, **param_overrides):
 # Registry
 # ---------------------------------------------------------------------------
 
+@pytest.fixture()
+def toy_fault():
+    # Defining the class registers it, so it lives only as long as the test.
+    class ToyFault(DataPlaneFault):
+        """Swallow everything."""
+
+        name = "toy-blackhole"
+        param_defaults = {}
+
+        def intercept(self, flowmod, apply):
+            self.count("swallowed")
+            return True
+
+    try:
+        yield ToyFault
+    finally:
+        FAULTS.pop(ToyFault.name)
+
+
 class TestFaultRegistry:
     def test_builtins_registered_on_all_three_layers(self):
         assert {"delay-spike", "reorder", "rule-drop"} <= set(
@@ -85,40 +103,25 @@ class TestFaultRegistry:
 
     def test_instantiate_rejects_unknown_and_bad_params(self):
         with pytest.raises(ValueError, match="does not accept"):
-            get_fault("ack-loss").instantiate(probabilty=0.5)  # typo
+            get_fault("ack-loss")(probabilty=0.5)  # typo
         with pytest.raises(ValueError, match="probability"):
-            get_fault("ack-loss").instantiate(probability=1.5)
+            get_fault("ack-loss")(probability=1.5)
 
-    def test_register_fault_decorator_and_unregister(self):
-        @register_fault
-        class ToyFault(DataPlaneFault):
-            """Swallow everything."""
-
-            name = "toy-blackhole"
-            param_defaults = {}
-
-            def intercept(self, flowmod, apply):
-                self.count("swallowed")
-                return True
-
-        try:
-            entry = get_fault("toy-blackhole")
-            assert entry.layer == DATA_PLANE
-            assert entry.description == "Swallow everything."
-            with pytest.raises(ValueError, match="already registered"):
-                register_fault(ToyFault)
-        finally:
-            unregister_fault("toy-blackhole")
-        with pytest.raises(KeyError):
-            get_fault("toy-blackhole")
+    def test_register_fault_decorator_and_unregister(self, toy_fault):
+        assert get_fault("toy-blackhole") is toy_fault
+        assert "toy-blackhole" in available_faults(DATA_PLANE)
+        assert toy_fault.layer == DATA_PLANE
+        with pytest.raises(ValueError, match="already registered"):
+            class Twin(DataPlaneFault):
+                name = "toy-blackhole"
+        assert get_fault("toy-blackhole") is toy_fault
 
     def test_layer_is_validated(self):
-        class Nowhere(DataPlaneFault):
-            name = "toy-nowhere"
-            layer = "hyperspace"
-
         with pytest.raises(ValueError, match="layer"):
-            register_fault(Nowhere)
+            class Nowhere(DataPlaneFault):
+                name = "toy-nowhere"
+                layer = "hyperspace"
+        assert "toy-nowhere" not in available_faults()
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +131,7 @@ class TestFaultRegistry:
 class TestDataPlaneFaults:
     def test_rule_drop_leaves_control_plane_ahead_forever(self):
         sim, switch, connection, _replies = _wired_switch()
-        fault = get_fault("rule-drop").instantiate(probability=1.0)
+        fault = get_fault("rule-drop")(probability=1.0)
         fault.arm(sim, SeededRandom(3))
         from repro.faults import DataPlaneFaultHarness
 
@@ -145,7 +148,7 @@ class TestControlChannelFaults:
     def _barrier_roundtrip(self, plan_string, barriers=4):
         sim, switch, connection, replies = _wired_switch()
         armed_faults = [
-            get_fault(spec.fault).instantiate(**spec.params)
+            get_fault(spec.fault)(**spec.params)
             for spec in FaultPlan.from_string(plan_string).specs
         ]
         for index, fault in enumerate(armed_faults):
@@ -172,7 +175,7 @@ class TestControlChannelFaults:
 
     def test_premature_ack_confirms_before_the_switch_and_dedups(self):
         sim, switch, connection, replies = _wired_switch()
-        fault = get_fault("premature-ack").instantiate(probability=1.0)
+        fault = get_fault("premature-ack")(probability=1.0)
         fault.arm(sim, SeededRandom(5))
         from repro.faults import ControlChannelHarness
 
@@ -197,7 +200,7 @@ class TestControlChannelFaults:
 
     def test_channel_jitter_preserves_fifo_order(self):
         sim, switch, connection, replies = _wired_switch()
-        fault = get_fault("channel-jitter").instantiate(max_jitter=0.2)
+        fault = get_fault("channel-jitter")(max_jitter=0.2)
         fault.arm(sim, SeededRandom(9))
         from repro.faults import ControlChannelHarness
 
@@ -212,7 +215,7 @@ class TestControlChannelFaults:
 
     def test_disconnect_loses_messages_during_the_outage(self):
         sim, switch, connection, _replies = _wired_switch()
-        fault = get_fault("disconnect").instantiate(at=0.0, outage=1.0)
+        fault = get_fault("disconnect")(at=0.0, outage=1.0)
         fault.arm(sim, SeededRandom(2))
         from repro.faults import ControlChannelHarness
 
@@ -255,7 +258,7 @@ class TestSwitchCrash:
         sim, switch, connection, _replies = _wired_switch()
         for flowmod in _flowmods(3):
             switch.install_rule_directly(flowmod)
-        fault = get_fault("switch-crash").instantiate(at=0.5, restart_after=0.5)
+        fault = get_fault("switch-crash")(at=0.5, restart_after=0.5)
         fault.arm(sim, SeededRandom(4))
         fault.schedule(switch)
         sim.run(until=0.6)
@@ -306,7 +309,7 @@ class TestSwitchCrash:
         from repro.faults import DataPlaneFaultHarness
 
         sim, switch, connection, _replies = _wired_switch()
-        fault = get_fault("delay-spike").instantiate(probability=1.0, spike=1.0)
+        fault = get_fault("delay-spike")(probability=1.0, spike=1.0)
         fault.arm(sim, SeededRandom(6))
         DataPlaneFaultHarness(switch, [fault])
         connection.side_b.send(_flowmods(1)[0])
@@ -323,7 +326,7 @@ class TestSwitchCrash:
         from repro.faults import DataPlaneFaultHarness
 
         sim, switch, connection, _replies = _wired_switch()
-        fault = get_fault("delay-spike").instantiate(probability=1.0, spike=2.0)
+        fault = get_fault("delay-spike")(probability=1.0, spike=2.0)
         fault.arm(sim, SeededRandom(6))
         DataPlaneFaultHarness(switch, [fault])
         connection.side_b.send(_flowmods(1)[0])
@@ -340,10 +343,10 @@ class TestSwitchCrash:
         from repro.faults import DataPlaneFaultHarness
 
         sim, switch, connection, _replies = _wired_switch()
-        first = get_fault("delay-spike").instantiate(probability=1.0, spike=1.0)
+        first = get_fault("delay-spike")(probability=1.0, spike=1.0)
         first.arm(sim, SeededRandom(7))
         DataPlaneFaultHarness(switch, [first])
-        plan_fault = get_fault("rule-drop").instantiate(probability=0.0)
+        plan_fault = get_fault("rule-drop")(probability=0.0)
         plan_fault.arm(sim, SeededRandom(8))
         DataPlaneFaultHarness(switch, [plan_fault])
         connection.side_b.send(_flowmods(1)[0])
@@ -360,7 +363,7 @@ class TestSwitchCrash:
         from repro.faults import DataPlaneFaultHarness
 
         sim, switch, connection, _replies = _wired_switch()
-        fault = get_fault("reorder").instantiate(window=4, hold_time=10.0)
+        fault = get_fault("reorder")(window=4, hold_time=10.0)
         fault.arm(sim, SeededRandom(12))
         DataPlaneFaultHarness(switch, [fault])
         flowmods = _flowmods(4)
@@ -449,7 +452,7 @@ class TestDarknessIsJudgedAtArrival:
         switch = network.switch("S2")
 
         def arm(fault_name, **params):
-            fault = get_fault(fault_name).instantiate(**params)
+            fault = get_fault(fault_name)(**params)
             fault.arm(sim, SeededRandom(4))
             fault.schedule(switch)
 

@@ -23,6 +23,7 @@ import pytest
 from repro.lint import (
     ENGINE_CODE,
     CHAOS_HOOKS,
+    RULES,
     Diagnostic,
     LintRule,
     WallClockLeakError,
@@ -34,11 +35,9 @@ from repro.lint import (
     lint_paths,
     lint_source,
     parse_suppressions,
-    register_rule,
     rule_catalog,
     sanitize_scenario,
     sanitize_spec,
-    unregister_rule,
     wall_clock_tripwire,
 )
 from repro.lint.sanitizer import record_session
@@ -46,8 +45,8 @@ from repro.scenarios.base import ScenarioParams
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
-#: RL004 and RL005 are retired codes; they are not reused.
-ALL_RULES = ("RL001", "RL002", "RL003", "RL006", "RL007")
+#: RL004, RL005 and RL007 are retired codes; they are not reused.
+ALL_RULES = ("RL001", "RL002", "RL003", "RL006")
 
 
 def _lint_fixture(name: str):
@@ -157,7 +156,7 @@ def test_syntax_errors_surface_as_engine_diagnostics():
 # -- registry -----------------------------------------------------------------
 
 
-def test_all_five_rules_are_registered():
+def test_every_catalogued_rule_is_registered():
     assert tuple(available_rules()) == ALL_RULES
 
 
@@ -168,21 +167,22 @@ def test_rule_catalog_has_invariants_for_every_rule():
 
 
 def test_register_rule_rejects_bad_codes_and_duplicates():
-    with pytest.raises(ValueError):
-        @register_rule
+    with pytest.raises(ValueError, match="RL001"):
         class BadCode(LintRule):
             code = "X1"
             name = "bad"
 
-    with pytest.raises(ValueError):
-        @register_rule
+    with pytest.raises(ValueError, match="already registered"):
         class Duplicate(LintRule):
             code = "RL001"
             name = "duplicate"
 
+    assert get_rule("RL001").name == "hash-derived-value"
 
-def test_toy_rule_registration_roundtrip():
-    @register_rule
+
+@pytest.fixture()
+def toy_rule():
+    # Defining the class registers it, so it lives only as long as the test.
     class NoSpookyConstants(LintRule):
         code = "RL099"
         name = "no-spooky-constants"
@@ -194,12 +194,16 @@ def test_toy_rule_registration_roundtrip():
                     yield self.diagnostic(info, node, "it's over 9000")
 
     try:
-        assert get_rule("RL099").name == "no-spooky-constants"
-        diagnostics = lint_source("power = 9001\n", module="x.py")
-        assert any(d.code == "RL099" for d in diagnostics)
+        yield NoSpookyConstants
     finally:
-        unregister_rule("RL099")
-    assert "RL099" not in available_rules()
+        RULES.pop(NoSpookyConstants.code)
+
+
+def test_toy_rule_registration_roundtrip(toy_rule):
+    assert get_rule("RL099") is toy_rule
+    assert "RL099" in available_rules()
+    diagnostics = lint_source("power = 9001\n", module="x.py")
+    assert any(d.code == "RL099" for d in diagnostics)
 
 
 def test_diagnostics_sort_and_count():

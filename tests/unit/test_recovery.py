@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignSpec
+from repro.campaign import CampaignSpec, run_cell
 from repro.campaign.grid import CampaignCell
 from repro.controller import AckMode, Controller, PlanExecutor, UpdatePlan
 from repro.experiments.common import (
@@ -572,3 +572,23 @@ class TestCampaignRecoveryAxis:
         on = {"config": {"fault": "switch-crash(at=0.5)", "recovery": "on"}}
         assert _fault_label(off) == "switch-crash(at=0.5)"
         assert _fault_label(on) == "switch-crash(at=0.5) +recovery=on"
+
+    def test_report_labels_an_absent_axis_by_what_the_cell_armed(self):
+        # A cell with no fault/recovery axis runs the scenario's own timeline
+        # and policy; it used to be grouped as the fault-free control "none",
+        # so the report rendered no Resilience section for a real outage.
+        from repro.campaign.report import _fault_label, has_fault_axis
+
+        record = run_cell(CampaignCell("rolling-upgrade", "barrier", seed=1,
+                                       flow_count=2))
+        assert record["faults"] == {"switch-crash.crashes": 4,
+                                    "switch-crash.restarts": 4}
+        timeline = SCENARIOS["rolling-upgrade"].default_timeline
+        assert _fault_label(record) == f"{timeline} +recovery=on"
+        assert has_fault_axis([record])
+        # An axis the cell sets is still its label, verbatim.
+        control = run_cell(CampaignCell("rolling-upgrade", "barrier", seed=1,
+                                        flow_count=2, fault="none",
+                                        recovery="off"))
+        assert _fault_label(control) == "none"
+        assert not has_fault_axis([control])

@@ -14,12 +14,11 @@ from repro.core.config import RumConfig, config_for_technique
 from repro.core.techniques.base import AckTechnique
 from repro.core.techniques.registry import (
     TECHNIQUE_NO_WAIT,
+    TECHNIQUES,
     available_techniques,
     get_technique,
-    register_technique_class,
     resolve_technique,
     rum_technique_names,
-    unregister_technique,
 )
 from repro.experiments.common import (
     EndToEndParams,
@@ -72,30 +71,30 @@ class TestTechniqueRegistry:
                 TECHNIQUE_NO_WAIT} <= set(available_techniques())
 
     def test_no_wait_is_a_null_technique(self):
-        entry = get_technique(TECHNIQUE_NO_WAIT)
-        assert not entry.uses_rum
-        assert entry.ignore_dependencies
-        assert entry.rum_config() is None
-        with pytest.raises(ValueError):
-            entry.instantiate(None)
+        technique = get_technique(TECHNIQUE_NO_WAIT)
+        assert issubclass(technique, AckTechnique)
+        assert not technique.uses_rum
+        assert technique.ignore_dependencies
+        assert technique.rum_config() is None
+        assert TECHNIQUE_NO_WAIT not in rum_technique_names()
 
     def test_rum_techniques_do_not_ignore_dependencies(self):
         for name in rum_technique_names():
-            entry = get_technique(name)
-            assert entry.uses_rum
-            assert not entry.ignore_dependencies
+            technique = get_technique(name)
+            assert technique.uses_rum
+            assert not technique.ignore_dependencies
 
     def test_adaptive_owns_its_assumed_rate_default(self):
-        entry = get_technique("adaptive")
-        assert entry.config_defaults["assumed_rate"] == pytest.approx(250.0)
+        technique = get_technique("adaptive")
+        assert technique.config_defaults["assumed_rate"] == pytest.approx(250.0)
         assert config_for_technique("adaptive").assumed_rate == pytest.approx(250.0)
         # Caller overrides still win over the technique's own defaults.
-        assert entry.rum_config(assumed_rate=200.0).assumed_rate == pytest.approx(200.0)
+        assert technique.rum_config(assumed_rate=200.0).assumed_rate == pytest.approx(200.0)
 
     def test_resolve_accepts_entries_and_names(self):
-        entry = get_technique("general")
-        assert resolve_technique(entry) is entry
-        assert resolve_technique("general") is entry
+        technique = get_technique("general")
+        assert resolve_technique(technique) is technique
+        assert resolve_technique("general") is technique
 
     def test_unknown_technique_rejected_everywhere(self):
         with pytest.raises(KeyError):
@@ -381,26 +380,27 @@ class TestPreRedesignEquivalence:
 # A technique registered once runs through every entry point
 # ---------------------------------------------------------------------------
 
-class ToyInstantTechnique(AckTechnique):
-    """Toy technique for tests: confirm a fixed 20 ms after forwarding."""
-
-    name = "toy-instant"
-    config_defaults = {"timeout": 0.0}
-
-    def on_flowmod_forwarded(self, switch_name, record):
-        self.sim.schedule_callback(0.02, self._confirm, switch_name, record.xid)
-
-    def _confirm(self, switch_name, xid):
-        self.layer.confirm_rule(switch_name, xid, by=self.name)
-
-
 @pytest.fixture()
 def toy_technique():
-    register_technique_class(ToyInstantTechnique)
+    # Defined here, not at module level: defining the class registers it,
+    # and a module-level toy would leak into every ``available_techniques()``
+    # parametrisation collected after this module.
+    class ToyInstantTechnique(AckTechnique):
+        """Toy technique for tests: confirm a fixed 20 ms after forwarding."""
+
+        name = "toy-instant"
+        config_defaults = {"timeout": 0.0}
+
+        def on_flowmod_forwarded(self, switch_name, record):
+            self.sim.schedule_callback(0.02, self._confirm, switch_name, record.xid)
+
+        def _confirm(self, switch_name, xid):
+            self.layer.confirm_rule(switch_name, xid, by=self.name)
+
     try:
         yield ToyInstantTechnique.name
     finally:
-        unregister_technique(ToyInstantTechnique.name)
+        TECHNIQUES.pop(ToyInstantTechnique.name)
 
 
 class TestToyTechniqueEverywhere:

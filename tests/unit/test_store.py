@@ -98,6 +98,21 @@ class TestIngestAndQuery:
         assert store.query(scenario="nope") == []
         assert len(store.query(outcome="ok")) == 2
 
+    def test_full_record_is_queryable_by_its_fault_string(self, tmp_path):
+        # A full record's labels are the plan's compact form, the same
+        # string a campaign axis and ``store query --fault`` use — not the
+        # repr of the plan's dict encoding.
+        params = ScenarioParams(seed=7, flow_count=2,
+                                faults="ack-loss(probability=0.3)",
+                                recovery="on(max_attempts=6)")
+        payload = run_scenario("fault-sweep", "barrier", params).as_dict()
+        store = RunStore(tmp_path / "store")
+        digest = store.put_record(payload)
+        rows = store.query(fault="ack-loss(probability=0.3)")
+        assert [row["digest"] for row in rows] == [digest]
+        assert rows[0]["recovery"] == "on(max_attempts=6)"
+        assert store.query(fault="none") == []
+
     def test_resolve_prefix(self, tmp_path):
         store = RunStore(tmp_path / "store")
         digest = store.put_record(_record_payload(technique="timeout"))
