@@ -87,9 +87,6 @@ class Controller:
         self._endpoints: Dict[str, ConnectionEndpoint] = {}
         #: Outstanding rule acks by (switch, xid).
         self._rule_acks: Dict[Tuple[str, int], RuleAck] = {}
-        #: How many of them are still waiting, per switch: what
-        #: :meth:`pending_acks` reads instead of scanning.
-        self._pending: Dict[str, int] = {}
         #: Outstanding barrier events by (switch, barrier xid).
         self._barrier_events: Dict[Tuple[str, int], Event] = {}
         #: FlowMod xids covered by each outstanding barrier, for BARRIER mode.
@@ -110,8 +107,6 @@ class Controller:
 
         #: Measurement log: ``(switch, xid) -> (sent_at, acked_at)``.
         self.ack_log: Dict[Tuple[str, int], Tuple[float, float]] = {}
-        self.messages_received = 0
-        self.messages_sent = 0
 
     # -- wiring ---------------------------------------------------------------
     def connect_switch(self, switch_name: str, endpoint: ConnectionEndpoint) -> None:
@@ -129,7 +124,6 @@ class Controller:
     # -- sending ------------------------------------------------------------------
     def send(self, switch_name: str, message: OFMessage) -> None:
         """Send a raw message to a switch."""
-        self.messages_sent += 1
         self._endpoints[switch_name].send(message)
 
     def send_flowmod(self, switch_name: str, flowmod: FlowMod) -> RuleAck:
@@ -150,11 +144,7 @@ class Controller:
             sent_at=self.sim.now,
             event=event,
         )
-        replaced = self._rule_acks.get((switch_name, flowmod.xid))
         self._rule_acks[(switch_name, flowmod.xid)] = ack
-        if replaced is None or replaced.acked or replaced.failed:
-            # (a still-pending record of the same xid hands over its count)
-            self._pending[switch_name] = self._pending.get(switch_name, 0) + 1
         if self.recovery is not None:
             # Shadow the intended rule and arm the retransmit timer *before*
             # sending: an AckMode.NONE send completes synchronously and the
@@ -193,9 +183,6 @@ class Controller:
         """
         if ack.acked or ack.failed:
             return
-        # An ack displaced by a re-send of its xid was counted out already.
-        if self._rule_acks.get((ack.switch, ack.xid)) is ack:
-            self._pending[ack.switch] -= 1
         ack.failed_at = self.sim.now
 
     def forget_acks(self) -> None:
@@ -220,7 +207,6 @@ class Controller:
 
     # -- receiving -----------------------------------------------------------------
     def _on_message(self, switch_name: str, message: OFMessage) -> None:
-        self.messages_received += 1
         if isinstance(message, BarrierReply):
             self._handle_barrier_reply(switch_name, message)
         elif isinstance(message, ErrorMessage):
@@ -250,9 +236,6 @@ class Controller:
             self._complete_ack(ack)
 
     def _complete_ack(self, ack: RuleAck) -> None:
-        # Always the current tracking record of its (switch, xid).
-        if not ack.failed:  # a given-up ack already left the count
-            self._pending[ack.switch] -= 1
         ack.acked_at = self.sim.now
         self.ack_log[(ack.switch, ack.xid)] = (ack.sent_at, ack.acked_at)
         if not ack.event.triggered:
@@ -278,11 +261,16 @@ class Controller:
         """Number of FlowMods still waiting for acknowledgment.
 
         Failed acks (retransmission attempts exhausted, see
-        :meth:`fail_ack`) are no longer *waiting* and are not counted.
+        :meth:`fail_ack`) are no longer *waiting* and are not counted.  A
+        scan over every ack issued: an introspection query, which no
+        simulation path calls.
         """
-        if switch_name is None:
-            return sum(self._pending.values())
-        return self._pending.get(switch_name, 0)
+        return sum(
+            1
+            for (switch, _xid), ack in self._rule_acks.items()
+            if not ack.acked and not ack.failed
+            and (switch_name is None or switch == switch_name)
+        )
 
     def failed_acks(self, switch_name: Optional[str] = None) -> List[RuleAck]:
         """Acks abandoned after exhausting their retransmission budget."""

@@ -58,9 +58,6 @@ class PendingRuleTracker:
     def __len__(self) -> int:
         return len(self._pending)
 
-    def __contains__(self, xid: int) -> bool:
-        return xid in self._pending
-
     def get(self, xid: int) -> Optional[PendingRule]:
         """The pending record for ``xid`` (``None`` if unknown or confirmed)."""
         return self._pending.get(xid)

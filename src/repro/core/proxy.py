@@ -35,8 +35,6 @@ class ProxyLayer:
         self._downstream: Dict[str, ConnectionEndpoint] = {}
         #: Connection towards the controller (or the next proxy above).
         self._upstream: Dict[str, Connection] = {}
-        self.messages_from_controller = 0
-        self.messages_from_switch = 0
 
     # -- wiring ----------------------------------------------------------------
     def attach_switch(self, switch_name: str, downstream: ConnectionEndpoint) -> None:
@@ -56,11 +54,13 @@ class ProxyLayer:
             name_b=f"{self.name}-{switch_name}-up",
         )
         self._upstream[switch_name] = upstream
+        # Looked up per message, not pre-bound: a subclass override, or a
+        # wrapper patched onto the class, sees every message.
         downstream.on_message(
-            lambda message, name=switch_name: self._on_switch_message(name, message)
+            lambda message, name=switch_name: self.handle_from_switch(name, message)
         )
         upstream.side_a.on_message(
-            lambda message, name=switch_name: self._on_controller_message(name, message)
+            lambda message, name=switch_name: self.handle_from_controller(name, message)
         )
 
     def attach_network(self, network) -> None:
@@ -77,14 +77,6 @@ class ProxyLayer:
         return list(self._downstream)
 
     # -- default forwarding -----------------------------------------------------------
-    def _on_controller_message(self, switch_name: str, message: OFMessage) -> None:
-        self.messages_from_controller += 1
-        self.handle_from_controller(switch_name, message)
-
-    def _on_switch_message(self, switch_name: str, message: OFMessage) -> None:
-        self.messages_from_switch += 1
-        self.handle_from_switch(switch_name, message)
-
     def handle_from_controller(self, switch_name: str, message: OFMessage) -> None:
         """Controller → switch direction.  Default: forward unchanged."""
         self.forward_to_switch(switch_name, message)

@@ -50,8 +50,6 @@ class RumLayer(ProxyLayer):
         self.network: Optional[Network] = None
         self.topology: Optional[TopologyView] = None
         self._trackers: Dict[str, PendingRuleTracker] = {}
-        #: Records in all trackers together (see :meth:`unconfirmed_count`).
-        self._unconfirmed = 0
         #: RUM's mirror of each switch's rule state, built from everything it
         #: forwards (controller rules and its own probing rules).  Used by
         #: probe-packet generation for the overlapping-rule checks.
@@ -164,7 +162,6 @@ class RumLayer(ProxyLayer):
         return records
 
     def _emit_confirmation(self, record: PendingRule) -> None:
-        self._unconfirmed -= 1
         self.confirmation_log[(record.switch, record.xid)] = (
             record.forwarded_at,
             record.confirmed_at,
@@ -182,10 +179,7 @@ class RumLayer(ProxyLayer):
     # -- message handling ------------------------------------------------------------------
     def handle_from_controller(self, switch_name: str, message: OFMessage) -> None:
         if isinstance(message, FlowMod):
-            tracker = self._trackers[switch_name]
-            # A retransmission of a still-pending xid replaces its record.
-            self._unconfirmed += message.xid not in tracker
-            record = tracker.add(message, self.sim.now)
+            record = self._trackers[switch_name].add(message, self.sim.now)
             self._mirrors[switch_name].apply_flowmod(message, now=self.sim.now)
             self.forward_to_switch(switch_name, message)
             self.technique.on_flowmod_forwarded(switch_name, record)
@@ -217,8 +211,12 @@ class RumLayer(ProxyLayer):
         }
 
     def unconfirmed_count(self) -> int:
-        """Total modifications still awaiting confirmation across all switches."""
-        return self._unconfirmed
+        """Total modifications still awaiting confirmation across all switches.
+
+        Sums the per-switch trackers: an introspection query, which no
+        simulation path calls.
+        """
+        return sum(len(tracker) for tracker in self._trackers.values())
 
     def describe(self) -> str:
         """Human-readable one-liner about the active technique."""

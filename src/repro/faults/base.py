@@ -109,7 +109,6 @@ class FaultModel:
             # makes this the one hook the timeline's fault overlay needs.
             tr.fault(self.sim.now, switch=getattr(self, "_trace_target", ""),
                      detail=f"{self.name}.{event}")
-            tr.count(f"fault.{self.name}.{event}", n)
 
     def counters(self) -> Dict[str, int]:
         """``event name -> occurrence count`` since arming."""

@@ -1,4 +1,4 @@
-"""Observability: rule-lifecycle tracing and a lightweight metrics layer.
+"""Observability: rule-lifecycle tracing and its exporters.
 
 The paper's central phenomenon is a *timing gap* — a switch acknowledges a
 FIB update before (or without ever) activating it in hardware.  This package
@@ -13,10 +13,9 @@ makes that gap a first-class measurement instead of an end-of-run aggregate:
   a traced session hangs on its simulator as ``sim.tracer``.  A bare run
   holds ``None`` there, which short-circuits every instrumentation site, so
   runs with tracing disarmed stay byte-identical to a build without this
-  package (pinned by the existing digest tests);
-* :mod:`repro.obs.metrics` — counters and gauges sampled through
-  :meth:`repro.sim.kernel.Simulator.every` hooks (pending-ack queue depth,
-  flow-table occupancy, kernel event-loop stats);
+  package (pinned by the existing digest tests).  A traced run only appends
+  events: it schedules nothing, so it executes the kernel steps of its bare
+  twin;
 * :mod:`repro.obs.export` — JSONL and Chrome trace-event/Perfetto
   exporters plus a schema validator for CI.
 
@@ -47,15 +46,11 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.profiler import ProfileReport, Profiler
 from repro.obs.tracer import Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "LIFECYCLE_PHASES",
-    "MetricsRegistry",
     "PHASE_ACK_RECEIVED",
     "PHASE_ACK_SENT",
     "PHASE_CONTROL_APPLIED",

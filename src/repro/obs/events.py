@@ -89,20 +89,16 @@ class TraceEvent:
 class TraceLog:
     """Everything a traced session observed, ready to serialize.
 
-    ``metrics`` holds the sampled time series from the metrics registry
-    (name → list of ``[ts, value]`` pairs for gauges, or a final count for
-    counters — see :mod:`repro.obs.metrics`).
+    ``events`` are the lifecycle and fault events in emission order;
+    ``meta`` is what the session adds at the end (topology, fault plan,
+    kernel counters).
     """
 
     technique: str = ""
     kind: str = ""
     seed: Optional[int] = None
     events: List[TraceEvent] = field(default_factory=list)
-    metrics: Dict[str, Any] = field(default_factory=dict)
     meta: Dict[str, Any] = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return bool(self.events or self.metrics)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -134,8 +130,6 @@ class TraceLog:
         }
         if self.seed is not None:
             out["seed"] = self.seed
-        if self.metrics:
-            out["metrics"] = self.metrics
         if self.meta:
             out["meta"] = self.meta
         return out
@@ -148,6 +142,5 @@ class TraceLog:
             seed=payload.get("seed"),
             events=[TraceEvent.from_dict(item)
                     for item in payload.get("events", [])],
-            metrics=dict(payload.get("metrics", {})),
             meta=dict(payload.get("meta", {})),
         )

@@ -1,7 +1,7 @@
 """The sim-profiler: an object the session engine owns.
 
 The profiling counterpart of :mod:`repro.obs.tracer`: where the tracer
-records *what* the simulation did (rule lifecycles, faults, metrics), the
+records *what* the simulation did (rule lifecycles, faults, resyncs), the
 profiler records *where the wall time went* — per callback site, per event
 class, per session phase — which is the attribution the ROADMAP's
 "array-batched simulation kernel" item needs before any kernel rewrite can

@@ -11,7 +11,9 @@ instrumentation site reads the slot once and guards on it::
 On a bare run that is one attribute load and one false branch — no
 allocation, no call — so runs with tracing disarmed behave (and digest)
 exactly as if this package did not exist.  An emit without the guard fails
-with ``AttributeError`` on every bare run.  The tracer lives and dies with
+with ``AttributeError`` on every bare run.  On a traced run an emit only
+appends an event: the tracer schedules nothing, so a traced session executes
+exactly the kernel steps of its bare twin.  The tracer lives and dies with
 its simulator, so nothing can leak into the next session.
 """
 
@@ -20,11 +22,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.events import PHASE_FAULT, TraceEvent, TraceLog
-from repro.obs.metrics import MetricsRegistry
 
 
 class Tracer:
-    """Collecting tracer: appends slotted events, feeds a metrics registry."""
+    """Collecting tracer: appends slotted lifecycle and fault events."""
 
     def __init__(self, technique: str = "", kind: str = "",
                  seed: Optional[int] = None) -> None:
@@ -32,7 +33,6 @@ class Tracer:
         self.kind = kind
         self.seed = seed
         self.events: list = []
-        self.metrics = MetricsRegistry()
 
     def rule(self, phase: str, ts: float, switch: str = "",
              xid: Optional[int] = None, detail: str = "") -> None:
@@ -43,15 +43,10 @@ class Tracer:
         """Record a fault-model activation."""
         self.events.append(TraceEvent(ts, PHASE_FAULT, switch, None, detail))
 
-    def count(self, name: str, n: int = 1) -> None:
-        """Bump a counter."""
-        self.metrics.counter(name).inc(n)
-
     def finish(self, meta: Optional[dict] = None) -> TraceLog:
-        """Freeze the collected events + metrics into a ``TraceLog``."""
+        """Freeze the collected events into a ``TraceLog``."""
         log = TraceLog(technique=self.technique, kind=self.kind,
-                       seed=self.seed, events=self.events,
-                       metrics=self.metrics.as_dict())
+                       seed=self.seed, events=self.events)
         if meta:
             log.meta.update(meta)
         return log

@@ -22,7 +22,7 @@ pre-session code:
 from __future__ import annotations
 
 from contextlib import ExitStack
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.analysis.activation import ActivationDelays, activation_delays
 from repro.analysis.flowstats import (
@@ -44,11 +44,6 @@ from repro.session.stack import build_control_stack
 from repro.sim.kernel import Observer, Simulator
 from repro.sim.rng import SeededRandom
 
-#: Sampling period of the gauge sampler in traced runs (simulated seconds).
-#: Fine enough to resolve per-rule queues at the default control latencies,
-#: coarse enough that a traced session stays a few hundred samples.
-_TRACE_SAMPLE_INTERVAL = 0.01
-
 
 def run_session(spec: SessionSpec,
                 observer: Optional[Observer] = None) -> RunRecord:
@@ -66,9 +61,9 @@ def run_session(spec: SessionSpec,
     ``observer`` passed in (the determinism sanitizer's recorder) takes that
     slot instead; a simulator has one, so a session that is both profiled
     and observed raises.  All of them only *observe* — every
-    instrumentation site is read-only and the periodic gauge sampler
-    mutates no simulation state — so a traced, profiled or observed run
-    computes the same outcome (and digest) as the identical bare run.
+    instrumentation site is read-only and none schedules a callback — so a
+    traced, profiled or observed run executes the kernel steps, and computes
+    the outcome (and digest), of the identical bare run.
 
     The function that builds a graph dismantles it.  A wired session is one
     cycle of references (switch <-> agent <-> channel <-> proxy <->
@@ -81,41 +76,6 @@ def run_session(spec: SessionSpec,
     """
     with ExitStack() as dismantle:
         return _run_session(spec, observer, dismantle)
-
-
-def _gauge_reader(tracer: Tracer, sim: Simulator, network: Network,
-                  stack) -> Callable[[], None]:
-    """Bind the sampled gauges once and return one reading of them.
-
-    The sample lists, and each switch's pending-op queue and data-plane entry
-    dict (cleared in place, a crash included, never rebound), are bound here,
-    so a reading costs the same on any topology.  ``net.dropped_packets`` is
-    sent minus delivered *so far*: mid-run it also counts packets still on
-    the wire.  Nothing reads it; a run's loss is ``RunRecord.dropped_packets``.
-    """
-    gauge = tracer.metrics.gauge
-    controller, rum, monitor = stack.controller, stack.rum, network.monitor
-    switches = network.switches.values()
-    queues = [switch.controlplane._pending_ops for switch in switches]
-    tables = [switch.dataplane.table._entries for switch in switches]
-    acks = gauge("controller.pending_acks").samples.append
-    unconfirmed = gauge("rum.unconfirmed").samples.append if rum is not None else None
-    pending_ops = gauge("switch.pending_dataplane_ops").samples.append
-    occupancy = gauge("dataplane.occupancy").samples.append
-    dropped = gauge("net.dropped_packets").samples.append
-    events = gauge("kernel.pending_events").samples.append
-
-    def reading() -> None:
-        now = sim.now
-        acks((now, float(controller.pending_acks())))
-        if rum is not None:
-            unconfirmed((now, float(rum.unconfirmed_count())))
-        pending_ops((now, float(sum(map(len, queues)))))
-        occupancy((now, float(sum(map(len, tables)))))
-        dropped((now, float(monitor.total_dropped())))
-        events((now, float(sim.pending_count)))
-
-    return reading
 
 
 def _run_session(spec: SessionSpec, observer: Optional[Observer],
@@ -163,15 +123,6 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
     stack.prepare()
     network.start()
     stack.start()
-
-    # Gauge sampling on the simulated clock (traced runs only).  It only reads
-    # state, so it cannot perturb the run; it must be cancelled before the
-    # record is built or an unbounded run would never drain.
-    tracer = sim.tracer
-    sampler = None
-    if tracer is not None:
-        sampler = sim.every(_TRACE_SAMPLE_INTERVAL,
-                            _gauge_reader(tracer, sim, network, stack))
 
     # 2b. Fault plan -----------------------------------------------------------
     # Arms nothing when the spec carries no (or an empty) plan, keeping the
@@ -238,9 +189,6 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
     else:
         sim.run(until=sim.now + knobs.settle)
 
-    if sampler is not None:
-        sampler.cancel()
-
     # 6. Post-processing -----------------------------------------------------------
     if profiler is not None:
         profiler.phase("analyze")
@@ -302,8 +250,8 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
         fault_events=armed.counters() if armed is not None else {},
         recovery=recovery.report() if recovery is not None else {},
     )
-    if tracer is not None:
-        record.trace = tracer.finish(meta={
+    if sim.tracer is not None:
+        record.trace = sim.tracer.finish(meta={
             "topology": topology.name,
             "faults": (spec.faults.to_string()
                        if spec.faults is not None else "none"),

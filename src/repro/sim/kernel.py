@@ -45,40 +45,6 @@ class StopSimulation(Exception):
     """Raised by user code to stop :meth:`Simulator.run` immediately."""
 
 
-class PeriodicProbe:
-    """A self-rescheduling callback on the simulated clock.
-
-    Created by :meth:`Simulator.every`; fires ``callback()`` every
-    ``interval`` simulated seconds until :meth:`cancel` is called.  The
-    probe keeps rescheduling itself, so a bounded ``run(until=...)`` simply
-    stops executing it — but an *unbounded* run would never drain the heap
-    while a probe is live; owners must cancel probes when their measurement
-    window closes (the session engine does this after the traffic settles).
-    """
-
-    __slots__ = ("_sim", "interval", "callback", "_cancelled")
-
-    def __init__(self, sim: "Simulator", interval: float,
-                 callback: Callable[[], None]) -> None:
-        if interval <= 0:
-            raise ValueError(f"probe interval must be positive ({interval})")
-        self._sim = sim
-        self.interval = interval
-        self.callback = callback
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        """Stop firing; the pending heap entry becomes a no-op."""
-        self._cancelled = True
-
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        self.callback()
-        if not self._cancelled:
-            self._sim.schedule_callback(self.interval, self._fire)
-
-
 class Simulator:
     """Discrete-event simulator.
 
@@ -156,28 +122,11 @@ class Simulator:
         """Create an untriggered event."""
         return Event(name=name)
 
-    # -- periodic hooks ---------------------------------------------------------
-    def every(self, interval: float, callback: Callable[[], None],
-              start: Optional[float] = None) -> PeriodicProbe:
-        """Run ``callback()`` every ``interval`` simulated seconds.
-
-        The first firing happens after ``start`` seconds (default: one
-        ``interval``).  Returns the :class:`PeriodicProbe`; callers **must**
-        :meth:`~PeriodicProbe.cancel` it before relying on the event heap
-        draining — a live probe reschedules itself forever.  This is the
-        sampling hook the observability layer uses to read queue depths and
-        table occupancy on the simulated clock.
-        """
-        probe = PeriodicProbe(self, interval, callback)
-        self.schedule_callback(interval if start is None else start,
-                               probe._fire)
-        return probe
-
     def clear(self) -> None:
         """Drop every scheduled callback.
 
         The heap is the only place the kernel holds on to the objects it
-        drives (bound methods and periodic probes); emptied, the simulator
+        drives (bound methods and their arguments); emptied, the simulator
         is a leaf that reference counting can free.
         """
         self._heap.clear()

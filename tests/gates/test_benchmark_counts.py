@@ -33,11 +33,13 @@ def smoke_metrics():
 # stream too) and were moved here deliberately, from 5567 / 3345 / 7328, by
 # the change that made a switch hop one heap entry (the link schedules a
 # packet for the end of the receiver's ingress delay; no arrival event that
-# only waits).  An idle switch must not poll.
+# only waits).  An idle switch must not poll.  ``outage-traced`` moved again,
+# from 4886, when traced runs stopped sampling gauges every 10 ms of simulated
+# time: a traced cell now executes exactly the steps of its bare twin.
 @pytest.mark.parametrize("workload, steps", [
     ("migration-dataplane", 3419),
     ("rule-install-controlplane", 2923),
-    ("outage-traced", 4886),
+    ("outage-traced", 4273),
 ])
 def test_the_smoke_mix_executes_exactly_these_kernel_steps(smoke_metrics, workload, steps):
     assert smoke_metrics[workload, "sim.steps_executed"] == steps
@@ -45,6 +47,6 @@ def test_the_smoke_mix_executes_exactly_these_kernel_steps(smoke_metrics, worklo
 
 def test_the_armed_tracer_records_exactly_these_events(smoke_metrics):
     # A faster trace pipeline records the same events; the work side of the
-    # promise (C-encoded shards, O(1) gauge readings) is counted in Python
-    # frames by tests/unit/test_work_guards.py.
+    # promise (C-encoded shards, no kernel step of the tracer's own) is
+    # counted by tests/unit/test_work_guards.py.
     assert smoke_metrics["outage-traced", "obs.trace_events"] == 812

@@ -141,9 +141,9 @@ def test_monitor_path_queries():
 
 
 def test_monitor_queries_do_not_insert_flows():
-    # A query once inserted the flow it asked about, so a traced run (which
-    # samples total_dropped() every 10 ms of sim time) and a bare run ended
-    # with different monitors.
+    # A query once inserted the flow it asked about, so a run that asked
+    # mid-way (traced runs once sampled total_dropped() every 10 ms of sim
+    # time) and one that did not ended with different monitors.
     monitor = DeliveryMonitor()
     monitor.record_sent("f1")
     assert monitor.delivered_flows() == []

@@ -1,13 +1,13 @@
 """Tests for the observability subsystem: the collecting tracer, lifecycle
 event collection through a real traced session (the tracer lives and dies
 with the session's simulator), trace-off digest transparency, pinned traces
-and disarmed configs, the metrics registry, the exporters, and the timeline
-analysis."""
+and disarmed configs, the exporters, and the timeline analysis."""
 
 import dataclasses
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -20,7 +20,6 @@ from repro.obs import (
     PHASE_MSG_SENT,
     PHASE_SWITCH_RECEIVED,
     PHASE_UPDATE_ISSUED,
-    MetricsRegistry,
     TraceEvent,
     TraceLog,
     Tracer,
@@ -44,21 +43,18 @@ def _quick_params(**overrides):
 # ---------------------------------------------------------------------------
 
 class TestTracer:
-    def test_collects_events_and_metrics(self):
+    def test_collects_events_and_meta(self):
         tr = Tracer(technique="barrier", kind="scenario", seed=3)
         tr.rule(PHASE_UPDATE_ISSUED, 0.5, "S1", 7, detail="install")
         tr.fault(0.6, "S2", "delay-spike.activations")
-        tr.count("fault.delay-spike.activations", 2)
-        tr.metrics.gauge("controller.pending_acks").set(0.7, 4.0)
         log = tr.finish(meta={"topology": "triangle"})
         assert log.technique == "barrier"
         assert log.kind == "scenario"
         assert log.seed == 3
         assert len(log) == 2
         assert log.phases() == {PHASE_UPDATE_ISSUED: 1, PHASE_FAULT: 1}
-        assert log.metrics["fault.delay-spike.activations"] == 2
-        assert log.metrics["controller.pending_acks"] == [[0.7, 4.0]]
         assert log.meta["topology"] == "triangle"
+        assert set(log.as_dict()) == {"technique", "kind", "seed", "events", "meta"}
 
     def test_a_raising_traced_session_leaves_the_next_bare_session_untraced(self):
         def boom(_network, _flows):
@@ -95,12 +91,11 @@ class TestEventSchema:
     def test_log_round_trip(self):
         log = TraceLog(technique="timeout", kind="scenario", seed=5,
                        events=[TraceEvent(0.1, PHASE_UPDATE_ISSUED, "S1", 1)],
-                       metrics={"c": 3}, meta={"faults": "none"})
+                       meta={"faults": "none"})
         back = TraceLog.from_dict(log.as_dict())
         assert back.technique == "timeout"
         assert back.seed == 5
         assert back.events == log.events
-        assert back.metrics == {"c": 3}
         assert back.meta == {"faults": "none"}
 
     def test_empty_log_is_falsy(self):
@@ -116,21 +111,6 @@ class TestEventSchema:
         assert len(list(log.filtered(phase=PHASE_UPDATE_ISSUED))) == 2
         assert len(list(log.filtered(switch="S1"))) == 2
         assert len(list(log.filtered(xid=1, phase=PHASE_ACK_RECEIVED))) == 1
-
-
-# ---------------------------------------------------------------------------
-# Metrics registry
-# ---------------------------------------------------------------------------
-
-class TestMetrics:
-    def test_instruments_created_on_first_use(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.counter("a").inc(2)
-        registry.gauge("b").set(0.1, 5.0)
-        payload = registry.as_dict()
-        assert payload["a"] == 3
-        assert payload["b"] == [[0.1, 5.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +134,6 @@ class TestTracedSession:
         phases = log.phases()
         for phase in LIFECYCLE_PHASES:
             assert phases.get(phase, 0) > 0, f"no {phase} events traced"
-
-    def test_metrics_sampled_on_sim_clock(self, traced_record):
-        metrics = traced_record.trace.metrics
-        assert "controller.pending_acks" in metrics
-        samples = metrics["controller.pending_acks"]
-        assert samples and samples == sorted(samples, key=lambda s: s[0])
 
     def test_kernel_stats_in_meta(self, traced_record):
         kernel = traced_record.trace.meta["kernel"]
@@ -210,13 +184,13 @@ class TestTracedSession:
 #: sha256 of the sorted-key Chrome export)``, in the order they run.
 _PINNED_TRACES = [
     ("rolling-upgrade", "barrier", None, 340,
-     "6b5ebb046fc6701fe9a671b226f21ddb57d63bdaa16ef9cc46b093aea2ef792e",
+     "39cd06f50be5f28bde675bdf7c6400473e9a3fef037feedad196d134ef49ee91",
      "62acf39835e3685e72a0aa5dca6dd1796c104d6469914d3205ea9be09f3d664e"),
     ("fault-sweep", "general", None, 124,
-     "16c5a4bbb8807fb54a43edaddff6ec4fd16288cb18a0ea2fb9e0d22c70860beb",
+     "cac887939e9f54be8d7a2381fa095b625de509e4689c28f24985cf8a9abd152a",
      "a5227ebb2f6e60003dc17358ab5542ccad63d877660211a61eb471256b1c6e22"),
     ("path-migration", "timeout", "delay-spike(probability=1.0,spike=0.3)@L1", 116,
-     "ba94b91905ba8e588834fbdfb0a5d95f11b93bf45b6f133887fd5db2bc03912b",
+     "31b6ca0008879807fc2ffbd07c7fde2c2cf75a3d062c727600d3f413c864ef16",
      "8f7af0f939bef65bc3ca780c5ec065f74049e6dd916841d33d9462be2c9dbe0a"),
 ]
 
@@ -225,7 +199,9 @@ def test_the_traces_of_three_traced_cells_are_pinned():
     # Every emission site, its order and its payload: a moved or dropped
     # event changes these hashes even where the event count holds.  Events
     # carry xids, which come from process-wide counters, so the cells run in
-    # one sequence from fresh counters, as in a new process.
+    # one sequence from fresh counters, as in a new process.  The JSONL
+    # header also carries the kernel's counters (``meta.kernel``), so a
+    # changed step count moves the JSONL hash and not the Chrome one.
     _reset_process_counters()
     observed = []
     for scenario, technique, faults, _events, _jsonl, _chrome in _PINNED_TRACES:
@@ -238,23 +214,6 @@ def test_the_traces_of_three_traced_cells_are_pinned():
                          hashlib.sha256(trace_to_jsonl(trace).encode()).hexdigest(),
                          hashlib.sha256(chrome.encode()).hexdigest()))
     assert observed == [tuple(row) for row in _PINNED_TRACES]
-
-
-def test_the_gauge_series_of_a_traced_outage_cell_are_pinned():
-    # The benchmark's smoke rolling-upgrade cell: crashes wipe tables and
-    # queues mid-run, so a reading that bound a stale queue or table shows
-    # here.  A cheaper reading must sample exactly what this hash pins.
-    record = run_scenario("rolling-upgrade", "barrier",
-                          ScenarioParams(flow_count=4, rate_pps=25.0, seed=1,
-                                         trace=True, recovery="on"))
-    gauges = {name: series for name, series in record.trace.metrics.items()
-              if isinstance(series, list)}
-    assert {name: len(series) for name, series in gauges.items()} == dict.fromkeys(
-        ["controller.pending_acks", "dataplane.occupancy", "kernel.pending_events",
-         "net.dropped_packets", "rum.unconfirmed", "switch.pending_dataplane_ops"], 194)
-    assert hashlib.sha256(json.dumps(gauges, sort_keys=True).encode()).hexdigest() == (
-        "4351133b8ed4c9848e883e3f0092e7ff842d03e8ffac69c626a30979100fc4ae")
-    assert (record.digest(), len(record.trace.events)) == ("73892d49890cba77", 340)
 
 
 class TestValidateChromeTrace:
@@ -382,6 +341,6 @@ class TestTracedFaultRun:
         assert "S2" in summary
         # The spiked switch acknowledges before its hardware activates.
         assert summary["S2"]["early"] > 0
-        fault_counters = [name for name in log.metrics
-                          if name.startswith("fault.delay-spike.")]
-        assert fault_counters
+        # The overlay has one fault event per activation the record counts.
+        details = Counter(event.detail for event in log.filtered(phase=PHASE_FAULT))
+        assert details == record.fault_events and "delay-spike.delay_spikes" in details

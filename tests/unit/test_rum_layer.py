@@ -168,7 +168,16 @@ def test_rum_requires_attach_before_prepare():
         rum.prepare()
 
 
-def test_proxy_layer_default_forwarding_is_transparent():
+def test_proxy_layer_default_forwarding_is_transparent(monkeypatch):
+    handled = []
+    for name in ("handle_from_controller", "handle_from_switch"):
+        original = getattr(ProxyLayer, name)
+
+        def counted(self, switch_name, message, name=name, original=original):
+            handled.append((name, type(message).__name__))
+            original(self, switch_name, message)
+
+        monkeypatch.setattr(ProxyLayer, name, counted)
     sim = Simulator()
     network = Network(sim, triangle_topology(), seed=4)
     proxy = ProxyLayer(sim, name="passthrough")
@@ -180,8 +189,8 @@ def test_proxy_layer_default_forwarding_is_transparent():
     event = controller.send_barrier("S1")
     sim.run(until=1.0)
     assert event.triggered
-    assert proxy.messages_from_controller >= 1
-    assert proxy.messages_from_switch >= 1
+    assert ("handle_from_controller", "BarrierRequest") in handled
+    assert ("handle_from_switch", "BarrierReply") in handled
 
 
 def test_proxy_rejects_duplicate_attachment():

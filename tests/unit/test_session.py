@@ -227,8 +227,7 @@ _traces = st.builds(
     TraceLog, technique=_names, kind=_names, seed=_counts,
     events=st.lists(st.builds(TraceEvent, ts=_times, phase=_names,
                               switch=_names, xid=st.none() | _counts,
-                              detail=_names), max_size=3),
-    metrics=st.dictionaries(_names, _counts, max_size=2))
+                              detail=_names), max_size=3))
 _profiles = st.builds(
     ProfileReport, technique=_names, kind=_names, seed=_counts,
     callbacks=st.lists(st.fixed_dictionaries(

@@ -243,6 +243,76 @@ class TestVerifyAndGc:
         assert digest in store.digests()  # live objects untouched
 
 
+#: A traced ``RunRecord.as_dict()`` payload as builds that sampled gauges
+#: wrote it: its ``trace`` carries a ``metrics`` key (a fault counter and six
+#: gauge series).  Cut to three events and two samples per gauge; the outcome
+#: keys are verbatim.
+_PAYLOAD_WITH_TRACE_METRICS = json.loads("""
+{"schema": 1, "kind": "scenario", "technique": "timeout", "spec": {"kind": "scenario",
+ "technique": "timeout", "labels": {"scenario": "path-migration", "scale": 1, "params":
+ {"topology": "triangle", "scale": 1, "flow_count": 1, "rate_pps": 10.0, "seed": 2,
+ "hardware_fraction": 0.3333333333333333, "warmup": 0.05, "grace": 0.05,
+ "max_update_duration": 1.0, "max_unconfirmed": null,
+ "faults": "delay-spike(probability=1.0,spike=0.3)@S2", "recovery": null, "trace": true,
+ "profile": false}}, "stack": {"rum_overrides": {}, "with_barrier_layer": false,
+ "buffer_after_barrier": false}, "knobs": {"seed": 2, "warmup": 0.05, "grace": 0.05,
+ "settle": 0.05, "poll_interval": 0.1, "max_update_duration": 1.0, "run_for": null,
+ "max_unconfirmed": 16, "barrier_every": 10, "rate_pps": 10.0}, "faults": {"specs":
+ [{"fault": "delay-spike", "params": {"probability": 1.0, "spike": 0.3}, "targets":
+ ["S2"]}], "seed": null}, "trace": true}, "scenario": "path-migration",
+ "topology": "triangle", "seed": 2, "scale": 1, "update_start": 0.05,
+ "update_duration": 0.609066913036733, "completed": true, "flows_run": 1, "plan_size": 2,
+ "acknowledged_rules": 2, "usable_rate": 3.2837114563131413, "dropped_packets": 1,
+ "mean_update_time": 0.4277202331202538, "completion_time": 0.4277202331202538,
+ "stats": [{"flow_id": "flow-0000", "last_old_path": 0.22759909712025383,
+ "first_new_path": 0.4277202331202538, "broken_time": 0.10012113599999997,
+ "packets_sent": 8, "packets_received": 7}], "activation": null, "metrics":
+ {"old_path_hops": 2, "new_path_hops": 3, "path_stretch": 1},
+ "rum_description": "RUM[static timeout (300 ms after barrier reply)]",
+ "barrier_layer_held": 0, "rum_probe_rule_updates": 0, "rum_probes_injected": 0,
+ "fault_events": {"delay-spike.delay_spikes": 1},
+ "trace": {"technique": "timeout", "kind": "scenario", "events": [
+  {"ts": 0.0, "phase": "hw-activated", "switch": "S1", "xid": 1},
+  {"ts": 0.0, "phase": "hw-activated", "switch": "S3", "xid": 2},
+  {"ts": 0.05, "phase": "update-issued", "switch": "S2", "xid": 3, "detail": "new-path"}],
+  "seed": 2, "metrics": {"fault.delay-spike.delay_spikes": 1,
+  "controller.pending_acks": [[0.01, 0.0], [0.02, 0.0]],
+  "dataplane.occupancy": [[0.01, 2.0], [0.02, 2.0]],
+  "kernel.pending_events": [[0.01, 1.0], [0.02, 1.0]],
+  "net.dropped_packets": [[0.01, 0.0], [0.02, 0.0]],
+  "rum.unconfirmed": [[0.01, 0.0], [0.02, 0.0]],
+  "switch.pending_dataplane_ops": [[0.01, 0.0], [0.02, 0.0]]},
+  "meta": {"topology": "triangle", "faults": "delay-spike(probability=1.0,spike=0.3)@S2",
+  "kernel": {"now": 0.85, "pending": 2, "steps_executed": 147, "sequence": 149}}}}
+""")
+
+
+class TestPayloadsWithTraceMetrics:
+    """Traces no longer carry sampled metrics; what was stored with them
+    still loads, keeps its digest and verifies."""
+
+    def test_the_record_loads_keeps_its_digest_and_drops_the_metrics(self):
+        from repro.session import RunRecord
+
+        payload = _PAYLOAD_WITH_TRACE_METRICS
+        record = RunRecord.from_dict(payload)
+        assert record.digest() == "b7146b52aad68398"
+        assert [event.xid for event in record.trace.events] == [1, 2, 3]
+        assert record.trace.meta == payload["trace"]["meta"]
+        again = record.as_dict()
+        assert "metrics" not in again["trace"]
+        assert again == {**payload, "trace": {key: value for key, value
+                                              in payload["trace"].items()
+                                              if key != "metrics"}}
+
+    def test_a_store_object_holding_it_still_verifies(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        digest = store.put_record(_PAYLOAD_WITH_TRACE_METRICS)
+        assert digest == "b7146b52aad68398"
+        assert store.verify() == []
+        assert store.load(digest)["record"] == _PAYLOAD_WITH_TRACE_METRICS
+
+
 class TestStoreCli:
     def test_ingest_query_show_verify_gc(self, tmp_path, capsys):
         results = _campaign(tmp_path)

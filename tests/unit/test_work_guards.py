@@ -5,8 +5,8 @@ These count calls, not seconds: a packet hop may only do per-packet work
 hit) and an idle network may not execute kernel steps at all.  A refactor that
 quietly brings the copy or the poll back fails here on any machine.
 
-The armed path has its own guards: a gauge reading may not scan the acks ever
-issued nor walk the switches, a Perfetto shard may not be encoded by Python
+The armed path has its own guards: a traced session executes exactly the
+kernel steps of its bare twin, a Perfetto shard may not be encoded by Python
 frames per value, and none of that may leak onto the bare path.  A cell's
 set-up has one: migration path search draws no path past the one it keeps.
 
@@ -57,7 +57,6 @@ from repro.packet.packet import Packet, make_ip_packet
 from repro.scenarios import ScenarioParams, run_scenario, scenario_session
 from repro.scenarios.generators import build_topology
 from repro.scenarios.migration import endpoint_hosts, migration_paths
-from repro.session.engine import _gauge_reader
 from repro.session.stack import build_control_stack
 from repro.sim import Simulator
 from repro.switches import HardwareSwitch, SoftwareSwitch, Switch
@@ -168,7 +167,7 @@ def test_an_idle_second_on_a_hardware_fat_tree_executes_no_kernel_steps():
     assert sim.steps_executed - settled == 0
 
 
-# -- the armed path: linear in events, constant per gauge reading ---------------------
+# -- the armed path: no kernel step of its own, linear in events ----------------------
 
 def _python_frames(function, entered=None):
     """Python-level frames ``function`` enters (work, not wall time); each
@@ -188,53 +187,6 @@ def _python_frames(function, entered=None):
     finally:
         sys.setprofile(None)
     return frames
-
-
-def _armed_reading(topology):
-    """A started ``general`` stack on ``topology``, a tracer and the gauge
-    reading a traced session would bind for them."""
-    sim = Simulator()
-    network = Network(sim, topology, seed=3)
-    stack = build_control_stack(sim, network, "general")
-    stack.prepare()
-    network.start()
-    stack.start()
-    tracer = Tracer()
-    return sim, stack, tracer, _gauge_reader(tracer, sim, network, stack)
-
-
-def test_a_gauge_reading_costs_the_same_however_many_acks_were_issued():
-    sim, stack, tracer, reading = _armed_reading(triangle_topology())
-
-    def issue(count):
-        for _ in range(count):
-            stack.controller.send_flowmod(
-                "S2", FlowMod(Match(ip_dst="10.0.0.2"), [OutputAction(1)]))
-        sim.run(until=sim.now + 0.001)  # the sends reach RUM's trackers
-
-    first = _python_frames(reading)
-    issue(50)
-    after_n = _python_frames(reading)
-    issue(150)
-    assert _python_frames(reading) == after_n == first
-    samples = tracer.finish().metrics
-    assert [value for _ts, value in samples["controller.pending_acks"]] == [0.0, 50.0, 200.0]
-    assert [value for _ts, value in samples["rum.unconfirmed"]] == [0.0, 50.0, 200.0]
-
-
-def test_a_gauge_reading_costs_the_same_however_many_switches_there_are():
-    frames, occupancy = {}, {}
-    for topology in (triangle_topology(), build_topology("fat-tree", scale=2)):
-        sim, _stack, tracer, reading = _armed_reading(topology)
-        sim.run(until=0.05)  # RUM's deployment rules are in the data planes
-        frames[len(topology.switches)] = _python_frames(reading)
-        ((_ts, occupancy[len(topology.switches)]),) = (
-            tracer.finish().metrics["dataplane.occupancy"])
-    assert set(frames) == {3, 45}
-    # A walk over the switches was three frames each (a property, a method
-    # and FlowTable.__len__); the bound reading sums two flat lists in C.
-    assert frames[3] == frames[45]
-    assert occupancy[45] > occupancy[3] > 0
 
 
 def test_fat_tree_path_search_stops_at_the_first_usable_path(monkeypatch):
@@ -275,13 +227,40 @@ def test_a_bare_session_builds_no_tracer_and_adds_no_per_packet_calls(monkeypatc
                           ScenarioParams(flow_count=2, rate_pps=100.0))
     assert record.completed and record.trace is None
     assert built["__init__"] == 0
-    # Gauges are read from state the control plane maintains; the monitor's
-    # per-packet recorders are one frame each.
+    # The monitor's per-packet recorders are one frame each.
     monitor = DeliveryMonitor()
     monitor.record_delivery("f", 0.0, 0.1, 0, ("H1", "S1", "H2"))  # the flow's columns exist
     assert _python_frames(lambda: monitor.record_sent("f")) == 2
     assert _python_frames(lambda: monitor.record_delivery(
         "f", 0.1, 0.2, 1, ("H1", "S1", "H2"))) == 2
+
+
+@pytest.mark.parametrize("scenario, technique, faults, steps", [
+    ("rolling-upgrade", "barrier", None, 1213),
+    ("fault-sweep", "general", None, 515),
+    ("path-migration", "timeout", "delay-spike(probability=1.0,spike=0.3)@L1", 581),
+], ids=["rolling-upgrade", "fault-sweep", "path-migration-delay-spike"])
+def test_a_traced_session_executes_exactly_the_kernel_steps_of_its_bare_twin(
+        monkeypatch, scenario, technique, faults, steps):
+    # The three cells whose traces test_obs pins.  A tracer only appends
+    # events: a traced run that schedules anything of its own (a sampler
+    # tick, a flush) shows up here as extra steps.
+    sims = []
+    init = Simulator.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(self)
+
+    monkeypatch.setattr(Simulator, "__init__", keep)
+    extra = {"faults": faults} if faults else {}
+    digests = [run_scenario(scenario, technique, ScenarioParams(
+        flow_count=4, rate_pps=25.0, seed=1, trace=trace, **extra)).digest()
+        for trace in (False, True)]
+    (bare, traced) = sims
+    assert bare.tracer is None and traced.tracer is not None
+    assert bare.steps_executed == traced.steps_executed == steps
+    assert digests[0] == digests[1]
 
 
 # -- the packet path: fixed frames per sleep and per hop, nothing left for the GC ------
@@ -599,8 +578,12 @@ def test_the_control_path_is_still_reached_through_class_attributes(monkeypatch)
     sim.run(until=1.0)
     rum = stack.rum
     assert len(rum.confirmation_log) == 10  # ... by probes, so PacketIns came up
-    assert counts["handle_from_controller"] == rum.messages_from_controller == 10
-    assert counts["handle_from_switch"] == rum.messages_from_switch >= 10
+    # Every message RUM's endpoints took in reached its handler.
+    assert counts["handle_from_controller"] == sum(
+        upstream.side_a.received_count for upstream in rum._upstream.values()) == 10
+    assert counts["handle_from_switch"] == sum(
+        network.controller_endpoint(name).received_count
+        for name in network.switches) >= 10
     agents = [network.control_connections[name].side_a for name in network.switches]
     assert counts["receive"] == sum(agent.received_count for agent in agents) > 20
     assert counts["send"] == sum(
