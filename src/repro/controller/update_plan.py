@@ -263,14 +263,6 @@ class PlanExecutor:
             return None
         return self.finished_at - self.started_at
 
-    def issue_times(self) -> Dict[int, float]:
-        """``op_id -> issue time`` for all issued operations."""
-        return {
-            op_id: op.issued_at
-            for op_id, op in self.plan.operations.items()
-            if op.issued_at is not None
-        }
-
     def ack_times(self) -> Dict[int, float]:
         """``op_id -> acknowledgment time`` for all acknowledged operations."""
         return {

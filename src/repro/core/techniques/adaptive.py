@@ -53,10 +53,6 @@ class AdaptiveTimeoutTechnique(AckTechnique):
     def _confirm(self, switch_name: str, xid: int) -> None:
         self.layer.confirm_rule(switch_name, xid, by=self.name)
 
-    def predicted_completion(self, switch_name: str) -> float:
-        """The model's current estimate of when the switch becomes idle."""
-        return self._predicted_busy_until.get(switch_name, 0.0)
-
     def describe(self) -> str:
         return (
             f"adaptive timeout (assumed rate {self.config.assumed_rate:.0f} mods/s, "

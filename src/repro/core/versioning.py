@@ -82,10 +82,6 @@ class VersionAllocator:
         """Logical batch numbers not yet released, oldest first."""
         return sorted(self._batch_to_wire)
 
-    def wire_value_of(self, batch: int) -> Optional[int]:
-        """Wire value of an outstanding batch (``None`` once released)."""
-        return self._batch_to_wire.get(batch)
-
     # -- resolution ----------------------------------------------------------------
     def resolve(self, wire_value: int) -> Optional[int]:
         """The newest outstanding logical batch carried by ``wire_value``."""

@@ -2,29 +2,22 @@
 
 Static pass (``python -m repro.lint``): four AST rules (RL001-RL003,
 RL006) enforcing the repo's determinism and hot-path invariants, with a
-rule catalogue mirroring the technique catalogue and a
-justified-suppression policy (``# repro: noqa(RL###): <why>``).
+rule catalogue mirroring the technique catalogue.  A rule's documented
+``allowed_modules`` is the only exemption; there are no inline
+suppressions.
 
 Runtime pass (``python -m repro.lint --sanitize <scenario>``): double-run
 event-stream diffing that names the first divergent simulator event, plus
 a wall-clock tripwire and a cross-process ``PYTHONHASHSEED`` probe.
 """
 
-from repro.lint.diagnostics import (
-    ENGINE_CODE,
-    Diagnostic,
-    count_by_code,
-    diagnostics_payload,
-    render_diagnostics,
-)
+from repro.lint.diagnostics import ENGINE_CODE, Diagnostic, render_diagnostics
 from repro.lint.engine import (
-    Suppression,
     default_target,
     iter_python_files,
     lint_file,
     lint_paths,
     lint_source,
-    parse_suppressions,
 )
 from repro.lint.rules import (
     RULES,
@@ -36,7 +29,6 @@ from repro.lint.rules import (
     rule_catalog,
 )
 from repro.lint.sanitizer import (
-    CHAOS_HOOKS,
     Divergence,
     RecordedRun,
     SanitizeReport,
@@ -51,16 +43,12 @@ from repro.lint.sanitizer import (
 __all__ = [
     "ENGINE_CODE",
     "Diagnostic",
-    "count_by_code",
-    "diagnostics_payload",
     "render_diagnostics",
-    "Suppression",
     "default_target",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "parse_suppressions",
     "RULES",
     "LintRule",
     "ModuleInfo",
@@ -68,7 +56,6 @@ __all__ = [
     "available_rules",
     "get_rule",
     "rule_catalog",
-    "CHAOS_HOOKS",
     "Divergence",
     "RecordedRun",
     "SanitizeReport",

@@ -11,9 +11,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.diagnostics import diagnostics_payload, render_diagnostics
+from repro.lint.diagnostics import render_diagnostics
 from repro.lint.engine import default_target, iter_python_files, lint_paths
-from repro.lint.rules import active_rules, rule_catalog
+from repro.lint.rules import available_rules, rule_catalog
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,13 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to lint "
                              "(default: the installed repro package)")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="diagnostic output format (json is the CI mode)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
-    parser.add_argument("--select", default=None,
-                        help="comma-separated rule codes to run "
-                             "(default: all registered rules)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     parser.add_argument("--sanitize", metavar="SCENARIO", default=None,
@@ -43,11 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="base seed for --sanitize")
     parser.add_argument("--flows", type=int, default=2,
                         help="flow count for --sanitize (keep it small)")
-    parser.add_argument("--runs", type=int, default=2,
-                        help="in-process repetitions for --sanitize")
-    parser.add_argument("--chaos", default=None,
-                        help="inject a named determinism bug (self-test); "
-                             "see repro.lint.sanitizer.CHAOS_HOOKS")
     parser.add_argument("--no-hashseed-probe", action="store_true",
                         help="skip the two-subprocess PYTHONHASHSEED probe")
     parser.add_argument("--sanitize-worker", action="store_true",
@@ -55,83 +43,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Optional[Path]) -> None:
-    print(text)
-    if out is not None:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n", encoding="utf-8")
-
-
 def _run_lint(args: argparse.Namespace) -> int:
-    select = (None if args.select is None
-              else [code.strip() for code in args.select.split(",")
-                    if code.strip()])
-    try:
-        rules = active_rules(select)
-    except KeyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     paths = args.paths or [default_target()]
-    targets = [str(path) for path in paths]
     missing = [path for path in paths if not Path(path).exists()]
     if missing:
         print(f"error: no such path(s): "
               f"{', '.join(str(p) for p in missing)}", file=sys.stderr)
         return 2
-    diagnostics = lint_paths(paths, rules=rules)
-    if args.format == "json":
-        payload = diagnostics_payload(diagnostics, targets)
-        payload["rules"] = [rule.code for rule in rules]
-        payload["files"] = len(iter_python_files(paths))
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-    else:
-        body = render_diagnostics(diagnostics)
-        summary = (f"{len(diagnostics)} finding(s) in {len(targets)} "
-                   f"target(s)" if diagnostics
-                   else f"clean: {len(iter_python_files(paths))} file(s), "
-                        f"{len(rules)} rule(s)")
-        _emit((body + "\n" + summary) if body else summary, args.out)
-    return 1 if diagnostics else 0
+    diagnostics = lint_paths(paths)
+    if diagnostics:
+        print(render_diagnostics(diagnostics))
+        print(f"{len(diagnostics)} finding(s) in {len(paths)} target(s)")
+        return 1
+    print(f"clean: {len(iter_python_files(paths))} file(s), "
+          f"{len(available_rules())} rule(s)")
+    return 0
 
 
-def _run_list_rules(args: argparse.Namespace) -> int:
-    catalog = rule_catalog()
-    if args.format == "json":
-        _emit(json.dumps(catalog, indent=2), args.out)
-        return 0
+def _run_list_rules() -> int:
     lines = []
-    for row in catalog:
+    for row in rule_catalog():
         lines.append(f"{row['code']}  {row['name']}")
         lines.append(f"       invariant: {row['invariant']}")
         if row["rationale"]:
             lines.append(f"       rationale: {row['rationale']}")
-    _emit("\n".join(lines), args.out)
+    print("\n".join(lines))
     return 0
 
 
 def _run_sanitize(args: argparse.Namespace) -> int:
-    from repro.lint.sanitizer import CHAOS_HOOKS, sanitize_scenario
+    from repro.lint.sanitizer import sanitize_scenario
     from repro.scenarios.base import ScenarioParams
 
-    if args.chaos is not None and args.chaos not in CHAOS_HOOKS:
-        print(f"error: unknown chaos hook {args.chaos!r}; "
-              f"available: {sorted(CHAOS_HOOKS)}", file=sys.stderr)
-        return 2
     params = ScenarioParams(flow_count=args.flows, seed=args.seed,
                             max_update_duration=5.0)
     try:
         report = sanitize_scenario(
-            args.sanitize, args.technique, params, runs=args.runs,
-            hashseed_probe=not args.no_hashseed_probe, chaos=args.chaos,
+            args.sanitize, args.technique, params,
+            hashseed_probe=not args.no_hashseed_probe,
         )
     except KeyError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        _emit(json.dumps(report.as_dict(), indent=2, sort_keys=True),
-              args.out)
-    else:
-        _emit(report.render(), args.out)
+    print(report.render())
     return 0 if report.ok else 1
 
 
@@ -148,7 +102,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.sanitize_worker:
         return _run_sanitize_worker()
     if args.list_rules:
-        return _run_list_rules(args)
+        return _run_list_rules()
     if args.sanitize is not None:
         return _run_sanitize(args)
     return _run_lint(args)

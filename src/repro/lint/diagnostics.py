@@ -2,17 +2,16 @@
 
 One :class:`Diagnostic` is one violation at one source location.  The text
 form (``module:line:col: CODE message``) is what ``python -m repro.lint``
-prints and what the golden strings in ``tests/unit/test_lint.py`` pin; the
-dict form feeds the ``--format json`` CI mode.
+prints and what the golden strings in ``tests/unit/test_lint.py`` pin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Iterable
 
-#: Engine-level diagnostic code (parse errors, malformed or unjustified
-#: suppressions) — not a registered rule, never suppressible.
+#: Engine-level diagnostic code: the file does not parse.  Not a registered
+#: rule.
 ENGINE_CODE = "RL000"
 
 
@@ -33,37 +32,7 @@ class Diagnostic:
         """The canonical one-line text form."""
         return f"{self.module}:{self.line}:{self.col}: {self.code} {self.message}"
 
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-able form (the ``--format json`` CI artifact)."""
-        return {
-            "module": self.module,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-        }
-
 
 def render_diagnostics(diagnostics: Iterable[Diagnostic]) -> str:
     """All diagnostics, sorted by location, one per line."""
     return "\n".join(diag.render() for diag in sorted(diagnostics))
-
-
-def count_by_code(diagnostics: Iterable[Diagnostic]) -> Dict[str, int]:
-    """``code -> count`` over ``diagnostics`` (JSON report summary)."""
-    counts: Dict[str, int] = {}
-    for diag in diagnostics:
-        counts[diag.code] = counts.get(diag.code, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def diagnostics_payload(diagnostics: List[Diagnostic],
-                        targets: List[str]) -> Dict[str, object]:
-    """The ``--format json`` report body."""
-    ordered = sorted(diagnostics)
-    return {
-        "targets": targets,
-        "count": len(ordered),
-        "counts": count_by_code(ordered),
-        "diagnostics": [diag.as_dict() for diag in ordered],
-    }

@@ -1,108 +1,25 @@
-"""The lint engine: walking, parsing, suppressions, and the public API.
+"""The lint engine: walking, parsing, and the public API.
 
-Suppression policy
-------------------
-A diagnostic is silenced by an inline comment **on the flagged line**::
-
-    self.datapath_id = abs(hash(name))  # repro: noqa(RL001): frozen wire capture replayed byte-for-byte
-
-The justification after the second colon is *required*: an unjustified
-``noqa`` does not suppress anything and is itself reported as
-:data:`~repro.lint.diagnostics.ENGINE_CODE` (RL000), as are blanket
-(code-less) suppressions and malformed codes.  RL000 can never be
-suppressed — the gate on reviewer-visible justifications is the point.
+There is no inline suppression: a flagged line is either fixed or its
+module is on the rule's documented ``allowed_modules`` (see
+:class:`~repro.lint.rules.LintRule`).  A file that does not parse is
+reported as :data:`~repro.lint.diagnostics.ENGINE_CODE` (RL000).
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
 # Importing the checks module is what registers the built-in rules.
 import repro.lint.checks  # noqa: F401  (imported for registration side effect)
 from repro.lint.diagnostics import ENGINE_CODE, Diagnostic
-from repro.lint.rules import LintRule, ModuleInfo, active_rules
-
-_NOQA_RE = re.compile(
-    r"#\s*repro:\s*noqa\s*\(([^)]*)\)\s*(?::\s*(?P<why>.*\S))?\s*$"
-)
-_BLANKET_RE = re.compile(r"#\s*repro:\s*noqa\b(?!\s*\()")
-_CODE_RE = re.compile(r"^RL\d{3}$")
+from repro.lint.rules import ModuleInfo, active_rules
 
 
-@dataclass(frozen=True)
-class Suppression:
-    """One parsed ``# repro: noqa(...)`` comment."""
-
-    line: int
-    codes: Tuple[str, ...]
-    justification: Optional[str]
-
-
-def parse_suppressions(source: str,
-                       module: str) -> Tuple[Dict[int, Suppression],
-                                             List[Diagnostic]]:
-    """All suppression comments in ``source`` plus their policy violations."""
-    suppressions: Dict[int, Suppression] = {}
-    problems: List[Diagnostic] = []
-
-    def _problem(line: int, col: int, message: str) -> None:
-        problems.append(Diagnostic(module=module, line=line, col=col,
-                                   code=ENGINE_CODE, message=message))
-
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError):
-        return {}, problems  # the AST parse reports the real syntax error
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        comment = token.string
-        line, col = token.start
-        match = _NOQA_RE.search(comment)
-        if match is None:
-            if _BLANKET_RE.search(comment):
-                _problem(line, col,
-                         "blanket 'repro: noqa' is not allowed; name the "
-                         "codes: # repro: noqa(RL###): <justification>")
-            continue
-        codes = tuple(part.strip() for part in match.group(1).split(",")
-                      if part.strip())
-        justification = match.group("why")
-        bad = [code for code in codes if not _CODE_RE.match(code)]
-        if not codes or bad:
-            _problem(line, col,
-                     f"malformed suppression codes {bad or ['<empty>']}; "
-                     "expected RL### (e.g. repro: noqa(RL001): <why>)")
-            continue
-        if ENGINE_CODE in codes:
-            _problem(line, col,
-                     f"{ENGINE_CODE} is the suppression-policy code itself "
-                     "and cannot be suppressed")
-            continue
-        if not justification:
-            _problem(line, col,
-                     f"suppression of {', '.join(codes)} has no "
-                     "justification; write # repro: noqa("
-                     f"{', '.join(codes)}): <why this is safe>")
-            continue
-        suppressions[line] = Suppression(line=line, codes=codes,
-                                         justification=justification)
-    return suppressions, problems
-
-
-def lint_source(source: str, module: str = "<string>",
-                rules: Optional[Sequence[LintRule]] = None) -> List[Diagnostic]:
-    """Lint one source text under the label ``module``; returns diagnostics.
-
-    The returned list is sorted and already has justified suppressions
-    applied; RL000 policy problems are included.
-    """
+def lint_source(source: str, module: str = "<string>") -> List[Diagnostic]:
+    """Lint one source text under the label ``module``; sorted diagnostics."""
     try:
         tree = ast.parse(source)
     except SyntaxError as error:
@@ -110,16 +27,8 @@ def lint_source(source: str, module: str = "<string>",
                            col=error.offset or 0, code=ENGINE_CODE,
                            message=f"syntax error: {error.msg}")]
     info = ModuleInfo(module=module, source=source, tree=tree)
-    suppressions, diagnostics = parse_suppressions(source, module)
-    for rule in (active_rules() if rules is None else rules):
-        if not rule.applies_to(info):
-            continue
-        for diag in rule.check(info):
-            suppression = suppressions.get(diag.line)
-            if suppression is not None and diag.code in suppression.codes:
-                continue
-            diagnostics.append(diag)
-    return sorted(diagnostics)
+    return sorted(diag for rule in active_rules() if rule.applies_to(info)
+                  for diag in rule.check(info))
 
 
 def _module_label(path: Path) -> str:
@@ -136,12 +45,10 @@ def _module_label(path: Path) -> str:
     return resolved.name
 
 
-def lint_file(path: Path, module: Optional[str] = None,
-              rules: Optional[Sequence[LintRule]] = None) -> List[Diagnostic]:
+def lint_file(path: Path, module: Optional[str] = None) -> List[Diagnostic]:
     """Lint one file (module label derived from its path unless given)."""
     source = Path(path).read_text(encoding="utf-8")
-    return lint_source(source, module=module or _module_label(Path(path)),
-                       rules=rules)
+    return lint_source(source, module=module or _module_label(Path(path)))
 
 
 def iter_python_files(paths: Iterable[Path]) -> List[Path]:
@@ -155,12 +62,11 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
     return files
 
 
-def lint_paths(paths: Iterable[Path],
-               rules: Optional[Sequence[LintRule]] = None) -> List[Diagnostic]:
+def lint_paths(paths: Iterable[Path]) -> List[Diagnostic]:
     """Lint every ``*.py`` file under ``paths``; returns sorted diagnostics."""
     diagnostics: List[Diagnostic] = []
     for file_path in iter_python_files(paths):
-        diagnostics.extend(lint_file(file_path, rules=rules))
+        diagnostics.extend(lint_file(file_path))
     return sorted(diagnostics)
 
 

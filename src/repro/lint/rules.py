@@ -5,7 +5,7 @@ Mirrors the acknowledgment-technique catalogue
 in a monolithic checker.  A :class:`LintRule` subclass owns its code, its
 invariant, its rationale, and its :meth:`~LintRule.check` implementation;
 setting ``code`` in its body registers it, which makes it active in every
-entry point — the ``python -m repro.lint`` CLI, the CI JSON gate, and the
+entry point — the ``python -m repro.lint`` CLI, CI's lint step, and the
 self-check test — with no further wiring.
 
 Adding a rule is defining a subclass with a ``code``::
@@ -95,10 +95,11 @@ class ModuleInfo:
 class LintRule:
     """Base class for lint rules; subclasses set the metadata and ``check``.
 
-    ``allowed_modules`` is the rule's *documented* allowlist: module-path
-    prefixes (relative to the ``repro`` package root) where the rule does
-    not apply — e.g. reading wall time is the job of ``obs/profiler.py``, so
-    RL002 excludes it rather than demanding per-line suppressions.
+    ``allowed_modules`` is the rule's *documented* allowlist and the only
+    exemption there is: module-path prefixes (relative to the ``repro``
+    package root) where the rule does not apply, each with its reason in
+    ``rationale`` — e.g. reading wall time is the job of ``obs/profiler.py``,
+    so RL002 lists it.  There is no per-line suppression comment.
     """
 
     #: Registry key, ``RL`` + three digits; setting it registers the class.
@@ -109,7 +110,7 @@ class LintRule:
     invariant: str = ""
     #: Why the invariant exists — which bug class it prevents.
     rationale: str = ""
-    #: Module-path prefixes the rule skips entirely (documented exemptions).
+    #: Module-path prefixes the rule skips entirely (the only exemptions).
     allowed_modules: Tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -158,10 +159,9 @@ def available_rules() -> List[str]:
     return RULES.names()
 
 
-def active_rules(select: Optional[List[str]] = None) -> List[LintRule]:
-    """Instances of the rules to run (all, or the selected codes)."""
-    return [RULES[code]() for code in
-            (available_rules() if select is None else select)]
+def active_rules() -> List[LintRule]:
+    """Instances of every registered rule, by code."""
+    return [RULES[code]() for code in available_rules()]
 
 
 def rule_catalog() -> List[Dict[str, str]]:

@@ -18,8 +18,11 @@ Two extra probes close the gaps a same-process double run cannot see:
   any wall-clock read inside the simulation fails loudly at its call site;
 * the **hashseed probe** replays the run in two subprocesses pinned to
   different ``PYTHONHASHSEED`` values and diffs their streams — the only
-  way to surface hash-derived values (the PR 2 ``SeededRandom.fork`` bug
+  way to surface hash-derived values (the ``SeededRandom.fork`` bug
   class), which are perfectly stable *within* one interpreter.
+
+The self-tests in ``tests/unit/test_lint.py`` inject the bugs these probes
+catch.
 
 Event payloads are described structurally (type names, ``.name``
 attributes) rather than via ``repr`` — default reprs embed addresses and
@@ -34,8 +37,6 @@ import os
 import subprocess
 import sys
 import time
-import zlib
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -124,72 +125,6 @@ class wall_clock_tripwire:
             setattr(time, name, original)
 
 
-# -- chaos hooks (self-tests and demos) ---------------------------------------
-
-class _ChaosPatch:
-    """Reversibly re-introduce a known determinism bug (self-test hook)."""
-
-    def __init__(self, apply: Callable[[], Callable[[], None]]) -> None:
-        self._apply = apply
-        self._undo: Optional[Callable[[], None]] = None
-
-    def __enter__(self) -> "_ChaosPatch":
-        self._undo = self._apply()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._undo is not None:
-            self._undo()
-
-
-def _chaos_hash_fork() -> Callable[[], None]:
-    """The literal PR 2 bug: fork child seeds from PYTHONHASHSEED-randomized
-    ``hash()`` instead of crc32.  Stable within a process — only the
-    hashseed probe can see it."""
-    from repro.sim.rng import SeededRandom
-
-    original = SeededRandom.fork
-
-    def _buggy_fork(self, label):
-        child_seed = abs(hash(f"{self.seed}:{label}")) % (2 ** 31) or 1  # repro: noqa(RL001): deliberate reintroduction of the PR 2 hash-fork bug so self-tests prove the hashseed probe catches it
-        return SeededRandom(child_seed)
-
-    SeededRandom.fork = _buggy_fork
-    return lambda: setattr(SeededRandom, "fork", original)
-
-
-#: Fork counter for the ``fork-drift`` hook.  Module-level on purpose: the
-#: drift must survive patch re-installation between the sanitizer's two
-#: in-process runs, exactly like real leaked-global-state bugs do.
-_FORK_DRIFT_STATE = {"count": 0}
-
-
-def _chaos_fork_drift() -> Callable[[], None]:
-    """Seeded-looking nondeterminism *within* a process: child seeds drift
-    with a process-global fork counter, so the second run of the same spec
-    diverges from the first."""
-    from repro.sim.rng import SeededRandom
-
-    original = SeededRandom.fork
-
-    def _drifting_fork(self, label):
-        _FORK_DRIFT_STATE["count"] += 1
-        child_seed = (zlib.crc32(f"{self.seed}:{label}".encode("utf-8"))
-                      + _FORK_DRIFT_STATE["count"]) % (2 ** 31) or 1
-        return SeededRandom(child_seed)
-
-    SeededRandom.fork = _drifting_fork
-    return lambda: setattr(SeededRandom, "fork", original)
-
-
-#: Named determinism-bug injections, used by the self-tests (and the README
-#: demo) to prove the sanitizer actually catches the bug classes it claims.
-CHAOS_HOOKS: Dict[str, Callable[[], Callable[[], None]]] = {
-    "hash-fork": _chaos_hash_fork,
-    "fork-drift": _chaos_fork_drift,
-}
-
-
 # -- recording ----------------------------------------------------------------
 
 @dataclass
@@ -223,9 +158,8 @@ def _reset_process_counters() -> None:
     update_plan._operation_ids = itertools.count(1)
 
 
-def record_session(spec, tripwire: bool = True,
-                   chaos: Optional[str] = None) -> RecordedRun:
-    """Run ``spec`` once with the recorder as its simulator's event tap."""
+def record_session(spec) -> RecordedRun:
+    """Run ``spec`` once, tripwired, with the recorder as its event tap."""
     _reset_process_counters()
     events: List[EventTuple] = []
     append = events.append
@@ -238,11 +172,7 @@ def record_session(spec, tripwire: bool = True,
             )
         append((ts, _callback_name(callback), _describe_args(args)))
 
-    with ExitStack() as patches:
-        if chaos is not None:
-            patches.enter_context(_ChaosPatch(CHAOS_HOOKS[chaos]))
-        if tripwire:
-            patches.enter_context(wall_clock_tripwire())
+    with wall_clock_tripwire():
         record = spec.run(observer=_observer)
     return RecordedRun(digest=record.digest(), events=events,
                        summary={"completed": record.completed,
@@ -312,27 +242,6 @@ class SanitizeReport:
         return (self.divergence is None and self.wall_clock_leak is None
                 and self.hashseed_divergence is None)
 
-    def as_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "scenario": self.scenario,
-            "technique": self.technique,
-            "seed": self.seed,
-            "ok": self.ok,
-            "digests": list(self.digests),
-            "event_counts": list(self.event_counts),
-        }
-        if self.divergence is not None:
-            payload["divergence"] = self.divergence.render()
-        if self.wall_clock_leak is not None:
-            payload["wall_clock_leak"] = self.wall_clock_leak
-        if self.hashseed_digests:
-            payload["hashseed_digests"] = list(self.hashseed_digests)
-        if self.hashseed_divergence is not None:
-            payload["hashseed_divergence"] = self.hashseed_divergence.render(
-                f"PYTHONHASHSEED={HASHSEED_PROBE_SEEDS[0]}",
-                f"PYTHONHASHSEED={HASHSEED_PROBE_SEEDS[1]}")
-        return payload
-
     def render(self) -> str:
         lines = [
             f"sanitize {self.scenario} × {self.technique} (seed {self.seed})",
@@ -360,47 +269,38 @@ class SanitizeReport:
 
 
 def sanitize_spec(spec_builder: Callable[[], object], *, scenario: str = "",
-                  technique: str = "", seed: int = 0, runs: int = 2,
-                  chaos: Optional[str] = None,
-                  tripwire: bool = True) -> SanitizeReport:
-    """Run a spec ``runs`` times in-process and diff the event streams.
+                  technique: str = "", seed: int = 0) -> SanitizeReport:
+    """Run a spec twice in-process and diff the two event streams.
 
-    ``spec_builder`` is called once per run so chaos patches that corrupt
-    spec construction are exercised too.  The hashseed probe is a separate,
-    scenario-level concern — see :func:`sanitize_scenario`.
+    ``spec_builder`` is called once per run, so a bug in spec construction
+    is exercised too.  The hashseed probe is a separate, scenario-level
+    concern — see :func:`sanitize_scenario`.
     """
     report = SanitizeReport(scenario=scenario, technique=technique, seed=seed)
-    baseline: Optional[RecordedRun] = None
-    for _ in range(max(2, runs)):
+    runs: List[RecordedRun] = []
+    for _ in range(2):
         try:
-            recorded = record_session(spec_builder(), tripwire=tripwire,
-                                      chaos=chaos)
+            recorded = record_session(spec_builder())
         except WallClockLeakError as leak:
             report.wall_clock_leak = str(leak)
             return report
         report.digests.append(recorded.digest)
         report.event_counts.append(len(recorded.events))
-        if baseline is None:
-            baseline = recorded
-            continue
-        divergence = first_divergence(baseline.events, recorded.events)
-        if divergence is not None:
-            report.divergence = divergence
-            return report
+        runs.append(recorded)
+    report.divergence = first_divergence(runs[0].events, runs[1].events)
     return report
 
 
 # -- hashseed probe (subprocess) ----------------------------------------------
 
-def _worker_payload(scenario: str, technique: str, params,
-                    chaos: Optional[str]) -> Dict[str, object]:
+def _worker_payload(scenario: str, technique: str,
+                    params) -> Dict[str, object]:
     from dataclasses import asdict
 
     return {
         "scenario": scenario,
         "technique": technique,
         "params": asdict(params),
-        "chaos": chaos,
     }
 
 
@@ -411,8 +311,7 @@ def run_sanitize_worker(payload: Dict[str, object]) -> Dict[str, object]:
 
     params = ScenarioParams(**payload["params"])
     spec = scenario_session(payload["scenario"], payload["technique"], params)
-    recorded = record_session(spec, tripwire=True,
-                              chaos=payload.get("chaos"))
+    recorded = record_session(spec)
     return {
         "digest": recorded.digest,
         "events": [list(event) for event in recorded.events],
@@ -451,9 +350,8 @@ def default_src_root() -> str:
 
 
 def sanitize_scenario(scenario: str, technique: str = "general",
-                      params=None, *, runs: int = 2,
-                      hashseed_probe: bool = True,
-                      chaos: Optional[str] = None) -> SanitizeReport:
+                      params=None, *,
+                      hashseed_probe: bool = True) -> SanitizeReport:
     """Sanitize one registered scenario end to end.
 
     In-process double run (+ wall-clock tripwire) first; then, unless
@@ -468,11 +366,10 @@ def sanitize_scenario(scenario: str, technique: str = "general",
     report = sanitize_spec(
         lambda: scenario_session(scenario, technique, params),
         scenario=scenario, technique=technique, seed=params.seed,
-        runs=runs, chaos=chaos,
     )
     if not report.ok or not hashseed_probe:
         return report
-    payload = _worker_payload(scenario, technique, params, chaos)
+    payload = _worker_payload(scenario, technique, params)
     left = _spawn_worker(payload, HASHSEED_PROBE_SEEDS[0])
     right = _spawn_worker(payload, HASHSEED_PROBE_SEEDS[1])
     report.hashseed_digests = [left.digest, right.digest]

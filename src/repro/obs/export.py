@@ -60,21 +60,6 @@ def write_jsonl(log: TraceLog, path) -> None:
         handle.write(trace_to_jsonl(log))
 
 
-def trace_from_jsonl(text: str) -> TraceLog:
-    """Rebuild a :class:`TraceLog` from :func:`trace_to_jsonl` output."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return TraceLog()
-    header = json.loads(lines[0])
-    return TraceLog(
-        technique=header.get("technique", ""),
-        kind=header.get("kind", ""),
-        seed=header.get("seed"),
-        meta=dict(header.get("meta") or {}),
-        events=[TraceEvent.from_dict(json.loads(line)) for line in lines[1:]],
-    )
-
-
 #: Overlay tracks: fault activations and the recovery phases are drawn on
 #: ``faults@<switch>`` / ``recovery@<switch>``, everything else on the switch.
 _OVERLAY_TRACKS = {PHASE_FAULT: "faults", PHASE_RESYNC_STARTED: "recovery",

@@ -15,7 +15,7 @@ prefix length so ``10.0.0.0/24`` style rules work.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.packet.addresses import ip_to_int, mac_to_int, prefix_mask
 from repro.packet.fields import (
@@ -133,10 +133,6 @@ class Match:
     def fields(self) -> Dict[HeaderField, Tuple[int, int]]:
         """Constrained fields as ``{field: (value, mask)}`` (a copy)."""
         return dict(self._fields)
-
-    def constrained_fields(self) -> Iterable[HeaderField]:
-        """The header fields this match constrains."""
-        return self._fields.keys()
 
     def is_wildcard(self, field: HeaderField | str) -> bool:
         """Whether ``field`` is unconstrained by this match."""

@@ -192,10 +192,18 @@ class RunStore:
 
     # -- objects --------------------------------------------------------------
     def load(self, digest: str) -> Optional[Dict[str, object]]:
+        """The stored object, or ``None`` if absent or not valid JSON.
+
+        Writes are not atomic, so a kill mid-write can leave a truncated
+        object; reading it as a miss lets the next ingest rewrite it.
+        """
         path = self.object_path(digest)
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:  # JSONDecodeError, or a cut multi-byte character
+            return None
 
     def _write(self, obj: Dict[str, object]) -> None:
         # Insertion order is deliberately preserved (no sort_keys): stored
@@ -388,8 +396,13 @@ class RunStore:
     def verify(self) -> List[str]:
         """Every integrity or digest-discipline problem, as one line each."""
         problems: List[str] = []
-        known = set(self.digests())
-        for obj in self.iter_objects():
+        stored = self.digests()
+        known = set(stored)
+        for name in stored:
+            obj = self.load(name)
+            if obj is None:
+                problems.append(f"{name}: object is not valid JSON")
+                continue
             digest = str(obj["digest"])
             pins = obj.get("sha1") or {}
             for part in ("record", "summary"):
@@ -534,7 +547,8 @@ def diff_inputs(store: RunStore,
         return as_path.name, payload, payload.get("trace")
     digest = store.resolve(ref)
     obj = store.load(digest)
-    assert obj is not None
+    if obj is None:
+        raise StoreError(f"{digest}: object is not valid JSON")
     record = obj.get("record")
     if record is not None:
         return digest, record, record.get("trace")

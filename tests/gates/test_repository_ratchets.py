@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: ``find src -name '*.py' | xargs cat | wc -l``.  Net ``src/`` lines only go
 #: down this round: a change that removes lines lowers the ceiling to what it
 #: reaches, a change that adds some deletes as many elsewhere.
-SOURCE_LINE_CEILING = 19580
+SOURCE_LINE_CEILING = 19272
 
 
 def test_source_lines_stay_under_the_ceiling():

@@ -3,18 +3,18 @@
 Three layers:
 
 * per-rule fixtures — every rule fires on its ``*_violation.py`` snippet
-  (golden diagnostic strings), stays silent on ``*_clean.py``, and honours a
-  justified suppression in ``*_suppressed.py``;
-* the engine — suppression policy (justification required, RL000
-  unsuppressable), registry contracts, the src/repro self-check;
+  (golden diagnostic strings) and stays silent on ``*_clean.py``; a rule's
+  ``allowed_modules`` is the only exemption, a ``noqa`` comment is none;
+* the engine — registry contracts, the src/repro self-check;
 * the sanitizer — clean double runs agree, injected nondeterminism is
-  caught and the report names the first divergent event, and the PR 2
+  caught and the report names the first divergent event, and the
   hash-fork bug is caught *both* statically (RL001) and at runtime (the
-  ``PYTHONHASHSEED`` probe).
+  ``PYTHONHASHSEED`` probe).  The bugs are injected here, by the tests,
+  not by anything in ``src/``.
 """
 
 import ast
-import json
+import itertools
 import time
 from pathlib import Path
 
@@ -22,19 +22,16 @@ import pytest
 
 from repro.lint import (
     ENGINE_CODE,
-    CHAOS_HOOKS,
     RULES,
     Diagnostic,
     LintRule,
     WallClockLeakError,
     available_rules,
-    count_by_code,
     default_target,
     first_divergence,
     get_rule,
     lint_paths,
     lint_source,
-    parse_suppressions,
     rule_catalog,
     sanitize_scenario,
     sanitize_spec,
@@ -42,6 +39,7 @@ from repro.lint import (
 )
 from repro.lint.sanitizer import record_session
 from repro.scenarios.base import ScenarioParams
+from repro.sim.rng import SeededRandom
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -70,11 +68,6 @@ def test_each_rule_fires_on_its_violation_fixture(code):
 @pytest.mark.parametrize("code", ALL_RULES)
 def test_each_rule_is_silent_on_its_clean_fixture(code):
     assert _lint_fixture(f"{code.lower()}_clean.py") == []
-
-
-@pytest.mark.parametrize("code", ALL_RULES)
-def test_each_rule_honours_a_justified_suppression(code):
-    assert _lint_fixture(f"{code.lower()}_suppressed.py") == []
 
 
 def test_golden_diagnostics_rl001():
@@ -112,38 +105,11 @@ def test_rl006_only_applies_to_hot_path_modules():
     assert lint_source(source, module="packet/fields.py")
 
 
-# -- suppression policy -------------------------------------------------------
+# -- exemptions ---------------------------------------------------------------
 
 
-def test_unjustified_suppression_is_rejected_and_does_not_suppress():
-    source = "seed = abs(hash(name))  # repro: noqa(RL001)\n"
-    codes = sorted(diag.code for diag in lint_source(source, module="x.py"))
-    assert codes == [ENGINE_CODE, "RL001"]
-
-
-def test_blanket_noqa_is_rejected():
-    source = "seed = abs(hash(name))  # repro: noqa\n"
-    codes = sorted(diag.code for diag in lint_source(source, module="x.py"))
-    assert codes == [ENGINE_CODE, "RL001"]
-
-
-def test_malformed_codes_are_rejected():
-    suppressions, problems = parse_suppressions(
-        "x = 1  # repro: noqa(RL1): too short\n", module="x.py")
-    assert suppressions == {}
-    assert [p.code for p in problems] == [ENGINE_CODE]
-
-
-def test_engine_code_cannot_be_suppressed():
-    suppressions, problems = parse_suppressions(
-        "x = 1  # repro: noqa(RL000): nice try\n", module="x.py")
-    assert suppressions == {}
-    assert [p.code for p in problems] == [ENGINE_CODE]
-
-
-def test_suppression_only_covers_the_named_codes():
-    source = ("seed = abs(hash(name))  "
-              "# repro: noqa(RL003): wrong code on purpose\n")
+def test_a_noqa_comment_exempts_nothing():
+    source = "seed = abs(hash(name))  # repro: noqa(RL001): any reason\n"
     assert [d.code for d in lint_source(source, module="x.py")] == ["RL001"]
 
 
@@ -206,12 +172,11 @@ def test_toy_rule_registration_roundtrip(toy_rule):
     assert any(d.code == "RL099" for d in diagnostics)
 
 
-def test_diagnostics_sort_and_count():
+def test_diagnostics_sort_by_location():
     a = Diagnostic("b.py", 1, 0, "RL001", "x")
     b = Diagnostic("a.py", 9, 0, "RL002", "y")
     c = Diagnostic("a.py", 2, 0, "RL002", "z")
     assert sorted([a, b, c]) == [c, b, a]
-    assert count_by_code([a, b, c]) == {"RL001": 1, "RL002": 2}
 
 
 # -- the self-check: this repository lints clean ------------------------------
@@ -232,6 +197,16 @@ def test_linter_runs_on_itself():
 
 _SMOKE = dict(flow_count=2, max_update_duration=5.0)
 
+#: The hash-fork bug: ``SeededRandom.fork`` deriving child seeds from
+#: ``hash()``, which ``PYTHONHASHSEED`` randomizes per interpreter.  RL001
+#: lints this text, and the runtime test installs it in-process and in the
+#: hashseed probe's workers.
+_HASH_FORK = (
+    "def fork(self, label):\n"
+    "    child_seed = abs(hash(f'{self.seed}:{label}')) % (2 ** 31) or 1\n"
+    "    return SeededRandom(child_seed)\n"
+)
+
 
 def test_sanitizer_clean_run_is_deterministic():
     report = sanitize_scenario(
@@ -243,10 +218,16 @@ def test_sanitizer_clean_run_is_deterministic():
     assert "deterministic" in report.render()
 
 
-def test_sanitizer_names_first_divergent_event_on_injected_drift():
+def test_sanitizer_names_first_divergent_event_on_injected_drift(monkeypatch):
+    # Child seeds drift with a process-wide fork counter, as leaked global
+    # state does: the second run of the same spec diverges from the first.
+    real_fork = SeededRandom.fork
+    forks = itertools.count(1)
+    monkeypatch.setattr(SeededRandom, "fork", lambda self, label: SeededRandom(
+        real_fork(self, label).seed + next(forks)))
     report = sanitize_scenario(
         "path-migration", "general", ScenarioParams(**_SMOKE),
-        hashseed_probe=False, chaos="fork-drift")
+        hashseed_probe=False)
     assert not report.ok
     assert report.divergence is not None
     # The report names the event, not just "digests differ".
@@ -259,20 +240,24 @@ def test_sanitizer_names_first_divergent_event_on_injected_drift():
 
 
 def test_hash_fork_bug_is_caught_statically_by_rl001():
-    # The literal PR 2 bug line, as the chaos hook re-introduces it.
-    source = (
-        "def fork(self, label):\n"
-        "    child_seed = abs(hash(f'{self.seed}:{label}')) % (2 ** 31) or 1\n"
-        "    return SeededRandom(child_seed)\n"
-    )
-    diagnostics = lint_source(source, module="sim/rng.py")
+    diagnostics = lint_source(_HASH_FORK, module="sim/rng.py")
     assert [d.code for d in diagnostics] == ["RL001"]
 
 
-def test_hash_fork_bug_is_caught_at_runtime_by_the_hashseed_probe():
+def test_hash_fork_bug_is_caught_at_runtime_by_the_hashseed_probe(
+        tmp_path, monkeypatch):
+    namespace = {"SeededRandom": SeededRandom}
+    exec(_HASH_FORK, namespace)
+    monkeypatch.setattr(SeededRandom, "fork", namespace["fork"])
+    # The probe's workers import sitecustomize at start-up; the sanitizer
+    # puts src/ ahead of the inherited PYTHONPATH, so they run the bug too.
+    (tmp_path / "sitecustomize.py").write_text(
+        "from repro.sim.rng import SeededRandom\n" + _HASH_FORK
+        + "SeededRandom.fork = fork\n", encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
     report = sanitize_scenario(
         "path-migration", "general", ScenarioParams(**_SMOKE),
-        hashseed_probe=True, chaos="hash-fork")
+        hashseed_probe=True)
     # Stable within a process: the in-process double run agrees...
     assert report.divergence is None
     assert len(set(report.digests)) == 1
@@ -333,25 +318,7 @@ def test_kernel_observer_refuses_to_nest():
     assert bare.events
 
 
-def test_chaos_hooks_registry():
-    assert set(CHAOS_HOOKS) == {"hash-fork", "fork-drift"}
-
-
 # -- CLI ----------------------------------------------------------------------
-
-
-def test_cli_json_report_on_fixture(tmp_path, capsys):
-    from repro.lint.__main__ import main
-
-    out = tmp_path / "report.json"
-    code = main([str(FIXTURES / "rl001_violation.py"),
-                 "--format", "json", "--out", str(out)])
-    assert code == 1
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    assert payload["count"] == 2
-    assert payload["counts"] == {"RL001": 2}
-    assert payload["rules"] == list(ALL_RULES)
-    capsys.readouterr()
 
 
 def test_cli_clean_exit_on_clean_fixture(capsys):
@@ -359,17 +326,6 @@ def test_cli_clean_exit_on_clean_fixture(capsys):
 
     assert main([str(FIXTURES / "rl003_clean.py")]) == 0
     assert "clean" in capsys.readouterr().out
-
-
-def test_cli_select_limits_rules(capsys):
-    from repro.lint.__main__ import main
-
-    assert main([str(FIXTURES / "rl001_violation.py"),
-                 "--select", "RL002"]) == 0
-    assert main([str(FIXTURES / "rl001_violation.py"),
-                 "--select", "RL001"]) == 1
-    assert main(["--select", "RL999"]) == 2
-    capsys.readouterr()
 
 
 def test_cli_list_rules(capsys):

@@ -242,6 +242,31 @@ class TestVerifyAndGc:
         assert store.lookup_key(spec_key({"ghost": True})) is None
         assert digest in store.digests()  # live objects untouched
 
+    def test_a_truncated_object_is_one_problem_not_a_failed_read(
+            self, tmp_path):
+        # Writes are not atomic: a kill mid-write leaves a cut object.
+        results = _campaign(tmp_path, techniques=["barrier", "general"])
+        store = RunStore(tmp_path / "store")
+        store.ingest(results)
+        by_technique = {record["technique"]: record
+                        for record in load_records(results)}
+        cut, healthy = by_technique["barrier"], by_technique["general"]
+        path = store.object_path(cut["digest"])
+        path.write_bytes(path.read_bytes()[:40])
+
+        assert store.verify() == [f"{cut['digest']}: object is not valid JSON"]
+        assert [row["digest"] for row in store.query()] == [healthy["digest"]]
+        assert store.cached_record(cut["cell_id"]) is None
+        spec = CampaignSpec(scenarios=["path-migration"],
+                            techniques=["barrier", "general"], seeds=[1],
+                            flow_count=2, max_update_duration=5.0)
+        outcome = CampaignRunner(spec, tmp_path / "rerun.jsonl", max_workers=1,
+                                 cache=store).run()
+        assert (outcome.ran, outcome.cached) == (1, 1)
+
+        store.ingest(results)  # re-ingesting rewrites the object
+        assert store.verify() == []
+
 
 #: A traced ``RunRecord.as_dict()`` payload as builds that sampled gauges
 #: wrote it: its ``trace`` carries a ``metrics`` key (a fault counter and six
