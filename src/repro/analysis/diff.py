@@ -13,7 +13,7 @@ diff`` and the campaign report's ``--baseline`` mode.  Two layers:
   lifecycles (:func:`repro.analysis.timeline.rule_lifecycles`) are aligned
   phase by phase and the **first divergent lifecycle event** is named with
   its time, switch and phase — the same first-divergence discipline the
-  determinism sanitizer applies to raw kernel event streams.  Cross-run
+  determinism gate applies to raw kernel event streams.  Cross-run
   alignment on xids is sound because xid counters reset per run.
 
 A diff of a traced run against a trace-off run degrades to the summary

@@ -16,9 +16,10 @@ cells/s throughput and peak RSS.  The runner additionally writes one
 for ETA math.
 
 This module is the campaign side's one sanctioned wall-clock reader (RL002
-allowlists it): heartbeats are *about* wall time, and nothing they measure
-feeds back into simulation state.  The runner routes its own elapsed/ETA
-arithmetic through :func:`wall_clock` for the same reason.
+in ``tests/gates/test_determinism_rules.py`` allowlists it): heartbeats are
+*about* wall time, and nothing they measure feeds back into simulation
+state.  The runner routes its own elapsed/ETA arithmetic through
+:func:`wall_clock` for the same reason.
 """
 
 from __future__ import annotations

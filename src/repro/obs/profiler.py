@@ -22,9 +22,9 @@ heap-churn count (callbacks scheduled while the site ran) without touching
 the kernel loop itself.  Observers only read; a profiled run computes the
 same outcome (and digest) as the identical unprofiled run.
 
-This module is allowlisted for RL002: reading ``time.perf_counter`` and
-``tracemalloc`` is the entire point of a profiler, and nothing it measures
-feeds back into simulation state.
+RL002 (``tests/gates/test_determinism_rules.py``) allowlists this module:
+reading ``time.perf_counter`` and ``tracemalloc`` is the entire point of a
+profiler, and nothing it measures feeds back into simulation state.
 
 While attached the profiler also listens on ``gc.callbacks`` (it observes
 the cyclic collector, it never tunes it): a collection pauses whichever

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterator, List, Optional
 
 from repro.packet.addresses import ip_to_int, mac_to_int
@@ -16,8 +15,6 @@ from repro.packet.fields import (
     HeaderField,
     IP_PROTO_UDP,
 )
-
-_packet_ids = itertools.count(1)
 
 #: Ethernet + IPv4 + UDP header bytes every packet carries on the wire.
 _HEADER_BYTES = 42
@@ -59,7 +56,6 @@ class Packet:
     """
 
     __slots__ = (
-        "packet_id",
         "_values",
         "payload_size",
         "total_size",
@@ -90,7 +86,6 @@ class Packet:
             if not (isinstance(value, int) and 0 <= value <= field_max[index]):
                 FIELD_REGISTRY[FIELD_ORDER[index]].validate(value)
             values[index] = value
-        self.packet_id = next(_packet_ids)
         self._values = values
         self.payload_size = int(payload_size)
         self.total_size = _HEADER_BYTES + self.payload_size
@@ -146,7 +141,6 @@ class Packet:
         array without re-validating.
         """
         clone = Packet.__new__(Packet)
-        clone.packet_id = next(_packet_ids)
         clone._values = self._values.copy()
         clone.payload_size = self.payload_size
         clone.total_size = self.total_size
@@ -174,7 +168,6 @@ class Packet:
         after the call.
         """
         packet = cls.__new__(cls)
-        packet.packet_id = next(_packet_ids)
         packet._values = values
         packet.payload_size = payload_size
         packet.total_size = _HEADER_BYTES + payload_size
@@ -193,7 +186,7 @@ class Packet:
         kind = "probe" if self.is_probe else "pkt"
         fields = ", ".join(f"{field.value}={value}" for field, value in sorted(
             self.headers.items(), key=lambda item: item[0].value))
-        return f"<{kind} #{self.packet_id} flow={self.flow_id} {fields}>"
+        return f"<{kind} flow={self.flow_id} {fields}>"
 
 
 #: Field indices used by :func:`make_ip_packet` (module-level constants keep

@@ -1,10 +1,10 @@
 """The one catalogue type behind every pluggable family of classes.
 
-Acknowledgment techniques, fault models, scenarios and lint rules are each
-looked up by a string key.  Each family's base class owns one
-:class:`Registry` and adds to it from ``__init_subclass__`` every subclass
-whose own class body sets the key, so defining the class *is* registering
-it: there is no decorator to forget, and a lookup returns the class itself.
+Acknowledgment techniques, fault models and scenarios are each looked up
+by a string key.  Each family's base class owns one :class:`Registry` and
+adds to it from ``__init_subclass__`` every subclass whose own class body
+sets the key, so defining the class *is* registering it: there is no
+decorator to forget, and a lookup returns the class itself.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ def run_session(spec: SessionSpec,
     :attr:`~repro.session.spec.SessionKnobs.profile` is set, a
     :class:`~repro.obs.profiler.Profiler` claims ``sim.observer`` and the
     record carries its :class:`~repro.obs.profiler.ProfileReport`.  An
-    ``observer`` passed in (the determinism sanitizer's recorder) takes that
+    ``observer`` passed in (the determinism gate's recorder) takes that
     slot instead; a simulator has one, so a session that is both profiled
     and observed raises.  All of them only *observe* — every
     instrumentation site is read-only and none schedules a callback — so a

@@ -82,7 +82,7 @@ class Simulator:
         #: just before each dispatched callback, or ``None``.  An observer
         #: only reads: an observed run keeps the event sequence (and
         #: digests) of an unobserved one.  One per simulator: the profiler
-        #: and the determinism sanitizer's recorder each claim it.
+        #: and the determinism gate's recorder each claim it.
         self.observer: Optional[Observer] = None
 
     # -- time ---------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -194,8 +194,8 @@ class RunStore:
     def load(self, digest: str) -> Optional[Dict[str, object]]:
         """The stored object, or ``None`` if absent or not valid JSON.
 
-        Writes are not atomic, so a kill mid-write can leave a truncated
-        object; reading it as a miss lets the next ingest rewrite it.
+        Writes are atomic, but a disk can still corrupt an object; reading
+        it as a miss lets the next ingest rewrite it.
         """
         path = self.object_path(digest)
         if not path.exists():
@@ -209,9 +209,13 @@ class RunStore:
         # Insertion order is deliberately preserved (no sort_keys): stored
         # summaries must re-serialize byte-identically to the campaign line
         # they came from, or the --cache re-emission path would reorder keys.
+        # Written aside and renamed, so a kill mid-write leaves no cut object
+        # at its final path (``digests()`` never lists a ``.json.tmp``).
         path = self.object_path(str(obj["digest"]))
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
+        tmp = path.with_suffix(".json.tmp")
+        tmp.write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
+        tmp.replace(path)
 
     def digests(self) -> List[str]:
         """Every stored digest, sorted."""

@@ -14,7 +14,6 @@ import pytest
 from repro.campaign.__main__ import main as campaign_main
 from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.figures import FIGURES
-from repro.lint.__main__ import main as lint_main
 from repro.obs.export import trace_to_chrome, validate_chrome_trace
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.store import RunStore
@@ -67,18 +66,6 @@ def test_a_recovered_run_shows_resync_spans_on_its_chrome_trace():
     names = [event["name"] for event in payload["traceEvents"]]
     assert names.count("resync") >= 1, "no resync spans on the trace"
     assert "rule-reinstalled" in names, "no reinstall instants"
-
-
-def test_the_sanitizer_cli_finds_a_scenario_deterministic_under_two_hash_seeds(capsys):
-    # The double run plus the PYTHONHASHSEED subprocess pair, the only probe
-    # that sees a hash-derived value.  On firewall-rollout because nothing
-    # else pins it: path-migration's outcomes are pinned digests, which a
-    # hash-derived value breaks under pytest's own random hash seed.  (That
-    # the probe *would* see one is tests/unit/test_lint.py's hash-fork test.)
-    code = lint_main(["--sanitize", "firewall-rollout", "--flows", "2"])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "hashseed probe" in out
 
 
 def test_the_experiments_cli_lists_the_catalogue_and_runs_a_named_figure(capsys):

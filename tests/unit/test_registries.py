@@ -1,10 +1,9 @@
-"""The four catalogues: techniques, fault models, scenarios and lint rules.
+"""The three catalogues: techniques, fault models and scenarios.
 
-Defining a subclass that sets its key (``name``; ``code`` for lint rules)
-is what registers it, so a forgotten registration cannot be written.  These
-tests pin what each catalogue holds, check that every such class in the
-package resolves to itself, and that a duplicate or empty key is refused at
-class definition.
+Defining a subclass that sets its ``name`` is what registers it, so a
+forgotten registration cannot be written.  These tests pin what each
+catalogue holds, check that every such class in the package resolves to
+itself, and that a duplicate or empty key is refused at class definition.
 """
 
 import pytest
@@ -19,16 +18,11 @@ from repro.faults import (
     FaultModel,
     available_faults,
 )
-from repro.lint import RULES, LintRule, available_rules
 from repro.scenarios import SCENARIOS, Scenario, available_scenarios
 
-#: ``(base class, key attribute, registry)`` of every family.
-FAMILIES = [
-    (AckTechnique, "name", TECHNIQUES),
-    (FaultModel, "name", FAULTS),
-    (Scenario, "name", SCENARIOS),
-    (LintRule, "code", RULES),
-]
+#: ``(base class, registry)`` of every family.
+FAMILIES = [(AckTechnique, TECHNIQUES), (FaultModel, FAULTS), (Scenario, SCENARIOS)]
+_IDS = [base.__name__ for base, _ in FAMILIES]
 
 
 def test_the_technique_catalogue_is_pinned():
@@ -53,10 +47,6 @@ def test_the_scenario_catalogue_is_pinned():
     ]
 
 
-def test_the_rule_catalogue_is_pinned():
-    assert available_rules() == ["RL001", "RL002", "RL003", "RL006"]
-
-
 def _package_subclasses(base):
     """Every subclass of ``base`` defined in the ``repro`` package."""
     seen, pending = [], list(base.__subclasses__())
@@ -68,15 +58,14 @@ def _package_subclasses(base):
     return seen
 
 
-@pytest.mark.parametrize("base, key, registry", FAMILIES,
-                         ids=[base.__name__ for base, _, _ in FAMILIES])
-def test_every_class_that_sets_its_key_resolves_to_itself(base, key, registry):
-    keyed = [cls for cls in _package_subclasses(base) if key in cls.__dict__]
+@pytest.mark.parametrize("base, registry", FAMILIES, ids=_IDS)
+def test_every_class_that_sets_its_key_resolves_to_itself(base, registry):
+    keyed = [cls for cls in _package_subclasses(base) if "name" in cls.__dict__]
     assert keyed
     for cls in keyed:
-        assert registry[cls.__dict__[key]] is cls
+        assert registry[cls.__dict__["name"]] is cls
     # ... and nothing else is in the catalogue.
-    assert sorted(registry) == sorted(cls.__dict__[key] for cls in keyed)
+    assert sorted(registry) == sorted(cls.__dict__["name"] for cls in keyed)
 
 
 def test_a_class_without_its_own_key_stays_out():
@@ -86,22 +75,20 @@ def test_a_class_without_its_own_key_stays_out():
     assert DelayedHttpRuleFault not in FAULTS.values()
 
 
-@pytest.mark.parametrize("base, key, registry", FAMILIES,
-                         ids=[base.__name__ for base, _, _ in FAMILIES])
-def test_a_duplicate_key_raises_at_class_definition(base, key, registry):
+@pytest.mark.parametrize("base, registry", FAMILIES, ids=_IDS)
+def test_a_duplicate_key_raises_at_class_definition(base, registry):
     taken = registry.names()[0]
     owner = registry[taken]
-    body = {"name": "duplicate", "layer": DATA_PLANE, key: taken}
+    body = {"name": taken, "layer": DATA_PLANE}
     with pytest.raises(ValueError, match="already registered"):
         type("Duplicate", (base,), body)
     assert registry[taken] is owner
 
 
-@pytest.mark.parametrize("base, key, registry", FAMILIES,
-                         ids=[base.__name__ for base, _, _ in FAMILIES])
-def test_an_empty_key_raises_at_class_definition(base, key, registry):
+@pytest.mark.parametrize("base, registry", FAMILIES, ids=_IDS)
+def test_an_empty_key_raises_at_class_definition(base, registry):
     before = dict(registry)
-    body = {"name": "nameless", "layer": DATA_PLANE, key: ""}
+    body = {"name": "", "layer": DATA_PLANE}
     with pytest.raises(ValueError):
         type("Nameless", (base,), body)
     assert dict(registry) == before

@@ -7,6 +7,7 @@ index behind the campaign ``--cache``, ``verify``'s corruption detection,
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -244,7 +245,7 @@ class TestVerifyAndGc:
 
     def test_a_truncated_object_is_one_problem_not_a_failed_read(
             self, tmp_path):
-        # Writes are not atomic: a kill mid-write leaves a cut object.
+        # Writes are atomic, but a disk can still cut an object.
         results = _campaign(tmp_path, techniques=["barrier", "general"])
         store = RunStore(tmp_path / "store")
         store.ingest(results)
@@ -265,6 +266,26 @@ class TestVerifyAndGc:
         assert (outcome.ran, outcome.cached) == (1, 1)
 
         store.ingest(results)  # re-ingesting rewrites the object
+        assert store.verify() == []
+
+    def test_a_write_killed_halfway_leaves_no_object(self, tmp_path,
+                                                     monkeypatch):
+        store = RunStore(tmp_path / "store")
+        payload = _record_payload()
+        write_text = Path.write_text
+
+        def killed_halfway(path, text, *args, **kwargs):
+            write_text(path, text[:len(text) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", killed_halfway)
+            with pytest.raises(KeyboardInterrupt):
+                store.put_record(payload)
+        assert store.verify() == []
+        assert store.digests() == []
+        digest = store.put_record(payload)  # the retry
+        assert store.digests() == [digest]
         assert store.verify() == []
 
 
