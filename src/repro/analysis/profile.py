@@ -2,9 +2,9 @@
 
 The profiler's raw output is per-callback-site accounting; this module turns
 it into the plain-text views the kernel-optimisation work reads: a top-N
-hot-callback table (where the wall time went), the per-event-class rollup,
-and the per-phase wall/memory split.  A site is a kernel callback, so a
-packet's whole switch hop (ingress, lookup, next transmit) reads as
+hot-callback table (where the wall time went) and the per-event-class
+rollup.  A site is a kernel callback, so a packet's whole switch hop
+(ingress, lookup, next transmit) reads as
 ``net.link.Link._flush_train`` and a generated packet as
 ``net.traffic.TrafficGenerator._emit``.  Everything renders through the same
 :func:`~repro.analysis.report.format_table` machinery as the campaign and
@@ -22,10 +22,6 @@ from repro.obs.profiler import ProfileReport
 HOT_CALLBACK_HEADERS = [
     "callback site", "calls", "wall [ms]", "share", "us/call", "scheduled",
 ]
-
-#: Headers of the per-phase table.
-PHASE_HEADERS = ["phase", "wall [ms]", "share", "events", "gc [ms]",
-                 "collections", "alloc [kB]", "peak [kB]"]
 
 
 def hot_callbacks(report: ProfileReport,
@@ -71,35 +67,6 @@ def _strip_site(site: str) -> str:
     return site[6:] if site.startswith("repro.") else site
 
 
-def _gc_ms(row: Dict[str, object]) -> str:
-    """Collector time of a phase or totals row (``-`` in older reports)."""
-    return f"{float(row['gc_s']) * 1000.0:.2f}" if "gc_s" in row else "-"
-
-
-def _collections(row: Dict[str, object]) -> str:
-    """Collections as ``young/middle/full`` (``-`` in older reports)."""
-    counts = row.get("gc_collections")
-    return "/".join(map(str, counts)) if counts else "-"
-
-
-def phase_rows(report: ProfileReport) -> List[List[object]]:
-    total_wall = sum(float(row.get("wall_s", 0.0)) for row in report.phases)
-    rows: List[List[object]] = []
-    for row in report.phases:
-        wall = float(row.get("wall_s", 0.0))
-        rows.append([
-            row.get("name", "?"),
-            f"{wall * 1000.0:.2f}",
-            _share(wall, total_wall),
-            row.get("events", 0),
-            _gc_ms(row),
-            _collections(row),
-            row.get("alloc_kb", "-"),
-            row.get("peak_kb", "-"),
-        ])
-    return rows
-
-
 def event_class_rows(report: ProfileReport) -> List[List[object]]:
     total_wall = float(report.totals.get("wall_s", 0.0))
     rows: List[List[object]] = []
@@ -117,27 +84,21 @@ def event_class_rows(report: ProfileReport) -> List[List[object]]:
 
 
 def render_profile_report(report: ProfileReport, top: int = 10) -> str:
-    """The full plain-text profile: header, phases, classes, hot callbacks."""
+    """The full plain-text profile: header, event classes, hot callbacks."""
     if not report:
         return "(empty profile: the session dispatched no observed events)"
-    events = report.totals.get("events", 0)
-    wall = float(report.totals.get("wall_s", 0.0))
+    totals = report.totals
+    events = totals["events"]
+    wall = float(totals["wall_s"])
     rate = f"{events / wall:,.0f} events/s" if wall > 0 else "-"
-    header = (f"Profile — {report.kind or 'session'}"
-              f"/{report.technique or '?'} seed={report.seed} "
-              f"({events} events, {wall * 1000.0:.1f} ms wall, {rate}; "
-              f"collector {_gc_ms(report.totals)} ms, "
-              f"{_collections(report.totals)} collections)")
-    sections = [header]
-    if report.phases:
-        sections.append(format_table(PHASE_HEADERS, phase_rows(report),
-                                     title="Phases"))
-    if report.callbacks:
-        sections.append(format_table(
-            ["event class", "calls", "wall [ms]", "share", "scheduled"],
-            event_class_rows(report),
-            title="Event classes"))
-        sections.append(format_table(
-            HOT_CALLBACK_HEADERS, hot_callback_rows(report, top=top),
-            title=f"Top {min(top, len(report.callbacks))} hot callbacks"))
-    return "\n\n".join(sections)
+    collections = "/".join(map(str, totals["gc_collections"]))
+    header = (f"Profile — {events} events, {wall * 1000.0:.1f} ms wall, {rate}; "
+              f"collector {float(totals['gc_s']) * 1000.0:.2f} ms, "
+              f"{collections} collections")
+    return "\n\n".join([
+        header,
+        format_table(["event class", "calls", "wall [ms]", "share", "scheduled"],
+                     event_class_rows(report), title="Event classes"),
+        format_table(HOT_CALLBACK_HEADERS, hot_callback_rows(report, top=top),
+                     title=f"Top {min(top, len(report.callbacks))} hot callbacks"),
+    ])

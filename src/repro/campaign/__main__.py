@@ -35,7 +35,6 @@ from repro.analysis.report import format_table
 from repro.campaign.grid import CampaignSpec
 from repro.campaign.report import render_report
 from repro.campaign.runner import CampaignRunner
-from repro.campaign.status import DEFAULT_STALE_AFTER, DEFAULT_STRAGGLER_FACTOR
 from repro.faults import available_faults, get_fault
 from repro.faults.plan import split_outside_parens
 from repro.scenarios import SCENARIOS, TOPOLOGY_FAMILIES, available_scenarios
@@ -94,16 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "heartbeat shards (pass the results directory, "
                              "the results file, or the heartbeats directory) "
                              "and exit; safe while the campaign is running")
-    parser.add_argument("--dead-after", type=float,
-                        default=DEFAULT_STALE_AFTER, metavar="SECONDS",
-                        help="--status: a worker silent this long mid-cell "
-                             "is flagged dead? (idle workers become exited; "
-                             f"default {DEFAULT_STALE_AFTER:.0f}s)")
-    parser.add_argument("--straggler-factor", type=float,
-                        default=DEFAULT_STRAGGLER_FACTOR, metavar="X",
-                        help="--status: a cell open longer than X times the "
-                             "fleet's median cell wall marks its worker a "
-                             f"straggler (default {DEFAULT_STRAGGLER_FACTOR:g}x)")
     commands = parser.add_subparsers(dest="command", required=False)
 
     commands.add_parser("list", help="list scenarios and topology families")
@@ -258,8 +247,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_status(args: argparse.Namespace) -> int:
     from repro.campaign.status import render_status
 
-    print(render_status(args.status, stale_after=args.dead_after,
-                        straggler_factor=args.straggler_factor))
+    print(render_status(args.status))
     return 0
 
 

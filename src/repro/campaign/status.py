@@ -73,19 +73,16 @@ def resolve_heartbeat_dir(path: Path) -> Path:
     return path.parent / "heartbeats"
 
 
-def worker_statuses(
-    shards: Dict[int, List[Dict[str, object]]],
-    now: float,
-    stale_after: float = DEFAULT_STALE_AFTER,
-    straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
-) -> List[WorkerStatus]:
+def worker_statuses(shards: Dict[int, List[Dict[str, object]]],
+                    now: float) -> List[WorkerStatus]:
     """Per-worker health rows, sorted by pid.
 
     State ladder: a worker with an open cell is ``running``, promoted to
     ``straggler`` when the cell has been open longer than
-    ``straggler_factor`` × the fleet's median completed-cell wall, and to
-    ``dead?`` when it also has not beaten for ``stale_after`` seconds.
-    Without an open cell it is ``idle`` (recent beat) or ``exited``.
+    :data:`DEFAULT_STRAGGLER_FACTOR` × the fleet's median completed-cell
+    wall, and to ``dead?`` when it also has not beaten for
+    :data:`DEFAULT_STALE_AFTER` seconds.  Without an open cell it is
+    ``idle`` (recent beat) or ``exited``.
     """
     statuses: List[WorkerStatus] = []
     for pid in sorted(shards):
@@ -116,12 +113,12 @@ def worker_statuses(
         if status.current_cell is not None:
             status.state = "running"
             if (median_wall is not None and status.open_for_s is not None
-                    and status.open_for_s > straggler_factor * median_wall):
+                    and status.open_for_s > DEFAULT_STRAGGLER_FACTOR * median_wall):
                 status.state = "straggler"
-            if status.last_beat_age_s > stale_after:
+            if status.last_beat_age_s > DEFAULT_STALE_AFTER:
                 status.state = "dead?"
         else:
-            status.state = ("exited" if status.last_beat_age_s > stale_after
+            status.state = ("exited" if status.last_beat_age_s > DEFAULT_STALE_AFTER
                             else "idle")
     return statuses
 
@@ -149,13 +146,13 @@ def _worker_rows(statuses: List[WorkerStatus]) -> List[List[object]]:
     return rows
 
 
-def render_status(
-    path: Path,
-    now: Optional[float] = None,
-    stale_after: float = DEFAULT_STALE_AFTER,
-    straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
-) -> str:
-    """The fleet-health view for one campaign's heartbeat directory."""
+def render_status(path: Path, now: Optional[float] = None) -> str:
+    """The fleet-health view for one campaign's heartbeat directory.
+
+    Only beats stamped at or after the manifest's ``started`` count: a
+    resumed invocation writes a new manifest whose ``pending`` covers its
+    own cells, and the shards of the invocation before it stay on disk.
+    """
     heartbeat_dir = resolve_heartbeat_dir(Path(path))
     shards = load_shards(heartbeat_dir)
     if not shards:
@@ -164,8 +161,11 @@ def render_status(
     if now is None:
         now = wall_now()
     manifest = load_manifest(heartbeat_dir)
-    statuses = worker_statuses(shards, now, stale_after=stale_after,
-                               straggler_factor=straggler_factor)
+    started = float(manifest.get("started", 0.0))
+    current = {pid: kept for pid, lines in shards.items()
+               if (kept := [line for line in lines
+                            if float(line.get("ts", 0.0)) >= started])}
+    statuses = worker_statuses(current, now)
 
     done = sum(status.cells_done for status in statuses)
     throughput = sum(status.cells_per_s for status in statuses

@@ -432,16 +432,14 @@ def resolve_targets(
 
 @dataclass
 class FaultPlan:
-    """A seeded list of plan entries (specs, groups, rolling waves).
+    """A list of plan entries (specs, groups, rolling waves).
 
     An empty plan is exactly the fault-free path — ``SessionSpec`` treats
-    ``faults=None`` and ``faults=FaultPlan()`` identically.
+    ``faults=None`` and ``faults=FaultPlan()`` identically.  Its schedules
+    are seeded by the session seed, so one seed knob determines the run.
     """
 
     specs: List[PlanEntry] = field(default_factory=list)
-    #: Root seed of every fault schedule; ``None`` derives it from the
-    #: session seed so one seed knob still determines the whole run.
-    seed: Optional[int] = None
 
     def empty(self) -> bool:
         return not self.specs
@@ -480,20 +478,14 @@ class FaultPlan:
     # -- codecs ---------------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
         """Canonical JSON form; :meth:`from_dict` round-trips it exactly."""
-        return {
-            "specs": [entry.as_dict() for entry in self.specs],
-            "seed": self.seed,
-        }
+        return {"specs": [entry.as_dict() for entry in self.specs]}
 
     @classmethod
     def from_dict(cls, payload: Optional[Dict[str, object]]) -> "FaultPlan":
         if payload is None:
             return cls()
-        return cls(
-            specs=[_entry_from_dict(entry)
-                   for entry in payload.get("specs") or []],
-            seed=payload.get("seed"),
-        )
+        return cls(specs=[_entry_from_dict(entry)
+                          for entry in payload.get("specs") or []])
 
     def to_string(self) -> str:
         """Compact one-line form (campaign axes); ``"none"`` when empty."""
@@ -502,15 +494,11 @@ class FaultPlan:
         return "+".join(entry.to_string() for entry in self.specs)
 
     @classmethod
-    def from_string(cls, text: Optional[str],
-                    seed: Optional[int] = None) -> "FaultPlan":
+    def from_string(cls, text: Optional[str]) -> "FaultPlan":
         if text is None or text.strip().lower() in NO_FAULTS:
-            return cls(seed=seed)
-        return cls(
-            specs=[_parse_entry(part)
-                   for part in split_outside_parens(text, "+")],
-            seed=seed,
-        )
+            return cls()
+        return cls(specs=[_parse_entry(part)
+                          for part in split_outside_parens(text, "+")])
 
     def describe(self) -> str:
         """Short human-readable label for progress output and reports."""
@@ -590,20 +578,19 @@ def arm_fault_plan(
     sim: "Simulator",
     network: "Network",
     plan: Optional[FaultPlan],
-    default_seed: int = 7,
+    seed: int = 7,
 ) -> ArmedFaults:
     """Expand and install ``plan`` against ``network``.
 
     Every expanded (entry, target) instance gets its own fault object and an
-    RNG forked by a label — ``fault:<slot>:<name>:<target>`` — from the plan
-    seed (or ``default_seed``), so schedules are deterministic and
-    independent of both arming order and how many other faults the plan
-    carries.
+    RNG forked by a label — ``fault:<slot>:<name>:<target>`` — from ``seed``
+    (the session's), so schedules are deterministic and independent of both
+    arming order and how many other faults the plan carries.
     """
     armed = ArmedFaults()
     if plan is None or plan.empty():
         return armed
-    root = SeededRandom(plan.seed if plan.seed is not None else default_seed)
+    root = SeededRandom(seed)
     dataplane_faults: Dict[str, List[FaultModel]] = {}
     control_faults: Dict[str, List[FaultModel]] = {}
     for slot, name, params, target in plan.expanded(network):

@@ -16,8 +16,10 @@ makes that gap a first-class measurement instead of an end-of-run aggregate:
   package (pinned by the existing digest tests).  A traced run only appends
   events: it schedules nothing, so it executes the kernel steps of its bare
   twin;
-* :mod:`repro.obs.export` — JSONL and Chrome trace-event/Perfetto
-  exporters plus a schema validator for CI.
+* :mod:`repro.obs.export` — the Chrome trace-event/Perfetto exporter
+  plus a schema validator for CI;
+* :mod:`repro.obs.profiler` — the :class:`~repro.obs.profiler.Profiler`, a
+  kernel observer passed in as ``spec.run(observer=...)``.
 
 Arm tracing declaratively with ``SessionSpec(trace=True)`` (or
 ``ScenarioParams(trace=True)``, or ``python -m repro.campaign run --trace``);
@@ -41,10 +43,8 @@ from repro.obs.events import (
 )
 from repro.obs.export import (
     trace_to_chrome,
-    trace_to_jsonl,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.profiler import ProfileReport, Profiler
 from repro.obs.tracer import Tracer
@@ -65,8 +65,6 @@ __all__ = [
     "TraceLog",
     "Tracer",
     "trace_to_chrome",
-    "trace_to_jsonl",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -1,4 +1,4 @@
-"""Trace exporters: JSONL for tooling, Chrome trace-event JSON for Perfetto.
+"""Trace exporter: Chrome trace-event JSON for Perfetto.
 
 The Chrome trace-event format (the ``{"traceEvents": [...]}`` JSON object
 understood by ``chrome://tracing`` and https://ui.perfetto.dev) maps
@@ -43,21 +43,6 @@ _PID = 1
 
 #: Events encoded per ``json.dumps`` call when a shard is written.
 _BATCH = 512
-
-
-def trace_to_jsonl(log: TraceLog) -> str:
-    """One JSON object per line: a header line, then one line per event."""
-    lines = [json.dumps({"technique": log.technique, "kind": log.kind,
-                         "seed": log.seed, "meta": log.meta},
-                        sort_keys=True)]
-    lines.extend(json.dumps(event.as_dict(), sort_keys=True)
-                 for event in log.events)
-    return "\n".join(lines) + "\n"
-
-
-def write_jsonl(log: TraceLog, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(trace_to_jsonl(log))
 
 
 #: Overlay tracks: fault activations and the recovery phases are drawn on

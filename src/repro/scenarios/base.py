@@ -68,10 +68,6 @@ class ScenarioParams:
     #: Arm rule-lifecycle tracing (see :mod:`repro.obs`); the run's record
     #: then carries a :class:`~repro.obs.events.TraceLog`.
     trace: bool = False
-    #: Arm the sim-profiler (see :mod:`repro.obs.profiler`); the run's record
-    #: then carries a :class:`~repro.obs.profiler.ProfileReport` with
-    #: per-callback wall/heap-churn attribution and per-phase memory splits.
-    profile: bool = False
 
     def scaled(self, **overrides) -> "ScenarioParams":
         """A copy with selected fields replaced."""

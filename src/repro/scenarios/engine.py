@@ -55,7 +55,6 @@ def scenario_session(
             max_unconfirmed=params.max_unconfirmed or max(2 * params.flow_count, 16),
             rate_pps=params.rate_pps,
             recovery=scenario.recovery_policy(),
-            profile=params.profile,
         ),
         labels={
             "scenario": scenario.name,

@@ -35,7 +35,6 @@ from repro.controller.update_plan import PlanExecutor
 from repro.faults.plan import ArmedFaults, arm_fault_plan
 from repro.net.network import Network
 from repro.net.traffic import TrafficGenerator
-from repro.obs.profiler import Profiler
 from repro.obs.tracer import Tracer
 from repro.recovery.manager import RecoveryManager
 from repro.session.record import RunRecord
@@ -54,16 +53,13 @@ def run_session(spec: SessionSpec,
     :attr:`~repro.session.spec.SessionSpec.trace` is set, ``sim.tracer`` is
     a collecting :class:`~repro.obs.tracer.Tracer` — every layer that emits
     a semantic event already holds the simulator — and the resulting
-    :class:`~repro.obs.events.TraceLog` rides on the record.  When
-    :attr:`~repro.session.spec.SessionKnobs.profile` is set, a
-    :class:`~repro.obs.profiler.Profiler` claims ``sim.observer`` and the
-    record carries its :class:`~repro.obs.profiler.ProfileReport`.  An
-    ``observer`` passed in (the determinism gate's recorder) takes that
-    slot instead; a simulator has one, so a session that is both profiled
-    and observed raises.  All of them only *observe* — every
+    :class:`~repro.obs.events.TraceLog` rides on the record.  ``observer``
+    becomes ``sim.observer``, the kernel's event tap: the caller owns it and
+    reads it after the run (a :class:`~repro.obs.profiler.Profiler`, the
+    determinism gate's recorder).  Both only *observe* — every
     instrumentation site is read-only and none schedules a callback — so a
-    traced, profiled or observed run executes the kernel steps, and computes
-    the outcome (and digest), of the identical bare run.
+    traced or observed run executes the kernel steps, and computes the
+    outcome (and digest), of the identical bare run.
 
     The function that builds a graph dismantles it.  A wired session is one
     cycle of references (switch <-> agent <-> channel <-> proxy <->
@@ -83,25 +79,16 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
     technique = spec.resolved_technique()
     knobs = spec.knobs
     workload = spec.workload
-    identity = {"technique": technique.name, "kind": spec.kind,
-                "seed": knobs.seed}
 
     # 1. Topology, network, flows, pre-update forwarding state ----------------
     sim = Simulator()
     dismantle.callback(sim.clear)
     if spec.trace:
-        sim.tracer = Tracer(**identity)
+        sim.tracer = Tracer(technique=technique.name, kind=spec.kind,
+                            seed=knobs.seed)
     # The kernel binds its observer locally at each run() entry, so every
     # tap must be in place before the first sim.run below.
     sim.observer = observer
-    profiler: Optional[Profiler] = None
-    if knobs.profile:
-        profiler = Profiler(**identity)
-        profiler.attach(sim)
-        # Its gc listener and tracemalloc are process-wide: a crashing
-        # session must not leave them behind.
-        dismantle.callback(profiler.detach)
-        profiler.phase("setup")
     rng = SeededRandom(knobs.seed)
     topology = spec.topology()
     network = Network(sim, topology, seed=knobs.seed)
@@ -129,7 +116,7 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
     # fault-free event sequence — and therefore every digest — byte-identical.
     armed: Optional[ArmedFaults] = None
     if spec.faults is not None and not spec.faults.empty():
-        armed = arm_fault_plan(sim, network, spec.faults, default_seed=knobs.seed)
+        armed = arm_fault_plan(sim, network, spec.faults, seed=knobs.seed)
 
     # 2c. Recovery ---------------------------------------------------------------
     # Only an *active* policy constructs a manager; with ``recovery`` unset
@@ -155,8 +142,6 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
         traffic.start()
 
     # 4. Update plan -------------------------------------------------------------
-    if profiler is not None:
-        profiler.phase("update")
     plan = spec.plan_builder(network, flows)
     executor = PlanExecutor(
         sim,
@@ -180,8 +165,6 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
     completed = executor.done.triggered
 
     # 5. Grace window / settling -------------------------------------------------
-    if profiler is not None:
-        profiler.phase("drain")
     if traffic is not None:
         stop_at = sim.now + knobs.grace
         traffic.stop_all(stop_at)
@@ -190,8 +173,6 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
         sim.run(until=sim.now + knobs.settle)
 
     # 6. Post-processing -----------------------------------------------------------
-    if profiler is not None:
-        profiler.phase("analyze")
     markers = workload.markers(network, flows) if workload.markers else None
     stats = []
     if markers:
@@ -255,11 +236,6 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
             "topology": topology.name,
             "faults": (spec.faults.to_string()
                        if spec.faults is not None else "none"),
-            "kernel": sim.stats(),
-        })
-    if profiler is not None:
-        record.profile = profiler.finish(meta={
-            "topology": topology.name,
             "kernel": sim.stats(),
         })
     return record

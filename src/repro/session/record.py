@@ -12,9 +12,9 @@ for determinism checks.
 A record has two parts.  :meth:`RunRecord.outcome` is what the simulation
 computed, and the *only* thing :meth:`RunRecord.digest` hashes.  Everything
 else — ``spec`` (provenance) and the armed-only observations
-(``fault_events``, ``recovery``, ``trace``, ``profile``) — rides beside it
-in :meth:`RunRecord.as_dict` and cannot reach the digest: a field is
-digested only if someone puts it in :meth:`RunRecord.outcome`.
+(``fault_events``, ``recovery``, ``trace``) — rides beside it in
+:meth:`RunRecord.as_dict` and cannot reach the digest: a field is digested
+only if someone puts it in :meth:`RunRecord.outcome`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.activation import ActivationDelays
 from repro.analysis.flowstats import FlowUpdateStats
 from repro.obs.events import TraceLog
-from repro.obs.profiler import ProfileReport
 
 #: Schema version stamped into serialized records.
 RECORD_SCHEMA = 1
@@ -140,9 +139,6 @@ class RunRecord:
     #: Rule-lifecycle trace collected when the spec armed tracing
     #: (``None`` otherwise); see :mod:`repro.obs`.
     trace: Optional[TraceLog] = None
-    #: Per-callback/per-phase attribution collected when the knobs armed
-    #: profiling (``None`` otherwise); see :mod:`repro.obs.profiler`.
-    profile: Optional[ProfileReport] = None
 
     # -- derived views ---------------------------------------------------------
     def update_pairs(self) -> List[Tuple[Optional[float], Optional[float]]]:
@@ -214,8 +210,6 @@ class RunRecord:
             payload["recovery"] = dict(self.recovery)
         if self.trace:
             payload["trace"] = self.trace.as_dict()
-        if self.profile:
-            payload["profile"] = self.profile.as_dict()
         return payload
 
     @classmethod
@@ -256,8 +250,6 @@ class RunRecord:
             recovery=dict(payload.get("recovery") or {}),
             trace=(TraceLog.from_dict(payload["trace"])
                    if payload.get("trace") else None),
-            profile=(ProfileReport.from_dict(payload["profile"])
-                     if payload.get("profile") else None),
         )
 
     def summary(self) -> Dict[str, object]:

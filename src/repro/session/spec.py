@@ -98,13 +98,6 @@ class SessionKnobs:
     #: keeps the pre-recovery code paths byte-identical.  See
     #: :mod:`repro.recovery`.
     recovery: Optional["RecoveryPolicy"] = None
-    #: Arm the sim-profiler for this run: the engine attaches a collecting
-    #: :class:`~repro.obs.profiler.Profiler` as the simulator's event
-    #: observer and the record carries the resulting
-    #: :class:`~repro.obs.profiler.ProfileReport`.  Profiling only observes
-    #: — profiled and unprofiled runs of the same spec produce identical
-    #: digests.
-    profile: bool = False
 
 
 @dataclass
@@ -185,25 +178,26 @@ class SessionSpec:
         return config
 
     def _knobs_config(self) -> Dict[str, object]:
-        """JSON form of the knobs; optional keys exist only when armed.
+        """JSON form of the knobs; ``recovery`` exists only when armed.
 
-        An absent recovery policy and a disabled one are both "no recovery",
-        and a ``profile: False`` knob is "no profiler": omitting both keys
-        keeps knob encodings byte-identical to configs produced before those
-        subsystems existed.
+        An absent recovery policy and a disabled one are both "no recovery":
+        omitting the key keeps knob encodings byte-identical to configs
+        produced before that subsystem existed.
         """
         knobs = asdict(self.knobs)
         if knobs.get("recovery") is None:
             knobs.pop("recovery", None)
-        if not knobs.get("profile"):
-            knobs.pop("profile", None)
         return knobs
 
     def run(self, observer: Optional[Observer] = None):
         """Execute the session; returns a :class:`~repro.session.record.RunRecord`.
 
-        ``observer`` becomes the simulator's event tap (see
-        :func:`~repro.session.engine.run_session`).
+        ``observer`` becomes the simulator's event tap, called before each
+        dispatched callback (see :func:`~repro.session.engine.run_session`).
+        A profile is taken this way::
+
+            with Profiler() as profiler:
+                spec.run(observer=profiler)
         """
         from repro.session.engine import run_session
 

@@ -17,8 +17,11 @@ the object that did the work.
 
 A simulator is also where a session's observation lives: ``sim.tracer``
 (lifecycle events, read by the layers that emit them) and ``sim.observer``
-(the event tap, read by the run loop).  Both are ``None`` on a bare run, and
-there is no process-wide state, so one session cannot leak into the next.
+(the event tap, read by the run loop and called as
+``observer(sim, time, callback, args)``, so an observer that measures heap
+churn reads ``sim.schedule_sequence`` without holding the simulator).  Both
+are ``None`` on a bare run, and there is no process-wide state, so one
+session cannot leak into the next.
 
 The execution loop is the hottest code in the repository: an end-to-end
 experiment dispatches millions of tiny callbacks.  :meth:`Simulator.run`
@@ -37,8 +40,8 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
 
-#: The kernel event tap: ``(time, callback, args) -> None``.
-Observer = Callable[[float, Callable, tuple], None]
+#: The kernel event tap: ``(sim, time, callback, args) -> None``.
+Observer = Callable[["Simulator", float, Callable, tuple], None]
 
 
 class StopSimulation(Exception):
@@ -78,11 +81,12 @@ class Simulator:
         #: kernel never reads it; it rides here because every layer that
         #: emits a lifecycle event already holds the simulator.
         self.tracer: Optional[Tracer] = None
-        #: Event-stream tap, called as ``observer(time, callback, args)``
-        #: just before each dispatched callback, or ``None``.  An observer
-        #: only reads: an observed run keeps the event sequence (and
-        #: digests) of an unobserved one.  One per simulator: the profiler
-        #: and the determinism gate's recorder each claim it.
+        #: Event-stream tap, called as ``observer(self, time, callback,
+        #: args)`` just before each dispatched callback, or ``None``.  An
+        #: observer only reads: an observed run keeps the event sequence (and
+        #: digests) of an unobserved one.  A session sets it from
+        #: ``spec.run(observer=...)``, the one way in for the profiler and
+        #: the determinism gate's recorder alike.
         self.observer: Optional[Observer] = None
 
     # -- time ---------------------------------------------------------------
@@ -171,7 +175,7 @@ class Simulator:
         self._now = max(self._now, time)
         self.steps_executed += 1
         if self.observer is not None:
-            self.observer(time, callback, args)
+            self.observer(self, time, callback, args)
         callback(*args)
         return True
 
@@ -212,7 +216,7 @@ class Simulator:
                             "simulation time went backwards (kernel bug)"
                         )
                     if observer is not None:
-                        observer(time, callback, args)
+                        observer(self, time, callback, args)
                     callback(*args)
                     steps += 1
                 # Heap drained before the stop time: idle out the tail.

@@ -9,7 +9,6 @@ value; each runs this file (``python test_determinism.py <scenario>
 type and ``.name``, never ``repr``, which embeds addresses and xids.
 """
 
-import dataclasses
 import itertools
 import json
 import os
@@ -78,7 +77,7 @@ def record(spec):
     _reset_process_counters()
     events = []
 
-    def observer(ts, callback, args):
+    def observer(_sim, ts, callback, args):
         events.append((ts, _callback_name(callback), ", ".join(map(_describe, args))))
 
     with wall_clock_tripwire():
@@ -176,16 +175,6 @@ def test_injected_drift_names_the_first_divergent_event(monkeypatch):
     divergence = first_divergence(first, second)
     assert divergence.startswith("first divergent simulator event at index")
     assert "run 1: t=" in divergence and "run 2: t=" in divergence
-
-
-def test_a_profiled_session_cannot_also_be_recorded():
-    # One simulator has one observer slot, and the failed attempt leaves
-    # nothing behind.
-    profiled = scenario_session("path-migration", "general",
-                                dataclasses.replace(_PARAMS, profile=True))
-    with pytest.raises(RuntimeError, match="already has an event observer"):
-        record(profiled)
-    assert _record_cell("path-migration", "general")[1]
 
 
 if __name__ == "__main__":

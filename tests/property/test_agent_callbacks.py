@@ -179,7 +179,7 @@ def _execute(agent_class, overrides, program, cuts):
             sim.schedule_at(now, plane.receive, _message(index, action))
 
     sim.observer = (
-        lambda time, _callback, _args: stream.append((time, sim.schedule_sequence)))
+        lambda sim, time, _callback, _args: stream.append((time, sim.schedule_sequence)))
     for until in cuts:
         sim.run(until=until)
         at_cuts.append((sim.now, sim.steps_executed, sim.schedule_sequence,

@@ -49,10 +49,7 @@ def fault_specs(draw):
 
 @st.composite
 def fault_plans(draw):
-    return FaultPlan(
-        specs=draw(st.lists(fault_specs(), min_size=1, max_size=4)),
-        seed=draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2**31))),
-    )
+    return FaultPlan(specs=draw(st.lists(fault_specs(), min_size=1, max_size=4)))
 
 
 # -- codec round trips -----------------------------------------------------------
@@ -111,7 +108,7 @@ def _drive_faulted_network(plan, seed):
         endpoint.on_message(
             lambda message, name=name: observed.append(
                 (round(sim.now, 9), name, type(message).__name__)))
-    armed = arm_fault_plan(sim, network, plan, default_seed=seed)
+    armed = arm_fault_plan(sim, network, plan, seed=seed)
     network.start()
     for index, name in enumerate(network.switch_names()):
         endpoint = network.controller_endpoint(name)

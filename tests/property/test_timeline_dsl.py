@@ -78,9 +78,7 @@ def timeline_plans(draw):
     entries = draw(st.lists(
         st.one_of(fault_specs(), group_specs(), rolling_specs()),
         min_size=1, max_size=3))
-    seed = draw(st.one_of(st.none(),
-                          st.integers(min_value=0, max_value=2**31)))
-    return FaultPlan(specs=list(entries), seed=seed)
+    return FaultPlan(specs=list(entries))
 
 
 # -- codec round trips -----------------------------------------------------------
@@ -148,7 +146,7 @@ def _drive_faulted_network(plan, seed):
         endpoint.on_message(
             lambda message, name=name: observed.append(
                 (round(sim.now, 9), name, type(message).__name__)))
-    armed = arm_fault_plan(sim, network, plan, default_seed=seed)
+    armed = arm_fault_plan(sim, network, plan, seed=seed)
     network.start()
     for index, name in enumerate(network.switch_names()):
         endpoint = network.controller_endpoint(name)

@@ -331,6 +331,22 @@ class TestStatus:
         assert "4 cells done" in render_status(tmp_path)
         assert "4 cells done" in render_status(tmp_path / "heartbeats")
 
+    def test_a_resume_counts_only_the_beats_of_its_own_invocation(self, tmp_path):
+        from repro.campaign.heartbeat import write_manifest
+        from repro.campaign.status import render_status
+
+        results = tmp_path / "results.jsonl"
+        CampaignRunner(_tiny_spec(seeds=[1]), results, max_workers=2).run()
+        # A 4-cell resume has written its manifest and none of its workers
+        # has beaten yet; the first run's shards stay on disk.
+        write_manifest(tmp_path / "heartbeats", total_cells=4, pending=2,
+                       workers=2, results=str(results))
+        assert render_status(results).splitlines()[0] == (
+            "Campaign status — 0 cells done, 2 of 2 pending remain (4 total in grid)")
+        CampaignRunner(_tiny_spec(), results, max_workers=2).run()
+        assert render_status(results).startswith(
+            "Campaign status — 2 cells done, 0 of 2 pending remain (4 total in grid)")
+
     def test_running_straggler_and_dead_detection(self, tmp_path):
         from repro.campaign.status import render_status, worker_statuses
         from repro.campaign.heartbeat import load_shards
@@ -402,7 +418,7 @@ class TestStatus:
 
 
 class TestStatusThresholds:
-    """The --dead-after / --straggler-factor knobs (once hard-coded)."""
+    """The dead and straggler thresholds, crossed by moving ``now``."""
 
     @staticmethod
     def _write_shard(directory, pid, lines):
@@ -421,44 +437,36 @@ class TestStatusThresholds:
 
     def test_stale_after_promotes_running_to_dead(self, tmp_path):
         from repro.campaign.heartbeat import load_shards
-        from repro.campaign.status import worker_statuses
+        from repro.campaign.status import DEFAULT_STALE_AFTER, worker_statuses
 
         now = 1000.0
         self._midcell_fleet(tmp_path, now)
         shards = load_shards(tmp_path)
-        # Default 120s window: 30s of silence is fine; the long cell is
-        # already past the default 4x median, so the worker is a straggler.
-        default = worker_statuses(shards, now=now)
-        assert default[0].state == "straggler"
-        # Tightened to 10s: the same worker is presumed dead.
-        tight = worker_statuses(shards, now=now, stale_after=10.0)
-        assert tight[0].state == "dead?"
+        # 30s of silence is fine; the long cell is already past the
+        # straggler window, so the worker is a straggler ...
+        assert worker_statuses(shards, now=now)[0].state == "straggler"
+        # ... until its last beat is older than the stale window.
+        last_beat = now - 30
+        assert worker_statuses(
+            shards, now=last_beat + DEFAULT_STALE_AFTER)[0].state == "straggler"
+        assert worker_statuses(
+            shards, now=last_beat + DEFAULT_STALE_AFTER + 1)[0].state == "dead?"
 
     def test_straggler_factor_widens_the_window(self, tmp_path):
         from repro.campaign.heartbeat import load_shards
-        from repro.campaign.status import worker_statuses
+        from repro.campaign.status import DEFAULT_STRAGGLER_FACTOR, worker_statuses
 
         now = 1000.0
         self._midcell_fleet(tmp_path, now)
         shards = load_shards(tmp_path)
-        # 30s open vs 2s median: 4x flags it, 20x does not.
-        loose = worker_statuses(shards, now=now, straggler_factor=20.0)
-        assert loose[0].state == "running"
-        strict = worker_statuses(shards, now=now, straggler_factor=4.0)
-        assert strict[0].state == "straggler"
-
-    def test_cli_passes_thresholds_through(self, tmp_path, capsys):
-        from repro.campaign.__main__ import main
-
-        now = 1000.0
-        self._midcell_fleet(tmp_path, now)
-        # A huge straggler factor and a tiny dead window: the CLI must
-        # thread both through to worker_statuses. With real wall-clock
-        # "now" the 30s-old beat is far staler than 1e-6s, so dead?.
-        assert main(["--status", str(tmp_path),
-                     "--dead-after", "1e-6",
-                     "--straggler-factor", "1e9"]) == 0
-        assert "dead?" in capsys.readouterr().out
+        # The cell opened 30s ago; the fleet's median wall is 2s.  The factor
+        # widens the window from one median wall to that many.
+        opened, median = now - 30, 2.0
+        window = DEFAULT_STRAGGLER_FACTOR * median
+        assert window > median
+        assert worker_statuses(shards, now=opened + median + 1)[0].state == "running"
+        assert worker_statuses(shards, now=opened + window)[0].state == "running"
+        assert worker_statuses(shards, now=opened + window + 1)[0].state == "straggler"
 
 
 class TestCampaignCache:

@@ -548,7 +548,6 @@ class TestFaultPlan:
         plan = FaultPlan(
             [FaultSpec("ack-loss", {"probability": 0.3}, targets=("s1", "s2")),
              FaultSpec("switch-crash", {"at": 0.4})],
-            seed=13,
         )
         rebuilt = FaultPlan.from_dict(json.loads(json.dumps(plan.as_dict())))
         assert rebuilt == plan
@@ -654,8 +653,8 @@ class TestFaultFreePathUnchanged:
         assert record.fault_events == {}
         assert "fault_events" not in record.as_dict()
 
-    @pytest.mark.parametrize("plan", [FaultPlan(), FaultPlan(seed=99)],
-                             ids=["empty", "empty-with-seed"])
+    @pytest.mark.parametrize("plan", [FaultPlan(), FaultPlan.from_string("none")],
+                             ids=["empty", "none-string"])
     def test_migration_digest_with_empty_plan(self, plan):
         spec = migration_session("barrier", _migration_params())
         spec.faults = plan
@@ -699,8 +698,7 @@ class TestFaultedSessions:
 
     def test_faults_encoded_in_session_spec_config(self):
         spec = migration_session("barrier", _migration_params())
-        spec.faults = FaultPlan.from_string("ack-loss(probability=0.5)@S2",
-                                            seed=21)
+        spec.faults = FaultPlan.from_string("ack-loss(probability=0.5)@S2")
         encoded = spec.config()["faults"]
         assert FaultPlan.from_dict(encoded) == spec.faults
         json.dumps(encoded)

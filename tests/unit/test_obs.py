@@ -1,7 +1,7 @@
 """Tests for the observability subsystem: the collecting tracer, lifecycle
 event collection through a real traced session (the tracer lives and dies
 with the session's simulator), trace-off digest transparency, pinned traces
-and disarmed configs, the exporters, and the timeline analysis."""
+and disarmed configs, the Chrome exporter, and the timeline analysis."""
 
 import dataclasses
 import hashlib
@@ -26,7 +26,6 @@ from repro.obs import (
     TraceLog,
     Tracer,
     trace_to_chrome,
-    trace_to_jsonl,
     validate_chrome_trace,
 )
 from repro.scenarios import ScenarioParams, run_scenario, scenario_session
@@ -162,36 +161,28 @@ class TestTracedSession:
         assert PHASE_HW_ACTIVATED in names
         assert any(name.startswith("rule ") for name in names)
 
-    def test_jsonl_export_header_then_events(self, traced_record):
-        lines = trace_to_jsonl(traced_record.trace).splitlines()
-        header = json.loads(lines[0])
-        assert header["technique"] == "general"
-        assert header["meta"]["topology"]
-        body = [json.loads(line) for line in lines[1:]]
-        assert len(body) == len(traced_record.trace)
-        assert all("ts" in event and "phase" in event for event in body)
-
     def test_the_disarmed_session_config_is_pinned(self):
         # A disarmed subsystem omits its key (or keeps the one it always
-        # had): no ``trace``, ``recovery`` or ``profile`` key appears here.
+        # had): no ``trace`` or ``recovery`` key appears here.
         config = scenario_session("path-migration", "general",
                                   ScenarioParams(flow_count=2, seed=7)).config()
         assert "trace" not in config
         assert hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest() == (
-            "719250bc41efc48b3b85f4105fcd696e63b67cd89d5c0302c44a02964be9468c")
+            "3dbd1388a8652118f666d277b175918141da0141f352f88ddca8d3c6bfc767c5")
 
 
-#: ``(scenario, technique, faults, events, sha256 of the JSONL export,
-#: sha256 of the sorted-key Chrome export)``, in the order they run.
+#: ``(scenario, technique, faults, events, sha256 of the sorted-key
+#: ``TraceLog.as_dict()``, sha256 of the sorted-key Chrome export)``, in the
+#: order they run.
 _PINNED_TRACES = [
     ("rolling-upgrade", "barrier", None, 340,
-     "39cd06f50be5f28bde675bdf7c6400473e9a3fef037feedad196d134ef49ee91",
+     "d3b2c7c161bb7bbd977f33be4e748177b96aadad904f1118ee0b1020d050dd99",
      "62acf39835e3685e72a0aa5dca6dd1796c104d6469914d3205ea9be09f3d664e"),
     ("fault-sweep", "general", None, 124,
-     "cac887939e9f54be8d7a2381fa095b625de509e4689c28f24985cf8a9abd152a",
+     "6f71009b8f02c89270e044fe2fcf9dc10d67d696d9c12f87a361134f9e849dfc",
      "a5227ebb2f6e60003dc17358ab5542ccad63d877660211a61eb471256b1c6e22"),
     ("path-migration", "timeout", "delay-spike(probability=1.0,spike=0.3)@L1", 116,
-     "31b6ca0008879807fc2ffbd07c7fde2c2cf75a3d062c727600d3f413c864ef16",
+     "79a84f607cf16ddabb98927f70dd942d98904bf508271f6084deaa553a48733c",
      "8f7af0f939bef65bc3ca780c5ec065f74049e6dd916841d33d9462be2c9dbe0a"),
 ]
 
@@ -200,19 +191,20 @@ def test_the_traces_of_three_traced_cells_are_pinned():
     # Every emission site, its order and its payload: a moved or dropped
     # event changes these hashes even where the event count holds.  Events
     # carry xids, which come from process-wide counters, so the cells run in
-    # one sequence from fresh counters, as in a new process.  The JSONL
-    # header also carries the kernel's counters (``meta.kernel``), so a
-    # changed step count moves the JSONL hash and not the Chrome one.
+    # one sequence from fresh counters, as in a new process.  The log's
+    # ``meta`` also carries the kernel's counters (``meta.kernel``), so a
+    # changed step count moves the log hash and not the Chrome one.
     _reset_process_counters()
     observed = []
-    for scenario, technique, faults, _events, _jsonl, _chrome in _PINNED_TRACES:
+    for scenario, technique, faults, _events, _log, _chrome in _PINNED_TRACES:
         extra = {"faults": faults} if faults else {}
         trace = run_scenario(scenario, technique,
                              ScenarioParams(flow_count=4, rate_pps=25.0, seed=1,
                                             trace=True, **extra)).trace
         chrome = json.dumps(trace_to_chrome(trace), sort_keys=True)
         observed.append((scenario, technique, faults, len(trace.events),
-                         hashlib.sha256(trace_to_jsonl(trace).encode()).hexdigest(),
+                         hashlib.sha256(json.dumps(trace.as_dict(), sort_keys=True)
+                                        .encode()).hexdigest(),
                          hashlib.sha256(chrome.encode()).hexdigest()))
     assert observed == [tuple(row) for row in _PINNED_TRACES]
 

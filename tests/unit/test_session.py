@@ -26,14 +26,14 @@ from repro.experiments.common import (
     run_path_migration,
     run_rule_install,
 )
-from repro.obs import ProfileReport, TraceEvent, TraceLog
+from repro.obs import TraceEvent, TraceLog
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.session import SUMMARY_KEYS, RunRecord
 from repro.session.record import OUTCOME_KEYS, outcome_digest
 
 #: The payload keys that ride beside the outcome and must never reach the
 #: digest: provenance plus the armed-only observations.
-OBSERVATION_KEYS = ("spec", "fault_events", "recovery", "trace", "profile")
+OBSERVATION_KEYS = ("spec", "fault_events", "recovery", "trace")
 
 #: ``as_dict()`` keys of a record with nothing armed — the serialized layout
 #: every stored record and pinned digest was written against.
@@ -228,12 +228,6 @@ _traces = st.builds(
     events=st.lists(st.builds(TraceEvent, ts=_times, phase=_names,
                               switch=_names, xid=st.none() | _counts,
                               detail=_names), max_size=3))
-_profiles = st.builds(
-    ProfileReport, technique=_names, kind=_names, seed=_counts,
-    callbacks=st.lists(st.fixed_dictionaries(
-        {"site": _names, "calls": _counts, "wall_s": _times,
-         "scheduled": _counts}), max_size=3),
-    totals=st.dictionaries(_names, _counts, max_size=2))
 
 #: One strategy per observation field: its disarmed value or an armed one.
 _observations = {
@@ -241,7 +235,6 @@ _observations = {
     "fault_events": st.dictionaries(_names, _counts, max_size=3),
     "recovery": _json_dicts,
     "trace": st.none() | _traces,
-    "profile": st.none() | _profiles,
 }
 
 _records = st.builds(

@@ -22,6 +22,10 @@ So does the control path: a FlowMod reaches a switch's tables through a
 bounded number of frames, none of them event, process or generator plumbing;
 a finished session leaves (next to) nothing for the collector either; and a
 probe is validated once, however often it is re-injected.
+
+Two sessions pin their kernel structure, counted by an observer passed in as
+``spec.run(observer=...)``: which callbacks the rule-install agent runs, and
+that a migration's hop is the link's heap entry and its source ``_emit``.
 """
 
 import dataclasses
@@ -39,7 +43,11 @@ import repro.switches.dataplane as dataplane_mod
 from repro.controller.routing import install_path_rules, path_flowmods
 from repro.core.rum import RumLayer
 from repro.core.techniques.registry import available_techniques
-from repro.experiments.common import RuleInstallParams, run_rule_install
+from repro.experiments.common import (
+    RuleInstallParams,
+    rule_install_session,
+    run_rule_install,
+)
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.monitor import DeliveryMonitor
@@ -590,3 +598,76 @@ def test_the_control_path_is_still_reached_through_class_attributes(monkeypatch)
         connection.total_messages
         for connection in (*network.control_connections.values(),
                            *rum._upstream.values())) > 50
+
+
+# -- kernel structure, counted by an observer ------------------------------------------
+
+class _CallbackCounter:
+    """Kernel observer: dispatched callbacks by qualified name, and the heap
+    churn (callbacks scheduled) from the first observed step on."""
+
+    def __init__(self):
+        self.calls = Counter()
+        self.sim = None
+        self.first_sequence = 0
+
+    def __call__(self, sim, _time, callback, _args):
+        if self.sim is None:
+            self.sim, self.first_sequence = sim, sim.schedule_sequence
+        self.calls[callback.__qualname__] += 1
+
+    @property
+    def events(self):
+        return sum(self.calls.values())
+
+    @property
+    def scheduled(self):
+        return self.sim.schedule_sequence - self.first_sequence
+
+
+def test_a_rule_install_counts_what_the_generator_agent_did():
+    counter = _CallbackCounter()
+    record = rule_install_session(
+        "barrier", RuleInstallParams.quick(rule_count=60, max_unconfirmed=20)
+    ).run(observer=counter)
+    assert record.digest() == "86b1ff3923f84538"
+    # Pinned on the generator agent (``_main_loop`` fed by a ``Queue``):
+    # the callback chain is the same heap entries under other names.
+    assert counter.events == 605
+    assert counter.scheduled == 581
+    agent = {name.split(".", 1)[1]: calls for name, calls in counter.calls.items()
+             if name.startswith("ControlPlane.")}
+    assert agent["_finish_flowmod"] == agent["_sync_apply"] == 60
+    assert agent["_begin"] == 60 + agent["_finish_barrier"] > 60
+    assert sorted(agent) == ["_begin", "_finish_barrier", "_finish_flowmod",
+                             "_next_message", "_sync_apply", "_sync_step"]
+
+
+def test_a_migration_books_the_hop_to_the_link_and_the_source_to_emit(monkeypatch):
+    sims = []
+    init = Simulator.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(self)
+
+    monkeypatch.setattr(Simulator, "__init__", keep)
+    params = ScenarioParams(topology="fat-tree", flow_count=4, rate_pps=200.0,
+                            warmup=0.1, grace=0.2, max_update_duration=5.0, seed=7)
+    counter = _CallbackCounter()
+    observed = scenario_session("path-migration", "general", params).run(observer=counter)
+    bare = run_scenario("path-migration", "general", params)
+    assert observed.digest() == bare.digest() == "9ba02c8b533abdbf"
+    # A switch hop is the link's heap entry and nothing else: forwarding is
+    # no kernel callback site, and the traffic source no generator.
+    assert not [name for name in counter.calls
+                if name.endswith(("Switch._forward", "Switch.receive_packet"))
+                or "_flow_process" in name]
+    sent = sum(stat.packets_sent for stat in observed.stats)
+    assert counter.calls["TrafficGenerator._begin"] == 4
+    # One entry per packet sent, and one per flow that finds it has stopped.
+    assert counter.calls["TrafficGenerator._emit"] == sent + 4 == 324
+    assert counter.calls["Link._flush_train"] > 5 * sent
+    # Observed or bare, every kernel step is an observed event.
+    observed_sim, bare_sim = sims
+    assert counter.events == observed_sim.steps_executed == bare_sim.steps_executed
