@@ -9,9 +9,10 @@ otherwise-unused code, exactly like the prototype).  The controller can
 therefore never observe an acknowledgment before the corresponding rule
 forwards packets — the paper's central guarantee.
 
-Messages that RUM itself originates (its barriers, probe-rule updates and
-probe PacketOuts) are tracked by xid so that their replies are consumed
-rather than leaked to the controller.
+Messages that RUM itself originates and that can be answered (its barriers
+and probe-rule updates) are tracked by xid so that their replies are
+consumed rather than leaked to the controller; its probe PacketOuts get no
+reply and are not tracked.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.openflow.messages import (
     FlowMod,
     OFMessage,
     PacketIn,
+    PacketOut,
 )
 from repro.sim.kernel import Simulator
 
@@ -54,7 +56,8 @@ class RumLayer(ProxyLayer):
         #: forwards (controller rules and its own probing rules).  Used by
         #: probe-packet generation for the overlapping-rule checks.
         self._mirrors: Dict[str, FlowTable] = {}
-        #: Xids of messages RUM itself injected towards switches.
+        #: Xids of messages RUM itself injected towards switches whose reply
+        #: it must consume; a PacketOut gets none, so it is never recorded.
         self.rum_xids: Set[int] = set()
         #: Deployment-time rules per switch (probe catch rules, ...), kept so
         #: the recovery subsystem can re-seed a switch whose crash wiped them.
@@ -138,7 +141,8 @@ class RumLayer(ProxyLayer):
 
     def send_to_switch(self, switch_name: str, message: OFMessage) -> None:
         """Send a RUM-originated message to a switch (reply will be consumed)."""
-        self.rum_xids.add(message.xid)
+        if not isinstance(message, PacketOut):
+            self.rum_xids.add(message.xid)
         if isinstance(message, FlowMod):
             self._mirrors[switch_name].apply_flowmod(message, now=self.sim.now)
         self.forward_to_switch(switch_name, message)
@@ -190,6 +194,10 @@ class RumLayer(ProxyLayer):
 
     def handle_from_switch(self, switch_name: str, message: OFMessage) -> None:
         if self.technique.on_switch_message(switch_name, message):
+            # The technique may claim the reply to RUM's own barrier; its xid
+            # is released all the same (xids are unique, so this is a no-op
+            # for anything else).
+            self.rum_xids.discard(message.xid)
             return
         if isinstance(message, (BarrierReply, ErrorMessage)) and message.xid in self.rum_xids:
             # Reply to something RUM injected; never leak it upstream.

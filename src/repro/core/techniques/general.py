@@ -126,7 +126,7 @@ class GeneralProbingTechnique(AckTechnique):
         try:
             headers = generate_probe_headers(
                 RuleView.from_flowmod(flowmod),
-                self.layer.mirror_table(switch_name).entries,
+                self.layer.mirror_table(switch_name),
                 overrides,
             )
         except ProbeGenerationError:

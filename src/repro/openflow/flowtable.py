@@ -116,7 +116,11 @@ class FlowTable:
     match covers; MODIFY then does no index work at all, because it changes
     neither match, priority nor order.  A lookup probes one hash table per
     (rank, signature) and walks wildcard entries only while they could still
-    beat the best exact hit.
+    beat the best exact hit.  A lookup with a rule identity set aside
+    (``aside``, probe generation's "what catches this packet while the
+    probed rule is absent?") is the same walk: it skips that one entry where
+    it would have been a hit, so it costs what a lookup costs, at any table
+    size.
     """
 
     __slots__ = ("mode", "capacity", "name", "_entries", "_buckets")
@@ -274,25 +278,31 @@ class FlowTable:
             del buckets[at]
 
     # -- lookup -----------------------------------------------------------------
-    def lookup_values(self, values) -> Optional[FlowEntry]:
+    def lookup_values(
+        self, values, aside: Optional[Tuple[int, Match]] = None
+    ) -> Optional[FlowEntry]:
         """Classify a fixed-order header value array (the hot path).
 
         ``values`` follows :data:`~repro.packet.fields.FIELD_ORDER` with
         ``None`` for absent fields (read as zero), exactly like
-        ``packet._values`` with ``in_port`` filled in.
+        ``packet._values`` with ``in_port`` filled in.  ``aside`` is a rule
+        identity ``(priority, match)``: the answer is then the one the table
+        would give without that rule.
         """
+        skip = None if aside is None else self._entries.get(aside)
         for _rank, exact_groups, wildcard in self._buckets:
             best_order = None
             best_entry = None
             for signature, group in exact_groups.items():
                 key = tuple((values[i] or 0) for i in signature)
                 hit = group.get(key)
-                if hit is not None and (best_order is None or hit[0] < best_order):
+                if (hit is not None and hit[1] is not skip
+                        and (best_order is None or hit[0] < best_order)):
                     best_order, best_entry = hit
             for order, entry, matcher in wildcard:
                 if best_order is not None and order > best_order:
                     break
-                if matcher(values):
+                if matcher(values) and entry is not skip:
                     best_order, best_entry = order, entry
                     break
             if best_entry is not None:
@@ -302,17 +312,6 @@ class FlowTable:
     def lookup(self, packet: Packet) -> Optional[FlowEntry]:
         """The entry that would forward ``packet``, or ``None`` (table miss)."""
         return self.lookup_values(packet._values)
-
-    def lookup_reference(self, packet: Packet) -> Optional[FlowEntry]:
-        """Reference (unoptimized) lookup: sorted linear scan.
-
-        The original implementation, kept for equivalence testing against
-        :meth:`lookup_values`' maintained index; it shares no code with it.
-        """
-        for entry in self.entries_sorted_for_lookup():
-            if entry.match.matches_packet_reference(packet):
-                return entry
-        return None
 
     # -- comparison ----------------------------------------------------------------
     def signature_set(self) -> set:

@@ -161,25 +161,12 @@ class Match:
     def matches_packet(self, packet: Packet) -> bool:
         """Whether ``packet`` satisfies every constraint of this match.
 
-        Dispatches to the compiled matcher (see :meth:`compiled`); the
-        original dict-walking implementation is kept as
-        :meth:`matches_packet_reference` for equivalence testing.
+        Dispatches to the compiled matcher (see :meth:`compiled`).
         """
         matcher = self._compiled
         if matcher is None:
             matcher = self.compiled()
         return matcher(packet._values)
-
-    def matches_packet_reference(self, packet: Packet) -> bool:
-        """Reference (unoptimized) matcher: walk the constraint dict.
-
-        Kept verbatim from the original implementation so property tests can
-        assert the compiled matcher classifies identically.
-        """
-        for field, (value, mask) in self._fields.items():
-            if (packet.get(field) & mask) != value:
-                return False
-        return True
 
     def _memoised(self) -> Tuple[Tuple[Tuple[int, int, int], ...], bool]:
         """Fill ``_memo`` with ``(compiled constraints, is_exact)``: a match is

@@ -1,7 +1,7 @@
 """Probe packet generation for the general probing technique.
 
-Given the rule RUM wants to confirm (at switch B) and the control-plane view
-of B's flow table, build the header values of a packet that
+Given the rule RUM wants to confirm (at switch B) and RUM's mirror of B's
+flow table, build the header values of a packet that
 
 1. matches the probed rule once the rule is installed,
 2. carries the probe-catch value ``S_C`` of the next-hop switch C in the
@@ -14,6 +14,13 @@ of B's flow table, build the header values of a packet that
    port or different rewrites) — a probe that is forwarded identically either
    way proves nothing.
 
+Both table questions are a first-match lookup, answered by the mirror's own
+index (:meth:`FlowTable.lookup_values`) rather than by testing every rule:
+(3) holds when the first match of the candidate headers is not of higher
+priority than the probed rule, and the rule of (4) is the first match with
+the probed identity ``(priority, match)`` set aside.  A probe therefore costs
+a few lookups, whatever the table's occupancy.
+
 Exact probe generation is NP-hard in general (the paper cites header-space
 work); like those systems we use a heuristic that works for realistic tables:
 start from a packet inside the probed rule's match and perturb the fields the
@@ -23,9 +30,10 @@ rule leaves wildcarded to escape conflicting higher-priority rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.openflow.actions import Action, actions_signature
+from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.match import Match
 from repro.packet.fields import (
     ETH_TYPE_IP,
@@ -34,9 +42,6 @@ from repro.packet.fields import (
     HeaderField,
     IP_PROTO_UDP,
 )
-
-if TYPE_CHECKING:
-    from repro.openflow.flowtable import FlowEntry
 
 
 class ProbeGenerationError(RuntimeError):
@@ -49,12 +54,7 @@ class ProbeGenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RuleView:
-    """The minimal view of a rule probe generation needs.
-
-    The table handed to :func:`generate_probe_headers` may hold these or
-    flow-table entries directly (see :data:`TableRule`), so no per-entry view
-    is built for rules the probe is merely compared against.
-    """
+    """The minimal view of the probed rule that probe generation needs."""
 
     match: Match
     priority: int
@@ -66,10 +66,6 @@ class RuleView:
         return cls(match=flowmod.match, priority=flowmod.priority,
                    actions=tuple(flowmod.actions))
 
-
-#: What a probe is compared against: only ``match``, ``priority`` and
-#: ``actions`` are read, which a ``FlowEntry`` carries as well.
-TableRule = Union[RuleView, "FlowEntry"]
 
 #: Baseline header values of a probe packet before rule constraints are applied.
 _DEFAULT_HEADERS: Dict[HeaderField, int] = {
@@ -117,54 +113,32 @@ def probe_key(headers: Dict[HeaderField, int]) -> Tuple:
     return tuple(headers.get(field, 0) for field in interesting)
 
 
-def _packet_matches(match: Match, headers: Dict[HeaderField, int]) -> bool:
-    # The memoised constraint tuples, not ``match.fields`` (a copy per call):
-    # this runs for every rule of the mirror table on every probe.
-    for index, value, mask in match.compiled_constraints():
-        if (headers.get(FIELD_ORDER[index], 0) & mask) != value:
-            return False
-    return True
-
-
-def _conflicting_rules(
+def _first_match(
+    table: FlowTable,
     headers: Dict[HeaderField, int],
-    probed: RuleView,
-    table: Sequence[TableRule],
-) -> List[TableRule]:
-    """Higher-priority rules that would capture the probe before the probed rule."""
-    return [
-        rule
-        for rule in table
-        if rule.priority > probed.priority
-        and not (rule.match.exact_same(probed.match) and rule.priority == probed.priority)
-        and _packet_matches(rule.match, headers)
-    ]
+    aside: Optional[Tuple[int, Match]] = None,
+) -> Optional[FlowEntry]:
+    """The rule of ``table`` that catches ``headers`` (without ``aside``)."""
+    return table.lookup_values([headers.get(field) for field in FIELD_ORDER], aside)
 
 
-def _shadowing_rule(
-    headers: Dict[HeaderField, int],
-    probed: RuleView,
-    table: Sequence[TableRule],
-) -> Optional[TableRule]:
-    """The rule that matches the probe while the probed rule is absent."""
-    candidates = [
-        rule
-        for rule in table
-        if _packet_matches(rule.match, headers)
-        and not (rule.match.exact_same(probed.match) and rule.priority == probed.priority)
-    ]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda rule: rule.priority)
+def _captured_above(table: FlowTable, headers: Dict[HeaderField, int], priority: int) -> bool:
+    """Whether a rule of higher priority than ``priority`` catches ``headers``."""
+    first = _first_match(table, headers)
+    return first is not None and first.priority > priority
 
 
 def generate_probe_headers(
     probed: RuleView,
-    table: Sequence[TableRule],
+    table: FlowTable,
     overrides: Optional[Dict[HeaderField, int]] = None,
     max_attempts: int = 16,
 ) -> Dict[HeaderField, int]:
     """Header values of a probe packet for ``probed`` given B's table.
+
+    ``table`` is RUM's mirror of B (a priority-mode :class:`FlowTable`, so
+    its first match is the highest-priority one); it may or may not hold
+    ``probed`` already.
 
     ``overrides`` carries the values RUM must force into the packet — the
     probe-catch value of the next-hop switch in the reserved field, for
@@ -197,10 +171,9 @@ def generate_probe_headers(
     perturb_index = 0
     while attempt < max_attempts:
         attempt += 1
-        conflicts = _conflicting_rules(headers, probed, table)
-        if not conflicts:
+        if not _captured_above(table, headers, probed.priority):
             break
-        # Try to escape the first conflict by changing a field the probed
+        # Try to escape the conflict by changing a field the probed
         # rule leaves wildcarded (so the probe still matches the probed rule)
         # and that is not pinned by an override.
         escaped = False
@@ -212,7 +185,7 @@ def generate_probe_headers(
             perturb_index += 1
             candidate = dict(headers)
             candidate[field] = new_value
-            if not _conflicting_rules(candidate, probed, table):
+            if not _captured_above(table, candidate, probed.priority):
                 headers = candidate
                 escaped = True
                 break
@@ -225,7 +198,7 @@ def generate_probe_headers(
             f"could not find a conflict-free probe packet in {max_attempts} attempts"
         )
 
-    shadow = _shadowing_rule(headers, probed, table)
+    shadow = _first_match(table, headers, aside=(probed.priority, probed.match))
     if shadow is not None and (actions_signature(shadow.actions)
                                == actions_signature(probed.actions)):
         raise ProbeGenerationError(

@@ -4,7 +4,8 @@ A hypothesis state machine drives one :class:`FlowTable` through every
 mutation the class offers, in any order, and after **every** step compares
 
 * the maintained index (``lookup_values``) with the independent sorted-scan
-  oracle (``lookup_reference``) on a fixed batch of packets, and
+  oracle (``tests/oracles/first_match.py``) on a fixed batch of packets,
+  plain and with each installed identity set aside, and
 * the identity-keyed store with a list model of the original semantics
   (scan for a duplicate, replace in place, append, filter on delete).
 
@@ -16,6 +17,8 @@ store that loses the installation order, the capacity rule or the
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from first_match import lookup_reference
 
 from repro.openflow.actions import OutputAction, actions_signature
 from repro.openflow.constants import FlowModCommand
@@ -187,8 +190,12 @@ class FlowTableMachine(RuleBasedStateMachine):
     def index_agrees_with_oracle(self):
         for packet in _PACKETS:
             fast = self.table.lookup_values(packet._values)
-            reference = self.table.lookup_reference(packet)
+            reference = lookup_reference(self.table, packet)
             assert fast is reference, (self.mode, fast, reference, self.table.dump())
+            for entry in self.table.entries:
+                aside = (entry.priority, entry.match)
+                assert (self.table.lookup_values(packet._values, aside)
+                        is lookup_reference(self.table, packet, aside)), (self.mode, aside)
 
     @invariant()
     def store_agrees_with_list_model(self):

@@ -164,8 +164,9 @@ def test_generated_probe_matches_rule_and_escapes_higher_priority(probed_spec, t
         priority=priority,
         actions=(OutputAction(port),),
     )
-    table = [RuleView(match=match, priority=prio, actions=(OutputAction(p),))
-             for match, prio, p in table_spec]
+    table = FlowTable()
+    for match, prio, p in table_spec:
+        table.apply_flowmod(FlowMod(match, [OutputAction(p)], priority=prio))
     try:
         headers = generate_probe_headers(probed, table, {HeaderField.IP_TOS: catch_value})
     except ProbeGenerationError:
@@ -173,7 +174,7 @@ def test_generated_probe_matches_rule_and_escapes_higher_priority(probed_spec, t
     packet = Packet(dict(headers))
     assert probed.match.matches_packet(packet)
     assert headers[HeaderField.IP_TOS] == catch_value
-    for rule in table:
+    for rule in table.entries:
         if rule.priority > probed.priority:
             assert not rule.match.matches_packet(packet)
 

@@ -8,6 +8,7 @@ from repro.core.pending import PendingRuleTracker
 from repro.core.versioning import VersionAllocator, VersionSpaceExhausted
 from repro.openflow import FlowMod, Match, OutputAction
 from repro.openflow.actions import ControllerAction, DropAction, SetFieldAction
+from repro.openflow.flowtable import FlowTable
 from repro.packet.fields import HeaderField
 from repro.probing import (
     ProbeGenerationError,
@@ -114,9 +115,17 @@ def _rule(match, priority=100, actions=None):
                     actions=tuple(actions or [OutputAction(1)]))
 
 
+def _table(*rules):
+    """A mirror table holding ``rules``, installed in order."""
+    table = FlowTable(name="mirror")
+    for rule in rules:
+        table.apply_flowmod(FlowMod(rule.match, list(rule.actions), priority=rule.priority))
+    return table
+
+
 def test_probe_for_simple_rule_matches_it_and_carries_catch_value():
     probed = _rule(Match(ip_src="10.0.0.1", ip_dst="10.0.0.2"))
-    headers = generate_probe_headers(probed, [], {HeaderField.IP_TOS: 7})
+    headers = generate_probe_headers(probed, _table(), {HeaderField.IP_TOS: 7})
     assert headers[HeaderField.IP_TOS] == 7
     assert probed.match.matches_packet(_as_packet(headers))
 
@@ -131,7 +140,7 @@ def test_probe_avoids_overlapping_higher_priority_rule():
     probed = _rule(Match(ip_src="10.0.0.1"), priority=100)
     blocker = _rule(Match(ip_src="10.0.0.1", tp_dst=40001), priority=200,
                     actions=[OutputAction(9)])
-    headers = generate_probe_headers(probed, [blocker], {HeaderField.IP_TOS: 7})
+    headers = generate_probe_headers(probed, _table(blocker), {HeaderField.IP_TOS: 7})
     packet = _as_packet(headers)
     assert probed.match.matches_packet(packet)
     assert not blocker.match.matches_packet(packet)
@@ -141,13 +150,13 @@ def test_probe_impossible_when_fully_covered():
     probed = _rule(Match(ip_src="10.0.0.1"), priority=100)
     cover = _rule(Match(ip_src="10.0.0.1"), priority=200, actions=[OutputAction(9)])
     with pytest.raises(ProbeGenerationError):
-        generate_probe_headers(probed, [cover], {HeaderField.IP_TOS: 7})
+        generate_probe_headers(probed, _table(cover), {HeaderField.IP_TOS: 7})
 
 
 def test_probe_rejected_when_probed_rule_pins_probe_field():
     probed = _rule(Match(ip_src="10.0.0.1", ip_tos=3), priority=100)
     with pytest.raises(ProbeGenerationError):
-        generate_probe_headers(probed, [], {HeaderField.IP_TOS: 7})
+        generate_probe_headers(probed, _table(), {HeaderField.IP_TOS: 7})
 
 
 def test_probe_indistinguishable_from_identical_lower_priority_rule():
@@ -155,20 +164,20 @@ def test_probe_indistinguishable_from_identical_lower_priority_rule():
                    actions=[OutputAction(4)])
     shadow = _rule(Match(ip_src="10.0.0.1"), priority=10, actions=[OutputAction(4)])
     with pytest.raises(ProbeGenerationError):
-        generate_probe_headers(probed, [shadow], {HeaderField.IP_TOS: 7})
+        generate_probe_headers(probed, _table(shadow), {HeaderField.IP_TOS: 7})
 
 
 def test_probe_allowed_when_lower_priority_rule_differs():
     probed = _rule(Match(ip_src="10.0.0.1", ip_dst="10.0.0.2"), priority=100,
                    actions=[OutputAction(4)])
     drop_all = _rule(Match(), priority=1, actions=[DropAction()])
-    headers = generate_probe_headers(probed, [drop_all], {HeaderField.IP_TOS: 7})
+    headers = generate_probe_headers(probed, _table(drop_all), {HeaderField.IP_TOS: 7})
     assert probed.match.matches_packet(_as_packet(headers))
 
 
 def test_probe_key_is_stable_and_header_sensitive():
     probed = _rule(Match(ip_src="10.0.0.1", ip_dst="10.0.0.2"))
-    headers = generate_probe_headers(probed, [], {HeaderField.IP_TOS: 7})
+    headers = generate_probe_headers(probed, _table(), {HeaderField.IP_TOS: 7})
     assert probe_key(headers) == probe_key(dict(headers))
     changed = dict(headers)
     changed[HeaderField.IP_DST] = 1

@@ -26,6 +26,11 @@ probe is validated once, however often it is re-injected.
 Two sessions pin their kernel structure, counted by an observer passed in as
 ``spec.run(observer=...)``: which callbacks the rule-install agent runs, and
 that a migration's hop is the link's heap entry and its source ``_emit``.
+
+General probing asks RUM's mirror table, not every rule in it: the table
+entries a generated probe examines do not grow with the table, the mirror
+is looked up only by probe generation, and RUM keeps no xid of a probe it
+injected (a PacketOut gets no reply that would release it).
 """
 
 import dataclasses
@@ -39,6 +44,8 @@ import networkx as nx
 import pytest
 
 import repro
+import repro.core.techniques.general as general_mod
+import repro.openflow.match as match_mod
 import repro.switches.dataplane as dataplane_mod
 from repro.controller.routing import install_path_rules, path_flowmods
 from repro.core.rum import RumLayer
@@ -60,7 +67,8 @@ from repro.obs.tracer import Tracer
 from repro.openflow import FlowMod, Match, OutputAction
 from repro.openflow.connection import Connection, ConnectionEndpoint
 from repro.openflow.constants import FLOOD_PORT
-from repro.openflow.flowtable import FlowTable
+from repro.openflow.flowtable import FlowEntry, FlowTable
+from repro.openflow.messages import PacketOut
 from repro.packet.packet import Packet, make_ip_packet
 from repro.scenarios import ScenarioParams, run_scenario, scenario_session
 from repro.scenarios.generators import build_topology
@@ -671,3 +679,107 @@ def test_a_migration_books_the_hop_to_the_link_and_the_source_to_emit(monkeypatc
     # Observed or bare, every kernel step is an observed event.
     observed_sim, bare_sim = sims
     assert counter.events == observed_sim.steps_executed == bare_sim.steps_executed
+
+
+# -- general probing: the mirror's index, not a scan of it ----------------------------
+
+def _probe_generation_work(patch, rule_count):
+    """Counts of a general rule-install cell with ``rule_count`` rules: probes
+    generated, table entries examined while generating them (a read of an
+    entry's match, priority or actions, or a run of its compiled matcher),
+    and ``FlowTable.lookup_values`` calls on RUM's mirrors and on switches,
+    inside and outside probe generation."""
+    work = Counter()
+    generating = []
+
+    def entry_field(slot):
+        def read(entry):
+            if generating:
+                work["examined"] += 1
+            return slot.__get__(entry)
+        return property(read, slot.__set__)
+
+    for name in ("match", "priority", "actions"):
+        patch.setattr(FlowEntry, name, entry_field(vars(FlowEntry)[name]))
+    compile_matcher = match_mod._compile_matcher
+
+    def counting_compile(constraints):
+        matcher = compile_matcher(constraints)
+
+        def run(values):
+            if generating:
+                work["examined"] += 1
+            return matcher(values)
+        return run
+
+    patch.setattr(match_mod, "_compile_matcher", counting_compile)
+    lookup_values = FlowTable.lookup_values
+
+    def lookup(table, *args):
+        where = "mirror" if table.name.startswith("rum-mirror-") else "switch"
+        work[f"{where} lookups {'inside' if generating else 'outside'}"] += 1
+        return lookup_values(table, *args)
+
+    patch.setattr(FlowTable, "lookup_values", lookup)
+    generate = general_mod.generate_probe_headers
+
+    def generate_probe(*args):
+        work["probes"] += 1
+        generating.append(True)
+        try:
+            return generate(*args)
+        finally:
+            generating.pop()
+
+    patch.setattr(general_mod, "generate_probe_headers", generate_probe)
+    record = run_rule_install("general", RuleInstallParams.paper_table1().scaled(
+        rule_count=rule_count, seed=3))
+    assert record.completed and work["probes"] == rule_count
+    return work
+
+
+def test_a_generated_probe_examines_as_many_entries_at_any_table_size(monkeypatch):
+    counted = []
+    for rule_count in (100, 800):
+        with monkeypatch.context() as patch:
+            counted.append(_probe_generation_work(patch, rule_count))
+    small, large = counted
+    per_probe = [work["examined"] / work["probes"] for work in (small, large)]
+    # A scan of the mirror examines every entry: ~8x here, quadratic per cell.
+    assert 0 < per_probe[1] <= 1.25 * per_probe[0], per_probe
+    for work in (small, large):
+        # Only probe generation looks the mirror up, and it looks up nothing else.
+        assert work["mirror lookups outside"] == work["switch lookups inside"] == 0
+        assert 0 < work["mirror lookups inside"] <= 3 * work["probes"]
+        assert work["switch lookups outside"] > 0
+
+
+@pytest.mark.parametrize("technique", ["general", "barrier"])
+def test_rum_keeps_no_xid_of_a_message_it_will_get_no_reply_for(monkeypatch, technique):
+    layers, probes = [], set()
+    init = RumLayer.__init__
+    send_to_switch = RumLayer.send_to_switch
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        layers.append(self)
+
+    def send(self, switch_name, message):
+        if isinstance(message, PacketOut):
+            probes.add(message.xid)
+        send_to_switch(self, switch_name, message)
+
+    monkeypatch.setattr(RumLayer, "__init__", keep)
+    monkeypatch.setattr(RumLayer, "send_to_switch", send)
+    record = run_rule_install(technique, RuleInstallParams.paper_table1().scaled(
+        rule_count=300, max_unconfirmed=50, seed=3))
+    (rum,) = layers
+    assert record.completed and len(probes) == record.rum_probes_injected
+    if technique == "general":
+        # A PacketOut is never answered: one xid per injection stayed behind.
+        assert record.rum_probes_injected > 300
+        assert not rum.rum_xids & probes
+    else:
+        # Every barrier was answered, and the technique claimed each reply.
+        assert rum.technique.barriers_sent == 300
+    assert not rum.rum_xids
