@@ -5,14 +5,19 @@ switch along the flow's path.  These helpers build those FlowMods from a node
 path (``["H1", "S1", "S3", "H2"]``) and a flow specification, and can install
 them either through the control channel or directly into the switches (for
 pre-experiment setup, where the installation process itself is not measured).
+
+Paths are searched on a topology's adjacency map: a bidirectional BFS, and
+Yen's loop-free paths by length on top of it.  A path becomes rules, and so
+enters every outcome digest: ties go to link order, the smaller fringe
+expands first, and equal-length Yen candidates leave in the order found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.network import Network
 from repro.net.traffic import FlowSpec
@@ -75,14 +80,81 @@ def path_flowmods(
     return rules
 
 
-def shortest_path(network: Network, source_host: str, destination_host: str,
-                  avoid: Optional[Sequence[str]] = None) -> List[str]:
-    """Shortest node path between two hosts, optionally avoiding some switches."""
-    graph = network.topology.full_graph()  # a fresh graph: ours to prune
-    for node in avoid or []:
-        if node in graph:
-            graph.remove_node(node)
-    return nx.shortest_path(graph, source_host, destination_host)
+class NoPathError(ValueError):
+    """No path joins the two nodes (or one of them is not in the graph)."""
+
+
+def shortest_path(graph: Mapping[str, Mapping[str, None]], source: str, target: str,
+                  avoid: Collection[str] = (),
+                  cut: Collection[Tuple[str, str]] = ()) -> List[str]:
+    """A fewest-hop path from ``source`` to ``target`` in an adjacency map.
+
+    Nodes in ``avoid`` and links in ``cut`` (either direction) are left
+    out.  Raises :class:`NoPathError` when nothing remains to connect them.
+    """
+    if source not in graph or target not in graph or source in avoid or target in avoid:
+        raise NoPathError(f"no path between {source} and {target}")
+    pred: Dict[str, Optional[str]] = {source: None}
+    succ: Dict[str, Optional[str]] = {target: None}
+    meet = source if source == target else None
+    forward, reverse = [source], [target]
+    while meet is None and forward and reverse:
+        # Expand the smaller fringe; stop at the first node both searches saw.
+        ahead = len(forward) <= len(reverse)
+        level, seen, other = (forward, pred, succ) if ahead else (reverse, succ, pred)
+        fringe: List[str] = []
+        for node, neighbor in [(node, neighbor) for node in level for neighbor in graph[node]
+                               if neighbor not in avoid and (node, neighbor) not in cut
+                               and (neighbor, node) not in cut]:
+            if neighbor not in seen:
+                fringe.append(neighbor)
+                seen[neighbor] = node
+            if neighbor in other:
+                meet = neighbor
+                break
+        forward, reverse = (fringe, reverse) if ahead else (forward, fringe)
+    if meet is None:
+        raise NoPathError(f"no path between {source} and {target}")
+    path = [meet]
+    while pred[path[0]] is not None:
+        path.insert(0, pred[path[0]])
+    while succ[path[-1]] is not None:
+        path.append(succ[path[-1]])
+    return path
+
+
+def shortest_simple_paths(graph: Mapping[str, Mapping[str, None]], source: str,
+                          target: str) -> Iterator[List[str]]:
+    """Loop-free paths from ``source`` to ``target``, fewest hops first (Yen).
+
+    Lazy: each path drawn costs one round of spur searches.  Equal-length
+    candidates come out in the order they were found.
+    """
+    found: List[List[str]] = []
+    candidates: List[Tuple[int, int, List[str]]] = []
+    queued, order = set(), count()
+
+    def push(path: List[str]) -> None:
+        if tuple(path) not in queued:
+            queued.add(tuple(path))
+            heappush(candidates, (len(path), next(order), path))
+
+    push(shortest_path(graph, source, target))
+    while candidates:
+        path = heappop(candidates)[2]
+        queued.remove(tuple(path))
+        yield path
+        found.append(path)
+        avoid, cut = set(), set()
+        for index in range(1, len(path)):
+            root = path[:index]
+            cut.update((other[index - 1], other[index]) for other in found
+                       if other[:index] == root)
+            try:
+                push(root[:-1] + shortest_path(graph, root[-1], target, avoid, cut))
+            except NoPathError:
+                pass
+            avoid.add(root[-1])
 
 
 def first_distinct_switch(old_path: Sequence[str], new_path: Sequence[str],
@@ -98,26 +170,6 @@ def first_distinct_switch(old_path: Sequence[str], new_path: Sequence[str],
         if node in switches and node not in old_nodes:
             return node
     return None
-
-
-def shortest_path_avoiding_edge(
-    graph: nx.Graph,
-    source: str,
-    destination: str,
-    edge: Tuple[str, str],
-) -> Optional[List[str]]:
-    """Shortest path that does not traverse ``edge``, or ``None`` if cut off.
-
-    Used by the link-failure scenario: the drained/failed link is removed and
-    traffic is rerouted over whatever connectivity remains.
-    """
-    pruned = graph.copy()
-    if pruned.has_edge(*edge):
-        pruned.remove_edge(*edge)
-    try:
-        return list(nx.shortest_path(pruned, source, destination))
-    except nx.NetworkXNoPath:
-        return None
 
 
 def install_path_rules(
@@ -145,21 +197,3 @@ def install_path_rules(
             controller.send_flowmod(switch_name, flowmod)
         issued.append(flowmod)
     return issued
-
-
-def install_drop_all(network: Network, switch_names: Optional[Sequence[str]] = None,
-                     priority: int = 1) -> None:
-    """Pre-install a low-priority drop-all rule on the given switches.
-
-    The low-level benchmark setup in Section 5.2 starts from "a single, low
-    priority drop-all-packets rule at the switch"; the end-to-end experiment
-    behaves the same way implicitly because a table miss drops the packet.
-    Installing the rule explicitly also exercises the probe generator's
-    overlapping-rule logic (a drop-all is the canonical lower-priority
-    overlap).
-    """
-    from repro.openflow.actions import DropAction
-
-    for name in switch_names if switch_names is not None else network.switch_names():
-        flowmod = FlowMod(Match(), [DropAction()], priority=priority)
-        network.switch(name).install_rule_directly(flowmod)

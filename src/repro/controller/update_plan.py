@@ -24,8 +24,6 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-import networkx as nx
-
 from repro.controller.base import AckMode, Controller
 from repro.obs.events import PHASE_ACK_RECEIVED, PHASE_UPDATE_ISSUED
 from repro.openflow.messages import FlowMod
@@ -95,10 +93,6 @@ class UpdatePlan:
     def __len__(self) -> int:
         return len(self.operations)
 
-    def by_label(self, label: str) -> List[UpdateOperation]:
-        """Operations belonging to a group label, in insertion order."""
-        return [op for op in self.operations.values() if op.label == label]
-
     def by_role(self, role: str) -> List[UpdateOperation]:
         """Operations with the given role, in insertion order."""
         return [op for op in self.operations.values() if op.role == role]
@@ -111,18 +105,23 @@ class UpdatePlan:
                 seen.append(op.label)
         return seen
 
-    def graph(self) -> nx.DiGraph:
-        """The dependency graph (edges point from prerequisite to dependent)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.operations)
-        for operation in self.operations.values():
-            for dep in operation.depends_on:
-                graph.add_edge(dep, operation.op_id)
-        return graph
-
     def validate(self) -> None:
         """Raise :class:`ValueError` if the dependency graph has a cycle."""
-        if not nx.is_directed_acyclic_graph(self.graph()):
+        # Kahn: peel operations whose prerequisites are all peeled; whatever
+        # is left waits on a cycle.  Unknown prerequisites never block.
+        waiting = {op_id: {dep for dep in operation.depends_on if dep in self.operations}
+                   for op_id, operation in self.operations.items()}
+        dependents: Dict[int, List[int]] = defaultdict(list)
+        for op_id, deps in waiting.items():
+            for dep in deps:
+                dependents[dep].append(op_id)
+        peeled = [op_id for op_id, deps in waiting.items() if not deps]
+        for op_id in peeled:  # grows as it goes
+            for dependent in dependents[op_id]:
+                waiting[dependent].discard(op_id)
+                if not waiting[dependent]:
+                    peeled.append(dependent)
+        if len(peeled) != len(waiting):
             raise ValueError(f"update plan {self.name!r} has cyclic dependencies")
 
     def completed(self) -> bool:
@@ -262,20 +261,6 @@ class PlanExecutor:
         if self.started_at is None or self.finished_at is None:
             return None
         return self.finished_at - self.started_at
-
-    def ack_times(self) -> Dict[int, float]:
-        """``op_id -> acknowledgment time`` for all acknowledged operations."""
-        return {
-            op_id: op.acked_at
-            for op_id, op in self.plan.operations.items()
-            if op.acked_at is not None
-        }
-
-    def effective_rate(self) -> Optional[float]:
-        """Acknowledged operations per second over the plan's duration."""
-        if not self.duration or self.duration <= 0:
-            return None
-        return len(self._acked) / self.duration
 
     def failed_operations(self) -> List[UpdateOperation]:
         """Issued operations whose acks the controller gave up on.

@@ -10,9 +10,7 @@ interface so the RUM code never reaches into simulation internals.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import networkx as nx
+from typing import Dict, List, Optional
 
 from repro.net.network import Network
 
@@ -33,7 +31,8 @@ class TopologyView:
 
     def switch_neighbors(self, name: str) -> List[str]:
         """Switches directly linked to ``name`` (hosts are excluded)."""
-        return self._network.neighbors_of_switch(name)
+        return [neighbor for neighbor in self._network.topology.neighbors_of(name)
+                if neighbor in self._network.switches]
 
     def port_between(self, from_node: str, to_node: str) -> int:
         """Port on ``from_node`` facing ``to_node``."""
@@ -43,6 +42,6 @@ class TopologyView:
         """Node reached through ``port`` of ``node`` (``None`` if unknown)."""
         return self._network.node_for_port(node, port)
 
-    def switch_graph(self) -> nx.Graph:
-        """Switch-to-switch adjacency graph (used for probe-value colouring)."""
+    def switch_graph(self) -> Dict[str, Dict[str, None]]:
+        """Switch-to-switch adjacency map (used for probe-value colouring)."""
         return self._network.topology.switch_graph()

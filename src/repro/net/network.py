@@ -173,26 +173,6 @@ class Network:
         """All switch names in topology insertion order."""
         return list(self.switches)
 
-    def neighbors_of_switch(self, name: str) -> List[str]:
-        """Names of switches directly linked to ``name`` (hosts excluded)."""
-        return [
-            neighbor
-            for neighbor in self.topology.neighbors_of(name)
-            if neighbor in self.switches
-        ]
-
-    def path_ports(self, path: List[str]) -> List[Tuple[str, int]]:
-        """For a node path, the output port each switch uses towards the next hop.
-
-        ``path`` lists node names from source to destination; the result
-        contains one ``(switch, output_port)`` pair per switch on the path.
-        """
-        pairs = []
-        for index, node in enumerate(path[:-1]):
-            if node in self.switches:
-                pairs.append((node, self.port_between(node, path[index + 1])))
-        return pairs
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"<Network {self.topology.name}: {len(self.switches)} switches, "

@@ -10,14 +10,16 @@ topologies used by the paper's evaluation and by the examples:
   H1-S1-S3-H2, the post-update paths go H1-S1-S2-S3-H2 (Figure 1a).
 * :func:`linear_topology` — a configurable chain, useful for probing tests
   and for the firewall scenario of Figure 2.
+
+Graph questions — routing, path search, probe colouring — read one cached
+adjacency map ``{node: {neighbour: None}}`` built in link order, which
+collapses parallel links into one neighbour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.switches.profiles import (
     SwitchProfile,
@@ -82,8 +84,8 @@ class Topology:
         self.switches: Dict[str, SwitchSpec] = {}
         self.hosts: Dict[str, HostSpec] = {}
         self.links: List[LinkSpec] = []
-        #: Lazily-built ``node -> neighbours`` map; invalidated on mutation.
-        self._adjacency: Optional[Dict[str, List[str]]] = None
+        #: Lazily-built ``{node: {neighbour: None}}``; invalidated on mutation.
+        self._adjacency: Optional[Dict[str, Dict[str, None]]] = None
 
     # -- construction ----------------------------------------------------------
     def add_switch(self, name: str, kind: str = "software",
@@ -92,6 +94,7 @@ class Topology:
         if name in self.switches or name in self.hosts:
             raise ValueError(f"duplicate node name {name!r}")
         self.switches[name] = SwitchSpec(name, kind=kind, profile=profile)
+        self._adjacency = None
         return self
 
     def add_host(self, name: str, ip: str, mac: str) -> "Topology":
@@ -99,6 +102,7 @@ class Topology:
         if name in self.switches or name in self.hosts:
             raise ValueError(f"duplicate node name {name!r}")
         self.hosts[name] = HostSpec(name, ip=ip, mac=mac)
+        self._adjacency = None
         return self
 
     def add_link(self, node_a: str, node_b: str, latency: float = 0.0001,
@@ -119,54 +123,62 @@ class Topology:
         """All node names (switches then hosts)."""
         return list(self.switches) + list(self.hosts)
 
-    def switch_graph(self) -> nx.Graph:
-        """The switch-to-switch adjacency graph (hosts excluded).
+    def full_graph(self) -> Dict[str, Dict[str, None]]:
+        """``{node: {neighbour: None}}``, switches then hosts, neighbours in
+        link order.  Built once per mutation and shared: read it only."""
+        if self._adjacency is None:
+            adjacency: Dict[str, Dict[str, None]] = {node: {} for node in self.node_names()}
+            for link in self.links:
+                adjacency[link.node_a][link.node_b] = None
+                adjacency[link.node_b][link.node_a] = None
+            self._adjacency = adjacency
+        return self._adjacency
 
-        Used by the vertex-colouring optimisation of the general probing
-        technique, which only needs adjacent *switches* to differ in their
-        probe-catch identifier.
+    def switch_graph(self) -> Dict[str, Dict[str, None]]:
+        """:meth:`full_graph` without the hosts.
+
+        The vertex-colouring optimisation of the general probing technique
+        only needs adjacent *switches* to differ in their probe-catch value.
         """
-        graph = nx.Graph()
-        graph.add_nodes_from(self.switches)
-        for link in self.links:
-            if link.node_a in self.switches and link.node_b in self.switches:
-                graph.add_edge(link.node_a, link.node_b)
-        return graph
-
-    def full_graph(self) -> nx.Graph:
-        """Adjacency graph over all nodes, including hosts."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.node_names())
-        for link in self.links:
-            graph.add_edge(link.node_a, link.node_b, latency=link.latency)
-        return graph
+        full = self.full_graph()
+        return {switch: {neighbor: None for neighbor in full[switch] if neighbor in self.switches}
+                for switch in self.switches}
 
     def neighbors_of(self, name: str) -> List[str]:
-        """Names of the nodes directly linked to ``name`` (link insertion order).
-
-        Backed by an adjacency map built once per topology mutation, so
-        repeated per-node queries — validation, routing, probe colouring — do
-        not rescan the whole link list on fat-tree-sized topologies.
-        """
-        if self._adjacency is None:
-            adjacency: Dict[str, List[str]] = {node: [] for node in self.node_names()}
-            for link in self.links:
-                adjacency[link.node_a].append(link.node_b)
-                adjacency[link.node_b].append(link.node_a)
-            self._adjacency = adjacency
-        return list(self._adjacency.get(name, []))
+        """Names of the nodes directly linked to ``name`` (link order)."""
+        return list(self.full_graph().get(name, ()))
 
     def validate(self) -> None:
         """Check the topology is connected and every host has exactly one link."""
         if not self.switches:
             raise ValueError("topology has no switches")
-        graph = self.full_graph()
-        if self.links and not nx.is_connected(graph):
+        links = [(link.node_a, link.node_b) for link in self.links]
+        if links and len(connected_components(self.node_names(), links)) > 1:
             raise ValueError("topology is not connected")
         for host in self.hosts:
-            degree = len(self.neighbors_of(host))
+            degree = sum(host in (link.node_a, link.node_b) for link in self.links)
             if degree != 1:
                 raise ValueError(f"host {host!r} must have exactly one link, has {degree}")
+
+
+def connected_components(names: Sequence[str],
+                         links: Iterable[Tuple[str, str]]) -> List[List[str]]:
+    """Connected components (union-find over the links), each in ``names``
+    order, ordered by their first member."""
+    parent = {name: name for name in names}
+
+    def find(name: str) -> str:
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
+
+    for name_a, name_b in links:
+        parent[find(name_a)] = find(name_b)
+    groups: Dict[str, List[str]] = {}
+    for name in names:
+        groups.setdefault(find(name), []).append(name)
+    return list(groups.values())
 
 
 def triangle_topology(

@@ -333,10 +333,3 @@ class FlowTable:
 
 class TableFullError(RuntimeError):
     """Raised when an ADD exceeds the flow table capacity."""
-
-
-def diff_tables(reference: FlowTable, other: FlowTable) -> Tuple[set, set]:
-    """Entries present only in ``reference`` and only in ``other`` (by signature)."""
-    ref = reference.signature_set()
-    oth = other.signature_set()
-    return ref - oth, oth - ref

@@ -7,24 +7,26 @@ every packet with ``H == S_i`` to the controller.  Correctness only requires
 would capture its own probe before forwarding it), so the number of distinct
 values can be reduced from one-per-switch to the chromatic number of the
 switch graph.  The paper points to the classic Welsh–Powell heuristic, which
-is what :func:`welsh_powell_coloring` implements.
+is what :func:`welsh_powell_coloring` implements.  The graph is an adjacency
+map ``{switch: {neighbour: None}}``
+(:meth:`~repro.net.topology.Topology.switch_graph`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Mapping, Optional
 
-import networkx as nx
+Adjacency = Mapping[str, Collection[str]]
 
 
-def welsh_powell_coloring(graph: nx.Graph) -> Dict[str, int]:
+def welsh_powell_coloring(graph: Adjacency) -> Dict[str, int]:
     """Colour ``graph`` greedily in order of decreasing degree.
 
     Returns a mapping ``node -> colour`` with colours numbered from 0.  The
     classic Welsh–Powell bound guarantees at most ``max_degree + 1`` colours.
     """
     nodes_by_degree: List[str] = sorted(
-        graph.nodes, key=lambda node: (-graph.degree[node], str(node))
+        graph, key=lambda node: (-len(graph[node]), str(node))
     )
     coloring: Dict[str, int] = {}
     next_color = 0
@@ -38,19 +40,14 @@ def welsh_powell_coloring(graph: nx.Graph) -> Dict[str, int]:
             if candidate in coloring:
                 continue
             if all(coloring.get(neighbor) != next_color
-                   for neighbor in graph.neighbors(candidate)):
+                   for neighbor in graph[candidate]):
                 coloring[candidate] = next_color
         next_color += 1
     return coloring
 
 
-def validate_coloring(graph: nx.Graph, coloring: Dict[str, int]) -> bool:
-    """Whether no two adjacent nodes share a colour."""
-    return all(coloring[a] != coloring[b] for a, b in graph.edges)
-
-
 def assign_switch_values(
-    graph: nx.Graph,
+    graph: Adjacency,
     *,
     first_value: int = 1,
     max_value: Optional[int] = None,
@@ -76,7 +73,7 @@ def assign_switch_values(
     """
     if unique:
         values = {node: first_value + index
-                  for index, node in enumerate(sorted(graph.nodes, key=str))}
+                  for index, node in enumerate(sorted(graph, key=str))}
     else:
         coloring = welsh_powell_coloring(graph)
         values = {node: first_value + color for node, color in coloring.items()}

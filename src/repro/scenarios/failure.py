@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from repro.controller.consistent import ConsistentPathMigration
 from repro.controller.routing import (
+    NoPathError,
     first_distinct_switch,
     install_path_rules,
     path_flowmods,
-    shortest_path_avoiding_edge,
+    shortest_path,
 )
 from repro.controller.update_plan import UpdatePlan
 from repro.net.network import Network
@@ -44,7 +43,7 @@ class LinkFailureRerouteScenario(Scenario):
             return self._cached_setup
         source, dest = endpoint_hosts(network)
         graph = network.topology.full_graph()
-        old_path = list(nx.shortest_path(graph, source, dest))
+        old_path = shortest_path(graph, source, dest)
         switch_edges = [
             (old_path[index], old_path[index + 1])
             for index in range(len(old_path) - 1)
@@ -56,10 +55,12 @@ class LinkFailureRerouteScenario(Scenario):
                 f"path {old_path!r} has no switch-to-switch link to drain"
             )
         for edge in switch_edges:
-            new_path = shortest_path_avoiding_edge(graph, source, dest, edge)
-            if new_path is not None:
-                self._cached_setup = (old_path, new_path, edge)
-                return self._cached_setup
+            try:
+                new_path = shortest_path(graph, source, dest, cut=(edge,))
+            except NoPathError:
+                continue
+            self._cached_setup = (old_path, new_path, edge)
+            return self._cached_setup
         raise ValueError(
             f"every link of {old_path!r} is a bridge; nothing can be drained"
         )

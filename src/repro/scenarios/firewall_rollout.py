@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import networkx as nx
-
-from repro.controller.routing import flow_match, path_flowmods
+from repro.controller.routing import flow_match, path_flowmods, shortest_path
 from repro.controller.update_plan import UpdatePlan
 from repro.net.network import Network
 from repro.net.traffic import FlowSpec
@@ -45,8 +43,7 @@ class FirewallRolloutScenario(Scenario):
     def _path(self, network: Network) -> List[str]:
         if not hasattr(self, "_cached_path"):
             source, dest = endpoint_hosts(network)
-            graph = network.topology.full_graph()
-            self._cached_path = list(nx.shortest_path(graph, source, dest))
+            self._cached_path = shortest_path(network.topology.full_graph(), source, dest)
         return self._cached_path
 
     def _path_switches(self, network: Network) -> List[str]:

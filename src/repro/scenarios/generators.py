@@ -29,6 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.net.topology import (
     SWITCH_KINDS,
     Topology,
+    connected_components,
     linear_topology,
     triangle_topology,
 )
@@ -237,7 +238,7 @@ def random_waxman(
                 edges.add((name_a, name_b))
 
     # Join components through their geometrically closest switch pairs.
-    components = _components(names, edges)
+    components = connected_components(names, edges)
     while len(components) > 1:
         best = None
         for name_a in components[0]:
@@ -248,7 +249,7 @@ def random_waxman(
                 if best is None or distance < best[0]:
                     best = (distance, name_a, name_b)
         edges.add((best[1], best[2]))
-        components = _components(names, edges)
+        components = connected_components(names, edges)
 
     for name_a, name_b in sorted(edges):
         topo.add_link(name_a, name_b, latency=link_latency)
@@ -257,24 +258,6 @@ def random_waxman(
     _apply_kinds(topo, hardware_fraction, seed)
     topo.validate()
     return topo
-
-
-def _components(names: Sequence[str], edges: set) -> List[List[str]]:
-    """Connected components (union-find over the edge set)."""
-    parent = {name: name for name in names}
-
-    def find(name: str) -> str:
-        while parent[name] != name:
-            parent[name] = parent[parent[name]]
-            name = parent[name]
-        return name
-
-    for name_a, name_b in edges:
-        parent[find(name_a)] = find(name_b)
-    groups: Dict[str, List[str]] = {}
-    for name in names:
-        groups.setdefault(find(name), []).append(name)
-    return list(groups.values())
 
 
 def _apply_kinds(topo: Topology, hardware_fraction: float, seed: int) -> None:

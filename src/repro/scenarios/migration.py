@@ -13,10 +13,13 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from repro.controller.consistent import ConsistentPathMigration
-from repro.controller.routing import first_distinct_switch, install_path_rules, path_flowmods
+from repro.controller.routing import (
+    first_distinct_switch,
+    install_path_rules,
+    path_flowmods,
+    shortest_simple_paths,
+)
 from repro.controller.update_plan import UpdatePlan
 from repro.net.network import Network
 from repro.net.traffic import FlowSpec, flows_between
@@ -47,8 +50,7 @@ def migration_paths(network: Network, source_host: str,
     what :class:`ConsistentPathMigration` requires of its ingress.  Paths are
     drawn lazily: each one costs a search, and the first usable one ends it.
     """
-    paths = islice(nx.shortest_simple_paths(network.topology.full_graph(),
-                                            source_host, dest_host),
+    paths = islice(shortest_simple_paths(network.topology.full_graph(), source_host, dest_host),
                    _PATH_SEARCH_LIMIT)
     old_path = next(paths)
     for path in paths:

@@ -70,6 +70,7 @@ class Switch:
             datapath_id=self.datapath_id,
             ports=[],
             name=name,
+            dataplane_table=self.dataplane.table,
         )
 
         #: Empty while a flap holds the ports (kept in ``_flapped_ports``) dark.

@@ -121,6 +121,8 @@ class ControlPlane:
         PacketOut semantics on the data plane / ports.
     rng:
         Seeded randomness source for jitter and reordering.
+    dataplane_table:
+        The table packets hit; flow statistics report its counters.
     """
 
     def __init__(
@@ -134,6 +136,7 @@ class ControlPlane:
         datapath_id: int = 1,
         ports: Optional[List[int]] = None,
         name: str = "switch",
+        dataplane_table: Optional[FlowTable] = None,
     ) -> None:
         profile.validate()
         self.sim = sim
@@ -145,6 +148,7 @@ class ControlPlane:
         self._apply_to_dataplane = apply_to_dataplane
         self._inject_packet = inject_packet
         self.rng = rng or SeededRandom(datapath_id)
+        self._dataplane_table = dataplane_table
 
         #: Control-plane view of the flow table (always up to date with
         #: processed FlowMods; may be *ahead* of the data plane).
@@ -418,25 +422,26 @@ class ControlPlane:
         self._next_message()
 
     def _stats_body(self, request: StatsRequest) -> List[dict]:
-        if request.stats_type == StatsType.FLOW:
-            return [
-                {
-                    "priority": entry.priority,
-                    "match": repr(entry.match),
-                    "packets": entry.packet_count,
-                    "bytes": entry.byte_count,
-                }
-                for entry in self.table
-                if request.match.is_match_all or request.match.covers(entry.match)
-            ]
         if request.stats_type == StatsType.TABLE:
             return [{"table": self.table.name, "active": len(self.table)}]
+        if request.stats_type not in (StatsType.FLOW, StatsType.AGGREGATE):
+            return [{"switch": self.name, "datapath_id": self.datapath_id}]
+        # Packets only ever hit the data plane: a rule not there yet has
+        # forwarded nothing, whatever the control plane believes.
+        hardware = {(entry.priority, entry.match): entry
+                    for entry in self._dataplane_table or ()}
+        body = []
+        for entry in self.table:
+            if (request.stats_type == StatsType.FLOW and not request.match.is_match_all
+                    and not request.match.covers(entry.match)):
+                continue
+            hit = hardware.get((entry.priority, entry.match))
+            body.append({"priority": entry.priority, "match": repr(entry.match),
+                         "packets": hit.packet_count if hit else 0,
+                         "bytes": hit.byte_count if hit else 0})
         if request.stats_type == StatsType.AGGREGATE:
-            return [{
-                "flows": len(self.table),
-                "packets": sum(entry.packet_count for entry in self.table),
-            }]
-        return [{"switch": self.name, "datapath_id": self.datapath_id}]
+            return [{"flows": len(body), "packets": sum(flow["packets"] for flow in body)}]
+        return body
 
     # -- data-plane synchronisation ------------------------------------------------------------
     def _sync_step(self) -> None:

@@ -13,7 +13,7 @@ from repro.openflow.messages import FlowMod
 from repro.packet.addresses import int_to_ip, int_to_mac, ip_to_int, mac_to_int
 from repro.packet.fields import HeaderField
 from repro.packet.packet import Packet
-from repro.probing.coloring import validate_coloring, welsh_powell_coloring
+from repro.probing.coloring import welsh_powell_coloring
 from repro.probing.probe_packets import (
     ProbeGenerationError,
     RuleView,
@@ -21,6 +21,7 @@ from repro.probing.probe_packets import (
 )
 
 import networkx as nx
+from nx_graphs import adjacency, validate_coloring
 
 
 # -- strategies -----------------------------------------------------------------
@@ -207,7 +208,7 @@ def test_version_allocation_never_duplicates_outstanding_values(space, operation
 @settings(max_examples=50)
 def test_welsh_powell_always_valid(node_count, density, rng):
     graph = nx.gnp_random_graph(node_count, density, seed=rng.randint(0, 10000))
-    coloring = welsh_powell_coloring(graph)
+    coloring = welsh_powell_coloring(adjacency(graph))
     assert validate_coloring(graph, coloring)
     assert set(coloring) == set(graph.nodes)
     if graph.number_of_nodes():

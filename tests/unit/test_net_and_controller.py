@@ -1,6 +1,7 @@
 """Unit tests for the network layer (topology, links, hosts, traffic, monitor)
 and the controller framework (acks, update plans, consistent updates)."""
 
+import networkx as nx
 import pytest
 
 from repro.controller import (
@@ -13,7 +14,8 @@ from repro.controller import (
     install_path_rules,
     path_flowmods,
 )
-from repro.controller.routing import install_drop_all, shortest_path
+from repro.controller.routing import NoPathError, shortest_path
+from repro.core import TopologyView
 from repro.net import (
     DeliveryMonitor,
     Network,
@@ -24,6 +26,7 @@ from repro.net import (
     triangle_topology,
 )
 from repro.openflow import FlowMod, Match, OutputAction
+from repro.openflow.actions import DropAction
 from repro.sim import Simulator
 
 
@@ -34,8 +37,8 @@ def test_triangle_topology_structure():
     assert set(topo.switches) == {"S1", "S2", "S3"}
     assert set(topo.hosts) == {"H1", "H2"}
     assert topo.switches["S2"].kind == "hardware"
-    graph = topo.switch_graph()
-    assert graph.number_of_edges() == 3
+    graph = nx.Graph(topo.switch_graph())
+    assert graph.number_of_nodes() == graph.number_of_edges() == 3
 
 
 def test_linear_topology_chain():
@@ -74,17 +77,23 @@ def test_network_ports_are_symmetric_and_queryable():
         network.port_between("S1", "H2")
 
 
+def _path_ports(network, path):
+    """For a node path, the output port each switch uses towards the next hop."""
+    return [(node, network.port_between(node, path[index + 1]))
+            for index, node in enumerate(path[:-1]) if node in network.switches]
+
+
 def test_network_path_ports():
     sim = Simulator()
     network = Network(sim, triangle_topology())
-    pairs = network.path_ports(["H1", "S1", "S2", "S3", "H2"])
+    pairs = _path_ports(network, ["H1", "S1", "S2", "S3", "H2"])
     assert [switch for switch, _port in pairs] == ["S1", "S2", "S3"]
 
 
 def test_network_neighbors_exclude_hosts():
     sim = Simulator()
     network = Network(sim, triangle_topology())
-    assert set(network.neighbors_of_switch("S1")) == {"S2", "S3"}
+    assert set(TopologyView(network).switch_neighbors("S1")) == {"S2", "S3"}
 
 
 # -- traffic and delivery ---------------------------------------------------------------
@@ -237,7 +246,7 @@ def test_executor_respects_dependencies_and_window():
     assert plan.completed()
     assert first.acked_at <= second.issued_at
     assert executor.duration is not None
-    assert executor.effective_rate() > 0
+    assert len(plan.operations) / executor.duration > 0
 
 
 def test_executor_ignore_dependencies_issues_everything():
@@ -271,7 +280,7 @@ def test_path_migration_plan_shape():
     plan = migration.build_plan()
     assert len(plan) == 20  # one S2 install plus one S1 flip per flow
     for flow in flows:
-        ops = plan.by_label(flow.flow_id)
+        ops = [op for op in plan.operations.values() if op.label == flow.flow_id]
         roles = {op.role for op in ops}
         assert roles == {"new-path", "ingress-flip"}
         flip = next(op for op in ops if op.role == "ingress-flip")
@@ -300,7 +309,7 @@ def test_two_phase_versioned_update_plan():
     )
     plan = update.build_plan()
     for flow in flows:
-        ops = plan.by_label(flow.flow_id)
+        ops = [op for op in plan.operations.values() if op.label == flow.flow_id]
         roles = [op.role for op in ops]
         assert roles.count("new-path") == 2      # S2 and S3 versioned rules
         assert roles.count("ingress-flip") == 1
@@ -310,15 +319,20 @@ def test_two_phase_versioned_update_plan():
 
 
 def test_shortest_path_avoids_nodes():
-    import networkx as nx
-
-    sim = Simulator()
-    network = Network(sim, triangle_topology())
-    direct = shortest_path(network, "H1", "H2")
+    graph = triangle_topology().full_graph()
+    direct = shortest_path(graph, "H1", "H2")
     assert "S2" not in direct
     # Removing S3 disconnects H2 entirely in the triangle.
-    with pytest.raises(nx.NetworkXNoPath):
-        shortest_path(network, "H1", "H2", avoid=["S3"])
+    with pytest.raises(NoPathError):
+        shortest_path(graph, "H1", "H2", avoid=["S3"])
+
+
+def install_drop_all(network, priority=1):
+    """Pre-install a low-priority drop-all rule on every switch: the Section
+    5.2 set-up starts from "a single, low priority drop-all-packets rule"."""
+    for name in network.switch_names():
+        flowmod = FlowMod(Match(), [DropAction()], priority=priority)
+        network.switch(name).install_rule_directly(flowmod)
 
 
 def test_install_drop_all_installs_on_every_switch():

@@ -21,42 +21,43 @@ from repro.probing import (
     sequential_probe_rule_flowmod,
     welsh_powell_coloring,
 )
-from repro.probing.coloring import validate_coloring
+from nx_graphs import adjacency, validate_coloring
 
 
 # -- colouring ---------------------------------------------------------------
 
 def test_welsh_powell_triangle_needs_three_colors():
-    graph = nx.complete_graph(3)
+    graph = adjacency(nx.complete_graph(3))
     coloring = welsh_powell_coloring(graph)
     assert validate_coloring(graph, coloring)
     assert len(set(coloring.values())) == 3
 
 
 def test_welsh_powell_path_needs_two_colors():
-    graph = nx.path_graph(6)
+    graph = adjacency(nx.path_graph(6))
     coloring = welsh_powell_coloring(graph)
     assert validate_coloring(graph, coloring)
     assert len(set(coloring.values())) == 2
 
 
 def test_welsh_powell_star_uses_two_colors():
-    graph = nx.star_graph(8)
+    graph = adjacency(nx.star_graph(8))
     coloring = welsh_powell_coloring(graph)
     assert validate_coloring(graph, coloring)
     assert len(set(coloring.values())) == 2
 
 
 def test_assign_switch_values_adjacent_differ():
-    graph = nx.cycle_graph(["A", "B", "C", "D", "E"])
+    graph = adjacency(nx.cycle_graph(["A", "B", "C", "D", "E"]))
     values = assign_switch_values(graph, first_value=1, max_value=63)
-    for left, right in graph.edges:
-        assert values[left] != values[right]
+    for left in graph:
+        for right in graph[left]:
+            assert values[left] != values[right]
     assert min(values.values()) >= 1
 
 
 def test_assign_switch_values_unique_mode_uses_more_values():
-    graph = nx.path_graph(["A", "B", "C", "D"])
+    graph = adjacency(nx.path_graph(["A", "B", "C", "D"]))
     colored = assign_switch_values(graph)
     unique = assign_switch_values(graph, unique=True)
     assert len(set(unique.values())) == 4
@@ -64,7 +65,7 @@ def test_assign_switch_values_unique_mode_uses_more_values():
 
 
 def test_assign_switch_values_respects_field_width():
-    graph = nx.complete_graph(10)
+    graph = adjacency(nx.complete_graph(10))
     with pytest.raises(ValueError):
         assign_switch_values(graph, first_value=1, max_value=5, unique=True)
 

@@ -143,7 +143,7 @@ def test_general_probing_uses_distinct_adjacent_switch_values():
     sim, network, rum, controller = _build("general")
     values = rum.technique.switch_values
     for left in network.switch_names():
-        for right in network.neighbors_of_switch(left):
+        for right in rum.topology.switch_neighbors(left):
             assert values[left] != values[right]
 
 

@@ -19,6 +19,7 @@ from repro.openflow import (
     StatsReply,
 )
 from repro.openflow.connection import Connection
+from repro.openflow.constants import StatsType
 from repro.packet.packet import make_ip_packet
 from repro.sim import Simulator
 from repro.faults import DataPlaneFaultHarness, DelaySpikeFault, ReorderFault
@@ -182,6 +183,28 @@ def test_echo_features_and_stats_replies():
     assert StatsReply in types
     stats = next(msg for _t, msg in replies if isinstance(msg, StatsReply))
     assert len(stats.body) == 1
+
+
+def test_flow_stats_count_what_the_data_plane_forwarded():
+    sim, switch, endpoint, replies = _wired_switch(hp5406zl_profile())
+    switch.attach_port(1, lambda packet: None)
+    flowmod = _flowmods(1)[0]
+    endpoint.send(flowmod)
+    endpoint.send(StatsRequest(StatsType.FLOW, xid=11))
+    sim.run(until=0.002)  # in the control plane, not yet in hardware
+    sim.run(until=2.0)
+    packets = [make_ip_packet("10.0.0.1", "10.0.128.1") for _ in range(3)]
+    for packet in packets:
+        switch.receive_packet(packet, in_port=2, arrived_at=sim.now)
+    endpoint.send(StatsRequest(StatsType.FLOW, xid=12))
+    endpoint.send(StatsRequest(StatsType.AGGREGATE, xid=13))
+    sim.run(until=3.0)
+    stats = {msg.xid: msg.body for _t, msg in replies if isinstance(msg, StatsReply)}
+    assert [flow["packets"] for flow in stats[11]] == [0]
+    assert switch.dataplane.table.entries[0].packet_count == 3
+    assert [(flow["packets"], flow["bytes"]) for flow in stats[12]] == [
+        (3, sum(packet.total_size for packet in packets))]
+    assert stats[13] == [{"flows": 1, "packets": 3}]
 
 
 def test_packet_out_injects_on_port():

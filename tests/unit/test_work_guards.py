@@ -40,12 +40,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import networkx as nx
 import pytest
 
 import repro
 import repro.core.techniques.general as general_mod
 import repro.openflow.match as match_mod
+import repro.scenarios.migration as migration_mod
 import repro.switches.dataplane as dataplane_mod
 from repro.controller.routing import install_path_rules, path_flowmods
 from repro.core.rum import RumLayer
@@ -207,14 +207,14 @@ def _python_frames(function, entered=None):
 
 def test_fat_tree_path_search_stops_at_the_first_usable_path(monkeypatch):
     drawn = Counter()
-    search = nx.shortest_simple_paths
+    search = migration_mod.shortest_simple_paths
 
     def counted(*args, **kwargs):
         for path in search(*args, **kwargs):
             drawn["paths"] += 1
             yield path
 
-    monkeypatch.setattr(nx, "shortest_simple_paths", counted)
+    monkeypatch.setattr(migration_mod, "shortest_simple_paths", counted)
     network = Network(Simulator(), build_topology("fat-tree", scale=2))
     old_path, new_path = migration_paths(network, *endpoint_hosts(network))
     assert len(old_path) == len(new_path) == 7
@@ -531,8 +531,8 @@ def test_a_finished_session_is_freed_by_reference_counting(session, digest, comp
     session()  # imports, topology and colouring caches
     unreachable, record = _unreachable_after(session)
     # The session was one strongly connected graph (12 369 / 7 538 / 9 220
-    # unreachable objects); what is left are networkx's cached graph views.
-    assert unreachable <= 200
+    # unreachable objects); now nothing is left for the cyclic collector.
+    assert unreachable == 0
     assert record.completed == completed and record.digest() == digest
     if record.trace is not None:
         assert len(record.trace.events) > 1000 and record.recovery["resyncs_completed"] == 4
@@ -550,7 +550,7 @@ def test_a_failing_session_is_dismantled_too():
 
     session()
     unreachable, _none = _unreachable_after(session)
-    assert unreachable <= 200
+    assert unreachable == 0
 
 
 def test_reinjecting_a_probe_validates_nothing(monkeypatch):
