@@ -44,9 +44,10 @@ def main(results_path: Path) -> None:
         seeds=[1, 2],
         flow_count=6,
     )
-    outcome = CampaignRunner(spec, results_path).run(progress=print)
-    print(f"\nran {outcome.ran}, skipped {outcome.skipped} "
-          f"(re-running this script resumes from {results_path})")
+    store = results_path.parent / "runstore"
+    outcome = CampaignRunner(spec, results_path, cache=store).run(progress=print)
+    print(f"\nran {outcome.ran}, cached {outcome.cached} "
+          f"(re-running this script resumes from the run store {store})")
     print()
     print(render_report(results_path))
 

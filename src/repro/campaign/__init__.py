@@ -1,8 +1,9 @@
 """Campaign subsystem: parallel (scenario × technique × fault × scale × seed) sweeps.
 
 The grid (:mod:`repro.campaign.grid`) expands a :class:`CampaignSpec` into
-hash-keyed cells, the runner (:mod:`repro.campaign.runner`) executes pending
-cells across worker processes with JSON-lines resume, and the report module
+hash-keyed cells, the runner (:mod:`repro.campaign.runner`) executes the
+cells its run store lacks across worker processes (resume is a store cache
+hit) and writes one JSON line per cell, and the report module
 aggregates results with the :mod:`repro.analysis.report` table machinery.
 ``python -m repro.campaign`` is the command-line entry point.
 """
@@ -11,13 +12,11 @@ from repro.campaign.grid import CampaignCell, CampaignSpec, cell_from_config
 from repro.campaign.report import (
     aggregate,
     render_report,
-    render_resilience_report,
     resilience,
 )
 from repro.campaign.runner import (
     CampaignOutcome,
     CampaignRunner,
-    completed_cell_ids,
     load_records,
     run_cell,
 )
@@ -29,10 +28,8 @@ __all__ = [
     "CampaignSpec",
     "aggregate",
     "cell_from_config",
-    "completed_cell_ids",
     "load_records",
     "render_report",
-    "render_resilience_report",
     "resilience",
     "run_cell",
 ]

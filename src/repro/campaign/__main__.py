@@ -20,8 +20,10 @@ shell dislikes parentheses)::
 
 and the report then includes the per-technique correctness-under-fault table.
 
-``run`` appends to its results file and skips cells that already succeeded,
-so re-invoking the same command resumes an interrupted campaign.
+``run`` writes one line per grid cell to its results file and keeps every
+finished cell in a run store (``--cache``, by default ``runstore/`` next to
+``--out``): re-invoking the same command resumes an interrupted campaign,
+simulating only the cells the store lacks.
 """
 
 from __future__ import annotations
@@ -125,29 +127,20 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--flows", type=int, default=8, help="flows per cell")
     run.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: min(cpu, 8))")
-    run.add_argument("--chunk-size", type=int, default=None,
-                     help="cells dispatched per worker task (default: "
-                          "auto, ~4 chunks per worker, max 8)")
     run.add_argument("--trace", action="store_true",
                      help="arm rule-lifecycle tracing on every cell and "
-                          "write one Chrome-trace shard per cell (see "
-                          "--trace-dir); the report gains an activation-gap "
-                          "section")
-    run.add_argument("--trace-dir", type=Path, default=None,
-                     help="directory for per-cell trace shards (default: "
-                          "'traces' next to the results file)")
-    run.add_argument("--heartbeat-dir", type=Path, default=None,
-                     help="directory for per-worker heartbeat shards read "
-                          "by --status (default: 'heartbeats' next to the "
-                          "results file)")
+                          "write one Chrome-trace shard per cell to "
+                          "'traces' next to the results file; the report "
+                          "gains an activation-gap section")
     run.add_argument("--cache", type=Path, default=None, metavar="STORE",
-                     help="run-store directory (see python -m repro.store): "
-                          "pending cells with a digest-verified record there "
-                          "are emitted from the store instead of simulated")
+                     help="run-store directory (see python -m repro.store; "
+                          "default: 'runstore' next to the results file): "
+                          "cells with a digest-verified record there are "
+                          "emitted from the store instead of simulated, and "
+                          "every finished cell is put into it")
     run.add_argument("--out", type=Path, default=Path(DEFAULT_RESULTS),
-                     help="JSON-lines results file (appended; enables resume)")
-    run.add_argument("--fresh", action="store_true",
-                     help="delete an existing results file before running")
+                     help="JSON-lines results file (rewritten: one line per "
+                          "grid cell)")
     run.add_argument("--quick", action="store_true",
                      help="ignore the axes and run one tiny smoke cell")
     run.add_argument("--no-report", action="store_true",
@@ -202,13 +195,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             trace=args.trace,
         )
     spec.validate()
-    if args.fresh and args.out.exists():
-        args.out.unlink()
+    cache = args.cache or args.out.parent / "runstore"
     runner = CampaignRunner(spec, args.out, max_workers=args.workers,
-                            chunk_size=args.chunk_size,
-                            trace_dir=args.trace_dir,
-                            heartbeat_dir=args.heartbeat_dir,
-                            cache=args.cache)
+                            cache=cache)
     cells = spec.cells()
     logger.info(
         "campaign: %d cells (%d scenarios x %d techniques x %d faults "
@@ -217,17 +206,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         len(spec.faults), len(spec.recoveries), len(spec.scales),
         len(spec.seeds), runner.max_workers, args.out,
     )
-    if spec.trace and runner.trace_dir is not None:
+    if runner.trace_dir is not None:
         logger.info("tracing armed: shards -> %s", runner.trace_dir)
     logger.info("heartbeats -> %s (watch live: python -m repro.campaign "
                 "--status %s)", runner.heartbeat_dir, args.out)
-    if args.cache is not None:
-        logger.info("cache armed: %s (cells with digest-verified store "
-                    "records are not re-simulated)", args.cache)
+    logger.info("run store: %s (cells with digest-verified records there "
+                "are not re-simulated)", cache)
     outcome = runner.run()
-    logger.info("done: ran %d, cached %d (emitted from store), skipped %d "
-                "(already complete), failed %d",
-                outcome.ran, outcome.cached, outcome.skipped, outcome.failed)
+    logger.info("done: ran %d, cached %d (emitted from store), failed %d",
+                outcome.ran, outcome.cached, outcome.failed)
     if not args.no_report:
         print()
         print(render_report(args.out, cached=outcome.cached))

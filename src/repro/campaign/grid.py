@@ -3,8 +3,8 @@
 A :class:`CampaignSpec` names the axes of a sweep — scenarios, techniques,
 fault plans, topology scales and seeds — and expands into the cross product of
 :class:`CampaignCell` instances.  Every cell derives a stable ``cell_id``
-from the SHA-1 of its canonical JSON configuration; the campaign runner
-keys result records by that id, which is what makes interrupted campaigns
+from the SHA-1 of its canonical JSON configuration; the run store indexes
+result records by that id, which is what makes interrupted campaigns
 resumable without re-running finished cells.
 """
 
@@ -52,8 +52,8 @@ class CampaignCell:
 
         The ``fault`` and ``recovery`` keys are only present when the axis
         is: a cell without them hashes to the same ``cell_id`` as before the
-        axes existed, so resuming an older results file still skips its
-        finished cells instead of re-running (and double-counting) them.  An
+        axes existed, so a store filled before them still serves its
+        finished cells instead of re-running them.  An
         explicit ``"none"`` / ``"off"`` is written out — for a scenario with
         defaults of its own it is a different run from the absent axis, and
         the store must never serve one for the other.
@@ -82,7 +82,7 @@ class CampaignCell:
 
     @property
     def cell_id(self) -> str:
-        """Stable hash of the configuration (used for resume bookkeeping)."""
+        """Stable hash of the configuration (the run store's index key)."""
         canonical = json.dumps(self.config(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:16]
 

@@ -129,18 +129,6 @@ def resilience(records: List[Dict[str, object]]) -> List[List[object]]:
     return correctness_under_fault_rows(groups)
 
 
-def render_resilience_report(results_path: Path) -> str:
-    """The technique × fault correctness table of a campaign's results."""
-    records = load_records(results_path)
-    rows = resilience(records)
-    if not rows:
-        return f"no finished campaign records in {results_path}"
-    return format_table(
-        RESILIENCE_HEADERS, rows,
-        title=f"Resilience report — correctness under fault ({results_path})",
-    )
-
-
 def has_trace_axis(records: List[Dict[str, object]]) -> bool:
     """Whether any record carries a traced activation-gap summary."""
     return any(record.get("activation_gaps") for record in records)
@@ -290,19 +278,21 @@ def baseline_records(baseline: Path) -> Dict[str, Dict[str, object]]:
     """``cell_id -> record`` from a results file *or* a run-store directory.
 
     A directory with an ``objects/`` layout is read as a
-    :class:`~repro.store.RunStore` (its stored campaign summaries carry
-    their cell ids); anything else is treated as a JSONL results file.
+    :class:`~repro.store.RunStore`: each cell's digest-verified summary,
+    as :meth:`~repro.store.RunStore.cached_record` serves it; anything else
+    is treated as a JSONL results file.
     """
     baseline = Path(baseline)
     if baseline.is_dir() and (baseline / "objects").is_dir():
         from repro.store import RunStore
 
-        out: Dict[str, Dict[str, object]] = {}
-        for obj in RunStore(baseline).iter_objects():
-            summary = obj.get("summary")
-            if summary and summary.get("cell_id"):
-                out[str(summary["cell_id"])] = summary
-        return out
+        store = RunStore(baseline)
+        return {
+            cell_id: hit
+            for obj in store.iter_objects()
+            for cell_id in obj.get("summaries") or {}
+            if (hit := store.cached_record(cell_id)) is not None
+        }
     return {
         str(record["cell_id"]): record
         for record in load_records(baseline)

@@ -2,11 +2,13 @@
 
 Fans the cells of a :class:`~repro.campaign.grid.CampaignSpec` out across
 worker processes (each simulation run is single-threaded pure Python, so
-process-level parallelism is what buys wall-clock time) and appends one
-JSON line per finished cell to the results file.  Records are keyed by the
-cell's config hash: restarting the same campaign against the same file
-skips every cell that already has an ``ok`` record, so an interrupted — or
-killed — campaign resumes exactly where it left off.
+process-level parallelism is what buys wall-clock time) and writes one JSON
+line per grid cell to the results file, which holds this invocation's grid
+and nothing else.  The run store given as ``cache`` is the campaign's only
+memory: a cell it holds is emitted from it verbatim, and every finished
+``ok``/``incomplete`` cell is put into it as its chunk completes — so a
+killed or partly failed campaign re-run against the same store simulates
+only what the store lacks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.campaign import heartbeat
 from repro.campaign.grid import CampaignCell, CampaignSpec
@@ -43,7 +45,8 @@ def run_cell(cell: CampaignCell,
     cell stays one short line.
 
     Never raises: failures come back as ``status: "error"`` records so one
-    broken cell cannot take down the campaign (and is retried on resume).
+    broken cell cannot take down the campaign (the store never keeps one,
+    so a re-run retries it).
 
     Every record also carries its telemetry: ``wall_s`` (seconds this cell
     took in its worker) and ``peak_rss_kb`` (the worker process's peak RSS
@@ -125,8 +128,7 @@ def load_records(results_path: Path) -> List[Dict[str, object]]:
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError:
-                # A half-written trailing line from a killed run; skip it —
-                # its cell has no ok-record and will simply be re-run.
+                # A half-written trailing line from a killed run; skip it.
                 continue
     return records
 
@@ -150,34 +152,12 @@ def encode_record(record: Dict[str, object],
         return json.dumps(record), record
 
 
-def _terminate_partial_line(results_path: Path) -> None:
-    """Newline-terminate a file whose last write was cut off by a kill.
-
-    Without this, the first record appended on resume would merge into the
-    dangling partial line and be lost to ``load_records``.
-    """
-    if not results_path.exists() or results_path.stat().st_size == 0:
-        return
-    with results_path.open("rb+") as handle:
-        handle.seek(-1, os.SEEK_END)
-        if handle.read(1) != b"\n":
-            handle.write(b"\n")
-
-
-#: Record statuses that resume treats as final.  ``incomplete`` runs are
-#: deterministic (seeded simulation hit its deadline) so re-running them can
-#: only reproduce the same record; ``error`` cells are retried because they
-#: may be environmental (a killed worker, a transient import failure).
+#: Record statuses the run store keeps, and so never re-simulates.
+#: ``incomplete`` runs are deterministic (seeded simulation hit its deadline)
+#: so re-running them can only reproduce the same record; ``error`` cells are
+#: retried because they may be environmental (a killed worker, a transient
+#: import failure).
 FINAL_STATUSES = ("ok", "incomplete")
-
-
-def completed_cell_ids(results_path: Path) -> Set[str]:
-    """Cell ids with a final record in ``results_path`` (skipped on resume)."""
-    return {
-        record["cell_id"]
-        for record in load_records(results_path)
-        if record.get("status") in FINAL_STATUSES and "cell_id" in record
-    }
 
 
 @dataclass
@@ -185,7 +165,6 @@ class CampaignOutcome:
     """What one :meth:`CampaignRunner.run` invocation did."""
 
     total_cells: int
-    skipped: int
     ran: int
     failed: int
     results_path: Path
@@ -195,43 +174,29 @@ class CampaignOutcome:
 
 
 class CampaignRunner:
-    """Expands a spec, skips finished cells, and fans the rest out."""
+    """Expands a spec, emits the cells the store holds, and runs the rest."""
 
     def __init__(
         self,
         spec: CampaignSpec,
         results_path: Path,
         max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        trace_dir: Optional[Path] = None,
-        heartbeat_dir: Optional[Path] = None,
         cache: Optional[object] = None,
     ) -> None:
         self.spec = spec
-        #: A :class:`repro.store.RunStore` (or its root path) consulted
-        #: before dispatch: a pending cell whose ``cell_id`` maps to a
-        #: digest-verified record in the store is emitted verbatim instead
-        #: of simulated.  ``None`` disables caching.
+        #: A :class:`repro.store.RunStore` (or its root path): a cell whose
+        #: ``cell_id`` maps to a digest-verified record there is emitted
+        #: verbatim instead of simulated, and every finished cell is put
+        #: into it.  ``None``: nothing persists beyond the results file.
         self.cache = cache
         self.results_path = Path(results_path)
         self.max_workers = max_workers or min(os.cpu_count() or 2, 8)
-        #: Cells dispatched per worker task (``None``: derived from the
-        #: pending-cell count so every worker gets a few chunks).
-        self.chunk_size = chunk_size
-        #: Where traced cells write their Chrome-trace shards (``None``:
-        #: ``<results dir>/traces`` when the spec arms tracing).
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        if self.trace_dir is None and spec.trace:
-            self.trace_dir = self.results_path.parent / "traces"
+        #: Where traced cells write their Chrome-trace shards.
+        self.trace_dir = (self.results_path.parent / "traces"
+                          if spec.trace else None)
         #: Where workers append their heartbeat shards; ``--status`` reads
-        #: this directory live.  Defaults next to the results file.
-        self.heartbeat_dir = (Path(heartbeat_dir) if heartbeat_dir is not None
-                              else self.results_path.parent / "heartbeats")
-
-    def pending_cells(self) -> List[CampaignCell]:
-        """Grid cells without a successful record yet."""
-        done = completed_cell_ids(self.results_path)
-        return [cell for cell in self.spec.cells() if cell.cell_id not in done]
+        #: this directory live.
+        self.heartbeat_dir = self.results_path.parent / "heartbeats"
 
     def _chunk_size_for(self, pending_count: int) -> int:
         """Cells per worker task: ~4 chunks per worker, capped at 8 cells.
@@ -240,10 +205,39 @@ class CampaignRunner:
         responsive, large enough to amortise executor overhead and reuse
         each worker's topology cache.
         """
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
         per_worker = pending_count / max(1, self.max_workers * 4)
         return max(1, min(8, int(per_worker)))
+
+    def _execute(self, pending: List[CampaignCell]):
+        """Yield ``(chunk, records)`` per worker task as each one finishes."""
+        if not pending:
+            return
+        chunk_size = self._chunk_size_for(len(pending))
+        chunks = [pending[index:index + chunk_size]
+                  for index in range(0, len(pending), chunk_size)]
+        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
+            futures = {pool.submit(run_cells_chunk, chunk, self.trace_dir,
+                                   self.heartbeat_dir): chunk
+                       for chunk in chunks}
+            remaining = set(futures)
+            while remaining:
+                finished, remaining = wait(remaining,
+                                           return_when=FIRST_COMPLETED)
+                for future in finished:
+                    chunk = futures[future]
+                    try:
+                        chunk_records = future.result()
+                    except Exception as error:  # pool/pickling failure
+                        chunk_records = [
+                            {
+                                "cell_id": cell.cell_id,
+                                "config": cell.config(),
+                                "status": "error",
+                                "error": f"{type(error).__name__}: {error}",
+                            }
+                            for cell in chunk
+                        ]
+                    yield chunk, chunk_records
 
     def _cache_store(self):
         """The :class:`~repro.store.RunStore` behind ``cache`` (if any)."""
@@ -256,15 +250,16 @@ class CampaignRunner:
         return self.cache
 
     def run(self, progress: Optional[Callable[[str], None]] = None) -> CampaignOutcome:
-        """Run every pending cell; append one JSON line per finished cell.
+        """Write one JSON line per grid cell: store hits first, then the rest.
 
-        Lines are flushed as soon as each cell finishes, so a kill at any
+        The results file is rewritten, and lines are flushed as each chunk
+        finishes; with a ``cache`` store, that chunk's ``ok``/``incomplete``
+        records are put into the store at the same moment, so a kill at any
         point loses at most in-flight cells — never completed ones.
 
-        With a ``cache`` store attached, pending cells whose spec encoding
-        already has a digest-verified record are emitted *verbatim* from
-        the store — original telemetry included — so a fully cached re-run
-        simulates nothing and aggregates to a byte-identical report.
+        Store hits are emitted *verbatim* — original telemetry included — so
+        a fully cached re-run simulates nothing and aggregates to a
+        byte-identical report.
 
         Progress goes through the module logger by default (INFO level), so
         parallel campaigns compose with the host application's logging
@@ -273,98 +268,69 @@ class CampaignRunner:
         """
         say = progress or logger.info
         cells = self.spec.cells()
-        pending = self.pending_cells()
-        skipped = len(cells) - len(pending)
-        if skipped:
-            say(f"resuming: {skipped}/{len(cells)} cells already done")
+        pending = cells
         cache_hits: List[tuple] = []
         store = self._cache_store()
-        if store is not None and pending:
-            uncached: List[CampaignCell] = []
-            for cell in pending:
+        if store is not None:
+            pending = []
+            for cell in cells:
                 hit = store.cached_record(cell.cell_id)
                 if hit is None:
-                    uncached.append(cell)
+                    pending.append(cell)
                 else:
                     cache_hits.append((cell, hit))
             if cache_hits:
-                say(f"cache: {len(cache_hits)}/{len(pending)} pending cells "
-                    f"have digest-verified records in {store.root}")
-            pending = uncached
+                say(f"cache: {len(cache_hits)}/{len(cells)} cells "
+                    f"have digest-verified records in {store.root}; they "
+                    f"may predate this code (delete {store.root} to "
+                    f"start cold)")
         ran = failed = 0
         records: List[Dict[str, object]] = []
         started = heartbeat.wall_clock()
-        if pending or cache_hits:
-            self.results_path.parent.mkdir(parents=True, exist_ok=True)
-            _terminate_partial_line(self.results_path)
-            heartbeat.write_manifest(
-                self.heartbeat_dir,
-                total_cells=len(cells),
-                pending=len(pending),
-                workers=self.max_workers,
-                results=str(self.results_path),
-                cached=len(cache_hits),
-            )
-        if cache_hits:
-            with self.results_path.open("a", encoding="utf-8") as sink:
-                for cell, record in cache_hits:
+        self.results_path.parent.mkdir(parents=True, exist_ok=True)
+        heartbeat.write_manifest(
+            self.heartbeat_dir,
+            total_cells=len(cells),
+            pending=len(pending),
+            workers=self.max_workers,
+            results=str(self.results_path),
+            cached=len(cache_hits),
+        )
+        with self.results_path.open("w", encoding="utf-8") as sink:
+            for cell, record in cache_hits:
+                line, record = encode_record(record, cell)
+                sink.write(line + "\n")
+                records.append(record)
+                say(f"[cache] {cell.describe()} "
+                    f"-> {record.get('status')} (emitted from store)")
+            sink.flush()
+            for chunk, chunk_records in self._execute(pending):
+                encoded = []
+                for cell, record in zip(chunk, chunk_records):
                     line, record = encode_record(record, cell)
                     sink.write(line + "\n")
-                    records.append(record)
-                    say(f"[cache] {cell.describe()} "
-                        f"-> {record.get('status')} (emitted from store)")
-        if pending:
-            chunk_size = self._chunk_size_for(len(pending))
-            chunks = [pending[index:index + chunk_size]
-                      for index in range(0, len(pending), chunk_size)]
-            with self.results_path.open("a", encoding="utf-8") as sink, \
-                    ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                futures = {pool.submit(run_cells_chunk, chunk,
-                                       self.trace_dir,
-                                       self.heartbeat_dir): chunk
-                           for chunk in chunks}
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining,
-                                               return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        chunk = futures[future]
-                        try:
-                            chunk_records = future.result()
-                        except Exception as error:  # pool/pickling failure
-                            chunk_records = [
-                                {
-                                    "cell_id": cell.cell_id,
-                                    "config": cell.config(),
-                                    "status": "error",
-                                    "error": f"{type(error).__name__}: {error}",
-                                }
-                                for cell in chunk
-                            ]
-                        for cell, record in zip(chunk, chunk_records):
-                            line, record = encode_record(record, cell)
-                            sink.write(line + "\n")
-                            records.append(record)
-                            ran += 1
-                            # "incomplete" is a measured outcome (a deadline
-                            # legitimately missed — what many fault plans
-                            # provoke on purpose), not a campaign failure.
-                            if record.get("status") not in FINAL_STATUSES:
-                                failed += 1
-                            elapsed = heartbeat.wall_clock() - started
-                            eta = elapsed / ran * (len(pending) - ran)
-                            say(f"[{ran}/{len(pending)}] {cell.describe()} "
-                                f"-> {record.get('status')} "
-                                f"| elapsed {elapsed:,.0f}s eta {eta:,.0f}s")
-                            logger.debug(
-                                "cell %s: wall_s=%s peak_rss_kb=%s outcome=%s",
-                                cell.cell_id, record.get("wall_s"),
-                                record.get("peak_rss_kb"),
-                                record.get("status"))
-                        sink.flush()
+                    encoded.append(record)
+                    ran += 1
+                    # "incomplete" is a measured outcome (a deadline
+                    # legitimately missed — what many fault plans provoke on
+                    # purpose), not a campaign failure.
+                    if record.get("status") not in FINAL_STATUSES:
+                        failed += 1
+                    elapsed = heartbeat.wall_clock() - started
+                    eta = elapsed / ran * (len(pending) - ran)
+                    say(f"[{ran}/{len(pending)}] {cell.describe()} "
+                        f"-> {record.get('status')} "
+                        f"| elapsed {elapsed:,.0f}s eta {eta:,.0f}s")
+                    logger.debug(
+                        "cell %s: wall_s=%s peak_rss_kb=%s outcome=%s",
+                        cell.cell_id, record.get("wall_s"),
+                        record.get("peak_rss_kb"), record.get("status"))
+                sink.flush()
+                records.extend(encoded)
+                if store is not None:
+                    store.put_summaries(encoded)
         return CampaignOutcome(
             total_cells=len(cells),
-            skipped=skipped,
             ran=ran,
             failed=failed,
             results_path=self.results_path,

@@ -3,8 +3,9 @@
 ``RunStore`` ingests campaign results files, trace shards and standalone
 :class:`~repro.session.record.RunRecord` payloads into a digest-keyed
 object layout with a spec-encoding index, so a cell whose exact
-configuration has already been simulated is never simulated again
-(the campaign runner's ``--cache``).  ``python -m repro.store`` is the
+configuration has already been simulated is never simulated again: the
+store is the campaign runner's only memory (``--cache``), and resume is a
+cache hit.  ``python -m repro.store`` is the
 CLI (``ingest`` / ``query`` / ``show`` / ``diff`` / ``verify`` / ``gc``);
 :mod:`repro.analysis.diff` supplies the differential analytics behind
 ``diff``.

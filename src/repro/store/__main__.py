@@ -10,9 +10,10 @@ Subcommands (all against ``--store DIR``, default ``runstore/``)::
     gc                    drop dangling index entries / orphaned artifacts
 
 ``A`` and ``B`` of ``diff`` are digest prefixes in the store or paths to
-full-record ``.json`` files.  A populated store also feeds the campaign
-runner's ``--cache`` flag: cells whose spec encoding already has a
-digest-verified record are emitted from the store instead of re-simulated.
+full-record ``.json`` files.  A store is also the campaign runner's memory
+(``campaign run --cache``, by default ``runstore/`` next to its ``--out``):
+cells whose spec encoding already has a digest-verified record are emitted
+from the store instead of re-simulated, and every finished cell is put in.
 """
 
 from __future__ import annotations

@@ -8,12 +8,16 @@ and indexes them by the latter:
 
 * ``objects/<digest[:2]>/<digest>.json`` — one object per distinct outcome,
   holding the full :meth:`~repro.session.record.RunRecord.as_dict` payload
-  and/or the flat campaign JSONL record that produced it, each pinned by a
-  content SHA-1;
+  and/or ``summaries``: every campaign JSONL record that produced this
+  outcome, keyed by its ``cell_id``.  The record and each summary carry
+  their own content SHA-1 pin, so one rotten summary never passes for
+  verified when a sibling cell of the same outcome is stored again;
 * ``index/specs.json`` — spec encoding → digest.  A campaign cell's index
   key is literally its ``cell_id`` (both are the SHA-1 of the same canonical
   config JSON), which is what lets the campaign runner answer "has this
-  exact cell ever been simulated?" with one dict lookup (``--cache``);
+  exact cell ever been simulated?" with one dict lookup and one
+  ``summaries[cell_id]``.  The store is the campaign's only memory: resume
+  is a cache hit;
 * ``artifacts/<digest>/<name>`` — attached shards (Chrome traces), pinned
   by file-content SHA-1.
 
@@ -22,7 +26,9 @@ full record payloads — the semantic digest through
 :func:`repro.session.record.outcome_digest` (the outcome keys and nothing
 else, the same function ``RunRecord.digest()`` uses), so a store object
 whose bytes rotted *or* whose digest discipline drifted is caught the same
-way.
+way.  An object of another :data:`STORE_SCHEMA` is a cache miss and one
+``verify`` problem; nothing migrates it, and the next ingest of its run
+replaces it.
 
 Nothing here reads wall time or ambient entropy: store contents are a pure
 function of what was ingested, so two hosts ingesting the same results
@@ -35,14 +41,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.campaign.report import run_labels
 from repro.campaign.runner import FINAL_STATUSES, load_records
 from repro.session.record import RECORD_SCHEMA, outcome_digest
 
 #: Store layout version stamped into every object.
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
 
 OBJECTS_DIR = "objects"
 INDEX_DIR = "index"
@@ -184,9 +190,8 @@ class RunStore:
             return
         self.index_dir.mkdir(parents=True, exist_ok=True)
         path = self.index_dir / SPEC_INDEX
-        ordered = {key: self._index[key] for key in sorted(self._index)}
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(ordered, indent=1, sort_keys=True) + "\n",
+        tmp.write_text(json.dumps(self._index, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
         tmp.replace(path)
 
@@ -204,6 +209,17 @@ class RunStore:
             return json.loads(path.read_text(encoding="utf-8"))
         except ValueError:  # JSONDecodeError, or a cut multi-byte character
             return None
+
+    def _object(self, digest: str) -> Dict[str, object]:
+        """The stored object of ``digest`` to update, or a new one.
+
+        An unreadable object, or one of another schema, is replaced.
+        """
+        obj = self.load(digest)
+        if obj is None or obj.get("schema") != STORE_SCHEMA:
+            obj = {"schema": STORE_SCHEMA, "digest": digest,
+                   "artifacts": {}, "sha1": {}}
+        return obj
 
     def _write(self, obj: Dict[str, object]) -> None:
         # Insertion order is deliberately preserved (no sort_keys): stored
@@ -248,10 +264,7 @@ class RunStore:
         every full record in the store is digest-verified by construction.
         """
         digest = outcome_digest(payload)
-        obj = self.load(digest) or {
-            "schema": STORE_SCHEMA, "digest": digest,
-            "artifacts": {}, "sha1": {},
-        }
+        obj = self._object(digest)
         obj["record"] = payload
         obj["sha1"]["record"] = content_sha1(payload)
         meta = dict(obj.get("meta") or {})
@@ -267,51 +280,56 @@ class RunStore:
             self.index_encoding(spec, digest)
         return digest
 
-    def put_summary(self, record: Dict[str, object]) -> Optional[str]:
-        """Store one campaign JSONL record (a flat summary line).
+    def put_summaries(self,
+                      records: Iterable[Dict[str, object]]) -> IngestStats:
+        """Store a batch of campaign JSONL records; the index is written once.
 
-        Returns the digest, or ``None`` when the record has no digest to key
-        on (errored cells never produced an outcome).  The record is stored
-        *verbatim* — key order included — because the ``--cache`` path must
-        be able to re-emit it byte-identically.
+        Each ``ok``/``incomplete`` record joins its outcome's object as
+        ``summaries[cell_id]`` *verbatim* — key order included, because the
+        cache re-emits it byte-identically — its config and session
+        encodings are indexed, and its ``trace_path`` shard, when present, is
+        attached.  Other records (an errored cell produced no outcome) are
+        skipped.  Objects are written before the index, so a batch cut short
+        leaves unindexed objects (misses), never an entry without its object.
         """
-        digest = record.get("digest")
-        if not digest or record.get("status") not in FINAL_STATUSES:
-            return None
-        digest = str(digest)
-        obj = self.load(digest) or {
-            "schema": STORE_SCHEMA, "digest": digest,
-            "artifacts": {}, "sha1": {},
-        }
-        obj["summary"] = record
-        obj["sha1"]["summary"] = content_sha1(record)
-        meta = _meta_from_summary(record)
-        for key, value in (obj.get("meta") or {}).items():
-            meta.setdefault(key, value)
-        obj["meta"] = meta
-        self._write(obj)
-        config = record.get("config") or {}
-        if config:
-            self.index_encoding(config, digest)
-        session = record.get("session") or {}
-        if session:
-            self.index_encoding(session, digest)
-        return digest
-
-    def attach(self, digest: str, name: str, source: Path) -> str:
-        """Attach a file (trace shard, report) to a stored run."""
-        obj = self.load(digest)
-        if obj is None:
-            raise StoreError(f"cannot attach to unknown digest {digest!r}")
-        source = Path(source)
-        target_dir = self.artifact_dir(digest)
-        target_dir.mkdir(parents=True, exist_ok=True)
-        target = target_dir / name
-        target.write_bytes(source.read_bytes())
-        pin = file_sha1(target)
-        obj["artifacts"][name] = pin
-        self._write(obj)
-        return pin
+        stats = IngestStats()
+        objects: Dict[str, Dict[str, object]] = {}
+        keys: Dict[str, str] = {}
+        for record in records:
+            digest, cell_id = record.get("digest"), record.get("cell_id")
+            if (not digest or not cell_id
+                    or record.get("status") not in FINAL_STATUSES):
+                stats.skipped += 1
+                continue
+            digest = str(digest)
+            obj = objects.get(digest) or self._object(digest)
+            objects[digest] = obj
+            obj.setdefault("summaries", {})[str(cell_id)] = record
+            obj["sha1"].setdefault("summaries", {})[str(cell_id)] = (
+                content_sha1(record))
+            meta = _meta_from_summary(record)
+            for key, value in (obj.get("meta") or {}).items():
+                meta.setdefault(key, value)
+            obj["meta"] = meta
+            stats.summaries += 1
+            for encoding in (record.get("config"), record.get("session")):
+                if encoding:
+                    keys[spec_key(encoding)] = digest
+                    stats.indexed += 1
+            trace_path = record.get("trace_path")
+            if trace_path and Path(str(trace_path)).exists():
+                shard = Path(str(trace_path))
+                target = self.artifact_dir(digest) / shard.name
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(shard.read_bytes())
+                obj["artifacts"][shard.name] = file_sha1(target)
+                stats.artifacts += 1
+        for obj in objects.values():
+            self._write(obj)
+        if keys:
+            self._load_index().update(keys)
+            self._save_index()
+        return stats
 
     def index_encoding(self, encoding: Dict[str, object], digest: str) -> str:
         """Map a spec encoding to a digest; returns the index key."""
@@ -333,31 +351,26 @@ class RunStore:
     def cached_record(self, cell_id: str) -> Optional[Dict[str, object]]:
         """The digest-verified campaign record for a cell, if stored.
 
-        Returns ``None`` unless the stored summary's content pin still
-        matches, its own ``digest`` field agrees with the object key, it is
-        the summary of *this* cell, and — when a full record payload is also
-        stored — that payload still recomputes to the same digest.  A cache
-        hit is therefore always a verified one; corruption degrades to a
+        Returns ``None`` unless the object is of this schema, this cell's
+        summary still matches its own content pin, claims the
+        object's digest, and — when a full record payload is also stored —
+        that payload still recomputes to the same digest.  A cache hit is
+        therefore always a verified one; corruption degrades to a
         re-simulation, never to a silently wrong result.
         """
         digest = self.lookup_key(cell_id)
         if digest is None:
             return None
         obj = self.load(digest)
-        if obj is None:
+        if obj is None or obj.get("schema") != STORE_SCHEMA:
             return None
-        summary = obj.get("summary")
+        summary = (obj.get("summaries") or {}).get(cell_id)
         if not summary:
             return None
-        pins = obj.get("sha1") or {}
-        if content_sha1(summary) != pins.get("summary"):
+        pins = (obj.get("sha1") or {}).get("summaries") or {}
+        if content_sha1(summary) != pins.get(cell_id):
             return None
         if str(summary.get("digest")) != digest:
-            return None
-        # Cells with equal outcomes share one object, which keeps only the
-        # last-ingested summary: serving it for a sibling would re-emit the
-        # sibling's ``cell_id`` and ``config``.
-        if summary.get("cell_id") != cell_id:
             return None
         record = obj.get("record")
         if record is not None and outcome_digest(record) != digest:
@@ -389,7 +402,7 @@ class RunStore:
                 continue
             rows.append({
                 "digest": obj["digest"],
-                "parts": "+".join(part for part in ("record", "summary")
+                "parts": "+".join(part for part in ("record", "summaries")
                                   if obj.get(part)),
                 "artifacts": len(obj.get("artifacts") or {}),
                 **meta,
@@ -407,20 +420,19 @@ class RunStore:
             if obj is None:
                 problems.append(f"{name}: object is not valid JSON")
                 continue
+            if obj.get("schema") != STORE_SCHEMA:
+                problems.append(f"{name}: store schema {obj.get('schema')!r} "
+                                f"is not {STORE_SCHEMA}")
+                continue
             digest = str(obj["digest"])
             pins = obj.get("sha1") or {}
-            for part in ("record", "summary"):
-                payload = obj.get(part)
-                if payload is None:
-                    continue
-                pin = pins.get(part)
-                actual = content_sha1(payload)
-                if actual != pin:
-                    problems.append(
-                        f"{digest}: {part} content hash {actual} != stored "
-                        f"pin {pin}")
             record = obj.get("record")
             if record is not None:
+                actual = content_sha1(record)
+                if actual != pins.get("record"):
+                    problems.append(
+                        f"{digest}: record content hash {actual} != stored "
+                        f"pin {pins.get('record')}")
                 if record.get("schema") != RECORD_SCHEMA:
                     problems.append(
                         f"{digest}: record schema {record.get('schema')!r} "
@@ -430,11 +442,17 @@ class RunStore:
                     problems.append(
                         f"{digest}: record payload recomputes to digest "
                         f"{recomputed} (digest discipline drifted)")
-            summary = obj.get("summary")
-            if summary is not None and str(summary.get("digest")) != digest:
-                problems.append(
-                    f"{digest}: summary claims digest "
-                    f"{summary.get('digest')!r}")
+            summary_pins = pins.get("summaries") or {}
+            for cell_id, summary in sorted((obj.get("summaries") or {}).items()):
+                actual = content_sha1(summary)
+                if actual != summary_pins.get(cell_id):
+                    problems.append(
+                        f"{digest}: summary of cell {cell_id} content hash "
+                        f"{actual} != stored pin {summary_pins.get(cell_id)}")
+                if str(summary.get("digest")) != digest:
+                    problems.append(
+                        f"{digest}: summary of cell {cell_id} claims digest "
+                        f"{summary.get('digest')!r}")
             for name, pin in sorted((obj.get("artifacts") or {}).items()):
                 path = self.artifact_dir(digest) / name
                 if not path.exists():
@@ -495,21 +513,9 @@ class RunStore:
         return any(path.name.endswith(suffix) for suffix in _SKIPPED_SUFFIXES)
 
     def _ingest_results(self, path: Path) -> IngestStats:
-        """One campaign JSONL results file: one summary object per cell."""
-        stats = IngestStats(files=1)
-        for record in load_records(path):
-            digest = self.put_summary(record)
-            if digest is None:
-                stats.skipped += 1
-                continue
-            stats.summaries += 1
-            stats.indexed += 1 if record.get("config") else 0
-            stats.indexed += 1 if record.get("session") else 0
-            trace_path = record.get("trace_path")
-            if trace_path and Path(str(trace_path)).exists():
-                shard = Path(str(trace_path))
-                self.attach(digest, shard.name, shard)
-                stats.artifacts += 1
+        """One campaign JSONL results file, stored as one batch."""
+        stats = self.put_summaries(load_records(path))
+        stats.files = 1
         return stats
 
     def _ingest_json(self, path: Path) -> IngestStats:
@@ -556,9 +562,10 @@ def diff_inputs(store: RunStore,
     record = obj.get("record")
     if record is not None:
         return digest, record, record.get("trace")
-    summary = obj.get("summary")
-    if summary is None:
+    summaries = obj.get("summaries")
+    if not summaries:
         raise StoreError(f"{digest} holds neither a record nor a summary")
+    summary = summaries[min(summaries)]
     trace = None
     for name in sorted(obj.get("artifacts") or {}):
         path = store.artifact_path(digest, name)

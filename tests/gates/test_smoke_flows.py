@@ -40,7 +40,7 @@ def test_a_stored_grid_reruns_from_cache_and_reports_byte_identically(
     first = report()
 
     with caplog.at_level(logging.INFO, logger="repro"):
-        assert campaign_main(["run", *_GRID, "--fresh", "--cache", store,
+        assert campaign_main(["run", *_GRID, "--cache", store,
                               "--out", results]) == 0
     assert "ran 0, cached 4" in caplog.text
     assert report() == first

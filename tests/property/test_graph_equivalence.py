@@ -49,14 +49,27 @@ def topologies(draw):
 
 
 def _nx_shortest_path(graph, source, target, avoid=(), cut=()):
-    """What ``routing.shortest_path`` and ``shortest_path_avoiding_edge``
-    did: prune a copy, then ``nx.shortest_path``; ``None`` for no path."""
-    pruned = graph.copy()
-    pruned.remove_nodes_from([node for node in avoid if node in pruned])
-    pruned.remove_edges_from([edge for edge in cut if pruned.has_edge(*edge)])
+    """``nx.shortest_path`` on ``graph`` with ``avoid`` and ``cut`` hidden,
+    neighbours in ``graph``'s order (as ``routing.shortest_path`` removed
+    nodes from a fresh graph, and as Yen's spur searches ignore them);
+    ``None`` for no path.  Not a ``graph.copy()``: a copy re-adds edges node
+    by node, which reorders neighbours and so breaks ties differently."""
+    pruned = nx.restricted_view(graph, [node for node in avoid if node in graph],
+                                [edge for edge in cut if graph.has_edge(*edge)])
     try:
         return nx.shortest_path(pruned, source, target)
     except (nx.NetworkXNoPath, nx.NodeNotFound):
+        return None
+
+
+def _nx_path_avoiding_edge(graph, source, target, edge):
+    """What ``shortest_path_avoiding_edge`` did for the link-failure
+    reroute: remove the edge from a copy, then ``nx.shortest_path``."""
+    pruned = graph.copy()
+    pruned.remove_edge(*edge)
+    try:
+        return nx.shortest_path(pruned, source, target)
+    except nx.NetworkXNoPath:
         return None
 
 
@@ -101,5 +114,12 @@ def test_every_generator_routes_every_host_pair_as_networkx_did(family):
     for source in topology.hosts:
         for target in topology.hosts:
             _assert_same_paths(topology, graph, source, target)
+            if source == target:
+                continue
+            # Every reroute the link-failure scenario may take.
+            path = _our_shortest_path(topology.full_graph(), source, target)
+            for edge in zip(path, path[1:]):
+                assert (_our_shortest_path(topology.full_graph(), source, target, cut=(edge,))
+                        == _nx_path_avoiding_edge(graph, source, target, edge))
     assert (list(welsh_powell_coloring(topology.switch_graph()).items())
             == list(nx_welsh_powell_coloring(topology_graph(topology, switches_only=True)).items()))

@@ -1,4 +1,5 @@
-"""Tests for the campaign grid, runner (incl. resume) and report."""
+"""Tests for the campaign grid, runner (incl. resume through the store) and
+report."""
 
 import json
 
@@ -9,12 +10,11 @@ from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
     aggregate,
-    completed_cell_ids,
     load_records,
     render_report,
     run_cell,
 )
-from repro.campaign.runner import _terminate_partial_line
+from repro.store import RunStore
 
 
 def _tiny_spec(**overrides):
@@ -81,61 +81,107 @@ class TestRunCell:
 
 
 class TestRunnerResume:
+    """Resume is a store cache hit; the results file holds one invocation."""
+
     def test_full_run_then_resume_skips_everything(self, tmp_path):
         results = tmp_path / "results.jsonl"
-        runner = CampaignRunner(_tiny_spec(), results, max_workers=2)
+        store = RunStore(tmp_path / "store")
+        runner = CampaignRunner(_tiny_spec(), results, max_workers=2,
+                                cache=store)
         outcome = runner.run()
         assert outcome.ran == 4
-        assert outcome.skipped == 0
+        assert outcome.cached == 0
         assert outcome.failed == 0
-        assert len(completed_cell_ids(results)) == 4
+        assert len(results.read_text().splitlines()) == 4
 
-        again = CampaignRunner(_tiny_spec(), results, max_workers=2).run()
+        again = CampaignRunner(_tiny_spec(), results, max_workers=2,
+                               cache=store).run()
         assert again.ran == 0
-        assert again.skipped == 4
+        assert again.cached == 4
+        assert len(results.read_text().splitlines()) == 4
 
     def test_resume_runs_only_missing_cells(self, tmp_path):
         results = tmp_path / "results.jsonl"
+        store = RunStore(tmp_path / "store")
         spec = _tiny_spec()
         cells = spec.cells()
-        # Pretend a previous campaign finished two cells, then was killed
-        # mid-write of a third.
+        # A previous campaign stored two cells, then was killed mid-write
+        # of a third line.
+        store.put_summaries([run_cell(cell) for cell in cells[:2]])
         with results.open("w", encoding="utf-8") as handle:
-            for cell in cells[:2]:
-                handle.write(json.dumps(run_cell(cell)) + "\n")
             handle.write('{"cell_id": "half-writ')  # no newline: killed here
-        outcome = CampaignRunner(spec, results, max_workers=2).run()
-        assert outcome.skipped == 2
+        outcome = CampaignRunner(spec, results, max_workers=2,
+                                 cache=store).run()
+        assert outcome.cached == 2
         assert outcome.ran == 2
-        assert len(completed_cell_ids(results)) == 4
+        # The cut line is gone: store hits first, then the simulated cells.
+        emitted = [record["cell_id"] for record in load_records(results)]
+        assert emitted[:2] == [cell.cell_id for cell in cells[:2]]
+        assert sorted(emitted) == sorted(cell.cell_id for cell in cells)
+        assert all(store.cached_record(cell.cell_id) for cell in cells)
 
     def test_incomplete_cells_are_final_on_resume(self, tmp_path):
         # A deterministic simulation that hit its deadline reproduces the
         # same outcome every time; resume must not re-run it forever.
-        results = tmp_path / "results.jsonl"
+        store = RunStore(tmp_path / "store")
         spec = _tiny_spec()
         cell = spec.cells()[0]
-        results.write_text(json.dumps({
+        store.put_summaries([{
             "cell_id": cell.cell_id,
             "config": cell.config(),
             "status": "incomplete",
-        }) + "\n")
-        runner = CampaignRunner(spec, results, max_workers=2)
-        assert len(runner.pending_cells()) == 3
+            "digest": "0" * 16,
+        }])
+        outcome = CampaignRunner(spec, tmp_path / "results.jsonl",
+                                 max_workers=2, cache=store).run()
+        assert (outcome.cached, outcome.ran) == (1, 3)
+        assert outcome.records[0]["status"] == "incomplete"
 
     def test_error_cells_are_retried_on_resume(self, tmp_path):
-        results = tmp_path / "results.jsonl"
+        store = RunStore(tmp_path / "store")
         spec = _tiny_spec()
         cell = spec.cells()[0]
-        with results.open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps({
-                "cell_id": cell.cell_id,
-                "config": cell.config(),
-                "status": "error",
-                "error": "Boom",
-            }) + "\n")
-        runner = CampaignRunner(spec, results, max_workers=2)
-        assert len(runner.pending_cells()) == 4
+        stats = store.put_summaries([{
+            "cell_id": cell.cell_id,
+            "config": cell.config(),
+            "status": "error",
+            "error": "Boom",
+        }])
+        assert (stats.summaries, stats.skipped) == (0, 1)
+        outcome = CampaignRunner(spec, tmp_path / "results.jsonl",
+                                 max_workers=2, cache=store).run()
+        assert (outcome.cached, outcome.ran) == (0, 4)
+
+    def test_a_retried_error_leaves_one_line_per_cell(self, tmp_path,
+                                                      monkeypatch):
+        import multiprocessing
+
+        from repro.campaign import runner as runner_module
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patch reaches pool workers only when they fork")
+        results = tmp_path / "results.jsonl"
+        store = RunStore(tmp_path / "store")
+        spec = _tiny_spec(seeds=[1])
+        real = runner_module.run_scenario
+
+        def general_breaks(scenario, technique, params):
+            if technique == "general":
+                raise RuntimeError("transient")
+            return real(scenario, technique, params)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_module, "run_scenario", general_breaks)
+            first = CampaignRunner(spec, results, max_workers=1,
+                                   cache=store).run()
+        assert (first.ran, first.failed) == (2, 1)
+        again = CampaignRunner(spec, results, max_workers=1,
+                               cache=store).run()
+        text = render_report(results)
+        assert text.splitlines()[0].endswith("(2 records)")
+        assert "Non-ok" not in text
+        assert len(results.read_text().splitlines()) == 2
+        assert (again.ran, again.cached, again.failed) == (1, 1, 0)
 
     def test_unserializable_record_downgraded_to_error(self):
         from repro.campaign.runner import encode_record
@@ -152,14 +198,11 @@ class TestRunnerResume:
         line, record = encode_record(good, cell)
         assert record is good and json.loads(line) == good
 
-    def test_partial_line_termination(self, tmp_path):
+    def test_load_records_skips_a_cut_last_line(self, tmp_path):
+        # A killed invocation can leave half a line behind.
         path = tmp_path / "r.jsonl"
         path.write_text('{"cell_id": "x", "status": "ok"}\n{"broken')
-        _terminate_partial_line(path)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"cell_id": "y", "status": "ok"}\n')
-        records = load_records(path)
-        assert [r["cell_id"] for r in records] == ["x", "y"]
+        assert [r["cell_id"] for r in load_records(path)] == ["x"]
 
 
 class TestReport:
@@ -336,14 +379,17 @@ class TestStatus:
         from repro.campaign.status import render_status
 
         results = tmp_path / "results.jsonl"
-        CampaignRunner(_tiny_spec(seeds=[1]), results, max_workers=2).run()
+        store = RunStore(tmp_path / "store")
+        CampaignRunner(_tiny_spec(seeds=[1]), results, max_workers=2,
+                       cache=store).run()
         # A 4-cell resume has written its manifest and none of its workers
         # has beaten yet; the first run's shards stay on disk.
         write_manifest(tmp_path / "heartbeats", total_cells=4, pending=2,
                        workers=2, results=str(results))
         assert render_status(results).splitlines()[0] == (
             "Campaign status — 0 cells done, 2 of 2 pending remain (4 total in grid)")
-        CampaignRunner(_tiny_spec(), results, max_workers=2).run()
+        CampaignRunner(_tiny_spec(), results, max_workers=2,
+                       cache=store).run()
         assert render_status(results).startswith(
             "Campaign status — 2 cells done, 0 of 2 pending remain (4 total in grid)")
 
@@ -474,8 +520,6 @@ class TestCampaignCache:
         return _tiny_spec(techniques=["timeout", "general"], seeds=[1, 2])
 
     def _populated_store(self, tmp_path):
-        from repro.store import RunStore
-
         results = tmp_path / "first.jsonl"
         CampaignRunner(self._spec(), results, max_workers=2).run()
         store = RunStore(tmp_path / "store")
@@ -532,7 +576,7 @@ class TestCampaignCache:
                                  cache=store).run()
         assert outcome.cached == 4
         assert outcome.ran == 2  # the barrier cells were never stored
-        assert len(completed_cell_ids(rerun)) == 6
+        assert len(rerun.read_text().splitlines()) == 6
 
     def test_manifest_and_status_count_cached_cells(self, tmp_path):
         from repro.campaign.heartbeat import load_manifest
@@ -564,11 +608,11 @@ class TestCampaignCache:
 
         results, store = self._populated_store(tmp_path)
         # Corrupt every stored summary: all four cells must re-simulate.
-        for digest in store.digests():
-            obj = store.load(digest)
-            obj["summary"]["status"] = "tampered"
-            store.object_path(digest).write_text(json_mod.dumps(obj),
-                                                 encoding="utf-8")
+        for record in load_records(results):
+            obj = store.load(record["digest"])
+            obj["summaries"][record["cell_id"]]["status"] = "tampered"
+            store.object_path(record["digest"]).write_text(
+                json_mod.dumps(obj), encoding="utf-8")
         rerun = tmp_path / "second.jsonl"
         outcome = CampaignRunner(self._spec(), rerun, max_workers=2,
                                  cache=store).run()
@@ -593,7 +637,6 @@ class TestDifferentialReport:
 
     def test_store_baseline_matches_results_baseline(self, tmp_path):
         from repro.campaign.report import baseline_records
-        from repro.store import RunStore
 
         results = self._results(tmp_path)
         store = RunStore(tmp_path / "store")
@@ -638,8 +681,6 @@ class TestDifferentialReport:
 
         results = self._results(tmp_path)
         store_dir = tmp_path / "store"
-        from repro.store import RunStore
-
         RunStore(store_dir).ingest(results)
         assert main(["report", "--out", str(results),
                      "--baseline", str(store_dir)]) == 0

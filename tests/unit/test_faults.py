@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignSpec, render_report, render_resilience_report, run_cell
+from repro.campaign import CampaignSpec, render_report, run_cell
 from repro.campaign.report import has_fault_axis, resilience
 from repro.experiments.common import EndToEndParams, migration_session, run_path_migration
 from repro.faults import (
@@ -826,8 +826,8 @@ class TestFaultCampaign:
         with results.open("w", encoding="utf-8") as handle:
             for record in records:
                 handle.write(json.dumps(record) + "\n")
-        text = render_resilience_report(results)
+        # A fault axis puts the table into the campaign report.
+        text = render_report(results)
         assert "ack-loss(probability=1.0)" in text
         assert "correctness under fault" in text
-        # ... and a fault axis puts the same table into the campaign report.
-        assert "Resilience — correctness under fault" in render_report(results)
+        assert "Resilience — correctness under fault" in text

@@ -30,6 +30,7 @@ from repro.obs import TraceEvent, TraceLog
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.session import SUMMARY_KEYS, RunRecord
 from repro.session.record import OUTCOME_KEYS, outcome_digest
+from repro.store import RunStore
 
 #: The payload keys that ride beside the outcome and must never reach the
 #: digest: provenance plus the armed-only observations.
@@ -430,10 +431,12 @@ class TestToyTechniqueEverywhere:
                             techniques=[toy_technique],
                             scales=[1], seeds=[1, 2], flow_count=2,
                             max_update_duration=5.0)
-        results = tmp_path / "results.jsonl"
+        store = RunStore(tmp_path / "store")
         cells = spec.cells()
-        # A previous campaign finished one cell, writing the new-style record.
-        with results.open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps(run_cell(cells[0])) + "\n")
-        runner = CampaignRunner(spec, results, max_workers=1)
-        assert [cell.cell_id for cell in runner.pending_cells()] == [cells[1].cell_id]
+        # A previous campaign stored one cell's new-style record.
+        store.put_summaries([run_cell(cells[0])])
+        outcome = CampaignRunner(spec, tmp_path / "results.jsonl",
+                                 max_workers=1, cache=store).run()
+        assert (outcome.cached, outcome.ran) == (1, 1)
+        assert ([record["cell_id"] for record in outcome.records]
+                == [cells[0].cell_id, cells[1].cell_id])

@@ -54,13 +54,11 @@ class TestIngestAndQuery:
         results = _campaign(tmp_path)
         store = RunStore(tmp_path / "store")
         store.ingest(results)
-        originals = {record["digest"]: record
-                     for record in load_records(results)}
-        for digest, original in originals.items():
-            obj = store.load(digest)
-            assert obj["summary"] == original
+        for original in load_records(results):
+            stored = store.load(original["digest"])["summaries"][original["cell_id"]]
+            assert stored == original
             # Verbatim means key order too: the cache re-emits these lines.
-            assert (json.dumps(obj["summary"]) == json.dumps(original))
+            assert json.dumps(stored) == json.dumps(original)
 
     def test_full_record_payload_roundtrip(self, tmp_path):
         from repro.session.record import outcome_digest
@@ -125,6 +123,32 @@ class TestIngestAndQuery:
         with pytest.raises(StoreError, match="ambiguous"):
             store.resolve("")
 
+    @pytest.mark.parametrize("lines", [250, 1000])
+    def test_an_ingest_writes_the_index_once(self, tmp_path, monkeypatch,
+                                             lines):
+        # Counted, not timed: writing the whole index per line made an
+        # N-line ingest quadratic.
+        replace = Path.replace
+        index_writes = []
+
+        def counting(path, target):
+            if Path(target).name == "specs.json":
+                index_writes.append(target)
+            return replace(path, target)
+
+        results = tmp_path / "synthetic.jsonl"
+        with results.open("w", encoding="utf-8") as handle:
+            for index in range(lines):
+                config = {"scenario": "synthetic", "seed": index}
+                handle.write(json.dumps({
+                    "cell_id": spec_key(config), "config": config,
+                    "session": {"kind": "synthetic", "seed": index},
+                    "status": "ok", "digest": f"{index:016x}"}) + "\n")
+        monkeypatch.setattr(Path, "replace", counting)
+        stats = RunStore(tmp_path / "store").ingest(results)
+        assert (stats.summaries, stats.indexed) == (lines, 2 * lines)
+        assert len(index_writes) == 1
+
 
 class TestCachedRecord:
     def test_hit_is_the_verbatim_summary(self, tmp_path):
@@ -145,7 +169,7 @@ class TestCachedRecord:
         store.ingest(results)
         record = next(iter(load_records(results)))
         obj = store.load(record["digest"])
-        obj["summary"]["dropped_packets"] = 10_000  # bit rot
+        obj["summaries"][record["cell_id"]]["dropped_packets"] = 10_000  # bit rot
         store.object_path(record["digest"]).write_text(
             json.dumps(obj), encoding="utf-8")
         assert store.cached_record(record["cell_id"]) is None
@@ -156,19 +180,19 @@ class TestCachedRecord:
         store.ingest(results)
         record = next(iter(load_records(results)))
         obj = store.load(record["digest"])
-        obj["summary"]["digest"] = "0" * 16
-        obj["sha1"]["summary"] = content_sha1(obj["summary"])  # re-pinned!
+        obj["summaries"][record["cell_id"]]["digest"] = "0" * 16
+        obj["sha1"]["summaries"][record["cell_id"]] = content_sha1(
+            obj["summaries"][record["cell_id"]])  # re-pinned!
         store.object_path(record["digest"]).write_text(
             json.dumps(obj), encoding="utf-8")
         # The content pin matches, but the summary no longer claims the
         # object's digest: still a miss.
         assert store.cached_record(record["cell_id"]) is None
 
-    def test_cells_sharing_a_digest_are_not_served_each_others_summary(
-            self, tmp_path):
+    def test_cells_sharing_a_digest_each_hit_their_own_summary(self, tmp_path):
         # ``general`` never depends on an ack that ``ack-loss`` drops, so
         # its faulted and fault-free cells share one outcome digest — and
-        # one store object, which keeps only the last-ingested summary.
+        # one store object, which keeps each cell's summary under its id.
         spec = CampaignSpec(
             scenarios=["path-migration"], techniques=["barrier", "general"],
             seeds=[1, 2], faults=["none", "ack-loss(probability=0.2)"])
@@ -179,22 +203,72 @@ class TestCachedRecord:
         assert len({record["digest"] for record in originals.values()}) < 8
         store = RunStore(tmp_path / "store")
         store.ingest(cold)
-        for cell in spec.cells():
-            hit = store.cached_record(cell.cell_id)
-            assert hit is None or hit["cell_id"] == cell.cell_id
         warm = tmp_path / "warm.jsonl"
-        CampaignRunner(spec, warm, max_workers=2, cache=store).run()
+        outcome = CampaignRunner(spec, warm, max_workers=2, cache=store).run()
+        assert (outcome.ran, outcome.cached) == (0, 8)
+        for cell in spec.cells():
+            assert store.cached_record(cell.cell_id) == originals[cell.cell_id]
         emitted = {record["cell_id"]: record for record in load_records(warm)}
+        assert len(emitted) == 8
         assert set(emitted) == set(originals)
         for cell_id, record in emitted.items():
             assert record["config"] == originals[cell_id]["config"]
             assert record["digest"] == originals[cell_id]["digest"]
 
+    def test_storing_a_cell_again_never_blesses_a_rotten_sibling(
+            self, tmp_path):
+        # Cells A and B share one object.  B's summary rots; storing A
+        # again must leave B a miss, out of a --baseline read of the
+        # store, and a verify problem.
+        from repro.campaign.report import baseline_records
+
+        both = _campaign(tmp_path, techniques=["general"], seeds=[1, 2],
+                         faults=["none", "ack-loss(probability=0.2)"])
+        by_seed = {}
+        for record in load_records(both):
+            by_seed.setdefault(record["config"]["seed"], []).append(record)
+        a, b = next(pair for pair in by_seed.values()
+                    if pair[0]["digest"] == pair[1]["digest"])
+        assert a["config"]["fault"] == "none"
+        store = RunStore(tmp_path / "store")
+        store.ingest(both)
+        obj = store.load(b["digest"])
+        obj["summaries"][b["cell_id"]]["dropped_packets"] = 10_000  # bit rot
+        store.object_path(b["digest"]).write_text(json.dumps(obj),
+                                                  encoding="utf-8")
+        only_a = tmp_path / "a"
+        only_a.mkdir()
+        store.ingest(_campaign(only_a, techniques=["general"],
+                               seeds=[a["config"]["seed"]], faults=["none"]))
+        assert store.cached_record(a["cell_id"]) is not None
+        assert store.cached_record(b["cell_id"]) is None
+        assert set(baseline_records(store.root)) == {
+            record["cell_id"] for record in load_records(both)} - {b["cell_id"]}
+        (problem,) = store.verify()
+        assert problem.startswith(
+            f"{b['digest']}: summary of cell {b['cell_id']} content hash")
 
 class TestVerifyAndGc:
     def test_clean_store_verifies(self, tmp_path):
         store = RunStore(tmp_path / "store")
         store.put_record(_record_payload())
+        assert store.verify() == []
+
+    def test_an_object_of_another_schema_is_a_miss_and_one_problem(
+            self, tmp_path):
+        results = _campaign(tmp_path, techniques=["general"])
+        store = RunStore(tmp_path / "store")
+        store.ingest(results)
+        (record,) = load_records(results)
+        obj = store.load(record["digest"])
+        obj["schema"] = 1
+        store.object_path(record["digest"]).write_text(json.dumps(obj),
+                                                       encoding="utf-8")
+        assert store.cached_record(record["cell_id"]) is None
+        assert store.verify() == [
+            f"{record['digest']}: store schema 1 is not 2"]
+        store.ingest(results)  # re-ingesting replaces the object
+        assert store.cached_record(record["cell_id"]) == record
         assert store.verify() == []
 
     def test_verify_catches_tampered_record(self, tmp_path):
