@@ -4,9 +4,10 @@
 The script builds the paper's triangle topology (two software switches, one
 hardware switch whose barrier replies precede data-plane visibility), inserts
 the RUM acknowledgment layer configured for general probing, installs a
-handful of rules on the hardware switch, and prints — per rule — when the
-switch's data plane actually started forwarding packets according to it and
-when the controller received RUM's confirmation.  The confirmation is never
+handful of rules on the hardware switch as an update plan, and prints — per
+rule, from the run's activation ledger — when the switch's data plane
+actually started forwarding packets according to it and when RUM confirmed
+it.  The confirmation is never
 early; swap ``general`` for ``barrier`` below to watch the unsafe baseline.
 
 Run with::
@@ -16,8 +17,9 @@ Run with::
 
 import sys
 
-from repro.analysis.activation import activation_delays
+from repro.analysis.activation import ActivationDelays, activation_ledger
 from repro.controller import AckMode, Controller
+from repro.controller.update_plan import PlanExecutor, UpdatePlan
 from repro.core import RumLayer, config_for_technique
 from repro.net import Network, triangle_topology
 from repro.openflow import FlowMod, Match, OutputAction
@@ -41,29 +43,27 @@ def main(technique: str = "general") -> None:
     network.start()
     rum.start()
 
-    # Install 30 forwarding rules on the hardware switch S2.
+    # Install 30 independent forwarding rules on the hardware switch S2.
     out_port = network.port_between("S2", "S3")
-    flowmods = [
-        FlowMod(
+    plan = UpdatePlan(name="quickstart")
+    for index in range(30):
+        plan.add("S2", FlowMod(
             Match(ip_src=int_to_ip(0x0A000001 + index), ip_dst="10.0.128.1"),
             [OutputAction(out_port)],
             priority=100,
-        )
-        for index in range(30)
-    ]
-    acks = [controller.send_flowmod("S2", flowmod) for flowmod in flowmods]
+        ))
+    PlanExecutor(sim, controller, plan, max_unconfirmed=30).start()
     sim.run(until=5.0)
 
-    delays = activation_delays(
-        network.switch("S2"), rum.confirmation_times("S2"), technique=technique,
-        xids=[flowmod.xid for flowmod in flowmods],
-    )
+    ledger = activation_ledger(plan, network, rum)
+    delays = ActivationDelays.from_ledger(ledger, "S2", None, technique)
     print(f"technique: {rum.describe()}")
-    print(f"acknowledged rules: {sum(1 for ack in acks if ack.acked)}/{len(acks)}")
-    print("rule  data-plane active [s]  controller ack [s]  delay [ms]")
-    for index, flowmod in enumerate(flowmods):
-        applied, acked, delay = delays.per_rule[flowmod.xid]
-        print(f"{index:4d}  {applied:20.4f}  {acked:18.4f}  {delay * 1000:10.1f}")
+    print(f"acknowledged rules: {sum(1 for row in ledger if row.acked_at is not None)}"
+          f"/{len(ledger)}")
+    print("rule  data-plane active [s]  RUM confirmation [s]  delay [ms]")
+    for index, row in enumerate(ledger):
+        applied, confirmed, delay = delays.per_rule[row.xid]
+        print(f"{index:4d}  {applied:20.4f}  {confirmed:20.4f}  {delay * 1000:10.1f}")
     verdict = "never early" if delays.never_negative else (
         f"EARLY for {delays.negative_count} rules (unsafe!)"
     )

@@ -7,8 +7,9 @@ quantities the paper reports:
 * per-flow *broken time* and the fraction of flows broken for at least a
   given duration (Figure 1b),
 * per-flow old-path/new-path switchover times (Figures 6 and 7),
-* per-rule delay between data-plane activation and control-plane
-  acknowledgment (Figure 8),
+* the activation ledger — per plan operation, data-plane activation against
+  RUM's and the controller's acknowledgment — and Figure 8's per-rule
+  delays, a projection of it,
 * usable rule-update rates (Table 1),
 * text rendering of tables for the experiment harness and campaign reports.
 """
@@ -19,14 +20,15 @@ from repro.analysis.flowstats import (
     broken_time_distribution,
     flow_update_stats,
 )
-from repro.analysis.activation import ActivationDelays, activation_delays
+from repro.analysis.activation import ActivationDelays, LedgerRow, activation_ledger
 from repro.analysis.report import format_table
 
 __all__ = [
     "ActivationDelays",
     "Distribution",
     "FlowUpdateStats",
-    "activation_delays",
+    "LedgerRow",
+    "activation_ledger",
     "broken_time_distribution",
     "cdf_points",
     "flow_update_stats",

@@ -7,7 +7,8 @@ diff`` and the campaign report's ``--baseline`` mode.  Two layers:
 
 * **summary level** — the flat :data:`~repro.session.record.SUMMARY_KEYS`
   view of each run (outcome, durations, drops, fault/recovery accounting,
-  digest), compared key by key.  Works on any pair of runs, traced or not.
+  digest), compared key by key, plus the per-switch activation-gap deltas
+  of the two runs' ledgers.  Works on any pair of runs, traced or not.
 * **lifecycle level** — when both runs carry a
   :class:`~repro.obs.events.TraceLog`, their per-``(switch, xid)`` rule
   lifecycles (:func:`repro.analysis.timeline.rule_lifecycles`) are aligned
@@ -24,10 +25,10 @@ observability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.activation import LedgerRow
 from repro.analysis.timeline import activation_gap_summary, rule_lifecycles
 from repro.obs.events import (
     PHASE_ACK_RECEIVED,
@@ -177,7 +178,7 @@ class RunDiff:
     right_label: str
     #: ``key -> (left value, right value)`` for every compared summary key.
     summary: Dict[str, Tuple[object, object]] = field(default_factory=dict)
-    #: ``switch -> stat -> (left, right)`` activation-gap deltas (traced).
+    #: ``switch -> stat -> (left, right)`` activation-gap deltas.
     gap_deltas: Dict[str, Dict[str, Tuple[object, object]]] = field(
         default_factory=dict)
     divergence: Optional[FirstDivergence] = None
@@ -232,10 +233,18 @@ class RunDiff:
         }
 
 
-def _gap_deltas(left: TraceLog,
-                right: TraceLog) -> Dict[str, Dict[str, Tuple[object, object]]]:
-    left_summary = activation_gap_summary(left)
-    right_summary = activation_gap_summary(right)
+def _gaps_of(payload: Dict[str, object]) -> Dict[str, Dict[str, float]]:
+    """A campaign record's ``activation_gaps``, or a full payload's ledger's."""
+    if "activation_gaps" in payload:
+        return payload["activation_gaps"]
+    return activation_gap_summary(
+        LedgerRow(*row) for row in payload.get("ledger") or [])
+
+
+def _gap_deltas(left_payload: Dict[str, object], right_payload: Dict[str, object]
+                ) -> Dict[str, Dict[str, Tuple[object, object]]]:
+    left_summary = _gaps_of(left_payload)
+    right_summary = _gaps_of(right_payload)
     deltas: Dict[str, Dict[str, Tuple[object, object]]] = {}
     for switch in sorted(set(left_summary) | set(right_summary)):
         left_stats = left_summary.get(switch, {})
@@ -267,13 +276,13 @@ def diff_runs(
     for key in SUMMARY_DIFF_KEYS:
         if key in left_flat or key in right_flat:
             diff.summary[key] = (left_flat.get(key), right_flat.get(key))
+    diff.gap_deltas = _gap_deltas(left_payload, right_payload)
 
     left_log = trace_of(left_payload, left_trace)
     right_log = trace_of(right_payload, right_trace)
     if left_log is not None and right_log is not None:
         diff.traced = True
         diff.divergence = first_lifecycle_divergence(left_log, right_log)
-        diff.gap_deltas = _gap_deltas(left_log, right_log)
     return diff
 
 
@@ -281,8 +290,6 @@ def _fmt_value(value: object) -> str:
     if value is None:
         return "-"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return f"{value:.4f}"
     return str(value)
 
@@ -305,14 +312,12 @@ def render_run_diff(diff: RunDiff) -> str:
                          f"{_fmt_value(left)} -> {_fmt_value(right)}")
     elif not diff.identical:
         lines.append("(no summary-level differences)")
-    if not diff.traced:
-        lines.append("")
-        lines.append("(summary-level diff only: at least one side has no "
-                     "trace — re-run with trace=True for lifecycle "
-                     "alignment)")
-        return "\n".join(lines) + "\n"
     lines.append("")
-    if diff.divergence is not None:
+    if not diff.traced:
+        lines.append("(no lifecycle alignment: at least one side has no "
+                     "trace — re-run with trace=True for the first "
+                     "divergent lifecycle event)")
+    elif diff.divergence is not None:
         lines.append(diff.divergence.describe())
     else:
         lines.append("rule lifecycles are identical on both sides")

@@ -1,28 +1,32 @@
-"""Per-rule lifecycle timelines from a :class:`~repro.obs.events.TraceLog`.
+"""Per-rule lifecycle timelines and the per-switch activation-gap summary.
 
-Where :mod:`repro.analysis.activation` correlates two end-of-run logs, this
-module reads the full trace of a session and reconstructs every rule's
-lifecycle — issued, sent, received, applied to the control plane,
-acknowledged, activated in hardware — as one :class:`RuleLifecycle` per
-``(switch, xid)``.  The headline quantity is the **activation gap**
+:func:`rule_lifecycles` reads the full trace of a session and reconstructs
+every rule's lifecycle — issued, sent, received, applied to the control
+plane, acknowledged, activated in hardware — as one :class:`RuleLifecycle`
+per ``(switch, xid)``: the phase view that first-divergence alignment
+(:mod:`repro.analysis.diff`) and the fault overlay need.
 
-    ``ack_received - hw_activated``
+The headline quantity, the **activation gap**
+
+    ``acked_at - activated_at``
 
 per rule, with the paper's sign convention (negative = the controller was
 told the rule was active before packets could hit it — the unsafe early
-acknowledgment; positive = wasted waiting time).  Rules acknowledged but
-*never* activated get an infinite gap and are reported separately.
+acknowledgment; positive = wasted waiting time), comes from the run's
+activation ledger (:mod:`repro.analysis.activation`), which every run has,
+traced or not.  :func:`activation_gap_summary` condenses it per switch;
+rules acknowledged but *never* activated are counted separately.
 
-Renderers produce the per-switch activation-gap report and the fault-overlay
-view (what each armed fault model was doing while gaps were open).
+Renderers produce the per-rule timeline report and the fault-overlay view
+(what each armed fault model was doing while rules were in flight).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.analysis.activation import LedgerRow
 from repro.obs.events import (
     PHASE_ACK_RECEIVED,
     PHASE_ACK_SENT,
@@ -53,28 +57,6 @@ class RuleLifecycle:
     #: Who confirmed the rule (technique detail on the ack-sent event).
     confirmed_by: str = ""
 
-    @property
-    def acknowledged(self) -> bool:
-        return self.ack_received is not None
-
-    @property
-    def activated(self) -> bool:
-        return self.hw_activated is not None
-
-    @property
-    def activation_gap(self) -> Optional[float]:
-        """``ack_received - hw_activated`` (paper sign: negative = early ack).
-
-        ``+inf`` for rules acknowledged but never activated — the paper's
-        worst case, an acknowledgment for a rule that never forwards.
-        ``None`` when the rule was never acknowledged (nothing to compare).
-        """
-        if self.ack_received is None:
-            return None
-        if self.hw_activated is None:
-            return math.inf
-        return self.ack_received - self.hw_activated
-
 
 def rule_lifecycles(log: TraceLog) -> Dict[Tuple[str, int], RuleLifecycle]:
     """Reconstruct every ``(switch, xid)`` lifecycle from a trace.
@@ -82,8 +64,8 @@ def rule_lifecycles(log: TraceLog) -> Dict[Tuple[str, int], RuleLifecycle]:
     Slots keep the *first* occurrence of each phase (re-activations of the
     same xid — rule overwrites, fault-induced re-applies — do not move the
     original timestamps), matching how
-    :func:`repro.analysis.activation.dataplane_activation_times` reads the
-    apply log.  ``msg-sent`` events carry the channel name (``ctl-<switch>``
+    :func:`repro.analysis.activation.activation_ledger` reads the apply
+    log.  ``msg-sent`` events carry the channel name (``ctl-<switch>``
     or ``<proxy>-<switch>``), so they are matched to a lifecycle by suffix.
     """
     lifecycles: Dict[Tuple[str, int], RuleLifecycle] = {}
@@ -135,53 +117,49 @@ def rule_lifecycles(log: TraceLog) -> Dict[Tuple[str, int], RuleLifecycle]:
     return lifecycles
 
 
-def activation_gaps_by_switch(log: TraceLog) -> Dict[str, List[float]]:
-    """``switch -> sorted activation gaps`` of every acknowledged rule."""
-    gaps: Dict[str, List[float]] = {}
-    for (switch, _xid), entry in sorted(rule_lifecycles(log).items()):
-        gap = entry.activation_gap
-        if gap is not None:
-            gaps.setdefault(switch, []).append(gap)
-    for values in gaps.values():
-        values.sort()
-    return gaps
+def activation_gap_summary(ledger: Iterable[LedgerRow]) -> Dict[str, Dict[str, float]]:
+    """Per-switch distribution summary of the ledger's activation gaps.
 
-
-def activation_gap_summary(log: TraceLog) -> Dict[str, Dict[str, float]]:
-    """Per-switch distribution summary of the activation gaps.
-
-    Gap values are the paper's per-rule ``ack - activation`` delays;
-    ``early`` counts the unsafe (negative) ones and ``never`` the
+    Over every acknowledged row, gap values are the paper's per-rule
+    ``acked_at - activated_at`` delays on the controller's clock; ``early``
+    counts the unsafe (negative) ones and ``never`` the
     acknowledged-but-never-activated rules (excluded from min/max/mean).
     """
+    acked: Dict[str, List[LedgerRow]] = {}
+    for row in ledger:
+        if row.acked_at is not None:
+            acked.setdefault(row.switch, []).append(row)
     summary: Dict[str, Dict[str, float]] = {}
-    for switch, gaps in activation_gaps_by_switch(log).items():
-        finite = [gap for gap in gaps if math.isfinite(gap)]
+    for switch in sorted(acked):
+        rows = acked[switch]
+        gaps = sorted(row.acked_at - row.activated_at for row in rows
+                      if row.activated_at is not None)
         entry: Dict[str, float] = {
-            "rules": len(gaps),
+            "rules": len(rows),
             "early": sum(1 for gap in gaps if gap < 0),
-            "never": sum(1 for gap in gaps if math.isinf(gap)),
+            "never": len(rows) - len(gaps),
         }
-        if finite:
-            entry.update(
-                min=min(finite),
-                max=max(finite),
-                mean=sum(finite) / len(finite),
-            )
+        if gaps:
+            entry.update(min=gaps[0], max=gaps[-1], mean=sum(gaps) / len(gaps))
         summary[switch] = entry
     return summary
 
 
 def _fmt_ms(value: Optional[float]) -> str:
-    if value is None:
+    return "-" if value is None else f"{value * 1000.0:+.2f}ms"
+
+
+def _gap(row: Optional[LedgerRow]) -> str:
+    if row is None or row.acked_at is None:
         return "-"
-    if math.isinf(value):
+    if row.activated_at is None:
         return "never"
-    return f"{value * 1000.0:+.2f}ms"
+    return _fmt_ms(row.acked_at - row.activated_at)
 
 
-def render_timeline_report(log: TraceLog, title: str = "") -> str:
-    """Human-readable per-rule lifecycle table with activation gaps."""
+def render_timeline_report(log: TraceLog, ledger: Iterable[LedgerRow],
+                           title: str = "") -> str:
+    """Per-rule lifecycle table of a traced run, gaps from its ledger."""
     lines: List[str] = []
     header = title or f"Rule lifecycle timeline — {log.technique or 'unknown'}"
     lines.append(header)
@@ -190,6 +168,8 @@ def render_timeline_report(log: TraceLog, title: str = "") -> str:
     if not lifecycles:
         lines.append("(no rule lifecycle events in trace)")
         return "\n".join(lines) + "\n"
+    ledger = list(ledger)
+    rows = {(row.switch, row.xid): row for row in ledger}
     lines.append(f"{'switch':<8} {'xid':>6} {'issued':>9} {'received':>9} "
                  f"{'acked':>9} {'hw-active':>9} {'gap':>10}  confirmed-by")
     for (switch, xid), entry in lifecycles:
@@ -199,13 +179,13 @@ def render_timeline_report(log: TraceLog, title: str = "") -> str:
         lines.append(
             f"{switch:<8} {xid:>6} {stamp(entry.issued)} "
             f"{stamp(entry.switch_received)} {stamp(entry.ack_received)} "
-            f"{stamp(entry.hw_activated)} {_fmt_ms(entry.activation_gap):>10}  "
+            f"{stamp(entry.hw_activated)} {_gap(rows.get((switch, xid))):>10}  "
             f"{entry.confirmed_by}"
         )
     lines.append("")
     lines.append("Per-switch activation-gap summary (ack - hw activation; "
                  "negative = unsafe early ack)")
-    for switch, stats in sorted(activation_gap_summary(log).items()):
+    for switch, stats in activation_gap_summary(ledger).items():
         detail = (f"  {switch}: {int(stats['rules'])} rules, "
                   f"{int(stats['early'])} early, {int(stats['never'])} never")
         if "mean" in stats:

@@ -130,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", action="store_true",
                      help="arm rule-lifecycle tracing on every cell and "
                           "write one Chrome-trace shard per cell to "
-                          "'traces' next to the results file; the report "
-                          "gains an activation-gap section")
+                          "'traces' next to the results file")
     run.add_argument("--cache", type=Path, default=None, metavar="STORE",
                      help="run-store directory (see python -m repro.store; "
                           "default: 'runstore' next to the results file): "

@@ -60,7 +60,7 @@ class CampaignCell:
         ``trace`` follows the only-when-armed rule — and because
         tracing never changes a cell's outcome, a traced cell_id staying
         distinct from its untraced twin is intentional: their records carry
-        different payloads (the traced one has gap summaries and a shard).
+        different payloads (the traced one has a shard).
         """
         config = {
             "scenario": self.scenario,

@@ -129,13 +129,8 @@ def resilience(records: List[Dict[str, object]]) -> List[List[object]]:
     return correctness_under_fault_rows(groups)
 
 
-def has_trace_axis(records: List[Dict[str, object]]) -> bool:
-    """Whether any record carries a traced activation-gap summary."""
-    return any(record.get("activation_gaps") for record in records)
-
-
 def activation_gaps(records: List[Dict[str, object]]) -> List[List[object]]:
-    """Per-(technique, fault) activation-gap rows over every traced record.
+    """Per-(technique, fault) activation-gap rows over every finished record.
 
     Aggregates each record's per-switch gap summary (see
     :func:`repro.analysis.timeline.activation_gap_summary`) across cells and
@@ -181,7 +176,7 @@ def activation_gaps(records: List[Dict[str, object]]) -> List[List[object]]:
     return rows
 
 
-#: Headers of the activation-gap (trace) table.
+#: Headers of the activation-gap table.
 ACTIVATION_GAP_HEADERS = [
     "technique", "fault", "rules", "early acks", "never active",
     "mean gap [ms]", "worst gap [ms]",
@@ -392,12 +387,13 @@ def render_report(results_path: Path, cached: int = 0) -> str:
             resilience(records),
             title="Resilience — correctness under fault (incomplete runs included)",
         ))
-    if has_trace_axis(records):
+    gap_rows = activation_gaps(records)
+    if gap_rows:
         sections.append(format_table(
             ACTIVATION_GAP_HEADERS,
-            activation_gaps(records),
+            gap_rows,
             title="Activation gaps — ack vs hardware activation "
-                  "(traced cells; negative = unsafe early ack)",
+                  "(negative = unsafe early ack)",
         ))
     if has_health_telemetry(records):
         health_title = ("Run health — per-worker runtime "

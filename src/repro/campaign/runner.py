@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
+from repro.analysis.timeline import activation_gap_summary
 from repro.campaign import heartbeat
 from repro.campaign.grid import CampaignCell, CampaignSpec
 from repro.scenarios.engine import run_scenario
@@ -38,11 +39,14 @@ def run_cell(cell: CampaignCell,
     and its record carries the flat :meth:`~repro.session.record.RunRecord.summary`
     keys plus the session's canonical spec encoding under ``"session"``.
 
-    Traced cells additionally get a per-switch ``activation_gaps`` summary
-    in the record, and — when ``trace_dir`` is set — a Chrome-trace shard
-    written to ``<trace_dir>/<cell_id>.trace.json`` (its path recorded under
-    ``trace_path``).  The full event log never enters the JSONL record: one
-    cell stays one short line.
+    Every finished cell, traced or not, carries the per-switch
+    ``activation_gaps`` summary of its record's activation ledger
+    (:func:`repro.analysis.timeline.activation_gap_summary`: rules acked,
+    acked early, never activated, gap min/mean/max).  Traced cells written
+    with ``trace_dir`` set also get a Chrome-trace shard at
+    ``<trace_dir>/<cell_id>.trace.json`` (its path recorded under
+    ``trace_path``).  Neither the ledger nor the event log enters the JSONL
+    record: one cell stays one short line.
 
     Never raises: failures come back as ``status: "error"`` records so one
     broken cell cannot take down the campaign (the store never keeps one,
@@ -65,17 +69,15 @@ def run_cell(cell: CampaignCell,
         record.update(result.summary())
         record["session"] = dict(result.spec)
         record["status"] = "ok" if result.completed else "incomplete"
-        if result.trace is not None:
-            from repro.analysis.timeline import activation_gap_summary
+        record["activation_gaps"] = activation_gap_summary(result.ledger)
+        if result.trace is not None and trace_dir is not None:
             from repro.obs.export import write_chrome_trace
 
-            record["activation_gaps"] = activation_gap_summary(result.trace)
-            if trace_dir is not None:
-                trace_dir = Path(trace_dir)
-                trace_dir.mkdir(parents=True, exist_ok=True)
-                shard = trace_dir / f"{cell.cell_id}.trace.json"
-                write_chrome_trace(result.trace, shard)
-                record["trace_path"] = str(shard)
+            trace_dir = Path(trace_dir)
+            trace_dir.mkdir(parents=True, exist_ok=True)
+            shard = trace_dir / f"{cell.cell_id}.trace.json"
+            write_chrome_trace(result.trace, shard)
+            record["trace_path"] = str(shard)
     except Exception as error:  # noqa: BLE001 - isolate worker failures
         record["status"] = "error"
         record["error"] = f"{type(error).__name__}: {error}"

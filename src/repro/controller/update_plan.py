@@ -97,14 +97,6 @@ class UpdatePlan:
         """Operations with the given role, in insertion order."""
         return [op for op in self.operations.values() if op.role == role]
 
-    def labels(self) -> List[str]:
-        """All distinct labels in insertion order."""
-        seen: List[str] = []
-        for op in self.operations.values():
-            if op.label and op.label not in seen:
-                seen.append(op.label)
-        return seen
-
     def validate(self) -> None:
         """Raise :class:`ValueError` if the dependency graph has a cycle."""
         # Kahn: peel operations whose prerequisites are all peeled; whatever
@@ -170,6 +162,9 @@ class PlanExecutor:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
 
+        #: Set while :meth:`_pump` issues: an ack arriving meanwhile (a no-wait
+        #: ack completes inside ``send_flowmod``) only queues work for its loop.
+        self._pumping = False
         self._in_flight: Set[int] = set()
         self._acked: Set[int] = set()
         self._issued: Set[int] = set()
@@ -199,11 +194,13 @@ class PlanExecutor:
 
     # -- internals --------------------------------------------------------------
     def _pump(self) -> None:
+        self._pumping = True
         while self._ready and len(self._in_flight) < self.max_unconfirmed:
             op_id = self._ready.popleft()
             if op_id in self._issued:
                 continue
             self._issue(self.plan.operations[op_id])
+        self._pumping = False
         # In barrier mode an idle moment with unbarriered FlowMods means the
         # outstanding acks can never resolve; flush with a barrier.
         if self.controller.ack_mode == AckMode.BARRIER:
@@ -252,7 +249,8 @@ class PlanExecutor:
             if not self.done.triggered:
                 self.done.succeed(self.sim.now)
             return
-        self._pump()
+        if not self._pumping:
+            self._pump()
 
     # -- results ------------------------------------------------------------------
     @property

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.openflow.messages import FlowMod
 
@@ -36,7 +36,6 @@ class PendingRuleTracker:
     def __init__(self, switch: str) -> None:
         self.switch = switch
         self._pending: "OrderedDict[int, PendingRule]" = OrderedDict()
-        self._history: List[PendingRule] = []
         self._sequence = 0
 
     # -- adding ------------------------------------------------------------------
@@ -51,7 +50,6 @@ class PendingRuleTracker:
             sequence=self._sequence,
         )
         self._pending[flowmod.xid] = record
-        self._history.append(record)
         return record
 
     # -- queries -------------------------------------------------------------------
@@ -103,19 +101,3 @@ class PendingRuleTracker:
             if record.sequence <= sequence:
                 confirmed.append(self.confirm(xid, now, by=by))
         return [record for record in confirmed if record is not None]
-
-    def confirm_all(self, now: float, by: str = "") -> List[PendingRule]:
-        """Confirm every outstanding record."""
-        if not self._pending:
-            return []
-        last_sequence = max(record.sequence for record in self._pending.values())
-        return self.confirm_up_to_sequence(last_sequence, now, by=by)
-
-    # -- statistics -----------------------------------------------------------------------
-    def confirmation_latencies(self) -> List[Tuple[int, float]]:
-        """``(xid, confirmed_at - forwarded_at)`` for all confirmed records."""
-        return [
-            (record.xid, record.confirmed_at - record.forwarded_at)
-            for record in self._history
-            if record.confirmed_at is not None
-        ]

@@ -62,7 +62,8 @@ class RumLayer(ProxyLayer):
         #: Deployment-time rules per switch (probe catch rules, ...), kept so
         #: the recovery subsystem can re-seed a switch whose crash wiped them.
         self._deployment_rules: Dict[str, List[FlowMod]] = {}
-        #: Measurement log: ``(switch, xid) -> (forwarded, confirmed, how)``.
+        #: Measurement log: ``(switch, xid) -> (forwarded, confirmed, how)``,
+        #: read into the run's activation ledger.
         self.confirmation_log: Dict[Tuple[str, int], Tuple[float, float, str]] = {}
         self.technique: AckTechnique = create_technique(self.config.technique, self)
         self._prepared = False
@@ -209,15 +210,7 @@ class RumLayer(ProxyLayer):
             return
         self.forward_to_controller(switch_name, message)
 
-    # -- measurement -----------------------------------------------------------------------
-    def confirmation_times(self, switch_name: Optional[str] = None) -> Dict[int, float]:
-        """``xid -> confirmation time`` (optionally restricted to one switch)."""
-        return {
-            xid: confirmed
-            for (switch, xid), (_fwd, confirmed, _by) in self.confirmation_log.items()
-            if switch_name is None or switch == switch_name
-        }
-
+    # -- introspection ---------------------------------------------------------------------
     def unconfirmed_count(self) -> int:
         """Total modifications still awaiting confirmation across all switches.
 

@@ -104,7 +104,7 @@ def _delay_ms(pick: Callable) -> Callable[[RunRecord], str]:
     """One statistic of a record's activation delays, in whole milliseconds."""
     def cell(record: RunRecord) -> str:
         delays = record.activation
-        return f"{pick(delays.summary()) * 1000:.0f}" if delays.per_rule else "-"
+        return f"{pick(delays.summary()) * 1000:.0f}" if delays.delays else "-"
     return cell
 
 

@@ -61,8 +61,7 @@ from repro.faults.harness import ControlChannelHarness, DataPlaneFaultHarness
 from repro.faults.registry import available_faults, get_fault
 from repro.sim.rng import SeededRandom
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle
-    # through repro.switches, which re-exports the legacy fault names)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
     from repro.sim.kernel import Simulator
 

@@ -1,8 +1,9 @@
 """Observability: rule-lifecycle tracing and its exporters.
 
 The paper's central phenomenon is a *timing gap* — a switch acknowledges a
-FIB update before (or without ever) activating it in hardware.  This package
-makes that gap a first-class measurement instead of an end-of-run aggregate:
+FIB update before (or without ever) activating it in hardware.  Every run's
+activation ledger (:mod:`repro.analysis.activation`) measures the gap per
+rule; this package records *how* it opened, phase by phase:
 
 * :mod:`repro.obs.events` — typed trace events for the rule-update
   lifecycle (``update-issued → msg-sent → switch-received → ack-sent →
@@ -25,7 +26,7 @@ Arm tracing declaratively with ``SessionSpec(trace=True)`` (or
 ``ScenarioParams(trace=True)``, or ``python -m repro.campaign run --trace``);
 the :class:`~repro.session.record.RunRecord` then carries the
 :class:`TraceLog` and :mod:`repro.analysis.timeline` renders per-rule
-activation-gap and fault-overlay reports from it.
+lifecycle and fault-overlay reports from it.
 """
 
 from repro.obs.events import (

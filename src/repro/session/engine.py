@@ -15,8 +15,9 @@ pre-session code:
    :class:`~repro.controller.update_plan.PlanExecutor`, polling until the
    plan completes or the deadline passes;
 5. let traffic drain through the grace window, then settle;
-6. post-process: per-flow update statistics, activation-delay correlation,
-   workload metrics — all into one :class:`~repro.session.record.RunRecord`.
+6. post-process: per-flow update statistics, the activation ledger (and
+   Figure 8's projection of it), workload metrics — all into one
+   :class:`~repro.session.record.RunRecord`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from contextlib import ExitStack
 from typing import Optional
 
-from repro.analysis.activation import ActivationDelays, activation_delays
+from repro.analysis.activation import ActivationDelays, activation_ledger
 from repro.analysis.flowstats import (
     flow_update_stats,
     mean_update_time,
@@ -185,15 +186,11 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
     dropped = (network.monitor.total_dropped() if workload.dropped_from_monitor
                else total_dropped(stats))
 
-    activation: Optional[ActivationDelays] = None
-    activation_probe = spec.activation_probe
-    if activation_probe is not None and stack.rum is not None:
-        activation = activation_delays(
-            network.switch(activation_probe.switch),
-            stack.rum.confirmation_times(activation_probe.switch),
-            technique=technique.name,
-            xids=activation_probe.xids(plan),
-        )
+    ledger = activation_ledger(plan, network, stack.rum)
+    probe = spec.activation_probe
+    activation = (ActivationDelays.from_ledger(ledger, probe.switch, probe.role,
+                                               technique.name)
+                  if probe is not None and stack.rum is not None else None)
 
     metrics = spec.metrics(network, plan, executor) if spec.metrics else {}
     acknowledged = sum(1 for op in plan.operations.values() if op.acked)
@@ -230,6 +227,7 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
         rum_probes_injected=getattr(rum_technique, "probes_injected", 0),
         fault_events=armed.counters() if armed is not None else {},
         recovery=recovery.report() if recovery is not None else {},
+        ledger=ledger,
     )
     if sim.tracer is not None:
         record.trace = sim.tracer.finish(meta={

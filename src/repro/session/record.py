@@ -11,8 +11,8 @@ for determinism checks.
 
 A record has two parts.  :meth:`RunRecord.outcome` is what the simulation
 computed, and the *only* thing :meth:`RunRecord.digest` hashes.  Everything
-else — ``spec`` (provenance) and the armed-only observations
-(``fault_events``, ``recovery``, ``trace``) — rides beside it in
+else — ``spec`` (provenance), the activation ``ledger`` and the armed-only
+observations (``fault_events``, ``recovery``, ``trace``) — rides beside it in
 :meth:`RunRecord.as_dict` and cannot reach the digest: a field is digested
 only if someone puts it in :meth:`RunRecord.outcome`.
 """
@@ -24,7 +24,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.activation import ActivationDelays
+from repro.analysis.activation import ActivationDelays, LedgerRow
 from repro.analysis.flowstats import FlowUpdateStats
 from repro.obs.events import TraceLog
 
@@ -136,6 +136,10 @@ class RunRecord:
     #: (:meth:`repro.recovery.manager.RecoveryManager.report`); empty when
     #: the session armed no recovery manager.
     recovery: Dict[str, object] = field(default_factory=dict)
+    #: One :class:`~repro.analysis.activation.LedgerRow` per plan operation:
+    #: its first data-plane activation against RUM's confirmation and the
+    #: controller's ack.  :attr:`activation` is a projection of it.
+    ledger: List[LedgerRow] = field(default_factory=list)
     #: Rule-lifecycle trace collected when the spec armed tracing
     #: (``None`` otherwise); see :mod:`repro.obs`.
     trace: Optional[TraceLog] = None
@@ -208,6 +212,8 @@ class RunRecord:
             payload["fault_events"] = dict(self.fault_events)
         if self.recovery:
             payload["recovery"] = dict(self.recovery)
+        if self.ledger:
+            payload["ledger"] = [list(row) for row in self.ledger]
         if self.trace:
             payload["trace"] = self.trace.as_dict()
         return payload
@@ -248,6 +254,7 @@ class RunRecord:
             rum_probes_injected=payload.get("rum_probes_injected", 0),
             fault_events=dict(payload.get("fault_events") or {}),
             recovery=dict(payload.get("recovery") or {}),
+            ledger=[LedgerRow(*row) for row in payload.get("ledger") or []],
             trace=(TraceLog.from_dict(payload["trace"])
                    if payload.get("trace") else None),
         )
@@ -298,6 +305,10 @@ class RunRecord:
 OUTCOME_KEYS = tuple(RunRecord().outcome())
 
 
+def _none_last(values) -> List[Tuple[bool, float]]:
+    return [(value is None, 0.0 if value is None else value) for value in values]
+
+
 def outcome_digest(payload: Dict[str, object]) -> str:
     """The digest of an :meth:`RunRecord.as_dict` payload.
 
@@ -311,10 +322,12 @@ def outcome_digest(payload: Dict[str, object]) -> str:
     activation = outcome.get("activation")
     if activation is not None:
         # Per-rule delays are keyed by process-global xids; hash the sorted
-        # delay multiset so the digest is xid-independent.
+        # delay multiset so the digest is xid-independent.  A never-activated
+        # rule's ``None`` sorts after every time, and a list of times sorts
+        # exactly as a plain ``sorted`` would.
         outcome["activation"] = {
             "technique": activation["technique"],
-            "delays": sorted(activation["per_rule"].values()),
+            "delays": sorted(activation["per_rule"].values(), key=_none_last),
         }
     canonical = json.dumps(outcome, sort_keys=True, separators=(",", ":"),
                            default=str)

@@ -102,18 +102,12 @@ class SessionKnobs:
 
 @dataclass
 class ActivationProbe:
-    """Which rules to correlate data-plane vs control-plane activation for."""
+    """Which ledger rows the record's Figure 8 ``activation`` projects onto."""
 
     switch: str
     #: Restrict to plan operations with this role (``None``: every operation
     #: on :attr:`switch`).
     role: Optional[str] = None
-
-    def xids(self, plan: UpdatePlan) -> List[int]:
-        """The FlowMod xids of the operations this probe covers."""
-        operations = (plan.by_role(self.role) if self.role
-                      else plan.operations.values())
-        return [op.flowmod.xid for op in operations if op.switch == self.switch]
 
 
 @dataclass

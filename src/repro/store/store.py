@@ -375,7 +375,7 @@ class RunStore:
         record = obj.get("record")
         if record is not None and outcome_digest(record) != digest:
             return None
-        return json.loads(json.dumps(summary))
+        return summary
 
     def artifact_path(self, digest: str, name: str) -> Optional[Path]:
         path = self.artifact_dir(digest) / name

@@ -8,7 +8,6 @@ lifecycles in the same key order and write the same shard byte for byte.
 """
 
 import json
-import math
 import tempfile
 from pathlib import Path
 
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.timeline import (
     RuleLifecycle,
-    activation_gap_summary,
     fault_overlaps,
     rule_lifecycles,
 )
@@ -90,28 +88,6 @@ def _old_rule_lifecycles(log):
                 entry.msg_sent = event.ts
 
     return lifecycles
-
-
-def _old_gap_summary(log):
-    gaps = {}
-    for (switch, _xid), entry in sorted(_old_rule_lifecycles(log).items()):
-        gap = entry.activation_gap
-        if gap is not None:
-            gaps.setdefault(switch, []).append(gap)
-    summary = {}
-    for switch, values in gaps.items():
-        values.sort()
-        finite = [gap for gap in values if math.isfinite(gap)]
-        entry = {
-            "rules": len(values),
-            "early": sum(1 for gap in values if gap < 0),
-            "never": sum(1 for gap in values if math.isinf(gap)),
-        }
-        if finite:
-            entry.update(min=min(finite), max=max(finite),
-                         mean=sum(finite) / len(finite))
-        summary[switch] = entry
-    return summary
 
 
 def _old_fault_overlaps(log):
@@ -286,7 +262,6 @@ def test_lifecycles_equal_the_quadratic_reconstruction(log):
     old, new = _old_rule_lifecycles(log), rule_lifecycles(log)
     assert list(new) == list(old)  # same keys in the same insertion order
     assert new == old
-    assert activation_gap_summary(log) == _old_gap_summary(log)
     assert [(o.ts, o.switch, o.detail, o.open_rules)
             for o in fault_overlaps(log)] == _old_fault_overlaps(log)
 

@@ -263,7 +263,9 @@ class TestTraceIntegration:
                               trace=True)
         assert base.cell_id != traced.cell_id  # different record payloads
         assert "trace" not in base.config()
-        assert run_cell(base)["digest"] == run_cell(traced)["digest"]
+        base_record, traced_record = run_cell(base), run_cell(traced)
+        assert base_record["digest"] == traced_record["digest"]
+        assert base_record["activation_gaps"] == traced_record["activation_gaps"]
 
     def test_report_gains_activation_gap_section(self, tmp_path):
         results = tmp_path / "results.jsonl"
@@ -276,11 +278,15 @@ class TestTraceIntegration:
         text = render_report(results)
         assert "Activation gaps — ack vs hardware activation" in text
 
-    def test_untraced_report_has_no_gap_section(self, tmp_path):
+    def test_untraced_report_has_the_gap_section(self, tmp_path):
+        # The gaps come from every run's activation ledger, not the trace.
         results = tmp_path / "results.jsonl"
         CampaignRunner(_tiny_spec(techniques=["general"], seeds=[1]),
                        results, max_workers=1).run()
-        assert "Activation gaps" not in render_report(results)
+        assert all(record["activation_gaps"]
+                   for record in load_records(results))
+        assert "Activation gaps — ack vs hardware activation" in \
+            render_report(results)
 
 
 class TestTelemetry:

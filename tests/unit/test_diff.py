@@ -2,13 +2,13 @@
 
 Synthetic :class:`TraceLog` pairs pin the first-divergence discipline
 (earliest anchor, then switch / xid / causal phase order), including the
-``inf``-gap (acked but never activated) and negative-gap (unsafe early
-ack) lifecycles; real scenario runs exercise the end-to-end diff and the
-summary-level degradation when one side was not traced.
+never-activated (acked, no hardware activation) and negative-gap (unsafe
+early ack) lifecycles, whose gap deltas come from the payloads' ledgers;
+real scenario runs exercise the end-to-end diff and the summary-level
+degradation when one side was not traced.
 """
 
 import json
-import math
 
 from repro.analysis.diff import (
     FirstDivergence,
@@ -17,6 +17,7 @@ from repro.analysis.diff import (
     flat_summary,
     render_run_diff,
 )
+from repro.analysis.activation import LedgerRow
 from repro.analysis.timeline import activation_gap_summary, rule_lifecycles
 from repro.obs.events import (
     PHASE_ACK_RECEIVED,
@@ -113,44 +114,44 @@ class TestFirstDivergence:
         json.dumps(payload)
 
 
+def _payload(technique, *activations):
+    """A flat run payload whose ledger holds one S1 rule per activation
+    time, each acked at t=0.04 (the :data:`FULL_LIFECYCLE` ack)."""
+    return {"technique": technique, "digest": technique * 4,
+            "ledger": [list(LedgerRow("S1", xid, "", activated, 0.03, "t", 0.04))
+                       for xid, activated in enumerate(activations, start=1)]}
+
+
 class TestEdgeLifecycles:
-    def test_never_activated_rule_has_inf_gap_and_still_aligns(self):
-        # Acked but never hw-activated: the timeline reports an inf gap
+    def test_never_activated_rule_counts_as_never_and_still_aligns(self):
+        # Acked but never hw-activated: the ledger counts it as ``never``
         # and the diff names the missing activation as the divergence.
         left = _log(*_full())
         right = _log(*_full(drop=(PHASE_HW_ACTIVATED,)))
-        cycles = rule_lifecycles(right)
-        gap = cycles[("S1", 1)].activation_gap
-        assert math.isinf(gap) and gap > 0
-        summary = activation_gap_summary(right)
-        assert summary["S1"]["never"] == 1
-        divergence = first_lifecycle_divergence(left, right)
-        assert divergence.phase == PHASE_HW_ACTIVATED
+        assert rule_lifecycles(right)[("S1", 1)].hw_activated is None
+        diff = diff_runs(_payload("a", 0.035), _payload("b", None),
+                         left_trace=left.as_dict(), right_trace=right.as_dict())
+        assert diff.gap_deltas["S1"]["never"] == (0, 1)
+        assert diff.divergence.phase == PHASE_HW_ACTIVATED
 
     def test_negative_gap_lifecycle_flows_through_alignment(self):
         # Hardware activation *after* the ack (unsafe early ack) on the
         # right side only: same phases, shifted activation time.
         left = _log(*_full())
         right = _log(*_full()[:-1], ("S1", 1, PHASE_HW_ACTIVATED, 0.09))
-        gap = rule_lifecycles(right)[("S1", 1)].activation_gap
-        assert gap < 0
-        assert activation_gap_summary(right)["S1"]["early"] == 1
+        ledger = [LedgerRow("S1", 1, "", 0.09, 0.03, "t", 0.04)]
+        assert activation_gap_summary(ledger)["S1"]["early"] == 1
         divergence = first_lifecycle_divergence(left, right)
         assert divergence.phase == PHASE_HW_ACTIVATED
         assert divergence.reason == "time shifted +55.00ms"
 
-    def test_gap_deltas_surface_inf_and_negative(self):
-        left_payload = {"technique": "a", "digest": "aaaa"}
-        right_payload = {"technique": "b", "digest": "bbbb"}
-        left = _log(*_full())
-        right = _log(*_full()[:-1], ("S1", 1, PHASE_HW_ACTIVATED, 0.09))
-        diff = diff_runs(left_payload, right_payload,
-                         left_trace=left.as_dict(),
-                         right_trace=right.as_dict())
-        assert diff.traced
-        assert "S1" in diff.gap_deltas
-        early = diff.gap_deltas["S1"]["early"]
-        assert early == (0, 1)
+    def test_gap_deltas_surface_never_and_negative(self):
+        # No traces: the deltas come from the payloads' ledgers alone.
+        diff = diff_runs(_payload("a", 0.035, 0.035), _payload("b", 0.09, None))
+        assert not diff.traced
+        assert diff.gap_deltas["S1"]["early"] == (0, 1)
+        assert diff.gap_deltas["S1"]["never"] == (0, 1)
+        assert "early 0 -> 1" in render_run_diff(diff)
 
 
 def _run(technique, trace=True, seed=7):
@@ -185,11 +186,12 @@ class TestDiffRuns:
         diff = diff_runs(_run("timeout"), _run("general", trace=False))
         assert diff.traced is False
         assert diff.divergence is None
-        assert diff.gap_deltas == {}
-        # Summary level still works: the techniques differ.
+        # Summary level still works: the techniques differ, and so do the
+        # gaps of their ledgers.
         assert "technique" in diff.changed
+        assert diff.gap_deltas
         rendered = render_run_diff(diff)
-        assert "summary-level diff only" in rendered
+        assert "no lifecycle alignment" in rendered
 
     def test_campaign_records_diff_without_traces(self):
         left = {"technique": "timeout", "dropped_packets": 4,
@@ -200,6 +202,24 @@ class TestDiffRuns:
         assert diff.summary["dropped_packets"] == (4, 0)
         assert "dropped_packets: 4 -> 0" in diff.explain()
 
+    def test_two_untraced_runs_report_early_ack_deltas(self):
+        # Barrier replies precede hardware activation under a delay spike;
+        # general probing never acks early.  Neither run is traced.
+        params = ScenarioParams(seed=7, flow_count=4,
+                                faults="delay-spike(probability=0.3,spike=1.0)")
+        runs = {technique: run_scenario("path-migration", technique, params)
+                for technique in ("barrier", "general")}
+        for left, right in ((runs["barrier"].as_dict(), runs["general"].as_dict()),
+                            (_cell("barrier"), _cell("general"))):
+            diff = diff_runs(left, right)
+            assert not diff.traced
+            early = {switch: stats["early"]
+                     for switch, stats in diff.gap_deltas.items()
+                     if "early" in stats}
+            assert any(barrier > 0 == general
+                       for barrier, general in early.values()), early
+            assert "early" in render_run_diff(diff)
+
     def test_as_dict_is_jsonable_and_complete(self):
         diff = diff_runs(_run("timeout"), _run("general"))
         payload = diff.as_dict()
@@ -207,6 +227,16 @@ class TestDiffRuns:
         assert payload["traced"] is True
         assert payload["divergence"]["phase"]
         assert payload["explanation"] == diff.explain()
+
+
+def _cell(technique):
+    """An untraced campaign record: its gaps ride as ``activation_gaps``."""
+    from repro.campaign.grid import CampaignCell
+    from repro.campaign.runner import run_cell
+
+    return run_cell(CampaignCell(
+        scenario="path-migration", technique=technique, seed=7, flow_count=4,
+        fault="delay-spike(probability=0.3,spike=1.0)"))
 
 
 class TestFlatSummary:

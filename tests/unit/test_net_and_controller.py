@@ -268,6 +268,16 @@ def test_executor_empty_plan_completes_immediately():
     assert event.triggered
 
 
+def test_a_no_wait_plan_of_1000_rules_does_not_recurse():
+    # Every no-wait ack completes inside ``send_flowmod``: the executor's one
+    # pump loop issues the next rule instead of recursing into it.
+    from repro.experiments.common import RuleInstallParams, run_rule_install
+
+    record = run_rule_install("no-wait", RuleInstallParams.quick(
+        rule_count=1000, max_unconfirmed=1000))
+    assert record.completed and record.acknowledged_rules == 1000
+
+
 # -- consistent updates ---------------------------------------------------------------------
 
 def test_path_migration_plan_shape():

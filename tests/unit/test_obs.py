@@ -6,7 +6,6 @@ and disarmed configs, the Chrome exporter, and the timeline analysis."""
 import dataclasses
 import hashlib
 import json
-import math
 from collections import Counter
 
 import pytest
@@ -254,27 +253,35 @@ def _synthetic_log():
     ])
 
 
+def _synthetic_ledger():
+    """The activation ledger of the run :func:`_synthetic_log` traced."""
+    from repro.analysis.activation import LedgerRow
+
+    return [LedgerRow("S1", 1, "", 0.20, 0.30, "barrier-reply", 0.31),
+            LedgerRow("S2", 2, "", 0.45, None, None, 0.15),
+            LedgerRow("S2", 3, "", None, None, None, 0.16)]
+
+
 class TestTimeline:
     def test_lifecycles_and_gaps(self):
-        from repro.analysis.timeline import rule_lifecycles
+        from repro.analysis.timeline import activation_gap_summary, rule_lifecycles
 
         cycles = rule_lifecycles(_synthetic_log())
         safe = cycles[("S1", 1)]
         assert safe.msg_sent == 0.11  # matched via the ctl-S1 channel
         assert safe.confirmed_by == "barrier-reply"
-        assert safe.activation_gap == pytest.approx(0.11)
-
-        early = cycles[("S2", 2)]
-        assert early.activation_gap == pytest.approx(-0.30)
-
         never = cycles[("S2", 3)]
-        assert never.acknowledged and not never.activated
-        assert math.isinf(never.activation_gap)
+        assert never.ack_received == 0.16 and never.hw_activated is None
+
+        # The gaps are the ledger's, which agrees with the trace.
+        summary = activation_gap_summary(_synthetic_ledger())
+        assert summary["S1"]["min"] == pytest.approx(0.11)
+        assert summary["S2"]["min"] == pytest.approx(-0.30)
 
     def test_gap_summary_counts_early_and_never(self):
         from repro.analysis.timeline import activation_gap_summary
 
-        summary = activation_gap_summary(_synthetic_log())
+        summary = activation_gap_summary(_synthetic_ledger())
         assert summary["S1"]["early"] == 0
         assert summary["S2"]["rules"] == 2
         assert summary["S2"]["early"] == 1
@@ -285,7 +292,7 @@ class TestTimeline:
     def test_render_timeline_report(self):
         from repro.analysis.timeline import render_timeline_report
 
-        text = render_timeline_report(_synthetic_log())
+        text = render_timeline_report(_synthetic_log(), _synthetic_ledger())
         assert "Rule lifecycle timeline — timeout" in text
         assert "never" in text
         assert "-300.00ms" in text
@@ -309,7 +316,7 @@ class TestTimeline:
         )
 
         assert "(no rule lifecycle events in trace)" in \
-            render_timeline_report(TraceLog())
+            render_timeline_report(TraceLog(), [])
         assert "(no fault activations in trace)" in \
             render_fault_overlay(TraceLog())
 
@@ -330,7 +337,7 @@ class TestTracedFaultRun:
         log = record.trace
         assert log is not None
         assert log.phases().get(PHASE_FAULT, 0) > 0
-        summary = activation_gap_summary(log)
+        summary = activation_gap_summary(record.ledger)
         assert "S2" in summary
         # The spiked switch acknowledges before its hardware activates.
         assert summary["S2"]["early"] > 0

@@ -261,12 +261,3 @@ def test_tracker_oldest_returns_in_forwarding_order():
     records = _tracked_flowmods(tracker, 10)
     oldest = tracker.oldest(4)
     assert [record.xid for record in oldest] == [record.xid for record in records[:4]]
-
-
-def test_tracker_confirmation_latencies():
-    tracker = PendingRuleTracker("S2")
-    records = _tracked_flowmods(tracker, 2)
-    tracker.confirm_all(now=20.0, by="timeout")
-    latencies = dict(tracker.confirmation_latencies())
-    assert latencies[records[0].xid] == 20.0
-    assert latencies[records[1].xid] == 19.0

@@ -80,6 +80,13 @@ def test_every_technique_eventually_confirms(technique):
     assert rum.unconfirmed_count() == 0
 
 
+def _confirmations(rum, switch):
+    """``xid -> RUM's confirmation time`` on one switch."""
+    return {xid: confirmed
+            for (name, xid), (_fwd, confirmed, _by) in rum.confirmation_log.items()
+            if name == switch}
+
+
 @pytest.mark.parametrize("technique", ["sequential", "general", "timeout"])
 def test_confirmation_never_precedes_dataplane(technique):
     sim, network, rum, controller = _build(technique)
@@ -89,7 +96,7 @@ def test_confirmation_never_precedes_dataplane(technique):
         controller.send_flowmod("S2", flowmod)
     sim.run(until=10.0)
     dataplane = {xid: time for time, xid in network.switch("S2").dataplane.apply_log}
-    confirmations = rum.confirmation_times("S2")
+    confirmations = _confirmations(rum, "S2")
     for flowmod in flowmods:
         assert flowmod.xid in confirmations
         assert confirmations[flowmod.xid] >= dataplane[flowmod.xid]
@@ -103,7 +110,7 @@ def test_barrier_baseline_confirms_before_dataplane_on_buggy_switch():
         controller.send_flowmod("S2", flowmod)
     sim.run(until=10.0)
     dataplane = {xid: time for time, xid in network.switch("S2").dataplane.apply_log}
-    confirmations = rum.confirmation_times("S2")
+    confirmations = _confirmations(rum, "S2")
     early = [xid for xid, confirmed in confirmations.items()
              if confirmed < dataplane.get(xid, float("inf"))]
     assert early  # the baseline really is unsafe on this switch
@@ -157,7 +164,7 @@ def test_adaptive_assumed_rate_controls_safety():
         controller.send_flowmod("S2", flowmod)
     sim.run(until=5.0)
     dataplane = {xid: time for time, xid in network.switch("S2").dataplane.apply_log}
-    confirmations = rum.confirmation_times("S2")
+    confirmations = _confirmations(rum, "S2")
     assert any(confirmations[f.xid] < dataplane[f.xid] for f in flowmods)
 
 

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.activation import ActivationDelays
+from repro.analysis.activation import ActivationDelays, LedgerRow
 from repro.analysis.flowstats import FlowUpdateStats
 from repro.campaign import CampaignRunner, CampaignSpec, run_cell
 from repro.core.config import RumConfig, config_for_technique
@@ -33,8 +33,8 @@ from repro.session.record import OUTCOME_KEYS, outcome_digest
 from repro.store import RunStore
 
 #: The payload keys that ride beside the outcome and must never reach the
-#: digest: provenance plus the armed-only observations.
-OBSERVATION_KEYS = ("spec", "fault_events", "recovery", "trace")
+#: digest: provenance, the activation ledger and the armed-only observations.
+OBSERVATION_KEYS = ("spec", "fault_events", "recovery", "ledger", "trace")
 
 #: ``as_dict()`` keys of a record with nothing armed — the serialized layout
 #: every stored record and pinned digest was written against.
@@ -222,7 +222,8 @@ _stats = st.builds(
     packets_received=_counts)
 _activations = st.builds(
     ActivationDelays, technique=_names,
-    per_rule=st.dictionaries(_counts, st.tuples(_times, _times, _times),
+    per_rule=st.dictionaries(_counts, st.tuples(_times, _times, _times)
+                             | st.tuples(st.none(), _times, st.none()),
                              max_size=4))
 _traces = st.builds(
     TraceLog, technique=_names, kind=_names, seed=_counts,
@@ -235,6 +236,10 @@ _observations = {
     "spec": _json_dicts,
     "fault_events": st.dictionaries(_names, _counts, max_size=3),
     "recovery": _json_dicts,
+    "ledger": st.lists(st.builds(
+        LedgerRow, switch=_names, xid=_counts, role=_names,
+        activated_at=_maybe_time, confirmed_at=_maybe_time,
+        confirmed_by=st.none() | _names, acked_at=_maybe_time), max_size=3),
     "trace": st.none() | _traces,
 }
 
