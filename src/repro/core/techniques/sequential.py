@@ -46,8 +46,9 @@ class _SwitchProbeState:
     #: The pre-probe, validated once; every injection sends a stamped copy.
     template: Optional[Packet] = None
     allocator: Optional[VersionAllocator] = None
-    #: logical batch -> highest covered pending-rule sequence number.
-    outstanding: Dict[int, int] = field(default_factory=dict)
+    #: logical batch -> (highest covered pending-rule sequence, the xid and the
+    #: wire version of the probe-rule update that opened it).
+    outstanding: Dict[int, Tuple[int, int, int]] = field(default_factory=dict)
     since_last_probe_rule: int = 0
     highest_covered_sequence: int = 0
 
@@ -176,7 +177,6 @@ class SequentialProbingTechnique(AckTechnique):
                 switch_name, covered_sequence,
             )
             return
-        state.outstanding[batch] = covered_sequence
         state.highest_covered_sequence = max(state.highest_covered_sequence, covered_sequence)
         state.since_last_probe_rule = 0
         self._version_map[(state.catch_neighbor, wire_version)] = (switch_name, batch)
@@ -188,6 +188,7 @@ class SequentialProbingTechnique(AckTechnique):
             wire_version,
             state.probe_out_port,
         )
+        state.outstanding[batch] = (covered_sequence, flowmod.xid, wire_version)
         self.probe_rule_updates_sent += 1
         self.layer.send_to_switch(switch_name, flowmod)
 
@@ -230,15 +231,12 @@ class SequentialProbingTechnique(AckTechnique):
         state.allocator.mark_observed(wire_version)
         released = state.allocator.release_through(batch)
         for released_batch in released:
-            covered = state.outstanding.pop(released_batch, None)
-            wire = None
-            for (catch, value), (probed, candidate) in list(self._version_map.items()):
-                if probed == probed_switch and candidate == released_batch:
-                    wire = (catch, value)
-            if wire is not None:
-                self._version_map.pop(wire, None)
-            if covered is not None:
-                self.layer.confirm_up_to(probed_switch, covered, by="probe")
+            covered, update_xid, wire = state.outstanding.pop(released_batch)
+            # The allocator reuses no outstanding batch's wire value: the key is its own.
+            del self._version_map[state.catch_neighbor, wire]
+            # Its probe came back, so the update applied: no reply will release its xid.
+            self.layer.rum_xids.discard(update_xid)
+            self.layer.confirm_up_to(probed_switch, covered, by="probe")
         return True
 
     def describe(self) -> str:

@@ -7,8 +7,9 @@ acknowledged it) but the rule is not yet — or never — what packets hit.
 * :class:`DelaySpikeFault` (``delay-spike``) — occasionally the control→data
   plane lag jumps to several seconds ("in hard to predict corner cases, the
   delay may reach several seconds"), which breaks static-timeout techniques.
-* :class:`ReorderFault` (``reorder``) — modifications are applied to the data
-  plane out of order, which breaks sequential probing but not general probing.
+* :class:`ReorderFault` (``reorder``) — applies buffered modifications in shuffled
+  order but at one instant, so it does not break sequential probing (0 early acks
+  in 192 cells); releasing them at distinct instants (ROADMAP item 12(a)) would.
 * :class:`RuleDropFault` (``rule-drop``) — a modification is silently never
   applied to the data plane at all: the control plane (and any barrier reply)
   claims success while packets keep missing the rule forever.

@@ -15,14 +15,21 @@ naturally onto the rule lifecycle:
   ``recovery@<switch>`` track, stretching from ``resync-started`` to
   ``resync-complete``, with ``rule-reinstalled`` instants inside it.
 
-Sim-time seconds are scaled to the format's microseconds.
-:func:`validate_chrome_trace` is the schema check CI runs against a traced
-smoke session.
+Sim-time seconds are scaled to the format's microseconds, and every track
+shares pid 1: the sim is single-process by construction.  One encoder,
+:func:`chrome_trace_json`, writes a shard in one pass, byte for byte what
+``json.dumps(payload, sort_keys=True)`` writes; ``tests/property/
+test_trace_pipeline.py`` keeps the dict-building exporter it replaced as the
+oracle.  :func:`validate_chrome_trace` is the schema check CI runs against a
+traced smoke session.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from math import isfinite
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 from repro.obs.events import (
@@ -38,13 +45,6 @@ from repro.obs.events import (
 
 _US = 1_000_000.0  # sim seconds → trace microseconds
 
-#: Process id for all tracks; the sim is single-process by construction.
-_PID = 1
-
-#: Events encoded per ``json.dumps`` call when a shard is written.
-_BATCH = 512
-
-
 #: Overlay tracks: fault activations and the recovery phases are drawn on
 #: ``faults@<switch>`` / ``recovery@<switch>``, everything else on the switch.
 _OVERLAY_TRACKS = {PHASE_FAULT: "faults", PHASE_RESYNC_STARTED: "recovery",
@@ -52,26 +52,32 @@ _OVERLAY_TRACKS = {PHASE_FAULT: "faults", PHASE_RESYNC_STARTED: "recovery",
                    PHASE_RESYNC_COMPLETE: "recovery"}
 
 
-def trace_to_chrome(log: TraceLog) -> Dict[str, Any]:
-    """Render the log as a Chrome trace-event JSON object (Perfetto-ready).
+def chrome_trace_json(log: TraceLog) -> str:
+    """The log as Chrome trace-event JSON text (Perfetto-ready), one pass.
 
-    Every dict literal below is written in sorted-key order, so the
-    ``sort_keys`` pass of :func:`write_chrome_trace` finds nothing to move.
+    An instant is one dict lookup and one ``%`` of the template of its
+    ``(phase, switch, detail, xid present)``, which holds all its escaped text
+    but the xid and the time: no event and no rule span enters a Python frame.
+    ``float.__repr__`` is ``json``'s text for a finite float; a non-finite (or
+    overflowing) time and an xid that is not a plain ``int`` use ``json.dumps``.
     """
-    events: List[Dict[str, Any]] = []
-    technique = log.technique
+    technique, dumps = log.technique, json.dumps
+    num = (float.__repr__ if isfinite(
+        sum(map(abs, map(attrgetter("ts"), log.events))) * _US) else dumps)
+    #: A string's JSON text, ``%``-escaped for a template; once per shard.
+    escaped = lru_cache(None)(lambda value: dumps(value).replace("%", "%%"))
+    texts: List[str] = []
     tids: Dict[str, int] = {}
-    #: ``(overlay, switch) -> tid``: a track is named (and its metadata row
-    #: emitted) once per track, not once per event.
-    track_tids: Dict[tuple, int] = {}
+    #: By ``(phase, switch, detail, xid is None)`` for an instant, by switch for a rule span.
+    templates: Dict[Any, str] = {}
     starts: Dict[tuple, float] = {}
     ends: Dict[tuple, float] = {}
-    #: Open resync start timestamp per switch (a switch can resync more than
-    #: once — each started/complete pair becomes its own span).
+    #: Open resync start per switch; each started/complete pair is one span.
     open_resyncs: Dict[str, float] = {}
     resync_spans: List[tuple] = []
 
     def tid_for(overlay: str, switch: str) -> int:
+        """A track's tid; its metadata row is written on first use."""
         if overlay:
             track = f"{overlay}@{switch}" if switch else overlay
         else:
@@ -79,87 +85,81 @@ def trace_to_chrome(log: TraceLog) -> Dict[str, Any]:
         tid = tids.get(track)
         if tid is None:
             tid = tids[track] = len(tids) + 1
-            events.append({
-                "args": {"name": track}, "name": "thread_name", "ph": "M",
-                "pid": _PID, "tid": tid, "ts": 0,
-            })
-        track_tids[overlay, switch] = tid
+            texts.append('{"args": {"name": %s}, "name": "thread_name", "ph": "M", '
+                         '"pid": 1, "tid": %d, "ts": 0}' % (dumps(track), tid))
         return tid
+
+    def instant_template(phase: str, switch: str, detail: str, bare: bool) -> str:
+        args = [f'"detail": {escaped(detail)}'] if detail else []
+        if technique:
+            args.append(f'"technique": {escaped(technique)}')
+        if not bare:
+            args.append('"xid": %s')
+        return ('{"args": {%s}, "name": %s, "ph": "i", "pid": 1, "s": "t", "tid": %d, '
+                '"ts": %%s}' % (", ".join(args), escaped(phase),
+                                tid_for(_OVERLAY_TRACKS.get(phase, ""), switch)))
 
     for event in log.events:
         phase, switch, xid, ts = event.phase, event.switch, event.xid, event.ts
-        overlay = _OVERLAY_TRACKS.get(phase, "")
-        args: Dict[str, Any] = {}
-        if event.detail:
-            args["detail"] = event.detail
-        if technique:
-            args["technique"] = technique
-        if xid is not None:
-            args["xid"] = xid
-        tid = track_tids.get((overlay, switch)) or tid_for(overlay, switch)
-        events.append({
-            "args": args, "name": phase, "ph": "i", "pid": _PID,
-            "s": "t",  # instant scoped to its thread/track
-            "tid": tid, "ts": ts * _US,
-        })
+        key = (phase, switch, event.detail, xid is None)
+        template = templates.get(key) or templates.setdefault(
+            key, instant_template(*key))
+        if xid is None:
+            texts.append(template % num(ts * _US))
+        else:
+            texts.append(template % (xid if type(xid) is int else dumps(xid),
+                                     num(ts * _US)))
         if not switch:
             continue
-        if phase == PHASE_RESYNC_STARTED:
-            open_resyncs[switch] = ts
-        elif phase == PHASE_RESYNC_COMPLETE:
-            started = open_resyncs.pop(switch, None)
-            if started is not None:
-                resync_spans.append((switch, started, ts, event.detail))
-        if xid is None:
-            continue
-        if phase == PHASE_UPDATE_ISSUED:
+        if phase == PHASE_UPDATE_ISSUED and xid is not None:
             starts.setdefault((switch, xid), ts)
-        elif phase == PHASE_HW_ACTIVATED:
+        elif phase == PHASE_HW_ACTIVATED and xid is not None:
             ends[switch, xid] = ts
+        elif phase == PHASE_RESYNC_STARTED:
+            open_resyncs[switch] = ts
+        elif phase == PHASE_RESYNC_COMPLETE and switch in open_resyncs:
+            resync_spans.append((switch, open_resyncs.pop(switch), ts,
+                                 event.detail))
 
     for key in sorted(starts):
         if key not in ends:
             continue
         switch, xid = key
-        events.append({
-            "args": {"switch": switch, "technique": technique, "xid": xid},
-            "dur": max(0.0, ends[key] - starts[key]) * _US,
-            "name": f"rule {xid}", "ph": "X", "pid": _PID,
-            "tid": tid_for("", switch), "ts": starts[key] * _US,
-        })
+        template = templates.get(switch) or templates.setdefault(switch, (
+            '{"args": {"switch": %s, "technique": %s, "xid": %%s}, "dur": '
+            '%%s, "name": %%s, "ph": "X", "pid": 1, "tid": %d, "ts": %%s}'
+            % (escaped(switch), escaped(technique), tid_for("", switch))))
+        if type(xid) is int:
+            xid_text, name = xid, f'"rule {xid}"'
+        else:
+            xid_text, name = dumps(xid), dumps(f"rule {xid}")
+        texts.append(template % (
+            xid_text, num(max(0.0, ends[key] - starts[key]) * _US), name,
+            num(starts[key] * _US)))
 
     for switch, started, completed, detail in resync_spans:
-        args = {"switch": switch, "technique": technique}
-        if detail:
-            args = {"detail": detail, **args}
-        events.append({
-            "args": args, "dur": max(0.0, completed - started) * _US,
-            "name": "resync", "ph": "X", "pid": _PID,
-            "tid": tid_for("recovery", switch), "ts": started * _US,
-        })
+        texts.append(
+            '{"args": {%s"switch": %s, "technique": %s}, "dur": %s, "name": '
+            '"resync", "ph": "X", "pid": 1, "tid": %d, "ts": %s}' % (
+                f'"detail": {dumps(detail)}, ' if detail else "",
+                dumps(switch), dumps(technique),
+                num(max(0.0, completed - started) * _US),
+                tid_for("recovery", switch), num(started * _US)))
 
-    return {
-        "displayTimeUnit": "ms",
-        "otherData": {"kind": log.kind, "seed": log.seed,
-                      "technique": technique},
-        "traceEvents": events,
-    }
+    other = dumps({"kind": log.kind, "seed": log.seed, "technique": technique}, sort_keys=True)
+    return ('{"displayTimeUnit": "ms", "otherData": %s, "traceEvents": [%s]}'
+            % (other, ", ".join(texts)))
+
+
+def trace_to_chrome(log: TraceLog) -> Dict[str, Any]:
+    """:func:`chrome_trace_json` parsed: the dict cannot disagree with a shard."""
+    return json.loads(chrome_trace_json(log))
 
 
 def write_chrome_trace(log: TraceLog, path) -> None:
-    """Write the shard through the C encoder, a bounded batch at a time
-    (``json.dump`` streams every value through the pure-Python ``_iterencode``;
-    one ``json.dumps`` of a whole shard holds several times its size in chunk
-    strings).  ``traceEvents`` sorts last among the top-level keys."""
-    payload = trace_to_chrome(log)
-    events = payload.pop("traceEvents")
+    """Write the shard, :func:`chrome_trace_json`'s text, to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True)[:-1])
-        handle.write(', "traceEvents": [')
-        for start in range(0, len(events), _BATCH):
-            batch = json.dumps(events[start:start + _BATCH], sort_keys=True)
-            handle.write((", " if start else "") + batch[1:-1])
-        handle.write("]}")
+        handle.write(chrome_trace_json(log))
 
 
 def trace_from_chrome(payload: Dict[str, Any]) -> TraceLog:

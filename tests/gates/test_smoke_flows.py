@@ -14,7 +14,7 @@ import pytest
 from repro.campaign.__main__ import main as campaign_main
 from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.figures import FIGURES
-from repro.obs.export import trace_to_chrome, validate_chrome_trace
+from repro.obs.export import validate_chrome_trace, write_chrome_trace
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.store import RunStore
 from repro.store.__main__ import main as store_main
@@ -57,11 +57,13 @@ def test_a_stored_grid_reruns_from_cache_and_reports_byte_identically(
         assert set(payload["divergence"]) >= {"ts", "switch", "xid", "phase", "reason"}
 
 
-def test_a_recovered_run_shows_resync_spans_on_its_chrome_trace():
+def test_a_recovered_run_shows_resync_spans_on_its_chrome_trace(tmp_path):
     record = run_scenario("rolling-upgrade", "general",
                           ScenarioParams(flow_count=2, seed=7, trace=True))
     assert record.recovery["reconverged"], record.recovery
-    payload = trace_to_chrome(record.trace)
+    shard = tmp_path / "rolling-upgrade.trace.json"
+    write_chrome_trace(record.trace, shard)
+    payload = json.loads(shard.read_text(encoding="utf-8"))
     assert validate_chrome_trace(payload) is None
     names = [event["name"] for event in payload["traceEvents"]]
     assert names.count("resync") >= 1, "no resync spans on the trace"

@@ -36,6 +36,7 @@ from repro.obs.events import (
     TraceLog,
 )
 from repro.obs.export import (
+    chrome_trace_json,
     read_chrome_trace,
     trace_to_chrome,
     validate_chrome_trace,
@@ -205,15 +206,17 @@ def _old_trace_to_chrome(log):
 
 #: Suffix-ambiguous on purpose: ``ctl-S11`` must feed neither ``S1`` nor ``1``,
 #: ``ctlS1`` nothing (no dash), ``rum-a-S1`` both ``S1`` and ``a-S1``, and a
-#: bare switch name is its own channel.
-_SWITCHES = ["S1", "S11", "a-S1", "1", ""]
-_CHANNELS = ["ctl-S1", "ctl-S11", "rum-a-S1", "ctlS1", "S1", "S11", "-S1", ""]
+#: bare switch name is its own channel.  Quotes, ``%`` and non-ASCII names
+#: reach the shard's escaping and its templates.
+_SWITCHES = ["S1", "S11", "a-S1", "1", "", 'q"S1', "S%d", "ß-✓"]
+_CHANNELS = ["ctl-S1", "ctl-S11", "rum-a-S1", "ctlS1", "S1", "S11", "-S1", "",
+             'ctl-q"S1', "ctl-ß-✓"]
 #: Exact in binary, and ``ts * 1e6 / 1e6 == ts``, so shards read back equal.
 _TIMES = st.integers(0, 1 << 20).map(lambda ticks: ticks / 1024.0)
 _DETAILS = st.one_of(
     st.just(""),
     st.sampled_from(["probe", "barrier", 'say "hi"', "back\\slash", "ünï-✓",
-                     "missing=3", "line\nbreak"]),
+                     "missing=3", "line\nbreak", "100%s", "%(x)d"]),
     st.text(max_size=6),
 )
 _XIDS = st.sampled_from([None, 1, 1, 2, 2])
@@ -231,7 +234,7 @@ def _events(draw):
 
 _LOGS = st.builds(
     TraceLog,
-    technique=st.sampled_from(["", "general", 'tech"nique']),
+    technique=st.sampled_from(["", "general", 'tech"nique', "gé%s"]),
     kind=st.sampled_from(["", "scenario"]),
     seed=st.one_of(st.none(), st.integers(0, 99)),
     events=st.lists(_events(), min_size=1, max_size=40),
@@ -290,3 +293,22 @@ def test_shards_are_byte_identical_to_the_streamed_encoding(log):
     assert back.events == [_as_read_back(event) for event in log.events]
     assert (back.technique, back.kind, back.seed) == (log.technique, log.kind,
                                                       log.seed)
+
+
+def test_odd_xids_and_non_finite_times_keep_the_streamed_bytes():
+    # ``json`` writes ``true`` for a bool xid and ``Infinity``/``NaN`` for a
+    # non-finite float (also one that overflows when scaled to microseconds),
+    # where ``%d`` and ``float.__repr__`` would write ``1`` and ``inf``.
+    logs = [
+        _log((0.5, PHASE_UPDATE_ISSUED, "S1", True, "a%sb"),
+             (1.0, PHASE_HW_ACTIVATED, "S1", True), (1.5, PHASE_FAULT, "", "x")),
+        _log((0.5, PHASE_UPDATE_ISSUED, "S1", 3),
+             (float("inf"), PHASE_HW_ACTIVATED, "S1", 3)),
+        _log((float("nan"), PHASE_UPDATE_ISSUED, "S1", 3),
+             (2, PHASE_HW_ACTIVATED, "S1", 3)),
+        _log((1e303, PHASE_RESYNC_STARTED, "S1"),
+             (-1e303, PHASE_RESYNC_COMPLETE, "S1", None, "%%")),
+    ]
+    for log in logs:
+        expected = json.dumps(_old_trace_to_chrome(log), sort_keys=True)
+        assert chrome_trace_json(log) == expected

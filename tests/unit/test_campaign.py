@@ -152,29 +152,22 @@ class TestRunnerResume:
                                  max_workers=2, cache=store).run()
         assert (outcome.cached, outcome.ran) == (0, 4)
 
-    def test_a_retried_error_leaves_one_line_per_cell(self, tmp_path,
-                                                      monkeypatch):
-        import multiprocessing
-
-        from repro.campaign import runner as runner_module
-
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patch reaches pool workers only when they fork")
+    def test_a_retried_error_leaves_one_line_per_cell(self, tmp_path):
+        # A directory where the general cell's shard goes fails that cell's
+        # write in whichever worker runs it, under every start method.
         results = tmp_path / "results.jsonl"
         store = RunStore(tmp_path / "store")
-        spec = _tiny_spec(seeds=[1])
-        real = runner_module.run_scenario
-
-        def general_breaks(scenario, technique, params):
-            if technique == "general":
-                raise RuntimeError("transient")
-            return real(scenario, technique, params)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(runner_module, "run_scenario", general_breaks)
-            first = CampaignRunner(spec, results, max_workers=1,
-                                   cache=store).run()
+        spec = _tiny_spec(seeds=[1], trace=True)
+        (general,) = [cell for cell in spec.cells() if cell.technique == "general"]
+        blocker = tmp_path / "traces" / f"{general.cell_id}.trace.json"
+        blocker.mkdir(parents=True)
+        first = CampaignRunner(spec, results, max_workers=1,
+                               cache=store).run()
         assert (first.ran, first.failed) == (2, 1)
+        (failed,) = [record for record in first.records
+                     if record["status"] == "error"]
+        assert failed["error"].startswith("IsADirectoryError")
+        blocker.rmdir()
         again = CampaignRunner(spec, results, max_workers=1,
                                cache=store).run()
         text = render_report(results)

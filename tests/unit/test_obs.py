@@ -26,6 +26,7 @@ from repro.obs import (
     Tracer,
     trace_to_chrome,
     validate_chrome_trace,
+    write_chrome_trace,
 )
 from repro.scenarios import ScenarioParams, run_scenario, scenario_session
 
@@ -171,7 +172,7 @@ class TestTracedSession:
 
 
 #: ``(scenario, technique, faults, events, sha256 of the sorted-key
-#: ``TraceLog.as_dict()``, sha256 of the sorted-key Chrome export)``, in the
+#: ``TraceLog.as_dict()``, sha256 of the written Chrome shard)``, in the
 #: order they run.
 _PINNED_TRACES = [
     ("rolling-upgrade", "barrier", None, 340,
@@ -186,13 +187,14 @@ _PINNED_TRACES = [
 ]
 
 
-def test_the_traces_of_three_traced_cells_are_pinned():
+def test_the_traces_of_three_traced_cells_are_pinned(tmp_path):
     # Every emission site, its order and its payload: a moved or dropped
     # event changes these hashes even where the event count holds.  Events
     # carry xids, which come from process-wide counters, so the cells run in
     # one sequence from fresh counters, as in a new process.  The log's
     # ``meta`` also carries the kernel's counters (``meta.kernel``), so a
-    # changed step count moves the log hash and not the Chrome one.
+    # changed step count moves the log hash and not the Chrome one, which
+    # hashes the shard's bytes as written.
     _reset_process_counters()
     observed = []
     for scenario, technique, faults, _events, _log, _chrome in _PINNED_TRACES:
@@ -200,11 +202,12 @@ def test_the_traces_of_three_traced_cells_are_pinned():
         trace = run_scenario(scenario, technique,
                              ScenarioParams(flow_count=4, rate_pps=25.0, seed=1,
                                             trace=True, **extra)).trace
-        chrome = json.dumps(trace_to_chrome(trace), sort_keys=True)
+        shard = tmp_path / f"{scenario}.trace.json"
+        write_chrome_trace(trace, shard)
         observed.append((scenario, technique, faults, len(trace.events),
                          hashlib.sha256(json.dumps(trace.as_dict(), sort_keys=True)
                                         .encode()).hexdigest(),
-                         hashlib.sha256(chrome.encode()).hexdigest()))
+                         hashlib.sha256(shard.read_bytes()).hexdigest()))
     assert observed == [tuple(row) for row in _PINNED_TRACES]
 
 

@@ -6,8 +6,8 @@ hit) and an idle network may not execute kernel steps at all.  A refactor that
 quietly brings the copy or the poll back fails here on any machine.
 
 The armed path has its own guards: a traced session executes exactly the
-kernel steps of its bare twin, a Perfetto shard may not be encoded by Python
-frames per value, and none of that may leak onto the bare path.  A cell's
+kernel steps of its bare twin, a Perfetto shard enters no Python frame per
+event or per rule span, and none of that may leak onto the bare path.  A cell's
 set-up has one: migration path search draws no path past the one it keeps.
 
 The kernel runs plain callbacks only: no generator function of the package
@@ -30,7 +30,9 @@ that a migration's hop is the link's heap entry and its source ``_emit``.
 General probing asks RUM's mirror table, not every rule in it: the table
 entries a generated probe examines do not grow with the table, the mirror
 is looked up only by probe generation, and RUM keeps no xid of a probe it
-injected (a PacketOut gets no reply that would release it).
+injected (a PacketOut gets no reply that would release it), nor of a
+sequential probe-rule update whose probe came back (an applied FlowMod gets
+none either).
 """
 
 import dataclasses
@@ -61,7 +63,7 @@ from repro.net.monitor import DeliveryMonitor
 from repro.net.network import Network
 from repro.net.topology import linear_topology, triangle_topology
 from repro.net.traffic import TrafficGenerator, flows_between
-from repro.obs.events import LIFECYCLE_PHASES, TraceEvent, TraceLog
+from repro.obs.events import LIFECYCLE_PHASES, PHASE_MSG_SENT, TraceEvent, TraceLog
 from repro.obs.export import write_chrome_trace
 from repro.obs.tracer import Tracer
 from repro.openflow import FlowMod, Match, OutputAction
@@ -223,16 +225,20 @@ def test_fat_tree_path_search_stops_at_the_first_usable_path(monkeypatch):
     assert drawn["paths"] == 2
 
 
-def test_a_shard_is_encoded_by_the_c_encoder_not_by_python_frames(tmp_path):
+def test_a_shard_enters_python_frames_per_template_not_per_event(tmp_path):
+    # A channel send carries no xid here, so both instant shapes are written.
     log = TraceLog(technique="general", kind="scenario", seed=1, events=[
-        TraceEvent(xid * 0.001 + step * 0.0001, phase, f"S{xid % 5}", xid, "probe")
+        TraceEvent(xid * 0.001 + step * 0.0001, phase, f"S{xid % 5}",
+                   None if phase == PHASE_MSG_SENT else xid, "probe")
         for xid in range(1, 301) for step, phase in enumerate(LIFECYCLE_PHASES)])
+    tracks = {event.switch for event in log.events}
+    templates = {(event.phase, event.switch, event.detail, event.xid is None)
+                 for event in log.events} | tracks  # a rule-span template per switch
     frames = _python_frames(lambda: write_chrome_trace(log, tmp_path / "s.json"))
-    # ``json.dump(payload, handle)`` streams every value through the pure-Python
-    # ``_iterencode``: ~45 frames per event.  ``json.dumps`` is a handful of
-    # frames per 512-event batch; what remains is one ``tid_for`` per track
-    # and per completed rule span (a seventh of the events here).
-    assert frames <= len(log.events) // 4
+    # Frames name a track or build a template (a handful each, escaping its
+    # strings once); an event and a rule span are one ``%`` each.  A helper
+    # called per event would add 2 100 frames here, one per rule span 300.
+    assert frames <= 4 * (len(tracks) + len(templates))
     assert (tmp_path / "s.json").stat().st_size > 100 * len(log.events)
 
 
@@ -754,7 +760,7 @@ def test_a_generated_probe_examines_as_many_entries_at_any_table_size(monkeypatc
         assert work["switch lookups outside"] > 0
 
 
-@pytest.mark.parametrize("technique", ["general", "barrier"])
+@pytest.mark.parametrize("technique", ["general", "barrier", "sequential"])
 def test_rum_keeps_no_xid_of_a_message_it_will_get_no_reply_for(monkeypatch, technique):
     layers, probes = [], set()
     init = RumLayer.__init__
@@ -779,7 +785,11 @@ def test_rum_keeps_no_xid_of_a_message_it_will_get_no_reply_for(monkeypatch, tec
         # A PacketOut is never answered: one xid per injection stayed behind.
         assert record.rum_probes_injected > 300
         assert not rum.rum_xids & probes
-    else:
+    elif technique == "barrier":
         # Every barrier was answered, and the technique claimed each reply.
         assert rum.technique.barriers_sent == 300
+    else:
+        # A probe-rule update is answered only on error: its returning probe
+        # shows it applied, and releases its xid.
+        assert rum.technique.probe_rule_updates_sent == 30
     assert not rum.rum_xids
