@@ -15,7 +15,8 @@ diff`` and the campaign report's ``--baseline`` mode.  Two layers:
   phase by phase and the **first divergent lifecycle event** is named with
   its time, switch and phase — the same first-divergence discipline the
   determinism gate applies to raw kernel event streams.  Cross-run
-  alignment on xids is sound because xid counters reset per run.
+  alignment on xids is sound because every session numbers its xids from
+  1 (:func:`~repro.openflow.messages.rewind_xids`).
 
 A diff of a traced run against a trace-off run degrades to the summary
 level (``traced`` is ``False``; no divergence is reported) instead of

@@ -105,7 +105,6 @@ class ConsistentPathMigration:
                                      priority=self.priority)
                     plan.add(switch, delete, after=[flip_op],
                              label=flow.flow_id, role="cleanup")
-        plan.validate()
         return plan
 
 
@@ -167,5 +166,4 @@ class TwoPhaseVersionedUpdate:
                                      priority=self.priority)
                     plan.add(switch, delete, after=[flip_op],
                              label=flow.flow_id, role="cleanup")
-        plan.validate()
         return plan

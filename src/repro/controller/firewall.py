@@ -174,7 +174,6 @@ class FirewallScenario:
             priority=200,
         )
         plan.add("A", rule_x, after=[op_y, op_z], label="firewall", role="ingress-flip")
-        plan.validate()
         return plan
 
     # -- metrics -------------------------------------------------------------

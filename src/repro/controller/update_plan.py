@@ -19,18 +19,15 @@ the switches.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.controller.base import AckMode, Controller
 from repro.obs.events import PHASE_ACK_RECEIVED, PHASE_UPDATE_ISSUED
 from repro.openflow.messages import FlowMod
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-
-_operation_ids = itertools.count(1)
 
 
 @dataclass
@@ -39,7 +36,8 @@ class UpdateOperation:
 
     switch: str
     flowmod: FlowMod
-    op_id: int = field(default_factory=lambda: next(_operation_ids))
+    #: Position in its plan, from 1 (:meth:`UpdatePlan.add` numbers it).
+    op_id: int
     depends_on: List[int] = field(default_factory=list)
     #: Free-form grouping label, e.g. the flow id this operation belongs to.
     label: str = ""
@@ -77,16 +75,17 @@ class UpdatePlan:
         role: str = "",
     ) -> UpdateOperation:
         """Add an operation that must run after the given operations."""
+        for dep in after or ():
+            if self.operations.get(dep.op_id) is not dep:
+                raise ValueError(f"dependency {dep.op_id} not in plan")
         operation = UpdateOperation(
             switch=switch,
             flowmod=flowmod,
-            depends_on=[dep.op_id for dep in (after or [])],
+            op_id=len(self.operations) + 1,
+            depends_on=[dep.op_id for dep in (after or ())],
             label=label,
             role=role,
         )
-        for dep in operation.depends_on:
-            if dep not in self.operations:
-                raise ValueError(f"dependency {dep} not in plan")
         self.operations[operation.op_id] = operation
         return operation
 
@@ -98,23 +97,15 @@ class UpdatePlan:
         return [op for op in self.operations.values() if op.role == role]
 
     def validate(self) -> None:
-        """Raise :class:`ValueError` if the dependency graph has a cycle."""
-        # Kahn: peel operations whose prerequisites are all peeled; whatever
-        # is left waits on a cycle.  Unknown prerequisites never block.
-        waiting = {op_id: {dep for dep in operation.depends_on if dep in self.operations}
-                   for op_id, operation in self.operations.items()}
-        dependents: Dict[int, List[int]] = defaultdict(list)
-        for op_id, deps in waiting.items():
-            for dep in deps:
-                dependents[dep].append(op_id)
-        peeled = [op_id for op_id, deps in waiting.items() if not deps]
-        for op_id in peeled:  # grows as it goes
-            for dependent in dependents[op_id]:
-                waiting[dependent].discard(op_id)
-                if not waiting[dependent]:
-                    peeled.append(dependent)
-        if len(peeled) != len(waiting):
-            raise ValueError(f"update plan {self.name!r} has cyclic dependencies")
+        """Raise :class:`ValueError` if the dependency graph has a cycle.
+
+        :meth:`add` only records dependencies on earlier operations, so a
+        cycle needs a ``depends_on`` edited afterwards to name an operation
+        that is not earlier; that is what is checked.
+        """
+        for operation in self.operations.values():
+            if not all(0 < dep < operation.op_id for dep in operation.depends_on):
+                raise ValueError(f"update plan {self.name!r} has a cycle or unknown dependency")
 
     def completed(self) -> bool:
         """Whether every operation has been acknowledged."""
@@ -165,17 +156,17 @@ class PlanExecutor:
         #: Set while :meth:`_pump` issues: an ack arriving meanwhile (a no-wait
         #: ack completes inside ``send_flowmod``) only queues work for its loop.
         self._pumping = False
-        self._in_flight: Set[int] = set()
-        self._acked: Set[int] = set()
-        self._issued: Set[int] = set()
+        #: Counts only: whether an operation was issued or acked is its own
+        #: ``issued_at`` / ``acked_at``.
+        self._in_flight = 0
+        self._acked = 0
         self._unbarriered: Dict[str, int] = defaultdict(int)
-        self._dependents: Dict[int, List[int]] = defaultdict(list)
+        self._dependents: Dict[int, List[UpdateOperation]] = defaultdict(list)
         for operation in plan.operations.values():
             for dep in operation.depends_on:
-                self._dependents[dep].append(operation.op_id)
+                self._dependents[dep].append(operation)
         self._ready: deque = deque(
-            op.op_id
-            for op in plan.operations.values()
+            op for op in plan.operations.values()
             if not op.depends_on or ignore_dependencies
         )
 
@@ -195,16 +186,15 @@ class PlanExecutor:
     # -- internals --------------------------------------------------------------
     def _pump(self) -> None:
         self._pumping = True
-        while self._ready and len(self._in_flight) < self.max_unconfirmed:
-            op_id = self._ready.popleft()
-            if op_id in self._issued:
-                continue
-            self._issue(self.plan.operations[op_id])
+        while self._ready and self._in_flight < self.max_unconfirmed:
+            operation = self._ready.popleft()
+            if not operation.issued:
+                self._issue(operation)
         self._pumping = False
         # In barrier mode an idle moment with unbarriered FlowMods means the
         # outstanding acks can never resolve; flush with a barrier.
         if self.controller.ack_mode == AckMode.BARRIER:
-            blocked = not self._ready or len(self._in_flight) >= self.max_unconfirmed
+            blocked = not self._ready or self._in_flight >= self.max_unconfirmed
             if blocked:
                 for switch, count in list(self._unbarriered.items()):
                     if count > 0:
@@ -213,8 +203,7 @@ class PlanExecutor:
 
     def _issue(self, operation: UpdateOperation) -> None:
         operation.issued_at = self.sim.now
-        self._issued.add(operation.op_id)
-        self._in_flight.add(operation.op_id)
+        self._in_flight += 1
         tr = self.sim.tracer
         if tr is not None:
             tr.rule(PHASE_UPDATE_ISSUED, self.sim.now, operation.switch,
@@ -228,23 +217,22 @@ class PlanExecutor:
                 self.controller.send_barrier(operation.switch)
 
     def _on_acked(self, operation: UpdateOperation) -> None:
-        if operation.op_id in self._acked:
+        if operation.acked:
             return
         operation.acked_at = self.sim.now
-        self._acked.add(operation.op_id)
-        self._in_flight.discard(operation.op_id)
+        self._acked += 1
+        self._in_flight -= 1
         tr = self.sim.tracer
         if tr is not None:
             tr.rule(PHASE_ACK_RECEIVED, self.sim.now, operation.switch,
                     operation.flowmod.xid, detail=operation.role)
         if not self.ignore_dependencies:
-            for dependent_id in self._dependents.get(operation.op_id, []):
-                dependent = self.plan.operations[dependent_id]
-                if dependent.issued:
-                    continue
-                if all(dep in self._acked for dep in dependent.depends_on):
-                    self._ready.append(dependent_id)
-        if len(self._acked) == len(self.plan.operations):
+            operations = self.plan.operations
+            for dependent in self._dependents.get(operation.op_id, []):
+                if not dependent.issued and all(
+                        operations[dep].acked for dep in dependent.depends_on):
+                    self._ready.append(dependent)
+        if self._acked == len(self.plan.operations):
             self.finished_at = self.sim.now
             if not self.done.triggered:
                 self.done.succeed(self.sim.now)
@@ -268,8 +256,8 @@ class PlanExecutor:
         :meth:`repro.controller.base.Controller.fail_ack`).
         """
         return [
-            op for op_id, op in self.plan.operations.items()
-            if op_id in self._issued and not op.acked
+            op for op in self.plan.operations.values()
+            if op.issued and not op.acked
             and self.controller.ack_failed(op.switch, op.flowmod.xid)
         ]
 
@@ -284,9 +272,9 @@ class PlanExecutor:
         return {
             "plan": self.plan.name,
             "operations": len(self.plan.operations),
-            "issued": len(self._issued),
-            "acked": len(self._acked),
-            "in_flight": len(self._in_flight) - failed,
+            "issued": sum(op.issued for op in self.plan.operations.values()),
+            "acked": self._acked,
+            "in_flight": self._in_flight - failed,
             "failed": failed,
             "completed": self.done.triggered,
             "duration": self.duration,

@@ -44,6 +44,7 @@ to a build without this subsystem.
 from __future__ import annotations
 
 import difflib
+import math
 import re
 from dataclasses import dataclass, field
 from typing import (
@@ -98,13 +99,16 @@ def split_outside_parens(text: str, separator: str) -> List[str]:
     return [item for item in (token.strip() for token in items) if item]
 
 
-def _parse_scalar(text: str) -> object:
-    """Parse a parameter value: int, then float, then bool, then string."""
+def _parse_scalar(text: str, token: str) -> object:
+    """Parse a value of ``token``: int, then finite float, then bool, then string."""
     for cast in (int, float):
         try:
-            return cast(text)
+            value = cast(text)
         except ValueError:
-            pass
+            continue
+        if cast is float and not math.isfinite(value):
+            raise ValueError(f"non-finite number {text!r} in {token!r}")
+        return value
     lowered = text.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
@@ -198,7 +202,7 @@ class FaultSpec:
                     f"fault parameter {item!r} in {token!r} is not key=value"
                 )
             key, _, value = item.partition("=")
-            params[key.strip()] = _parse_scalar(value.strip())
+            params[key.strip()] = _parse_scalar(value.strip(), token)
         targets = tuple(
             target.strip()
             for target in (matched.group("targets") or "").split("|")
@@ -251,7 +255,7 @@ class GroupSpec:
                     f"cannot parse group suffix {suffix!r} in {token!r} "
                     "(expected @t=<time>)"
                 )
-            at = _parse_scalar(matched.group("at").strip())
+            at = _parse_scalar(matched.group("at").strip(), token)
             if not isinstance(at, (int, float)) or isinstance(at, bool):
                 raise ValueError(
                     f"group time {matched.group('at')!r} in {token!r} "
@@ -316,7 +320,7 @@ class RollingSpec:
                     f"cannot parse rolling option {part!r} in {token!r} "
                     "(expected stagger=<step> or at=<time>)"
                 )
-            parsed = _parse_scalar(value.strip())
+            parsed = _parse_scalar(value.strip(), token)
             if not isinstance(parsed, (int, float)) or isinstance(parsed, bool):
                 raise ValueError(
                     f"rolling option {part!r} in {token!r} is not a number"

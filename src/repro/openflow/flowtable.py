@@ -21,7 +21,6 @@ because ``intersection()`` / ``extended()`` fill a blank ``Match()`` afterwards.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -31,11 +30,9 @@ from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
 from repro.packet.packet import Packet
 
-_entry_ids = itertools.count(1)
-
 
 class FlowEntry:
-    """One installed rule."""
+    """One installed rule; ``entry_id`` numbers it within its table."""
 
     __slots__ = (
         "entry_id",
@@ -51,6 +48,7 @@ class FlowEntry:
 
     def __init__(
         self,
+        entry_id: int,
         match: Match,
         actions: Sequence[Action],
         priority: int = 32768,
@@ -58,7 +56,7 @@ class FlowEntry:
         installed_at: float = 0.0,
         source_xid: int = 0,
     ) -> None:
-        self.entry_id = next(_entry_ids)
+        self.entry_id = entry_id
         self.match = match
         self.actions: List[Action] = list(actions)
         self.priority = int(priority)
@@ -123,7 +121,7 @@ class FlowTable:
     size.
     """
 
-    __slots__ = ("mode", "capacity", "name", "_entries", "_buckets")
+    __slots__ = ("mode", "capacity", "name", "_entries", "_buckets", "_created")
 
     def __init__(
         self,
@@ -138,6 +136,8 @@ class FlowTable:
         self.name = name
         self._entries: Dict[Tuple[int, Match], FlowEntry] = {}
         self._buckets: List[Tuple[int, Dict[tuple, dict], list]] = []
+        #: Entries this table has created; the last one's ``entry_id``.
+        self._created = 0
 
     # -- inspection --------------------------------------------------------
     def __len__(self) -> int:
@@ -196,7 +196,9 @@ class FlowTable:
         if replaced is None and self.capacity is not None and len(self._entries) >= self.capacity:
             raise TableFullError(f"flow table {self.name!r} full ({self.capacity} entries)")
         inherit = replaced is not None and self.mode == "install_order"
+        self._created += 1
         entry = FlowEntry(
+            self._created,
             flowmod.match,
             flowmod.actions,
             priority=flowmod.priority,

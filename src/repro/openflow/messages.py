@@ -23,12 +23,19 @@ from repro.openflow.constants import (
 from repro.openflow.match import Match
 from repro.packet.packet import Packet
 
-_xid_counter = itertools.count(1)
+#: The running session's xid sequence, in a slot :func:`rewind_xids` refills.
+_xids = [itertools.count(1)]
+
+
+def rewind_xids() -> None:
+    """Number xids from 1 again; :func:`~repro.session.engine.run_session`
+    calls this on entry, so each session owns its xids."""
+    _xids[0] = itertools.count(1)
 
 
 def next_xid() -> int:
-    """Allocate a process-wide unique transaction id."""
-    return next(_xid_counter)
+    """Allocate a transaction id, unique within the running session."""
+    return next(_xids[0])
 
 
 class OFMessage:

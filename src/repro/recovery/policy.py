@@ -21,6 +21,7 @@ without this subsystem.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
@@ -134,7 +135,12 @@ class RecoveryPolicy:
                     f"(known: {', '.join(sorted(_FIELD_CASTS))})"
                 )
             value = value.strip()
-            overrides[key] = (value == "true") if cast is bool else cast(value)
+            if cast is bool and value not in ("true", "false"):
+                raise ValueError(f"recovery parameter {item!r} is not true or false")
+            parsed = (value == "true") if cast is bool else cast(value)
+            if cast is float and not math.isfinite(parsed):
+                raise ValueError(f"recovery parameter {item!r} is not a finite number")
+            overrides[key] = parsed
         policy = cls(**overrides)
         policy.validate()
         return policy

@@ -113,7 +113,6 @@ class FirewallRolloutScenario(Scenario):
         )
         plan.add(ingress, forwarding.flowmods[ingress], after=prerequisites,
                  label="rollout", role="ingress-flip")
-        plan.validate()
         return plan
 
     def new_path_switches(self, network: Network,

@@ -102,7 +102,6 @@ class EcmpRebalanceScenario(Scenario):
             )
             plan.add(ingress, flip, after=[prepare], label=flow.flow_id,
                      role="ingress-flip")
-        plan.validate()
         return plan
 
     def new_path_switches(self, network: Network,

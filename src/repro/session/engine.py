@@ -37,6 +37,7 @@ from repro.faults.plan import ArmedFaults, arm_fault_plan
 from repro.net.network import Network
 from repro.net.traffic import TrafficGenerator
 from repro.obs.tracer import Tracer
+from repro.openflow.messages import rewind_xids
 from repro.recovery.manager import RecoveryManager
 from repro.session.record import RunRecord
 from repro.session.spec import SessionSpec
@@ -82,6 +83,7 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
     workload = spec.workload
 
     # 1. Topology, network, flows, pre-update forwarding state ----------------
+    rewind_xids()  # every message of the session is built below
     sim = Simulator()
     dismantle.callback(sim.clear)
     if spec.trace:

@@ -292,10 +292,9 @@ class RunRecord:
         """Stable content hash of the simulation-determined :meth:`outcome`.
 
         Provenance (:attr:`spec`) and the observation payloads are not part
-        of the outcome, and OpenFlow xids (which come from a process-global
-        counter) are normalised away, so the same seeded workload produces
-        the same digest no matter which entry point built the session, what
-        was armed, or what ran before it in the process.
+        of the outcome, so the same seeded workload produces the same digest
+        no matter which entry point built the session or what was armed.
+        Xids are normalised away, as every pinned digest was hashed.
         """
         return outcome_digest(self.outcome())
 
@@ -321,10 +320,10 @@ def outcome_digest(payload: Dict[str, object]) -> str:
     outcome = {key: payload[key] for key in OUTCOME_KEYS if key in payload}
     activation = outcome.get("activation")
     if activation is not None:
-        # Per-rule delays are keyed by process-global xids; hash the sorted
-        # delay multiset so the digest is xid-independent.  A never-activated
-        # rule's ``None`` sorts after every time, and a list of times sorts
-        # exactly as a plain ``sorted`` would.
+        # Per-rule delays are keyed by xid; hash the sorted delay multiset,
+        # as every pinned digest does, so the digest is xid-independent.  A
+        # never-activated rule's ``None`` sorts after every time, and a list
+        # of times sorts exactly as a plain ``sorted`` would.
         outcome["activation"] = {
             "technique": activation["technique"],
             "delays": sorted(activation["per_rule"].values(), key=_none_last),

@@ -20,8 +20,8 @@ A simulator is also where a session's observation lives: ``sim.tracer``
 (the event tap, read by the run loop and called as
 ``observer(sim, time, callback, args)``, so an observer that measures heap
 churn reads ``sim.schedule_sequence`` without holding the simulator).  Both
-are ``None`` on a bare run, and there is no process-wide state, so one
-session cannot leak into the next.
+are ``None`` on a bare run, and every session rewinds the one id counter
+at module scope (xids), so one session cannot leak into the next.
 
 The execution loop is the hottest code in the repository: an end-to-end
 experiment dispatches millions of tiny callbacks.  :meth:`Simulator.run`
@@ -98,8 +98,8 @@ class Simulator:
     # -- scheduling -----------------------------------------------------------
     def schedule_callback(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:  # a NaN delay fails this too
+            raise ValueError(f"cannot schedule in the past or at NaN (delay={delay})")
         sequence = self._sequence
         self._sequence = sequence + 1
         heapq.heappush(self._heap, (self._now + delay, sequence, callback, args))
@@ -115,8 +115,9 @@ class Simulator:
         a place among ties that the caller took from the counter earlier
         (a link train keeps every packet's place as of its transmission).
         """
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past (time={time}, now={self._now})")
+        if not time >= self._now:  # a NaN time fails this too
+            raise ValueError(f"cannot schedule in the past or at NaN "
+                             f"(time={time}, now={self._now})")
         if sequence is None:
             sequence = self._sequence
             self._sequence = sequence + 1

@@ -22,7 +22,6 @@ and run digests depend on that order.  The generator agent lives on in
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -53,15 +52,12 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRandom
 from repro.switches.profiles import BarrierMode, DataPlaneSyncModel, SwitchProfile
 
-_op_ids = itertools.count(1)
-
 
 class PendingOperation:
     """A rule modification accepted by the control plane but not yet visible
     in the data plane."""
 
     __slots__ = (
-        "op_id",
         "flowmod",
         "received_at",
         "control_applied_at",
@@ -71,7 +67,6 @@ class PendingOperation:
     )
 
     def __init__(self, flowmod: FlowMod, received_at: float, barrier_epoch: int) -> None:
-        self.op_id = next(_op_ids)
         self.flowmod = flowmod
         self.received_at = received_at
         self.control_applied_at: Optional[float] = None
@@ -81,18 +76,18 @@ class PendingOperation:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "applied" if self.applied else "pending"
-        return f"<PendingOp #{self.op_id} xid={self.flowmod.xid} {state}>"
+        return f"<PendingOp xid={self.flowmod.xid} {state}>"
 
 
 class _BarrierWaiter:
-    """Bookkeeping for a barrier whose reply must wait for the data plane."""
+    """A barrier whose reply waits for the data plane to apply the pending
+    operations in ``waiting_for`` (never iterated, so identity hashing is safe)."""
 
-    __slots__ = ("request", "waiting_for", "replied")
+    __slots__ = ("request", "waiting_for")
 
     def __init__(self, request: BarrierRequest, waiting_for: set) -> None:
         self.request = request
         self.waiting_for = waiting_for
-        self.replied = False
 
 
 class ControlPlane:
@@ -363,7 +358,7 @@ class ControlPlane:
                 self._send_barrier_reply(request)
             else:
                 self._barrier_waiters.append(
-                    _BarrierWaiter(request, {op.op_id for op in self._pending_ops}))
+                    _BarrierWaiter(request, set(self._pending_ops)))
         self._next_message()
 
     def _send_barrier_reply(self, request: BarrierRequest) -> None:
@@ -378,12 +373,11 @@ class ControlPlane:
     def _check_barrier_waiters(self, operation: PendingOperation) -> None:
         finished: List[_BarrierWaiter] = []
         for waiter in self._barrier_waiters:
-            waiter.waiting_for.discard(operation.op_id)
-            if not waiter.waiting_for and not waiter.replied:
-                waiter.replied = True
+            waiter.waiting_for.discard(operation)
+            if not waiter.waiting_for:
                 finished.append(waiter)
         if finished:
-            self._barrier_waiters = [w for w in self._barrier_waiters if not w.replied]
+            self._barrier_waiters = [w for w in self._barrier_waiters if w.waiting_for]
             for waiter in finished:
                 self._send_barrier_reply(waiter.request)
 

@@ -6,7 +6,9 @@ simulator event**.  The hash-seed probe replays a cell in two subprocesses
 with different ``PYTHONHASHSEED`` values, the only way to see a hash-derived
 value; each runs this file (``python test_determinism.py <scenario>
 <technique>`` prints the recorded run as JSON).  Payloads are described by
-type and ``.name``, never ``repr``, which embeds addresses and xids.
+type, ``.name`` and ``.xid``, never ``repr``, which embeds addresses.  Each
+session numbers its own xids, so two runs compare with nothing rewound
+between them.
 """
 
 import itertools
@@ -19,8 +21,6 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-
-from process_ids import _reset_process_counters
 
 from repro.core.techniques import available_techniques
 from repro.scenarios import ScenarioParams, available_scenarios, scenario_session
@@ -56,7 +56,7 @@ def _callback_name(callback):
 
 
 def _describe(value, depth=0):
-    """A process-stable, xid-free description of one callback argument."""
+    """A process-stable description of one callback argument."""
     if value is None or isinstance(value, (bool, int)):
         return repr(value)
     if isinstance(value, float):
@@ -66,6 +66,9 @@ def _describe(value, depth=0):
     if isinstance(value, (tuple, list)) and depth < 2:
         inner = ", ".join(_describe(item, depth + 1) for item in value[:4])
         return f"[{inner}{', ...' if len(value) > 4 else ''}]"
+    xid = getattr(value, "xid", None)
+    if isinstance(xid, int):
+        return f"{type(value).__name__}(xid={xid})"
     name = getattr(value, "name", None)
     if isinstance(name, str) and name:
         return f"{type(value).__name__}({name})"
@@ -73,8 +76,7 @@ def _describe(value, depth=0):
 
 
 def record(spec):
-    """Run ``spec`` once, tripwired, from fresh id counters; ``(digest, events)``."""
-    _reset_process_counters()
+    """Run ``spec`` once, tripwired; ``(digest, events)``."""
     events = []
 
     def observer(_sim, ts, callback, args):

@@ -275,7 +275,7 @@ class GeneratorControlPlane(ControlPlane):
                 or not self._pending_ops):
             self._send_barrier_reply(request)
             return
-        waiter = _BarrierWaiter(request, {op.op_id for op in self._pending_ops})
+        waiter = _BarrierWaiter(request, set(self._pending_ops))
         self._barrier_waiters.append(waiter)
 
     def _send_barrier_reply(self, request: BarrierRequest) -> None:

@@ -14,6 +14,7 @@ from repro.campaign import (
     render_report,
     run_cell,
 )
+from repro.campaign.runner import run_cells_chunk
 from repro.store import RunStore
 
 
@@ -247,6 +248,21 @@ class TestTraceIntegration:
         payload = json.loads(shard.read_text(encoding="utf-8"))
         assert validate_chrome_trace(payload) is None
         json.dumps(record)  # the record itself stays one JSON line
+
+    def test_a_shard_does_not_depend_on_its_place_in_a_chunk(self, tmp_path):
+        # A worker runs its chunk in sequence; a cell's shard is the same
+        # bytes whether it runs first or after another cell.
+        x = CampaignCell(scenario="path-migration", technique="general",
+                         flow_count=4, max_update_duration=5.0, trace=True)
+        y = CampaignCell(scenario="fault-sweep", technique="barrier",
+                         flow_count=2, max_update_duration=5.0, trace=True)
+        shards = []
+        for order, chunk in enumerate(([x, y], [y, x])):
+            trace_dir = tmp_path / str(order)
+            records = run_cells_chunk(chunk, trace_dir=trace_dir)
+            assert [record["status"] for record in records] == ["ok", "ok"]
+            shards.append((trace_dir / f"{x.cell_id}.trace.json").read_bytes())
+        assert shards[0] == shards[1]
 
     def test_tracing_does_not_change_the_outcome(self):
         base = CampaignCell(scenario="path-migration", technique="general",

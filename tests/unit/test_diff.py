@@ -19,6 +19,7 @@ from repro.analysis.diff import (
 )
 from repro.analysis.activation import LedgerRow
 from repro.analysis.timeline import activation_gap_summary, rule_lifecycles
+from repro.obs.export import chrome_trace_json
 from repro.obs.events import (
     PHASE_ACK_RECEIVED,
     PHASE_ACK_SENT,
@@ -169,6 +170,19 @@ class TestDiffRuns:
         assert "identical outcome" in diff.explain()
         rendered = render_run_diff(diff)
         assert "identical" in rendered
+
+    def test_two_runs_of_one_cell_in_one_process_are_identical(self):
+        # Every session numbers its own xids, so the second run names its
+        # rules exactly as the first: same shard bytes, same ledger, and no
+        # lifecycle divergence to report.
+        params = ScenarioParams(flow_count=4, seed=1, trace=True)
+        first, second = (run_scenario("path-migration", "general", params)
+                         for _ in range(2))
+        assert chrome_trace_json(first.trace) == chrome_trace_json(second.trace)
+        assert first.ledger == second.ledger
+        assert first_lifecycle_divergence(first.trace, second.trace) is None
+        diff = diff_runs(first.as_dict(), second.as_dict())
+        assert diff.identical and diff.divergence is None
 
     def test_two_techniques_diverge_with_time_switch_phase(self):
         diff = diff_runs(_run("timeout"), _run("general"),

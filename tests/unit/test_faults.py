@@ -592,6 +592,15 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unbalanced"):
             FaultPlan.from_string("rolling(switch-crash")
 
+    @pytest.mark.parametrize("text", [
+        "switch-crash(at=nan)", "disconnect(at=nan)", "switch-crash(at=inf)",
+        "group(disconnect@L0)@t=nan", "rolling(switch-crash@*,stagger=nan)",
+    ])
+    def test_non_finite_numbers_rejected_naming_the_token(self, text):
+        with pytest.raises(ValueError, match=r"non-finite number .* in '.*'") as caught:
+            FaultPlan.from_string(text)
+        assert repr(text) in str(caught.value)
+
     def test_arm_rejects_unknown_target(self):
         from repro.net.network import Network
         from repro.net.topology import triangle_topology
@@ -787,6 +796,8 @@ class TestFaultCampaign:
         # not a TypeError traceback from the model's range checks.
         with pytest.raises(ValueError, match="bad fault axis"):
             self._spec(["ack-loss(probability=oops)"]).validate()
+        with pytest.raises(ValueError, match="bad fault axis"):
+            self._spec(["switch-crash(at=nan)"]).validate()
         with pytest.raises(ValueError, match="empty"):
             self._spec([]).validate()
 

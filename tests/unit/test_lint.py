@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from process_ids import _reset_process_counters
 from test_determinism import (
     HASH_FORK,
     WallClockLeakError,
@@ -102,9 +101,8 @@ def test_sanitizer_clean_run_is_deterministic():
 def test_record_session_streams_are_stable_and_digest_matches():
     digest, events = _record_smoke()
     assert _record_smoke() == (digest, events)
-    # Recording does not perturb the run: an unobserved run from the same
-    # fresh counters has the same digest.
-    _reset_process_counters()
+    # Recording does not perturb the run: an unobserved run has the same
+    # digest.
     assert scenario_session("path-migration", "general", _SMOKE).run().digest() == digest
 
 

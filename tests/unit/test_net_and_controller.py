@@ -234,6 +234,21 @@ def test_update_plan_unknown_dependency_rejected():
         plan.add("S1", FlowMod(Match(), [OutputAction(2)]), after=[ghost])
 
 
+def test_a_plan_numbers_its_own_operations():
+    # Ids are positions in their own plan, so another plan's operation with
+    # a taken id is still not a dependency.
+    plan, other = UpdatePlan(), UpdatePlan()
+    first = plan.add("S1", FlowMod(Match(), [OutputAction(1)]))
+    twin = other.add("S1", FlowMod(Match(), [OutputAction(1)]))
+    second = plan.add("S1", FlowMod(Match(), [OutputAction(2)]), after=[first])
+    assert (first.op_id, twin.op_id, second.op_id) == (1, 1, 2)
+    with pytest.raises(ValueError):
+        plan.add("S1", FlowMod(Match(), [OutputAction(3)]), after=[twin])
+    second.depends_on.append(7)  # unknown: it could never be acked
+    with pytest.raises(ValueError):
+        plan.validate()
+
+
 def test_executor_respects_dependencies_and_window():
     sim, network, controller = _connected_controller(AckMode.BARRIER)
     plan = UpdatePlan()

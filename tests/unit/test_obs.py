@@ -10,8 +10,6 @@ from collections import Counter
 
 import pytest
 
-from process_ids import _reset_process_counters
-
 from repro.obs import (
     LIFECYCLE_PHASES,
     PHASE_ACK_RECEIVED,
@@ -172,30 +170,28 @@ class TestTracedSession:
 
 
 #: ``(scenario, technique, faults, events, sha256 of the sorted-key
-#: ``TraceLog.as_dict()``, sha256 of the written Chrome shard)``, in the
-#: order they run.
+#: ``TraceLog.as_dict()``, sha256 of the written Chrome shard)``.
 _PINNED_TRACES = [
     ("rolling-upgrade", "barrier", None, 340,
      "d3b2c7c161bb7bbd977f33be4e748177b96aadad904f1118ee0b1020d050dd99",
      "62acf39835e3685e72a0aa5dca6dd1796c104d6469914d3205ea9be09f3d664e"),
     ("fault-sweep", "general", None, 124,
-     "6f71009b8f02c89270e044fe2fcf9dc10d67d696d9c12f87a361134f9e849dfc",
-     "a5227ebb2f6e60003dc17358ab5542ccad63d877660211a61eb471256b1c6e22"),
+     "31adad9b08f26731b5b2f8409447952ff4b14bd42cd4f839dd47715f36a90752",
+     "feab83cbb786211112ad4cb030b23ed1008c52cc9ec18fedd0c6be8ab1109b89"),
     ("path-migration", "timeout", "delay-spike(probability=1.0,spike=0.3)@L1", 116,
-     "79a84f607cf16ddabb98927f70dd942d98904bf508271f6084deaa553a48733c",
-     "8f7af0f939bef65bc3ca780c5ec065f74049e6dd916841d33d9462be2c9dbe0a"),
+     "3b81024d37998bf31fb1943b854390a32a727af0ad79a4b73a1fa04a0a37996e",
+     "58a95e7231e291670ea5b4a6ceee8286cbbbc469ee8ab323611c5e7a8afcc9bc"),
 ]
 
 
 def test_the_traces_of_three_traced_cells_are_pinned(tmp_path):
     # Every emission site, its order and its payload: a moved or dropped
     # event changes these hashes even where the event count holds.  Events
-    # carry xids, which come from process-wide counters, so the cells run in
-    # one sequence from fresh counters, as in a new process.  The log's
-    # ``meta`` also carries the kernel's counters (``meta.kernel``), so a
-    # changed step count moves the log hash and not the Chrome one, which
-    # hashes the shard's bytes as written.
-    _reset_process_counters()
+    # carry xids, which every session numbers from 1, so each row is the
+    # cell's trace wherever it runs.  The log's ``meta`` also carries the
+    # kernel's counters (``meta.kernel``), so a changed step count moves the
+    # log hash and not the Chrome one, which hashes the shard's bytes as
+    # written.
     observed = []
     for scenario, technique, faults, _events, _log, _chrome in _PINNED_TRACES:
         extra = {"faults": faults} if faults else {}

@@ -108,6 +108,21 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError, match="not key=value"):
             RecoveryPolicy.from_string("on(fast)")
 
+    @pytest.mark.parametrize("text", ["on(ack_timeout=nan)", "on(backoff=nan)",
+                                      "on(resync_delay=inf)"])
+    def test_from_string_rejects_non_finite_numbers(self, text):
+        with pytest.raises(ValueError, match="not a finite number"):
+            RecoveryPolicy.from_string(text)
+
+    @pytest.mark.parametrize("text", ["on(resync=maybe)", "on(retransmit=1)",
+                                      "on(retransmit=)"])
+    def test_from_string_booleans_are_strict(self, text):
+        # A value read as False would disable the mechanism without a word.
+        with pytest.raises(ValueError, match="not true or false"):
+            RecoveryPolicy.from_string(text)
+        assert RecoveryPolicy.from_string("on(resync=false)").resync is False
+        assert RecoveryPolicy.from_string("on(retransmit=TRUE)").retransmit is True
+
     @pytest.mark.parametrize("bad", [
         dict(ack_timeout=0.0), dict(backoff=0.5),
         dict(max_attempts=0), dict(resync_delay=-1.0),
@@ -558,9 +573,10 @@ class TestCampaignRecoveryAxis:
         assert sorted(params) == ["off", "on"]
 
     def test_validate_rejects_bad_recovery_entries(self):
-        spec = CampaignSpec(scenarios=["path-migration"], recoveries=["sometimes"])
-        with pytest.raises(ValueError, match="bad recovery axis entry"):
-            spec.validate()
+        for bad in ("sometimes", "on(ack_timeout=nan)", "on(resync=maybe)"):
+            spec = CampaignSpec(scenarios=["path-migration"], recoveries=[bad])
+            with pytest.raises(ValueError, match="bad recovery axis entry"):
+                spec.validate()
         spec = CampaignSpec(scenarios=["path-migration"], recoveries=[])
         with pytest.raises(ValueError, match="'recoveries' is empty"):
             spec.validate()

@@ -310,8 +310,9 @@ class TestObservationCannotTouchOutcome:
 #: Digests of fixed-seed runs captured on the pre-session code (the three
 #: hand-rolled engines); the session engine must reproduce them exactly.
 #: Activation delays enter as sorted time tuples, without their OpenFlow
-#: xids: xids come from a process-global counter, so they depend on what ran
-#: earlier in the process — on the old code exactly as on the new.
+#: xids: on the pre-session code xids came from a process-global counter,
+#: so the digests were taken without them, and the digest still hashes that
+#: way although every session now numbers its xids from 1.
 PRE_REDESIGN_DIGESTS = {
     "migration/barrier": "78df42a375ab8efa",
     "migration/general": "129a782e232c45cb",

@@ -47,6 +47,15 @@ def test_negative_delay_rejected():
         sim.schedule_callback(-0.1, lambda: None)
 
 
+def test_nan_times_are_rejected_not_scheduled():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="NaN"):
+        sim.schedule_callback(float("nan"), lambda: None)
+    with pytest.raises(ValueError, match="NaN"):
+        sim.schedule_at(float("nan"), lambda: None)
+    assert sim.pending_count == 0
+
+
 def test_schedule_at_fires_at_the_exact_float():
     sim = Simulator()
     sim.schedule_callback(0.2, lambda: None)
