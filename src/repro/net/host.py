@@ -44,13 +44,6 @@ class Host:
             raise ValueError(f"host {self.name} already has a link")
         self._link = link
 
-    @property
-    def link(self) -> Link:
-        """The attached uplink (raises if the host is not wired yet)."""
-        if self._link is None:
-            raise RuntimeError(f"host {self.name} is not attached to any link")
-        return self._link
-
     # -- traffic -----------------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Transmit ``packet`` on the uplink and record it with the monitor."""
@@ -58,7 +51,7 @@ class Host:
         packet.trace.append(self.name)
         if self.monitor is not None and packet.flow_id is not None and not packet.is_probe:
             self.monitor.record_sent(packet.flow_id)
-        self.link.transmit_from(self, packet)
+        self._link.transmit_from(self, packet)
 
     def receive_packet(self, packet: Packet, in_port: int, arrived_at: float) -> None:
         """Handle a packet that just left the wire: record the delivery and its path."""

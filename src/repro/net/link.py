@@ -26,11 +26,18 @@ heap the bottleneck, so each direction coalesces its pending deliveries into
 a *train*: one flush callback delivers consecutive packets inline, advancing
 the simulation clock to each packet's exact due time, as long as no other
 scheduled event (and no active ``run(until=...)`` bound) falls in between.
-Flushes are scheduled with ``schedule_at``, so every timestamp is the float
-computed above, never ``now + (t - now)``; only the number of heap
-operations depends on what else is scheduled
+A flush's heap entry carries the due float itself, never ``now + (t - now)``;
+only the number of heap operations depends on what else is scheduled
 (``tests/property/test_hop_fusion.py`` holds the links to a model that
 states exactly this and knows no trains).
+
+Everything a hop reads or writes about its direction is one slotted
+:class:`_Direction` record.  The link numbers its flush entries from the
+kernel's counter and pushes them itself, built at push time (a record that
+kept its own entry would be a reference cycle).  No ``schedule_at`` checks
+``due >= now``; it holds by construction: the constructor rejects a NaN or
+negative latency and a NaN or non-positive bandwidth, and an ingress delay
+is zero (a host) or a validated ``forwarding_latency``.
 
 Same-instant order.  A packet takes its place among events of the same
 instant — its heap sequence number — when it is *transmitted*, if nothing of
@@ -49,6 +56,7 @@ the order the packets were sent.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Optional, Protocol
 
 from repro.packet.packet import Packet
@@ -66,26 +74,28 @@ class PacketSink(Protocol):
         """Handle a packet that left the wire ``ingress_latency`` ago."""
 
 
+class _Direction:
+    """One direction of a link: the receiver's bound ``receive_packet``,
+    in-port and ingress delay; when the wire is free again; the train of
+    pending ``(due, sequence, arrived_at, packet)`` deliveries (a ``None``
+    sequence is taken when the flush reaches it); whether a flush is on."""
+
+    __slots__ = ("receive", "in_port", "ingress", "busy_until", "train", "flushing")
+
+    def __init__(self, receiver: PacketSink, in_port: int) -> None:
+        self.receive = receiver.receive_packet
+        self.in_port = in_port
+        self.ingress = receiver.ingress_latency
+        self.busy_until = 0.0
+        self.train: deque = deque()
+        self.flushing = False
+
+
 class Link:
     """A bidirectional point-to-point link."""
 
-    __slots__ = (
-        "sim",
-        "node_a",
-        "port_a",
-        "node_b",
-        "port_b",
-        "latency",
-        "bandwidth_bps",
-        "name",
-        "packets_carried",
-        "_busy_until",
-        "_trains",
-        "_flush_scheduled",
-        "_receivers",
-        "_in_ports",
-        "_ingress",
-    )
+    __slots__ = ("sim", "node_a", "port_a", "node_b", "port_b", "latency",
+                 "bandwidth_bps", "name", "_to_b", "_to_a")
 
     def __init__(
         self,
@@ -98,8 +108,10 @@ class Link:
         bandwidth_bps: Optional[float] = 1e9,
         name: str = "",
     ) -> None:
-        if latency < 0:
-            raise ValueError("latency must be >= 0")
+        if not latency >= 0:  # a NaN latency fails this too
+            raise ValueError(f"latency must be >= 0, not {latency}")
+        if bandwidth_bps is not None and not bandwidth_bps > 0:
+            raise ValueError(f"bandwidth_bps must be > 0 or None, not {bandwidth_bps}")
         self.sim = sim
         self.node_a = node_a
         self.port_a = port_a
@@ -108,17 +120,8 @@ class Link:
         self.latency = latency
         self.bandwidth_bps = bandwidth_bps
         self.name = name or f"{node_a.name}:{port_a}<->{node_b.name}:{port_b}"
-        self.packets_carried = 0
-        # Per-direction time at which the link is free again (serialisation).
-        self._busy_until = [0.0, 0.0]
-        # Per-direction pending (due, sequence, arrived_at, packet) trains and
-        # whether a flush callback is currently scheduled for the direction.
-        self._trains = (deque(), deque())
-        self._flush_scheduled = [False, False]
-        # Direction 0 delivers to node_b, direction 1 to node_a.
-        self._receivers = (node_b, node_a)
-        self._in_ports = (port_b, port_a)
-        self._ingress = (node_b.ingress_latency, node_a.ingress_latency)
+        self._to_b = _Direction(node_b, port_b)
+        self._to_a = _Direction(node_a, port_a)
 
     def transmit_from(self, sender: PacketSink, packet: Packet) -> None:
         """Send ``packet`` from ``sender`` towards the other end.
@@ -127,45 +130,47 @@ class Link:
         again — and gives it up when it hands it to the receiver.
         """
         if sender is self.node_a:
-            direction = 0
+            direction = self._to_b
         elif sender is self.node_b:
-            direction = 1
+            direction = self._to_a
         else:
             raise ValueError(f"{sender.name} is not attached to link {self.name}")
-        self.packets_carried += 1
         sim = self.sim
         now = sim._now
-        busy = self._busy_until[direction]
-        finish = busy if busy > now else now
-        if self.bandwidth_bps:
+        finish = direction.busy_until
+        if finish < now:
+            finish = now
+        if self.bandwidth_bps is not None:
             finish += (packet.total_size * 8) / self.bandwidth_bps
-        self._busy_until[direction] = finish
+        direction.busy_until = finish
         arrived_at = finish + self.latency
-        due = arrived_at + self._ingress[direction]
-        train = self._trains[direction]
-        sequence = None  # queued behind packets in flight: taken by the flush
-        if not train or train[-1][2] <= now:
-            sequence = sim._sequence
-            sim._sequence = sequence + 1
+        due = arrived_at + direction.ingress
+        train = direction.train
+        if train and train[-1][2] > now:
+            # Queued behind packets in flight: the flush takes its place.
+            train.append((due, None, arrived_at, packet))
+            return
+        sequence = sim._sequence
+        sim._sequence = sequence + 1
         train.append((due, sequence, arrived_at, packet))
-        if not self._flush_scheduled[direction]:
-            self._flush_scheduled[direction] = True
-            sim.schedule_at(due, self._flush_train, direction, sequence=sequence)
+        if not direction.flushing:
+            direction.flushing = True
+            heappush(sim._heap, (due, sequence, self._flush_train, (direction,)))
 
-    def _flush_train(self, direction: int) -> None:
+    def _flush_train(self, direction: _Direction) -> None:
         """Hand every due packet of ``direction``'s train to the receiver.
 
         Each packet is handed over at its *exact* due time: after each one
         the clock is advanced inline to the next packet's due time — but only
         when that time strictly precedes every other scheduled event and does
         not cross an active ``run(until=...)`` bound; otherwise the flush
-        re-schedules itself and the kernel interleaves events in normal order.
+        pushes itself back onto the heap and the kernel interleaves events in
+        normal order.
         """
-        train = self._trains[direction]
+        train = direction.train
         sim = self.sim
-        receiver = self._receivers[direction]
-        in_port = self._in_ports[direction]
-        receive = receiver.receive_packet
+        receive = direction.receive
+        in_port = direction.in_port
         heap = sim._heap
         try:
             while train:
@@ -177,25 +182,23 @@ class Link:
                     # event first (see the module docstring).
                     if (heap and heap[0][0] <= due) or (
                             until is not None and due > until):
-                        # Another event (or the run bound) comes first: hand
-                        # control back to the kernel and resume at ``due``.
-                        sim.schedule_at(due, self._flush_train, direction,
-                                        sequence=sequence)
-                        return
+                        break  # another event (or the run bound) comes first
                     sim._now = due
                 train.popleft()
                 receive(packet, in_port, arrived_at)
-            self._flush_scheduled[direction] = False
-        except BaseException:
-            # A receiver raised (e.g. StopSimulation stopping the run):
-            # keep the remaining deliveries alive for the next run() call
-            # instead of wedging the direction with no flush scheduled.
+        finally:
+            # Deferring, or a receiver raised (e.g. StopSimulation): resume at
+            # the head's due time in its place (taken now if it has none), so
+            # the direction is never wedged with packets and no flush.
             if train:
-                sim.schedule_at(max(sim._now, train[0][0]), self._flush_train,
-                                direction, sequence=train[0][1])
+                due, sequence, _arrived_at, _packet = train[0]
+                if sequence is None:
+                    sequence = sim._sequence
+                    sim._sequence = sequence + 1
+                heappush(heap, (max(sim._now, due), sequence, self._flush_train,
+                                (direction,)))
             else:
-                self._flush_scheduled[direction] = False
-            raise
+                direction.flushing = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Link {self.name} latency={self.latency * 1000:.3f}ms>"

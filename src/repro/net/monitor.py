@@ -77,16 +77,19 @@ class DeliveryMonitor:
         log = self._logs.get(flow_id)
         if log is None:
             log = self._logs[flow_id] = _FlowLog(array("d"), array("d"), array("q"), [])
+        path = self._paths.setdefault(path, path)
         # A host's clock only advances, so this is an append; a caller that
         # reports out of order lands after every arrival that is not later.
         arrivals = log.received_at
-        at = len(arrivals)
-        if at and received_at < arrivals[-1]:
+        if arrivals and received_at < arrivals[-1]:
             at = bisect_right(arrivals, received_at)
-        log.sent_at.insert(at, sent_at)
-        arrivals.insert(at, received_at)
-        log.sequence.insert(at, sequence)
-        log.paths.insert(at, self._paths.setdefault(path, path))
+            for column, value in zip(log, (sent_at, received_at, sequence, path)):
+                column.insert(at, value)
+            return
+        log.sent_at.append(sent_at)
+        arrivals.append(received_at)
+        log.sequence.append(sequence)
+        log.paths.append(path)
 
     def record_probe(self, time: float, path: Tuple[str, ...]) -> None:
         """Register a RUM probe packet reaching a host (diagnostics only)."""

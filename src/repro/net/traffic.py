@@ -10,6 +10,7 @@ from the source host.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import List, Optional
 
 from repro.net.host import Host
@@ -39,7 +40,7 @@ class FlowSpec:
     @property
     def interval(self) -> float:
         """Spacing between consecutive packets of the flow."""
-        if self.rate_pps <= 0:
+        if not self.rate_pps > 0:  # a NaN rate fails this too
             raise ValueError(f"flow {self.flow_id} has non-positive rate")
         return 1.0 / self.rate_pps
 
@@ -90,9 +91,9 @@ class TrafficGenerator:
 
     There is no process: :meth:`start` schedules a zero-delay ``_begin`` per
     flow, which stamps the flow's header template and waits out its start
-    offset; ``_emit`` sends one packet and reschedules itself one ``interval``
-    later — one heap entry per generated packet, carrying the flow's state
-    (headers, next sequence number) and going straight to
+    offset; ``_emit`` sends one packet and pushes its own next heap entry one
+    ``interval`` later — one entry per generated packet, carrying the flow's
+    state (headers, next sequence number) and going straight to
     :meth:`Host.send <repro.net.host.Host.send>`.
     """
 
@@ -106,7 +107,6 @@ class TrafficGenerator:
         self.flows = list(flows)
         self.rng = rng or SeededRandom(42)
         self._started = False
-        self.packets_generated = 0
 
     def start(self) -> None:
         """Start sending every flow, each at its own offset inside one
@@ -148,9 +148,12 @@ class TrafficGenerator:
             created_at=sim._now,
             sequence=sequence,
         ))
-        self.packets_generated += 1
-        sim.schedule_callback(interval, self._emit, flow, header_values,
-                              payload_size, interval, sequence + 1)
+        # The next emission, pushed as ``schedule_callback`` would push it
+        # (``interval`` is positive: see ``FlowSpec.interval``).
+        order = sim._sequence
+        sim._sequence = order + 1
+        heappush(sim._heap, (sim._now + interval, order, self._emit, (
+            flow, header_values, payload_size, interval, sequence + 1)))
 
     def stop_all(self, at_time: Optional[float] = None) -> None:
         """Set a stop time on every flow (defaults to 'now')."""

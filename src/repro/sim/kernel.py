@@ -15,6 +15,13 @@ ingress) is added to the link's due time, not waited out.  A bound-method
 callback's owner is its ``__self__``, so an observer can book every step to
 the object that did the work.
 
+Two producers push onto ``_heap`` themselves, numbered from ``_sequence``
+where a scheduling call would have numbered them, to spare a frame on
+nearly every step of a data-plane run: a link's train flush
+(:mod:`repro.net.link`) and a traffic source's next emission.  The
+``time >= now`` check they skip holds by construction: a link's due time is
+built from validated delays, an emission's is ``now`` plus a positive interval.
+
 A simulator is also where a session's observation lives: ``sim.tracer``
 (lifecycle events, read by the layers that emit them) and ``sim.observer``
 (the event tap, read by the run loop and called as
@@ -104,23 +111,19 @@ class Simulator:
         self._sequence = sequence + 1
         heapq.heappush(self._heap, (self._now + delay, sequence, callback, args))
 
-    def schedule_at(self, time: float, callback: Callable, *args: Any,
-                    sequence: Optional[int] = None) -> None:
+    def schedule_at(self, time: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at the absolute simulated ``time``.
 
         Fires at exactly that float (``now + (time - now)`` need not equal
         ``time``), FIFO among ties like every other scheduling call — for a
         caller that rebuilds a timestamp another event sequence would have
-        produced (the parked data-plane sync).  ``sequence`` gives the entry
-        a place among ties that the caller took from the counter earlier
-        (a link train keeps every packet's place as of its transmission).
+        produced (the parked data-plane sync).
         """
         if not time >= self._now:  # a NaN time fails this too
             raise ValueError(f"cannot schedule in the past or at NaN "
                              f"(time={time}, now={self._now})")
-        if sequence is None:
-            sequence = self._sequence
-            self._sequence = sequence + 1
+        sequence = self._sequence
+        self._sequence = sequence + 1
         heapq.heappush(self._heap, (time, sequence, callback, args))
 
     def event(self, name: str = "") -> Event:

@@ -90,10 +90,8 @@ class Switch:
         #: something registered, so the fault-free path is unchanged.
         self._lifecycle_listeners: List[Callable[[str, str], None]] = []
 
-        # Counters used by tests and the microbenchmarks.
+        # Packets that reached a lit port (read by tests and the hop model).
         self.packets_received = 0
-        self.packets_forwarded = 0
-        self.packets_to_controller = 0
 
     # -- wiring ----------------------------------------------------------------
     def attach_port(self, port_no: int, transmit: PortTransmit) -> None:
@@ -224,14 +222,12 @@ class Switch:
         packet, output_ports, to_controller, _entry = self.dataplane.process_packet(
             packet, in_port)
         if to_controller:
-            self.packets_to_controller += 1
             self._send_packet_in(packet, in_port)
         for port in output_ports:
             transmit = self._ports.get(port)
             if transmit is None:
                 self._transmit(packet, port, in_port)
             else:
-                self.packets_forwarded += 1
                 transmit(packet)
 
     def inject_packet(self, packet: Packet, actions: List[Action], in_port: int) -> None:
@@ -263,14 +259,12 @@ class Switch:
         if port == FLOOD_PORT:
             for port_no, transmit in self._ports.items():
                 if port_no != in_port:
-                    self.packets_forwarded += 1
                     transmit(packet.copy())
             return
         transmit = self._ports.get(port)
         if transmit is None:
             # Forwarding to a non-existent port silently drops, as hardware does.
             return
-        self.packets_forwarded += 1
         transmit(packet)
 
     # -- convenience for tests ---------------------------------------------------------

@@ -69,7 +69,6 @@ class DataPlane:
         #: packets — the measurement layer uses this as ground truth for
         #: "data plane activation".
         self.apply_log: List[Tuple[float, int]] = []
-        self.packets_processed = 0
         self.packets_dropped = 0
 
     # -- rule application -----------------------------------------------------
@@ -110,7 +109,6 @@ class DataPlane:
         The result carries ``packet`` itself unless the matched rule rewrites
         headers; then the rewrites go to a copy and ``packet`` is untouched.
         """
-        self.packets_processed += 1
         # Cache key: the fixed-order value array with ``in_port`` (canonical as is).
         key = packet._values.copy()
         key[_IN_PORT_INDEX] = in_port
@@ -145,4 +143,4 @@ class DataPlane:
         return control - data, data - control
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"<DataPlane {self.name} rules={len(self.table)} pkts={self.packets_processed}>"
+        return f"<DataPlane {self.name} rules={len(self.table)}>"

@@ -114,10 +114,13 @@ class SwitchProfile:
 
     def validate(self) -> None:
         """Sanity-check numeric parameters; raises :class:`ValueError`."""
-        if self.flowmod_rate <= 0:
+        # ``not x > 0``, never ``x <= 0``: a NaN must fail these too.
+        if not self.flowmod_rate > 0:
             raise ValueError("flowmod_rate must be positive")
-        if self.packet_out_rate <= 0 or self.packet_in_rate <= 0:
+        if not (self.packet_out_rate > 0 and self.packet_in_rate > 0):
             raise ValueError("packet I/O rates must be positive")
+        if not self.forwarding_latency >= 0:  # links add it to due times
+            raise ValueError("forwarding_latency must be >= 0")
         if self.table_mode not in ("priority", "install_order"):
             raise ValueError(f"unknown table mode {self.table_mode!r}")
 

@@ -18,6 +18,7 @@ from repro.controller.routing import NoPathError, shortest_path
 from repro.core import TopologyView
 from repro.net import (
     DeliveryMonitor,
+    Link,
     Network,
     Topology,
     TrafficGenerator,
@@ -94,6 +95,40 @@ def test_network_neighbors_exclude_hosts():
     sim = Simulator()
     network = Network(sim, triangle_topology())
     assert set(TopologyView(network).switch_neighbors("S1")) == {"S2", "S3"}
+
+
+# -- links: checked once, at construction ------------------------------------------------
+# A hop pushes its flush entry without ``schedule_at``'s ``time >= now`` check,
+# so whatever could make a due time precede the present is rejected here.
+
+class _Sink:
+    ingress_latency = 0.0
+
+    def __init__(self, name):
+        self.name = name
+
+    def receive_packet(self, packet, in_port, arrived_at):
+        pass
+
+
+def test_a_link_rejects_a_nan_latency():
+    # It once failed only at the first packet, inside ``schedule_at``.
+    with pytest.raises(ValueError, match="latency"):
+        Link(Simulator(), _Sink("a"), 1, _Sink("b"), 1, latency=float("nan"))
+
+
+@pytest.mark.parametrize("bandwidth_bps", [-1e9, 0.0, float("nan")])
+def test_a_link_rejects_a_non_positive_or_nan_bandwidth(bandwidth_bps):
+    # -1e9 once ran, on a serialisation clock that ran backwards.
+    with pytest.raises(ValueError, match="bandwidth_bps"):
+        Link(Simulator(), _Sink("a"), 1, _Sink("b"), 1, bandwidth_bps=bandwidth_bps)
+
+
+def test_a_flow_with_a_nan_rate_does_not_start():
+    # The source pushes each next emission ``interval`` ahead, unchecked.
+    flows = flows_between(_Sink("H1"), _Sink("H2"), 1, rate_pps=float("nan"))
+    with pytest.raises(ValueError, match="non-positive rate"):
+        TrafficGenerator(Simulator(), flows).start()
 
 
 # -- traffic and delivery ---------------------------------------------------------------

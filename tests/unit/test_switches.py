@@ -75,6 +75,20 @@ def test_profile_invalid_rate_rejected():
         hp5406zl_profile().with_overrides(flowmod_rate=0).validate()
 
 
+@pytest.mark.parametrize("rate", ["flowmod_rate", "packet_out_rate", "packet_in_rate"])
+def test_a_profile_rejects_a_nan_rate(rate):
+    # ``rate <= 0`` let NaN through.
+    with pytest.raises(ValueError, match="positive"):
+        hp5406zl_profile().with_overrides(**{rate: float("nan")}).validate()
+
+
+@pytest.mark.parametrize("latency", [-1e-5, float("nan")])
+def test_a_profile_rejects_a_negative_or_nan_forwarding_latency(latency):
+    # Links add it to every due time they push onto the heap unchecked.
+    with pytest.raises(ValueError, match="forwarding_latency"):
+        hp5406zl_profile().with_overrides(forwarding_latency=latency).validate()
+
+
 def test_reordering_profile_reorders():
     assert reordering_switch_profile().reorders_across_barriers
     assert not hp5406zl_profile().reorders_across_barriers

@@ -371,7 +371,7 @@ def _line_with_traffic(switch_count, flow_count=1, rate_pps=100.0):
     return sim, network, generator
 
 
-def test_a_plain_output_hop_is_six_boundary_frames_and_one_kernel_step():
+def test_a_plain_output_hop_is_five_boundary_frames_and_one_kernel_step():
     def work_and_deliveries(switch_count):
         # 10 ms between packets, ~0.5 ms end to end: every packet travels
         # alone, so each link flush carries exactly one.
@@ -390,27 +390,32 @@ def test_a_plain_output_hop_is_six_boundary_frames_and_one_kernel_step():
     longer, longer_steps, delivered_longer = work_and_deliveries(4)
     assert delivered == delivered_longer >= 79
     # _flush_train -> receive_packet -> _forward -> process_packet ->
-    # transmit_from -> schedule_at: layer boundaries only (no result
-    # constructor, counter method, size property or closure) ...
-    assert (longer - short) / delivered == 6
+    # transmit_from: layer boundaries only (no result constructor, counter
+    # method, size property, closure or scheduling call: the link pushes its
+    # own heap entry) ...
+    assert (longer - short) / delivered == 5
     # ... under one heap entry: the link's, due when the switch's ingress
     # delay is over.  An arrival event that only waits is a second one.
     assert (longer_steps - short_steps) / delivered == 1
 
 
 def test_a_generated_packet_reaches_its_uplink_through_no_process_plumbing():
-    sim, network, generator = _line_with_traffic(1, flow_count=3)
+    sim, network, _generator = _line_with_traffic(1, flow_count=3)
     sim.run(until=0.1)
-    generated = generator.packets_generated
+    source = network.host("H1")
+    generated = source.packets_sent
     codes = []
     _python_frames(lambda: sim.run(until=0.5), codes.append)
-    assert generator.packets_generated - generated == 120  # 3 flows, 100 pps, 0.4 s
-    # _emit -> from_values, send -> record_sent, transmit_from -> schedule_at,
-    # schedule_callback: no Process, no Event, no generator being stepped.
+    assert source.packets_sent - generated == 120  # 3 flows, 100 pps, 0.4 s
+    # _emit -> from_values, send -> record_sent, transmit_from: no Process, no
+    # Event, no generator being stepped, and no scheduling call: the source
+    # and the link push their own heap entries.
+    names = {code.co_name for code in codes}
     assert not [code.co_name for code in codes
                 if code.co_filename.endswith("sim/events.py")
                 or code.co_flags & inspect.CO_GENERATOR]
-    assert {"_emit", "send", "transmit_from"} <= {code.co_name for code in codes}
+    assert {"_emit", "send", "transmit_from"} <= names
+    assert not names & {"schedule_callback", "schedule_at"}
 
 
 def test_a_delivered_packet_leaves_nothing_for_the_garbage_collector():
@@ -446,7 +451,8 @@ def test_the_hop_is_still_reached_through_class_attributes(monkeypatch):
     assert sent == counts["send"] >= 19
     hops = sum(switch.packets_received for switch in network.switches.values())
     assert hops == counts["_forward"] == counts["process_packet"] >= 3 * (sent - 1)
-    assert counts["transmit_from"] == sum(link.packets_carried for link in network.links)
+    # Every packet sent or forwarded rode a link: one transmit per hop.
+    assert counts["transmit_from"] == sent + hops
     assert counts["receive_packet"] == hops + network.host("H2").packets_received
     assert counts["_flush_train"] >= counts["transmit_from"] - 4
 
