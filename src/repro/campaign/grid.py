@@ -162,8 +162,6 @@ class CampaignSpec:
                 f"unknown technique(s) {bad}; available: {sorted(valid_techniques)}"
             )
         for fault in self.faults:
-            if fault is None:
-                continue
             try:
                 FaultPlan.from_string(fault).validate()
             # TypeError covers non-numeric parameter values ("probability=oops"
@@ -171,10 +169,8 @@ class CampaignSpec:
             except (KeyError, ValueError, TypeError) as error:
                 raise ValueError(f"bad fault axis entry {fault!r}: {error}") from None
         for recovery in self.recoveries:
-            if recovery is None:
-                continue
             try:
-                RecoveryPolicy.from_string(recovery).validate()
+                RecoveryPolicy.from_string(recovery)
             except (ValueError, TypeError) as error:
                 raise ValueError(
                     f"bad recovery axis entry {recovery!r}: {error}"

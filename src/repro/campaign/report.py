@@ -24,8 +24,8 @@ from repro.analysis.report import (
     format_table,
 )
 from repro.campaign.runner import FINAL_STATUSES, load_records
-from repro.faults.plan import NO_FAULTS, FaultPlan
-from repro.recovery.policy import NO_RECOVERY, RecoveryPolicy
+from repro.faults.plan import NO_FAULTS
+from repro.recovery.policy import NO_RECOVERY
 
 
 def _mean(values: List[float]) -> Optional[float]:
@@ -79,17 +79,16 @@ def run_labels(axes: Mapping[str, object],
     ``axes`` is a campaign cell's ``config`` (``{}`` for a run outside a
     campaign) and ``session`` the run's ``SessionSpec.config()`` encoding.
     An axis the cell sets is its label verbatim; an absent axis is labelled
-    by what the run actually armed, so a scenario that arms its own faults
-    (``rolling-upgrade``) is never mistaken for the fault-free control.
+    by the plan and policy strings the run actually armed, so a scenario
+    that arms its own faults (``rolling-upgrade``) is never mistaken for the
+    fault-free control.
     """
     fault = axes.get("fault")
     if fault is None:
-        fault = FaultPlan.from_dict(session.get("faults")).to_string()
+        fault = session.get("faults")
     recovery = axes.get("recovery")
     if recovery is None:
-        policy = RecoveryPolicy.from_dict(
-            (session.get("knobs") or {}).get("recovery"))
-        recovery = policy.to_string() if policy is not None else "off"
+        recovery = (session.get("knobs") or {}).get("recovery")
     return str(fault or "none"), str(recovery or "off")
 
 

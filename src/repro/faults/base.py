@@ -24,6 +24,7 @@ switch, each with its own deterministically forked
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.faults.registry import FAULTS
@@ -49,7 +50,8 @@ class FaultModel:
     (every accepted parameter with its default value); the constructor
     rejects unknown parameters so a typo in a
     :class:`~repro.faults.plan.FaultSpec` fails loudly instead of silently
-    running the fault-free behaviour.
+    running the fault-free behaviour, and rejects a non-finite float — which
+    no fault-plan string can spell — for every model at once.
     """
 
     #: Registry key; concrete, sweepable subclasses set it.
@@ -79,6 +81,9 @@ class FaultModel:
             )
         self.params: Dict[str, object] = {**self.param_defaults, **params}
         for key, value in self.params.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(
+                    f"fault {self.name!r} parameter {key}={value} is not finite")
             setattr(self, key, value)
         self.events: Dict[str, int] = {}
         self.sim: Optional["Simulator"] = None

@@ -1,21 +1,17 @@
 """Declarative fault plans, the fault-timeline DSL, and plan arming.
 
 A :class:`FaultPlan` is the data-only description of "which fault models run
-where, with which parameters, under which seed" — encoded like
-:class:`~repro.session.spec.StackSpec` as a plain JSON-able structure so it
-travels inside ``SessionSpec.config()``, campaign cell configurations and
-result records.  Two codecs exist:
+where, with which parameters, under which seed".  It has one codec, the
+one-line DSL string of :meth:`FaultPlan.to_string` /
+:meth:`FaultPlan.from_string` (``from_string(to_string(p)) == p``), which is
+how a plan travels in ``SessionSpec.config()``, campaign cells, CLI axes and
+result records, e.g.::
 
-* :meth:`FaultPlan.as_dict` / :meth:`FaultPlan.from_dict` — the canonical
-  round-tripping JSON form (session/record provenance);
-* :meth:`FaultPlan.to_string` / :meth:`FaultPlan.from_string` — a compact
-  one-line form for CLI axes and campaign grids, e.g.::
+    ack-loss(probability=0.3)
+    delay-spike(probability=0.05,spike=2.0)@s1|s2+switch-crash(at=0.4)@s1
 
-      ack-loss(probability=0.3)
-      delay-spike(probability=0.05,spike=2.0)@s1|s2+switch-crash(at=0.4)@s1
-
-  ``+`` separates plan entries, ``(...)`` carries parameters, ``@`` restricts
-  a spec to switches (``|``-separated); no ``@`` means topology-wide.
+``+`` separates plan entries, ``(...)`` carries parameters, ``@`` restricts
+a spec to switches (``|``-separated); no ``@`` means topology-wide.
 
 Beyond plain specs the string form is a small **fault-timeline DSL**:
 
@@ -151,21 +147,6 @@ class FaultSpec:
     #: selectors ``pod:N`` / ``prefix:P`` / ``*``; empty means every switch.
     targets: Tuple[str, ...] = ()
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "fault": self.fault,
-            "params": dict(self.params),
-            "targets": list(self.targets),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "FaultSpec":
-        return cls(
-            fault=payload["fault"],
-            params=dict(payload.get("params") or {}),
-            targets=tuple(payload.get("targets") or ()),
-        )
-
     def to_string(self) -> str:
         text = self.fault
         if self.params:
@@ -226,20 +207,6 @@ class GroupSpec:
     #: every fault model's ``at``).
     at: float = 0.0
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"group": {
-            "members": [member.as_dict() for member in self.members],
-            "at": self.at,
-        }}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "GroupSpec":
-        return cls(
-            members=tuple(FaultSpec.from_dict(entry)
-                          for entry in payload.get("members") or ()),
-            at=float(payload.get("at", 0.0)),
-        )
-
     def to_string(self) -> str:
         body = ",".join(member.to_string() for member in self.members)
         suffix = f"@t={_encode_scalar(self.at)}" if self.at else ""
@@ -282,22 +249,6 @@ class RollingSpec:
     stagger: float = 0.1
     #: Fire time of the first target; ``None`` defers to the inner spec.
     at: Optional[float] = None
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"rolling": {
-            "spec": self.spec.as_dict(),
-            "stagger": self.stagger,
-            "at": self.at,
-        }}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RollingSpec":
-        at = payload.get("at")
-        return cls(
-            spec=FaultSpec.from_dict(payload["spec"]),
-            stagger=float(payload.get("stagger", 0.1)),
-            at=None if at is None else float(at),
-        )
 
     def to_string(self) -> str:
         parts = [self.spec.to_string(), f"stagger={_encode_scalar(self.stagger)}"]
@@ -362,19 +313,6 @@ def _parse_entry(token: str) -> PlanEntry:
                     return RollingSpec.from_string(body, token)
                 return GroupSpec.from_string(body, suffix, token)
     raise ValueError(f"unbalanced parentheses in fault entry {token!r}")
-
-
-def _entry_from_dict(payload: Dict[str, object]) -> PlanEntry:
-    if "group" in payload:
-        return GroupSpec.from_dict(payload["group"])
-    if "rolling" in payload:
-        return RollingSpec.from_dict(payload["rolling"])
-    if "fault" in payload:
-        return FaultSpec.from_dict(payload)
-    raise ValueError(
-        f"cannot parse fault plan entry {payload!r} "
-        "(expected a 'fault', 'group' or 'rolling' key)"
-    )
 
 
 def resolve_targets(
@@ -459,15 +397,16 @@ class FaultPlan:
         elif isinstance(entry, GroupSpec):
             if not entry.members:
                 raise ValueError("fault group has no members")
-            if entry.at < 0:
-                raise ValueError(f"group time {entry.at} is negative")
+            if not 0 <= entry.at < math.inf:
+                raise ValueError(f"group time {entry.at} is negative or not finite")
             for member in entry.members:
                 get_fault(member.fault)(**member.params)
         elif isinstance(entry, RollingSpec):
-            if entry.stagger < 0:
-                raise ValueError(f"rolling stagger {entry.stagger} is negative")
-            if entry.at is not None and entry.at < 0:
-                raise ValueError(f"rolling time {entry.at} is negative")
+            if not 0 <= entry.stagger < math.inf:
+                raise ValueError(
+                    f"rolling stagger {entry.stagger} is negative or not finite")
+            if entry.at is not None and not 0 <= entry.at < math.inf:
+                raise ValueError(f"rolling time {entry.at} is negative or not finite")
             registered = get_fault(entry.spec.fault)
             if "at" not in registered.param_defaults:
                 raise ValueError(
@@ -478,18 +417,7 @@ class FaultPlan:
         else:  # pragma: no cover - guarded by the codecs
             raise TypeError(f"not a fault plan entry: {entry!r}")
 
-    # -- codecs ---------------------------------------------------------------
-    def as_dict(self) -> Dict[str, object]:
-        """Canonical JSON form; :meth:`from_dict` round-trips it exactly."""
-        return {"specs": [entry.as_dict() for entry in self.specs]}
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Dict[str, object]]) -> "FaultPlan":
-        if payload is None:
-            return cls()
-        return cls(specs=[_entry_from_dict(entry)
-                          for entry in payload.get("specs") or []])
-
+    # -- codec ----------------------------------------------------------------
     def to_string(self) -> str:
         """Compact one-line form (campaign axes); ``"none"`` when empty."""
         if self.empty():
@@ -502,10 +430,6 @@ class FaultPlan:
             return cls()
         return cls(specs=[_parse_entry(part)
                           for part in split_outside_parens(text, "+")])
-
-    def describe(self) -> str:
-        """Short human-readable label for progress output and reports."""
-        return self.to_string()
 
     # -- expansion -------------------------------------------------------------
     def expanded(

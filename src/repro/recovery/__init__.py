@@ -3,7 +3,9 @@
 The fault subsystem (:mod:`repro.faults`) makes switches fail; this package
 makes failure *survivable*.  A :class:`RecoveryPolicy` rides on
 ``SessionKnobs.recovery`` exactly like a fault plan rides on
-``SessionSpec.faults``:
+``SessionSpec.faults``, and like a plan it has one codec, its one-line
+string (``"on"``, ``"on(max_attempts=6)"``; every "off" spelling parses to
+``None``):
 
 * the controller keeps a per-switch **shadow table** of intended rules
   (:class:`~repro.recovery.shadow.ShadowStore`, fed from every
@@ -15,8 +17,8 @@ makes failure *survivable*.  A :class:`RecoveryPolicy` rides on
 * un-acked FlowMods are **retransmitted with exponential backoff** and
   failed — not left pending forever — after ``max_attempts``.
 
-A session without a policy (or with a disabled one) arms nothing and is
-byte-identical to a build without this package.
+A session without a policy arms nothing and is byte-identical to a build
+without this package.
 
 Typical use::
 

@@ -1,7 +1,7 @@
 """The controller-side recovery engine: retransmits and crash resync.
 
 Armed by the session engine when ``SessionKnobs.recovery`` carries an
-enabled :class:`~repro.recovery.policy.RecoveryPolicy`, the manager hangs
+active :class:`~repro.recovery.policy.RecoveryPolicy`, the manager hangs
 off ``Controller.recovery`` (a single ``None``-check on the send/ack paths,
 so a build without recovery is byte-identical) and does two things:
 

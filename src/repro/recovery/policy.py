@@ -3,27 +3,25 @@
 A :class:`RecoveryPolicy` describes how the controller survives switch
 failures — shadow-table resync on reconnect plus retransmission of un-acked
 FlowMods — the same way :class:`~repro.faults.plan.FaultPlan` describes how
-the network misbehaves.  Like a fault plan it has two codecs:
+the network misbehaves.  Like a fault plan it has one codec, the one-line
+string of :meth:`RecoveryPolicy.to_string` / :meth:`RecoveryPolicy.from_string`
+(``from_string(to_string(p)) == p``), used by CLI axes, campaign grids and
+``SessionSpec.config()``::
 
-* :meth:`RecoveryPolicy.as_dict` / :meth:`RecoveryPolicy.from_dict` — the
-  canonical JSON round trip (session config provenance);
-* :meth:`RecoveryPolicy.to_string` / :meth:`RecoveryPolicy.from_string` — a
-  compact one-line form for CLI axes and campaign grids::
-
-      off
       on
       on(ack_timeout=0.1,max_attempts=6)
 
-A session whose knobs carry no policy (``recovery=None``) — or a disabled
-one — arms nothing: the recovery-off path is byte-identical to a build
-without this subsystem.
+Every :data:`NO_RECOVERY` spelling (``off``, ``none``, ...) parses to
+``None``, the one run-time meaning of "no recovery": a session whose knobs
+carry no policy arms nothing and is byte-identical to a build without this
+subsystem.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 #: Spellings of "no recovery" accepted wherever a policy string is expected.
@@ -46,9 +44,6 @@ _FIELD_CASTS = {
 class RecoveryPolicy:
     """How the controller recovers from switch crashes and lost acks."""
 
-    #: Master switch; a disabled policy arms nothing (byte-identical to
-    #: ``SessionKnobs.recovery=None``).
-    enabled: bool = True
     #: Replay shadow-tracked rules through the technique machinery when a
     #: crashed switch reconnects.
     resync: bool = True
@@ -67,37 +62,25 @@ class RecoveryPolicy:
     @property
     def active(self) -> bool:
         """Whether this policy arms any machinery at all."""
-        return self.enabled and (self.resync or self.retransmit)
+        return self.resync or self.retransmit
 
     def validate(self) -> None:
-        if self.ack_timeout <= 0:
-            raise ValueError("ack_timeout must be > 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1.0")
+        # Written so NaN and infinity fail too: neither has a string form.
+        if not 0 < self.ack_timeout < math.inf:
+            raise ValueError("ack_timeout must be a finite number > 0")
+        if not 1.0 <= self.backoff < math.inf:
+            raise ValueError("backoff must be a finite number >= 1.0")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.resync_delay < 0:
-            raise ValueError("resync_delay must be >= 0")
+        if not 0 <= self.resync_delay < math.inf:
+            raise ValueError("resync_delay must be a finite number >= 0")
 
-    # -- codecs ---------------------------------------------------------------
-    def as_dict(self) -> Dict[str, object]:
-        """Canonical JSON form; :meth:`from_dict` round-trips it exactly."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Dict[str, object]]) -> Optional["RecoveryPolicy"]:
-        if payload is None:
-            return None
-        return cls(**payload)
-
+    # -- codec ----------------------------------------------------------------
     def to_string(self) -> str:
-        """Compact one-line form (campaign axes); ``"off"`` when disabled."""
-        if not self.enabled:
-            return "off"
+        """Compact one-line form: ``"on"`` plus the non-default fields."""
         overrides = []
         defaults = RecoveryPolicy()
-        for name in ("resync", "retransmit", "ack_timeout", "backoff",
-                     "max_attempts", "resync_delay"):
+        for name in _FIELD_CASTS:
             value = getattr(self, name)
             if value != getattr(defaults, name):
                 encoded = ("true" if value is True else
@@ -108,11 +91,11 @@ class RecoveryPolicy:
         return "on(" + ",".join(overrides) + ")"
 
     @classmethod
-    def from_string(cls, text: Optional[str]) -> "RecoveryPolicy":
-        """Parse the compact form; ``"off"``/``"none"`` yield a disabled policy."""
+    def from_string(cls, text: Optional[str]) -> Optional["RecoveryPolicy"]:
+        """Parse the compact form; every :data:`NO_RECOVERY` spelling is ``None``."""
         text = (text or "").strip().lower()
         if text in NO_RECOVERY:
-            return cls(enabled=False)
+            return None
         matched = _POLICY_PATTERN.match(text)
         if not matched or matched.group("head") != "on":
             raise ValueError(
@@ -144,7 +127,3 @@ class RecoveryPolicy:
         policy = cls(**overrides)
         policy.validate()
         return policy
-
-    def describe(self) -> str:
-        """Short human-readable label for progress output and reports."""
-        return self.to_string()

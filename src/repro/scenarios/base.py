@@ -17,7 +17,7 @@ name — workloads are data, not code forks.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.controller.update_plan import UpdatePlan
@@ -72,10 +72,6 @@ class ScenarioParams:
     def scaled(self, **overrides) -> "ScenarioParams":
         """A copy with selected fields replaced."""
         return replace(self, **overrides)
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-able form (used for campaign config hashing)."""
-        return asdict(self)
 
 
 class Scenario:
@@ -169,15 +165,12 @@ class Scenario:
         """The :class:`~repro.recovery.RecoveryPolicy` this run arms.
 
         Default: parse :attr:`ScenarioParams.recovery`; any "off" spelling
-        (or an unset knob) returns ``None``, the byte-identical
+        (or an unset knob) parses to ``None``, the byte-identical
         pre-recovery path.  Recovery-centric scenarios (``rolling-upgrade``)
         override this to default recovery on.
         """
-        from repro.recovery.policy import NO_RECOVERY, RecoveryPolicy
+        from repro.recovery.policy import RecoveryPolicy
 
-        text = (self.params.recovery or "").strip().lower()
-        if text in NO_RECOVERY:
-            return None
         return RecoveryPolicy.from_string(self.params.recovery)
 
 

@@ -10,6 +10,7 @@ is the unified :class:`~repro.session.record.RunRecord`.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Optional, Union
 
 from repro.scenarios.base import Scenario, ScenarioParams, get_scenario
@@ -59,7 +60,7 @@ def scenario_session(
         labels={
             "scenario": scenario.name,
             "scale": params.scale,
-            "params": params.as_dict(),
+            "params": asdict(params),
         },
     )
 

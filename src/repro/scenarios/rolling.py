@@ -25,7 +25,7 @@ from typing import Dict
 from repro.controller.update_plan import UpdatePlan
 from repro.faults.plan import FaultPlan
 from repro.net.network import Network
-from repro.recovery.policy import NO_RECOVERY, RecoveryPolicy
+from repro.recovery.policy import RecoveryPolicy
 from repro.scenarios.migration import PathMigrationScenario
 
 
@@ -54,11 +54,8 @@ class _RecoveryScenario(PathMigrationScenario):
     def recovery_policy(self):
         # Unset means *on* here (the scenarios exist to exercise recovery);
         # every "off" spelling still disables it for the ablation arm.
-        if self.params.recovery is None:
-            return RecoveryPolicy()
-        if self.params.recovery.strip().lower() in NO_RECOVERY:
-            return None
-        return RecoveryPolicy.from_string(self.params.recovery)
+        recovery = self.params.recovery
+        return RecoveryPolicy.from_string("on" if recovery is None else recovery)
 
     def metrics(self, network: Network, plan: UpdatePlan,
                 executor) -> Dict[str, object]:

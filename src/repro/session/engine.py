@@ -123,8 +123,8 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
 
     # 2c. Recovery ---------------------------------------------------------------
     # Only an *active* policy constructs a manager; with ``recovery`` unset
-    # (or disabled) the controller's ``recovery`` attribute stays ``None``
-    # and every send/ack path is byte-identical to the pre-recovery code.
+    # (or both mechanisms off) the controller's ``recovery`` attribute stays
+    # ``None`` and every send/ack path is byte-identical to the pre-recovery code.
     recovery: Optional[RecoveryManager] = None
     if knobs.recovery is not None and knobs.recovery.active:
         recovery = RecoveryManager(sim, stack.controller, network,

@@ -94,9 +94,9 @@ class SessionKnobs:
     #: Nominal per-flow packet rate (sets the expected inter-packet gap used
     #: to turn delivery gaps into broken time).
     rate_pps: float = 250.0
-    #: Controller-side recovery policy (retransmits + crash resync); ``None``
-    #: keeps the pre-recovery code paths byte-identical.  See
-    #: :mod:`repro.recovery`.
+    #: Controller-side recovery policy (retransmits + crash resync); ``None``,
+    #: the one spelling of "no recovery", keeps the pre-recovery code paths
+    #: byte-identical.  See :mod:`repro.recovery`.
     recovery: Optional["RecoveryPolicy"] = None
 
 
@@ -158,29 +158,30 @@ class SessionSpec:
                 "buffer_after_barrier": self.stack.buffer_after_barrier,
             },
             "knobs": self._knobs_config(),
-            # An empty plan normalises to None: both mean the fault-free path.
-            # The key predates only-when-armed encoding; persisted configs
-            # carry it, so it stays.
-            "faults": (self.faults.as_dict()
+            # A plan travels as its DSL string; an empty plan normalises to
+            # None: both mean the fault-free path.  The key predates
+            # only-when-armed encoding; persisted configs carry it, so it stays.
+            "faults": (self.faults.to_string()
                        if self.faults is not None and not self.faults.empty()
                        else None),
         }
         # Key present only when armed, so trace-off configs stay byte-identical
-        # to configs produced before tracing existed (same pattern as faults).
+        # to configs produced before tracing existed.
         if self.trace:
             config["trace"] = True
         return config
 
     def _knobs_config(self) -> Dict[str, object]:
-        """JSON form of the knobs; ``recovery`` exists only when armed.
+        """JSON form of the knobs; ``recovery`` is the policy's string, if any.
 
-        An absent recovery policy and a disabled one are both "no recovery":
-        omitting the key keeps knob encodings byte-identical to configs
-        produced before that subsystem existed.
+        An absent policy is "no recovery": omitting the key keeps knob
+        encodings byte-identical to configs produced before that subsystem
+        existed.
         """
         knobs = asdict(self.knobs)
-        if knobs.get("recovery") is None:
-            knobs.pop("recovery", None)
+        del knobs["recovery"]
+        if self.knobs.recovery is not None:
+            knobs["recovery"] = self.knobs.recovery.to_string()
         return knobs
 
     def run(self, observer: Optional[Observer] = None):

@@ -47,8 +47,9 @@ from repro.campaign.report import run_labels
 from repro.campaign.runner import FINAL_STATUSES, load_records
 from repro.session.record import RECORD_SCHEMA, outcome_digest
 
-#: Store layout version stamped into every object.
-STORE_SCHEMA = 2
+#: Store layout version stamped into every object.  3: a stored session
+#: encoding carries its fault plan and recovery policy as their strings.
+STORE_SCHEMA = 3
 
 OBJECTS_DIR = "objects"
 INDEX_DIR = "index"

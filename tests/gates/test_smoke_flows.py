@@ -102,8 +102,34 @@ def test_the_quickstart_example_runs_headless(capsys):
     ("path_migration.py", ("general", 2),
      ["Broken time distribution (cf. Figure 1b)",
       "packets dropped with general   : 0"]),
-], ids=["firewall-bypass", "probe-overhead-sweep", "path-migration"])
+    # The two examples that build fault-plan and recovery-policy strings.
+    ("fault_sweep.py", (),
+     ["Correctness under ack loss (fault-sweep scenario, seed 7)",
+      "ack-loss p=1.0   barrier  completed=False",
+      "ack-loss p=1.0   general  completed=True"]),
+    ("rolling_outage.py", (),
+     ["Rolling pod-0 crash wave — recovery on vs off (seed 7)",
+      " +recovery=off | ", " +recovery=on  | "]),
+], ids=["firewall-bypass", "probe-overhead-sweep", "path-migration",
+        "fault-sweep", "rolling-outage"])
 def test_the_paper_examples_run_headless(capsys, script, args, expected):
     out = _runs_headless(capsys, script, *args)
     for line in expected:
         assert line in out
+    for label, recovered in _recovered_cells(out):
+        if "+recovery=on" in label:
+            assert recovered == "1/1", label
+
+
+def _recovered_cells(out):
+    """``(fault label, recovered)`` of every resilience-table row in ``out``."""
+    rows = [[cell.strip() for cell in line.split(" | ")]
+            for line in out.splitlines()]
+    cells = []
+    for index, header in enumerate(rows):
+        if "recovered" in header:
+            column = header.index("recovered")
+            # Skip the ``-+-`` rule line under the header.
+            cells += [(row[0], row[column]) for row in rows[index + 2:]
+                      if len(row) == len(header)]
+    return cells

@@ -1,6 +1,6 @@
-"""Property-based tests (hypothesis) for the fault subsystem: plan codecs
-round-trip (dict form, string form, and inside ``SessionSpec`` encoding) and
-fault schedules are deterministic functions of the seed."""
+"""Property-based tests (hypothesis) for the fault subsystem: the plan's one
+codec, its string, round-trips exactly (alone and inside ``SessionSpec``
+encoding) and fault schedules are deterministic functions of the seed."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -56,42 +56,35 @@ def fault_plans(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(fault_plans())
-def test_plan_dict_round_trip(plan):
-    assert FaultPlan.from_dict(plan.as_dict()) == plan
-
-
-@settings(max_examples=60, deadline=None)
-@given(fault_plans())
 def test_plan_round_trips_inside_session_spec_encoding(plan):
-    """The ``faults`` entry of ``SessionSpec.config()`` rebuilds the plan."""
-    import json
-
+    """The ``faults`` entry of ``SessionSpec.config()`` is the plan's string."""
     from repro.experiments.common import EndToEndParams, migration_session
 
     spec = migration_session("barrier", EndToEndParams(flow_count=2))
     spec.faults = plan
     encoded = spec.config()["faults"]
-    json.dumps(encoded)  # must be JSON-able as-is
-    assert FaultPlan.from_dict(encoded) == plan
+    assert encoded == plan.to_string()
+    assert FaultPlan.from_string(encoded) == plan
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(fault_specs(), min_size=1, max_size=3))
+@given(st.lists(fault_specs(), min_size=1, max_size=4))
 def test_plan_string_round_trip_of_structure(specs):
-    """``to_string``/``from_string`` preserve names, targets and param keys.
+    """``from_string(to_string(p)) == p``: names, targets and param values.
 
-    Parameter *values* may change representation (``1.0`` parses back as the
-    integer ``1``), so the round trip is checked structurally and must be a
-    fixed point: encode(parse(encode(p))) == encode(p).
+    ``str(1.0)`` is ``"1.0"``, which parses back as the float ``1.0``, so
+    the round trip is exact, not only a fixed point of the encoding.
     """
     plan = FaultPlan(specs)
     text = plan.to_string()
     reparsed = FaultPlan.from_string(text)
-    assert [s.fault for s in reparsed.specs] == [s.fault for s in plan.specs]
-    assert [s.targets for s in reparsed.specs] == [s.targets for s in plan.specs]
-    assert [sorted(s.params) for s in reparsed.specs] == [
-        sorted(s.params) for s in plan.specs]
-    assert reparsed.to_string() == text
+    assert reparsed == plan
+
+    def types(p):
+        return [{key: type(value) for key, value in spec.params.items()}
+                for spec in p.specs]
+
+    assert types(reparsed) == types(plan)  # ``1 == 1.0``; the types differ
 
 
 # -- schedule determinism ---------------------------------------------------------

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the fault-timeline DSL: group and
-rolling entries round-trip through both codecs (dict form exactly, string
-form as a fixed point), expansion to per-target instances is a pure function
-of the plan, and armed schedules stay deterministic under a fixed seed."""
+rolling entries round-trip exactly through the plan's one codec, its string,
+expansion to per-target instances is a pure function of the plan, and armed
+schedules stay deterministic under a fixed seed."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -83,38 +83,17 @@ def timeline_plans(draw):
 
 # -- codec round trips -----------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(timeline_plans())
-def test_timeline_dict_round_trip(plan):
-    assert FaultPlan.from_dict(plan.as_dict()) == plan
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(timeline_plans())
 def test_timeline_string_fixed_point(plan):
-    """``to_string``/``from_string`` preserve the entry structure.
+    """``from_string(to_string(p)) == p`` for specs, groups and rolling waves.
 
-    Scalar representations may normalise (``1.0`` parses back as ``1``), so
-    the check is structural plus a fixed point: encoding the reparsed plan
-    reproduces the first encoding byte for byte.
+    ``str(1.0)`` is ``"1.0"``, which parses back as the float ``1.0``, so
+    the round trip is exact and the encoding a fixed point.
     """
     text = plan.to_string()
     reparsed = FaultPlan.from_string(text)
-    assert len(reparsed.specs) == len(plan.specs)
-    for original, parsed in zip(plan.specs, reparsed.specs):
-        assert type(parsed) is type(original)
-        if isinstance(original, GroupSpec):
-            assert [m.fault for m in parsed.members] == [
-                m.fault for m in original.members]
-            assert [m.targets for m in parsed.members] == [
-                m.targets for m in original.members]
-        elif isinstance(original, RollingSpec):
-            assert parsed.spec.fault == original.spec.fault
-            assert parsed.spec.targets == original.spec.targets
-            assert (parsed.at is None) == (original.at is None)
-        else:
-            assert parsed.fault == original.fault
-            assert parsed.targets == original.targets
+    assert reparsed == plan
     assert reparsed.to_string() == text
 
 

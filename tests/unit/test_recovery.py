@@ -1,5 +1,5 @@
 """Tests for the controller-side recovery subsystem: the ``RecoveryPolicy``
-codecs, the guarantee that recovery-off runs stay byte-identical to the
+codec, the guarantee that recovery-off runs stay byte-identical to the
 pre-recovery code (digest pins), shadow-table resync on switch restore, the
 retransmission/fail machinery on the controller, switch lifecycle edge cases,
 the timeline-DSL expansion (groups, rolling waves, target selectors), the
@@ -8,8 +8,10 @@ recovery-enabled run reinstalls every wiped rule and loses strictly fewer
 packets than the same run without recovery."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaign import CampaignSpec, run_cell
 from repro.campaign.grid import CampaignCell
@@ -78,15 +80,15 @@ def _flowmod(index=1, out_port=1):
 class TestRecoveryPolicy:
     def test_defaults_encode_as_on(self):
         assert RecoveryPolicy().to_string() == "on"
-        assert RecoveryPolicy(enabled=False).to_string() == "off"
         assert RecoveryPolicy().active
-        assert not RecoveryPolicy(enabled=False).active
-        assert not RecoveryPolicy(resync=False, retransmit=False).active
+        idle = RecoveryPolicy(resync=False, retransmit=False)
+        assert not idle.active
+        assert idle.to_string() == "on(resync=false,retransmit=false)"
 
-    @pytest.mark.parametrize("text", list(NO_RECOVERY) + ["OFF", " none "])
+    @pytest.mark.parametrize("text", list(NO_RECOVERY) + ["OFF", " none ", None])
     def test_no_recovery_spellings(self, text):
-        policy = RecoveryPolicy.from_string(text)
-        assert not policy.enabled and not policy.active
+        # ``None`` is the one run-time meaning of "no recovery".
+        assert RecoveryPolicy.from_string(text) is None
 
     def test_string_round_trip_with_overrides(self):
         policy = RecoveryPolicy(ack_timeout=0.1, max_attempts=6, resync=False)
@@ -94,11 +96,19 @@ class TestRecoveryPolicy:
         assert text == "on(resync=false,ack_timeout=0.1,max_attempts=6)"
         assert RecoveryPolicy.from_string(text) == policy
 
-    def test_dict_round_trip(self):
-        policy = RecoveryPolicy(backoff=1.5, resync_delay=0.02)
-        payload = json.loads(json.dumps(policy.as_dict()))
-        assert RecoveryPolicy.from_dict(payload) == policy
-        assert RecoveryPolicy.from_dict(None) is None
+    @settings(max_examples=100, deadline=None)
+    @given(st.builds(
+        RecoveryPolicy,
+        resync=st.booleans(),
+        retransmit=st.booleans(),
+        ack_timeout=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+        backoff=st.floats(min_value=1.0, max_value=8.0),
+        max_attempts=st.integers(min_value=1, max_value=20),
+        resync_delay=st.floats(min_value=0.0, max_value=5.0),
+    ))
+    def test_string_round_trip_over_drawn_fields(self, policy):
+        policy.validate()
+        assert RecoveryPolicy.from_string(policy.to_string()) == policy
 
     def test_from_string_rejects_garbage(self):
         with pytest.raises(ValueError, match="cannot parse recovery policy"):
@@ -131,6 +141,16 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError):
             RecoveryPolicy(**bad).validate()
 
+    @pytest.mark.parametrize("field", ["ack_timeout", "backoff", "resync_delay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_validate_rejects_non_finite_fields(self, field, value):
+        # Its string would not parse, so the value may not validate either.
+        policy = RecoveryPolicy(**{field: value})
+        with pytest.raises(ValueError, match="not a finite number"):
+            RecoveryPolicy.from_string(policy.to_string())
+        with pytest.raises(ValueError, match="finite"):
+            policy.validate()
+
 
 # ---------------------------------------------------------------------------
 # Recovery-off stays byte-identical (digest pins)
@@ -145,12 +165,13 @@ class TestRecoveryOffByteIdentical:
 
     def test_disabled_policy_is_identical_to_absent(self):
         spec = migration_session("barrier", _migration_params())
-        spec.knobs.recovery = RecoveryPolicy(enabled=False)
+        spec.knobs.recovery = RecoveryPolicy(resync=False, retransmit=False)
         record = spec.run()
         assert record.digest() == MIGRATION_BARRIER_DIGEST
         assert record.recovery == {}
         # The knob rides in the config when set, but never changes the run.
-        assert spec.config()["knobs"]["recovery"]["enabled"] is False
+        assert (spec.config()["knobs"]["recovery"]
+                == "on(resync=false,retransmit=false)")
 
     def test_unset_policy_omitted_from_knob_config(self):
         spec = migration_session("barrier", _migration_params())
@@ -408,6 +429,13 @@ class TestTimelineDsl:
         sim = Simulator()
         return Network(sim, topology or triangle_topology(), seed=3)
 
+    @staticmethod
+    def _session_config_faults(plan):
+        """The plan as a session's config dict carries it, through JSON."""
+        spec = migration_session("barrier", _migration_params())
+        spec.faults = plan
+        return json.loads(json.dumps(spec.config()))["faults"]
+
     def test_group_string_and_dict_round_trip(self):
         text = ("group(switch-crash(restart_after=0.4)@S1,"
                 "delay-spike(probability=0.1)@S2)@t=0.5")
@@ -415,7 +443,7 @@ class TestTimelineDsl:
         assert isinstance(plan.specs[0], GroupSpec)
         assert plan.specs[0].at == 0.5
         assert plan.to_string() == text
-        assert FaultPlan.from_dict(plan.as_dict()) == plan
+        assert self._session_config_faults(plan) == text
 
     def test_rolling_string_and_dict_round_trip(self):
         text = "rolling(switch-crash(restart_after=0.2)@pod:0,stagger=0.15,at=0.4)"
@@ -424,7 +452,7 @@ class TestTimelineDsl:
         assert isinstance(entry, RollingSpec)
         assert entry.stagger == 0.15 and entry.at == 0.4
         assert plan.to_string() == text
-        assert FaultPlan.from_dict(plan.as_dict()) == plan
+        assert self._session_config_faults(plan) == text
 
     def test_group_expansion_offsets_at_capable_members(self):
         network = self._network()

@@ -98,9 +98,9 @@ class TestIngestAndQuery:
         assert len(store.query(outcome="ok")) == 2
 
     def test_full_record_is_queryable_by_its_fault_string(self, tmp_path):
-        # A full record's labels are the plan's compact form, the same
-        # string a campaign axis and ``store query --fault`` use — not the
-        # repr of the plan's dict encoding.
+        # A full record's labels are the plan's and the policy's strings,
+        # as its session encoding carries them: the same strings a campaign
+        # axis and ``store query --fault`` use.
         params = ScenarioParams(seed=7, flow_count=2,
                                 faults="ack-loss(probability=0.3)",
                                 recovery="on(max_attempts=6)")
@@ -266,7 +266,7 @@ class TestVerifyAndGc:
                                                        encoding="utf-8")
         assert store.cached_record(record["cell_id"]) is None
         assert store.verify() == [
-            f"{record['digest']}: store schema 1 is not 2"]
+            f"{record['digest']}: store schema 1 is not 3"]
         store.ingest(results)  # re-ingesting replaces the object
         assert store.cached_record(record["cell_id"]) == record
         assert store.verify() == []
