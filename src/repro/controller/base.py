@@ -105,9 +105,6 @@ class Controller:
         #: exact pre-recovery event sequence.
         self.recovery = None
 
-        #: Measurement log: ``(switch, xid) -> (sent_at, acked_at)``.
-        self.ack_log: Dict[Tuple[str, int], Tuple[float, float]] = {}
-
     # -- wiring ---------------------------------------------------------------
     def connect_switch(self, switch_name: str, endpoint: ConnectionEndpoint) -> None:
         """Attach the controller to (what it believes is) a switch connection."""
@@ -237,7 +234,6 @@ class Controller:
 
     def _complete_ack(self, ack: RuleAck) -> None:
         ack.acked_at = self.sim.now
-        self.ack_log[(ack.switch, ack.xid)] = (ack.sent_at, ack.acked_at)
         if not ack.event.triggered:
             ack.event.succeed(self.sim.now)
         if self.recovery is not None:
@@ -284,11 +280,6 @@ class Controller:
         """Whether the FlowMod with ``xid`` was abandoned (see :meth:`fail_ack`)."""
         ack = self._rule_acks.get((switch_name, xid))
         return ack is not None and ack.failed
-
-    def ack_time(self, switch_name: str, xid: int) -> Optional[float]:
-        """When the controller considered the given FlowMod complete."""
-        record = self.ack_log.get((switch_name, xid))
-        return record[1] if record else None
 
     def on_packet_in(self, handler: Callable[[str, PacketIn], None]) -> None:
         """Register a PacketIn application callback."""

@@ -75,7 +75,6 @@ class ReliableBarrierLayer(ProxyLayer):
         #: Measurement: barrier xid -> (request seen, reply released).
         self.barrier_log: Dict[int, tuple] = {}
         self.barriers_held = 0
-        self.messages_buffered = 0
 
     # -- wiring ----------------------------------------------------------------
     def attach_switch(self, switch_name: str, downstream) -> None:
@@ -87,7 +86,6 @@ class ReliableBarrierLayer(ProxyLayer):
     # -- controller -> switch -------------------------------------------------------
     def handle_from_controller(self, switch_name: str, message: OFMessage) -> None:
         if self.buffer_after_barrier and self._has_unresolved_barrier(switch_name):
-            self.messages_buffered += 1
             self._buffered[switch_name].append(message)
             return
         self._forward_controller_message(switch_name, message)

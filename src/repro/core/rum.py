@@ -26,7 +26,6 @@ from repro.core.proxy import ProxyLayer
 from repro.core.topology_view import TopologyView
 from repro.net.network import Network
 from repro.obs.events import PHASE_ACK_SENT
-from repro.openflow.flowtable import FlowTable
 from repro.openflow.messages import (
     BarrierReply,
     ErrorMessage,
@@ -52,10 +51,6 @@ class RumLayer(ProxyLayer):
         self.network: Optional[Network] = None
         self.topology: Optional[TopologyView] = None
         self._trackers: Dict[str, PendingRuleTracker] = {}
-        #: RUM's mirror of each switch's rule state, built from everything it
-        #: forwards (controller rules and its own probing rules).  Used by
-        #: probe-packet generation for the overlapping-rule checks.
-        self._mirrors: Dict[str, FlowTable] = {}
         #: Xids of messages RUM itself injected towards switches whose reply
         #: it must consume; a PacketOut gets none, so it is never recorded.
         self.rum_xids: Set[int] = set()
@@ -79,7 +74,6 @@ class RumLayer(ProxyLayer):
     def attach_switch(self, switch_name: str, downstream) -> None:
         super().attach_switch(switch_name, downstream)
         self._trackers[switch_name] = PendingRuleTracker(switch_name)
-        self._mirrors[switch_name] = FlowTable(name=f"rum-mirror-{switch_name}")
 
     def prepare(self) -> None:
         """Deployment-time setup of the active technique (probe-catch rules)."""
@@ -109,21 +103,17 @@ class RumLayer(ProxyLayer):
         """The pending-rule tracker of one switch."""
         return self._trackers[switch_name]
 
-    def mirror_table(self, switch_name: str) -> FlowTable:
-        """RUM's mirror of one switch's rules."""
-        return self._mirrors[switch_name]
-
     def install_directly(self, switch_name: str, flowmod: FlowMod) -> None:
         """Install a deployment-time rule (probe catch / probe rule).
 
         These rules are part of RUM's setup, not of any measured update, so
-        they are written into the switch directly (and mirrored), the same
-        way experiment setup preinstalls forwarding state.
+        they are written into the switch directly (and shown to the
+        technique), the same way experiment setup preinstalls forwarding state.
         """
         if self.network is None:
             raise RuntimeError("attach_network() must be called before install_directly()")
         self.network.switch(switch_name).install_rule_directly(flowmod)
-        self._mirrors[switch_name].apply_flowmod(flowmod, now=self.sim.now)
+        self.technique.on_rule_written(switch_name, flowmod)
         self._deployment_rules.setdefault(switch_name, []).append(flowmod)
 
     def reinstall_deployment(self, switch_name: str) -> int:
@@ -137,7 +127,7 @@ class RumLayer(ProxyLayer):
         rules = self._deployment_rules.get(switch_name, [])
         for flowmod in rules:
             self.network.switch(switch_name).install_rule_directly(flowmod)
-            self._mirrors[switch_name].apply_flowmod(flowmod, now=self.sim.now)
+            self.technique.on_rule_written(switch_name, flowmod)
         return len(rules)
 
     def send_to_switch(self, switch_name: str, message: OFMessage) -> None:
@@ -145,7 +135,7 @@ class RumLayer(ProxyLayer):
         if not isinstance(message, PacketOut):
             self.rum_xids.add(message.xid)
         if isinstance(message, FlowMod):
-            self._mirrors[switch_name].apply_flowmod(message, now=self.sim.now)
+            self.technique.on_rule_written(switch_name, message)
         self.forward_to_switch(switch_name, message)
 
     # -- confirmations ----------------------------------------------------------------
@@ -185,7 +175,6 @@ class RumLayer(ProxyLayer):
     def handle_from_controller(self, switch_name: str, message: OFMessage) -> None:
         if isinstance(message, FlowMod):
             record = self._trackers[switch_name].add(message, self.sim.now)
-            self._mirrors[switch_name].apply_flowmod(message, now=self.sim.now)
             self.forward_to_switch(switch_name, message)
             self.technique.on_flowmod_forwarded(switch_name, record)
             return

@@ -29,7 +29,6 @@ class BarrierBaselineTechnique(AckTechnique):
         self._barrier_coverage: Dict[Tuple[str, int], int] = {}
         #: FlowMods forwarded since the last RUM barrier, per switch.
         self._since_last_barrier: Dict[str, int] = {}
-        self.barriers_sent = 0
 
     # -- FlowMod notifications -------------------------------------------------
     def on_flowmod_forwarded(self, switch_name: str, record: PendingRule) -> None:
@@ -65,7 +64,6 @@ class BarrierBaselineTechnique(AckTechnique):
     def _send_barrier(self, switch_name: str, covered_sequence: int) -> None:
         request = BarrierRequest()
         self._barrier_coverage[(switch_name, request.xid)] = covered_sequence
-        self.barriers_sent += 1
         self.layer.send_to_switch(switch_name, request)
 
     # -- switch messages ------------------------------------------------------------

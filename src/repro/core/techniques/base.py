@@ -11,7 +11,7 @@ from repro.core.techniques.registry import (
     TECHNIQUES,
     resolve_technique,
 )
-from repro.openflow.messages import OFMessage
+from repro.openflow.messages import FlowMod, OFMessage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.rum import RumLayer
@@ -72,6 +72,10 @@ class AckTechnique:
     # -- notifications ------------------------------------------------------------
     def on_flowmod_forwarded(self, switch_name: str, record: PendingRule) -> None:
         """A controller FlowMod was just forwarded to ``switch_name``."""
+
+    def on_rule_written(self, switch_name: str, flowmod: FlowMod) -> None:
+        """RUM itself wrote ``flowmod`` to ``switch_name``: a deployment rule,
+        its re-seeding after a crash, or a technique's own FlowMod."""
 
     def on_switch_message(self, switch_name: str, message: OFMessage) -> bool:
         """A message arrived from ``switch_name``.

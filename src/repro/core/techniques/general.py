@@ -27,7 +27,8 @@ from typing import Dict, Optional, Tuple
 from repro.core.pending import PendingRule
 from repro.core.techniques.base import AckTechnique
 from repro.openflow.actions import OutputAction
-from repro.openflow.messages import OFMessage, PacketIn, PacketOut
+from repro.openflow.flowtable import FlowTable
+from repro.openflow.messages import FlowMod, OFMessage, PacketIn, PacketOut
 from repro.packet.fields import FIELD_REGISTRY
 from repro.packet.packet import Packet, make_probe_packet
 from repro.probing.catch_rules import general_catch_flowmod
@@ -44,13 +45,14 @@ from repro.probing.probe_packets import (
 class _ProbeInfo:
     """Everything needed to (re-)inject the probe for one pending rule."""
 
-    #: The probe, validated once; every injection sends a stamped copy.
+    #: The probe, validated once, and its PacketOut actions, built once: both
+    #: go to every injection's PacketOut as they are (the injecting switch's
+    #: copy of the probe is the only one).
     template: Packet
+    actions: Tuple[OutputAction]
     catch_switch: str
     inject_switch: str
-    inject_port: int
     key: tuple
-    probes_sent: int = 0
 
 
 class GeneralProbingTechnique(AckTechnique):
@@ -65,13 +67,17 @@ class GeneralProbingTechnique(AckTechnique):
         self._probe_info: Dict[Tuple[str, int], _ProbeInfo] = {}
         #: ``(catch switch, probe key) -> (probed switch, xid)``.
         self._probe_registry: Dict[Tuple[str, tuple], Tuple[str, int]] = {}
+        #: RUM's mirror of each switch's rules, built from every rule RUM
+        #: forwards or writes there: probe generation's overlapping-rule checks
+        #: read it, and nothing else does, so no other technique keeps one.
+        self.mirrors: Dict[str, FlowTable] = {}
         self.probes_injected = 0
-        self.probes_received = 0
-        self.fallbacks = 0
 
     # -- deployment -------------------------------------------------------------
     def prepare(self) -> None:
         topology = self.layer.topology
+        self.mirrors = {name: FlowTable(name=f"rum-mirror-{name}")
+                        for name in topology.switch_names()}
         field_spec = FIELD_REGISTRY[self.config.probe_field]
         self.switch_values = assign_switch_values(
             topology.switch_graph(),
@@ -94,7 +100,11 @@ class GeneralProbingTechnique(AckTechnique):
         self.sim.schedule_callback(self.config.probe_interval, self._probe_tick)
 
     # -- FlowMod notifications -----------------------------------------------------
+    def on_rule_written(self, switch_name: str, flowmod: FlowMod) -> None:
+        self.mirrors[switch_name].apply_flowmod(flowmod, now=self.sim.now)
+
     def on_flowmod_forwarded(self, switch_name: str, record: PendingRule) -> None:
+        self.mirrors[switch_name].apply_flowmod(record.flowmod, now=self.sim.now)
         info = self._build_probe(switch_name, record)
         if info is None:
             self._fallback(switch_name, record)
@@ -126,21 +136,20 @@ class GeneralProbingTechnique(AckTechnique):
         try:
             headers = generate_probe_headers(
                 RuleView.from_flowmod(flowmod),
-                self.layer.mirror_table(switch_name),
+                self.mirrors[switch_name],
                 overrides,
             )
         except ProbeGenerationError:
             return None
         return _ProbeInfo(
             template=make_probe_packet(headers, probe_id=f"genprobe-{catch_switch}"),
+            actions=(OutputAction(topology.port_between(inject_switch, switch_name)),),
             catch_switch=catch_switch,
             inject_switch=inject_switch,
-            inject_port=topology.port_between(inject_switch, switch_name),
             key=probe_key(headers),
         )
 
     def _fallback(self, switch_name: str, record: PendingRule) -> None:
-        self.fallbacks += 1
         self.sim.schedule_callback(
             self.config.fallback_timeout,
             self.layer.confirm_rule,
@@ -165,12 +174,8 @@ class GeneralProbingTechnique(AckTechnique):
         self.sim.schedule_callback(config.probe_interval, self._probe_tick)
 
     def _inject_probe(self, info: _ProbeInfo) -> None:
-        packet = info.template.copy()
-        packet.created_at = self.sim.now
-        packet_out = PacketOut(packet, [OutputAction(info.inject_port)])
-        info.probes_sent += 1
         self.probes_injected += 1
-        self.layer.send_to_switch(info.inject_switch, packet_out)
+        self.layer.send_to_switch(info.inject_switch, PacketOut(info.template, info.actions))
 
     # -- switch messages ------------------------------------------------------------------
     def on_switch_message(self, switch_name: str, message: OFMessage) -> bool:
@@ -180,7 +185,6 @@ class GeneralProbingTechnique(AckTechnique):
         if probe_value != self.switch_values.get(switch_name):
             return False
         # This PacketIn is a probe caught by switch_name's probe-catch rule.
-        self.probes_received += 1
         key = probe_key(message.packet.headers)
         target = self._probe_registry.pop((switch_name, key), None)
         if target is not None:

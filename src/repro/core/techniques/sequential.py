@@ -42,9 +42,11 @@ class _SwitchProbeState:
     catch_neighbor: str = ""
     inject_neighbor: str = ""
     probe_out_port: int = 0
-    inject_port: int = 0
-    #: The pre-probe, validated once; every injection sends a stamped copy.
+    #: The pre-probe, validated once, and its PacketOut actions, built once:
+    #: both go to every injection's PacketOut as they are (the injecting
+    #: switch's copy of the probe is the only one).
     template: Optional[Packet] = None
+    actions: Tuple[OutputAction, ...] = ()
     allocator: Optional[VersionAllocator] = None
     #: logical batch -> (highest covered pending-rule sequence, the xid and the
     #: wire version of the probe-rule update that opened it).
@@ -65,7 +67,6 @@ class SequentialProbingTechnique(AckTechnique):
         self._version_map: Dict[Tuple[str, int], Tuple[str, int]] = {}
         self.probe_rule_updates_sent = 0
         self.probes_injected = 0
-        self.probes_received = 0
 
     # -- deployment -------------------------------------------------------------
     def prepare(self) -> None:
@@ -98,7 +99,7 @@ class SequentialProbingTechnique(AckTechnique):
                 catch_neighbor=catch_neighbor,
                 inject_neighbor=inject_neighbor,
                 probe_out_port=topology.port_between(switch_name, catch_neighbor),
-                inject_port=topology.port_between(inject_neighbor, switch_name),
+                actions=(OutputAction(topology.port_between(inject_neighbor, switch_name)),),
                 template=make_probe_packet({
                     HeaderField.ETH_SRC: 0x00000000A0A0,
                     HeaderField.ETH_DST: 0x00000000B0B0,
@@ -203,11 +204,8 @@ class SequentialProbingTechnique(AckTechnique):
         self.sim.schedule_callback(self.config.probe_interval, self._probe_tick)
 
     def _inject_probe(self, state: _SwitchProbeState) -> None:
-        packet = state.template.copy()
-        packet.created_at = self.sim.now
-        packet_out = PacketOut(packet, [OutputAction(state.inject_port)])
         self.probes_injected += 1
-        self.layer.send_to_switch(state.inject_neighbor, packet_out)
+        self.layer.send_to_switch(state.inject_neighbor, PacketOut(state.template, state.actions))
 
     # -- switch messages ------------------------------------------------------------------
     def on_switch_message(self, switch_name: str, message: OFMessage) -> bool:
@@ -221,7 +219,6 @@ class SequentialProbingTechnique(AckTechnique):
             return True
         if h1_value != config.postprobe_value:
             return False
-        self.probes_received += 1
         wire_version = message.packet.get(config.sequential_h2_field)
         target = self._version_map.get((switch_name, wire_version))
         if target is None:

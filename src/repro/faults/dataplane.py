@@ -33,13 +33,9 @@ class DelaySpikeFault(DataPlaneFault):
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
 
-    def setup(self) -> None:
-        self.spikes_injected = 0
-
     def intercept(self, flowmod: FlowMod, apply: Callable[[FlowMod, float], None]) -> bool:
         if self.rng.uniform(0.0, 1.0) >= self.probability:
             return False
-        self.spikes_injected += 1
         self.count("delay_spikes")
         self.sim.schedule_callback(self.spike, apply, flowmod, self.sim.now + self.spike)
         return True
@@ -61,7 +57,6 @@ class ReorderFault(DataPlaneFault):
         # buffered before a switch crash die with it even if the buffer
         # flushes after the restart.
         self._buffer: List[Tuple[FlowMod, Callable[[FlowMod, float], None]]] = []
-        self.reorders_performed = 0
 
     def intercept(self, flowmod: FlowMod, apply: Callable[[FlowMod, float], None]) -> bool:
         self._buffer.append((flowmod, apply))
@@ -81,7 +76,6 @@ class ReorderFault(DataPlaneFault):
         batch, self._buffer = self._buffer, []
         shuffled = self.rng.shuffle(batch)
         if shuffled != batch:
-            self.reorders_performed += 1
             self.count("reorders")
         for flowmod, apply in shuffled:
             apply(flowmod, self.sim.now)

@@ -89,7 +89,6 @@ class Connection:
         #: Per-direction delivery time of the last message, used to preserve
         #: FIFO ordering even if latency were to change mid-run.
         self._last_delivery = [0.0, 0.0]
-        self.total_messages = 0
         #: Optional fault interceptor (see :mod:`repro.faults.control`);
         #: ``None`` — the default — is the lossless fixed-latency channel.
         self._intercept: Optional[TransmitIntercept] = None
@@ -146,11 +145,10 @@ class Connection:
     def _schedule_delivery(self, from_side: int, message: OFMessage,
                            extra_latency: float = 0.0) -> None:
         to_side = 1 - from_side
-        now = self.sim.now
+        now = self.sim._now
         deliver_at = max(now + self.latency + extra_latency,
                          self._last_delivery[to_side])
         self._last_delivery[to_side] = deliver_at
-        self.total_messages += 1
         self.sim.schedule_callback(
             deliver_at - now, self._complete_delivery, to_side, message
         )

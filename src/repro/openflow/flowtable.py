@@ -14,9 +14,10 @@ Two lookup disciplines are supported:
 
 Both are served by one structure (see :class:`FlowTable`): a store keyed by
 rule identity and a lookup index that every mutation updates in place.  The
-index reads :meth:`Match.compiled_constraints`, ``is_exact`` and the hash
-built on them, which ``Match`` memoises lazily — never in ``__init__``,
-because ``intersection()`` / ``extended()`` fill a blank ``Match()`` afterwards.
+store hashes each match and the index reads its :attr:`Match.exact_slot`
+and :meth:`Match.compiled` matcher; ``Match`` memoises all three lazily —
+never in ``__init__``, because ``intersection()`` / ``extended()`` fill a
+blank ``Match()`` afterwards.
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ from repro.packet.packet import Packet
 
 
 class FlowEntry:
-    """One installed rule; ``entry_id`` numbers it within its table."""
+    """One installed rule; ``entry_id`` numbers it within its table.
+
+    ``plan`` is the data plane's forwarding plan of ``actions``,
+    ``(rewrites, physical output ports, to_controller)``, compiled on the
+    first lookup-cache miss that matches the entry and ``None`` until then;
+    a MODIFY that rebinds ``actions`` drops it.  It holds nothing that
+    refers back to the entry, so it adds no reference cycle.
+    """
 
     __slots__ = (
         "entry_id",
@@ -44,6 +52,7 @@ class FlowEntry:
         "packet_count",
         "byte_count",
         "source_xid",
+        "plan",
     )
 
     def __init__(
@@ -65,6 +74,7 @@ class FlowEntry:
         self.packet_count = 0
         self.byte_count = 0
         self.source_xid = source_xid
+        self.plan: Optional[tuple] = None
 
     def signature(self) -> Tuple:
         """Hashable identity used to compare control- and data-plane state."""
@@ -75,15 +85,6 @@ class FlowEntry:
             f"<FlowEntry #{self.entry_id} prio={self.priority} {self.match!r} "
             f"-> {self.actions!r}>"
         )
-
-
-def _exact_slot(match: Match) -> Optional[Tuple[tuple, tuple]]:
-    """``(field signature, field values)`` hash key of a fully specified
-    match; ``None`` (masked fields, or no constraint) means the wildcard list."""
-    constraints = match.compiled_constraints()
-    if constraints and match.is_exact:
-        return tuple(zip(*constraints))[:2]
-    return None
 
 
 class FlowTable:
@@ -114,11 +115,18 @@ class FlowTable:
     match covers; MODIFY then does no index work at all, because it changes
     neither match, priority nor order.  A lookup probes one hash table per
     (rank, signature) and walks wildcard entries only while they could still
-    beat the best exact hit.  A lookup with a rule identity set aside
+    beat the best exact hit; an exact key is built without a Python frame
+    (``map``), and ``None`` (an absent field, read as zero) is replaced only
+    when the key holds one.  A lookup with a rule identity set aside
     (``aside``, probe generation's "what catches this packet while the
     probed rule is absent?") is the same walk: it skips that one entry where
     it would have been a hit, so it costs what a lookup costs, at any table
     size.
+
+    **Plans.**  The table stores each entry's ``plan`` slot and keeps it
+    true: MODIFY, the only mutation that rebinds an entry's ``actions``,
+    drops the plan with it; every other mutation makes or removes whole
+    entries.  Only a data plane's table ever fills the slot.
     """
 
     __slots__ = ("mode", "capacity", "name", "_entries", "_buckets", "_created")
@@ -216,6 +224,7 @@ class FlowTable:
         touched = self._selected(flowmod, strict)
         for entry in touched:
             entry.actions = list(flowmod.actions)
+            entry.plan = None
             entry.cookie = flowmod.cookie
             entry.source_xid = flowmod.xid
         # OpenFlow 1.0: MODIFY with no matching entry behaves like ADD.
@@ -250,7 +259,7 @@ class FlowTable:
             # Equal matches of different priority share the one rank, so no
             # hash path: its keys are unique only within one priority.
             return 0, (-entry.installed_at, -entry.entry_id), None
-        return -entry.priority, (entry.installed_at, entry.entry_id), _exact_slot(entry.match)
+        return -entry.priority, (entry.installed_at, entry.entry_id), entry.match.exact_slot
 
     def _index(self, entry: FlowEntry) -> None:
         rank, order, slot = self._place(entry)
@@ -292,11 +301,14 @@ class FlowTable:
         would give without that rule.
         """
         skip = None if aside is None else self._entries.get(aside)
+        value_at = values.__getitem__
         for _rank, exact_groups, wildcard in self._buckets:
             best_order = None
             best_entry = None
             for signature, group in exact_groups.items():
-                key = tuple((values[i] or 0) for i in signature)
+                key = tuple(map(value_at, signature))
+                if None in key:
+                    key = tuple([value or 0 for value in key])
                 hit = group.get(key)
                 if (hit is not None and hit[1] is not skip
                         and (best_order is None or hit[0] < best_order)):

@@ -90,14 +90,15 @@ class Match:
     full-width mask.
     """
 
-    __slots__ = ("_fields", "_compiled", "_memo")
+    __slots__ = ("_fields", "_compiled", "_memo", "_hash")
 
     def __init__(self, **kwargs) -> None:
-        # Both caches fill on first use, never here: ``intersection`` and
+        # The caches fill on first use, never here: ``intersection`` and
         # ``extended`` build a blank ``Match()`` and assign ``_fields`` later,
         # so anything derived in ``__init__`` would describe the empty match.
         self._compiled: Optional[Callable[[List[Optional[int]]], bool]] = None
         self._memo: Optional[tuple] = None
+        self._hash: Optional[int] = None
         fields: Dict[HeaderField, Tuple[int, int]] = {}
         for name, raw in kwargs.items():
             if raw is None:
@@ -168,13 +169,15 @@ class Match:
             matcher = self.compiled()
         return matcher(packet._values)
 
-    def _memoised(self) -> Tuple[Tuple[Tuple[int, int, int], ...], bool]:
-        """Fill ``_memo`` with ``(compiled constraints, is_exact)``: a match is
-        immutable once ``_fields`` is in place, so it never goes stale."""
+    def _memoised(self) -> tuple:
+        """Fill ``_memo`` with ``(compiled constraints, is_exact, exact
+        slot)``: a match is immutable once ``_fields`` is in place, so it
+        never goes stale."""
         constraints = tuple(sorted((FIELD_INDEX[field], value, mask)
                                    for field, (value, mask) in self._fields.items()))
         is_exact = all(mask == FIELD_MAX_BY_INDEX[index] for index, _, mask in constraints)
-        self._memo = (constraints, is_exact)
+        slot = tuple(zip(*constraints))[:2] if constraints and is_exact else None
+        self._memo = (constraints, is_exact, slot)
         return self._memo
 
     def compiled_constraints(self) -> Tuple[Tuple[int, int, int], ...]:
@@ -193,6 +196,13 @@ class Match:
         path (no prefix/masked fields).
         """
         return (self._memo or self._memoised())[1]
+
+    @property
+    def exact_slot(self) -> Optional[Tuple[tuple, tuple]]:
+        """``(field indices, field values)``, a flow table's hash key for a
+        fully specified match; ``None`` (masked fields, or no constraint)
+        sends the rule to the table's wildcard list."""
+        return (self._memo or self._memoised())[2]
 
     def compiled(self) -> Callable[[List[Optional[int]]], bool]:
         """A compiled classifier closure over the packet header value array.
@@ -283,7 +293,10 @@ class Match:
         return isinstance(other, Match) and self._fields == other._fields
 
     def __hash__(self) -> int:
-        return hash((self._memo or self._memoised())[0])
+        value = self._hash
+        if value is None:
+            value = self._hash = hash((self._memo or self._memoised())[0])
+        return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         if not self._fields:

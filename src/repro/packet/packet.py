@@ -259,20 +259,14 @@ def make_ip_packet(
 def make_probe_packet(
     headers: Dict[HeaderField, int],
     *,
-    created_at: float = 0.0,
     probe_id: Optional[str] = None,
 ) -> Packet:
     """Build a RUM data-plane probe packet.
 
     Probes are small, carry no application payload, and are flagged so the
-    delivery monitor does not count them as flow traffic.  A technique that
-    injects the same probe again and again validates it here once and sends
-    ``template.copy()`` with a fresh ``created_at`` each time.
+    delivery monitor does not count them as flow traffic (nor read their
+    ``created_at``, which stays 0).  A technique that injects the same probe
+    again and again validates it here once and hands this very packet to
+    every PacketOut: the switch executing one copies it (the only copy).
     """
-    return Packet(
-        headers,
-        payload_size=0,
-        flow_id=probe_id,
-        created_at=created_at,
-        is_probe=True,
-    )
+    return Packet(headers, payload_size=0, flow_id=probe_id, is_probe=True)

@@ -172,9 +172,6 @@ class ControlPlane:
         self.control_apply_log: Dict[int, float] = {}
         #: ``(time, barrier xid)`` for every barrier reply sent.
         self.barrier_reply_log: List[Tuple[float, int]] = []
-        self.flowmods_processed = 0
-        self.packet_outs_processed = 0
-        self.packet_ins_sent = 0
         #: FlowMod xids applied since the last (re)boot: controller-side
         #: retransmissions of an un-acked FlowMod are idempotent within one
         #: boot, but a retransmit arriving after a crash-wipe must apply —
@@ -182,7 +179,6 @@ class ControlPlane:
         #: (*not* :attr:`control_apply_log`, which deliberately survives
         #: crashes for measurement).
         self._applied_xids: set = set()
-        self.duplicate_flowmods = 0
 
         self._started = False
         #: Set while the switch is crashed (lifecycle faults): inbound
@@ -312,7 +308,6 @@ class ControlPlane:
         if xid in self._applied_xids:
             # A controller-side retransmission of a FlowMod this boot already
             # applied: drop it (same-xid delivery is exactly-once per boot).
-            self.duplicate_flowmods += 1
             return
         try:
             self.table.apply_flowmod(flowmod, now=now)
@@ -322,7 +317,6 @@ class ControlPlane:
                                     xid=xid))
             return
         self._applied_xids.add(xid)
-        self.flowmods_processed += 1
         self.control_apply_log[xid] = now
         tr = self.sim.tracer
         if tr is not None:
@@ -384,9 +378,8 @@ class ControlPlane:
     # -- PacketOut / PacketIn -------------------------------------------------------------
     def _finish_packet_out(self, message: PacketOut, epoch: int) -> None:
         if not self.crashed and self.crash_epoch == epoch:
-            self.packet_outs_processed += 1
             # Enforce the hardware PacketOut rate cap on the egress side.
-            now = self.sim.now
+            now = self.sim._now
             emit_at = max(now, self._next_packet_out_time)
             self._next_packet_out_time = emit_at + 1.0 / self.profile.packet_out_rate
             self.sim.schedule_callback(
@@ -405,7 +398,6 @@ class ControlPlane:
         emit_at = max(now, self._next_packet_in_time)
         self._next_packet_in_time = emit_at + 1.0 / self.profile.packet_in_rate
         self._stolen_time += self.profile.packet_in_processing_time
-        self.packet_ins_sent += 1
         self.sim.schedule_callback(emit_at - now, lambda: self._send(packet_in_factory()))
 
     # -- statistics ---------------------------------------------------------------------------

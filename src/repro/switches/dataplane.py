@@ -8,16 +8,19 @@ as two distinct objects makes that divergence explicit and measurable
 
 A lookup cache keyed by the packet's full header tuple keeps per-packet cost
 low for the high-rate traffic used in the end-to-end experiments.  It holds
-*forwarding plans* — the table's answer compiled once per miss by
+*forwarding plans* — the matched entry's actions compiled by
 :func:`~repro.openflow.actions.compile_actions` — so a hit only applies one.
-``FlowTable`` MODIFY rebinds ``entry.actions``: a plan must never outlive a
-data-plane mutation, so the cache is cleared whenever a rule is applied.
+Any rule applied can change which entry a header tuple matches, so the cache
+is cleared whenever one is; a plan is kept on its entry instead
+(``FlowEntry.plan``), compiled once per entry and ``actions`` binding
+(``FlowTable`` MODIFY rebinds them and drops it), so a miss after a clear is
+a table lookup, not a recompile.
 
 Packet ownership: a packet handed to a port's transmit is owned by the link;
 the sender must not touch it again, so the packet a switch receives is held
 by nobody else and travels on as the same object.  The data plane copies
-only to rewrite; :class:`~repro.switches.base.Switch` copies per flooded port
-and for PacketIn capture (not per port of a multi-output rule, whose links
+only to rewrite; :class:`~repro.switches.base.Switch` copies per flooded port,
+per PacketOut and for PacketIn capture (not per port of a multi-output rule, whose links
 share one object and its hop trace, as ever — nothing in ``src/`` installs one).
 """
 
@@ -93,15 +96,19 @@ class DataPlane:
 
     # -- packet processing --------------------------------------------------------
     def _compile_plan(self, key: Tuple) -> tuple:
-        """A cache miss: look ``key`` up and compile the table's answer into
-        ``(entry, rewrites, physical output ports, to_controller)``."""
+        """A cache miss: look ``key`` up and return the table's answer as
+        ``(entry, rewrites, physical output ports, to_controller)``, compiling
+        the entry's plan if it has none yet."""
         entry = self.table.lookup_values(key)
         if entry is None:
             return (None, (), (), False)
-        rewrites, ports = compile_actions(entry.actions)
-        return (entry, rewrites,
-                tuple(port for port in ports if port != CONTROLLER_PORT),
-                CONTROLLER_PORT in ports)
+        plan = entry.plan
+        if plan is None:
+            rewrites, ports = compile_actions(entry.actions)
+            plan = entry.plan = (rewrites,
+                                 tuple(port for port in ports if port != CONTROLLER_PORT),
+                                 CONTROLLER_PORT in ports)
+        return (entry, *plan)
 
     def process_packet(self, packet: Packet, in_port: int) -> ForwardingResult:
         """Classify ``packet`` and compute its forwarding result.

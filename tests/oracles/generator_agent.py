@@ -19,8 +19,10 @@ Two deliberate differences from that commit:
   callbacks only and ``Simulator.process`` is gone; ``spawn`` makes the heap
   entries the process did, so the event stream is the one it produced.
 
-``start`` lost its ``PERIODIC_BATCH`` branch with that sync model.  Nothing
-else was edited.
+``start`` lost its ``PERIODIC_BATCH`` branch with that sync model, and the
+four write-only counters (FlowMods processed and duplicated, PacketOuts
+processed, PacketIns sent) went when the agent dropped them.  Nothing else
+was edited.
 """
 
 from collections import deque
@@ -229,7 +231,6 @@ class GeneratorControlPlane(ControlPlane):
         if flowmod.xid in self._applied_xids:
             # A controller-side retransmission of a FlowMod this boot already
             # applied: drop it (same-xid delivery is exactly-once per boot).
-            self.duplicate_flowmods += 1
             return
         try:
             self.table.apply_flowmod(flowmod, now=self.sim.now)
@@ -239,7 +240,6 @@ class GeneratorControlPlane(ControlPlane):
                                     xid=flowmod.xid))
             return
         self._applied_xids.add(flowmod.xid)
-        self.flowmods_processed += 1
         self.control_apply_log[flowmod.xid] = self.sim.now
         tr = self.sim.tracer
         if tr is not None:
@@ -291,7 +291,6 @@ class GeneratorControlPlane(ControlPlane):
         yield self.profile.packet_out_processing_time
         if self.crashed or self.crash_epoch != epoch:
             return
-        self.packet_outs_processed += 1
         # Enforce the hardware PacketOut rate cap on the egress side.
         spacing = 1.0 / self.profile.packet_out_rate
         emit_at = max(self.sim.now, self._next_packet_out_time)
@@ -311,7 +310,6 @@ class GeneratorControlPlane(ControlPlane):
         emit_at = max(self.sim.now, self._next_packet_in_time)
         self._next_packet_in_time = emit_at + spacing
         self._stolen_time += self.profile.packet_in_processing_time
-        self.packet_ins_sent += 1
         self.sim.schedule_callback(emit_at - self.sim.now, lambda: self._send(packet_in_factory()))
 
     # -- statistics ---------------------------------------------------------------------------

@@ -421,7 +421,7 @@ class TestSwitchCrash:
         sim.schedule_at(0.0120, switch.restore)
         sim.run(until=1.0)
         assert not switch.crashed
-        assert switch.controlplane.flowmods_processed == 0
+        assert switch.controlplane.control_apply_log == {}
         assert switch.rules_in_controlplane() == switch.rules_in_dataplane() == 0
 
 

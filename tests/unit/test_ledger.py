@@ -61,9 +61,9 @@ def test_the_ledger_agrees_with_the_trace(scenario, technique, seed, fault):
         assert row.acked_at == first.get((PHASE_ACK_RECEIVED, *key))
 
 
-def test_rows_are_plan_operations_not_the_ack_log(monkeypatch):
-    # Recovery replays a crashed switch's rules through the controller: its
-    # ack log holds them twice, the plan (and the ledger) once.
+def test_rows_are_plan_operations_not_confirmed_flowmods(monkeypatch):
+    # Recovery replays a crashed switch's rules through the controller: RUM
+    # confirms them twice (once per FlowMod), the plan (and the ledger) once.
     stacks = []
     build = engine.build_control_stack
 
@@ -74,9 +74,9 @@ def test_rows_are_plan_operations_not_the_ack_log(monkeypatch):
     monkeypatch.setattr(engine, "build_control_stack", capture)
     record = _outage("rolling-upgrade", "barrier", 1, _ROLLING, flow_count=16,
                      trace=False)
-    ack_log = [key for key in stacks[0].controller.ack_log if key[0] == "A0-1"]
+    confirmed = [key for key in stacks[0].rum.confirmation_log if key[0] == "A0-1"]
     rows = [row for row in record.ledger if row.switch == "A0-1"]
-    assert (len(ack_log), len(rows)) == (32, 16)
+    assert (len(confirmed), len(rows)) == (32, 16)
 
 
 def test_the_ledger_keeps_both_clocks():

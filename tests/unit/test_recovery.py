@@ -276,7 +276,9 @@ class TestRetransmission:
         controller.retransmit(ack)  # same xid, switch alive: a duplicate
         sim.run(until=1.0)
         switch = network.switch("S1")
-        assert switch.controlplane.duplicate_flowmods == 1
+        # Applied once: a second apply would replace the rule in place, so
+        # occupancy alone could not tell; the data plane's log can.
+        assert [xid for _time, xid in switch.dataplane.apply_log] == [flowmod.xid]
         assert switch.dataplane.table.occupancy() == 1
         assert ack.acked  # the retransmit's barrier resolved it
 

@@ -122,7 +122,9 @@ def test_rum_confirmation_messages_reach_controller_as_acks():
     ack = controller.send_flowmod("S2", _rule(0, port))
     sim.run(until=3.0)
     assert ack.acked
-    assert controller.ack_time("S2", ack.xid) is not None
+    # RUM's confirmation crossed the channel: the ack is its arrival.
+    _forwarded, confirmed_at, how = rum.confirmation_log[("S2", ack.xid)]
+    assert how == "probe" and confirmed_at < ack.acked_at
 
 
 def test_rum_consumes_probe_packetins_and_own_barriers():
@@ -249,7 +251,17 @@ def test_barrier_layer_without_pending_rules_replies_promptly():
     assert event.triggered
 
 
-def test_barrier_layer_buffers_commands_after_unconfirmed_barrier():
+def test_barrier_layer_buffers_commands_after_unconfirmed_barrier(monkeypatch):
+    # Counted at the call boundary: what a controller message left in the buffer.
+    buffered = []
+    handle = ReliableBarrierLayer.handle_from_controller
+
+    def counted(layer, switch_name, message):
+        handle(layer, switch_name, message)
+        if message in layer._buffered[switch_name]:
+            buffered.append(message)
+
+    monkeypatch.setattr(ReliableBarrierLayer, "handle_from_controller", counted)
     sim, network, rum, barrier_layer, controller = _build_with_barrier_layer(
         technique="general", buffer_after_barrier=True
     )
@@ -257,10 +269,11 @@ def test_barrier_layer_buffers_commands_after_unconfirmed_barrier():
     controller.send_flowmod("S2", _rule(0, port))
     controller.send_barrier("S2")
     # These are sent while the barrier is still unresolved and must be buffered.
-    controller.send_flowmod("S2", _rule(1, port))
-    controller.send_flowmod("S2", _rule(2, port))
+    later = [_rule(1, port), _rule(2, port)]
+    for flowmod in later:
+        controller.send_flowmod("S2", flowmod)
     sim.run(until=0.05)
-    assert barrier_layer.messages_buffered >= 2
+    assert buffered == later
     sim.run(until=10.0)
     # Eventually everything is installed despite the buffering.
     assert network.switch("S2").rules_in_dataplane() >= 3
