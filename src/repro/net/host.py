@@ -34,8 +34,6 @@ class Host:
         self.mac = mac
         self.monitor = monitor
         self._link: Optional[Link] = None
-        self.packets_sent = 0
-        self.packets_received = 0
 
     # -- wiring ---------------------------------------------------------------
     def attach_link(self, link: Link) -> None:
@@ -47,7 +45,6 @@ class Host:
     # -- traffic -----------------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Transmit ``packet`` on the uplink and record it with the monitor."""
-        self.packets_sent += 1
         packet.trace.append(self.name)
         if self.monitor is not None and packet.flow_id is not None and not packet.is_probe:
             self.monitor.record_sent(packet.flow_id)
@@ -55,7 +52,6 @@ class Host:
 
     def receive_packet(self, packet: Packet, in_port: int, arrived_at: float) -> None:
         """Handle a packet that just left the wire: record the delivery and its path."""
-        self.packets_received += 1
         trace = packet.trace
         trace.append(self.name)
         monitor = self.monitor

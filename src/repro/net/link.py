@@ -176,12 +176,10 @@ class Link:
             while train:
                 due, sequence, arrived_at, packet = train[0]
                 if due > sim._now:
-                    until = sim._until
                     # ``<=``: on an exact-timestamp tie with another event
                     # the flush defers to the kernel, which runs the other
                     # event first (see the module docstring).
-                    if (heap and heap[0][0] <= due) or (
-                            until is not None and due > until):
+                    if (heap and heap[0][0] <= due) or due > sim._until:
                         break  # another event (or the run bound) comes first
                     sim._now = due
                 train.popleft()

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from repro.net.host import Host
 from repro.packet.fields import IP_PROTO_UDP
-from repro.packet.packet import Packet, make_ip_packet
+from repro.packet.packet import HeaderValues, Packet, make_ip_packet
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRandom
 
@@ -90,11 +90,13 @@ class TrafficGenerator:
     """Sends a set of constant-rate flows, one callback chain per flow.
 
     There is no process: :meth:`start` schedules a zero-delay ``_begin`` per
-    flow, which stamps the flow's header template and waits out its start
+    flow, which builds the flow's header tuple once and waits out its start
     offset; ``_emit`` sends one packet and pushes its own next heap entry one
     ``interval`` later — one entry per generated packet, carrying the flow's
-    state (headers, next sequence number) and going straight to
-    :meth:`Host.send <repro.net.host.Host.send>`.
+    state (header tuple, next sequence number) and going straight to
+    :meth:`Host.send <repro.net.host.Host.send>`.  Every packet of a flow
+    carries that same immutable tuple, so a switch's plan cache finds it by
+    identity and no hop builds a key.
     """
 
     def __init__(
@@ -120,7 +122,8 @@ class TrafficGenerator:
 
     def _begin(self, flow: FlowSpec, offset: float) -> None:
         # All packets of a flow share the same headers: build them once and
-        # stamp copies per packet instead of re-parsing addresses every 4 ms.
+        # hand the one tuple to every packet instead of re-parsing addresses
+        # every 4 ms.
         template = make_ip_packet(
             flow.ip_src,
             flow.ip_dst,
@@ -136,18 +139,13 @@ class TrafficGenerator:
             max(0.0, flow.start_time + offset), self._emit, flow,
             template.header_values(), template.payload_size, flow.interval, 0)
 
-    def _emit(self, flow: FlowSpec, header_values: list, payload_size: int,
+    def _emit(self, flow: FlowSpec, header_values: HeaderValues, payload_size: int,
               interval: float, sequence: int) -> None:
         sim = self.sim
         if flow.stop_time is not None and sim._now >= flow.stop_time:
             return
         flow.source.send(Packet.from_values(
-            header_values.copy(),
-            payload_size=payload_size,
-            flow_id=flow.flow_id,
-            created_at=sim._now,
-            sequence=sequence,
-        ))
+            header_values, payload_size, flow.flow_id, sim._now, sequence))
         # The next emission, pushed as ``schedule_callback`` would push it
         # (``interval`` is positive: see ``FlowSpec.interval``).
         order = sim._sequence

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 from repro.openflow.constants import CONTROLLER_PORT, DROP_PORT
 from repro.packet.fields import FIELD_INDEX, FIELD_REGISTRY, HeaderField
-from repro.packet.packet import Packet
+from repro.packet.packet import HeaderValues, Packet
 
 
 class Action:
@@ -114,7 +114,7 @@ class SetFieldAction(Action):
 def compile_actions(actions: Sequence[Action]) -> Tuple[tuple, Tuple[int, ...]]:
     """Interpret an action list once: ``(rewrites, ports)``, both immutable.
 
-    ``rewrites`` are ``(value-array index, value)`` stores (a
+    ``rewrites`` are ``(header-tuple index, value)`` stores (a
     :class:`SetFieldAction` validates its value when built); ``ports`` are
     the outputs in list order and may contain :data:`CONTROLLER_PORT`.  Every
     rewrite applies to the one forwarded packet before anything is sent, so
@@ -136,13 +136,20 @@ def compile_actions(actions: Sequence[Action]) -> Tuple[tuple, Tuple[int, ...]]:
     return tuple(rewrites), tuple(ports)
 
 
-def apply_actions(packet: Packet, actions: Sequence[Action]) -> List[int]:
-    """Rewrite ``packet`` in place and return its output ports (see
-    :func:`compile_actions`); an empty list means the packet is dropped."""
-    rewrites, ports = compile_actions(actions)
-    values = packet._values
+def rewritten(values: HeaderValues, rewrites: tuple) -> HeaderValues:
+    """The header tuple ``values`` with compiled ``rewrites`` stored in."""
+    values = list(values)
     for index, value in rewrites:
         values[index] = value
+    return tuple(values)
+
+
+def apply_actions(packet: Packet, actions: Sequence[Action]) -> List[int]:
+    """Give ``packet`` its rewritten header tuple and return its output ports
+    (see :func:`compile_actions`); an empty list means the packet is dropped."""
+    rewrites, ports = compile_actions(actions)
+    if rewrites:
+        packet._values = rewritten(packet._values, rewrites)
     return list(ports)
 
 

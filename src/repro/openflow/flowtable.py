@@ -292,7 +292,7 @@ class FlowTable:
     def lookup_values(
         self, values, aside: Optional[Tuple[int, Match]] = None
     ) -> Optional[FlowEntry]:
-        """Classify a fixed-order header value array (the hot path).
+        """Classify fixed-order header values (the hot path).
 
         ``values`` follows :data:`~repro.packet.fields.FIELD_ORDER` with
         ``None`` for absent fields (read as zero), exactly like

@@ -31,7 +31,7 @@ def _compile_matcher(
 ) -> Callable[[List[Optional[int]]], bool]:
     """Build a classifier closure for ``(field_index, value, mask)`` tuples.
 
-    Operates on a packet's fixed-order header value array where ``None``
+    Operates on a packet's fixed-order header values where ``None``
     means "field absent", which OpenFlow 1.0 treats as zero.  The one- and
     two-constraint shapes (the vast majority of installed rules) get
     specialised closures without loop overhead.
@@ -184,7 +184,7 @@ class Match:
         """The constraints as ``(field_index, value, mask)`` tuples.
 
         Field indices follow :data:`~repro.packet.fields.FIELD_ORDER`, i.e.
-        they index directly into a packet's header value array.
+        they index directly into a packet's header tuple.
         """
         return (self._memo or self._memoised())[0]
 
@@ -205,9 +205,9 @@ class Match:
         return (self._memo or self._memoised())[2]
 
     def compiled(self) -> Callable[[List[Optional[int]]], bool]:
-        """A compiled classifier closure over the packet header value array.
+        """A compiled classifier closure over the packet header values.
 
-        The closure takes a fixed-order value array (``packet._values``) and
+        The closure takes fixed-order header values (``packet._values``) and
         returns whether it satisfies every constraint.  Compiled once per
         match and cached; ``Match`` is immutable after construction so the
         cache never goes stale.

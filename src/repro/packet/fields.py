@@ -79,20 +79,20 @@ FIELD_REGISTRY: Dict[HeaderField, FieldSpec] = {
     ]
 }
 
-#: Canonical field order used by the packet header array: enum declaration
+#: Canonical field order used by the packet header tuple: enum declaration
 #: order.  :class:`~repro.packet.packet.Packet` stores header values in a
-#: fixed-size list indexed by this order instead of a dict — the data-plane
+#: fixed-size tuple indexed by this order instead of a dict — the data-plane
 #: fast path relies on these indices.
 FIELD_ORDER: List[HeaderField] = list(HeaderField)
 
-#: ``field -> array index``.  Because :class:`HeaderField` is a ``str`` enum,
+#: ``field -> tuple index``.  Because :class:`HeaderField` is a ``str`` enum,
 #: members and their value strings hash and compare equal, so this single
 #: mapping serves lookups by enum member *and* by plain string name.
 FIELD_INDEX: Dict[HeaderField, int] = {
     member: index for index, member in enumerate(FIELD_ORDER)
 }
 
-#: Number of header fields (the length of a packet's value array).
+#: Number of header fields (the length of a packet's header tuple).
 FIELD_COUNT = len(FIELD_ORDER)
 
 #: Per-index :class:`FieldSpec`, aligned with :data:`FIELD_ORDER`.

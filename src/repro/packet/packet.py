@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.packet.addresses import ip_to_int, mac_to_int
 from repro.packet.fields import (
@@ -19,17 +19,25 @@ from repro.packet.fields import (
 #: Ethernet + IPv4 + UDP header bytes every packet carries on the wire.
 _HEADER_BYTES = 42
 
+#: A packet's header values in :data:`~repro.packet.fields.FIELD_ORDER`,
+#: ``None`` where a field is absent.
+HeaderValues = Tuple[Optional[int], ...]
+
 
 class Packet:
     """A single data-plane packet.
 
-    Header values are stored as integers in a fixed-order array indexed by
-    :data:`~repro.packet.fields.FIELD_INDEX` (``None`` marks an absent
-    field).  Absent fields are treated as zero by the flow table (OpenFlow
-    1.0 semantics: a field always has *some* value; only matches can be
+    Header values are stored as integers in one immutable fixed-order tuple
+    indexed by :data:`~repro.packet.fields.FIELD_INDEX` (``None`` marks an
+    absent field).  The tuple is shared, not owned: a copy keeps it, every
+    packet a traffic source sends for one flow carries its template's, and
+    a rewrite (:meth:`set`, a rewriting rule) replaces it with a new one.
+    Absent fields are treated as zero by the flow table (OpenFlow 1.0
+    semantics: a field always has *some* value; only matches can be
     wildcarded).  The :attr:`headers` property presents the classic
     ``{HeaderField: value}`` dict view for construction, wire encoding and
-    debugging; the forwarding fast path reads the array directly.
+    debugging; the forwarding fast path reads the tuple directly, and the
+    data plane's plan cache is keyed by it.
 
     Parameters
     ----------
@@ -86,7 +94,7 @@ class Packet:
             if not (isinstance(value, int) and 0 <= value <= field_max[index]):
                 FIELD_REGISTRY[FIELD_ORDER[index]].validate(value)
             values[index] = value
-        self._values = values
+        self._values = tuple(values)
         self.payload_size = int(payload_size)
         self.total_size = _HEADER_BYTES + self.payload_size
         self.flow_id = flow_id
@@ -119,16 +127,18 @@ class Packet:
         return default if value is None else value
 
     def set(self, field: HeaderField | str, value: int) -> None:
-        """Set (rewrite) a header field in place."""
+        """Rewrite a header field: this packet gets a new header tuple (any
+        other packet sharing the old one keeps it)."""
         index = FIELD_INDEX.get(field)
         if index is None:
             index = FIELD_INDEX[HeaderField(field)]
         if not (isinstance(value, int) and 0 <= value <= FIELD_MAX_BY_INDEX[index]):
             FIELD_REGISTRY[FIELD_ORDER[index]].validate(value)
-        self._values[index] = value
+        values = self._values
+        self._values = values[:index] + (value,) + values[index + 1:]
 
-    def header_values(self) -> List[Optional[int]]:
-        """The internal fixed-order value array (treat as read-only)."""
+    def header_values(self) -> HeaderValues:
+        """The fixed-order header tuple (shared, immutable)."""
         return self._values
 
     def copy(self) -> "Packet":
@@ -137,11 +147,11 @@ class Packet:
         Switches copy packets before applying rewrite actions; the hop trace
         (a list of node names, cloned) is carried over because the copy
         logically *is* the same packet continuing through the network.
-        Header values were validated when first set, so the copy clones the
-        array without re-validating.
+        The header tuple is immutable, so the copy shares it (a rewrite gives
+        the copy a new one).
         """
         clone = Packet.__new__(Packet)
-        clone._values = self._values.copy()
+        clone._values = self._values
         clone.payload_size = self.payload_size
         clone.total_size = self.total_size
         clone.flow_id = self.flow_id
@@ -154,18 +164,18 @@ class Packet:
     @classmethod
     def from_values(
         cls,
-        values: List[Optional[int]],
+        values: HeaderValues,
         payload_size: int = 100,
         flow_id: Optional[str] = None,
         created_at: float = 0.0,
         sequence: int = 0,
         is_probe: bool = False,
     ) -> "Packet":
-        """Build a packet from a pre-validated fixed-order value array.
+        """Build a packet from a pre-validated fixed-order header tuple.
 
         Fast path for the traffic generators; ``values`` must follow
-        :data:`~repro.packet.fields.FIELD_ORDER` and is owned by the packet
-        after the call.
+        :data:`~repro.packet.fields.FIELD_ORDER` and is shared, immutable:
+        every packet of a flow may carry the same tuple.
         """
         packet = cls.__new__(cls)
         packet._values = values
@@ -189,26 +199,6 @@ class Packet:
         return f"<{kind} flow={self.flow_id} {fields}>"
 
 
-#: Field indices used by :func:`make_ip_packet` (module-level constants keep
-#: the per-packet cost to plain list stores).
-_IDX_ETH_SRC = FIELD_INDEX[HeaderField.ETH_SRC]
-_IDX_ETH_DST = FIELD_INDEX[HeaderField.ETH_DST]
-_IDX_ETH_TYPE = FIELD_INDEX[HeaderField.ETH_TYPE]
-_IDX_VLAN_ID = FIELD_INDEX[HeaderField.VLAN_ID]
-_IDX_VLAN_PCP = FIELD_INDEX[HeaderField.VLAN_PCP]
-_IDX_IP_SRC = FIELD_INDEX[HeaderField.IP_SRC]
-_IDX_IP_DST = FIELD_INDEX[HeaderField.IP_DST]
-_IDX_IP_PROTO = FIELD_INDEX[HeaderField.IP_PROTO]
-_IDX_IP_TOS = FIELD_INDEX[HeaderField.IP_TOS]
-_IDX_TP_SRC = FIELD_INDEX[HeaderField.TP_SRC]
-_IDX_TP_DST = FIELD_INDEX[HeaderField.TP_DST]
-
-_MAX_VLAN_ID = FIELD_MAX_BY_INDEX[_IDX_VLAN_ID]
-_MAX_IP_PROTO = FIELD_MAX_BY_INDEX[_IDX_IP_PROTO]
-_MAX_IP_TOS = FIELD_MAX_BY_INDEX[_IDX_IP_TOS]
-_MAX_TP = FIELD_MAX_BY_INDEX[_IDX_TP_SRC]
-
-
 def make_ip_packet(
     ip_src: str | int,
     ip_dst: str | int,
@@ -225,35 +215,21 @@ def make_ip_packet(
     created_at: float = 0.0,
     sequence: int = 0,
 ) -> Packet:
-    """Build a normal IPv4 data packet (used by the traffic generators)."""
-    for value, limit, label in (
-        (vlan_id, _MAX_VLAN_ID, "vlan_id"),
-        (ip_proto, _MAX_IP_PROTO, "ip_proto"),
-        (ip_tos, _MAX_IP_TOS, "ip_tos"),
-        (tp_src, _MAX_TP, "tp_src"),
-        (tp_dst, _MAX_TP, "tp_dst"),
-    ):
-        if not (isinstance(value, int) and 0 <= value <= limit):
-            raise ValueError(f"{label} value {value!r} out of range 0..{limit}")
-    values: List[Optional[int]] = [None] * FIELD_COUNT
-    values[_IDX_ETH_SRC] = mac_to_int(eth_src)
-    values[_IDX_ETH_DST] = mac_to_int(eth_dst)
-    values[_IDX_ETH_TYPE] = ETH_TYPE_IP
-    values[_IDX_VLAN_ID] = vlan_id
-    values[_IDX_VLAN_PCP] = 0
-    values[_IDX_IP_SRC] = ip_to_int(ip_src)
-    values[_IDX_IP_DST] = ip_to_int(ip_dst)
-    values[_IDX_IP_PROTO] = ip_proto
-    values[_IDX_IP_TOS] = ip_tos
-    values[_IDX_TP_SRC] = tp_src
-    values[_IDX_TP_DST] = tp_dst
-    return Packet.from_values(
-        values,
-        payload_size=int(payload_size),
-        flow_id=flow_id,
-        created_at=created_at,
-        sequence=sequence,
-    )
+    """Build a normal IPv4 data packet (a traffic source builds one per flow
+    and sends its header tuple with every packet)."""
+    return Packet({
+        HeaderField.ETH_SRC: mac_to_int(eth_src),
+        HeaderField.ETH_DST: mac_to_int(eth_dst),
+        HeaderField.ETH_TYPE: ETH_TYPE_IP,
+        HeaderField.VLAN_ID: vlan_id,
+        HeaderField.VLAN_PCP: 0,
+        HeaderField.IP_SRC: ip_to_int(ip_src),
+        HeaderField.IP_DST: ip_to_int(ip_dst),
+        HeaderField.IP_PROTO: ip_proto,
+        HeaderField.IP_TOS: ip_tos,
+        HeaderField.TP_SRC: tp_src,
+        HeaderField.TP_DST: tp_dst,
+    }, payload_size, flow_id, created_at, sequence)
 
 
 def make_probe_packet(

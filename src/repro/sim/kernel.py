@@ -34,12 +34,17 @@ The execution loop is the hottest code in the repository: an end-to-end
 experiment dispatches millions of tiny callbacks.  :meth:`Simulator.run`
 therefore inlines the stepping loop with locally-bound heap operations
 instead of calling :meth:`Simulator.step` per event, so steady-state stepping
-allocates the heap tuple and nothing else.
+allocates the heap tuple and nothing else.  It pops first: each popped entry
+is compared with a stop time and a step limit fixed on entry (``inf`` and
+no limit when unset), and the one entry beyond a bound goes back on the
+heap, so a step never peeks at ``heap[0]``.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event
@@ -77,10 +82,10 @@ class Simulator:
         self._now = float(start_time)
         self._heap: List[Tuple[float, int, Callable, tuple]] = []
         self._sequence = 0
-        #: The ``until`` bound of the active :meth:`run` call (``None`` when
+        #: The ``until`` bound of the active :meth:`run` call (``inf`` when
         #: unbounded or idle).  A link packet train advances ``_now`` itself
         #: between heap events, and consults this so as never to pass it.
-        self._until: Optional[float] = None
+        self._until = inf
         #: Total callbacks executed over the simulator's lifetime; benchmark
         #: instrumentation (events/second).
         self.steps_executed = 0
@@ -189,30 +194,41 @@ class Simulator:
         Parameters
         ----------
         until:
-            Absolute simulated time at which to stop.  Events scheduled at
-            exactly ``until`` are still executed, and the clock always ends
-            at ``until`` — even when the heap drains earlier, so idle-tail
-            durations are reported correctly.
+            Absolute simulated time at which to stop, not before ``now`` and
+            not NaN (:class:`ValueError` otherwise, as for
+            :meth:`schedule_at`).  Events scheduled at exactly ``until`` are
+            still executed, and the clock always ends at ``until`` — even
+            when the heap drains earlier, so idle-tail durations are
+            reported correctly.
         max_steps:
-            Safety valve for tests; raises :class:`RuntimeError` when exceeded.
+            Safety valve for tests, at least 0 (:class:`ValueError`
+            otherwise); raises :class:`RuntimeError` when one more callback
+            than that is due.
         """
+        if until is not None and not until >= self._now:  # a NaN bound fails this too
+            raise ValueError(f"cannot run until the past or NaN "
+                             f"(until={until}, now={self._now})")
+        if max_steps is not None and not max_steps >= 0:
+            raise ValueError(f"max_steps must be >= 0 (max_steps={max_steps})")
         heap = self._heap
         pop = heapq.heappop
         observer = self.observer
-        self._until = until
+        stop = self._until = inf if until is None else until
+        limit = sys.maxsize if max_steps is None else max_steps
         steps = 0
         try:
             try:
                 while heap:
-                    time = heap[0][0]
-                    if until is not None and time > until:
-                        self._now = until
-                        return
-                    if max_steps is not None and steps >= max_steps:
+                    time, sequence, callback, args = pop(heap)
+                    if time > stop or steps >= limit:
+                        # The one entry beyond a bound goes back as it was.
+                        heapq.heappush(heap, (time, sequence, callback, args))
+                        if time > stop:
+                            self._now = stop
+                            return
                         raise RuntimeError(
                             f"simulation exceeded max_steps={max_steps}"
                         )
-                    time, _seq, callback, args = pop(heap)
                     if time > self._now:
                         self._now = time
                     elif time < self._now - 1e-12:
@@ -230,7 +246,7 @@ class Simulator:
                 pass
         finally:
             self.steps_executed += steps
-            self._until = None
+            self._until = inf
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled callback, or ``None`` if the heap is empty."""

@@ -6,15 +6,20 @@ that these two tables can disagree for hundreds of milliseconds; keeping them
 as two distinct objects makes that divergence explicit and measurable
 (:meth:`DataPlane.divergence_from`).
 
-A lookup cache keyed by the packet's full header tuple keeps per-packet cost
-low for the high-rate traffic used in the end-to-end experiments.  It holds
-*forwarding plans* — the matched entry's actions compiled by
-:func:`~repro.openflow.actions.compile_actions` — so a hit only applies one.
-Any rule applied can change which entry a header tuple matches, so the cache
-is cleared whenever one is; a plan is kept on its entry instead
-(``FlowEntry.plan``), compiled once per entry and ``actions`` binding
-(``FlowTable`` MODIFY rebinds them and drops it), so a miss after a clear is
-a table lookup, not a recompile.
+A lookup cache keeps per-packet cost low for the high-rate traffic used in
+the end-to-end experiments.  It is ``{in_port: {header tuple: plan}}``,
+keyed by the packet's own immutable header tuple, which every packet of a
+flow shares (:class:`~repro.net.traffic.TrafficGenerator`), so a hop builds
+no key: a hit hashes that tuple and finds it by identity.  Only a miss
+builds the lookup key (the header with ``in_port`` written in).  The cache
+holds *forwarding plans* — the matched entry's actions compiled by
+:func:`~repro.openflow.actions.compile_actions`, with a rewriting rule's
+output header tuple built once per cached header — so a hit only applies
+one.  Any rule applied can change which entry a header tuple matches, so
+the cache is cleared whenever one is; a compiled plan is kept on its entry
+instead (``FlowEntry.plan``), compiled once per entry and ``actions``
+binding (``FlowTable`` MODIFY rebinds them and drops it), so a miss after a
+clear is a table lookup, not a recompile.
 
 Packet ownership: a packet handed to a port's transmit is owned by the link;
 the sender must not touch it again, so the packet a switch receives is held
@@ -29,15 +34,15 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.events import PHASE_HW_ACTIVATED
-from repro.openflow.actions import compile_actions
+from repro.openflow.actions import compile_actions, rewritten
 from repro.openflow.constants import CONTROLLER_PORT
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.messages import FlowMod
 from repro.packet.fields import FIELD_INDEX, HeaderField
-from repro.packet.packet import Packet
+from repro.packet.packet import HeaderValues, Packet
 from repro.sim.kernel import Simulator
 
-#: Array index of ``in_port`` in a packet's header value array.
+#: Index of ``in_port`` in a packet's header tuple.
 _IN_PORT_INDEX = FIELD_INDEX[HeaderField.IN_PORT]
 
 
@@ -67,12 +72,11 @@ class DataPlane:
         self.name = name
         #: Owning switch, for trace events (the table is named ``<switch>.data``).
         self.switch_name = name[:-5] if name.endswith(".data") else name
-        self._lookup_cache: Dict[Tuple, tuple] = {}
+        self._lookup_cache: Dict[int, Dict[HeaderValues, tuple]] = {}
         #: (time, flowmod xid) history of when each rule became visible to
         #: packets — the measurement layer uses this as ground truth for
         #: "data plane activation".
         self.apply_log: List[Tuple[float, int]] = []
-        self.packets_dropped = 0
 
     # -- rule application -----------------------------------------------------
     def apply_flowmod(self, flowmod: FlowMod, now: float) -> List[FlowEntry]:
@@ -95,47 +99,47 @@ class DataPlane:
         self._lookup_cache.clear()
 
     # -- packet processing --------------------------------------------------------
-    def _compile_plan(self, key: Tuple) -> tuple:
-        """A cache miss: look ``key`` up and return the table's answer as
-        ``(entry, rewrites, physical output ports, to_controller)``, compiling
-        the entry's plan if it has none yet."""
+    def _compile_plan(self, values: HeaderValues, in_port: int) -> tuple:
+        """A cache miss: look ``values`` up as it arrived on ``in_port`` and
+        cache the table's answer as ``(entry, rewritten header tuple or
+        None, physical output ports, to_controller)``, compiling the entry's
+        plan if it has none yet."""
+        key = values[:_IN_PORT_INDEX] + (in_port,) + values[_IN_PORT_INDEX + 1:]
         entry = self.table.lookup_values(key)
         if entry is None:
-            return (None, (), (), False)
-        plan = entry.plan
-        if plan is None:
-            rewrites, ports = compile_actions(entry.actions)
-            plan = entry.plan = (rewrites,
-                                 tuple(port for port in ports if port != CONTROLLER_PORT),
-                                 CONTROLLER_PORT in ports)
-        return (entry, *plan)
+            plan = (None, None, (), False)
+        else:
+            compiled = entry.plan
+            if compiled is None:
+                rewrites, ports = compile_actions(entry.actions)
+                compiled = entry.plan = (
+                    rewrites, tuple(port for port in ports if port != CONTROLLER_PORT),
+                    CONTROLLER_PORT in ports)
+            rewrites, ports, to_controller = compiled
+            plan = (entry, rewritten(values, rewrites) if rewrites else None,
+                    ports, to_controller)
+        self._lookup_cache.setdefault(in_port, {})[values] = plan
+        return plan
 
     def process_packet(self, packet: Packet, in_port: int) -> ForwardingResult:
         """Classify ``packet`` and compute its forwarding result.
 
         The result carries ``packet`` itself unless the matched rule rewrites
-        headers; then the rewrites go to a copy and ``packet`` is untouched.
+        headers; then a copy carries the rewritten header tuple and
+        ``packet`` is untouched.
         """
-        # Cache key: the fixed-order value array with ``in_port`` (canonical as is).
-        key = packet._values.copy()
-        key[_IN_PORT_INDEX] = in_port
-        key = tuple(key)
-        plan = self._lookup_cache.get(key)
-        if plan is None:
-            plan = self._lookup_cache[key] = self._compile_plan(key)
-        entry, rewrites, ports, to_controller = plan
+        values = packet._values
+        try:
+            entry, out_values, ports, to_controller = self._lookup_cache[in_port][values]
+        except KeyError:
+            entry, out_values, ports, to_controller = self._compile_plan(values, in_port)
         if entry is None:
-            self.packets_dropped += 1
             return tuple.__new__(ForwardingResult, (packet, (), False, None))
         entry.packet_count += 1
         entry.byte_count += packet.total_size
-        if rewrites:
+        if out_values is not None:
             packet = packet.copy()
-            values = packet._values
-            for index, value in rewrites:
-                values[index] = value
-        if not ports and not to_controller:
-            self.packets_dropped += 1
+            packet._values = out_values
         return tuple.__new__(ForwardingResult, (packet, ports, to_controller, entry))
 
     # -- diagnostics -----------------------------------------------------------------

@@ -17,8 +17,9 @@ lists are the repository's own — they are not what is specified here):
 :class:`Recorder` taps what enters the data plane of every ``Network`` built
 while it is installed (host sends, PacketOut injections, data-plane rule
 changes, crash / restore / flap edges) and what comes out (deliveries,
-PacketIns, per-switch counters), so a test can run anything — a hypothesis
-script or a whole experiment — and ask the model for the same answers.
+PacketIns, drops at each data plane's ``process_packet``, per-switch
+counters), so a test can run anything — a hypothesis script or a whole
+experiment — and ask the model for the same answers.
 """
 
 from collections import Counter, defaultdict
@@ -39,7 +40,7 @@ _IN_PORT = FIELD_INDEX[HeaderField.IN_PORT]
 
 def _identity(packet):
     return (packet.flow_id, packet.sequence, packet.created_at, packet.is_probe,
-            tuple(packet._values))
+            packet._values)
 
 
 def replay(network, inputs):
@@ -91,7 +92,7 @@ def replay(network, inputs):
                 heappush(events, (now + ingress[node], next(order), "due", node, payload))
         elif kind == "due" and node not in crashed:
             packet, in_port = payload
-            values = packet._values.copy()
+            values = list(packet._values)
             values[_IN_PORT] = in_port
             entry = tables[node].lookup_values(values)
             ports = apply_actions(packet, entry.actions) if entry is not None else []
@@ -119,13 +120,12 @@ class Recording:
     def __init__(self, network):
         self.network = network
         self.inputs, self.deliveries, self.packet_ins = [], [], []
+        self.drops = Counter()
 
     def observed(self):
         """What :func:`replay` must reproduce (counters read as of now)."""
         switches = self.network.switches
-        return (sorted(self.deliveries), sorted(self.packet_ins),
-                {name: switch.dataplane.packets_dropped
-                 for name, switch in switches.items() if switch.dataplane.packets_dropped},
+        return (sorted(self.deliveries), sorted(self.packet_ins), dict(self.drops),
                 {name: switch.packets_received
                  for name, switch in switches.items() if switch.packets_received})
 
@@ -140,7 +140,7 @@ class Recorder:
         self.recordings = []
         by_sim, by_dataplane = {}, {}
 
-        def tap(owner, name, before=None, after=None):
+        def tap(owner, name, before=None, after=None, returned=None):
             original = getattr(owner, name)
 
             def tapped(self, *args, **kwargs):
@@ -149,6 +149,8 @@ class Recorder:
                 result = original(self, *args, **kwargs)
                 if after is not None:
                     after(self, *args, **kwargs)
+                if returned is not None:
+                    returned(self, result)
                 return result
 
             monkeypatch.setattr(owner, name, tapped)
@@ -170,6 +172,12 @@ class Recorder:
                 recording, name = by_dataplane[dataplane]
                 recording.inputs.append((recording.network.sim.now, "rule", name, flowmod))
 
+        def forwarded(dataplane, result):
+            # A drop: matched nothing, or a rule that sends the packet nowhere.
+            if dataplane in by_dataplane and not (result.output_ports or result.to_controller):
+                recording, name = by_dataplane[dataplane]
+                recording.drops[name] += 1
+
         def delivered(host, packet, *_args):
             by_sim[host.sim].deliveries.append(
                 (host.sim.now, host.name, _identity(packet), tuple(packet.trace)))
@@ -183,6 +191,7 @@ class Recorder:
         tap(Switch, "inject_packet", before=told(
             "inject", lambda packet, actions, in_port: (packet.copy(), actions, in_port)))
         tap(DataPlane, "apply_flowmod", after=rule_applied)
+        tap(DataPlane, "process_packet", returned=forwarded)
         tap(Switch, "crash", before=told("crash"))
         tap(Switch, "restore", before=told("restore"))
         tap(Switch, "flap_ports", before=told("flap", lambda down: down))

@@ -32,7 +32,8 @@ _REWRITABLE = sorted(
 
 
 def _oracle_apply_actions(packet, actions):
-    """The interpreter as it was before plans: mutates ``packet`` in place."""
+    """The interpreter as it was before plans, one ``Packet.set`` per
+    rewrite (each gives ``packet`` a new header tuple)."""
     outputs = []
     for action in actions:
         if isinstance(action, SetFieldAction):
@@ -76,7 +77,7 @@ def test_compiled_plan_agrees_with_the_interpreter(actions):
     rewrites = any(isinstance(action, SetFieldAction) for action in itertools.takewhile(
         lambda action: not isinstance(action, DropAction), actions))
 
-    # apply_actions: same ports in order, same rewritten headers, in place.
+    # apply_actions: same ports in order, same rewritten headers, on the packet.
     applied = _packet()
     assert apply_actions(applied, actions) == expected_ports
     assert applied.header_values() == expected_packet.header_values()
@@ -84,21 +85,23 @@ def test_compiled_plan_agrees_with_the_interpreter(actions):
     # The data plane applies the same plan through its cache.
     dataplane = DataPlane(Simulator())
     dataplane.apply_flowmod(FlowMod(Match(), actions, priority=1), now=0.0)
+    dropped = 0
     for _ in range(2):  # a miss (compiles the plan), then a hit (reuses it)
         packet = _packet()
-        before = list(packet.header_values())
+        before = packet.header_values()
         result = dataplane.process_packet(packet, in_port=4)
         assert list(result.output_ports) == [
             port for port in expected_ports if port != CONTROLLER_PORT]
         assert result.to_controller == (CONTROLLER_PORT in expected_ports)
         assert result.matched_entry is not None
         assert result.packet.header_values() == expected_packet.header_values()
-        # Copy-on-rewrite: the input is never mutated, and it travels on as
-        # the same object exactly when the plan rewrites nothing.
-        assert packet.header_values() == before
+        # Copy-on-rewrite: the input is never mutated (it keeps the very
+        # tuple it came with), and it travels on as the same object exactly
+        # when the plan rewrites nothing.
+        assert packet.header_values() is before
         assert (result.packet is packet) == (not rewrites)
-    dropped = 2 if not expected_ports else 0
-    assert dataplane.packets_dropped == dropped
+        dropped += not (result.output_ports or result.to_controller)
+    assert dropped == (2 if not expected_ports else 0)
 
 
 def test_plan_does_not_outlive_a_dataplane_mutation():

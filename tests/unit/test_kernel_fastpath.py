@@ -1,6 +1,7 @@
 """Regression tests for the fused kernel loop, and for the numeric sleeps of
 ``spawn``, the generator driver the agent oracle runs on."""
 
+import pytest
 from generator_agent import spawn
 
 from repro.sim import Simulator
@@ -34,7 +35,8 @@ def test_run_until_before_now_is_noop_for_clock():
     sim = Simulator()
     sim.schedule_callback(3.0, lambda: None)
     sim.run()
-    sim.run(until=1.0)  # already past; must not move time backwards
+    with pytest.raises(ValueError, match="until=1.0"):
+        sim.run(until=1.0)  # already past: refused, time does not move backwards
     assert sim.now == 3.0
 
 

@@ -110,6 +110,53 @@ def test_run_max_steps_guard():
         sim.run(max_steps=50)
 
 
+def test_run_refuses_a_nan_bound_and_runs_nothing():
+    sim = Simulator()
+    log = []
+    sim.schedule_callback(5.0, lambda: log.append(5))
+    with pytest.raises(ValueError, match="until=nan"):
+        sim.run(until=float("nan"))
+    assert (log, sim.now, sim.pending_count) == ([], 0.0, 1)
+
+
+def test_run_refuses_a_bound_in_the_past_and_keeps_the_clock():
+    sim = Simulator()
+    sim.schedule_callback(2.0, lambda: None)
+    sim.schedule_callback(5.0, lambda: None)
+    sim.run(until=2.0)
+    with pytest.raises(ValueError, match="until=0.5"):
+        sim.run(until=0.5)
+    assert (sim.now, sim.pending_count) == (2.0, 1)
+    sim.run(until=2.0)  # now itself is a bound: nothing more is due
+    assert (sim.now, sim.pending_count) == (2.0, 1)
+
+
+def test_run_refuses_a_negative_step_limit_before_running_anything():
+    sim = Simulator()
+    sim.schedule_callback(1.0, lambda: None)
+    with pytest.raises(ValueError, match="max_steps=-1"):
+        sim.run(max_steps=-1)
+    assert (sim.steps_executed, sim.pending_count) == (0, 1)
+    with pytest.raises(RuntimeError, match="exceeded max_steps=0"):
+        sim.run(max_steps=0)
+    assert sim.pending_count == 1  # the entry beyond the limit went back
+    sim.run(max_steps=1)
+    assert (sim.steps_executed, sim.now) == (1, 1.0)
+
+
+def test_an_entry_beyond_the_bound_goes_back_in_its_place():
+    sim = Simulator()
+    log = []
+    for label in "abcd":  # four ties: FIFO among them
+        sim.schedule_callback(3.0, log.append, label)
+    sim.schedule_callback(1.0, log.append, "first")
+    for bound in (0.5, 1.0, 2.0, 2.5):  # each run pops one tie and puts it back
+        sim.run(until=bound)
+    sim.run()
+    assert log == ["first", "a", "b", "c", "d"]
+    assert sim.steps_executed == 5
+
+
 def test_process_yielding_number_sleeps():
     sim = Simulator()
     log = []

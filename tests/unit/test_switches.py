@@ -279,12 +279,21 @@ def test_table_miss_drops_packet():
     outputs = []
     switch.attach_port(1, outputs.append)
     switch.start()
+    results, process = [], switch.dataplane.process_packet
+
+    def recorded(packet, in_port):
+        results.append(process(packet, in_port))
+        return results[-1]
+
+    switch.dataplane.process_packet = recorded
     # What a link does with a packet that leaves the wire now.
     sim.schedule_callback(switch.ingress_latency, switch.receive_packet,
                           make_ip_packet("10.0.0.1", "10.0.0.2"), 1, sim.now)
     sim.run(until=0.1)
     assert outputs == []
-    assert switch.dataplane.packets_dropped == 1
+    # The data plane saw it once and matched nothing: no port, no PacketIn.
+    ((_packet, ports, to_controller, entry),) = results
+    assert (ports, to_controller, entry) == ((), False, None)
 
 
 def test_install_rule_directly_updates_both_planes():

@@ -12,11 +12,13 @@ set-up has one: migration path search draws no path past the one it keeps.
 
 The kernel runs plain callbacks only: no generator function of the package
 is stepped inside ``Simulator.run``, whatever the technique.  The packet path
-has five more: dispatching a scheduled callback enters no frame but the
+has more: dispatching a scheduled callback enters no frame but the
 callback's, an idle probe tick and a plain-output switch hop enter a fixed
-number of Python frames, the hop is one kernel step, a generated packet is
-sent without stepping a process, and a delivered packet leaves nothing behind
-for the cyclic garbage collector.
+number of Python frames, the hop is one kernel step and (on CPython 3.11) a
+pinned number of bytecodes that build no lookup key, every packet of a flow
+carries the flow's one header tuple, a generated packet is sent without
+stepping a process, and a delivered packet leaves nothing behind for the
+cyclic garbage collector.
 
 So does the control path: a FlowMod reaches a switch's tables through a
 bounded number of frames, none of them event, process or generator plumbing;
@@ -117,10 +119,13 @@ def counts(monkeypatch):
 
     original_process = DataPlane.process_packet
 
+    def cached_plans(dataplane):
+        return sum(map(len, dataplane._lookup_cache.values()))
+
     def process_packet(self, packet, in_port):
-        cached = len(self._lookup_cache)
+        cached = cached_plans(self)
         result = original_process(self, packet, in_port)
-        counts["cache_misses" if len(self._lookup_cache) > cached else "cache_hits"] += 1
+        counts["cache_misses" if cached_plans(self) > cached else "cache_hits"] += 1
         if result.packet is not packet:
             counts["rewriting_hits"] += 1
         return result
@@ -388,42 +393,136 @@ def _line_with_traffic(switch_count, flow_count=1, rate_pps=100.0):
     return sim, network, generator
 
 
-def test_a_plain_output_hop_is_five_boundary_frames_and_one_kernel_step():
-    def work_and_deliveries(switch_count):
+def _delivered(monitor):
+    """Flow packets that reached their sink so far."""
+    return monitor.total_sent() - monitor.total_dropped()
+
+
+def _per_hop(measure):
+    """What ``measure(run)`` counts (a ``Counter``) over the steady state of
+    a 4-switch line less a 3-switch line, kernel steps included, each per
+    delivered packet: the cost of one plain-output switch hop."""
+    def work(switch_count):
         # 10 ms between packets, ~0.5 ms end to end: every packet travels
         # alone, so each link flush carries exactly one.
         sim, network, generator = _line_with_traffic(switch_count)
-        source, sink = network.host("H1"), network.host("H2")
+        monitor = network.monitor
         sim.run(until=0.1)  # control planes started, forwarding plans cached
-        while sink.packets_received != source.packets_sent:
+        while monitor.total_dropped():
             sim.step()
         generator.stop_all(0.9)  # ... and nothing is in flight at the end either
-        delivered, steps = sink.packets_received, sim.steps_executed
-        frames = _python_frames(lambda: sim.run(until=1.0))
-        assert sink.packets_received == source.packets_sent
-        return frames, sim.steps_executed - steps, sink.packets_received - delivered
+        delivered, steps = _delivered(monitor), sim.steps_executed
+        counted = measure(lambda: sim.run(until=1.0))
+        counted["steps"] = sim.steps_executed - steps
+        assert monitor.total_dropped() == 0
+        return counted, _delivered(monitor) - delivered
 
-    short, short_steps, delivered = work_and_deliveries(3)
-    longer, longer_steps, delivered_longer = work_and_deliveries(4)
+    short, delivered = work(3)
+    longer, delivered_longer = work(4)
     assert delivered == delivered_longer >= 79
+    return {name: (longer[name] - short[name]) / delivered for name in longer | short}
+
+
+def test_a_plain_output_hop_is_five_boundary_frames_and_one_kernel_step():
+    hop = _per_hop(lambda run: Counter(frames=_python_frames(run)))
     # _flush_train -> receive_packet -> _forward -> process_packet ->
     # transmit_from: layer boundaries only (no result constructor, counter
     # method, size property, closure or scheduling call: the link pushes its
     # own heap entry) ...
-    assert (longer - short) / delivered == 5
+    assert hop["frames"] == 5
     # ... under one heap entry: the link's, due when the switch's ingress
     # delay is over.  An arrival event that only waits is a second one.
-    assert (longer_steps - short_steps) / delivered == 1
+    assert hop["steps"] == 1
+
+
+def _bytecodes(function):
+    """Bytecodes ``function`` executes (``"opcodes"``), and the memory blocks
+    allocated while each function's own bytecode ran (``"blocks <name>"``:
+    ``sys.getallocatedblocks`` read between traced opcodes, a block counting
+    for the function whose event came last)."""
+    counts, last, owner = Counter(), [sys.getallocatedblocks()], [None]
+
+    def local(frame, event, _arg):
+        grown = sys.getallocatedblocks() - last[0]
+        if grown > 0:
+            counts[owner[0]] += grown
+        if event == "opcode":
+            counts["opcodes"] += 1
+        owner[0] = "blocks " + frame.f_code.co_name
+        del grown  # nothing of this callback outlives the next reading
+        last[0] = sys.getallocatedblocks()
+        return local
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local(frame, event, arg)
+
+    gc.disable()  # a collection would run whatever gc.callbacks hold
+    sys.settrace(call)
+    try:
+        function()
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return counts
+
+
+#: Bytecodes and allocations are the interpreter's own: pinned for the one
+#: that runs the reference benchmark.
+_CPYTHON_311 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="bytecode and allocation counts are pinned for CPython 3.11")
+
+
+@pytest.fixture(scope="module")
+def traced_hop():
+    return _per_hop(_bytecodes)
+
+
+@_CPYTHON_311
+def test_a_plain_output_hop_is_a_pinned_number_of_bytecodes(traced_hop):
+    # The five frames' bodies and one run-loop step (which pops first and
+    # peeks at no ``heap[0]``).  A per-hop key was 16 more, the peek 6.
+    assert (traced_hop["opcodes"], traced_hop["steps"]) == (302, 1)
+
+
+@_CPYTHON_311
+def test_a_steady_state_hop_builds_no_lookup_key(traced_hop):
+    # The plan cache is looked up with the packet's own header tuple, so
+    # process_packet allocates its ForwardingResult and the byte counter's
+    # next int, nothing else.  Copying the header list for a key was a third
+    # block (its tuple came from the interpreter's free list).
+    assert traced_hop["blocks process_packet"] == 2
+
+
+def test_every_packet_of_a_flow_carries_the_same_header_tuple(monkeypatch):
+    seen = {}
+    receive = Host.receive_packet
+
+    def tapped(host, packet, *args):
+        seen.setdefault(packet.flow_id, []).append(packet.header_values())
+        return receive(host, packet, *args)
+
+    monkeypatch.setattr(Host, "receive_packet", tapped)
+    sim, _network, _generator = _line_with_traffic(3, flow_count=2)
+    sim.run(until=0.5)
+    assert sorted(seen) == ["flow-0000", "flow-0001"]
+    first, second = seen.values()
+    assert min(len(first), len(second)) >= 40
+    # One immutable tuple per flow, from the source's template to the sink:
+    # nothing on the way copies or rebuilds it.
+    assert all(values is first[0] for values in first)
+    assert all(values is second[0] for values in second)
+    assert first[0] != second[0]
 
 
 def test_a_generated_packet_reaches_its_uplink_through_no_process_plumbing():
     sim, network, _generator = _line_with_traffic(1, flow_count=3)
     sim.run(until=0.1)
-    source = network.host("H1")
-    generated = source.packets_sent
+    generated = network.monitor.total_sent()
     codes = []
     _python_frames(lambda: sim.run(until=0.5), codes.append)
-    assert source.packets_sent - generated == 120  # 3 flows, 100 pps, 0.4 s
+    assert network.monitor.total_sent() - generated == 120  # 3 flows, 100 pps, 0.4 s
     # _emit -> from_values, send -> record_sent, transmit_from: no Process, no
     # Event, no generator being stepped, and no scheduling call: the source
     # and the link push their own heap entries.
@@ -437,17 +536,16 @@ def test_a_generated_packet_reaches_its_uplink_through_no_process_plumbing():
 
 def test_a_delivered_packet_leaves_nothing_for_the_garbage_collector():
     sim, network, _generator = _line_with_traffic(3, flow_count=4, rate_pps=250.0)
-    sink = network.host("H2")
     sim.run(until=0.5)  # caches, interned paths and per-flow columns exist
     gc.collect()
     gc.disable()
     try:
-        tracked, received = len(gc.get_objects()), sink.packets_received
+        tracked, received = len(gc.get_objects()), _delivered(network.monitor)
         sim.run(until=1.5)
         grown = len(gc.get_objects()) - tracked
     finally:
         gc.enable()
-    delivered = sink.packets_received - received
+    delivered = _delivered(network.monitor) - received
     assert delivered >= 1000 == network.monitor.total_sent() - 500
     # A record, its path tuple and a sent-time tuple per packet were ~3.
     assert grown / delivered < 0.1
@@ -464,13 +562,13 @@ def test_the_hop_is_still_reached_through_class_attributes(monkeypatch):
         _counted(monkeypatch, owner, name, counts)
     sim, network, _generator = _line_with_traffic(3)
     sim.run(until=0.2)
-    sent = network.host("H1").packets_sent
+    sent = network.monitor.total_sent()
     assert sent == counts["send"] >= 19
     hops = sum(switch.packets_received for switch in network.switches.values())
     assert hops == counts["_forward"] == counts["process_packet"] >= 3 * (sent - 1)
     # Every packet sent or forwarded rode a link: one transmit per hop.
     assert counts["transmit_from"] == sent + hops
-    assert counts["receive_packet"] == hops + network.host("H2").packets_received
+    assert counts["receive_packet"] == hops + _delivered(network.monitor)
     assert counts["_flush_train"] >= counts["transmit_from"] - 4
 
 
@@ -617,13 +715,19 @@ def test_a_probe_to_the_probed_switchs_drop_is_a_fixed_number_of_frames():
         info = technique._build_probe("S2", PendingRule("S2", flowmod.xid, flowmod, 0.0, 1))
         for index in range(probes):  # 20 ms apart: each travels alone
             sim.schedule_at(0.1005 + 0.02 * index, technique._inject_probe, info)
-        dataplane = network.switch("S2").dataplane
+        switch = network.switch("S2")
+        received = switch.packets_received
         gc.disable()  # a collection would run whatever gc.callbacks hold
         try:
             entered = _python_frames(lambda: sim.run(until=0.5))
         finally:
             gc.enable()
-        assert dataplane.packets_dropped == probes
+        # S2 took in every probe, and every plan its data plane looked them
+        # up to is a drop: no port, no PacketIn (a tap here would be a frame).
+        assert switch.packets_received - received == probes
+        plans = [plan for cached in switch.dataplane._lookup_cache.values()
+                 for plan in cached.values()]
+        assert plans and all(plan[2:] == ((), False) for plan in plans)
         return entered
 
     # _inject_probe (a PacketOut with a fresh xid) -> send_to_switch ->
