@@ -17,11 +17,15 @@ Equivalent CLI, given two stored runs::
 
 Run with::
 
-    python examples/diff_techniques.py
+    python examples/diff_techniques.py [store-directory]
+
+(without a directory the store goes into a fresh temporary one).
 """
 
+import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 from repro.analysis.diff import diff_runs, render_run_diff
 from repro.scenarios import ScenarioParams, run_scenario
@@ -36,13 +40,13 @@ def traced_run(technique: str):
     return run_scenario("path-migration", technique, params)
 
 
-def main() -> None:
+def main(store_root: Optional[Path] = None) -> None:
     left = traced_run("timeout")
     right = traced_run("general")
 
     # Content-addressed storage: each run is keyed by its outcome digest,
     # so re-running this example re-uses (and re-verifies) the same objects.
-    store = RunStore(Path(tempfile.mkdtemp(prefix="runstore-")))
+    store = RunStore(store_root or Path(tempfile.mkdtemp(prefix="runstore-")))
     left_digest = store.put_record(left.as_dict())
     right_digest = store.put_record(right.as_dict())
     print(f"stored timeout run  -> {left_digest}")
@@ -61,4 +65,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else None)

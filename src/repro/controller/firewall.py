@@ -13,10 +13,12 @@ its destination *without* traversing the firewall: a transient security hole.
 With RUM's data-plane acknowledgments the flip waits until Z demonstrably
 forwards packets, so the hole cannot open (traffic is simply delayed).
 
-The scenario class builds the topology, the update plan, and the violation
-metric; :func:`repro.experiments.common.firewall_session` (the engine of the
+:class:`FirewallScenario` is one session workload, an unregistered
+:class:`~repro.scenarios.base.Scenario` (topology, flows, preinstalled
+state and fault, update plan, violation metrics);
+:func:`repro.experiments.common.firewall_session` (the engine of the
 ``fig2`` entry of :data:`repro.experiments.figures.FIGURES`) and the
-``firewall_bypass.py`` example wire it to a controller with and without RUM.
+``firewall_bypass.py`` example run it with and without RUM.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
 from repro.packet.fields import IP_PROTO_TCP
 from repro.faults import DataPlaneFault, DataPlaneFaultHarness
+from repro.scenarios.base import Scenario
 from repro.sim.rng import SeededRandom
 from repro.switches.profiles import SwitchProfile, hp5406zl_profile
 
@@ -58,8 +61,9 @@ class DelayedHttpRuleFault(DataPlaneFault):
 
 
 @dataclass
-class FirewallScenario:
-    """Topology, flows, update plan and violation metric for Figure 2."""
+class FirewallScenario(Scenario):
+    """The Figure 2 workload (unnamed, so unregistered): topology, flows,
+    update plan and violations."""
 
     #: Profile of switch B (the one with unreliable acknowledgments).
     hardware_profile: Optional[SwitchProfile] = None
@@ -69,6 +73,9 @@ class FirewallScenario:
     rate_pps: float = 250.0
     host_ip: str = "10.0.0.1"
     server_ip: str = "10.0.0.2"
+
+    #: No drops are counted: the violations in :meth:`metrics` are the measurement.
+    dropped_from_monitor = False
 
     def build_topology(self) -> Topology:
         """A - B - S3 chain with the firewall switch (and its host) off B.
@@ -96,19 +103,12 @@ class FirewallScenario:
         topo.validate()
         return topo
 
-    def install_fault(self, network: Network) -> Optional[DataPlaneFaultHarness]:
-        """Arm the delayed-HTTP-rule fault on switch B (if enabled)."""
-        if self.http_rule_delay <= 0:
-            return None
-        fault = DelayedHttpRuleFault(delay=self.http_rule_delay)
-        fault.arm(network.sim, SeededRandom(11).fork("DelayedHttpRuleFault"))
-        return DataPlaneFaultHarness(network.switch("B"), [fault])
-
-    def preinstall(self, network: Network) -> None:
-        """Static state that exists before the measured update.
+    def preinstall(self, network: Network, flows: List[FlowSpec]) -> None:
+        """Static state that exists before the measured update, and the fault.
 
         S3 already knows how to reach H2; A and B start with empty tables so
         no traffic from H1 flows anywhere until the update installs X, Y, Z.
+        Then the delayed-HTTP-rule fault is armed on switch B (if enabled).
         """
         to_h2 = FlowMod(
             Match(ip_dst=self.server_ip),
@@ -124,6 +124,11 @@ class FirewallScenario:
             priority=10,
         )
         network.switch("FW").install_rule_directly(to_firewall_host)
+        if self.http_rule_delay > 0:
+            fault = DelayedHttpRuleFault(delay=self.http_rule_delay)
+            fault.arm(network.sim, SeededRandom(11).fork("DelayedHttpRuleFault"))
+            # The harness hooks itself into B's control→data plane boundary.
+            DataPlaneFaultHarness(network.switch("B"), [fault])
 
     def flows(self, network: Network) -> List[FlowSpec]:
         """One HTTP flow and one non-HTTP flow from H1 to H2."""
@@ -151,7 +156,7 @@ class FirewallScenario:
             ),
         ]
 
-    def build_plan(self, network: Network) -> UpdatePlan:
+    def build_plan(self, network: Network, flows: List[FlowSpec]) -> UpdatePlan:
         """Rules Y and Z at B, then X at A once both are acknowledged."""
         plan = UpdatePlan(name="firewall-update")
         rule_z = FlowMod(
@@ -176,8 +181,8 @@ class FirewallScenario:
         plan.add("A", rule_x, after=[op_y, op_z], label="firewall", role="ingress-flip")
         return plan
 
-    # -- metrics -------------------------------------------------------------
-    def violations(self, network: Network) -> Dict[str, int]:
+    def metrics(self, network: Network, plan: UpdatePlan,
+                executor) -> Dict[str, int]:
         """Security-policy violations observed by the monitor.
 
         Every HTTP packet delivered to H2 bypassed the firewall (once the

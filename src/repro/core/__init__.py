@@ -15,13 +15,7 @@ layer with its five techniques, and the reliable barrier layer:
 """
 
 from repro.core.config import (
-    ALL_TECHNIQUES,
     RumConfig,
-    TECHNIQUE_ADAPTIVE,
-    TECHNIQUE_BARRIER,
-    TECHNIQUE_GENERAL,
-    TECHNIQUE_SEQUENTIAL,
-    TECHNIQUE_TIMEOUT,
     config_for_technique,
 )
 from repro.core.pending import PendingRule, PendingRuleTracker
@@ -46,7 +40,6 @@ from repro.core.techniques import (
 )
 
 __all__ = [
-    "ALL_TECHNIQUES",
     "AckTechnique",
     "AdaptiveTimeoutTechnique",
     "BarrierBaselineTechnique",
@@ -60,12 +53,7 @@ __all__ = [
     "RumLayer",
     "SequentialProbingTechnique",
     "StaticTimeoutTechnique",
-    "TECHNIQUE_ADAPTIVE",
-    "TECHNIQUE_BARRIER",
-    "TECHNIQUE_GENERAL",
     "TECHNIQUE_NO_WAIT",
-    "TECHNIQUE_SEQUENTIAL",
-    "TECHNIQUE_TIMEOUT",
     "TopologyView",
     "VersionAllocator",
     "VersionSpaceExhausted",

@@ -7,25 +7,6 @@ from dataclasses import dataclass, replace
 from repro.packet.fields import FIELD_REGISTRY, HeaderField
 
 
-#: Names of the built-in RUM acknowledgment techniques.  The authoritative
-#: list — including any techniques registered at runtime — lives in the
-#: registry (:func:`repro.core.techniques.registry.available_techniques`);
-#: these constants are kept for the public API and existing call sites.
-TECHNIQUE_BARRIER = "barrier"
-TECHNIQUE_TIMEOUT = "timeout"
-TECHNIQUE_ADAPTIVE = "adaptive"
-TECHNIQUE_SEQUENTIAL = "sequential"
-TECHNIQUE_GENERAL = "general"
-
-ALL_TECHNIQUES = (
-    TECHNIQUE_BARRIER,
-    TECHNIQUE_TIMEOUT,
-    TECHNIQUE_ADAPTIVE,
-    TECHNIQUE_SEQUENTIAL,
-    TECHNIQUE_GENERAL,
-)
-
-
 def _known_rum_techniques():
     """Registered RUM-capable technique names (import deferred: the
     technique classes import this module for their configs)."""
@@ -45,8 +26,9 @@ class RumConfig:
     adaptive models assuming 200 or 250 modifications per second.
     """
 
-    #: Which acknowledgment technique to run (one of :data:`ALL_TECHNIQUES`).
-    technique: str = TECHNIQUE_GENERAL
+    #: Which acknowledgment technique to run (one of
+    #: :func:`~repro.core.techniques.registry.rum_technique_names`).
+    technique: str = "general"
 
     # -- control-plane techniques -------------------------------------------
     #: Static timeout added after a barrier reply before confirming.

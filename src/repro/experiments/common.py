@@ -2,7 +2,9 @@
 
 Each ``*_session`` function builds a :class:`~repro.session.spec.SessionSpec`
 (run it with ``spec.run()``); ``run_path_migration`` / ``run_rule_install``
-build and run in one call.
+build and run in one call.  Each hands the session one workload object with
+the scenario protocol of :class:`~repro.scenarios.base.Scenario`, the same
+protocol every registered scenario implements.
 
 Three engines cover the whole evaluation:
 
@@ -10,15 +12,18 @@ Three engines cover the whole evaluation:
   (Figures 1b, 6 and 7, and the barrier-layer overhead runs): flows are
   migrated from an old path to a new path with a consistent update, while
   constant-rate traffic measures packet loss and switchover times at the
-  destination.  The topology and paths come from a :class:`MigrationSpec`;
-  the default is the paper's triangle (S1-S3 → S1-S2-S3).
+  destination.  The workload is
+  :class:`~repro.scenarios.migration.PathMigrationScenario` with the
+  topology and paths of a :class:`MigrationSpec`; the default is the
+  paper's triangle (S1-S3 → S1-S2-S3).
 * :func:`run_rule_install` — the low-level benchmark of Section 5.2
   (Figure 8 and Table 1): a controller performs R rule modifications on the
   hardware switch with at most K unconfirmed at any time, and the harness
   correlates controller-visible acknowledgment times with data-plane
-  activation times.
+  activation times.  :class:`RuleInstallParams` is the workload.
 * :func:`firewall_session` — the motivation scenario of Figure 2: the
-  "X after Y, X after Z" firewall update observed over a fixed window.
+  "X after Y, X after Z" firewall update observed over a fixed window
+  (:class:`~repro.controller.firewall.FirewallScenario` is the workload).
 
 Every run returns the unified :class:`~repro.session.record.RunRecord`.
 """
@@ -28,28 +33,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.controller.consistent import ConsistentPathMigration
 from repro.controller.firewall import FirewallScenario
-from repro.controller.routing import (
-    first_distinct_switch,
-    install_path_rules,
-    path_flowmods,
-)
 from repro.controller.update_plan import UpdatePlan
 from repro.net.network import Network
 from repro.net.topology import Topology, triangle_topology
-from repro.net.traffic import FlowSpec, flows_between
+from repro.net.traffic import FlowSpec
 from repro.openflow.actions import DropAction, OutputAction
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
 from repro.packet.addresses import ip_to_int
+from repro.scenarios.base import Scenario, ScenarioParams
+from repro.scenarios.migration import MigrationSpec, PathMigrationScenario
 from repro.session.record import RunRecord
 from repro.session.spec import (
     ActivationProbe,
     SessionKnobs,
     SessionSpec,
     StackSpec,
-    Workload,
 )
 from repro.switches.profiles import SwitchProfile, hp5406zl_profile
 
@@ -67,51 +67,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # End-to-end path migration (Section 5.1)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MigrationSpec:
-    """What to migrate: a topology plus the old and new host-to-host paths.
-
-    ``run_path_migration`` historically hard-wired the paper's triangle; the
-    spec makes the same engine run on any topology (the scenario subsystem
-    feeds it generated fat-trees, leaf-spines, rings and Waxman graphs).
-    """
-
-    topology: Topology
-    old_path: List[str]
-    new_path: List[str]
-    source_host: str = "H1"
-    dest_host: str = "H2"
-    #: The switch whose traversal marks a delivery as "new path" (S2 in the
-    #: triangle).  When ``None`` it is inferred as the first switch on the
-    #: new path that the old path does not visit.
-    new_path_switch: Optional[str] = None
-
-    def resolved_new_path_switch(self) -> str:
-        """The switch distinguishing new-path deliveries from old-path ones."""
-        if self.new_path_switch is not None:
-            return self.new_path_switch
-        marker = first_distinct_switch(self.old_path, self.new_path,
-                                       self.topology.switches)
-        if marker is None:
-            raise ValueError(
-                f"new path {self.new_path!r} visits no switch the old path "
-                "avoids; set new_path_switch explicitly"
-            )
-        return marker
-
-    @classmethod
-    def triangle(cls, hardware_profile: Optional[SwitchProfile] = None) -> "MigrationSpec":
-        """The paper's Figure 1a migration: S1-S3 → S1-S2-S3."""
-        return cls(
-            topology=triangle_topology(
-                hardware_profile=hardware_profile or hp5406zl_profile()
-            ),
-            old_path=["H1", "S1", "S3", "H2"],
-            new_path=["H1", "S1", "S2", "S3", "H2"],
-            new_path_switch="S2",
-        )
-
 
 @dataclass
 class EndToEndParams:
@@ -158,35 +113,15 @@ def migration_session(
     """The consistent path-migration experiment as a :class:`SessionSpec`."""
     params = params or EndToEndParams.quick()
     spec = spec or MigrationSpec.triangle(hardware_profile=params.hardware_profile)
+    workload = PathMigrationScenario(
+        ScenarioParams(flow_count=params.flow_count, rate_pps=params.rate_pps),
+        migration=spec)
     new_path_switch = spec.resolved_new_path_switch()
-
-    def provide_flows(network: Network) -> List[FlowSpec]:
-        return flows_between(
-            network.host(spec.source_host),
-            network.host(spec.dest_host),
-            params.flow_count,
-            rate_pps=params.rate_pps,
-        )
-
-    def preinstall(network: Network, flows: List[FlowSpec]) -> None:
-        for flow in flows:
-            install_path_rules(network, path_flowmods(network, flow, spec.old_path))
-
-    def build_plan(network: Network, flows: List[FlowSpec]) -> UpdatePlan:
-        migration = ConsistentPathMigration(network, flows,
-                                            spec.old_path, spec.new_path)
-        return migration.build_plan()
 
     return SessionSpec(
         kind="path-migration",
         technique=technique,
-        topology=lambda: spec.topology,
-        workload=Workload(
-            flows=provide_flows,
-            preinstall=preinstall,
-            markers=lambda network, flows: new_path_switch,
-        ),
-        plan_builder=build_plan,
+        workload=workload,
         stack=StackSpec(
             rum_overrides=dict(params.rum_overrides),
             with_barrier_layer=params.with_barrier_layer,
@@ -232,8 +167,10 @@ def run_path_migration(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RuleInstallParams:
-    """Parameters of the single-switch rule-installation benchmark."""
+class RuleInstallParams(Scenario):
+    """The single-switch rule-installation benchmark: its parameters and its
+    workload (R independent exact-match rules on the target switch, no
+    traffic).  An unnamed :class:`Scenario`, so it stays unregistered."""
 
     rule_count: int = 300
     max_unconfirmed: int = 300
@@ -264,19 +201,31 @@ class RuleInstallParams:
         """A copy with selected fields replaced."""
         return replace(self, **overrides)
 
+    # -- the workload protocol ----------------------------------------------
+    def build_topology(self) -> Topology:
+        return triangle_topology(
+            hardware_profile=self.hardware_profile or hp5406zl_profile())
 
-def _install_benchmark_plan(network: Network, params: RuleInstallParams) -> UpdatePlan:
-    """R independent exact-match rule installations on the target switch."""
-    plan = UpdatePlan(name="rule-install")
-    target = params.target_switch
-    out_port = network.port_between(target, "S3")
-    src_base = ip_to_int("10.1.0.0")
-    dst_base = ip_to_int("10.2.0.0")
-    for index in range(params.rule_count):
-        match = Match(ip_src=src_base + index + 1, ip_dst=dst_base + index + 1)
-        flowmod = FlowMod(match, [OutputAction(out_port)], priority=100)
-        plan.add(target, flowmod, label=f"rule-{index:05d}", role="install")
-    return plan
+    def flows(self, network: Network) -> List[FlowSpec]:
+        return []
+
+    def preinstall(self, network: Network, flows: List[FlowSpec]) -> None:
+        if self.with_drop_all:
+            network.switch(self.target_switch).install_rule_directly(
+                FlowMod(Match(), [DropAction()], priority=1)
+            )
+
+    def build_plan(self, network: Network, flows: List[FlowSpec]) -> UpdatePlan:
+        plan = UpdatePlan(name="rule-install")
+        target = self.target_switch
+        out_port = network.port_between(target, "S3")
+        src_base = ip_to_int("10.1.0.0")
+        dst_base = ip_to_int("10.2.0.0")
+        for index in range(self.rule_count):
+            match = Match(ip_src=src_base + index + 1, ip_dst=dst_base + index + 1)
+            flowmod = FlowMod(match, [OutputAction(out_port)], priority=100)
+            plan.add(target, flowmod, label=f"rule-{index:05d}", role="install")
+        return plan
 
 
 def rule_install_session(
@@ -285,25 +234,10 @@ def rule_install_session(
 ) -> SessionSpec:
     """The Section 5.2 rule-installation benchmark as a :class:`SessionSpec`."""
     params = params or RuleInstallParams.paper_fig8()
-
-    def preinstall(network: Network, flows: List[FlowSpec]) -> None:
-        if params.with_drop_all:
-            network.switch(params.target_switch).install_rule_directly(
-                FlowMod(Match(), [DropAction()], priority=1)
-            )
-
     return SessionSpec(
         kind="rule-install",
         technique=technique,
-        topology=lambda: triangle_topology(
-            hardware_profile=params.hardware_profile or hp5406zl_profile()
-        ),
-        workload=Workload(
-            flows=lambda network: [],
-            preinstall=preinstall,
-            traffic=False,
-        ),
-        plan_builder=lambda network, flows: _install_benchmark_plan(network, params),
+        workload=params,
         stack=StackSpec(rum_overrides=dict(params.rum_overrides)),
         knobs=SessionKnobs(
             seed=params.seed,
@@ -338,21 +272,12 @@ def firewall_session(technique: str, duration: float = 3.0, seed: int = 31) -> S
     are counted at ``duration`` whether or not the plan finished — so the
     session uses :attr:`SessionKnobs.run_for` instead of completion polling;
     the counts are the record's ``metrics``
-    (see :meth:`~repro.controller.firewall.FirewallScenario.violations`).
+    (see :meth:`~repro.controller.firewall.FirewallScenario.metrics`).
     """
-    scenario = FirewallScenario()
-
-    def preinstall(network: Network, flows: List[FlowSpec]) -> None:
-        scenario.preinstall(network)
-        scenario.install_fault(network)
-
     return SessionSpec(
         kind="firewall-bypass",
         technique=technique,
-        topology=scenario.build_topology,
-        workload=Workload(flows=scenario.flows, preinstall=preinstall),
-        plan_builder=lambda network, flows: scenario.build_plan(network),
-        metrics=lambda network, plan, executor: scenario.violations(network),
+        workload=FirewallScenario(),
         knobs=SessionKnobs(
             seed=seed,
             warmup=0.1,

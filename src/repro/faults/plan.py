@@ -17,9 +17,8 @@ Beyond plain specs the string form is a small **fault-timeline DSL**:
 
 * **Correlated groups** — ``group(switch-crash@s1,delay-spike@s2)@t=0.5``
   fires its schedulable members together at a common instant (each member's
-  own ``at`` becomes an *offset* from the group time); ``phase(...)`` is an
-  alias.  Members without a schedule knob (probability faults) are armed
-  as-is for the whole run.
+  own ``at`` becomes an *offset* from the group time).  Members without a
+  schedule knob (probability faults) are armed as-is for the whole run.
 * **Rolling waves** — ``rolling(switch-crash(restart_after=0.3)@pod:0,stagger=0.2)``
   expands one schedulable spec across its resolved targets with a per-target
   time stagger: target *j* fires at ``base + j*stagger``.
@@ -72,7 +71,7 @@ _SPEC_PATTERN = re.compile(
 )
 
 _GROUP_AT_PATTERN = re.compile(r"^@t=(?P<at>[^@]+)$")
-_WRAPPER_PATTERN = re.compile(r"^(?P<head>rolling|group|phase)\(")
+_WRAPPER_PATTERN = re.compile(r"^(?P<head>rolling|group)\(")
 
 
 def split_outside_parens(text: str, separator: str) -> List[str]:

@@ -175,10 +175,6 @@ class FlowTable:
         """All entries satisfying ``predicate``."""
         return [entry for entry in self._entries.values() if predicate(entry)]
 
-    def occupancy(self) -> int:
-        """Number of installed rules (alias of ``len``)."""
-        return len(self._entries)
-
     # -- mutation ------------------------------------------------------------
     def apply_flowmod(self, flowmod: FlowMod, now: float = 0.0) -> List[FlowEntry]:
         """Apply a FlowMod and return the entries that were added or modified.

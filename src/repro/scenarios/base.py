@@ -5,9 +5,12 @@ installs the forwarding state that exists before the measured update,
 produces the flows that traffic the network and the
 :class:`~repro.controller.update_plan.UpdatePlan` the controller executes,
 and finally extracts per-scenario metrics (policy violations, packets on a
-drained link, ...) from the finished run.  The generic engine in
-:mod:`repro.scenarios.engine` runs any scenario against any acknowledgment
-technique, which is what lets the campaign runner sweep
+drained link, ...) from the finished run.  The protocol is the only way a
+:class:`~repro.session.spec.SessionSpec` gets its workload: the paper's own
+experiments (:mod:`repro.experiments.common`) hand the session objects with
+the same methods and flags, registered or not.  The generic engine in
+:mod:`repro.scenarios.engine` runs any registered scenario against any
+acknowledgment technique, which is what lets the campaign runner sweep
 (scenario × technique × scale × seed) grids over generated topologies.
 
 Adding a scenario is defining a :class:`Scenario` subclass with a ``name``:
@@ -77,7 +80,8 @@ class ScenarioParams:
 class Scenario:
     """Base class for scenarios; subclasses override the protocol methods.
 
-    The engine calls the methods in this order::
+    The session engine (:func:`~repro.session.engine.run_session`) calls the
+    methods in this order, and starts traffic only when there are flows::
 
         topology = scenario.build_topology()
         network  = Network(sim, topology, ...)
@@ -95,6 +99,9 @@ class Scenario:
     description: str = ""
     #: Topology family used when ``params.topology`` is ``"auto"``.
     default_topology: str = "leaf-spine"
+    #: Count dropped packets network-wide instead of over the flows
+    #: :meth:`new_path_switches` tracks.
+    dropped_from_monitor: bool = True
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

@@ -1,11 +1,11 @@
 """The generic scenario engine — a thin adapter over :mod:`repro.session`.
 
 Runs any registered :class:`~repro.scenarios.base.Scenario` against any
-registered acknowledgment technique: :func:`scenario_session` maps the
-scenario protocol (topology builder, flows, preinstall, plan, markers,
-metrics) onto a :class:`~repro.session.spec.SessionSpec`, and
-:func:`run_scenario` executes it through ``SessionSpec.run()``.  The result
-is the unified :class:`~repro.session.record.RunRecord`.
+registered acknowledgment technique: :func:`scenario_session` hands the
+scenario itself to a :class:`~repro.session.spec.SessionSpec` as its
+workload, with knobs from its params, and :func:`run_scenario` executes it
+through ``SessionSpec.run()``.  The result is the unified
+:class:`~repro.session.record.RunRecord`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from repro.scenarios.base import Scenario, ScenarioParams, get_scenario
 from repro.session.record import RunRecord
-from repro.session.spec import SessionKnobs, SessionSpec, Workload
+from repro.session.spec import SessionKnobs, SessionSpec
 
 
 def scenario_session(
@@ -35,15 +35,7 @@ def scenario_session(
     return SessionSpec(
         kind="scenario",
         technique=technique,
-        topology=scenario.build_topology,
-        workload=Workload(
-            flows=scenario.flows,
-            preinstall=scenario.preinstall,
-            markers=scenario.new_path_switches,
-            dropped_from_monitor=True,
-        ),
-        plan_builder=scenario.build_plan,
-        metrics=scenario.metrics,
+        workload=scenario,
         faults=scenario.fault_plan(),
         trace=params.trace,
         knobs=SessionKnobs(

@@ -13,17 +13,16 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.controller.routing import flow_match, install_path_rules, path_flowmods
+from repro.controller.routing import flow_match
 from repro.controller.update_plan import UpdatePlan
 from repro.net.network import Network
-from repro.net.traffic import FlowSpec, flows_between
+from repro.net.traffic import FlowSpec
 from repro.openflow.actions import OutputAction
 from repro.openflow.messages import FlowMod
-from repro.scenarios.base import Scenario
-from repro.scenarios.migration import endpoint_hosts
+from repro.scenarios.migration import MigrationSpec, PathMigrationScenario, endpoint_hosts
 
 
-class EcmpRebalanceScenario(Scenario):
+class EcmpRebalanceScenario(PathMigrationScenario):
     """Spread flows pinned to one spine across all spines, consistently."""
 
     name = "ecmp-rebalance"
@@ -31,57 +30,37 @@ class EcmpRebalanceScenario(Scenario):
                    "with per-flow consistent migrations")
     default_topology = "leaf-spine"
 
-    def _fabric(self, network: Network) -> Dict[str, object]:
-        """Ingress/egress leaves and the spine list, derived from the graph."""
-        if hasattr(self, "_cached_fabric"):
-            return self._cached_fabric
+    def search_paths(self, network: Network) -> MigrationSpec:
+        """Every flow starts over the first common spine; the new path is the
+        first moved flow's, over the second."""
         source, dest = endpoint_hosts(network)
         ingress = network.topology.neighbors_of(source)[0]
         egress = network.topology.neighbors_of(dest)[0]
         if ingress == egress:
             raise ValueError("endpoint hosts must sit on different leaves")
-        spines = [
-            node for node in network.topology.neighbors_of(ingress)
-            if node in network.switches
-            and egress in network.topology.neighbors_of(node)
-        ]
+        spines = _common_spines(network, ingress, egress)
         if len(spines) < 2:
             raise ValueError(
                 f"topology {network.topology.name!r} offers {len(spines)} "
                 "common spine(s); the rebalance needs at least two"
             )
-        self._cached_fabric = {
-            "source": source,
-            "dest": dest,
-            "ingress": ingress,
-            "egress": egress,
-            "spines": spines,
-        }
-        return self._cached_fabric
+        return MigrationSpec(network.topology,
+                             [source, ingress, spines[0], egress, dest],
+                             [source, ingress, spines[1], egress, dest],
+                             source, dest)
+
+    def spines(self, network: Network) -> List[str]:
+        """The spines common to the old path's ingress and egress leaves."""
+        old_path = self.paths(network).old_path
+        return _common_spines(network, old_path[1], old_path[-2])
 
     def _spine_for(self, index: int, spines: List[str]) -> str:
         return spines[index % len(spines)]
 
-    def flows(self, network: Network) -> List[FlowSpec]:
-        fabric = self._fabric(network)
-        return flows_between(
-            network.host(fabric["source"]),
-            network.host(fabric["dest"]),
-            self.params.flow_count,
-            rate_pps=self.params.rate_pps,
-        )
-
-    def preinstall(self, network: Network, flows: List[FlowSpec]) -> None:
-        fabric = self._fabric(network)
-        old_path = [fabric["source"], fabric["ingress"], fabric["spines"][0],
-                    fabric["egress"], fabric["dest"]]
-        for flow in flows:
-            install_path_rules(network, path_flowmods(network, flow, old_path))
-
     def build_plan(self, network: Network, flows: List[FlowSpec]) -> UpdatePlan:
-        fabric = self._fabric(network)
-        spines: List[str] = fabric["spines"]
-        ingress, egress = fabric["ingress"], fabric["egress"]
+        old_path = self.paths(network).old_path
+        ingress, egress = old_path[1], old_path[-2]
+        spines = self.spines(network)
         plan = UpdatePlan(name="ecmp-rebalance")
         for index, flow in enumerate(flows):
             target = self._spine_for(index, spines)
@@ -106,8 +85,7 @@ class EcmpRebalanceScenario(Scenario):
 
     def new_path_switches(self, network: Network,
                           flows: List[FlowSpec]) -> Dict[str, str]:
-        fabric = self._fabric(network)
-        spines: List[str] = fabric["spines"]
+        spines = self.spines(network)
         return {
             flow.flow_id: self._spine_for(index, spines)
             for index, flow in enumerate(flows)
@@ -116,8 +94,7 @@ class EcmpRebalanceScenario(Scenario):
 
     def metrics(self, network: Network, plan: UpdatePlan,
                 executor) -> Dict[str, object]:
-        fabric = self._fabric(network)
-        spines: List[str] = fabric["spines"]
+        spines = self.spines(network)
         finished = executor.finished_at
         share: Dict[str, int] = {spine: 0 for spine in spines}
         if finished is not None:
@@ -135,3 +112,12 @@ class EcmpRebalanceScenario(Scenario):
             "rebalanced_flows": rebalanced,
             "post_update_spine_share": share,
         }
+
+
+def _common_spines(network: Network, ingress: str, egress: str) -> List[str]:
+    """Switches linked to both leaves, in the ingress leaf's neighbour order."""
+    return [
+        node for node in network.topology.neighbors_of(ingress)
+        if node in network.switches
+        and egress in network.topology.neighbors_of(node)
+    ]

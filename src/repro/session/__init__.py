@@ -9,8 +9,9 @@ One declarative way to run any update-acknowledgment experiment::
     record = spec.run()                    # -> RunRecord
     print(record.dropped_packets, record.digest())
 
-* :class:`SessionSpec` — topology provider + :class:`Workload` + plan
-  builder + technique + :class:`StackSpec`/:class:`SessionKnobs`;
+* :class:`SessionSpec` — a workload (any object with the scenario
+  protocol of :class:`~repro.scenarios.base.Scenario`) + technique +
+  :class:`StackSpec`/:class:`SessionKnobs`;
 * :class:`RunRecord` — the single result schema every run path produces,
   with one canonical serializer (``as_dict``/``from_dict`` round-trip), a
   flat ``summary()`` for campaign files, and a stable ``digest()``;
@@ -29,7 +30,6 @@ from repro.session.spec import (
     SessionKnobs,
     SessionSpec,
     StackSpec,
-    Workload,
 )
 from repro.session.stack import ControlStack, build_control_stack
 
@@ -42,7 +42,6 @@ __all__ = [
     "SessionKnobs",
     "SessionSpec",
     "StackSpec",
-    "Workload",
     "build_control_stack",
     "run_session",
 ]

@@ -7,11 +7,12 @@ superset of what the three historical engines did, in the same order, so for
 a fixed seed the results (and their digests) are byte-identical with the
 pre-session code:
 
-1. build topology and network, create flows, preinstall forwarding state;
+1. build the workload's topology and network, create its flows, preinstall
+   its forwarding state;
 2. wire the control stack (RUM proxy chain unless the technique is null);
 3. start the network, the stack, and — if the workload has traffic — a
    seeded constant-rate traffic generator;
-4. build the update plan, execute it through a windowed
+4. build the workload's update plan, execute it through a windowed
    :class:`~repro.controller.update_plan.PlanExecutor`, polling until the
    plan completes or the deadline passes;
 5. let traffic drain through the grace window, then settle;
@@ -93,12 +94,11 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
     # tap must be in place before the first sim.run below.
     sim.observer = observer
     rng = SeededRandom(knobs.seed)
-    topology = spec.topology()
+    topology = workload.build_topology()
     network = Network(sim, topology, seed=knobs.seed)
     dismantle.callback(network.close)
     flows = workload.flows(network)
-    if workload.preinstall is not None:
-        workload.preinstall(network, flows)
+    workload.preinstall(network, flows)
 
     # 2. Control stack ---------------------------------------------------------
     stack = build_control_stack(
@@ -140,12 +140,12 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
 
     # 3. Traffic ----------------------------------------------------------------
     traffic: Optional[TrafficGenerator] = None
-    if workload.traffic and flows:
+    if flows:
         traffic = TrafficGenerator(sim, flows, rng=rng.fork("traffic"))
         traffic.start()
 
     # 4. Update plan -------------------------------------------------------------
-    plan = spec.plan_builder(network, flows)
+    plan = workload.build_plan(network, flows)
     executor = PlanExecutor(
         sim,
         stack.controller,
@@ -176,7 +176,7 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
         sim.run(until=sim.now + knobs.settle)
 
     # 6. Post-processing -----------------------------------------------------------
-    markers = workload.markers(network, flows) if workload.markers else None
+    markers = workload.new_path_switches(network, flows)
     stats = []
     if markers:
         stats = flow_update_stats(
@@ -194,7 +194,7 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
                                                technique.name)
                   if probe is not None and stack.rum is not None else None)
 
-    metrics = spec.metrics(network, plan, executor) if spec.metrics else {}
+    metrics = workload.metrics(network, plan, executor)
     acknowledged = sum(1 for op in plan.operations.values() if op.acked)
     duration = executor.duration
     rum_technique = stack.rum.technique if stack.rum is not None else None

@@ -1,11 +1,17 @@
 """The typed experiment-session specification.
 
 A :class:`SessionSpec` is the one declarative description of "run this
-update workload against this topology with this acknowledgment technique and
-measure it": topology provider + :class:`Workload` + plan builder +
-technique + :class:`StackSpec`/:class:`SessionKnobs`.  ``SessionSpec.run()``
-executes it through the single engine in :mod:`repro.session.engine` and
-returns a :class:`~repro.session.record.RunRecord`.
+update workload with this acknowledgment technique and measure it": a
+workload + technique + :class:`StackSpec`/:class:`SessionKnobs`.  The
+workload is one object with the scenario protocol of
+:class:`~repro.scenarios.base.Scenario` — ``build_topology()``,
+``flows(network)``, ``preinstall(network, flows)``,
+``build_plan(network, flows)``, ``new_path_switches(network, flows)``,
+``metrics(network, plan, executor)`` and the class flag
+``dropped_from_monitor`` — whether or not it is a registered scenario.
+``SessionSpec.run()`` executes it through the single engine in
+:mod:`repro.session.engine` and returns a
+:class:`~repro.session.record.RunRecord`.
 
 The historical entry points — ``run_path_migration``, ``run_rule_install``,
 ``repro.scenarios.engine.run_scenario`` and the campaign runner — are thin
@@ -16,46 +22,16 @@ registered once is immediately runnable from every path.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Type, Union
+from typing import TYPE_CHECKING, Dict, Optional, Type, Union
 
-from repro.controller.update_plan import UpdatePlan
 from repro.core.techniques.base import AckTechnique
 from repro.core.techniques.registry import resolve_technique
 from repro.faults.plan import FaultPlan
-from repro.net.network import Network
 from repro.recovery.policy import RecoveryPolicy
-from repro.net.topology import Topology
-from repro.net.traffic import FlowSpec
 from repro.sim.kernel import Observer
 
-#: Builds the topology the session runs on.
-TopologyProvider = Callable[[], Topology]
-#: Produces the application flows given the built network.
-FlowProvider = Callable[[Network], List[FlowSpec]]
-#: Installs pre-update forwarding state.
-Preinstaller = Callable[[Network, List[FlowSpec]], None]
-#: Builds the dependency-ordered update the controller executes.
-PlanBuilder = Callable[[Network, List[FlowSpec]], UpdatePlan]
-#: Returns what marks a delivery as "new path": one switch name for all
-#: flows, a per-flow mapping, or ``None``/empty to skip flow statistics.
-MarkerProvider = Callable[[Network, List[FlowSpec]], Union[str, Mapping[str, str], None]]
-#: Extracts workload-specific metrics from the finished run.
-MetricsHook = Callable[[Network, UpdatePlan, object], Dict[str, object]]
-
-
-@dataclass
-class Workload:
-    """The traffic and pre-update state side of a session."""
-
-    flows: FlowProvider
-    preinstall: Optional[Preinstaller] = None
-    #: Whether a constant-rate traffic generator drives the flows (the
-    #: rule-install benchmark runs without data-plane traffic).
-    traffic: bool = True
-    markers: Optional[MarkerProvider] = None
-    #: Count dropped packets network-wide (scenario engine behaviour) instead
-    #: of over the tracked flows only (path-migration behaviour).
-    dropped_from_monitor: bool = False
+if TYPE_CHECKING:
+    from repro.scenarios.base import Scenario
 
 
 @dataclass
@@ -115,16 +91,15 @@ class SessionSpec:
     """One declarative experiment session; run it with :meth:`run`."""
 
     technique: Union[str, Type[AckTechnique]]
-    topology: TopologyProvider
-    workload: Workload
-    plan_builder: PlanBuilder
+    #: What runs: any object with the :class:`~repro.scenarios.base.Scenario`
+    #: protocol (see the module docstring).
+    workload: "Scenario"
     stack: StackSpec = field(default_factory=StackSpec)
     knobs: SessionKnobs = field(default_factory=SessionKnobs)
     #: Faults armed against the network for this run (``None`` or an empty
     #: plan: the byte-identical fault-free path).  See :mod:`repro.faults`.
     faults: Optional[FaultPlan] = None
     activation_probe: Optional[ActivationProbe] = None
-    metrics: Optional[MetricsHook] = None
     #: Arm rule-lifecycle tracing for this run: the engine hangs a
     #: collecting tracer on the simulator and the record carries the resulting
     #: :class:`~repro.obs.events.TraceLog`.  Tracing only observes — traced
@@ -142,10 +117,9 @@ class SessionSpec:
     def config(self) -> Dict[str, object]:
         """Canonical JSON-able encoding of the spec (record provenance).
 
-        Callables (topology/workload/plan builders) are code, not data, so
-        the encoding carries the declarative parts: kind, technique, labels,
-        stack and knobs.  Adapters put their own reconstruction parameters
-        into :attr:`labels`.
+        The workload is code, not data, so the encoding carries the
+        declarative parts: kind, technique, labels, stack and knobs.
+        Adapters put their own reconstruction parameters into :attr:`labels`.
         """
         config: Dict[str, object] = {
             "kind": self.kind,

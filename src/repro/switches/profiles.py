@@ -156,7 +156,9 @@ def hp5406zl_profile() -> SwitchProfile:
     data-plane apply rate drops below 250/s as the table fills — which is
     what makes the "adaptive 250" model unsafe late in the experiment.
     The real switch also ignores priorities in favour of installation
-    order; ``table_mode="install_order"`` models that quirk.
+    order.  This profile matches by priority (``table_mode="priority"``);
+    ``hp5406zl_profile().with_overrides(table_mode="install_order")``
+    models the quirk.
     """
     return SwitchProfile(
         name="hp5406zl",

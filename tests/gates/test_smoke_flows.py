@@ -110,9 +110,18 @@ def test_the_quickstart_example_runs_headless(capsys):
     ("rolling_outage.py", (),
      ["Rolling pod-0 crash wave — recovery on vs off (seed 7)",
       " +recovery=off | ", " +recovery=on  | "]),
+    # The two that write files: a relative Path argument lands in tmp_path.
+    ("diff_techniques.py", (Path("runstore"),),
+     ["store verify        -> clean", "Run diff — timeout vs general",
+      "verdict: first divergence at t="]),
+    ("scenario_campaign.py", (Path("scenario-campaign.jsonl"),),
+     ["registered scenarios: correlated-tor-outage, ecmp-rebalance,",
+      "general  duration=", "ran 8, cached 0",
+      "Campaign report"]),
 ], ids=["firewall-bypass", "probe-overhead-sweep", "path-migration",
-        "fault-sweep", "rolling-outage"])
-def test_the_paper_examples_run_headless(capsys, script, args, expected):
+        "fault-sweep", "rolling-outage", "diff-techniques", "scenario-campaign"])
+def test_the_paper_examples_run_headless(capsys, tmp_path, script, args, expected):
+    args = [tmp_path / arg if isinstance(arg, Path) else arg for arg in args]
     out = _runs_headless(capsys, script, *args)
     for line in expected:
         assert line in out

@@ -632,6 +632,13 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unbalanced"):
             FaultPlan.from_string("rolling(switch-crash")
 
+    def test_phase_is_no_spelling_of_group(self):
+        # ``group(...)`` is the one correlated-group wrapper.
+        text = "phase(switch-crash@S1)@t=0.5"
+        with pytest.raises(ValueError, match="unknown fault 'phase'") as caught:
+            FaultPlan.from_string(text)
+        assert repr(text) in str(caught.value)
+
     @pytest.mark.parametrize("text", [
         "switch-crash(at=nan)", "disconnect(at=nan)", "switch-crash(at=inf)",
         "group(disconnect@L0)@t=nan", "rolling(switch-crash@*,stagger=nan)",

@@ -3,7 +3,6 @@ event collection through a real traced session (the tracer lives and dies
 with the session's simulator), trace-off digest transparency, pinned traces
 and disarmed configs, the Chrome exporter, and the timeline analysis."""
 
-import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -58,10 +57,9 @@ class TestTracer:
         def boom(_network, _flows):
             raise RuntimeError("boom")
 
-        traced = dataclasses.replace(
-            scenario_session("path-migration", "general",
-                             _quick_params(trace=True)),
-            plan_builder=boom)
+        traced = scenario_session("path-migration", "general",
+                                  _quick_params(trace=True))
+        traced.workload.build_plan = boom
         with pytest.raises(RuntimeError, match="boom"):
             traced.run()
         bare = run_scenario("path-migration", "general", _quick_params())

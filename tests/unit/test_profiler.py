@@ -130,9 +130,8 @@ class TestInstall:
         def boom(_network, _flows):
             raise RuntimeError("boom")
 
-        spec = dataclasses.replace(
-            scenario_session("path-migration", "general", _quick_params()),
-            plan_builder=boom)
+        spec = scenario_session("path-migration", "general", _quick_params())
+        spec.workload.build_plan = boom
         with pytest.raises(RuntimeError, match="boom"):
             with Profiler() as profiler:
                 spec.run(observer=profiler)

@@ -251,7 +251,7 @@ class TestRetransmission:
         assert ack.attempts > 1
         assert manager.retries >= 1
         assert controller.pending_acks() == 0
-        assert network.switch("S1").dataplane.table.occupancy() >= 1
+        assert len(network.switch("S1").dataplane.table) >= 1
 
     def test_exhausted_retries_fail_the_ack(self):
         sim, network, controller, manager = _recovering_controller(
@@ -279,7 +279,7 @@ class TestRetransmission:
         # Applied once: a second apply would replace the rule in place, so
         # occupancy alone could not tell; the data plane's log can.
         assert [xid for _time, xid in switch.dataplane.apply_log] == [flowmod.xid]
-        assert switch.dataplane.table.occupancy() == 1
+        assert len(switch.dataplane.table) == 1
         assert ack.acked  # the retransmit's barrier resolved it
 
     def test_executor_summary_reports_failed_operations(self):
@@ -313,7 +313,7 @@ class TestShadowResync:
         controller.send_barrier("S1")
         sim.run(until=0.5)
         switch = network.switch("S1")
-        assert manager.shadow.table("S1").occupancy() == 3
+        assert len(manager.shadow.table("S1")) == 3
         assert manager.shadow.missing_rules(switch) == []
         switch.dataplane.wipe()
         assert len(manager.shadow.missing_rules(switch)) == 3
@@ -326,12 +326,12 @@ class TestShadowResync:
         controller.send_barrier("S2")
         sim.run(until=0.5)
         network.switch("S2").crash()
-        assert network.switch("S2").dataplane.table.occupancy() == 0
+        assert len(network.switch("S2").dataplane.table) == 0
         network.switch("S2").restore()
         sim.run(until=2.0)
         assert manager.rules_reinstalled == 3
         assert manager.resyncs_completed == 1
-        assert network.switch("S2").dataplane.table.occupancy() == 3
+        assert len(network.switch("S2").dataplane.table) == 3
         assert manager.reconverged()
         assert manager.shadow.missing_rules(network.switch("S2")) == []
 
@@ -411,7 +411,7 @@ class TestSwitchLifecycleEdgeCases:
         switch.restore()
         sim.run(until=2.0)
         assert manager.resyncs_completed >= 1
-        assert switch.dataplane.table.occupancy() == 1
+        assert len(switch.dataplane.table) == 1
         assert manager.reconverged()
 
     def test_restart_after_zero_stays_dead(self):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.controller import AckMode, Controller
 from repro.core import (
-    ALL_TECHNIQUES,
     ReliableBarrierLayer,
     RumConfig,
     RumLayer,
@@ -13,6 +12,7 @@ from repro.core import (
     config_for_technique,
 )
 from repro.core.proxy import ProxyLayer
+from repro.core.techniques.registry import rum_technique_names
 from repro.net import Network, triangle_topology
 from repro.openflow import FlowMod, Match, OutputAction
 from repro.packet.addresses import int_to_ip
@@ -70,7 +70,7 @@ def _rule(index, port):
                    [OutputAction(port)], priority=100)
 
 
-@pytest.mark.parametrize("technique", ALL_TECHNIQUES)
+@pytest.mark.parametrize("technique", rum_technique_names())
 def test_every_technique_eventually_confirms(technique):
     sim, network, rum, controller = _build(technique)
     port = network.port_between("S2", "S3")

@@ -11,10 +11,15 @@ from repro.scenarios import (
     get_scenario,
     run_scenario,
 )
-from repro.experiments.common import EndToEndParams, MigrationSpec, run_path_migration
+from repro.experiments.common import (
+    EndToEndParams,
+    MigrationSpec,
+    migration_session,
+    run_path_migration,
+)
 from repro.net.network import Network
 from repro.scenarios.generators import build_topology, leaf_spine
-from repro.scenarios.migration import endpoint_hosts, migration_paths
+from repro.scenarios.migration import PathMigrationScenario, endpoint_hosts, migration_paths
 from repro.sim import Simulator
 
 
@@ -82,20 +87,33 @@ class TestEngine:
         assert first.dropped_packets == second.dropped_packets
 
 
-class TestMigrationSpec:
+class TestPathMigrationScenario:
+    """Given paths (``MigrationSpec``) and searched ones run as one class."""
+
+    @staticmethod
+    def _markers(scenario):
+        network = Network(Simulator(), scenario.build_topology())
+        flows = scenario.flows(network)
+        return set(scenario.new_path_switches(network, flows).values())
+
     def test_triangle_default_matches_paper(self):
-        spec = MigrationSpec.triangle()
-        assert spec.old_path == ["H1", "S1", "S3", "H2"]
-        assert spec.resolved_new_path_switch() == "S2"
+        scenario = PathMigrationScenario(migration=MigrationSpec.triangle())
+        assert scenario.given.old_path == ["H1", "S1", "S3", "H2"]
+        assert self._markers(scenario) == {"S2"}
+        # The search on the triangle finds the paper's paths too.
+        searched = PathMigrationScenario(ScenarioParams(topology="triangle"))
+        network = Network(Simulator(), searched.build_topology())
+        assert ((searched.paths(network).old_path, searched.paths(network).new_path)
+                == (scenario.given.old_path, scenario.given.new_path))
 
     def test_new_path_switch_inference(self):
         topo = leaf_spine(leaves=2, spines=2, hosts_per_leaf=1)
-        spec = MigrationSpec(
+        scenario = PathMigrationScenario(migration=MigrationSpec(
             topology=topo,
             old_path=["H1", "L0", "SP0", "L1", "H2"],
             new_path=["H1", "L0", "SP1", "L1", "H2"],
-        )
-        assert spec.resolved_new_path_switch() == "SP1"
+        ))
+        assert self._markers(scenario) == {"SP1"}
 
     def test_no_distinguishing_switch_rejected(self):
         topo = leaf_spine(leaves=2, spines=2, hosts_per_leaf=1)
@@ -104,8 +122,10 @@ class TestMigrationSpec:
             old_path=["H1", "L0", "SP0", "L1", "H2"],
             new_path=["H1", "L0", "SP0", "L1", "H2"],
         )
-        with pytest.raises(ValueError):
-            spec.resolved_new_path_switch()
+        with pytest.raises(ValueError, match="visits no switch the old path avoids"):
+            PathMigrationScenario(migration=spec)
+        with pytest.raises(ValueError, match="visits no switch the old path avoids"):
+            migration_session("general", spec=spec)
 
     def test_run_path_migration_on_generated_topology(self):
         topo = leaf_spine(leaves=2, spines=2, hosts_per_leaf=1,
@@ -119,6 +139,16 @@ class TestMigrationSpec:
         result = run_path_migration("general", params, spec=spec)
         assert result.update_duration is not None
         assert all(entry.switched for entry in result.stats)
+
+    @pytest.mark.parametrize("name, read", [
+        ("link-failure", lambda scenario, network: scenario.drained_edge(network)),
+        ("ecmp-rebalance", lambda scenario, network: scenario.spines(network)),
+    ])
+    def test_subclass_state_follows_the_paths_given_or_searched(self, name, read):
+        searched = get_scenario(name, _quick_params())
+        network = Network(Simulator(), searched.build_topology())
+        given = type(searched)(_quick_params(), migration=searched.paths(network))
+        assert read(given, network) == read(searched, network)
 
 
 def _endpoint_network(family, scale):

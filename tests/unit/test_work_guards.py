@@ -41,7 +41,6 @@ sequential probe-rule update whose probe came back (an applied FlowMod gets
 none either).
 """
 
-import dataclasses
 import gc
 import inspect
 import sys
@@ -673,8 +672,9 @@ def test_a_failing_session_is_dismantled_too():
     def session():
         spec = scenario_session("path-migration", "general",
                                 ScenarioParams(topology="fat-tree", flow_count=4))
+        spec.workload.build_plan = boom
         with pytest.raises(RuntimeError, match="boom"):
-            dataclasses.replace(spec, plan_builder=boom).run()
+            spec.run()
 
     session()
     unreachable, _none = _unreachable_after(session)
