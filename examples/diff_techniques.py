@@ -11,9 +11,10 @@ run store, and diffs them: summary deltas (drops, broken time), per-switch
 activation-gap movement, and the **first divergent lifecycle event**,
 named with its simulated time, switch and phase.
 
-Equivalent CLI, given two stored runs::
+Equivalent CLI, given two stored runs (one REF alone prints that run's
+summary, timeline and fault overlay)::
 
-    python -m repro.store --store runstore diff <digestA> <digestB>
+    python -m repro.store --store runstore show <digestA> <digestB>
 
 Run with::
 
@@ -29,7 +30,7 @@ from typing import Optional
 
 from repro.analysis.diff import diff_runs, render_run_diff
 from repro.scenarios import ScenarioParams, run_scenario
-from repro.store import RunStore
+from repro.store import RunStore, RunView
 
 FAULTS = "delay-spike(probability=0.4)"
 
@@ -54,8 +55,8 @@ def main(store_root: Optional[Path] = None) -> None:
     print(f"store verify        -> {store.verify() or 'clean'}")
     print()
 
-    diff = diff_runs(left.as_dict(), right.as_dict(),
-                     left_label="timeout", right_label="general")
+    diff = diff_runs(RunView(left.as_dict(), "timeout"),
+                     RunView(right.as_dict(), "general"))
     print(render_run_diff(diff))
     print()
     # The one-line verdict: under the delay spike, the timeout technique

@@ -2,8 +2,9 @@
 
 The paper's argument is inherently differential — the same update plan is
 safe under acknowledgment-based techniques and unsafe under timeouts — and
-this module is the comparison primitive behind ``python -m repro.store
-diff`` and the campaign report's ``--baseline`` mode.  Two layers:
+this module renders what ``python -m repro.store show`` prints for runs:
+:func:`render_run` for one, :func:`render_run_diff` for two.  Both read
+:class:`~repro.store.store.RunView` projections.  A diff has two layers:
 
 * **summary level** — the flat :data:`~repro.session.record.SUMMARY_KEYS`
   view of each run (outcome, durations, drops, fault/recovery accounting,
@@ -27,10 +28,14 @@ observability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.analysis.activation import LedgerRow
-from repro.analysis.timeline import activation_gap_summary, rule_lifecycles
+from repro.analysis.timeline import (
+    gap_summary_lines,
+    render_fault_overlay,
+    render_timeline_report,
+    rule_lifecycles,
+)
 from repro.obs.events import (
     PHASE_ACK_RECEIVED,
     PHASE_ACK_SENT,
@@ -41,6 +46,9 @@ from repro.obs.events import (
     PHASE_UPDATE_ISSUED,
     TraceLog,
 )
+
+if TYPE_CHECKING:
+    from repro.store.store import RunView
 
 #: Lifecycle phases paired with their :class:`RuleLifecycle` slot, in causal
 #: order — the order divergences are reported in when timestamps tie.
@@ -146,31 +154,6 @@ def first_lifecycle_divergence(left: TraceLog,
     return best[4] if best else None
 
 
-def flat_summary(payload: Dict[str, object]) -> Dict[str, object]:
-    """The flat summary view of any run payload.
-
-    Accepts either a full :meth:`RunRecord.as_dict` payload (recognised by
-    its ``schema`` stamp; converted through the record round trip) or a
-    campaign JSONL record, which is already flat.
-    """
-    if "schema" in payload and "stats" in payload:
-        from repro.session.record import RunRecord
-
-        return RunRecord.from_dict(payload).summary()
-    return dict(payload)
-
-
-def trace_of(payload: Dict[str, object],
-             trace: Optional[Dict[str, object]] = None) -> Optional[TraceLog]:
-    """The :class:`TraceLog` of a payload, from it or the override dict."""
-    raw = trace if trace is not None else payload.get("trace")
-    if not raw:
-        return None
-    if isinstance(raw, TraceLog):
-        return raw
-    return TraceLog.from_dict(raw)
-
-
 @dataclass
 class RunDiff:
     """Everything the differential comparison of two runs found."""
@@ -203,16 +186,14 @@ class RunDiff:
             return f"identical outcome (digest {digest})"
         if self.divergence is not None:
             return self.divergence.describe()
-        for key in self.changed:
-            left, right = self.summary[key]
-            if key in ("technique", "scenario", "digest"):
-                continue
-            return f"{key}: {left} -> {right}"
-        if self.changed:
-            key = self.changed[0]
-            left, right = self.summary[key]
-            return f"{key}: {left} -> {right}"
-        return "no observable differences"
+        # A moved outcome key explains more than the labels or the digest.
+        keys = [key for key in self.changed
+                if key not in ("technique", "scenario", "digest")]
+        keys = keys or self.changed
+        if not keys:
+            return "no observable differences"
+        left, right = self.summary[keys[0]]
+        return f"{keys[0]}: {left} -> {right}"
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -234,18 +215,9 @@ class RunDiff:
         }
 
 
-def _gaps_of(payload: Dict[str, object]) -> Dict[str, Dict[str, float]]:
-    """A campaign record's ``activation_gaps``, or a full payload's ledger's."""
-    if "activation_gaps" in payload:
-        return payload["activation_gaps"]
-    return activation_gap_summary(
-        LedgerRow(*row) for row in payload.get("ledger") or [])
-
-
-def _gap_deltas(left_payload: Dict[str, object], right_payload: Dict[str, object]
+def _gap_deltas(left_summary: Dict[str, Dict[str, float]],
+                right_summary: Dict[str, Dict[str, float]]
                 ) -> Dict[str, Dict[str, Tuple[object, object]]]:
-    left_summary = _gaps_of(left_payload)
-    right_summary = _gaps_of(right_payload)
     deltas: Dict[str, Dict[str, Tuple[object, object]]] = {}
     for switch in sorted(set(left_summary) | set(right_summary)):
         left_stats = left_summary.get(switch, {})
@@ -262,28 +234,17 @@ def _gap_deltas(left_payload: Dict[str, object], right_payload: Dict[str, object
     return deltas
 
 
-def diff_runs(
-    left_payload: Dict[str, object],
-    right_payload: Dict[str, object],
-    left_trace: Optional[Dict[str, object]] = None,
-    right_trace: Optional[Dict[str, object]] = None,
-    left_label: str = "left",
-    right_label: str = "right",
-) -> RunDiff:
+def diff_runs(left: "RunView", right: "RunView") -> RunDiff:
     """Compare two runs; lifecycle level only when both carry traces."""
-    left_flat = flat_summary(left_payload)
-    right_flat = flat_summary(right_payload)
-    diff = RunDiff(left_label=left_label, right_label=right_label)
+    left_flat, right_flat = left.summary, right.summary
+    diff = RunDiff(left_label=left.label, right_label=right.label)
     for key in SUMMARY_DIFF_KEYS:
         if key in left_flat or key in right_flat:
             diff.summary[key] = (left_flat.get(key), right_flat.get(key))
-    diff.gap_deltas = _gap_deltas(left_payload, right_payload)
-
-    left_log = trace_of(left_payload, left_trace)
-    right_log = trace_of(right_payload, right_trace)
-    if left_log is not None and right_log is not None:
+    diff.gap_deltas = _gap_deltas(left.gaps, right.gaps)
+    if left.trace is not None and right.trace is not None:
         diff.traced = True
-        diff.divergence = first_lifecycle_divergence(left_log, right_log)
+        diff.divergence = first_lifecycle_divergence(left.trace, right.trace)
     return diff
 
 
@@ -337,3 +298,27 @@ def render_run_diff(diff: RunDiff) -> str:
             if parts:
                 lines.append(f"  {switch}: " + ", ".join(parts))
     return "\n".join(lines) + "\n"
+
+
+def render_run(view: "RunView") -> str:
+    """The view of one run: labels, summary and activation gaps, plus its
+    rule-lifecycle timeline and fault overlay when it carries a trace."""
+    header = f"Run {view.label}"
+    lines = [header, "=" * len(header)]
+    meta, summary = view.meta, view.summary
+    rows = {"outcome": meta["outcome"], "fault plan": meta["fault"],
+            "recovery policy": meta["recovery"]}
+    rows.update((key, summary[key]) for key in SUMMARY_DIFF_KEYS
+                if key in summary)
+    width = max(len(key) for key in rows)
+    lines += [f"  {key:<{width}}  {_fmt_value(value)}"
+              for key, value in rows.items()]
+    trace = view.trace
+    # A traced run with a ledger gets its gaps from the timeline below.
+    if trace is None or not view.ledger:
+        lines += [""] + gap_summary_lines(view.gaps)
+    text = "\n".join(lines) + "\n"
+    if trace is not None:
+        text += ("\n" + render_timeline_report(trace, view.ledger)
+                 + "\n" + render_fault_overlay(trace))
+    return text

@@ -35,11 +35,6 @@ class FlowUpdateStats:
     packets_received: int
 
     @property
-    def packets_dropped(self) -> int:
-        """Packets that never arrived."""
-        return self.packets_sent - self.packets_received
-
-    @property
     def switched(self) -> bool:
         """Whether the flow was observed on the new path at all."""
         return self.first_new_path is not None
@@ -100,11 +95,6 @@ def broken_time_distribution(
         threshold: 100.0 * fraction_at_least(broken_times, threshold)
         for threshold in thresholds
     }
-
-
-def total_dropped(stats: Sequence[FlowUpdateStats]) -> int:
-    """Packets dropped across all flows."""
-    return sum(entry.packets_dropped for entry in stats)
 
 
 def mean_update_time(stats: Sequence[FlowUpdateStats]) -> Optional[float]:

@@ -107,37 +107,6 @@ def _format_cell(cell: object) -> str:
     return str(cell)
 
 
-def render_run_summaries(summaries: Sequence[Dict[str, object]],
-                         title: str = "") -> str:
-    """Table over unified run-record summaries, one row per record.
-
-    ``summaries`` are flat dicts with the keys of
-    ``repro.session.record.SUMMARY_KEYS`` (what ``RunRecord.summary()``
-    returns and campaign result files store per cell); this renderer is the
-    one table every run path can feed.
-    """
-    rows = []
-    for summary in summaries:
-        duration = summary.get("update_duration")
-        digest = summary.get("digest") or ""
-        rows.append([
-            summary.get("scenario") or summary.get("kind", "?"),
-            summary.get("technique", "?"),
-            summary.get("topology", "?"),
-            summary.get("seed", "?"),
-            duration if duration is not None else "-",
-            summary.get("dropped_packets", 0),
-            summary.get("max_broken_time", 0.0),
-            digest[:8] if digest else "-",
-        ])
-    return format_table(
-        ["workload", "technique", "topology", "seed", "duration [s]",
-         "dropped", "max broken [s]", "digest"],
-        rows,
-        title=title,
-    )
-
-
 def render_flow_update_curves(
     per_technique: Dict[str, List[Tuple[Optional[float], Optional[float]]]],
     title: str = "",

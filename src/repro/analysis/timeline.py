@@ -183,9 +183,15 @@ def render_timeline_report(log: TraceLog, ledger: Iterable[LedgerRow],
             f"{entry.confirmed_by}"
         )
     lines.append("")
-    lines.append("Per-switch activation-gap summary (ack - hw activation; "
-                 "negative = unsafe early ack)")
-    for switch, stats in activation_gap_summary(ledger).items():
+    lines += gap_summary_lines(activation_gap_summary(ledger))
+    return "\n".join(lines) + "\n"
+
+
+def gap_summary_lines(summary: Dict[str, Dict[str, float]]) -> List[str]:
+    """The text of an :func:`activation_gap_summary`, one line per switch."""
+    lines = ["Per-switch activation-gap summary (ack - hw activation; "
+             "negative = unsafe early ack)"]
+    for switch, stats in summary.items():
         detail = (f"  {switch}: {int(stats['rules'])} rules, "
                   f"{int(stats['early'])} early, {int(stats['never'])} never")
         if "mean" in stats:
@@ -193,7 +199,7 @@ def render_timeline_report(log: TraceLog, ledger: Iterable[LedgerRow],
                        f"mean {_fmt_ms(stats['mean'])} / "
                        f"max {_fmt_ms(stats['max'])}")
         lines.append(detail)
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 @dataclass

@@ -4,7 +4,6 @@ Subcommands::
 
     list                       show scenarios, topology families, fault models
     run [axes...]              expand a grid, run pending cells in parallel
-    report [--out FILE]        aggregate a results file into a summary table
 
 plus the live fleet monitor — usable *while* a campaign runs, since it only
 reads the per-worker heartbeat shards::
@@ -23,7 +22,10 @@ and the report then includes the per-technique correctness-under-fault table.
 ``run`` writes one line per grid cell to its results file and keeps every
 finished cell in a run store (``--cache``, by default ``runstore/`` next to
 ``--out``): re-invoking the same command resumes an interrupted campaign,
-simulating only the cells the store lacks.
+simulating only the cells the store lacks.  ``run`` prints the campaign
+report when it finishes; ``python -m repro.store show RESULTS [BASELINE]``
+prints it again later, with the differential table against a baseline.
+Every axis defaults to :class:`~repro.campaign.grid.CampaignSpec`'s.
 """
 
 from __future__ import annotations
@@ -99,32 +101,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("list", help="list scenarios and topology families")
 
+    grid = CampaignSpec()
     run = commands.add_parser("run", help="run a (scenario x technique x "
                                           "scale x seed) grid")
-    run.add_argument("--scenarios", type=_csv,
-                     default=["path-migration", "link-failure", "ecmp-rebalance"],
+    run.add_argument("--scenarios", type=_csv, default=grid.scenarios,
                      help="comma-separated scenario names")
-    run.add_argument("--techniques", type=_csv, default=["barrier", "general"],
+    run.add_argument("--techniques", type=_csv, default=grid.techniques,
                      help="comma-separated technique names")
-    run.add_argument("--scales", type=_int_csv, default=[1],
+    run.add_argument("--scales", type=_int_csv, default=grid.scales,
                      help="comma-separated integer scales")
-    run.add_argument("--seeds", type=_int_csv, default=[1, 2],
+    run.add_argument("--seeds", type=_int_csv, default=grid.seeds,
                      help="comma-separated seeds")
-    run.add_argument("--faults", type=_fault_csv, default=[None],
+    run.add_argument("--faults", type=_fault_csv, default=grid.faults,
                      help="comma-separated fault-plan strings, e.g. "
                           "'none,ack-loss(probability=0.3)' (quote the "
                           "parentheses; 'none' keeps a fault-free control "
                           "group; default: each scenario's own faults, if any)")
-    run.add_argument("--recovery", type=_fault_csv, default=[None],
+    run.add_argument("--recovery", type=_fault_csv, default=grid.recoveries,
                      dest="recoveries",
                      help="comma-separated recovery-policy strings, e.g. "
                           "'off,on' or 'off,on(max_attempts=6)' ('off' keeps "
                           "an unrecovered control group; default: each "
                           "scenario's own policy)")
-    run.add_argument("--topology", default="auto",
+    run.add_argument("--topology", default=grid.topology,
                      help=f"topology family ({', '.join(TOPOLOGY_FAMILIES)}, "
                           "or 'auto' for each scenario's default)")
-    run.add_argument("--flows", type=int, default=8, help="flows per cell")
+    run.add_argument("--flows", type=int, default=grid.flow_count,
+                     help="flows per cell")
     run.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: min(cpu, 8))")
     run.add_argument("--trace", action="store_true",
@@ -145,15 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-report", action="store_true",
                      help="skip the aggregated report after the run")
 
-    report = commands.add_parser("report", help="aggregate a results file")
-    report.add_argument("--out", type=Path, default=Path(DEFAULT_RESULTS),
-                        help="JSON-lines results file to aggregate")
-    report.add_argument("--baseline", type=Path, default=None,
-                        metavar="STORE_OR_RESULTS",
-                        help="also render the differential resilience table "
-                             "against a baseline (a run-store directory or "
-                             "another results file): cells whose outcome or "
-                             "digest changed, with a one-line explanation")
     return parser
 
 
@@ -220,16 +214,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if outcome.failed else 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    print(render_report(args.out))
-    if args.baseline is not None:
-        from repro.campaign.report import render_differential_report
-
-        print()
-        print(render_differential_report(args.out, args.baseline))
-    return 0
-
-
 def cmd_status(args: argparse.Namespace) -> int:
     from repro.campaign.status import render_status
 
@@ -245,13 +229,10 @@ def main(argv=None) -> int:
         if args.status is not None:
             return cmd_status(args)
         if args.command is None:
-            parser.error("a subcommand (list/run/report) or --status is "
-                         "required")
+            parser.error("a subcommand (list/run) or --status is required")
         if args.command == "list":
             return cmd_list()
-        if args.command == "run":
-            return cmd_run(args)
-        return cmd_report(args)
+        return cmd_run(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

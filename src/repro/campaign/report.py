@@ -72,17 +72,18 @@ def aggregate(records: List[Dict[str, object]]) -> List[List[object]]:
     return rows
 
 
-def run_labels(axes: Mapping[str, object],
-               session: Mapping[str, object]) -> Tuple[str, str]:
+def run_labels(run: Mapping[str, object]) -> Tuple[str, str]:
     """The ``(fault, recovery)`` labels of one run.
 
-    ``axes`` is a campaign cell's ``config`` (``{}`` for a run outside a
-    campaign) and ``session`` the run's ``SessionSpec.config()`` encoding.
-    An axis the cell sets is its label verbatim; an absent axis is labelled
-    by the plan and policy strings the run actually armed, so a scenario
-    that arms its own faults (``rolling-upgrade``) is never mistaken for the
-    fault-free control.
+    ``run`` is a campaign results line or a full record payload.  An axis
+    the cell's ``config`` sets is its label verbatim.  An absent axis, or a
+    run outside a campaign, is labelled by the plan and policy strings the
+    run actually armed, from its session encoding (a line's ``session``, a
+    payload's ``spec``).  So a scenario that arms its own faults
+    (``rolling-upgrade``) is never mistaken for the fault-free control.
     """
+    axes = run.get("config") or {}
+    session = run.get("session") or run.get("spec") or {}
     fault = axes.get("fault")
     if fault is None:
         fault = session.get("faults")
@@ -100,8 +101,7 @@ def _fault_label(record: Dict[str, object]) -> str:
     is the recovered-vs-unrecovered comparison the campaign exists to show —
     and the ``digests`` determinism column never mixes the two populations.
     """
-    fault, recovery = run_labels(record.get("config") or {},
-                                 record.get("session") or {})
+    fault, recovery = run_labels(record)
     label = "none" if fault.lower() in NO_FAULTS else fault
     if recovery.lower() not in NO_RECOVERY:
         label += f" +recovery={recovery}"
@@ -261,37 +261,11 @@ def failures(records: List[Dict[str, object]]) -> List[List[object]]:
     return rows
 
 
-#: Headers of the ``--baseline`` differential resilience table.
+#: Headers of the differential resilience table (``store show A.jsonl B``).
 DIFFERENTIAL_HEADERS = [
     "scenario", "technique", "fault", "seed", "outcome", "digest",
     "what changed",
 ]
-
-
-def baseline_records(baseline: Path) -> Dict[str, Dict[str, object]]:
-    """``cell_id -> record`` from a results file *or* a run-store directory.
-
-    A directory with an ``objects/`` layout is read as a
-    :class:`~repro.store.RunStore`: each cell's digest-verified summary,
-    as :meth:`~repro.store.RunStore.cached_record` serves it; anything else
-    is treated as a JSONL results file.
-    """
-    baseline = Path(baseline)
-    if baseline.is_dir() and (baseline / "objects").is_dir():
-        from repro.store import RunStore
-
-        store = RunStore(baseline)
-        return {
-            cell_id: hit
-            for obj in store.iter_objects()
-            for cell_id in obj.get("summaries") or {}
-            if (hit := store.cached_record(cell_id)) is not None
-        }
-    return {
-        str(record["cell_id"]): record
-        for record in load_records(baseline)
-        if record.get("status") in FINAL_STATUSES and "cell_id" in record
-    }
 
 
 def differential(
@@ -305,6 +279,7 @@ def differential(
     diff tool's one-line explanation of what moved.
     """
     from repro.analysis.diff import diff_runs
+    from repro.store.store import RunView  # store.store imports this module
 
     counts = {"unchanged": 0, "changed": 0, "new": 0, "missing": 0}
     rows: List[List[object]] = []
@@ -335,19 +310,22 @@ def differential(
                    else f"{base.get('status')} -> {record.get('status')}")
         digest = ("=" if same_digest
                   else f"{base.get('digest')} -> {record.get('digest')}")
-        explanation = diff_runs(base, record, left_label="baseline",
-                                right_label="current").explain()
+        explanation = diff_runs(RunView(base, "baseline"),
+                                RunView(record, "current")).explain()
         rows.append(prefix + [outcome, digest, explanation])
     counts["missing"] = sum(1 for cell_id in baseline if cell_id not in seen)
     return rows, counts
 
 
-def render_differential_report(results_path: Path, baseline_path: Path) -> str:
-    """The differential resilience table against a baseline store/results."""
+def render_differential_report(results_path: Path,
+                               baseline: Dict[str, Dict[str, object]],
+                               baseline_path: Path) -> str:
+    """The differential resilience table of a results file against the
+    ``cell_id -> line`` cells of a baseline: what ``RunStore.read`` reads
+    from ``baseline_path``, a store directory or another results file."""
     records = load_records(results_path)
     if not records:
         return f"no campaign records in {results_path}"
-    baseline = baseline_records(Path(baseline_path))
     if not baseline:
         return f"no baseline records in {baseline_path}"
     rows, counts = differential(records, baseline)
@@ -364,10 +342,10 @@ def render_differential_report(results_path: Path, baseline_path: Path) -> str:
 def render_report(results_path: Path, cached: int = 0) -> str:
     """The campaign's aggregated plain-text report.
 
-    ``cached`` is the just-finished run's store-cache hit count (only the
-    ``run`` subcommand knows it); the standalone ``report`` subcommand
-    renders with the default ``0`` so re-aggregating a results file stays
-    byte-identical no matter how its cells were produced.
+    ``cached`` is the just-finished run's store-cache hit count (only
+    ``campaign run`` knows it); ``store show RESULTS`` renders with the
+    default ``0`` so re-aggregating a results file stays byte-identical no
+    matter how its cells were produced.
     """
     records = load_records(results_path)
     if not records:

@@ -74,9 +74,6 @@ class FirewallScenario(Scenario):
     host_ip: str = "10.0.0.1"
     server_ip: str = "10.0.0.2"
 
-    #: No drops are counted: the violations in :meth:`metrics` are the measurement.
-    dropped_from_monitor = False
-
     def build_topology(self) -> Topology:
         """A - B - S3 chain with the firewall switch (and its host) off B.
 

@@ -99,9 +99,6 @@ class Scenario:
     description: str = ""
     #: Topology family used when ``params.topology`` is ``"auto"``.
     default_topology: str = "leaf-spine"
-    #: Count dropped packets network-wide instead of over the flows
-    #: :meth:`new_path_switches` tracks.
-    dropped_from_monitor: bool = True
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)

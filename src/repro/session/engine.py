@@ -30,7 +30,6 @@ from repro.analysis.activation import ActivationDelays, activation_ledger
 from repro.analysis.flowstats import (
     flow_update_stats,
     mean_update_time,
-    total_dropped,
     update_completion_time,
 )
 from repro.controller.update_plan import PlanExecutor
@@ -185,8 +184,7 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
             update_start=knobs.warmup,
             expected_interval=1.0 / knobs.rate_pps,
         )
-    dropped = (network.monitor.total_dropped() if workload.dropped_from_monitor
-               else total_dropped(stats))
+    dropped = network.monitor.total_dropped()
 
     ledger = activation_ledger(plan, network, stack.rum)
     probe = spec.activation_probe

@@ -7,8 +7,8 @@ workload is one object with the scenario protocol of
 :class:`~repro.scenarios.base.Scenario` — ``build_topology()``,
 ``flows(network)``, ``preinstall(network, flows)``,
 ``build_plan(network, flows)``, ``new_path_switches(network, flows)``,
-``metrics(network, plan, executor)`` and the class flag
-``dropped_from_monitor`` — whether or not it is a registered scenario.
+and ``metrics(network, plan, executor)`` — whether or not it is a
+registered scenario.
 ``SessionSpec.run()`` executes it through the single engine in
 :mod:`repro.session.engine` and returns a
 :class:`~repro.session.record.RunRecord`.

@@ -6,19 +6,20 @@ object layout with a spec-encoding index, so a cell whose exact
 configuration has already been simulated is never simulated again: the
 store is the campaign runner's only memory (``--cache``), and resume is a
 cache hit.  ``python -m repro.store`` is the
-CLI (``ingest`` / ``query`` / ``show`` / ``diff`` / ``verify`` / ``gc``);
-:mod:`repro.analysis.diff` supplies the differential analytics behind
-``diff``.
+CLI (``ingest`` / ``query`` / ``show`` / ``verify`` / ``gc``), and
+``show REF [REF]`` is the one way to read runs: :meth:`RunStore.read`
+resolves a REF and :class:`RunView` projects the run it names.
 """
 
 from repro.store.store import (  # noqa: F401
     GcStats,
     IngestStats,
+    Resolved,
     RunStore,
+    RunView,
     StoreError,
     canonical_json,
     content_sha1,
-    diff_inputs,
     file_sha1,
     spec_key,
 )
@@ -26,11 +27,12 @@ from repro.store.store import (  # noqa: F401
 __all__ = [
     "GcStats",
     "IngestStats",
+    "Resolved",
     "RunStore",
+    "RunView",
     "StoreError",
     "canonical_json",
     "content_sha1",
-    "diff_inputs",
     "file_sha1",
     "spec_key",
 ]

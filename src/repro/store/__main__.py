@@ -4,16 +4,24 @@ Subcommands (all against ``--store DIR``, default ``runstore/``)::
 
     ingest PATH...        ingest results files / record JSONs / directories
     query [filters]       list stored runs (technique/scenario/fault/outcome)
-    show DIGEST           dump one stored object
-    diff A B              differential run/trace analytics between two runs
+    show REF [REF]        read one run or results file, or compare two
     verify                re-check every content pin and outcome digest
     gc                    drop dangling index entries / orphaned artifacts
 
-``A`` and ``B`` of ``diff`` are digest prefixes in the store or paths to
-full-record ``.json`` files.  A store is also the campaign runner's memory
-(``campaign run --cache``, by default ``runstore/`` next to its ``--out``):
-cells whose spec encoding already has a digest-verified record are emitted
-from the store instead of re-simulated, and every finished cell is put in.
+``show`` is the one way to read runs.  A REF is a digest prefix, an exact
+``cell_id`` in the index (which wins over a prefix match), a results
+``.jsonl`` file or a record ``.json`` file.  One REF prints the view its
+artifacts support: a results file its campaign report, a run its summary,
+and a traced run also its rule-lifecycle timeline and fault overlay.  Two
+runs print their diff and exit 1 when they differ.  A results file against
+another results file or a store directory prints its report and the
+differential resilience table.  ``--format json`` prints the stored object,
+record payload or results lines of one REF, and the diff of two runs.
+
+A store is also the campaign runner's memory (``campaign run --cache``, by
+default ``runstore/`` next to its ``--out``): cells whose spec encoding
+already has a digest-verified record are emitted from the store instead of
+re-simulated, and every finished cell is put in.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.diff import diff_runs, render_run_diff
+from repro.analysis.diff import diff_runs, render_run, render_run_diff
 from repro.analysis.report import format_table
-from repro.store.store import RunStore, StoreError, diff_inputs
+from repro.campaign.report import render_differential_report, render_report
+from repro.store.store import RunStore, StoreError
 
 #: Columns of the ``query`` table.
 QUERY_HEADERS = ["digest", "scenario", "technique", "fault", "recovery",
@@ -56,15 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ok / incomplete")
     query.add_argument("--format", choices=("text", "json"), default="text")
 
-    show = commands.add_parser("show", help="dump one stored object")
-    show.add_argument("digest", help="digest or unique prefix")
-
-    diff = commands.add_parser(
-        "diff", help="compare two runs (first divergent lifecycle event, "
-                     "activation-gap/drop/recovery deltas)")
-    diff.add_argument("left", help="digest prefix or record .json path")
-    diff.add_argument("right", help="digest prefix or record .json path")
-    diff.add_argument("--format", choices=("text", "json"), default="text")
+    show = commands.add_parser(
+        "show", help="read one run or results file, or compare two (first "
+                     "divergent lifecycle event, gap/drop/recovery deltas)")
+    show.add_argument("ref", help="digest prefix, cell_id, results .jsonl "
+                                  "or record .json")
+    show.add_argument("other", nargs="?", default=None,
+                      help="a second run to diff against, or a results file "
+                           "or store directory as the baseline of a "
+                           "results file")
+    show.add_argument("--format", choices=("text", "json"), default="text")
 
     commands.add_parser("verify", help="re-check content pins and digests")
     commands.add_parser("gc", help="drop dangling index/artifact entries")
@@ -87,32 +97,40 @@ def cmd_query(store: RunStore, args: argparse.Namespace) -> int:
     if not rows:
         print(f"(no stored runs match under {store.root})")
         return 0
-    table_rows = [[row.get(key) for key in
-                   ("digest", "scenario", "technique", "fault", "recovery",
-                    "outcome", "seed", "parts", "artifacts")]
-                  for row in rows]
+    table_rows = [[row.get(key) for key in QUERY_HEADERS] for row in rows]
     print(format_table(QUERY_HEADERS, table_rows,
                        title=f"Run store — {store.root} ({len(rows)} runs)"))
     return 0
 
 
 def cmd_show(store: RunStore, args: argparse.Namespace) -> int:
-    digest = store.resolve(args.digest)
-    print(json.dumps(store.load(digest), indent=1, sort_keys=True))
+    refs = [store.read(ref) for ref in (args.ref, args.other) if ref]
+    if len(refs) == 1 and args.format == "json":
+        print(json.dumps(refs[0].raw, indent=1, sort_keys=True))
+        return 0
+    if all(ref.run is not None for ref in refs):
+        if len(refs) == 1:
+            print(render_run(refs[0].run))
+            return 0
+        diff = diff_runs(refs[0].run, refs[1].run)
+        if args.format == "json":
+            print(json.dumps(diff.as_dict(), indent=1, sort_keys=True))
+        else:
+            print(render_run_diff(diff))
+        return 0 if diff.identical else 1
+    results = Path(refs[0].ref)
+    if (results.suffix != ".jsonl" or refs[-1].cells is None
+            or args.format == "json"):
+        raise StoreError(
+            f"cannot show {' against '.join(ref.ref for ref in refs)}: "
+            "compare two runs, or a results file with another or with a "
+            "store directory (as text)")
+    print(render_report(results))
+    if len(refs) == 2:
+        print()
+        print(render_differential_report(results, refs[1].cells,
+                                         Path(refs[1].ref)))
     return 0
-
-
-def cmd_diff(store: RunStore, args: argparse.Namespace) -> int:
-    left_label, left_payload, left_trace = diff_inputs(store, args.left)
-    right_label, right_payload, right_trace = diff_inputs(store, args.right)
-    diff = diff_runs(left_payload, right_payload,
-                     left_trace=left_trace, right_trace=right_trace,
-                     left_label=left_label, right_label=right_label)
-    if args.format == "json":
-        print(json.dumps(diff.as_dict(), indent=1, sort_keys=True))
-    else:
-        print(render_run_diff(diff))
-    return 0 if diff.identical else 1
 
 
 def cmd_verify(store: RunStore) -> int:
@@ -142,8 +160,6 @@ def main(argv=None) -> int:
             return cmd_query(store, args)
         if args.command == "show":
             return cmd_show(store, args)
-        if args.command == "diff":
-            return cmd_diff(store, args)
         if args.command == "verify":
             return cmd_verify(store)
         return cmd_gc(store)

@@ -30,6 +30,13 @@ way.  An object of another :data:`STORE_SCHEMA` is a cache miss and one
 ``verify`` problem; nothing migrates it, and the next ingest of its run
 replaces it.
 
+Reading goes through one resolver and one projection.
+:meth:`RunStore.read` turns a REF (digest prefix, ``cell_id``, results
+file, record file or store directory) into what it names, and
+:class:`RunView` projects a run, from a results line or a full record,
+onto the labels, outcome, summary and gaps that ``query``, ``show`` and a
+diff read.
+
 Nothing here reads wall time or ambient entropy: store contents are a pure
 function of what was ingested, so two hosts ingesting the same results
 files build byte-identical stores.
@@ -40,12 +47,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
+from repro.analysis.activation import LedgerRow
+from repro.analysis.timeline import activation_gap_summary
 from repro.campaign.report import run_labels
 from repro.campaign.runner import FINAL_STATUSES, load_records
-from repro.session.record import RECORD_SCHEMA, outcome_digest
+from repro.obs.events import TraceLog
+from repro.obs.export import trace_from_chrome
+from repro.session.record import RECORD_SCHEMA, RunRecord, outcome_digest
 
 #: Store layout version stamped into every object.  3: a stored session
 #: encoding carries its fault plan and recovery policy as their strings.
@@ -127,33 +139,77 @@ class GcStats:
                 f"{self.orphan_artifacts} orphaned artifact trees")
 
 
-def _meta_from_summary(record: Dict[str, object]) -> Dict[str, object]:
-    config = record.get("config") or {}
-    fault, recovery = run_labels(config, record.get("session") or {})
-    return {
-        "kind": record.get("kind", "scenario"),
-        "scenario": record.get("scenario") or config.get("scenario"),
-        "technique": record.get("technique") or config.get("technique"),
-        "fault": fault,
-        "recovery": recovery,
-        "outcome": record.get("status"),
-        "seed": record.get("seed", config.get("seed")),
-        "scale": record.get("scale", config.get("scale")),
-    }
+@dataclass
+class RunView:
+    """One run as every reader sees it, whichever artifact holds it.
+
+    ``run`` is a campaign results line (the flat
+    :data:`~repro.session.record.SUMMARY_KEYS` plus ``config``, ``session``,
+    ``status`` and ``activation_gaps``) or a full
+    :meth:`~repro.session.record.RunRecord.as_dict` payload.  ``meta`` is
+    what the store files the run under and ``query`` lists (labels and
+    outcome), ``summary`` what a diff compares key by key, ``gaps`` its
+    per-switch activation-gap summary, and ``trace``/``ledger`` what its
+    timeline is drawn from.  ``attached_trace`` is a trace the run does not
+    carry inline: a stored campaign cell's Chrome shard.
+    """
+
+    run: Dict[str, object]
+    label: str = ""
+    attached_trace: Optional[TraceLog] = None
+
+    @property
+    def meta(self) -> Dict[str, object]:
+        run = self.run
+        config = run.get("config") or {}
+        fault, recovery = run_labels(run)
+        return {
+            "kind": run.get("kind", "scenario"),
+            "scenario": run.get("scenario") or config.get("scenario"),
+            "technique": run.get("technique") or config.get("technique"),
+            "fault": fault,
+            "recovery": recovery,
+            "outcome": run.get("status") or (
+                "ok" if run.get("completed") else "incomplete"),
+            "seed": run.get("seed", config.get("seed")),
+            "scale": run.get("scale", config.get("scale")),
+        }
+
+    @cached_property
+    def summary(self) -> Dict[str, object]:
+        if "schema" in self.run and "stats" in self.run:
+            return RunRecord.from_dict(self.run).summary()
+        return dict(self.run)
+
+    @cached_property
+    def ledger(self) -> List[LedgerRow]:
+        return [LedgerRow(*row) for row in self.run.get("ledger") or []]
+
+    @cached_property
+    def gaps(self) -> Dict[str, Dict[str, float]]:
+        if "activation_gaps" in self.run:
+            return self.run["activation_gaps"]
+        return activation_gap_summary(self.ledger)
+
+    @cached_property
+    def trace(self) -> Optional[TraceLog]:
+        if self.attached_trace is not None:
+            return self.attached_trace
+        raw = self.run.get("trace")
+        return TraceLog.from_dict(raw) if raw else None
 
 
-def _meta_from_record(payload: Dict[str, object]) -> Dict[str, object]:
-    fault, recovery = run_labels({}, payload.get("spec") or {})
-    return {
-        "kind": payload.get("kind"),
-        "scenario": payload.get("scenario"),
-        "technique": payload.get("technique"),
-        "fault": fault,
-        "recovery": recovery,
-        "outcome": "ok" if payload.get("completed") else "incomplete",
-        "seed": payload.get("seed"),
-        "scale": payload.get("scale"),
-    }
+@dataclass
+class Resolved:
+    """What one REF names: one run, or a campaign's finished cells."""
+
+    ref: str
+    #: The artifact as read: a store object, a record payload, or the lines
+    #: of a results file (the cells of a store directory).
+    raw: object
+    run: Optional[RunView] = None
+    #: ``cell_id -> line`` of a results file or a store directory.
+    cells: Optional[Dict[str, Dict[str, object]]] = None
 
 
 class StoreError(ValueError):
@@ -257,6 +313,57 @@ class RunStore:
                 f"digest prefix {prefix!r} is ambiguous: {matches}")
         return matches[0]
 
+    def read(self, ref: str) -> Resolved:
+        """The one resolver: what ``ref`` names, read and never written.
+
+        A directory is a store and names its digest-verified cells, as
+        :meth:`cached_record` serves them; a ``.jsonl`` file names the
+        finished cells of a results file and a ``.json`` file one record
+        payload.  Anything else is an exact index key, such as a
+        ``cell_id``, which wins over a digest-prefix match, or a digest
+        prefix in this store.  A stored run is its full record where one is
+        stored (its trace is inline), else the cell's summary with its
+        attached Chrome shard.
+        """
+        path = Path(ref)
+        if path.is_dir():
+            other = RunStore(path)
+            cells = {cell_id: hit for obj in other.iter_objects()
+                     for cell_id in obj.get("summaries") or {}
+                     if (hit := other.cached_record(cell_id)) is not None}
+            return Resolved(ref, list(cells.values()), cells=cells)
+        if path.suffix == ".jsonl" and path.is_file():
+            lines = load_records(path)
+            return Resolved(ref, lines, cells={
+                str(line["cell_id"]): line for line in lines
+                if line.get("status") in FINAL_STATUSES and "cell_id" in line})
+        if path.suffix == ".json" and path.is_file():
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            return Resolved(ref, payload, run=RunView(payload, path.name))
+        digest = self.lookup_key(ref) or self.resolve(ref)
+        obj = self.load(digest)
+        if obj is None:
+            raise StoreError(f"{digest}: object is missing or not valid JSON")
+        if obj.get("record") is not None:
+            return Resolved(ref, obj, run=RunView(obj["record"], digest))
+        summaries = obj.get("summaries")
+        if not summaries:
+            raise StoreError(f"{digest} holds neither a record nor a summary")
+        summary = summaries.get(ref) or summaries[min(summaries)]
+        return Resolved(ref, obj, run=RunView(
+            summary, digest, attached_trace=self._attached_trace(obj)))
+
+    def _attached_trace(self, obj: Dict[str, object]) -> Optional[TraceLog]:
+        """The trace of a stored run's first Chrome shard, if it has one."""
+        for name in sorted(obj.get("artifacts") or {}):
+            path = self.artifact_path(str(obj["digest"]), name)
+            if path is None or not name.endswith(".json"):
+                continue
+            shard = json.loads(path.read_text(encoding="utf-8"))
+            if "traceEvents" in shard:
+                return trace_from_chrome(shard)
+        return None
+
     # -- writes ---------------------------------------------------------------
     def put_record(self, payload: Dict[str, object]) -> str:
         """Store a full :meth:`RunRecord.as_dict` payload; returns its digest.
@@ -268,13 +375,9 @@ class RunStore:
         obj = self._object(digest)
         obj["record"] = payload
         obj["sha1"]["record"] = content_sha1(payload)
-        meta = dict(obj.get("meta") or {})
         # The summary's meta wins where both exist (it knows the campaign
-        # status and fault label verbatim); fill the gaps from the payload.
-        fresh = _meta_from_record(payload)
-        for key, value in fresh.items():
-            meta.setdefault(key, value)
-        obj["meta"] = meta
+        # status and fault label verbatim).
+        obj["meta"] = {**RunView(payload).meta, **(obj.get("meta") or {})}
         self._write(obj)
         spec = payload.get("spec") or {}
         if spec:
@@ -308,10 +411,7 @@ class RunStore:
             obj.setdefault("summaries", {})[str(cell_id)] = record
             obj["sha1"].setdefault("summaries", {})[str(cell_id)] = (
                 content_sha1(record))
-            meta = _meta_from_summary(record)
-            for key, value in (obj.get("meta") or {}).items():
-                meta.setdefault(key, value)
-            obj["meta"] = meta
+            obj["meta"] = {**(obj.get("meta") or {}), **RunView(record).meta}
             stats.summaries += 1
             for encoding in (record.get("config"), record.get("session")):
                 if encoding:
@@ -541,41 +641,3 @@ class RunStore:
         stats.records += 1
         stats.indexed += 1 if payload.get("spec") else 0
         return stats
-
-
-def diff_inputs(store: RunStore,
-                ref: str) -> Tuple[str, Dict[str, object], Optional[Dict]]:
-    """Resolve a CLI diff operand to ``(label, flat payload, trace dict)``.
-
-    Accepts a path to a full-record ``.json`` file, or a digest prefix in
-    the store.  Stored runs prefer their full payload (which carries the
-    trace inline); summary-only objects fall back to an attached
-    Chrome-trace shard when one exists.
-    """
-    as_path = Path(ref)
-    if as_path.suffix == ".json" and as_path.exists():
-        payload = json.loads(as_path.read_text(encoding="utf-8"))
-        return as_path.name, payload, payload.get("trace")
-    digest = store.resolve(ref)
-    obj = store.load(digest)
-    if obj is None:
-        raise StoreError(f"{digest}: object is not valid JSON")
-    record = obj.get("record")
-    if record is not None:
-        return digest, record, record.get("trace")
-    summaries = obj.get("summaries")
-    if not summaries:
-        raise StoreError(f"{digest} holds neither a record nor a summary")
-    summary = summaries[min(summaries)]
-    trace = None
-    for name in sorted(obj.get("artifacts") or {}):
-        path = store.artifact_path(digest, name)
-        if path is None or not name.endswith(".json"):
-            continue
-        shard = json.loads(path.read_text(encoding="utf-8"))
-        if "traceEvents" in shard:
-            from repro.obs.export import trace_from_chrome
-
-            trace = trace_from_chrome(shard).as_dict()
-            break
-    return digest, summary, trace

@@ -17,12 +17,12 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: ``find src -name '*.py' | xargs cat | wc -l``.  Net ``src/`` lines only go
 #: down this round: a change that removes lines lowers the ceiling to what it
 #: reaches, a change that adds some deletes as many elsewhere.
-SOURCE_LINE_CEILING = 17587
+SOURCE_LINE_CEILING = 17571
 
 #: Knobs: the fields of the run-configuration dataclasses plus every
 #: non-help option of the campaign and store CLIs, sub-commands included.
 #: A knob no caller sets is a constant; a new one replaces an old one.
-KNOB_CEILING = 86
+KNOB_CEILING = 83
 
 KNOB_DATACLASSES = (SessionKnobs, StackSpec, ScenarioParams, CampaignCell,
                     CampaignSpec, FaultPlan, RecoveryPolicy)

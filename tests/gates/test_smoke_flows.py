@@ -29,27 +29,27 @@ def test_a_stored_grid_reruns_from_cache_and_reports_byte_identically(
         tmp_path, capsys, caplog):
     results, store = str(tmp_path / "results.jsonl"), str(tmp_path / "store")
 
-    def report():
+    def show(*refs):
         capsys.readouterr()
-        assert campaign_main(["report", "--out", results]) == 0
-        return capsys.readouterr().out
+        code = store_main(["--store", store, "show", *refs])
+        return code, capsys.readouterr().out
 
     assert campaign_main(["run", *_GRID, "--out", results]) == 0
     assert store_main(["--store", store, "ingest", results]) == 0
     assert store_main(["--store", store, "verify"]) == 0
-    first = report()
+    code, first = show(results)
+    assert code == 0 and first.startswith(f"Campaign report — {results}")
 
     with caplog.at_level(logging.INFO, logger="repro"):
         assert campaign_main(["run", *_GRID, "--cache", store,
                               "--out", results]) == 0
     assert "ran 0, cached 4" in caplog.text
-    assert report() == first
+    assert show(results) == (0, first)
 
     left, right = RunStore(store).digests()[:2]
-    capsys.readouterr()
-    assert store_main(["--store", store, "diff", left, right,
-                       "--format", "json"]) in (0, 1)
-    payload = json.loads(capsys.readouterr().out)
+    code, out = show(left, right, "--format", "json")
+    assert code in (0, 1)
+    payload = json.loads(out)
     assert set(payload) >= {"left", "right", "identical", "traced", "summary",
                             "changed", "gap_deltas", "divergence", "explanation"}
     assert payload["traced"] is True, "stored traces were not aligned"

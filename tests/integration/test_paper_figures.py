@@ -176,6 +176,25 @@ def test_fig2_firewall_bypass():
     _hold("fig2", "first", 2.5)
 
 
+@pytest.mark.parametrize("technique, dropped", [("barrier", 75),
+                                                ("general", 478)])
+def test_fig2_records_count_the_monitors_drops(technique, dropped):
+    # The firewall workload tracks no flow, so a count over tracked flows
+    # read 0 whatever the network dropped.  At the defaults (3 s, seed 31)
+    # the network monitor counts these drops of 1 500 sent packets.
+    from repro.experiments.common import firewall_session
+
+    spec = firewall_session(technique)
+    metrics, seen = spec.workload.metrics, {}
+
+    def counting(network, plan, executor):
+        seen["monitor"] = network.monitor.total_dropped()
+        return metrics(network, plan, executor)
+
+    spec.workload.metrics = counting
+    assert spec.run().dropped_packets == seen["monitor"] == dropped
+
+
 def test_fig6_control_plane_techniques():
     _hold("fig6", "first", EndToEndParams.quick())
 

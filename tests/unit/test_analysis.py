@@ -15,7 +15,6 @@ from repro.analysis.flowstats import (
     broken_time_distribution,
     flow_update_stats,
     mean_update_time,
-    total_dropped,
     update_completion_time,
 )
 from repro.analysis.report import render_flow_update_curves
@@ -106,7 +105,7 @@ def test_flow_update_stats_switchover_times():
     assert entry.first_new_path == pytest.approx(0.8)
     assert entry.broken_time == pytest.approx(0.2, abs=1e-9)
     assert entry.switched
-    assert entry.packets_dropped == 0
+    assert entry.packets_sent == entry.packets_received
 
 
 def test_broken_time_distribution_percentages():
@@ -120,7 +119,8 @@ def test_broken_time_distribution_percentages():
     assert distribution[0.0] == 100.0
     assert distribution[0.1] == 50.0
     assert distribution[0.3] == 25.0
-    assert total_dropped(stats) == 6
+    assert sum(entry.packets_sent - entry.packets_received
+               for entry in stats) == 6
     assert mean_update_time(stats) == pytest.approx(0.1)
     assert update_completion_time(stats) == pytest.approx(0.1)
 
@@ -149,30 +149,6 @@ def test_activation_delays_properties():
 
 
 # -- report renderers: golden strings -------------------------------------------
-
-def test_render_run_summaries_golden():
-    from repro.analysis.report import render_run_summaries
-
-    summaries = [
-        {"scenario": "path-migration", "technique": "barrier",
-         "topology": "triangle", "seed": 1, "update_duration": 1.5,
-         "dropped_packets": 3, "max_broken_time": 0.25,
-         "digest": "abcdef0123456789"},
-        # A record without a scenario label falls back to its kind; missing
-        # duration and digest render as "-".
-        {"kind": "scenario", "technique": "general", "topology": "leaf-spine",
-         "seed": 2, "update_duration": None, "dropped_packets": 0,
-         "max_broken_time": 0.0, "digest": ""},
-    ]
-    expected = (
-        "Runs\n"
-        "workload       | technique | topology   | seed | duration [s] | dropped | max broken [s] | digest  \n"
-        "---------------+-----------+------------+------+--------------+---------+----------------+---------\n"
-        "path-migration | barrier   | triangle   | 1    | 1.500        | 3       | 0.250          | abcdef01\n"
-        "scenario       | general   | leaf-spine | 2    | -            | 0       | 0.000          | -       "
-    )
-    assert render_run_summaries(summaries, title="Runs") == expected
-
 
 def test_resilience_table_golden():
     from repro.analysis.report import (

@@ -641,28 +641,32 @@ class TestDifferentialReport:
         CampaignRunner(_tiny_spec(**overrides), results, max_workers=2).run()
         return results
 
+    @staticmethod
+    def _cells(ref):
+        """``cell_id -> line`` of a results file or store directory (such a
+        REF never reads the store it is resolved against)."""
+        return RunStore("runstore").read(str(ref)).cells
+
     def test_identical_results_have_no_rows(self, tmp_path):
         from repro.campaign.report import render_differential_report
 
         left = self._results(tmp_path, "left.jsonl")
         right = self._results(tmp_path, "right.jsonl")
-        text = render_differential_report(left, right)
+        text = render_differential_report(left, self._cells(right), right)
         assert "4 unchanged, 0 changed, 0 new, 0 only in baseline" in text
         assert "identical outcome" in text  # the no-rows epilogue
 
     def test_store_baseline_matches_results_baseline(self, tmp_path):
-        from repro.campaign.report import baseline_records
-
         results = self._results(tmp_path)
         store = RunStore(tmp_path / "store")
         store.ingest(results)
-        assert baseline_records(store.root) == baseline_records(results)
+        assert self._cells(store.root) == self._cells(results)
 
     def test_changed_cell_names_what_moved(self, tmp_path):
-        from repro.campaign.report import differential, baseline_records
+        from repro.campaign.report import differential
 
         results = self._results(tmp_path)
-        baseline = baseline_records(results)
+        baseline = self._cells(results)
         records = load_records(results)
         drifted = dict(records[0])
         drifted["digest"] = "0" * 16
@@ -676,10 +680,10 @@ class TestDifferentialReport:
         assert "dropped_packets: " in row[6]
 
     def test_new_and_missing_cells_are_counted(self, tmp_path):
-        from repro.campaign.report import differential, baseline_records
+        from repro.campaign.report import differential
 
         results = self._results(tmp_path)
-        baseline = baseline_records(results)
+        baseline = self._cells(results)
         records = load_records(results)
         extra = dict(records[0])
         extra["cell_id"] = "feedfacefeedface"
@@ -691,13 +695,12 @@ class TestDifferentialReport:
         assert any("new cell" in str(row[6]) for row in rows)
         del removed
 
-    def test_cli_report_baseline(self, tmp_path, capsys):
-        from repro.campaign.__main__ import main
+    def test_cli_show_against_a_store_baseline(self, tmp_path, capsys):
+        from repro.store.__main__ import main
 
         results = self._results(tmp_path)
         store_dir = tmp_path / "store"
         RunStore(store_dir).ingest(results)
-        assert main(["report", "--out", str(results),
-                     "--baseline", str(store_dir)]) == 0
+        assert main(["show", str(results), str(store_dir)]) == 0
         out = capsys.readouterr().out
         assert "Differential resilience" in out

@@ -14,7 +14,6 @@ from repro.analysis.diff import (
     FirstDivergence,
     diff_runs,
     first_lifecycle_divergence,
-    flat_summary,
     render_run_diff,
 )
 from repro.analysis.activation import LedgerRow
@@ -31,6 +30,7 @@ from repro.obs.events import (
     TraceLog,
 )
 from repro.scenarios import ScenarioParams, run_scenario
+from repro.store import RunView
 
 #: A *safe* lifecycle: hardware activates (t=0.035) before the ack is
 #: received (t=0.04), so the activation gap is positive.  Listed with
@@ -130,8 +130,8 @@ class TestEdgeLifecycles:
         left = _log(*_full())
         right = _log(*_full(drop=(PHASE_HW_ACTIVATED,)))
         assert rule_lifecycles(right)[("S1", 1)].hw_activated is None
-        diff = diff_runs(_payload("a", 0.035), _payload("b", None),
-                         left_trace=left.as_dict(), right_trace=right.as_dict())
+        diff = diff_runs(RunView(_payload("a", 0.035), attached_trace=left),
+                         RunView(_payload("b", None), attached_trace=right))
         assert diff.gap_deltas["S1"]["never"] == (0, 1)
         assert diff.divergence.phase == PHASE_HW_ACTIVATED
 
@@ -148,7 +148,8 @@ class TestEdgeLifecycles:
 
     def test_gap_deltas_surface_never_and_negative(self):
         # No traces: the deltas come from the payloads' ledgers alone.
-        diff = diff_runs(_payload("a", 0.035, 0.035), _payload("b", 0.09, None))
+        diff = diff_runs(RunView(_payload("a", 0.035, 0.035)),
+                         RunView(_payload("b", 0.09, None)))
         assert not diff.traced
         assert diff.gap_deltas["S1"]["early"] == (0, 1)
         assert diff.gap_deltas["S1"]["never"] == (0, 1)
@@ -163,7 +164,7 @@ def _run(technique, trace=True, seed=7):
 class TestDiffRuns:
     def test_same_run_is_identical(self):
         payload = _run("general")
-        diff = diff_runs(payload, payload)
+        diff = diff_runs(RunView(payload), RunView(payload))
         assert diff.identical
         assert diff.changed == []
         assert diff.divergence is None
@@ -181,12 +182,12 @@ class TestDiffRuns:
         assert chrome_trace_json(first.trace) == chrome_trace_json(second.trace)
         assert first.ledger == second.ledger
         assert first_lifecycle_divergence(first.trace, second.trace) is None
-        diff = diff_runs(first.as_dict(), second.as_dict())
+        diff = diff_runs(RunView(first.as_dict()), RunView(second.as_dict()))
         assert diff.identical and diff.divergence is None
 
     def test_two_techniques_diverge_with_time_switch_phase(self):
-        diff = diff_runs(_run("timeout"), _run("general"),
-                         left_label="timeout", right_label="general")
+        diff = diff_runs(RunView(_run("timeout"), "timeout"),
+                         RunView(_run("general"), "general"))
         assert not diff.identical
         assert diff.traced
         assert diff.divergence is not None
@@ -197,7 +198,8 @@ class TestDiffRuns:
         assert "timeout" in rendered and "general" in rendered
 
     def test_traced_vs_untraced_degrades_to_summary(self):
-        diff = diff_runs(_run("timeout"), _run("general", trace=False))
+        diff = diff_runs(RunView(_run("timeout")),
+                         RunView(_run("general", trace=False)))
         assert diff.traced is False
         assert diff.divergence is None
         # Summary level still works: the techniques differ, and so do the
@@ -212,7 +214,7 @@ class TestDiffRuns:
                 "digest": "aa"}
         right = {"technique": "general", "dropped_packets": 0,
                  "digest": "bb"}
-        diff = diff_runs(left, right)
+        diff = diff_runs(RunView(left), RunView(right))
         assert diff.summary["dropped_packets"] == (4, 0)
         assert "dropped_packets: 4 -> 0" in diff.explain()
 
@@ -225,7 +227,7 @@ class TestDiffRuns:
                 for technique in ("barrier", "general")}
         for left, right in ((runs["barrier"].as_dict(), runs["general"].as_dict()),
                             (_cell("barrier"), _cell("general"))):
-            diff = diff_runs(left, right)
+            diff = diff_runs(RunView(left), RunView(right))
             assert not diff.traced
             early = {switch: stats["early"]
                      for switch, stats in diff.gap_deltas.items()
@@ -235,7 +237,7 @@ class TestDiffRuns:
             assert "early" in render_run_diff(diff)
 
     def test_as_dict_is_jsonable_and_complete(self):
-        diff = diff_runs(_run("timeout"), _run("general"))
+        diff = diff_runs(RunView(_run("timeout")), RunView(_run("general")))
         payload = diff.as_dict()
         json.dumps(payload)
         assert payload["traced"] is True
@@ -253,14 +255,14 @@ def _cell(technique):
         fault="delay-spike(probability=0.3,spike=1.0)"))
 
 
-class TestFlatSummary:
+class TestRunViewSummary:
     def test_full_record_payload_is_flattened(self):
         payload = _run("general")
-        flat = flat_summary(payload)
+        flat = RunView(payload).summary
         assert flat["technique"] == "general"
         assert "digest" in flat
         assert "schema" not in flat
 
     def test_campaign_record_passes_through(self):
         record = {"technique": "general", "status": "ok"}
-        assert flat_summary(record) == record
+        assert RunView(record).summary == record

@@ -198,13 +198,6 @@ class TestRunRecordRoundTrip:
         assert outcome_digest(dict(payload, dropped_packets=12345)) != \
             scenario_record.digest()
 
-    def test_render_run_summaries_reads_unified_keys(self, scenario_record):
-        from repro.analysis.report import render_run_summaries
-
-        text = render_run_summaries([scenario_record.summary()], title="t")
-        assert "path-migration" in text
-        assert "general" in text
-
 
 # ---------------------------------------------------------------------------
 # Observation cannot touch outcome (digest by inclusion)

@@ -218,10 +218,8 @@ class TestCachedRecord:
     def test_storing_a_cell_again_never_blesses_a_rotten_sibling(
             self, tmp_path):
         # Cells A and B share one object.  B's summary rots; storing A
-        # again must leave B a miss, out of a --baseline read of the
-        # store, and a verify problem.
-        from repro.campaign.report import baseline_records
-
+        # again must leave B a miss, out of the store's cells as a
+        # baseline, and a verify problem.
         both = _campaign(tmp_path, techniques=["general"], seeds=[1, 2],
                          faults=["none", "ack-loss(probability=0.2)"])
         by_seed = {}
@@ -242,7 +240,7 @@ class TestCachedRecord:
                                seeds=[a["config"]["seed"]], faults=["none"]))
         assert store.cached_record(a["cell_id"]) is not None
         assert store.cached_record(b["cell_id"]) is None
-        assert set(baseline_records(store.root)) == {
+        assert set(store.read(str(store.root)).cells) == {
             record["cell_id"] for record in load_records(both)} - {b["cell_id"]}
         (problem,) = store.verify()
         assert problem.startswith(
@@ -445,7 +443,8 @@ class TestStoreCli:
         assert "timeout" in out and "general" not in out
 
         digest = RunStore(tmp_path / "store").digests()[0]
-        assert store_main(["--store", store_dir, "show", digest[:8]]) == 0
+        assert store_main(["--store", store_dir, "show", digest[:8],
+                           "--format", "json"]) == 0
         shown = json.loads(capsys.readouterr().out)
         assert shown["digest"] == digest
 
@@ -477,24 +476,24 @@ class TestStoreCli:
         assert code == 2
         assert "no stored run" in capsys.readouterr().err
 
-    def test_diff_two_stored_runs_names_first_divergence(
+    def test_show_two_stored_runs_names_first_divergence(
             self, tmp_path, capsys):
         store = RunStore(tmp_path / "store")
         left = store.put_record(_record_payload(technique="timeout"))
         right = store.put_record(_record_payload(technique="general"))
         code = store_main(["--store", str(tmp_path / "store"),
-                           "diff", left[:8], right[:8]])
+                           "show", left[:8], right[:8]])
         assert code == 1  # differences found
         out = capsys.readouterr().out
         assert "first divergence at t=" in out
         assert "phase" in out
 
-    def test_diff_json_schema(self, tmp_path, capsys):
+    def test_show_two_runs_json_schema(self, tmp_path, capsys):
         store = RunStore(tmp_path / "store")
         left = store.put_record(_record_payload(technique="timeout"))
         right = store.put_record(_record_payload(technique="general"))
         store_main(["--store", str(tmp_path / "store"),
-                    "diff", left, right, "--format", "json"])
+                    "show", left, right, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["left"] == left
         assert payload["traced"] is True
@@ -502,15 +501,15 @@ class TestStoreCli:
         assert payload["divergence"]["phase"]
         assert isinstance(payload["divergence"]["ts"], float)
 
-    def test_diff_identical_runs_exits_zero(self, tmp_path, capsys):
+    def test_show_identical_runs_exits_zero(self, tmp_path, capsys):
         store = RunStore(tmp_path / "store")
         digest = store.put_record(_record_payload())
         code = store_main(["--store", str(tmp_path / "store"),
-                           "diff", digest, digest])
+                           "show", digest, digest])
         assert code == 0
         assert "identical outcome" in capsys.readouterr().out
 
-    def test_diff_of_ingested_summaries_uses_attached_trace_shards(
+    def test_show_two_ingested_summaries_uses_attached_trace_shards(
             self, tmp_path, capsys):
         # Campaign summaries carry no inline trace; the diff falls back to
         # each run's attached Chrome shard and still aligns lifecycles.
@@ -519,8 +518,124 @@ class TestStoreCli:
         store.ingest(results)
         left, right = store.digests()
         code = store_main(["--store", str(tmp_path / "store"),
-                           "diff", left, right, "--format", "json"])
+                           "show", left, right, "--format", "json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["traced"] is True
         assert payload["divergence"] is not None
+
+
+class TestShow:
+    """``store show REF [REF]``: every REF kind, and both two-REF forms."""
+
+    def test_a_results_file_shows_its_campaign_report(self, tmp_path, capsys):
+        from repro.campaign.report import render_report
+
+        results = _campaign(tmp_path)
+        store_dir = tmp_path / "store"
+        assert store_main(["--store", str(store_dir), "show",
+                           str(results)]) == 0
+        assert capsys.readouterr().out == render_report(results) + "\n"
+        assert store_main(["--store", str(store_dir), "show", str(results),
+                           "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == load_records(results)
+        assert not store_dir.exists()
+
+    def test_a_record_file_shows_its_summary(self, tmp_path, capsys):
+        from repro.session.record import outcome_digest
+
+        payload = _record_payload(trace=False)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        store_dir = tmp_path / "store"
+        assert store_main(["--store", str(store_dir), "show", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Run run.json\n")
+        assert outcome_digest(payload) in out
+        assert "Per-switch activation-gap summary" in out
+        assert "Rule lifecycle timeline" not in out
+        assert store_main(["--store", str(store_dir), "show", str(path),
+                           "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
+        assert not store_dir.exists()
+
+    def test_a_traced_stored_run_shows_its_timeline_and_fault_overlay(
+            self, tmp_path, capsys):
+        params = ScenarioParams(seed=7, flow_count=2, trace=True,
+                                faults="delay-spike(probability=0.4)")
+        payload = run_scenario("path-migration", "timeout", params).as_dict()
+        store = RunStore(tmp_path / "store")
+        digest = store.put_record(payload)
+        assert store_main(["--store", str(store.root), "show",
+                           digest[:8]]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"Run {digest}\n")
+        assert "Rule lifecycle timeline — timeout" in out
+        assert "Fault overlay" in out
+        assert "open rules:" in out  # the spike, and the rules in flight
+        # The timeline carries the gap summary: it is printed once.
+        assert out.count("Per-switch activation-gap summary") == 1
+
+    def test_a_cell_id_shows_that_cell_with_its_shard_timeline(
+            self, tmp_path, capsys):
+        results = _campaign(tmp_path, trace=True)
+        store = RunStore(tmp_path / "store")
+        store.ingest(results)
+        for record in load_records(results):
+            assert store_main(["--store", str(store.root), "show",
+                               record["cell_id"]]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"Run {record['digest']}\n")
+            assert (f"Rule lifecycle timeline — {record['technique']}"
+                    in out)
+            assert "Fault overlay" in out
+
+    def test_an_index_key_wins_over_a_prefix_match(self, tmp_path, capsys):
+        store = RunStore(tmp_path / "store")
+        named = store.put_record(_record_payload(technique="timeout",
+                                                 trace=False))
+        other = store.put_record(_record_payload(technique="general",
+                                                 trace=False))
+        # An index key that is also a prefix of the other run's digest.
+        (store.root / "index" / "specs.json").write_text(
+            json.dumps({other[:6]: named}), encoding="utf-8")
+        assert store_main(["--store", str(store.root), "show",
+                           other[:6]]) == 0
+        assert capsys.readouterr().out.startswith(f"Run {named}\n")
+
+    @pytest.mark.parametrize("ref", ["ffff", "missing.jsonl", "missing.json"])
+    def test_an_unknown_ref_exits_2_and_names_it(self, tmp_path, capsys, ref):
+        store_dir = tmp_path / "store"
+        assert store_main(["--store", str(store_dir), "show", ref]) == 2
+        assert repr(ref) in capsys.readouterr().err
+        assert not store_dir.exists()
+
+    def test_a_run_against_a_results_file_exits_2(self, tmp_path, capsys):
+        results = _campaign(tmp_path)
+        store = RunStore(tmp_path / "store")
+        store.ingest(results)
+        digest = store.digests()[0]
+        for refs in ([digest, str(results)], [str(results), digest],
+                     [str(store.root)]):
+            assert store_main(["--store", str(store.root), "show",
+                               *refs]) == 2
+            assert "cannot show" in capsys.readouterr().err
+
+    def test_a_results_file_against_another_is_the_differential_table(
+            self, tmp_path, capsys):
+        from repro.campaign.report import (
+            render_differential_report,
+            render_report,
+        )
+
+        left = _campaign(tmp_path)
+        right_dir = tmp_path / "right"
+        right_dir.mkdir()
+        right = _campaign(right_dir)
+        assert store_main(["--store", str(tmp_path / "store"), "show",
+                           str(left), str(right)]) == 0
+        out = capsys.readouterr().out
+        cells = {record["cell_id"]: record for record in load_records(right)}
+        assert out == (render_report(left) + "\n\n"
+                       + render_differential_report(left, cells, right) + "\n")
+        assert "2 unchanged, 0 changed, 0 new, 0 only in baseline" in out
