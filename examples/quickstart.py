@@ -10,6 +10,11 @@ actually started forwarding packets according to it and when RUM confirmed
 it.  The confirmation is never
 early; swap ``general`` for ``barrier`` below to watch the unsafe baseline.
 
+A technique owns its parameters: its class declares the values a run may
+set, with the paper's defaults (``get_technique("general").parameters`` lists
+``probe_window`` and ``probe_interval``; pass ``{"probe_interval": 0.02}`` as
+``RumLayer``'s third argument to set one), and refuses any other.
+
 Run with::
 
     python examples/quickstart.py [technique]
@@ -20,7 +25,7 @@ import sys
 from repro.analysis.activation import ActivationDelays, activation_ledger
 from repro.controller import AckMode, Controller
 from repro.controller.update_plan import PlanExecutor, UpdatePlan
-from repro.core import RumLayer, config_for_technique
+from repro.core import RumLayer, get_technique
 from repro.net import Network, triangle_topology
 from repro.openflow import FlowMod, Match, OutputAction
 from repro.packet.addresses import int_to_ip
@@ -32,7 +37,7 @@ def main(technique: str = "general") -> None:
     network = Network(sim, triangle_topology(), seed=1)
 
     # RUM transparently interposes on every switch's control channel.
-    rum = RumLayer(sim, config_for_technique(technique))
+    rum = RumLayer(sim, get_technique(technique))
     rum.attach_network(network)
 
     controller = Controller(sim, ack_mode=AckMode.RUM_CONFIRMATION)

@@ -21,20 +21,24 @@ Quickstart::
 
     from repro.sim import Simulator
     from repro.net import Network, triangle_topology
-    from repro.core import RumLayer, config_for_technique
+    from repro.core import RumLayer, get_technique
     from repro.controller import Controller
 
     sim = Simulator()
     network = Network(sim, triangle_topology())
-    rum = RumLayer(sim, config_for_technique("general"))
+    rum = RumLayer(sim, get_technique("general"), {"probe_window": 30})
     rum.attach_network(network)
     controller = Controller(sim)
     for name in network.switch_names():
         controller.connect_switch(name, rum.controller_endpoint(name))
     rum.prepare(); network.start(); rum.start()
+
+A technique owns its parameters: its class declares the few values a run
+may set (``general``: ``probe_window`` and ``probe_interval``), with the
+paper's defaults, and refuses any other key or an out-of-range value.
 """
 
-from repro.core import RumConfig, RumLayer, ReliableBarrierLayer, config_for_technique
+from repro.core import RumLayer, ReliableBarrierLayer, get_technique
 from repro.controller import Controller
 from repro.net import Network, triangle_topology
 from repro.session import RunRecord, SessionSpec, run_session
@@ -46,12 +50,11 @@ __all__ = [
     "Controller",
     "Network",
     "ReliableBarrierLayer",
-    "RumConfig",
     "RumLayer",
     "RunRecord",
     "SessionSpec",
     "Simulator",
-    "config_for_technique",
+    "get_technique",
     "run_session",
     "triangle_topology",
     "__version__",

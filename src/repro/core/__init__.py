@@ -3,9 +3,11 @@
 The package contains the transparent proxy framework, the acknowledgment
 layer with its five techniques, and the reliable barrier layer:
 
-* :class:`~repro.core.rum.RumLayer` — the acknowledgment layer; attach it to
-  a :class:`~repro.net.network.Network`, pick a technique via
-  :class:`~repro.core.config.RumConfig`, connect the controller to
+* :class:`~repro.core.rum.RumLayer` — the acknowledgment layer; build it
+  with a technique class (:func:`get_technique`) and the values of that
+  technique's declared parameters (a technique owns its parameters; every
+  other value it reads is a constant of its module), attach it to a
+  :class:`~repro.net.network.Network`, connect the controller to
   :meth:`~repro.core.proxy.ProxyLayer.controller_endpoint`, then call
   :meth:`~repro.core.rum.RumLayer.prepare` and
   :meth:`~repro.core.rum.RumLayer.start`.
@@ -14,10 +16,6 @@ layer with its five techniques, and the reliable barrier layer:
   barrier-based controllers trustworthy barrier replies.
 """
 
-from repro.core.config import (
-    RumConfig,
-    config_for_technique,
-)
 from repro.core.pending import PendingRule, PendingRuleTracker
 from repro.core.proxy import ProxyLayer, chain_proxies
 from repro.core.rum import RumLayer
@@ -34,7 +32,6 @@ from repro.core.techniques import (
     StaticTimeoutTechnique,
     TECHNIQUE_NO_WAIT,
     available_techniques,
-    create_technique,
     get_technique,
     resolve_technique,
 )
@@ -49,7 +46,6 @@ __all__ = [
     "PendingRuleTracker",
     "ProxyLayer",
     "ReliableBarrierLayer",
-    "RumConfig",
     "RumLayer",
     "SequentialProbingTechnique",
     "StaticTimeoutTechnique",
@@ -59,8 +55,6 @@ __all__ = [
     "VersionSpaceExhausted",
     "available_techniques",
     "chain_proxies",
-    "config_for_technique",
-    "create_technique",
     "get_technique",
     "resolve_technique",
 ]

@@ -17,11 +17,10 @@ reply and are not tracked.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Type
 
-from repro.core.config import RumConfig
 from repro.core.pending import PendingRule, PendingRuleTracker
-from repro.core.techniques.base import AckTechnique, create_technique
+from repro.core.techniques.base import AckTechnique
 from repro.core.proxy import ProxyLayer
 from repro.core.topology_view import TopologyView
 from repro.net.network import Network
@@ -36,18 +35,28 @@ from repro.openflow.messages import (
 )
 from repro.sim.kernel import Simulator
 
+#: Seconds the RUM proxy hop adds between controller and switch.
+PROXY_LATENCY = 0.0002
+
 
 class RumLayer(ProxyLayer):
-    """Rule Update Monitoring: reliable fine-grained rule acknowledgments."""
+    """Rule Update Monitoring: reliable fine-grained rule acknowledgments.
+
+    ``technique`` is the acknowledgment technique's class and ``overrides``
+    the values of its declared parameters a run sets
+    (``StackSpec.rum_overrides``); the technique refuses any other.
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        config: Optional[RumConfig] = None,
+        technique: Type[AckTechnique],
+        overrides: Optional[Mapping[str, object]] = None,
         name: str = "rum",
     ) -> None:
-        self.config = (config or RumConfig()).validated()
-        super().__init__(sim, name=name, latency=self.config.proxy_latency)
+        if not technique.uses_rum:
+            raise ValueError(f"technique {technique.name!r} runs without a RUM layer")
+        super().__init__(sim, name=name, latency=PROXY_LATENCY)
         self.network: Optional[Network] = None
         self.topology: Optional[TopologyView] = None
         self._trackers: Dict[str, PendingRuleTracker] = {}
@@ -60,7 +69,7 @@ class RumLayer(ProxyLayer):
         #: Measurement log: ``(switch, xid) -> (forwarded, confirmed, how)``,
         #: read into the run's activation ledger.
         self.confirmation_log: Dict[Tuple[str, int], Tuple[float, float, str]] = {}
-        self.technique: AckTechnique = create_technique(self.config.technique, self)
+        self.technique: AckTechnique = technique(self, overrides)
         self._prepared = False
         self._started = False
 
@@ -166,10 +175,9 @@ class RumLayer(ProxyLayer):
         if tr is not None:
             tr.rule(PHASE_ACK_SENT, self.sim.now, record.switch, record.xid,
                     detail=record.confirmed_by)
-        if self.config.emit_confirmations:
-            self.forward_to_controller(
-                record.switch, ErrorMessage.rule_confirmation(record.xid)
-            )
+        self.forward_to_controller(
+            record.switch, ErrorMessage.rule_confirmation(record.xid)
+        )
 
     # -- message handling ------------------------------------------------------------------
     def handle_from_controller(self, switch_name: str, message: OFMessage) -> None:

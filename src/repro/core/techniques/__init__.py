@@ -24,15 +24,16 @@ Technique               When a modification is confirmed
 
 A technique is its class (:mod:`repro.core.techniques.registry`): adding
 one is defining an :class:`AckTechnique` subclass with a ``name`` in this
-package, and the class owns its configuration defaults and wiring
-behaviour.  Experiment sessions, scenarios, and campaigns all resolve
-techniques by name through the registry.
+package, and the class owns its parameters (each a
+:class:`~repro.core.techniques.base.Parameter` with the paper's default)
+and its wiring behaviour.  Experiment sessions, scenarios, and campaigns
+all resolve techniques by name through the registry.
 """
 
 from repro.core.techniques.base import (
     AckTechnique,
     NoWaitTechnique,
-    create_technique,
+    Parameter,
 )
 from repro.core.techniques.registry import (
     TECHNIQUE_NO_WAIT,
@@ -54,12 +55,12 @@ __all__ = [
     "BarrierBaselineTechnique",
     "GeneralProbingTechnique",
     "NoWaitTechnique",
+    "Parameter",
     "SequentialProbingTechnique",
     "StaticTimeoutTechnique",
     "TECHNIQUES",
     "TECHNIQUE_NO_WAIT",
     "available_techniques",
-    "create_technique",
     "get_technique",
     "resolve_technique",
     "rum_technique_names",

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.pending import PendingRule
-from repro.core.techniques.base import AckTechnique
+from repro.core.techniques.base import FALLBACK_TIMEOUT, AckTechnique, Parameter
 from repro.openflow.actions import OutputAction
 from repro.openflow.flowtable import FlowTable
 from repro.openflow.messages import FlowMod, OFMessage, PacketIn, PacketOut
-from repro.packet.fields import FIELD_REGISTRY
+from repro.packet.fields import FIELD_REGISTRY, HeaderField
 from repro.packet.packet import Packet, make_probe_packet
 from repro.probing.catch_rules import general_catch_flowmod
 from repro.probing.coloring import assign_switch_values
@@ -39,6 +39,10 @@ from repro.probing.probe_packets import (
     generate_probe_headers,
     probe_key,
 )
+
+#: The reserved header field H: the prototype (Section 4) probes with the IP
+#: ToS field, which live traffic leaves at 0, so switch values start at 1.
+PROBE_FIELD = HeaderField.IP_TOS
 
 
 @dataclass
@@ -59,9 +63,14 @@ class GeneralProbingTechnique(AckTechnique):
     """Confirm every modification individually with a data-plane probe."""
 
     name = "general"
+    #: Probe at most this many oldest unconfirmed rules per switch and round
+    #: (the paper uses 30).
+    probe_window = Parameter(30)
+    #: Seconds between probing rounds (the paper uses 10 ms).
+    probe_interval = Parameter(0.01)
 
-    def __init__(self, layer) -> None:
-        super().__init__(layer)
+    def __init__(self, layer, overrides=None) -> None:
+        super().__init__(layer, overrides)
         self.switch_values: Dict[str, int] = {}
         #: ``(probed switch, xid) -> _ProbeInfo``.
         self._probe_info: Dict[Tuple[str, int], _ProbeInfo] = {}
@@ -78,17 +87,15 @@ class GeneralProbingTechnique(AckTechnique):
         topology = self.layer.topology
         self.mirrors = {name: FlowTable(name=f"rum-mirror-{name}")
                         for name in topology.switch_names()}
-        field_spec = FIELD_REGISTRY[self.config.probe_field]
         self.switch_values = assign_switch_values(
             topology.switch_graph(),
             first_value=1,
-            max_value=field_spec.max_value,
-            unique=self.config.unique_switch_values,
+            max_value=FIELD_REGISTRY[PROBE_FIELD].max_value,
         )
         for switch_name, value in self.switch_values.items():
             self.layer.install_directly(
                 switch_name,
-                general_catch_flowmod(self.config.probe_field, value),
+                general_catch_flowmod(PROBE_FIELD, value),
             )
 
     def start(self) -> None:
@@ -97,7 +104,7 @@ class GeneralProbingTechnique(AckTechnique):
         self.sim.schedule_callback(0.0, self._arm_probe_timer)
 
     def _arm_probe_timer(self) -> None:
-        self.sim.schedule_callback(self.config.probe_interval, self._probe_tick)
+        self.sim.schedule_callback(self.probe_interval, self._probe_tick)
 
     # -- FlowMod notifications -----------------------------------------------------
     def on_rule_written(self, switch_name: str, flowmod: FlowMod) -> None:
@@ -132,7 +139,7 @@ class GeneralProbingTechnique(AckTechnique):
         inject_candidates = [name for name in neighbors if name != catch_switch]
         inject_switch = inject_candidates[0] if inject_candidates else neighbors[0]
 
-        overrides = {self.config.probe_field: self.switch_values[catch_switch]}
+        overrides = {PROBE_FIELD: self.switch_values[catch_switch]}
         try:
             headers = generate_probe_headers(
                 RuleView.from_flowmod(flowmod),
@@ -151,7 +158,7 @@ class GeneralProbingTechnique(AckTechnique):
 
     def _fallback(self, switch_name: str, record: PendingRule) -> None:
         self.sim.schedule_callback(
-            self.config.fallback_timeout,
+            FALLBACK_TIMEOUT,
             self.layer.confirm_rule,
             switch_name,
             record.xid,
@@ -162,16 +169,15 @@ class GeneralProbingTechnique(AckTechnique):
     def _probe_tick(self) -> None:
         """Re-inject the probes of every switch's oldest pending rules, then
         come back one ``probe_interval`` later."""
-        config = self.config
         for switch_name in self.layer.topology.switch_names():
             tracker = self.layer.pending(switch_name)
             if not len(tracker):
                 continue
-            for record in tracker.oldest(config.probe_window):
+            for record in tracker.oldest(self.probe_window):
                 info = self._probe_info.get((switch_name, record.xid))
                 if info is not None:
                     self._inject_probe(info)
-        self.sim.schedule_callback(config.probe_interval, self._probe_tick)
+        self.sim.schedule_callback(self.probe_interval, self._probe_tick)
 
     def _inject_probe(self, info: _ProbeInfo) -> None:
         self.probes_injected += 1
@@ -181,7 +187,7 @@ class GeneralProbingTechnique(AckTechnique):
     def on_switch_message(self, switch_name: str, message: OFMessage) -> bool:
         if not isinstance(message, PacketIn):
             return False
-        probe_value = message.packet.get(self.config.probe_field)
+        probe_value = message.packet.get(PROBE_FIELD)
         if probe_value != self.switch_values.get(switch_name):
             return False
         # This PacketIn is a probe caught by switch_name's probe-catch rule.
@@ -195,7 +201,7 @@ class GeneralProbingTechnique(AckTechnique):
 
     def describe(self) -> str:
         return (
-            f"general probing (up to {self.config.probe_window} oldest rules probed "
-            f"every {self.config.probe_interval * 1000:.0f} ms, field "
-            f"{self.config.probe_field.value})"
+            f"general probing (up to {self.probe_window} oldest rules probed "
+            f"every {self.probe_interval * 1000:.0f} ms, field "
+            f"{PROBE_FIELD.value})"
         )

@@ -3,10 +3,11 @@
 A technique is its class.  Every
 :class:`~repro.core.techniques.base.AckTechnique` subclass whose own body
 sets ``name`` is in :data:`TECHNIQUES` from the moment it is defined, and
-the class carries everything a run needs to know about it: its
-:class:`~repro.core.config.RumConfig` defaults (``config_defaults``,
-adaptive's ``assumed_rate``) and its wiring (``uses_rum``,
-``ignore_dependencies``, ``rum_config``).
+the class carries everything a run needs to know about it: the parameters
+a run may set, each a :class:`~repro.core.techniques.base.Parameter` class
+attribute holding the paper's default (adaptive's ``assumed_rate``), and
+its wiring (``uses_rum``, ``ignore_dependencies``).  A technique owns its
+parameters: ``StackSpec.rum_overrides`` may set only those it declares.
 
 ``no-wait`` — the consistency-free lower bound of Figure 7 — is a technique
 like any other.  It simply runs without a RUM proxy: call sites ask
@@ -14,11 +15,11 @@ like any other.  It simply runs without a RUM proxy: call sites ask
 
 Adding a technique is defining a subclass with a ``name``::
 
-    from repro.core.techniques.base import AckTechnique
+    from repro.core.techniques.base import AckTechnique, Parameter
 
     class MyTechnique(AckTechnique):
         name = "mine"
-        config_defaults = {"timeout": 0.05}
+        timeout = Parameter(0.05, zero_allowed=True)  # self.timeout in a run
 
 and every session, scenario, and campaign path picks it up by name.
 
@@ -77,5 +78,5 @@ def available_techniques() -> List[str]:
 
 
 def rum_technique_names() -> List[str]:
-    """Names of techniques that run on a RUM layer (valid ``RumConfig`` values)."""
+    """Names of techniques that run on a RUM layer."""
     return sorted(name for name, cls in TECHNIQUES.items() if cls.uses_rum)

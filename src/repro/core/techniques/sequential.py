@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.pending import PendingRule
-from repro.core.techniques.base import AckTechnique
+from repro.core.techniques.base import FALLBACK_TIMEOUT, AckTechnique, Parameter
 from repro.core.versioning import VersionAllocator, VersionSpaceExhausted
 from repro.openflow.actions import OutputAction
 from repro.openflow.messages import OFMessage, PacketIn, PacketOut
@@ -32,6 +32,14 @@ from repro.probing.catch_rules import (
     sequential_catch_flowmod,
     sequential_probe_rule_flowmod,
 )
+
+#: The prototype's reserved fields (Section 4): H1 is the VLAN id, whose
+#: reserved values 4000 and 4001 mark pre- and post-probe packets, and H2,
+#: the probe rule's version, is the IP ToS field.
+H1_FIELD = HeaderField.VLAN_ID
+H2_FIELD = HeaderField.IP_TOS
+PREPROBE_VALUE = 4000
+POSTPROBE_VALUE = 4001
 
 
 @dataclass
@@ -59,9 +67,14 @@ class SequentialProbingTechnique(AckTechnique):
     """Confirm batches of modifications with a versioned probe rule."""
 
     name = "sequential"
+    #: Rewrite the probe rule after this many real modifications (N of
+    #: Table 1; the end-to-end experiment uses 10).
+    probe_batch = Parameter(10)
+    #: Seconds between pre-probe injections.
+    probe_interval = Parameter(0.01)
 
-    def __init__(self, layer) -> None:
-        super().__init__(layer)
+    def __init__(self, layer, overrides=None) -> None:
+        super().__init__(layer, overrides)
         self._states: Dict[str, _SwitchProbeState] = {}
         #: ``(catch switch, wire version) -> (probed switch, logical batch)``.
         self._version_map: Dict[Tuple[str, int], Tuple[str, int]] = {}
@@ -70,17 +83,16 @@ class SequentialProbingTechnique(AckTechnique):
 
     # -- deployment -------------------------------------------------------------
     def prepare(self) -> None:
-        config = self.config
         topology = self.layer.topology
         switches = topology.switch_names()
-        h2_max = FIELD_REGISTRY[config.sequential_h2_field].max_value
+        h2_max = FIELD_REGISTRY[H2_FIELD].max_value
 
         # Install the probe-catch rule everywhere first, so it exists before
         # any probe rule can start rewriting packets into post-probes.
         for switch_name in switches:
             self.layer.install_directly(
                 switch_name,
-                sequential_catch_flowmod(config.sequential_h1_field, config.postprobe_value),
+                sequential_catch_flowmod(H1_FIELD, POSTPROBE_VALUE),
             )
 
         for index, switch_name in enumerate(switches):
@@ -104,8 +116,8 @@ class SequentialProbingTechnique(AckTechnique):
                     HeaderField.ETH_SRC: 0x00000000A0A0,
                     HeaderField.ETH_DST: 0x00000000B0B0,
                     HeaderField.ETH_TYPE: ETH_TYPE_IP,
-                    config.sequential_h1_field: config.preprobe_value,
-                    config.sequential_h2_field: 0,
+                    H1_FIELD: PREPROBE_VALUE,
+                    H2_FIELD: 0,
                 }, probe_id=f"seqprobe-{switch_name}"),
                 allocator=VersionAllocator(h2_max, reserved=(0,), usable_values=usable),
             )
@@ -113,11 +125,7 @@ class SequentialProbingTechnique(AckTechnique):
             self.layer.install_directly(
                 switch_name,
                 sequential_probe_rule_flowmod(
-                    config.sequential_h1_field,
-                    config.preprobe_value,
-                    config.postprobe_value,
-                    config.sequential_h2_field,
-                    0,
+                    H1_FIELD, PREPROBE_VALUE, POSTPROBE_VALUE, H2_FIELD, 0,
                     state.probe_out_port,
                 ),
             )
@@ -128,7 +136,7 @@ class SequentialProbingTechnique(AckTechnique):
         self.sim.schedule_callback(0.0, self._arm_probe_timer)
 
     def _arm_probe_timer(self) -> None:
-        self.sim.schedule_callback(self.config.probe_interval, self._probe_tick)
+        self.sim.schedule_callback(self.probe_interval, self._probe_tick)
 
     # -- FlowMod notifications -----------------------------------------------------
     def on_flowmod_forwarded(self, switch_name: str, record: PendingRule) -> None:
@@ -137,7 +145,7 @@ class SequentialProbingTechnique(AckTechnique):
             # A switch with no neighbours cannot be probed; fall back to the
             # conservative static timeout.
             self.sim.schedule_callback(
-                self.config.fallback_timeout,
+                FALLBACK_TIMEOUT,
                 self.layer.confirm_rule,
                 switch_name,
                 record.xid,
@@ -145,16 +153,16 @@ class SequentialProbingTechnique(AckTechnique):
             )
             return
         state.since_last_probe_rule += 1
-        if state.since_last_probe_rule >= self.config.probe_batch:
+        if state.since_last_probe_rule >= self.probe_batch:
             self._issue_probe_rule_update(switch_name, record.sequence)
         else:
             self.sim.schedule_callback(
-                self.config.probe_interval * 5,
-                self._flush_if_idle,
+                self.probe_interval * 5,
+                self._cover_stalled_batch,
                 switch_name,
             )
 
-    def _flush_if_idle(self, switch_name: str) -> None:
+    def _cover_stalled_batch(self, switch_name: str) -> None:
         """Cover a partially filled batch that stopped growing."""
         state = self._states[switch_name]
         tracker = self.layer.pending(switch_name)
@@ -167,14 +175,13 @@ class SequentialProbingTechnique(AckTechnique):
 
     def _issue_probe_rule_update(self, switch_name: str, covered_sequence: int) -> None:
         state = self._states[switch_name]
-        config = self.config
         try:
             batch, wire_version = state.allocator.allocate()
         except VersionSpaceExhausted:
             # All wire values are tied up in unconfirmed batches; retry after
             # one probing interval (older batches will have resolved by then).
             self.sim.schedule_callback(
-                config.probe_interval, self._issue_probe_rule_update,
+                self.probe_interval, self._issue_probe_rule_update,
                 switch_name, covered_sequence,
             )
             return
@@ -182,11 +189,7 @@ class SequentialProbingTechnique(AckTechnique):
         state.since_last_probe_rule = 0
         self._version_map[(state.catch_neighbor, wire_version)] = (switch_name, batch)
         flowmod = sequential_probe_rule_flowmod(
-            config.sequential_h1_field,
-            config.preprobe_value,
-            config.postprobe_value,
-            config.sequential_h2_field,
-            wire_version,
+            H1_FIELD, PREPROBE_VALUE, POSTPROBE_VALUE, H2_FIELD, wire_version,
             state.probe_out_port,
         )
         state.outstanding[batch] = (covered_sequence, flowmod.xid, wire_version)
@@ -201,7 +204,7 @@ class SequentialProbingTechnique(AckTechnique):
             if not state.probeable or not state.outstanding:
                 continue
             self._inject_probe(state)
-        self.sim.schedule_callback(self.config.probe_interval, self._probe_tick)
+        self.sim.schedule_callback(self.probe_interval, self._probe_tick)
 
     def _inject_probe(self, state: _SwitchProbeState) -> None:
         self.probes_injected += 1
@@ -211,15 +214,14 @@ class SequentialProbingTechnique(AckTechnique):
     def on_switch_message(self, switch_name: str, message: OFMessage) -> bool:
         if not isinstance(message, PacketIn):
             return False
-        config = self.config
-        h1_value = message.packet.get(config.sequential_h1_field)
-        if h1_value == config.preprobe_value:
+        h1_value = message.packet.get(H1_FIELD)
+        if h1_value == PREPROBE_VALUE:
             # A pre-probe reached the controller without being rewritten
             # (probe rule not yet installed anywhere useful); swallow it.
             return True
-        if h1_value != config.postprobe_value:
+        if h1_value != POSTPROBE_VALUE:
             return False
-        wire_version = message.packet.get(config.sequential_h2_field)
+        wire_version = message.packet.get(H2_FIELD)
         target = self._version_map.get((switch_name, wire_version))
         if target is None:
             return True
@@ -238,6 +240,6 @@ class SequentialProbingTechnique(AckTechnique):
 
     def describe(self) -> str:
         return (
-            f"sequential probing (probe rule update after {self.config.probe_batch} "
-            f"modifications, probes every {self.config.probe_interval * 1000:.0f} ms)"
+            f"sequential probing (probe rule update after {self.probe_batch} "
+            f"modifications, probes every {self.probe_interval * 1000:.0f} ms)"
         )

@@ -10,6 +10,7 @@ pays the full bound in update latency.
 from __future__ import annotations
 
 from repro.core.techniques.barrier_baseline import BarrierBaselineTechnique
+from repro.core.techniques.base import Parameter
 
 
 class StaticTimeoutTechnique(BarrierBaselineTechnique):
@@ -17,10 +18,13 @@ class StaticTimeoutTechnique(BarrierBaselineTechnique):
 
     name = "timeout"
     confirm_label = "timeout"
+    #: Seconds from the barrier reply to the confirmation (the paper's 300 ms
+    #: bound; 0 confirms on the reply itself).
+    timeout = Parameter(0.3, zero_allowed=True)
 
     def handle_barrier_confirmation(self, switch_name: str, covered_sequence: int) -> None:
         self.sim.schedule_callback(
-            self.config.timeout,
+            self.timeout,
             self.layer.confirm_up_to,
             switch_name,
             covered_sequence,
@@ -28,4 +32,4 @@ class StaticTimeoutTechnique(BarrierBaselineTechnique):
         )
 
     def describe(self) -> str:
-        return f"static timeout ({self.config.timeout * 1000:.0f} ms after barrier reply)"
+        return f"static timeout ({self.timeout * 1000:.0f} ms after barrier reply)"

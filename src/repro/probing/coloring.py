@@ -51,7 +51,6 @@ def assign_switch_values(
     *,
     first_value: int = 1,
     max_value: Optional[int] = None,
-    unique: bool = False,
 ) -> Dict[str, int]:
     """Assign each switch the header-field value used by its probe-catch rule.
 
@@ -66,17 +65,9 @@ def assign_switch_values(
         Largest representable value of the chosen header field (e.g. 63 for
         the ToS field the prototype uses).  Raises :class:`ValueError` when
         the assignment does not fit.
-    unique:
-        Assign a network-wide unique value per switch instead of colouring —
-        the naive scheme the colouring optimisation improves on (kept for the
-        ablation benchmark).
     """
-    if unique:
-        values = {node: first_value + index
-                  for index, node in enumerate(sorted(graph, key=str))}
-    else:
-        coloring = welsh_powell_coloring(graph)
-        values = {node: first_value + color for node, color in coloring.items()}
+    values = {node: first_value + color
+              for node, color in welsh_powell_coloring(graph).items()}
     if max_value is not None and values:
         largest = max(values.values())
         if largest > max_value:

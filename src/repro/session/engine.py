@@ -104,7 +104,7 @@ def _run_session(spec: SessionSpec, observer: Optional[Observer],
         sim,
         network,
         technique,
-        rum_config=technique.rum_config(**spec.stack.rum_overrides),
+        rum_overrides=spec.stack.rum_overrides,
         with_barrier_layer=spec.stack.with_barrier_layer,
         buffer_after_barrier=spec.stack.buffer_after_barrier,
     )

@@ -38,6 +38,10 @@ if TYPE_CHECKING:
 class StackSpec:
     """How the control stack above the switches is assembled."""
 
+    #: Values for the technique's declared parameters
+    #: (:attr:`~repro.core.techniques.base.AckTechnique.parameters`); a key
+    #: it does not declare, or a value out of range, is refused when the
+    #: session's control stack is built.
     rum_overrides: Dict[str, object] = field(default_factory=dict)
     with_barrier_layer: bool = False
     buffer_after_barrier: bool = False
@@ -126,8 +130,7 @@ class SessionSpec:
             "technique": self.resolved_technique().name,
             "labels": dict(self.labels),
             "stack": {
-                "rum_overrides": {key: _jsonable(value)
-                                  for key, value in self.stack.rum_overrides.items()},
+                "rum_overrides": dict(self.stack.rum_overrides),
                 "with_barrier_layer": self.stack.with_barrier_layer,
                 "buffer_after_barrier": self.stack.buffer_after_barrier,
             },
@@ -171,10 +174,3 @@ class SessionSpec:
         from repro.session.engine import run_session
 
         return run_session(self, observer)
-
-
-def _jsonable(value: object) -> object:
-    """JSON-safe encoding of a RUM override value (enums become strings)."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)

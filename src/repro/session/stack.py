@@ -8,11 +8,10 @@ decides whether a RUM proxy is interposed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Type, Union
+from typing import Mapping, Optional, Type, Union
 
 from repro.controller.base import AckMode, Controller
 from repro.core.barrier_layer import ReliableBarrierLayer
-from repro.core.config import RumConfig
 from repro.core.rum import RumLayer
 from repro.core.techniques.base import AckTechnique
 from repro.core.techniques.registry import resolve_technique
@@ -55,25 +54,26 @@ def build_control_stack(
     network: Network,
     technique: Union[str, Type[AckTechnique]],
     *,
-    rum_config: Optional[RumConfig] = None,
+    rum_overrides: Optional[Mapping[str, object]] = None,
     with_barrier_layer: bool = False,
     buffer_after_barrier: bool = False,
 ) -> ControlStack:
     """Wire a controller — and, if the technique uses RUM, a proxy chain —
     onto every switch of ``network``.
 
-    ``technique`` is a registry name or an :class:`AckTechnique` subclass;
-    null techniques (``no-wait``) get a direct controller-to-switch connection
-    with :data:`AckMode.NONE`.  Returns the stack with the controller already
-    connected to all switches; the caller is responsible for calling
-    :meth:`ControlStack.prepare` before and :meth:`ControlStack.start` after
-    ``network.start()``.
+    ``technique`` is a registry name or an :class:`AckTechnique` subclass,
+    and ``rum_overrides`` set its declared parameters; null techniques
+    (``no-wait``) declare none and get a direct controller-to-switch
+    connection with :data:`AckMode.NONE`.  Returns the stack with the
+    controller already connected to all switches; the caller is responsible
+    for calling :meth:`ControlStack.prepare` before and
+    :meth:`ControlStack.start` after ``network.start()``.
     """
     technique = resolve_technique(technique)
     rum: Optional[RumLayer] = None
     barrier_layer: Optional[ReliableBarrierLayer] = None
     if technique.uses_rum:
-        rum = RumLayer(sim, rum_config or technique.rum_config())
+        rum = RumLayer(sim, technique, rum_overrides)
         layers = [rum]
         if with_barrier_layer:
             barrier_layer = ReliableBarrierLayer(
@@ -83,6 +83,7 @@ def build_control_stack(
         endpoints = chain_proxies(network, layers)
         ack_mode = AckMode.BARRIER if with_barrier_layer else AckMode.RUM_CONFIRMATION
     else:
+        technique.checked_overrides(rum_overrides or {})
         endpoints = {name: network.controller_endpoint(name)
                      for name in network.switch_names()}
         ack_mode = AckMode.NONE

@@ -319,7 +319,8 @@ class RunStore:
         A directory is a store and names its digest-verified cells, as
         :meth:`cached_record` serves them; a ``.jsonl`` file names the
         finished cells of a results file and a ``.json`` file one record
-        payload.  Anything else is an exact index key, such as a
+        payload; either suffix naming no file is refused as such.  Anything
+        else is an exact index key, such as a
         ``cell_id``, which wins over a digest-prefix match, or a digest
         prefix in this store.  A stored run is its full record where one is
         stored (its trace is inline), else the cell's summary with its
@@ -340,6 +341,8 @@ class RunStore:
         if path.suffix == ".json" and path.is_file():
             payload = json.loads(path.read_text(encoding="utf-8"))
             return Resolved(ref, payload, run=RunView(payload, path.name))
+        if path.suffix in (".json", ".jsonl"):
+            raise StoreError(f"file {ref!r} does not exist")
         digest = self.lookup_key(ref) or self.resolve(ref)
         obj = self.load(digest)
         if obj is None:
@@ -441,10 +444,6 @@ class RunStore:
         return key
 
     # -- reads ----------------------------------------------------------------
-    def lookup(self, encoding: Dict[str, object]) -> Optional[str]:
-        """The digest a spec encoding maps to, if any."""
-        return self._load_index().get(spec_key(encoding))
-
     def lookup_key(self, key: str) -> Optional[str]:
         """The digest an index key (e.g. a ``cell_id``) maps to, if any."""
         return self._load_index().get(key)

@@ -56,18 +56,11 @@ def test_assign_switch_values_adjacent_differ():
     assert min(values.values()) >= 1
 
 
-def test_assign_switch_values_unique_mode_uses_more_values():
-    graph = adjacency(nx.path_graph(["A", "B", "C", "D"]))
-    colored = assign_switch_values(graph)
-    unique = assign_switch_values(graph, unique=True)
-    assert len(set(unique.values())) == 4
-    assert len(set(colored.values())) < 4
-
-
 def test_assign_switch_values_respects_field_width():
+    # A complete graph needs one colour per switch: 10 values do not fit in 5.
     graph = adjacency(nx.complete_graph(10))
     with pytest.raises(ValueError):
-        assign_switch_values(graph, first_value=1, max_value=5, unique=True)
+        assign_switch_values(graph, first_value=1, max_value=5)
 
 
 # -- catch / probe rule builders ------------------------------------------------------

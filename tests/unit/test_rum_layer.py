@@ -1,52 +1,134 @@
-"""Unit tests for the RUM layer, its configuration, the acknowledgment
-techniques and the reliable barrier layer."""
+"""Unit tests for the RUM layer, the techniques' declared parameters, the
+acknowledgment techniques and the reliable barrier layer."""
+
+import runpy
+from pathlib import Path
 
 import pytest
 
 from repro.controller import AckMode, Controller
 from repro.core import (
     ReliableBarrierLayer,
-    RumConfig,
     RumLayer,
     chain_proxies,
-    config_for_technique,
+    get_technique,
 )
 from repro.core.proxy import ProxyLayer
-from repro.core.techniques.registry import rum_technique_names
+from repro.core.techniques.registry import TECHNIQUE_NO_WAIT, rum_technique_names
+from repro.experiments.common import RuleInstallParams, run_rule_install
+from repro.experiments.figures import FIGURES, table1_rows
 from repro.net import Network, triangle_topology
 from repro.openflow import FlowMod, Match, OutputAction
 from repro.packet.addresses import int_to_ip
 from repro.sim import Simulator
 
-
-# -- configuration -------------------------------------------------------------
-
-def test_config_defaults_match_paper_parameters():
-    config = RumConfig().validated()
-    assert config.timeout == pytest.approx(0.3)
-    assert config.probe_batch == 10
-    assert config.probe_window == 30
-    assert config.probe_interval == pytest.approx(0.01)
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
-def test_config_rejects_unknown_technique():
-    with pytest.raises(ValueError):
-        config_for_technique("quantum")
+# -- declared parameters -------------------------------------------------------
+
+def test_techniques_declare_the_paper_parameters_and_defaults():
+    declared = {name: {key: parameter.default
+                       for key, parameter in get_technique(name).parameters.items()}
+                for name in rum_technique_names()}
+    assert declared == {
+        "adaptive": {"assumed_rate": 250.0},
+        "barrier": {},
+        "general": {"probe_window": 30, "probe_interval": 0.01},
+        "sequential": {"probe_batch": 10, "probe_interval": 0.01},
+        "timeout": {"timeout": 0.3},
+    }
+    assert get_technique(TECHNIQUE_NO_WAIT).parameters == {}
 
 
-def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        RumConfig(timeout=-1).validated()
-    with pytest.raises(ValueError):
-        RumConfig(probe_batch=0).validated()
-    with pytest.raises(ValueError):
-        RumConfig(preprobe_value=5, postprobe_value=5).validated()
+#: ``RumLayer.describe()`` at every technique's defaults.  It is hashed into
+#: every digest as ``rum_description``: a change in wording moves them all.
+DEFAULT_DESCRIPTIONS = {
+    "adaptive": "RUM[adaptive timeout (assumed rate 250 mods/s, margin 0 ms)]",
+    "barrier": "RUM[barrier baseline (one barrier per 1 FlowMods)]",
+    "general": "RUM[general probing (up to 30 oldest rules probed every 10 ms, "
+               "field ip_tos)]",
+    "sequential": "RUM[sequential probing (probe rule update after 10 "
+                  "modifications, probes every 10 ms)]",
+    "timeout": "RUM[static timeout (300 ms after barrier reply)]",
+}
 
 
-def test_config_with_overrides_revalidates():
-    config = config_for_technique("timeout")
-    with pytest.raises(ValueError):
-        config.with_overrides(assumed_rate=0)
+def test_default_descriptions_are_pinned():
+    assert {name: RumLayer(Simulator(), get_technique(name)).describe()
+            for name in rum_technique_names()} == DEFAULT_DESCRIPTIONS
+
+
+def test_an_override_sets_the_declared_parameter():
+    rum = RumLayer(Simulator(), get_technique("timeout"), {"timeout": 0})
+    assert rum.technique.timeout == 0  # a zero timeout confirms on the reply
+    assert get_technique("timeout").timeout.default == pytest.approx(0.3)
+
+
+def _quick(**overrides):
+    return RuleInstallParams.quick(rule_count=5).scaled(rum_overrides=overrides)
+
+
+@pytest.mark.parametrize("technique, key, value", [
+    ("timeout", "timeout", -0.1),
+    ("timeout", "timeout", float("nan")),
+    ("timeout", "timeout", float("inf")),
+    ("adaptive", "assumed_rate", 0.0),
+    ("adaptive", "assumed_rate", float("nan")),
+    ("adaptive", "assumed_rate", float("inf")),
+    ("sequential", "probe_interval", 0.0),
+    ("sequential", "probe_interval", float("nan")),
+    ("general", "probe_interval", -0.01),
+    ("general", "probe_interval", float("inf")),
+    ("sequential", "probe_batch", 0),
+    ("sequential", "probe_batch", 2.5),
+    ("sequential", "probe_batch", float("nan")),
+    ("general", "probe_window", 0),
+    ("general", "probe_window", float("inf")),
+    ("general", "probe_window", True),
+])
+def test_a_bad_parameter_is_refused_when_the_session_is_built(technique, key, value):
+    with pytest.raises(ValueError, match=rf"technique {technique!r}: parameter {key!r}"):
+        run_rule_install(technique, _quick(**{key: value}))
+
+
+@pytest.mark.parametrize("technique, key", [
+    ("general", "probe_batch"),
+    ("barrier", "timeout"),
+    ("timeout", "probe_field"),
+    (TECHNIQUE_NO_WAIT, "probe_interval"),
+])
+def test_an_undeclared_override_is_refused(technique, key):
+    with pytest.raises(ValueError, match=rf"technique {technique!r} has no parameter {key!r}"):
+        run_rule_install(technique, _quick(**{key: 5}))
+
+
+def _assert_declared(technique, overrides):
+    undeclared = set(overrides) - set(get_technique(technique).parameters)
+    assert not undeclared, f"{technique} does not declare {sorted(undeclared)}"
+
+
+@pytest.mark.parametrize("row", [
+    (figure.name, row) for figure in FIGURES.values() if figure.name != "microbench"
+    for row in figure.rows] + [("table1_rows()", row) for row in table1_rows()],
+    ids=lambda row: f"{row[0]}:{row[1][0]}")
+def test_every_figure_row_overrides_only_declared_parameters(row):
+    _figure, (_label, technique, keywords) = row
+    _assert_declared(technique, keywords.get("rum_overrides", {}))
+
+
+def test_the_probe_overhead_sweep_overrides_only_declared_parameters(monkeypatch):
+    seen = []
+
+    def recorded(technique, params):
+        seen.append(technique)
+        _assert_declared(technique, params.rum_overrides)
+        return run_rule_install(technique, params)
+
+    main = runpy.run_path(str(EXAMPLES / "probe_overhead_sweep.py"))["main"]
+    monkeypatch.setitem(main.__globals__, "run_rule_install", recorded)
+    main(5)
+    assert seen.count("sequential") == 5
 
 
 # -- wiring --------------------------------------------------------------------------
@@ -54,7 +136,7 @@ def test_config_with_overrides_revalidates():
 def _build(technique, **overrides):
     sim = Simulator()
     network = Network(sim, triangle_topology(), seed=4)
-    rum = RumLayer(sim, config_for_technique(technique, **overrides))
+    rum = RumLayer(sim, get_technique(technique), overrides)
     rum.attach_network(network)
     controller = Controller(sim, ack_mode=AckMode.RUM_CONFIRMATION)
     for name in network.switch_names():
@@ -139,15 +221,6 @@ def test_rum_consumes_probe_packetins_and_own_barriers():
     assert seen_packet_ins == []
 
 
-def test_rum_emit_confirmations_can_be_disabled():
-    sim, network, rum, controller = _build("general", emit_confirmations=False)
-    port = network.port_between("S2", "S3")
-    ack = controller.send_flowmod("S2", _rule(0, port))
-    sim.run(until=3.0)
-    assert not ack.acked
-    assert rum.unconfirmed_count() == 0  # RUM still confirmed internally
-
-
 def test_general_probing_uses_distinct_adjacent_switch_values():
     sim, network, rum, controller = _build("general")
     values = rum.technique.switch_values
@@ -158,8 +231,7 @@ def test_general_probing_uses_distinct_adjacent_switch_values():
 
 def test_adaptive_assumed_rate_controls_safety():
     # A hopelessly optimistic model acknowledges rules before the data plane.
-    sim, network, rum, controller = _build("adaptive", assumed_rate=5000.0,
-                                            adaptive_base_delay=0.0)
+    sim, network, rum, controller = _build("adaptive", assumed_rate=5000.0)
     port = network.port_between("S2", "S3")
     flowmods = [_rule(index, port) for index in range(30)]
     for flowmod in flowmods:
@@ -172,7 +244,7 @@ def test_adaptive_assumed_rate_controls_safety():
 
 def test_rum_requires_attach_before_prepare():
     sim = Simulator()
-    rum = RumLayer(sim, config_for_technique("general"))
+    rum = RumLayer(sim, get_technique("general"))
     with pytest.raises(RuntimeError):
         rum.prepare()
 
@@ -216,7 +288,7 @@ def test_proxy_rejects_duplicate_attachment():
 def _build_with_barrier_layer(technique="sequential", buffer_after_barrier=False):
     sim = Simulator()
     network = Network(sim, triangle_topology(), seed=4)
-    rum = RumLayer(sim, config_for_technique(technique))
+    rum = RumLayer(sim, get_technique(technique))
     barrier_layer = ReliableBarrierLayer(sim, buffer_after_barrier=buffer_after_barrier)
     endpoints = chain_proxies(network, [rum, barrier_layer])
     controller = Controller(sim, ack_mode=AckMode.BARRIER)

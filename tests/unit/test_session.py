@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.activation import ActivationDelays, LedgerRow
 from repro.analysis.flowstats import FlowUpdateStats
 from repro.campaign import CampaignRunner, CampaignSpec, run_cell
-from repro.core.config import RumConfig, config_for_technique
-from repro.core.techniques.base import AckTechnique
+from repro.core import RumLayer
+from repro.core.techniques.base import AckTechnique, Parameter
 from repro.core.techniques.registry import (
     TECHNIQUE_NO_WAIT,
     TECHNIQUES,
@@ -30,6 +30,7 @@ from repro.obs import TraceEvent, TraceLog
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.session import SUMMARY_KEYS, RunRecord
 from repro.session.record import OUTCOME_KEYS, outcome_digest
+from repro.sim import Simulator
 from repro.store import RunStore
 
 #: The payload keys that ride beside the outcome and must never reach the
@@ -76,7 +77,7 @@ class TestTechniqueRegistry:
         assert issubclass(technique, AckTechnique)
         assert not technique.uses_rum
         assert technique.ignore_dependencies
-        assert technique.rum_config() is None
+        assert technique.parameters == {}
         assert TECHNIQUE_NO_WAIT not in rum_technique_names()
 
     def test_rum_techniques_do_not_ignore_dependencies(self):
@@ -87,10 +88,11 @@ class TestTechniqueRegistry:
 
     def test_adaptive_owns_its_assumed_rate_default(self):
         technique = get_technique("adaptive")
-        assert technique.config_defaults["assumed_rate"] == pytest.approx(250.0)
-        assert config_for_technique("adaptive").assumed_rate == pytest.approx(250.0)
+        assert technique.assumed_rate.default == pytest.approx(250.0)
+        assert technique.checked_overrides({}) == {}
         # Caller overrides still win over the technique's own defaults.
-        assert technique.rum_config(assumed_rate=200.0).assumed_rate == pytest.approx(200.0)
+        assert technique.checked_overrides({"assumed_rate": 200.0}) == {
+            "assumed_rate": 200.0}
 
     def test_resolve_accepts_entries_and_names(self):
         technique = get_technique("general")
@@ -104,16 +106,12 @@ class TestTechniqueRegistry:
             resolve_technique("quantum")
         with pytest.raises(ValueError):
             run_path_migration("quantum", _quick_migration_params())
-        with pytest.raises(ValueError):
-            config_for_technique("quantum")
-        with pytest.raises(ValueError):
-            RumConfig(technique="quantum").validated()
 
-    def test_no_wait_has_no_rum_config(self):
-        with pytest.raises(ValueError):
-            config_for_technique(TECHNIQUE_NO_WAIT)
-        with pytest.raises(ValueError):
-            RumConfig(technique=TECHNIQUE_NO_WAIT).validated()
+    def test_no_wait_has_no_rum_layer_and_no_parameters(self):
+        with pytest.raises(ValueError, match="runs without a RUM layer"):
+            RumLayer(Simulator(), get_technique(TECHNIQUE_NO_WAIT))
+        with pytest.raises(ValueError, match="has no parameter 'timeout'"):
+            get_technique(TECHNIQUE_NO_WAIT).checked_overrides({"timeout": 0.3})
 
     @pytest.mark.parametrize("technique", sorted(available_techniques()))
     def test_every_registered_technique_runs_a_triangle_migration(self, technique):
@@ -381,10 +379,10 @@ def toy_technique():
         """Toy technique for tests: confirm a fixed 20 ms after forwarding."""
 
         name = "toy-instant"
-        config_defaults = {"timeout": 0.0}
+        delay = Parameter(0.02)
 
         def on_flowmod_forwarded(self, switch_name, record):
-            self.sim.schedule_callback(0.02, self._confirm, switch_name, record.xid)
+            self.sim.schedule_callback(self.delay, self._confirm, switch_name, record.xid)
 
         def _confirm(self, switch_name, xid):
             self.layer.confirm_rule(switch_name, xid, by=self.name)
@@ -402,8 +400,11 @@ class TestToyTechniqueEverywhere:
         record = run_path_migration(toy_technique, _quick_migration_params())
         assert record.completed
         assert record.technique == toy_technique
-        # Its config defaults flow through the registry.
-        assert config_for_technique(toy_technique).timeout == 0.0
+        # Its declared parameter is settable through the session's stack.
+        slow = run_path_migration(toy_technique, _quick_migration_params(
+            rum_overrides={"delay": 0.2}))
+        assert slow.completed
+        assert slow.mean_update_time > record.mean_update_time
 
     def test_scenario_path(self, toy_technique):
         record = run_scenario("path-migration", toy_technique,

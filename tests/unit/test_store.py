@@ -69,7 +69,7 @@ class TestIngestAndQuery:
         assert digest == outcome_digest(payload)
         obj = store.load(digest)
         assert obj["record"] == payload
-        assert store.lookup(payload["spec"]) == digest
+        assert store.lookup_key(spec_key(payload["spec"])) == digest
 
     def test_ingest_directory_skips_heartbeats_and_traces(self, tmp_path):
         results = _campaign(tmp_path)
@@ -607,7 +607,13 @@ class TestShow:
     def test_an_unknown_ref_exits_2_and_names_it(self, tmp_path, capsys, ref):
         store_dir = tmp_path / "store"
         assert store_main(["--store", str(store_dir), "show", ref]) == 2
-        assert repr(ref) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert repr(ref) in err
+        # A results or record file is named a file, never a digest.
+        if ref.endswith((".json", ".jsonl")):
+            assert "does not exist" in err and "digest" not in err
+        else:
+            assert "no stored run matches digest" in err
         assert not store_dir.exists()
 
     def test_a_run_against_a_results_file_exits_2(self, tmp_path, capsys):

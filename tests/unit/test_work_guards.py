@@ -355,7 +355,7 @@ def _idle_probe_ticks(technique, ticks):
     nothing pending, over about ``ticks`` probe intervals, and the ticks run."""
     sim, _network, stack = _started_on_the_triangle(technique)
     sim.run(until=0.05)  # deployment rules are in; only the probe timer is left
-    horizon = sim.now + ticks * stack.rum.config.probe_interval
+    horizon = sim.now + ticks * stack.rum.technique.probe_interval
     codes = []
     gc.disable()  # a collection would run whatever gc.callbacks hold
     try:
