@@ -17,7 +17,7 @@ quantities the paper reports:
   (:mod:`repro.analysis.diff`, :mod:`repro.analysis.timeline`).
 """
 
-from repro.analysis.cdf import Distribution, cdf_points, percentile
+from repro.analysis.cdf import Distribution, percentile
 from repro.analysis.flowstats import (
     FlowUpdateStats,
     broken_time_distribution,
@@ -33,7 +33,6 @@ __all__ = [
     "LedgerRow",
     "activation_ledger",
     "broken_time_distribution",
-    "cdf_points",
     "flow_update_stats",
     "format_table",
     "percentile",

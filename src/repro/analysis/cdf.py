@@ -1,9 +1,9 @@
-"""Distribution helpers (percentiles, CDFs, summaries)."""
+"""Distribution helpers (percentiles, fractions, summaries)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -25,15 +25,6 @@ def percentile(values: Sequence[float], fraction: float) -> float:
     # This form is numerically exact when the two samples are equal, which
     # keeps the result inside [min(values), max(values)].
     return ordered[lower] + (ordered[upper] - ordered[lower]) * weight
-
-
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """``(value, cumulative fraction)`` pairs, suitable for plotting a CDF."""
-    ordered = sorted(values)
-    count = len(ordered)
-    if count == 0:
-        return []
-    return [(value, (index + 1) / count) for index, value in enumerate(ordered)]
 
 
 def fraction_at_least(values: Sequence[float], threshold: float) -> float:

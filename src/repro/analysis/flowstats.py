@@ -34,11 +34,6 @@ class FlowUpdateStats:
     packets_sent: int
     packets_received: int
 
-    @property
-    def switched(self) -> bool:
-        """Whether the flow was observed on the new path at all."""
-        return self.first_new_path is not None
-
 
 def flow_update_stats(
     monitor: DeliveryMonitor,

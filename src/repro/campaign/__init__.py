@@ -8,7 +8,7 @@ aggregates results with the :mod:`repro.analysis.report` table machinery.
 ``python -m repro.campaign`` is the command-line entry point.
 """
 
-from repro.campaign.grid import CampaignCell, CampaignSpec, cell_from_config
+from repro.campaign.grid import CampaignCell, CampaignSpec
 from repro.campaign.report import (
     aggregate,
     render_report,
@@ -27,7 +27,6 @@ __all__ = [
     "CampaignRunner",
     "CampaignSpec",
     "aggregate",
-    "cell_from_config",
     "load_records",
     "render_report",
     "resilience",

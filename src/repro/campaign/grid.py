@@ -210,8 +210,3 @@ class CampaignSpec:
             seeds=[1],
             flow_count=2,
         )
-
-
-def cell_from_config(config: Dict[str, object]) -> CampaignCell:
-    """Rebuild a cell from a result record's stored configuration."""
-    return CampaignCell(**config)

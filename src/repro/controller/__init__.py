@@ -11,8 +11,7 @@ The controller side of the reproduction contains:
   ("X after Y") and a windowed plan executor (at most K unconfirmed
   modifications in flight),
 * :mod:`repro.controller.consistent` — the consistent path-migration update
-  used in the end-to-end experiment and a Reitblatt-style two-phase
-  version-tagged update,
+  used in the end-to-end experiment,
 * :mod:`repro.controller.firewall` — the Figure 2 firewall scenario in which
   a too-early acknowledgment opens a transient security hole.
 """
@@ -24,10 +23,7 @@ from repro.controller.update_plan import (
     UpdateOperation,
     UpdatePlan,
 )
-from repro.controller.consistent import (
-    ConsistentPathMigration,
-    TwoPhaseVersionedUpdate,
-)
+from repro.controller.consistent import ConsistentPathMigration
 from repro.controller.firewall import FirewallScenario
 
 __all__ = [
@@ -38,7 +34,6 @@ __all__ = [
     "PathRules",
     "PlanExecutor",
     "RuleAck",
-    "TwoPhaseVersionedUpdate",
     "UpdateOperation",
     "UpdatePlan",
     "install_path_rules",

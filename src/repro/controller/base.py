@@ -175,8 +175,8 @@ class Controller:
         """Give up on an un-acked FlowMod: mark it failed, not pending.
 
         The ack's event stays un-triggered — the operation genuinely never
-        completed — but :meth:`pending_acks` no longer counts it, and
-        executors report it via ``PlanExecutor.summary()``.
+        completed — but :meth:`ack_failed` reports it, and executors report
+        it via ``PlanExecutor.summary()``.
         """
         if ack.acked or ack.failed:
             return
@@ -253,29 +253,6 @@ class Controller:
             self.recovery.on_switch_reconnect(switch_name)
 
     # -- introspection ---------------------------------------------------------------
-    def pending_acks(self, switch_name: Optional[str] = None) -> int:
-        """Number of FlowMods still waiting for acknowledgment.
-
-        Failed acks (retransmission attempts exhausted, see
-        :meth:`fail_ack`) are no longer *waiting* and are not counted.  A
-        scan over every ack issued: an introspection query, which no
-        simulation path calls.
-        """
-        return sum(
-            1
-            for (switch, _xid), ack in self._rule_acks.items()
-            if not ack.acked and not ack.failed
-            and (switch_name is None or switch == switch_name)
-        )
-
-    def failed_acks(self, switch_name: Optional[str] = None) -> List[RuleAck]:
-        """Acks abandoned after exhausting their retransmission budget."""
-        return [
-            ack
-            for (switch, _xid), ack in self._rule_acks.items()
-            if ack.failed and (switch_name is None or switch == switch_name)
-        ]
-
     def ack_failed(self, switch_name: str, xid: int) -> bool:
         """Whether the FlowMod with ``xid`` was abandoned (see :meth:`fail_ack`)."""
         ack = self._rule_acks.get((switch_name, xid))

@@ -1,38 +1,27 @@
 """Consistent network updates.
 
-Two update strategies are provided:
-
-* :class:`ConsistentPathMigration` — the per-flow dependency-ordered update
-  used in the paper's end-to-end experiment (Figure 1a): for every flow,
-  first install the rules on the switches that are new on the flow's path
-  (switch S2 in the triangle), and only after those are acknowledged flip the
-  ingress switch (S1) to the new next hop.  A packet therefore always follows
-  either the complete old path or the complete new path — *provided the
-  acknowledgments are truthful*, which is exactly what the paper shows is not
-  the case with barrier-based acknowledgments on real hardware.
-
-* :class:`TwoPhaseVersionedUpdate` — a Reitblatt-style two-phase commit using
-  a version tag carried in the VLAN id: internal rules for the new
-  configuration are installed matching the new version, and ingress switches
-  are flipped to stamp the new version only once every internal rule is
-  acknowledged.  This is the general mechanism the papers cited in the
-  introduction build on; it is included both as an extension and as a second
-  consumer of the acknowledgment layer.
+:class:`ConsistentPathMigration` is the per-flow dependency-ordered update
+used in the paper's end-to-end experiment (Figure 1a): for every flow, first
+install the rules on the switches that are new on the flow's path (switch S2
+in the triangle), and only after those are acknowledged flip the ingress
+switch (S1) to the new next hop.  A packet therefore always follows either the
+complete old path or the complete new path — *provided the acknowledgments
+are truthful*, which is exactly what the paper shows is not the case with
+barrier-based acknowledgments on real hardware.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.controller.routing import flow_match
 from repro.controller.update_plan import UpdateOperation, UpdatePlan
 from repro.net.network import Network
 from repro.net.traffic import FlowSpec
-from repro.openflow.actions import OutputAction, SetFieldAction
+from repro.openflow.actions import OutputAction
 from repro.openflow.constants import FlowModCommand
 from repro.openflow.messages import FlowMod
-from repro.packet.fields import HeaderField
 
 
 def _switch_hops(path: Sequence[str], network: Network) -> List[str]:
@@ -55,9 +44,6 @@ class ConsistentPathMigration:
     old_path: List[str]
     new_path: List[str]
     priority: int = 100
-    #: Also delete the old-path rules on switches that are no longer used
-    #: (not measured in the paper's experiment, hence off by default).
-    cleanup: bool = False
 
     def ingress_switch(self) -> str:
         """The first switch common to both paths (whose rule gets flipped)."""
@@ -95,75 +81,6 @@ class ConsistentPathMigration:
             ingress_port = _output_port(self.network, self.new_path, ingress)
             flip = FlowMod(match, [OutputAction(ingress_port)],
                            command=FlowModCommand.ADD, priority=self.priority)
-            flip_op = plan.add(ingress, flip, after=prerequisites,
-                               label=flow.flow_id, role="ingress-flip")
-            if self.cleanup:
-                for switch in old_switches:
-                    if switch in new_switches:
-                        continue
-                    delete = FlowMod(match, [], command=FlowModCommand.DELETE,
-                                     priority=self.priority)
-                    plan.add(switch, delete, after=[flip_op],
-                             label=flow.flow_id, role="cleanup")
-        return plan
-
-
-@dataclass
-class TwoPhaseVersionedUpdate:
-    """Reitblatt-style two-phase consistent update with VLAN version tags."""
-
-    network: Network
-    flows: List[FlowSpec]
-    new_paths: Dict[str, List[str]]
-    old_version: int = 1
-    new_version: int = 2
-    priority: int = 200
-    #: Delete the old-version internal rules once the ingress flip is done.
-    garbage_collect: bool = False
-
-    def build_plan(self) -> UpdatePlan:
-        """Phase 1 installs versioned internal rules, phase 2 flips ingress stamps."""
-        if self.old_version == self.new_version:
-            raise ValueError("old and new versions must differ")
-        plan = UpdatePlan(name="two-phase-versioned")
-        for flow in self.flows:
-            path = self.new_paths[flow.flow_id]
-            switches = _switch_hops(path, self.network)
-            if not switches:
-                raise ValueError(f"flow {flow.flow_id} has no switches on its path")
-            ingress, internal = switches[0], switches[1:]
-            base_match = flow_match(flow)
-            phase_one: List[UpdateOperation] = []
-
-            for position, switch in enumerate(internal):
-                out_port = _output_port(self.network, path, switch)
-                versioned = base_match.extended(vlan_id=self.new_version)
-                actions = [OutputAction(out_port)]
-                if position == len(internal) - 1:
-                    # Last switch strips the version tag before the host.
-                    actions = [SetFieldAction(HeaderField.VLAN_ID, 0), OutputAction(out_port)]
-                flowmod = FlowMod(versioned, actions, command=FlowModCommand.ADD,
-                                  priority=self.priority)
-                phase_one.append(
-                    plan.add(switch, flowmod, label=flow.flow_id, role="new-path")
-                )
-
-            ingress_port = _output_port(self.network, path, ingress)
-            stamp = FlowMod(
-                base_match,
-                [SetFieldAction(HeaderField.VLAN_ID, self.new_version),
-                 OutputAction(ingress_port)],
-                command=FlowModCommand.ADD,
-                priority=self.priority,
-            )
-            flip_op = plan.add(ingress, stamp, after=phase_one,
-                               label=flow.flow_id, role="ingress-flip")
-
-            if self.garbage_collect:
-                for switch in internal:
-                    old_match = base_match.extended(vlan_id=self.old_version)
-                    delete = FlowMod(old_match, [], command=FlowModCommand.DELETE_STRICT,
-                                     priority=self.priority)
-                    plan.add(switch, delete, after=[flip_op],
-                             label=flow.flow_id, role="cleanup")
+            plan.add(ingress, flip, after=prerequisites,
+                     label=flow.flow_id, role="ingress-flip")
         return plan

@@ -45,7 +45,6 @@ class _PendingBarrier:
     waiting_for: Set[int]
     #: Whether the switch's own reply has already arrived.
     reply_received: bool = False
-    received_at: float = 0.0
     released: bool = False
 
 
@@ -71,9 +70,6 @@ class ReliableBarrierLayer(ProxyLayer):
         self._unconfirmed_flowmods: Dict[str, Set[int]] = {}
         self._barriers: Dict[str, List[_PendingBarrier]] = {}
         self._buffered: Dict[str, Deque[OFMessage]] = {}
-        self._released_barriers: List[_PendingBarrier] = []
-        #: Measurement: barrier xid -> (request seen, reply released).
-        self.barrier_log: Dict[int, tuple] = {}
         self.barriers_held = 0
 
     # -- wiring ----------------------------------------------------------------
@@ -102,7 +98,6 @@ class ReliableBarrierLayer(ProxyLayer):
             )
             self._barriers[switch_name].append(barrier)
             self.barriers_held += 1
-            self.barrier_log[message.xid] = (self.sim.now, None)
             self.forward_to_switch(switch_name, message)
             # A barrier with nothing outstanding may already be releasable
             # once its reply arrives; nothing more to do here.
@@ -123,7 +118,6 @@ class ReliableBarrierLayer(ProxyLayer):
             barrier = self._find_barrier(switch_name, message.xid)
             if barrier is not None:
                 barrier.reply_received = True
-                barrier.received_at = self.sim.now
                 self._try_release(switch_name)
                 return
         self.forward_to_controller(switch_name, message)
@@ -151,10 +145,7 @@ class ReliableBarrierLayer(ProxyLayer):
             if barrier.waiting_for or not barrier.reply_received:
                 break
             barrier.released = True
-            request_seen, _ = self.barrier_log.get(barrier.request_xid, (None, None))
-            self.barrier_log[barrier.request_xid] = (request_seen, self.sim.now)
             self.forward_to_controller(switch_name, BarrierReply(xid=barrier.request_xid))
-            self._released_barriers.append(barrier)
             barriers.pop(0)
         if not self._has_unresolved_barrier(switch_name):
             self._drain_buffer(switch_name)
@@ -169,15 +160,3 @@ class ReliableBarrierLayer(ProxyLayer):
             self._forward_controller_message(switch_name, message)
             if self.buffer_after_barrier and self._has_unresolved_barrier(switch_name):
                 break
-
-    # -- measurement ---------------------------------------------------------------------
-    def held_barrier_delays(self) -> List[float]:
-        """For released barriers: how long the reply was withheld beyond the
-        switch's own reply."""
-        delays = []
-        for barrier in self._released_barriers:
-            if barrier.received_at:
-                _seen, released = self.barrier_log.get(barrier.request_xid, (None, None))
-                if released is not None:
-                    delays.append(released - barrier.received_at)
-        return delays

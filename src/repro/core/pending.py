@@ -73,10 +73,6 @@ class PendingRuleTracker:
         """All unconfirmed records, oldest first."""
         return list(self._pending.values())
 
-    def unconfirmed_xids(self) -> List[int]:
-        """Xids of all unconfirmed records, oldest first."""
-        return list(self._pending.keys())
-
     # -- confirming --------------------------------------------------------------------
     def confirm(self, xid: int, now: float, by: str = "") -> Optional[PendingRule]:
         """Mark ``xid`` confirmed; returns the record, or ``None`` if unknown."""

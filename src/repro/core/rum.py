@@ -207,15 +207,6 @@ class RumLayer(ProxyLayer):
             return
         self.forward_to_controller(switch_name, message)
 
-    # -- introspection ---------------------------------------------------------------------
-    def unconfirmed_count(self) -> int:
-        """Total modifications still awaiting confirmation across all switches.
-
-        Sums the per-switch trackers: an introspection query, which no
-        simulation path calls.
-        """
-        return sum(len(tracker) for tracker in self._trackers.values())
-
     def describe(self) -> str:
         """Human-readable one-liner about the active technique."""
         return f"RUM[{self.technique.describe()}]"

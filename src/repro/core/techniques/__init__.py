@@ -41,7 +41,6 @@ from repro.core.techniques.registry import (
     available_techniques,
     get_technique,
     resolve_technique,
-    rum_technique_names,
 )
 from repro.core.techniques.barrier_baseline import BarrierBaselineTechnique
 from repro.core.techniques.static_timeout import StaticTimeoutTechnique
@@ -63,5 +62,4 @@ __all__ = [
     "available_techniques",
     "get_technique",
     "resolve_technique",
-    "rum_technique_names",
 ]

@@ -123,8 +123,9 @@ class GeneralProbingTechnique(AckTechnique):
         topology = self.layer.topology
         flowmod = record.flowmod
         if flowmod.is_delete:
-            # Deletions are detectable by probes *stopping*; the reproduction
-            # keeps the conservative fallback for them instead.
+            # A probe for a deleted rule would be caught where the next-lower
+            # matching rule sends it: positive evidence, not silence.  No run
+            # issues a DELETE, so the conservative fallback answers instead.
             return None
         output_ports = [action.port for action in flowmod.actions
                         if isinstance(action, OutputAction)]

@@ -75,8 +75,3 @@ def resolve_technique(
 def available_techniques() -> List[str]:
     """All registered technique names, sorted."""
     return TECHNIQUES.names()
-
-
-def rum_technique_names() -> List[str]:
-    """Names of techniques that run on a RUM layer."""
-    return sorted(name for name, cls in TECHNIQUES.items() if cls.uses_rum)

@@ -128,10 +128,6 @@ class DeliveryMonitor:
         return sum(self._sent.values()) - sum(
             len(log.paths) for flow_id, log in self._logs.items() if flow_id in self._sent)
 
-    def total_sent(self) -> int:
-        """Packets sent across all flows."""
-        return sum(self._sent.values())
-
     def deliveries(self, flow_id: str) -> List[DeliveryRecord]:
         """All delivery records of a flow, ordered by arrival time."""
         return list(map(_record, self._rows(flow_id)))
@@ -140,18 +136,6 @@ class DeliveryMonitor:
     def _select(self, flow_id: str, via_switch: str, via: bool) -> Iterator[tuple]:
         """The :meth:`_rows` whose path did (``via``) or did not traverse ``via_switch``."""
         return (row for row in self._rows(flow_id) if (via_switch in row[4]) is via)
-
-    def arrivals_via(self, flow_id: str, via_switch: str) -> List[DeliveryRecord]:
-        """Deliveries of ``flow_id`` whose path traversed ``via_switch``."""
-        return list(map(_record, self._select(flow_id, via_switch, True)))
-
-    def arrivals_not_via(self, flow_id: str, via_switch: str) -> List[DeliveryRecord]:
-        """Deliveries of ``flow_id`` whose path avoided ``via_switch``."""
-        return list(map(_record, self._select(flow_id, via_switch, False)))
-
-    def last_arrival_via(self, flow_id: str, via_switch: str) -> Optional[float]:
-        """Time of the last delivery that traversed ``via_switch`` (or ``None``)."""
-        return max((row[2] for row in self._select(flow_id, via_switch, True)), default=None)
 
     def first_arrival_via(self, flow_id: str, via_switch: str) -> Optional[float]:
         """Time of the first delivery that traversed ``via_switch`` (or ``None``)."""

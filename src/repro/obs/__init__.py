@@ -43,7 +43,6 @@ from repro.obs.events import (
     TraceLog,
 )
 from repro.obs.export import (
-    trace_to_chrome,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "TraceEvent",
     "TraceLog",
     "Tracer",
-    "trace_to_chrome",
     "validate_chrome_trace",
     "write_chrome_trace",
 ]

@@ -13,7 +13,7 @@ the fault subsystem was doing when a gap opened.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 PHASE_UPDATE_ISSUED = "update-issued"
 PHASE_MSG_SENT = "msg-sent"
@@ -102,25 +102,6 @@ class TraceLog:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def phases(self) -> Dict[str, int]:
-        """Event count per phase — a quick sanity view of coverage."""
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.phase] = counts.get(event.phase, 0) + 1
-        return counts
-
-    def filtered(self, phase: Optional[str] = None,
-                 switch: Optional[str] = None,
-                 xid: Optional[int] = None) -> Iterable[TraceEvent]:
-        for event in self.events:
-            if phase is not None and event.phase != phase:
-                continue
-            if switch is not None and event.switch != switch:
-                continue
-            if xid is not None and event.xid != xid:
-                continue
-            yield event
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {

@@ -151,11 +151,6 @@ def chrome_trace_json(log: TraceLog) -> str:
             % (other, ", ".join(texts)))
 
 
-def trace_to_chrome(log: TraceLog) -> Dict[str, Any]:
-    """:func:`chrome_trace_json` parsed: the dict cannot disagree with a shard."""
-    return json.loads(chrome_trace_json(log))
-
-
 def write_chrome_trace(log: TraceLog, path) -> None:
     """Write the shard, :func:`chrome_trace_json`'s text, to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -163,7 +158,7 @@ def write_chrome_trace(log: TraceLog, path) -> None:
 
 
 def trace_from_chrome(payload: Dict[str, Any]) -> TraceLog:
-    """Rebuild a :class:`TraceLog` from :func:`trace_to_chrome` output.
+    """Rebuild a :class:`TraceLog` from :func:`chrome_trace_json`'s parsed text.
 
     The inverse of the instant-event mapping: metadata and the derived
     ``X`` spans are skipped (they are recomputed from the instants), track
@@ -204,11 +199,6 @@ def trace_from_chrome(payload: Dict[str, Any]) -> TraceLog:
             detail=str(args.get("detail", "")),
         ))
     return log
-
-
-def read_chrome_trace(path) -> TraceLog:
-    with open(path, "r", encoding="utf-8") as handle:
-        return trace_from_chrome(json.load(handle))
 
 
 _PHASE_REQUIRED_KEYS = {"name", "ph", "ts", "pid", "tid"}

@@ -39,7 +39,6 @@ from repro.openflow.messages import (
     FeaturesReply,
     FeaturesRequest,
     FlowMod,
-    FlowRemoved,
     Hello,
     OFMessage,
     PacketIn,
@@ -67,7 +66,6 @@ __all__ = [
     "FlowEntry",
     "FlowMod",
     "FlowModCommand",
-    "FlowRemoved",
     "FlowTable",
     "Hello",
     "Match",

@@ -328,18 +328,6 @@ class FlowTable:
         """Set of entry signatures — used to diff control vs. data plane state."""
         return {entry.signature() for entry in self._entries.values()}
 
-    def dump(self) -> List[Dict]:
-        """A JSON-able dump of the table (tests and debugging)."""
-        return [
-            {
-                "priority": entry.priority,
-                "match": repr(entry.match),
-                "actions": [repr(action) for action in entry.actions],
-                "packets": entry.packet_count,
-            }
-            for entry in self.entries_sorted_for_lookup()
-        ]
-
 
 class TableFullError(RuntimeError):
     """Raised when an ADD exceeds the flow table capacity."""

@@ -154,10 +154,6 @@ class Match:
         """True when no field is constrained (matches every packet)."""
         return not self._fields
 
-    def specificity(self) -> int:
-        """Total number of constrained bits — a rough specificity measure."""
-        return sum(bin(mask).count("1") for _value, mask in self._fields.values())
-
     # -- classification -----------------------------------------------------
     def matches_packet(self, packet: Packet) -> bool:
         """Whether ``packet`` satisfies every constraint of this match.
@@ -262,10 +258,6 @@ class Match:
         result = Match()
         result._fields = merged
         return result
-
-    def exact_same(self, other: "Match") -> bool:
-        """Field-for-field equality (used for *_STRICT FlowMod semantics)."""
-        return self._fields == other._fields
 
     # -- construction helpers ---------------------------------------------------
     def extended(self, **kwargs) -> "Match":

@@ -191,26 +191,6 @@ class PacketIn(OFMessage):
         self.datapath_id = datapath_id
 
 
-class FlowRemoved(OFMessage):
-    """Notification that a rule expired or was deleted."""
-
-    message_type = OFMessageType.FLOW_REMOVED
-
-    def __init__(
-        self,
-        match: Match,
-        priority: int,
-        cookie: int = 0,
-        duration: float = 0.0,
-        xid: Optional[int] = None,
-    ) -> None:
-        super().__init__(xid)
-        self.match = match
-        self.priority = priority
-        self.cookie = cookie
-        self.duration = duration
-
-
 class ErrorMessage(OFMessage):
     """Error notification.
 

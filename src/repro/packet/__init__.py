@@ -13,13 +13,11 @@ from repro.packet.fields import (
     FIELD_REGISTRY,
     FieldSpec,
     HeaderField,
-    rewritable_fields,
 )
 from repro.packet.addresses import (
     ip_to_int,
     int_to_ip,
     mac_to_int,
-    int_to_mac,
     prefix_mask,
 )
 from repro.packet.packet import Packet, make_ip_packet, make_probe_packet
@@ -30,11 +28,9 @@ __all__ = [
     "HeaderField",
     "Packet",
     "int_to_ip",
-    "int_to_mac",
     "ip_to_int",
     "mac_to_int",
     "make_ip_packet",
     "make_probe_packet",
     "prefix_mask",
-    "rewritable_fields",
 ]

@@ -51,13 +51,6 @@ def mac_to_int(address: str | int) -> int:
     return value
 
 
-def int_to_mac(value: int) -> str:
-    """Convert a 48-bit integer to colon-separated hex notation."""
-    if not 0 <= value <= 0xFFFFFFFFFFFF:
-        raise ValueError(f"MAC integer out of range: {value}")
-    return ":".join(f"{(value >> shift) & 0xFF:02x}" for shift in (40, 32, 24, 16, 8, 0))
-
-
 def prefix_mask(prefix_length: int) -> int:
     """32-bit network mask for an IPv4 prefix length (``/24`` -> ``0xFFFFFF00``)."""
     if not 0 <= prefix_length <= 32:

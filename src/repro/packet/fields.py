@@ -113,19 +113,3 @@ ETH_TYPE_VLAN = 0x8100
 IP_PROTO_ICMP = 1
 IP_PROTO_TCP = 6
 IP_PROTO_UDP = 17
-
-
-def rewritable_fields() -> List[FieldSpec]:
-    """Fields a ``set_field`` action may modify."""
-    return [spec for spec in FIELD_REGISTRY.values() if spec.rewritable]
-
-
-def probe_candidate_fields() -> List[FieldSpec]:
-    """Fields the paper considers usable as the reserved probing field H."""
-    return [spec for spec in FIELD_REGISTRY.values() if spec.probe_candidate]
-
-
-def field_spec(field: HeaderField | str) -> FieldSpec:
-    """Look up a :class:`FieldSpec` by enum member or string name."""
-    key = HeaderField(field)
-    return FIELD_REGISTRY[key]

@@ -248,9 +248,5 @@ class Simulator:
             self.steps_executed += steps
             self._until = inf
 
-    def peek(self) -> Optional[float]:
-        """Time of the next scheduled callback, or ``None`` if the heap is empty."""
-        return self._heap[0][0] if self._heap else None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Simulator now={self._now:.6f} pending={len(self._heap)}>"

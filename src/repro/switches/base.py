@@ -277,14 +277,6 @@ class Switch:
         self.controlplane.table.apply_flowmod(flowmod, now=self.sim.now)
         self.dataplane.apply_flowmod(flowmod, now=self.sim.now)
 
-    def rules_in_dataplane(self) -> int:
-        """Number of rules currently visible to packets."""
-        return self.dataplane.occupancy()
-
-    def rules_in_controlplane(self) -> int:
-        """Number of rules in the control-plane table."""
-        return len(self.controlplane.table)
-
     def planes_agree(self) -> bool:
         """Whether control- and data-plane tables currently hold the same rules."""
         control_only, data_only = self.dataplane.divergence_from(self.controlplane.table)

@@ -238,12 +238,6 @@ class ControlPlane:
         back into it); tables, logs and counters stay readable."""
         self._send = self._apply_to_dataplane = self._inject_packet = None
 
-    # -- properties ------------------------------------------------------------
-    @property
-    def pending_dataplane_ops(self) -> int:
-        """Number of modifications not yet visible in the data plane."""
-        return len(self._pending_ops)
-
     # -- the agent: one message at a time ------------------------------------------
     def _next_message(self) -> None:
         """Take the oldest queued message, or wait for :meth:`receive`."""

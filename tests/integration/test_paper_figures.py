@@ -204,20 +204,25 @@ def test_fig6_control_plane_techniques():
 FIG6_FIRST_DROP_FLOWS = 286
 
 
-def test_fig6_adaptive_250_drops_from_the_claimed_flow_count():
-    """Seed 7 drops exactly one packet at the claimed flow count.
-
-    Only this upper side of the threshold is asserted: the lower side
-    (285 flows drop nothing) was bisected once but is not re-run here,
-    because a second run of this size would double the test's ~3 s.
-    """
+def _fig6_adaptive_250_drops(flow_count):
+    """Packets ``adaptive 250`` drops at ``flow_count`` flows, seed 7."""
     fig6 = FIGURES["fig6"]
     assert (f"from {FIG6_FIRST_DROP_FLOWS} flows at 250 pkt/s on the triangle"
             in fig6.claim)
     only = dataclasses.replace(
         fig6, rows=tuple(row for row in fig6.rows if row[0] == "adaptive 250"))
-    results = only.run(EndToEndParams(flow_count=FIG6_FIRST_DROP_FLOWS, seed=7))
-    assert results["adaptive 250"].dropped_packets == 1
+    results = only.run(EndToEndParams(flow_count=flow_count, seed=7))
+    return results["adaptive 250"].dropped_packets
+
+
+def test_fig6_adaptive_250_drops_from_the_claimed_flow_count():
+    """Seed 7 drops exactly one packet at the claimed flow count."""
+    assert _fig6_adaptive_250_drops(FIG6_FIRST_DROP_FLOWS) == 1
+
+
+def test_fig6_adaptive_250_drops_nothing_one_flow_below_the_claimed_count():
+    """The lower side of the threshold: one flow fewer drops nothing."""
+    assert _fig6_adaptive_250_drops(FIG6_FIRST_DROP_FLOWS - 1) == 0
 
 
 def test_fig7_probing_techniques():

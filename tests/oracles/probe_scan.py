@@ -46,7 +46,7 @@ def _conflicting_rules(
         rule
         for rule in table
         if rule.priority > probed.priority
-        and not (rule.match.exact_same(probed.match) and rule.priority == probed.priority)
+        and not (rule.match == probed.match and rule.priority == probed.priority)
         and _packet_matches(rule.match, headers)
     ]
 
@@ -61,7 +61,7 @@ def _shadowing_rule(
         rule
         for rule in table
         if _packet_matches(rule.match, headers)
-        and not (rule.match.exact_same(probed.match) and rule.priority == probed.priority)
+        and not (rule.match == probed.match and rule.priority == probed.priority)
     ]
     if not candidates:
         return None

@@ -195,7 +195,7 @@ def _execute(agent_class, overrides, program, cuts):
         "dataplane_apply_log": dataplane.apply_log,
         "sent": sent,
         "injected": injected,
-        "counters": (plane.crash_epoch, plane.crashed, plane.pending_dataplane_ops,
+        "counters": (plane.crash_epoch, plane.crashed, len(plane._pending_ops),
                      len(plane.table), dataplane.occupancy(), plane._stolen_time,
                      plane._barrier_epoch, len(plane._barrier_waiters)),
     }

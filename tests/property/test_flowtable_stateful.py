@@ -89,13 +89,13 @@ class FlowTableMachine(RuleBasedStateMachine):
     def _model_selected(self, match, priority, strict):
         if strict:
             return [row for row in self.model
-                    if row.priority == priority and row.match.exact_same(match)]
+                    if row.priority == priority and row.match == match]
         return [row for row in self.model if match.covers(row.match)]
 
     def _model_add(self, match, priority, port, now):
         """Returns whether the ADD must be refused with ``TableFullError``."""
         for index, row in enumerate(self.model):
-            if row.priority == priority and row.match.exact_same(match):
+            if row.priority == priority and row.match == match:
                 kept = row.installed_at if self.mode == "install_order" else now
                 self.model[index] = _ModelRule(priority, match, port, kept)
                 return False
@@ -191,7 +191,8 @@ class FlowTableMachine(RuleBasedStateMachine):
         for packet in _PACKETS:
             fast = self.table.lookup_values(packet._values)
             reference = lookup_reference(self.table, packet)
-            assert fast is reference, (self.mode, fast, reference, self.table.dump())
+            assert fast is reference, (self.mode, fast, reference,
+                                       self.table.entries_sorted_for_lookup())
             for entry in self.table.entries:
                 aside = (entry.priority, entry.match)
                 assert (self.table.lookup_values(packet._values, aside)

@@ -106,7 +106,7 @@ def test_flowtable_lookup_agrees_with_reference(seed, mode, rule_count):
             mode,
             getattr(fast, "entry_id", None),
             getattr(reference, "entry_id", None),
-            table.dump(),
+            table.entries_sorted_for_lookup(),
             packet.headers,
         )
 

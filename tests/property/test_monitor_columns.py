@@ -68,9 +68,6 @@ class _RecordListMonitor:
             dropped += len(sent) - len(self._received.get(flow_id, ()))
         return dropped
 
-    def total_sent(self) -> int:
-        return sum(self.sent_count(flow_id) for flow_id in self.flows())
-
     def deliveries(self, flow_id: str) -> List[_Record]:
         return sorted(self._received.get(flow_id, ()),
                       key=lambda record: record.received_at)
@@ -80,10 +77,6 @@ class _RecordListMonitor:
 
     def arrivals_not_via(self, flow_id: str, via_switch: str) -> List[_Record]:
         return [record for record in self.deliveries(flow_id) if via_switch not in record.path]
-
-    def last_arrival_via(self, flow_id: str, via_switch: str) -> Optional[float]:
-        records = self.arrivals_via(flow_id, via_switch)
-        return records[-1].received_at if records else None
 
     def first_arrival_via(self, flow_id: str, via_switch: str) -> Optional[float]:
         records = self.arrivals_via(flow_id, via_switch)
@@ -146,7 +139,6 @@ def _answers(monitor):
         "flows": monitor.flows(),
         "delivered_flows": monitor.delivered_flows(),
         "total_dropped": monitor.total_dropped(),
-        "total_sent": monitor.total_sent(),
         "summary": monitor.summary(),
         "probes": list(monitor.probe_arrivals),
     }
@@ -156,10 +148,7 @@ def _answers(monitor):
                        monitor.dropped_count(flow_id)),
             "deliveries": _rows(monitor.deliveries(flow_id)),
             "gaps": [monitor.largest_gap(flow_id, interval) for interval in (0.0, 0.1, 5.0)],
-            "via": {switch: (_rows(monitor.arrivals_via(flow_id, switch)),
-                             _rows(monitor.arrivals_not_via(flow_id, switch)),
-                             monitor.first_arrival_via(flow_id, switch),
-                             monitor.last_arrival_via(flow_id, switch),
+            "via": {switch: (monitor.first_arrival_via(flow_id, switch),
                              monitor.last_arrival_not_via(flow_id, switch))
                     for switch in _SWITCHES},
         }

@@ -98,7 +98,7 @@ def _assert_agree(script, probed, mirrored, catch_value):
     assert by_switch is not by_scan and by_switch.priority == by_scan.priority
     assert by_switch.installed_at < by_scan.installed_at
     same = actions_signature(by_switch.actions) == actions_signature(probed.actions)
-    assert isinstance(indexed, tuple) == same, (probed, table.dump())
+    assert isinstance(indexed, tuple) == same, (probed, table.entries_sorted_for_lookup())
 
 
 @given(flowmods, matches, priorities, ports, st.booleans(),

@@ -2,15 +2,16 @@
 invariants: match algebra, flow-table lookup, probe generation, version
 recycling, colouring, address codecs and percentiles."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.cdf import cdf_points, percentile
+from repro.analysis.cdf import fraction_at_least, percentile
 from repro.core.versioning import VersionAllocator, VersionSpaceExhausted
 from repro.openflow.actions import OutputAction
 from repro.openflow.flowtable import FlowTable
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
-from repro.packet.addresses import int_to_ip, int_to_mac, ip_to_int, mac_to_int
+from repro.packet.addresses import int_to_ip, ip_to_int, mac_to_int
 from repro.packet.fields import HeaderField
 from repro.packet.packet import Packet
 from repro.probing.coloring import welsh_powell_coloring
@@ -68,12 +69,16 @@ def test_ip_roundtrip_property(value):
     assert ip_to_int(int_to_ip(value)) == value
 
 
-@given(st.integers(min_value=0, max_value=0xFFFFFFFFFFFF))
-def test_mac_roundtrip_property(value):
-    assert mac_to_int(int_to_mac(value)) == value
-
-
 # -- match algebra ----------------------------------------------------------------------
+
+@given(st.integers(min_value=-(1 << 49), max_value=1 << 49))
+def test_mac_integer_is_kept_in_range_and_refused_outside(value):
+    if 0 <= value <= 0xFFFFFFFFFFFF:
+        assert mac_to_int(value) == value
+    else:
+        with pytest.raises(ValueError):
+            mac_to_int(value)
+
 
 @given(matches(), packets())
 def test_match_all_covers_everything(match, packet):
@@ -100,7 +105,7 @@ def test_covers_implies_matching_subset(first, second, packet):
 @given(matches())
 def test_match_covers_and_equals_itself(match):
     assert match.covers(match)
-    assert match.exact_same(match)
+    assert match == match
     assert match.overlaps(match) or match.is_match_all
 
 
@@ -226,10 +231,11 @@ def test_percentile_bounded_by_min_max(values, fraction):
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
-def test_cdf_points_are_sorted_and_end_at_one(values):
-    points = cdf_points(values)
-    xs = [x for x, _y in points]
-    ys = [y for _x, y in points]
-    assert xs == sorted(xs)
-    assert ys[-1] == 1.0
-    assert all(0 < y <= 1 for y in ys)
+def test_fraction_at_least_falls_from_one_in_steps_of_the_sample(values):
+    ordered = sorted(values)
+    fractions = [fraction_at_least(values, threshold) for threshold in ordered]
+    assert fractions[0] == 1.0
+    assert all(later <= earlier for earlier, later in zip(fractions, fractions[1:]))
+    assert all(fraction * len(values) == pytest.approx(round(fraction * len(values)))
+               for fraction in fractions)
+    assert fraction_at_least(values, ordered[-1] + 1.0) == 0.0

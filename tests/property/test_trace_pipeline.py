@@ -1,7 +1,7 @@
 """The linear-time trace pipeline against the code it replaced.
 
 ``rule_lifecycles`` used to match every ``msg-sent`` event against *all*
-lifecycles, and ``trace_to_chrome`` named a track and built unsorted dicts
+lifecycles, and the Chrome exporter named a track and built unsorted dicts
 per event for the pure-Python ``json.dump`` stream.  Both old versions are
 kept here, verbatim, as oracles: the replacements must return the same
 lifecycles in the same key order and write the same shard byte for byte.
@@ -37,8 +37,7 @@ from repro.obs.events import (
 )
 from repro.obs.export import (
     chrome_trace_json,
-    read_chrome_trace,
-    trace_to_chrome,
+    trace_from_chrome,
     validate_chrome_trace,
     write_chrome_trace,
 )
@@ -287,9 +286,10 @@ def test_shards_are_byte_identical_to_the_streamed_encoding(log):
         shard = Path(scratch) / "cell.trace.json"
         write_chrome_trace(log, shard)
         assert shard.read_bytes() == expected.encode("utf-8")
-        assert validate_chrome_trace(json.loads(shard.read_text("utf-8"))) is None
-        back = read_chrome_trace(shard)
-    assert trace_to_chrome(log) == _old_trace_to_chrome(log)
+        payload = json.loads(shard.read_text("utf-8"))
+    assert validate_chrome_trace(payload) is None
+    assert payload == _old_trace_to_chrome(log)
+    back = trace_from_chrome(payload)
     assert back.events == [_as_read_back(event) for event in log.events]
     assert (back.technique, back.kind, back.seed) == (log.technique, log.kind,
                                                       log.seed)

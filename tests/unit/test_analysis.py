@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     Distribution,
-    cdf_points,
     format_table,
     percentile,
 )
@@ -36,12 +35,6 @@ def test_percentile_rejects_bad_input():
         percentile([], 0.5)
     with pytest.raises(ValueError):
         percentile([1.0], 1.5)
-
-
-def test_cdf_points_monotone():
-    points = cdf_points([3.0, 1.0, 2.0])
-    assert points == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)), (3.0, 1.0)]
-    assert cdf_points([]) == []
 
 
 def test_fraction_at_least():
@@ -104,7 +97,6 @@ def test_flow_update_stats_switchover_times():
     assert entry.last_old_path == pytest.approx(0.5)
     assert entry.first_new_path == pytest.approx(0.8)
     assert entry.broken_time == pytest.approx(0.2, abs=1e-9)
-    assert entry.switched
     assert entry.packets_sent == entry.packets_received
 
 

@@ -151,8 +151,8 @@ class TestDataPlaneFaults:
         DataPlaneFaultHarness(switch, [fault])
         connection.side_b.send(_flowmods(3)[0])
         sim.run(until=2.0)
-        assert switch.rules_in_controlplane() == 1
-        assert switch.rules_in_dataplane() == 0
+        assert len(switch.controlplane.table) == 1
+        assert switch.dataplane.occupancy() == 0
         assert not switch.planes_agree()
         assert fault.counters() == {"rules_dropped": 1}
 
@@ -209,7 +209,7 @@ class TestControlChannelFaults:
         assert fault.counters() == {"premature_acks": 1,
                                     "late_acks_suppressed": 1}
         # The switch still did the work it had already "confirmed".
-        assert switch.rules_in_dataplane() == 1
+        assert switch.dataplane.occupancy() == 1
 
     def test_channel_jitter_preserves_fifo_order(self):
         sim, switch, connection, replies = _wired_switch()
@@ -223,7 +223,7 @@ class TestControlChannelFaults:
         sim.run(until=3.0)
         applied = [xid for _t, xid in switch.dataplane.apply_log]
         assert applied == sorted(applied)  # jitter delays, never reorders
-        assert switch.rules_in_dataplane() == 8
+        assert switch.dataplane.occupancy() == 8
         assert fault.counters()["messages_jittered"] >= 8
 
     def test_disconnect_loses_messages_during_the_outage(self):
@@ -236,7 +236,7 @@ class TestControlChannelFaults:
         connection.side_b.send(_flowmods(2)[0])  # lost: inside the outage
         sim.schedule_callback(1.5, connection.side_b.send, _flowmods(2)[1])
         sim.run(until=3.0)
-        assert switch.rules_in_dataplane() == 1
+        assert switch.dataplane.occupancy() == 1
         assert fault.counters()["messages_lost"] == 1
 
     def test_composed_faults_all_see_the_message(self):
@@ -276,8 +276,8 @@ class TestSwitchCrash:
         fault.schedule(switch)
         sim.run(until=0.6)
         assert switch.crashed
-        assert switch.rules_in_dataplane() == 0
-        assert switch.rules_in_controlplane() == 0
+        assert switch.dataplane.occupancy() == 0
+        assert len(switch.controlplane.table) == 0
         # Packets and control messages are lost while down.
         before = switch.packets_received
         from repro.packet.packet import make_ip_packet
@@ -287,21 +287,21 @@ class TestSwitchCrash:
         connection.side_b.send(_flowmods(1)[0])
         sim.run(until=0.9)
         assert switch.packets_received == before
-        assert switch.rules_in_dataplane() == 0
+        assert switch.dataplane.occupancy() == 0
         sim.run(until=1.5)
         assert not switch.crashed
         # Back up: new rules install again into the (wiped) tables.
         connection.side_b.send(_flowmods(1)[0])
         sim.run(until=2.0)
-        assert switch.rules_in_dataplane() == 1
+        assert switch.dataplane.occupancy() == 1
         assert fault.counters() == {"crashes": 1, "restarts": 1}
 
     def test_data_plane_only_reset_keeps_control_table(self):
         sim, switch, _connection, _replies = _wired_switch()
         switch.install_rule_directly(_flowmods(1)[0])
         switch.crash(wipe_control_plane=False)
-        assert switch.rules_in_dataplane() == 0
-        assert switch.rules_in_controlplane() == 1
+        assert switch.dataplane.occupancy() == 0
+        assert len(switch.controlplane.table) == 1
 
     def test_crash_aborts_the_in_flight_flowmod(self):
         # Crash lands while the agent is mid-way through processing a
@@ -312,8 +312,8 @@ class TestSwitchCrash:
         sim.schedule_callback(0.0011, switch.crash)
         sim.run(until=2.0)
         assert switch.crashed
-        assert switch.rules_in_controlplane() == 0
-        assert switch.rules_in_dataplane() == 0
+        assert len(switch.controlplane.table) == 0
+        assert switch.dataplane.occupancy() == 0
 
     def test_crash_voids_a_delayed_dataplane_application(self):
         # A delay spike holds a rule in flight; the switch crashes before it
@@ -330,7 +330,7 @@ class TestSwitchCrash:
         sim.run(until=3.0)
         assert fault.counters()["delay_spikes"] == 1
         assert switch.crashed
-        assert switch.rules_in_dataplane() == 0
+        assert switch.dataplane.occupancy() == 0
 
     def test_restart_does_not_resurrect_pre_crash_work(self):
         # The spike callback fires *after* the switch has crashed and
@@ -348,7 +348,7 @@ class TestSwitchCrash:
         sim.run(until=4.0)
         assert not switch.crashed
         assert fault.counters()["delay_spikes"] == 1
-        assert switch.rules_in_dataplane() == 0
+        assert switch.dataplane.occupancy() == 0
 
     def test_harnesses_chain_instead_of_clobbering(self):
         # A harness installed directly (fig2's firewall fault) before a
@@ -364,9 +364,9 @@ class TestSwitchCrash:
         DataPlaneFaultHarness(switch, [plan_fault])
         connection.side_b.send(_flowmods(1)[0])
         sim.run(until=0.5)
-        assert switch.rules_in_dataplane() == 0  # the first spike still holds it
+        assert switch.dataplane.occupancy() == 0  # the first spike still holds it
         sim.run(until=2.0)
-        assert switch.rules_in_dataplane() == 1
+        assert switch.dataplane.occupancy() == 1
         assert first.counters()["delay_spikes"] == 1
 
     def test_reorder_buffer_items_die_with_a_crash(self):
@@ -389,7 +389,7 @@ class TestSwitchCrash:
         sim.run(until=3.0)
         applied = {xid for _t, xid in switch.dataplane.apply_log}
         assert applied == {flowmod.xid for flowmod in flowmods[2:]}
-        assert switch.rules_in_dataplane() == 2
+        assert switch.dataplane.occupancy() == 2
 
     def test_messages_queued_before_crash_die_with_the_agent(self):
         # A barrier sitting in the agent's inbox when the crash hits must
@@ -403,7 +403,7 @@ class TestSwitchCrash:
         sim.run(until=3.0)
         assert not switch.crashed
         assert [m for _t, m in replies if isinstance(m, BarrierReply)] == []
-        assert switch.rules_in_dataplane() == 0
+        assert switch.dataplane.occupancy() == 0
 
     def test_a_flowmod_taken_before_a_crash_never_reaches_the_restarted_switch(self):
         # The agent takes the FlowMod at 10 ms and first pays 2 ms of
@@ -422,7 +422,7 @@ class TestSwitchCrash:
         sim.run(until=1.0)
         assert not switch.crashed
         assert switch.controlplane.control_apply_log == {}
-        assert switch.rules_in_controlplane() == switch.rules_in_dataplane() == 0
+        assert len(switch.controlplane.table) == switch.dataplane.occupancy() == 0
 
 
 class TestDarknessIsJudgedAtArrival:

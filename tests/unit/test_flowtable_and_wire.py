@@ -211,7 +211,7 @@ def test_rule_installation_work_is_linear_in_table_size(monkeypatch):
     on every ADD, makes the call count quadratic (ratio 3.96 at these sizes).
     """
     matchers_built, _ = _spy_on_matchers(monkeypatch)
-    monkeypatch.setattr(Match, "exact_same", lambda self, other: pytest.fail(
+    monkeypatch.setattr(Match, "__eq__", lambda self, other: pytest.fail(
         "ADD compared matches pairwise instead of looking the identity up"))
 
     _, small = _install_with_lookups(FlowTable(), 100)

@@ -246,7 +246,7 @@ def test_tracker_confirm_up_to_sequence_is_cumulative():
     records = _tracked_flowmods(tracker, 5)
     confirmed = tracker.confirm_up_to_sequence(records[2].sequence, now=9.0, by="barrier")
     assert [record.xid for record in confirmed] == [record.xid for record in records[:3]]
-    assert tracker.unconfirmed_xids() == [record.xid for record in records[3:]]
+    assert tracker.unconfirmed() == records[3:]
 
 
 def test_tracker_oldest_returns_in_forwarding_order():

@@ -14,11 +14,12 @@ from repro.core import (
     get_technique,
 )
 from repro.core.proxy import ProxyLayer
-from repro.core.techniques.registry import TECHNIQUE_NO_WAIT, rum_technique_names
+from repro.core.techniques.base import FALLBACK_TIMEOUT
+from repro.core.techniques.registry import TECHNIQUE_NO_WAIT, available_techniques
 from repro.experiments.common import RuleInstallParams, run_rule_install
 from repro.experiments.figures import FIGURES, table1_rows
 from repro.net import Network, triangle_topology
-from repro.openflow import FlowMod, Match, OutputAction
+from repro.openflow import BarrierReply, FlowMod, FlowModCommand, Match, OutputAction
 from repro.packet.addresses import int_to_ip
 from repro.sim import Simulator
 
@@ -28,17 +29,18 @@ EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 # -- declared parameters -------------------------------------------------------
 
 def test_techniques_declare_the_paper_parameters_and_defaults():
-    declared = {name: {key: parameter.default
-                       for key, parameter in get_technique(name).parameters.items()}
-                for name in rum_technique_names()}
+    declared = {name: (get_technique(name).uses_rum,
+                       {key: parameter.default
+                        for key, parameter in get_technique(name).parameters.items()})
+                for name in available_techniques()}
     assert declared == {
-        "adaptive": {"assumed_rate": 250.0},
-        "barrier": {},
-        "general": {"probe_window": 30, "probe_interval": 0.01},
-        "sequential": {"probe_batch": 10, "probe_interval": 0.01},
-        "timeout": {"timeout": 0.3},
+        "adaptive": (True, {"assumed_rate": 250.0}),
+        "barrier": (True, {}),
+        "general": (True, {"probe_window": 30, "probe_interval": 0.01}),
+        "sequential": (True, {"probe_batch": 10, "probe_interval": 0.01}),
+        "timeout": (True, {"timeout": 0.3}),
+        "no-wait": (False, {}),
     }
-    assert get_technique(TECHNIQUE_NO_WAIT).parameters == {}
 
 
 #: ``RumLayer.describe()`` at every technique's defaults.  It is hashed into
@@ -56,7 +58,8 @@ DEFAULT_DESCRIPTIONS = {
 
 def test_default_descriptions_are_pinned():
     assert {name: RumLayer(Simulator(), get_technique(name)).describe()
-            for name in rum_technique_names()} == DEFAULT_DESCRIPTIONS
+            for name in available_techniques()
+            if get_technique(name).uses_rum} == DEFAULT_DESCRIPTIONS
 
 
 def test_an_override_sets_the_declared_parameter():
@@ -152,14 +155,34 @@ def _rule(index, port):
                    [OutputAction(port)], priority=100)
 
 
-@pytest.mark.parametrize("technique", rum_technique_names())
+@pytest.mark.parametrize("technique", sorted(DEFAULT_DESCRIPTIONS))
 def test_every_technique_eventually_confirms(technique):
     sim, network, rum, controller = _build(technique)
     port = network.port_between("S2", "S3")
     acks = [controller.send_flowmod("S2", _rule(index, port)) for index in range(12)]
     sim.run(until=5.0)
     assert all(ack.acked for ack in acks)
-    assert rum.unconfirmed_count() == 0
+    assert len(rum.pending("S2")) == 0
+
+
+def test_general_answers_a_delete_by_its_fallback_timeout():
+    # A deleted rule gets no probe: ``general`` confirms it only after the
+    # conservative fallback timeout, while the rule it deletes was probed.
+    sim, network, rum, controller = _build("general")
+    port = network.port_between("S2", "S3")
+    add = _rule(0, port)
+    controller.send_flowmod("S2", add)
+    sim.run(until=1.0)
+    # It keeps the rule's actions, so only the DELETE itself stops a probe.
+    delete = FlowMod(add.match, add.actions, priority=add.priority,
+                     command=FlowModCommand.DELETE_STRICT)
+    ack = controller.send_flowmod("S2", delete)
+    sim.run(until=3.0)
+    assert ack.acked
+    forwarded, confirmed, by = rum.confirmation_log[("S2", delete.xid)]
+    assert by == "fallback"
+    assert confirmed - forwarded == pytest.approx(FALLBACK_TIMEOUT)
+    assert rum.confirmation_log[("S2", add.xid)][2] == "probe"
 
 
 def _confirmations(rum, switch):
@@ -300,7 +323,17 @@ def _build_with_barrier_layer(technique="sequential", buffer_after_barrier=False
     return sim, network, rum, barrier_layer, controller
 
 
-def test_barrier_layer_withholds_reply_until_dataplane():
+def test_barrier_layer_withholds_reply_until_dataplane(monkeypatch):
+    # When the switch's own BarrierReply reaches the layer, read at the call.
+    switch_replies = []
+    handle = ReliableBarrierLayer.handle_from_switch
+
+    def observed(layer, switch_name, message):
+        if isinstance(message, BarrierReply):
+            switch_replies.append(layer.sim.now)
+        handle(layer, switch_name, message)
+
+    monkeypatch.setattr(ReliableBarrierLayer, "handle_from_switch", observed)
     sim, network, rum, barrier_layer, controller = _build_with_barrier_layer()
     port = network.port_between("S2", "S3")
     flowmods = [_rule(index, port) for index in range(20)]
@@ -312,8 +345,10 @@ def test_barrier_layer_withholds_reply_until_dataplane():
     reply_time = barrier_event.value
     last_dataplane = max(time for time, xid in network.switch("S2").dataplane.apply_log
                          if xid in {f.xid for f in flowmods})
-    assert reply_time >= last_dataplane
-    assert barrier_layer.held_barrier_delays()
+    # The switch answered before its data plane caught up; the controller
+    # hears the reply only after the batch's last data-plane write.
+    assert len(switch_replies) == 1
+    assert switch_replies[0] < last_dataplane < reply_time
 
 
 def test_barrier_layer_without_pending_rules_replies_promptly():
@@ -348,4 +383,37 @@ def test_barrier_layer_buffers_commands_after_unconfirmed_barrier(monkeypatch):
     assert buffered == later
     sim.run(until=10.0)
     # Eventually everything is installed despite the buffering.
-    assert network.switch("S2").rules_in_dataplane() >= 3
+    assert network.switch("S2").dataplane.occupancy() >= 3
+
+
+def test_barrier_layer_releases_barriers_in_order_then_stops_buffering(monkeypatch):
+    buffered = []
+    handle = ReliableBarrierLayer.handle_from_controller
+
+    def counted(layer, switch_name, message):
+        handle(layer, switch_name, message)
+        if message in layer._buffered[switch_name]:
+            buffered.append(message)
+
+    monkeypatch.setattr(ReliableBarrierLayer, "handle_from_controller", counted)
+    sim, network, rum, barrier_layer, controller = _build_with_barrier_layer(
+        technique="general", buffer_after_barrier=True
+    )
+    port = network.port_between("S2", "S3")
+    controller.send_flowmod("S2", _rule(0, port))
+    first = controller.send_barrier("S2")
+    second_rule = _rule(1, port)
+    controller.send_flowmod("S2", second_rule)
+    second = controller.send_barrier("S2")
+    sim.run(until=5.0)
+    assert first.triggered and second.triggered
+    assert first.value < second.value
+    assert barrier_layer.barriers_held == 2
+    assert len(buffered) == 2 and buffered[0] is second_rule
+    # Both barriers are released: a later rule goes straight to the switch.
+    installed = network.switch("S2").dataplane.occupancy()
+    late = _rule(2, port)
+    controller.send_flowmod("S2", late)
+    sim.run(until=10.0)
+    assert late not in buffered
+    assert network.switch("S2").dataplane.occupancy() == installed + 1

@@ -138,7 +138,7 @@ class TestPathMigrationScenario:
         params = EndToEndParams(flow_count=3, warmup=0.1, grace=0.2)
         result = run_path_migration("general", params, spec=spec)
         assert result.update_duration is not None
-        assert all(entry.switched for entry in result.stats)
+        assert all(entry.first_new_path is not None for entry in result.stats)
 
     @pytest.mark.parametrize("name, read", [
         ("link-failure", lambda scenario, network: scenario.drained_edge(network)),

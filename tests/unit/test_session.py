@@ -18,7 +18,6 @@ from repro.core.techniques.registry import (
     available_techniques,
     get_technique,
     resolve_technique,
-    rum_technique_names,
 )
 from repro.experiments.common import (
     EndToEndParams,
@@ -78,12 +77,12 @@ class TestTechniqueRegistry:
         assert not technique.uses_rum
         assert technique.ignore_dependencies
         assert technique.parameters == {}
-        assert TECHNIQUE_NO_WAIT not in rum_technique_names()
 
     def test_rum_techniques_do_not_ignore_dependencies(self):
-        for name in rum_technique_names():
-            technique = get_technique(name)
-            assert technique.uses_rum
+        rum_techniques = [get_technique(name) for name in available_techniques()
+                          if get_technique(name).uses_rum]
+        assert len(rum_techniques) == 5
+        for technique in rum_techniques:
             assert not technique.ignore_dependencies
 
     def test_adaptive_owns_its_assumed_rate_default(self):
@@ -121,7 +120,7 @@ class TestTechniqueRegistry:
         assert record.completed
         assert record.flows_run == 2
         assert record.plan_size > 0
-        assert all(entry.switched for entry in record.stats)
+        assert all(entry.first_new_path is not None for entry in record.stats)
 
 
 # ---------------------------------------------------------------------------

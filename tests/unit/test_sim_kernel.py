@@ -204,9 +204,9 @@ def test_event_callback_after_trigger_runs_immediately():
     assert seen == ["x"]
 
 
-def test_peek_returns_next_event_time():
+def test_run_takes_the_next_event_at_its_time():
     sim = Simulator()
     sim.schedule_callback(4.0, lambda: None)
-    assert sim.peek() == 4.0
+    assert sim.pending_count == 1
     sim.run()
-    assert sim.peek() is None
+    assert (sim.now, sim.pending_count) == (4.0, 0)

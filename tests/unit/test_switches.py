@@ -114,8 +114,8 @@ def test_software_switch_applies_rules_immediately():
     sim, switch, endpoint, _replies = _wired_switch(software_switch_profile())
     endpoint.send(_flowmods(1)[0])
     sim.run(until=0.1)
-    assert switch.rules_in_dataplane() == 1
-    assert switch.rules_in_controlplane() == 1
+    assert switch.dataplane.occupancy() == 1
+    assert len(switch.controlplane.table) == 1
 
 
 # -- hardware switch: buggy behaviour --------------------------------------------------
@@ -130,7 +130,7 @@ def test_hardware_switch_barrier_reply_precedes_dataplane():
     last_dataplane_apply = max(time for time, _xid in switch.dataplane.apply_log)
     assert barrier_time < last_dataplane_apply
     # The data plane eventually catches up.
-    assert switch.rules_in_dataplane() == 100
+    assert switch.dataplane.occupancy() == 100
 
 
 def test_hardware_dataplane_lag_grows_with_burst_size():
@@ -152,7 +152,7 @@ def test_hardware_switch_planes_disagree_transiently():
     for flowmod in _flowmods(100):
         endpoint.send(flowmod)
     sim.run(until=0.15)
-    assert switch.rules_in_controlplane() > switch.rules_in_dataplane()
+    assert len(switch.controlplane.table) > switch.dataplane.occupancy()
     sim.run(until=5.0)
     assert switch.planes_agree()
 
@@ -302,8 +302,8 @@ def test_install_rule_directly_updates_both_planes():
     switch.install_rule_directly(
         FlowMod(Match(ip_src="10.0.0.1"), [OutputAction(1)], priority=5)
     )
-    assert switch.rules_in_dataplane() == 1
-    assert switch.rules_in_controlplane() == 1
+    assert switch.dataplane.occupancy() == 1
+    assert len(switch.controlplane.table) == 1
     assert switch.planes_agree()
 
 
@@ -320,9 +320,9 @@ def test_delay_spike_fault_delays_dataplane():
     _inject(switch, fault)
     endpoint.send(_flowmods(1)[0])
     sim.run(until=0.5)
-    assert switch.rules_in_dataplane() == 0
+    assert switch.dataplane.occupancy() == 0
     sim.run(until=2.0)
-    assert switch.rules_in_dataplane() == 1
+    assert switch.dataplane.occupancy() == 1
     assert sum(fault.counters().values()) == 1
 
 
@@ -343,4 +343,4 @@ def test_fault_injector_remove_restores_behaviour():
     _inject(switch, DelaySpikeFault(probability=1.0, spike=5.0)).remove()
     endpoint.send(_flowmods(1)[0])
     sim.run(until=0.5)
-    assert switch.rules_in_dataplane() == 1
+    assert switch.dataplane.occupancy() == 1
