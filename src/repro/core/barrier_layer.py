@@ -45,7 +45,6 @@ class _PendingBarrier:
     waiting_for: Set[int]
     #: Whether the switch's own reply has already arrived.
     reply_received: bool = False
-    released: bool = False
 
 
 class ReliableBarrierLayer(ProxyLayer):
@@ -105,7 +104,8 @@ class ReliableBarrierLayer(ProxyLayer):
         self.forward_to_switch(switch_name, message)
 
     def _has_unresolved_barrier(self, switch_name: str) -> bool:
-        return any(not barrier.released for barrier in self._barriers[switch_name])
+        # A barrier leaves the list the moment it is released.
+        return bool(self._barriers[switch_name])
 
     # -- switch -> controller ----------------------------------------------------------
     def handle_from_switch(self, switch_name: str, message: OFMessage) -> None:
@@ -124,7 +124,7 @@ class ReliableBarrierLayer(ProxyLayer):
 
     def _find_barrier(self, switch_name: str, xid: int) -> Optional[_PendingBarrier]:
         for barrier in self._barriers[switch_name]:
-            if barrier.request_xid == xid and not barrier.released:
+            if barrier.request_xid == xid:
                 return barrier
         return None
 
@@ -135,16 +135,16 @@ class ReliableBarrierLayer(ProxyLayer):
         self._try_release(switch_name)
 
     def _try_release(self, switch_name: str) -> None:
-        """Release (in order) every leading barrier that is fully resolved."""
+        """Release (in order) every leading barrier that is fully resolved.
+
+        Forwarding the reply cannot re-enter here before the barrier is
+        popped: a channel send only schedules its delivery.
+        """
         barriers = self._barriers[switch_name]
         while barriers:
             barrier = barriers[0]
-            if barrier.released:
-                barriers.pop(0)
-                continue
             if barrier.waiting_for or not barrier.reply_received:
                 break
-            barrier.released = True
             self.forward_to_controller(switch_name, BarrierReply(xid=barrier.request_xid))
             barriers.pop(0)
         if not self._has_unresolved_barrier(switch_name):

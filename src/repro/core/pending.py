@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import islice
+from typing import Iterator, List, Optional
 
 from repro.openflow.messages import FlowMod
 
@@ -60,14 +61,10 @@ class PendingRuleTracker:
         """The pending record for ``xid`` (``None`` if unknown or confirmed)."""
         return self._pending.get(xid)
 
-    def oldest(self, count: int) -> List[PendingRule]:
-        """Up to ``count`` unconfirmed records, oldest first."""
-        result = []
-        for record in self._pending.values():
-            result.append(record)
-            if len(result) >= count:
-                break
-        return result
+    def oldest(self, count: int) -> Iterator[PendingRule]:
+        """Up to ``count`` unconfirmed records, oldest first: a walk of the
+        tracker itself, so nothing may be confirmed while it is iterated."""
+        return islice(self._pending.values(), count)
 
     def unconfirmed(self) -> List[PendingRule]:
         """All unconfirmed records, oldest first."""

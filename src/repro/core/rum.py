@@ -141,11 +141,11 @@ class RumLayer(ProxyLayer):
 
     def send_to_switch(self, switch_name: str, message: OFMessage) -> None:
         """Send a RUM-originated message to a switch (reply will be consumed)."""
-        if not isinstance(message, PacketOut):
+        if type(message) is not PacketOut:  # a probe gets no reply, writes no rule
             self.rum_xids.add(message.xid)
-        if isinstance(message, FlowMod):
-            self.technique.on_rule_written(switch_name, message)
-        self.forward_to_switch(switch_name, message)
+            if isinstance(message, FlowMod):
+                self.technique.on_rule_written(switch_name, message)
+        self._downstream[switch_name].send(message)
 
     # -- confirmations ----------------------------------------------------------------
     def confirm_rule(self, switch_name: str, xid: int, by: str = "") -> Optional[PendingRule]:

@@ -170,12 +170,11 @@ class GeneralProbingTechnique(AckTechnique):
     def _probe_tick(self) -> None:
         """Re-inject the probes of every switch's oldest pending rules, then
         come back one ``probe_interval`` later."""
-        for switch_name in self.layer.topology.switch_names():
-            tracker = self.layer.pending(switch_name)
-            if not len(tracker):
-                continue
-            for record in tracker.oldest(self.probe_window):
-                info = self._probe_info.get((switch_name, record.xid))
+        layer, window, probe_info = self.layer, self.probe_window, self._probe_info
+        for switch_name in layer.topology.switch_names():
+            # Injecting only schedules a delivery: nothing is confirmed mid-walk.
+            for record in layer.pending(switch_name).oldest(window):
+                info = probe_info.get((switch_name, record.xid))
                 if info is not None:
                     self._inject_probe(info)
         self.sim.schedule_callback(self.probe_interval, self._probe_tick)

@@ -91,6 +91,8 @@ class ChannelHook:
     def forward(self, from_side: int, message: OFMessage,
                 extra_latency: float = 0.0) -> None:
         """Pass ``message`` on, optionally adding ``extra_latency``."""
+        if not extra_latency >= 0:  # the channel pushes its delivery unchecked
+            raise ValueError(f"extra latency must be >= 0, not {extra_latency}")
         self.harness._deliver_from(self._next_index, from_side, message,
                                    self._extra_latency + extra_latency)
 

@@ -124,10 +124,10 @@ def compile_actions(actions: Sequence[Action]) -> Tuple[tuple, Tuple[int, ...]]:
     rewrites: List[Tuple[int, int]] = []
     ports: List[int] = []
     for action in actions:
-        if isinstance(action, SetFieldAction):
-            rewrites.append((FIELD_INDEX[action.field], action.value))
-        elif isinstance(action, OutputAction):
+        if isinstance(action, OutputAction):
             ports.append(action.port)
+        elif isinstance(action, SetFieldAction):
+            rewrites.append((FIELD_INDEX[action.field], action.value))
         elif isinstance(action, ControllerAction):
             ports.append(CONTROLLER_PORT)
         elif isinstance(action, DropAction):

@@ -12,10 +12,16 @@ controller, impersonating each switch.  The same topology is expressed here
 by creating one Connection between each switch and the proxy and another
 between the proxy and the controller, and letting the proxy forward (or
 buffer, rewrite, inject, drop) messages between its two endpoints.
-"""
+
+Delivery: ``send`` traces a message and offers it to the fault interceptor;
+``_schedule_delivery`` pushes the peer's ``_deliver`` onto the kernel's heap
+as ``schedule_callback`` would, so a handler never runs inside ``send``; its
+``delay >= 0`` holds as the constructor and :class:`~repro.faults.harness.ChannelHook`
+reject a NaN or negative latency."""
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, List, Optional
 
 from repro.obs.events import PHASE_MSG_SENT
@@ -53,7 +59,17 @@ class ConnectionEndpoint:
     def send(self, message: OFMessage) -> None:
         """Send ``message`` to the peer endpoint (asynchronous, ordered)."""
         self.sent_count += 1
-        self.connection._transmit(self._side, message)
+        connection = self.connection
+        tr = connection.sim.tracer
+        if tr is not None:
+            # The channel is named after what it connects (``ctl-<switch>``,
+            # ``rum-<switch>``); the timeline maps it back to the switch.
+            tr.rule(PHASE_MSG_SENT, connection.sim.now, connection.name,
+                    getattr(message, "xid", None), detail=type(message).__name__)
+        intercept = connection._intercept
+        if intercept is not None and intercept(self._side, message):
+            return
+        connection._schedule_delivery(self._side, message)
 
     def _deliver(self, message: OFMessage) -> None:
         self.received_count += 1
@@ -77,8 +93,8 @@ class Connection:
         name_a: str = "a",
         name_b: str = "b",
     ) -> None:
-        if latency < 0:
-            raise ValueError("latency must be >= 0")
+        if not latency >= 0:  # a NaN latency fails this too
+            raise ValueError(f"latency must be >= 0, not {latency}")
         self.sim = sim
         self.name = name
         self.latency = latency
@@ -130,31 +146,20 @@ class Connection:
             endpoint.connection = None
 
     # -- transmission -----------------------------------------------------------
-    def _transmit(self, from_side: int, message: OFMessage) -> None:
-        tr = self.sim.tracer
-        if tr is not None:
-            # The channel is named after what it connects (``ctl-<switch>``,
-            # ``rum-<switch>``); the timeline maps it back to the switch.
-            tr.rule(PHASE_MSG_SENT, self.sim.now, self.name,
-                    getattr(message, "xid", None),
-                    detail=type(message).__name__)
-        if self._intercept is not None and self._intercept(from_side, message):
-            return
-        self._schedule_delivery(from_side, message)
-
     def _schedule_delivery(self, from_side: int, message: OFMessage,
                            extra_latency: float = 0.0) -> None:
         to_side = 1 - from_side
-        now = self.sim._now
-        deliver_at = max(now + self.latency + extra_latency,
-                         self._last_delivery[to_side])
-        self._last_delivery[to_side] = deliver_at
-        self.sim.schedule_callback(
-            deliver_at - now, self._complete_delivery, to_side, message
-        )
-
-    def _complete_delivery(self, to_side: int, message: OFMessage) -> None:
-        self._endpoints[to_side]._deliver(message)
+        sim = self.sim
+        now = sim._now
+        deliver_at = now + self.latency + extra_latency
+        last_delivery = self._last_delivery
+        if deliver_at < last_delivery[to_side]:
+            deliver_at = last_delivery[to_side]
+        last_delivery[to_side] = deliver_at
+        sequence = sim._sequence
+        sim._sequence = sequence + 1
+        heappush(sim._heap, (now + (deliver_at - now), sequence,
+                             self._endpoints[to_side]._deliver, (message,)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Connection {self.name} latency={self.latency * 1000:.2f}ms>"

@@ -23,6 +23,7 @@ blank ``Match()`` afterwards.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.openflow.actions import Action, actions_signature
@@ -96,28 +97,27 @@ class FlowTable:
     the key (the replacement keeps the old position in :attr:`entries`), and
     only a *new* identity can hit ``capacity``.
 
-    **Index.**  ``_buckets`` stays alive and is updated in place by every
-    mutation; nothing is ever rebuilt.  It is a list of
-    ``(rank, exact_groups, wildcard)`` sorted by ``rank``; a lookup returns
-    the matching entry with the smallest ``(rank, order)`` (:meth:`_place`;
-    ``install_order`` mode is one rank holding only a ``wildcard`` list).
-    ``exact_groups`` maps a field signature (tuple of constrained field
-    indices) to a hash table ``{field values: (order, entry)}`` for fully
-    specified rules; ``wildcard`` holds the rest as
-    ``(order, entry, matcher)`` sorted by ``order``.  Both sorted lists are
-    searched with ``bisect`` (``entry_id`` makes every key unique), so an
-    out-of-order ``now`` still lands in the right place.
+    **Index.**  ``_exact`` and ``_wildcard`` are updated in place by every
+    mutation; nothing is ever rebuilt.  A lookup returns the matching entry
+    with the smallest place ``(rank, time, id)`` (:meth:`_place`).
+    ``_exact`` maps a field signature (tuple of constrained field indices)
+    to its key getter and a hash table ``{field values: (place + (entry,),
+    ...)}`` for fully specified rules; the list ``_wildcard`` holds the rest
+    as ``place + (entry, matcher)``.  Both are sorted by place and searched
+    with ``bisect`` (``entry_id`` makes every place unique), so an
+    out-of-order ``now`` lands right.
 
-    **Cost** (n entries, w wildcard entries of one rank): ADD, DELETE_STRICT
-    and :meth:`remove_entry` are one identity lookup plus one index update —
+    **Cost** (n entries, w wildcard entries): ADD, DELETE_STRICT and
+    :meth:`remove_entry` are one identity lookup plus one index update —
     O(1) for exact rules, O(log w) search + list shift for wildcard ones.
     MODIFY and non-strict DELETE scan the n entries for those the FlowMod's
     match covers; MODIFY then does no index work at all, because it changes
     neither match, priority nor order.  A lookup probes one hash table per
-    (rank, signature) and walks wildcard entries only while they could still
-    beat the best exact hit; an exact key is built without a Python frame
-    (``map``), and ``None`` (an absent field, read as zero) is replaced only
-    when the key holds one.  A lookup with a rule identity set aside
+    signature, whatever the priorities, and walks wildcard entries only
+    while they could still beat the best exact hit.  A key is one C call of
+    the signature's ``itemgetter`` (a one-item slice for one field, so every
+    key is a tuple); ``None`` (an absent field, read as zero) is replaced
+    only when the key holds one.  A lookup with a rule identity set aside
     (``aside``, probe generation's "what catches this packet while the
     probed rule is absent?") is the same walk: it skips that one entry where
     it would have been a hit, so it costs what a lookup costs, at any table
@@ -129,7 +129,7 @@ class FlowTable:
     entries.  Only a data plane's table ever fills the slot.
     """
 
-    __slots__ = ("mode", "capacity", "name", "_entries", "_buckets", "_created")
+    __slots__ = ("mode", "capacity", "name", "_entries", "_exact", "_wildcard", "_created")
 
     def __init__(
         self,
@@ -143,7 +143,8 @@ class FlowTable:
         self.capacity = capacity
         self.name = name
         self._entries: Dict[Tuple[int, Match], FlowEntry] = {}
-        self._buckets: List[Tuple[int, Dict[tuple, dict], list]] = []
+        self._exact: Dict[tuple, Tuple[Callable, Dict[tuple, tuple]]] = {}
+        self._wildcard: List[tuple] = []
         #: Entries this table has created; the last one's ``entry_id``.
         self._created = 0
 
@@ -170,10 +171,6 @@ class FlowTable:
         return sorted(
             self.entries, key=lambda entry: (-entry.priority, entry.installed_at, entry.entry_id)
         )
-
-    def find(self, predicate: Callable[[FlowEntry], bool]) -> List[FlowEntry]:
-        """All entries satisfying ``predicate``."""
-        return [entry for entry in self._entries.values() if predicate(entry)]
 
     # -- mutation ------------------------------------------------------------
     def apply_flowmod(self, flowmod: FlowMod, now: float = 0.0) -> List[FlowEntry]:
@@ -246,43 +243,46 @@ class FlowTable:
     def clear(self) -> None:
         """Remove all entries."""
         self._entries.clear()
-        self._buckets.clear()
+        self._exact.clear()
+        self._wildcard.clear()
 
     # -- index maintenance ------------------------------------------------------
-    def _place(self, entry: FlowEntry) -> Tuple[int, Tuple[float, int], Optional[tuple]]:
-        """``(rank, order, exact slot)``: highest priority then oldest, or just newest."""
+    def _place(self, entry: FlowEntry) -> Tuple[int, float, int]:
+        """Highest priority then oldest, or just newest: smallest first."""
         if self.mode == "install_order":
-            # Equal matches of different priority share the one rank, so no
-            # hash path: its keys are unique only within one priority.
-            return 0, (-entry.installed_at, -entry.entry_id), None
-        return -entry.priority, (entry.installed_at, entry.entry_id), entry.match.exact_slot
+            return 0, -entry.installed_at, -entry.entry_id
+        return -entry.priority, entry.installed_at, entry.entry_id
 
     def _index(self, entry: FlowEntry) -> None:
-        rank, order, slot = self._place(entry)
-        buckets = self._buckets
-        at = bisect_left(buckets, (rank,))
-        if at == len(buckets) or buckets[at][0] != rank:
-            buckets.insert(at, (rank, {}, []))
-        _, exact_groups, wildcard = buckets[at]
+        place, slot = self._place(entry), entry.match.exact_slot
         if slot is None:
-            insort(wildcard, (order, entry, entry.match.compiled()))
+            insort(self._wildcard, place + (entry, entry.match.compiled()))
         else:
-            exact_groups.setdefault(slot[0], {})[slot[1]] = (order, entry)
+            signature, key = slot
+            located = self._exact.get(signature)
+            if located is None:
+                key_of = (itemgetter(*signature) if len(signature) > 1
+                          else itemgetter(slice(signature[0], signature[0] + 1)))
+                located = self._exact[signature] = (key_of, {})
+            group, hit = located[1], place + (entry,)
+            hits = group.get(key)
+            group[key] = (hit,) if hits is None else tuple(sorted(hits + (hit,)))
 
     def _unindex(self, entry: FlowEntry) -> None:
-        rank, order, slot = self._place(entry)
-        buckets = self._buckets
-        at = bisect_left(buckets, (rank,))
-        _, exact_groups, wildcard = buckets[at]
+        place, slot = self._place(entry), entry.match.exact_slot
         if slot is None:
-            del wildcard[bisect_left(wildcard, (order,))]
-        else:
-            group = exact_groups[slot[0]]
-            del group[slot[1]]
+            wildcard = self._wildcard
+            del wildcard[bisect_left(wildcard, place)]
+            return
+        signature, key = slot
+        group = self._exact[signature][1]
+        hits = group[key]
+        at = bisect_left(hits, place)
+        hits = group[key] = hits[:at] + hits[at + 1:]
+        if not hits:
+            del group[key]
             if not group:
-                del exact_groups[slot[0]]
-        if not exact_groups and not wildcard:
-            del buckets[at]
+                del self._exact[signature]
 
     # -- lookup -----------------------------------------------------------------
     def lookup_values(
@@ -292,32 +292,34 @@ class FlowTable:
 
         ``values`` follows :data:`~repro.packet.fields.FIELD_ORDER` with
         ``None`` for absent fields (read as zero), exactly like
-        ``packet._values`` with ``in_port`` filled in.  ``aside`` is a rule
-        identity ``(priority, match)``: the answer is then the one the table
-        would give without that rule.
+        ``packet._values`` with ``in_port`` filled in; any other sequence is
+        read as a tuple (``tuple`` returns a tuple itself).  ``aside`` is a
+        rule identity ``(priority, match)``: the answer is then the one the
+        table would give without that rule.
         """
         skip = None if aside is None else self._entries.get(aside)
-        value_at = values.__getitem__
-        for _rank, exact_groups, wildcard in self._buckets:
-            best_order = None
-            best_entry = None
-            for signature, group in exact_groups.items():
-                key = tuple(map(value_at, signature))
-                if None in key:
-                    key = tuple([value or 0 for value in key])
-                hit = group.get(key)
-                if (hit is not None and hit[1] is not skip
-                        and (best_order is None or hit[0] < best_order)):
-                    best_order, best_entry = hit
-            for order, entry, matcher in wildcard:
-                if best_order is not None and order > best_order:
-                    break
-                if matcher(values) and entry is not skip:
-                    best_order, best_entry = order, entry
-                    break
-            if best_entry is not None:
-                return best_entry
-        return None
+        values = tuple(values)
+        best = None
+        for key_of, group in self._exact.values():
+            key = key_of(values)
+            if None in key:
+                key = tuple([value or 0 for value in key])
+            hits = group.get(key)
+            if hits is not None:
+                hit = hits[0]
+                if hit[3] is skip:
+                    if len(hits) == 1:
+                        continue
+                    hit = hits[1]
+                # Places are unique, so the comparison never reaches the entry.
+                if best is None or hit < best:
+                    best = hit
+        for hit in self._wildcard:
+            if best is not None and hit > best:
+                break
+            if hit[4](values) and hit[3] is not skip:
+                return hit[3]
+        return None if best is None else best[3]
 
     def lookup(self, packet: Packet) -> Optional[FlowEntry]:
         """The entry that would forward ``packet``, or ``None`` (table miss)."""

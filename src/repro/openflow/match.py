@@ -269,16 +269,11 @@ class Match:
         result._fields = merged
         return result
 
-    def example_packet_headers(self, default: int = 0) -> Dict[HeaderField, int]:
-        """Header values of one concrete packet satisfying this match.
-
-        Wildcarded fields take ``default`` (clamped to the field width); masked
-        fields take the constrained bits with zeros elsewhere.
-        """
-        headers: Dict[HeaderField, int] = {}
-        for field, (value, _mask) in self._fields.items():
-            headers[field] = value
-        return headers
+    def example_packet_headers(self) -> Dict[HeaderField, int]:
+        """Header values of one concrete packet satisfying this match: only
+        the constrained fields, each at its constrained bits (zeros outside
+        a mask); a wildcarded field is absent."""
+        return {field: value for field, (value, _mask) in self._fields.items()}
 
     # -- dunder -------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

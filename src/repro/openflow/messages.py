@@ -23,7 +23,8 @@ from repro.openflow.constants import (
 from repro.openflow.match import Match
 from repro.packet.packet import Packet
 
-#: The running session's xid sequence, in a slot :func:`rewind_xids` refills.
+#: The running session's xid sequence, in a slot :func:`rewind_xids` refills:
+#: a message without an explicit xid takes the next one, unique in the session.
 _xids = [itertools.count(1)]
 
 
@@ -33,18 +34,13 @@ def rewind_xids() -> None:
     _xids[0] = itertools.count(1)
 
 
-def next_xid() -> int:
-    """Allocate a transaction id, unique within the running session."""
-    return next(_xids[0])
-
-
 class OFMessage:
     """Base class of every OpenFlow message."""
 
     message_type: OFMessageType = OFMessageType.HELLO
 
     def __init__(self, xid: Optional[int] = None) -> None:
-        self.xid = next_xid() if xid is None else int(xid)
+        self.xid = next(_xids[0]) if xid is None else int(xid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<{type(self).__name__} xid={self.xid}>"
@@ -152,7 +148,8 @@ class BarrierReply(OFMessage):
 
 
 class PacketOut(OFMessage):
-    """Controller-originated packet injection."""
+    """Controller-originated packet injection (probing's hot message: it
+    draws its xid without calling :class:`OFMessage`'s ``__init__``)."""
 
     message_type = OFMessageType.PACKET_OUT
 
@@ -163,7 +160,7 @@ class PacketOut(OFMessage):
         in_port: int = 0xFFFF,
         xid: Optional[int] = None,
     ) -> None:
-        super().__init__(xid)
+        self.xid = next(_xids[0]) if xid is None else int(xid)
         self.packet = packet
         self.actions: List[Action] = list(actions)
         self.in_port = in_port

@@ -82,7 +82,7 @@ FIELD_REGISTRY: Dict[HeaderField, FieldSpec] = {
 #: Canonical field order used by the packet header tuple: enum declaration
 #: order.  :class:`~repro.packet.packet.Packet` stores header values in a
 #: fixed-size tuple indexed by this order instead of a dict — the data-plane
-#: fast path relies on these indices.
+#: fast path relies on these indices (``in_port`` first: a miss's lookup key).
 FIELD_ORDER: List[HeaderField] = list(HeaderField)
 
 #: ``field -> tuple index``.  Because :class:`HeaderField` is a ``str`` enum,

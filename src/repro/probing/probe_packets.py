@@ -30,6 +30,7 @@ rule leaves wildcarded to escape conflicting higher-priority rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Optional, Tuple
 
 from repro.openflow.actions import Action, actions_signature
@@ -101,16 +102,12 @@ def probe_key(headers: Dict[HeaderField, int]) -> Tuple:
     whose probe it is — matching on the packet contents, not on any metadata
     that would not survive a real network.
     """
-    interesting = (
-        HeaderField.IP_SRC,
-        HeaderField.IP_DST,
-        HeaderField.IP_PROTO,
-        HeaderField.IP_TOS,
-        HeaderField.TP_SRC,
-        HeaderField.TP_DST,
-        HeaderField.VLAN_ID,
-    )
-    return tuple(headers.get(field, 0) for field in interesting)
+    return tuple(map(headers.get, _KEY_FIELDS, repeat(0)))
+
+
+#: The fields of :func:`probe_key`, an absent one read as 0.
+_KEY_FIELDS = (HeaderField.IP_SRC, HeaderField.IP_DST, HeaderField.IP_PROTO, HeaderField.IP_TOS,
+               HeaderField.TP_SRC, HeaderField.TP_DST, HeaderField.VLAN_ID)
 
 
 def _first_match(
@@ -119,7 +116,7 @@ def _first_match(
     aside: Optional[Tuple[int, Match]] = None,
 ) -> Optional[FlowEntry]:
     """The rule of ``table`` that catches ``headers`` (without ``aside``)."""
-    return table.lookup_values([headers.get(field) for field in FIELD_ORDER], aside)
+    return table.lookup_values(tuple(map(headers.get, FIELD_ORDER)), aside)
 
 
 def _captured_above(table: FlowTable, headers: Dict[HeaderField, int], priority: int) -> bool:

@@ -15,12 +15,12 @@ ingress) is added to the link's due time, not waited out.  A bound-method
 callback's owner is its ``__self__``, so an observer can book every step to
 the object that did the work.
 
-Two producers push onto ``_heap`` themselves, numbered from ``_sequence``
-where a scheduling call would have numbered them, to spare a frame on
-nearly every step of a data-plane run: a link's train flush
-(:mod:`repro.net.link`) and a traffic source's next emission.  The
-``time >= now`` check they skip holds by construction: a link's due time is
-built from validated delays, an emission's is ``now`` plus a positive interval.
+Three producers push onto ``_heap`` themselves, numbered from ``_sequence``
+where a scheduling call would have numbered them, to spare a frame on the
+steps of a data-plane run or a probe: a link's train flush
+(:mod:`repro.net.link`), a traffic source's next emission and a control
+message's delivery (:mod:`repro.openflow.connection`).  The ``time >= now``
+check they skip holds by construction: their delays are all validated.
 
 A simulator is also where a session's observation lives: ``sim.tracer``
 (lifecycle events, read by the layers that emit them) and ``sim.observer``
@@ -42,8 +42,8 @@ heap, so a step never peeks at ``heap[0]``.
 
 from __future__ import annotations
 
-import heapq
 import sys
+from heapq import heappop, heappush
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
@@ -114,7 +114,7 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past or at NaN (delay={delay})")
         sequence = self._sequence
         self._sequence = sequence + 1
-        heapq.heappush(self._heap, (self._now + delay, sequence, callback, args))
+        heappush(self._heap, (self._now + delay, sequence, callback, args))
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at the absolute simulated ``time``.
@@ -129,7 +129,7 @@ class Simulator:
                              f"(time={time}, now={self._now})")
         sequence = self._sequence
         self._sequence = sequence + 1
-        heapq.heappush(self._heap, (time, sequence, callback, args))
+        heappush(self._heap, (time, sequence, callback, args))
 
     def event(self, name: str = "") -> Event:
         """Create an untriggered event."""
@@ -178,7 +178,7 @@ class Simulator:
         """
         if not self._heap:
             return False
-        time, _seq, callback, args = heapq.heappop(self._heap)
+        time, _seq, callback, args = heappop(self._heap)
         if time < self._now - 1e-12:
             raise RuntimeError("simulation time went backwards (kernel bug)")
         self._now = max(self._now, time)
@@ -211,7 +211,7 @@ class Simulator:
         if max_steps is not None and not max_steps >= 0:
             raise ValueError(f"max_steps must be >= 0 (max_steps={max_steps})")
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         observer = self.observer
         stop = self._until = inf if until is None else until
         limit = sys.maxsize if max_steps is None else max_steps
@@ -222,19 +222,18 @@ class Simulator:
                     time, sequence, callback, args = pop(heap)
                     if time > stop or steps >= limit:
                         # The one entry beyond a bound goes back as it was.
-                        heapq.heappush(heap, (time, sequence, callback, args))
+                        heappush(heap, (time, sequence, callback, args))
                         if time > stop:
                             self._now = stop
                             return
                         raise RuntimeError(
                             f"simulation exceeded max_steps={max_steps}"
                         )
-                    if time > self._now:
+                    if time < self._now:
+                        if time < self._now - 1e-12:
+                            raise RuntimeError("simulation time went backwards (kernel bug)")
+                    else:
                         self._now = time
-                    elif time < self._now - 1e-12:
-                        raise RuntimeError(
-                            "simulation time went backwards (kernel bug)"
-                        )
                     if observer is not None:
                         observer(self, time, callback, args)
                     callback(*args)

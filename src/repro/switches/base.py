@@ -6,7 +6,7 @@ import zlib
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional
 
-from repro.openflow.actions import Action, apply_actions
+from repro.openflow.actions import Action, compile_actions, rewritten
 from repro.openflow.connection import ConnectionEndpoint
 from repro.openflow.constants import CONTROLLER_PORT, FLOOD_PORT, PacketInReason
 from repro.openflow.messages import FlowMod, OFMessage, PacketIn
@@ -231,12 +231,19 @@ class Switch:
                 transmit(packet)
 
     def inject_packet(self, packet: Packet, actions: List[Action], in_port: int) -> None:
-        """PacketOut semantics: apply ``actions`` to a copy of ``packet`` and emit it."""
+        """PacketOut semantics: apply ``actions`` to a copy of ``packet`` and
+        emit it (an attached port's link takes it directly, as in :meth:`_forward`)."""
         if self._crashed:
             return
+        rewrites, ports = compile_actions(actions)
         forwarded = packet.copy()
-        for port in apply_actions(forwarded, actions):
-            if port == CONTROLLER_PORT:
+        if rewrites:
+            forwarded._values = rewritten(forwarded._values, rewrites)
+        for port in ports:
+            transmit = self._ports.get(port)
+            if transmit is not None:
+                transmit(forwarded)
+            elif port == CONTROLLER_PORT:
                 self._send_packet_in(forwarded, in_port)
             else:
                 self._transmit(forwarded, port, in_port)
@@ -254,18 +261,12 @@ class Switch:
         )
 
     def _transmit(self, packet: Packet, port: int, in_port: int) -> None:
-        """Emit on ``port`` in full generality: FLOOD, or a port that may not
-        exist (:meth:`_forward` hands attached ports to their link itself)."""
+        """Emit on a port no link is attached to: FLOOD copies to every other
+        attached port; any other port drops, as hardware does."""
         if port == FLOOD_PORT:
             for port_no, transmit in self._ports.items():
                 if port_no != in_port:
                     transmit(packet.copy())
-            return
-        transmit = self._ports.get(port)
-        if transmit is None:
-            # Forwarding to a non-existent port silently drops, as hardware does.
-            return
-        transmit(packet)
 
     # -- convenience for tests ---------------------------------------------------------
     def install_rule_directly(self, flowmod: FlowMod) -> None:

@@ -12,11 +12,12 @@ generator processes (which paid ~25 frames of queue, event and process
 plumbing per message).  A message costs the heap entries the generators
 made, at the same times with the same sequence numbers: the zero-delay
 hand-off to :meth:`ControlPlane._begin` (from :meth:`ControlPlane.receive`
-when the agent is idle, else from :meth:`ControlPlane._next_message`), the
-CPU time PacketIns stole since the last message if any, and the processing
-delay that ends in the message kind's ``_finish_*``.  The hand-off does no
-work and is kept on purpose: dropping it would reorder same-instant events,
-and run digests depend on that order.  The generator agent lives on in
+when the agent is idle, else from the last message's ``_finish_*``), the
+CPU time PacketIns stole since then if any (back to ``_begin``), and the
+processing delay that ends in the ``_finish_*`` that ``_begin`` looks up
+with it by message class.  The hand-off does no work and is kept on
+purpose: dropping it would reorder same-instant events, and run digests
+depend on that order.  The generator agent lives on in
 ``tests/oracles/generator_agent.py`` as the oracle for the exact stream.
 """
 
@@ -166,6 +167,17 @@ class ControlPlane:
         self._stolen_time = 0.0
         self._next_packet_out_time = 0.0
         self._next_packet_in_time = 0.0
+        #: ``message class -> (its _finish_*, its processing time)`` (``None``:
+        #: drawn per FlowMod); any other class takes ``OFMessage``'s.
+        trivial = profile.trivial_processing_time
+        self._routes: Dict[type, Tuple[Callable, Optional[float]]] = {
+            FlowMod: (self._finish_flowmod, None),
+            BarrierRequest: (self._finish_barrier, trivial),
+            PacketOut: (self._finish_packet_out, profile.packet_out_processing_time),
+            StatsRequest: (self._finish_stats, trivial),
+            OFMessage: (self._finish_other, trivial),
+        }
+        self._packet_out_spacing = 1.0 / profile.packet_out_rate
 
         # Measurement hooks ---------------------------------------------------
         #: ``flowmod xid -> control-plane apply time``.
@@ -234,9 +246,11 @@ class ControlPlane:
         self.crashed = False
 
     def close(self) -> None:
-        """Forget the owning switch's callbacks (the agent's only references
-        back into it); tables, logs and counters stay readable."""
+        """Forget the owning switch's callbacks and the bound ``_finish_*``
+        routes (its references back into itself and the switch); tables,
+        logs and counters stay readable."""
         self._send = self._apply_to_dataplane = self._inject_packet = None
+        self._routes.clear()
 
     # -- the agent: one message at a time ------------------------------------------
     def _next_message(self) -> None:
@@ -246,38 +260,27 @@ class ControlPlane:
         else:
             self._idle = True
 
-    def _begin(self, message: OFMessage) -> None:
-        """The hand-off: ``message`` is now in the agent's hands."""
-        if self.crashed:
-            # Messages queued before the crash die with the agent.
-            self._next_message()
-            return
-        epoch = self.crash_epoch
-        # Time stolen by PacketIn encapsulation since the last message is
-        # charged here, serialising it with FlowMod processing the way a
-        # single management CPU would.
-        if self._stolen_time > 0:
-            stolen, self._stolen_time = self._stolen_time, 0.0
-            self.sim.schedule_callback(stolen, self._dispatch, message, epoch)
-        else:
-            self._dispatch(message, epoch)
-
-    def _dispatch(self, message: OFMessage, epoch: int) -> None:
-        """Spend the message's processing time, then run its ``_finish_*``."""
-        profile = self.profile
-        delay = profile.trivial_processing_time
-        if isinstance(message, FlowMod):
-            finish = self._finish_flowmod
-            delay = self.rng.jitter(
-                profile.flowmod_processing_time(len(self.table)), profile.flowmod_jitter)
-        elif isinstance(message, BarrierRequest):
-            finish = self._finish_barrier
-        elif isinstance(message, PacketOut):
-            finish, delay = self._finish_packet_out, profile.packet_out_processing_time
-        elif isinstance(message, StatsRequest):
-            finish = self._finish_stats
-        else:
-            finish = self._finish_other
+    def _begin(self, message: OFMessage, epoch: Optional[int] = None) -> None:
+        """The hand-off: ``message`` is now in the agent's hands (``epoch``:
+        back after paying stolen time) and spends its processing time."""
+        if epoch is None:
+            if self.crashed:
+                # Messages queued before the crash die with the agent.
+                self._next_message()
+                return
+            epoch = self.crash_epoch
+            # Time stolen by PacketIn encapsulation since the last message is
+            # charged here, serialising it with FlowMod processing the way a
+            # single management CPU would.
+            if self._stolen_time > 0:
+                stolen, self._stolen_time = self._stolen_time, 0.0
+                self.sim.schedule_callback(stolen, self._begin, message, epoch)
+                return
+        finish, delay = self._routes.get(type(message)) or self._routes[OFMessage]
+        if delay is None:  # a FlowMod: it takes longer as the table fills
+            profile = self.profile
+            delay = self.rng.jitter(profile.flowmod_processing_time(len(self.table)),
+                                    profile.flowmod_jitter)
         self.sim.schedule_callback(delay, finish, message, epoch)
 
     def _finish_other(self, message: OFMessage, epoch: int) -> None:
@@ -374,13 +377,17 @@ class ControlPlane:
         if not self.crashed and self.crash_epoch == epoch:
             # Enforce the hardware PacketOut rate cap on the egress side.
             now = self.sim._now
-            emit_at = max(now, self._next_packet_out_time)
-            self._next_packet_out_time = emit_at + 1.0 / self.profile.packet_out_rate
-            self.sim.schedule_callback(
-                emit_at - now, self._inject_packet,
-                message.packet, message.actions, message.in_port,
-            )
-        self._next_message()
+            emit_at = self._next_packet_out_time
+            if emit_at < now:
+                emit_at = now
+            self._next_packet_out_time = emit_at + self._packet_out_spacing
+            self.sim.schedule_callback(emit_at - now, self._inject_packet,
+                                       message.packet, message.actions, message.in_port)
+        # What _next_message does, written out: every probe ends here.
+        if self._inbox:
+            self.sim.schedule_callback(0.0, self._begin, self._inbox.popleft())
+        else:
+            self._idle = True
 
     def send_packet_in(self, packet_in_factory: Callable[[], OFMessage]) -> None:
         """Rate-limit and send a PacketIn built by ``packet_in_factory``.

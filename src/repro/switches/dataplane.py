@@ -10,16 +10,17 @@ A lookup cache keeps per-packet cost low for the high-rate traffic used in
 the end-to-end experiments.  It is ``{in_port: {header tuple: plan}}``,
 keyed by the packet's own immutable header tuple, which every packet of a
 flow shares (:class:`~repro.net.traffic.TrafficGenerator`), so a hop builds
-no key: a hit hashes that tuple and finds it by identity.  Only a miss
-builds the lookup key (the header with ``in_port`` written in).  The cache
-holds *forwarding plans* — the matched entry's actions compiled by
+no key: a hit hashes that tuple and finds it by identity.  The cache holds
+*forwarding plans* — the matched entry's actions compiled by
 :func:`~repro.openflow.actions.compile_actions`, with a rewriting rule's
 output header tuple built once per cached header — so a hit only applies
 one.  Any rule applied can change which entry a header tuple matches, so
-the cache is cleared whenever one is; a compiled plan is kept on its entry
-instead (``FlowEntry.plan``), compiled once per entry and ``actions``
-binding (``FlowTable`` MODIFY rebinds them and drops it), so a miss after a
-clear is a table lookup, not a recompile.
+the cache is cleared whenever one is (in a probing run nearly every probe
+hop misses), and a miss is cheap: ``in_port`` leads the header tuple, so its
+key is one concatenation, ``(in_port,) + values[1:]``; the table answers it
+with one hash probe per rule signature; and the plan is kept on its entry
+(``FlowEntry.plan``, compiled once per entry and ``actions`` binding, which
+``FlowTable`` MODIFY rebinds and drops), so a miss is no recompile.
 
 Packet ownership: a packet handed to a port's transmit is owned by the link;
 the sender must not touch it again, so the packet a switch receives is held
@@ -38,12 +39,9 @@ from repro.openflow.actions import compile_actions, rewritten
 from repro.openflow.constants import CONTROLLER_PORT
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.messages import FlowMod
-from repro.packet.fields import FIELD_INDEX, HeaderField
 from repro.packet.packet import HeaderValues, Packet
 from repro.sim.kernel import Simulator
 
-#: Index of ``in_port`` in a packet's header tuple.
-_IN_PORT_INDEX = FIELD_INDEX[HeaderField.IN_PORT]
 
 
 class ForwardingResult(NamedTuple):
@@ -104,8 +102,7 @@ class DataPlane:
         cache the table's answer as ``(entry, rewritten header tuple or
         None, physical output ports, to_controller)``, compiling the entry's
         plan if it has none yet."""
-        key = values[:_IN_PORT_INDEX] + (in_port,) + values[_IN_PORT_INDEX + 1:]
-        entry = self.table.lookup_values(key)
+        entry = self.table.lookup_values((in_port,) + values[1:])
         if entry is None:
             plan = (None, None, (), False)
         else:

@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: ``find src -name '*.py' | xargs cat | wc -l``.  Net ``src/`` lines only go
 #: down this round: a change that removes lines lowers the ceiling to what it
 #: reaches, a change that adds some deletes as many elsewhere.
-SOURCE_LINE_CEILING = 17150
+SOURCE_LINE_CEILING = 17148
 
 #: Knobs: the fields of the run-configuration dataclasses plus every
 #: non-help option of the campaign and store CLIs, sub-commands included.

@@ -21,7 +21,10 @@ from repro.experiments.figures import FIGURES, table1_rows
 from repro.net import Network, triangle_topology
 from repro.openflow import BarrierReply, FlowMod, FlowModCommand, Match, OutputAction
 from repro.packet.addresses import int_to_ip
+from repro.faults import ChannelHook, ControlChannelHarness, FaultPlan, get_fault
+from repro.openflow.connection import Connection
 from repro.sim import Simulator
+from repro.sim.rng import SeededRandom
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -321,6 +324,41 @@ def _build_with_barrier_layer(technique="sequential", buffer_after_barrier=False
     network.start()
     rum.start()
     return sim, network, rum, barrier_layer, controller
+
+
+@pytest.mark.parametrize("faults", [None, [], ["ack-duplicate(probability=1.0,copies=1)"]],
+                         ids=["bare", "harness", "harness-duplicating"])
+def test_a_send_never_reaches_the_peers_handler_before_it_returns(faults):
+    # What lets the barrier layer forward a released barrier's reply and pop
+    # it afterwards: forwarding cannot re-enter _try_release, even at zero
+    # latency and through the fault harness (which fabricates copies too).
+    sim = Simulator()
+    connection = Connection(sim, name="ctl-S", latency=0.0)
+    handled = []
+    connection.side_b.on_message(handled.append)
+    if faults is not None:
+        armed = [get_fault(spec.fault)(**spec.params)
+                 for fault in faults for spec in FaultPlan.from_string(fault).specs]
+        for fault in armed:
+            fault.arm(sim, SeededRandom(3))
+        ControlChannelHarness(connection, armed)
+    connection.side_a.send(BarrierReply(xid=7))
+    assert handled == []
+    sim.run()
+    assert [message.xid for message in handled] == [7] * (2 if faults else 1)
+    assert sim.now == 0.0
+
+
+def test_a_channel_refuses_a_latency_it_could_not_schedule():
+    # Delivery is pushed onto the kernel's heap unchecked, so each delay is
+    # checked where it enters: the channel's latency and a fault's extra one.
+    with pytest.raises(ValueError, match="latency"):
+        Connection(Simulator(), latency=float("nan"))
+    connection = Connection(Simulator(), name="ctl-S")
+    hook = ChannelHook(ControlChannelHarness(connection, []), 0)
+    for bad in (-1e-3, float("nan")):
+        with pytest.raises(ValueError, match="extra latency"):
+            hook.forward(0, BarrierReply(xid=1), bad)
 
 
 def test_barrier_layer_withholds_reply_until_dataplane(monkeypatch):

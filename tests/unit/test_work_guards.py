@@ -25,7 +25,8 @@ bounded number of frames, none of them event, process or generator plumbing;
 a finished session leaves (next to) nothing for the collector either; a
 probe is validated once, however often it is injected, and copied once per
 injection (plus once per PacketIn that captures it); and a probe's way from
-its injection to the probed switch's drop is a fixed number of frames.  A
+its injection to the probed switch's drop is a fixed number of frames, on a
+lookup-cache hit and on a miss.  A
 rule's forwarding plan is compiled once per actions binding, however often
 applied FlowMods clear the lookup cache.
 
@@ -497,9 +498,10 @@ def traced_hop():
 
 @_CPYTHON_311
 def test_a_plain_output_hop_is_a_pinned_number_of_bytecodes(traced_hop):
-    # The five frames' bodies and one run-loop step (which pops first and
-    # peeks at no ``heap[0]``).  A per-hop key was 16 more, the peek 6.
-    assert (traced_hop["opcodes"], traced_hop["steps"]) == (302, 1)
+    # The five frames' bodies and one run-loop step (which pops first, peeks
+    # at no ``heap[0]`` and sets the clock with no jump over its backwards
+    # check).  A per-hop key was 16 more, the peek 6, the jump 1.
+    assert (traced_hop["opcodes"], traced_hop["steps"]) == (301, 1)
 
 
 @_CPYTHON_311
@@ -721,22 +723,31 @@ def test_a_probe_is_copied_once_per_injection_and_once_per_capture(monkeypatch):
     assert built["copy"] == built["_inject_probe"] + built["_send_packet_in"]
 
 
-def test_a_probe_to_the_probed_switchs_drop_is_a_fixed_number_of_frames():
-    def frames(probes):
-        # A probe for a rule S2 has not got: S2's data plane drops it.
+def _futile_probe(miss, measure):
+    """What ``measure(run)`` counts (a ``Counter``) for one probe for a rule
+    S2 has not got, so S2's data plane drops it: 4 probes less 1, injected
+    into the last of four slots 20 ms apart (each travels alone).  With ``miss``, a FlowMod is applied
+    to S2 half a millisecond before each of the four slots in both runs, so
+    every probe misses the cleared lookup cache and the FlowMods cancel out."""
+    def work(probes):
         sim, network, stack = _started_on_the_triangle("general")
         sim.run(until=0.05)  # deployment rules are in; only the probe timer is left
         technique = stack.rum.technique
         flowmod = FlowMod(Match(ip_dst="10.0.0.2"),
                           [OutputAction(network.port_between("S2", "S3"))])
         info = technique._build_probe("S2", PendingRule("S2", flowmod.xid, flowmod, 0.0, 1))
-        for index in range(probes):  # 20 ms apart: each travels alone
-            sim.schedule_at(0.1005 + 0.02 * index, technique._inject_probe, info)
         switch = network.switch("S2")
+        for index in range(4):
+            if miss:
+                sim.schedule_at(0.1 + 0.02 * index, switch.dataplane.apply_flowmod,
+                                FlowMod(Match(ip_dst=f"10.0.9.{index}"), [OutputAction(1)]),
+                                0.1 + 0.02 * index)
+            if index >= 4 - probes:  # the last probe's plan stays cached
+                sim.schedule_at(0.1005 + 0.02 * index, technique._inject_probe, info)
         received = switch.packets_received
         gc.disable()  # a collection would run whatever gc.callbacks hold
         try:
-            entered = _python_frames(lambda: sim.run(until=0.5))
+            counted = measure(lambda: sim.run(until=0.5))
         finally:
             gc.enable()
         # S2 took in every probe, and every plan its data plane looked them
@@ -745,15 +756,25 @@ def test_a_probe_to_the_probed_switchs_drop_is_a_fixed_number_of_frames():
         plans = [plan for cached in switch.dataplane._lookup_cache.values()
                  for plan in cached.values()]
         assert plans and all(plan[2:] == ((), False) for plan in plans)
-        return entered
+        return counted
 
-    # _inject_probe (a PacketOut with a fresh xid) -> send_to_switch ->
-    # forward_to_switch -> the RUM channel -> S1's agent (hand-off, dispatch,
-    # _finish_packet_out) -> inject_packet (copy, apply_actions) -> the link
-    # -> S2's receive_packet -> _forward -> process_packet (a cache hit on
-    # the drop), four of them scheduling a heap entry.  No second copy, no
-    # fresh OutputAction, no clock property on the way.
-    assert (frames(4) - frames(1)) / 3 == 30
+    one, four = work(1), work(4)
+    return {name: (four[name] - one[name]) / 3 for name in four | one}
+
+
+def test_a_probe_to_the_probed_switchs_drop_is_a_fixed_number_of_frames():
+    # _inject_probe (a PacketOut drawing its own xid) -> send_to_switch ->
+    # the RUM channel (send, _schedule_delivery; _deliver a step later) ->
+    # S1's agent (receive, the hand-off, _begin picking the PacketOut's
+    # route, _finish_packet_out) -> inject_packet (compile_actions, copy)
+    # -> the link -> S2's receive_packet -> _forward -> process_packet (a
+    # cache hit on the drop), three of them scheduling a heap entry.
+    assert _futile_probe(False, lambda run: Counter(frames=_python_frames(run)))["frames"] == 20
+
+
+def test_a_probe_that_misses_the_lookup_cache_is_a_fixed_number_of_frames():
+    # The hit's frames, and the miss's _compile_plan and lookup_values.
+    assert _futile_probe(True, lambda run: Counter(frames=_python_frames(run)))["frames"] == 22
 
 
 def test_the_control_path_is_still_reached_through_class_attributes(monkeypatch):
@@ -973,4 +994,12 @@ def test_rum_keeps_no_xid_of_a_message_it_will_get_no_reply_for(monkeypatch, tec
 
 
 if __name__ == "__main__":
-    print(json.dumps(_per_hop(_bytecodes)))
+    # The hop's counts (what ``traced_hop`` reads), then a futile probe's
+    # frames and bytecodes on a lookup-cache hit and miss (what the frame
+    # pins above count, with the bytecodes beside them).
+    counts = _per_hop(_bytecodes)
+    for miss, label in ((False, "probe hit"), (True, "probe miss")):
+        counts[f"{label} frames"] = _futile_probe(
+            miss, lambda run: Counter(frames=_python_frames(run)))["frames"]
+        counts[f"{label} opcodes"] = _futile_probe(miss, _bytecodes)["opcodes"]
+    print(json.dumps(counts))
