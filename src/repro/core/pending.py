@@ -1,11 +1,20 @@
-"""Tracking of rule modifications that RUM has forwarded but not yet confirmed."""
+"""Tracking of rule modifications that RUM has forwarded but not yet confirmed.
+
+A tracker keeps one switch's unconfirmed records by xid in the order they
+were first forwarded, which is sequence order but for one exception: a
+controller retransmit forwards a pending FlowMod again under its xid, and
+the tracker re-adds it *in place* with a newer sequence (moving it would
+change :meth:`~PendingRuleTracker.oldest` and the order of confirmations).
+Every later record was first added later, so a cumulative confirmation up to
+``S`` stops at the first record above ``S`` that was not re-added: it costs
+what it confirms plus the re-added records it steps over, not the window.
+"""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.openflow.messages import FlowMod
 
@@ -25,41 +34,31 @@ class PendingRule:
     #: ``"probe"``, ``"barrier"``, ``"timeout"``, ``"fallback"``).
     confirmed_by: str = ""
 
-    @property
-    def confirmed(self) -> bool:
-        """Whether RUM has confirmed this modification."""
-        return self.confirmed_at is not None
-
 
 class PendingRuleTracker:
     """Ordered collection of unconfirmed rule modifications for one switch."""
 
     def __init__(self, switch: str) -> None:
         self.switch = switch
-        self._pending: "OrderedDict[int, PendingRule]" = OrderedDict()
+        self._pending: Dict[int, PendingRule] = {}
+        #: Xids re-added in place while pending, until they are confirmed.
+        self._readded: Set[int] = set()
         self._sequence = 0
 
     # -- adding ------------------------------------------------------------------
     def add(self, flowmod: FlowMod, now: float) -> PendingRule:
-        """Track a newly forwarded FlowMod."""
+        """Track a newly forwarded FlowMod (a pending xid keeps its place)."""
         self._sequence += 1
-        record = PendingRule(
-            switch=self.switch,
-            xid=flowmod.xid,
-            flowmod=flowmod,
-            forwarded_at=now,
-            sequence=self._sequence,
-        )
-        self._pending[flowmod.xid] = record
+        xid = flowmod.xid
+        record = PendingRule(self.switch, xid, flowmod, now, self._sequence)
+        if xid in self._pending:
+            self._readded.add(xid)
+        self._pending[xid] = record
         return record
 
     # -- queries -------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._pending)
-
-    def get(self, xid: int) -> Optional[PendingRule]:
-        """The pending record for ``xid`` (``None`` if unknown or confirmed)."""
-        return self._pending.get(xid)
 
     def oldest(self, count: int) -> Iterator[PendingRule]:
         """Up to ``count`` unconfirmed records, oldest first: a walk of the
@@ -76,21 +75,29 @@ class PendingRuleTracker:
         record = self._pending.pop(xid, None)
         if record is None:
             return None
+        self._readded.discard(xid)
         record.confirmed_at = now
         record.confirmed_by = by
         return record
 
     def confirm_up_to_sequence(self, sequence: int, now: float, by: str = "") -> List[PendingRule]:
-        """Confirm every unconfirmed record with sequence number <= ``sequence``.
+        """Confirm every unconfirmed record with sequence number <= ``sequence``,
+        in the tracker's order.
 
         Used by techniques whose confirmations are cumulative (barriers,
         timeouts, sequential probing): seeing evidence that modification *n*
         is in the data plane confirms everything forwarded before it, as long
         as the switch does not reorder.
         """
-        confirmed = []
-        for xid in list(self._pending.keys()):
-            record = self._pending[xid]
+        pending, readded, confirmed = self._pending, self._readded, []
+        for record in pending.values():
             if record.sequence <= sequence:
-                confirmed.append(self.confirm(xid, now, by=by))
-        return [record for record in confirmed if record is not None]
+                confirmed.append(record)
+            elif record.xid not in readded:
+                break
+        for record in confirmed:
+            del pending[record.xid]
+            readded.discard(record.xid)
+            record.confirmed_at = now
+            record.confirmed_by = by
+        return confirmed

@@ -149,12 +149,13 @@ class GeneralProbingTechnique(AckTechnique):
             )
         except ProbeGenerationError:
             return None
+        template = make_probe_packet(headers, probe_id=f"genprobe-{catch_switch}")
         return _ProbeInfo(
-            template=make_probe_packet(headers, probe_id=f"genprobe-{catch_switch}"),
+            template=template,
             actions=(OutputAction(topology.port_between(inject_switch, switch_name)),),
             catch_switch=catch_switch,
             inject_switch=inject_switch,
-            key=probe_key(headers),
+            key=probe_key(template._values),
         )
 
     def _fallback(self, switch_name: str, record: PendingRule) -> None:
@@ -191,7 +192,7 @@ class GeneralProbingTechnique(AckTechnique):
         if probe_value != self.switch_values.get(switch_name):
             return False
         # This PacketIn is a probe caught by switch_name's probe-catch rule.
-        key = probe_key(message.packet.headers)
+        key = probe_key(message.packet._values)
         target = self._probe_registry.pop((switch_name, key), None)
         if target is not None:
             probed_switch, xid = target

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 from repro.openflow.constants import CONTROLLER_PORT, DROP_PORT
 from repro.packet.fields import FIELD_INDEX, FIELD_REGISTRY, HeaderField
-from repro.packet.packet import HeaderValues, Packet
+from repro.packet.packet import HeaderValues
 
 
 class Action:
@@ -69,9 +69,6 @@ class ControllerAction(Action):
         self.port = CONTROLLER_PORT
         self.max_length = max_length
 
-    def forwarding_signature(self) -> Tuple:
-        return (self.kind,)
-
     def __repr__(self) -> str:
         return "ToController()"
 
@@ -83,9 +80,6 @@ class DropAction(Action):
 
     def __init__(self) -> None:
         self.port = DROP_PORT
-
-    def forwarding_signature(self) -> Tuple:
-        return (self.kind,)
 
     def __repr__(self) -> str:
         return "Drop()"
@@ -142,15 +136,6 @@ def rewritten(values: HeaderValues, rewrites: tuple) -> HeaderValues:
     for index, value in rewrites:
         values[index] = value
     return tuple(values)
-
-
-def apply_actions(packet: Packet, actions: Sequence[Action]) -> List[int]:
-    """Give ``packet`` its rewritten header tuple and return its output ports
-    (see :func:`compile_actions`); an empty list means the packet is dropped."""
-    rewrites, ports = compile_actions(actions)
-    if rewrites:
-        packet._values = rewritten(packet._values, rewrites)
-    return list(ports)
 
 
 def actions_signature(actions: Sequence[Action]) -> Tuple:

@@ -75,6 +75,9 @@ _PREFIX_FIELDS = (HeaderField.IP_SRC, HeaderField.IP_DST)
 #: Fields whose human-friendly constructor values may be strings.
 _MAC_FIELDS = (HeaderField.ETH_SRC, HeaderField.ETH_DST)
 
+#: ``name -> (field, full-width mask)``: an exact constraint stores the mask.
+_FULL_MASKS = {field.value: (field, spec.max_value) for field, spec in FIELD_REGISTRY.items()}
+
 
 class Match:
     """An immutable OpenFlow match.
@@ -103,6 +106,10 @@ class Match:
         for name, raw in kwargs.items():
             if raw is None:
                 continue
+            known = _FULL_MASKS.get(name)
+            if known is not None and type(raw) is int and 0 <= raw <= known[1]:
+                fields[known[0]] = (raw, known[1])  # an exact in-range int
+                continue
             field = HeaderField(name)
             spec = FIELD_REGISTRY[field]
             full_mask = spec.max_value
@@ -112,7 +119,7 @@ class Match:
                 value, mask = mac_to_int(raw), full_mask
             else:
                 value, mask = int(raw), full_mask
-            spec.validate(value & spec.max_value)
+            spec.validate(value)
             fields[field] = (value & mask, mask)
         self._fields = fields
 
@@ -166,14 +173,13 @@ class Match:
         return matcher(packet._values)
 
     def _memoised(self) -> tuple:
-        """Fill ``_memo`` with ``(compiled constraints, is_exact, exact
-        slot)``: a match is immutable once ``_fields`` is in place, so it
-        never goes stale."""
+        """Fill ``_memo`` with ``(compiled constraints, exact slot)``: a match
+        is immutable once ``_fields`` is in place, so it never goes stale."""
         constraints = tuple(sorted((FIELD_INDEX[field], value, mask)
                                    for field, (value, mask) in self._fields.items()))
         is_exact = all(mask == FIELD_MAX_BY_INDEX[index] for index, _, mask in constraints)
         slot = tuple(zip(*constraints))[:2] if constraints and is_exact else None
-        self._memo = (constraints, is_exact, slot)
+        self._memo = (constraints, slot)
         return self._memo
 
     def compiled_constraints(self) -> Tuple[Tuple[int, int, int], ...]:
@@ -185,20 +191,11 @@ class Match:
         return (self._memo or self._memoised())[0]
 
     @property
-    def is_exact(self) -> bool:
-        """True when every constrained field uses its full-width mask.
-
-        Exact matches are eligible for the flow table's hash-lookup fast
-        path (no prefix/masked fields).
-        """
-        return (self._memo or self._memoised())[1]
-
-    @property
     def exact_slot(self) -> Optional[Tuple[tuple, tuple]]:
         """``(field indices, field values)``, a flow table's hash key for a
         fully specified match; ``None`` (masked fields, or no constraint)
         sends the rule to the table's wildcard list."""
-        return (self._memo or self._memoised())[2]
+        return (self._memo or self._memoised())[1]
 
     def compiled(self) -> Callable[[List[Optional[int]]], bool]:
         """A compiled classifier closure over the packet header values.

@@ -117,7 +117,7 @@ class FlowMod(OFMessage):
         super().__init__(xid)
         self.match = match
         self.actions: List[Action] = list(actions)
-        self.command = FlowModCommand(command)
+        self.command = command if type(command) is FlowModCommand else FlowModCommand(command)
         self.priority = int(priority)
         self.cookie = int(cookie)
         self.idle_timeout = int(idle_timeout)
@@ -183,7 +183,7 @@ class PacketIn(OFMessage):
         super().__init__(xid)
         self.packet = packet
         self.in_port = in_port
-        self.reason = PacketInReason(reason)
+        self.reason = reason if type(reason) is PacketInReason else PacketInReason(reason)
         self.buffer_id = buffer_id
         self.datapath_id = datapath_id
 
@@ -208,7 +208,7 @@ class ErrorMessage(OFMessage):
         xid: Optional[int] = None,
     ) -> None:
         super().__init__(xid)
-        self.error_type = OFErrorType(error_type)
+        self.error_type = error_type if type(error_type) is OFErrorType else OFErrorType(error_type)
         self.error_code = int(error_code)
         self.data = int(data)
 

@@ -30,7 +30,7 @@ rule leaves wildcarded to escape conflicting higher-priority rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
 from repro.openflow.actions import Action, actions_signature
@@ -38,11 +38,13 @@ from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.match import Match
 from repro.packet.fields import (
     ETH_TYPE_IP,
+    FIELD_INDEX,
     FIELD_ORDER,
     FIELD_REGISTRY,
     HeaderField,
     IP_PROTO_UDP,
 )
+from repro.packet.packet import HeaderValues
 
 
 class ProbeGenerationError(RuntimeError):
@@ -95,19 +97,21 @@ _PERTURBABLE_FIELDS = (
 )
 
 
-def probe_key(headers: Dict[HeaderField, int]) -> Tuple:
-    """Canonical hashable identity of a probe packet's headers.
+def probe_key(values: HeaderValues) -> Tuple:
+    """Canonical hashable identity of a probe packet's header tuple.
 
     RUM uses this key to associate a returning PacketIn with the pending rule
     whose probe it is — matching on the packet contents, not on any metadata
     that would not survive a real network.
     """
-    return tuple(map(headers.get, _KEY_FIELDS, repeat(0)))
+    return tuple([value or 0 for value in _key_values(values)])
 
 
-#: The fields of :func:`probe_key`, an absent one read as 0.
-_KEY_FIELDS = (HeaderField.IP_SRC, HeaderField.IP_DST, HeaderField.IP_PROTO, HeaderField.IP_TOS,
-               HeaderField.TP_SRC, HeaderField.TP_DST, HeaderField.VLAN_ID)
+#: The fields of :func:`probe_key` out of a header tuple (an absent one,
+#: ``None``, is read as 0).
+_key_values = itemgetter(*(FIELD_INDEX[field] for field in (
+    HeaderField.IP_SRC, HeaderField.IP_DST, HeaderField.IP_PROTO, HeaderField.IP_TOS,
+    HeaderField.TP_SRC, HeaderField.TP_DST, HeaderField.VLAN_ID)))
 
 
 def _first_match(

@@ -28,7 +28,7 @@ from itertools import count
 
 from repro.net.host import Host
 from repro.net.network import Network
-from repro.openflow.actions import apply_actions
+from repro.openflow.actions import compile_actions, rewritten
 from repro.openflow.constants import CONTROLLER_PORT, FLOOD_PORT
 from repro.openflow.flowtable import FlowTable
 from repro.packet.fields import FIELD_INDEX, HeaderField
@@ -36,6 +36,15 @@ from repro.switches.base import Switch
 from repro.switches.dataplane import DataPlane
 
 _IN_PORT = FIELD_INDEX[HeaderField.IN_PORT]
+
+
+def apply_actions(packet, actions):
+    """Give ``packet`` its rewritten header tuple and return its output ports
+    (see ``compile_actions``); an empty list means the packet is dropped."""
+    rewrites, ports = compile_actions(actions)
+    if rewrites:
+        packet._values = rewritten(packet._values, rewrites)
+    return list(ports)
 
 
 def _identity(packet):

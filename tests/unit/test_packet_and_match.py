@@ -8,7 +8,8 @@ from repro.openflow.actions import (
     OutputAction,
     SetFieldAction,
     actions_signature,
-    apply_actions,
+    compile_actions,
+    rewritten,
 )
 from repro.openflow.constants import CONTROLLER_PORT
 from repro.openflow.match import Match
@@ -21,7 +22,7 @@ from repro.packet import (
     make_probe_packet,
     prefix_mask,
 )
-from repro.packet.fields import FIELD_REGISTRY, HeaderField
+from repro.packet.fields import FIELD_INDEX, FIELD_REGISTRY, HeaderField
 
 
 # -- addresses ---------------------------------------------------------------
@@ -108,6 +109,26 @@ def test_exact_match_on_addresses():
     assert not match.matches_packet(make_ip_packet("10.0.0.1", "10.0.0.3"))
 
 
+@pytest.mark.parametrize("field, value", [("ip_proto", 300), ("tp_dst", 70000), ("tp_src", -1),
+                                          ("ip_tos", 64), ("vlan_id", "5000")])
+def test_match_rejects_a_value_its_field_cannot_hold(field, value):
+    # As a Packet does: masking first made ip_proto=300 match 44, tp_dst=70000 4464.
+    with pytest.raises(ValueError):
+        Match(**{field: value})
+    with pytest.raises(ValueError):
+        Packet({field: int(value)})
+
+
+def test_an_exact_int_stores_its_value_under_the_full_mask():
+    # The direct path for in-range ints stores what the parsing path does.
+    direct = Match(ip_src=0x0A000001, eth_dst=5, tp_dst=80, ip_tos=63)
+    parsed = Match(ip_src="10.0.0.1", eth_dst="00:00:00:00:00:05", tp_dst="80", ip_tos=63.0)
+    assert direct.fields == parsed.fields == {
+        HeaderField.IP_SRC: (0x0A000001, 0xFFFFFFFF), HeaderField.ETH_DST: (5, (1 << 48) - 1),
+        HeaderField.TP_DST: (80, 0xFFFF), HeaderField.IP_TOS: (63, 63)}
+    assert list(direct.fields) == list(parsed.fields)  # in keyword order
+
+
 def test_prefix_match():
     match = Match(ip_dst=("10.1.0.0", 16))
     assert match.matches_packet(make_ip_packet("1.1.1.1", "10.1.200.5"))
@@ -159,19 +180,21 @@ def test_match_extended_adds_constraint():
 
 # -- actions ------------------------------------------------------------------------
 
-def test_apply_actions_output_ports_and_rewrite():
+def test_compiled_actions_output_ports_and_rewrite():
     packet = make_ip_packet("10.0.0.1", "10.0.0.2")
     actions = [SetFieldAction(HeaderField.IP_TOS, 5), OutputAction(3)]
-    ports = apply_actions(packet, actions)
-    assert ports == [3]
-    assert packet.get(HeaderField.IP_TOS) == 5
+    rewrites, ports = compile_actions(actions)
+    assert ports == (3,)
+    values = rewritten(packet.header_values(), rewrites)
+    assert values[FIELD_INDEX[HeaderField.IP_TOS]] == 5
+    assert packet.get(HeaderField.IP_TOS) == 0  # the input tuple is untouched
 
 
-def test_apply_actions_controller_and_drop():
-    packet = make_ip_packet("10.0.0.1", "10.0.0.2")
-    assert apply_actions(packet, [ControllerAction()]) == [CONTROLLER_PORT]
-    assert apply_actions(packet, [DropAction(), OutputAction(1)]) == []
-    assert apply_actions(packet, []) == []
+def test_compiled_actions_controller_and_drop():
+    assert compile_actions([ControllerAction()]) == ((), (CONTROLLER_PORT,))
+    assert compile_actions([DropAction(), OutputAction(1)]) == ((), ())
+    assert compile_actions([SetFieldAction(HeaderField.IP_TOS, 5), DropAction()])[1] == ()
+    assert compile_actions([]) == ((), ())
 
 
 def test_setfield_rejects_non_rewritable_field():

@@ -10,6 +10,7 @@ from repro.openflow import FlowMod, Match, OutputAction
 from repro.openflow.actions import ControllerAction, DropAction, SetFieldAction
 from repro.openflow.flowtable import FlowTable
 from repro.packet.fields import HeaderField
+from repro.packet.packet import make_probe_packet
 from repro.probing import (
     ProbeGenerationError,
     RuleView,
@@ -172,10 +173,22 @@ def test_probe_allowed_when_lower_priority_rule_differs():
 def test_probe_key_is_stable_and_header_sensitive():
     probed = _rule(Match(ip_src="10.0.0.1", ip_dst="10.0.0.2"))
     headers = generate_probe_headers(probed, _table(), {HeaderField.IP_TOS: 7})
-    assert probe_key(headers) == probe_key(dict(headers))
+    values = _as_packet(headers).header_values()
+    assert probe_key(values) == probe_key(_as_packet(dict(headers)).header_values())
     changed = dict(headers)
     changed[HeaderField.IP_DST] = 1
-    assert probe_key(changed) != probe_key(headers)
+    assert probe_key(_as_packet(changed).header_values()) != probe_key(values)
+
+
+def test_probe_key_reads_an_absent_field_as_zero():
+    # The key of the header dict a probe is generated from, with an absent
+    # field read as 0, is the key of the packet that carries it.
+    fields = (HeaderField.IP_SRC, HeaderField.IP_DST, HeaderField.IP_PROTO, HeaderField.IP_TOS,
+              HeaderField.TP_SRC, HeaderField.TP_DST, HeaderField.VLAN_ID)
+    for headers in ({HeaderField.IP_TOS: 7}, {HeaderField.VLAN_ID: 0, HeaderField.TP_DST: 80},
+                    {field: index + 1 for index, field in enumerate(fields)}):
+        packet = make_probe_packet(headers)
+        assert probe_key(packet.header_values()) == tuple(headers.get(f, 0) for f in fields)
 
 
 # -- version allocator --------------------------------------------------------------------
@@ -236,7 +249,7 @@ def test_tracker_confirm_single():
     records = _tracked_flowmods(tracker, 3)
     confirmed = tracker.confirm(records[1].xid, now=10.0, by="probe")
     assert confirmed is records[1]
-    assert confirmed.confirmed and confirmed.confirmed_by == "probe"
+    assert (confirmed.confirmed_at, confirmed.confirmed_by) == (10.0, "probe")
     assert len(tracker) == 2
     assert tracker.confirm(records[1].xid, now=11.0) is None
 
