@@ -60,18 +60,19 @@ def path_flowmods(
 
     ``path`` must list node names from the source host to the destination
     host; every switch's rule outputs on the port facing the next node in the
-    path.
+    path.  The rules share one :class:`Match` (it is immutable).
     """
     path = list(path)
     if len(path) < 2:
         raise ValueError("a path needs at least a source and a destination")
     rules = PathRules(flow_id=flow.flow_id, path=path)
+    match = flow_match(flow)
     for index, node in enumerate(path[:-1]):
         if node not in network.switches:
             continue
         out_port = network.port_between(node, path[index + 1])
         flowmod = FlowMod(
-            flow_match(flow),
+            match,
             [OutputAction(out_port)],
             command=command,
             priority=priority,

@@ -69,6 +69,17 @@ class PendingRuleTracker:
         """All unconfirmed records, oldest first."""
         return list(self._pending.values())
 
+    def newest_sequence(self) -> Optional[int]:
+        """The highest unconfirmed sequence number (``None`` when nothing is
+        pending): the last record's or a re-added one's, never a scan."""
+        pending = self._pending
+        if not pending:
+            return None
+        newest = next(reversed(pending.values())).sequence
+        for xid in self._readded:
+            newest = max(newest, pending[xid].sequence)
+        return newest
+
     # -- confirming --------------------------------------------------------------------
     def confirm(self, xid: int, now: float, by: str = "") -> Optional[PendingRule]:
         """Mark ``xid`` confirmed; returns the record, or ``None`` if unknown."""

@@ -165,12 +165,10 @@ class SequentialProbingTechnique(AckTechnique):
     def _cover_stalled_batch(self, switch_name: str) -> None:
         """Cover a partially filled batch that stopped growing."""
         state = self._states[switch_name]
-        tracker = self.layer.pending(switch_name)
-        unconfirmed = tracker.unconfirmed()
-        if not unconfirmed or state.since_last_probe_rule == 0:
+        if state.since_last_probe_rule == 0:
             return
-        newest = max(record.sequence for record in unconfirmed)
-        if newest > state.highest_covered_sequence:
+        newest = self.layer.pending(switch_name).newest_sequence()
+        if newest is not None and newest > state.highest_covered_sequence:
             self._issue_probe_rule_update(switch_name, newest)
 
     def _issue_probe_rule_update(self, switch_name: str, covered_sequence: int) -> None:

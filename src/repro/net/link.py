@@ -34,7 +34,12 @@ states exactly this and knows no trains).
 Everything a hop reads or writes about its direction is one slotted
 :class:`_Direction` record.  The link numbers its flush entries from the
 kernel's counter and pushes them itself, built at push time (a record that
-kept its own entry would be a reference cycle).  No ``schedule_at`` checks
+kept its own entry would be a reference cycle).  A direction has one flush
+entry on the heap exactly while its train is non-empty, so no flag says
+whether a flush is on: ``transmit_from`` pushes one when it finds the train
+empty, and a flush that stops with packets left pushes itself back.  Nothing
+appends to a train while its flush runs, because a receiver never sends on
+the direction it is being delivered from.  No ``schedule_at`` checks
 ``due >= now``; it holds by construction: the constructor rejects a NaN or
 negative latency and a NaN or non-positive bandwidth, and an ingress delay
 is zero (a host) or a validated ``forwarding_latency``.
@@ -76,11 +81,12 @@ class PacketSink(Protocol):
 
 class _Direction:
     """One direction of a link: the receiver's bound ``receive_packet``,
-    in-port and ingress delay; when the wire is free again; the train of
+    in-port and ingress delay; when the wire is free again; and the train of
     pending ``(due, sequence, arrived_at, packet)`` deliveries (a ``None``
-    sequence is taken when the flush reaches it); whether a flush is on."""
+    sequence is taken when the flush reaches it).  A flush entry is on the
+    heap exactly while the train is non-empty."""
 
-    __slots__ = ("receive", "in_port", "ingress", "busy_until", "train", "flushing")
+    __slots__ = ("receive", "in_port", "ingress", "busy_until", "train")
 
     def __init__(self, receiver: PacketSink, in_port: int) -> None:
         self.receive = receiver.receive_packet
@@ -88,14 +94,13 @@ class _Direction:
         self.ingress = receiver.ingress_latency
         self.busy_until = 0.0
         self.train: deque = deque()
-        self.flushing = False
 
 
 class Link:
     """A bidirectional point-to-point link."""
 
     __slots__ = ("sim", "node_a", "port_a", "node_b", "port_b", "latency",
-                 "bandwidth_bps", "name", "_to_b", "_to_a")
+                 "bandwidth_bps", "name", "_towards")
 
     def __init__(
         self,
@@ -112,6 +117,8 @@ class Link:
             raise ValueError(f"latency must be >= 0, not {latency}")
         if bandwidth_bps is not None and not bandwidth_bps > 0:
             raise ValueError(f"bandwidth_bps must be > 0 or None, not {bandwidth_bps}")
+        if node_a is node_b:
+            raise ValueError(f"a link joins two nodes, not {node_a.name} to itself")
         self.sim = sim
         self.node_a = node_a
         self.port_a = port_a
@@ -120,8 +127,9 @@ class Link:
         self.latency = latency
         self.bandwidth_bps = bandwidth_bps
         self.name = name or f"{node_a.name}:{port_a}<->{node_b.name}:{port_b}"
-        self._to_b = _Direction(node_b, port_b)
-        self._to_a = _Direction(node_a, port_a)
+        #: ``{sender: the direction it sends on}``.
+        self._towards = {node_a: _Direction(node_b, port_b),
+                         node_b: _Direction(node_a, port_a)}
 
     def transmit_from(self, sender: PacketSink, packet: Packet) -> None:
         """Send ``packet`` from ``sender`` towards the other end.
@@ -129,33 +137,36 @@ class Link:
         The link owns ``packet`` from here on — the sender must not touch it
         again — and gives it up when it hands it to the receiver.
         """
-        if sender is self.node_a:
-            direction = self._to_b
-        elif sender is self.node_b:
-            direction = self._to_a
-        else:
-            raise ValueError(f"{sender.name} is not attached to link {self.name}")
+        try:
+            direction = self._towards[sender]
+        except KeyError:
+            raise ValueError(f"{sender.name} is not attached to link {self.name}") from None
         sim = self.sim
         now = sim._now
         finish = direction.busy_until
         if finish < now:
             finish = now
-        if self.bandwidth_bps is not None:
-            finish += (packet.total_size * 8) / self.bandwidth_bps
+        bandwidth = self.bandwidth_bps
+        if bandwidth is not None:
+            finish += (packet.total_size * 8) / bandwidth
         direction.busy_until = finish
         arrived_at = finish + self.latency
         due = arrived_at + direction.ingress
         train = direction.train
-        if train and train[-1][2] > now:
+        if not train:
+            # Nothing pending, so no flush is on: this packet's starts one.
+            sequence = sim._sequence
+            sim._sequence = sequence + 1
+            train.append((due, sequence, arrived_at, packet))
+            heappush(sim._heap, (due, sequence, self._flush_train, (direction,)))
+        elif train[-1][2] > now:
             # Queued behind packets in flight: the flush takes its place.
             train.append((due, None, arrived_at, packet))
-            return
-        sequence = sim._sequence
-        sim._sequence = sequence + 1
-        train.append((due, sequence, arrived_at, packet))
-        if not direction.flushing:
-            direction.flushing = True
-            heappush(sim._heap, (due, sequence, self._flush_train, (direction,)))
+        else:
+            # Nothing in flight: it takes its place now, for the flush that is on.
+            sequence = sim._sequence
+            sim._sequence = sequence + 1
+            train.append((due, sequence, arrived_at, packet))
 
     def _flush_train(self, direction: _Direction) -> None:
         """Hand every due packet of ``direction``'s train to the receiver.
@@ -169,21 +180,19 @@ class Link:
         """
         train = direction.train
         sim = self.sim
-        receive = direction.receive
-        in_port = direction.in_port
-        heap = sim._heap
         try:
             while train:
-                due, sequence, arrived_at, packet = train[0]
+                due, _sequence, arrived_at, packet = train[0]
                 if due > sim._now:
                     # ``<=``: on an exact-timestamp tie with another event
                     # the flush defers to the kernel, which runs the other
                     # event first (see the module docstring).
+                    heap = sim._heap
                     if (heap and heap[0][0] <= due) or due > sim._until:
                         break  # another event (or the run bound) comes first
                     sim._now = due
                 train.popleft()
-                receive(packet, in_port, arrived_at)
+                direction.receive(packet, direction.in_port, arrived_at)
         finally:
             # Deferring, or a receiver raised (e.g. StopSimulation): resume at
             # the head's due time in its place (taken now if it has none), so
@@ -193,10 +202,8 @@ class Link:
                 if sequence is None:
                     sequence = sim._sequence
                     sim._sequence = sequence + 1
-                heappush(heap, (max(sim._now, due), sequence, self._flush_train,
-                                (direction,)))
-            else:
-                direction.flushing = False
+                heappush(sim._heap, (max(sim._now, due), sequence, self._flush_train,
+                                     (direction,)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Link {self.name} latency={self.latency * 1000:.3f}ms>"

@@ -133,17 +133,25 @@ class DeliveryMonitor:
         return list(map(_record, self._rows(flow_id)))
 
     # -- path-based queries -----------------------------------------------------------
-    def _select(self, flow_id: str, via_switch: str, via: bool) -> Iterator[tuple]:
-        """The :meth:`_rows` whose path did (``via``) or did not traverse ``via_switch``."""
-        return (row for row in self._rows(flow_id) if (via_switch in row[4]) is via)
-
     def first_arrival_via(self, flow_id: str, via_switch: str) -> Optional[float]:
-        """Time of the first delivery that traversed ``via_switch`` (or ``None``)."""
-        return min((row[2] for row in self._select(flow_id, via_switch, True)), default=None)
+        """Time of the first delivery that traversed ``via_switch`` (or ``None``):
+        the columns are in arrival order, so the walk stops at the first hit."""
+        log = self._logs.get(flow_id)
+        if log is not None:
+            for received_at, path in zip(log.received_at, log.paths):
+                if via_switch in path:
+                    return received_at
+        return None
 
     def last_arrival_not_via(self, flow_id: str, via_switch: str) -> Optional[float]:
-        """Time of the last delivery that avoided ``via_switch`` (or ``None``)."""
-        return max((row[2] for row in self._select(flow_id, via_switch, False)), default=None)
+        """Time of the last delivery that avoided ``via_switch`` (or ``None``),
+        walking back from the latest arrival."""
+        log = self._logs.get(flow_id)
+        if log is not None:
+            for received_at, path in zip(reversed(log.received_at), reversed(log.paths)):
+                if via_switch not in path:
+                    return received_at
+        return None
 
     # -- gap analysis -------------------------------------------------------------------
     def largest_gap(self, flow_id: str, expected_interval: float) -> float:

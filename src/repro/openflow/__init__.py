@@ -5,8 +5,10 @@ This package models the parts of OpenFlow that RUM manipulates:
 * :mod:`repro.openflow.match` — the 12-tuple match with wildcards and IPv4
   prefixes, plus the overlap/covering predicates probe generation needs,
 * :mod:`repro.openflow.actions` — output / set-field / controller actions,
-* :mod:`repro.openflow.messages` — FlowMod, Barrier, PacketIn/PacketOut,
-  Error, Stats and session messages with monotonically increasing xids,
+* :mod:`repro.openflow.messages` — FlowMod, Barrier, PacketIn/PacketOut
+  and Error, the messages a run sends, with monotonically increasing xids
+  (an agent answers any other :class:`~repro.openflow.messages.OFMessage`
+  with nothing but its trivial processing time),
 * :mod:`repro.openflow.flowtable` — a priority flow table with OpenFlow add /
   modify / delete semantics and an installation-order mode replicating the
   paper's hardware switch that ignores priorities,
@@ -19,7 +21,6 @@ from repro.openflow.constants import (
     FlowModCommand,
     OFErrorCode,
     OFErrorType,
-    OFMessageType,
     PacketInReason,
 )
 from repro.openflow.match import Match
@@ -33,18 +34,11 @@ from repro.openflow.actions import (
 from repro.openflow.messages import (
     BarrierReply,
     BarrierRequest,
-    EchoReply,
-    EchoRequest,
     ErrorMessage,
-    FeaturesReply,
-    FeaturesRequest,
     FlowMod,
-    Hello,
     OFMessage,
     PacketIn,
     PacketOut,
-    StatsReply,
-    StatsRequest,
 )
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.connection import Connection, ConnectionEndpoint
@@ -58,26 +52,18 @@ __all__ = [
     "ConnectionEndpoint",
     "ControllerAction",
     "DropAction",
-    "EchoReply",
-    "EchoRequest",
     "ErrorMessage",
-    "FeaturesReply",
-    "FeaturesRequest",
     "FlowEntry",
     "FlowMod",
     "FlowModCommand",
     "FlowTable",
-    "Hello",
     "Match",
     "OFErrorCode",
     "OFErrorType",
     "OFMessage",
-    "OFMessageType",
     "OutputAction",
     "PacketIn",
     "PacketInReason",
     "PacketOut",
     "SetFieldAction",
-    "StatsReply",
-    "StatsRequest",
 ]

@@ -44,8 +44,6 @@ class ConnectionEndpoint:
         self._side = side
         self._handler: Optional[MessageHandler] = None
         self._backlog: List[OFMessage] = []
-        self.sent_count = 0
-        self.received_count = 0
 
     # -- wiring -------------------------------------------------------------
     def on_message(self, handler: MessageHandler) -> None:
@@ -58,7 +56,6 @@ class ConnectionEndpoint:
     # -- I/O -----------------------------------------------------------------
     def send(self, message: OFMessage) -> None:
         """Send ``message`` to the peer endpoint (asynchronous, ordered)."""
-        self.sent_count += 1
         connection = self.connection
         tr = connection.sim.tracer
         if tr is not None:
@@ -72,7 +69,6 @@ class ConnectionEndpoint:
         connection._schedule_delivery(self._side, message)
 
     def _deliver(self, message: OFMessage) -> None:
-        self.received_count += 1
         if self._handler is None:
             self._backlog.append(message)
         else:

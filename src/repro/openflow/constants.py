@@ -14,28 +14,6 @@ DROP_PORT = 0xFFFE
 #: Pseudo port meaning "flood on all ports but the ingress" (OFPP_FLOOD).
 FLOOD_PORT = 0xFFFB
 
-#: Wire protocol version byte advertised in Hello/Features (OpenFlow 1.0).
-OFP_VERSION = 0x01
-
-
-class OFMessageType(IntEnum):
-    """Subset of OpenFlow 1.0 message types used by the reproduction."""
-
-    HELLO = 0
-    ERROR = 1
-    ECHO_REQUEST = 2
-    ECHO_REPLY = 3
-    FEATURES_REQUEST = 5
-    FEATURES_REPLY = 6
-    PACKET_IN = 10
-    FLOW_REMOVED = 11
-    PACKET_OUT = 13
-    FLOW_MOD = 14
-    STATS_REQUEST = 16
-    STATS_REPLY = 17
-    BARRIER_REQUEST = 18
-    BARRIER_REPLY = 19
-
 
 class FlowModCommand(IntEnum):
     """FlowMod commands (OFPFC_*)."""
@@ -82,12 +60,3 @@ class OFErrorCode(IntEnum):
     # RUM's repurposed positive acknowledgment code (unused by OF 1.0).
     RUM_RULE_CONFIRMED = 0xF0F0
 
-
-class StatsType(IntEnum):
-    """Statistics request/reply subtypes (OFPST_*)."""
-
-    DESC = 0
-    FLOW = 1
-    AGGREGATE = 2
-    TABLE = 3
-    PORT = 4

@@ -50,8 +50,6 @@ class FlowEntry:
         "priority",
         "cookie",
         "installed_at",
-        "packet_count",
-        "byte_count",
         "source_xid",
         "plan",
     )
@@ -72,8 +70,6 @@ class FlowEntry:
         self.priority = int(priority)
         self.cookie = int(cookie)
         self.installed_at = installed_at
-        self.packet_count = 0
-        self.byte_count = 0
         self.source_xid = source_xid
         self.plan: Optional[tuple] = None
 

@@ -16,9 +16,7 @@ from repro.openflow.constants import (
     FlowModCommand,
     OFErrorCode,
     OFErrorType,
-    OFMessageType,
     PacketInReason,
-    StatsType,
 )
 from repro.openflow.match import Match
 from repro.packet.packet import Packet
@@ -37,8 +35,6 @@ def rewind_xids() -> None:
 class OFMessage:
     """Base class of every OpenFlow message."""
 
-    message_type: OFMessageType = OFMessageType.HELLO
-
     def __init__(self, xid: Optional[int] = None) -> None:
         self.xid = next(_xids[0]) if xid is None else int(xid)
 
@@ -46,62 +42,8 @@ class OFMessage:
         return f"<{type(self).__name__} xid={self.xid}>"
 
 
-class Hello(OFMessage):
-    """Session establishment message."""
-
-    message_type = OFMessageType.HELLO
-
-
-class EchoRequest(OFMessage):
-    """Liveness check request."""
-
-    message_type = OFMessageType.ECHO_REQUEST
-
-    def __init__(self, payload: bytes = b"", xid: Optional[int] = None) -> None:
-        super().__init__(xid)
-        self.payload = payload
-
-
-class EchoReply(OFMessage):
-    """Liveness check reply (echoes the request payload)."""
-
-    message_type = OFMessageType.ECHO_REPLY
-
-    def __init__(self, payload: bytes = b"", xid: Optional[int] = None) -> None:
-        super().__init__(xid)
-        self.payload = payload
-
-
-class FeaturesRequest(OFMessage):
-    """Ask the switch for its datapath id and port list."""
-
-    message_type = OFMessageType.FEATURES_REQUEST
-
-
-class FeaturesReply(OFMessage):
-    """Switch capabilities announcement."""
-
-    message_type = OFMessageType.FEATURES_REPLY
-
-    def __init__(
-        self,
-        datapath_id: int,
-        ports: Sequence[int],
-        n_tables: int = 1,
-        capabilities: int = 0,
-        xid: Optional[int] = None,
-    ) -> None:
-        super().__init__(xid)
-        self.datapath_id = int(datapath_id)
-        self.ports = list(ports)
-        self.n_tables = n_tables
-        self.capabilities = capabilities
-
-
 class FlowMod(OFMessage):
     """Install, modify or delete a flow-table rule."""
-
-    message_type = OFMessageType.FLOW_MOD
 
     def __init__(
         self,
@@ -138,20 +80,14 @@ class FlowMod(OFMessage):
 class BarrierRequest(OFMessage):
     """Ask the switch to finish all previous commands before replying."""
 
-    message_type = OFMessageType.BARRIER_REQUEST
-
 
 class BarrierReply(OFMessage):
     """Reply to a BarrierRequest; carries the request's xid."""
-
-    message_type = OFMessageType.BARRIER_REPLY
 
 
 class PacketOut(OFMessage):
     """Controller-originated packet injection (probing's hot message: it
     draws its xid without calling :class:`OFMessage`'s ``__init__``)."""
-
-    message_type = OFMessageType.PACKET_OUT
 
     def __init__(
         self,
@@ -168,8 +104,6 @@ class PacketOut(OFMessage):
 
 class PacketIn(OFMessage):
     """Switch-originated packet delivery to the controller."""
-
-    message_type = OFMessageType.PACKET_IN
 
     def __init__(
         self,
@@ -198,8 +132,6 @@ class ErrorMessage(OFMessage):
     the xid of the confirmed FlowMod.
     """
 
-    message_type = OFMessageType.ERROR
-
     def __init__(
         self,
         error_type: OFErrorType,
@@ -224,35 +156,3 @@ class ErrorMessage(OFMessage):
     def rule_confirmation(cls, flowmod_xid: int) -> "ErrorMessage":
         """Build the positive acknowledgment for the FlowMod with ``flowmod_xid``."""
         return cls(OFErrorType.VENDOR, int(OFErrorCode.RUM_RULE_CONFIRMED), data=flowmod_xid)
-
-
-class StatsRequest(OFMessage):
-    """Statistics request (flow / aggregate / port)."""
-
-    message_type = OFMessageType.STATS_REQUEST
-
-    def __init__(
-        self,
-        stats_type: StatsType = StatsType.FLOW,
-        match: Optional[Match] = None,
-        xid: Optional[int] = None,
-    ) -> None:
-        super().__init__(xid)
-        self.stats_type = StatsType(stats_type)
-        self.match = match if match is not None else Match()
-
-
-class StatsReply(OFMessage):
-    """Statistics reply carrying an opaque body (list of dicts)."""
-
-    message_type = OFMessageType.STATS_REPLY
-
-    def __init__(
-        self,
-        stats_type: StatsType = StatsType.FLOW,
-        body: Optional[list] = None,
-        xid: Optional[int] = None,
-    ) -> None:
-        super().__init__(xid)
-        self.stats_type = StatsType(stats_type)
-        self.body = body if body is not None else []

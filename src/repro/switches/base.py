@@ -68,9 +68,7 @@ class Switch:
             inject_packet=self.inject_packet,
             rng=self.rng.fork("controlplane"),
             datapath_id=self.datapath_id,
-            ports=[],
             name=name,
-            dataplane_table=self.dataplane.table,
         )
 
         #: Empty while a flap holds the ports (kept in ``_flapped_ports``) dark.
@@ -90,16 +88,12 @@ class Switch:
         #: something registered, so the fault-free path is unchanged.
         self._lifecycle_listeners: List[Callable[[str, str], None]] = []
 
-        # Packets that reached a lit port (read by tests and the hop model).
-        self.packets_received = 0
-
     # -- wiring ----------------------------------------------------------------
     def attach_port(self, port_no: int, transmit: PortTransmit) -> None:
         """Attach a link transmit function to ``port_no``."""
         if port_no in self._ports:
             raise ValueError(f"port {port_no} of {self.name} already attached")
         self._ports[port_no] = transmit
-        self.controlplane.ports = sorted(self._ports)
 
     @property
     def port_numbers(self) -> List[int]:
@@ -195,7 +189,7 @@ class Switch:
     # -- control plane output ---------------------------------------------------
     def _send_to_controller(self, message: OFMessage) -> None:
         # A crashed switch's connection is down: nothing it was about to say
-        # (echo/barrier replies queued behind processing delays) gets out.
+        # (barrier replies queued behind processing delays) gets out.
         if self._controller_endpoint is None or self._crashed:
             return
         self._controller_endpoint.send(message)
@@ -212,7 +206,6 @@ class Switch:
         dark = self._dark_log
         if dark and bisect_right(dark, arrived_at) & 1:
             return
-        self.packets_received += 1
         packet.trace.append(self.name)
         self._forward(packet, in_port)
 
@@ -224,8 +217,9 @@ class Switch:
         if to_controller:
             self._send_packet_in(packet, in_port)
         for port in output_ports:
-            transmit = self._ports.get(port)
-            if transmit is None:
+            try:
+                transmit = self._ports[port]
+            except KeyError:
                 self._transmit(packet, port, in_port)
             else:
                 transmit(packet)

@@ -5,7 +5,9 @@ order, spends model-defined CPU time on each, updates its *own* flow table
 immediately, and hands rule modifications to the data-plane synchronisation
 machinery defined by the switch profile.  Depending on the profile it answers
 barriers either when the control plane has caught up (buggy, observed on
-hardware) or when the data plane has (correct).
+hardware) or when the data plane has (correct).  It acts on FlowMods,
+barriers and PacketOuts, the messages a run sends; any other message takes
+the trivial processing time and gets no answer.
 
 The agent and the RATE_LIMITED sync are callback chains on the kernel, not
 generator processes (which paid ~25 frames of queue, event and process
@@ -26,21 +28,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.openflow.constants import StatsType
 from repro.openflow.flowtable import FlowTable, TableFullError
 from repro.openflow.messages import (
     BarrierReply,
     BarrierRequest,
-    EchoReply,
-    EchoRequest,
     ErrorMessage,
-    FeaturesReply,
-    FeaturesRequest,
     FlowMod,
     OFMessage,
     PacketOut,
-    StatsReply,
-    StatsRequest,
 )
 from repro.obs.events import (
     PHASE_ACK_SENT,
@@ -116,9 +111,8 @@ class ControlPlane:
         Callback ``(packet, actions, in_port) -> None`` implementing
         PacketOut semantics on the data plane / ports.
     rng:
-        Seeded randomness source for jitter and reordering.
-    dataplane_table:
-        The table packets hit; flow statistics report its counters.
+        Seeded randomness source for jitter and reordering (seeded from
+        ``datapath_id`` when not given).
     """
 
     def __init__(
@@ -130,21 +124,16 @@ class ControlPlane:
         inject_packet: Callable[[Packet, list, int], None],
         rng: Optional[SeededRandom] = None,
         datapath_id: int = 1,
-        ports: Optional[List[int]] = None,
         name: str = "switch",
-        dataplane_table: Optional[FlowTable] = None,
     ) -> None:
         profile.validate()
         self.sim = sim
         self.profile = profile
         self.name = name
-        self.datapath_id = datapath_id
-        self.ports = list(ports or [])
         self._send = send_to_controller
         self._apply_to_dataplane = apply_to_dataplane
         self._inject_packet = inject_packet
         self.rng = rng or SeededRandom(datapath_id)
-        self._dataplane_table = dataplane_table
 
         #: Control-plane view of the flow table (always up to date with
         #: processed FlowMods; may be *ahead* of the data plane).
@@ -174,7 +163,6 @@ class ControlPlane:
             FlowMod: (self._finish_flowmod, None),
             BarrierRequest: (self._finish_barrier, trivial),
             PacketOut: (self._finish_packet_out, profile.packet_out_processing_time),
-            StatsRequest: (self._finish_stats, trivial),
             OFMessage: (self._finish_other, trivial),
         }
         self._packet_out_spacing = 1.0 / profile.packet_out_rate
@@ -284,12 +272,8 @@ class ControlPlane:
         self.sim.schedule_callback(delay, finish, message, epoch)
 
     def _finish_other(self, message: OFMessage, epoch: int) -> None:
-        # Hello and unknown messages only consume their trivial time, as a
-        # real agent would for unsupported-but-harmless messages.
-        if isinstance(message, EchoRequest):
-            self._send(EchoReply(payload=message.payload, xid=message.xid))
-        elif isinstance(message, FeaturesRequest):
-            self._send(FeaturesReply(self.datapath_id, self.ports, xid=message.xid))
+        # Any other message only consumes its trivial time, as a real agent
+        # would for unsupported-but-harmless messages.
         self._next_message()
 
     # -- FlowMod ---------------------------------------------------------------------
@@ -400,35 +384,6 @@ class ControlPlane:
         self._next_packet_in_time = emit_at + 1.0 / self.profile.packet_in_rate
         self._stolen_time += self.profile.packet_in_processing_time
         self.sim.schedule_callback(emit_at - now, lambda: self._send(packet_in_factory()))
-
-    # -- statistics ---------------------------------------------------------------------------
-    def _finish_stats(self, request: StatsRequest, epoch: int) -> None:
-        if not self.crashed and self.crash_epoch == epoch:
-            self._send(StatsReply(request.stats_type, body=self._stats_body(request),
-                                  xid=request.xid))
-        self._next_message()
-
-    def _stats_body(self, request: StatsRequest) -> List[dict]:
-        if request.stats_type == StatsType.TABLE:
-            return [{"table": self.table.name, "active": len(self.table)}]
-        if request.stats_type not in (StatsType.FLOW, StatsType.AGGREGATE):
-            return [{"switch": self.name, "datapath_id": self.datapath_id}]
-        # Packets only ever hit the data plane: a rule not there yet has
-        # forwarded nothing, whatever the control plane believes.
-        hardware = {(entry.priority, entry.match): entry
-                    for entry in self._dataplane_table or ()}
-        body = []
-        for entry in self.table:
-            if (request.stats_type == StatsType.FLOW and not request.match.is_match_all
-                    and not request.match.covers(entry.match)):
-                continue
-            hit = hardware.get((entry.priority, entry.match))
-            body.append({"priority": entry.priority, "match": repr(entry.match),
-                         "packets": hit.packet_count if hit else 0,
-                         "bytes": hit.byte_count if hit else 0})
-        if request.stats_type == StatsType.AGGREGATE:
-            return [{"flows": len(body), "packets": sum(flow["packets"] for flow in body)}]
-        return body
 
     # -- data-plane synchronisation ------------------------------------------------------------
     def _sync_step(self) -> None:

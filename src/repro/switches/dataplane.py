@@ -22,6 +22,9 @@ with one hash probe per rule signature; and the plan is kept on its entry
 (``FlowEntry.plan``, compiled once per entry and ``actions`` binding, which
 ``FlowTable`` MODIFY rebinds and drops), so a miss is no recompile.
 
+A hop counts nothing: the data plane keeps no per-rule packet or byte
+counters, because no message a run sends asks for them.
+
 Packet ownership: a packet handed to a port's transmit is owned by the link;
 the sender must not touch it again, so the packet a switch receives is held
 by nobody else and travels on as the same object.  The data plane copies
@@ -130,10 +133,6 @@ class DataPlane:
             entry, out_values, ports, to_controller = self._lookup_cache[in_port][values]
         except KeyError:
             entry, out_values, ports, to_controller = self._compile_plan(values, in_port)
-        if entry is None:
-            return tuple.__new__(ForwardingResult, (packet, (), False, None))
-        entry.packet_count += 1
-        entry.byte_count += packet.total_size
         if out_values is not None:
             packet = packet.copy()
             packet._values = out_values

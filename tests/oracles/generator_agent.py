@@ -21,8 +21,10 @@ Two deliberate differences from that commit:
 
 ``start`` lost its ``PERIODIC_BATCH`` branch with that sync model, and the
 four write-only counters (FlowMods processed and duplicated, PacketOuts
-processed, PacketIns sent) went when the agent dropped them.  Nothing else
-was edited.
+processed, PacketIns sent) went when the agent dropped them, and so did the
+Echo, Features, Stats and Hello branches with those messages: any message
+but a FlowMod, a barrier or a PacketOut takes the trivial time and gets no
+answer.  Nothing else was edited.
 """
 
 from collections import deque
@@ -33,22 +35,15 @@ from repro.obs.events import (
     PHASE_CONTROL_APPLIED,
     PHASE_SWITCH_RECEIVED,
 )
-from repro.openflow.constants import OFErrorCode, OFErrorType, StatsType
+from repro.openflow.constants import OFErrorCode, OFErrorType
 from repro.openflow.flowtable import TableFullError
 from repro.openflow.messages import (
     BarrierReply,
     BarrierRequest,
-    EchoReply,
-    EchoRequest,
     ErrorMessage,
-    FeaturesReply,
-    FeaturesRequest,
     FlowMod,
-    Hello,
     OFMessage,
     PacketOut,
-    StatsReply,
-    StatsRequest,
 )
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
@@ -202,16 +197,6 @@ class GeneratorControlPlane(ControlPlane):
             yield from self._handle_barrier(message, epoch)
         elif isinstance(message, PacketOut):
             yield from self._handle_packet_out(message, epoch)
-        elif isinstance(message, EchoRequest):
-            yield self.profile.trivial_processing_time
-            self._send(EchoReply(payload=message.payload, xid=message.xid))
-        elif isinstance(message, FeaturesRequest):
-            yield self.profile.trivial_processing_time
-            self._send(FeaturesReply(self.datapath_id, self.ports, xid=message.xid))
-        elif isinstance(message, StatsRequest):
-            yield from self._handle_stats(message, epoch)
-        elif isinstance(message, Hello):
-            yield self.profile.trivial_processing_time
         else:
             # Unknown message: consume trivial time and ignore, as a real
             # agent would for unsupported-but-harmless messages.
@@ -311,33 +296,6 @@ class GeneratorControlPlane(ControlPlane):
         self._next_packet_in_time = emit_at + spacing
         self._stolen_time += self.profile.packet_in_processing_time
         self.sim.schedule_callback(emit_at - self.sim.now, lambda: self._send(packet_in_factory()))
-
-    # -- statistics ---------------------------------------------------------------------------
-    def _handle_stats(self, request: StatsRequest, epoch: int):
-        yield self.profile.trivial_processing_time
-        if self.crashed or self.crash_epoch != epoch:
-            return
-        if request.stats_type == StatsType.FLOW:
-            body = [
-                {
-                    "priority": entry.priority,
-                    "match": repr(entry.match),
-                    "packets": entry.packet_count,
-                    "bytes": entry.byte_count,
-                }
-                for entry in self.table
-                if request.match.is_match_all or request.match.covers(entry.match)
-            ]
-        elif request.stats_type == StatsType.TABLE:
-            body = [{"table": self.table.name, "active": len(self.table)}]
-        elif request.stats_type == StatsType.AGGREGATE:
-            body = [{
-                "flows": len(self.table),
-                "packets": sum(entry.packet_count for entry in self.table),
-            }]
-        else:
-            body = [{"switch": self.name, "datapath_id": self.datapath_id}]
-        self._send(StatsReply(request.stats_type, body=body, xid=request.xid))
 
     # -- data-plane synchronisation ------------------------------------------------------------
     def _rate_limited_sync_loop(self):

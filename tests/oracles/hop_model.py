@@ -17,8 +17,8 @@ lists are the repository's own — they are not what is specified here):
 :class:`Recorder` taps what enters the data plane of every ``Network`` built
 while it is installed (host sends, PacketOut injections, data-plane rule
 changes, crash / restore / flap edges) and what comes out (deliveries,
-PacketIns, drops at each data plane's ``process_packet``, per-switch
-counters), so a test can run anything — a hypothesis script or a whole
+PacketIns, drops at each data plane's ``process_packet``, packets each
+switch took in on a lit port, counted at its ``_forward``), so a test can run anything — a hypothesis script or a whole
 experiment — and ask the model for the same answers.
 """
 
@@ -129,14 +129,12 @@ class Recording:
     def __init__(self, network):
         self.network = network
         self.inputs, self.deliveries, self.packet_ins = [], [], []
-        self.drops = Counter()
+        self.drops, self.received = Counter(), Counter()
 
     def observed(self):
-        """What :func:`replay` must reproduce (counters read as of now)."""
-        switches = self.network.switches
+        """What :func:`replay` must reproduce (counts as of now)."""
         return (sorted(self.deliveries), sorted(self.packet_ins), dict(self.drops),
-                {name: switch.packets_received
-                 for name, switch in switches.items() if switch.packets_received})
+                dict(self.received))
 
     def predicted(self):
         return replay(self.network, self.inputs)
@@ -191,6 +189,9 @@ class Recorder:
             by_sim[host.sim].deliveries.append(
                 (host.sim.now, host.name, _identity(packet), tuple(packet.trace)))
 
+        def took_in(switch, *_args):
+            by_sim[switch.sim].received[switch.name] += 1
+
         def punted(switch, packet, in_port):
             by_sim[switch.sim].packet_ins.append(
                 (switch.sim.now, switch.name, in_port, _identity(packet)))
@@ -206,3 +207,4 @@ class Recorder:
         tap(Switch, "flap_ports", before=told("flap", lambda down: down))
         tap(Host, "receive_packet", after=delivered)
         tap(Switch, "_send_packet_in", before=punted)
+        tap(Switch, "_forward", before=took_in)

@@ -18,16 +18,15 @@ from generator_agent import GeneratorControlPlane
 from repro.openflow import (
     BarrierReply,
     BarrierRequest,
-    EchoRequest,
     FlowMod,
     Match,
+    OFMessage,
     OutputAction,
     PacketIn,
     PacketOut,
 )
 from repro.openflow.connection import Connection
-from repro.openflow.constants import FlowModCommand, StatsType
-from repro.openflow.messages import FeaturesRequest, Hello, StatsRequest
+from repro.openflow.constants import FlowModCommand
 from repro.packet.packet import make_ip_packet
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRandom
@@ -52,10 +51,7 @@ _ACTIONS = st.one_of(
     _FLOWMODS,
     st.tuples(st.just("barrier")),
     st.tuples(st.just("packet_out")),
-    st.tuples(st.just("echo")),
-    st.tuples(st.just("features")),
-    st.tuples(st.just("stats"), st.sampled_from(list(StatsType))),
-    st.tuples(st.just("hello")),
+    st.tuples(st.just("other")),
     st.tuples(st.just("unknown")),
     st.tuples(st.just("packet_in")),
     st.tuples(st.just("crash"), st.booleans()),
@@ -117,14 +113,8 @@ def _message(index, action):
     if kind == "packet_out":
         return PacketOut(make_ip_packet("10.0.0.1", "10.0.0.2"), [OutputAction(1)],
                          in_port=3, xid=2000 + index)
-    if kind == "echo":
-        return EchoRequest(payload=bytes([index]), xid=3000 + index)
-    if kind == "features":
-        return FeaturesRequest(xid=4000 + index)
-    if kind == "stats":
-        return StatsRequest(action[1], xid=5000 + index)
-    if kind == "hello":
-        return Hello(xid=6000 + index)
+    if kind == "other":
+        return OFMessage(xid=3000 + index)  # what no agent route names
     return BarrierReply(xid=7000 + index)  # nothing an agent expects to receive
 
 
@@ -153,7 +143,7 @@ def _execute(agent_class, overrides, program, cuts):
         apply_to_dataplane=dataplane.apply_flowmod,
         inject_packet=lambda packet, actions, in_port: injected.append(
             (sim.now, in_port, len(actions))),
-        rng=SeededRandom(5), ports=[1, 2], name="SW")
+        rng=SeededRandom(5), name="SW")
     plane.start()
 
     def crash(wipe_table):
@@ -211,7 +201,7 @@ _ADD = ("flowmod", 0, FlowModCommand.ADD, 0)
 @settings(max_examples=250, deadline=None)
 @given(overrides=_PROFILES, program=_PROGRAMS, cuts=_CUTS)
 # A crash + restart inside the stolen-time sleep, mid-processing, during the
-# hand-off, and on a backlog that a barrier and an echo are queued in.
+# hand-off, and on a backlog that a barrier and another message are queued in.
 @example(overrides=_HARDWARE, cuts=[], program=[
     (0.1, ("packet_in",)), (0.0, _ADD), (0.0005, ("crash", True)), (0.0, ("restore",))])
 @example(overrides=_HARDWARE, cuts=[0.1015], program=[
@@ -219,8 +209,8 @@ _ADD = ("flowmod", 0, FlowModCommand.ADD, 0)
 @example(overrides=_HARDWARE, cuts=[], program=[
     (0.1, _ADD), (0.0, ("crash", False)), (0.0, _ADD), (1e-5, ("restore",)), (0.0, _ADD)])
 @example(overrides=_HARDWARE, cuts=[], program=[
-    (0.1, _ADD), (0.0, ("barrier",)), (0.0, ("echo",)), (0.0, ("packet_out",)),
-    (0.0036, ("crash", True)), (0.0, ("restore",)), (0.0, ("echo",))])
+    (0.1, _ADD), (0.0, ("barrier",)), (0.0, ("other",)), (0.0, ("packet_out",)),
+    (0.0036, ("crash", True)), (0.0, ("restore",)), (0.0, ("other",))])
 def test_the_callback_chain_is_the_generator_agents_kernel_event_stream(
         overrides, program, cuts):
     chain = _execute(ControlPlane, overrides, program, cuts)
@@ -239,7 +229,7 @@ def test_the_programs_do_reach_the_edges_they_are_drawn_for():
         (0.5, add(0, 0)), (0.0, add(1, 1)), (0.0, ("barrier",)),   # a burst, while idle
         (0.002, add(0, 0)),                                         # duplicate xid, while busy
         (0.0, add(2, 2)), (0.0, add(3, 3)), (0.0, add(4, 4)),       # the fifth rule: table full
-        (0.0, ("packet_in",)), (0.0, ("echo",)), (0.0, ("stats", StatsType.TABLE)),
+        (0.0, ("packet_in",)), (0.0, ("other",)), (0.0, ("unknown",)),
         (0.5, add(5, 5)), (0.0, ("crash", True)), (0.0001, ("restore",)),  # during the hand-off
         (0.5, add(6, 6)), (0.001, ("crash", True)), (0.0001, ("restore",)),  # mid-processing
         (0.5, add(0, 7)), (0.0, add(1, 8)), (0.0, ("barrier",)),
@@ -254,8 +244,7 @@ def test_the_programs_do_reach_the_edges_they_are_drawn_for():
     assert chain == _execute(GeneratorControlPlane, overrides, program, [0.5, 1.0015])
     sent = [(name, detail) for _time, name, detail in chain["sent"]]
     assert [name for name, _detail in sent] == [
-        "PacketIn", "ErrorMessage", "EchoReply", "StatsReply", "BarrierReply",
-        "BarrierReply"]
+        "PacketIn", "ErrorMessage", "BarrierReply", "BarrierReply"]
     assert "'xid': 104" in sent[1][1]  # ... the table-full error names the fifth rule
     (epoch, crashed, pending, control_rules, data_rules, *_rest) = chain["counters"]
     assert (len(chain["injected"]), epoch, crashed) == (1, 3, False)  # one PacketOut

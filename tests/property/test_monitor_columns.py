@@ -5,7 +5,9 @@
 query.  It now keeps typed columns in arrival order and a sent count, and
 builds records only for the caller.  Every query must answer exactly as
 before — order of equal arrival times included — after every recording step;
-the old class lives on here as the oracle.
+the old class lives on here as the oracle.  The path queries walk the
+columns from the matching end and stop at the first hit; they must also
+answer as the ``min`` / ``max`` over every delivery they replaced.
 """
 
 from collections import defaultdict
@@ -158,6 +160,13 @@ def _answers(monitor):
     return answers
 
 
+def _scanned(monitor, flow_id, switch):
+    """The path queries as they were: ``min`` / ``max`` over every delivery."""
+    rows = monitor.deliveries(flow_id)
+    return (min((row.received_at for row in rows if switch in row.path), default=None),
+            max((row.received_at for row in rows if switch not in row.path), default=None))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_STEPS)
 # Arrivals reported late, tying with each other and with an earlier report.
@@ -179,6 +188,11 @@ def test_every_query_answers_as_the_record_list_monitor_did(steps):
             monitor.record_probe(step[1], step[2])
             oracle.record_probe(step[1], step[2])
         assert _answers(monitor) == _answers(oracle)
+        for flow_id in _ASKED:
+            for switch in _SWITCHES:
+                assert (monitor.first_arrival_via(flow_id, switch),
+                        monitor.last_arrival_not_via(flow_id, switch)) == _scanned(
+                            monitor, flow_id, switch)
     for marker in ("S2", {"f0": "S2", "ghost": "S3"}):
         for update_start in (0.0, 0.25):
             assert flow_update_stats(

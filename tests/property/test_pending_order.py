@@ -5,7 +5,9 @@ record; it now walks in order and stops early (``core/pending.py``).  Random
 programs of adds, in-place re-adds of a pending xid (a controller
 retransmit), re-sends of a confirmed xid, single confirmations and
 cumulative ones must return the same records in the same order, and leave
-the same ``oldest()`` / ``unconfirmed()`` order behind.
+the same ``oldest()`` / ``unconfirmed()`` order behind; the newest pending
+sequence (sequential probing's stalled-batch timer reads it) is the full
+scan's maximum after every step.
 """
 
 from collections import OrderedDict
@@ -36,6 +38,9 @@ class _ScanningTracker:
 
     def unconfirmed(self):
         return list(self._pending.values())
+
+    def newest_sequence(self):
+        return max((record.sequence for record in self._pending.values()), default=None)
 
     def confirm(self, xid, now, by=""):
         record = self._pending.pop(xid, None)
@@ -110,3 +115,4 @@ def test_confirmations_and_order_match_the_full_scan(steps):
         assert _seen(tracker.unconfirmed()) == _seen(reference.unconfirmed())
         assert _seen(tracker.oldest(3)) == _seen(reference.oldest(3))
         assert len(tracker) == len(reference._pending)
+        assert tracker.newest_sequence() == reference.newest_sequence()

@@ -35,6 +35,19 @@ from repro.sim.rng import SeededRandom
 from repro.switches import Switch, software_switch_profile
 
 
+def _taken_in(switch):
+    """The packets ``switch`` takes in on a lit port from now on: each one
+    reaches its ``_forward`` (wrapped on the instance)."""
+    taken, forward = [], switch._forward
+
+    def counted(packet, in_port):
+        taken.append(packet)
+        forward(packet, in_port)
+
+    switch._forward = counted
+    return taken
+
+
 def _migration_params(**overrides):
     defaults = dict(flow_count=4, rate_pps=250.0, seed=7, warmup=0.1,
                     grace=0.2, max_update_duration=5.0)
@@ -279,14 +292,14 @@ class TestSwitchCrash:
         assert switch.dataplane.occupancy() == 0
         assert len(switch.controlplane.table) == 0
         # Packets and control messages are lost while down.
-        before = switch.packets_received
+        taken = _taken_in(switch)
         from repro.packet.packet import make_ip_packet
 
         sim.schedule_callback(switch.ingress_latency, switch.receive_packet,
                               make_ip_packet("10.0.0.1", "10.0.128.1"), 1, sim.now)
         connection.side_b.send(_flowmods(1)[0])
         sim.run(until=0.9)
-        assert switch.packets_received == before
+        assert taken == []
         assert switch.dataplane.occupancy() == 0
         sim.run(until=1.5)
         assert not switch.crashed
@@ -432,7 +445,8 @@ class TestDarknessIsJudgedAtArrival:
     wire; whether S2's ports were dark is judged as of the arrival, whether
     S2 is crashed (and what its tables and port map hold) as of the due time.
     Links never drop, so what S2 forwarded is what S3 received; what S2's
-    data plane processed is counted by ``_line``.
+    data plane processed, and what S2 and S3 took in on a lit port, is
+    counted by ``_line``.
     """
 
     US = 1e-6
@@ -475,6 +489,7 @@ class TestDarknessIsJudgedAtArrival:
             return result
 
         switch.dataplane.process_packet = counted
+        self.received = {name: _taken_in(network.switch(name)) for name in ("S2", "S3")}
 
         def arm(fault_name, **params):
             fault = get_fault(fault_name)(**params)
@@ -491,11 +506,11 @@ class TestDarknessIsJudgedAtArrival:
         sim, network, switch, _arm = self._line()
         arrival = self._arrival_at_s2(self.SENT)
         sim.run(until=arrival + 9.9 * self.US)
-        assert switch.packets_received == 0  # still inside its ingress delay
+        assert len(self.received["S2"]) == 0  # still inside its ingress delay
         sim.run(until=arrival + 10.1 * self.US)
-        assert switch.packets_received == self.processed == 1
+        assert len(self.received["S2"]) == self.processed == 1
         sim.run()
-        assert network.switch("S3").packets_received == 1  # ... and forwarded
+        assert len(self.received["S3"]) == 1  # ... and forwarded
         assert self._delivered(network) == [0]
 
     def test_arrives_lit_falls_due_crashed(self):
@@ -503,7 +518,7 @@ class TestDarknessIsJudgedAtArrival:
         arm("switch-crash", at=self._arrival_at_s2(self.SENT) + 5 * self.US, restart_after=0)
         sim.run()
         # It was on a lit port, so it was received — and died with the switch.
-        assert (switch.packets_received, self.processed) == (1, 0)
+        assert (len(self.received["S2"]), self.processed) == (1, 0)
         assert self._delivered(network) == []
 
     def test_arrives_lit_falls_due_flapped(self):
@@ -512,8 +527,8 @@ class TestDarknessIsJudgedAtArrival:
         sim.run()
         # The first was matched (the tables survive a flap) against an empty
         # port map: processed, forwarded nowhere.  The second came after.
-        assert switch.packets_received == self.processed == 2
-        assert network.switch("S3").packets_received == 1
+        assert len(self.received["S2"]) == self.processed == 2
+        assert len(self.received["S3"]) == 1
         assert self.dropped == 0
         assert self._delivered(network) == [1]
         assert "receive_packet" not in vars(switch)
@@ -530,7 +545,7 @@ class TestDarknessIsJudgedAtArrival:
         sim.run()
         assert not switch.crashed and "receive_packet" not in vars(switch)
         # Only the later packet was received; after a crash it meets wiped tables.
-        assert switch.packets_received == self.processed == 1
+        assert len(self.received["S2"]) == self.processed == 1
         assert self._delivered(network) == ([1] if fault == "link-flap" else [])
 
     def test_two_dark_windows_closer_together_than_the_ingress_delay(self):
@@ -542,7 +557,7 @@ class TestDarknessIsJudgedAtArrival:
         arm("link-flap", at=arrival + 2 * self.US, duration=2 * self.US)
         sim.run()
         assert self._delivered(network) == [1]
-        assert switch.packets_received == 1 and "receive_packet" not in vars(switch)
+        assert len(self.received["S2"]) == 1 and "receive_packet" not in vars(switch)
 
     def test_a_flap_overlapping_a_crash_is_one_dark_window(self):
         # Flapped over [0, 100] us, crashed over [50, 150] us (relative to the
@@ -554,7 +569,7 @@ class TestDarknessIsJudgedAtArrival:
         arm("switch-crash", at=dark_from + 50 * self.US, restart_after=100 * self.US)
         sim.run()
         assert switch._dark_log == [dark_from, dark_from + 50 * self.US + 100 * self.US]
-        assert switch.packets_received == 1 and self.dropped == 1
+        assert len(self.received["S2"]) == 1 and self.dropped == 1
         assert self._delivered(network) == []
         # The flap gave the ports back while the switch was still down.
         switch.install_rule_directly(self.rules.flowmods["S2"])

@@ -13,7 +13,7 @@ from repro.controller import (
     install_path_rules,
     path_flowmods,
 )
-from repro.controller.routing import NoPathError, shortest_path
+from repro.controller.routing import NoPathError, flow_match, shortest_path
 from repro.core import TopologyView
 from repro.net import (
     DeliveryMonitor,
@@ -150,6 +150,28 @@ def test_traffic_flows_delivered_over_preinstalled_path():
         assert monitor.dropped_count(flow.flow_id) <= 1
         path = monitor.deliveries(flow.flow_id)[0].path
         assert "S1" in path and "S3" in path and "S2" not in path
+
+
+def test_a_paths_flowmods_share_one_match_and_install_the_same_rules():
+    def preinstalled(share):
+        network = Network(Simulator(), linear_topology(4), seed=2)
+        flows = flows_between(network.host("H1"), network.host("H2"), 3)
+        for flow in flows:
+            rules = path_flowmods(network, flow, ["H1", "S1", "S2", "S3", "S4", "H2"])
+            (match,) = {id(flowmod.match): flowmod.match
+                        for flowmod in rules.flowmods.values()}.values()
+            assert len(rules.flowmods) == 4 and match == flow_match(flow)
+            if not share:  # a Match per FlowMod, as each rule once built its own
+                for flowmod in rules.flowmods.values():
+                    flowmod.match = flow_match(flow)
+            install_path_rules(network, rules)
+        return {name: [(entry.entry_id, entry.priority, entry.match, entry.actions)
+                       for plane in (switch.controlplane.table, switch.dataplane.table)
+                       for entry in plane]
+                for name, switch in network.switches.items()}
+
+    shared, separate = preinstalled(True), preinstalled(False)
+    assert shared == separate and all(len(rules) == 6 for rules in shared.values())
 
 
 def test_traffic_without_rules_is_dropped_and_counted():

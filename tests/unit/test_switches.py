@@ -7,19 +7,13 @@ from repro.openflow import (
     BarrierRequest,
     BarrierReply,
     ControllerAction,
-    EchoRequest,
-    EchoReply,
-    FeaturesRequest,
-    FeaturesReply,
     FlowMod,
     Match,
+    OFMessage,
     OutputAction,
     PacketOut,
-    StatsRequest,
-    StatsReply,
 )
 from repro.openflow.connection import Connection
-from repro.openflow.constants import StatsType
 from repro.packet.packet import make_ip_packet
 from repro.sim import Simulator
 from repro.faults import DataPlaneFaultHarness, DelaySpikeFault, ReorderFault
@@ -184,41 +178,17 @@ def test_reordering_switch_changes_dataplane_order():
 
 # -- control plane services -----------------------------------------------------------
 
-def test_echo_features_and_stats_replies():
+def test_any_other_message_takes_the_trivial_time_and_gets_no_reply():
     sim, switch, endpoint, replies = _wired_switch(software_switch_profile())
-    endpoint.send(_flowmods(1)[0])
-    endpoint.send(EchoRequest(payload=b"ping"))
-    endpoint.send(FeaturesRequest())
-    endpoint.send(StatsRequest())
+    endpoint.send(OFMessage(xid=7))
+    endpoint.send(BarrierRequest(xid=8))
     sim.run(until=0.5)
-    types = [type(message) for _time, message in replies]
-    assert EchoReply in types
-    assert FeaturesReply in types
-    assert StatsReply in types
-    stats = next(msg for _t, msg in replies if isinstance(msg, StatsReply))
-    assert len(stats.body) == 1
-
-
-def test_flow_stats_count_what_the_data_plane_forwarded():
-    sim, switch, endpoint, replies = _wired_switch(hp5406zl_profile())
-    switch.attach_port(1, lambda packet: None)
-    flowmod = _flowmods(1)[0]
-    endpoint.send(flowmod)
-    endpoint.send(StatsRequest(StatsType.FLOW, xid=11))
-    sim.run(until=0.002)  # in the control plane, not yet in hardware
-    sim.run(until=2.0)
-    packets = [make_ip_packet("10.0.0.1", "10.0.128.1") for _ in range(3)]
-    for packet in packets:
-        switch.receive_packet(packet, in_port=2, arrived_at=sim.now)
-    endpoint.send(StatsRequest(StatsType.FLOW, xid=12))
-    endpoint.send(StatsRequest(StatsType.AGGREGATE, xid=13))
-    sim.run(until=3.0)
-    stats = {msg.xid: msg.body for _t, msg in replies if isinstance(msg, StatsReply)}
-    assert [flow["packets"] for flow in stats[11]] == [0]
-    assert switch.dataplane.table.entries[0].packet_count == 3
-    assert [(flow["packets"], flow["bytes"]) for flow in stats[12]] == [
-        (3, sum(packet.total_size for packet in packets))]
-    assert stats[13] == [{"flows": 1, "packets": 3}]
+    # The barrier waited out the other message's trivial time behind it.
+    assert [(type(message), message.xid) for _time, message in replies] == [
+        (BarrierReply, 8)]
+    (when, _reply), = replies
+    trivial = switch.profile.trivial_processing_time
+    assert when == pytest.approx(0.0005 + 2 * trivial + 0.0005)
 
 
 def test_packet_out_injects_on_port():

@@ -25,8 +25,8 @@ bounded number of frames, none of them event, process or generator plumbing;
 a finished session leaves (next to) nothing for the collector either; a
 probe is validated once, however often it is injected, and copied once per
 injection (plus once per PacketIn that captures it); and a probe's way from
-its injection to the probed switch's drop is a fixed number of frames, on a
-lookup-cache hit and on a miss.  A
+its injection to the probed switch's drop is a fixed number of frames (and,
+on CPython 3.11, of bytecodes), on a lookup-cache hit and on a miss.  A
 rule's forwarding plan is compiled once per actions binding, however often
 applied FlowMods clear the lookup cache.
 
@@ -42,8 +42,9 @@ sequential probe-rule update whose probe came back (an applied FlowMod gets
 none either).
 
 A cumulative acknowledgment costs what it confirms: a barrier reply reads
-the pending records it confirms and one more, and a barrier FlowMod runs as
-many bytecodes at a window of 20 as at 100.
+the pending records it confirms and one more, a barrier FlowMod runs as
+many bytecodes at a window of 20 as at 100, and sequential probing's
+stalled-batch timer reads as many pending records at either window.
 """
 
 import gc
@@ -59,6 +60,7 @@ import pytest
 
 import repro
 import repro.core.techniques.general as general_mod
+from repro.core.techniques.sequential import SequentialProbingTechnique
 import repro.openflow.match as match_mod
 import repro.scenarios.migration as migration_mod
 import repro.switches.dataplane as dataplane_mod
@@ -229,6 +231,14 @@ def _python_frames(function, entered=None):
     finally:
         sys.setprofile(None)
     return frames
+
+
+def _frames(function):
+    """``"frames"`` ``function`` enters, and ``"calls <name>"`` per function."""
+    names = []
+    counted = Counter(frames=_python_frames(function, names.append))
+    counted.update(f"calls {code.co_name}" for code in names)
+    return counted
 
 
 def test_fat_tree_path_search_stops_at_the_first_usable_path(monkeypatch):
@@ -448,10 +458,12 @@ def test_a_plain_output_hop_is_five_boundary_frames_and_one_kernel_step():
 
 
 def _bytecodes(function):
-    """Bytecodes ``function`` executes (``"opcodes"``), and the memory blocks
-    allocated while each function's own bytecode ran (``"blocks <name>"``:
-    ``sys.getallocatedblocks`` read between traced opcodes, a block counting
-    for the function whose event came last)."""
+    """Bytecodes ``function`` executes (``"opcodes"``; ``"opcodes
+    <qualified name>"`` per function, the bare name before Python 3.11;
+    ``"calls <name>"`` its frames), and the memory blocks allocated while
+    each function's own bytecode ran
+    (``"blocks <name>"``: ``sys.getallocatedblocks`` read between traced
+    opcodes, a block counting for the function whose event came last)."""
     counts, last, owner = Counter(), [sys.getallocatedblocks()], [None]
 
     def local(frame, event, _arg):
@@ -460,6 +472,10 @@ def _bytecodes(function):
             counts[owner[0]] += grown
         if event == "opcode":
             counts["opcodes"] += 1
+            code = frame.f_code  # co_qualname is new in 3.11
+            counts["opcodes " + getattr(code, "co_qualname", code.co_name)] += 1
+        elif event == "call":
+            counts["calls " + frame.f_code.co_name] += 1
         owner[0] = "blocks " + frame.f_code.co_name
         del grown  # nothing of this callback outlives the next reading
         last[0] = sys.getallocatedblocks()
@@ -504,17 +520,22 @@ def traced_hop():
 def test_a_plain_output_hop_is_a_pinned_number_of_bytecodes(traced_hop):
     # The five frames' bodies and one run-loop step (which pops first, peeks
     # at no ``heap[0]`` and sets the clock with no jump over its backwards
-    # check).  A per-hop key was 16 more, the peek 6, the jump 1.
-    assert (traced_hop["opcodes"], traced_hop["steps"]) == (301, 1)
+    # check).  A per-hop key was 16 more, the peek 6, the jump 1, the rule's
+    # packet and byte counters and the switch's packet counter 22, the link's
+    # two bodies 18 (a ``flushing`` flag, the sender found by two identity
+    # tests) and the port map's ``.get`` and a separate miss return 5
+    # (``python tests/unit/test_work_guards.py`` prints the count per
+    # function).
+    assert (traced_hop["opcodes"], traced_hop["steps"]) == (256, 1)
 
 
 @_CPYTHON_311
 def test_a_steady_state_hop_builds_no_lookup_key(traced_hop):
     # The plan cache is looked up with the packet's own header tuple, so
-    # process_packet allocates its ForwardingResult and the byte counter's
-    # next int, nothing else.  Copying the header list for a key was a third
-    # block (its tuple came from the interpreter's free list).
-    assert traced_hop["blocks process_packet"] == 2
+    # process_packet allocates its ForwardingResult, nothing else.  The byte
+    # counter's next int was a second block, and copying the header list for
+    # a key a third (its tuple came from the interpreter's free list).
+    assert traced_hop["blocks process_packet"] == 1
 
 
 def test_every_packet_of_a_flow_carries_the_same_header_tuple(monkeypatch):
@@ -586,8 +607,9 @@ def test_the_hop_is_still_reached_through_class_attributes(monkeypatch):
     sim.run(until=0.2)
     sent = _sent(network.monitor)
     assert sent == counts["send"] >= 19
-    hops = sum(switch.packets_received for switch in network.switches.values())
-    assert hops == counts["_forward"] == counts["process_packet"] >= 3 * (sent - 1)
+    # Each packet that reached a lit switch port was forwarded, once.
+    hops = counts["_forward"]
+    assert hops == counts["process_packet"] >= 3 * (sent - 1)
     # Every packet sent or forwarded rode a link: one transmit per hop.
     assert counts["transmit_from"] == sent + hops
     assert counts["receive_packet"] == hops + _delivered(network.monitor)
@@ -748,15 +770,15 @@ def _futile_probe(miss, measure):
                                 0.1 + 0.02 * index)
             if index >= 4 - probes:  # the last probe's plan stays cached
                 sim.schedule_at(0.1005 + 0.02 * index, technique._inject_probe, info)
-        received = switch.packets_received
         gc.disable()  # a collection would run whatever gc.callbacks hold
         try:
             counted = measure(lambda: sim.run(until=0.5))
         finally:
             gc.enable()
-        # S2 took in every probe, and every plan its data plane looked them
-        # up to is a drop: no port, no PacketIn (a tap here would be a frame).
-        assert switch.packets_received - received == probes
+        # S2 took in every probe (the measure saw its ``_forward`` frames),
+        # and every plan its data plane looked them up to is a drop: no port,
+        # no PacketIn (a tap here would be a frame).
+        assert counted["calls _forward"] == probes
         plans = [plan for cached in switch.dataplane._lookup_cache.values()
                  for plan in cached.values()]
         assert plans and all(plan[2:] == ((), False) for plan in plans)
@@ -773,22 +795,32 @@ def test_a_probe_to_the_probed_switchs_drop_is_a_fixed_number_of_frames():
     # route, _finish_packet_out) -> inject_packet (compile_actions, copy)
     # -> the link -> S2's receive_packet -> _forward -> process_packet (a
     # cache hit on the drop), three of them scheduling a heap entry.
-    assert _futile_probe(False, lambda run: Counter(frames=_python_frames(run)))["frames"] == 20
+    assert _futile_probe(False, _frames)["frames"] == 20
 
 
 def test_a_probe_that_misses_the_lookup_cache_is_a_fixed_number_of_frames():
     # The hit's frames, and the miss's _compile_plan and lookup_values.
-    assert _futile_probe(True, lambda run: Counter(frames=_python_frames(run)))["frames"] == 22
+    assert _futile_probe(True, _frames)["frames"] == 22
+
+
+@_CPYTHON_311
+def test_a_futile_probe_is_a_pinned_number_of_bytecodes(traced_hop):
+    # Those frames' bodies (``__main__`` counts them) on a hit and on a miss.
+    # The channel endpoints' message counters were 14 more, the switch's
+    # packet counter 7, and the link's two bodies 18.
+    assert (traced_hop["probe hit opcodes"], traced_hop["probe miss opcodes"]) == (917, 1032)
 
 
 def test_the_control_path_is_still_reached_through_class_attributes(monkeypatch):
     # What the benchmark's span pass wraps on the control path.
-    counts = Counter()
+    counts, delivered = Counter(), Counter()
     for owner, name in ((ControlPlane, "receive"), (ConnectionEndpoint, "send"),
                         (RumLayer, "handle_from_controller"),
                         (RumLayer, "handle_from_switch"),
                         (Connection, "_schedule_delivery")):
         _counted(monkeypatch, owner, name, counts)
+    _counted(monkeypatch, ConnectionEndpoint, "_deliver", counts,
+             lambda args, _result: delivered.update((args[0],)))
     sim = Simulator()
     network = Network(sim, triangle_topology(), seed=3)
     stack = build_control_stack(sim, network, "general")
@@ -804,12 +836,11 @@ def test_the_control_path_is_still_reached_through_class_attributes(monkeypatch)
     assert len(rum.confirmation_log) == 10  # ... by probes, so PacketIns came up
     # Every message RUM's endpoints took in reached its handler.
     assert counts["handle_from_controller"] == sum(
-        upstream.side_a.received_count for upstream in rum._upstream.values()) == 10
+        delivered[upstream.side_a] for upstream in rum._upstream.values()) == 10
     assert counts["handle_from_switch"] == sum(
-        network.controller_endpoint(name).received_count
-        for name in network.switches) >= 10
+        delivered[network.controller_endpoint(name)] for name in network.switches) >= 10
     agents = [network.control_connections[name].side_a for name in network.switches]
-    assert counts["receive"] == sum(agent.received_count for agent in agents) > 20
+    assert counts["receive"] == sum(delivered[agent] for agent in agents) > 20
     # ... and every send was scheduled for delivery once (no fault intercepts).
     assert counts["send"] == counts["_schedule_delivery"] > 50
 
@@ -1001,6 +1032,82 @@ def test_a_barrier_flowmods_cumulative_ack_costs_the_same_at_any_window(monkeypa
     assert examined[0] == examined[1] <= 2, examined
 
 
+class _CountedWalk:
+    """A ``values()`` view whose walks, either way, hand each record to ``count``."""
+
+    def __init__(self, records, count):
+        self.records, self.count = records, count
+
+    def __len__(self):
+        return len(self.records)
+
+    def __iter__(self):
+        return map(self.count, self.records)
+
+    def __reversed__(self):
+        return map(self.count, reversed(self.records))
+
+
+class _CountingRecords(dict):
+    """A tracker's ``{xid: record}`` that hands every record it gives out, by
+    subscript or by a walk of its ``values()``, to ``count``."""
+
+    def __init__(self, count):
+        super().__init__()
+        self.count = count
+
+    def __getitem__(self, xid):
+        return self.count(super().__getitem__(xid))
+
+    def values(self):
+        return _CountedWalk(super().values(), self.count)
+
+
+def _stalled_batch_reads(patch, window):
+    """Pending records sequential probing's stalled-batch timer reads, and
+    its timers, in a rule-install cell at window ``window``: R = 295, so the
+    last batch of 5 stalls (batches are 10) and a timer must cover it."""
+    reads, covering = Counter(), []
+    init = PendingRuleTracker.__init__
+
+    def count(record):
+        reads["examined"] += bool(covering)
+        return record
+
+    def counting(tracker, *args, **kwargs):
+        init(tracker, *args, **kwargs)
+        tracker._pending = _CountingRecords(count)
+
+    cover = SequentialProbingTechnique._cover_stalled_batch
+
+    def counted(technique, *args):
+        reads["timers"] += 1
+        covering.append(True)
+        try:
+            return cover(technique, *args)
+        finally:
+            covering.pop()
+
+    patch.setattr(PendingRuleTracker, "__init__", counting)
+    patch.setattr(SequentialProbingTechnique, "_cover_stalled_batch", counted)
+    record = run_rule_install("sequential", RuleInstallParams.quick(rule_count=295).scaled(
+        max_unconfirmed=window, seed=3))
+    assert record.completed and reads["timers"] > 100
+    return reads["examined"], reads["timers"]
+
+
+def test_a_stalled_batch_timer_reads_as_many_records_at_any_window(monkeypatch):
+    read = []
+    for window in (20, 100):
+        with monkeypatch.context() as patch:
+            read.append(_stalled_batch_reads(patch, window))
+    # A timer reads nothing unless its batch has grown since the last probe
+    # rule, and then the newest pending sequence: the last record's (no
+    # retransmits here), once, for the tail.  Copying the window to find it
+    # read 3 760 records at K = 20 and 25 895 at K = 100.
+    assert read[0] == read[1] == (1, 266), read
+
+
 def _barrier_flowmod_opcodes(window):
     """Bytecodes of one barrier rule-install FlowMod at ``window``: the
     difference of a 200- and a 100-rule cell, per rule (counted alone: a
@@ -1075,14 +1182,17 @@ def test_rum_keeps_no_xid_of_a_message_it_will_get_no_reply_for(monkeypatch, tec
 
 
 if __name__ == "__main__":
-    # The hop's counts (what ``traced_hop`` reads), then a futile probe's
-    # frames and bytecodes on a lookup-cache hit and miss (what the frame
-    # pins above count, with the bytecodes beside them), and a barrier
-    # FlowMod's bytecodes at two windows.
+    # The hop's counts (what ``traced_hop`` reads; its bytecodes per function
+    # also go to stderr as a table), then a futile probe's frames and
+    # bytecodes on a lookup-cache hit and miss (what the frame and bytecode
+    # pins above count), and a barrier FlowMod's bytecodes at two windows.
     counts = _per_hop(_bytecodes)
+    for name, opcodes in counts.items():
+        if str(name).startswith("opcodes ") and opcodes:
+            print(f"{opcodes:6.1f}  {name[len('opcodes '):]}", file=sys.stderr)
+    print(f"{counts['opcodes']:6.1f}  plain hop", file=sys.stderr)
     for miss, label in ((False, "probe hit"), (True, "probe miss")):
-        counts[f"{label} frames"] = _futile_probe(
-            miss, lambda run: Counter(frames=_python_frames(run)))["frames"]
+        counts[f"{label} frames"] = _futile_probe(miss, _frames)["frames"]
         counts[f"{label} opcodes"] = _futile_probe(miss, _bytecodes)["opcodes"]
     for window in (20, 100):
         counts[f"barrier flowmod K={window} opcodes"] = _barrier_flowmod_opcodes(window)
