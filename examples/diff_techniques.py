@@ -28,7 +28,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from repro.analysis.diff import diff_runs, render_run_diff
+from repro.campaign.report import diff_runs, render_run_diff
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.store import RunStore, RunView
 

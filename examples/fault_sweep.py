@@ -20,11 +20,8 @@ Run with::
     python examples/fault_sweep.py
 """
 
-from repro.analysis.report import (
-    RESILIENCE_HEADERS,
-    correctness_under_fault_rows,
-    format_table,
-)
+from repro.analysis.report import format_table
+from repro.campaign.report import RESILIENCE_HEADERS, resilience
 from repro.faults import FaultPlan
 from repro.scenarios import ScenarioParams, run_scenario
 
@@ -33,7 +30,7 @@ ACK_LOSS_PROBABILITIES = (0.0, 0.25, 0.5, 1.0)
 
 
 def main() -> None:
-    groups = {}
+    lines = []
     for probability in ACK_LOSS_PROBABILITIES:
         plan = FaultPlan.from_string(
             f"ack-loss(probability={probability})" if probability else "none")
@@ -42,8 +39,9 @@ def main() -> None:
                 "fault-sweep", technique,
                 ScenarioParams(flow_count=6, seed=7, max_update_duration=5.0,
                                faults=plan.to_string()))
-            groups.setdefault((plan.to_string(), technique), []).append(
-                record.summary())
+            # A results line, labelled by its fault plan as a campaign is.
+            lines.append(dict(record.summary(), config={"fault": plan.to_string()},
+                              status="ok" if record.completed else "incomplete"))
             print(f"ack-loss p={probability:<5} {technique:8s} "
                   f"completed={str(record.completed):5s} "
                   f"dropped={record.dropped_packets:4d} "
@@ -52,7 +50,7 @@ def main() -> None:
     print()
     print(format_table(
         RESILIENCE_HEADERS,
-        correctness_under_fault_rows(groups),
+        resilience(lines),
         title="Correctness under ack loss (fault-sweep scenario, seed 7)",
     ))
 

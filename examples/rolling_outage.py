@@ -22,11 +22,8 @@ Run with::
     python examples/rolling_outage.py
 """
 
-from repro.analysis.report import (
-    RESILIENCE_HEADERS,
-    correctness_under_fault_rows,
-    format_table,
-)
+from repro.analysis.report import format_table
+from repro.campaign.report import RESILIENCE_HEADERS, resilience
 from repro.scenarios import ScenarioParams, run_scenario
 
 TECHNIQUES = ("barrier", "general", "no-wait")
@@ -34,14 +31,17 @@ RECOVERY_MODES = ("off", "on")
 
 
 def main() -> None:
-    groups = {}
+    lines = []
     for technique in TECHNIQUES:
         for recovery in RECOVERY_MODES:
             record = run_scenario(
                 "rolling-upgrade", technique,
                 ScenarioParams(flow_count=6, seed=7, recovery=recovery))
+            # A results line whose fault label names the recovery mode on
+            # both rows of a pair.
             label = f"{record.metrics['fault_plan']} +recovery={recovery}"
-            groups.setdefault((label, technique), []).append(record.summary())
+            lines.append(dict(record.summary(), config={"fault": label},
+                              status="ok" if record.completed else "incomplete"))
             report = record.recovery
             print(f"{technique:8s} recovery={recovery:3s} "
                   f"dropped={record.dropped_packets:5d} "
@@ -51,7 +51,7 @@ def main() -> None:
     print()
     print(format_table(
         RESILIENCE_HEADERS,
-        correctness_under_fault_rows(groups),
+        resilience(lines),
         title="Rolling pod-0 crash wave — recovery on vs off (seed 7)",
     ))
 

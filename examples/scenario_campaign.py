@@ -17,8 +17,10 @@ Run with::
 import sys
 from pathlib import Path
 
-from repro.campaign import CampaignRunner, CampaignSpec, render_report
+from repro.campaign import CampaignRunner, CampaignSpec
+from repro.campaign.report import render_report
 from repro.scenarios import ScenarioParams, available_scenarios, run_scenario
+from repro.store import RunStore
 
 
 def _fmt(seconds) -> str:
@@ -44,10 +46,10 @@ def main(results_path: Path) -> None:
         seeds=[1, 2],
         flow_count=6,
     )
-    store = results_path.parent / "runstore"
+    store = RunStore(results_path.parent / "runstore")
     outcome = CampaignRunner(spec, results_path, cache=store).run(progress=print)
     print(f"\nran {outcome.ran}, cached {outcome.cached} "
-          f"(re-running this script resumes from the run store {store})")
+          f"(re-running this script resumes from the run store {store.root})")
     print()
     print(render_report(results_path))
 

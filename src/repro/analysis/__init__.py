@@ -11,10 +11,10 @@ quantities the paper reports:
   RUM's and the controller's acknowledgment — and Figure 8's per-rule
   delays, a projection of it,
 * usable rule-update rates (Table 1),
-* text rendering of tables for the experiment harness and campaign reports,
-  and of what ``python -m repro.store show`` prints for runs: one run's
-  view, with its timeline and fault overlay when traced, or two runs' diff
-  (:mod:`repro.analysis.diff`, :mod:`repro.analysis.timeline`).
+* per-rule lifecycles and the per-switch activation-gap summary
+  (:mod:`repro.analysis.timeline`), whose text — with all else ``python -m
+  repro.store show`` prints — :mod:`repro.campaign.report` renders on the
+  table primitive of :mod:`repro.analysis.report`.
 """
 
 from repro.analysis.cdf import Distribution, percentile

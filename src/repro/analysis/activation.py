@@ -12,7 +12,8 @@ rule: negative values mean the controller was told too early (incorrect
 behaviour), positive values are wasted waiting time.  Figure 8 reads RUM's
 clock on one switch (:meth:`ActivationDelays.from_ledger`); the per-switch
 gap summary (:func:`repro.analysis.timeline.activation_gap_summary`) reads
-the controller's on every switch.
+the controller's on every switch; :mod:`repro.campaign.report` prints it
+for one run, a diff of two and a campaign.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ rollup.  A site is a kernel callback, so a packet's whole switch hop
 (ingress, lookup, next transmit) reads as
 ``net.link.Link._flush_train`` and a generated packet as
 ``net.traffic.TrafficGenerator._emit``.  Everything renders through the same
-:func:`~repro.analysis.report.format_table` machinery as the campaign and
-resilience reports.
+:func:`~repro.analysis.report.format_table` machinery as the views of
+:mod:`repro.campaign.report`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
-"""Plain-text rendering of experiment results.
+"""The plain-text table primitive.
 
-The experiment harness prints its results as simple aligned tables so that
-the output can be compared side by side with the paper's tables and figures
-without any plotting dependencies.
+The experiment harness, the profiler and the examples print their results
+as simple aligned tables so that the output can be compared side by side
+with the paper's tables and figures without any plotting dependencies;
+what ``python -m repro.store show`` prints is built on the same
+:func:`format_table` in :mod:`repro.campaign.report`.
 """
 
 from __future__ import annotations
@@ -35,70 +37,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     for row in normalised_rows:
         lines.append(" | ".join(cell.ljust(width) for cell, width in zip(row, widths)))
     return "\n".join(lines)
-
-
-#: Scenario metric keys that count safety violations (summed per group).
-VIOLATION_METRICS = (
-    "http_bypassing_firewall",
-    "residual_drained_deliveries",
-)
-
-#: Column headers of :func:`correctness_under_fault_rows`.
-RESILIENCE_HEADERS = ["fault", "technique", "runs", "completed",
-                      "mean duration [s]", "dropped", "violations",
-                      "max broken [s]", "fault events", "recovered",
-                      "reinstalled"]
-
-
-def correctness_under_fault_rows(
-    groups: Dict[Tuple[str, str], Sequence[Dict[str, object]]],
-) -> List[List[object]]:
-    """Per-(fault, technique) correctness rows from flat run summaries.
-
-    ``groups`` maps ``(fault label, technique)`` to
-    :meth:`~repro.session.record.RunRecord.summary` dicts (campaign records
-    qualify as-is).  One row per group: how often the update completed, how
-    long it took, and what correctness damage — dropped packets, safety
-    violations, broken time — the fault caused, next to the number of fault
-    activations that caused it.  Fault-free groups (label ``"none"``) serve
-    as the control rows.
-
-    The last two columns report the recovery subsystem: ``recovered`` counts
-    runs whose armed recovery manager reported full reconvergence (``-``
-    when no run of the group armed recovery — the pre-recovery rendering),
-    and ``reinstalled`` sums the rules replayed from shadow state.
-    """
-    rows: List[List[object]] = []
-    for (fault, technique), summaries in sorted(groups.items()):
-        durations = [s["update_duration"] for s in summaries
-                     if s.get("update_duration") is not None]
-        broken = [s.get("max_broken_time") or 0.0 for s in summaries]
-        violations = sum(
-            int((s.get("metrics") or {}).get(key, 0))
-            for s in summaries for key in VIOLATION_METRICS
-        )
-        recoveries = [s.get("recovery") or {} for s in summaries]
-        recoveries = [r for r in recoveries if r]
-        recovered = (
-            f"{sum(1 for r in recoveries if r.get('reconverged'))}/{len(recoveries)}"
-            if recoveries else "-"
-        )
-        reinstalled = (sum(int(r.get("rules_reinstalled") or 0)
-                           for r in recoveries) if recoveries else "-")
-        rows.append([
-            fault,
-            technique,
-            len(summaries),
-            f"{sum(1 for s in summaries if s.get('completed'))}/{len(summaries)}",
-            (sum(durations) / len(durations)) if durations else "-",
-            sum(int(s.get("dropped_packets") or 0) for s in summaries),
-            violations,
-            max(broken, default=0.0),
-            sum(sum((s.get("faults") or {}).values()) for s in summaries),
-            recovered,
-            reinstalled,
-        ])
-    return rows
 
 
 def _format_cell(cell: object) -> str:

@@ -3,8 +3,8 @@
 :func:`rule_lifecycles` reads the full trace of a session and reconstructs
 every rule's lifecycle — issued, sent, received, applied to the control
 plane, acknowledged, activated in hardware — as one :class:`RuleLifecycle`
-per ``(switch, xid)``: the phase view that first-divergence alignment
-(:mod:`repro.analysis.diff`) and the fault overlay need.
+per ``(switch, xid)``: the phase view that first-divergence alignment and
+the fault overlay (:func:`fault_overlaps`) need.
 
 The headline quantity, the **activation gap**
 
@@ -17,8 +17,8 @@ activation ledger (:mod:`repro.analysis.activation`), which every run has,
 traced or not.  :func:`activation_gap_summary` condenses it per switch;
 rules acknowledged but *never* activated are counted separately.
 
-Renderers produce the per-rule timeline report and the fault-overlay view
-(what each armed fault model was doing while rules were in flight).
+The text of all of it — the per-rule timeline, the gap summary and the
+fault overlay — is rendered by :mod:`repro.campaign.report`.
 """
 
 from __future__ import annotations
@@ -39,6 +39,20 @@ from repro.obs.events import (
     TraceEvent,
     TraceLog,
 )
+
+
+#: Lifecycle phases paired with the :class:`RuleLifecycle` slot each fills,
+#: in causal order (how a divergence is picked when timestamps tie).
+PHASE_SLOTS: Tuple[Tuple[str, str], ...] = (
+    (PHASE_UPDATE_ISSUED, "issued"),
+    (PHASE_MSG_SENT, "msg_sent"),
+    (PHASE_SWITCH_RECEIVED, "switch_received"),
+    (PHASE_CONTROL_APPLIED, "control_applied"),
+    (PHASE_ACK_SENT, "ack_sent"),
+    (PHASE_ACK_RECEIVED, "ack_received"),
+    (PHASE_HW_ACTIVATED, "hw_activated"),
+)
+_SLOT_BY_PHASE = dict(PHASE_SLOTS)
 
 
 @dataclass
@@ -73,14 +87,6 @@ def rule_lifecycles(log: TraceLog) -> Dict[Tuple[str, int], RuleLifecycle]:
     #: send only looks at the candidates it could match.
     by_xid: Dict[int, List[RuleLifecycle]] = {}
     sends: List[TraceEvent] = []
-    slot_by_phase = {
-        PHASE_UPDATE_ISSUED: "issued",
-        PHASE_SWITCH_RECEIVED: "switch_received",
-        PHASE_CONTROL_APPLIED: "control_applied",
-        PHASE_ACK_SENT: "ack_sent",
-        PHASE_ACK_RECEIVED: "ack_received",
-        PHASE_HW_ACTIVATED: "hw_activated",
-    }
 
     for event in log.events:
         xid = event.xid
@@ -89,7 +95,7 @@ def rule_lifecycles(log: TraceLog) -> Dict[Tuple[str, int], RuleLifecycle]:
         if event.phase == PHASE_MSG_SENT:
             sends.append(event)
             continue
-        slot = slot_by_phase.get(event.phase)
+        slot = _SLOT_BY_PHASE.get(event.phase)
         if slot is None or not event.switch:
             continue
         entry = lifecycles.get((event.switch, xid))
@@ -145,63 +151,6 @@ def activation_gap_summary(ledger: Iterable[LedgerRow]) -> Dict[str, Dict[str, f
     return summary
 
 
-def _fmt_ms(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value * 1000.0:+.2f}ms"
-
-
-def _gap(row: Optional[LedgerRow]) -> str:
-    if row is None or row.acked_at is None:
-        return "-"
-    if row.activated_at is None:
-        return "never"
-    return _fmt_ms(row.acked_at - row.activated_at)
-
-
-def render_timeline_report(log: TraceLog, ledger: Iterable[LedgerRow],
-                           title: str = "") -> str:
-    """Per-rule lifecycle table of a traced run, gaps from its ledger."""
-    lines: List[str] = []
-    header = title or f"Rule lifecycle timeline — {log.technique or 'unknown'}"
-    lines.append(header)
-    lines.append("=" * len(header))
-    lifecycles = sorted(rule_lifecycles(log).items())
-    if not lifecycles:
-        lines.append("(no rule lifecycle events in trace)")
-        return "\n".join(lines) + "\n"
-    ledger = list(ledger)
-    rows = {(row.switch, row.xid): row for row in ledger}
-    lines.append(f"{'switch':<8} {'xid':>6} {'issued':>9} {'received':>9} "
-                 f"{'acked':>9} {'hw-active':>9} {'gap':>10}  confirmed-by")
-    for (switch, xid), entry in lifecycles:
-        def stamp(value: Optional[float]) -> str:
-            return f"{value:9.4f}" if value is not None else f"{'-':>9}"
-
-        lines.append(
-            f"{switch:<8} {xid:>6} {stamp(entry.issued)} "
-            f"{stamp(entry.switch_received)} {stamp(entry.ack_received)} "
-            f"{stamp(entry.hw_activated)} {_gap(rows.get((switch, xid))):>10}  "
-            f"{entry.confirmed_by}"
-        )
-    lines.append("")
-    lines += gap_summary_lines(activation_gap_summary(ledger))
-    return "\n".join(lines) + "\n"
-
-
-def gap_summary_lines(summary: Dict[str, Dict[str, float]]) -> List[str]:
-    """The text of an :func:`activation_gap_summary`, one line per switch."""
-    lines = ["Per-switch activation-gap summary (ack - hw activation; "
-             "negative = unsafe early ack)"]
-    for switch, stats in summary.items():
-        detail = (f"  {switch}: {int(stats['rules'])} rules, "
-                  f"{int(stats['early'])} early, {int(stats['never'])} never")
-        if "mean" in stats:
-            detail += (f", gap min {_fmt_ms(stats['min'])} / "
-                       f"mean {_fmt_ms(stats['mean'])} / "
-                       f"max {_fmt_ms(stats['max'])}")
-        lines.append(detail)
-    return lines
-
-
 @dataclass
 class FaultOverlap:
     """One fault activation and the rules that were in flight around it."""
@@ -230,22 +179,3 @@ def fault_overlaps(log: TraceLog) -> List[FaultOverlap]:
                                      detail=event.detail,
                                      open_rules=open_rules))
     return overlaps
-
-
-def render_fault_overlay(log: TraceLog, title: str = "") -> str:
-    """Fault activations interleaved with the rules they could affect."""
-    lines: List[str] = []
-    header = title or "Fault overlay"
-    lines.append(header)
-    lines.append("=" * len(header))
-    overlaps = fault_overlaps(log)
-    if not overlaps:
-        lines.append("(no fault activations in trace)")
-        return "\n".join(lines) + "\n"
-    for overlap in overlaps:
-        rules = (", ".join(f"{switch}/{xid}"
-                           for switch, xid in overlap.open_rules)
-                 or "none")
-        lines.append(f"t={overlap.ts:9.4f}  {overlap.detail:<32} "
-                     f"@{overlap.switch or '*':<6} open rules: {rules}")
-    return "\n".join(lines) + "\n"

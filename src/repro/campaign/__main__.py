@@ -37,11 +37,12 @@ from pathlib import Path
 
 from repro.analysis.report import format_table
 from repro.campaign.grid import CampaignSpec
-from repro.campaign.report import render_report
+from repro.campaign.report import render_report, render_status
 from repro.campaign.runner import CampaignRunner
 from repro.faults import available_faults, get_fault
 from repro.faults.plan import split_outside_parens
 from repro.scenarios import SCENARIOS, TOPOLOGY_FAMILIES, available_scenarios
+from repro.store.store import RunStore
 
 DEFAULT_RESULTS = "campaign-results.jsonl"
 
@@ -190,7 +191,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec.validate()
     cache = args.cache or args.out.parent / "runstore"
     runner = CampaignRunner(spec, args.out, max_workers=args.workers,
-                            cache=cache)
+                            cache=RunStore(cache))
     cells = spec.cells()
     logger.info(
         "campaign: %d cells (%d scenarios x %d techniques x %d faults "
@@ -214,20 +215,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if outcome.failed else 0
 
 
-def cmd_status(args: argparse.Namespace) -> int:
-    from repro.campaign.status import render_status
-
-    print(render_status(args.status))
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     setup_logging(verbose=args.verbose, quiet=args.quiet)
     try:
         if args.status is not None:
-            return cmd_status(args)
+            print(render_status(args.status))
+            return 0
         if args.command is None:
             parser.error("a subcommand (list/run) or --status is required")
         if args.command == "list":

@@ -108,7 +108,7 @@ def run_cells_chunk(
     records: List[Dict[str, object]] = []
     for cell in cells:
         if beats is not None:
-            beats.cell_started(cell.cell_id, cell.describe())
+            beats.cell_started(cell.cell_id)
         record = run_cell(cell, trace_dir=trace_dir)
         if beats is not None:
             beats.cell_finished(cell.cell_id, str(record.get("status")),
@@ -186,7 +186,7 @@ class CampaignRunner:
         cache: Optional[object] = None,
     ) -> None:
         self.spec = spec
-        #: A :class:`repro.store.RunStore` (or its root path): a cell whose
+        #: A :class:`repro.store.RunStore`: a cell whose
         #: ``cell_id`` maps to a digest-verified record there is emitted
         #: verbatim instead of simulated, and every finished cell is put
         #: into it.  ``None``: nothing persists beyond the results file.
@@ -241,16 +241,6 @@ class CampaignRunner:
                         ]
                     yield chunk, chunk_records
 
-    def _cache_store(self):
-        """The :class:`~repro.store.RunStore` behind ``cache`` (if any)."""
-        if self.cache is None:
-            return None
-        if isinstance(self.cache, (str, Path)):
-            from repro.store import RunStore
-
-            return RunStore(Path(self.cache))
-        return self.cache
-
     def run(self, progress: Optional[Callable[[str], None]] = None) -> CampaignOutcome:
         """Write one JSON line per grid cell: store hits first, then the rest.
 
@@ -272,19 +262,18 @@ class CampaignRunner:
         cells = self.spec.cells()
         pending = cells
         cache_hits: List[tuple] = []
-        store = self._cache_store()
-        if store is not None:
+        if self.cache is not None:
             pending = []
             for cell in cells:
-                hit = store.cached_record(cell.cell_id)
+                hit = self.cache.cached_record(cell.cell_id)
                 if hit is None:
                     pending.append(cell)
                 else:
                     cache_hits.append((cell, hit))
             if cache_hits:
                 say(f"cache: {len(cache_hits)}/{len(cells)} cells "
-                    f"have digest-verified records in {store.root}; they "
-                    f"may predate this code (delete {store.root} to "
+                    f"have digest-verified records in {self.cache.root}; they "
+                    f"may predate this code (delete {self.cache.root} to "
                     f"start cold)")
         ran = failed = 0
         records: List[Dict[str, object]] = []
@@ -329,8 +318,8 @@ class CampaignRunner:
                         record.get("peak_rss_kb"), record.get("status"))
                 sink.flush()
                 records.extend(encoded)
-                if store is not None:
-                    store.put_summaries(encoded)
+                if self.cache is not None:
+                    self.cache.put_summaries(encoded)
         return CampaignOutcome(
             total_cells=len(cells),
             ran=ran,

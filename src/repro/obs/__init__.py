@@ -25,8 +25,8 @@ rule; this package records *how* it opened, phase by phase:
 Arm tracing declaratively with ``SessionSpec(trace=True)`` (or
 ``ScenarioParams(trace=True)``, or ``python -m repro.campaign run --trace``);
 the :class:`~repro.session.record.RunRecord` then carries the
-:class:`TraceLog` and :mod:`repro.analysis.timeline` renders per-rule
-lifecycle and fault-overlay reports from it.
+:class:`TraceLog`, whose per-rule lifecycles and fault overlaps
+:mod:`repro.campaign.report` renders.
 """
 
 from repro.obs.events import (

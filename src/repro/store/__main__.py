@@ -31,9 +31,13 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.diff import diff_runs, render_run, render_run_diff
 from repro.analysis.report import format_table
-from repro.campaign.report import render_differential_report, render_report
+from repro.campaign.report import (
+    diff_runs,
+    render_report,
+    render_run,
+    render_run_diff,
+)
 from repro.store.store import RunStore, StoreError
 
 #: Columns of the ``query`` table.
@@ -125,11 +129,7 @@ def cmd_show(store: RunStore, args: argparse.Namespace) -> int:
             f"cannot show {' against '.join(ref.ref for ref in refs)}: "
             "compare two runs, or a results file with another or with a "
             "store directory (as text)")
-    print(render_report(results))
-    if len(refs) == 2:
-        print()
-        print(render_differential_report(results, refs[1].cells,
-                                         Path(refs[1].ref)))
+    print(render_report(results, refs[1] if len(refs) == 2 else None))
     return 0
 
 

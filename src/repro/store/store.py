@@ -49,11 +49,10 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.analysis.activation import LedgerRow
 from repro.analysis.timeline import activation_gap_summary
-from repro.campaign.report import run_labels
 from repro.campaign.runner import FINAL_STATUSES, load_records
 from repro.obs.events import TraceLog
 from repro.obs.export import trace_from_chrome
@@ -139,6 +138,27 @@ class GcStats:
                 f"{self.orphan_artifacts} orphaned artifact trees")
 
 
+def run_labels(run: Mapping[str, object]) -> Tuple[str, str]:
+    """The ``(fault, recovery)`` labels of one run.
+
+    ``run`` is a campaign results line or a full record payload.  An axis
+    the cell's ``config`` sets is its label verbatim.  An absent axis, or a
+    run outside a campaign, is labelled by the plan and policy strings the
+    run actually armed, from its session encoding (a line's ``session``, a
+    payload's ``spec``).  So a scenario that arms its own faults
+    (``rolling-upgrade``) is never mistaken for the fault-free control.
+    """
+    axes = run.get("config") or {}
+    session = run.get("session") or run.get("spec") or {}
+    fault = axes.get("fault")
+    if fault is None:
+        fault = session.get("faults")
+    recovery = axes.get("recovery")
+    if recovery is None:
+        recovery = (session.get("knobs") or {}).get("recovery")
+    return str(fault or "none"), str(recovery or "off")
+
+
 @dataclass
 class RunView:
     """One run as every reader sees it, whichever artifact holds it.
@@ -201,7 +221,9 @@ class RunView:
 
 @dataclass
 class Resolved:
-    """What one REF names: one run, or a campaign's finished cells."""
+    """What one REF names: one run, or a campaign's cells (every line of a
+    results file, ``error`` ones included; a store directory's
+    digest-verified cells, which are never ``error`` ones)."""
 
     ref: str
     #: The artifact as read: a store object, a record payload, or the lines
@@ -317,10 +339,10 @@ class RunStore:
         """The one resolver: what ``ref`` names, read and never written.
 
         A directory is a store and names its digest-verified cells, as
-        :meth:`cached_record` serves them; a ``.jsonl`` file names the
-        finished cells of a results file and a ``.json`` file one record
-        payload; either suffix naming no file is refused as such.  Anything
-        else is an exact index key, such as a
+        :meth:`cached_record` serves them; a ``.jsonl`` file names every
+        cell of a results file, ``error`` ones included, and a ``.json``
+        file one record payload; either suffix naming no file is refused as
+        such.  Anything else is an exact index key, such as a
         ``cell_id``, which wins over a digest-prefix match, or a digest
         prefix in this store.  A stored run is its full record where one is
         stored (its trace is inline), else the cell's summary with its
@@ -337,7 +359,7 @@ class RunStore:
             lines = load_records(path)
             return Resolved(ref, lines, cells={
                 str(line["cell_id"]): line for line in lines
-                if line.get("status") in FINAL_STATUSES and "cell_id" in line})
+                if "cell_id" in line})
         if path.suffix == ".json" and path.is_file():
             payload = json.loads(path.read_text(encoding="utf-8"))
             return Resolved(ref, payload, run=RunView(payload, path.name))

@@ -143,11 +143,8 @@ def test_activation_delays_properties():
 # -- report renderers: golden strings -------------------------------------------
 
 def test_resilience_table_golden():
-    from repro.analysis.report import (
-        RESILIENCE_HEADERS,
-        correctness_under_fault_rows,
-        format_table,
-    )
+    from repro.analysis.report import format_table
+    from repro.campaign.report import RESILIENCE_HEADERS, resilience
 
     groups = {
         ("none", "barrier"): [
@@ -181,7 +178,11 @@ def test_resilience_table_golden():
         "none                      | barrier   | 2    | 2/2       | 1.500             | 2       | 0          | 0.500          | 0            | -         | -          \n"
         "switch-crash(at=0.5)      | general   | 2    | 2/2       | 1.000             | 39      | 0          | 1.500          | 2            | 1/2       | 6          "
     )
-    table = format_table(RESILIENCE_HEADERS,
-                         correctness_under_fault_rows(groups),
+    # Campaign lines: the fault label comes from the cell's ``config``.
+    records = [dict(summary, technique=technique, config={"fault": fault},
+                    status="ok" if summary["completed"] else "incomplete")
+               for (fault, technique), summaries in groups.items()
+               for summary in summaries]
+    table = format_table(RESILIENCE_HEADERS, resilience(records),
                          title="Resilience")
     assert table == expected

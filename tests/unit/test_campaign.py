@@ -2,6 +2,7 @@
 report."""
 
 import json
+import logging
 
 import pytest
 
@@ -9,11 +10,10 @@ from repro.campaign import (
     CampaignCell,
     CampaignRunner,
     CampaignSpec,
-    aggregate,
     load_records,
-    render_report,
     run_cell,
 )
+from repro.campaign.report import aggregate, render_report
 from repro.campaign.runner import run_cells_chunk
 from repro.store import RunStore
 
@@ -220,6 +220,29 @@ class TestReport:
         assert violations == 2
         assert digests == 0  # hand-written records carry no digest
 
+    def test_the_mean_gap_weighs_every_activated_rule(self):
+        from repro.campaign.report import activation_gaps
+
+        def stats(rules, gap, never=0):
+            return {"rules": rules, "early": 0, "never": never,
+                    "min": gap, "mean": gap, "max": gap}
+
+        # S1 activates 1 rule 10 ms before its ack, S2 99 rules at 0 ms, and
+        # S3's only rule never activates: 10 ms over 100 activated rules.
+        record = {"status": "ok", "scenario": "s", "technique": "t",
+                  "activation_gaps": {"S1": stats(1, 0.010),
+                                      "S2": stats(99, 0.0),
+                                      "S3": {"rules": 1, "early": 0,
+                                             "never": 1}}}
+        assert activation_gaps([record]) == [
+            ["t", "none", 101, 0, 1, "+0.10", "+0.00"]]
+        # Split over two cells, the same rules give the same row.
+        first = dict(record, activation_gaps={"S1": stats(1, 0.010)})
+        second = dict(record, activation_gaps={"S2": stats(99, 0.0),
+                                               "S3": {"rules": 1, "early": 0,
+                                                      "never": 1}})
+        assert activation_gaps([first, second]) == activation_gaps([record])
+
     def test_render_report_empty_file(self, tmp_path):
         assert "no campaign records" in render_report(tmp_path / "none.jsonl")
 
@@ -331,7 +354,10 @@ class TestTelemetry:
         shards = load_shards(runner.heartbeat_dir)
         assert shards, "no heartbeat shards written"
         events = [line for lines in shards.values() for line in lines]
-        assert sum(1 for e in events if e["event"] == "cell-start") == 4
+        starts = [e for e in events if e["event"] == "cell-start"]
+        assert len(starts) == 4
+        # A cell-start beat carries what ``--status`` reads, and no more.
+        assert all(set(e) == {"event", "cell_id", "ts", "pid"} for e in starts)
         done = [e for e in events if e["event"] == "cell-done"]
         assert sum(1 for _ in done) == 4
         assert all(e["status"] == "ok" for e in done)
@@ -378,7 +404,7 @@ class TestStatus:
         return path
 
     def test_status_after_a_real_run(self, tmp_path):
-        from repro.campaign.status import render_status
+        from repro.campaign.report import render_status
 
         results = tmp_path / "results.jsonl"
         CampaignRunner(_tiny_spec(), results, max_workers=2).run()
@@ -391,7 +417,7 @@ class TestStatus:
 
     def test_a_resume_counts_only_the_beats_of_its_own_invocation(self, tmp_path):
         from repro.campaign.heartbeat import write_manifest
-        from repro.campaign.status import render_status
+        from repro.campaign.report import render_status
 
         results = tmp_path / "results.jsonl"
         store = RunStore(tmp_path / "store")
@@ -409,8 +435,8 @@ class TestStatus:
             "Campaign status — 2 cells done, 0 of 2 pending remain (4 total in grid)")
 
     def test_running_straggler_and_dead_detection(self, tmp_path):
-        from repro.campaign.status import render_status, worker_statuses
-        from repro.campaign.heartbeat import load_shards
+        from repro.campaign.heartbeat import load_shards, worker_statuses
+        from repro.campaign.report import render_status
 
         now = 1000.0
         done = {"event": "cell-done", "cell_id": "a", "status": "ok",
@@ -443,8 +469,7 @@ class TestStatus:
         assert "warning: worker 3 is dead?" in text
 
     def test_exited_vs_idle_without_open_cells(self, tmp_path):
-        from repro.campaign.status import worker_statuses
-        from repro.campaign.heartbeat import load_shards
+        from repro.campaign.heartbeat import load_shards, worker_statuses
 
         now = 1000.0
         self._write_shard(tmp_path, 1, [
@@ -456,7 +481,7 @@ class TestStatus:
         assert states == {1: "exited", 2: "idle"}
 
     def test_status_of_an_empty_directory(self, tmp_path):
-        from repro.campaign.status import render_status
+        from repro.campaign.report import render_status
 
         assert "no heartbeat shards" in render_status(tmp_path / "nothing")
 
@@ -497,8 +522,11 @@ class TestStatusThresholds:
         ])
 
     def test_stale_after_promotes_running_to_dead(self, tmp_path):
-        from repro.campaign.heartbeat import load_shards
-        from repro.campaign.status import DEFAULT_STALE_AFTER, worker_statuses
+        from repro.campaign.heartbeat import (
+            DEFAULT_STALE_AFTER,
+            load_shards,
+            worker_statuses,
+        )
 
         now = 1000.0
         self._midcell_fleet(tmp_path, now)
@@ -514,8 +542,11 @@ class TestStatusThresholds:
             shards, now=last_beat + DEFAULT_STALE_AFTER + 1)[0].state == "dead?"
 
     def test_straggler_factor_widens_the_window(self, tmp_path):
-        from repro.campaign.heartbeat import load_shards
-        from repro.campaign.status import DEFAULT_STRAGGLER_FACTOR, worker_statuses
+        from repro.campaign.heartbeat import (
+            DEFAULT_STRAGGLER_FACTOR,
+            load_shards,
+            worker_statuses,
+        )
 
         now = 1000.0
         self._midcell_fleet(tmp_path, now)
@@ -575,12 +606,23 @@ class TestCampaignCache:
         right = render_report(rerun).replace(str(rerun), "RESULTS")
         assert left == right
 
-    def test_cache_accepts_a_path(self, tmp_path):
-        results, store = self._populated_store(tmp_path)
-        rerun = tmp_path / "second.jsonl"
-        outcome = CampaignRunner(self._spec(), rerun, max_workers=2,
-                                 cache=store.root).run()
-        assert outcome.cached == 4
+    def test_cache_accepts_a_path(self, tmp_path, caplog):
+        # The runner takes a RunStore; ``--cache PATH`` makes one of a path.
+        from repro.campaign.__main__ import main
+
+        spec = CampaignSpec(scenarios=["path-migration"],
+                            techniques=["timeout", "general"], scales=[1],
+                            seeds=[1, 2], flow_count=2)
+        store = RunStore(tmp_path / "store")
+        CampaignRunner(spec, tmp_path / "first.jsonl", max_workers=2,
+                       cache=store).run()
+        with caplog.at_level(logging.INFO, logger="repro"):
+            assert main(["run", "--scenarios", "path-migration",
+                         "--techniques", "timeout,general", "--scales", "1",
+                         "--seeds", "1,2", "--flows", "2", "--workers", "2",
+                         "--no-report", "--cache", str(store.root),
+                         "--out", str(tmp_path / "second.jsonl")]) == 0
+        assert "ran 0, cached 4" in caplog.text
 
     def test_partial_hits_simulate_the_rest(self, tmp_path):
         results, store = self._populated_store(tmp_path)
@@ -595,7 +637,7 @@ class TestCampaignCache:
 
     def test_manifest_and_status_count_cached_cells(self, tmp_path):
         from repro.campaign.heartbeat import load_manifest
-        from repro.campaign.status import render_status
+        from repro.campaign.report import render_status
 
         results, store = self._populated_store(tmp_path)
         other = tmp_path / "rerun"
@@ -642,17 +684,20 @@ class TestDifferentialReport:
         return results
 
     @staticmethod
-    def _cells(ref):
-        """``cell_id -> line`` of a results file or store directory (such a
-        REF never reads the store it is resolved against)."""
-        return RunStore("runstore").read(str(ref)).cells
+    def _baseline(ref):
+        """What a results file or store directory resolves to (such a REF
+        never reads the store it is resolved against)."""
+        return RunStore("runstore").read(str(ref))
+
+    @classmethod
+    def _cells(cls, ref):
+        """``cell_id -> line`` of a results file or store directory."""
+        return cls._baseline(ref).cells
 
     def test_identical_results_have_no_rows(self, tmp_path):
-        from repro.campaign.report import render_differential_report
-
         left = self._results(tmp_path, "left.jsonl")
         right = self._results(tmp_path, "right.jsonl")
-        text = render_differential_report(left, self._cells(right), right)
+        text = render_report(left, self._baseline(right))
         assert "4 unchanged, 0 changed, 0 new, 0 only in baseline" in text
         assert "identical outcome" in text  # the no-rows epilogue
 
@@ -678,6 +723,53 @@ class TestDifferentialReport:
         row = rows[0]
         assert "->" in row[5]  # digest column shows the move
         assert "dropped_packets: " in row[6]
+
+    def test_a_crashed_cell_is_a_changed_row_both_ways(self, tmp_path):
+        from repro.campaign.report import differential
+
+        results = self._results(tmp_path)
+        lines = load_records(results)
+        ok = lines[0]
+        crashed = {"cell_id": ok["cell_id"], "config": ok["config"],
+                   "status": "error", "error": "RuntimeError: agent lost"}
+        prefix = [ok["scenario"], ok["technique"], "none", ok["seed"]]
+
+        rows, counts = differential([crashed] + lines[1:], self._cells(results))
+        assert counts == {"unchanged": len(lines) - 1, "changed": 1,
+                          "new": 0, "missing": 0}
+        assert rows == [prefix + ["ok -> error", f"{ok['digest']} -> -",
+                                  "RuntimeError: agent lost"]]
+
+        # A results baseline keeps its error lines: the cell recovered.
+        crashed_run = tmp_path / "crashed.jsonl"
+        crashed_run.write_text("".join(
+            json.dumps(line) + "\n" for line in [crashed] + lines[1:]))
+        rows, counts = differential(lines, self._cells(crashed_run))
+        assert counts == {"unchanged": len(lines) - 1, "changed": 1,
+                          "new": 0, "missing": 0}
+        assert rows == [prefix + ["error -> ok", f"- -> {ok['digest']}",
+                                  "RuntimeError: agent lost"]]
+
+        # A store keeps no error line: against it the cell that errored in
+        # both runs is new, and its row still says why it failed.
+        store = RunStore(tmp_path / "store")
+        store.ingest(crashed_run)
+        rows, counts = differential([crashed] + lines[1:],
+                                    self._cells(store.root))
+        assert counts == {"unchanged": len(lines) - 1, "changed": 0,
+                          "new": 1, "missing": 0}
+        assert rows == [prefix + ["error", "-", "new cell (not in baseline): "
+                                                "RuntimeError: agent lost"]]
+
+    def test_rows_sort_seeds_as_numbers(self):
+        from repro.campaign.report import differential
+
+        records = [{"cell_id": f"cell-{seed}", "scenario": "s",
+                    "technique": "t", "seed": seed, "status": "ok",
+                    "digest": f"d{seed}"} for seed in (10, 2, 1)]
+        rows, counts = differential(records, {})
+        assert counts["new"] == 3
+        assert [row[3] for row in rows] == [1, 2, 10]
 
     def test_new_and_missing_cells_are_counted(self, tmp_path):
         from repro.campaign.report import differential

@@ -1,4 +1,4 @@
-"""Tests for differential run analytics (``repro.analysis.diff``).
+"""Tests for differential run analytics (``repro.campaign.report``).
 
 Synthetic :class:`TraceLog` pairs pin the first-divergence discipline
 (earliest anchor, then switch / xid / causal phase order), including the
@@ -10,14 +10,14 @@ degradation when one side was not traced.
 
 import json
 
-from repro.analysis.diff import (
+from repro.analysis.activation import LedgerRow
+from repro.analysis.timeline import activation_gap_summary, rule_lifecycles
+from repro.campaign.report import (
     FirstDivergence,
     diff_runs,
     first_lifecycle_divergence,
     render_run_diff,
 )
-from repro.analysis.activation import LedgerRow
-from repro.analysis.timeline import activation_gap_summary, rule_lifecycles
 from repro.obs.export import chrome_trace_json
 from repro.obs.events import (
     PHASE_ACK_RECEIVED,

@@ -9,8 +9,8 @@ import math
 
 import pytest
 
-from repro.campaign import CampaignSpec, render_report, run_cell
-from repro.campaign.report import has_fault_axis, resilience
+from repro.campaign import CampaignSpec, run_cell
+from repro.campaign.report import has_fault_axis, render_report, resilience
 from repro.experiments.common import EndToEndParams, migration_session, run_path_migration
 from repro.faults import (
     CONTROL_CHANNEL,

@@ -278,7 +278,7 @@ class TestTimeline:
         assert summary["S2"]["mean"] == pytest.approx(-0.30)
 
     def test_render_timeline_report(self):
-        from repro.analysis.timeline import render_timeline_report
+        from repro.campaign.report import render_timeline_report
 
         text = render_timeline_report(_synthetic_log(), _synthetic_ledger())
         assert "Rule lifecycle timeline — timeout" in text
@@ -287,7 +287,8 @@ class TestTimeline:
         assert "unsafe early ack" in text
 
     def test_fault_overlay_lists_open_rules(self):
-        from repro.analysis.timeline import fault_overlaps, render_fault_overlay
+        from repro.analysis.timeline import fault_overlaps
+        from repro.campaign.report import render_fault_overlay
 
         overlaps = fault_overlaps(_synthetic_log())
         assert len(overlaps) == 1
@@ -298,7 +299,7 @@ class TestTimeline:
         assert "S2/2, S2/3" in text
 
     def test_empty_log_renders_placeholder(self):
-        from repro.analysis.timeline import (
+        from repro.campaign.report import (
             render_fault_overlay,
             render_timeline_report,
         )

@@ -629,10 +629,7 @@ class TestShow:
 
     def test_a_results_file_against_another_is_the_differential_table(
             self, tmp_path, capsys):
-        from repro.campaign.report import (
-            render_differential_report,
-            render_report,
-        )
+        from repro.campaign.report import render_report
 
         left = _campaign(tmp_path)
         right_dir = tmp_path / "right"
@@ -641,7 +638,6 @@ class TestShow:
         assert store_main(["--store", str(tmp_path / "store"), "show",
                            str(left), str(right)]) == 0
         out = capsys.readouterr().out
-        cells = {record["cell_id"]: record for record in load_records(right)}
-        assert out == (render_report(left) + "\n\n"
-                       + render_differential_report(left, cells, right) + "\n")
+        baseline = RunStore(tmp_path / "store").read(str(right))
+        assert out == render_report(left, baseline) + "\n"
         assert "2 unchanged, 0 changed, 0 new, 0 only in baseline" in out
