@@ -259,8 +259,9 @@ class RunDiff:
 
     @property
     def changed(self) -> List[str]:
+        """Keys whose values differ as printed (floats to four places)."""
         return [key for key, (left, right) in self.summary.items()
-                if left != right]
+                if _fmt(left) != _fmt(right)]
 
     @property
     def identical(self) -> bool:

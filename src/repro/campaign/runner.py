@@ -118,40 +118,41 @@ def run_cells_chunk(
 
 
 def load_records(results_path: Path) -> List[Dict[str, object]]:
-    """All parseable records of a JSON-lines results file (may be empty)."""
+    """All parseable records of a JSON-lines results file (may be empty):
+    a blank line, or one a killed run left half-written, is none."""
     records = []
     if not results_path.exists():
         return records
     with results_path.open("r", encoding="utf-8") as handle:
-        for raw_line in handle:
-            line = raw_line.strip()
-            if not line:
-                continue
+        for line in handle:
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError:
-                # A half-written trailing line from a killed run; skip it.
                 continue
     return records
 
 
-def encode_record(record: Dict[str, object],
-                  cell: CampaignCell) -> "tuple[str, Dict[str, object]]":
-    """JSON-encode a cell record, downgrading un-encodable ones to errors.
+def encode_record(record: Dict[str, object], cell: CampaignCell,
+                  line: Optional[str] = None) -> "tuple[str, Dict[str, object]]":
+    """The results line of a cell record, and the record it stands for.
 
-    A scenario returning metrics json cannot serialize must cost only its
-    own cell — not abort the campaign loop with other futures in flight.
+    A store hit's ``line`` is re-emitted as it stands, encoding nothing.  A
+    record json cannot serialize is downgraded to an error: it must cost
+    only its own cell, not the campaign loop with other futures in flight.
     """
+    if line is not None:
+        return line, record
     try:
         return json.dumps(record), record
     except TypeError as error:
-        record = {
-            "cell_id": cell.cell_id,
-            "config": cell.config(),
-            "status": "error",
-            "error": f"unserializable result: {error}",
-        }
+        record = _error_record(cell, f"unserializable result: {error}")
         return json.dumps(record), record
+
+
+def _error_record(cell: CampaignCell, error: str) -> Dict[str, object]:
+    """The record of a cell that produced no outcome."""
+    return {"cell_id": cell.cell_id, "config": cell.config(),
+            "status": "error", "error": error}
 
 
 #: Record statuses the run store keeps, and so never re-simulates.
@@ -230,15 +231,9 @@ class CampaignRunner:
                     try:
                         chunk_records = future.result()
                     except Exception as error:  # pool/pickling failure
-                        chunk_records = [
-                            {
-                                "cell_id": cell.cell_id,
-                                "config": cell.config(),
-                                "status": "error",
-                                "error": f"{type(error).__name__}: {error}",
-                            }
-                            for cell in chunk
-                        ]
+                        chunk_records = [_error_record(
+                            cell, f"{type(error).__name__}: {error}")
+                            for cell in chunk]
                     yield chunk, chunk_records
 
     def run(self, progress: Optional[Callable[[str], None]] = None) -> CampaignOutcome:
@@ -249,8 +244,9 @@ class CampaignRunner:
         records are put into the store at the same moment, so a kill at any
         point loses at most in-flight cells — never completed ones.
 
-        Store hits are emitted *verbatim* — original telemetry included — so
-        a fully cached re-run simulates nothing and aggregates to a
+        Store hits are emitted *verbatim*, as the bytes of the line first
+        written — original telemetry included — so a fully cached re-run
+        simulates nothing, encodes no JSON and aggregates to a
         byte-identical report.
 
         Progress goes through the module logger by default (INFO level), so
@@ -261,6 +257,7 @@ class CampaignRunner:
         say = progress or logger.info
         cells = self.spec.cells()
         pending = cells
+        # ``(cell, (stored line, record))`` per store hit.
         cache_hits: List[tuple] = []
         if self.cache is not None:
             pending = []
@@ -288,19 +285,20 @@ class CampaignRunner:
             cached=len(cache_hits),
         )
         with self.results_path.open("w", encoding="utf-8") as sink:
-            for cell, record in cache_hits:
-                line, record = encode_record(record, cell)
+            for cell, (stored, record) in cache_hits:
+                line, record = encode_record(record, cell, stored)
                 sink.write(line + "\n")
                 records.append(record)
                 say(f"[cache] {cell.describe()} "
                     f"-> {record.get('status')} (emitted from store)")
             sink.flush()
             for chunk, chunk_records in self._execute(pending):
-                encoded = []
+                lines = []
                 for cell, record in zip(chunk, chunk_records):
                     line, record = encode_record(record, cell)
                     sink.write(line + "\n")
-                    encoded.append(record)
+                    records.append(record)
+                    lines.append(line)
                     ran += 1
                     # "incomplete" is a measured outcome (a deadline
                     # legitimately missed — what many fault plans provoke on
@@ -317,9 +315,8 @@ class CampaignRunner:
                         cell.cell_id, record.get("wall_s"),
                         record.get("peak_rss_kb"), record.get("status"))
                 sink.flush()
-                records.extend(encoded)
                 if self.cache is not None:
-                    self.cache.put_summaries(encoded)
+                    self.cache.put_summaries(lines)
         return CampaignOutcome(
             total_cells=len(cells),
             ran=ran,

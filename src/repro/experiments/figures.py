@@ -212,9 +212,10 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
         claim=(
             "Figure 1b — % of flows vs broken time during a consistent update.\n"
             "The paper's headline demonstration: a consistent path migration "
-            "executed against a hardware switch drops packets for up to ~290 ms "
-            "per flow when the controller trusts OpenFlow barriers, and drops "
-            "nothing when RUM's data-plane acknowledgments are used instead."),
+            "executed against a hardware switch drops packets when the "
+            "controller trusts OpenFlow barriers (for up to ~168 ms per flow in "
+            "this model at paper scale, about 58 % of the paper's ~290 ms), and "
+            "drops nothing when RUM's data-plane acknowledgments are used instead."),
         engine=run_path_migration,
         params=EndToEndParams.quick(),
         rows=((OF_BARRIERS, "barrier", {}), (WORKING_ACKS, "general", {})),
@@ -296,7 +297,8 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
             "For R = 300 modifications issued all at once (K = 300), the "
             "per-rule delay between the moment a rule starts forwarding packets "
             "and the moment the controller is told it is installed.  Barriers: "
-            "negative for every rule (up to ~-300 ms) — incorrect behaviour.  "
+            "negative for every rule (down to ~-170 ms in this model; the paper "
+            "measures up to ~-300 ms) — incorrect behaviour.  "
             "Static timeout: always positive but wastes a large fraction of the "
             "bound.  Adaptive: good when the model is right, dips below zero "
             "when it is not.  Both probing techniques: never negative and tight."),

@@ -8,27 +8,25 @@ and indexes them by the latter:
 
 * ``objects/<digest[:2]>/<digest>.json`` — one object per distinct outcome,
   holding the full :meth:`~repro.session.record.RunRecord.as_dict` payload
-  and/or ``summaries``: every campaign JSONL record that produced this
-  outcome, keyed by its ``cell_id``.  The record and each summary carry
-  their own content SHA-1 pin, so one rotten summary never passes for
-  verified when a sibling cell of the same outcome is stored again;
+  and/or ``summaries``: each campaign cell with this outcome as the exact
+  results line the runner wrote, keyed by its ``cell_id``.  The record is
+  pinned by a content SHA-1 and each line by the SHA-1 of its bytes, so one
+  rotten line never passes for verified when a sibling cell is stored again;
 * ``index/specs.json`` — spec encoding → digest.  A campaign cell's index
   key is literally its ``cell_id`` (both are the SHA-1 of the same canonical
-  config JSON), which is what lets the campaign runner answer "has this
-  exact cell ever been simulated?" with one dict lookup and one
-  ``summaries[cell_id]``.  The store is the campaign's only memory: resume
-  is a cache hit;
+  config JSON), so "has this exact cell ever been simulated?" is one dict
+  lookup and one ``summaries[cell_id]``.  The store is the campaign's only
+  memory: resume is a cache hit, re-emitted as the bytes it was stored as;
 * ``artifacts/<digest>/<name>`` — attached shards (Chrome traces), pinned
   by file-content SHA-1.
 
-``verify`` recomputes every pin: content hashes for integrity, and — for
-full record payloads — the semantic digest through
-:func:`repro.session.record.outcome_digest` (the outcome keys and nothing
-else, the same function ``RunRecord.digest()`` uses), so a store object
-whose bytes rotted *or* whose digest discipline drifted is caught the same
-way.  An object of another :data:`STORE_SCHEMA` is a cache miss and one
-``verify`` problem; nothing migrates it, and the next ingest of its run
-replaces it.
+``verify`` recomputes every pin, and for full record payloads the semantic
+digest through :func:`repro.session.record.outcome_digest` (the outcome
+keys and nothing else, as ``RunRecord.digest()`` hashes them), so rotted
+bytes and a drifted digest discipline are caught alike.  An object of
+another :data:`STORE_SCHEMA` (schema 3 kept each cell as a dict) is a cache
+miss and one ``verify`` problem naming it; nothing migrates it, and the
+next ingest of its run replaces it.
 
 Reading goes through one resolver and one projection.
 :meth:`RunStore.read` turns a REF (digest prefix, ``cell_id``, results
@@ -46,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -58,19 +57,14 @@ from repro.obs.events import TraceLog
 from repro.obs.export import trace_from_chrome
 from repro.session.record import RECORD_SCHEMA, RunRecord, outcome_digest
 
-#: Store layout version stamped into every object.  3: a stored session
-#: encoding carries its fault plan and recovery policy as their strings.
-STORE_SCHEMA = 3
+#: Store layout version stamped into every object.  4: a stored campaign
+#: cell is its results line, pinned by the SHA-1 of its bytes.
+STORE_SCHEMA = 4
 
 OBJECTS_DIR = "objects"
 INDEX_DIR = "index"
 ARTIFACTS_DIR = "artifacts"
 SPEC_INDEX = "specs.json"
-
-#: Files a directory ingest skips outright: heartbeat telemetry and the
-#: run manifest are about *how* a campaign ran, not what it computed.
-_SKIPPED_NAMES = ("campaign.json",)
-_SKIPPED_SUFFIXES = (".heartbeat.jsonl",)
 
 
 def canonical_json(payload: object) -> str:
@@ -79,9 +73,22 @@ def canonical_json(payload: object) -> str:
                       default=str)
 
 
+def line_sha1(line: str) -> str:
+    """16-hex SHA-1 of a results line's UTF-8 bytes (a stored cell's pin)."""
+    return hashlib.sha1(line.encode("utf-8")).hexdigest()[:16]
+
+
 def content_sha1(payload: object) -> str:
     """16-hex SHA-1 of the canonical JSON of ``payload`` (integrity pin)."""
-    return hashlib.sha1(canonical_json(payload).encode("utf-8")).hexdigest()[:16]
+    return line_sha1(canonical_json(payload))
+
+
+def _decoded(line: str) -> Optional[Dict[str, object]]:
+    """A results line as its record, or ``None`` if it is not JSON."""
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
 
 
 def file_sha1(path: Path) -> str:
@@ -90,15 +97,11 @@ def file_sha1(path: Path) -> str:
 
 
 def spec_key(encoding: Dict[str, object]) -> str:
-    """The index key of a spec encoding.
-
-    For a campaign cell config this reproduces
-    :attr:`repro.campaign.grid.CampaignCell.cell_id` exactly — same
-    canonical JSON, same SHA-1 truncation — so results files and the store
-    agree on cell identity without either importing the other's hashing.
-    """
-    return hashlib.sha1(
-        canonical_json(encoding).encode("utf-8")).hexdigest()[:16]
+    """The index key of a spec encoding: for a campaign cell config, exactly
+    its :attr:`repro.campaign.grid.CampaignCell.cell_id` (same canonical
+    JSON, same SHA-1 truncation), so results files and the store agree on
+    cell identity without either importing the other's hashing."""
+    return content_sha1(encoding)
 
 
 @dataclass
@@ -113,12 +116,8 @@ class IngestStats:
     skipped: int = 0
 
     def merge(self, other: "IngestStats") -> None:
-        self.files += other.files
-        self.records += other.records
-        self.summaries += other.summaries
-        self.artifacts += other.artifacts
-        self.indexed += other.indexed
-        self.skipped += other.skipped
+        for name, count in vars(other).items():
+            setattr(self, name, getattr(self, name) + count)
 
     def describe(self) -> str:
         return (f"{self.files} files: {self.records} records, "
@@ -150,10 +149,9 @@ def run_labels(run: Mapping[str, object]) -> Tuple[str, str]:
     """
     axes = run.get("config") or {}
     session = run.get("session") or run.get("spec") or {}
-    fault = axes.get("fault")
+    fault, recovery = axes.get("fault"), axes.get("recovery")
     if fault is None:
         fault = session.get("faults")
-    recovery = axes.get("recovery")
     if recovery is None:
         recovery = (session.get("knobs") or {}).get("recovery")
     return str(fault or "none"), str(recovery or "off")
@@ -238,6 +236,11 @@ class StoreError(ValueError):
     """A lookup or verification problem surfaced to the CLI."""
 
 
+def _old_schema(name: str, obj: Dict[str, object]) -> str:
+    """The problem an object of another :data:`STORE_SCHEMA` is."""
+    return f"{name}: store schema {obj.get('schema')!r} is not {STORE_SCHEMA}"
+
+
 class RunStore:
     """A content-addressed archive of run outcomes on one directory."""
 
@@ -258,15 +261,11 @@ class RunStore:
     def _load_index(self) -> Dict[str, str]:
         if self._index is None:
             path = self.index_dir / SPEC_INDEX
-            if path.exists():
-                self._index = dict(json.loads(path.read_text(encoding="utf-8")))
-            else:
-                self._index = {}
+            self._index = (dict(json.loads(path.read_text(encoding="utf-8")))
+                           if path.exists() else {})
         return self._index
 
     def _save_index(self) -> None:
-        if self._index is None:
-            return
         self.index_dir.mkdir(parents=True, exist_ok=True)
         path = self.index_dir / SPEC_INDEX
         tmp = path.with_suffix(".json.tmp")
@@ -281,12 +280,11 @@ class RunStore:
         Writes are atomic, but a disk can still corrupt an object; reading
         it as a miss lets the next ingest rewrite it.
         """
-        path = self.object_path(digest)
-        if not path.exists():
-            return None
+        path = os.path.join(self.objects, digest[:2], f"{digest}.json")
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:  # JSONDecodeError, or a cut multi-byte character
+            with open(path, encoding="utf-8") as handle:
+                return json.loads(handle.read())
+        except (FileNotFoundError, ValueError):  # or a cut UTF-8 character
             return None
 
     def _object(self, digest: str) -> Dict[str, object]:
@@ -301,9 +299,6 @@ class RunStore:
         return obj
 
     def _write(self, obj: Dict[str, object]) -> None:
-        # Insertion order is deliberately preserved (no sort_keys): stored
-        # summaries must re-serialize byte-identically to the campaign line
-        # they came from, or the --cache re-emission path would reorder keys.
         # Written aside and renamed, so a kill mid-write leaves no cut object
         # at its final path (``digests()`` never lists a ``.json.tmp``).
         path = self.object_path(str(obj["digest"]))
@@ -314,9 +309,12 @@ class RunStore:
 
     def digests(self) -> List[str]:
         """Every stored digest, sorted."""
-        if not self.objects.is_dir():
+        if not os.path.isdir(self.objects):
             return []
-        return sorted(path.stem for path in self.objects.glob("*/*.json"))
+        return sorted(entry.name[:-5] for shard in os.scandir(self.objects)
+                      if shard.is_dir()
+                      for entry in os.scandir(shard.path)
+                      if entry.name.endswith(".json"))
 
     def iter_objects(self) -> Iterator[Dict[str, object]]:
         for digest in self.digests():
@@ -351,7 +349,7 @@ class RunStore:
         path = Path(ref)
         if path.is_dir():
             other = RunStore(path)
-            cells = {cell_id: hit for obj in other.iter_objects()
+            cells = {cell_id: hit[1] for obj in other.iter_objects()
                      for cell_id in obj.get("summaries") or {}
                      if (hit := other.cached_record(cell_id)) is not None}
             return Resolved(ref, list(cells.values()), cells=cells)
@@ -369,14 +367,16 @@ class RunStore:
         obj = self.load(digest)
         if obj is None:
             raise StoreError(f"{digest}: object is missing or not valid JSON")
+        if obj.get("schema") != STORE_SCHEMA:
+            raise StoreError(_old_schema(digest, obj))
         if obj.get("record") is not None:
             return Resolved(ref, obj, run=RunView(obj["record"], digest))
         summaries = obj.get("summaries")
         if not summaries:
             raise StoreError(f"{digest} holds neither a record nor a summary")
-        summary = summaries.get(ref) or summaries[min(summaries)]
+        line = summaries.get(ref) or summaries[min(summaries)]
         return Resolved(ref, obj, run=RunView(
-            summary, digest, attached_trace=self._attached_trace(obj)))
+            json.loads(line), digest, attached_trace=self._attached_trace(obj)))
 
     def _attached_trace(self, obj: Dict[str, object]) -> Optional[TraceLog]:
         """The trace of a stored run's first Chrome shard, if it has one."""
@@ -409,22 +409,22 @@ class RunStore:
             self.index_encoding(spec, digest)
         return digest
 
-    def put_summaries(self,
-                      records: Iterable[Dict[str, object]]) -> IngestStats:
-        """Store a batch of campaign JSONL records; the index is written once.
+    def put_summaries(self, lines: Iterable[str]) -> IngestStats:
+        """Store a batch of campaign results lines; the index is written once.
 
-        Each ``ok``/``incomplete`` record joins its outcome's object as
-        ``summaries[cell_id]`` *verbatim* — key order included, because the
-        cache re-emits it byte-identically — its config and session
-        encodings are indexed, and its ``trace_path`` shard, when present, is
-        attached.  Other records (an errored cell produced no outcome) are
-        skipped.  Objects are written before the index, so a batch cut short
-        leaves unindexed objects (misses), never an entry without its object.
+        Each line (no newline) of an ``ok``/``incomplete`` cell joins its
+        outcome's object as ``summaries[cell_id]``, pinned by the SHA-1 of
+        its bytes; its config and session encodings are indexed, and its
+        ``trace_path`` shard, when present, is attached.  Other lines (an
+        errored cell; a line a kill cut, which is not JSON) are skipped.
+        Objects are written before the index, so a batch cut short leaves
+        unindexed objects (misses), never an entry without its object.
         """
         stats = IngestStats()
         objects: Dict[str, Dict[str, object]] = {}
         keys: Dict[str, str] = {}
-        for record in records:
+        for line in lines:
+            record = _decoded(line) or {}
             digest, cell_id = record.get("digest"), record.get("cell_id")
             if (not digest or not cell_id
                     or record.get("status") not in FINAL_STATUSES):
@@ -433,9 +433,9 @@ class RunStore:
             digest = str(digest)
             obj = objects.get(digest) or self._object(digest)
             objects[digest] = obj
-            obj.setdefault("summaries", {})[str(cell_id)] = record
+            obj.setdefault("summaries", {})[str(cell_id)] = line
             obj["sha1"].setdefault("summaries", {})[str(cell_id)] = (
-                content_sha1(record))
+                line_sha1(line))
             obj["meta"] = {**(obj.get("meta") or {}), **RunView(record).meta}
             stats.summaries += 1
             for encoding in (record.get("config"), record.get("session")):
@@ -470,15 +470,16 @@ class RunStore:
         """The digest an index key (e.g. a ``cell_id``) maps to, if any."""
         return self._load_index().get(key)
 
-    def cached_record(self, cell_id: str) -> Optional[Dict[str, object]]:
-        """The digest-verified campaign record for a cell, if stored.
+    def cached_record(
+            self, cell_id: str) -> Optional[Tuple[str, Dict[str, object]]]:
+        """A cell's digest-verified results line and its record, if stored.
 
-        Returns ``None`` unless the object is of this schema, this cell's
-        summary still matches its own content pin, claims the
-        object's digest, and — when a full record payload is also stored —
-        that payload still recomputes to the same digest.  A cache hit is
-        therefore always a verified one; corruption degrades to a
-        re-simulation, never to a silently wrong result.
+        The runner re-emits the line as it stands; the record is the line
+        decoded once.  ``None`` unless the object is of this schema, the line
+        still matches its byte pin and claims the object's digest, and — when
+        a full record payload is also stored — that payload still recomputes
+        to the same digest.  A hit is therefore always a verified one;
+        corruption degrades to a re-simulation, never to a wrong result.
         """
         digest = self.lookup_key(cell_id)
         if digest is None:
@@ -486,18 +487,17 @@ class RunStore:
         obj = self.load(digest)
         if obj is None or obj.get("schema") != STORE_SCHEMA:
             return None
-        summary = (obj.get("summaries") or {}).get(cell_id)
-        if not summary:
-            return None
+        line = (obj.get("summaries") or {}).get(cell_id)
         pins = (obj.get("sha1") or {}).get("summaries") or {}
-        if content_sha1(summary) != pins.get(cell_id):
+        if not line or line_sha1(line) != pins.get(cell_id):
             return None
-        if str(summary.get("digest")) != digest:
+        summary = _decoded(line)
+        if summary is None or str(summary.get("digest")) != digest:
             return None
         record = obj.get("record")
         if record is not None and outcome_digest(record) != digest:
             return None
-        return summary
+        return line, summary
 
     def artifact_path(self, digest: str, name: str) -> Optional[Path]:
         path = self.artifact_dir(digest) / name
@@ -511,16 +511,13 @@ class RunStore:
         outcome: Optional[str] = None,
     ) -> List[Dict[str, object]]:
         """Flat rows of every stored run matching the filters."""
+        wanted = {"technique": technique, "scenario": scenario,
+                  "fault": fault, "outcome": outcome}
         rows: List[Dict[str, object]] = []
         for obj in self.iter_objects():
             meta = obj.get("meta") or {}
-            if technique is not None and meta.get("technique") != technique:
-                continue
-            if scenario is not None and meta.get("scenario") != scenario:
-                continue
-            if fault is not None and meta.get("fault") != fault:
-                continue
-            if outcome is not None and meta.get("outcome") != outcome:
+            if any(value is not None and meta.get(key) != value
+                   for key, value in wanted.items()):
                 continue
             rows.append({
                 "digest": obj["digest"],
@@ -543,8 +540,7 @@ class RunStore:
                 problems.append(f"{name}: object is not valid JSON")
                 continue
             if obj.get("schema") != STORE_SCHEMA:
-                problems.append(f"{name}: store schema {obj.get('schema')!r} "
-                                f"is not {STORE_SCHEMA}")
+                problems.append(_old_schema(name, obj))
                 continue
             digest = str(obj["digest"])
             pins = obj.get("sha1") or {}
@@ -565,16 +561,17 @@ class RunStore:
                         f"{digest}: record payload recomputes to digest "
                         f"{recomputed} (digest discipline drifted)")
             summary_pins = pins.get("summaries") or {}
-            for cell_id, summary in sorted((obj.get("summaries") or {}).items()):
-                actual = content_sha1(summary)
+            for cell_id, line in sorted((obj.get("summaries") or {}).items()):
+                actual = line_sha1(line)
                 if actual != summary_pins.get(cell_id):
                     problems.append(
                         f"{digest}: summary of cell {cell_id} content hash "
                         f"{actual} != stored pin {summary_pins.get(cell_id)}")
-                if str(summary.get("digest")) != digest:
+                claimed = (_decoded(line) or {}).get("digest")
+                if str(claimed) != digest:
                     problems.append(
                         f"{digest}: summary of cell {cell_id} claims digest "
-                        f"{summary.get('digest')!r}")
+                        f"{claimed!r}")
             for name, pin in sorted((obj.get("artifacts") or {}).items()):
                 path = self.artifact_dir(digest) / name
                 if not path.exists():
@@ -597,7 +594,7 @@ class RunStore:
                           if digest not in known)
         for key in dangling:
             del index[key]
-            stats.dangling_index += 1
+        stats.dangling_index = len(dangling)
         if dangling:
             self._save_index()
         if self.artifacts.is_dir():
@@ -615,8 +612,10 @@ class RunStore:
         path = Path(path)
         if path.is_dir():
             stats = IngestStats()
+            # Heartbeat shards are about *how* a campaign ran, not what it
+            # computed (its manifest is no record, so the .json pass skips it).
             for child in sorted(path.rglob("*.jsonl")):
-                if not self._skippable(child):
+                if not child.name.endswith(".heartbeat.jsonl"):
                     stats.merge(self._ingest_results(child))
             for child in sorted(path.rglob("*.json")):
                 stats.merge(self._ingest_json(child))
@@ -628,15 +627,10 @@ class RunStore:
         raise StoreError(f"cannot ingest {path}: not a .jsonl/.json file "
                          "or directory")
 
-    @staticmethod
-    def _skippable(path: Path) -> bool:
-        if path.name in _SKIPPED_NAMES:
-            return True
-        return any(path.name.endswith(suffix) for suffix in _SKIPPED_SUFFIXES)
-
     def _ingest_results(self, path: Path) -> IngestStats:
-        """One campaign JSONL results file, stored as one batch."""
-        stats = self.put_summaries(load_records(path))
+        """One campaign results file, stored as one batch of its lines."""
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        stats = self.put_summaries(line for line in lines if line.strip())
         stats.files = 1
         return stats
 
@@ -647,15 +641,9 @@ class RunStore:
         the store as attachments of the record that produced them.
         """
         stats = IngestStats(files=1)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            stats.skipped += 1
-            return stats
-        if not isinstance(payload, dict) or "traceEvents" in payload:
-            stats.skipped += 1
-            return stats
-        if "schema" not in payload or "kind" not in payload:
+        payload = _decoded(path.read_text(encoding="utf-8"))
+        if (not isinstance(payload, dict) or "traceEvents" in payload
+                or "schema" not in payload or "kind" not in payload):
             stats.skipped += 1
             return stats
         self.put_record(payload)

@@ -11,10 +11,10 @@ for the HP ProCurve 5406zl:
 * rules reach the data plane (TCAM) one at a time, at a bounded rate that
   drops as the table fills and no sooner than a fixed latency after the
   control plane applied them, so data-plane visibility lags the control
-  plane by up to ~300 ms over a long burst (the "three visible steps" the
-  paper sees in a 300-rule update's installation times are not modelled),
+  plane by up to ~170 ms over a 300-rule burst (the paper's switch: ~300 ms
+  in "three visible steps", which are not modelled),
 * barrier replies are generated from the control-plane view, i.e. up to
-  ~300 ms before the corresponding rules forward packets,
+  ~170 ms (the paper: ~300 ms) before the corresponding rules forward packets,
 * the switch processes roughly 7 000 PacketOut/s and 5 500 PacketIn/s,
 * rule priorities are ignored; installation order decides importance,
 * the sustained FlowMod rate degrades as table occupancy grows.
@@ -149,12 +149,14 @@ def hp5406zl_profile() -> SwitchProfile:
     """The buggy hardware switch used in the paper's end-to-end experiment.
 
     Calibrated so that, for a 300-rule burst, barrier replies precede
-    data-plane visibility by up to ~250-300 ms (the lag grows with the
-    backlog between the control plane and the slower TCAM insertion path and
-    with table occupancy), the sustained modification rate is in the 200-285
-    rules/s range reported by the technical report, and the effective
-    data-plane apply rate drops below 250/s as the table fills — which is
-    what makes the "adaptive 250" model unsafe late in the experiment.
+    data-plane visibility by up to ~170 ms (``fig8``; the paper measures
+    ~250-300 ms on the real switch, and a larger lag here breaks ``fig6``'s
+    claims).  The lag grows with the backlog between the control plane and
+    the slower TCAM insertion path and with table occupancy.  The sustained
+    modification rate is in the 200-285 rules/s range reported by the
+    technical report, and the effective data-plane apply rate drops below
+    250/s as the table fills — which is what makes the "adaptive 250" model
+    unsafe late in the experiment.
     The real switch also ignores priorities in favour of installation
     order.  This profile matches by priority (``table_mode="priority"``);
     ``hp5406zl_profile().with_overrides(table_mode="install_order")``

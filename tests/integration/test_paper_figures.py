@@ -225,6 +225,30 @@ def test_fig6_adaptive_250_drops_nothing_one_flow_below_the_claimed_count():
     assert _fig6_adaptive_250_drops(FIG6_FIRST_DROP_FLOWS - 1) == 0
 
 
+#: The model's barrier lag at paper scale, as the claims state it: Fig. 1's
+#: longest broken flow and Fig. 8's earliest barrier ack, in seconds.  The
+#: paper's own figures are ~290 ms and ~-300 ms.
+PAPER_SCALE_BARRIER_LAG = {"fig1": 0.168, "fig8": -0.170}
+
+
+def test_the_barrier_lag_is_the_claimed_magnitude_at_paper_scale():
+    rows = {"fig1": OF_BARRIERS, "fig8": "barriers (baseline)"}
+    params = {"fig1": EndToEndParams.paper(),
+              "fig8": RuleInstallParams.paper_fig8()}
+    measured = {}
+    for name, label in rows.items():
+        figure = FIGURES[name]
+        only = dataclasses.replace(
+            figure, rows=tuple(row for row in figure.rows if row[0] == label))
+        record = only.run(params[name])[label]
+        measured[name] = (max(stat.broken_time for stat in record.stats)
+                          if name == "fig1"
+                          else record.activation.summary().minimum)
+        expected = PAPER_SCALE_BARRIER_LAG[name]
+        assert f"~{expected * 1000:.0f} ms" in figure.claim
+        assert abs(measured[name] - expected) <= 0.1 * abs(expected), measured
+
+
 def test_fig7_probing_techniques():
     _hold("fig7", "first", EndToEndParams.quick())
 

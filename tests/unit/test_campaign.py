@@ -108,7 +108,7 @@ class TestRunnerResume:
         cells = spec.cells()
         # A previous campaign stored two cells, then was killed mid-write
         # of a third line.
-        store.put_summaries([run_cell(cell) for cell in cells[:2]])
+        store.put_summaries([json.dumps(run_cell(cell)) for cell in cells[:2]])
         with results.open("w", encoding="utf-8") as handle:
             handle.write('{"cell_id": "half-writ')  # no newline: killed here
         outcome = CampaignRunner(spec, results, max_workers=2,
@@ -127,12 +127,12 @@ class TestRunnerResume:
         store = RunStore(tmp_path / "store")
         spec = _tiny_spec()
         cell = spec.cells()[0]
-        store.put_summaries([{
+        store.put_summaries([json.dumps({
             "cell_id": cell.cell_id,
             "config": cell.config(),
             "status": "incomplete",
             "digest": "0" * 16,
-        }])
+        })])
         outcome = CampaignRunner(spec, tmp_path / "results.jsonl",
                                  max_workers=2, cache=store).run()
         assert (outcome.cached, outcome.ran) == (1, 3)
@@ -142,12 +142,12 @@ class TestRunnerResume:
         store = RunStore(tmp_path / "store")
         spec = _tiny_spec()
         cell = spec.cells()[0]
-        stats = store.put_summaries([{
+        stats = store.put_summaries([json.dumps({
             "cell_id": cell.cell_id,
             "config": cell.config(),
             "status": "error",
             "error": "Boom",
-        }])
+        })])
         assert (stats.summaries, stats.skipped) == (0, 1)
         outcome = CampaignRunner(spec, tmp_path / "results.jsonl",
                                  max_workers=2, cache=store).run()
@@ -664,10 +664,13 @@ class TestCampaignCache:
         import json as json_mod
 
         results, store = self._populated_store(tmp_path)
-        # Corrupt every stored summary: all four cells must re-simulate.
+        # Corrupt every stored line: all four cells must re-simulate.
         for record in load_records(results):
             obj = store.load(record["digest"])
-            obj["summaries"][record["cell_id"]]["status"] = "tampered"
+            line = obj["summaries"][record["cell_id"]]
+            assert '"status": "ok"' in line
+            obj["summaries"][record["cell_id"]] = line.replace(
+                '"status": "ok"', '"status": "tampered"')
             store.object_path(record["digest"]).write_text(
                 json_mod.dumps(obj), encoding="utf-8")
         rerun = tmp_path / "second.jsonl"

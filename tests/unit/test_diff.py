@@ -218,6 +218,18 @@ class TestDiffRuns:
         assert diff.summary["dropped_packets"] == (4, 0)
         assert "dropped_packets: 4 -> 0" in diff.explain()
 
+    def test_float_noise_below_the_printed_precision_is_no_delta(self):
+        # Two barrier-timed flows broken for one 10 us gap, which the float
+        # sums leave 1e-14 apart: the diff prints 0.0000 on both sides.
+        left = {"max_broken_time": 1.0000000000068981e-05,
+                "update_duration": 0.6156, "digest": "aa"}
+        right = {"max_broken_time": 1.000000000001347e-05,
+                 "update_duration": 0.0156, "digest": "bb"}
+        diff = diff_runs(RunView(left), RunView(right))
+        assert diff.changed == ["update_duration", "digest"]
+        assert "max_broken_time" not in render_run_diff(diff)
+        assert "max_broken_time" not in diff.as_dict()["changed"]
+
     def test_two_untraced_runs_report_early_ack_deltas(self):
         # Barrier replies precede hardware activation under a delay spike;
         # general probing never acks early.  Neither run is traced.

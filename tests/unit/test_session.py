@@ -433,7 +433,7 @@ class TestToyTechniqueEverywhere:
         store = RunStore(tmp_path / "store")
         cells = spec.cells()
         # A previous campaign stored one cell's new-style record.
-        store.put_summaries([run_cell(cells[0])])
+        store.put_summaries([json.dumps(run_cell(cells[0]))])
         outcome = CampaignRunner(spec, tmp_path / "results.jsonl",
                                  max_workers=1, cache=store).run()
         assert (outcome.cached, outcome.ran) == (1, 1)

@@ -6,6 +6,7 @@ index behind the campaign ``--cache``, ``verify``'s corruption detection,
 ``gc``, prefix resolution, and the ``python -m repro.store`` CLI.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,9 +18,8 @@ from repro.store import RunStore, StoreError, content_sha1, spec_key
 from repro.store.__main__ import main as store_main
 
 
-def _campaign(tmp_path, **overrides):
-    """Run a tiny campaign; returns its results path."""
-    results = tmp_path / "results.jsonl"
+def _spec(**overrides):
+    """A tiny campaign grid."""
     defaults = dict(
         scenarios=["path-migration"],
         techniques=["timeout", "general"],
@@ -29,8 +29,39 @@ def _campaign(tmp_path, **overrides):
         max_update_duration=5.0,
     )
     defaults.update(overrides)
-    CampaignRunner(CampaignSpec(**defaults), results, max_workers=2).run()
+    return CampaignSpec(**defaults)
+
+
+def _campaign(tmp_path, **overrides):
+    """Run a tiny campaign; returns its results path."""
+    results = tmp_path / "results.jsonl"
+    CampaignRunner(_spec(**overrides), results, max_workers=2).run()
     return results
+
+
+def _lines(results):
+    """``cell_id -> (line, record)`` of a results file, lines as written."""
+    return {json.loads(line)["cell_id"]: (line, json.loads(line))
+            for line in results.read_text(encoding="utf-8").splitlines()}
+
+
+def _pin(line):
+    """The byte pin a stored line carries: SHA-1 of its UTF-8, 16 hex."""
+    return hashlib.sha1(line.encode("utf-8")).hexdigest()[:16]
+
+
+def _rot(line):
+    """``line`` with one byte of bit rot: its last digit (a results line
+    ends with ``"peak_rss_kb": <int>}``), so it stays JSON and keeps its
+    digest."""
+    return line[:-2] + str((int(line[-2]) + 1) % 10) + line[-1]
+
+
+def _rewrite(store, digest, edit):
+    """Apply ``edit`` to a stored object in place, bypassing the store."""
+    obj = store.load(digest)
+    edit(obj)
+    store.object_path(digest).write_text(json.dumps(obj), encoding="utf-8")
 
 
 def _record_payload(technique="general", seed=7, trace=True):
@@ -51,14 +82,14 @@ class TestIngestAndQuery:
         assert stats.indexed == 4
 
     def test_summaries_are_stored_verbatim(self, tmp_path):
+        # A stored cell is the line the runner wrote, pinned by its bytes.
         results = _campaign(tmp_path)
         store = RunStore(tmp_path / "store")
         store.ingest(results)
-        for original in load_records(results):
-            stored = store.load(original["digest"])["summaries"][original["cell_id"]]
-            assert stored == original
-            # Verbatim means key order too: the cache re-emits these lines.
-            assert json.dumps(stored) == json.dumps(original)
+        for cell_id, (line, record) in _lines(results).items():
+            obj = store.load(record["digest"])
+            assert obj["summaries"][cell_id] == line
+            assert obj["sha1"]["summaries"][cell_id] == _pin(line)
 
     def test_full_record_payload_roundtrip(self, tmp_path):
         from repro.session.record import outcome_digest
@@ -155,39 +186,67 @@ class TestCachedRecord:
         results = _campaign(tmp_path)
         store = RunStore(tmp_path / "store")
         store.ingest(results)
-        for record in load_records(results):
-            hit = store.cached_record(record["cell_id"])
-            assert hit == record
+        for cell_id, (line, record) in _lines(results).items():
+            assert store.cached_record(cell_id) == (line, record)
 
     def test_unknown_cell_misses(self, tmp_path):
         store = RunStore(tmp_path / "store")
         assert store.cached_record("deadbeefdeadbeef") is None
 
     def test_corrupted_summary_refuses_to_hit(self, tmp_path):
+        # One byte of bit rot in a stored line is a miss.
         results = _campaign(tmp_path)
         store = RunStore(tmp_path / "store")
         store.ingest(results)
-        record = next(iter(load_records(results)))
-        obj = store.load(record["digest"])
-        obj["summaries"][record["cell_id"]]["dropped_packets"] = 10_000  # bit rot
-        store.object_path(record["digest"]).write_text(
-            json.dumps(obj), encoding="utf-8")
-        assert store.cached_record(record["cell_id"]) is None
+        cell_id, (line, record) = next(iter(_lines(results).items()))
+
+        def rot(obj):
+            obj["summaries"][cell_id] = _rot(line)
+
+        _rewrite(store, record["digest"], rot)
+        assert store.cached_record(cell_id) is None
 
     def test_digest_mismatch_refuses_to_hit(self, tmp_path):
         results = _campaign(tmp_path)
         store = RunStore(tmp_path / "store")
         store.ingest(results)
-        record = next(iter(load_records(results)))
-        obj = store.load(record["digest"])
-        obj["summaries"][record["cell_id"]]["digest"] = "0" * 16
-        obj["sha1"]["summaries"][record["cell_id"]] = content_sha1(
-            obj["summaries"][record["cell_id"]])  # re-pinned!
-        store.object_path(record["digest"]).write_text(
-            json.dumps(obj), encoding="utf-8")
-        # The content pin matches, but the summary no longer claims the
-        # object's digest: still a miss.
-        assert store.cached_record(record["cell_id"]) is None
+        cell_id, (line, record) = next(iter(_lines(results).items()))
+        forged = line.replace(record["digest"], "0" * 16)
+        assert forged != line
+
+        def repin(obj):
+            obj["summaries"][cell_id] = forged
+            obj["sha1"]["summaries"][cell_id] = _pin(forged)  # re-pinned!
+
+        _rewrite(store, record["digest"], repin)
+        # The byte pin matches, but the line no longer claims the object's
+        # digest: still a miss, and a verify problem.
+        assert store.cached_record(cell_id) is None
+        assert store.verify() == [
+            f"{record['digest']}: summary of cell {cell_id} claims digest "
+            f"{'0' * 16!r}"]
+
+    def test_a_rotten_full_record_beside_the_line_refuses_to_hit(
+            self, tmp_path):
+        # The line is intact, but the full record stored in the same object
+        # no longer recomputes to the object's digest: a miss.
+        spec = _spec(techniques=["general"])
+        results = tmp_path / "results.jsonl"
+        CampaignRunner(spec, results, max_workers=1).run()
+        ((cell_id, (line, record)),) = _lines(results).items()
+        store = RunStore(tmp_path / "store")
+        store.ingest(results)
+        (cell,) = spec.cells()
+        payload = run_scenario(cell.scenario, cell.technique,
+                               cell.scenario_params()).as_dict()
+        assert store.put_record(payload) == record["digest"]
+        assert store.cached_record(cell_id) == (line, record)
+
+        def rot(obj):
+            obj["record"]["update_duration"] = 999.0
+
+        _rewrite(store, record["digest"], rot)
+        assert store.cached_record(cell_id) is None
 
     def test_cells_sharing_a_digest_each_hit_their_own_summary(self, tmp_path):
         # ``general`` never depends on an ack that ``ack-loss`` drops, so
@@ -198,9 +257,9 @@ class TestCachedRecord:
             seeds=[1, 2], faults=["none", "ack-loss(probability=0.2)"])
         cold = tmp_path / "cold.jsonl"
         CampaignRunner(spec, cold, max_workers=2).run()
-        originals = {record["cell_id"]: record for record in load_records(cold)}
+        originals = _lines(cold)
         assert len(originals) == 8
-        assert len({record["digest"] for record in originals.values()}) < 8
+        assert len({record["digest"] for _, record in originals.values()}) < 8
         store = RunStore(tmp_path / "store")
         store.ingest(cold)
         warm = tmp_path / "warm.jsonl"
@@ -208,12 +267,8 @@ class TestCachedRecord:
         assert (outcome.ran, outcome.cached) == (0, 8)
         for cell in spec.cells():
             assert store.cached_record(cell.cell_id) == originals[cell.cell_id]
-        emitted = {record["cell_id"]: record for record in load_records(warm)}
-        assert len(emitted) == 8
-        assert set(emitted) == set(originals)
-        for cell_id, record in emitted.items():
-            assert record["config"] == originals[cell_id]["config"]
-            assert record["digest"] == originals[cell_id]["digest"]
+        # Each cell's own line comes back, byte for byte.
+        assert _lines(warm) == originals
 
     def test_storing_a_cell_again_never_blesses_a_rotten_sibling(
             self, tmp_path):
@@ -230,10 +285,11 @@ class TestCachedRecord:
         assert a["config"]["fault"] == "none"
         store = RunStore(tmp_path / "store")
         store.ingest(both)
-        obj = store.load(b["digest"])
-        obj["summaries"][b["cell_id"]]["dropped_packets"] = 10_000  # bit rot
-        store.object_path(b["digest"]).write_text(json.dumps(obj),
-                                                  encoding="utf-8")
+
+        def rot(obj):
+            obj["summaries"][b["cell_id"]] = _rot(obj["summaries"][b["cell_id"]])
+
+        _rewrite(store, b["digest"], rot)
         only_a = tmp_path / "a"
         only_a.mkdir()
         store.ingest(_campaign(only_a, techniques=["general"],
@@ -246,6 +302,38 @@ class TestCachedRecord:
         assert problem.startswith(
             f"{b['digest']}: summary of cell {b['cell_id']} content hash")
 
+    def test_a_cut_trailing_line_stores_only_the_complete_lines(
+            self, tmp_path):
+        # A campaign killed mid-write leaves half a line behind.
+        results = _campaign(tmp_path)
+        (first, whole), (second, cut) = _lines(results).items()
+        killed = tmp_path / "killed.jsonl"
+        killed.write_text(whole[0] + "\n" + cut[0][:len(cut[0]) // 2],
+                          encoding="utf-8")
+        store = RunStore(tmp_path / "store")
+        stats = store.ingest(killed)
+        assert (stats.summaries, stats.skipped) == (1, 1)
+        assert store.cached_record(first) == whole
+        assert store.cached_record(second) is None
+        assert store.digests() == [whole[1]["digest"]]
+        assert store.verify() == []
+
+    def test_a_hand_spaced_line_is_re_emitted_byte_for_byte(self, tmp_path):
+        spec = _spec(techniques=["general"])
+        results = tmp_path / "results.jsonl"
+        CampaignRunner(spec, results, max_workers=1).run()
+        ((line, record),) = _lines(results).values()
+        spaced = json.dumps(record, separators=(" ,  ", " :\t"))
+        hand = tmp_path / "hand.jsonl"
+        hand.write_text(spaced + "\n", encoding="utf-8")
+        store = RunStore(tmp_path / "store")
+        store.ingest(hand)
+        rerun = tmp_path / "rerun.jsonl"
+        outcome = CampaignRunner(spec, rerun, max_workers=1, cache=store).run()
+        assert (outcome.ran, outcome.cached) == (0, 1)
+        assert outcome.records == [record]
+        assert rerun.read_bytes() == hand.read_bytes() != results.read_bytes()
+
 class TestVerifyAndGc:
     def test_clean_store_verifies(self, tmp_path):
         store = RunStore(tmp_path / "store")
@@ -254,19 +342,26 @@ class TestVerifyAndGc:
 
     def test_an_object_of_another_schema_is_a_miss_and_one_problem(
             self, tmp_path):
+        # A schema-3 object kept each cell as a dict, pinned by the content
+        # SHA-1 of its canonical JSON: well-formed, but not this layout.
         results = _campaign(tmp_path, techniques=["general"])
         store = RunStore(tmp_path / "store")
         store.ingest(results)
-        (record,) = load_records(results)
-        obj = store.load(record["digest"])
-        obj["schema"] = 1
-        store.object_path(record["digest"]).write_text(json.dumps(obj),
-                                                       encoding="utf-8")
-        assert store.cached_record(record["cell_id"]) is None
+        ((cell_id, (line, record)),) = _lines(results).items()
+
+        def schema_3(obj):
+            obj["schema"] = 3
+            obj["summaries"][cell_id] = record
+            obj["sha1"]["summaries"][cell_id] = content_sha1(record)
+
+        _rewrite(store, record["digest"], schema_3)
+        assert store.cached_record(cell_id) is None
         assert store.verify() == [
-            f"{record['digest']}: store schema 1 is not 3"]
+            f"{record['digest']}: store schema 3 is not 4"]
+        with pytest.raises(StoreError, match="store schema 3 is not 4"):
+            store.read(cell_id)
         store.ingest(results)  # re-ingesting replaces the object
-        assert store.cached_record(record["cell_id"]) == record
+        assert store.cached_record(cell_id) == (line, record)
         assert store.verify() == []
 
     def test_verify_catches_tampered_record(self, tmp_path):

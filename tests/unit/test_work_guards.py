@@ -45,6 +45,10 @@ A cumulative acknowledgment costs what it confirms: a barrier reply reads
 the pending records it confirms and one more, a barrier FlowMod runs as
 many bytecodes at a window of 20 as at 100, and sequential probing's
 stalled-batch timer reads as many pending records at either window.
+
+A cache hit is re-emitted as it was stored: replaying a stored grid, and
+verifying the store, call no JSON encoder in the run store or the campaign
+runner, and each hit decodes one store object and one results line.
 """
 
 import gc
@@ -63,7 +67,10 @@ import repro.core.techniques.general as general_mod
 from repro.core.techniques.sequential import SequentialProbingTechnique
 import repro.openflow.match as match_mod
 import repro.scenarios.migration as migration_mod
+import repro.campaign.runner as runner_mod
+import repro.store.store as store_mod
 import repro.switches.dataplane as dataplane_mod
+from repro.campaign import CampaignRunner, CampaignSpec
 from repro.controller.routing import install_path_rules, path_flowmods
 from repro.core.pending import PendingRule, PendingRuleTracker
 from repro.core.rum import RumLayer
@@ -93,6 +100,7 @@ from repro.scenarios.generators import build_topology
 from repro.scenarios.migration import endpoint_hosts, migration_paths
 from repro.session.stack import build_control_stack
 from repro.sim import Simulator
+from repro.store import RunStore
 from repro.switches import HardwareSwitch, SoftwareSwitch, Switch
 from repro.switches.controlplane import ControlPlane
 from repro.switches.dataplane import DataPlane
@@ -1179,6 +1187,50 @@ def test_rum_keeps_no_xid_of_a_message_it_will_get_no_reply_for(monkeypatch, tec
         # shows it applied, and releases its xid.
         assert rum.technique.probe_rule_updates_sent == 30
     assert not rum.rum_xids
+
+
+
+class _CountingJson:
+    """Stands in for a module's ``json``: counts encodes and decodes."""
+
+    def __init__(self):
+        self.counts = Counter()
+
+    def __getattr__(self, name):
+        original = getattr(json, name)
+        if name not in ("dumps", "dump", "loads", "load"):
+            return original
+
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+
+def test_a_cache_hit_encodes_no_json(tmp_path, monkeypatch):
+    spec = CampaignSpec(scenarios=["path-migration"],
+                        techniques=["barrier", "general", "sequential",
+                                    "adaptive", "timeout"],
+                        seeds=list(range(1, 13)))
+    cells = spec.cells()
+    assert len(cells) == 60
+    RunStore(tmp_path / "store").put_summaries(
+        json.dumps({"cell_id": cell.cell_id, "config": cell.config(),
+                    "status": "ok", "digest": f"{index:016x}"})
+        for index, cell in enumerate(cells))
+    counting = _CountingJson()
+    monkeypatch.setattr(store_mod, "json", counting)
+    monkeypatch.setattr(runner_mod, "json", counting)
+    store = RunStore(tmp_path / "store")
+    replay = CampaignRunner(spec, tmp_path / "replay.jsonl", max_workers=1,
+                            cache=store).run()
+    assert (replay.ran, replay.cached) == (0, 60)
+    # The index once, then one object and one line per hit.
+    assert counting.counts == {"loads": 1 + 2 * 60}
+    counting.counts.clear()
+    assert store.verify() == []
+    assert counting.counts == {"loads": 2 * 60}
 
 
 if __name__ == "__main__":
