@@ -14,7 +14,7 @@ named with its simulated time, switch and phase.
 Equivalent CLI, given two stored runs (one REF alone prints that run's
 summary, timeline and fault overlay)::
 
-    python -m repro.store --store runstore show <digestA> <digestB>
+    python -m repro --store runstore show <digestA> <digestB>
 
 Run with::
 

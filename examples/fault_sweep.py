@@ -11,7 +11,7 @@ finishing with zero loss.
 
 Equivalent campaign CLI (adds processes-level parallelism and resume)::
 
-    python -m repro.campaign run --scenarios fault-sweep \
+    python -m repro run --scenarios fault-sweep \
         --techniques barrier,general,no-wait \
         --faults 'none,ack-loss(probability=0.25),ack-loss(probability=0.75)'
 

@@ -12,7 +12,7 @@ collapses; with recovery off, restored switches forward nothing ever again.
 
 Equivalent campaign CLI (adds process-level parallelism and resume)::
 
-    python -m repro.campaign run --scenarios rolling-upgrade \
+    python -m repro run --scenarios rolling-upgrade \
         --techniques barrier,general,no-wait \
         --faults 'rolling(switch-crash(restart_after=0.2)@pod:0,stagger=0.15,at=0.4)' \
         --recovery 'off,on'

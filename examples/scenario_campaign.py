@@ -5,8 +5,8 @@ Runs one scenario directly through the engine, then sweeps a small
 (scenario x technique x seed) grid through the parallel campaign runner and
 prints the aggregated report.  Equivalent CLI::
 
-    python -m repro.campaign list
-    python -m repro.campaign run --scenarios path-migration,link-failure \
+    python -m repro list
+    python -m repro run --scenarios path-migration,link-failure \
         --techniques barrier,general --seeds 1,2 --out /tmp/demo.jsonl
 
 Run with::

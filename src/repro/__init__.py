@@ -15,7 +15,9 @@ The package is organised bottom-up:
 * :mod:`repro.core` — **RUM itself**: the transparent proxy, the five
   acknowledgment techniques and the reliable barrier layer,
 * :mod:`repro.analysis`, :mod:`repro.experiments` — measurement utilities and
-  one experiment module per figure/table of the paper.
+  the paper's figures and tables as one catalogue (``FIGURES``),
+* ``python -m repro`` — the one command line: campaigns, the run store and
+  the figures.
 
 Quickstart::
 

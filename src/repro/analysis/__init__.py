@@ -13,7 +13,7 @@ quantities the paper reports:
 * usable rule-update rates (Table 1),
 * per-rule lifecycles and the per-switch activation-gap summary
   (:mod:`repro.analysis.timeline`), whose text — with all else ``python -m
-  repro.store show`` prints — :mod:`repro.campaign.report` renders on the
+  repro show`` prints — :mod:`repro.campaign.report` renders on the
   table primitive of :mod:`repro.analysis.report`.
 """
 

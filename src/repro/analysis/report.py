@@ -3,7 +3,7 @@
 The experiment harness, the profiler and the examples print their results
 as simple aligned tables so that the output can be compared side by side
 with the paper's tables and figures without any plotting dependencies;
-what ``python -m repro.store show`` prints is built on the same
+what ``python -m repro show`` prints is built on the same
 :func:`format_table` in :mod:`repro.campaign.report`.
 """
 

@@ -6,7 +6,7 @@ cells its run store lacks across worker processes (resume is a store cache
 hit) and writes one JSON line per cell, and :mod:`repro.campaign.report`
 renders every text view of runs and results; it is imported from there,
 because it reads the run store, which a worker process never loads.
-``python -m repro.campaign`` is the command-line entry point.
+``python -m repro run`` / ``status`` drive it from the command line.
 """
 
 from repro.campaign.grid import CampaignCell, CampaignSpec

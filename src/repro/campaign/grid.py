@@ -199,14 +199,3 @@ class CampaignSpec:
                 self.scales, self.seeds
             )
         ]
-
-    @classmethod
-    def quick(cls) -> "CampaignSpec":
-        """A single tiny cell: the CI smoke configuration."""
-        return cls(
-            scenarios=["path-migration"],
-            techniques=["general"],
-            scales=[1],
-            seeds=[1],
-            flow_count=2,
-        )

@@ -4,7 +4,7 @@ Each :class:`~concurrent.futures.ProcessPoolExecutor` worker appends one
 JSON line per cell boundary to its own shard
 (``<heartbeat dir>/worker-<pid>.heartbeat.jsonl``), so the fleet's health
 is observable *while the campaign runs* without any coordination: the
-``python -m repro.campaign --status`` monitor
+``python -m repro status`` monitor
 (:func:`repro.campaign.report.render_status`) just re-reads the shards.
 One shard per worker pid means no cross-process locking; appends of one
 short line are atomic enough on every filesystem the runner targets.
@@ -116,7 +116,7 @@ def writer_for(directory: Optional[Path]) -> Optional[HeartbeatWriter]:
 
 def write_manifest(directory: Path, *, total_cells: int, pending: int,
                    workers: int, results: str, cached: int = 0) -> Path:
-    """Write the run manifest the ``--status`` monitor reads for ETA math.
+    """Write the run manifest the ``status`` monitor reads for ETA math.
 
     ``cached`` counts cells the runner emitted from its run store instead of
     simulating; ``pending`` counts only cells actually dispatched to

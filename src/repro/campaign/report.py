@@ -1,5 +1,5 @@
-"""Every text view of a run: what ``python -m repro.store show`` and
-``python -m repro.campaign --status`` print.
+"""Every text view of a run: what ``python -m repro show`` and
+``python -m repro status`` print.
 
 The paper's argument is differential — the same update plan is safe under
 acknowledgment-based techniques and unsafe under timeouts — and it is read
@@ -400,7 +400,7 @@ RUN_HEALTH_HEADERS = [
     "wall [s]", "mean wall [s]", "peak rss [MB]",
 ]
 
-#: Headers of the differential resilience table (``store show A.jsonl B``).
+#: Headers of the differential resilience table (``show A.jsonl B``).
 DIFFERENTIAL_HEADERS = [
     "scenario", "technique", "fault", "seed", "outcome", "digest",
     "what changed",
@@ -567,7 +567,7 @@ def run_health(records: List[Dict[str, object]]) -> List[List[object]]:
     Groups by the pid each record ran under, so an unbalanced fleet (one
     worker eating all the slow cells, one worker ballooning in RSS) shows
     up directly in the report — the after-the-fact complement of the live
-    ``--status`` monitor.
+    ``status`` monitor.
     """
     rows: List[List[object]] = []
     for pid, group in _group(
@@ -683,7 +683,7 @@ def render_report(results_path: Path, baseline: Optional[Resolved] = None,
     resolved from another results file or a store directory — the report
     ends with the differential table of the cells whose outcome moved.
     ``cached`` is the just-finished run's store-cache hit count (only
-    ``campaign run`` knows it); ``store show RESULTS`` renders with the
+    ``run`` knows it); ``show RESULTS`` renders with the
     default ``0`` so re-aggregating a results file stays byte-identical no
     matter how its cells were produced.
     """

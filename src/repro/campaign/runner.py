@@ -102,7 +102,7 @@ def run_cells_chunk(
 
     With ``heartbeat_dir`` set, the worker appends cell-start/cell-done
     beats to its own shard there (see :mod:`repro.campaign.heartbeat`), so
-    ``python -m repro.campaign --status`` can watch the fleet mid-run.
+    ``python -m repro status`` can watch the fleet mid-run.
     """
     beats = heartbeat.writer_for(heartbeat_dir)
     records: List[Dict[str, object]] = []
@@ -197,7 +197,7 @@ class CampaignRunner:
         #: Where traced cells write their Chrome-trace shards.
         self.trace_dir = (self.results_path.parent / "traces"
                           if spec.trace else None)
-        #: Where workers append their heartbeat shards; ``--status`` reads
+        #: Where workers append their heartbeat shards; ``status`` reads
         #: this directory live.
         self.heartbeat_dir = self.results_path.parent / "heartbeats"
 

@@ -6,7 +6,7 @@ a text rendering of the resulting records — so each is a :class:`Figure` value
 in :data:`FIGURES` rather than a module.  Running one returns
 ``{label: RunRecord}`` and nothing else; what a figure derives from its records
 (Figure 1b's distributions, Table 1's normalisation) is a plain function over
-that dict.  ``python -m repro.experiments [name]`` prints any of them, and
+that dict.  ``python -m repro figure NAME`` prints any of them, and
 ``tests/integration/test_paper_figures.py`` holds each ``claim`` to the
 records and the rendered text to a golden.
 

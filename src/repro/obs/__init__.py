@@ -23,7 +23,7 @@ rule; this package records *how* it opened, phase by phase:
   kernel observer passed in as ``spec.run(observer=...)``.
 
 Arm tracing declaratively with ``SessionSpec(trace=True)`` (or
-``ScenarioParams(trace=True)``, or ``python -m repro.campaign run --trace``);
+``ScenarioParams(trace=True)``, or ``python -m repro run --trace``);
 the :class:`~repro.session.record.RunRecord` then carries the
 :class:`TraceLog`, whose per-rule lifecycles and fault overlaps
 :mod:`repro.campaign.report` renders.

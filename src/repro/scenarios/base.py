@@ -95,7 +95,7 @@ class Scenario:
 
     #: Registry key; a subclass whose own body sets it is registered.
     name: str = ""
-    #: One-line human description shown by ``python -m repro.campaign list``.
+    #: One-line human description shown by ``python -m repro list``.
     description: str = ""
     #: Topology family used when ``params.topology`` is ``"auto"``.
     default_topology: str = "leaf-spine"

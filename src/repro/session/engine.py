@@ -1,7 +1,7 @@
 """The one experiment-session engine.
 
 Every run path of the repro — the fig*/table1 experiment scripts, the
-scenario engine and ``python -m repro.campaign`` — executes through
+scenario engine and ``python -m repro run`` — executes through
 :func:`run_session`.  The sequence of simulation-visible steps is the exact
 superset of what the three historical engines did, in the same order, so for
 a fixed seed the results (and their digests) are byte-identical with the

@@ -4,9 +4,9 @@
 :class:`~repro.session.record.RunRecord` payloads into a digest-keyed
 object layout with a spec-encoding index, so a cell whose exact
 configuration has already been simulated is never simulated again: the
-store is the campaign runner's only memory (``--cache``), and resume is a
-cache hit.  ``python -m repro.store`` is the
-CLI (``ingest`` / ``query`` / ``show`` / ``verify`` / ``gc``), and
+store is the campaign runner's only memory (``--store``), and resume is a
+cache hit.  ``python -m repro`` drives it (``ingest`` / ``query`` /
+``show`` / ``verify`` / ``gc``), and
 ``show REF [REF]`` is the one way to read runs: :meth:`RunStore.read`
 resolves a REF and :class:`RunView` projects the run it names.
 """

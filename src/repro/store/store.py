@@ -241,6 +241,27 @@ def _old_schema(name: str, obj: Dict[str, object]) -> str:
     return f"{name}: store schema {obj.get('schema')!r} is not {STORE_SCHEMA}"
 
 
+def _verified_cell(obj: Dict[str, object], digest: str, cell_id: str
+                   ) -> Optional[Tuple[str, Dict[str, object]]]:
+    """``cell_id``'s line in ``obj`` (stored as ``digest``) and the line
+    decoded, or ``None`` unless the object is of this schema, the line still
+    matches its byte pin and claims ``digest``, and a full record stored
+    beside it still recomputes to ``digest``."""
+    if obj.get("schema") != STORE_SCHEMA:
+        return None
+    line = (obj.get("summaries") or {}).get(cell_id)
+    pins = (obj.get("sha1") or {}).get("summaries") or {}
+    if not line or line_sha1(line) != pins.get(cell_id):
+        return None
+    summary = _decoded(line)
+    if summary is None or str(summary.get("digest")) != digest:
+        return None
+    record = obj.get("record")
+    if record is not None and outcome_digest(record) != digest:
+        return None
+    return line, summary
+
+
 class RunStore:
     """A content-addressed archive of run outcomes on one directory."""
 
@@ -316,11 +337,12 @@ class RunStore:
                       for entry in os.scandir(shard.path)
                       if entry.name.endswith(".json"))
 
-    def iter_objects(self) -> Iterator[Dict[str, object]]:
+    def iter_objects(self) -> Iterator[Tuple[str, Dict[str, object]]]:
+        """Each readable object, with the digest it is stored under."""
         for digest in self.digests():
             obj = self.load(digest)
             if obj is not None:
-                yield obj
+                yield digest, obj
 
     def resolve(self, prefix: str) -> str:
         """The unique stored digest starting with ``prefix``."""
@@ -337,7 +359,8 @@ class RunStore:
         """The one resolver: what ``ref`` names, read and never written.
 
         A directory is a store and names its digest-verified cells, as
-        :meth:`cached_record` serves them; a ``.jsonl`` file names every
+        :meth:`cached_record` serves them (each object decoded once, each
+        cell from the object its index names); a ``.jsonl`` file names every
         cell of a results file, ``error`` ones included, and a ``.json``
         file one record payload; either suffix naming no file is refused as
         such.  Anything else is an exact index key, such as a
@@ -349,9 +372,11 @@ class RunStore:
         path = Path(ref)
         if path.is_dir():
             other = RunStore(path)
-            cells = {cell_id: hit[1] for obj in other.iter_objects()
+            index = other._load_index()
+            cells = {cell_id: hit[1] for digest, obj in other.iter_objects()
                      for cell_id in obj.get("summaries") or {}
-                     if (hit := other.cached_record(cell_id)) is not None}
+                     if index.get(cell_id) == digest
+                     and (hit := _verified_cell(obj, digest, cell_id))}
             return Resolved(ref, list(cells.values()), cells=cells)
         if path.suffix == ".jsonl" and path.is_file():
             lines = load_records(path)
@@ -475,29 +500,13 @@ class RunStore:
         """A cell's digest-verified results line and its record, if stored.
 
         The runner re-emits the line as it stands; the record is the line
-        decoded once.  ``None`` unless the object is of this schema, the line
-        still matches its byte pin and claims the object's digest, and — when
-        a full record payload is also stored — that payload still recomputes
-        to the same digest.  A hit is therefore always a verified one;
+        decoded once.  Every check is :func:`_verified_cell`'s, on the object
+        the cell's index entry names, so a hit is always a verified one;
         corruption degrades to a re-simulation, never to a wrong result.
         """
         digest = self.lookup_key(cell_id)
-        if digest is None:
-            return None
-        obj = self.load(digest)
-        if obj is None or obj.get("schema") != STORE_SCHEMA:
-            return None
-        line = (obj.get("summaries") or {}).get(cell_id)
-        pins = (obj.get("sha1") or {}).get("summaries") or {}
-        if not line or line_sha1(line) != pins.get(cell_id):
-            return None
-        summary = _decoded(line)
-        if summary is None or str(summary.get("digest")) != digest:
-            return None
-        record = obj.get("record")
-        if record is not None and outcome_digest(record) != digest:
-            return None
-        return line, summary
+        obj = None if digest is None else self.load(digest)
+        return None if obj is None else _verified_cell(obj, digest, cell_id)
 
     def artifact_path(self, digest: str, name: str) -> Optional[Path]:
         path = self.artifact_dir(digest) / name
@@ -514,7 +523,7 @@ class RunStore:
         wanted = {"technique": technique, "scenario": scenario,
                   "fault": fault, "outcome": outcome}
         rows: List[Dict[str, object]] = []
-        for obj in self.iter_objects():
+        for _digest, obj in self.iter_objects():
             meta = obj.get("meta") or {}
             if any(value is not None and meta.get(key) != value
                    for key, value in wanted.items()):

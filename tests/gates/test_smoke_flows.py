@@ -1,23 +1,25 @@
 """End-to-end flows CI's smoke jobs used to drive and no unit test does.
 
-Each goes through the entry point a user types — the campaign and store CLIs'
-``main(argv)``, an example script — rather than the API underneath.
+Each goes through the entry point a user types — ``python -m repro``, in a
+fresh interpreter once and as ``main(argv)`` otherwise, or an example
+script — rather than the API underneath.
 """
 
 import json
 import logging
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.campaign.__main__ import main as campaign_main
-from repro.experiments.__main__ import main as experiments_main
+from repro.__main__ import main
 from repro.experiments.figures import FIGURES
 from repro.obs.export import validate_chrome_trace, write_chrome_trace
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.store import RunStore
-from repro.store.__main__ import main as store_main
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -31,18 +33,18 @@ def test_a_stored_grid_reruns_from_cache_and_reports_byte_identically(
 
     def show(*refs):
         capsys.readouterr()
-        code = store_main(["--store", store, "show", *refs])
+        code = main(["--store", store, "show", *refs])
         return code, capsys.readouterr().out
 
-    assert campaign_main(["run", *_GRID, "--out", results]) == 0
-    assert store_main(["--store", store, "ingest", results]) == 0
-    assert store_main(["--store", store, "verify"]) == 0
+    assert main(["run", *_GRID, "--out", results]) == 0
+    assert main(["--store", store, "ingest", results]) == 0
+    assert main(["--store", store, "verify"]) == 0
     code, first = show(results)
     assert code == 0 and first.startswith(f"Campaign report — {results}")
 
     with caplog.at_level(logging.INFO, logger="repro"):
-        assert campaign_main(["run", *_GRID, "--cache", store,
-                              "--out", results]) == 0
+        assert main(["--store", store, "run", *_GRID,
+                     "--out", results]) == 0
     assert "ran 0, cached 4" in caplog.text
     assert show(results) == (0, first)
 
@@ -70,16 +72,37 @@ def test_a_recovered_run_shows_resync_spans_on_its_chrome_trace(tmp_path):
     assert "rule-reinstalled" in names, "no reinstall instants"
 
 
+def _catalogue(out):
+    """The figure names ``list`` prints after its registries."""
+    catalogue = out.split("(figure NAME runs one)\n", 1)[1]
+    return [line.split(":")[0] for line in catalogue.splitlines()
+            if not line.startswith(" ")]
+
+
 def test_the_experiments_cli_lists_the_catalogue_and_runs_a_named_figure(capsys):
-    assert experiments_main([]) == 0
-    listed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
-              if not line.startswith(" ")]
+    assert main(["list"]) == 0
+    listed = _catalogue(capsys.readouterr().out)
     assert listed == list(FIGURES) and len(listed) == 8
-    assert experiments_main(["fig2"]) == 0
+    assert main(["figure", "fig2"]) == 0
     assert capsys.readouterr().out.startswith(
         "Figure 2: transient firewall bypass during the update\n")
     with pytest.raises(SystemExit):
-        experiments_main(["fig3"])
+        main(["figure", "fig3"])
+
+
+def test_the_one_entry_point_runs_as_a_module_and_the_old_ones_are_gone():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def module(name, *argv):
+        return subprocess.run([sys.executable, "-m", name, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    door = module("repro", "list")
+    assert door.returncode == 0, door.stderr
+    assert "Registered scenarios" in door.stdout
+    assert _catalogue(door.stdout) == list(FIGURES)
+    for old in ("repro.campaign", "repro.store", "repro.experiments"):
+        assert module(old, "list").returncode != 0, old
 
 
 def _runs_headless(capsys, script, *args):

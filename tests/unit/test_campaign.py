@@ -248,7 +248,8 @@ class TestReport:
 
     def test_render_report_end_to_end(self, tmp_path):
         results = tmp_path / "results.jsonl"
-        spec = CampaignSpec.quick()
+        spec = CampaignSpec(scenarios=["path-migration"],
+                            techniques=["general"], seeds=[1], flow_count=2)
         CampaignRunner(spec, results, max_workers=1).run()
         text = render_report(results)
         assert "path-migration" in text
@@ -486,17 +487,17 @@ class TestStatus:
         assert "no heartbeat shards" in render_status(tmp_path / "nothing")
 
     def test_cli_status_smoke(self, tmp_path, capsys):
-        from repro.campaign.__main__ import main
+        from repro.__main__ import main
 
         results = tmp_path / "results.jsonl"
         CampaignRunner(_tiny_spec(techniques=["general"], seeds=[1]),
                        results, max_workers=1).run()
-        assert main(["--status", str(results)]) == 0
+        assert main(["status", str(results)]) == 0
         out = capsys.readouterr().out
         assert "Campaign status" in out
 
     def test_cli_requires_a_command_or_status(self, capsys):
-        from repro.campaign.__main__ import main
+        from repro.__main__ import main
 
         with pytest.raises(SystemExit):
             main([])
@@ -607,8 +608,8 @@ class TestCampaignCache:
         assert left == right
 
     def test_cache_accepts_a_path(self, tmp_path, caplog):
-        # The runner takes a RunStore; ``--cache PATH`` makes one of a path.
-        from repro.campaign.__main__ import main
+        # The runner takes a RunStore; ``--store PATH`` makes one of a path.
+        from repro.__main__ import main
 
         spec = CampaignSpec(scenarios=["path-migration"],
                             techniques=["timeout", "general"], scales=[1],
@@ -617,10 +618,11 @@ class TestCampaignCache:
         CampaignRunner(spec, tmp_path / "first.jsonl", max_workers=2,
                        cache=store).run()
         with caplog.at_level(logging.INFO, logger="repro"):
-            assert main(["run", "--scenarios", "path-migration",
+            assert main(["--store", str(store.root), "run",
+                         "--scenarios", "path-migration",
                          "--techniques", "timeout,general", "--scales", "1",
                          "--seeds", "1,2", "--flows", "2", "--workers", "2",
-                         "--no-report", "--cache", str(store.root),
+                         "--no-report",
                          "--out", str(tmp_path / "second.jsonl")]) == 0
         assert "ran 0, cached 4" in caplog.text
 
@@ -791,7 +793,7 @@ class TestDifferentialReport:
         del removed
 
     def test_cli_show_against_a_store_baseline(self, tmp_path, capsys):
-        from repro.store.__main__ import main
+        from repro.__main__ import main
 
         results = self._results(tmp_path)
         store_dir = tmp_path / "store"

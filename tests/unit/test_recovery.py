@@ -566,7 +566,7 @@ class TestCampaignRecoveryAxis:
     @pytest.mark.parametrize("scenario", ["rolling-upgrade", "correlated-tor-outage",
                                           "fault-sweep"])
     def test_an_absent_axis_is_not_an_explicit_none(self, scenario):
-        # ``python -m repro.campaign run --scenarios rolling-upgrade`` used to
+        # ``python -m repro run --scenarios rolling-upgrade`` used to
         # pass the spec's default "none" / "off" through verbatim and report
         # on an outage that never happened.
         def armed(cell):

@@ -2,8 +2,8 @@
 
 Covers the object layout (digest-keyed, content-pinned parts), ingest of
 campaign results files and standalone record payloads, the spec-encoding
-index behind the campaign ``--cache``, ``verify``'s corruption detection,
-``gc``, prefix resolution, and the ``python -m repro.store`` CLI.
+index behind ``run``'s store, ``verify``'s corruption detection, ``gc``,
+prefix resolution, and the store subcommands of ``python -m repro``.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ import pytest
 from repro.campaign import CampaignRunner, CampaignSpec, load_records
 from repro.scenarios import ScenarioParams, run_scenario
 from repro.store import RunStore, StoreError, content_sha1, spec_key
-from repro.store.__main__ import main as store_main
+from repro.__main__ import main as store_main
 
 
 def _spec(**overrides):
@@ -564,6 +564,17 @@ class TestStoreCli:
                            "verify"]) == 1
         assert "points at no object" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["verify", "gc", "query"])
+    def test_a_missing_store_is_refused_and_never_created(
+            self, tmp_path, capsys, command):
+        # A mistyped --store must not pass for an empty, healthy store.
+        typo = tmp_path / "stroe"
+        assert store_main(["--store", str(typo), command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no run store at {typo}\n"
+        assert captured.out == ""
+        assert not typo.exists()
+
     def test_unknown_digest_exits_2(self, tmp_path, capsys):
         RunStore(tmp_path / "store")  # materialize nothing
         code = store_main(["--store", str(tmp_path / "store"),
@@ -621,7 +632,7 @@ class TestStoreCli:
 
 
 class TestShow:
-    """``store show REF [REF]``: every REF kind, and both two-REF forms."""
+    """``show REF [REF]``: every REF kind, and both two-REF forms."""
 
     def test_a_results_file_shows_its_campaign_report(self, tmp_path, capsys):
         from repro.campaign.report import render_report

@@ -49,6 +49,8 @@ stalled-batch timer reads as many pending records at either window.
 A cache hit is re-emitted as it was stored: replaying a stored grid, and
 verifying the store, call no JSON encoder in the run store or the campaign
 runner, and each hit decodes one store object and one results line.
+Reading a store directory as a baseline decodes each object once, and a
+cell's line only from the object its index entry names.
 """
 
 import gc
@@ -1231,6 +1233,56 @@ def test_a_cache_hit_encodes_no_json(tmp_path, monkeypatch):
     counting.counts.clear()
     assert store.verify() == []
     assert counting.counts == {"loads": 2 * 60}
+
+
+def _summary_line(cell, digest):
+    """A stored cell's results line: the index files it by its config."""
+    return json.dumps({"cell_id": cell.cell_id, "config": cell.config(),
+                       "status": "ok", "digest": digest})
+
+
+def test_reading_a_store_directory_decodes_each_object_once(
+        tmp_path, monkeypatch):
+    cells = CampaignSpec(scenarios=["path-migration"],
+                         techniques=["barrier", "general"],
+                         seeds=[1, 2, 3, 4, 5]).cells()
+    assert len(cells) == 10
+    RunStore(tmp_path / "store").put_summaries(
+        _summary_line(cell, f"{index:016x}")
+        for index, cell in enumerate(cells))
+    counting = _CountingJson()
+    monkeypatch.setattr(store_mod, "json", counting)
+    baseline = RunStore(tmp_path / "unused").read(str(tmp_path / "store"))
+    assert sorted(baseline.cells) == sorted(cell.cell_id for cell in cells)
+    # The index once, then one object and one line per cell.
+    assert counting.counts == {"loads": 1 + 10 + 10}
+
+
+@pytest.mark.parametrize("stale, fresh", [("f" * 16, "0" * 16),
+                                          ("0" * 16, "f" * 16)],
+                         ids=["stale-object-listed-last",
+                              "stale-object-listed-first"])
+def test_a_stale_line_in_an_older_object_is_never_served(
+        tmp_path, monkeypatch, stale, fresh):
+    # A cell stored under one outcome, then stored again under another: the
+    # older object keeps its (still pinned) line, and the index moves on.
+    moved, kept = CampaignSpec(scenarios=["path-migration"],
+                               techniques=["general"], seeds=[1, 2]).cells()
+    store = RunStore(tmp_path / "store")
+    store.put_summaries([_summary_line(moved, stale),
+                         _summary_line(kept, stale)])
+    store.put_summaries([_summary_line(moved, fresh)])
+    assert (store.load(stale)["summaries"][moved.cell_id]
+            == _summary_line(moved, stale))
+    assert store.cached_record(moved.cell_id)[1]["digest"] == fresh
+    counting = _CountingJson()
+    monkeypatch.setattr(store_mod, "json", counting)
+    baseline = RunStore(tmp_path / "unused").read(str(store.root))
+    assert {cell_id: line["digest"] for cell_id, line
+            in baseline.cells.items()} == {moved.cell_id: fresh,
+                                           kept.cell_id: stale}
+    # The stale line is not even decoded: the index, two objects, two lines.
+    assert counting.counts == {"loads": 1 + 2 + 2}
 
 
 if __name__ == "__main__":
