@@ -45,23 +45,24 @@ class Host:
     # -- traffic -----------------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Transmit ``packet`` on the uplink and record it with the monitor."""
-        packet.trace.append(self.name)
+        packet.trace = packet.trace[self.name]
         if self.monitor is not None and packet.flow_id is not None and not packet.is_probe:
             self.monitor.record_sent(packet.flow_id)
         self._link.transmit_from(self, packet)
 
     def receive_packet(self, packet: Packet, in_port: int, arrived_at: float) -> None:
-        """Handle a packet that just left the wire: record the delivery and its path."""
-        trace = packet.trace
-        trace.append(self.name)
+        """Handle a packet that just left the wire: record the delivery and its
+        path (the interned path tuple of the packet's trace, see
+        :class:`~repro.packet.packet.PathNode`)."""
+        packet.trace = trace = packet.trace[self.name]
         monitor = self.monitor
         if monitor is None:
             return
         if packet.is_probe:
-            monitor.record_probe(arrived_at, tuple(trace))
+            monitor.record_probe(arrived_at, trace.names)
             return
         monitor.record_delivery(packet.flow_id, packet.created_at, arrived_at,
-                                packet.sequence, tuple(trace))
+                                packet.sequence, trace.names)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Host {self.name} ip={self.ip}>"

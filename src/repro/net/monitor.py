@@ -72,10 +72,11 @@ class DeliveryMonitor:
                         received_at: float, sequence: int,
                         path: Tuple[str, ...]) -> None:
         """Register a packet arriving at its destination host."""
-        if flow_id is None:
-            return
-        log = self._logs.get(flow_id)
-        if log is None:
+        try:
+            log = self._logs[flow_id]
+        except KeyError:
+            if flow_id is None:
+                return
             log = self._logs[flow_id] = _FlowLog(array("d"), array("d"), array("q"), [])
         path = self._paths.setdefault(path, path)
         # A host's clock only advances, so this is an append; a caller that

@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.packet.addresses import ip_to_int, mac_to_int
-from repro.packet.fields import (
-    ETH_TYPE_IP,
-    FIELD_COUNT,
-    FIELD_INDEX,
-    FIELD_MAX_BY_INDEX,
-    FIELD_ORDER,
-    FIELD_REGISTRY,
-    HeaderField,
-    IP_PROTO_UDP,
-)
+from repro.packet.fields import (ETH_TYPE_IP, FIELD_COUNT, FIELD_INDEX, FIELD_MAX_BY_INDEX,
+                                 FIELD_ORDER, FIELD_REGISTRY, HeaderField, IP_PROTO_UDP)
 
 #: Ethernet + IPv4 + UDP header bytes every packet carries on the wire.
 _HEADER_BYTES = 42
@@ -24,20 +16,38 @@ _HEADER_BYTES = 42
 HeaderValues = Tuple[Optional[int], ...]
 
 
+class PathNode(dict):
+    """An interned hop trace: the names of the nodes visited, in order
+    (``names``), keyed by name to the traces one hop longer (made on first
+    use).  Equal paths are one node process-wide, so a hop is one subscript,
+    a copy shares its trace and a delivery reads a path tuple that exists."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: Tuple[str, ...] = ()) -> None:
+        self.names = names
+
+    def __missing__(self, name: str) -> "PathNode":
+        node = self[name] = PathNode(self.names + (name,))
+        return node
+
+
+#: The trace of a packet that has visited no node yet.
+NO_HOPS = PathNode()
+
+
 class Packet:
     """A single data-plane packet.
 
     Header values are stored as integers in one immutable fixed-order tuple
     indexed by :data:`~repro.packet.fields.FIELD_INDEX` (``None`` marks an
-    absent field).  The tuple is shared, not owned: a copy keeps it, every
-    packet a traffic source sends for one flow carries its template's, and
-    a rewrite (:meth:`set`, a rewriting rule) replaces it with a new one.
-    Absent fields are treated as zero by the flow table (OpenFlow 1.0
-    semantics: a field always has *some* value; only matches can be
-    wildcarded).  The :attr:`headers` property presents the classic
-    ``{HeaderField: value}`` dict view for construction, wire encoding and
-    debugging; the forwarding fast path reads the tuple directly, and the
-    data plane's plan cache is keyed by it.
+    absent field, which the flow table treats as zero: OpenFlow 1.0 only
+    wildcards matches).  The tuple is shared, not owned: a copy keeps it,
+    every packet a traffic source sends for one flow carries its template's,
+    and a rewrite (:meth:`set`, a rewriting rule) replaces it.  The
+    forwarding fast path reads it directly (the plan cache is keyed by it);
+    :attr:`headers` is the ``{HeaderField: value}`` view for construction
+    and debugging.
 
     Parameters
     ----------
@@ -58,31 +68,16 @@ class Packet:
         Approximate wire size in bytes (headers + payload), fixed at
         construction: every link and every matched rule reads it.
     trace:
-        Names of the nodes visited so far, appended by hosts and switches.
-        Names only: nobody reads a hop's time, and a string appended to a list
-        leaves nothing for the garbage collector to track (a tuple would).
+        The :class:`PathNode` of the nodes visited so far; a host or switch
+        taking the packet in moves it on: ``trace = trace[name]``.
     """
 
-    __slots__ = (
-        "_values",
-        "payload_size",
-        "total_size",
-        "flow_id",
-        "created_at",
-        "sequence",
-        "is_probe",
-        "trace",
-    )
+    __slots__ = ("_values", "payload_size", "total_size", "flow_id", "created_at", "sequence",
+                 "is_probe", "trace")
 
-    def __init__(
-        self,
-        headers: Dict[HeaderField, int],
-        payload_size: int = 100,
-        flow_id: Optional[str] = None,
-        created_at: float = 0.0,
-        sequence: int = 0,
-        is_probe: bool = False,
-    ) -> None:
+    def __init__(self, headers: Dict[HeaderField, int], payload_size: int = 100,
+                 flow_id: Optional[str] = None, created_at: float = 0.0,
+                 sequence: int = 0, is_probe: bool = False) -> None:
         values: List[Optional[int]] = [None] * FIELD_COUNT
         field_index = FIELD_INDEX
         field_max = FIELD_MAX_BY_INDEX
@@ -101,7 +96,7 @@ class Packet:
         self.created_at = created_at
         self.sequence = sequence
         self.is_probe = is_probe
-        self.trace: List[str] = []
+        self.trace = NO_HOPS
 
     # -- header access -----------------------------------------------------
     @property
@@ -145,10 +140,10 @@ class Packet:
         """A copy with a new identity but the same headers, payload and trace.
 
         Switches copy packets before applying rewrite actions; the hop trace
-        (a list of node names, cloned) is carried over because the copy
-        logically *is* the same packet continuing through the network.
-        The header tuple is immutable, so the copy shares it (a rewrite gives
-        the copy a new one).
+        is carried over because the copy logically *is* the same packet
+        continuing through the network.  The header tuple and the trace node
+        are immutable, so the copy shares both (a rewrite gives the copy a
+        new header tuple).
         """
         clone = Packet.__new__(Packet)
         clone._values = self._values
@@ -158,19 +153,13 @@ class Packet:
         clone.created_at = self.created_at
         clone.sequence = self.sequence
         clone.is_probe = self.is_probe
-        clone.trace = self.trace.copy()
+        clone.trace = self.trace
         return clone
 
     @classmethod
-    def from_values(
-        cls,
-        values: HeaderValues,
-        payload_size: int = 100,
-        flow_id: Optional[str] = None,
-        created_at: float = 0.0,
-        sequence: int = 0,
-        is_probe: bool = False,
-    ) -> "Packet":
+    def from_values(cls, values: HeaderValues, payload_size: int = 100,
+                    flow_id: Optional[str] = None, created_at: float = 0.0,
+                    sequence: int = 0, is_probe: bool = False) -> "Packet":
         """Build a packet from a pre-validated fixed-order header tuple.
 
         Fast path for the traffic generators; ``values`` must follow
@@ -185,12 +174,8 @@ class Packet:
         packet.created_at = created_at
         packet.sequence = sequence
         packet.is_probe = is_probe
-        packet.trace = []
+        packet.trace = NO_HOPS
         return packet
-
-    def items(self) -> Iterator:
-        """Iterate over ``(field, value)`` pairs."""
-        return iter(self.headers.items())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         kind = "probe" if self.is_probe else "pkt"

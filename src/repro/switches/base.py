@@ -14,7 +14,7 @@ from repro.packet.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRandom
 from repro.switches.controlplane import ControlPlane
-from repro.switches.dataplane import DataPlane
+from repro.switches.dataplane import DataPlane, ForwardingResult
 from repro.switches.profiles import SwitchProfile
 
 #: Signature of the callable a port uses to hand a packet to its link:
@@ -60,6 +60,7 @@ class Switch:
             capacity=profile.table_capacity,
             name=f"{name}.data",
         )
+        self._plans = self.dataplane.plan_cache  # applied by receive_packet
         self.controlplane = ControlPlane(
             sim,
             profile,
@@ -201,22 +202,26 @@ class Switch:
 
         It is lost if the ports were dark *at* ``arrived_at`` (an edge at that
         very instant has happened), lit again since or not; otherwise it is
-        classified and forwarded against the tables and ports as they are now.
+        classified and forwarded against the tables and ports as they are now:
+        a cached plan is applied in this frame, a miss gets its plan from
+        :meth:`_forward`.  A crashed switch's cache is empty (a crash wipes
+        it; only ``_forward`` fills it), so its packets all miss.
         """
         dark = self._dark_log
         if dark and bisect_right(dark, arrived_at) & 1:
             return
-        packet.trace.append(self.name)
-        self._forward(packet, in_port)
-
-    def _forward(self, packet: Packet, in_port: int) -> None:
-        if self._crashed:
-            return
-        packet, output_ports, to_controller, _entry = self.dataplane.process_packet(
-            packet, in_port)
+        packet.trace = packet.trace[self.name]
+        try:
+            _entry, values, ports, to_controller = self._plans[in_port][packet._values]
+        except KeyError:
+            packet, ports, to_controller, _entry = self._forward(packet, in_port)
+        else:
+            if values is not None:
+                packet = packet.copy()
+                packet._values = values
         if to_controller:
             self._send_packet_in(packet, in_port)
-        for port in output_ports:
+        for port in ports:
             try:
                 transmit = self._ports[port]
             except KeyError:
@@ -224,9 +229,18 @@ class Switch:
             else:
                 transmit(packet)
 
+    def _forward(self, packet: Packet, in_port: int) -> ForwardingResult:
+        # The miss path, a frame of its own: the benchmark's span pass wraps
+        # it and ``process_packet`` (``benchmarks/e2e/spans.py``), and both
+        # fire in every simulated cell, as each starts with empty caches.
+        if self._crashed:
+            return ForwardingResult(packet)  # forwards nothing
+        return self.dataplane.process_packet(packet, in_port)
+
     def inject_packet(self, packet: Packet, actions: List[Action], in_port: int) -> None:
         """PacketOut semantics: apply ``actions`` to a copy of ``packet`` and
-        emit it (an attached port's link takes it directly, as in :meth:`_forward`)."""
+        emit it (an attached port's link takes it directly, as in
+        :meth:`receive_packet`)."""
         if self._crashed:
             return
         rewrites, ports = compile_actions(actions)

@@ -6,31 +6,30 @@ that these two tables can disagree for hundreds of milliseconds; keeping them
 as two distinct objects makes that divergence explicit and measurable
 (:meth:`DataPlane.divergence_from`).
 
-A lookup cache keeps per-packet cost low for the high-rate traffic used in
-the end-to-end experiments.  It is ``{in_port: {header tuple: plan}}``,
-keyed by the packet's own immutable header tuple, which every packet of a
-flow shares (:class:`~repro.net.traffic.TrafficGenerator`), so a hop builds
-no key: a hit hashes that tuple and finds it by identity.  The cache holds
-*forwarding plans* — the matched entry's actions compiled by
+A plan cache, ``{in_port: {header tuple: plan}}``, keeps per-packet cost
+low: it is keyed by the packet's own header tuple, which every packet of a
+flow shares, so a hop builds no key and a hit finds the tuple by identity.
+A plan is the matched entry's actions compiled by
 :func:`~repro.openflow.actions.compile_actions`, with a rewriting rule's
-output header tuple built once per cached header — so a hit only applies
-one.  Any rule applied can change which entry a header tuple matches, so
-the cache is cleared whenever one is (in a probing run nearly every probe
-hop misses), and a miss is cheap: ``in_port`` leads the header tuple, so its
-key is one concatenation, ``(in_port,) + values[1:]``; the table answers it
+output header tuple built once per cached header (``_compile_plan`` states
+the layout).  The data plane builds plans and the switch applies them:
+``Switch.receive_packet`` looks a packet up and applies a hit itself, and
+only a miss calls :meth:`DataPlane.process_packet`.  Any rule applied can
+change which entry a header tuple matches, so the cache is cleared whenever
+one is (in a probing run nearly every probe hop misses), and a miss is cheap:
+one failed lookup; its table key is ``(in_port,) + values[1:]``, answered
 with one hash probe per rule signature; and the plan is kept on its entry
-(``FlowEntry.plan``, compiled once per entry and ``actions`` binding, which
-``FlowTable`` MODIFY rebinds and drops), so a miss is no recompile.
+(``FlowEntry.plan``, compiled once per ``actions`` binding).
 
 A hop counts nothing: the data plane keeps no per-rule packet or byte
 counters, because no message a run sends asks for them.
 
 Packet ownership: a packet handed to a port's transmit is owned by the link;
 the sender must not touch it again, so the packet a switch receives is held
-by nobody else and travels on as the same object.  The data plane copies
-only to rewrite; :class:`~repro.switches.base.Switch` copies per flooded port,
-per PacketOut and for PacketIn capture (not per port of a multi-output rule, whose links
-share one object and its hop trace, as ever — nothing in ``src/`` installs one).
+by nobody else and travels on as the same object.  Applying a plan copies
+only to rewrite; the switch also copies per flooded port, per PacketOut and
+for PacketIn capture (not per port of a multi-output rule, whose links share
+one object — nothing in ``src/`` installs one).
 """
 
 from __future__ import annotations
@@ -51,10 +50,9 @@ class ForwardingResult(NamedTuple):
     """Outcome of processing one packet in the data plane.
 
     ``packet`` (the input object, or a rewritten copy) leaves on the physical
-    ``output_ports`` (the cached plan's own tuple) and, if ``to_controller``,
-    a copy goes into a PacketIn; ``matched_entry`` is ``None`` on a table miss.
-    The data plane builds it with ``tuple.__new__`` from the complete field
-    tuple: the generated ``__new__`` would be a Python frame per packet hop.
+    ``output_ports`` and, if ``to_controller``, a copy goes into a PacketIn;
+    ``matched_entry`` is ``None`` on a table miss.  It is built with
+    ``tuple.__new__``: the generated ``__new__`` would be a frame per miss.
     """
 
     packet: Packet
@@ -73,7 +71,8 @@ class DataPlane:
         self.name = name
         #: Owning switch, for trace events (the table is named ``<switch>.data``).
         self.switch_name = name[:-5] if name.endswith(".data") else name
-        self._lookup_cache: Dict[int, Dict[HeaderValues, tuple]] = {}
+        #: Cleared, never rebound: the owning switch holds it.
+        self.plan_cache: Dict[int, Dict[HeaderValues, tuple]] = {}
         #: (time, flowmod xid) history of when each rule became visible to
         #: packets — the measurement layer uses this as ground truth for
         #: "data plane activation".
@@ -83,7 +82,7 @@ class DataPlane:
     def apply_flowmod(self, flowmod: FlowMod, now: float) -> List[FlowEntry]:
         """Apply a rule modification to the data plane (cache is invalidated)."""
         entries = self.table.apply_flowmod(flowmod, now=now)
-        self._lookup_cache.clear()
+        self.plan_cache.clear()
         self.apply_log.append((now, flowmod.xid))
         tr = self.sim.tracer
         if tr is not None:
@@ -97,14 +96,14 @@ class DataPlane:
     def wipe(self) -> None:
         """Crash semantics: every rule vanishes from the data plane at once."""
         self.table.clear()
-        self._lookup_cache.clear()
+        self.plan_cache.clear()
 
     # -- packet processing --------------------------------------------------------
     def _compile_plan(self, values: HeaderValues, in_port: int) -> tuple:
         """A cache miss: look ``values`` up as it arrived on ``in_port`` and
-        cache the table's answer as ``(entry, rewritten header tuple or
-        None, physical output ports, to_controller)``, compiling the entry's
-        plan if it has none yet."""
+        cache the table's answer as a plan, ``(entry, rewritten header tuple
+        or None, physical output ports, to_controller)``, compiling the
+        entry's plan if it has none yet (``Switch.receive_packet`` reads it)."""
         entry = self.table.lookup_values((in_port,) + values[1:])
         if entry is None:
             plan = (None, None, (), False)
@@ -118,21 +117,18 @@ class DataPlane:
             rewrites, ports, to_controller = compiled
             plan = (entry, rewritten(values, rewrites) if rewrites else None,
                     ports, to_controller)
-        self._lookup_cache.setdefault(in_port, {})[values] = plan
+        self.plan_cache.setdefault(in_port, {})[values] = plan
         return plan
 
     def process_packet(self, packet: Packet, in_port: int) -> ForwardingResult:
-        """Classify ``packet`` and compute its forwarding result.
+        """Classify ``packet`` against the table (the switch's miss path: no
+        cache lookup), cache its plan and compute its forwarding result.
 
         The result carries ``packet`` itself unless the matched rule rewrites
         headers; then a copy carries the rewritten header tuple and
         ``packet`` is untouched.
         """
-        values = packet._values
-        try:
-            entry, out_values, ports, to_controller = self._lookup_cache[in_port][values]
-        except KeyError:
-            entry, out_values, ports, to_controller = self._compile_plan(values, in_port)
+        entry, out_values, ports, to_controller = self._compile_plan(packet._values, in_port)
         if out_values is not None:
             packet = packet.copy()
             packet._values = out_values

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: ``find src -name '*.py' | xargs cat | wc -l``.  Net ``src/`` lines only go
 #: down this round: a change that removes lines lowers the ceiling to what it
 #: reaches, a change that adds some deletes as many elsewhere.
-SOURCE_LINE_CEILING = 16653
+SOURCE_LINE_CEILING = 16650
 
 #: Knobs: the fields of the run-configuration dataclasses plus every
 #: non-help option of ``python -m repro``, sub-commands included.

@@ -17,9 +17,14 @@ lists are the repository's own — they are not what is specified here):
 :class:`Recorder` taps what enters the data plane of every ``Network`` built
 while it is installed (host sends, PacketOut injections, data-plane rule
 changes, crash / restore / flap edges) and what comes out (deliveries,
-PacketIns, drops at each data plane's ``process_packet``, packets each
-switch took in on a lit port, counted at its ``_forward``), so a test can run anything — a hypothesis script or a whole
-experiment — and ask the model for the same answers.
+PacketIns, and per switch the packets it took in and dropped), so a test can
+run anything — a hypothesis script or a whole experiment — and ask the model
+for the same answers.  Every hop, whether the switch finds its forwarding
+plan cached or not, passes ``Switch.receive_packet``, and that is where the
+tap counts: a packet was taken in on a lit port if its trace moved on to the
+switch, and dropped if the switch was up and the hop emitted nothing — no
+PacketIn (``_send_packet_in``), nothing to an attached port (the transmit
+``attach_port`` was given) or to any other (``_transmit``).
 """
 
 from collections import Counter, defaultdict
@@ -88,16 +93,16 @@ def replay(network, inputs):
     while events:
         now, _, kind, node, payload = heappop(events)
         if kind == "send":
-            payload.trace.append(node)
+            payload.trace = payload.trace[node]
             emit(now, node, payload, [uplink[node]], None)
         elif kind == "arrive":
             packet, in_port = payload
             if node not in ingress:
-                packet.trace.append(node)
-                deliveries.append((now, node, _identity(packet), tuple(packet.trace)))
+                packet.trace = packet.trace[node]
+                deliveries.append((now, node, _identity(packet), packet.trace.names))
             elif node not in crashed and node not in flapped:
                 received[node] += 1
-                packet.trace.append(node)
+                packet.trace = packet.trace[node]
                 heappush(events, (now + ingress[node], next(order), "due", node, payload))
         elif kind == "due" and node not in crashed:
             packet, in_port = payload
@@ -147,7 +152,7 @@ class Recorder:
         self.recordings = []
         by_sim, by_dataplane = {}, {}
 
-        def tap(owner, name, before=None, after=None, returned=None):
+        def tap(owner, name, before=None, after=None):
             original = getattr(owner, name)
 
             def tapped(self, *args, **kwargs):
@@ -156,8 +161,6 @@ class Recorder:
                 result = original(self, *args, **kwargs)
                 if after is not None:
                     after(self, *args, **kwargs)
-                if returned is not None:
-                    returned(self, result)
                 return result
 
             monkeypatch.setattr(owner, name, tapped)
@@ -179,32 +182,56 @@ class Recorder:
                 recording, name = by_dataplane[dataplane]
                 recording.inputs.append((recording.network.sim.now, "rule", name, flowmod))
 
-        def forwarded(dataplane, result):
-            # A drop: matched nothing, or a rule that sends the packet nowhere.
-            if dataplane in by_dataplane and not (result.output_ports or result.to_controller):
-                recording, name = by_dataplane[dataplane]
-                recording.drops[name] += 1
-
         def delivered(host, packet, *_args):
             by_sim[host.sim].deliveries.append(
-                (host.sim.now, host.name, _identity(packet), tuple(packet.trace)))
+                (host.sim.now, host.name, _identity(packet), packet.trace.names))
 
-        def took_in(switch, *_args):
-            by_sim[switch.sim].received[switch.name] += 1
+        # One flag per hop being taken in: has it emitted anything yet?
+        emitting = []
+
+        def emitted(*_args):
+            if emitting:  # not a PacketOut's
+                emitting[-1] = True
 
         def punted(switch, packet, in_port):
+            emitted()
             by_sim[switch.sim].packet_ins.append(
                 (switch.sim.now, switch.name, in_port, _identity(packet)))
+
+        receive, attach = Switch.receive_packet, Switch.attach_port
+
+        def hop(switch, packet, in_port, arrived_at):
+            trace, crashed = packet.trace, switch.crashed
+            emitting.append(False)
+            try:
+                receive(switch, packet, in_port, arrived_at)
+            finally:
+                sent = emitting.pop()
+            recording = by_sim.get(switch.sim)
+            if recording is None or packet.trace is trace:
+                return  # a switch built outside any Network, or dark at the arrival
+            recording.received[switch.name] += 1
+            # A drop: matched nothing, or a rule that sends the packet nowhere.
+            if not crashed and not sent:
+                recording.drops[switch.name] += 1
+
+        def attach_port(switch, port_no, transmit):
+            def sent(packet):
+                emitted()
+                transmit(packet)
+
+            attach(switch, port_no, sent)
 
         tap(Network, "__init__", after=built)
         tap(Host, "send", before=told("send", lambda packet: packet.copy()))
         tap(Switch, "inject_packet", before=told(
             "inject", lambda packet, actions, in_port: (packet.copy(), actions, in_port)))
         tap(DataPlane, "apply_flowmod", after=rule_applied)
-        tap(DataPlane, "process_packet", returned=forwarded)
         tap(Switch, "crash", before=told("crash"))
         tap(Switch, "restore", before=told("restore"))
         tap(Switch, "flap_ports", before=told("flap", lambda down: down))
         tap(Host, "receive_packet", after=delivered)
         tap(Switch, "_send_packet_in", before=punted)
-        tap(Switch, "_forward", before=took_in)
+        tap(Switch, "_transmit", before=emitted)
+        monkeypatch.setattr(Switch, "receive_packet", hop)
+        monkeypatch.setattr(Switch, "attach_port", attach_port)

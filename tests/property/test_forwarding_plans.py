@@ -3,6 +3,10 @@
 ``compile_actions`` is the only interpreter of action lists in ``src/``; the
 oracle below is the per-packet ``isinstance`` loop the data plane used to run,
 kept here so the two can be compared on random action lists.
+
+The switch applies a cached plan itself and leaves a miss to the data plane
+(``DataPlane.process_packet``), so the same packet handed to a switch twice,
+a miss and then a hit, must leave it the same way both times.
 """
 
 import itertools
@@ -24,6 +28,7 @@ from repro.openflow.messages import FlowMod
 from repro.packet.fields import FIELD_REGISTRY, HeaderField
 from repro.packet.packet import make_ip_packet
 from repro.sim.kernel import Simulator
+from repro.switches import Switch, software_switch_profile
 from repro.switches.dataplane import DataPlane
 
 _REWRITABLE = sorted(
@@ -87,7 +92,7 @@ def test_compiled_plan_agrees_with_the_interpreter(actions):
     dataplane = DataPlane(Simulator())
     dataplane.apply_flowmod(FlowMod(Match(), actions, priority=1), now=0.0)
     dropped = 0
-    for _ in range(2):  # a miss (compiles the plan), then a hit (reuses it)
+    for _ in range(2):  # the second looks the table up again, and reuses the entry's plan
         packet = _packet()
         before = packet.header_values()
         result = dataplane.process_packet(packet, in_port=4)
@@ -105,18 +110,93 @@ def test_compiled_plan_agrees_with_the_interpreter(actions):
     assert dropped == (2 if not expected_ports else 0)
 
 
+def _switch():
+    """A switch on ports 1-3 whose output (``(port, header tuple, whether it
+    is the very packet handed over)`` per transmission, ``(in_port, header
+    tuple)`` per PacketIn) :func:`_hand_over` returns."""
+    switch = Switch(Simulator(), "S", software_switch_profile(), datapath_id=1)
+    switch.out = []
+    for port in (1, 2, 3):
+        switch.attach_port(port, lambda packet, port=port: switch.out.append(
+            (port, packet.header_values(), packet is switch.handed_over)))
+
+    def punted(build):
+        message = build()
+        switch.out.append((message.in_port, message.packet.header_values()))
+
+    switch.controlplane.send_packet_in = punted
+    return switch
+
+
+def _hand_over(switch, packet, in_port=4, arrived_at=None):
+    """What a link does with ``packet`` that arrived at ``arrived_at`` (now
+    by default) and is due now; returns what left."""
+    switch.out, switch.handed_over = [], packet
+    switch.receive_packet(packet, in_port,
+                          switch.sim.now if arrived_at is None else arrived_at)
+    return switch.out
+
+
 def test_plan_does_not_outlive_a_dataplane_mutation():
     # MODIFY rebinds ``entry.actions`` on the same FlowEntry object, and a
-    # table miss is cached too: both must be forgotten on the next FlowMod.
-    dataplane = DataPlane(Simulator())
-    assert dataplane.process_packet(_packet(), in_port=1).matched_entry is None
-    dataplane.apply_flowmod(FlowMod(Match(), [OutputAction(1)], priority=1), now=0.0)
-    assert dataplane.process_packet(_packet(), in_port=1).output_ports == (1,)
-    dataplane.apply_flowmod(
+    # table miss is cached too: both must be forgotten on the next FlowMod,
+    # by the plans the switch applies (each state is handed the packet
+    # twice: the second is a hit).
+    switch, packet = _switch(), _packet()
+    values = packet.header_values()
+    for _ in range(2):
+        assert _hand_over(switch, packet) == []
+    switch.install_rule_directly(FlowMod(Match(), [OutputAction(1)], priority=1))
+    for _ in range(2):
+        assert _hand_over(switch, packet) == [(1, values, True)]
+    switch.install_rule_directly(
         FlowMod(Match(), [SetFieldAction(HeaderField.IP_TOS, 5), OutputAction(2)],
-                priority=1, command=FlowModCommand.MODIFY), now=0.1)
-    result = dataplane.process_packet(_packet(), in_port=1)
-    assert result.output_ports == (2,)
-    assert result.packet.get(HeaderField.IP_TOS) == 5
-    dataplane.wipe()
-    assert dataplane.process_packet(_packet(), in_port=1).matched_entry is None
+                priority=1, command=FlowModCommand.MODIFY))
+    for _ in range(2):
+        ((port, out_values, same),) = _hand_over(switch, packet)
+        assert (port, out_values[1:] != values[1:], same) == (2, True, False)
+    switch.dataplane.wipe()
+    for _ in range(2):
+        assert _hand_over(switch, packet) == []
+
+
+_MATCHES = (Match(), Match(ip_dst="10.0.0.2"), Match(ip_dst="10.0.0.9"),
+            Match(in_port=4), Match(in_port=1, ip_dst="10.0.0.2"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rules=st.lists(st.tuples(st.sampled_from(_MATCHES), st.integers(1, 3), _ACTIONS),
+                      max_size=4),
+       state=st.sampled_from(("up", "flapped", "crashed")),
+       in_port=st.sampled_from((1, 4)))
+def test_a_hit_forwards_exactly_as_the_miss_that_cached_its_plan(rules, state, in_port):
+    # Rewriting, punting, flooding, dropping or matching nothing; on a switch
+    # that is up, whose ports went dark after the packet arrived, or that
+    # crashed after it arrived (its rules installed while it was down).
+    switch = _switch()
+    switch.sim.run(until=1.0)
+    if state == "crashed":
+        switch.crash()
+    for match, priority, actions in rules:
+        switch.install_rule_directly(FlowMod(match, actions, priority=priority))
+    if state == "flapped":
+        switch.flap_ports(True)
+    misses, forward = [], switch._forward
+    switch._forward = lambda *args: misses.append(args) or forward(*args)
+    packet = _packet()
+    values = packet.header_values()
+    miss = _hand_over(switch, packet, in_port, arrived_at=0.5)
+    hit = _hand_over(switch, packet, in_port, arrived_at=0.5)
+    assert hit == miss
+    # A rewrite went out on a copy: the packet handed over kept its headers.
+    assert packet.header_values() is values
+    # The first missed the plan cache and the second hit it; a crashed
+    # switch forwards nothing and caches no plan, so both of its missed.
+    assert len(misses) == (2 if state == "crashed" else 1)
+    assert (switch.dataplane.plan_cache == {}) == (state == "crashed")
+    # Dark ports transmit nothing (a PacketIn still goes out); a crashed
+    # switch sends nothing at all.
+    if state == "flapped":
+        assert all(len(out) == 2 for out in miss)
+    elif state == "crashed":
+        assert miss == []

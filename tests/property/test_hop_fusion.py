@@ -34,7 +34,7 @@ from repro.openflow.actions import ControllerAction, SetFieldAction
 from repro.openflow.constants import FlowModCommand
 from repro.packet.packet import make_ip_packet
 from repro.sim import Simulator
-from repro.switches.dataplane import DataPlane
+from repro.switches.base import Switch
 
 #: (ip_src, ip_dst, source host, destination host)
 _FLOWS = (("10.0.0.1", "10.0.128.1", "H1", "H2"), ("10.0.0.2", "10.0.128.2", "H1", "H2"),
@@ -145,15 +145,19 @@ def test_the_model_is_not_vacuous(monkeypatch):
     # reached them and are lit again before any of the three falls due.
     recorder = Recorder(monkeypatch)
     matched = []
-    process = DataPlane.process_packet
+    receive = Switch.receive_packet
 
-    def counted(dataplane, packet, in_port):
-        result = process(dataplane, packet, in_port)
-        if result.matched_entry is not None:
-            matched.append(dataplane.switch_name)
-        return result
+    def counted(switch, packet, in_port, arrived_at):
+        # Taken in (its trace moved on) and matched: the plan the switch
+        # applied, cached or just compiled, names a table entry.
+        trace = packet.trace
+        receive(switch, packet, in_port, arrived_at)
+        if packet.trace is not trace:
+            plan = switch.dataplane.plan_cache.get(in_port, {}).get(packet.header_values())
+            if plan is not None and plan[0] is not None:
+                matched.append(switch.name)
 
-    monkeypatch.setattr(DataPlane, "process_packet", counted)
+    monkeypatch.setattr(Switch, "receive_packet", counted)
     _run(["software", "hardware"], [(10, 0, 3, 100)],
                    [((0, 1, 0.05), ("flap_ports", True)), ((0, 1, 0.5), ("flap_ports", False)),
                     ((0, 0, -1.0), (FlowModCommand.ADD, 0, "punt+forward", 101))], [120, 240])

@@ -6,6 +6,7 @@ path (pinned against digests captured before the subsystem existed)."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,17 +36,44 @@ from repro.sim.rng import SeededRandom
 from repro.switches import Switch, software_switch_profile
 
 
-def _taken_in(switch):
-    """The packets ``switch`` takes in on a lit port from now on: each one
-    reaches its ``_forward`` (wrapped on the instance)."""
-    taken, forward = [], switch._forward
+def _hops_into(switch, links=()):
+    """Count the hops into ``switch`` from now on, at its ``receive_packet``,
+    which every hop passes: a packet it takes in on a lit port (the packet's
+    trace moves on to the switch) goes into ``taken``; one it classified (its
+    data plane holds the plan the hop applied, cached or just made) counts as
+    ``processed``, and as ``dropped`` too if the hop emitted nothing (no
+    PacketIn, nothing on any port; those are wrapped on the instance).  The
+    hand-over of each of ``links`` towards the switch is wrapped, and so is
+    ``receive``, for a test that hands packets over itself."""
+    hops = SimpleNamespace(taken=[], processed=0, dropped=0, emitted=False)
+    receive = switch.receive_packet
 
-    def counted(packet, in_port):
-        taken.append(packet)
-        forward(packet, in_port)
+    def emitting(send):
+        def sent(*args):
+            hops.emitted = True
+            return send(*args)
+        return sent
 
-    switch._forward = counted
-    return taken
+    switch._send_packet_in = emitting(switch._send_packet_in)
+    switch._transmit = emitting(switch._transmit)
+    for port, transmit in list(switch._ports.items()):
+        switch._ports[port] = emitting(transmit)
+
+    def hop(packet, in_port, arrived_at):
+        trace, hops.emitted = packet.trace, False
+        receive(packet, in_port, arrived_at)
+        if packet.trace is not trace:
+            hops.taken.append(packet)
+            if packet.header_values() in switch.dataplane.plan_cache.get(in_port, ()):
+                hops.processed += 1
+                hops.dropped += not hops.emitted
+
+    for link in links:
+        for direction in link._towards.values():
+            if direction.receive == receive:
+                direction.receive = hop
+    hops.receive = hop
+    return hops
 
 
 def _migration_params(**overrides):
@@ -292,14 +320,14 @@ class TestSwitchCrash:
         assert switch.dataplane.occupancy() == 0
         assert len(switch.controlplane.table) == 0
         # Packets and control messages are lost while down.
-        taken = _taken_in(switch)
+        hops = _hops_into(switch)
         from repro.packet.packet import make_ip_packet
 
-        sim.schedule_callback(switch.ingress_latency, switch.receive_packet,
+        sim.schedule_callback(switch.ingress_latency, hops.receive,
                               make_ip_packet("10.0.0.1", "10.0.128.1"), 1, sim.now)
         connection.side_b.send(_flowmods(1)[0])
         sim.run(until=0.9)
-        assert taken == []
+        assert hops.taken == []
         assert switch.dataplane.occupancy() == 0
         sim.run(until=1.5)
         assert not switch.crashed
@@ -444,9 +472,9 @@ class TestDarknessIsJudgedAtArrival:
     A link hands a packet to S2 one ingress delay (10 us) after it left the
     wire; whether S2's ports were dark is judged as of the arrival, whether
     S2 is crashed (and what its tables and port map hold) as of the due time.
-    Links never drop, so what S2 forwarded is what S3 received; what S2's
-    data plane processed, and what S2 and S3 took in on a lit port, is
-    counted by ``_line``.
+    Links never drop, so what S2 forwarded is what S3 received; what S2 and
+    S3 took in on a lit port, and what S2 processed (took in while up) and
+    dropped, is counted at their ``receive_packet`` by ``_line``.
     """
 
     US = 1e-6
@@ -479,17 +507,9 @@ class TestDarknessIsJudgedAtArrival:
                             make_ip_packet(flow.ip_src, flow.ip_dst, flow_id=flow.flow_id,
                                            sequence=sequence))
         switch = network.switch("S2")
-        process, self.processed, self.dropped = switch.dataplane.process_packet, 0, 0
-
-        def counted(packet, in_port):
-            self.processed += 1
-            result = process(packet, in_port)
-            # A drop: matched nothing, or a rule that sends the packet nowhere.
-            self.dropped += not (result.output_ports or result.to_controller)
-            return result
-
-        switch.dataplane.process_packet = counted
-        self.received = {name: _taken_in(network.switch(name)) for name in ("S2", "S3")}
+        self.hops = {name: _hops_into(network.switch(name), network.links)
+                     for name in ("S2", "S3")}
+        self.received = {name: hops.taken for name, hops in self.hops.items()}
 
         def arm(fault_name, **params):
             fault = get_fault(fault_name)(**params)
@@ -508,7 +528,7 @@ class TestDarknessIsJudgedAtArrival:
         sim.run(until=arrival + 9.9 * self.US)
         assert len(self.received["S2"]) == 0  # still inside its ingress delay
         sim.run(until=arrival + 10.1 * self.US)
-        assert len(self.received["S2"]) == self.processed == 1
+        assert len(self.received["S2"]) == self.hops["S2"].processed == 1
         sim.run()
         assert len(self.received["S3"]) == 1  # ... and forwarded
         assert self._delivered(network) == [0]
@@ -518,7 +538,7 @@ class TestDarknessIsJudgedAtArrival:
         arm("switch-crash", at=self._arrival_at_s2(self.SENT) + 5 * self.US, restart_after=0)
         sim.run()
         # It was on a lit port, so it was received — and died with the switch.
-        assert (len(self.received["S2"]), self.processed) == (1, 0)
+        assert (len(self.received["S2"]), self.hops["S2"].processed) == (1, 0)
         assert self._delivered(network) == []
 
     def test_arrives_lit_falls_due_flapped(self):
@@ -527,9 +547,9 @@ class TestDarknessIsJudgedAtArrival:
         sim.run()
         # The first was matched (the tables survive a flap) against an empty
         # port map: processed, forwarded nowhere.  The second came after.
-        assert len(self.received["S2"]) == self.processed == 2
+        assert len(self.received["S2"]) == self.hops["S2"].processed == 2
         assert len(self.received["S3"]) == 1
-        assert self.dropped == 0
+        assert self.hops["S2"].dropped == 0
         assert self._delivered(network) == [1]
         assert "receive_packet" not in vars(switch)
 
@@ -545,7 +565,7 @@ class TestDarknessIsJudgedAtArrival:
         sim.run()
         assert not switch.crashed and "receive_packet" not in vars(switch)
         # Only the later packet was received; after a crash it meets wiped tables.
-        assert len(self.received["S2"]) == self.processed == 1
+        assert len(self.received["S2"]) == self.hops["S2"].processed == 1
         assert self._delivered(network) == ([1] if fault == "link-flap" else [])
 
     def test_two_dark_windows_closer_together_than_the_ingress_delay(self):
@@ -569,7 +589,7 @@ class TestDarknessIsJudgedAtArrival:
         arm("switch-crash", at=dark_from + 50 * self.US, restart_after=100 * self.US)
         sim.run()
         assert switch._dark_log == [dark_from, dark_from + 50 * self.US + 100 * self.US]
-        assert len(self.received["S2"]) == 1 and self.dropped == 1
+        assert len(self.received["S2"]) == 1 and self.hops["S2"].dropped == 1
         assert self._delivered(network) == []
         # The flap gave the ports back while the switch was still down.
         switch.install_rule_directly(self.rules.flowmods["S2"])

@@ -74,14 +74,29 @@ def test_packet_field_validation():
 
 def test_packet_copy_preserves_headers_and_trace_but_new_identity():
     packet = make_ip_packet("10.0.0.1", "10.0.0.2", flow_id="f1")
-    packet.trace.append("H1")
+    packet.trace = packet.trace["H1"]
     clone = packet.copy()
     assert clone is not packet
     assert clone.headers == packet.headers
-    assert clone.trace == packet.trace == ["H1"] and clone.trace is not packet.trace
+    # The trace is an immutable node, so the copy shares it: a hop taken by
+    # the copy leaves the original's trace where it was.
+    assert clone.trace is packet.trace and packet.trace.names == ("H1",)
+    clone.trace = clone.trace["S1"]
+    assert (packet.trace.names, clone.trace.names) == (("H1",), ("H1", "S1"))
     assert clone.total_size == packet.total_size == 42 + packet.payload_size
     clone.set(HeaderField.IP_TOS, 7)
     assert packet.get(HeaderField.IP_TOS) == 0
+
+
+def test_packets_that_took_the_same_hops_carry_one_trace_node():
+    first, second = (make_ip_packet("10.0.0.1", "10.0.0.2", sequence=index)
+                     for index in range(2))
+    assert first.trace is second.trace and first.trace.names == ()
+    for packet in (first, second):
+        for name in ("H1", "S1", "H2"):
+            packet.trace = packet.trace[name]
+    assert first.trace is second.trace
+    assert first.trace.names is second.trace.names and first.trace.names == ("H1", "S1", "H2")
 
 
 def test_probe_packet_flagged_and_payloadless():

@@ -15,10 +15,10 @@ is stepped inside ``Simulator.run``, whatever the technique.  The packet path
 has more: dispatching a scheduled callback enters no frame but the
 callback's, an idle probe tick and a plain-output switch hop enter a fixed
 number of Python frames, the hop is one kernel step and (on CPython 3.11) a
-pinned number of bytecodes that build no lookup key, every packet of a flow
-carries the flow's one header tuple, a generated packet is sent without
-stepping a process, and a delivered packet leaves nothing behind for the
-cyclic garbage collector.
+pinned number of bytecodes that build no lookup key and no result, so is a
+delivery, every packet of a flow carries the flow's one header tuple, a
+generated packet is sent without stepping a process, and a delivered packet
+leaves nothing behind for the cyclic garbage collector.
 
 So does the control path: a FlowMod reaches a switch's tables through a
 bounded number of frames, none of them event, process or generator plumbing;
@@ -136,18 +136,25 @@ def counts(monkeypatch):
         if entry is not None:
             counts["lookups_that_matched"] += 1
 
-    original_process = DataPlane.process_packet
+    original_receive = Switch.receive_packet
 
-    def cached_plans(dataplane):
-        return sum(map(len, dataplane._lookup_cache.values()))
+    def cached_plans(switch):
+        return sum(map(len, switch.dataplane.plan_cache.values()))
 
-    def process_packet(self, packet, in_port):
-        cached = cached_plans(self)
-        result = original_process(self, packet, in_port)
-        counts["cache_misses" if cached_plans(self) > cached else "cache_hits"] += 1
-        if result.packet is not packet:
+    def receive_packet(switch, packet, in_port, arrived_at):
+        # Every hop passes here: one the switch classifies (its port was lit
+        # at the arrival, so the packet's trace moved on, and it is up) hits
+        # its plan cache or adds the plan it missed.
+        trace, crashed, cached = packet.trace, switch.crashed, cached_plans(switch)
+        original_receive(switch, packet, in_port, arrived_at)
+        if packet.trace is not trace and not crashed:
+            counts["cache_misses" if cached_plans(switch) > cached else "cache_hits"] += 1
+
+    def saw_copy(args, _result):
+        # A copy the hop itself makes (on a hit in receive_packet, on a miss
+        # in process_packet) carries a rewrite.
+        if sys._getframe(2).f_code.co_name in ("receive_packet", "process_packet"):
             counts["rewriting_hits"] += 1
-        return result
 
     bindings = {}  # id -> actions list, kept alive so that no id is reused
 
@@ -155,8 +162,8 @@ def counts(monkeypatch):
         bindings[id(args[0])] = args[0]
         counts["actions_bindings"] = len(bindings)
 
-    monkeypatch.setattr(DataPlane, "process_packet", process_packet)
-    _counted(monkeypatch, Packet, "copy", counts)
+    monkeypatch.setattr(Switch, "receive_packet", receive_packet)
+    _counted(monkeypatch, Packet, "copy", counts, saw_copy)
     _counted(monkeypatch, DataPlane, "_compile_plan", counts)
     _counted(monkeypatch, FlowTable, "lookup_values", counts, saw_lookup)
     _counted(monkeypatch, dataplane_mod, "compile_actions", counts, saw_compile)
@@ -455,13 +462,29 @@ def _per_hop(measure):
     return {name: (longer[name] - short[name]) / delivered for name in longer | short}
 
 
-def test_a_plain_output_hop_is_five_boundary_frames_and_one_kernel_step():
+def _per_delivery(measure):
+    """What ``measure(run)`` counts (a ``Counter``) over the steady state of
+    a 3-switch line, per delivered packet."""
+    sim, network, generator = _line_with_traffic(3)
+    monitor = network.monitor
+    sim.run(until=0.1)  # caches, interned paths and the flow's columns exist
+    while monitor.total_dropped():
+        sim.step()
+    generator.stop_all(0.9)
+    delivered = _delivered(monitor)
+    counted = measure(lambda: sim.run(until=1.0))
+    delivered = _delivered(monitor) - delivered
+    assert delivered >= 79
+    return {name: value / delivered for name, value in counted.items()}
+
+
+def test_a_plain_output_hop_is_three_boundary_frames_and_one_kernel_step():
     hop = _per_hop(lambda run: Counter(frames=_python_frames(run)))
-    # _flush_train -> receive_packet -> _forward -> process_packet ->
-    # transmit_from: layer boundaries only (no result constructor, counter
-    # method, size property, closure or scheduling call: the link pushes its
-    # own heap entry) ...
-    assert hop["frames"] == 5
+    # _flush_train -> receive_packet -> transmit_from: layer boundaries only
+    # (the switch applies its cached plan itself, and there is no result
+    # constructor, counter method, size property, closure or scheduling
+    # call: the link pushes its own heap entry) ...
+    assert hop["frames"] == 3
     # ... under one heap entry: the link's, due when the switch's ingress
     # delay is over.  An arrival event that only waits is a second one.
     assert hop["steps"] == 1
@@ -528,24 +551,39 @@ def traced_hop():
 
 @_CPYTHON_311
 def test_a_plain_output_hop_is_a_pinned_number_of_bytecodes(traced_hop):
-    # The five frames' bodies and one run-loop step (which pops first, peeks
+    # The three frames' bodies and one run-loop step (which pops first, peeks
     # at no ``heap[0]`` and sets the clock with no jump over its backwards
-    # check).  A per-hop key was 16 more, the peek 6, the jump 1, the rule's
-    # packet and byte counters and the switch's packet counter 22, the link's
-    # two bodies 18 (a ``flushing`` flag, the sender found by two identity
-    # tests) and the port map's ``.get`` and a separate miss return 5
-    # (``python tests/unit/test_work_guards.py`` prints the count per
-    # function).
-    assert (traced_hop["opcodes"], traced_hop["steps"]) == (256, 1)
+    # check).  Entering _forward and process_packet on a hit, and building
+    # and unpacking a result there, was 38 more; a per-hop key 16, the peek
+    # 6, the jump 1, the rule's packet and byte counters and the switch's
+    # packet counter 22, the link's two bodies 18 (a ``flushing`` flag, the
+    # sender found by two identity tests) and the port map's ``.get`` and a
+    # separate miss return 5 (``python tests/unit/test_work_guards.py``
+    # prints the count per function).
+    assert (traced_hop["opcodes"], traced_hop["steps"]) == (218, 1)
 
 
 @_CPYTHON_311
-def test_a_steady_state_hop_builds_no_lookup_key(traced_hop):
-    # The plan cache is looked up with the packet's own header tuple, so
-    # process_packet allocates its ForwardingResult, nothing else.  The byte
-    # counter's next int was a second block, and copying the header list for
-    # a key a third (its tuple came from the interpreter's free list).
-    assert traced_hop["blocks process_packet"] == 1
+def test_a_delivery_is_a_pinned_number_of_bytecodes(traced_hop):
+    # Host.receive_packet and what it calls, the monitor's record_delivery:
+    # the host hands over the path tuple its packet's trace node already
+    # is.  Building a tuple from a trace list was 3 more, and looking the
+    # flow's columns up with ``.get`` after testing for no flow 4 (95).
+    assert traced_hop["delivery opcodes"] == 88
+
+
+@_CPYTHON_311
+def test_a_steady_state_hop_builds_no_lookup_key_and_no_result(traced_hop):
+    # The plan cache is looked up with the packet's own header tuple and a
+    # hit is applied in receive_packet's own frame: process_packet, which
+    # builds a ForwardingResult per miss, is not called.  The switch's frame
+    # allocates two blocks: the frame the tracer builds for transmit_from,
+    # and the one more that handing the packet to its link took under
+    # _forward too.  The result was a block more, the byte counter's next
+    # int another, and copying the header list for a key a third (its tuple
+    # came from the interpreter's free list).
+    assert traced_hop.get("calls process_packet", 0) == 0
+    assert round(traced_hop["blocks receive_packet"]) == 2
 
 
 def test_every_packet_of_a_flow_carries_the_same_header_tuple(monkeypatch):
@@ -617,12 +655,15 @@ def test_the_hop_is_still_reached_through_class_attributes(monkeypatch):
     sim.run(until=0.2)
     sent = _sent(network.monitor)
     assert sent == counts["send"] >= 19
-    # Each packet that reached a lit switch port was forwarded, once.
-    hops = counts["_forward"]
-    assert hops == counts["process_packet"] >= 3 * (sent - 1)
-    # Every packet sent or forwarded rode a link: one transmit per hop.
+    # Each packet that reached a (lit) switch port was forwarded, once: what
+    # a host did not take in, a switch did, and every packet sent or
+    # forwarded rode a link, one transmit per hop.
+    hops = counts["receive_packet"] - _delivered(network.monitor)
+    assert hops >= 3 * (sent - 1)
     assert counts["transmit_from"] == sent + hops
-    assert counts["receive_packet"] == hops + _delivered(network.monitor)
+    # A packet without a cached plan got it through _forward and
+    # process_packet: the flow's first, at each of the three switches.
+    assert counts["_forward"] == counts["process_packet"] == 3
     assert counts["_flush_train"] >= counts["transmit_from"] - 4
 
 
@@ -785,15 +826,19 @@ def _futile_probe(miss, measure):
             counted = measure(lambda: sim.run(until=0.5))
         finally:
             gc.enable()
-        # S2 took in every probe (the measure saw its ``_forward`` frames),
+        # S2 took in every probe (the measure saw its ``receive_packet``
+        # frames; nothing else reaches a switch port here), the first and
+        # every one after a FlowMod missing the plan cache (``_forward``),
         # and every plan its data plane looked them up to is a drop: no port,
         # no PacketIn (a tap here would be a frame).
-        assert counted["calls _forward"] == probes
-        plans = [plan for cached in switch.dataplane._lookup_cache.values()
+        assert counted["calls receive_packet"] == probes
+        assert counted["calls _forward"] == (probes if miss else 1)
+        plans = [plan for cached in switch.dataplane.plan_cache.values()
                  for plan in cached.values()]
         assert plans and all(plan[2:] == ((), False) for plan in plans)
         return counted
 
+    work(1)  # the first run grows the process's trace tree by the probe's path
     one, four = work(1), work(4)
     return {name: (four[name] - one[name]) / 3 for name in four | one}
 
@@ -803,22 +848,28 @@ def test_a_probe_to_the_probed_switchs_drop_is_a_fixed_number_of_frames():
     # the RUM channel (send, _schedule_delivery; _deliver a step later) ->
     # S1's agent (receive, the hand-off, _begin picking the PacketOut's
     # route, _finish_packet_out) -> inject_packet (compile_actions, copy)
-    # -> the link -> S2's receive_packet -> _forward -> process_packet (a
-    # cache hit on the drop), three of them scheduling a heap entry.
-    assert _futile_probe(False, _frames)["frames"] == 20
+    # -> the link -> S2's receive_packet (a cache hit on the drop, applied
+    # in its own frame), three of them scheduling a heap entry.  Entering
+    # _forward and process_packet on the hit was 2 more.
+    assert _futile_probe(False, _frames)["frames"] == 18
 
 
 def test_a_probe_that_misses_the_lookup_cache_is_a_fixed_number_of_frames():
-    # The hit's frames, and the miss's _compile_plan and lookup_values.
+    # The hit's frames, and the miss path's _forward, process_packet,
+    # _compile_plan and lookup_values: as many as before the switch applied
+    # cached plans itself.
     assert _futile_probe(True, _frames)["frames"] == 22
 
 
 @_CPYTHON_311
 def test_a_futile_probe_is_a_pinned_number_of_bytecodes(traced_hop):
     # Those frames' bodies (``__main__`` counts them) on a hit and on a miss.
-    # The channel endpoints' message counters were 14 more, the switch's
-    # packet counter 7, and the link's two bodies 18.
-    assert (traced_hop["probe hit opcodes"], traced_hop["probe miss opcodes"]) == (917, 1032)
+    # A miss looks the plan cache up once, in receive_packet: a second
+    # failed lookup in process_packet is 14 more (1 038, where a miss was
+    # 1 032 while process_packet made the only lookup).  The channel
+    # endpoints' message counters were 14 more, the switch's packet counter
+    # 7, and the link's two bodies 18.
+    assert (traced_hop["probe hit opcodes"], traced_hop["probe miss opcodes"]) == (876, 1024)
 
 
 def test_the_control_path_is_still_reached_through_class_attributes(monkeypatch):
@@ -1287,14 +1338,18 @@ def test_a_stale_line_in_an_older_object_is_never_served(
 
 if __name__ == "__main__":
     # The hop's counts (what ``traced_hop`` reads; its bytecodes per function
-    # also go to stderr as a table), then a futile probe's frames and
-    # bytecodes on a lookup-cache hit and miss (what the frame and bytecode
-    # pins above count), and a barrier FlowMod's bytecodes at two windows.
+    # also go to stderr as a table), a delivery's bytecodes, a futile
+    # probe's frames and bytecodes on a lookup-cache hit and miss (what the
+    # frame and bytecode pins above count), and a barrier FlowMod's
+    # bytecodes at two windows.
     counts = _per_hop(_bytecodes)
     for name, opcodes in counts.items():
         if str(name).startswith("opcodes ") and opcodes:
             print(f"{opcodes:6.1f}  {name[len('opcodes '):]}", file=sys.stderr)
     print(f"{counts['opcodes']:6.1f}  plain hop", file=sys.stderr)
+    delivery = _per_delivery(_bytecodes)
+    counts["delivery opcodes"] = sum(delivery[f"opcodes {name}"] for name in (
+        "Host.receive_packet", "DeliveryMonitor.record_delivery"))
     for miss, label in ((False, "probe hit"), (True, "probe miss")):
         counts[f"{label} frames"] = _futile_probe(miss, _frames)["frames"]
         counts[f"{label} opcodes"] = _futile_probe(miss, _bytecodes)["opcodes"]
